@@ -207,10 +207,15 @@ fn main() {
             eprintln!("wilson_report: {e}");
             std::process::exit(1);
         }
+        let p = bench.metrics_overhead;
         println!(
-            "metrics overhead: x{:.4} (flight recorder on / off, N=8 block solve; \
-             gate x{:.2})",
-            bench.metrics_overhead,
+            "metrics overhead: median x{:.4}, min x{:.4}, MAD {:.4} over {} alternating \
+             off/on pairs (flight recorder on / off, N=8 block solve; the median is \
+             gated at x{:.2})",
+            p.median,
+            p.min,
+            p.mad,
+            p.pairs,
             solver_bench::METRICS_OVERHEAD_LIMIT
         );
         if let Err(e) = solver_bench::check_metrics_overhead(&bench) {

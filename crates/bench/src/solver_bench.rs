@@ -126,11 +126,12 @@ pub struct SolverBench {
     pub speedup: f64,
     /// Multi-RHS operator legs, one per batch size (N=1 first).
     pub block: Vec<BlockLeg>,
-    /// Wall-time ratio of an N=8 block solve with the metrics layer
+    /// Wall-time ratios of an N=8 block solve with the metrics layer
     /// (flight recorder + span observer) enabled over disabled — the
-    /// observability tax, gated at [`METRICS_OVERHEAD_LIMIT`] by the CI
-    /// bench-smoke job.
-    pub metrics_overhead: f64,
+    /// observability tax. Their **median** is gated at
+    /// [`METRICS_OVERHEAD_LIMIT`] by the CI bench-smoke job and exported
+    /// under the `metrics_overhead` key.
+    pub metrics_overhead: OverheadPairs,
     /// The low-mode deflation comparison on a thermalized configuration
     /// (`--deflate`): present when the deflation legs ran, gated by
     /// [`crate::deflate_bench::check_deflation_gain`] in CI.
@@ -146,12 +147,47 @@ pub struct SolverBench {
 /// cost at most 2% of N=8 block-solve wall time.
 pub const METRICS_OVERHEAD_LIMIT: f64 = 1.02;
 
+/// Spread of the paired on/off wall ratios of [`metrics_overhead_probe`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OverheadPairs {
+    /// Number of off/on pairs timed.
+    pub pairs: usize,
+    /// Smallest paired ratio.
+    pub min: f64,
+    /// Median paired ratio — the gated figure.
+    pub median: f64,
+    /// Median absolute deviation of the paired ratios from their median.
+    pub mad: f64,
+}
+
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len() % 2 == 1 {
+        xs[mid]
+    } else {
+        0.5 * (xs[mid - 1] + xs[mid])
+    }
+}
+
+/// Fewest off/on pairs [`metrics_overhead_probe`] times.
+pub const METRICS_OVERHEAD_MIN_PAIRS: usize = 5;
+
 /// Measure the observability tax: time an N=8 block solve with the flight
-/// recorder and span observer enabled, then disabled, taking the min over
-/// `reps` runs of each. The solver's health monitors run in both legs (they
-/// are part of the solve); what toggles is event recording and the span
-/// histogram feed. The prior enabled/disabled state is restored.
-pub fn metrics_overhead_probe(g: &Arc<Grid>, op: &WilsonDirac, iters: usize, reps: usize) -> f64 {
+/// recorder and span observer disabled and enabled, in `pairs` (at least
+/// [`METRICS_OVERHEAD_MIN_PAIRS`]) back-to-back pairs whose order
+/// alternates, and take the ratio on/off within each pair. Host drift
+/// between one pair and the next cancels in the ratios, drift inside a pair
+/// changes sign with the order, and the median ignores the pair an
+/// interruption landed in. The solver's health monitors run in both legs
+/// (they are part of the solve); what toggles is event recording and the
+/// span histogram feed. The prior enabled/disabled state is restored.
+pub fn metrics_overhead_probe(
+    g: &Arc<Grid>,
+    op: &WilsonDirac,
+    iters: usize,
+    pairs: usize,
+) -> OverheadPairs {
     let fields: Vec<FermionField> = (0..8)
         .map(|j| FermionField::random(g.clone(), 292 + j as u64))
         .collect();
@@ -159,30 +195,42 @@ pub fn metrics_overhead_probe(g: &Arc<Grid>, op: &WilsonDirac, iters: usize, rep
     let was_enabled = qcd_metrics::flight_enabled();
     qcd_metrics::install_span_observer();
     let _ = block_cg(op, &block, 1e-8, iters); // warm-up
-    let time_leg = |enabled: bool| -> u64 {
+    let time_leg = |enabled: bool| -> f64 {
         qcd_metrics::set_flight_enabled(enabled);
-        (0..reps.max(1))
-            .map(|_| {
-                let t0 = Instant::now();
-                let _ = block_cg(op, &block, 1e-8, iters);
-                t0.elapsed().as_nanos() as u64
-            })
-            .min()
-            .unwrap()
-            .max(1)
+        let t0 = Instant::now();
+        let _ = block_cg(op, &block, 1e-8, iters);
+        (t0.elapsed().as_nanos() as f64).max(1.0)
     };
-    let off = time_leg(false);
-    let on = time_leg(true);
+    let pairs = pairs.max(METRICS_OVERHEAD_MIN_PAIRS);
+    let mut ratios: Vec<f64> = (0..pairs)
+        .map(|i| {
+            let on_first = i % 2 == 1;
+            let first = time_leg(on_first);
+            let second = time_leg(!on_first);
+            if on_first {
+                first / second
+            } else {
+                second / first
+            }
+        })
+        .collect();
     qcd_metrics::set_flight_enabled(was_enabled);
-    on as f64 / off as f64
+    let median_ratio = median(&mut ratios);
+    let mut deviations: Vec<f64> = ratios.iter().map(|r| (r - median_ratio).abs()).collect();
+    OverheadPairs {
+        pairs,
+        min: ratios[0],
+        median: median_ratio,
+        mad: median(&mut deviations),
+    }
 }
 
 /// The CI gate on the observability tax.
 pub fn check_metrics_overhead(b: &SolverBench) -> Result<(), String> {
-    if b.metrics_overhead > METRICS_OVERHEAD_LIMIT {
+    if b.metrics_overhead.median > METRICS_OVERHEAD_LIMIT {
         return Err(format!(
             "metrics overhead {:.4}x exceeds the {METRICS_OVERHEAD_LIMIT}x limit",
-            b.metrics_overhead
+            b.metrics_overhead.median
         ));
     }
     Ok(())
@@ -430,7 +478,7 @@ pub fn run_solver_bench_with_rhs(
     let baseline = leg_result(dims, iters, base_wall.max(1), BASELINE_SWEEPS_PER_ITER);
     let fused = leg_result(dims, iters, fused_wall.max(1), FUSED_SWEEPS_PER_ITER);
     let block = run_block_legs(&g, &op, &op_two_row, iters, rhs_counts)?;
-    let metrics_overhead = metrics_overhead_probe(&g, &op, iters, 3);
+    let metrics_overhead = metrics_overhead_probe(&g, &op, iters, METRICS_OVERHEAD_MIN_PAIRS);
     Ok(SolverBench {
         dims,
         vl_bits: vl.bits() as u64,
@@ -497,7 +545,18 @@ pub fn bench_to_json(b: &SolverBench) -> Json {
             "block".into(),
             Json::Arr(b.block.iter().map(block_leg_json).collect()),
         ),
-        ("metrics_overhead".into(), Json::Num(b.metrics_overhead)),
+        (
+            "metrics_overhead".into(),
+            Json::Num(b.metrics_overhead.median),
+        ),
+        (
+            "metrics_overhead_pairs".into(),
+            Json::Obj(vec![
+                ("pairs".into(), Json::Num(b.metrics_overhead.pairs as f64)),
+                ("min".into(), Json::Num(b.metrics_overhead.min)),
+                ("mad".into(), Json::Num(b.metrics_overhead.mad)),
+            ]),
+        ),
     ];
     if let Some(d) = &b.deflation {
         members.push((
@@ -602,6 +661,20 @@ pub fn validate_solver_bench_json(doc: &Json) -> Result<(), String> {
         .is_some_and(|v| v > 0.0 && v.is_finite())
     {
         return Err("`metrics_overhead` missing or not positive".into());
+    }
+    // Documents written before the probe timed pairs carry no spread.
+    if let Some(pairs) = doc.get("metrics_overhead_pairs") {
+        for field in ["pairs", "min", "mad"] {
+            if !pairs
+                .get(field)
+                .and_then(Json::as_f64)
+                .is_some_and(|v| v >= 0.0 && v.is_finite())
+            {
+                return Err(format!(
+                    "`metrics_overhead_pairs.{field}` missing or negative"
+                ));
+            }
+        }
     }
     // The deflation and precision sections are optional (--deflate,
     // --precision); when present each must be a complete, well-formed
@@ -709,17 +782,20 @@ mod tests {
     #[test]
     fn metrics_overhead_is_measured_and_gated() {
         let mut bench = run_solver_bench_with_rhs(4, 2, &[1]).unwrap();
+        let p = bench.metrics_overhead;
         assert!(
-            bench.metrics_overhead > 0.0 && bench.metrics_overhead.is_finite(),
+            p.median > 0.0 && p.median.is_finite(),
             "probe must produce a positive ratio, got {}",
-            bench.metrics_overhead
+            p.median
         );
+        assert!(p.pairs >= METRICS_OVERHEAD_MIN_PAIRS);
+        assert!(p.min > 0.0 && p.min <= p.median && p.mad >= 0.0);
         // A forged over-budget ratio must be rejected, a healthy one pass.
-        bench.metrics_overhead = METRICS_OVERHEAD_LIMIT + 0.03;
+        bench.metrics_overhead.median = METRICS_OVERHEAD_LIMIT + 0.03;
         assert!(check_metrics_overhead(&bench)
             .unwrap_err()
             .contains("overhead"));
-        bench.metrics_overhead = 1.001;
+        bench.metrics_overhead.median = 1.001;
         check_metrics_overhead(&bench).unwrap();
     }
 

@@ -3,9 +3,10 @@
 //!
 //! The build container has no crates.io access, so the workspace vendors the
 //! thin slice of rayon it actually calls, implemented over
-//! `std::thread::scope`. Chunks are distributed in contiguous groups across
-//! worker threads, so data-parallel kernels still exercise real
-//! multi-threading (the telemetry crate's thread-merge tests rely on that).
+//! `std::thread::scope`. Every worker thread runs at least one chunk and
+//! claims further chunks as it finishes them, so data-parallel kernels
+//! still exercise real multi-threading (the telemetry crate's thread-merge
+//! tests rely on that) and a slow CPU does not hold a region up.
 //!
 //! Supported surface:
 //! - `par_chunks_mut` / `par_chunks` with `enumerate()`, `for_each`, and
@@ -24,7 +25,7 @@
 #![forbid(unsafe_code)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 /// The items a `use rayon::prelude::*` is expected to bring into scope.
 pub mod prelude {
@@ -74,113 +75,228 @@ pub fn current_num_threads() -> usize {
 /// Slices that can be split into parallel immutable chunks.
 pub trait ParallelSlice<T: Sync> {
     /// Parallel equivalent of [`slice::chunks`].
-    fn par_chunks(&self, chunk_size: usize) -> ParChunks<'_, T>;
+    fn par_chunks(&self, chunk_size: usize) -> ParChunks<&[T]>;
 }
 
 impl<T: Sync> ParallelSlice<T> for [T] {
-    fn par_chunks(&self, chunk_size: usize) -> ParChunks<'_, T> {
-        assert!(chunk_size > 0, "chunk size must be positive");
-        ParChunks {
-            slice: self,
-            chunk_size,
-        }
+    fn par_chunks(&self, chunk_size: usize) -> ParChunks<&[T]> {
+        ParChunks::new(self, chunk_size)
     }
 }
 
 /// Slices that can be split into parallel mutable chunks.
 pub trait ParallelSliceMut<T: Send> {
     /// Parallel equivalent of [`slice::chunks_mut`].
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T>;
+    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunks<&mut [T]>;
 }
 
 impl<T: Send> ParallelSliceMut<T> for [T] {
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T> {
-        assert!(chunk_size > 0, "chunk size must be positive");
-        ParChunksMut {
-            slice: self,
-            chunk_size,
-        }
+    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunks<&mut [T]> {
+        ParChunks::new(self, chunk_size)
     }
 }
 
 /// Marker trait so `use rayon::prelude::*` call sites that name it resolve.
 pub trait IndexedParallelIterator {}
 
-/// How many chunks of `chunk_size` cover `len` elements, and how many of
-/// them each worker-thread group should take (contiguous assignment).
-fn plan(len: usize, chunk_size: usize) -> (usize, usize) {
-    let n_chunks = len.div_ceil(chunk_size).max(1);
-    let threads = current_num_threads().min(n_chunks).max(1);
-    (threads, n_chunks.div_ceil(threads))
+/// What a parallel chunk iterator runs over: a shared slice, a mutable
+/// slice, or a pair of them advanced in lockstep.
+pub trait Chunked: Sized + Send {
+    /// One chunk: `&[T]`, `&mut [T]` or a pair of chunks.
+    type Chunk: Send;
+    /// Number of elements.
+    fn elems(&self) -> usize;
+    /// Serial chunks of `size` elements, in order.
+    fn chunks(self, size: usize) -> impl Iterator<Item = Self::Chunk>;
 }
 
-// ---- immutable chunks ----
+impl<'a, T: Sync> Chunked for &'a [T] {
+    type Chunk = &'a [T];
+    fn elems(&self) -> usize {
+        self.len()
+    }
+    fn chunks(self, size: usize) -> impl Iterator<Item = Self::Chunk> {
+        <[T]>::chunks(self, size)
+    }
+}
 
-/// Parallel immutable chunk iterator (see [`ParallelSlice::par_chunks`]).
-pub struct ParChunks<'a, T> {
-    slice: &'a [T],
+impl<'a, T: Send> Chunked for &'a mut [T] {
+    type Chunk = &'a mut [T];
+    fn elems(&self) -> usize {
+        self.len()
+    }
+    fn chunks(self, size: usize) -> impl Iterator<Item = Self::Chunk> {
+        self.chunks_mut(size)
+    }
+}
+
+impl<A: Chunked, B: Chunked> Chunked for (A, B) {
+    type Chunk = (A::Chunk, B::Chunk);
+    fn elems(&self) -> usize {
+        self.0.elems()
+    }
+    fn chunks(self, size: usize) -> impl Iterator<Item = Self::Chunk> {
+        self.0.chunks(size).zip(self.1.chunks(size))
+    }
+}
+
+/// One chunk's way through a parallel region.
+enum Slot<C, R> {
+    Todo(C),
+    Running,
+    Done(R),
+}
+
+/// The one place work is handed to threads. With one worker (or one chunk)
+/// this is a direct serial loop that spawns nothing and, for `R = ()`,
+/// allocates nothing; otherwise see [`run_on_threads`]. Results come back
+/// in chunk order either way.
+fn run<S: Chunked, R: Send>(
+    data: S,
+    chunk_size: usize,
+    f: impl Fn((usize, S::Chunk)) -> R + Sync,
+) -> Vec<R> {
+    let n_chunks = data.elems().div_ceil(chunk_size).max(1);
+    let threads = current_num_threads().min(n_chunks).max(1);
+    if threads <= 1 {
+        return data.chunks(chunk_size).enumerate().map(f).collect();
+    }
+    let slots = data
+        .chunks(chunk_size)
+        .map(|chunk| Mutex::new(Slot::Todo(chunk)))
+        .collect();
+    run_on_threads(slots, threads, &f)
+}
+
+/// `threads - 1` scoped threads are spawned and the calling thread works
+/// beside them instead of only waiting. Worker `k` always runs chunk `k`, so
+/// every thread the caller asked for takes part; the remaining chunks are
+/// claimed one at a time, workers from the front and the caller from the
+/// back, so a thread whose CPU is slow or late takes fewer chunks and the
+/// region ends when the work does, not when the slower half of a fixed split
+/// does. Not generic over the kernel: one copy per chunk and result type.
+#[inline(never)]
+fn run_on_threads<C: Send, R: Send>(
+    slots: Vec<Mutex<Slot<C, R>>>,
+    threads: usize,
+    f: &(dyn Fn((usize, C)) -> R + Sync),
+) -> Vec<R> {
+    let unclaimed = Mutex::new(threads - 1..slots.len());
+    // No lock is held while `f` runs.
+    let run_chunk = |i: usize| {
+        let claimed = std::mem::replace(&mut *slots[i].lock().unwrap(), Slot::Running);
+        let Slot::Todo(chunk) = claimed else {
+            unreachable!("chunk {i} claimed twice");
+        };
+        let result = f((i, chunk));
+        *slots[i].lock().unwrap() = Slot::Done(result);
+    };
+    let (run_chunk, unclaimed_ref) = (&run_chunk, &unclaimed);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads - 1)
+            .map(|k| {
+                scope.spawn(move || {
+                    let mut next = Some(k);
+                    while let Some(i) = next {
+                        run_chunk(i);
+                        next = unclaimed_ref.lock().unwrap().next();
+                    }
+                })
+            })
+            .collect();
+        let claim_back = || unclaimed_ref.lock().unwrap().next_back();
+        while let Some(i) = claim_back() {
+            run_chunk(i);
+        }
+        // The workers are inside their last chunk. Waiting awake costs less
+        // than a futex sleep and wake-up, and a worker that has handed in its
+        // result need not be joined: the scope waits for the closure to end,
+        // a join would wait for the operating system to tear the thread down.
+        for worker in &workers {
+            while !worker.is_finished() {
+                std::thread::yield_now();
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| match slot.into_inner().unwrap() {
+            Slot::Done(result) => result,
+            _ => unreachable!("the scope ended with a chunk not run"),
+        })
+        .collect()
+}
+
+/// Parallel chunk iterator (see [`ParallelSlice::par_chunks`],
+/// [`ParallelSliceMut::par_chunks_mut`], [`ParChunks::zip`]).
+pub struct ParChunks<S> {
+    data: S,
     chunk_size: usize,
 }
 
-impl<'a, T: Sync> ParChunks<'a, T> {
+impl<S: Chunked> ParChunks<S> {
+    fn new(data: S, chunk_size: usize) -> Self {
+        assert!(chunk_size > 0, "chunk size must be positive");
+        ParChunks { data, chunk_size }
+    }
+
     /// Pair every chunk with its index, preserving slice order.
-    pub fn enumerate(self) -> EnumParChunks<'a, T> {
+    pub fn enumerate(self) -> EnumParChunks<S> {
         EnumParChunks { inner: self }
     }
 
     /// Run `f` on every chunk, in parallel.
     pub fn for_each<F>(self, f: F)
     where
-        F: Fn(&[T]) + Sync,
+        F: Fn(S::Chunk) + Sync,
     {
         self.enumerate().for_each(|(_, chunk)| f(chunk));
     }
 }
 
-/// Enumerated variant of [`ParChunks`].
-pub struct EnumParChunks<'a, T> {
-    inner: ParChunks<'a, T>,
+impl<'a, T: Send> ParChunks<&'a mut [T]> {
+    /// Pair chunk `i` of `self` with chunk `i` of `other` (both slices must
+    /// have the same length; chunking is element-wise identical).
+    pub fn zip<U: Send>(
+        self,
+        other: ParChunks<&'a mut [U]>,
+    ) -> ParChunks<(&'a mut [T], &'a mut [U])> {
+        assert_eq!(
+            self.data.len(),
+            other.data.len(),
+            "zipped parallel chunk iterators must cover equal lengths"
+        );
+        assert_eq!(
+            self.chunk_size, other.chunk_size,
+            "zipped parallel chunk iterators must agree on chunk size"
+        );
+        ParChunks {
+            data: (self.data, other.data),
+            chunk_size: self.chunk_size,
+        }
+    }
 }
 
-impl<'a, T: Sync> EnumParChunks<'a, T> {
+/// Enumerated variant of [`ParChunks`].
+pub struct EnumParChunks<S> {
+    inner: ParChunks<S>,
+}
+
+impl<S: Chunked> EnumParChunks<S> {
     /// Run `f` on every `(index, chunk)` pair, in parallel.
     pub fn for_each<F>(self, f: F)
     where
-        F: Fn((usize, &[T])) + Sync,
+        F: Fn((usize, S::Chunk)) + Sync,
     {
-        let cs = self.inner.chunk_size;
-        let slice = self.inner.slice;
-        let (threads, per) = plan(slice.len(), cs);
-        if threads <= 1 {
-            for item in slice.chunks(cs).enumerate() {
-                f(item);
-            }
-            return;
-        }
-        let f = &f;
-        std::thread::scope(|scope| {
-            let mut rest = slice;
-            let mut base = 0usize;
-            while !rest.is_empty() {
-                let take = (per * cs).min(rest.len());
-                let (group, tail) = rest.split_at(take);
-                rest = tail;
-                let b = base;
-                scope.spawn(move || {
-                    for (j, c) in group.chunks(cs).enumerate() {
-                        f((b + j, c));
-                    }
-                });
-                base += per;
-            }
-        });
+        // A `Vec<()>` never allocates.
+        run(self.inner.data, self.inner.chunk_size, f);
     }
 
     /// Map every `(index, chunk)` pair through `f` (order-preserving; see
     /// [`MapEnumParChunks::collect`]).
-    pub fn map<R, F>(self, f: F) -> MapEnumParChunks<'a, T, F>
+    pub fn map<R, F>(self, f: F) -> MapEnumParChunks<S, F>
     where
-        F: Fn((usize, &[T])) -> R + Sync,
+        F: Fn((usize, S::Chunk)) -> R + Sync,
         R: Send,
     {
         MapEnumParChunks {
@@ -190,330 +306,20 @@ impl<'a, T: Sync> EnumParChunks<'a, T> {
     }
 }
 
-/// Pending `map` over enumerated immutable chunks.
-pub struct MapEnumParChunks<'a, T, F> {
-    inner: ParChunks<'a, T>,
+/// Pending `map` over enumerated chunks.
+pub struct MapEnumParChunks<S, F> {
+    inner: ParChunks<S>,
     f: F,
 }
 
-impl<'a, T: Sync, F> MapEnumParChunks<'a, T, F> {
+impl<S: Chunked, F> MapEnumParChunks<S, F> {
     /// Evaluate the map in parallel and return results in chunk order.
     pub fn collect<R>(self) -> Vec<R>
     where
-        F: Fn((usize, &[T])) -> R + Sync,
+        F: Fn((usize, S::Chunk)) -> R + Sync,
         R: Send,
     {
-        let cs = self.inner.chunk_size;
-        let slice = self.inner.slice;
-        let (threads, per) = plan(slice.len(), cs);
-        let f = &self.f;
-        if threads <= 1 {
-            return slice.chunks(cs).enumerate().map(f).collect();
-        }
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            let mut rest = slice;
-            let mut base = 0usize;
-            while !rest.is_empty() {
-                let take = (per * cs).min(rest.len());
-                let (group, tail) = rest.split_at(take);
-                rest = tail;
-                let b = base;
-                handles.push(scope.spawn(move || {
-                    group
-                        .chunks(cs)
-                        .enumerate()
-                        .map(|(j, c)| f((b + j, c)))
-                        .collect::<Vec<R>>()
-                }));
-                base += per;
-            }
-            let mut out = Vec::with_capacity(slice.len().div_ceil(cs));
-            for h in handles {
-                out.extend(h.join().expect("worker thread panicked"));
-            }
-            out
-        })
-    }
-}
-
-// ---- mutable chunks ----
-
-/// Parallel mutable chunk iterator (see [`ParallelSliceMut::par_chunks_mut`]).
-pub struct ParChunksMut<'a, T> {
-    slice: &'a mut [T],
-    chunk_size: usize,
-}
-
-impl<'a, T: Send> ParChunksMut<'a, T> {
-    /// Pair every chunk with its index, preserving slice order.
-    pub fn enumerate(self) -> EnumParChunksMut<'a, T> {
-        EnumParChunksMut { inner: self }
-    }
-
-    /// Run `f` on every chunk, in parallel.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(&mut [T]) + Sync,
-    {
-        self.enumerate().for_each(|(_, chunk)| f(chunk));
-    }
-
-    /// Pair chunk `i` of `self` with chunk `i` of `other` (both slices must
-    /// have the same length; chunking is element-wise identical).
-    pub fn zip<U: Send>(self, other: ParChunksMut<'a, U>) -> ZipChunksMut<'a, T, U> {
-        assert_eq!(
-            self.slice.len(),
-            other.slice.len(),
-            "zipped parallel chunk iterators must cover equal lengths"
-        );
-        assert_eq!(
-            self.chunk_size, other.chunk_size,
-            "zipped parallel chunk iterators must agree on chunk size"
-        );
-        ZipChunksMut {
-            a: self.slice,
-            b: other.slice,
-            chunk_size: self.chunk_size,
-        }
-    }
-}
-
-/// Enumerated variant of [`ParChunksMut`].
-pub struct EnumParChunksMut<'a, T> {
-    inner: ParChunksMut<'a, T>,
-}
-
-impl<'a, T: Send> EnumParChunksMut<'a, T> {
-    /// Run `f` on every `(index, chunk)` pair, in parallel.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn((usize, &mut [T])) + Sync,
-    {
-        let cs = self.inner.chunk_size;
-        let slice = self.inner.slice;
-        let (threads, per) = plan(slice.len(), cs);
-        if threads <= 1 {
-            for item in slice.chunks_mut(cs).enumerate() {
-                f(item);
-            }
-            return;
-        }
-        let f = &f;
-        std::thread::scope(|scope| {
-            let mut rest = slice;
-            let mut base = 0usize;
-            while !rest.is_empty() {
-                let take = (per * cs).min(rest.len());
-                let (group, tail) = rest.split_at_mut(take);
-                rest = tail;
-                let b = base;
-                scope.spawn(move || {
-                    for (j, c) in group.chunks_mut(cs).enumerate() {
-                        f((b + j, c));
-                    }
-                });
-                base += per;
-            }
-        });
-    }
-
-    /// Map every `(index, chunk)` pair through `f` (order-preserving; see
-    /// [`MapEnumParChunksMut::collect`]).
-    pub fn map<R, F>(self, f: F) -> MapEnumParChunksMut<'a, T, F>
-    where
-        F: Fn((usize, &mut [T])) -> R + Sync,
-        R: Send,
-    {
-        MapEnumParChunksMut {
-            inner: self.inner,
-            f,
-        }
-    }
-}
-
-/// Pending `map` over enumerated mutable chunks.
-pub struct MapEnumParChunksMut<'a, T, F> {
-    inner: ParChunksMut<'a, T>,
-    f: F,
-}
-
-impl<'a, T: Send, F> MapEnumParChunksMut<'a, T, F> {
-    /// Evaluate the map in parallel and return results in chunk order.
-    pub fn collect<R>(self) -> Vec<R>
-    where
-        F: Fn((usize, &mut [T])) -> R + Sync,
-        R: Send,
-    {
-        let cs = self.inner.chunk_size;
-        let slice = self.inner.slice;
-        let (threads, per) = plan(slice.len(), cs);
-        let f = &self.f;
-        if threads <= 1 {
-            return slice.chunks_mut(cs).enumerate().map(f).collect();
-        }
-        let n_chunks = slice.len().div_ceil(cs);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            let mut rest = slice;
-            let mut base = 0usize;
-            while !rest.is_empty() {
-                let take = (per * cs).min(rest.len());
-                let (group, tail) = rest.split_at_mut(take);
-                rest = tail;
-                let b = base;
-                handles.push(scope.spawn(move || {
-                    group
-                        .chunks_mut(cs)
-                        .enumerate()
-                        .map(|(j, c)| f((b + j, c)))
-                        .collect::<Vec<R>>()
-                }));
-                base += per;
-            }
-            let mut out = Vec::with_capacity(n_chunks);
-            for h in handles {
-                out.extend(h.join().expect("worker thread panicked"));
-            }
-            out
-        })
-    }
-}
-
-// ---- zipped mutable chunks ----
-
-/// Two mutable chunk iterators advanced in lockstep (see
-/// [`ParChunksMut::zip`]).
-pub struct ZipChunksMut<'a, T, U> {
-    a: &'a mut [T],
-    b: &'a mut [U],
-    chunk_size: usize,
-}
-
-impl<'a, T: Send, U: Send> ZipChunksMut<'a, T, U> {
-    /// Pair every chunk pair with its index.
-    pub fn enumerate(self) -> EnumZipChunksMut<'a, T, U> {
-        EnumZipChunksMut { inner: self }
-    }
-
-    /// Run `f` on every chunk pair, in parallel.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn((&mut [T], &mut [U])) + Sync,
-    {
-        self.enumerate().for_each(|(_, pair)| f(pair));
-    }
-}
-
-/// Enumerated variant of [`ZipChunksMut`].
-pub struct EnumZipChunksMut<'a, T, U> {
-    inner: ZipChunksMut<'a, T, U>,
-}
-
-impl<'a, T: Send, U: Send> EnumZipChunksMut<'a, T, U> {
-    /// Run `f` on every `(index, (chunk_a, chunk_b))`, in parallel.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn((usize, (&mut [T], &mut [U]))) + Sync,
-    {
-        let cs = self.inner.chunk_size;
-        let (a, b) = (self.inner.a, self.inner.b);
-        let (threads, per) = plan(a.len(), cs);
-        if threads <= 1 {
-            for (i, pair) in a.chunks_mut(cs).zip(b.chunks_mut(cs)).enumerate() {
-                f((i, pair));
-            }
-            return;
-        }
-        let f = &f;
-        std::thread::scope(|scope| {
-            let mut rest_a = a;
-            let mut rest_b = b;
-            let mut base = 0usize;
-            while !rest_a.is_empty() {
-                let take = (per * cs).min(rest_a.len());
-                let (ga, ta) = rest_a.split_at_mut(take);
-                let (gb, tb) = rest_b.split_at_mut(take);
-                rest_a = ta;
-                rest_b = tb;
-                let bse = base;
-                scope.spawn(move || {
-                    for (j, pair) in ga.chunks_mut(cs).zip(gb.chunks_mut(cs)).enumerate() {
-                        f((bse + j, pair));
-                    }
-                });
-                base += per;
-            }
-        });
-    }
-
-    /// Map every `(index, (chunk_a, chunk_b))` through `f`
-    /// (order-preserving).
-    pub fn map<R, F>(self, f: F) -> MapEnumZipChunksMut<'a, T, U, F>
-    where
-        F: Fn((usize, (&mut [T], &mut [U]))) -> R + Sync,
-        R: Send,
-    {
-        MapEnumZipChunksMut {
-            inner: self.inner,
-            f,
-        }
-    }
-}
-
-/// Pending `map` over enumerated zipped mutable chunks.
-pub struct MapEnumZipChunksMut<'a, T, U, F> {
-    inner: ZipChunksMut<'a, T, U>,
-    f: F,
-}
-
-impl<'a, T: Send, U: Send, F> MapEnumZipChunksMut<'a, T, U, F> {
-    /// Evaluate the map in parallel and return results in chunk order.
-    pub fn collect<R>(self) -> Vec<R>
-    where
-        F: Fn((usize, (&mut [T], &mut [U]))) -> R + Sync,
-        R: Send,
-    {
-        let cs = self.inner.chunk_size;
-        let (a, b) = (self.inner.a, self.inner.b);
-        let (threads, per) = plan(a.len(), cs);
-        let f = &self.f;
-        if threads <= 1 {
-            return a
-                .chunks_mut(cs)
-                .zip(b.chunks_mut(cs))
-                .enumerate()
-                .map(f)
-                .collect();
-        }
-        let n_chunks = a.len().div_ceil(cs);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            let mut rest_a = a;
-            let mut rest_b = b;
-            let mut base = 0usize;
-            while !rest_a.is_empty() {
-                let take = (per * cs).min(rest_a.len());
-                let (ga, ta) = rest_a.split_at_mut(take);
-                let (gb, tb) = rest_b.split_at_mut(take);
-                rest_a = ta;
-                rest_b = tb;
-                let bse = base;
-                handles.push(scope.spawn(move || {
-                    ga.chunks_mut(cs)
-                        .zip(gb.chunks_mut(cs))
-                        .enumerate()
-                        .map(|(j, pair)| f((bse + j, pair)))
-                        .collect::<Vec<R>>()
-                }));
-                base += per;
-            }
-            let mut out = Vec::with_capacity(n_chunks);
-            for h in handles {
-                out.extend(h.join().expect("worker thread panicked"));
-            }
-            out
-        })
+        run(self.inner.data, self.inner.chunk_size, self.f)
     }
 }
 
@@ -543,10 +349,34 @@ mod tests {
         data.par_chunks_mut(1).for_each(|_| {
             ids.lock().unwrap().insert(std::thread::current().id());
         });
-        let seen = ids.lock().unwrap().len();
-        assert!(seen >= 1);
+        let ids = ids.into_inner().unwrap();
+        assert!(
+            ids.contains(&std::thread::current().id()),
+            "the calling thread runs a group itself"
+        );
         if super::current_num_threads() > 1 {
-            assert!(seen > 1, "expected work on more than one thread");
+            assert!(ids.len() > 1, "expected work on more than one thread");
+        }
+    }
+
+    #[test]
+    fn a_slow_thread_keeps_only_the_chunk_it_is_in() {
+        use std::sync::Mutex;
+        let ran_on = Mutex::new(vec![None; 64]);
+        let mut data = [0u8; 64];
+        data.par_chunks_mut(1).enumerate().for_each(|(i, _)| {
+            ran_on.lock().unwrap()[i] = Some(std::thread::current().id());
+            if i == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(50));
+            }
+        });
+        let ran_on = ran_on.into_inner().unwrap();
+        let slow = ran_on[0].expect("chunk 0 ran");
+        if slow != std::thread::current().id() {
+            // Chunk 0 went to a worker; while it slept, the other 63 chunks
+            // were there for the taking.
+            let kept = ran_on.iter().filter(|&&id| id == Some(slow)).count();
+            assert_eq!(kept, 1, "the sleeping thread was left more chunks");
         }
     }
 

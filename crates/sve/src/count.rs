@@ -10,7 +10,8 @@
 //! tallied per [`Opcode`], and pluggable [`CostModel`]s convert tallies into
 //! cycle estimates for hypothetical silicon.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
 macro_rules! opcodes {
     ($($name:ident => $mnemonic:literal, $class:ident;)*) => {
@@ -147,10 +148,86 @@ opcodes! {
     Branch => "b.cond", Scalar;
 }
 
-/// Per-opcode execution tally. Thread-safe: kernels may run under Rayon.
+/// Private shards per [`Counters`]. Threads holding a slot id below this
+/// own one shard each; everyone else shares the overflow shard behind them.
+const SHARDS: usize = 16;
+/// Index of the shared overflow shard, and the slot id of a thread that
+/// holds no private slot.
+const OVERFLOW: usize = SHARDS;
+/// Slot id of a thread that has not asked for one yet.
+const UNASSIGNED: usize = usize::MAX;
+
+/// Bit `s` set = slot `s` belongs to a live thread. Process-wide, so a slot
+/// id names the same shard in every `Counters`.
+static SLOTS_IN_USE: AtomicU32 = AtomicU32::new(0);
+
+/// Returns the thread's slot to the pool when the thread exits. Worker
+/// threads are short-lived (the rayon shim spawns fresh scoped threads for
+/// every parallel region), so without recycling the private shards would be
+/// used up by the first sixteen regions of a process.
+struct SlotLease(usize);
+
+impl Drop for SlotLease {
+    fn drop(&mut self) {
+        // Later bumps from this thread (other TLS destructors) must not
+        // touch a shard that is about to get a new owner.
+        SLOT.with(|s| s.set(OVERFLOW));
+        // Release pairs with the Acquire in `claim_slot`: the next owner of
+        // this slot sees every plain store this thread made to its shards.
+        SLOTS_IN_USE.fetch_and(!(1 << self.0), Ordering::Release);
+    }
+}
+
+thread_local! {
+    /// This thread's slot id; no destructor, so reading it is one TLS load
+    /// and it stays readable while the thread is torn down.
+    static SLOT: Cell<usize> = const { Cell::new(UNASSIGNED) };
+    static LEASE: Cell<Option<SlotLease>> = const { Cell::new(None) };
+}
+
+/// First bump on this thread: take the lowest free slot, or the overflow
+/// slot when all are taken or the thread's TLS is already being destroyed.
+#[cold]
+fn claim_slot() -> usize {
+    let lowest_free = |used: u32| (!used).trailing_zeros() as usize;
+    let claimed = SLOTS_IN_USE.fetch_update(Ordering::Acquire, Ordering::Relaxed, |used| {
+        (lowest_free(used) < SHARDS).then(|| used | 1 << lowest_free(used))
+    });
+    let slot = claimed.map_or(OVERFLOW, lowest_free);
+    SLOT.with(|s| s.set(slot));
+    if slot != OVERFLOW {
+        let lease = SlotLease(slot);
+        // If this thread's TLS is already being destroyed the lease is
+        // dropped right here, which hands the slot back.
+        let _ = LEASE.try_with(move |l| l.set(Some(lease)));
+    }
+    SLOT.with(Cell::get)
+}
+
+#[inline]
+fn thread_slot() -> usize {
+    let slot = SLOT.with(Cell::get);
+    if slot == UNASSIGNED {
+        claim_slot()
+    } else {
+        slot
+    }
+}
+
+/// One thread's tallies, on cache lines of their own.
+#[repr(align(64))]
+struct Shard([AtomicU64; Opcode::COUNT]);
+
+/// Per-opcode execution tally, exact under any number of threads.
+///
+/// The tally is split into [`SHARDS`] private shards plus one shared
+/// overflow shard. A thread owns the shard its process-wide slot id names —
+/// ids are unique among live threads, so the owner is the shard's only
+/// writer and bumps it with a plain load and store; threads beyond the
+/// private shards `fetch_add` on the overflow shard. Readers sum the shards.
 pub struct Counters {
-    counts: [AtomicU64; Opcode::COUNT],
-    enabled: std::sync::atomic::AtomicBool,
+    shards: [Shard; SHARDS + 1],
+    enabled: AtomicBool,
 }
 
 impl Default for Counters {
@@ -163,24 +240,31 @@ impl Counters {
     /// Fresh zeroed counters with counting enabled.
     pub fn new() -> Self {
         Counters {
-            counts: std::array::from_fn(|_| AtomicU64::new(0)),
-            enabled: std::sync::atomic::AtomicBool::new(true),
+            shards: std::array::from_fn(|_| Shard(std::array::from_fn(|_| AtomicU64::new(0)))),
+            enabled: AtomicBool::new(true),
         }
     }
 
     /// Record one execution of `op`.
     #[inline]
     pub fn bump(&self, op: Opcode) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.counts[op as usize].fetch_add(1, Ordering::Relaxed);
-        }
+        self.bump_n(op, 1);
     }
 
     /// Record `n` executions of `op`.
     #[inline]
     pub fn bump_n(&self, op: Opcode, n: u64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.counts[op as usize].fetch_add(n, Ordering::Relaxed);
+        if !self.enabled.load(Ordering::Relaxed) {
+            return;
+        }
+        // `min` tells the compiler the index is in range; a slot id never
+        // exceeds OVERFLOW.
+        let slot = thread_slot().min(OVERFLOW);
+        let count = &self.shards[slot].0[op as usize];
+        if slot == OVERFLOW {
+            count.fetch_add(n, Ordering::Relaxed);
+        } else {
+            count.store(count.load(Ordering::Relaxed) + n, Ordering::Relaxed);
         }
     }
 
@@ -191,7 +275,10 @@ impl Counters {
 
     /// Executions recorded for `op`.
     pub fn get(&self, op: Opcode) -> u64 {
-        self.counts[op as usize].load(Ordering::Relaxed)
+        self.shards
+            .iter()
+            .map(|s| s.0[op as usize].load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Total executions across all opcodes.
@@ -208,9 +295,10 @@ impl Counters {
             .sum()
     }
 
-    /// Reset all tallies to zero.
+    /// Reset all tallies to zero. Meant for quiet moments: a bump racing
+    /// with the reset may survive it.
     pub fn reset(&self) {
-        for c in &self.counts {
+        for c in self.shards.iter().flat_map(|s| &s.0) {
             c.store(0, Ordering::Relaxed);
         }
     }
@@ -380,6 +468,94 @@ mod tests {
         c.bump_n(Opcode::Fmul, 10);
         assert_eq!(CostModel::Uniform.cycles(&c), 20);
         assert_eq!(CostModel::FcmlaSlow.cycles(&c), 50);
+    }
+
+    /// What `threads` threads add to each opcode in [`bump_mixed`].
+    fn mixed_expectation(threads: usize, n: usize) -> [u64; Opcode::COUNT] {
+        let mut want = [0u64; Opcode::COUNT];
+        for t in 0..threads {
+            for i in 0..n {
+                want[(t + i) % Opcode::COUNT] += 1;
+                want[Opcode::Fcmla as usize] += 2;
+            }
+        }
+        want
+    }
+
+    /// `threads` threads, all alive at once, each bumping `n` rounds of mixed
+    /// opcodes on `c`; returns how many of them held a private shard.
+    fn bump_mixed(c: &Counters, threads: usize, n: usize) -> usize {
+        let all_live = std::sync::Barrier::new(threads);
+        let private = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let (all_live, private) = (&all_live, &private);
+                s.spawn(move || {
+                    c.bump(Opcode::Prf); // takes this thread's slot
+                    all_live.wait();
+                    if thread_slot() < OVERFLOW {
+                        private.fetch_add(1, Ordering::Relaxed);
+                    }
+                    for i in 0..n {
+                        c.bump(Opcode::ALL[(t + i) % Opcode::COUNT]);
+                        c.bump_n(Opcode::Fcmla, 2);
+                    }
+                });
+            }
+        });
+        private.load(Ordering::Relaxed) as usize
+    }
+
+    #[test]
+    fn exact_with_more_threads_than_shards_and_under_thread_churn() {
+        const THREADS: usize = 3 * SHARDS;
+        const N: usize = 500;
+        const GENERATIONS: usize = 4;
+        let c = Counters::new();
+        let bystander = Counters::new();
+        let mut recycled = false;
+        for generation in 0..GENERATIONS {
+            let private = bump_mixed(&c, THREADS, N);
+            // More live threads than private shards: some shared the
+            // overflow shard.
+            assert!(private <= SHARDS);
+            // The earlier generations' threads have exited; had they kept
+            // their slot ids, later ones would find none.
+            recycled |= generation > 0 && private > 0;
+        }
+        assert!(recycled, "slot ids were not recycled");
+
+        let mut want = mixed_expectation(THREADS, N).map(|n| n * GENERATIONS as u64);
+        want[Opcode::Prf as usize] += (THREADS * GENERATIONS) as u64;
+        for op in Opcode::ALL {
+            assert_eq!(c.get(op), want[op as usize], "{op:?}");
+        }
+        assert_eq!(c.total(), want.iter().sum::<u64>());
+        assert_eq!(bystander.total(), 0, "shards belong to one Counters");
+
+        c.reset();
+        assert_eq!(c.total(), 0);
+        c.set_enabled(false);
+        bump_mixed(&c, THREADS, N);
+        assert_eq!(c.total(), 0, "disabled counters record nothing");
+    }
+
+    #[test]
+    fn two_contexts_bumped_from_one_thread_stay_apart() {
+        let vl = crate::VectorLength::of(256);
+        let (a, b) = (crate::SveCtx::new(vl), crate::SveCtx::new(vl));
+        a.exec_n(Opcode::Ld1, 3);
+        b.exec(Opcode::Ld1);
+        b.exec(Opcode::St1);
+        a.exec(Opcode::Fcmla);
+        assert_eq!(
+            a.counters().snapshot(),
+            vec![(Opcode::Ld1, 3), (Opcode::Fcmla, 1)]
+        );
+        assert_eq!(
+            b.counters().snapshot(),
+            vec![(Opcode::Ld1, 1), (Opcode::St1, 1)]
+        );
     }
 
     #[test]

@@ -67,53 +67,68 @@ impl SveElem for f64 {
     const BYTES: usize = 8;
     const SUFFIX: char = 'd';
 
+    #[inline]
     fn zero() -> Self {
         0.0
     }
 
+    #[inline]
     fn write_le(self, dst: &mut [u8]) {
         dst.copy_from_slice(&self.to_le_bytes());
     }
 
+    #[inline]
     fn read_le(src: &[u8]) -> Self {
         f64::from_le_bytes(src.try_into().expect("8-byte lane"))
     }
 }
 
 impl SveFloat for f64 {
+    #[inline]
     fn one() -> Self {
         1.0
     }
+    #[inline]
     fn add(self, rhs: Self) -> Self {
         self + rhs
     }
+    #[inline]
     fn sub(self, rhs: Self) -> Self {
         self - rhs
     }
+    #[inline]
     fn mul(self, rhs: Self) -> Self {
         self * rhs
     }
+    #[inline]
     fn neg(self) -> Self {
         -self
     }
+    #[inline]
     fn mul_add(self, rhs: Self, acc: Self) -> Self {
         f64::mul_add(self, rhs, acc)
     }
+    #[inline]
     fn abs(self) -> Self {
         f64::abs(self)
     }
+    #[inline]
     fn max(self, rhs: Self) -> Self {
         f64::max(self, rhs)
     }
+    #[inline]
     fn min(self, rhs: Self) -> Self {
         f64::min(self, rhs)
     }
+    #[inline]
     fn sqrt(self) -> Self {
         f64::sqrt(self)
     }
+    #[inline]
     fn from_f64(x: f64) -> Self {
         x
     }
+    #[inline]
     fn to_f64(self) -> f64 {
         self
     }
@@ -123,53 +138,68 @@ impl SveElem for f32 {
     const BYTES: usize = 4;
     const SUFFIX: char = 's';
 
+    #[inline]
     fn zero() -> Self {
         0.0
     }
 
+    #[inline]
     fn write_le(self, dst: &mut [u8]) {
         dst.copy_from_slice(&self.to_le_bytes());
     }
 
+    #[inline]
     fn read_le(src: &[u8]) -> Self {
         f32::from_le_bytes(src.try_into().expect("4-byte lane"))
     }
 }
 
 impl SveFloat for f32 {
+    #[inline]
     fn one() -> Self {
         1.0
     }
+    #[inline]
     fn add(self, rhs: Self) -> Self {
         self + rhs
     }
+    #[inline]
     fn sub(self, rhs: Self) -> Self {
         self - rhs
     }
+    #[inline]
     fn mul(self, rhs: Self) -> Self {
         self * rhs
     }
+    #[inline]
     fn neg(self) -> Self {
         -self
     }
+    #[inline]
     fn mul_add(self, rhs: Self, acc: Self) -> Self {
         f32::mul_add(self, rhs, acc)
     }
+    #[inline]
     fn abs(self) -> Self {
         f32::abs(self)
     }
+    #[inline]
     fn max(self, rhs: Self) -> Self {
         f32::max(self, rhs)
     }
+    #[inline]
     fn min(self, rhs: Self) -> Self {
         f32::min(self, rhs)
     }
+    #[inline]
     fn sqrt(self) -> Self {
         f32::sqrt(self)
     }
+    #[inline]
     fn from_f64(x: f64) -> Self {
         x as f32
     }
+    #[inline]
     fn to_f64(self) -> f64 {
         self as f64
     }
@@ -179,55 +209,70 @@ impl SveElem for F16 {
     const BYTES: usize = 2;
     const SUFFIX: char = 'h';
 
+    #[inline]
     fn zero() -> Self {
         F16::ZERO
     }
 
+    #[inline]
     fn write_le(self, dst: &mut [u8]) {
         dst.copy_from_slice(&self.0.to_le_bytes());
     }
 
+    #[inline]
     fn read_le(src: &[u8]) -> Self {
         F16(u16::from_le_bytes(src.try_into().expect("2-byte lane")))
     }
 }
 
 impl SveFloat for F16 {
+    #[inline]
     fn one() -> Self {
         F16::from_f32(1.0)
     }
+    #[inline]
     fn add(self, rhs: Self) -> Self {
         F16::from_f32(self.to_f32() + rhs.to_f32())
     }
+    #[inline]
     fn sub(self, rhs: Self) -> Self {
         F16::from_f32(self.to_f32() - rhs.to_f32())
     }
+    #[inline]
     fn mul(self, rhs: Self) -> Self {
         F16::from_f32(self.to_f32() * rhs.to_f32())
     }
+    #[inline]
     fn neg(self) -> Self {
         F16(self.0 ^ 0x8000)
     }
+    #[inline]
     fn mul_add(self, rhs: Self, acc: Self) -> Self {
         // f32 holds the exact product of two f16s, so a single rounding at
         // the end matches a fused half-precision unit.
         F16::from_f32(self.to_f32() * rhs.to_f32() + acc.to_f32())
     }
+    #[inline]
     fn abs(self) -> Self {
         F16(self.0 & 0x7fff)
     }
+    #[inline]
     fn max(self, rhs: Self) -> Self {
         F16::from_f32(self.to_f32().max(rhs.to_f32()))
     }
+    #[inline]
     fn min(self, rhs: Self) -> Self {
         F16::from_f32(self.to_f32().min(rhs.to_f32()))
     }
+    #[inline]
     fn sqrt(self) -> Self {
         F16::from_f32(self.to_f32().sqrt())
     }
+    #[inline]
     fn from_f64(x: f64) -> Self {
         F16::from_f64(x)
     }
+    #[inline]
     fn to_f64(self) -> f64 {
         self.to_f64()
     }
@@ -237,14 +282,17 @@ impl SveElem for i32 {
     const BYTES: usize = 4;
     const SUFFIX: char = 's';
 
+    #[inline]
     fn zero() -> Self {
         0
     }
 
+    #[inline]
     fn write_le(self, dst: &mut [u8]) {
         dst.copy_from_slice(&self.to_le_bytes());
     }
 
+    #[inline]
     fn read_le(src: &[u8]) -> Self {
         i32::from_le_bytes(src.try_into().expect("4-byte lane"))
     }
@@ -254,14 +302,17 @@ impl SveElem for u64 {
     const BYTES: usize = 8;
     const SUFFIX: char = 'd';
 
+    #[inline]
     fn zero() -> Self {
         0
     }
 
+    #[inline]
     fn write_le(self, dst: &mut [u8]) {
         dst.copy_from_slice(&self.to_le_bytes());
     }
 
+    #[inline]
     fn read_le(src: &[u8]) -> Self {
         u64::from_le_bytes(src.try_into().expect("8-byte lane"))
     }

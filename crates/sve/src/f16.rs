@@ -38,6 +38,7 @@ impl F16 {
 
     /// Convert from `f32` with round-to-nearest-even, the rounding mode SVE
     /// `fcvt` uses by default.
+    #[inline]
     pub fn from_f32(x: f32) -> Self {
         let bits = x.to_bits();
         let sign = ((bits >> 16) & 0x8000) as u16;
@@ -93,6 +94,7 @@ impl F16 {
     }
 
     /// Convert to `f32` (exact: every binary16 value is representable).
+    #[inline]
     pub fn to_f32(self) -> f32 {
         let sign = ((self.0 & 0x8000) as u32) << 16;
         let exp = ((self.0 >> 10) & 0x1f) as u32;
@@ -120,11 +122,13 @@ impl F16 {
     /// Convert from `f64` (via `f32`; double rounding is harmless here
     /// because f32 keeps 13 more mantissa bits than f16 — this matches the
     /// two-step `fcvt` sequence the hardware would execute).
+    #[inline]
     pub fn from_f64(x: f64) -> Self {
         Self::from_f32(x as f32)
     }
 
     /// Convert to `f64`.
+    #[inline]
     pub fn to_f64(self) -> f64 {
         self.to_f32() as f64
     }

@@ -5,161 +5,121 @@
 //! building blocks of the paper's Section V-E "alternative implementation of
 //! complex arithmetics based on instructions for real arithmetics".
 
+use super::shape::{binary, fold_active, ternary, unary, Inactive};
 use crate::count::Opcode;
 use crate::ctx::SveCtx;
 use crate::elem::{SveElem, SveFloat};
 use crate::pred::PReg;
 use crate::vreg::VReg;
 
-#[inline]
-fn map2<E: SveFloat>(
-    ctx: &SveCtx,
-    pg: &PReg,
-    a: &VReg,
-    b: &VReg,
-    merge: Merge,
-    f: impl Fn(E, E) -> E,
-) -> VReg {
-    let mut out = VReg::zeroed();
-    for e in 0..ctx.vl().lanes_of(E::BYTES) {
-        let v = if pg.elem_active::<E>(e) {
-            f(a.lane(e), b.lane(e))
-        } else {
-            match merge {
-                Merge::Zero => E::zero(),
-                Merge::First => a.lane(e),
-                Merge::All => f(a.lane(e), b.lane(e)),
-            }
-        };
-        out.set_lane(e, v);
-    }
-    out
-}
-
-#[derive(Clone, Copy)]
-enum Merge {
-    Zero,
-    First,
-    All,
-}
-
 /// `svdup` — broadcast a scalar into every lane (`mov z0.d, #imm` /
 /// `dup z0.d, x0`).
+#[inline]
 pub fn svdup<E: SveElem>(ctx: &SveCtx, x: E) -> VReg {
     ctx.exec(Opcode::Dup);
     VReg::from_fn::<E>(ctx.vl(), |_| x)
 }
 
 /// `svadd_x` — lane-wise add; inactive lanes computed unpredicated.
+#[inline]
 pub fn svadd_x<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg {
     ctx.exec(Opcode::Fadd);
-    map2::<E>(ctx, pg, a, b, Merge::All, |x, y| x.add(y))
+    binary(ctx, pg, Inactive::Computed, a, b, E::add)
 }
 
 /// `svadd_m` — lane-wise add, inactive lanes keep `a`.
+#[inline]
 pub fn svadd_m<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg {
     ctx.exec(Opcode::Fadd);
-    map2::<E>(ctx, pg, a, b, Merge::First, |x, y| x.add(y))
+    binary(ctx, pg, Inactive::First, a, b, E::add)
 }
 
 /// `svsub_x` — lane-wise subtract.
+#[inline]
 pub fn svsub_x<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg {
     ctx.exec(Opcode::Fsub);
-    map2::<E>(ctx, pg, a, b, Merge::All, |x, y| x.sub(y))
+    binary(ctx, pg, Inactive::Computed, a, b, E::sub)
 }
 
 /// `svmul_x` — lane-wise multiply (listing IV-A's `fmul`).
+#[inline]
 pub fn svmul_x<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg {
     ctx.exec(Opcode::Fmul);
-    map2::<E>(ctx, pg, a, b, Merge::All, |x, y| x.mul(y))
+    binary(ctx, pg, Inactive::Computed, a, b, E::mul)
 }
 
 /// `svmul_z` — lane-wise multiply with zeroing predication.
+#[inline]
 pub fn svmul_z<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg {
     ctx.exec(Opcode::Fmul);
-    map2::<E>(ctx, pg, a, b, Merge::Zero, |x, y| x.mul(y))
+    binary(ctx, pg, Inactive::Zero, a, b, E::mul)
 }
 
 /// `svneg_x` — lane-wise negate.
+#[inline]
 pub fn svneg_x<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg) -> VReg {
     ctx.exec(Opcode::Fneg);
-    map2::<E>(ctx, pg, a, a, Merge::All, |x, _| x.neg())
+    unary(ctx, pg, Inactive::Computed, a, E::neg)
 }
 
 /// `svneg_m` — lane-wise negate with merging predication: active lanes are
 /// negated, inactive lanes keep their value. One instruction; this is how
 /// the real-arithmetic complex kernels flip signs on alternating lanes.
+#[inline]
 pub fn svneg_m<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg) -> VReg {
     ctx.exec(Opcode::Fneg);
-    let mut out = *a;
-    for e in 0..ctx.vl().lanes_of(E::BYTES) {
-        if pg.elem_active::<E>(e) {
-            out.set_lane(e, a.lane::<E>(e).neg());
-        }
-    }
-    out
+    unary(ctx, pg, Inactive::First, a, E::neg)
 }
 
 /// `svabs_x` — lane-wise absolute value.
+#[inline]
 pub fn svabs_x<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg) -> VReg {
     ctx.exec(Opcode::Fabs);
-    map2::<E>(ctx, pg, a, a, Merge::All, |x, _| x.abs())
+    unary(ctx, pg, Inactive::Computed, a, E::abs)
 }
 
 /// `svsqrt_x` — lane-wise square root.
+#[inline]
 pub fn svsqrt_x<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg) -> VReg {
     ctx.exec(Opcode::Fsqrt);
-    map2::<E>(ctx, pg, a, a, Merge::All, |x, _| x.sqrt())
+    unary(ctx, pg, Inactive::Computed, a, E::sqrt)
 }
 
 /// `svmax_x` / `svmin_x` — lane-wise max/min.
+#[inline]
 pub fn svmax_x<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg {
     ctx.exec(Opcode::Fmax);
-    map2::<E>(ctx, pg, a, b, Merge::All, |x, y| x.max(y))
+    binary(ctx, pg, Inactive::Computed, a, b, E::max)
 }
 
 /// `svmin_x` — lane-wise minimum.
+#[inline]
 pub fn svmin_x<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg {
     ctx.exec(Opcode::Fmin);
-    map2::<E>(ctx, pg, a, b, Merge::All, |x, y| x.min(y))
+    binary(ctx, pg, Inactive::Computed, a, b, E::min)
 }
 
 /// `svmla_m` — fused multiply-add: `acc + a*b` per lane, inactive lanes keep
 /// `acc` (listing IV-B's `fmla z7.d, p1/m, z3.d, z0.d`).
+#[inline]
 pub fn svmla_m<E: SveFloat>(ctx: &SveCtx, pg: &PReg, acc: &VReg, a: &VReg, b: &VReg) -> VReg {
     ctx.exec(Opcode::Fmla);
-    let mut out = *acc;
-    for e in 0..ctx.vl().lanes_of(E::BYTES) {
-        if pg.elem_active::<E>(e) {
-            out.set_lane(e, a.lane::<E>(e).mul_add(b.lane(e), acc.lane(e)));
-        }
-    }
-    out
+    ternary(ctx, pg, acc, a, b, |z: E, x, y| x.mul_add(y, z))
 }
 
 /// `svmls_m` — fused multiply-subtract: `acc - a*b` per lane.
+#[inline]
 pub fn svmls_m<E: SveFloat>(ctx: &SveCtx, pg: &PReg, acc: &VReg, a: &VReg, b: &VReg) -> VReg {
     ctx.exec(Opcode::Fmls);
-    let mut out = *acc;
-    for e in 0..ctx.vl().lanes_of(E::BYTES) {
-        if pg.elem_active::<E>(e) {
-            out.set_lane(e, a.lane::<E>(e).neg().mul_add(b.lane(e), acc.lane(e)));
-        }
-    }
-    out
+    ternary(ctx, pg, acc, a, b, |z: E, x, y| x.neg().mul_add(y, z))
 }
 
 /// `svnmls_m` — negated multiply-subtract: `a*b - acc` per lane (listing
 /// IV-B's `fnmls z6.d, p1/m, z2.d, z0.d`).
+#[inline]
 pub fn svnmls_m<E: SveFloat>(ctx: &SveCtx, pg: &PReg, acc: &VReg, a: &VReg, b: &VReg) -> VReg {
     ctx.exec(Opcode::Fnmls);
-    let mut out = *acc;
-    for e in 0..ctx.vl().lanes_of(E::BYTES) {
-        if pg.elem_active::<E>(e) {
-            out.set_lane(e, a.lane::<E>(e).mul_add(b.lane(e), acc.lane::<E>(e).neg()));
-        }
-    }
-    out
+    ternary(ctx, pg, acc, a, b, |z: E, x, y| x.mul_add(y, z.neg()))
 }
 
 /// `svindex` — lane `i` gets `base + i * step` (64-bit integer lanes); the
@@ -172,40 +132,39 @@ pub fn svindex(ctx: &SveCtx, base: u64, step: u64) -> VReg {
 /// `svadda` — strictly-ordered add-accumulate: fold the active lanes into
 /// `init` in lane order. Unlike the tree-reducing `faddv`, the result is
 /// bit-identical to a scalar loop — what reproducible global sums use.
+#[inline]
 pub fn svadda<E: SveFloat>(ctx: &SveCtx, pg: &PReg, init: E, a: &VReg) -> E {
     ctx.exec(Opcode::Faddv);
-    let mut acc = init;
-    for e in 0..ctx.vl().lanes_of(E::BYTES) {
-        if pg.elem_active::<E>(e) {
-            acc = acc.add(a.lane(e));
-        }
-    }
-    acc
+    fold_active(ctx, pg, a, init, E::add)
 }
 
 /// `svscale_x` — multiply each active lane by `2^exp[i]` (integer exponent
-/// lanes); exact scaling used by range-reduction kernels.
+/// lanes); exact scaling used by range-reduction kernels. Inactive lanes
+/// keep `a`.
 pub fn svscale_x<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg, exp: &VReg) -> VReg {
     ctx.exec(Opcode::Fscale);
-    let mut out = *a;
-    for e in 0..ctx.vl().lanes_of(E::BYTES) {
+    VReg::from_fn::<E>(ctx.vl(), |e| {
+        let x: E = a.lane(e);
         if pg.elem_active::<E>(e) {
             let k = exp.lane::<u64>(e * E::BYTES / 8) as i32;
-            out.set_lane(e, E::from_f64(a.lane::<E>(e).to_f64() * (2.0f64).powi(k)));
+            E::from_f64(x.to_f64() * (2.0f64).powi(k))
+        } else {
+            x
         }
-    }
-    out
+    })
 }
 
 /// `movprfx` — move-prefix: copies a register so a destructive FMA can have
 /// an independent destination (listing IV-B lines 12/14). Functionally a
 /// register copy; accounted separately because it occupies an issue slot.
+#[inline]
 pub fn movprfx(ctx: &SveCtx, src: &VReg) -> VReg {
     ctx.exec(Opcode::Movprfx);
     *src
 }
 
 /// `mov z, z` — plain vector register move.
+#[inline]
 pub fn movz(ctx: &SveCtx, src: &VReg) -> VReg {
     ctx.exec(Opcode::MovZ);
     *src

@@ -16,6 +16,7 @@
 //! `z + conj(x)*y`. `FCADD` rotates one operand by ±90° before adding,
 //! i.e. `x ± i*y` — which also provides multiplication by ±i.
 
+use super::shape::complex;
 use crate::count::Opcode;
 use crate::ctx::SveCtx;
 use crate::elem::SveFloat;
@@ -38,6 +39,7 @@ pub enum Rot {
 /// `svcmla` — complex fused multiply-add with rotation; merging
 /// predication (inactive lanes keep `acc`). The ACLE `_x` form behaves the
 /// same here.
+#[inline]
 pub fn svcmla<E: SveFloat>(
     ctx: &SveCtx,
     pg: &PReg,
@@ -47,61 +49,48 @@ pub fn svcmla<E: SveFloat>(
     rot: Rot,
 ) -> VReg {
     ctx.exec(Opcode::Fcmla);
-    let mut out = *acc;
-    let pairs = ctx.vl().lanes_of(E::BYTES) / 2;
-    for p in 0..pairs {
-        let (re_l, im_l) = (2 * p, 2 * p + 1);
-        let (zr, zi) = (acc.lane::<E>(re_l), acc.lane::<E>(im_l));
-        let (xr, xi) = (x.lane::<E>(re_l), x.lane::<E>(im_l));
-        let (yr, yi) = (y.lane::<E>(re_l), y.lane::<E>(im_l));
-        let (nr, ni) = match rot {
-            Rot::R0 => (xr.mul_add(yr, zr), xr.mul_add(yi, zi)),
-            Rot::R90 => (xi.neg().mul_add(yi, zr), xi.mul_add(yr, zi)),
-            Rot::R180 => (xr.neg().mul_add(yr, zr), xr.neg().mul_add(yi, zi)),
-            Rot::R270 => (xi.mul_add(yi, zr), xi.neg().mul_add(yr, zi)),
-        };
-        if pg.elem_active::<E>(re_l) {
-            out.set_lane(re_l, nr);
-        }
-        if pg.elem_active::<E>(im_l) {
-            out.set_lane(im_l, ni);
-        }
-    }
-    out
+    complex(
+        ctx,
+        pg,
+        acc,
+        x,
+        y,
+        |[zr, zi]: [E; 2], [xr, xi], [yr, yi]| match rot {
+            Rot::R0 => [xr.mul_add(yr, zr), xr.mul_add(yi, zi)],
+            Rot::R90 => [xi.neg().mul_add(yi, zr), xi.mul_add(yr, zi)],
+            Rot::R180 => [xr.neg().mul_add(yr, zr), xr.neg().mul_add(yi, zi)],
+            Rot::R270 => [xi.mul_add(yi, zr), xi.neg().mul_add(yr, zi)],
+        },
+    )
 }
 
 /// `svcadd` — complex add with rotation: 90° gives `x + i*y`, 270° gives
-/// `x - i*y`, per complex element. (Rotations 0/180 are plain `fadd`/`fsub`
-/// and are not valid immediates for the instruction.)
+/// `x - i*y`, per complex element; inactive lanes keep `x`. (Rotations
+/// 0/180 are plain `fadd`/`fsub` and are not valid immediates for the
+/// instruction.)
+#[inline]
 pub fn svcadd<E: SveFloat>(ctx: &SveCtx, pg: &PReg, x: &VReg, y: &VReg, rot: Rot) -> VReg {
     ctx.exec(Opcode::Fcadd);
     assert!(
         matches!(rot, Rot::R90 | Rot::R270),
         "fcadd only supports 90/270 degree rotations"
     );
-    let mut out = *x;
-    let pairs = ctx.vl().lanes_of(E::BYTES) / 2;
-    for p in 0..pairs {
-        let (re_l, im_l) = (2 * p, 2 * p + 1);
-        let (xr, xi) = (x.lane::<E>(re_l), x.lane::<E>(im_l));
-        let (yr, yi) = (y.lane::<E>(re_l), y.lane::<E>(im_l));
-        let (nr, ni) = match rot {
-            Rot::R90 => (xr.sub(yi), xi.add(yr)),
-            Rot::R270 => (xr.add(yi), xi.sub(yr)),
-            _ => unreachable!(),
-        };
-        if pg.elem_active::<E>(re_l) {
-            out.set_lane(re_l, nr);
-        }
-        if pg.elem_active::<E>(im_l) {
-            out.set_lane(im_l, ni);
-        }
-    }
-    out
+    complex(
+        ctx,
+        pg,
+        x,
+        x,
+        y,
+        |[xr, xi]: [E; 2], _, [yr, yi]| match rot {
+            Rot::R90 => [xr.sub(yi), xi.add(yr)],
+            _ => [xr.add(yi), xi.sub(yr)],
+        },
+    )
 }
 
 /// Complex multiply-accumulate `acc + x*y` as the paper's two-FCMLA idiom
 /// (Eq. (2)): rotation 90° then 0°. Counts exactly two `fcmla`.
+#[inline]
 pub fn fcmla_mul_add<E: SveFloat>(ctx: &SveCtx, pg: &PReg, acc: &VReg, x: &VReg, y: &VReg) -> VReg {
     let t = svcmla::<E>(ctx, pg, acc, x, y, Rot::R90);
     svcmla::<E>(ctx, pg, &t, x, y, Rot::R0)
@@ -109,6 +98,7 @@ pub fn fcmla_mul_add<E: SveFloat>(ctx: &SveCtx, pg: &PReg, acc: &VReg, x: &VReg,
 
 /// Complex multiply-accumulate with conjugated first operand,
 /// `acc + conj(x)*y`: rotations 0° then 270°.
+#[inline]
 pub fn fcmla_conj_mul_add<E: SveFloat>(
     ctx: &SveCtx,
     pg: &PReg,

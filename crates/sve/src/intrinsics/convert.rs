@@ -11,6 +11,7 @@
 //! (narrow) or `zip1/zip2` with `fcvt` (widen); the `pack`/`unpack` helpers
 //! below execute — and account — exactly those sequences.
 
+use super::shape::{unary, Inactive};
 use crate::count::Opcode;
 use crate::ctx::SveCtx;
 use crate::f16::F16;
@@ -20,59 +21,48 @@ use crate::vreg::VReg;
 
 /// `svcvt_f32_f64` — narrow each active 64-bit element's `f64` to an `f32`
 /// stored in the low 32 bits of the same container (high half zeroed).
+#[inline]
 pub fn svcvt_f32_f64(ctx: &SveCtx, pg: &PReg, a: &VReg) -> VReg {
     ctx.exec(Opcode::Fcvt);
-    let mut out = VReg::zeroed();
-    for e in 0..ctx.vl().lanes64() {
-        if pg.elem_active::<f64>(e) {
-            out.set_lane::<f32>(2 * e, a.lane::<f64>(e) as f32);
-        }
-    }
-    out
+    unary(ctx, pg, Inactive::Zero, a, |d: u64| {
+        (f64::from_bits(d) as f32).to_bits() as u64
+    })
 }
 
 /// `svcvt_f64_f32` — widen the `f32` in the low half of each active 64-bit
 /// container to an `f64`.
+#[inline]
 pub fn svcvt_f64_f32(ctx: &SveCtx, pg: &PReg, a: &VReg) -> VReg {
     ctx.exec(Opcode::Fcvt);
-    let mut out = VReg::zeroed();
-    for e in 0..ctx.vl().lanes64() {
-        if pg.elem_active::<f64>(e) {
-            out.set_lane::<f64>(e, a.lane::<f32>(2 * e) as f64);
-        }
-    }
-    out
+    unary(ctx, pg, Inactive::Zero, a, |d: u64| {
+        (f32::from_bits(d as u32) as f64).to_bits()
+    })
 }
 
 /// `svcvt_f16_f32` — narrow each active 32-bit element's `f32` to binary16
 /// in the low 16 bits of the container.
+#[inline]
 pub fn svcvt_f16_f32(ctx: &SveCtx, pg: &PReg, a: &VReg) -> VReg {
     ctx.exec(Opcode::Fcvt);
-    let mut out = VReg::zeroed();
-    for e in 0..ctx.vl().lanes32() {
-        if pg.elem_active::<f32>(e) {
-            out.set_lane::<F16>(2 * e, F16::from_f32(a.lane::<f32>(e)));
-        }
-    }
-    out
+    unary(ctx, pg, Inactive::Zero, a, |s: i32| {
+        F16::from_f32(f32::from_bits(s as u32)).to_bits() as i32
+    })
 }
 
 /// `svcvt_f32_f16` — widen binary16 in the low half of each active 32-bit
 /// container to `f32`.
+#[inline]
 pub fn svcvt_f32_f16(ctx: &SveCtx, pg: &PReg, a: &VReg) -> VReg {
     ctx.exec(Opcode::Fcvt);
-    let mut out = VReg::zeroed();
-    for e in 0..ctx.vl().lanes32() {
-        if pg.elem_active::<f32>(e) {
-            out.set_lane::<f32>(e, a.lane::<F16>(2 * e).to_f32());
-        }
-    }
-    out
+    unary(ctx, pg, Inactive::Zero, a, |s: i32| {
+        F16::from_bits(s as u16).to_f32().to_bits() as i32
+    })
 }
 
 /// Narrow two double-precision vectors into one single-precision vector
 /// (`fcvt` x2 + `uzp1`): lanes of `a` land in the low half, `b` in the high
 /// half — Grid's precision-change pattern.
+#[inline]
 pub fn cvt_pack_f64_to_f32(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg {
     let la = svcvt_f32_f64(ctx, pg, a);
     let lb = svcvt_f32_f64(ctx, pg, b);
@@ -81,6 +71,7 @@ pub fn cvt_pack_f64_to_f32(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg 
 
 /// Widen one single-precision vector into two double-precision vectors
 /// (`zip1`/`zip2` + `fcvt` x2) — inverse of [`cvt_pack_f64_to_f32`].
+#[inline]
 pub fn cvt_unpack_f32_to_f64(ctx: &SveCtx, pg: &PReg, a: &VReg) -> (VReg, VReg) {
     let lo = svzip1::<f32>(ctx, a, a);
     let hi = svzip2::<f32>(ctx, a, a);
@@ -90,6 +81,7 @@ pub fn cvt_unpack_f32_to_f64(ctx: &SveCtx, pg: &PReg, a: &VReg) -> (VReg, VReg) 
 
 /// Narrow two single-precision vectors into one half-precision vector —
 /// the comms-compression kernel (Section V-B).
+#[inline]
 pub fn cvt_pack_f32_to_f16(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg {
     let la = svcvt_f16_f32(ctx, pg, a);
     let lb = svcvt_f16_f32(ctx, pg, b);
@@ -98,6 +90,7 @@ pub fn cvt_pack_f32_to_f16(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg 
 
 /// Widen one half-precision vector into two single-precision vectors —
 /// comms decompression.
+#[inline]
 pub fn cvt_unpack_f16_to_f32(ctx: &SveCtx, pg: &PReg, a: &VReg) -> (VReg, VReg) {
     let lo = svzip1::<F16>(ctx, a, a);
     let hi = svzip2::<F16>(ctx, a, a);

@@ -8,47 +8,25 @@
 //! out-of-bounds tails, as hardware fault suppression would) and are zeroed
 //! in the destination (`p/z`).
 
+use super::shape::{active_lanes, load, store};
 use crate::count::Opcode;
 use crate::ctx::SveCtx;
 use crate::elem::SveElem;
 use crate::pred::PReg;
 use crate::vreg::VReg;
 
-#[inline]
-fn load_lane<E: SveElem>(src: &[E], idx: usize) -> E {
-    *src.get(idx).unwrap_or_else(|| {
-        panic!(
-            "sve: active lane reads out of bounds (index {idx}, slice len {})",
-            src.len()
-        )
-    })
-}
-
 /// `svld1` — contiguous predicated load with zeroing.
+#[inline]
 pub fn svld1<E: SveElem>(ctx: &SveCtx, pg: &PReg, src: &[E]) -> VReg {
     ctx.exec(Opcode::Ld1);
-    let mut out = VReg::zeroed();
-    for e in 0..ctx.vl().lanes_of(E::BYTES) {
-        if pg.elem_active::<E>(e) {
-            out.set_lane(e, load_lane(src, e));
-        }
-    }
-    out
+    load(ctx, pg, src, 1, 0)
 }
 
 /// `svst1` — contiguous predicated store; only active lanes touch memory.
+#[inline]
 pub fn svst1<E: SveElem>(ctx: &SveCtx, pg: &PReg, dst: &mut [E], v: &VReg) {
     ctx.exec(Opcode::St1);
-    for e in 0..ctx.vl().lanes_of(E::BYTES) {
-        if pg.elem_active::<E>(e) {
-            assert!(
-                e < dst.len(),
-                "sve: active lane writes out of bounds (index {e}, slice len {})",
-                dst.len()
-            );
-            dst[e] = v.lane(e);
-        }
-    }
+    store(ctx, pg, dst, 1, 0, v);
 }
 
 /// `svld2` — structure load of 2-element records: lane `e` of the first
@@ -56,110 +34,71 @@ pub fn svst1<E: SveElem>(ctx: &SveCtx, pg: &PReg, dst: &mut [E], v: &VReg) {
 /// `ld2d {z0.d, z1.d}`).
 pub fn svld2<E: SveElem>(ctx: &SveCtx, pg: &PReg, src: &[E]) -> (VReg, VReg) {
     ctx.exec(Opcode::Ld2);
-    let mut a = VReg::zeroed();
-    let mut b = VReg::zeroed();
-    for e in 0..ctx.vl().lanes_of(E::BYTES) {
-        if pg.elem_active::<E>(e) {
-            a.set_lane(e, load_lane(src, 2 * e));
-            b.set_lane(e, load_lane(src, 2 * e + 1));
-        }
-    }
-    (a, b)
+    (load(ctx, pg, src, 2, 0), load(ctx, pg, src, 2, 1))
 }
 
 /// `svst2` — structure store of 2-element records (listing IV-B's `st2d`).
 pub fn svst2<E: SveElem>(ctx: &SveCtx, pg: &PReg, dst: &mut [E], a: &VReg, b: &VReg) {
     ctx.exec(Opcode::St2);
-    for e in 0..ctx.vl().lanes_of(E::BYTES) {
-        if pg.elem_active::<E>(e) {
-            assert!(
-                2 * e + 1 < dst.len(),
-                "sve: active lane writes out of bounds (record {e}, slice len {})",
-                dst.len()
-            );
-            dst[2 * e] = a.lane(e);
-            dst[2 * e + 1] = b.lane(e);
-        }
+    for (k, reg) in [a, b].into_iter().enumerate() {
+        store(ctx, pg, dst, 2, k, reg);
     }
 }
 
 /// `svld3` — structure load of 3-element records (e.g. color vectors).
 pub fn svld3<E: SveElem>(ctx: &SveCtx, pg: &PReg, src: &[E]) -> (VReg, VReg, VReg) {
     ctx.exec(Opcode::Ld3);
-    let mut a = VReg::zeroed();
-    let mut b = VReg::zeroed();
-    let mut c = VReg::zeroed();
-    for e in 0..ctx.vl().lanes_of(E::BYTES) {
-        if pg.elem_active::<E>(e) {
-            a.set_lane(e, load_lane(src, 3 * e));
-            b.set_lane(e, load_lane(src, 3 * e + 1));
-            c.set_lane(e, load_lane(src, 3 * e + 2));
-        }
-    }
-    (a, b, c)
+    (
+        load(ctx, pg, src, 3, 0),
+        load(ctx, pg, src, 3, 1),
+        load(ctx, pg, src, 3, 2),
+    )
 }
 
 /// `svst3` — structure store of 3-element records.
 pub fn svst3<E: SveElem>(ctx: &SveCtx, pg: &PReg, dst: &mut [E], a: &VReg, b: &VReg, c: &VReg) {
     ctx.exec(Opcode::St3);
-    for e in 0..ctx.vl().lanes_of(E::BYTES) {
-        if pg.elem_active::<E>(e) {
-            dst[3 * e] = a.lane(e);
-            dst[3 * e + 1] = b.lane(e);
-            dst[3 * e + 2] = c.lane(e);
-        }
+    for (k, reg) in [a, b, c].into_iter().enumerate() {
+        store(ctx, pg, dst, 3, k, reg);
     }
 }
 
 /// `svld4` — structure load of 4-element records (e.g. spinor components).
 pub fn svld4<E: SveElem>(ctx: &SveCtx, pg: &PReg, src: &[E]) -> [VReg; 4] {
     ctx.exec(Opcode::Ld4);
-    let mut out = [VReg::zeroed(); 4];
-    for e in 0..ctx.vl().lanes_of(E::BYTES) {
-        if pg.elem_active::<E>(e) {
-            for (k, reg) in out.iter_mut().enumerate() {
-                reg.set_lane(e, load_lane(src, 4 * e + k));
-            }
-        }
-    }
-    out
+    [0, 1, 2, 3].map(|k| load(ctx, pg, src, 4, k))
 }
 
 /// `svst4` — structure store of 4-element records.
 pub fn svst4<E: SveElem>(ctx: &SveCtx, pg: &PReg, dst: &mut [E], v: &[VReg; 4]) {
     ctx.exec(Opcode::St4);
-    for e in 0..ctx.vl().lanes_of(E::BYTES) {
-        if pg.elem_active::<E>(e) {
-            for (k, reg) in v.iter().enumerate() {
-                dst[4 * e + k] = reg.lane(e);
-            }
-        }
+    for (k, reg) in v.iter().enumerate() {
+        store(ctx, pg, dst, 4, k, reg);
     }
 }
 
 /// `svld1_gather_index` — gather load: lane `e` takes `src[idx.lane::<u64>(e)]`.
 pub fn svld1_gather<E: SveElem>(ctx: &SveCtx, pg: &PReg, src: &[E], idx: &VReg) -> VReg {
     ctx.exec(Opcode::Ld1Gather);
-    let mut out = VReg::zeroed();
-    for e in 0..ctx.vl().lanes_of(E::BYTES) {
-        if pg.elem_active::<E>(e) {
-            // Index vector is of the same element *count*; u64 lanes are
-            // only meaningful for 8-byte views, so use a scaled read.
-            let i = idx_lane::<E>(idx, e);
-            out.set_lane(e, load_lane(src, i));
+    VReg::from_fn::<E>(ctx.vl(), |e| {
+        if !pg.elem_active::<E>(e) {
+            return E::zero();
         }
-    }
-    out
+        let i = idx_lane::<E>(idx, e);
+        *src.get(i).unwrap_or_else(|| {
+            panic!(
+                "sve: active lane reads out of bounds (index {i}, slice len {})",
+                src.len()
+            )
+        })
+    })
 }
 
 /// `svst1_scatter_index` — scatter store.
 pub fn svst1_scatter<E: SveElem>(ctx: &SveCtx, pg: &PReg, dst: &mut [E], idx: &VReg, v: &VReg) {
     ctx.exec(Opcode::St1Scatter);
-    for e in 0..ctx.vl().lanes_of(E::BYTES) {
-        if pg.elem_active::<E>(e) {
-            let i = idx_lane::<E>(idx, e);
-            dst[i] = v.lane(e);
-        }
+    for (e, x) in active_lanes::<E>(ctx, pg, v) {
+        dst[idx_lane::<E>(idx, e)] = x;
     }
 }
 

@@ -21,6 +21,7 @@ mod load_store;
 mod perm;
 mod predicate;
 mod reduce;
+mod shape;
 
 pub use arith::*;
 pub use complex::*;

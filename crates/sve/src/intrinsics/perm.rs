@@ -6,6 +6,7 @@
 //! boundaries into lane permutations, and the Section V-E real-arithmetic
 //! complex kernels need `trn1/trn2`-style de-interleaving inside registers.
 
+use super::shape::{active_lanes, binary, Inactive};
 use crate::count::Opcode;
 use crate::ctx::SveCtx;
 use crate::elem::SveElem;
@@ -15,6 +16,7 @@ use crate::vreg::VReg;
 /// `svext` — extract a vector spanning two sources: result lane `e` is
 /// `a[e + shift]` while in range, continuing into `b`. The classic
 /// rotate-lanes idiom is `svext(v, v, shift)`.
+#[inline]
 pub fn svext<E: SveElem>(ctx: &SveCtx, a: &VReg, b: &VReg, shift: usize) -> VReg {
     ctx.exec(Opcode::Ext);
     let lanes = ctx.vl().lanes_of(E::BYTES);
@@ -30,6 +32,7 @@ pub fn svext<E: SveElem>(ctx: &SveCtx, a: &VReg, b: &VReg, shift: usize) -> VReg
 }
 
 /// `svrev` — reverse all lanes.
+#[inline]
 pub fn svrev<E: SveElem>(ctx: &SveCtx, a: &VReg) -> VReg {
     ctx.exec(Opcode::Rev);
     let lanes = ctx.vl().lanes_of(E::BYTES);
@@ -37,6 +40,7 @@ pub fn svrev<E: SveElem>(ctx: &SveCtx, a: &VReg) -> VReg {
 }
 
 /// `svzip1` — interleave the low halves of two vectors.
+#[inline]
 pub fn svzip1<E: SveElem>(ctx: &SveCtx, a: &VReg, b: &VReg) -> VReg {
     ctx.exec(Opcode::Zip1);
     VReg::from_fn::<E>(ctx.vl(), |e| {
@@ -49,6 +53,7 @@ pub fn svzip1<E: SveElem>(ctx: &SveCtx, a: &VReg, b: &VReg) -> VReg {
 }
 
 /// `svzip2` — interleave the high halves of two vectors.
+#[inline]
 pub fn svzip2<E: SveElem>(ctx: &SveCtx, a: &VReg, b: &VReg) -> VReg {
     ctx.exec(Opcode::Zip2);
     let half = ctx.vl().lanes_of(E::BYTES) / 2;
@@ -62,6 +67,7 @@ pub fn svzip2<E: SveElem>(ctx: &SveCtx, a: &VReg, b: &VReg) -> VReg {
 }
 
 /// `svuzp1` — concatenate even lanes of `a` then `b` (de-interleave).
+#[inline]
 pub fn svuzp1<E: SveElem>(ctx: &SveCtx, a: &VReg, b: &VReg) -> VReg {
     ctx.exec(Opcode::Uzp1);
     let lanes = ctx.vl().lanes_of(E::BYTES);
@@ -76,6 +82,7 @@ pub fn svuzp1<E: SveElem>(ctx: &SveCtx, a: &VReg, b: &VReg) -> VReg {
 }
 
 /// `svuzp2` — concatenate odd lanes of `a` then `b`.
+#[inline]
 pub fn svuzp2<E: SveElem>(ctx: &SveCtx, a: &VReg, b: &VReg) -> VReg {
     ctx.exec(Opcode::Uzp2);
     let lanes = ctx.vl().lanes_of(E::BYTES);
@@ -91,6 +98,7 @@ pub fn svuzp2<E: SveElem>(ctx: &SveCtx, a: &VReg, b: &VReg) -> VReg {
 
 /// `svtrn1` — even lanes of both vectors, pairwise transposed: result lane
 /// `2k` = `a[2k]`, lane `2k+1` = `b[2k]`.
+#[inline]
 pub fn svtrn1<E: SveElem>(ctx: &SveCtx, a: &VReg, b: &VReg) -> VReg {
     ctx.exec(Opcode::Trn1);
     VReg::from_fn::<E>(ctx.vl(), |e| {
@@ -104,6 +112,7 @@ pub fn svtrn1<E: SveElem>(ctx: &SveCtx, a: &VReg, b: &VReg) -> VReg {
 }
 
 /// `svtrn2` — odd-lane counterpart of [`svtrn1`].
+#[inline]
 pub fn svtrn2<E: SveElem>(ctx: &SveCtx, a: &VReg, b: &VReg) -> VReg {
     ctx.exec(Opcode::Trn2);
     VReg::from_fn::<E>(ctx.vl(), |e| {
@@ -119,6 +128,7 @@ pub fn svtrn2<E: SveElem>(ctx: &SveCtx, a: &VReg, b: &VReg) -> VReg {
 /// `svtbl` — table lookup: result lane `e` is `a[idx[e]]`, or zero when the
 /// index is out of range (hardware behaviour). The general permutation used
 /// by Grid's virtual-node boundary shuffles.
+#[inline]
 pub fn svtbl<E: SveElem>(ctx: &SveCtx, a: &VReg, idx: &[usize]) -> VReg {
     ctx.exec(Opcode::Tbl);
     let lanes = ctx.vl().lanes_of(E::BYTES);
@@ -133,15 +143,10 @@ pub fn svtbl<E: SveElem>(ctx: &SveCtx, a: &VReg, idx: &[usize]) -> VReg {
 }
 
 /// `svsel` — lane select: active lanes from `a`, inactive from `b`.
+#[inline]
 pub fn svsel<E: SveElem>(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg {
     ctx.exec(Opcode::Sel);
-    VReg::from_fn::<E>(ctx.vl(), |e| {
-        if pg.elem_active::<E>(e) {
-            a.lane(e)
-        } else {
-            b.lane(e)
-        }
-    })
+    binary(ctx, pg, Inactive::First, b, a, |_: E, x| x)
 }
 
 /// `svdup_lane` — broadcast lane `i` of `a` to all lanes.
@@ -154,17 +159,8 @@ pub fn svdup_lane<E: SveElem>(ctx: &SveCtx, a: &VReg, i: usize) -> VReg {
 /// `svsplice` — active lanes of `a` (under `pg`), then leading lanes of `b`.
 pub fn svsplice<E: SveElem>(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg {
     ctx.exec(Opcode::Splice);
-    let lanes = ctx.vl().lanes_of(E::BYTES);
-    let mut picked: Vec<E> = (0..lanes)
-        .filter(|&e| pg.elem_active::<E>(e))
-        .map(|e| a.lane(e))
-        .collect();
-    let mut bi = 0;
-    while picked.len() < lanes {
-        picked.push(b.lane(bi));
-        bi += 1;
-    }
-    VReg::from_fn::<E>(ctx.vl(), |e| picked[e])
+    let picked = active_lanes::<E>(ctx, pg, a).map(|(_, v)| v);
+    VReg::from_lanes(ctx.vl(), picked.chain(b.lanes::<E>(ctx.vl())))
 }
 
 /// `svcompact` — pack the active lanes of `a` contiguously into the low
@@ -172,16 +168,7 @@ pub fn svsplice<E: SveElem>(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg
 /// element sizes exist in hardware; modelled generically.
 pub fn svcompact<E: SveElem>(ctx: &SveCtx, pg: &PReg, a: &VReg) -> VReg {
     ctx.exec(Opcode::Splice);
-    let lanes = ctx.vl().lanes_of(E::BYTES);
-    let mut out = VReg::zeroed();
-    let mut k = 0;
-    for e in 0..lanes {
-        if pg.elem_active::<E>(e) {
-            out.set_lane::<E>(k, a.lane(e));
-            k += 1;
-        }
-    }
-    out
+    VReg::from_lanes(ctx.vl(), active_lanes::<E>(ctx, pg, a).map(|(_, v)| v))
 }
 
 /// `svclasta` — conditionally extract: the element *after* the last active
@@ -190,9 +177,8 @@ pub fn svcompact<E: SveElem>(ctx: &SveCtx, pg: &PReg, a: &VReg) -> VReg {
 pub fn svclasta<E: SveElem>(ctx: &SveCtx, pg: &PReg, fallback: E, a: &VReg) -> E {
     ctx.exec(Opcode::Sel);
     let lanes = ctx.vl().lanes_of(E::BYTES);
-    let last = (0..lanes).rev().find(|&e| pg.elem_active::<E>(e));
-    match last {
-        Some(e) if e + 1 < lanes => a.lane(e + 1),
+    match active_lanes::<E>(ctx, pg, a).last() {
+        Some((e, _)) if e + 1 < lanes => a.lane(e + 1),
         _ => fallback,
     }
 }
@@ -201,11 +187,9 @@ pub fn svclasta<E: SveElem>(ctx: &SveCtx, pg: &PReg, fallback: E, a: &VReg) -> E
 /// predicate is empty).
 pub fn svclastb<E: SveElem>(ctx: &SveCtx, pg: &PReg, fallback: E, a: &VReg) -> E {
     ctx.exec(Opcode::Sel);
-    let lanes = ctx.vl().lanes_of(E::BYTES);
-    match (0..lanes).rev().find(|&e| pg.elem_active::<E>(e)) {
-        Some(e) => a.lane(e),
-        None => fallback,
-    }
+    active_lanes::<E>(ctx, pg, a)
+        .last()
+        .map_or(fallback, |(_, v)| v)
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@ use crate::elem::SveElem;
 use crate::pred::{PReg, PredFlags};
 
 /// `svptrue_b{8,16,32,64}` — all elements of view `E` active.
+#[inline]
 pub fn svptrue<E: SveElem>(ctx: &SveCtx) -> PReg {
     ctx.exec(Opcode::Ptrue);
     PReg::ptrue::<E>(ctx.vl())
@@ -45,9 +46,7 @@ pub fn svcnt<E: SveElem>(ctx: &SveCtx) -> usize {
 /// `svcntp` — number of active elements of `p` (within governing `g`).
 pub fn svcntp<E: SveElem>(ctx: &SveCtx, g: &PReg, p: &PReg) -> usize {
     ctx.exec(Opcode::Cntp);
-    (0..ctx.vl().lanes_of(E::BYTES))
-        .filter(|&e| g.elem_active::<E>(e) && p.elem_active::<E>(e))
-        .count()
+    g.and(p).active_count::<E>(ctx.vl())
 }
 
 /// `svbrkn` — propagate break: result is `pm` if the last active element of
@@ -87,10 +86,12 @@ mod u8_elem {
             U8(0)
         }
 
+        #[inline]
         fn write_le(self, dst: &mut [u8]) {
             dst[0] = self.0;
         }
 
+        #[inline]
         fn read_le(src: &[u8]) -> Self {
             U8(src[0])
         }

@@ -1,6 +1,7 @@
 //! Horizontal reductions — used by Grid for inner products and norms, the
 //! scalars that drive the Conjugate Gradient iteration.
 
+use super::shape::fold_active;
 use crate::count::Opcode;
 use crate::ctx::SveCtx;
 use crate::elem::SveFloat;
@@ -11,31 +12,19 @@ use crate::vreg::VReg;
 /// this model sums in lane order, which is what a strictly-ordered `fadda`
 /// would produce (deterministic across runs, and the ordering used by the
 /// reference implementations in tests).
+#[inline]
 pub fn svaddv<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg) -> E {
     ctx.exec(Opcode::Faddv);
-    let mut acc = E::zero();
-    for e in 0..ctx.vl().lanes_of(E::BYTES) {
-        if pg.elem_active::<E>(e) {
-            acc = acc.add(a.lane(e));
-        }
-    }
-    acc
+    fold_active(ctx, pg, a, E::zero(), E::add)
 }
 
-/// `svmaxv` — maximum of the active lanes (`-inf` identity when none).
+/// `svmaxv` — maximum of the active lanes (zero when none is active).
 pub fn svmaxv<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg) -> E {
     ctx.exec(Opcode::Fmaxv);
-    let mut acc: Option<E> = None;
-    for e in 0..ctx.vl().lanes_of(E::BYTES) {
-        if pg.elem_active::<E>(e) {
-            let v: E = a.lane(e);
-            acc = Some(match acc {
-                None => v,
-                Some(m) => m.max(v),
-            });
-        }
-    }
-    acc.unwrap_or_else(E::zero)
+    fold_active(ctx, pg, a, None, |m: Option<E>, v| {
+        Some(m.map_or(v, |m| m.max(v)))
+    })
+    .unwrap_or_else(E::zero)
 }
 
 #[cfg(test)]

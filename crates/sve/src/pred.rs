@@ -45,24 +45,20 @@ impl PReg {
     /// `ptrue` for element size `E` under vector length `vl`: the first
     /// predicate bit of every element inside the vector is set.
     pub fn ptrue<E: SveElem>(vl: VectorLength) -> Self {
-        let mut p = PReg::none();
-        for e in 0..vl.lanes_of(E::BYTES) {
-            p.set_byte_bit(e * E::BYTES, true);
+        PReg {
+            words: elem_bits::<E>(vl.bytes()),
         }
-        p
     }
 
     /// `whilelt`/`whilelo` for element size `E`: element `e` is active iff
     /// `base + e < bound`. This is the loop-control predicate of listings
     /// IV-A/B/C.
     pub fn whilelt<E: SveElem>(vl: VectorLength, base: u64, bound: u64) -> Self {
-        let mut p = PReg::none();
-        for e in 0..vl.lanes_of(E::BYTES) {
-            if base.saturating_add(e as u64) < bound {
-                p.set_byte_bit(e * E::BYTES, true);
-            }
+        let lanes = vl.lanes_of(E::BYTES) as u64;
+        let active = bound.saturating_sub(base).min(lanes) as usize;
+        PReg {
+            words: elem_bits::<E>(active * E::BYTES),
         }
-        p
     }
 
     /// Raw access: is the predicate bit for byte lane `byte` set?
@@ -97,21 +93,44 @@ impl PReg {
         self.set_byte_bit(e * E::BYTES, v);
     }
 
+    /// The deciding bits of the `E` elements inside `vl`, word by word.
+    #[inline]
+    fn governed<E: SveElem>(&self, vl: VectorLength) -> [u64; 4] {
+        let want = elem_bits::<E>(vl.bytes());
+        std::array::from_fn(|w| self.words[w] & want[w])
+    }
+
+    /// True if every element within `vl` under view `E` is active — the
+    /// test every intrinsic makes once to pick its unpredicated lane loop.
+    /// Bits between element starts are ignored, as hardware ignores them, so
+    /// a `.b` `ptrue` governing a `.d` operation qualifies.
+    #[inline]
+    pub fn all_active<E: SveElem>(&self, vl: VectorLength) -> bool {
+        let every_elem = every_elem::<E>();
+        let (full, rest) = (vl.bytes() / 64, vl.bytes() % 64);
+        let tail = every_elem & ((1u64 << rest) - 1);
+        self.words[..full]
+            .iter()
+            .all(|w| w & every_elem == every_elem)
+            && (rest == 0 || self.words[full] & tail == tail)
+    }
+
     /// Number of active elements for view `E` within `vl` (`cntp`).
     pub fn active_count<E: SveElem>(&self, vl: VectorLength) -> usize {
-        (0..vl.lanes_of(E::BYTES))
-            .filter(|&e| self.elem_active::<E>(e))
-            .count()
+        self.governed::<E>(vl)
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
     }
 
     /// True if no element is active within `vl` under view `E`.
     pub fn is_empty<E: SveElem>(&self, vl: VectorLength) -> bool {
-        self.active_count::<E>(vl) == 0
+        self.governed::<E>(vl) == [0; 4]
     }
 
     /// True if every element within `vl` under view `E` is active.
     pub fn is_full<E: SveElem>(&self, vl: VectorLength) -> bool {
-        self.active_count::<E>(vl) == vl.lanes_of(E::BYTES)
+        self.all_active::<E>(vl)
     }
 
     /// Bitwise AND of predicates (`and p0.b, ...`).
@@ -190,6 +209,23 @@ impl PReg {
     pub fn first_active<E: SveElem>(&self, vl: VectorLength) -> Option<usize> {
         (0..vl.lanes_of(E::BYTES)).find(|&e| self.elem_active::<E>(e))
     }
+}
+
+/// The first predicate bit of every `E` element that starts inside the
+/// first `bytes` bytes of a register.
+#[inline]
+fn elem_bits<E: SveElem>(bytes: usize) -> [u64; 4] {
+    std::array::from_fn(|w| match bytes.saturating_sub(64 * w) {
+        0 => 0,
+        n if n >= 64 => every_elem::<E>(),
+        n => every_elem::<E>() & ((1u64 << n) - 1),
+    })
+}
+
+/// One bit every `E::BYTES` positions: `u64::MAX / 0xff` = `0x0101..01`, etc.
+#[inline]
+fn every_elem<E: SveElem>() -> u64 {
+    u64::MAX / ((1u64 << E::BYTES) - 1)
 }
 
 impl std::fmt::Debug for PReg {

@@ -8,9 +8,45 @@
 use crate::elem::SveElem;
 use crate::vl::{VectorLength, VL_MAX_BYTES};
 
+/// What one step of a lane loop reads or writes: a single element, or the
+/// (re, im) pair of adjacent lanes that `fcmla`/`fcadd` work on.
+pub(crate) trait LaneGroup: Copy + 'static {
+    const BYTES: usize;
+    fn read_le(src: &[u8]) -> Self;
+    fn write_le(self, dst: &mut [u8]);
+}
+
+impl<E: SveElem> LaneGroup for E {
+    const BYTES: usize = E::BYTES;
+    #[inline]
+    fn read_le(src: &[u8]) -> Self {
+        E::read_le(src)
+    }
+    #[inline]
+    fn write_le(self, dst: &mut [u8]) {
+        SveElem::write_le(self, dst)
+    }
+}
+
+impl<E: SveElem> LaneGroup for [E; 2] {
+    const BYTES: usize = 2 * E::BYTES;
+    #[inline]
+    fn read_le(src: &[u8]) -> Self {
+        let (re, im) = src.split_at(E::BYTES);
+        [E::read_le(re), E::read_le(im)]
+    }
+    #[inline]
+    fn write_le(self, dst: &mut [u8]) {
+        let (re, im) = dst.split_at_mut(E::BYTES);
+        self[0].write_le(re);
+        self[1].write_le(im);
+    }
+}
+
 /// One SVE vector register (`z0`..`z31`): 2048 bits of untyped storage,
 /// interpreted per-instruction through [`SveElem`] lane views.
 #[derive(Clone, Copy)]
+#[repr(align(64))]
 pub struct VReg {
     bytes: [u8; VL_MAX_BYTES],
 }
@@ -53,27 +89,71 @@ impl VReg {
         &mut self.bytes
     }
 
-    /// Build a register by evaluating `f` on every lane index active for
-    /// vector length `vl` (inactive upper storage stays zero).
-    pub fn from_fn<E: SveElem>(vl: VectorLength, mut f: impl FnMut(usize) -> E) -> Self {
+    /// The lanes (or lane pairs) inside vector length `vl`, in lane order.
+    #[inline]
+    pub(crate) fn lanes<G: LaneGroup>(
+        &self,
+        vl: VectorLength,
+    ) -> impl ExactSizeIterator<Item = G> + '_ {
+        self.bytes[..vl.bytes()]
+            .chunks_exact(G::BYTES)
+            .map(G::read_le)
+    }
+
+    /// Build a register from lane values in lane order. Only the `vl` prefix
+    /// is touched: lanes `items` does not reach and all storage above `vl`
+    /// stay zero.
+    #[inline]
+    pub(crate) fn from_lanes<G: LaneGroup>(
+        vl: VectorLength,
+        items: impl Iterator<Item = G>,
+    ) -> Self {
         let mut r = VReg::zeroed();
-        for i in 0..vl.lanes_of(E::BYTES) {
-            r.set_lane(i, f(i));
+        for (dst, v) in r.bytes[..vl.bytes()].chunks_exact_mut(G::BYTES).zip(items) {
+            v.write_le(dst);
         }
         r
     }
 
+    /// The element-wise lane loop: lane (or lane pair) `i` of the result is
+    /// `f(i, self[i], a[i], b[i])` for every lane inside `vl`; storage above
+    /// `vl` stays zero. Instructions with fewer operands pass one twice.
+    #[inline]
+    pub(crate) fn zip3<G: LaneGroup>(
+        &self,
+        a: &VReg,
+        b: &VReg,
+        vl: VectorLength,
+        f: impl Fn(usize, G, G, G) -> G,
+    ) -> VReg {
+        let n = vl.bytes();
+        let mut r = VReg::zeroed();
+        let dst = r.bytes[..n].chunks_exact_mut(G::BYTES);
+        let z = self.bytes[..n].chunks_exact(G::BYTES);
+        let a = a.bytes[..n].chunks_exact(G::BYTES);
+        let b = b.bytes[..n].chunks_exact(G::BYTES);
+        for (i, (((dst, z), a), b)) in dst.zip(z).zip(a).zip(b).enumerate() {
+            f(i, G::read_le(z), G::read_le(a), G::read_le(b)).write_le(dst);
+        }
+        r
+    }
+
+    /// Build a register by evaluating `f` on every lane index active for
+    /// vector length `vl` (inactive upper storage stays zero).
+    #[inline]
+    pub fn from_fn<E: SveElem>(vl: VectorLength, f: impl FnMut(usize) -> E) -> Self {
+        Self::from_lanes(vl, (0..vl.lanes_of(E::BYTES)).map(f))
+    }
+
     /// Collect the lanes active for `vl` into a `Vec` (test/debug helper).
     pub fn to_vec<E: SveElem>(&self, vl: VectorLength) -> Vec<E> {
-        (0..vl.lanes_of(E::BYTES))
-            .map(|i| self.lane::<E>(i))
-            .collect()
+        self.lanes(vl).collect()
     }
 
     /// True if the registers agree on all lanes active for `vl` under view
     /// `E` (upper storage is ignored, as hardware would).
     pub fn lanes_eq<E: SveElem>(&self, other: &VReg, vl: VectorLength) -> bool {
-        (0..vl.lanes_of(E::BYTES)).all(|i| self.lane::<E>(i) == other.lane::<E>(i))
+        self.lanes::<E>(vl).eq(other.lanes::<E>(vl))
     }
 }
 

@@ -490,3 +490,757 @@ fn f16_special_values_convert_exactly() {
     assert_eq!(F16::from_f64(5.0e-324).to_bits(), 0x0000);
     assert_eq!(F16::from_f64(-5.0e-324).to_bits(), 0x8000);
 }
+
+// --- differential suite: every intrinsic against a lane-by-lane reference
+// written here from `lane` / `set_lane` / `elem_active` only, for every
+// swept vector length, element type and predicate shape, compared bit for
+// bit (NaN payloads included). The intrinsics decide predication once per
+// instruction and run shared lane loops; this is what says those loops
+// compute what the per-lane definition of each instruction says. ---
+
+use sve::{Opcode, PReg, Rot, SveElem};
+
+/// Deterministic bit source (xorshift64*).
+struct Bits(u64);
+
+impl Bits {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+    }
+}
+
+/// Bit patterns worth meeting at width `bytes`: quiet NaN with a payload,
+/// signalling NaN, infinities, signed zeros, a subnormal, the largest finite.
+fn special_bits(bytes: usize, which: usize) -> u64 {
+    let table: [[u64; 8]; 3] = [
+        [
+            0x7e2a, 0x7d01, 0x7c00, 0xfc00, 0x8000, 0x0000, 0x0003, 0x7bff,
+        ],
+        [
+            0x7fc0_beef,
+            0x7f80_0001,
+            0x7f80_0000,
+            0xff80_0000,
+            0x8000_0000,
+            0,
+            0x0000_0007,
+            0x7f7f_ffff,
+        ],
+        [
+            0x7ff8_0000_dead_beef,
+            0x7ff0_0000_0000_0001,
+            0x7ff0_0000_0000_0000,
+            0xfff0_0000_0000_0000,
+            0x8000_0000_0000_0000,
+            0,
+            0x0000_0000_0000_0009,
+            0x7fef_ffff_ffff_ffff,
+        ],
+    ];
+    table[bytes.trailing_zeros() as usize - 1][which % 8]
+}
+
+/// Operand `which` (0, 1, 2) of a test: finite values in every lane, and a
+/// special bit pattern in one lane of every fourth (re, im) pair — a
+/// different pair for each operand, so no lane and no complex pair ever sees
+/// two NaN inputs (whose payload choice the compiler is free to make
+/// differently in two code paths).
+fn operand<E: SveFloat>(vl: VectorLength, which: usize, rng: &mut Bits) -> VReg {
+    let mut r = VReg::from_fn::<E>(vl, |_| {
+        E::from_f64(((rng.next() % 4001) as f64 - 2000.0) / 64.0)
+    });
+    for e in 0..vl.lanes_of(E::BYTES) {
+        let pair = e / 2;
+        if pair % 4 == which && e % 2 == (pair / 4) % 2 {
+            let bits = special_bits(E::BYTES, pair / 4 + which).to_le_bytes();
+            r.bytes_mut()[e * E::BYTES..(e + 1) * E::BYTES].copy_from_slice(&bits[..E::BYTES]);
+        }
+    }
+    r
+}
+
+/// The governing predicates every intrinsic is tried under, for view `E`.
+fn predicates<E: SveElem>(vl: VectorLength, rng: &mut Bits) -> Vec<(&'static str, PReg)> {
+    let lanes = vl.lanes_of(E::BYTES);
+    let mut every_byte = PReg::none();
+    for b in 0..vl.bytes() {
+        every_byte.set_byte_bit(b, true);
+    }
+    let (mut even, mut odd, mut random) = (PReg::none(), PReg::none(), PReg::none());
+    for e in 0..lanes {
+        even.set_elem_active::<E>(e, e % 2 == 0);
+        odd.set_elem_active::<E>(e, e % 2 == 1);
+    }
+    // Random over all 256 bits: between element starts and above VL too.
+    for b in 0..sve::VL_MAX_BYTES {
+        random.set_byte_bit(b, rng.next() & 1 == 1);
+    }
+    let mut out = vec![
+        ("ptrue", PReg::ptrue::<E>(vl)),
+        ("ptrue.b", every_byte),
+        ("even", even),
+        ("odd", odd),
+        ("random", random),
+    ];
+    for n in [0, 1, lanes / 2, lanes - 1] {
+        out.push(("whilelt", PReg::whilelt::<E>(vl, 0, n as u64)));
+    }
+    out
+}
+
+/// Bitwise equality of every lane under view `E`, and zero storage above
+/// `vl`. One bit is forgiven: the sign of a NaN, which the compiler may flip
+/// when it rewrites `x - y` as `x + (-y)`; the payload must still match.
+fn assert_reg<E: SveElem>(what: &str, vl: VectorLength, pred: &str, got: &VReg, want: &VReg) {
+    let bits = |r: &VReg, e: usize| {
+        let mut raw = [0u8; 8];
+        raw[..E::BYTES].copy_from_slice(&r.bytes()[e * E::BYTES..(e + 1) * E::BYTES]);
+        u64::from_le_bytes(raw)
+    };
+    let sign = 1u64 << (8 * E::BYTES - 1);
+    #[allow(clippy::eq_op)]
+    let is_nan = |r: &VReg, e: usize| r.lane::<E>(e) != r.lane::<E>(e);
+    for e in 0..vl.lanes_of(E::BYTES) {
+        let (g, w) = (bits(got, e), bits(want, e));
+        let same_nan = is_nan(got, e) && is_nan(want, e) && g | sign == w | sign;
+        assert!(
+            g == w || same_nan,
+            "{what} at {vl} under {pred}, lane {e}:\n got {got:?}\nwant {want:?}"
+        );
+    }
+    assert!(
+        got.bytes()[vl.bytes()..].iter().all(|&b| b == 0),
+        "{what} at {vl} under {pred}: storage above VL written"
+    );
+}
+
+/// Reference builder: lane `e` of the result is `f(e)`.
+fn by_lane<E: SveElem>(vl: VectorLength, mut f: impl FnMut(usize) -> E) -> VReg {
+    let mut r = VReg::zeroed();
+    for e in 0..vl.lanes_of(E::BYTES) {
+        r.set_lane(e, f(e));
+    }
+    r
+}
+
+fn scalar_reg<E: SveElem>(x: E) -> VReg {
+    let mut r = VReg::zeroed();
+    r.set_lane(0, x);
+    r
+}
+
+fn differential_float<E: SveFloat>() {
+    let mut rng = Bits(0x9e37_79b9_7f4a_7c15 ^ E::BYTES as u64);
+    for vl in VectorLength::sweep() {
+        let ctx = SveCtx::new(vl);
+        let lanes = vl.lanes_of(E::BYTES);
+        let a = operand::<E>(vl, 0, &mut rng);
+        let b = operand::<E>(vl, 1, &mut rng);
+        let c = operand::<E>(vl, 2, &mut rng);
+        let (al, bl, cl) = (
+            |e: usize| a.lane::<E>(e),
+            |e: usize| b.lane::<E>(e),
+            |e: usize| c.lane::<E>(e),
+        );
+        let exp = VReg::from_fn::<u64>(vl, |i| (i % 7) as u64);
+        let mem: Vec<E> = (0..4 * lanes)
+            .map(|i| E::from_f64(0.5 * i as f64 - 3.0))
+            .collect();
+
+        for (name, pg) in predicates::<E>(vl, &mut rng) {
+            let on = |e: usize| pg.elem_active::<E>(e);
+            let check =
+                |what: &str, got: VReg, want: VReg| assert_reg::<E>(what, vl, name, &got, &want);
+
+            // Predicate queries against their per-lane definitions.
+            let n_active = (0..lanes).filter(|&e| on(e)).count();
+            assert_eq!(pg.active_count::<E>(vl), n_active, "{vl} {name}");
+            assert_eq!(pg.all_active::<E>(vl), n_active == lanes, "{vl} {name}");
+            assert_eq!(pg.is_full::<E>(vl), n_active == lanes, "{vl} {name}");
+            assert_eq!(pg.is_empty::<E>(vl), n_active == 0, "{vl} {name}");
+            assert_eq!(pg.first_active::<E>(vl), (0..lanes).find(|&e| on(e)));
+            assert_eq!(svcntp::<E>(&ctx, &pg, &PReg::ptrue::<E>(vl)), n_active);
+
+            // Element-wise arithmetic: `_x` computes every lane, `_z` zeroes
+            // and `_m` keeps the first operand in inactive lanes.
+            let merge = |f: &dyn Fn(usize) -> E| by_lane(vl, |e| if on(e) { f(e) } else { al(e) });
+            check(
+                "add_x",
+                svadd_x::<E>(&ctx, &pg, &a, &b),
+                by_lane(vl, |e| al(e).add(bl(e))),
+            );
+            check(
+                "sub_x",
+                svsub_x::<E>(&ctx, &pg, &a, &b),
+                by_lane(vl, |e| al(e).sub(bl(e))),
+            );
+            check(
+                "mul_x",
+                svmul_x::<E>(&ctx, &pg, &a, &b),
+                by_lane(vl, |e| al(e).mul(bl(e))),
+            );
+            check(
+                "max_x",
+                svmax_x::<E>(&ctx, &pg, &a, &b),
+                by_lane(vl, |e| al(e).max(bl(e))),
+            );
+            check(
+                "min_x",
+                svmin_x::<E>(&ctx, &pg, &a, &b),
+                by_lane(vl, |e| al(e).min(bl(e))),
+            );
+            check(
+                "neg_x",
+                svneg_x::<E>(&ctx, &pg, &a),
+                by_lane(vl, |e| al(e).neg()),
+            );
+            check(
+                "abs_x",
+                svabs_x::<E>(&ctx, &pg, &a),
+                by_lane(vl, |e| al(e).abs()),
+            );
+            check(
+                "sqrt_x",
+                svsqrt_x::<E>(&ctx, &pg, &a),
+                by_lane(vl, |e| al(e).sqrt()),
+            );
+            check(
+                "add_m",
+                svadd_m::<E>(&ctx, &pg, &a, &b),
+                merge(&|e| al(e).add(bl(e))),
+            );
+            check(
+                "neg_m",
+                svneg_m::<E>(&ctx, &pg, &a),
+                merge(&|e| al(e).neg()),
+            );
+            check(
+                "mul_z",
+                svmul_z::<E>(&ctx, &pg, &a, &b),
+                by_lane(vl, |e| if on(e) { al(e).mul(bl(e)) } else { E::zero() }),
+            );
+            check(
+                "scale_x",
+                svscale_x::<E>(&ctx, &pg, &a, &exp),
+                merge(&|e| {
+                    let k = exp.lane::<u64>(e * E::BYTES / 8) as i32;
+                    E::from_f64(al(e).to_f64() * 2.0f64.powi(k))
+                }),
+            );
+            check(
+                "sel",
+                svsel::<E>(&ctx, &pg, &a, &b),
+                by_lane(vl, |e| if on(e) { al(e) } else { bl(e) }),
+            );
+
+            // fmla family: inactive lanes keep the accumulator.
+            let acc = |f: &dyn Fn(usize) -> E| by_lane(vl, |e| if on(e) { f(e) } else { cl(e) });
+            check(
+                "mla_m",
+                svmla_m::<E>(&ctx, &pg, &c, &a, &b),
+                acc(&|e| al(e).mul_add(bl(e), cl(e))),
+            );
+            check(
+                "mls_m",
+                svmls_m::<E>(&ctx, &pg, &c, &a, &b),
+                acc(&|e| al(e).neg().mul_add(bl(e), cl(e))),
+            );
+            check(
+                "nmls_m",
+                svnmls_m::<E>(&ctx, &pg, &c, &a, &b),
+                acc(&|e| al(e).mul_add(bl(e), cl(e).neg())),
+            );
+
+            // fcmla / fcadd: each lane of a pair has its own predicate bit.
+            for rot in [Rot::R0, Rot::R90, Rot::R180, Rot::R270] {
+                let want = by_lane(vl, |e| {
+                    let (re, im) = (e & !1, e | 1);
+                    let (xr, xi, yr, yi) = (al(re), al(im), bl(re), bl(im));
+                    let new = match (rot, e % 2) {
+                        (Rot::R0, 0) => xr.mul_add(yr, cl(e)),
+                        (Rot::R0, _) => xr.mul_add(yi, cl(e)),
+                        (Rot::R90, 0) => xi.neg().mul_add(yi, cl(e)),
+                        (Rot::R90, _) => xi.mul_add(yr, cl(e)),
+                        (Rot::R180, 0) => xr.neg().mul_add(yr, cl(e)),
+                        (Rot::R180, _) => xr.neg().mul_add(yi, cl(e)),
+                        (Rot::R270, 0) => xi.mul_add(yi, cl(e)),
+                        (Rot::R270, _) => xi.neg().mul_add(yr, cl(e)),
+                    };
+                    if on(e) {
+                        new
+                    } else {
+                        cl(e)
+                    }
+                });
+                check("cmla", svcmla::<E>(&ctx, &pg, &c, &a, &b, rot), want);
+            }
+            for rot in [Rot::R90, Rot::R270] {
+                let want = by_lane(vl, |e| {
+                    let other = bl(e ^ 1);
+                    let new = match (rot, e % 2) {
+                        (Rot::R90, 0) | (Rot::R270, 1) => al(e).sub(other),
+                        _ => al(e).add(other),
+                    };
+                    if on(e) {
+                        new
+                    } else {
+                        al(e)
+                    }
+                });
+                check("cadd", svcadd::<E>(&ctx, &pg, &a, &b, rot), want);
+            }
+            check(
+                "fcmla_mul_add",
+                fcmla_mul_add::<E>(&ctx, &pg, &c, &a, &b),
+                svcmla::<E>(
+                    &ctx,
+                    &pg,
+                    &svcmla::<E>(&ctx, &pg, &c, &a, &b, Rot::R90),
+                    &a,
+                    &b,
+                    Rot::R0,
+                ),
+            );
+            check(
+                "fcmla_conj_mul_add",
+                fcmla_conj_mul_add::<E>(&ctx, &pg, &c, &a, &b),
+                svcmla::<E>(
+                    &ctx,
+                    &pg,
+                    &svcmla::<E>(&ctx, &pg, &c, &a, &b, Rot::R0),
+                    &a,
+                    &b,
+                    Rot::R270,
+                ),
+            );
+
+            // Folds over the active lanes, in lane order.
+            let active = || (0..lanes).filter(|&e| on(e));
+            check(
+                "addv",
+                scalar_reg(svaddv::<E>(&ctx, &pg, &a)),
+                scalar_reg(active().fold(E::zero(), |s, e| s.add(al(e)))),
+            );
+            check(
+                "adda",
+                scalar_reg(svadda::<E>(&ctx, &pg, cl(0), &a)),
+                scalar_reg(active().fold(cl(0), |s, e| s.add(al(e)))),
+            );
+            let max = active()
+                .map(al)
+                .reduce(|m, v| m.max(v))
+                .unwrap_or_else(E::zero);
+            check(
+                "maxv",
+                scalar_reg(svmaxv::<E>(&ctx, &pg, &a)),
+                scalar_reg(max),
+            );
+            let last = active().next_back();
+            check(
+                "clastb",
+                scalar_reg(svclastb::<E>(&ctx, &pg, cl(0), &a)),
+                scalar_reg(last.map_or(cl(0), al)),
+            );
+            let after = last.filter(|&e| e + 1 < lanes).map_or(cl(0), |e| al(e + 1));
+            check(
+                "clasta",
+                scalar_reg(svclasta::<E>(&ctx, &pg, cl(0), &a)),
+                scalar_reg(after),
+            );
+            let picked: Vec<E> = active().map(al).collect();
+            check(
+                "compact",
+                svcompact::<E>(&ctx, &pg, &a),
+                by_lane(vl, |e| picked.get(e).copied().unwrap_or_else(E::zero)),
+            );
+            check(
+                "splice",
+                svsplice::<E>(&ctx, &pg, &a, &b),
+                by_lane(vl, |e| {
+                    picked
+                        .get(e)
+                        .copied()
+                        .unwrap_or_else(|| bl(e - picked.len()))
+                }),
+            );
+
+            // Loads: inactive lanes are zeroed and touch no memory.
+            let ld = |stride: usize, k: usize| {
+                by_lane(vl, |e| {
+                    if on(e) {
+                        mem[stride * e + k]
+                    } else {
+                        E::zero()
+                    }
+                })
+            };
+            check("ld1", svld1(&ctx, &pg, &mem[..lanes]), ld(1, 0));
+            let (l0, l1) = svld2(&ctx, &pg, &mem[..2 * lanes]);
+            check("ld2.0", l0, ld(2, 0));
+            check("ld2.1", l1, ld(2, 1));
+            let (l0, l1, l2) = svld3(&ctx, &pg, &mem[..3 * lanes]);
+            check("ld3.0", l0, ld(3, 0));
+            check("ld3.1", l1, ld(3, 1));
+            check("ld3.2", l2, ld(3, 2));
+            for (k, l) in svld4(&ctx, &pg, &mem).into_iter().enumerate() {
+                check("ld4", l, ld(4, k));
+            }
+            // A slice that ends right after the last active lane is enough.
+            let reach = last.map_or(0, |e| e + 1);
+            check("ld1 short", svld1(&ctx, &pg, &mem[..reach]), ld(1, 0));
+
+            // Stores: only active lanes touch memory.
+            let regs = [a, b, c, a];
+            let stored = |stride: usize| -> Vec<E> {
+                let mut want = mem.clone();
+                for e in active() {
+                    for k in 0..stride {
+                        want[stride * e + k] = regs[k].lane(e);
+                    }
+                }
+                want
+            };
+            let bits = |v: &[E]| -> Vec<u8> {
+                let mut r = VReg::zeroed();
+                v.iter()
+                    .flat_map(|&x| {
+                        r.set_lane(0, x);
+                        r.bytes()[..E::BYTES].to_vec()
+                    })
+                    .collect()
+            };
+            let mut dst = mem.clone();
+            svst1(&ctx, &pg, &mut dst[..reach], &a);
+            assert_eq!(bits(&dst), bits(&stored(1)), "st1 {vl} {name}");
+            let mut dst = mem.clone();
+            svst2(&ctx, &pg, &mut dst[..2 * lanes], &a, &b);
+            assert_eq!(bits(&dst), bits(&stored(2)), "st2 {vl} {name}");
+            let mut dst = mem.clone();
+            svst3(&ctx, &pg, &mut dst[..3 * lanes], &a, &b, &c);
+            assert_eq!(bits(&dst), bits(&stored(3)), "st3 {vl} {name}");
+            let mut dst = mem.clone();
+            svst4(&ctx, &pg, &mut dst, &regs);
+            assert_eq!(bits(&dst), bits(&stored(4)), "st4 {vl} {name}");
+
+            // Gather / scatter through a reversing index vector: 64-bit
+            // index lanes for `.d`, 32-bit ones (shared by two `.h` lanes)
+            // otherwise.
+            let idx = if E::BYTES == 8 {
+                VReg::from_fn::<u64>(vl, |i| (lanes - 1 - i) as u64)
+            } else {
+                VReg::from_fn::<i32>(vl, |i| (lanes - 1 - i) as i32)
+            };
+            let ix = |e: usize| lanes - 1 - e * E::BYTES.min(4) / 4;
+            check(
+                "gather",
+                svld1_gather::<E>(&ctx, &pg, &mem[..lanes], &idx),
+                by_lane(vl, |e| if on(e) { mem[ix(e)] } else { E::zero() }),
+            );
+            let mut dst = mem[..lanes].to_vec();
+            svst1_scatter::<E>(&ctx, &pg, &mut dst, &idx, &a);
+            let mut want = mem[..lanes].to_vec();
+            for e in active() {
+                want[ix(e)] = al(e);
+            }
+            assert_eq!(bits(&dst), bits(&want), "scatter {vl} {name}");
+
+            // Out of bounds: an active lane beyond the slice panics, with
+            // the index of the first such lane in the message.
+            if let Some(first_oob) = active().find(|&e| e >= lanes / 2) {
+                let short = &mem[..lanes / 2];
+                let msg = panic_message(|| {
+                    let _ = svld1(&ctx, &pg, short);
+                });
+                let idx = if n_active == lanes {
+                    lanes / 2
+                } else {
+                    first_oob
+                };
+                let want = format!(
+                    "sve: active lane reads out of bounds (index {idx}, slice len {})",
+                    lanes / 2
+                );
+                assert_eq!(msg, want, "{vl} {name}");
+                let mut dst = short.to_vec();
+                let msg = panic_message(|| svst1(&ctx, &pg, &mut dst, &a));
+                let want = format!(
+                    "sve: active lane writes out of bounds (index {idx}, slice len {})",
+                    lanes / 2
+                );
+                assert_eq!(msg, want, "{vl} {name}");
+                let mut dst = mem[..lanes].to_vec();
+                let msg = panic_message(|| svst2(&ctx, &pg, &mut dst, &a, &b));
+                assert!(
+                    msg.starts_with(&format!(
+                        "sve: active lane writes out of bounds (record {idx}, slice len {lanes}"
+                    )),
+                    "{vl} {name}: {msg}"
+                );
+            }
+        }
+
+        // Unpredicated permutes and broadcasts.
+        let check = |what: &str, got: VReg, want: VReg| assert_reg::<E>(what, vl, "-", &got, &want);
+        let half = lanes / 2;
+        check("dup", svdup::<E>(&ctx, cl(1)), by_lane(vl, |_| cl(1)));
+        check(
+            "dup_lane",
+            svdup_lane::<E>(&ctx, &a, lanes - 1),
+            by_lane(vl, |_| al(lanes - 1)),
+        );
+        check("movprfx", movprfx(&ctx, &a), a);
+        check("movz", movz(&ctx, &a), a);
+        check(
+            "rev",
+            svrev::<E>(&ctx, &a),
+            by_lane(vl, |e| al(lanes - 1 - e)),
+        );
+        for shift in [0, 1, half, lanes] {
+            let want = by_lane(vl, |e| {
+                if e + shift < lanes {
+                    al(e + shift)
+                } else {
+                    bl(e + shift - lanes)
+                }
+            });
+            check("ext", svext::<E>(&ctx, &a, &b, shift), want);
+        }
+        let pick = |e: usize, x: E, y: E| if e.is_multiple_of(2) { x } else { y };
+        check(
+            "zip1",
+            svzip1::<E>(&ctx, &a, &b),
+            by_lane(vl, |e| pick(e, al(e / 2), bl(e / 2))),
+        );
+        check(
+            "zip2",
+            svzip2::<E>(&ctx, &a, &b),
+            by_lane(vl, |e| pick(e, al(half + e / 2), bl(half + e / 2))),
+        );
+        check(
+            "uzp1",
+            svuzp1::<E>(&ctx, &a, &b),
+            by_lane(vl, |e| {
+                if e < half {
+                    al(2 * e)
+                } else {
+                    bl(2 * (e - half))
+                }
+            }),
+        );
+        check(
+            "uzp2",
+            svuzp2::<E>(&ctx, &a, &b),
+            by_lane(vl, |e| {
+                if e < half {
+                    al(2 * e + 1)
+                } else {
+                    bl(2 * (e - half) + 1)
+                }
+            }),
+        );
+        check(
+            "trn1",
+            svtrn1::<E>(&ctx, &a, &b),
+            by_lane(vl, |e| pick(e, al(e & !1), bl(e & !1))),
+        );
+        check(
+            "trn2",
+            svtrn2::<E>(&ctx, &a, &b),
+            by_lane(vl, |e| pick(e, al(e | 1), bl(e | 1))),
+        );
+        let table: Vec<usize> = (0..lanes)
+            .map(|e| {
+                if e % 5 == 4 {
+                    lanes + e
+                } else {
+                    (7 * e + 3) % lanes
+                }
+            })
+            .collect();
+        check(
+            "tbl",
+            svtbl::<E>(&ctx, &a, &table),
+            by_lane(vl, |e| {
+                if table[e] < lanes {
+                    al(table[e])
+                } else {
+                    E::zero()
+                }
+            }),
+        );
+        assert_eq!(svcnt::<E>(&ctx), lanes);
+    }
+}
+
+fn panic_message(f: impl FnOnce()) -> String {
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).expect_err("must panic");
+    err.downcast_ref::<String>().cloned().unwrap_or_default()
+}
+
+#[test]
+fn every_float_intrinsic_matches_its_per_lane_definition_f64() {
+    differential_float::<f64>();
+}
+
+#[test]
+fn every_float_intrinsic_matches_its_per_lane_definition_f32() {
+    differential_float::<f32>();
+}
+
+#[test]
+fn every_float_intrinsic_matches_its_per_lane_definition_f16() {
+    differential_float::<F16>();
+}
+
+/// `fcvt` works inside 64-bit (f64 <-> f32) or 32-bit (f32 <-> f16)
+/// containers, governed by the container's predicate bit; inactive
+/// containers are zeroed.
+#[test]
+fn conversions_match_their_per_container_definition() {
+    let mut rng = Bits(0xc0ff_ee00_dead_beef);
+    for vl in VectorLength::sweep() {
+        let ctx = SveCtx::new(vl);
+        let wide = operand::<f64>(vl, 0, &mut rng);
+        let single = operand::<f32>(vl, 1, &mut rng);
+        let half = operand::<F16>(vl, 2, &mut rng);
+        for (name, pg) in predicates::<f64>(vl, &mut rng) {
+            let on = |e: usize| pg.elem_active::<f64>(e);
+            let mut want = VReg::zeroed();
+            let mut back = VReg::zeroed();
+            for e in (0..vl.lanes64()).filter(|&e| on(e)) {
+                want.set_lane::<f32>(2 * e, wide.lane::<f64>(e) as f32);
+                back.set_lane::<f64>(e, single.lane::<f32>(2 * e) as f64);
+            }
+            assert_reg::<f32>(
+                "cvt_f32_f64",
+                vl,
+                name,
+                &svcvt_f32_f64(&ctx, &pg, &wide),
+                &want,
+            );
+            assert_reg::<f64>(
+                "cvt_f64_f32",
+                vl,
+                name,
+                &svcvt_f64_f32(&ctx, &pg, &single),
+                &back,
+            );
+        }
+        for (name, pg) in predicates::<f32>(vl, &mut rng) {
+            let on = |e: usize| pg.elem_active::<f32>(e);
+            let mut want = VReg::zeroed();
+            let mut back = VReg::zeroed();
+            for e in (0..vl.lanes32()).filter(|&e| on(e)) {
+                want.set_lane::<F16>(2 * e, F16::from_f32(single.lane::<f32>(e)));
+                back.set_lane::<f32>(e, half.lane::<F16>(2 * e).to_f32());
+            }
+            assert_reg::<F16>(
+                "cvt_f16_f32",
+                vl,
+                name,
+                &svcvt_f16_f32(&ctx, &pg, &single),
+                &want,
+            );
+            assert_reg::<f32>(
+                "cvt_f32_f16",
+                vl,
+                name,
+                &svcvt_f32_f16(&ctx, &pg, &half),
+                &back,
+            );
+        }
+        // The pack / unpack helpers are the documented compositions.
+        let pg = PReg::ptrue::<f64>(vl);
+        let (a, b) = (
+            operand::<f64>(vl, 0, &mut rng),
+            operand::<f64>(vl, 1, &mut rng),
+        );
+        let packed = cvt_pack_f64_to_f32(&ctx, &pg, &a, &b);
+        let want = svuzp1::<f32>(
+            &ctx,
+            &svcvt_f32_f64(&ctx, &pg, &a),
+            &svcvt_f32_f64(&ctx, &pg, &b),
+        );
+        assert_reg::<f32>("pack", vl, "ptrue", &packed, &want);
+        let (lo, hi) = cvt_unpack_f32_to_f64(&ctx, &pg, &packed);
+        assert_reg::<f64>(
+            "unpack.lo",
+            vl,
+            "ptrue",
+            &lo,
+            &svcvt_f64_f32(&ctx, &pg, &svzip1::<f32>(&ctx, &packed, &packed)),
+        );
+        assert_reg::<f64>(
+            "unpack.hi",
+            vl,
+            "ptrue",
+            &hi,
+            &svcvt_f64_f32(&ctx, &pg, &svzip2::<f32>(&ctx, &packed, &packed)),
+        );
+    }
+}
+
+/// Predicate construction and logic against bit-by-bit definitions, and the
+/// opcode each intrinsic of this file's suites retires.
+#[test]
+fn predicate_intrinsics_match_their_per_element_definition() {
+    let mut rng = Bits(0x1234_5678_9abc_def1);
+    for vl in VectorLength::sweep() {
+        let ctx = SveCtx::new(vl);
+        let lanes = vl.lanes64();
+        let by_elem = |f: &dyn Fn(usize) -> bool| {
+            let mut p = PReg::none();
+            for e in 0..lanes {
+                p.set_elem_active::<f64>(e, f(e));
+            }
+            p
+        };
+        assert_eq!(svptrue::<f64>(&ctx), by_elem(&|_| true));
+        assert_eq!(svpfalse(&ctx), PReg::none());
+        for (base, bound) in [
+            (0, 0),
+            (0, 1),
+            (3, 5),
+            (0, 1000),
+            (u64::MAX - 1, u64::MAX),
+            (9, 2),
+        ] {
+            let want = by_elem(&|e| base.checked_add(e as u64).is_some_and(|i| i < bound));
+            assert_eq!(
+                svwhilelt::<f64>(&ctx, base, bound),
+                want,
+                "{vl} whilelt({base}, {bound})"
+            );
+            let (p, flags) = svwhilelt_with_flags::<f64>(&ctx, base, bound);
+            assert_eq!(p, want);
+            assert_eq!(flags.n, want.elem_active::<f64>(0));
+            assert_eq!(flags.z, want.is_empty::<f64>(vl));
+        }
+        let preds = predicates::<f64>(vl, &mut rng);
+        for (_, g) in &preds {
+            for (_, p) in &preds {
+                let both = (0..lanes)
+                    .filter(|&e| g.elem_active::<f64>(e) && p.elem_active::<f64>(e))
+                    .count();
+                assert_eq!(svcntp::<f64>(&ctx, g, p), both);
+                for b in 0..vl.bytes() {
+                    let (gb, pb) = (g.byte_bit(b), p.byte_bit(b));
+                    assert_eq!(svand_pred_z(&ctx, g, p, p).byte_bit(b), gb && pb);
+                    assert_eq!(
+                        svorr_pred_z(&ctx, g, p, &PReg::none()).byte_bit(b),
+                        gb && pb
+                    );
+                }
+            }
+        }
+        svprf(&ctx);
+        assert_eq!(ctx.counters().get(Opcode::Prf), 1);
+        assert_eq!(
+            svindex(&ctx, 5, 3).to_vec::<u64>(vl),
+            (0..lanes as u64).map(|i| 5 + 3 * i).collect::<Vec<_>>()
+        );
+    }
+}

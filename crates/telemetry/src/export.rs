@@ -5,7 +5,7 @@ use sve::{CostModel, Opcode};
 
 use crate::json::Json;
 use crate::region::Snapshot;
-use crate::span::{trace_log, TraceEvent};
+use crate::span::trace_log;
 
 /// Render a snapshot as an aligned human-readable table, one row per region
 /// path (indented by nesting depth), with derived metrics.
@@ -112,23 +112,16 @@ pub fn to_chrome_trace() -> String {
         ]));
     }
     let log = trace_log().lock().unwrap();
-    events.extend(log.iter().map(
-        |TraceEvent {
-             path,
-             start_us,
-             dur_us,
-             tid,
-         }| {
-            Json::Obj(vec![
-                ("name".into(), Json::Str(path.clone())),
-                ("ph".into(), Json::Str("X".into())),
-                ("ts".into(), Json::Num(*start_us as f64)),
-                ("dur".into(), Json::Num(*dur_us as f64)),
-                ("pid".into(), Json::Num(1.0)),
-                ("tid".into(), Json::Num(*tid as f64)),
-            ])
-        },
-    ));
+    events.extend(log.events().map(|(path, start_us, dur_us, tid)| {
+        Json::Obj(vec![
+            ("name".into(), Json::Str(path.to_string())),
+            ("ph".into(), Json::Str("X".into())),
+            ("ts".into(), Json::Num(start_us as f64)),
+            ("dur".into(), Json::Num(dur_us as f64)),
+            ("pid".into(), Json::Num(1.0)),
+            ("tid".into(), Json::Num(tid as f64)),
+        ])
+    }));
     Json::Obj(vec![
         ("traceEvents".into(), Json::Arr(events)),
         ("displayTimeUnit".into(), Json::Str("ms".into())),

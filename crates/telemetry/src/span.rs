@@ -74,18 +74,64 @@ fn registry() -> &'static Mutex<BTreeMap<String, RegionStat>> {
     REGISTRY.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
-/// A completed-span event for Chrome `trace_event` export.
-pub(crate) struct TraceEvent {
-    pub path: String,
-    pub start_us: u64,
-    pub dur_us: u64,
-    pub tid: u64,
+/// A completed-span event for Chrome `trace_event` export. The span path is
+/// an index into [`TraceLog::paths`]: an event costs 32 bytes and no
+/// allocation, so what a run retains grows by the spans it closes, not by
+/// the length of their names.
+struct TraceEvent {
+    path: u32,
+    tid: u64,
+    start_us: u64,
+    dur_us: u64,
 }
 
 /// Trace-event log, bounded so long solver runs cannot grow without limit.
-pub(crate) fn trace_log() -> &'static Mutex<Vec<TraceEvent>> {
-    static LOG: OnceLock<Mutex<Vec<TraceEvent>>> = OnceLock::new();
-    LOG.get_or_init(|| Mutex::new(Vec::new()))
+#[derive(Default)]
+pub(crate) struct TraceLog {
+    /// Distinct span paths in order of first appearance.
+    paths: Vec<String>,
+    path_ids: BTreeMap<String, u32>,
+    events: Vec<TraceEvent>,
+}
+
+impl TraceLog {
+    fn push(&mut self, path: &str, start_us: u64, dur_us: u64, tid: u64) {
+        if self.events.len() >= TRACE_EVENT_CAP {
+            return;
+        }
+        let path = match self.path_ids.get(path) {
+            Some(&id) => id,
+            None => {
+                let id = self.paths.len() as u32;
+                self.paths.push(path.to_string());
+                self.path_ids.insert(path.to_string(), id);
+                id
+            }
+        };
+        self.events.push(TraceEvent {
+            path,
+            tid,
+            start_us,
+            dur_us,
+        });
+    }
+
+    /// `(path, start_us, dur_us, tid)` of every retained event, oldest first.
+    pub(crate) fn events(&self) -> impl Iterator<Item = (&str, u64, u64, u64)> {
+        self.events.iter().map(|e| {
+            (
+                self.paths[e.path as usize].as_str(),
+                e.start_us,
+                e.dur_us,
+                e.tid,
+            )
+        })
+    }
+}
+
+pub(crate) fn trace_log() -> &'static Mutex<TraceLog> {
+    static LOG: OnceLock<Mutex<TraceLog>> = OnceLock::new();
+    LOG.get_or_init(Mutex::default)
 }
 
 /// Hard cap on retained trace events; later events are dropped, not rotated,
@@ -312,17 +358,10 @@ impl<'a> SpanGuard<'a> {
 
             let start_us = frame.start.saturating_duration_since(epoch()).as_micros() as u64;
             let tid = thread_ordinal();
-            {
-                let mut log = trace_log().lock().unwrap();
-                if log.len() < TRACE_EVENT_CAP {
-                    log.push(TraceEvent {
-                        path: frame.path.clone(),
-                        start_us,
-                        dur_us: wall_ns / 1_000,
-                        tid,
-                    });
-                }
-            }
+            trace_log()
+                .lock()
+                .unwrap()
+                .push(&frame.path, start_us, wall_ns / 1_000, tid);
 
             let close = SpanClose {
                 path: frame.path,
@@ -394,5 +433,5 @@ pub fn snapshot() -> Snapshot {
 /// unaffected: they fold into the cleared registry when they close.
 pub fn reset() {
     registry().lock().unwrap().clear();
-    trace_log().lock().unwrap().clear();
+    *trace_log().lock().unwrap() = TraceLog::default();
 }

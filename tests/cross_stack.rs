@@ -132,3 +132,38 @@ fn whole_stack_runs_at_the_architectural_extremes() {
         assert!(report.converged, "{vl}: {report:?}");
     }
 }
+
+#[test]
+fn hopping_opcode_counts_are_pinned_and_thread_invariant() {
+    // The counters are sharded per thread; the tally they add up to must
+    // not depend on how many threads did the work, and must stay the
+    // integers the operator has always retired (4^4, VL512, FCMLA).
+    use grid::prelude::*;
+    let counts = |threads: usize| {
+        rayon::set_num_threads(threads);
+        let g = Grid::new([4, 4, 4, 4], VectorLength::of(512), SimdBackend::Fcmla);
+        let d = WilsonDirac::new(random_gauge(g.clone(), 5), 0.3);
+        let psi = FermionField::random(g.clone(), 6);
+        let mut out = FermionField::zero(g.clone());
+        let counters = g.engine().ctx().counters();
+        counters.reset();
+        d.hopping_into(&psi, &mut out);
+        counters.snapshot()
+    };
+    let (one, two) = (counts(1), counts(2));
+    rayon::set_num_threads(0);
+    assert_eq!(one, two, "1 thread vs 2 threads");
+    assert_eq!(
+        one,
+        vec![
+            (Opcode::Fcmla, 18432),
+            (Opcode::Ld1, 10752),
+            (Opcode::Fadd, 9216),
+            (Opcode::Fcadd, 3072),
+            (Opcode::Tbl, 2112),
+            (Opcode::Fneg, 1536),
+            (Opcode::St1, 768),
+            (Opcode::Dup, 1),
+        ]
+    );
+}
