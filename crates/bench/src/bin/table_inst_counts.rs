@@ -26,6 +26,7 @@ fn main() {
     let n = profile::MULT_CPLX_ELEMS; // complex elements
     let (all, snap) = profile::build_listings_profile(n);
 
+    println!("host lanes: {}", sve::host_lanes());
     println!("SECTION IV — DYNAMIC INSTRUCTION ANALYSIS ({n} complex elements)\n");
     println!(
         "{:<10} {:<28} {:>8} {:>10} {:>8} {:>8} {:>8}",

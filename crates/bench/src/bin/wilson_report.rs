@@ -105,6 +105,7 @@ fn main() {
         }
     };
     let json_path = report_args.json.clone();
+    println!("host lanes: {}", sve::host_lanes());
     // Every span close from here on feeds the flight recorder and the
     // `span.<leaf>` histograms.
     qcd_metrics::install_span_observer();

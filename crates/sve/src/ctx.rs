@@ -7,6 +7,7 @@
 //! under a different hardware width.
 
 use crate::count::{CostModel, Counters, Opcode};
+use crate::host::Lowering;
 use crate::pred::PReg;
 use crate::vl::VectorLength;
 
@@ -34,7 +35,9 @@ pub enum ToolchainFault {
 /// and shared (`&SveCtx` / `Arc<SveCtx>`) across threads. Counting uses
 /// relaxed atomics and can be disabled.
 pub struct SveCtx {
-    vl: VectorLength,
+    /// The vector length, and which compiled copy of the lane loops this
+    /// host runs it with — detected here, so an instruction reads a field.
+    lowering: Lowering,
     counters: Counters,
     fault: ToolchainFault,
 }
@@ -42,17 +45,13 @@ pub struct SveCtx {
 impl SveCtx {
     /// A faithful context at vector length `vl`.
     pub fn new(vl: VectorLength) -> Self {
-        SveCtx {
-            vl,
-            counters: Counters::new(),
-            fault: ToolchainFault::None,
-        }
+        Self::with_fault(vl, ToolchainFault::None)
     }
 
     /// A context with an injected toolchain fault.
     pub fn with_fault(vl: VectorLength, fault: ToolchainFault) -> Self {
         SveCtx {
-            vl,
+            lowering: Lowering::for_host(vl),
             counters: Counters::new(),
             fault,
         }
@@ -61,7 +60,12 @@ impl SveCtx {
     /// The vector length this "silicon" implements.
     #[inline]
     pub fn vl(&self) -> VectorLength {
-        self.vl
+        self.lowering.vl()
+    }
+
+    #[inline]
+    pub(crate) fn lowering(&self) -> Lowering {
+        self.lowering
     }
 
     /// Instruction tallies recorded so far.
@@ -97,12 +101,13 @@ impl SveCtx {
         match self.fault {
             ToolchainFault::None => p,
             ToolchainFault::TailPredicationBug(at_vl) => {
-                if self.vl != at_vl || p.is_full::<E>(self.vl) || p.is_empty::<E>(self.vl) {
+                let vl = self.vl();
+                if vl != at_vl || p.is_full::<E>(vl) || p.is_empty::<E>(vl) {
                     return p;
                 }
                 // Drop the last active element of a partial predicate.
                 let mut out = p;
-                let last = (0..self.vl.lanes_of(E::BYTES))
+                let last = (0..vl.lanes_of(E::BYTES))
                     .rev()
                     .find(|&e| p.elem_active::<E>(e));
                 if let Some(e) = last {
@@ -117,7 +122,7 @@ impl SveCtx {
 impl std::fmt::Debug for SveCtx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SveCtx")
-            .field("vl", &self.vl)
+            .field("vl", &self.vl())
             .field("fault", &self.fault)
             .field("executed", &self.counters.total())
             .finish()

@@ -16,6 +16,11 @@ pub trait SveElem: Copy + PartialEq + Send + Sync + std::fmt::Debug + 'static {
     /// Assembly suffix for this element size (`b`, `h`, `s`, `d`), as used
     /// in the paper's listings (`z0.d`, `p1.b`, ...).
     const SUFFIX: char;
+    /// Whether loops over lanes of this type are compiled per vector length
+    /// and per host instruction set. True where lane arithmetic is a host
+    /// instruction; software arithmetic ([`F16`]) measured slower that way.
+    #[doc(hidden)]
+    const LOWERED: bool = true;
 
     /// The additive identity; also what predicated-zeroing loads place in
     /// inactive lanes (`p1/z` in listing IV-A).
@@ -208,6 +213,7 @@ impl SveFloat for f32 {
 impl SveElem for F16 {
     const BYTES: usize = 2;
     const SUFFIX: char = 'h';
+    const LOWERED: bool = false;
 
     #[inline]
     fn zero() -> Self {

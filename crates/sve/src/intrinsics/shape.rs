@@ -6,8 +6,11 @@
 //! **once per instruction**: under an all-true governing predicate — what
 //! every fixed-size kernel of the port passes (paper listing IV-D) — or for
 //! an `_x` form, it runs the straight loop over the `VL` prefix, otherwise a
-//! select per lane. The loops themselves are [`VReg::zip3`],
-//! [`VReg::lanes`] and [`VReg::from_lanes`].
+//! select per lane. The arithmetic loop is [`VReg::zip3`], which the
+//! context's lowering (`host.rs`) compiles per vector length and per host
+//! instruction set; loads, stores and folds only move data or add in lane
+//! order and walk [`VReg::from_lanes`] and [`VReg::lanes`]; permutes and
+//! broadcasts go through [`VReg::from_fn`].
 
 use crate::ctx::SveCtx;
 use crate::elem::SveElem;
@@ -41,11 +44,11 @@ fn lanewise<E: SveElem, G: LaneGroup>(
     f: impl Fn(G, G, G) -> G,
     merge: impl Fn(usize, G, G) -> G,
 ) -> VReg {
-    let vl = ctx.vl();
-    if every_lane || pg.all_active::<E>(vl) {
-        z.zip3(a, b, vl, |_, z, a, b| f(z, a, b))
+    let lw = ctx.lowering();
+    if every_lane || pg.all_active::<E>(lw.vl()) {
+        z.zip3(a, b, lw, |_, z, a, b| f(z, a, b))
     } else {
-        z.zip3(a, b, vl, |i, z, a, b| merge(i, z, f(z, a, b)))
+        z.zip3(a, b, lw, |i, z, a, b| merge(i, z, f(z, a, b)))
     }
 }
 
@@ -107,15 +110,9 @@ pub(super) fn complex<E: SveElem>(
     y: &VReg,
     f: impl Fn([E; 2], [E; 2], [E; 2]) -> [E; 2],
 ) -> VReg {
-    let merge = |p, z: [E; 2], new: [E; 2]| {
-        [0, 1].map(|k| {
-            if pg.elem_active::<E>(2 * p + k) {
-                new[k]
-            } else {
-                z[k]
-            }
-        })
-    };
+    let keep = |e, z, new| if pg.elem_active::<E>(e) { new } else { z };
+    let merge =
+        |p, z: [E; 2], new: [E; 2]| [keep(2 * p, z[0], new[0]), keep(2 * p + 1, z[1], new[1])];
     lanewise::<E, [E; 2]>(ctx, pg, false, acc, x, y, f, merge)
 }
 

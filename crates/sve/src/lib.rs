@@ -23,6 +23,11 @@
 //! * [`F16`] — software binary16 for the comms-compression data path
 //!   (Section V-B).
 //!
+//! The lane loops behind the arithmetic intrinsics are compiled once per
+//! swept vector length and, on x86-64, a second time for AVX2+FMA; the copy
+//! is picked from the CPU at context construction ([`host_lanes`] names it)
+//! and cannot change a result bit.
+//!
 //! # Example: the paper's two-FCMLA complex multiply (Section IV-D)
 //!
 //! ```
@@ -45,13 +50,17 @@
 //! assert_eq!(z[1], 1.0 * (-1.0) + 2.0 * 3.0); // im(x0 * y0)
 //! ```
 
-#![forbid(unsafe_code)]
+// One `unsafe` block in the crate: the call into the AVX2+FMA copy of the lane
+// loops in `host.rs`, behind the CPU detection it needs.
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 mod count;
 mod ctx;
 mod elem;
 mod f16;
+mod host;
 mod pred;
 mod vl;
 mod vreg;
@@ -63,6 +72,7 @@ pub use count::{CostModel, Counters, OpClass, Opcode};
 pub use ctx::{SveCtx, ToolchainFault};
 pub use elem::{SveElem, SveFloat};
 pub use f16::F16;
+pub use host::host_lanes;
 pub use intrinsics::Rot;
 pub use pred::{PReg, PredFlags};
 pub use vl::{VectorLength, VL_MAX_BITS, VL_MAX_BYTES, VL_MIN_BITS, VL_STEP_BITS};

@@ -6,18 +6,23 @@
 //! determines how many of them an operation touches.
 
 use crate::elem::SveElem;
+use crate::host::{unrolled, LaneLoop, Lowering};
 use crate::vl::{VectorLength, VL_MAX_BYTES};
 
 /// What one step of a lane loop reads or writes: a single element, or the
 /// (re, im) pair of adjacent lanes that `fcmla`/`fcadd` work on.
 pub(crate) trait LaneGroup: Copy + 'static {
     const BYTES: usize;
+    /// Whether loops over this group are compiled per vector length and per
+    /// host context (see [`SveElem::LOWERED`]).
+    const LOWERED: bool;
     fn read_le(src: &[u8]) -> Self;
     fn write_le(self, dst: &mut [u8]);
 }
 
 impl<E: SveElem> LaneGroup for E {
     const BYTES: usize = E::BYTES;
+    const LOWERED: bool = E::LOWERED;
     #[inline]
     fn read_le(src: &[u8]) -> Self {
         E::read_le(src)
@@ -30,6 +35,7 @@ impl<E: SveElem> LaneGroup for E {
 
 impl<E: SveElem> LaneGroup for [E; 2] {
     const BYTES: usize = 2 * E::BYTES;
+    const LOWERED: bool = E::LOWERED;
     #[inline]
     fn read_le(src: &[u8]) -> Self {
         let (re, im) = src.split_at(E::BYTES);
@@ -115,6 +121,13 @@ impl VReg {
         r
     }
 
+    /// The generating lane loop: lane (or lane pair) `i` of the result is
+    /// `f(i)` for every lane inside `vl`; storage above `vl` stays zero.
+    #[inline]
+    pub(crate) fn from_index<G: LaneGroup>(vl: VectorLength, f: impl FnMut(usize) -> G) -> Self {
+        unrolled(vl, FromIndex(f))
+    }
+
     /// The element-wise lane loop: lane (or lane pair) `i` of the result is
     /// `f(i, self[i], a[i], b[i])` for every lane inside `vl`; storage above
     /// `vl` stays zero. Instructions with fewer operands pass one twice.
@@ -123,26 +136,17 @@ impl VReg {
         &self,
         a: &VReg,
         b: &VReg,
-        vl: VectorLength,
+        lw: Lowering,
         f: impl Fn(usize, G, G, G) -> G,
     ) -> VReg {
-        let n = vl.bytes();
-        let mut r = VReg::zeroed();
-        let dst = r.bytes[..n].chunks_exact_mut(G::BYTES);
-        let z = self.bytes[..n].chunks_exact(G::BYTES);
-        let a = a.bytes[..n].chunks_exact(G::BYTES);
-        let b = b.bytes[..n].chunks_exact(G::BYTES);
-        for (i, (((dst, z), a), b)) in dst.zip(z).zip(a).zip(b).enumerate() {
-            f(i, G::read_le(z), G::read_le(a), G::read_le(b)).write_le(dst);
-        }
-        r
+        lw.run(Zip3 { z: self, a, b, f })
     }
 
     /// Build a register by evaluating `f` on every lane index active for
     /// vector length `vl` (inactive upper storage stays zero).
     #[inline]
     pub fn from_fn<E: SveElem>(vl: VectorLength, f: impl FnMut(usize) -> E) -> Self {
-        Self::from_lanes(vl, (0..vl.lanes_of(E::BYTES)).map(f))
+        Self::from_index(vl, f)
     }
 
     /// Collect the lanes active for `vl` into a `Vec` (test/debug helper).
@@ -154,6 +158,43 @@ impl VReg {
     /// `E` (upper storage is ignored, as hardware would).
     pub fn lanes_eq<E: SveElem>(&self, other: &VReg, vl: VectorLength) -> bool {
         self.lanes::<E>(vl).eq(other.lanes::<E>(vl))
+    }
+}
+
+struct FromIndex<F>(F);
+
+impl<G: LaneGroup, F: FnMut(usize) -> G> LaneLoop<G> for FromIndex<F> {
+    type Out = VReg;
+    #[inline(always)]
+    fn run(mut self, bytes: usize) -> VReg {
+        let mut r = VReg::zeroed();
+        for (i, dst) in r.bytes[..bytes].chunks_exact_mut(G::BYTES).enumerate() {
+            (self.0)(i).write_le(dst);
+        }
+        r
+    }
+}
+
+struct Zip3<'a, F> {
+    z: &'a VReg,
+    a: &'a VReg,
+    b: &'a VReg,
+    f: F,
+}
+
+impl<G: LaneGroup, F: Fn(usize, G, G, G) -> G> LaneLoop<G> for Zip3<'_, F> {
+    type Out = VReg;
+    #[inline(always)]
+    fn run(self, bytes: usize) -> VReg {
+        let mut r = VReg::zeroed();
+        let dst = r.bytes[..bytes].chunks_exact_mut(G::BYTES);
+        let z = self.z.bytes[..bytes].chunks_exact(G::BYTES);
+        let a = self.a.bytes[..bytes].chunks_exact(G::BYTES);
+        let b = self.b.bytes[..bytes].chunks_exact(G::BYTES);
+        for (i, (((dst, z), a), b)) in dst.zip(z).zip(a).zip(b).enumerate() {
+            (self.f)(i, G::read_le(z), G::read_le(a), G::read_le(b)).write_le(dst);
+        }
+        r
     }
 }
 

@@ -75,28 +75,44 @@ fn registry() -> &'static Mutex<BTreeMap<String, RegionStat>> {
 }
 
 /// A completed-span event for Chrome `trace_event` export. The span path is
-/// an index into [`TraceLog::paths`]: an event costs 32 bytes and no
+/// an index into [`TraceLog::paths`]: an event costs 24 bytes and no
 /// allocation, so what a run retains grows by the spans it closes, not by
-/// the length of their names.
+/// the length of their names. Thread ordinals and durations saturate at
+/// `u32::MAX` (71 minutes for one span).
 struct TraceEvent {
     path: u32,
-    tid: u64,
+    tid: u32,
     start_us: u64,
-    dur_us: u64,
+    dur_us: u32,
 }
 
+/// Events per block of the log: 96 KiB, so a full log is 25 blocks.
+const TRACE_BLOCK_EVENTS: usize = 4096;
+
 /// Trace-event log, bounded so long solver runs cannot grow without limit.
+/// Spans are logged in untraced runs too, so the log's footprint is part of
+/// every process's peak memory: events go into fixed-size blocks that are
+/// never reallocated, and a faster run that closes more spans pays for them
+/// one block at a time.
 #[derive(Default)]
 pub(crate) struct TraceLog {
     /// Distinct span paths in order of first appearance.
     paths: Vec<String>,
     path_ids: BTreeMap<String, u32>,
-    events: Vec<TraceEvent>,
+    /// Every block but the last holds `TRACE_BLOCK_EVENTS` events.
+    blocks: Vec<Vec<TraceEvent>>,
 }
 
 impl TraceLog {
+    fn len(&self) -> usize {
+        match self.blocks.split_last() {
+            Some((last, full)) => full.len() * TRACE_BLOCK_EVENTS + last.len(),
+            None => 0,
+        }
+    }
+
     fn push(&mut self, path: &str, start_us: u64, dur_us: u64, tid: u64) {
-        if self.events.len() >= TRACE_EVENT_CAP {
+        if self.len() >= TRACE_EVENT_CAP {
             return;
         }
         let path = match self.path_ids.get(path) {
@@ -108,22 +124,30 @@ impl TraceLog {
                 id
             }
         };
-        self.events.push(TraceEvent {
+        if self
+            .blocks
+            .last()
+            .is_none_or(|b| b.len() == TRACE_BLOCK_EVENTS)
+        {
+            self.blocks.push(Vec::with_capacity(TRACE_BLOCK_EVENTS));
+        }
+        let block = self.blocks.last_mut().expect("a block with room");
+        block.push(TraceEvent {
             path,
-            tid,
+            tid: u32::try_from(tid).unwrap_or(u32::MAX),
             start_us,
-            dur_us,
+            dur_us: u32::try_from(dur_us).unwrap_or(u32::MAX),
         });
     }
 
     /// `(path, start_us, dur_us, tid)` of every retained event, oldest first.
     pub(crate) fn events(&self) -> impl Iterator<Item = (&str, u64, u64, u64)> {
-        self.events.iter().map(|e| {
+        self.blocks.iter().flatten().map(|e| {
             (
                 self.paths[e.path as usize].as_str(),
                 e.start_us,
-                e.dur_us,
-                e.tid,
+                u64::from(e.dur_us),
+                u64::from(e.tid),
             )
         })
     }
@@ -434,4 +458,43 @@ pub fn snapshot() -> Snapshot {
 pub fn reset() {
     registry().lock().unwrap().clear();
     *trace_log().lock().unwrap() = TraceLog::default();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn trace_log_keeps_a_capped_prefix_in_fixed_blocks() {
+        assert!(std::mem::size_of::<TraceEvent>() <= 24);
+        let mut log = TraceLog::default();
+        for i in 0..TRACE_EVENT_CAP as u64 + 10 {
+            log.push(if i % 2 == 0 { "a" } else { "a/b" }, i, 7, 3);
+        }
+        assert_eq!(log.len(), TRACE_EVENT_CAP);
+        assert_eq!(
+            log.blocks.len(),
+            TRACE_EVENT_CAP.div_ceil(TRACE_BLOCK_EVENTS)
+        );
+        assert!(log
+            .blocks
+            .iter()
+            .all(|b| b.capacity() == TRACE_BLOCK_EVENTS));
+        assert_eq!(log.paths, ["a", "a/b"]);
+        // Oldest first, later events dropped.
+        let starts: Vec<u64> = log.events().map(|(_, start, _, _)| start).collect();
+        assert!(starts.iter().copied().eq(0..TRACE_EVENT_CAP as u64));
+        let (path, _, dur, tid) = log.events().nth(TRACE_BLOCK_EVENTS + 1).unwrap();
+        assert_eq!((path, dur, tid), ("a/b", 7, 3));
+    }
+
+    #[test]
+    fn trace_event_durations_and_thread_ordinals_saturate() {
+        let mut log = TraceLog::default();
+        log.push("a", 5, u64::MAX, u64::MAX);
+        log.push("a", 6, u64::from(u32::MAX) - 1, 2);
+        let got: Vec<_> = log.events().collect();
+        assert_eq!(got[0], ("a", 5, u64::from(u32::MAX), u64::from(u32::MAX)));
+        assert_eq!(got[1], ("a", 6, u64::from(u32::MAX) - 1, 2));
+    }
 }

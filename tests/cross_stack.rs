@@ -167,3 +167,55 @@ fn hopping_opcode_counts_are_pinned_and_thread_invariant() {
         ]
     );
 }
+
+/// FNV-1a over the little-endian lane bytes of `data`.
+fn fnv1a<E: sve::SveElem>(data: &[E]) -> u64 {
+    let mut lane = [0u8; 8];
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    for v in data {
+        v.write_le(&mut lane[..E::BYTES]);
+        for &b in &lane[..E::BYTES] {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn hopping_and_cg_bits_are_pinned() {
+    // Every bit of the operator's output and of a solve, at the three
+    // element types: which compiled copy of the lane loops the host runs
+    // (sve::host_lanes) must not be observable. The constants were
+    // generated before the lane loops had a second copy.
+    use grid::prelude::*;
+    fn hop<E: sve::SveFloat>() -> u64 {
+        let g = Grid::<E>::new([4, 4, 4, 8], VectorLength::of(512), SimdBackend::Fcmla);
+        let d = WilsonDirac::new(random_gauge(g.clone(), 5), 0.25);
+        let psi = Field::random(g.clone(), 6);
+        let mut out = Field::zero(g);
+        d.hopping_into(&psi, &mut out);
+        fnv1a(out.data())
+    }
+    assert_eq!(hop::<f64>(), HOP_F64, "f64 hopping_into");
+    assert_eq!(hop::<f32>(), HOP_F32, "f32 hopping_into");
+    assert_eq!(hop::<sve::F16>(), HOP_F16, "f16 hopping_into");
+
+    let g = Grid::new([4, 4, 4, 8], VectorLength::of(512), SimdBackend::Fcmla);
+    let d = WilsonDirac::new(random_gauge(g.clone(), 5), 0.25);
+    let b = FermionField::random(g, 6);
+    let (x, report) = cg(&d, &b, 1e-8, 500);
+    assert_eq!(
+        (
+            fnv1a(x.data()),
+            report.iterations,
+            report.residual.to_bits()
+        ),
+        CG_F64,
+        "cg solution, iterations, residual"
+    );
+}
+
+const HOP_F64: u64 = 0xc39a_40d1_b9ed_c71b;
+const HOP_F32: u64 = 0xba9e_2003_471f_9790;
+const HOP_F16: u64 = 0x8a53_2da2_4e2e_3091;
+const CG_F64: (u64, usize, u64) = (0xe96a_d055_d91a_59d3, 36, 0x3e3d_4c68_1498_8b71);
