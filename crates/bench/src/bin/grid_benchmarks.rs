@@ -7,7 +7,6 @@
 use bench::BENCH_LATTICE;
 use grid::prelude::*;
 use grid::tensor::su3::{mat_vec, random_su3};
-use grid::CVec;
 use std::sync::Arc;
 
 fn main() {
@@ -37,16 +36,19 @@ fn main() {
     {
         let eng = SimdEngine::<f64>::new(Arc::new(SveCtx::new(vl)), SimdBackend::Fcmla);
         let m = random_su3(7, 1);
-        let uw: [[CVec; 3]; 3] =
-            std::array::from_fn(|r| std::array::from_fn(|c| eng.from_fn(|_| m[r][c])));
-        let vw: [CVec; 3] =
-            std::array::from_fn(|c| eng.from_fn(|l| Complex::new(l as f64, c as f64 - 1.0)));
         let reps = 1000;
-        eng.ctx().counters().reset();
-        let mut acc = vw;
-        for _ in 0..reps {
-            acc = mat_vec(&eng, &uw, &acc);
-        }
+        // On words of the vector length, as a kernel would hold them.
+        grid::sized!(&eng, |w| {
+            let uw: [[_; 3]; 3] =
+                std::array::from_fn(|r| std::array::from_fn(|c| w.from_fn(|_| m[r][c])));
+            let vw: [_; 3] =
+                std::array::from_fn(|c| w.from_fn(|l| Complex::new(l as f64, c as f64 - 1.0)));
+            w.ctx().counters().reset();
+            let mut acc = vw;
+            for _ in 0..reps {
+                acc = mat_vec(w, &uw, &acc);
+            }
+        });
         let c = eng.ctx().counters();
         // 3x3 complex mat-vec = 9 cmul + 6 cadd = 66 flops per complex lane.
         let flops = 66 * eng.lanes_c() * reps;

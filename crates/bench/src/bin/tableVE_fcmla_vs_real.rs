@@ -54,13 +54,16 @@ fn main() {
     for backend in SimdBackend::all() {
         let eng = SimdEngine::<f64>::new(Arc::new(SveCtx::new(vl)), backend);
         let m = random_su3(5, 1);
-        let uw: [[grid::CVec; 3]; 3] =
-            std::array::from_fn(|r| std::array::from_fn(|c| eng.from_fn(|_| m[r][c])));
-        let vw: [grid::CVec; 3] =
-            std::array::from_fn(|c| eng.from_fn(|l| Complex::new(l as f64, c as f64)));
-        eng.ctx().counters().reset();
-        let _ = mat_vec(&eng, &uw, &vw);
-        su3_counts.push(eng.ctx().counters().total());
+        // On words of the vector length, as a kernel would hold them.
+        su3_counts.push(grid::sized!(&eng, |w| {
+            let uw: [[_; 3]; 3] =
+                std::array::from_fn(|r| std::array::from_fn(|c| w.from_fn(|_| m[r][c])));
+            let vw: [_; 3] =
+                std::array::from_fn(|c| w.from_fn(|l| Complex::new(l as f64, c as f64)));
+            w.ctx().counters().reset();
+            let _ = mat_vec(w, &uw, &vw);
+            w.ctx().counters().total()
+        }));
     }
     println!(
         "{:<10} {:>11} {:>11} {:>11}",

@@ -11,7 +11,7 @@
 //! `qcd_trace::Snapshot::to_json`), validated by a parse-back round-trip.
 
 use bench::profile;
-use sve::OpClass;
+use sve::{OpClass, VectorLength};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -27,6 +27,13 @@ fn main() {
     let (all, snap) = profile::build_listings_profile(n);
 
     println!("host lanes: {}", sve::host_lanes());
+    // The listings run under the emulator, whose registers have the
+    // architectural maximum: it learns the vector length at run time.
+    println!(
+        "word bytes: {} ({:?})",
+        std::mem::size_of::<sve::VReg>(),
+        VectorLength::of(sve::VL_MAX_BITS)
+    );
     println!("SECTION IV — DYNAMIC INSTRUCTION ANALYSIS ({n} complex elements)\n");
     println!(
         "{:<10} {:<28} {:>8} {:>10} {:>8} {:>8} {:>8}",

@@ -106,6 +106,8 @@ fn main() {
     };
     let json_path = report_args.json.clone();
     println!("host lanes: {}", sve::host_lanes());
+    // The vector length of the timed benchmarks (solver, precision, HMC).
+    println!("{}", bench::word_bytes_line(VectorLength::of(512)));
     // Every span close from here on feeds the flight recorder and the
     // `span.<leaf>` histograms.
     qcd_metrics::install_span_observer();

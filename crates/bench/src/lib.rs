@@ -45,6 +45,15 @@ pub fn bench_vls() -> [VectorLength; 3] {
     ]
 }
 
+/// The report header line naming the SIMD word a grid kernel holds at `vl`:
+/// `word bytes: 64 (VL512)`. The number comes out of the width dispatch
+/// itself ([`grid::sized!`]), so a log shows what the timed kernels ran on.
+pub fn word_bytes_line(vl: VectorLength) -> String {
+    let eng = SimdEngine::<f64>::new(std::sync::Arc::new(SveCtx::new(vl)), SimdBackend::Fcmla);
+    let bytes = grid::sized!(&eng, |w| std::mem::size_of_val(&w.zero()));
+    format!("word bytes: {bytes} ({vl:?})")
+}
+
 /// Standard benchmark lattice (paper-scale lattices don't fit a functional
 /// simulator; shape-preserving 4^3 x 8).
 pub const BENCH_LATTICE: Coor = [4, 4, 4, 8];
@@ -79,6 +88,10 @@ mod tests {
     fn helpers_are_consistent() {
         assert_eq!(interleaved(8, 0.0).len(), 8);
         assert_eq!(sweep_vls().len(), 5);
+        assert_eq!(
+            word_bytes_line(VectorLength::of(512)),
+            "word bytes: 64 (VL512)"
+        );
         let (op, b) = wilson_setup([4, 4, 4, 4], VectorLength::of(256), SimdBackend::Fcmla);
         assert!(b.norm2() > 0.0);
         assert!(op.mass > 0.0);

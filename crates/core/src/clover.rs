@@ -14,7 +14,7 @@ use crate::dirac::WilsonDirac;
 use crate::field::{spinor_comp, FermionField, GaugeField};
 use crate::gauge::TransformField;
 use crate::layout::{Coor, Grid, NCOLOR, NSPIN};
-use crate::simd::CVec;
+use crate::simd::{CVec, Words};
 use crate::tensor::gamma::Coeff;
 use crate::tensor::gamma_algebra::{GammaElement, SpinPerm};
 use crate::tensor::su3::{dagger, mat_mul_scalar, mat_vec, peek_link, ColorMatrix};
@@ -174,22 +174,22 @@ impl CloverWilson {
     /// One site of the clover sum `Σ_{µ<ν} σ_µν F_µν ψ`: SU(3)
     /// matrix-vector products through the engine backends plus spin
     /// coefficient ops, accumulated in registers.
-    fn site_clover(
+    fn site_clover<const N: usize>(
         &self,
+        eng: &Words<'_, f64, N>,
         psi: &FermionField,
         osite: usize,
         sigmas: &[SpinPerm; 6],
-    ) -> [[CVec; NCOLOR]; NSPIN] {
-        let eng = self.grid().engine();
+    ) -> [[CVec<N>; NCOLOR]; NSPIN] {
         let mut acc = [[eng.zero(); NCOLOR]; NSPIN];
         for (p, sigma) in sigmas.iter().enumerate() {
             // Load F words once per plane.
-            let fw: [[CVec; NCOLOR]; NCOLOR] = std::array::from_fn(|r| {
+            let fw: [[CVec<N>; NCOLOR]; NCOLOR] = std::array::from_fn(|r| {
                 std::array::from_fn(|c| eng.load(self.f[p].word(osite, r * 3 + c)))
             });
             // F ψ for all four spins.
-            let f_psi: [[CVec; NCOLOR]; NSPIN] = std::array::from_fn(|s| {
-                let v: [CVec; NCOLOR] =
+            let f_psi: [[CVec<N>; NCOLOR]; NSPIN] = std::array::from_fn(|s| {
+                let v: [CVec<N>; NCOLOR] =
                     std::array::from_fn(|c| eng.load(psi.word(osite, spinor_comp(s, c))));
                 mat_vec(eng, &fw, &v)
             });
@@ -214,30 +214,32 @@ impl CloverWilson {
     /// parallel over outer sites.
     pub fn clover_term(&self, psi: &FermionField) -> FermionField {
         let grid = self.grid().clone();
-        let eng = grid.engine();
-        let _span = qcd_trace::span!("clover.term", eng.ctx());
-        let sites = grid.volume() as u64;
-        // Per site: 6 planes x (F matrix 18 reals + matrix-vector products on
-        // a full spinor), one spinor read and one written.
-        qcd_trace::record_sites(sites);
-        qcd_trace::record_bytes(sites * (6 * 18 + 24) * 8, sites * 24 * 8);
-        let mut out = FermionField::zero(grid.clone());
-        let sigmas: [SpinPerm; 6] = std::array::from_fn(|p| sigma_munu(PLANES[p].0, PLANES[p].1));
-        let word = eng.word_len();
-        let stride = out.site_stride();
-        out.data_mut()
-            .par_chunks_mut(stride)
-            .enumerate()
-            .for_each(|(osite, sw)| {
-                let acc = self.site_clover(psi, osite, &sigmas);
-                for r in 0..NSPIN {
-                    for c in 0..NCOLOR {
-                        let comp = spinor_comp(r, c);
-                        eng.store(&mut sw[comp * word..(comp + 1) * word], acc[r][c]);
+        crate::sized!(grid.engine(), |eng| {
+            let _span = qcd_trace::span!("clover.term", eng.ctx());
+            let sites = grid.volume() as u64;
+            // Per site: 6 planes x (F matrix 18 reals + matrix-vector products on
+            // a full spinor), one spinor read and one written.
+            qcd_trace::record_sites(sites);
+            qcd_trace::record_bytes(sites * (6 * 18 + 24) * 8, sites * 24 * 8);
+            let mut out = FermionField::zero(grid.clone());
+            let sigmas: [SpinPerm; 6] =
+                std::array::from_fn(|p| sigma_munu(PLANES[p].0, PLANES[p].1));
+            let word = eng.word_len();
+            let stride = out.site_stride();
+            out.data_mut()
+                .par_chunks_mut(stride)
+                .enumerate()
+                .for_each(|(osite, sw)| {
+                    let acc = self.site_clover(eng, psi, osite, &sigmas);
+                    for r in 0..NSPIN {
+                        for c in 0..NCOLOR {
+                            let comp = spinor_comp(r, c);
+                            eng.store(&mut sw[comp * word..(comp + 1) * word], acc[r][c]);
+                        }
                     }
-                }
-            });
-        out
+                });
+            out
+        })
     }
 
     /// `out += coef · Σ_{µ<ν} σ_µν F_µν ψ` with the scale-and-add fused
@@ -248,29 +250,31 @@ impl CloverWilson {
     /// thread and attributed to the enclosing span.
     pub fn clover_term_axpy_into(&self, psi: &FermionField, coef: f64, out: &mut FermionField) {
         let grid = self.grid().clone();
-        let eng = grid.engine();
-        let sites = grid.volume() as u64;
-        // As clover_term, plus the read of the destination spinor.
-        qcd_trace::record_sites(sites);
-        qcd_trace::record_bytes(sites * (6 * 18 + 2 * 24) * 8, sites * 24 * 8);
-        let sigmas: [SpinPerm; 6] = std::array::from_fn(|p| sigma_munu(PLANES[p].0, PLANES[p].1));
-        let c_dup = eng.dup_real(coef);
-        let word = eng.word_len();
-        let stride = out.site_stride();
-        out.data_mut()
-            .par_chunks_mut(stride)
-            .enumerate()
-            .for_each(|(osite, sw)| {
-                let acc = self.site_clover(psi, osite, &sigmas);
-                for r in 0..NSPIN {
-                    for c in 0..NCOLOR {
-                        let comp = spinor_comp(r, c);
-                        let w = &mut sw[comp * word..(comp + 1) * word];
-                        let sv = eng.load(w);
-                        eng.store(w, eng.axpy_word(c_dup, acc[r][c], sv));
+        crate::sized!(grid.engine(), |eng| {
+            let sites = grid.volume() as u64;
+            // As clover_term, plus the read of the destination spinor.
+            qcd_trace::record_sites(sites);
+            qcd_trace::record_bytes(sites * (6 * 18 + 2 * 24) * 8, sites * 24 * 8);
+            let sigmas: [SpinPerm; 6] =
+                std::array::from_fn(|p| sigma_munu(PLANES[p].0, PLANES[p].1));
+            let c_dup = eng.dup_real(coef);
+            let word = eng.word_len();
+            let stride = out.site_stride();
+            out.data_mut()
+                .par_chunks_mut(stride)
+                .enumerate()
+                .for_each(|(osite, sw)| {
+                    let acc = self.site_clover(eng, psi, osite, &sigmas);
+                    for r in 0..NSPIN {
+                        for c in 0..NCOLOR {
+                            let comp = spinor_comp(r, c);
+                            let w = &mut sw[comp * word..(comp + 1) * word];
+                            let sv = eng.load(w);
+                            eng.store(w, eng.axpy_word(c_dup, acc[r][c], sv));
+                        }
                     }
-                }
-            });
+                });
+        })
     }
 
     /// `M ψ` with the clover improvement.

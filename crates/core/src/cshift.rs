@@ -33,13 +33,15 @@ pub fn cshift_with<K: FieldKind, E: SveFloat>(
     qcd_trace::record_bytes(sites * word_bytes, sites * word_bytes);
     let dir = dir_index(mu, disp == 1);
     let mut out = Field::<K, E>::zero(grid.clone());
-    for osite in 0..grid.osites() {
-        let entry = stencil.leg(dir, osite);
-        for comp in 0..K::NCOMP {
-            let v = stencil.fetch(f, comp, entry);
-            eng.store(out.word_mut(osite, comp), v);
+    crate::sized!(eng, |eng| {
+        for osite in 0..grid.osites() {
+            let entry = stencil.leg(dir, osite);
+            for comp in 0..K::NCOMP {
+                let v = stencil.fetch(eng, f, comp, entry);
+                eng.store(out.word_mut(osite, comp), v);
+            }
         }
-    }
+    });
     out
 }
 

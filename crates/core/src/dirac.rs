@@ -23,7 +23,7 @@ use crate::complex::Complex;
 use crate::field::{spinor_comp, FermionBlock, FermionKind, Field, GaugeKind, HalfFermionKind};
 use crate::layout::{Grid, NCOLOR, NSPIN};
 use crate::reduce;
-use crate::simd::{CVec, SimdEngine};
+use crate::simd::{CVec, SimdEngine, Words};
 use crate::stencil::{dir_index, Stencil, StencilEntry};
 use crate::tensor::gamma::{proj_table, Coeff};
 use crate::tensor::su3::{mat_dag_vec, mat_vec, reconstruct_row2};
@@ -57,7 +57,11 @@ pub const FUSED_DOT_FLOPS_PER_SITE: u64 = 96;
 
 /// Apply a projector coefficient to a SIMD word.
 #[inline]
-pub(crate) fn apply_coeff<E: SveFloat>(eng: &SimdEngine<E>, coeff: Coeff, v: CVec) -> CVec {
+pub(crate) fn apply_coeff<E: SveFloat, const N: usize>(
+    eng: &SimdEngine<E>,
+    coeff: Coeff,
+    v: CVec<N>,
+) -> CVec<N> {
     match coeff {
         Coeff::One => v,
         Coeff::MinusOne => eng.neg(v),
@@ -254,7 +258,6 @@ impl<E: SveFloat> WilsonDirac<E> {
             Arc::ptr_eq(out.grid(), &self.grid),
             "output field lives on a different grid"
         );
-        let eng = self.grid.engine();
         let sites = self.grid.volume() as u64;
         let esize = std::mem::size_of::<E>() as u64;
         let mut flops = HOPPING_FLOPS_PER_SITE;
@@ -273,71 +276,73 @@ impl<E: SveFloat> WilsonDirac<E> {
             sites * reads * esize,
             sites * HOPPING_WRITES_PER_SITE * esize,
         );
-        let word = eng.word_len();
-        let stride = out.site_stride();
-        let cs = reduce::CHUNK_SITES * stride;
-        let mass_dup = mass_axpy.map(|m| eng.dup_real(m));
-        let neg_half = eng.dup_real(-0.5);
-        let data = out.data_mut();
-        let kernel = |ci: usize, chunk: &mut [E]| -> Complex {
-            let mut acc_dot = eng.zero();
-            for (k, site) in chunk.chunks_exact_mut(stride).enumerate() {
-                let osite = ci * reduce::CHUNK_SITES + k;
-                let acc = self.site_hopping(psi, osite, dagger);
-                for s in 0..NSPIN {
-                    for c in 0..NCOLOR {
-                        let comp = spinor_comp(s, c);
-                        let mut r = acc[s][c];
-                        if let Some(m_dup) = mass_dup {
-                            let hs = eng.scale(neg_half, r);
-                            let pv = eng.load(psi.word(osite, comp));
-                            r = eng.axpy_word(m_dup, pv, hs);
-                        }
-                        eng.store(&mut site[comp * word..(comp + 1) * word], r);
-                        if let Some(d) = dot_with {
-                            let dv = eng.load(d.word(osite, comp));
-                            acc_dot = eng.madd_conj(acc_dot, dv, r);
+        crate::sized!(self.grid.engine(), |eng| {
+            let word = eng.word_len();
+            let stride = out.site_stride();
+            let cs = reduce::CHUNK_SITES * stride;
+            let mass_dup = mass_axpy.map(|m| eng.dup_real(m));
+            let neg_half = eng.dup_real(-0.5);
+            let data = out.data_mut();
+            let kernel = |ci: usize, chunk: &mut [E]| -> Complex {
+                let mut acc_dot = eng.zero();
+                for (k, site) in chunk.chunks_exact_mut(stride).enumerate() {
+                    let osite = ci * reduce::CHUNK_SITES + k;
+                    let acc = self.site_hopping(eng, psi, osite, dagger);
+                    for s in 0..NSPIN {
+                        for c in 0..NCOLOR {
+                            let comp = spinor_comp(s, c);
+                            let mut r = acc[s][c];
+                            if let Some(m_dup) = mass_dup {
+                                let hs = eng.scale(neg_half, r);
+                                let pv = eng.load(psi.word(osite, comp));
+                                r = eng.axpy_word(m_dup, pv, hs);
+                            }
+                            eng.store(&mut site[comp * word..(comp + 1) * word], r);
+                            if let Some(d) = dot_with {
+                                let dv = eng.load(d.word(osite, comp));
+                                acc_dot = eng.madd_conj(acc_dot, dv, r);
+                            }
                         }
                     }
                 }
-            }
-            if dot_with.is_some() {
-                eng.reduce_sum(acc_dot)
-            } else {
-                Complex::ZERO
-            }
-        };
-        match dot_with {
-            None => {
-                data.par_chunks_mut(cs).enumerate().for_each(|(ci, chunk)| {
-                    kernel(ci, chunk);
-                });
-                Complex::ZERO
-            }
-            Some(d) => {
-                assert!(
-                    Arc::ptr_eq(d.grid(), &self.grid),
-                    "dot field lives on a different grid"
-                );
-                let n = reduce::n_chunks(data.len(), cs);
-                if rayon::current_num_threads() <= 1 || n <= 1 {
-                    let len = data.len();
-                    let mut lf = |ci: usize| {
-                        let lo = ci * cs;
-                        let hi = (lo + cs).min(len);
-                        kernel(ci, &mut data[lo..hi])
-                    };
-                    reduce::reduce_serial(n, &mut lf, &|a, b| a + b)
+                if dot_with.is_some() {
+                    eng.reduce_sum(acc_dot)
                 } else {
-                    let leaves: Vec<Complex> = data
-                        .par_chunks_mut(cs)
-                        .enumerate()
-                        .map(|(ci, chunk)| kernel(ci, chunk))
-                        .collect();
-                    reduce::combine_tree(&leaves, &|a, b| a + b)
+                    Complex::ZERO
+                }
+            };
+            match dot_with {
+                None => {
+                    data.par_chunks_mut(cs).enumerate().for_each(|(ci, chunk)| {
+                        kernel(ci, chunk);
+                    });
+                    Complex::ZERO
+                }
+                Some(d) => {
+                    assert!(
+                        Arc::ptr_eq(d.grid(), &self.grid),
+                        "dot field lives on a different grid"
+                    );
+                    let n = reduce::n_chunks(data.len(), cs);
+                    if rayon::current_num_threads() <= 1 || n <= 1 {
+                        let len = data.len();
+                        let mut lf = |ci: usize| {
+                            let lo = ci * cs;
+                            let hi = (lo + cs).min(len);
+                            kernel(ci, &mut data[lo..hi])
+                        };
+                        reduce::reduce_serial(n, &mut lf, &|a, b| a + b)
+                    } else {
+                        let leaves: Vec<Complex> = data
+                            .par_chunks_mut(cs)
+                            .enumerate()
+                            .map(|(ci, chunk)| kernel(ci, chunk))
+                            .collect();
+                        reduce::combine_tree(&leaves, &|a, b| a + b)
+                    }
                 }
             }
-        }
+        })
     }
 
     /// The neighbour stencil (shared with the distributed operator, which
@@ -347,13 +352,13 @@ impl<E: SveFloat> WilsonDirac<E> {
     }
 
     /// All eight legs of the hopping term for one outer site.
-    pub(crate) fn site_hopping(
+    pub(crate) fn site_hopping<const N: usize>(
         &self,
+        eng: &Words<'_, E, N>,
         psi: &Field<FermionKind, E>,
         osite: usize,
         dagger: bool,
-    ) -> [[CVec; NCOLOR]; NSPIN] {
-        let eng = self.grid.engine();
+    ) -> [[CVec<N>; NCOLOR]; NSPIN] {
         let mut out = [[eng.zero(); NCOLOR]; NSPIN];
         for mu in 0..4 {
             for forward in [true, false] {
@@ -369,18 +374,18 @@ impl<E: SveFloat> WilsonDirac<E> {
                 for (k, row) in h.iter_mut().enumerate() {
                     let (src, coeff) = t.proj[k];
                     for (c, out_w) in row.iter_mut().enumerate() {
-                        let sk = self.stencil.fetch(psi, spinor_comp(k, c), entry);
-                        let ss = self.stencil.fetch(psi, spinor_comp(src, c), entry);
+                        let sk = self.stencil.fetch(eng, psi, spinor_comp(k, c), entry);
+                        let ss = self.stencil.fetch(eng, psi, spinor_comp(src, c), entry);
                         *out_w = eng.add(sk, apply_coeff(eng, coeff, ss));
                     }
                 }
 
                 // Color-multiply the two half-spinor rows.
-                let uh: [[CVec; NCOLOR]; 2] = if forward {
-                    let uw = self.load_link_local(osite, mu);
+                let uh: [[CVec<N>; NCOLOR]; 2] = if forward {
+                    let uw = self.load_link_local(eng, osite, mu);
                     [mat_vec(eng, &uw, &h[0]), mat_vec(eng, &uw, &h[1])]
                 } else {
-                    let uw = self.load_link_leg(entry, mu);
+                    let uw = self.load_link_leg(eng, entry, mu);
                     [mat_dag_vec(eng, &uw, &h[0]), mat_dag_vec(eng, &uw, &h[1])]
                 };
 
@@ -412,10 +417,14 @@ impl<E: SveFloat> WilsonDirac<E> {
     /// Load `U_µ` at this outer site (forward legs). In two-row mode only
     /// rows 0 and 1 are read; the third is reconstructed in registers.
     #[inline]
-    pub(crate) fn load_link_local(&self, osite: usize, mu: usize) -> [[CVec; NCOLOR]; NCOLOR] {
-        let eng = self.grid.engine();
+    pub(crate) fn load_link_local<const N: usize>(
+        &self,
+        eng: &Words<'_, E, N>,
+        osite: usize,
+        mu: usize,
+    ) -> [[CVec<N>; NCOLOR]; NCOLOR] {
         if self.two_row {
-            let rows: [[CVec; NCOLOR]; 2] = std::array::from_fn(|r| {
+            let rows: [[CVec<N>; NCOLOR]; 2] = std::array::from_fn(|r| {
                 std::array::from_fn(|c| {
                     eng.load(self.u.word(osite, crate::field::gauge_comp(mu, r, c)))
                 })
@@ -433,13 +442,17 @@ impl<E: SveFloat> WilsonDirac<E> {
     /// Load `U_µ` at the leg's neighbour site, lane-permuted like the
     /// spinor data (backward legs need `U_{x−µ̂,µ}`).
     #[inline]
-    pub(crate) fn load_link_leg(&self, entry: StencilEntry, mu: usize) -> [[CVec; NCOLOR]; NCOLOR] {
+    pub(crate) fn load_link_leg<const N: usize>(
+        &self,
+        eng: &Words<'_, E, N>,
+        entry: StencilEntry,
+        mu: usize,
+    ) -> [[CVec<N>; NCOLOR]; NCOLOR] {
         if self.two_row {
-            let eng = self.grid.engine();
-            let rows: [[CVec; NCOLOR]; 2] = std::array::from_fn(|r| {
+            let rows: [[CVec<N>; NCOLOR]; 2] = std::array::from_fn(|r| {
                 std::array::from_fn(|c| {
                     self.stencil
-                        .fetch(&self.u, crate::field::gauge_comp(mu, r, c), entry)
+                        .fetch(eng, &self.u, crate::field::gauge_comp(mu, r, c), entry)
                 })
             });
             [rows[0], rows[1], reconstruct_row2(eng, &rows[0], &rows[1])]
@@ -447,7 +460,7 @@ impl<E: SveFloat> WilsonDirac<E> {
             std::array::from_fn(|r| {
                 std::array::from_fn(|c| {
                     self.stencil
-                        .fetch(&self.u, crate::field::gauge_comp(mu, r, c), entry)
+                        .fetch(eng, &self.u, crate::field::gauge_comp(mu, r, c), entry)
                 })
             })
         }
@@ -551,8 +564,7 @@ impl<E: SveFloat> WilsonDirac<E> {
             "fermion blocks hold different batch sizes"
         );
         let nrhs = psi.nrhs();
-        let eng = self.grid.engine();
-        let _span = qcd_trace::span!("dirac.block", eng.ctx());
+        let _span = qcd_trace::span!("dirac.block", self.grid.engine().ctx());
         let sites = self.grid.volume() as u64;
         let esize = std::mem::size_of::<E>() as u64;
         let n64 = nrhs as u64;
@@ -572,75 +584,77 @@ impl<E: SveFloat> WilsonDirac<E> {
             sites * (n64 * reads_per_rhs + 8 * self.link_scalars() as u64) * esize,
             sites * n64 * HOPPING_WRITES_PER_SITE * esize,
         );
-        let word = eng.word_len();
-        let stride = out.site_stride();
-        let cs = reduce::CHUNK_SITES * stride;
-        let mass_dup = mass_axpy.map(|m| eng.dup_real(m));
-        let neg_half = eng.dup_real(-0.5);
-        let data = out.data_mut();
-        let kernel = |ci: usize, chunk: &mut [E]| -> Vec<Complex> {
-            let mut acc = vec![eng.zero(); nrhs * NCOMP];
-            let mut acc_dot = vec![eng.zero(); nrhs];
-            for (k, site) in chunk.chunks_exact_mut(stride).enumerate() {
-                let osite = ci * reduce::CHUNK_SITES + k;
-                self.site_hopping_block(psi, osite, dagger, &mut acc);
-                for (rhs, dot) in acc_dot.iter_mut().enumerate() {
-                    for s in 0..NSPIN {
-                        for c in 0..NCOLOR {
-                            let comp = spinor_comp(s, c);
-                            let mut r = acc[rhs * NCOMP + comp];
-                            if let Some(m_dup) = mass_dup {
-                                let hs = eng.scale(neg_half, r);
-                                let pv = eng.load(psi.word(osite, rhs, comp));
-                                r = eng.axpy_word(m_dup, pv, hs);
-                            }
-                            let off = (rhs * NCOMP + comp) * word;
-                            eng.store(&mut site[off..off + word], r);
-                            if let Some(d) = dot_with {
-                                let dv = eng.load(d.word(osite, rhs, comp));
-                                *dot = eng.madd_conj(*dot, dv, r);
+        crate::sized!(self.grid.engine(), |eng| {
+            let word = eng.word_len();
+            let stride = out.site_stride();
+            let cs = reduce::CHUNK_SITES * stride;
+            let mass_dup = mass_axpy.map(|m| eng.dup_real(m));
+            let neg_half = eng.dup_real(-0.5);
+            let data = out.data_mut();
+            let kernel = |ci: usize, chunk: &mut [E]| -> Vec<Complex> {
+                let mut acc = vec![eng.zero(); nrhs * NCOMP];
+                let mut acc_dot = vec![eng.zero(); nrhs];
+                for (k, site) in chunk.chunks_exact_mut(stride).enumerate() {
+                    let osite = ci * reduce::CHUNK_SITES + k;
+                    self.site_hopping_block(eng, psi, osite, dagger, &mut acc);
+                    for (rhs, dot) in acc_dot.iter_mut().enumerate() {
+                        for s in 0..NSPIN {
+                            for c in 0..NCOLOR {
+                                let comp = spinor_comp(s, c);
+                                let mut r = acc[rhs * NCOMP + comp];
+                                if let Some(m_dup) = mass_dup {
+                                    let hs = eng.scale(neg_half, r);
+                                    let pv = eng.load(psi.word(osite, rhs, comp));
+                                    r = eng.axpy_word(m_dup, pv, hs);
+                                }
+                                let off = (rhs * NCOMP + comp) * word;
+                                eng.store(&mut site[off..off + word], r);
+                                if let Some(d) = dot_with {
+                                    let dv = eng.load(d.word(osite, rhs, comp));
+                                    *dot = eng.madd_conj(*dot, dv, r);
+                                }
                             }
                         }
                     }
                 }
-            }
-            acc_dot.iter().map(|&a| eng.reduce_sum(a)).collect()
-        };
-        match dot_with {
-            None => {
-                data.par_chunks_mut(cs).enumerate().for_each(|(ci, chunk)| {
-                    kernel(ci, chunk);
-                });
-                vec![Complex::ZERO; nrhs]
-            }
-            Some(d) => {
-                assert!(
-                    Arc::ptr_eq(d.grid(), &self.grid),
-                    "dot block lives on a different grid"
-                );
-                assert_eq!(d.nrhs(), nrhs, "fermion blocks hold different batch sizes");
-                let combine = |a: &Vec<Complex>, b: &Vec<Complex>| -> Vec<Complex> {
-                    a.iter().zip(b.iter()).map(|(x, y)| *x + *y).collect()
-                };
-                let n = reduce::n_chunks(data.len(), cs);
-                if rayon::current_num_threads() <= 1 || n <= 1 {
-                    let len = data.len();
-                    let mut lf = |ci: usize| {
-                        let lo = ci * cs;
-                        let hi = (lo + cs).min(len);
-                        kernel(ci, &mut data[lo..hi])
+                acc_dot.iter().map(|&a| eng.reduce_sum(a)).collect()
+            };
+            match dot_with {
+                None => {
+                    data.par_chunks_mut(cs).enumerate().for_each(|(ci, chunk)| {
+                        kernel(ci, chunk);
+                    });
+                    vec![Complex::ZERO; nrhs]
+                }
+                Some(d) => {
+                    assert!(
+                        Arc::ptr_eq(d.grid(), &self.grid),
+                        "dot block lives on a different grid"
+                    );
+                    assert_eq!(d.nrhs(), nrhs, "fermion blocks hold different batch sizes");
+                    let combine = |a: &Vec<Complex>, b: &Vec<Complex>| -> Vec<Complex> {
+                        a.iter().zip(b.iter()).map(|(x, y)| *x + *y).collect()
                     };
-                    reduce::reduce_serial(n, &mut lf, &|a, b| combine(&a, &b))
-                } else {
-                    let leaves: Vec<Vec<Complex>> = data
-                        .par_chunks_mut(cs)
-                        .enumerate()
-                        .map(|(ci, chunk)| kernel(ci, chunk))
-                        .collect();
-                    reduce::combine_tree_ref(&leaves, &combine)
+                    let n = reduce::n_chunks(data.len(), cs);
+                    if rayon::current_num_threads() <= 1 || n <= 1 {
+                        let len = data.len();
+                        let mut lf = |ci: usize| {
+                            let lo = ci * cs;
+                            let hi = (lo + cs).min(len);
+                            kernel(ci, &mut data[lo..hi])
+                        };
+                        reduce::reduce_serial(n, &mut lf, &|a, b| combine(&a, &b))
+                    } else {
+                        let leaves: Vec<Vec<Complex>> = data
+                            .par_chunks_mut(cs)
+                            .enumerate()
+                            .map(|(ci, chunk)| kernel(ci, chunk))
+                            .collect();
+                        reduce::combine_tree_ref(&leaves, &combine)
+                    }
                 }
             }
-        }
+        })
     }
 
     /// All eight legs of the hopping term for one outer site, all RHS at
@@ -648,14 +662,14 @@ impl<E: SveFloat> WilsonDirac<E> {
     /// per *leg* and reused across the batch; only the spinor fetches and
     /// color multiplies run per RHS. `acc[rhs * 12 + spinor_comp(s, c)]`
     /// receives the accumulator for RHS `rhs`.
-    fn site_hopping_block(
+    fn site_hopping_block<const N: usize>(
         &self,
+        eng: &Words<'_, E, N>,
         psi: &FermionBlock<E>,
         osite: usize,
         dagger: bool,
-        acc: &mut [CVec],
+        acc: &mut [CVec<N>],
     ) {
-        let eng = self.grid.engine();
         let nrhs = psi.nrhs();
         for v in acc.iter_mut() {
             *v = eng.zero();
@@ -668,9 +682,9 @@ impl<E: SveFloat> WilsonDirac<E> {
                 let t = proj_table(mu, plus);
                 // One link load per leg, amortized over the whole batch.
                 let uw = if forward {
-                    self.load_link_local(osite, mu)
+                    self.load_link_local(eng, osite, mu)
                 } else {
-                    self.load_link_leg(entry, mu)
+                    self.load_link_leg(eng, entry, mu)
                 };
                 for rhs in 0..nrhs {
                     let fetch = |comp: usize| {
@@ -686,7 +700,7 @@ impl<E: SveFloat> WilsonDirac<E> {
                             *out_w = eng.add(sk, apply_coeff(eng, coeff, ss));
                         }
                     }
-                    let uh: [[CVec; NCOLOR]; 2] = if forward {
+                    let uh: [[CVec<N>; NCOLOR]; 2] = if forward {
                         [mat_vec(eng, &uw, &h[0]), mat_vec(eng, &uw, &h[1])]
                     } else {
                         [mat_dag_vec(eng, &uw, &h[0]), mat_dag_vec(eng, &uw, &h[1])]
@@ -721,26 +735,27 @@ pub fn mult_gauge<E: SveFloat>(
 ) -> Field<FermionKind, E> {
     assert!(Arc::ptr_eq(u.grid(), psi.grid()));
     let grid = psi.grid().clone();
-    let eng = grid.engine();
-    let mut out = Field::<FermionKind, E>::zero(grid.clone());
-    for osite in 0..grid.osites() {
-        let uw: [[CVec; NCOLOR]; NCOLOR] = std::array::from_fn(|r| {
-            std::array::from_fn(|c| eng.load(u.word(osite, crate::field::gauge_comp(mu, r, c))))
-        });
-        for s in 0..NSPIN {
-            let v: [CVec; NCOLOR] =
-                std::array::from_fn(|c| eng.load(psi.word(osite, spinor_comp(s, c))));
-            let r = if dagger {
-                mat_dag_vec(eng, &uw, &v)
-            } else {
-                mat_vec(eng, &uw, &v)
-            };
-            for c in 0..NCOLOR {
-                eng.store(out.word_mut(osite, spinor_comp(s, c)), r[c]);
+    crate::sized!(grid.engine(), |eng| {
+        let mut out = Field::<FermionKind, E>::zero(grid.clone());
+        for osite in 0..grid.osites() {
+            let uw: [[CVec<_>; NCOLOR]; NCOLOR] = std::array::from_fn(|r| {
+                std::array::from_fn(|c| eng.load(u.word(osite, crate::field::gauge_comp(mu, r, c))))
+            });
+            for s in 0..NSPIN {
+                let v: [CVec<_>; NCOLOR] =
+                    std::array::from_fn(|c| eng.load(psi.word(osite, spinor_comp(s, c))));
+                let r = if dagger {
+                    mat_dag_vec(eng, &uw, &v)
+                } else {
+                    mat_vec(eng, &uw, &v)
+                };
+                for c in 0..NCOLOR {
+                    eng.store(out.word_mut(osite, spinor_comp(s, c)), r[c]);
+                }
             }
         }
-    }
-    out
+        out
+    })
 }
 
 /// Site-local spin projection + reconstruction: `out(x) = (1 ± γµ) ψ(x)`.
@@ -750,28 +765,29 @@ pub fn proj_recon<E: SveFloat>(
     psi: &Field<FermionKind, E>,
 ) -> Field<FermionKind, E> {
     let grid = psi.grid().clone();
-    let eng = grid.engine();
-    let t = proj_table(mu, plus);
-    let mut out = Field::<FermionKind, E>::zero(grid.clone());
-    for osite in 0..grid.osites() {
-        for c in 0..NCOLOR {
-            let mut h = [eng.zero(); 2];
-            for (k, hw) in h.iter_mut().enumerate() {
-                let (src, coeff) = t.proj[k];
-                let sk = eng.load(psi.word(osite, spinor_comp(k, c)));
-                let ss = eng.load(psi.word(osite, spinor_comp(src, c)));
-                *hw = eng.add(sk, apply_coeff(eng, coeff, ss));
-            }
-            eng.store(out.word_mut(osite, spinor_comp(0, c)), h[0]);
-            eng.store(out.word_mut(osite, spinor_comp(1, c)), h[1]);
-            for k in 0..2 {
-                let (row, coeff) = t.recon[k];
-                let r = apply_coeff(eng, coeff, h[row]);
-                eng.store(out.word_mut(osite, spinor_comp(2 + k, c)), r);
+    crate::sized!(grid.engine(), |eng| {
+        let t = proj_table(mu, plus);
+        let mut out = Field::<FermionKind, E>::zero(grid.clone());
+        for osite in 0..grid.osites() {
+            for c in 0..NCOLOR {
+                let mut h = [eng.zero(); 2];
+                for (k, hw) in h.iter_mut().enumerate() {
+                    let (src, coeff) = t.proj[k];
+                    let sk = eng.load(psi.word(osite, spinor_comp(k, c)));
+                    let ss = eng.load(psi.word(osite, spinor_comp(src, c)));
+                    *hw = eng.add(sk, apply_coeff(eng, coeff, ss));
+                }
+                eng.store(out.word_mut(osite, spinor_comp(0, c)), h[0]);
+                eng.store(out.word_mut(osite, spinor_comp(1, c)), h[1]);
+                for k in 0..2 {
+                    let (row, coeff) = t.recon[k];
+                    let r = apply_coeff(eng, coeff, h[row]);
+                    eng.store(out.word_mut(osite, spinor_comp(2 + k, c)), r);
+                }
             }
         }
-    }
-    out
+        out
+    })
 }
 
 /// Spin-project a fermion field to a half-spinor field:
@@ -784,21 +800,22 @@ pub fn project_half<E: SveFloat>(
     psi: &Field<FermionKind, E>,
 ) -> Field<HalfFermionKind, E> {
     let grid = psi.grid().clone();
-    let eng = grid.engine();
-    let t = proj_table(mu, plus);
-    let mut out = Field::<HalfFermionKind, E>::zero(grid.clone());
-    for osite in 0..grid.osites() {
-        for k in 0..2 {
-            let (src, coeff) = t.proj[k];
-            for c in 0..NCOLOR {
-                let sk = eng.load(psi.word(osite, spinor_comp(k, c)));
-                let ss = eng.load(psi.word(osite, spinor_comp(src, c)));
-                let h = eng.add(sk, apply_coeff(eng, coeff, ss));
-                eng.store(out.word_mut(osite, k * NCOLOR + c), h);
+    crate::sized!(grid.engine(), |eng| {
+        let t = proj_table(mu, plus);
+        let mut out = Field::<HalfFermionKind, E>::zero(grid.clone());
+        for osite in 0..grid.osites() {
+            for k in 0..2 {
+                let (src, coeff) = t.proj[k];
+                for c in 0..NCOLOR {
+                    let sk = eng.load(psi.word(osite, spinor_comp(k, c)));
+                    let ss = eng.load(psi.word(osite, spinor_comp(src, c)));
+                    let h = eng.add(sk, apply_coeff(eng, coeff, ss));
+                    eng.store(out.word_mut(osite, k * NCOLOR + c), h);
+                }
             }
         }
-    }
-    out
+        out
+    })
 }
 
 /// Expand a half-spinor field back to the full `(1 ± γµ)`-projected fermion.
@@ -808,24 +825,25 @@ pub fn reconstruct_half<E: SveFloat>(
     h: &Field<HalfFermionKind, E>,
 ) -> Field<FermionKind, E> {
     let grid = h.grid().clone();
-    let eng = grid.engine();
-    let t = proj_table(mu, plus);
-    let mut out = Field::<FermionKind, E>::zero(grid.clone());
-    for osite in 0..grid.osites() {
-        for c in 0..NCOLOR {
-            let h0 = eng.load(h.word(osite, c));
-            let h1 = eng.load(h.word(osite, NCOLOR + c));
-            eng.store(out.word_mut(osite, spinor_comp(0, c)), h0);
-            eng.store(out.word_mut(osite, spinor_comp(1, c)), h1);
-            for k in 0..2 {
-                let (row, coeff) = t.recon[k];
-                let hv = if row == 0 { h0 } else { h1 };
-                let r = apply_coeff(eng, coeff, hv);
-                eng.store(out.word_mut(osite, spinor_comp(2 + k, c)), r);
+    crate::sized!(grid.engine(), |eng| {
+        let t = proj_table(mu, plus);
+        let mut out = Field::<FermionKind, E>::zero(grid.clone());
+        for osite in 0..grid.osites() {
+            for c in 0..NCOLOR {
+                let h0 = eng.load(h.word(osite, c));
+                let h1 = eng.load(h.word(osite, NCOLOR + c));
+                eng.store(out.word_mut(osite, spinor_comp(0, c)), h0);
+                eng.store(out.word_mut(osite, spinor_comp(1, c)), h1);
+                for k in 0..2 {
+                    let (row, coeff) = t.recon[k];
+                    let hv = if row == 0 { h0 } else { h1 };
+                    let r = apply_coeff(eng, coeff, hv);
+                    eng.store(out.word_mut(osite, spinor_comp(2 + k, c)), r);
+                }
             }
         }
-    }
-    out
+        out
+    })
 }
 
 /// Site-local gauge multiply on a half-spinor field (`U` or `U†` applied to
@@ -838,26 +856,27 @@ pub fn mult_gauge_half<E: SveFloat>(
 ) -> Field<HalfFermionKind, E> {
     assert!(Arc::ptr_eq(u.grid(), h.grid()));
     let grid = h.grid().clone();
-    let eng = grid.engine();
-    let mut out = Field::<HalfFermionKind, E>::zero(grid.clone());
-    for osite in 0..grid.osites() {
-        let uw: [[CVec; NCOLOR]; NCOLOR] = std::array::from_fn(|r| {
-            std::array::from_fn(|c| eng.load(u.word(osite, crate::field::gauge_comp(mu, r, c))))
-        });
-        for k in 0..2 {
-            let v: [CVec; NCOLOR] =
-                std::array::from_fn(|c| eng.load(h.word(osite, k * NCOLOR + c)));
-            let r = if dagger {
-                mat_dag_vec(eng, &uw, &v)
-            } else {
-                mat_vec(eng, &uw, &v)
-            };
-            for c in 0..NCOLOR {
-                eng.store(out.word_mut(osite, k * NCOLOR + c), r[c]);
+    crate::sized!(grid.engine(), |eng| {
+        let mut out = Field::<HalfFermionKind, E>::zero(grid.clone());
+        for osite in 0..grid.osites() {
+            let uw: [[CVec<_>; NCOLOR]; NCOLOR] = std::array::from_fn(|r| {
+                std::array::from_fn(|c| eng.load(u.word(osite, crate::field::gauge_comp(mu, r, c))))
+            });
+            for k in 0..2 {
+                let v: [CVec<_>; NCOLOR] =
+                    std::array::from_fn(|c| eng.load(h.word(osite, k * NCOLOR + c)));
+                let r = if dagger {
+                    mat_dag_vec(eng, &uw, &v)
+                } else {
+                    mat_vec(eng, &uw, &v)
+                };
+                for c in 0..NCOLOR {
+                    eng.store(out.word_mut(osite, k * NCOLOR + c), r[c]);
+                }
             }
         }
-    }
-    out
+        out
+    })
 }
 
 /// The hopping term assembled from whole-field primitives —
@@ -897,43 +916,45 @@ pub fn gamma5<E: SveFloat>(psi: &Field<FermionKind, E>) -> Field<FermionKind, E>
 /// the allocation-free form the fused even-odd solver uses.
 pub fn gamma5_inplace<E: SveFloat>(psi: &mut Field<FermionKind, E>) {
     let grid = psi.grid().clone();
-    let eng = grid.engine();
-    let word = eng.word_len();
-    let stride = psi.site_stride();
-    psi.data_mut().par_chunks_mut(stride).for_each(|site| {
-        for s in 2..NSPIN {
-            for c in 0..NCOLOR {
-                let comp = spinor_comp(s, c);
-                let w = &mut site[comp * word..(comp + 1) * word];
-                let v = eng.load(w);
-                let n = eng.neg(v);
-                eng.store(w, n);
+    crate::sized!(grid.engine(), |eng| {
+        let word = eng.word_len();
+        let stride = psi.site_stride();
+        psi.data_mut().par_chunks_mut(stride).for_each(|site| {
+            for s in 2..NSPIN {
+                for c in 0..NCOLOR {
+                    let comp = spinor_comp(s, c);
+                    let w = &mut site[comp * word..(comp + 1) * word];
+                    let v = eng.load(w);
+                    let n = eng.neg(v);
+                    eng.store(w, n);
+                }
             }
-        }
-    });
+        });
+    })
 }
 
 /// Multiply every RHS of a fermion block by γ5 in place — per RHS the exact
 /// word ops of [`gamma5_inplace`], so it is bit-identical per RHS.
 pub fn gamma5_block_inplace<E: SveFloat>(psi: &mut FermionBlock<E>) {
     let grid = psi.grid().clone();
-    let eng = grid.engine();
-    let word = eng.word_len();
-    let nrhs = psi.nrhs();
-    let stride = psi.site_stride();
-    psi.data_mut().par_chunks_mut(stride).for_each(|site| {
-        for rhs in 0..nrhs {
-            for s in 2..NSPIN {
-                for c in 0..NCOLOR {
-                    let off = (rhs * NCOMP + spinor_comp(s, c)) * word;
-                    let w = &mut site[off..off + word];
-                    let v = eng.load(w);
-                    let n = eng.neg(v);
-                    eng.store(w, n);
+    crate::sized!(grid.engine(), |eng| {
+        let word = eng.word_len();
+        let nrhs = psi.nrhs();
+        let stride = psi.site_stride();
+        psi.data_mut().par_chunks_mut(stride).for_each(|site| {
+            for rhs in 0..nrhs {
+                for s in 2..NSPIN {
+                    for c in 0..NCOLOR {
+                        let off = (rhs * NCOMP + spinor_comp(s, c)) * word;
+                        let w = &mut site[off..off + word];
+                        let v = eng.load(w);
+                        let n = eng.neg(v);
+                        eng.store(w, n);
+                    }
                 }
             }
-        }
-    });
+        });
+    })
 }
 
 #[cfg(test)]

@@ -55,7 +55,7 @@ use crate::field::{
 };
 use crate::layout::{lex, Coor, NCOLOR, NDIM, NSPIN};
 use crate::reduce::canonical_sum;
-use crate::simd::{CVec, SimdEngine};
+use crate::simd::{CVec, Words};
 use crate::solver::{conclude_health, SolveReport};
 use crate::stencil::{dir_index, StencilEntry};
 use crate::tensor::gamma::proj_table;
@@ -353,15 +353,15 @@ impl<'a> DistWilson<'a> {
     /// Overwrite the crossing lanes of a fetched word with halo scalars:
     /// `halo` is laid out `stride` scalars per face site, the patched
     /// complex number at scalar offset `offset` within the site.
-    fn patch_word(
+    fn patch_word<const N: usize>(
         &self,
-        v: CVec,
+        eng: &Words<'_, f64, N>,
+        v: CVec<N>,
         patches: &[(u16, u32)],
         halo: &[f64],
         stride: usize,
         offset: usize,
-    ) -> CVec {
-        let eng = self.ctx.grid.engine();
+    ) -> CVec<N> {
         let word = eng.word_len();
         let mut buf = [0.0f64; MAX_WORD];
         eng.store(&mut buf[..word], v);
@@ -377,23 +377,23 @@ impl<'a> DistWilson<'a> {
     /// from ghost links. In two-row mode the patch lands on rows 0 and 1
     /// and the third row is reconstructed *afterwards*, exactly as the
     /// global operator reconstructs from the true neighbour rows.
-    fn load_link_bwd_patched(
+    fn load_link_bwd_patched<const N: usize>(
         &self,
+        eng: &Words<'_, f64, N>,
         entry: StencilEntry,
         mu: usize,
         patches: &[(u16, u32)],
         ghost: &[f64],
-    ) -> [[CVec; NCOLOR]; NCOLOR] {
-        let eng = self.ctx.grid.engine();
+    ) -> [[CVec<N>; NCOLOR]; NCOLOR] {
         let st = self.op.stencil();
         let gs = self.link_scalars();
         let u = self.op.gauge();
         let fetch_row = |r: usize, c: usize| {
-            let v = st.fetch(u, gauge_comp(mu, r, c), entry);
-            self.patch_word(v, patches, ghost, gs, (r * NCOLOR + c) * 2)
+            let v = st.fetch(eng, u, gauge_comp(mu, r, c), entry);
+            self.patch_word(eng, v, patches, ghost, gs, (r * NCOLOR + c) * 2)
         };
         if self.op.two_row() {
-            let rows: [[CVec; NCOLOR]; 2] =
+            let rows: [[CVec<N>; NCOLOR]; 2] =
                 std::array::from_fn(|r| std::array::from_fn(|c| fetch_row(r, c)));
             [rows[0], rows[1], reconstruct_row2(eng, &rows[0], &rows[1])]
         } else {
@@ -406,15 +406,15 @@ impl<'a> DistWilson<'a> {
     /// identical; only the *values* of the crossing lanes differ (they
     /// become the true neighbour-rank values), so interior lanes are
     /// untouched bit for bit.
-    fn site_hopping_patched(
+    fn site_hopping_patched<const N: usize>(
         &self,
+        eng: &Words<'_, f64, N>,
         psi: &FermionField,
         osite: usize,
         dagger: bool,
         halo_fwd: &[Vec<f64>],
         halo_bwd: &[Vec<f64>],
-    ) -> [[CVec; NCOLOR]; NSPIN] {
-        let eng = self.ctx.grid.engine();
+    ) -> [[CVec<N>; NCOLOR]; NSPIN] {
         let st = self.op.stencil();
         let mut out = [[eng.zero(); NCOLOR]; NSPIN];
         for mu in 0..4 {
@@ -433,12 +433,12 @@ impl<'a> DistWilson<'a> {
                         ),
                         None => (&[], &[], &[]),
                     };
-                let fetch = |comp: usize| -> CVec {
-                    let v = st.fetch(psi, comp, entry);
+                let fetch = |comp: usize| -> CVec<N> {
+                    let v = st.fetch(eng, psi, comp, entry);
                     if patches.is_empty() {
                         v
                     } else {
-                        self.patch_word(v, patches, halo, FERMION_FACE_SCALARS, 2 * comp)
+                        self.patch_word(eng, v, patches, halo, FERMION_FACE_SCALARS, 2 * comp)
                     }
                 };
 
@@ -452,14 +452,14 @@ impl<'a> DistWilson<'a> {
                     }
                 }
 
-                let uh: [[CVec; NCOLOR]; 2] = if forward {
-                    let uw = self.op.load_link_local(osite, mu);
+                let uh: [[CVec<N>; NCOLOR]; 2] = if forward {
+                    let uw = self.op.load_link_local(eng, osite, mu);
                     [mat_vec(eng, &uw, &h[0]), mat_vec(eng, &uw, &h[1])]
                 } else {
                     let uw = if patches.is_empty() {
-                        self.op.load_link_leg(entry, mu)
+                        self.op.load_link_leg(eng, entry, mu)
                     } else {
-                        self.load_link_bwd_patched(entry, mu, patches, ghost)
+                        self.load_link_bwd_patched(eng, entry, mu, patches, ghost)
                     };
                     [mat_dag_vec(eng, &uw, &h[0]), mat_dag_vec(eng, &uw, &h[1])]
                 };
@@ -501,7 +501,6 @@ impl<'a> DistWilson<'a> {
             Arc::ptr_eq(out.grid(), grid),
             "output field lives on a different grid"
         );
-        let eng = grid.engine();
         let _span = self.ctx.detail_spans().then(|| {
             qcd_trace::span!(
                 if dagger { "dist.hop_dag" } else { "dist.hop" },
@@ -530,30 +529,32 @@ impl<'a> DistWilson<'a> {
                 .post_face_send(plan.dim, true, &send_next[i], self.compression);
         }
 
-        let mass_dup = mass_axpy.map(|m| eng.dup_real(m));
-        let neg_half = eng.dup_real(-0.5);
+        crate::sized!(grid.engine(), |eng| {
+            let mass_dup = mass_axpy.map(|m| eng.dup_real(m));
+            let neg_half = eng.dup_real(-0.5);
 
-        // 2. Interior pass — no leg leaves the rank, the plain kernel runs.
-        for &o in &self.interior {
-            let o = o as usize;
-            let acc = self.op.site_hopping(psi, o, dagger);
-            store_site(eng, psi, out, o, &acc, mass_dup, neg_half);
-        }
+            // 2. Interior pass — no leg leaves the rank, the plain kernel runs.
+            for &o in &self.interior {
+                let o = o as usize;
+                let acc = self.op.site_hopping(eng, psi, o, dagger);
+                store_site(eng, psi, out, o, &acc, mass_dup, neg_half);
+            }
 
-        // 3. Collect the halos (exposed wait is whatever the interior pass
-        // did not hide).
-        for (i, plan) in self.plans.iter().enumerate() {
-            self.ctx.wait_face_into(plan.dim, false, &mut halo_bwd[i]);
-            self.ctx.wait_face_into(plan.dim, true, &mut halo_fwd[i]);
-        }
+            // 3. Collect the halos (exposed wait is whatever the interior pass
+            // did not hide).
+            for (i, plan) in self.plans.iter().enumerate() {
+                self.ctx.wait_face_into(plan.dim, false, &mut halo_bwd[i]);
+                self.ctx.wait_face_into(plan.dim, true, &mut halo_fwd[i]);
+            }
 
-        // 4. Boundary pass — same kernel with crossing lanes patched.
-        for &o in &self.boundary {
-            let o = o as usize;
-            let acc = self.site_hopping_patched(psi, o, dagger, halo_fwd, halo_bwd);
-            store_site(eng, psi, out, o, &acc, mass_dup, neg_half);
-        }
-        self.dslash_count.set(self.dslash_count.get() + 1);
+            // 4. Boundary pass — same kernel with crossing lanes patched.
+            for &o in &self.boundary {
+                let o = o as usize;
+                let acc = self.site_hopping_patched(eng, psi, o, dagger, halo_fwd, halo_bwd);
+                store_site(eng, psi, out, o, &acc, mass_dup, neg_half);
+            }
+            self.dslash_count.set(self.dslash_count.get() + 1);
+        })
     }
 
     /// `out = Dh ψ` (distributed hopping term, no mass).
@@ -722,14 +723,14 @@ fn pack_face(psi: &FermionField, list: &[(u32, u16)], buf: &mut [f64]) {
 /// The fused store of the hopping sweep: optional mass axpy (the exact op
 /// sequence of the single-process fused path), then one store per
 /// component word.
-fn store_site(
-    eng: &SimdEngine<f64>,
+fn store_site<const N: usize>(
+    eng: &Words<'_, f64, N>,
     psi: &FermionField,
     out: &mut FermionField,
     osite: usize,
-    acc: &[[CVec; NCOLOR]; NSPIN],
-    mass_dup: Option<CVec>,
-    neg_half: CVec,
+    acc: &[[CVec<N>; NCOLOR]; NSPIN],
+    mass_dup: Option<CVec<N>>,
+    neg_half: CVec<N>,
 ) {
     for s in 0..NSPIN {
         for c in 0..NCOLOR {

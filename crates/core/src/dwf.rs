@@ -49,28 +49,29 @@ pub fn chiral_minus(psi: &FermionField) -> FermionField {
 /// domain-wall operator as a single allocation-free parallel sweep.
 pub fn axpy_chiral(out: &mut FermionField, coef: f64, x: &FermionField, plus: bool) {
     let grid = out.grid().clone();
-    let eng = grid.engine();
-    let word = eng.word_len();
-    let stride = out.site_stride();
-    let c_dup = eng.dup_real(coef);
-    let spins = if plus { 0..2 } else { 2..4 };
-    let xd = x.data();
-    out.data_mut()
-        .par_chunks_mut(stride)
-        .enumerate()
-        .for_each(|(site, sw)| {
-            let base = site * stride;
-            for s in spins.clone() {
-                for c in 0..NCOLOR {
-                    let comp = spinor_comp(s, c);
-                    let w = &mut sw[comp * word..(comp + 1) * word];
-                    let off = base + comp * word;
-                    let xv = eng.load(&xd[off..off + word]);
-                    let sv = eng.load(w);
-                    eng.store(w, eng.axpy_word(c_dup, xv, sv));
+    crate::sized!(grid.engine(), |eng| {
+        let word = eng.word_len();
+        let stride = out.site_stride();
+        let c_dup = eng.dup_real(coef);
+        let spins = if plus { 0..2 } else { 2..4 };
+        let xd = x.data();
+        out.data_mut()
+            .par_chunks_mut(stride)
+            .enumerate()
+            .for_each(|(site, sw)| {
+                let base = site * stride;
+                for s in spins.clone() {
+                    for c in 0..NCOLOR {
+                        let comp = spinor_comp(s, c);
+                        let w = &mut sw[comp * word..(comp + 1) * word];
+                        let off = base + comp * word;
+                        let xv = eng.load(&xd[off..off + word]);
+                        let sv = eng.load(w);
+                        eng.store(w, eng.axpy_word(c_dup, xv, sv));
+                    }
                 }
-            }
-        });
+            });
+    })
 }
 
 /// A 5-D fermion: `Ls` four-dimensional spinor fields.

@@ -51,22 +51,23 @@ pub fn vnode_parity_masks(grid: &Grid) -> [PReg; 2] {
 pub fn parity_project<K: FieldKind>(f: &Field<K>, parity: usize) -> Field<K> {
     assert!(parity < 2);
     let grid = f.grid().clone();
-    let eng = grid.engine();
-    let masks = vnode_parity_masks(&grid);
-    let mut out = Field::<K>::zero(grid.clone());
-    let zero = eng.zero();
-    for osite in 0..grid.osites() {
-        // Site parity = parity(vnode origin) + parity(inner coordinate);
-        // the mask activating lanes of the requested parity is the same for
-        // every component of the site.
-        let mask = osite_parity_mask(&grid, &masks, osite, parity);
-        for comp in 0..K::NCOMP {
-            let v = eng.load(f.word(osite, comp));
-            let r = eng.select_lanes(&mask, v, zero);
-            eng.store(out.word_mut(osite, comp), r);
+    crate::sized!(grid.engine(), |eng| {
+        let masks = vnode_parity_masks(&grid);
+        let mut out = Field::<K>::zero(grid.clone());
+        let zero = eng.zero();
+        for osite in 0..grid.osites() {
+            // Site parity = parity(vnode origin) + parity(inner coordinate);
+            // the mask activating lanes of the requested parity is the same for
+            // every component of the site.
+            let mask = osite_parity_mask(&grid, &masks, osite, parity);
+            for comp in 0..K::NCOMP {
+                let v = eng.load(f.word(osite, comp));
+                let r = eng.select_lanes(&mask, v, zero);
+                eng.store(out.word_mut(osite, comp), r);
+            }
         }
-    }
-    out
+        out
+    })
 }
 
 /// The per-osite lane mask selecting lanes of global parity `parity`.

@@ -21,7 +21,7 @@ use crate::complex::Complex;
 use crate::layout::{Coor, Grid};
 use crate::reduce;
 use crate::rng::{stream_id, uniform};
-use crate::simd::{CVec, SimdEngine};
+use crate::simd::{CVec, SimdEngine, Words};
 use rayon::prelude::*;
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -198,12 +198,14 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
     }
 
     /// Map every word of `self` through `f` in place, in parallel.
-    fn map_words0(&mut self, f: impl Fn(&SimdEngine<E>, CVec) -> CVec + Sync) {
+    fn map_words0<const N: usize>(
+        &mut self,
+        eng: &Words<'_, E, N>,
+        f: impl Fn(&SimdEngine<E>, CVec<N>) -> CVec<N> + Sync,
+    ) {
         let cs = self.chunk_scalars();
-        let Field { grid, data, .. } = self;
-        let eng = grid.engine();
         let w = eng.word_len();
-        data.par_chunks_mut(cs).for_each(|chunk| {
+        self.data.par_chunks_mut(cs).for_each(|chunk| {
             for sw in chunk.chunks_exact_mut(w) {
                 let sv = eng.load(sw);
                 eng.store(sw, f(eng, sv));
@@ -213,17 +215,17 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
 
     /// Map every word of `self` through `f(self_word, x_word)` in place, in
     /// parallel.
-    fn map_words1(
+    fn map_words1<const N: usize>(
         &mut self,
+        eng: &Words<'_, E, N>,
         x: &Field<K, E>,
-        f: impl Fn(&SimdEngine<E>, CVec, CVec) -> CVec + Sync,
+        f: impl Fn(&SimdEngine<E>, CVec<N>, CVec<N>) -> CVec<N> + Sync,
     ) {
         self.assert_compatible(x);
         let cs = self.chunk_scalars();
-        let Field { grid, data, .. } = self;
-        let eng = grid.engine();
         let w = eng.word_len();
         let xd = x.data();
+        let data = &mut self.data;
         data.par_chunks_mut(cs).enumerate().for_each(|(ci, chunk)| {
             let base = ci * cs;
             for (j, sw) in chunk.chunks_exact_mut(w).enumerate() {
@@ -236,20 +238,20 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
     }
 
     /// Overwrite every word of `self` with `f(x_word, y_word)`, in parallel.
-    fn map_words2(
+    fn map_words2<const N: usize>(
         &mut self,
+        eng: &Words<'_, E, N>,
         x: &Field<K, E>,
         y: &Field<K, E>,
-        f: impl Fn(&SimdEngine<E>, CVec, CVec) -> CVec + Sync,
+        f: impl Fn(&SimdEngine<E>, CVec<N>, CVec<N>) -> CVec<N> + Sync,
     ) {
         self.assert_compatible(x);
         self.assert_compatible(y);
         let cs = self.chunk_scalars();
-        let Field { grid, data, .. } = self;
-        let eng = grid.engine();
         let w = eng.word_len();
         let xd = x.data();
         let yd = y.data();
+        let data = &mut self.data;
         data.par_chunks_mut(cs).enumerate().for_each(|(ci, chunk)| {
             let base = ci * cs;
             for (j, sw) in chunk.chunks_exact_mut(w).enumerate() {
@@ -319,66 +321,87 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
 
     /// `self = a * x + y` lane-wise (one fused `fmla` per word).
     pub fn axpy(&mut self, a: f64, x: &Field<K, E>, y: &Field<K, E>) {
-        let a_dup = self.grid.engine().dup_real(a);
-        self.map_words2(x, y, move |eng, xv, yv| eng.axpy_word(a_dup, xv, yv));
+        crate::sized!(x.grid.engine(), |eng| {
+            let a_dup = eng.dup_real(a);
+            self.map_words2(eng, x, y, move |eng, xv, yv| eng.axpy_word(a_dup, xv, yv));
+        })
     }
 
     /// `self += a * x`.
     pub fn axpy_inplace(&mut self, a: f64, x: &Field<K, E>) {
-        let a_dup = self.grid.engine().dup_real(a);
-        self.map_words1(x, move |eng, sv, xv| eng.axpy_word(a_dup, xv, sv));
+        crate::sized!(x.grid.engine(), |eng| {
+            let a_dup = eng.dup_real(a);
+            self.map_words1(eng, x, move |eng, sv, xv| eng.axpy_word(a_dup, xv, sv));
+        })
     }
 
     /// `self = x + a * self` (the CG search-direction update).
     pub fn aypx(&mut self, a: f64, x: &Field<K, E>) {
-        let a_dup = self.grid.engine().dup_real(a);
-        self.map_words1(x, move |eng, sv, xv| eng.axpy_word(a_dup, sv, xv));
+        crate::sized!(x.grid.engine(), |eng| {
+            let a_dup = eng.dup_real(a);
+            self.map_words1(eng, x, move |eng, sv, xv| eng.axpy_word(a_dup, sv, xv));
+        })
     }
 
     /// `self *= a` (real scale).
     pub fn scale(&mut self, a: f64) {
-        let a_dup = self.grid.engine().dup_real(a);
-        self.map_words0(move |eng, sv| eng.scale(a_dup, sv));
+        let grid = self.grid.clone();
+        crate::sized!(grid.engine(), |eng| {
+            let a_dup = eng.dup_real(a);
+            self.map_words0(eng, move |eng, sv| eng.scale(a_dup, sv));
+        })
     }
 
     /// `self = x - y`.
     pub fn sub(&mut self, x: &Field<K, E>, y: &Field<K, E>) {
-        self.map_words2(x, y, |eng, xv, yv| eng.sub(xv, yv));
+        crate::sized!(x.grid.engine(), |eng| {
+            self.map_words2(eng, x, y, |eng, xv, yv| eng.sub(xv, yv));
+        })
     }
 
     /// `self = a * x + c * y` (two-term real linear combination, computed
     /// as `mul` then `fmla` — the exact op sequence of `scale` + `axpy`).
     pub fn scale_axpy_from(&mut self, a: f64, x: &Field<K, E>, c: f64, y: &Field<K, E>) {
-        let eng = self.grid.engine();
-        let a_dup = eng.dup_real(a);
-        let c_dup = eng.dup_real(c);
-        self.map_words2(x, y, move |eng, xv, yv| {
-            eng.axpy_word(c_dup, yv, eng.scale(a_dup, xv))
-        });
+        crate::sized!(x.grid.engine(), |eng| {
+            let a_dup = eng.dup_real(a);
+            let c_dup = eng.dup_real(c);
+            self.map_words2(eng, x, y, move |eng, xv, yv| {
+                eng.axpy_word(c_dup, yv, eng.scale(a_dup, xv))
+            });
+        })
     }
 
     /// `self += a * x` with a complex scalar `a` (splat + complex FMA).
     pub fn axpy_complex(&mut self, a: Complex, x: &Field<K, E>) {
-        let a_splat = self.grid.engine().splat(a);
-        self.map_words1(x, move |eng, sv, xv| eng.madd(sv, a_splat, xv));
+        crate::sized!(x.grid.engine(), |eng| {
+            let a_splat = eng.splat(a);
+            self.map_words1(eng, x, move |eng, sv, xv| eng.madd(sv, a_splat, xv));
+        })
     }
 
     /// `self *= a` with a complex scalar `a`.
     pub fn scale_complex(&mut self, a: Complex) {
-        let a_splat = self.grid.engine().splat(a);
-        self.map_words0(move |eng, sv| eng.mult(a_splat, sv));
+        let grid = self.grid.clone();
+        crate::sized!(grid.engine(), |eng| {
+            let a_splat = eng.splat(a);
+            self.map_words0(eng, move |eng, sv| eng.mult(a_splat, sv));
+        })
     }
 
     /// `self += x`.
     pub fn add_assign_field(&mut self, x: &Field<K, E>) {
-        self.map_words1(x, |eng, sv, xv| eng.add(sv, xv));
+        crate::sized!(x.grid.engine(), |eng| {
+            self.map_words1(eng, x, |eng, sv, xv| eng.add(sv, xv));
+        })
     }
 
     /// `self = y + a * x` with complex `a` — one sweep instead of
     /// `clone` + `axpy_complex`.
     pub fn caxpy_from(&mut self, a: Complex, x: &Field<K, E>, y: &Field<K, E>) {
-        let a_splat = self.grid.engine().splat(a);
-        self.map_words2(x, y, move |eng, xv, yv| eng.madd(yv, a_splat, xv));
+        crate::sized!(x.grid.engine(), |eng| {
+            let a_splat = eng.splat(a);
+            self.map_words2(eng, x, y, move |eng, xv, yv| eng.madd(yv, a_splat, xv));
+        })
     }
 
     /// `self += a * x + b * y` with complex scalars — one sweep instead of
@@ -388,23 +411,24 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
         self.assert_compatible(y);
         let cs = self.chunk_scalars();
         let Field { grid, data, .. } = self;
-        let eng = grid.engine();
-        let w = eng.word_len();
-        let a_splat = eng.splat(a);
-        let b_splat = eng.splat(b);
-        let xd = x.data();
-        let yd = y.data();
-        data.par_chunks_mut(cs).enumerate().for_each(|(ci, chunk)| {
-            let base = ci * cs;
-            for (j, sw) in chunk.chunks_exact_mut(w).enumerate() {
-                let off = base + j * w;
-                let sv = eng.load(sw);
-                let xv = eng.load(&xd[off..off + w]);
-                let yv = eng.load(&yd[off..off + w]);
-                let t = eng.madd(sv, a_splat, xv);
-                eng.store(sw, eng.madd(t, b_splat, yv));
-            }
-        });
+        crate::sized!(grid.engine(), |eng| {
+            let w = eng.word_len();
+            let a_splat = eng.splat(a);
+            let b_splat = eng.splat(b);
+            let xd = x.data();
+            let yd = y.data();
+            data.par_chunks_mut(cs).enumerate().for_each(|(ci, chunk)| {
+                let base = ci * cs;
+                for (j, sw) in chunk.chunks_exact_mut(w).enumerate() {
+                    let off = base + j * w;
+                    let sv = eng.load(sw);
+                    let xv = eng.load(&xd[off..off + w]);
+                    let yv = eng.load(&yd[off..off + w]);
+                    let t = eng.madd(sv, a_splat, xv);
+                    eng.store(sw, eng.madd(t, b_splat, yv));
+                }
+            });
+        })
     }
 
     /// The BiCGStab search-direction update `self = r + beta * (self -
@@ -422,24 +446,25 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
         self.assert_compatible(r);
         let cs = self.chunk_scalars();
         let Field { grid, data, .. } = self;
-        let eng = grid.engine();
-        let w = eng.word_len();
-        let no_splat = eng.splat(-omega);
-        let b_splat = eng.splat(beta);
-        let vd = v.data();
-        let rd = r.data();
-        data.par_chunks_mut(cs).enumerate().for_each(|(ci, chunk)| {
-            let base = ci * cs;
-            for (j, sw) in chunk.chunks_exact_mut(w).enumerate() {
-                let off = base + j * w;
-                let sv = eng.load(sw);
-                let vv = eng.load(&vd[off..off + w]);
-                let rv = eng.load(&rd[off..off + w]);
-                let t = eng.madd(sv, no_splat, vv);
-                let t = eng.mult(b_splat, t);
-                eng.store(sw, eng.add(t, rv));
-            }
-        });
+        crate::sized!(grid.engine(), |eng| {
+            let w = eng.word_len();
+            let no_splat = eng.splat(-omega);
+            let b_splat = eng.splat(beta);
+            let vd = v.data();
+            let rd = r.data();
+            data.par_chunks_mut(cs).enumerate().for_each(|(ci, chunk)| {
+                let base = ci * cs;
+                for (j, sw) in chunk.chunks_exact_mut(w).enumerate() {
+                    let off = base + j * w;
+                    let sv = eng.load(sw);
+                    let vv = eng.load(&vd[off..off + w]);
+                    let rv = eng.load(&rd[off..off + w]);
+                    let t = eng.madd(sv, no_splat, vv);
+                    let t = eng.mult(b_splat, t);
+                    eng.store(sw, eng.add(t, rv));
+                }
+            });
+        })
     }
 
     /// Global inner product `<self, other> = Σ conj(self) · other`
@@ -447,40 +472,42 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
     pub fn inner(&self, other: &Field<K, E>) -> Complex {
         self.assert_compatible(other);
         let cs = self.chunk_scalars();
-        let eng = other.grid.engine();
-        let w = eng.word_len();
-        let od = other.data();
-        self.chunk_reduce(
-            |ci, chunk| {
-                let base = ci * cs;
-                let mut acc: CVec = eng.zero();
-                for (j, aw) in chunk.chunks_exact(w).enumerate() {
-                    let off = base + j * w;
-                    let a = eng.load(aw);
-                    let b = eng.load(&od[off..off + w]);
-                    acc = eng.madd_conj(acc, a, b);
-                }
-                eng.reduce_sum(acc)
-            },
-            |a, b| a + b,
-        )
+        crate::sized!(other.grid.engine(), |eng| {
+            let w = eng.word_len();
+            let od = other.data();
+            self.chunk_reduce(
+                |ci, chunk| {
+                    let base = ci * cs;
+                    let mut acc: CVec<_> = eng.zero();
+                    for (j, aw) in chunk.chunks_exact(w).enumerate() {
+                        let off = base + j * w;
+                        let a = eng.load(aw);
+                        let b = eng.load(&od[off..off + w]);
+                        acc = eng.madd_conj(acc, a, b);
+                    }
+                    eng.reduce_sum(acc)
+                },
+                |a, b| a + b,
+            )
+        })
     }
 
     /// Global squared norm `|self|^2` (always real, computed as a real
     /// lane-square accumulation with the deterministic chunk tree).
     pub fn norm2(&self) -> f64 {
-        let eng = self.grid.engine();
-        let w = eng.word_len();
-        self.chunk_reduce(
-            |_, chunk| {
-                let mut t = 0.0;
-                for aw in chunk.chunks_exact(w) {
-                    t += eng.norm2(eng.load(aw));
-                }
-                t
-            },
-            |a, b| a + b,
-        )
+        crate::sized!(self.grid.engine(), |eng| {
+            let w = eng.word_len();
+            self.chunk_reduce(
+                |_, chunk| {
+                    let mut t = 0.0;
+                    for aw in chunk.chunks_exact(w) {
+                        t += eng.norm2(eng.load(aw));
+                    }
+                    t
+                },
+                |a, b| a + b,
+            )
+        })
     }
 
     /// Scatter the per-site scalar `Σ_comp |f(x)|²` into `out` in **global
@@ -602,52 +629,54 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
     pub fn axpy_norm2(&mut self, a: f64, x: &Field<K, E>) -> f64 {
         self.assert_compatible(x);
         let cs = self.chunk_scalars();
-        let eng = x.grid.engine();
-        let w = eng.word_len();
-        let a_dup = eng.dup_real(a);
-        let xd = x.data();
-        self.chunk_reduce_mut(
-            |ci, chunk| {
-                let base = ci * cs;
-                let mut t = 0.0;
-                for (j, sw) in chunk.chunks_exact_mut(w).enumerate() {
-                    let off = base + j * w;
-                    let sv = eng.load(sw);
-                    let xv = eng.load(&xd[off..off + w]);
-                    let r = eng.axpy_word(a_dup, xv, sv);
-                    eng.store(sw, r);
-                    t += eng.norm2(r);
-                }
-                t
-            },
-            |a, b| a + b,
-        )
+        crate::sized!(x.grid.engine(), |eng| {
+            let w = eng.word_len();
+            let a_dup = eng.dup_real(a);
+            let xd = x.data();
+            self.chunk_reduce_mut(
+                |ci, chunk| {
+                    let base = ci * cs;
+                    let mut t = 0.0;
+                    for (j, sw) in chunk.chunks_exact_mut(w).enumerate() {
+                        let off = base + j * w;
+                        let sv = eng.load(sw);
+                        let xv = eng.load(&xd[off..off + w]);
+                        let r = eng.axpy_word(a_dup, xv, sv);
+                        eng.store(sw, r);
+                        t += eng.norm2(r);
+                    }
+                    t
+                },
+                |a, b| a + b,
+            )
+        })
     }
 
     /// Fused `self += a * x; |self|^2` with complex `a`, one sweep.
     pub fn caxpy_norm2(&mut self, a: Complex, x: &Field<K, E>) -> f64 {
         self.assert_compatible(x);
         let cs = self.chunk_scalars();
-        let eng = x.grid.engine();
-        let w = eng.word_len();
-        let a_splat = eng.splat(a);
-        let xd = x.data();
-        self.chunk_reduce_mut(
-            |ci, chunk| {
-                let base = ci * cs;
-                let mut t = 0.0;
-                for (j, sw) in chunk.chunks_exact_mut(w).enumerate() {
-                    let off = base + j * w;
-                    let sv = eng.load(sw);
-                    let xv = eng.load(&xd[off..off + w]);
-                    let r = eng.madd(sv, a_splat, xv);
-                    eng.store(sw, r);
-                    t += eng.norm2(r);
-                }
-                t
-            },
-            |a, b| a + b,
-        )
+        crate::sized!(x.grid.engine(), |eng| {
+            let w = eng.word_len();
+            let a_splat = eng.splat(a);
+            let xd = x.data();
+            self.chunk_reduce_mut(
+                |ci, chunk| {
+                    let base = ci * cs;
+                    let mut t = 0.0;
+                    for (j, sw) in chunk.chunks_exact_mut(w).enumerate() {
+                        let off = base + j * w;
+                        let sv = eng.load(sw);
+                        let xv = eng.load(&xd[off..off + w]);
+                        let r = eng.madd(sv, a_splat, xv);
+                        eng.store(sw, r);
+                        t += eng.norm2(r);
+                    }
+                    t
+                },
+                |a, b| a + b,
+            )
+        })
     }
 
     /// Fused `self = x - y; |self|^2` in one sweep (true-residual check).
@@ -655,26 +684,27 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
         self.assert_compatible(x);
         self.assert_compatible(y);
         let cs = self.chunk_scalars();
-        let eng = x.grid.engine();
-        let w = eng.word_len();
-        let xd = x.data();
-        let yd = y.data();
-        self.chunk_reduce_mut(
-            |ci, chunk| {
-                let base = ci * cs;
-                let mut t = 0.0;
-                for (j, sw) in chunk.chunks_exact_mut(w).enumerate() {
-                    let off = base + j * w;
-                    let xv = eng.load(&xd[off..off + w]);
-                    let yv = eng.load(&yd[off..off + w]);
-                    let r = eng.sub(xv, yv);
-                    eng.store(sw, r);
-                    t += eng.norm2(r);
-                }
-                t
-            },
-            |a, b| a + b,
-        )
+        crate::sized!(x.grid.engine(), |eng| {
+            let w = eng.word_len();
+            let xd = x.data();
+            let yd = y.data();
+            self.chunk_reduce_mut(
+                |ci, chunk| {
+                    let base = ci * cs;
+                    let mut t = 0.0;
+                    for (j, sw) in chunk.chunks_exact_mut(w).enumerate() {
+                        let off = base + j * w;
+                        let xv = eng.load(&xd[off..off + w]);
+                        let yv = eng.load(&yd[off..off + w]);
+                        let r = eng.sub(xv, yv);
+                        eng.store(sw, r);
+                        t += eng.norm2(r);
+                    }
+                    t
+                },
+                |a, b| a + b,
+            )
+        })
     }
 
     /// Maximum absolute difference to another field (test metric).
@@ -705,52 +735,53 @@ pub fn cg_update_x_r<K: FieldKind, E: SveFloat>(
     x.assert_compatible(p);
     x.assert_compatible(ap);
     let cs = x.chunk_scalars();
-    let eng = p.grid.engine();
-    let w = eng.word_len();
-    let a_dup = eng.dup_real(alpha);
-    let na_dup = eng.dup_real(-alpha);
-    let pd = p.data();
-    let apd = ap.data();
-    let xd = x.data.as_mut_slice();
-    let rd = r.data.as_mut_slice();
-    let len = xd.len();
-    let kernel = |ci: usize, xc: &mut [E], rc: &mut [E]| -> f64 {
-        let base = ci * cs;
-        let mut t = 0.0;
-        for (j, (xw, rw)) in xc
-            .chunks_exact_mut(w)
-            .zip(rc.chunks_exact_mut(w))
-            .enumerate()
-        {
-            let off = base + j * w;
-            let pv = eng.load(&pd[off..off + w]);
-            let apv = eng.load(&apd[off..off + w]);
-            let xv = eng.load(xw);
-            eng.store(xw, eng.axpy_word(a_dup, pv, xv));
-            let rv = eng.load(rw);
-            let rn = eng.axpy_word(na_dup, apv, rv);
-            eng.store(rw, rn);
-            t += eng.norm2(rn);
-        }
-        t
-    };
-    let n = reduce::n_chunks(len, cs);
-    if rayon::current_num_threads() <= 1 || n <= 1 {
-        let mut lf = |ci: usize| {
-            let lo = ci * cs;
-            let hi = (lo + cs).min(len);
-            kernel(ci, &mut xd[lo..hi], &mut rd[lo..hi])
+    crate::sized!(p.grid.engine(), |eng| {
+        let w = eng.word_len();
+        let a_dup = eng.dup_real(alpha);
+        let na_dup = eng.dup_real(-alpha);
+        let pd = p.data();
+        let apd = ap.data();
+        let xd = x.data.as_mut_slice();
+        let rd = r.data.as_mut_slice();
+        let len = xd.len();
+        let kernel = |ci: usize, xc: &mut [E], rc: &mut [E]| -> f64 {
+            let base = ci * cs;
+            let mut t = 0.0;
+            for (j, (xw, rw)) in xc
+                .chunks_exact_mut(w)
+                .zip(rc.chunks_exact_mut(w))
+                .enumerate()
+            {
+                let off = base + j * w;
+                let pv = eng.load(&pd[off..off + w]);
+                let apv = eng.load(&apd[off..off + w]);
+                let xv = eng.load(xw);
+                eng.store(xw, eng.axpy_word(a_dup, pv, xv));
+                let rv = eng.load(rw);
+                let rn = eng.axpy_word(na_dup, apv, rv);
+                eng.store(rw, rn);
+                t += eng.norm2(rn);
+            }
+            t
         };
-        reduce::reduce_serial(n, &mut lf, &|a, b| a + b)
-    } else {
-        let leaves: Vec<f64> = xd
-            .par_chunks_mut(cs)
-            .zip(rd.par_chunks_mut(cs))
-            .enumerate()
-            .map(|(ci, (xc, rc))| kernel(ci, xc, rc))
-            .collect();
-        reduce::combine_tree(&leaves, &|a, b| a + b)
-    }
+        let n = reduce::n_chunks(len, cs);
+        if rayon::current_num_threads() <= 1 || n <= 1 {
+            let mut lf = |ci: usize| {
+                let lo = ci * cs;
+                let hi = (lo + cs).min(len);
+                kernel(ci, &mut xd[lo..hi], &mut rd[lo..hi])
+            };
+            reduce::reduce_serial(n, &mut lf, &|a, b| a + b)
+        } else {
+            let leaves: Vec<f64> = xd
+                .par_chunks_mut(cs)
+                .zip(rd.par_chunks_mut(cs))
+                .enumerate()
+                .map(|(ci, (xc, rc))| kernel(ci, xc, rc))
+                .collect();
+            reduce::combine_tree(&leaves, &|a, b| a + b)
+        }
+    })
 }
 
 /// A batch of `N` right-hand-side fermion fields stored **site-major**: at
@@ -906,15 +937,16 @@ impl<E: SveFloat> FermionBlock<E> {
     /// exact op of [`Field::scale`].
     pub fn scale(&mut self, a: f64) {
         let cs = self.chunk_scalars();
-        let eng = self.grid.engine();
-        let w = eng.word_len();
-        let a_dup = eng.dup_real(a);
-        self.data.par_chunks_mut(cs).for_each(|chunk| {
-            for sw in chunk.chunks_exact_mut(w) {
-                let sv = eng.load(sw);
-                eng.store(sw, eng.scale(a_dup, sv));
-            }
-        });
+        crate::sized!(self.grid.engine(), |eng| {
+            let w = eng.word_len();
+            let a_dup = eng.dup_real(a);
+            self.data.par_chunks_mut(cs).for_each(|chunk| {
+                for sw in chunk.chunks_exact_mut(w) {
+                    let sv = eng.load(sw);
+                    eng.store(sw, eng.scale(a_dup, sv));
+                }
+            });
+        })
     }
 
     /// `self += a * x` (uniform across the batch) — per word the exact op of
@@ -922,22 +954,23 @@ impl<E: SveFloat> FermionBlock<E> {
     pub fn axpy_inplace(&mut self, a: f64, x: &FermionBlock<E>) {
         self.assert_compatible(x);
         let cs = self.chunk_scalars();
-        let eng = self.grid.engine();
-        let w = eng.word_len();
-        let a_dup = eng.dup_real(a);
-        let xd = x.data();
-        self.data
-            .par_chunks_mut(cs)
-            .enumerate()
-            .for_each(|(ci, chunk)| {
-                let base = ci * cs;
-                for (j, sw) in chunk.chunks_exact_mut(w).enumerate() {
-                    let off = base + j * w;
-                    let sv = eng.load(sw);
-                    let xv = eng.load(&xd[off..off + w]);
-                    eng.store(sw, eng.axpy_word(a_dup, xv, sv));
-                }
-            });
+        crate::sized!(self.grid.engine(), |eng| {
+            let w = eng.word_len();
+            let a_dup = eng.dup_real(a);
+            let xd = x.data();
+            self.data
+                .par_chunks_mut(cs)
+                .enumerate()
+                .for_each(|(ci, chunk)| {
+                    let base = ci * cs;
+                    for (j, sw) in chunk.chunks_exact_mut(w).enumerate() {
+                        let off = base + j * w;
+                        let sv = eng.load(sw);
+                        let xv = eng.load(&xd[off..off + w]);
+                        eng.store(sw, eng.axpy_word(a_dup, xv, sv));
+                    }
+                });
+        })
     }
 
     /// `self = a * x + c * y` (uniform) — per word the exact op sequence of
@@ -946,24 +979,25 @@ impl<E: SveFloat> FermionBlock<E> {
         self.assert_compatible(x);
         self.assert_compatible(y);
         let cs = self.chunk_scalars();
-        let eng = self.grid.engine();
-        let w = eng.word_len();
-        let a_dup = eng.dup_real(a);
-        let c_dup = eng.dup_real(c);
-        let xd = x.data();
-        let yd = y.data();
-        self.data
-            .par_chunks_mut(cs)
-            .enumerate()
-            .for_each(|(ci, chunk)| {
-                let base = ci * cs;
-                for (j, sw) in chunk.chunks_exact_mut(w).enumerate() {
-                    let off = base + j * w;
-                    let xv = eng.load(&xd[off..off + w]);
-                    let yv = eng.load(&yd[off..off + w]);
-                    eng.store(sw, eng.axpy_word(c_dup, yv, eng.scale(a_dup, xv)));
-                }
-            });
+        crate::sized!(self.grid.engine(), |eng| {
+            let w = eng.word_len();
+            let a_dup = eng.dup_real(a);
+            let c_dup = eng.dup_real(c);
+            let xd = x.data();
+            let yd = y.data();
+            self.data
+                .par_chunks_mut(cs)
+                .enumerate()
+                .for_each(|(ci, chunk)| {
+                    let base = ci * cs;
+                    for (j, sw) in chunk.chunks_exact_mut(w).enumerate() {
+                        let off = base + j * w;
+                        let xv = eng.load(&xd[off..off + w]);
+                        let yv = eng.load(&yd[off..off + w]);
+                        eng.store(sw, eng.axpy_word(c_dup, yv, eng.scale(a_dup, xv)));
+                    }
+                });
+        })
     }
 
     /// Per-RHS search-direction update `self_j = x_j + a[j] * self_j`,
@@ -975,26 +1009,27 @@ impl<E: SveFloat> FermionBlock<E> {
         assert_eq!(active.len(), self.nrhs);
         let cs = self.chunk_scalars();
         let nrhs = self.nrhs;
-        let eng = self.grid.engine();
-        let w = eng.word_len();
-        let a_dups: Vec<CVec> = a.iter().map(|&v| eng.dup_real(v)).collect();
-        let xd = x.data();
-        self.data
-            .par_chunks_mut(cs)
-            .enumerate()
-            .for_each(|(ci, chunk)| {
-                let base = ci * cs;
-                for (j, sw) in chunk.chunks_exact_mut(w).enumerate() {
-                    let rhs = (j / FermionKind::NCOMP) % nrhs;
-                    if !active[rhs] {
-                        continue;
+        crate::sized!(self.grid.engine(), |eng| {
+            let w = eng.word_len();
+            let a_dups: Vec<CVec<_>> = a.iter().map(|&v| eng.dup_real(v)).collect();
+            let xd = x.data();
+            self.data
+                .par_chunks_mut(cs)
+                .enumerate()
+                .for_each(|(ci, chunk)| {
+                    let base = ci * cs;
+                    for (j, sw) in chunk.chunks_exact_mut(w).enumerate() {
+                        let rhs = (j / FermionKind::NCOMP) % nrhs;
+                        if !active[rhs] {
+                            continue;
+                        }
+                        let off = base + j * w;
+                        let sv = eng.load(sw);
+                        let xv = eng.load(&xd[off..off + w]);
+                        eng.store(sw, eng.axpy_word(a_dups[rhs], sv, xv));
                     }
-                    let off = base + j * w;
-                    let sv = eng.load(sw);
-                    let xv = eng.load(&xd[off..off + w]);
-                    eng.store(sw, eng.axpy_word(a_dups[rhs], sv, xv));
-                }
-            });
+                });
+        })
     }
 
     /// Deterministic chunked tree reduction producing one partial *vector*
@@ -1036,19 +1071,20 @@ impl<E: SveFloat> FermionBlock<E> {
     /// Per-RHS squared norms, bit-identical to calling [`Field::norm2`] on
     /// each extracted RHS.
     pub fn norms2(&self) -> Vec<f64> {
-        let eng = self.grid.engine();
-        let w = eng.word_len();
-        let nrhs = self.nrhs;
-        self.chunk_reduce_vec(
-            |_, chunk| {
-                let mut t = vec![0.0; nrhs];
-                for (j, aw) in chunk.chunks_exact(w).enumerate() {
-                    t[(j / FermionKind::NCOMP) % nrhs] += eng.norm2(eng.load(aw));
-                }
-                t
-            },
-            |a, b| a + b,
-        )
+        crate::sized!(self.grid.engine(), |eng| {
+            let w = eng.word_len();
+            let nrhs = self.nrhs;
+            self.chunk_reduce_vec(
+                |_, chunk| {
+                    let mut t = vec![0.0; nrhs];
+                    for (j, aw) in chunk.chunks_exact(w).enumerate() {
+                        t[(j / FermionKind::NCOMP) % nrhs] += eng.norm2(eng.load(aw));
+                    }
+                    t
+                },
+                |a, b| a + b,
+            )
+        })
     }
 
     /// Per-RHS inner products `⟨self_j, other_j⟩`, bit-identical to
@@ -1057,25 +1093,26 @@ impl<E: SveFloat> FermionBlock<E> {
     pub fn inners(&self, other: &FermionBlock<E>) -> Vec<Complex> {
         self.assert_compatible(other);
         let cs = self.chunk_scalars();
-        let eng = self.grid.engine();
-        let w = eng.word_len();
-        let nrhs = self.nrhs;
-        let od = other.data();
-        self.chunk_reduce_vec(
-            |ci, chunk| {
-                let base = ci * cs;
-                let mut acc: Vec<CVec> = vec![eng.zero(); nrhs];
-                for (j, aw) in chunk.chunks_exact(w).enumerate() {
-                    let off = base + j * w;
-                    let a = eng.load(aw);
-                    let b = eng.load(&od[off..off + w]);
-                    let rhs = (j / FermionKind::NCOMP) % nrhs;
-                    acc[rhs] = eng.madd_conj(acc[rhs], a, b);
-                }
-                acc.iter().map(|&a| eng.reduce_sum(a)).collect()
-            },
-            |a, b| *a + *b,
-        )
+        crate::sized!(self.grid.engine(), |eng| {
+            let w = eng.word_len();
+            let nrhs = self.nrhs;
+            let od = other.data();
+            self.chunk_reduce_vec(
+                |ci, chunk| {
+                    let base = ci * cs;
+                    let mut acc: Vec<CVec<_>> = vec![eng.zero(); nrhs];
+                    for (j, aw) in chunk.chunks_exact(w).enumerate() {
+                        let off = base + j * w;
+                        let a = eng.load(aw);
+                        let b = eng.load(&od[off..off + w]);
+                        let rhs = (j / FermionKind::NCOMP) % nrhs;
+                        acc[rhs] = eng.madd_conj(acc[rhs], a, b);
+                    }
+                    acc.iter().map(|&a| eng.reduce_sum(a)).collect()
+                },
+                |a, b| *a + *b,
+            )
+        })
     }
 
     /// Scatter per-site per-RHS `Σ_comp |·|²` into `out` in global
@@ -1156,43 +1193,44 @@ impl<E: SveFloat> FermionBlock<E> {
         let cs = self.chunk_scalars();
         let len = self.data.len();
         let n = reduce::n_chunks(len, cs);
-        let eng = self.grid.engine();
-        let w = eng.word_len();
-        let nrhs = self.nrhs;
-        let xd = x.data();
-        let yd = y.data();
-        let kernel = |ci: usize, chunk: &mut [E]| -> Vec<f64> {
-            let base = ci * cs;
-            let mut t = vec![0.0; nrhs];
-            for (j, sw) in chunk.chunks_exact_mut(w).enumerate() {
-                let off = base + j * w;
-                let xv = eng.load(&xd[off..off + w]);
-                let yv = eng.load(&yd[off..off + w]);
-                let r = eng.sub(xv, yv);
-                eng.store(sw, r);
-                t[(j / FermionKind::NCOMP) % nrhs] += eng.norm2(r);
-            }
-            t
-        };
-        let combine = |a: &Vec<f64>, b: &Vec<f64>| -> Vec<f64> {
-            a.iter().zip(b.iter()).map(|(x, y)| x + y).collect()
-        };
-        let data = &mut self.data;
-        if rayon::current_num_threads() <= 1 || n <= 1 {
-            let mut lf = |ci: usize| {
-                let lo = ci * cs;
-                let hi = (lo + cs).min(len);
-                kernel(ci, &mut data[lo..hi])
+        crate::sized!(self.grid.engine(), |eng| {
+            let w = eng.word_len();
+            let nrhs = self.nrhs;
+            let xd = x.data();
+            let yd = y.data();
+            let kernel = |ci: usize, chunk: &mut [E]| -> Vec<f64> {
+                let base = ci * cs;
+                let mut t = vec![0.0; nrhs];
+                for (j, sw) in chunk.chunks_exact_mut(w).enumerate() {
+                    let off = base + j * w;
+                    let xv = eng.load(&xd[off..off + w]);
+                    let yv = eng.load(&yd[off..off + w]);
+                    let r = eng.sub(xv, yv);
+                    eng.store(sw, r);
+                    t[(j / FermionKind::NCOMP) % nrhs] += eng.norm2(r);
+                }
+                t
             };
-            reduce::reduce_serial(n, &mut lf, &|a, b| combine(&a, &b))
-        } else {
-            let leaves: Vec<Vec<f64>> = data
-                .par_chunks_mut(cs)
-                .enumerate()
-                .map(|(ci, c)| kernel(ci, c))
-                .collect();
-            reduce::combine_tree_ref(&leaves, &combine)
-        }
+            let combine = |a: &Vec<f64>, b: &Vec<f64>| -> Vec<f64> {
+                a.iter().zip(b.iter()).map(|(x, y)| x + y).collect()
+            };
+            let data = &mut self.data;
+            if rayon::current_num_threads() <= 1 || n <= 1 {
+                let mut lf = |ci: usize| {
+                    let lo = ci * cs;
+                    let hi = (lo + cs).min(len);
+                    kernel(ci, &mut data[lo..hi])
+                };
+                reduce::reduce_serial(n, &mut lf, &|a, b| combine(&a, &b))
+            } else {
+                let leaves: Vec<Vec<f64>> = data
+                    .par_chunks_mut(cs)
+                    .enumerate()
+                    .map(|(ci, c)| kernel(ci, c))
+                    .collect();
+                reduce::combine_tree_ref(&leaves, &combine)
+            }
+        })
     }
 
     /// Maximum absolute difference to another block (test metric).
@@ -1229,59 +1267,60 @@ pub fn block_cg_update_x_r<E: SveFloat>(
     assert_eq!(alpha.len(), nrhs);
     assert_eq!(active.len(), nrhs);
     let cs = x.chunk_scalars();
-    let eng = p.grid.engine();
-    let w = eng.word_len();
-    let a_dups: Vec<CVec> = alpha.iter().map(|&a| eng.dup_real(a)).collect();
-    let na_dups: Vec<CVec> = alpha.iter().map(|&a| eng.dup_real(-a)).collect();
-    let pd = p.data();
-    let apd = ap.data();
-    let xd = x.data.as_mut_slice();
-    let rd = r.data.as_mut_slice();
-    let len = xd.len();
-    let kernel = |ci: usize, xc: &mut [E], rc: &mut [E]| -> Vec<f64> {
-        let base = ci * cs;
-        let mut t = vec![0.0; nrhs];
-        for (j, (xw, rw)) in xc
-            .chunks_exact_mut(w)
-            .zip(rc.chunks_exact_mut(w))
-            .enumerate()
-        {
-            let rhs = (j / FermionKind::NCOMP) % nrhs;
-            if !active[rhs] {
-                continue;
+    crate::sized!(p.grid.engine(), |eng| {
+        let w = eng.word_len();
+        let a_dups: Vec<CVec<_>> = alpha.iter().map(|&a| eng.dup_real(a)).collect();
+        let na_dups: Vec<CVec<_>> = alpha.iter().map(|&a| eng.dup_real(-a)).collect();
+        let pd = p.data();
+        let apd = ap.data();
+        let xd = x.data.as_mut_slice();
+        let rd = r.data.as_mut_slice();
+        let len = xd.len();
+        let kernel = |ci: usize, xc: &mut [E], rc: &mut [E]| -> Vec<f64> {
+            let base = ci * cs;
+            let mut t = vec![0.0; nrhs];
+            for (j, (xw, rw)) in xc
+                .chunks_exact_mut(w)
+                .zip(rc.chunks_exact_mut(w))
+                .enumerate()
+            {
+                let rhs = (j / FermionKind::NCOMP) % nrhs;
+                if !active[rhs] {
+                    continue;
+                }
+                let off = base + j * w;
+                let pv = eng.load(&pd[off..off + w]);
+                let apv = eng.load(&apd[off..off + w]);
+                let xv = eng.load(xw);
+                eng.store(xw, eng.axpy_word(a_dups[rhs], pv, xv));
+                let rv = eng.load(rw);
+                let rn = eng.axpy_word(na_dups[rhs], apv, rv);
+                eng.store(rw, rn);
+                t[rhs] += eng.norm2(rn);
             }
-            let off = base + j * w;
-            let pv = eng.load(&pd[off..off + w]);
-            let apv = eng.load(&apd[off..off + w]);
-            let xv = eng.load(xw);
-            eng.store(xw, eng.axpy_word(a_dups[rhs], pv, xv));
-            let rv = eng.load(rw);
-            let rn = eng.axpy_word(na_dups[rhs], apv, rv);
-            eng.store(rw, rn);
-            t[rhs] += eng.norm2(rn);
-        }
-        t
-    };
-    let combine = |a: &Vec<f64>, b: &Vec<f64>| -> Vec<f64> {
-        a.iter().zip(b.iter()).map(|(x, y)| x + y).collect()
-    };
-    let n = reduce::n_chunks(len, cs);
-    if rayon::current_num_threads() <= 1 || n <= 1 {
-        let mut lf = |ci: usize| {
-            let lo = ci * cs;
-            let hi = (lo + cs).min(len);
-            kernel(ci, &mut xd[lo..hi], &mut rd[lo..hi])
+            t
         };
-        reduce::reduce_serial(n, &mut lf, &|a, b| combine(&a, &b))
-    } else {
-        let leaves: Vec<Vec<f64>> = xd
-            .par_chunks_mut(cs)
-            .zip(rd.par_chunks_mut(cs))
-            .enumerate()
-            .map(|(ci, (xc, rc))| kernel(ci, xc, rc))
-            .collect();
-        reduce::combine_tree_ref(&leaves, &combine)
-    }
+        let combine = |a: &Vec<f64>, b: &Vec<f64>| -> Vec<f64> {
+            a.iter().zip(b.iter()).map(|(x, y)| x + y).collect()
+        };
+        let n = reduce::n_chunks(len, cs);
+        if rayon::current_num_threads() <= 1 || n <= 1 {
+            let mut lf = |ci: usize| {
+                let lo = ci * cs;
+                let hi = (lo + cs).min(len);
+                kernel(ci, &mut xd[lo..hi], &mut rd[lo..hi])
+            };
+            reduce::reduce_serial(n, &mut lf, &|a, b| combine(&a, &b))
+        } else {
+            let leaves: Vec<Vec<f64>> = xd
+                .par_chunks_mut(cs)
+                .zip(rd.par_chunks_mut(cs))
+                .enumerate()
+                .map(|(ci, (xc, rc))| kernel(ci, xc, rc))
+                .collect();
+            reduce::combine_tree_ref(&leaves, &combine)
+        }
+    })
 }
 
 #[cfg(test)]

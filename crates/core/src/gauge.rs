@@ -79,22 +79,23 @@ pub fn transform_links(u: &GaugeField, g: &TransformField) -> GaugeField {
 /// multiply on every spin component, through the vectorized SU(3) kernel.
 pub fn transform_fermion(psi: &FermionField, g: &TransformField) -> FermionField {
     let grid = psi.grid().clone();
-    let eng = grid.engine();
-    let mut out = FermionField::zero(grid.clone());
-    for osite in 0..grid.osites() {
-        let gw: [[CVec; NCOLOR]; NCOLOR] = std::array::from_fn(|r| {
-            std::array::from_fn(|c| eng.load(g.word(osite, tf_comp(r, c))))
-        });
-        for s in 0..NSPIN {
-            let v: [CVec; NCOLOR] =
-                std::array::from_fn(|c| eng.load(psi.word(osite, spinor_comp(s, c))));
-            let r = mat_vec(eng, &gw, &v);
-            for c in 0..NCOLOR {
-                eng.store(out.word_mut(osite, spinor_comp(s, c)), r[c]);
+    crate::sized!(grid.engine(), |eng| {
+        let mut out = FermionField::zero(grid.clone());
+        for osite in 0..grid.osites() {
+            let gw: [[CVec<_>; NCOLOR]; NCOLOR] = std::array::from_fn(|r| {
+                std::array::from_fn(|c| eng.load(g.word(osite, tf_comp(r, c))))
+            });
+            for s in 0..NSPIN {
+                let v: [CVec<_>; NCOLOR] =
+                    std::array::from_fn(|c| eng.load(psi.word(osite, spinor_comp(s, c))));
+                let r = mat_vec(eng, &gw, &v);
+                for c in 0..NCOLOR {
+                    eng.store(out.word_mut(osite, spinor_comp(s, c)), r[c]);
+                }
             }
         }
-    }
-    out
+        out
+    })
 }
 
 /// Largest entry-wise deviation from unitarity over every link of a gauge

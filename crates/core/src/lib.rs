@@ -74,7 +74,7 @@ pub use field::{
     GaugeField, HalfFermionField,
 };
 pub use layout::{Coor, Grid, NCOLOR, NDIM, NSPIN};
-pub use simd::{CVec, SimdBackend, SimdEngine};
+pub use simd::{CVec, SimdBackend, SimdEngine, Words};
 
 /// Everything a downstream application typically needs.
 pub mod prelude {

@@ -4,10 +4,19 @@
 //! data; since SVE ACLE types are sizeless, the port stores "ordinary arrays
 //! as class member data and implements SVE ACLE only for data processing
 //! within functions" (Section V-A). [`CVec`] is one such array's worth of
-//! data — a single SIMD word of interleaved complex numbers — and
-//! [`SimdEngine`] is the `acle<T>` utility: it caches the predicates and
-//! lookup tables every kernel needs and lowers each complex operation to the
-//! instruction sequence of the selected [`SimdBackend`].
+//! data — a single SIMD word of interleaved complex numbers, with room for
+//! the port's largest `SVE_VECTOR_LENGTH` — and [`SimdEngine`] is the `acle<T>`
+//! utility: it caches the predicates and lookup tables every kernel needs
+//! and lowers each complex operation to the instruction sequence of the
+//! selected [`SimdBackend`].
+//!
+//! The vector length is a run-time property of the engine, the size of a
+//! word a compile-time one. [`sized!`](crate::sized) bridges the two once
+//! per sweep: it picks the smaller of the two word sizes kernels are built
+//! for that holds the engine's vector and runs its body with a [`Words`]
+//! view of that size, from which the kernel gets its words (`load`, `zero`,
+//! `splat`, `dup_real`). Arithmetic stays on the engine and takes the word
+//! size from its operands.
 //!
 //! All three backends produce the same values (up to FP rounding-order
 //! differences between fused and unfused formulations); they differ in
@@ -16,27 +25,34 @@
 use crate::simd::backend::SimdBackend;
 use crate::Complex;
 use std::sync::Arc;
-use sve::intrinsics as sv;
-use sve::{PReg, Rot, SveCtx, SveFloat, VReg};
+use sve::{Opcode, PReg, Reg, Rot, SizedCtx, SveCtx, SveFloat, VL_MAX_BYTES};
 
 /// One SIMD word of complex numbers in FCMLA layout: real components in
-/// even lanes, imaginary in odd lanes (paper, Section III-D). The number of
-/// complex lanes is half the element lane count, fixed by the engine's
-/// vector length and element precision.
+/// even lanes, imaginary in odd lanes (paper, Section III-D), held in `N`
+/// bytes of which the engine's vector length is a prefix. Kernels hold the
+/// smaller word that fits their engine (see [`sized!`](crate::sized));
+/// `N =` [`VL_MAX_BYTES`] fits every engine. The number of complex lanes is
+/// half the element lane count, fixed by the engine's vector length and
+/// element precision.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct CVec {
-    reg: VReg,
+pub struct CVec<const N: usize> {
+    reg: Reg<N>,
 }
 
-impl CVec {
+impl<const N: usize> CVec<N> {
     /// Wrap a raw vector register.
-    pub fn from_reg(reg: VReg) -> Self {
+    pub fn from_reg(reg: Reg<N>) -> Self {
         CVec { reg }
     }
 
     /// The underlying register.
-    pub fn reg(&self) -> &VReg {
+    pub fn reg(&self) -> &Reg<N> {
         &self.reg
+    }
+
+    /// The zero word (an accumulator seed; costs nothing per use).
+    pub const fn zero() -> Self {
+        CVec { reg: Reg::zeroed() }
     }
 }
 
@@ -58,11 +74,116 @@ pub struct SimdEngine<E: SveFloat = f64> {
     pg_half: PReg,
     /// Pairwise lane swap (1,0,3,2,...) for real-arithmetic kernels.
     swap_tbl: Vec<usize>,
-    /// Cached all-zero register (accumulator seed).
-    zero: VReg,
     /// Complex lanes per vector.
     lanes_c: usize,
     _e: std::marker::PhantomData<E>,
+}
+
+/// An engine handing out words of `N` bytes: the sized surface a kernel
+/// gets from [`sized!`](crate::sized). Creating a word needs the size named
+/// (`load`, `zero`, `splat`, `splat_re`, `dup_real` live here); everything
+/// that takes a word is a method of the [`SimdEngine`] this dereferences to.
+#[derive(Clone, Copy)]
+pub struct Words<'a, E: SveFloat, const N: usize> {
+    eng: &'a SimdEngine<E>,
+}
+
+impl<E: SveFloat, const N: usize> std::ops::Deref for Words<'_, E, N> {
+    type Target = SimdEngine<E>;
+    #[inline]
+    fn deref(&self) -> &SimdEngine<E> {
+        self.eng
+    }
+}
+
+impl<E: SveFloat, const N: usize> Words<'_, E, N> {
+    /// Load one SIMD word from an interleaved slice (`svld1`).
+    #[inline]
+    pub fn load(&self, src: &[E]) -> CVec<N> {
+        CVec::from_reg(self.sv().svld1(&self.pg, src))
+    }
+
+    /// The zero word.
+    #[inline]
+    pub fn zero(&self) -> CVec<N> {
+        CVec::zero()
+    }
+
+    /// Broadcast a complex scalar into all complex lanes.
+    pub fn splat(&self, z: Complex) -> CVec<N> {
+        // Two dups + zip would be faithful; a single `index`-style ld1rqd
+        // would too. Model as one dup-pair (counted as 2 dup).
+        let sv = self.sv();
+        let re = sv.svdup(E::from_f64(z.re));
+        let im = sv.svdup(E::from_f64(z.im));
+        CVec::from_reg(sv.svzip1::<E>(&re, &im))
+    }
+
+    /// Broadcast a real scalar (imaginary parts zero).
+    pub fn splat_re(&self, s: f64) -> CVec<N> {
+        self.splat(Complex::new(s, 0.0))
+    }
+
+    /// Duplicate a real factor across *all* (even and odd) lanes, for
+    /// [`SimdEngine::scale`] and [`SimdEngine::axpy_word`].
+    pub fn dup_real(&self, s: f64) -> CVec<N> {
+        CVec::from_reg(self.sv().svdup(E::from_f64(s)))
+    }
+
+    /// Build a word from a per-lane function (test/debug path).
+    pub fn from_fn(&self, mut f: impl FnMut(usize) -> Complex) -> CVec<N> {
+        CVec::from_reg(Reg::from_fn::<E>(self.ctx.vl(), |e| {
+            let z = f(e / 2);
+            E::from_f64(if e % 2 == 0 { z.re } else { z.im })
+        }))
+    }
+}
+
+/// Bytes of the shorter of the two words kernels are compiled for: 512
+/// bits, the longest vector the paper's port enables in Grid (Section V-B:
+/// 128, 256 and 512 bits). Longer vectors — the "future work" lengths 1024
+/// and 2048 — take words of the architectural maximum.
+pub const PORT_WORD_BYTES: usize = 64;
+
+/// Run a kernel on words sized for the engine's vector length: `sized!(eng,
+/// |w| body)` evaluates `body` with `w: &Words<'_, E, N>`, where `N` is
+/// [`PORT_WORD_BYTES`] if `eng`'s vector fits in that and [`VL_MAX_BYTES`]
+/// otherwise — a constant inside `body`, so the words a kernel of the
+/// paper's vector lengths holds, copies and returns are 64 bytes long and
+/// not the 256 of the architectural maximum. This is the only place a
+/// vector length turns into a word size: put it around a whole sweep, not
+/// inside its site loop. `body` may not `return` out of the enclosing
+/// function: the arm for the longer word evaluates it inside a closure.
+///
+/// `body` is compiled once per word size. Two sizes, not one per vector
+/// length: every sweep of the stack is instantiated for each, and five
+/// doubled the text of a report binary (2.6 → 5.7 MB) where two add a
+/// third, for the same end-to-end time within 3 %.
+#[macro_export]
+macro_rules! sized {
+    ($eng:expr, |$w:ident| $body:expr) => {{
+        let engine: &$crate::simd::SimdEngine<_> = $eng;
+        if engine.ctx().vl().bytes() <= $crate::simd::PORT_WORD_BYTES {
+            let $w = &engine.words::<{ $crate::simd::PORT_WORD_BYTES }>();
+            $body
+        } else {
+            $crate::simd::engine::rarely(|| {
+                let $w = &engine.words::<{ $crate::simd::VL_MAX_BYTES }>();
+                $body
+            })
+        }
+    }};
+}
+
+/// Runs `f`, telling the compiler the call is unlikely: the arm of
+/// [`sized!`](crate::sized) for vectors longer than the paper's port
+/// enables goes through here, which keeps its copy of every kernel out of
+/// the pages the other copy runs from.
+#[doc(hidden)]
+#[cold]
+#[inline(never)]
+pub fn rarely<R>(f: impl FnOnce() -> R) -> R {
+    f()
 }
 
 impl<E: SveFloat> SimdEngine<E> {
@@ -72,7 +193,7 @@ impl<E: SveFloat> SimdEngine<E> {
     pub fn new(ctx: Arc<SveCtx>, backend: SimdBackend) -> Self {
         let lanes = ctx.vl().lanes_of(E::BYTES);
         assert!(lanes >= 2, "need at least one complex lane");
-        let pg = sv::svptrue::<E>(&ctx);
+        let pg = sve::intrinsics::svptrue::<E>(&ctx);
         let mut pg_even = PReg::none();
         let mut pg_odd = PReg::none();
         for e in 0..lanes {
@@ -84,7 +205,9 @@ impl<E: SveFloat> SimdEngine<E> {
         }
         let pg_half = PReg::whilelt::<E>(ctx.vl(), 0, (lanes / 2) as u64);
         let swap_tbl: Vec<usize> = (0..lanes).map(|e| e ^ 1).collect();
-        let zero = sv::svdup::<E>(&ctx, E::zero());
+        // The zero register kernels seed accumulators with: one hoisted
+        // `dup` on hardware; its value here is the constant `CVec::zero()`.
+        ctx.exec(Opcode::Dup);
         SimdEngine {
             ctx,
             backend,
@@ -93,7 +216,6 @@ impl<E: SveFloat> SimdEngine<E> {
             pg_odd,
             pg_half,
             swap_tbl,
-            zero,
             lanes_c: lanes / 2,
             _e: std::marker::PhantomData,
         }
@@ -120,246 +242,213 @@ impl<E: SveFloat> SimdEngine<E> {
         2 * self.lanes_c
     }
 
-    // ---- memory ----
-
-    /// Load one SIMD word from an interleaved slice (`svld1`).
+    /// This engine handing out `N`-byte words. Kernels get theirs from
+    /// [`sized!`](crate::sized); any `N` that holds the vector works, a
+    /// shorter one panics at the first instruction.
     #[inline]
-    pub fn load(&self, src: &[E]) -> CVec {
-        CVec::from_reg(sv::svld1(&self.ctx, &self.pg, src))
+    pub fn words<const N: usize>(&self) -> Words<'_, E, N> {
+        Words { eng: self }
     }
+
+    /// The context issuing instructions on `N`-byte registers (`N` comes
+    /// from the operands).
+    #[inline]
+    fn sv<const N: usize>(&self) -> SizedCtx<'_, N> {
+        self.ctx.sized()
+    }
+
+    // ---- memory ----
 
     /// Store one SIMD word to an interleaved slice (`svst1`).
     #[inline]
-    pub fn store(&self, dst: &mut [E], v: CVec) {
-        sv::svst1(&self.ctx, &self.pg, dst, &v.reg);
+    pub fn store<const N: usize>(&self, dst: &mut [E], v: CVec<N>) {
+        self.sv().svst1(&self.pg, dst, &v.reg);
     }
 
-    // ---- constants ----
+    // ---- constants at the maximum capacity ----
 
-    /// The zero word (cached; costs nothing per use).
-    #[inline]
-    pub fn zero(&self) -> CVec {
-        CVec::from_reg(self.zero)
+    /// Broadcast a complex scalar into all complex lanes of a word that
+    /// fits any vector length (setup, probes and tests; a kernel takes
+    /// [`Words::splat`]).
+    pub fn splat(&self, z: Complex) -> CVec<VL_MAX_BYTES> {
+        self.words().splat(z)
     }
 
-    /// Broadcast a complex scalar into all complex lanes.
-    pub fn splat(&self, z: Complex) -> CVec {
-        // Two dups + zip would be faithful; a single `index`-style ld1rqd
-        // would too. Model as one dup-pair (counted as 2 dup).
-        let re = sv::svdup::<E>(&self.ctx, E::from_f64(z.re));
-        let im = sv::svdup::<E>(&self.ctx, E::from_f64(z.im));
-        CVec::from_reg(sv::svzip1::<E>(&self.ctx, &re, &im))
-    }
-
-    /// Broadcast a real scalar (imaginary parts zero).
-    pub fn splat_re(&self, s: f64) -> CVec {
-        self.splat(Complex::new(s, 0.0))
+    /// Build a word that fits any vector length from a per-lane function
+    /// (test/debug path).
+    pub fn from_fn(&self, f: impl FnMut(usize) -> Complex) -> CVec<VL_MAX_BYTES> {
+        self.words().from_fn(f)
     }
 
     // ---- backend-independent lane arithmetic ----
 
     /// Lane-wise complex addition (`fadd`).
     #[inline]
-    pub fn add(&self, a: CVec, b: CVec) -> CVec {
-        CVec::from_reg(sv::svadd_x::<E>(&self.ctx, &self.pg, &a.reg, &b.reg))
+    pub fn add<const N: usize>(&self, a: CVec<N>, b: CVec<N>) -> CVec<N> {
+        CVec::from_reg(self.sv().svadd_x::<E>(&self.pg, &a.reg, &b.reg))
     }
 
     /// Lane-wise complex subtraction (`fsub`).
     #[inline]
-    pub fn sub(&self, a: CVec, b: CVec) -> CVec {
-        CVec::from_reg(sv::svsub_x::<E>(&self.ctx, &self.pg, &a.reg, &b.reg))
+    pub fn sub<const N: usize>(&self, a: CVec<N>, b: CVec<N>) -> CVec<N> {
+        CVec::from_reg(self.sv().svsub_x::<E>(&self.pg, &a.reg, &b.reg))
     }
 
     /// Negate every lane (`fneg`).
     #[inline]
-    pub fn neg(&self, a: CVec) -> CVec {
-        CVec::from_reg(sv::svneg_x::<E>(&self.ctx, &self.pg, &a.reg))
+    pub fn neg<const N: usize>(&self, a: CVec<N>) -> CVec<N> {
+        CVec::from_reg(self.sv().svneg_x::<E>(&self.pg, &a.reg))
     }
 
     /// Complex conjugate: negate the odd (imaginary) lanes — one merging
     /// `fneg`.
     #[inline]
-    pub fn conj(&self, a: CVec) -> CVec {
-        CVec::from_reg(sv::svneg_m::<E>(&self.ctx, &self.pg_odd, &a.reg))
+    pub fn conj<const N: usize>(&self, a: CVec<N>) -> CVec<N> {
+        CVec::from_reg(self.sv().svneg_m::<E>(&self.pg_odd, &a.reg))
     }
 
     /// Multiply every complex lane by the real parts of `s` lane-wise
     /// (`fmul` by a re-duplicated operand): Grid's `MultRealPart`.
     #[inline]
-    pub fn mul_real_part(&self, s: CVec, a: CVec) -> CVec {
-        let re_dup = sv::svtrn1::<E>(&self.ctx, &s.reg, &s.reg);
-        CVec::from_reg(sv::svmul_x::<E>(&self.ctx, &self.pg, &re_dup, &a.reg))
+    pub fn mul_real_part<const N: usize>(&self, s: CVec<N>, a: CVec<N>) -> CVec<N> {
+        let sv = self.sv();
+        let re_dup = sv.svtrn1::<E>(&s.reg, &s.reg);
+        CVec::from_reg(sv.svmul_x::<E>(&self.pg, &re_dup, &a.reg))
     }
 
     /// Scale all lanes by a pre-splat real factor (plain `fmul`; `scale`
-    /// must have equal re/im duplicates, as produced by [`Self::dup_real`]).
+    /// must have equal re/im duplicates, as produced by
+    /// [`Words::dup_real`]).
     #[inline]
-    pub fn scale(&self, scale_dup: CVec, a: CVec) -> CVec {
-        CVec::from_reg(sv::svmul_x::<E>(
-            &self.ctx,
-            &self.pg,
-            &scale_dup.reg,
-            &a.reg,
-        ))
-    }
-
-    /// Duplicate a real factor across *all* (even and odd) lanes, for
-    /// [`Self::scale`] and [`Self::axpy_word`].
-    pub fn dup_real(&self, s: f64) -> CVec {
-        CVec::from_reg(sv::svdup::<E>(&self.ctx, E::from_f64(s)))
+    pub fn scale<const N: usize>(&self, scale_dup: CVec<N>, a: CVec<N>) -> CVec<N> {
+        CVec::from_reg(self.sv().svmul_x::<E>(&self.pg, &scale_dup.reg, &a.reg))
     }
 
     /// Fused `y + a*x` with a real, pre-duplicated `a` — one `fmla`; the
     /// kernel of every BLAS-1 field operation in the solvers.
     #[inline]
-    pub fn axpy_word(&self, a_dup: CVec, x: CVec, y: CVec) -> CVec {
-        CVec::from_reg(sv::svmla_m::<E>(
-            &self.ctx, &self.pg, &y.reg, &a_dup.reg, &x.reg,
-        ))
+    pub fn axpy_word<const N: usize>(&self, a_dup: CVec<N>, x: CVec<N>, y: CVec<N>) -> CVec<N> {
+        CVec::from_reg(self.sv().svmla_m::<E>(&self.pg, &y.reg, &a_dup.reg, &x.reg))
     }
 
     // ---- backend-dispatched complex arithmetic ----
 
     /// Complex multiply `a * b` lane-wise.
     #[inline]
-    pub fn mult(&self, a: CVec, b: CVec) -> CVec {
-        self.madd(self.zero(), a, b)
+    pub fn mult<const N: usize>(&self, a: CVec<N>, b: CVec<N>) -> CVec<N> {
+        self.madd(CVec::zero(), a, b)
     }
 
     /// Complex multiply-accumulate `acc + a * b` lane-wise.
-    pub fn madd(&self, acc: CVec, a: CVec, b: CVec) -> CVec {
-        match self.backend {
-            SimdBackend::Fcmla => CVec::from_reg(sv::fcmla_mul_add::<E>(
-                &self.ctx, &self.pg, &acc.reg, &a.reg, &b.reg,
-            )),
+    pub fn madd<const N: usize>(&self, acc: CVec<N>, a: CVec<N>, b: CVec<N>) -> CVec<N> {
+        let (sv, pg) = (self.sv(), &self.pg);
+        CVec::from_reg(match self.backend {
+            SimdBackend::Fcmla => sv.fcmla_mul_add::<E>(pg, &acc.reg, &a.reg, &b.reg),
             SimdBackend::RealArith => {
                 // Section V-E: duplicate re/im parts, swap pairs, flip one
                 // sign, two real FMAs. 6 instructions vs FCMLA's 2.
-                let re_dup = sv::svtrn1::<E>(&self.ctx, &a.reg, &a.reg);
-                let im_dup = sv::svtrn2::<E>(&self.ctx, &a.reg, &a.reg);
-                let b_swap = sv::svtbl::<E>(&self.ctx, &b.reg, &self.swap_tbl);
-                let b_swap_sgn = sv::svneg_m::<E>(&self.ctx, &self.pg_even, &b_swap);
-                let t = sv::svmla_m::<E>(&self.ctx, &self.pg, &acc.reg, &re_dup, &b.reg);
-                CVec::from_reg(sv::svmla_m::<E>(
-                    &self.ctx,
-                    &self.pg,
-                    &t,
-                    &im_dup,
-                    &b_swap_sgn,
-                ))
+                let re_dup = sv.svtrn1::<E>(&a.reg, &a.reg);
+                let im_dup = sv.svtrn2::<E>(&a.reg, &a.reg);
+                let b_swap = sv.svtbl::<E>(&b.reg, &self.swap_tbl);
+                let b_swap_sgn = sv.svneg_m::<E>(&self.pg_even, &b_swap);
+                let t = sv.svmla_m::<E>(pg, &acc.reg, &re_dup, &b.reg);
+                sv.svmla_m::<E>(pg, &t, &im_dup, &b_swap_sgn)
             }
             SimdBackend::GenericAutovec => {
                 // Section IV-B as an in-register dance: de-interleave with
                 // uzp, the listing's fmul/fmla/fnmls/movprfx body, zip back.
-                let ar = sv::svuzp1::<E>(&self.ctx, &a.reg, &a.reg);
-                let ai = sv::svuzp2::<E>(&self.ctx, &a.reg, &a.reg);
-                let br = sv::svuzp1::<E>(&self.ctx, &b.reg, &b.reg);
-                let bi = sv::svuzp2::<E>(&self.ctx, &b.reg, &b.reg);
-                let z4 = sv::svmul_x::<E>(&self.ctx, &self.pg, &ar, &bi);
-                let z5 = sv::svmul_x::<E>(&self.ctx, &self.pg, &ai, &bi);
-                let z7 = sv::movprfx(&self.ctx, &z4);
-                let im = sv::svmla_m::<E>(&self.ctx, &self.pg, &z7, &ai, &br);
-                let z6 = sv::movprfx(&self.ctx, &z5);
-                let re = sv::svnmls_m::<E>(&self.ctx, &self.pg, &z6, &ar, &br);
-                let prod = sv::svzip1::<E>(&self.ctx, &re, &im);
-                CVec::from_reg(sv::svadd_x::<E>(&self.ctx, &self.pg, &acc.reg, &prod))
+                let ar = sv.svuzp1::<E>(&a.reg, &a.reg);
+                let ai = sv.svuzp2::<E>(&a.reg, &a.reg);
+                let br = sv.svuzp1::<E>(&b.reg, &b.reg);
+                let bi = sv.svuzp2::<E>(&b.reg, &b.reg);
+                let z4 = sv.svmul_x::<E>(pg, &ar, &bi);
+                let z5 = sv.svmul_x::<E>(pg, &ai, &bi);
+                let z7 = sv.movprfx(&z4);
+                let im = sv.svmla_m::<E>(pg, &z7, &ai, &br);
+                let z6 = sv.movprfx(&z5);
+                let re = sv.svnmls_m::<E>(pg, &z6, &ar, &br);
+                let prod = sv.svzip1::<E>(&re, &im);
+                sv.svadd_x::<E>(pg, &acc.reg, &prod)
             }
-        }
+        })
     }
 
     /// Conjugated multiply `conj(a) * b` lane-wise.
     #[inline]
-    pub fn mult_conj(&self, a: CVec, b: CVec) -> CVec {
-        self.madd_conj(self.zero(), a, b)
+    pub fn mult_conj<const N: usize>(&self, a: CVec<N>, b: CVec<N>) -> CVec<N> {
+        self.madd_conj(CVec::zero(), a, b)
     }
 
     /// Conjugated multiply-accumulate `acc + conj(a) * b` lane-wise — the
     /// `U†` side of the hopping term (paper Eq. (1)) and the kernel of inner
     /// products.
-    pub fn madd_conj(&self, acc: CVec, a: CVec, b: CVec) -> CVec {
-        match self.backend {
-            SimdBackend::Fcmla => CVec::from_reg(sv::fcmla_conj_mul_add::<E>(
-                &self.ctx, &self.pg, &acc.reg, &a.reg, &b.reg,
-            )),
+    pub fn madd_conj<const N: usize>(&self, acc: CVec<N>, a: CVec<N>, b: CVec<N>) -> CVec<N> {
+        let (sv, pg) = (self.sv(), &self.pg);
+        CVec::from_reg(match self.backend {
+            SimdBackend::Fcmla => sv.fcmla_conj_mul_add::<E>(pg, &acc.reg, &a.reg, &b.reg),
             SimdBackend::RealArith => {
                 // re: +ar*br + ai*bi ; im: +ar*bi - ai*br.
-                let re_dup = sv::svtrn1::<E>(&self.ctx, &a.reg, &a.reg);
-                let im_dup = sv::svtrn2::<E>(&self.ctx, &a.reg, &a.reg);
-                let b_swap = sv::svtbl::<E>(&self.ctx, &b.reg, &self.swap_tbl);
-                let b_swap_sgn = sv::svneg_m::<E>(&self.ctx, &self.pg_odd, &b_swap);
-                let t = sv::svmla_m::<E>(&self.ctx, &self.pg, &acc.reg, &re_dup, &b.reg);
-                CVec::from_reg(sv::svmla_m::<E>(
-                    &self.ctx,
-                    &self.pg,
-                    &t,
-                    &im_dup,
-                    &b_swap_sgn,
-                ))
+                let re_dup = sv.svtrn1::<E>(&a.reg, &a.reg);
+                let im_dup = sv.svtrn2::<E>(&a.reg, &a.reg);
+                let b_swap = sv.svtbl::<E>(&b.reg, &self.swap_tbl);
+                let b_swap_sgn = sv.svneg_m::<E>(&self.pg_odd, &b_swap);
+                let t = sv.svmla_m::<E>(pg, &acc.reg, &re_dup, &b.reg);
+                sv.svmla_m::<E>(pg, &t, &im_dup, &b_swap_sgn)
             }
             SimdBackend::GenericAutovec => {
-                let ar = sv::svuzp1::<E>(&self.ctx, &a.reg, &a.reg);
-                let ai = sv::svuzp2::<E>(&self.ctx, &a.reg, &a.reg);
-                let br = sv::svuzp1::<E>(&self.ctx, &b.reg, &b.reg);
-                let bi = sv::svuzp2::<E>(&self.ctx, &b.reg, &b.reg);
+                let ar = sv.svuzp1::<E>(&a.reg, &a.reg);
+                let ai = sv.svuzp2::<E>(&a.reg, &a.reg);
+                let br = sv.svuzp1::<E>(&b.reg, &b.reg);
+                let bi = sv.svuzp2::<E>(&b.reg, &b.reg);
                 // re = ar*br + ai*bi ; im = ar*bi - ai*br
-                let t0 = sv::svmul_x::<E>(&self.ctx, &self.pg, &ai, &bi);
-                let re = sv::svmla_m::<E>(&self.ctx, &self.pg, &t0, &ar, &br);
-                let t1 = sv::svmul_x::<E>(&self.ctx, &self.pg, &ai, &br);
-                let im = sv::svnmls_m::<E>(&self.ctx, &self.pg, &t1, &ar, &bi);
-                let prod = sv::svzip1::<E>(&self.ctx, &re, &im);
-                CVec::from_reg(sv::svadd_x::<E>(&self.ctx, &self.pg, &acc.reg, &prod))
+                let t0 = sv.svmul_x::<E>(pg, &ai, &bi);
+                let re = sv.svmla_m::<E>(pg, &t0, &ar, &br);
+                let t1 = sv.svmul_x::<E>(pg, &ai, &br);
+                let im = sv.svnmls_m::<E>(pg, &t1, &ar, &bi);
+                let prod = sv.svzip1::<E>(&re, &im);
+                sv.svadd_x::<E>(pg, &acc.reg, &prod)
             }
-        }
+        })
     }
 
     /// Multiply every complex lane by `+i` (Grid's `timesI`).
-    pub fn times_i(&self, a: CVec) -> CVec {
-        match self.backend {
-            SimdBackend::Fcmla => CVec::from_reg(sv::svcadd::<E>(
-                &self.ctx,
-                &self.pg,
-                &self.zero,
-                &a.reg,
-                Rot::R90,
-            )),
-            _ => {
-                // (re, im) -> (-im, re): pair swap + negate even lanes.
-                let sw = sv::svtbl::<E>(&self.ctx, &a.reg, &self.swap_tbl);
-                CVec::from_reg(sv::svneg_m::<E>(&self.ctx, &self.pg_even, &sw))
-            }
-        }
+    pub fn times_i<const N: usize>(&self, a: CVec<N>) -> CVec<N> {
+        self.times_pm_i(a, Rot::R90, &self.pg_even)
     }
 
     /// Multiply every complex lane by `-i` (Grid's `timesMinusI`).
-    pub fn times_minus_i(&self, a: CVec) -> CVec {
-        match self.backend {
-            SimdBackend::Fcmla => CVec::from_reg(sv::svcadd::<E>(
-                &self.ctx,
-                &self.pg,
-                &self.zero,
-                &a.reg,
-                Rot::R270,
-            )),
+    pub fn times_minus_i<const N: usize>(&self, a: CVec<N>) -> CVec<N> {
+        self.times_pm_i(a, Rot::R270, &self.pg_odd)
+    }
+
+    /// `±i · a`: one `fcadd` onto zero with rotation `rot`, or — without
+    /// complex instructions — `(re, im) -> (∓im, ±re)` as a pair swap plus a
+    /// negation of the lanes `negated` governs.
+    #[inline]
+    fn times_pm_i<const N: usize>(&self, a: CVec<N>, rot: Rot, negated: &PReg) -> CVec<N> {
+        let sv = self.sv();
+        CVec::from_reg(match self.backend {
+            SimdBackend::Fcmla => sv.svcadd::<E>(&self.pg, &Reg::zeroed(), &a.reg, rot),
             _ => {
-                let sw = sv::svtbl::<E>(&self.ctx, &a.reg, &self.swap_tbl);
-                CVec::from_reg(sv::svneg_m::<E>(&self.ctx, &self.pg_odd, &sw))
+                let sw = sv.svtbl::<E>(&a.reg, &self.swap_tbl);
+                sv.svneg_m::<E>(negated, &sw)
             }
-        }
+        })
     }
 
     /// Lane select (`svsel`): active lanes of `mask` from `a`, inactive
     /// from `b`. Used by the even-odd machinery to mask parities within a
     /// word (both f64 lanes of a complex element must agree in `mask`).
     #[inline]
-    pub fn select_lanes(&self, mask: &PReg, a: CVec, b: CVec) -> CVec {
-        CVec::from_reg(sv::svsel::<E>(&self.ctx, mask, &a.reg, &b.reg))
+    pub fn select_lanes<const N: usize>(&self, mask: &PReg, a: CVec<N>, b: CVec<N>) -> CVec<N> {
+        CVec::from_reg(self.sv().svsel::<E>(mask, &a.reg, &b.reg))
     }
 
     // ---- permutation (virtual-node boundary shuffles) ----
 
     /// Permute complex lanes: output complex lane `p` takes input complex
     /// lane `perm[p]` (`svtbl` on the expanded f64 index table).
-    pub fn permute(&self, a: CVec, perm: &[usize]) -> CVec {
+    pub fn permute<const N: usize>(&self, a: CVec<N>, perm: &[usize]) -> CVec<N> {
         self.permute_elems(a, &self.expand_perm(perm))
     }
 
@@ -368,9 +457,9 @@ impl<E: SveFloat> SimdEngine<E> {
     /// allocation-free hot path used by the stencil; [`Self::permute`]
     /// expands its complex-lane table on every call.
     #[inline]
-    pub fn permute_elems(&self, a: CVec, tbl: &[usize]) -> CVec {
+    pub fn permute_elems<const N: usize>(&self, a: CVec<N>, tbl: &[usize]) -> CVec<N> {
         debug_assert_eq!(tbl.len(), 2 * self.lanes_c);
-        CVec::from_reg(sv::svtbl::<E>(&self.ctx, &a.reg, tbl))
+        CVec::from_reg(self.sv().svtbl::<E>(&a.reg, tbl))
     }
 
     /// Expand a complex-lane permutation to the element-index table
@@ -389,36 +478,29 @@ impl<E: SveFloat> SimdEngine<E> {
 
     /// Sum the complex lanes to a scalar (`uzp1`/`uzp2` + two `faddv`):
     /// Grid's `Reduce`.
-    pub fn reduce_sum(&self, a: CVec) -> Complex {
-        let re = sv::svuzp1::<E>(&self.ctx, &a.reg, &a.reg);
-        let im = sv::svuzp2::<E>(&self.ctx, &a.reg, &a.reg);
+    pub fn reduce_sum<const N: usize>(&self, a: CVec<N>) -> Complex {
+        let sv = self.sv();
+        let re = sv.svuzp1::<E>(&a.reg, &a.reg);
+        let im = sv.svuzp2::<E>(&a.reg, &a.reg);
         Complex::new(
-            sv::svaddv::<E>(&self.ctx, &self.pg_half, &re).to_f64(),
-            sv::svaddv::<E>(&self.ctx, &self.pg_half, &im).to_f64(),
+            sv.svaddv::<E>(&self.pg_half, &re).to_f64(),
+            sv.svaddv::<E>(&self.pg_half, &im).to_f64(),
         )
     }
 
     /// Sum of `|lane|^2` over all complex lanes (`fmul` + `faddv`).
-    pub fn norm2(&self, a: CVec) -> f64 {
-        let sq = sv::svmul_x::<E>(&self.ctx, &self.pg, &a.reg, &a.reg);
-        sv::svaddv::<E>(&self.ctx, &self.pg, &sq).to_f64()
+    pub fn norm2<const N: usize>(&self, a: CVec<N>) -> f64 {
+        let sv = self.sv();
+        let sq = sv.svmul_x::<E>(&self.pg, &a.reg, &a.reg);
+        sv.svaddv::<E>(&self.pg, &sq).to_f64()
     }
 
     /// Read complex lane `p` (test/debug path; not an SVE operation).
-    pub fn lane(&self, a: CVec, p: usize) -> Complex {
+    pub fn lane<const N: usize>(&self, a: CVec<N>, p: usize) -> Complex {
         Complex::new(
             a.reg.lane::<E>(2 * p).to_f64(),
             a.reg.lane::<E>(2 * p + 1).to_f64(),
         )
-    }
-
-    /// Build a word from a per-lane function (test/debug path).
-    pub fn from_fn(&self, mut f: impl FnMut(usize) -> Complex) -> CVec {
-        let lanes_c = self.lanes_c;
-        CVec::from_reg(VReg::from_fn::<E>(self.ctx.vl(), |e| {
-            let z = f((e / 2).min(lanes_c - 1));
-            E::from_f64(if e % 2 == 0 { z.re } else { z.im })
-        }))
     }
 }
 
@@ -446,7 +528,7 @@ mod tests {
     fn load_store_round_trip() {
         for eng in engines() {
             let data: Vec<f64> = (0..eng.word_len()).map(|i| i as f64 * 0.5).collect();
-            let v = eng.load(&data);
+            let v = eng.words::<64>().load(&data);
             let mut out = vec![0.0; eng.word_len()];
             eng.store(&mut out, v);
             assert_eq!(out, data, "{:?}", eng.backend());
@@ -527,7 +609,7 @@ mod tests {
             assert_eq!(eng.lane(eng.add(a, b), 2), c(3.0, 3.0));
             assert_eq!(eng.lane(eng.sub(a, b), 2), c(1.0, -1.0));
             assert_eq!(eng.lane(eng.neg(a), 2), c(-2.0, -1.0));
-            let s = eng.dup_real(2.5);
+            let s = eng.words().dup_real(2.5);
             assert_eq!(eng.lane(eng.scale(s, a), 2), c(5.0, 2.5));
         }
     }
@@ -591,7 +673,7 @@ mod tests {
             let before = eng.ctx().counters().total();
             let a = eng.from_fn(|_| c(1.0, 1.0));
             let b = eng.from_fn(|_| c(1.0, -1.0));
-            let acc = eng.zero();
+            let acc = CVec::zero();
             let _ = eng.madd(acc, a, b);
             totals.push((eng.backend(), eng.ctx().counters().total() - before));
         }
@@ -613,7 +695,7 @@ mod tests {
             Arc::new(SveCtx::new(VectorLength::of(256))),
             SimdBackend::Fcmla,
         );
-        let a = eng.zero();
+        let a = CVec::<64>::zero();
         let _ = eng.madd(a, a, a);
         assert_eq!(eng.ctx().counters().get(Opcode::Fcmla), 2);
     }

@@ -6,7 +6,10 @@
 //! `svcmla_x` calls on data loaded from a `vec<T>`'s member array — these
 //! structs are the same objects, operating on in-memory words exactly like
 //! the listing (load → ACLE compute → store), so their instruction counts
-//! include the `ld1`/`st1` traffic the paper's code performs.
+//! include the `ld1`/`st1` traffic the paper's code performs. A functor is
+//! the whole kernel of its word, so it is also the one place where the
+//! word size is picked per word ([`sized!`](crate::sized)) rather than per
+//! sweep.
 
 use crate::simd::engine::SimdEngine;
 use sve::SveFloat;
@@ -23,10 +26,12 @@ pub struct MultComplex;
 
 impl WordFunctor for MultComplex {
     fn apply<E: SveFloat>(&self, eng: &SimdEngine<E>, x: &[E], y: &[E], out: &mut [E]) {
-        let xv = eng.load(x);
-        let yv = eng.load(y);
-        let r = eng.mult(xv, yv);
-        eng.store(out, r);
+        crate::sized!(eng, |eng| {
+            let xv = eng.load(x);
+            let yv = eng.load(y);
+            let r = eng.mult(xv, yv);
+            eng.store(out, r);
+        })
     }
 }
 
@@ -35,10 +40,12 @@ pub struct MultConjComplex;
 
 impl WordFunctor for MultConjComplex {
     fn apply<E: SveFloat>(&self, eng: &SimdEngine<E>, x: &[E], y: &[E], out: &mut [E]) {
-        let xv = eng.load(x);
-        let yv = eng.load(y);
-        let r = eng.mult_conj(xv, yv);
-        eng.store(out, r);
+        crate::sized!(eng, |eng| {
+            let xv = eng.load(x);
+            let yv = eng.load(y);
+            let r = eng.mult_conj(xv, yv);
+            eng.store(out, r);
+        })
     }
 }
 
@@ -47,11 +54,13 @@ pub struct MaddComplex;
 
 impl WordFunctor for MaddComplex {
     fn apply<E: SveFloat>(&self, eng: &SimdEngine<E>, x: &[E], y: &[E], out: &mut [E]) {
-        let acc = eng.load(out);
-        let xv = eng.load(x);
-        let yv = eng.load(y);
-        let r = eng.madd(acc, xv, yv);
-        eng.store(out, r);
+        crate::sized!(eng, |eng| {
+            let acc = eng.load(out);
+            let xv = eng.load(x);
+            let yv = eng.load(y);
+            let r = eng.madd(acc, xv, yv);
+            eng.store(out, r);
+        })
     }
 }
 
@@ -60,10 +69,12 @@ pub struct MultRealPart;
 
 impl WordFunctor for MultRealPart {
     fn apply<E: SveFloat>(&self, eng: &SimdEngine<E>, x: &[E], y: &[E], out: &mut [E]) {
-        let xv = eng.load(x);
-        let yv = eng.load(y);
-        let r = eng.mul_real_part(xv, yv);
-        eng.store(out, r);
+        crate::sized!(eng, |eng| {
+            let xv = eng.load(x);
+            let yv = eng.load(y);
+            let r = eng.mul_real_part(xv, yv);
+            eng.store(out, r);
+        })
     }
 }
 
@@ -72,10 +83,12 @@ pub struct AddComplex;
 
 impl WordFunctor for AddComplex {
     fn apply<E: SveFloat>(&self, eng: &SimdEngine<E>, x: &[E], y: &[E], out: &mut [E]) {
-        let xv = eng.load(x);
-        let yv = eng.load(y);
-        let r = eng.add(xv, yv);
-        eng.store(out, r);
+        crate::sized!(eng, |eng| {
+            let xv = eng.load(x);
+            let yv = eng.load(y);
+            let r = eng.add(xv, yv);
+            eng.store(out, r);
+        })
     }
 }
 
@@ -84,10 +97,12 @@ pub struct SubComplex;
 
 impl WordFunctor for SubComplex {
     fn apply<E: SveFloat>(&self, eng: &SimdEngine<E>, x: &[E], y: &[E], out: &mut [E]) {
-        let xv = eng.load(x);
-        let yv = eng.load(y);
-        let r = eng.sub(xv, yv);
-        eng.store(out, r);
+        crate::sized!(eng, |eng| {
+            let xv = eng.load(x);
+            let yv = eng.load(y);
+            let r = eng.sub(xv, yv);
+            eng.store(out, r);
+        })
     }
 }
 
@@ -102,9 +117,11 @@ pub struct Conj;
 
 impl UnaryWordFunctor for Conj {
     fn apply<E: SveFloat>(&self, eng: &SimdEngine<E>, x: &[E], out: &mut [E]) {
-        let xv = eng.load(x);
-        let r = eng.conj(xv);
-        eng.store(out, r);
+        crate::sized!(eng, |eng| {
+            let xv = eng.load(x);
+            let r = eng.conj(xv);
+            eng.store(out, r);
+        })
     }
 }
 
@@ -113,9 +130,11 @@ pub struct TimesI;
 
 impl UnaryWordFunctor for TimesI {
     fn apply<E: SveFloat>(&self, eng: &SimdEngine<E>, x: &[E], out: &mut [E]) {
-        let xv = eng.load(x);
-        let r = eng.times_i(xv);
-        eng.store(out, r);
+        crate::sized!(eng, |eng| {
+            let xv = eng.load(x);
+            let r = eng.times_i(xv);
+            eng.store(out, r);
+        })
     }
 }
 
@@ -124,9 +143,11 @@ pub struct TimesMinusI;
 
 impl UnaryWordFunctor for TimesMinusI {
     fn apply<E: SveFloat>(&self, eng: &SimdEngine<E>, x: &[E], out: &mut [E]) {
-        let xv = eng.load(x);
-        let r = eng.times_minus_i(xv);
-        eng.store(out, r);
+        crate::sized!(eng, |eng| {
+            let xv = eng.load(x);
+            let r = eng.times_minus_i(xv);
+            eng.store(out, r);
+        })
     }
 }
 

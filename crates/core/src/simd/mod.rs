@@ -12,4 +12,5 @@ pub mod engine;
 pub mod functors;
 
 pub use backend::{architecture_table, supported_vector_lengths, ArchRow, SimdBackend};
-pub use engine::{CVec, SimdEngine};
+pub use engine::{CVec, SimdEngine, Words, PORT_WORD_BYTES};
+pub use sve::VL_MAX_BYTES;

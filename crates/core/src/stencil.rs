@@ -11,7 +11,7 @@
 
 use crate::field::{Field, FieldKind};
 use crate::layout::{delex, lex, Coor, Grid, NDIM};
-use crate::simd::CVec;
+use crate::simd::{CVec, Words};
 use std::sync::Arc;
 use sve::SveFloat;
 
@@ -129,16 +129,14 @@ impl<E: SveFloat> Stencil<E> {
     /// Fetch one component word through a stencil leg: load the neighbour's
     /// word and permute lanes if the leg crosses a virtual-node boundary.
     #[inline]
-    pub fn fetch<K: FieldKind>(
+    pub fn fetch<K: FieldKind, const N: usize>(
         &self,
+        eng: &Words<'_, E, N>,
         field: &Field<K, E>,
         comp: usize,
         entry: StencilEntry,
-    ) -> CVec {
-        let v = self
-            .grid
-            .engine()
-            .load(field.word(entry.nbr as usize, comp));
+    ) -> CVec<N> {
+        let v = eng.load(field.word(entry.nbr as usize, comp));
         self.permute(v, entry)
     }
 
@@ -147,7 +145,7 @@ impl<E: SveFloat> Stencil<E> {
     /// multi-RHS block path loads its own words, then permutes through
     /// here so its dataflow matches `fetch` exactly).
     #[inline]
-    pub fn permute(&self, v: CVec, entry: StencilEntry) -> CVec {
+    pub fn permute<const N: usize>(&self, v: CVec<N>, entry: StencilEntry) -> CVec<N> {
         match entry.perm {
             None => v,
             Some(id) => self.grid.engine().permute_elems(
@@ -230,7 +228,8 @@ mod tests {
             for dir in 0..8 {
                 for x in g.coords() {
                     let (osite, lane) = g.coor_to_osite_lane(&x);
-                    let fetched = st.fetch(&f, 0, st.leg(dir, osite));
+                    let eng = g.engine().words::<256>();
+                    let fetched = st.fetch(&eng, &f, 0, st.leg(dir, osite));
                     let got = g.engine().lane(fetched, lane).re as usize;
                     let want = g.global_index(&st.neighbour_coor(&x, dir));
                     assert_eq!(got, want, "vl={bits} dir={dir} x={x:?}");

@@ -254,23 +254,24 @@ pub fn mult_gamma<E: SveFloat>(
 ) -> Field<FermionKind, E> {
     let perm = element.perm();
     let grid = psi.grid().clone();
-    let eng = grid.engine();
-    let mut out = Field::<FermionKind, E>::zero(grid.clone());
-    for osite in 0..grid.osites() {
-        for r in 0..NSPIN {
-            for c in 0..NCOLOR {
-                let v = eng.load(psi.word(osite, spinor_comp(perm.src[r], c)));
-                let w = match perm.coeff[r] {
-                    Coeff::One => v,
-                    Coeff::MinusOne => eng.neg(v),
-                    Coeff::I => eng.times_i(v),
-                    Coeff::MinusI => eng.times_minus_i(v),
-                };
-                eng.store(out.word_mut(osite, spinor_comp(r, c)), w);
+    crate::sized!(grid.engine(), |eng| {
+        let mut out = Field::<FermionKind, E>::zero(grid.clone());
+        for osite in 0..grid.osites() {
+            for r in 0..NSPIN {
+                for c in 0..NCOLOR {
+                    let v = eng.load(psi.word(osite, spinor_comp(perm.src[r], c)));
+                    let w = match perm.coeff[r] {
+                        Coeff::One => v,
+                        Coeff::MinusOne => eng.neg(v),
+                        Coeff::I => eng.times_i(v),
+                        Coeff::MinusI => eng.times_minus_i(v),
+                    };
+                    eng.store(out.word_mut(osite, spinor_comp(r, c)), w);
+                }
             }
         }
-    }
-    out
+        out
+    })
 }
 
 #[cfg(test)]

@@ -180,11 +180,11 @@ pub fn peek_link<E: SveFloat>(u: &Field<GaugeKind, E>, x: &Coor, mu: usize) -> C
 
 /// `out[r] = Σ_c u[r][c] * v[c]` over SIMD words: 9 complex multiply-adds.
 #[inline]
-pub fn mat_vec<E: SveFloat>(
+pub fn mat_vec<E: SveFloat, const N: usize>(
     eng: &SimdEngine<E>,
-    u: &[[CVec; NCOLOR]; NCOLOR],
-    v: &[CVec; NCOLOR],
-) -> [CVec; NCOLOR] {
+    u: &[[CVec<N>; NCOLOR]; NCOLOR],
+    v: &[CVec<N>; NCOLOR],
+) -> [CVec<N>; NCOLOR] {
     std::array::from_fn(|r| {
         let mut acc = eng.mult(u[r][0], v[0]);
         acc = eng.madd(acc, u[r][1], v[1]);
@@ -196,11 +196,11 @@ pub fn mat_vec<E: SveFloat>(
 /// hopping term, using the conjugated-FCMLA idiom (paper Eq. (2), second
 /// line) instead of materializing the adjoint.
 #[inline]
-pub fn mat_dag_vec<E: SveFloat>(
+pub fn mat_dag_vec<E: SveFloat, const N: usize>(
     eng: &SimdEngine<E>,
-    u: &[[CVec; NCOLOR]; NCOLOR],
-    v: &[CVec; NCOLOR],
-) -> [CVec; NCOLOR] {
+    u: &[[CVec<N>; NCOLOR]; NCOLOR],
+    v: &[CVec<N>; NCOLOR],
+) -> [CVec<N>; NCOLOR] {
     std::array::from_fn(|r| {
         let mut acc = eng.mult_conj(u[0][r], v[0]);
         acc = eng.madd_conj(acc, u[1][r], v[1]);
@@ -213,11 +213,11 @@ pub fn mat_dag_vec<E: SveFloat>(
 /// per word where loading the row would cost 3 word loads. This is the
 /// compute the two-row operator mode trades for gauge bandwidth.
 #[inline]
-pub fn reconstruct_row2<E: SveFloat>(
+pub fn reconstruct_row2<E: SveFloat, const N: usize>(
     eng: &SimdEngine<E>,
-    r0: &[CVec; NCOLOR],
-    r1: &[CVec; NCOLOR],
-) -> [CVec; NCOLOR] {
+    r0: &[CVec<N>; NCOLOR],
+    r1: &[CVec<N>; NCOLOR],
+) -> [CVec<N>; NCOLOR] {
     std::array::from_fn(|c| {
         let (a, b) = ((c + 1) % NCOLOR, (c + 2) % NCOLOR);
         eng.conj(eng.sub(eng.mult(r0[a], r1[b]), eng.mult(r0[b], r1[a])))
@@ -228,11 +228,11 @@ pub fn reconstruct_row2<E: SveFloat>(
 /// multiply-adds), one product per virtual node per call — the plaquette /
 /// staple building block of the HMC gauge force.
 #[inline]
-pub fn mat_mul<E: SveFloat>(
+pub fn mat_mul<E: SveFloat, const N: usize>(
     eng: &SimdEngine<E>,
-    a: &[[CVec; NCOLOR]; NCOLOR],
-    b: &[[CVec; NCOLOR]; NCOLOR],
-) -> [[CVec; NCOLOR]; NCOLOR] {
+    a: &[[CVec<N>; NCOLOR]; NCOLOR],
+    b: &[[CVec<N>; NCOLOR]; NCOLOR],
+) -> [[CVec<N>; NCOLOR]; NCOLOR] {
     std::array::from_fn(|r| {
         std::array::from_fn(|c| {
             let mut acc = eng.mult(a[r][0], b[0][c]);
@@ -246,11 +246,11 @@ pub fn mat_mul<E: SveFloat>(
 /// (`conj(b[c][k]) * a[r][k]` — complex multiplication commutes) instead of
 /// materializing the adjoint.
 #[inline]
-pub fn mat_mul_dag<E: SveFloat>(
+pub fn mat_mul_dag<E: SveFloat, const N: usize>(
     eng: &SimdEngine<E>,
-    a: &[[CVec; NCOLOR]; NCOLOR],
-    b: &[[CVec; NCOLOR]; NCOLOR],
-) -> [[CVec; NCOLOR]; NCOLOR] {
+    a: &[[CVec<N>; NCOLOR]; NCOLOR],
+    b: &[[CVec<N>; NCOLOR]; NCOLOR],
+) -> [[CVec<N>; NCOLOR]; NCOLOR] {
     std::array::from_fn(|r| {
         std::array::from_fn(|c| {
             let mut acc = eng.mult_conj(b[c][0], a[r][0]);
@@ -262,11 +262,11 @@ pub fn mat_mul_dag<E: SveFloat>(
 
 /// `out = a† b` over SIMD words (conjugated-FCMLA on the left factor).
 #[inline]
-pub fn mat_dag_mul<E: SveFloat>(
+pub fn mat_dag_mul<E: SveFloat, const N: usize>(
     eng: &SimdEngine<E>,
-    a: &[[CVec; NCOLOR]; NCOLOR],
-    b: &[[CVec; NCOLOR]; NCOLOR],
-) -> [[CVec; NCOLOR]; NCOLOR] {
+    a: &[[CVec<N>; NCOLOR]; NCOLOR],
+    b: &[[CVec<N>; NCOLOR]; NCOLOR],
+) -> [[CVec<N>; NCOLOR]; NCOLOR] {
     std::array::from_fn(|r| {
         std::array::from_fn(|c| {
             let mut acc = eng.mult_conj(a[0][r], b[0][c]);
@@ -344,9 +344,9 @@ mod tests {
                     std::array::from_fn(|c| Complex::new(l as f64 + c as f64 * 0.5, 1.0 - c as f64))
                 })
                 .collect();
-            let u_words: [[CVec; 3]; 3] =
+            let u_words: [[CVec<_>; 3]; 3] =
                 std::array::from_fn(|r| std::array::from_fn(|c| eng.from_fn(|l| mats[l][r][c])));
-            let v_words: [CVec; 3] = std::array::from_fn(|c| eng.from_fn(|l| vecs[l][c]));
+            let v_words: [CVec<_>; 3] = std::array::from_fn(|c| eng.from_fn(|l| vecs[l][c]));
             let uv = mat_vec(&eng, &u_words, &v_words);
             let udv = mat_dag_vec(&eng, &u_words, &v_words);
             for l in 0..eng.lanes_c() {
@@ -408,9 +408,9 @@ mod tests {
             let bm: Vec<ColorMatrix> = (0..eng.lanes_c())
                 .map(|l| random_su3(8, l as u64 + 1))
                 .collect();
-            let aw: [[CVec; 3]; 3] =
+            let aw: [[CVec<_>; 3]; 3] =
                 std::array::from_fn(|r| std::array::from_fn(|c| eng.from_fn(|l| am[l][r][c])));
-            let bw: [[CVec; 3]; 3] =
+            let bw: [[CVec<_>; 3]; 3] =
                 std::array::from_fn(|r| std::array::from_fn(|c| eng.from_fn(|l| bm[l][r][c])));
             let ab = mat_mul(&eng, &aw, &bw);
             let abd = mat_mul_dag(&eng, &aw, &bw);
@@ -471,8 +471,8 @@ mod tests {
             let mats: Vec<ColorMatrix> = (0..eng.lanes_c())
                 .map(|l| random_su3(13, l as u64 + 1))
                 .collect();
-            let r0: [CVec; 3] = std::array::from_fn(|c| eng.from_fn(|l| mats[l][0][c]));
-            let r1: [CVec; 3] = std::array::from_fn(|c| eng.from_fn(|l| mats[l][1][c]));
+            let r0: [CVec<_>; 3] = std::array::from_fn(|c| eng.from_fn(|l| mats[l][0][c]));
+            let r1: [CVec<_>; 3] = std::array::from_fn(|c| eng.from_fn(|l| mats[l][1][c]));
             let row2 = reconstruct_row2(&eng, &r0, &r1);
             for l in 0..eng.lanes_c() {
                 let want = reconstruct_su3(&compress_su3(&mats[l]))[2];

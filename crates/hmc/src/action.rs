@@ -30,6 +30,7 @@ use grid::gauge::ColourMatrixKind;
 use grid::prelude::*;
 use grid::reduce;
 use grid::rng::{gaussian, stream_id};
+use grid::simd::Words;
 use grid::tensor::su3::{mat_dag_mul, mat_mul, mat_mul_dag, mat_mul_scalar, ColorMatrix};
 use grid::{gauge_comp, CVec, Field, FieldKind, NCOLOR, NDIM};
 use rayon::prelude::*;
@@ -49,12 +50,12 @@ pub const ACTION_FLOPS_PER_SITE: u64 = 6 * (2 * MATMUL_FLOPS + 70);
 
 /// Load a 3×3 complex word matrix from `NCOMP ≥ comp0 + 9` field storage.
 #[inline]
-fn load_mat<K: FieldKind>(
-    eng: &SimdEngine<f64>,
+fn load_mat<K: FieldKind, const N: usize>(
+    eng: &Words<'_, f64, N>,
     f: &Field<K>,
     osite: usize,
     comp0: usize,
-) -> [[CVec; NCOLOR]; NCOLOR] {
+) -> [[CVec<N>; NCOLOR]; NCOLOR] {
     std::array::from_fn(|r| std::array::from_fn(|c| eng.load(f.word(osite, comp0 + r * 3 + c))))
 }
 
@@ -86,11 +87,11 @@ fn osite_tree_sum(grid: &Arc<Grid>, leaf: impl Fn(usize, usize) -> f64 + Sync) -
 /// `tr(M C†)` per word: `Σ_{r,k} M[r][k]·conj(C[r][k])` — the trace of a
 /// product with an adjoint without materializing the product.
 #[inline]
-fn trace_mul_dag(
+fn trace_mul_dag<const N: usize>(
     eng: &SimdEngine<f64>,
-    m: &[[CVec; NCOLOR]; NCOLOR],
-    c: &[[CVec; NCOLOR]; NCOLOR],
-) -> CVec {
+    m: &[[CVec<N>; NCOLOR]; NCOLOR],
+    c: &[[CVec<N>; NCOLOR]; NCOLOR],
+) -> CVec<N> {
     let mut acc = eng.mult_conj(c[0][0], m[0][0]);
     for r in 0..NCOLOR {
         for k in 0..NCOLOR {
@@ -107,27 +108,28 @@ fn trace_mul_dag(
 /// word-level with a deterministic chunk-tree reduction.
 fn plaquette_re_trace_sum(u: &GaugeField) -> f64 {
     let grid = u.grid().clone();
-    let eng = grid.engine();
     // U(x+d̂) for every direction, site-local after the shift.
     let shifted: Vec<GaugeField> = (0..NDIM).map(|d| cshift(u, d, 1)).collect();
-    osite_tree_sum(&grid, |lo, hi| {
-        let mut sum = 0.0;
-        for osite in lo..hi {
-            for mu in 0..NDIM {
-                let umu = load_mat(eng, u, osite, gauge_comp(mu, 0, 0));
-                for nu in (mu + 1)..NDIM {
-                    let unu_xmu = load_mat(eng, &shifted[mu], osite, gauge_comp(nu, 0, 0));
-                    let umu_xnu = load_mat(eng, &shifted[nu], osite, gauge_comp(mu, 0, 0));
-                    let unu = load_mat(eng, u, osite, gauge_comp(nu, 0, 0));
-                    // P = U_µ(x) U_ν(x+µ̂) U_µ†(x+ν̂) U_ν†(x); take the
-                    // trace against the last adjoint directly.
-                    let m1 = mat_mul(eng, &umu, &unu_xmu);
-                    let m2 = mat_mul_dag(eng, &m1, &umu_xnu);
-                    sum += eng.reduce_sum(trace_mul_dag(eng, &m2, &unu)).re;
+    grid::sized!(grid.engine(), |eng| {
+        osite_tree_sum(&grid, |lo, hi| {
+            let mut sum = 0.0;
+            for osite in lo..hi {
+                for mu in 0..NDIM {
+                    let umu = load_mat(eng, u, osite, gauge_comp(mu, 0, 0));
+                    for nu in (mu + 1)..NDIM {
+                        let unu_xmu = load_mat(eng, &shifted[mu], osite, gauge_comp(nu, 0, 0));
+                        let umu_xnu = load_mat(eng, &shifted[nu], osite, gauge_comp(mu, 0, 0));
+                        let unu = load_mat(eng, u, osite, gauge_comp(nu, 0, 0));
+                        // P = U_µ(x) U_ν(x+µ̂) U_µ†(x+ν̂) U_ν†(x); take the
+                        // trace against the last adjoint directly.
+                        let m1 = mat_mul(eng, &umu, &unu_xmu);
+                        let m2 = mat_mul_dag(eng, &m1, &umu_xnu);
+                        sum += eng.reduce_sum(trace_mul_dag(eng, &m2, &unu)).re;
+                    }
                 }
             }
-        }
-        sum
+            sum
+        })
     })
 }
 
@@ -138,8 +140,7 @@ fn plaquette_re_trace_sum(u: &GaugeField) -> f64 {
 /// chunk-tree reduction).
 pub fn wilson_action(u: &GaugeField, beta: f64) -> f64 {
     let grid = u.grid().clone();
-    let eng = grid.engine();
-    let _span = qcd_trace::span!("hmc.action", eng.ctx());
+    let _span = qcd_trace::span!("hmc.action", grid.engine().ctx());
     let sites = grid.volume() as u64;
     qcd_trace::record_sites(sites);
     qcd_trace::record_flops(sites * ACTION_FLOPS_PER_SITE);
@@ -168,72 +169,73 @@ pub fn average_plaquette_fast(u: &GaugeField) -> f64 {
 /// four times (once per link it contains).
 pub fn staple_field(u: &GaugeField) -> GaugeField {
     let grid = u.grid().clone();
-    let eng = grid.engine();
-    let w = eng.word_len();
+    let w = grid.engine().word_len();
     let shifted: Vec<GaugeField> = (0..NDIM).map(|d| cshift(u, d, 1)).collect();
     let mut staple = GaugeField::zero(grid.clone());
     let cs = reduce::CHUNK_SITES * GaugeKind::NCOMP * w;
 
-    for mu in 0..NDIM {
-        for nu in 0..NDIM {
-            if nu == mu {
-                continue;
-            }
-            // Down staple: build D(y) = U_ν†(y+µ̂) U_µ†(y) U_ν(y) site-
-            // locally, then shift it down so D arrives at x = y+ν̂.
-            let mut down_src = Field::<ColourMatrixKind>::zero(grid.clone());
-            let tcs = reduce::CHUNK_SITES * ColourMatrixKind::NCOMP * w;
-            down_src
-                .data_mut()
-                .par_chunks_mut(tcs)
-                .enumerate()
-                .for_each(|(ci, chunk)| {
-                    let base = ci * reduce::CHUNK_SITES;
-                    for (j, block) in chunk
-                        .chunks_exact_mut(ColourMatrixKind::NCOMP * w)
-                        .enumerate()
-                    {
-                        let osite = base + j;
-                        let a = load_mat(eng, &shifted[mu], osite, gauge_comp(nu, 0, 0));
-                        let b = load_mat(eng, u, osite, gauge_comp(mu, 0, 0));
-                        let c = load_mat(eng, u, osite, gauge_comp(nu, 0, 0));
-                        let d = mat_dag_mul(eng, &a, &mat_dag_mul(eng, &b, &c));
-                        for r in 0..NCOLOR {
-                            for cc in 0..NCOLOR {
-                                eng.store(&mut block[(r * 3 + cc) * w..][..w], d[r][cc]);
+    grid::sized!(grid.engine(), |eng| {
+        for mu in 0..NDIM {
+            for nu in 0..NDIM {
+                if nu == mu {
+                    continue;
+                }
+                // Down staple: build D(y) = U_ν†(y+µ̂) U_µ†(y) U_ν(y) site-
+                // locally, then shift it down so D arrives at x = y+ν̂.
+                let mut down_src = Field::<ColourMatrixKind>::zero(grid.clone());
+                let tcs = reduce::CHUNK_SITES * ColourMatrixKind::NCOMP * w;
+                down_src
+                    .data_mut()
+                    .par_chunks_mut(tcs)
+                    .enumerate()
+                    .for_each(|(ci, chunk)| {
+                        let base = ci * reduce::CHUNK_SITES;
+                        for (j, block) in chunk
+                            .chunks_exact_mut(ColourMatrixKind::NCOMP * w)
+                            .enumerate()
+                        {
+                            let osite = base + j;
+                            let a = load_mat(eng, &shifted[mu], osite, gauge_comp(nu, 0, 0));
+                            let b = load_mat(eng, u, osite, gauge_comp(mu, 0, 0));
+                            let c = load_mat(eng, u, osite, gauge_comp(nu, 0, 0));
+                            let d = mat_dag_mul(eng, &a, &mat_dag_mul(eng, &b, &c));
+                            for r in 0..NCOLOR {
+                                for cc in 0..NCOLOR {
+                                    eng.store(&mut block[(r * 3 + cc) * w..][..w], d[r][cc]);
+                                }
                             }
                         }
-                    }
-                });
-            let down = cshift(&down_src, nu, -1);
+                    });
+                let down = cshift(&down_src, nu, -1);
 
-            // Up staple is site-local given the shifted fields; accumulate
-            // both contributions into the packed staple component.
-            staple
-                .data_mut()
-                .par_chunks_mut(cs)
-                .enumerate()
-                .for_each(|(ci, chunk)| {
-                    let base = ci * reduce::CHUNK_SITES;
-                    for (j, block) in chunk.chunks_exact_mut(GaugeKind::NCOMP * w).enumerate() {
-                        let osite = base + j;
-                        let a = load_mat(eng, &shifted[mu], osite, gauge_comp(nu, 0, 0));
-                        let b = load_mat(eng, &shifted[nu], osite, gauge_comp(mu, 0, 0));
-                        let c = load_mat(eng, u, osite, gauge_comp(nu, 0, 0));
-                        let up = mat_mul_dag(eng, &mat_mul_dag(eng, &a, &b), &c);
-                        let d = load_mat(eng, &down, osite, 0);
-                        for r in 0..NCOLOR {
-                            for cc in 0..NCOLOR {
-                                let slot = &mut block[(gauge_comp(mu, r, cc)) * w..][..w];
-                                let acc = eng.add(eng.load(slot), eng.add(up[r][cc], d[r][cc]));
-                                eng.store(slot, acc);
+                // Up staple is site-local given the shifted fields; accumulate
+                // both contributions into the packed staple component.
+                staple
+                    .data_mut()
+                    .par_chunks_mut(cs)
+                    .enumerate()
+                    .for_each(|(ci, chunk)| {
+                        let base = ci * reduce::CHUNK_SITES;
+                        for (j, block) in chunk.chunks_exact_mut(GaugeKind::NCOMP * w).enumerate() {
+                            let osite = base + j;
+                            let a = load_mat(eng, &shifted[mu], osite, gauge_comp(nu, 0, 0));
+                            let b = load_mat(eng, &shifted[nu], osite, gauge_comp(mu, 0, 0));
+                            let c = load_mat(eng, u, osite, gauge_comp(nu, 0, 0));
+                            let up = mat_mul_dag(eng, &mat_mul_dag(eng, &a, &b), &c);
+                            let d = load_mat(eng, &down, osite, 0);
+                            for r in 0..NCOLOR {
+                                for cc in 0..NCOLOR {
+                                    let slot = &mut block[(gauge_comp(mu, r, cc)) * w..][..w];
+                                    let acc = eng.add(eng.load(slot), eng.add(up[r][cc], d[r][cc]));
+                                    eng.store(slot, acc);
+                                }
                             }
                         }
-                    }
-                });
+                    });
+            }
         }
-    }
-    staple
+        staple
+    })
 }
 
 /// The HMC gauge force `F_µ(x) = -(β/6) · TA(U_µ(x) Σ_µ(x))` as a
@@ -243,53 +245,54 @@ pub fn staple_field(u: &GaugeField) -> GaugeField {
 /// `hmc.force` trace span with site and flop counts.
 pub fn force(u: &GaugeField, beta: f64) -> GaugeField {
     let grid = u.grid().clone();
-    let eng = grid.engine();
-    let _span = qcd_trace::span!("hmc.force", eng.ctx());
+    let _span = qcd_trace::span!("hmc.force", grid.engine().ctx());
     let sites = grid.volume() as u64;
     qcd_trace::record_sites(sites);
     qcd_trace::record_flops(sites * FORCE_FLOPS_PER_SITE);
 
     let staple = staple_field(u);
-    let w = eng.word_len();
-    let coef = eng.dup_real(-beta / (2.0 * NCOLOR as f64));
-    let half = eng.dup_real(0.5);
-    let third = eng.dup_real(1.0 / NCOLOR as f64);
-    let mut f = GaugeField::zero(grid.clone());
-    let cs = reduce::CHUNK_SITES * GaugeKind::NCOMP * w;
-    f.data_mut()
-        .par_chunks_mut(cs)
-        .enumerate()
-        .for_each(|(ci, chunk)| {
-            let base = ci * reduce::CHUNK_SITES;
-            for (j, block) in chunk.chunks_exact_mut(GaugeKind::NCOMP * w).enumerate() {
-                let osite = base + j;
-                for mu in 0..NDIM {
-                    let um = load_mat(eng, u, osite, gauge_comp(mu, 0, 0));
-                    let sm = load_mat(eng, &staple, osite, gauge_comp(mu, 0, 0));
-                    let wm = mat_mul(eng, &um, &sm);
-                    // A = W - W† (anti-Hermitian part, twice).
-                    let a: [[CVec; NCOLOR]; NCOLOR] = std::array::from_fn(|r| {
-                        std::array::from_fn(|c| eng.sub(wm[r][c], eng.conj(wm[c][r])))
-                    });
-                    // TA(W) = A/2 - (tr A / 2N_c) · 1, then scale by -β/2N_c.
-                    let tr = eng.add(eng.add(a[0][0], a[1][1]), a[2][2]);
-                    let tr_term = eng.scale(half, eng.scale(third, tr));
-                    for r in 0..NCOLOR {
-                        for c in 0..NCOLOR {
-                            let mut v = eng.scale(half, a[r][c]);
-                            if r == c {
-                                v = eng.sub(v, tr_term);
+    grid::sized!(grid.engine(), |eng| {
+        let w = eng.word_len();
+        let coef = eng.dup_real(-beta / (2.0 * NCOLOR as f64));
+        let half = eng.dup_real(0.5);
+        let third = eng.dup_real(1.0 / NCOLOR as f64);
+        let mut f = GaugeField::zero(grid.clone());
+        let cs = reduce::CHUNK_SITES * GaugeKind::NCOMP * w;
+        f.data_mut()
+            .par_chunks_mut(cs)
+            .enumerate()
+            .for_each(|(ci, chunk)| {
+                let base = ci * reduce::CHUNK_SITES;
+                for (j, block) in chunk.chunks_exact_mut(GaugeKind::NCOMP * w).enumerate() {
+                    let osite = base + j;
+                    for mu in 0..NDIM {
+                        let um = load_mat(eng, u, osite, gauge_comp(mu, 0, 0));
+                        let sm = load_mat(eng, &staple, osite, gauge_comp(mu, 0, 0));
+                        let wm = mat_mul(eng, &um, &sm);
+                        // A = W - W† (anti-Hermitian part, twice).
+                        let a: [[CVec<_>; NCOLOR]; NCOLOR] = std::array::from_fn(|r| {
+                            std::array::from_fn(|c| eng.sub(wm[r][c], eng.conj(wm[c][r])))
+                        });
+                        // TA(W) = A/2 - (tr A / 2N_c) · 1, then scale by -β/2N_c.
+                        let tr = eng.add(eng.add(a[0][0], a[1][1]), a[2][2]);
+                        let tr_term = eng.scale(half, eng.scale(third, tr));
+                        for r in 0..NCOLOR {
+                            for c in 0..NCOLOR {
+                                let mut v = eng.scale(half, a[r][c]);
+                                if r == c {
+                                    v = eng.sub(v, tr_term);
+                                }
+                                eng.store(
+                                    &mut block[gauge_comp(mu, r, c) * w..][..w],
+                                    eng.scale(coef, v),
+                                );
                             }
-                            eng.store(
-                                &mut block[gauge_comp(mu, r, c) * w..][..w],
-                                eng.scale(coef, v),
-                            );
                         }
                     }
                 }
-            }
-        });
-    f
+            });
+        f
+    })
 }
 
 /// Kinetic energy of a momentum field: `K = -Σ_{x,µ} tr P_µ(x)²`, which for
@@ -327,42 +330,45 @@ pub fn refresh_momenta(grid: Arc<Grid>, seed: u64) -> GaugeField {
 /// evaluated per SIMD lane through [`crate::algebra::exp_su3`].
 pub fn update_links(u: &mut GaugeField, p: &GaugeField, eps: f64) {
     let grid = u.grid().clone();
-    let eng = grid.engine();
-    let w = eng.word_len();
-    let lanes = eng.lanes_c();
-    let cs = reduce::CHUNK_SITES * GaugeKind::NCOMP * w;
-    u.data_mut()
-        .par_chunks_mut(cs)
-        .enumerate()
-        .for_each(|(ci, chunk)| {
-            let base = ci * reduce::CHUNK_SITES;
-            for (j, block) in chunk.chunks_exact_mut(GaugeKind::NCOMP * w).enumerate() {
-                let osite = base + j;
-                for mu in 0..NDIM {
-                    let pw = load_mat(eng, p, osite, gauge_comp(mu, 0, 0));
-                    let uw: [[CVec; NCOLOR]; NCOLOR] = std::array::from_fn(|r| {
-                        std::array::from_fn(|c| eng.load(&block[gauge_comp(mu, r, c) * w..][..w]))
-                    });
-                    let per_lane: Vec<ColorMatrix> = (0..lanes)
-                        .map(|l| {
-                            let pm: ColorMatrix = std::array::from_fn(|r| {
-                                std::array::from_fn(|c| eng.lane(pw[r][c], l).scale(eps))
-                            });
-                            let um: ColorMatrix = std::array::from_fn(|r| {
-                                std::array::from_fn(|c| eng.lane(uw[r][c], l))
-                            });
-                            mat_mul_scalar(&exp_su3(&pm), &um)
-                        })
-                        .collect();
-                    for r in 0..NCOLOR {
-                        for c in 0..NCOLOR {
-                            let v = eng.from_fn(|l| per_lane[l][r][c]);
-                            eng.store(&mut block[gauge_comp(mu, r, c) * w..][..w], v);
+    grid::sized!(grid.engine(), |eng| {
+        let w = eng.word_len();
+        let lanes = eng.lanes_c();
+        let cs = reduce::CHUNK_SITES * GaugeKind::NCOMP * w;
+        u.data_mut()
+            .par_chunks_mut(cs)
+            .enumerate()
+            .for_each(|(ci, chunk)| {
+                let base = ci * reduce::CHUNK_SITES;
+                for (j, block) in chunk.chunks_exact_mut(GaugeKind::NCOMP * w).enumerate() {
+                    let osite = base + j;
+                    for mu in 0..NDIM {
+                        let pw = load_mat(eng, p, osite, gauge_comp(mu, 0, 0));
+                        let uw: [[CVec<_>; NCOLOR]; NCOLOR] = std::array::from_fn(|r| {
+                            std::array::from_fn(|c| {
+                                eng.load(&block[gauge_comp(mu, r, c) * w..][..w])
+                            })
+                        });
+                        let per_lane: Vec<ColorMatrix> = (0..lanes)
+                            .map(|l| {
+                                let pm: ColorMatrix = std::array::from_fn(|r| {
+                                    std::array::from_fn(|c| eng.lane(pw[r][c], l).scale(eps))
+                                });
+                                let um: ColorMatrix = std::array::from_fn(|r| {
+                                    std::array::from_fn(|c| eng.lane(uw[r][c], l))
+                                });
+                                mat_mul_scalar(&exp_su3(&pm), &um)
+                            })
+                            .collect();
+                        for r in 0..NCOLOR {
+                            for c in 0..NCOLOR {
+                                let v = eng.from_fn(|l| per_lane[l][r][c]);
+                                eng.store(&mut block[gauge_comp(mu, r, c) * w..][..w], v);
+                            }
                         }
                     }
                 }
-            }
-        });
+            });
+    })
 }
 
 #[cfg(test)]

@@ -11,7 +11,23 @@ pub mod channel {
     //! MPMC channels, mirroring `crossbeam::channel`.
 
     use std::collections::VecDeque;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, Condvar, Mutex};
+    use std::time::{Duration, Instant};
+
+    /// How long [`Receiver::recv`] waits awake for a message before it
+    /// parks, as crossbeam's own `recv` backs off before it blocks. Threads
+    /// that hand messages back and forth (rank threads trading halos and
+    /// reduction slabs) are rarely more than a few tens of microseconds
+    /// apart; sleeping through such a gap costs a futex wait, an idle CPU
+    /// and a wake-up as long as the gap itself. On a virtual CPU it costs
+    /// more: every sleep hands the CPU back to the hypervisor, which is free
+    /// to bring it back somewhere worse, and a two-rank solve that parked
+    /// 80 times ran in the host's slow phases more than twice as often as
+    /// one that parked 7 times (EXPERIMENTS.md, "Run-to-run spread of the
+    /// two-thread workloads"). KVM polls a halted CPU for the same 200 µs
+    /// by default.
+    const POLL: Duration = Duration::from_micros(200);
 
     struct State<T> {
         queue: VecDeque<T>,
@@ -23,6 +39,11 @@ pub mod channel {
 
     struct Inner<T> {
         state: Mutex<State<T>>,
+        /// `state.queue.len()`, written under the lock and kept where a
+        /// waiting receiver can read it without taking the lock a sender
+        /// needs. Only a hint that it is worth locking (`Relaxed`): the
+        /// queue itself is read under the lock.
+        queued: AtomicUsize,
         ready: Condvar,
         /// Signalled when a bounded queue frees a slot.
         space: Condvar,
@@ -66,6 +87,7 @@ pub mod channel {
                 senders: 1,
                 capacity: usize::MAX,
             }),
+            queued: AtomicUsize::new(0),
             ready: Condvar::new(),
             space: Condvar::new(),
         });
@@ -85,6 +107,7 @@ pub mod channel {
                 senders: 1,
                 capacity: cap,
             }),
+            queued: AtomicUsize::new(0),
             ready: Condvar::new(),
             space: Condvar::new(),
         });
@@ -119,6 +142,7 @@ pub mod channel {
                 st = self.0.space.wait(st).unwrap();
             }
             st.queue.push_back(value);
+            self.0.queued.store(st.queue.len(), Ordering::Relaxed);
             drop(st);
             self.0.ready.notify_one();
             Ok(())
@@ -132,6 +156,7 @@ pub mod channel {
                 return Err(SendError(value));
             }
             st.queue.push_back(value);
+            self.0.queued.store(st.queue.len(), Ordering::Relaxed);
             drop(st);
             self.0.ready.notify_one();
             Ok(())
@@ -147,9 +172,17 @@ pub mod channel {
     impl<T> Receiver<T> {
         /// Block until a message arrives or every sender disconnects.
         pub fn recv(&self) -> Result<T, RecvError> {
+            // Yielding, not spinning on a pause instruction: when more
+            // threads wait than there are CPUs, the thread this one waits
+            // for gets the CPU at once.
+            let deadline = Instant::now() + POLL;
+            while self.0.queued.load(Ordering::Relaxed) == 0 && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
             let mut st = self.0.state.lock().unwrap();
             loop {
                 if let Some(v) = st.queue.pop_front() {
+                    self.0.queued.store(st.queue.len(), Ordering::Relaxed);
                     drop(st);
                     self.0.space.notify_one();
                     return Ok(v);
@@ -163,7 +196,10 @@ pub mod channel {
 
         /// Non-blocking receive of an already-queued message.
         pub fn try_recv(&self) -> Result<T, RecvError> {
-            let v = self.0.state.lock().unwrap().queue.pop_front();
+            let mut st = self.0.state.lock().unwrap();
+            let v = st.queue.pop_front();
+            self.0.queued.store(st.queue.len(), Ordering::Relaxed);
+            drop(st);
             match v {
                 Some(v) => {
                     self.0.space.notify_one();
@@ -209,6 +245,24 @@ mod tests {
         drop(tx);
         assert_eq!(rx.recv(), Ok(9));
         assert_eq!(rx.recv(), Err(RecvError));
+    }
+
+    #[test]
+    fn recv_outlasts_its_polling_window() {
+        // The sender is later than `recv` waits awake, so the message and
+        // then the disconnect reach a parked receiver. (If a sleep is cut
+        // short the polling path delivers them; the assertions hold either
+        // way.)
+        let (tx, rx) = unbounded();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+                tx.send(1u8).unwrap();
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            });
+            assert_eq!(rx.recv(), Ok(1));
+            assert_eq!(rx.recv(), Err(RecvError));
+        });
     }
 
     #[test]

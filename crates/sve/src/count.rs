@@ -11,7 +11,7 @@
 //! cycle estimates for hypothetical silicon.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 macro_rules! opcodes {
     ($($name:ident => $mnemonic:literal, $class:ident;)*) => {
@@ -227,7 +227,6 @@ struct Shard([AtomicU64; Opcode::COUNT]);
 /// private shards `fetch_add` on the overflow shard. Readers sum the shards.
 pub struct Counters {
     shards: [Shard; SHARDS + 1],
-    enabled: AtomicBool,
 }
 
 impl Default for Counters {
@@ -237,11 +236,10 @@ impl Default for Counters {
 }
 
 impl Counters {
-    /// Fresh zeroed counters with counting enabled.
+    /// Fresh zeroed counters.
     pub fn new() -> Self {
         Counters {
             shards: std::array::from_fn(|_| Shard(std::array::from_fn(|_| AtomicU64::new(0)))),
-            enabled: AtomicBool::new(true),
         }
     }
 
@@ -254,9 +252,6 @@ impl Counters {
     /// Record `n` executions of `op`.
     #[inline]
     pub fn bump_n(&self, op: Opcode, n: u64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         // `min` tells the compiler the index is in range; a slot id never
         // exceeds OVERFLOW.
         let slot = thread_slot().min(OVERFLOW);
@@ -266,11 +261,6 @@ impl Counters {
         } else {
             count.store(count.load(Ordering::Relaxed) + n, Ordering::Relaxed);
         }
-    }
-
-    /// Enable or disable counting (e.g. around warm-up phases).
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
     }
 
     /// Executions recorded for `op`.
@@ -422,17 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_counters_do_not_record() {
-        let c = Counters::new();
-        c.set_enabled(false);
-        c.bump(Opcode::Fmul);
-        assert_eq!(c.total(), 0);
-        c.set_enabled(true);
-        c.bump(Opcode::Fmul);
-        assert_eq!(c.total(), 1);
-    }
-
-    #[test]
     fn reset_clears() {
         let c = Counters::new();
         c.bump_n(Opcode::St2, 7);
@@ -535,9 +514,6 @@ mod tests {
 
         c.reset();
         assert_eq!(c.total(), 0);
-        c.set_enabled(false);
-        bump_mixed(&c, THREADS, N);
-        assert_eq!(c.total(), 0, "disabled counters record nothing");
     }
 
     #[test]

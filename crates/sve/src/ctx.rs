@@ -32,8 +32,7 @@ pub enum ToolchainFault {
 /// Execution context for the SVE functional model.
 ///
 /// Cheap to construct; intended to be created once per simulated "machine"
-/// and shared (`&SveCtx` / `Arc<SveCtx>`) across threads. Counting uses
-/// relaxed atomics and can be disabled.
+/// and shared (`&SveCtx` / `Arc<SveCtx>`) across threads.
 pub struct SveCtx {
     /// The vector length, and which compiled copy of the lane loops this
     /// host runs it with — detected here, so an instruction reads a field.
@@ -66,6 +65,15 @@ impl SveCtx {
     #[inline]
     pub(crate) fn lowering(&self) -> Lowering {
         self.lowering
+    }
+
+    /// This context as seen by code that holds `N`-byte registers — a
+    /// kernel that fixed its vector length at compile time (paper, Section
+    /// V-A) and sized its registers to match. `N` is usually inferred from
+    /// the operands of the first instruction issued through the view.
+    #[inline]
+    pub fn sized<const N: usize>(&self) -> SizedCtx<'_, N> {
+        SizedCtx { ctx: self }
     }
 
     /// Instruction tallies recorded so far.
@@ -117,6 +125,17 @@ impl SveCtx {
             }
         }
     }
+}
+
+/// An [`SveCtx`] issuing instructions on registers of `N` bytes
+/// ([`crate::Reg<N>`]): the sized forms of the intrinsics a fixed-length
+/// kernel uses are its methods, and the free functions of
+/// [`crate::intrinsics`] of the same names are these at `N =`
+/// [`crate::VL_MAX_BYTES`]. An instruction panics if the context's vector is
+/// longer than `N` bytes; a shorter one uses a prefix of the register.
+#[derive(Clone, Copy)]
+pub struct SizedCtx<'a, const N: usize> {
+    pub(crate) ctx: &'a SveCtx,
 }
 
 impl std::fmt::Debug for SveCtx {

@@ -9,7 +9,9 @@
 //! * per vector length ([`unrolled`]) — the five lengths of
 //!   [`VectorLength::sweep`] each get a compile-time byte count, so the loop
 //!   becomes straight-line code; every other length takes the same body
-//!   with a runtime count;
+//!   with a runtime count. The registers' capacity is part of the loop's
+//!   type ([`LaneLoop::CAPACITY`]): lengths that do not fit a 64-byte
+//!   register are dead arms in its instance and compile to nothing;
 //! * for the loop that does arithmetic, per codegen context
 //!   ([`Lowering::run`]) — baseline, and on x86-64 a copy compiled with AVX2
 //!   and FMA enabled, where `mul_add` is one instruction instead of a call
@@ -23,12 +25,14 @@
 //! baseline copy (on AArch64 `mul_add` already is an instruction).
 
 use crate::vl::VectorLength;
-use crate::vreg::LaneGroup;
+use crate::vreg::{prefix_len, LaneGroup};
 
 /// A loop over the lanes (or lane pairs) `G` of vector registers.
 pub(crate) trait LaneLoop<G: LaneGroup> {
     /// What the loop produces.
     type Out;
+    /// Bytes of storage in the registers the loop walks.
+    const CAPACITY: usize;
     /// Run over the first `bytes` bytes of the registers. Implementations
     /// are `#[inline(always)]`: the body is meant to be compiled once per
     /// call in [`unrolled`], with `bytes` a constant.
@@ -83,15 +87,17 @@ impl Lowering {
 }
 
 /// Run `body` over the `vl` prefix of its registers, inlined into the
-/// caller: one instance per swept vector length, each with a constant byte
-/// count, and the runtime count for every other length (and for lane types
-/// that are not lowered).
+/// caller: one instance per swept vector length the registers can hold, each
+/// with a constant byte count, and the runtime count for every other length
+/// (and for lane types that are not lowered). A vector longer than the
+/// registers panics.
 #[inline(always)]
 pub(crate) fn unrolled<G: LaneGroup, L: LaneLoop<G>>(vl: VectorLength, body: L) -> L::Out {
+    let bytes = prefix_len(L::CAPACITY, vl);
     if !G::LOWERED {
-        return body.run(vl.bytes());
+        return body.run(bytes);
     }
-    match vl.bytes() {
+    match bytes {
         16 => body.run(16),
         32 => body.run(32),
         64 => body.run(64),
@@ -197,6 +203,29 @@ mod tests {
         same_bytes(vl, what, VReg::from_index(vl, &f), want);
     }
 
+    /// Both compiled copies of the contiguous load agree with writing the
+    /// lanes one by one, for a slice longer than the vector.
+    fn from_slice_matches<E: SveFloat>(vl: VectorLength, src: &VReg) {
+        let data = src.to_vec::<E>(VectorLength::of(crate::vl::VL_MAX_BITS));
+        let mut want = VReg::zeroed();
+        for (i, &v) in data[..vl.lanes_of(E::BYTES)].iter().enumerate() {
+            want.set_lane(i, v);
+        }
+        let what = format!("from_slice .{}", E::SUFFIX);
+        same_bytes(
+            vl,
+            &what,
+            VReg::from_slice(Lowering::for_host(vl), &data),
+            want,
+        );
+        same_bytes(
+            vl,
+            &what,
+            VReg::from_slice(Lowering::portable(vl), &data),
+            want,
+        );
+    }
+
     fn float_loops<E: SveFloat>() {
         let (z, a, b) = (operand::<E>(1), operand::<E>(2), operand::<E>(3));
         let real = |z: E, a: E, b: E| a.mul_add(b, z).add(z.sub(b).mul(a).abs().sqrt());
@@ -205,6 +234,7 @@ mod tests {
         };
         for vl in VLS.map(VectorLength::of) {
             let lanes = vl.lanes_of(E::BYTES);
+            from_slice_matches::<E>(vl, &a);
             let full = PReg::ptrue::<E>(vl);
             let partial = PReg::whilelt::<E>(vl, 0, lanes as u64 - 1);
             for (pg, tag) in [(full, "full"), (partial, "partial")] {

@@ -7,24 +7,90 @@
 
 use super::shape::{binary, fold_active, ternary, unary, Inactive};
 use crate::count::Opcode;
-use crate::ctx::SveCtx;
+use crate::ctx::{SizedCtx, SveCtx};
 use crate::elem::{SveElem, SveFloat};
 use crate::pred::PReg;
-use crate::vreg::VReg;
+use crate::vreg::{Reg, VReg};
+
+/// The real-arithmetic instructions a fixed-length kernel issues, on
+/// `N`-byte registers; the free functions of the same names below are these
+/// at the maximum capacity.
+impl<const N: usize> SizedCtx<'_, N> {
+    /// [`svdup`] into an `N`-byte register.
+    #[inline]
+    pub fn svdup<E: SveElem>(&self, x: E) -> Reg<N> {
+        self.ctx.exec(Opcode::Dup);
+        Reg::from_fn::<E>(self.ctx.vl(), |_| x)
+    }
+
+    /// [`svadd_x`] on `N`-byte registers.
+    #[inline]
+    pub fn svadd_x<E: SveFloat>(&self, pg: &PReg, a: &Reg<N>, b: &Reg<N>) -> Reg<N> {
+        self.ctx.exec(Opcode::Fadd);
+        binary(self.ctx, pg, Inactive::Computed, a, b, E::add)
+    }
+
+    /// [`svsub_x`] on `N`-byte registers.
+    #[inline]
+    pub fn svsub_x<E: SveFloat>(&self, pg: &PReg, a: &Reg<N>, b: &Reg<N>) -> Reg<N> {
+        self.ctx.exec(Opcode::Fsub);
+        binary(self.ctx, pg, Inactive::Computed, a, b, E::sub)
+    }
+
+    /// [`svmul_x`] on `N`-byte registers.
+    #[inline]
+    pub fn svmul_x<E: SveFloat>(&self, pg: &PReg, a: &Reg<N>, b: &Reg<N>) -> Reg<N> {
+        self.ctx.exec(Opcode::Fmul);
+        binary(self.ctx, pg, Inactive::Computed, a, b, E::mul)
+    }
+
+    /// [`svneg_x`] on an `N`-byte register.
+    #[inline]
+    pub fn svneg_x<E: SveFloat>(&self, pg: &PReg, a: &Reg<N>) -> Reg<N> {
+        self.ctx.exec(Opcode::Fneg);
+        unary(self.ctx, pg, Inactive::Computed, a, E::neg)
+    }
+
+    /// [`svneg_m`] on an `N`-byte register.
+    #[inline]
+    pub fn svneg_m<E: SveFloat>(&self, pg: &PReg, a: &Reg<N>) -> Reg<N> {
+        self.ctx.exec(Opcode::Fneg);
+        unary(self.ctx, pg, Inactive::First, a, E::neg)
+    }
+
+    /// [`svmla_m`] on `N`-byte registers.
+    #[inline]
+    pub fn svmla_m<E: SveFloat>(&self, pg: &PReg, acc: &Reg<N>, a: &Reg<N>, b: &Reg<N>) -> Reg<N> {
+        self.ctx.exec(Opcode::Fmla);
+        ternary(self.ctx, pg, acc, a, b, |z: E, x, y| x.mul_add(y, z))
+    }
+
+    /// [`svnmls_m`] on `N`-byte registers.
+    #[inline]
+    pub fn svnmls_m<E: SveFloat>(&self, pg: &PReg, acc: &Reg<N>, a: &Reg<N>, b: &Reg<N>) -> Reg<N> {
+        self.ctx.exec(Opcode::Fnmls);
+        ternary(self.ctx, pg, acc, a, b, |z: E, x, y| x.mul_add(y, z.neg()))
+    }
+
+    /// [`movprfx`] of an `N`-byte register.
+    #[inline]
+    pub fn movprfx(&self, src: &Reg<N>) -> Reg<N> {
+        self.ctx.exec(Opcode::Movprfx);
+        *src
+    }
+}
 
 /// `svdup` — broadcast a scalar into every lane (`mov z0.d, #imm` /
 /// `dup z0.d, x0`).
 #[inline]
 pub fn svdup<E: SveElem>(ctx: &SveCtx, x: E) -> VReg {
-    ctx.exec(Opcode::Dup);
-    VReg::from_fn::<E>(ctx.vl(), |_| x)
+    ctx.sized().svdup(x)
 }
 
 /// `svadd_x` — lane-wise add; inactive lanes computed unpredicated.
 #[inline]
 pub fn svadd_x<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg {
-    ctx.exec(Opcode::Fadd);
-    binary(ctx, pg, Inactive::Computed, a, b, E::add)
+    ctx.sized().svadd_x::<E>(pg, a, b)
 }
 
 /// `svadd_m` — lane-wise add, inactive lanes keep `a`.
@@ -37,15 +103,13 @@ pub fn svadd_m<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg
 /// `svsub_x` — lane-wise subtract.
 #[inline]
 pub fn svsub_x<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg {
-    ctx.exec(Opcode::Fsub);
-    binary(ctx, pg, Inactive::Computed, a, b, E::sub)
+    ctx.sized().svsub_x::<E>(pg, a, b)
 }
 
 /// `svmul_x` — lane-wise multiply (listing IV-A's `fmul`).
 #[inline]
 pub fn svmul_x<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg {
-    ctx.exec(Opcode::Fmul);
-    binary(ctx, pg, Inactive::Computed, a, b, E::mul)
+    ctx.sized().svmul_x::<E>(pg, a, b)
 }
 
 /// `svmul_z` — lane-wise multiply with zeroing predication.
@@ -58,8 +122,7 @@ pub fn svmul_z<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg
 /// `svneg_x` — lane-wise negate.
 #[inline]
 pub fn svneg_x<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg) -> VReg {
-    ctx.exec(Opcode::Fneg);
-    unary(ctx, pg, Inactive::Computed, a, E::neg)
+    ctx.sized().svneg_x::<E>(pg, a)
 }
 
 /// `svneg_m` — lane-wise negate with merging predication: active lanes are
@@ -67,8 +130,7 @@ pub fn svneg_x<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg) -> VReg {
 /// the real-arithmetic complex kernels flip signs on alternating lanes.
 #[inline]
 pub fn svneg_m<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg) -> VReg {
-    ctx.exec(Opcode::Fneg);
-    unary(ctx, pg, Inactive::First, a, E::neg)
+    ctx.sized().svneg_m::<E>(pg, a)
 }
 
 /// `svabs_x` — lane-wise absolute value.
@@ -103,8 +165,7 @@ pub fn svmin_x<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg
 /// `acc` (listing IV-B's `fmla z7.d, p1/m, z3.d, z0.d`).
 #[inline]
 pub fn svmla_m<E: SveFloat>(ctx: &SveCtx, pg: &PReg, acc: &VReg, a: &VReg, b: &VReg) -> VReg {
-    ctx.exec(Opcode::Fmla);
-    ternary(ctx, pg, acc, a, b, |z: E, x, y| x.mul_add(y, z))
+    ctx.sized().svmla_m::<E>(pg, acc, a, b)
 }
 
 /// `svmls_m` — fused multiply-subtract: `acc - a*b` per lane.
@@ -118,8 +179,7 @@ pub fn svmls_m<E: SveFloat>(ctx: &SveCtx, pg: &PReg, acc: &VReg, a: &VReg, b: &V
 /// IV-B's `fnmls z6.d, p1/m, z2.d, z0.d`).
 #[inline]
 pub fn svnmls_m<E: SveFloat>(ctx: &SveCtx, pg: &PReg, acc: &VReg, a: &VReg, b: &VReg) -> VReg {
-    ctx.exec(Opcode::Fnmls);
-    ternary(ctx, pg, acc, a, b, |z: E, x, y| x.mul_add(y, z.neg()))
+    ctx.sized().svnmls_m::<E>(pg, acc, a, b)
 }
 
 /// `svindex` — lane `i` gets `base + i * step` (64-bit integer lanes); the
@@ -159,8 +219,7 @@ pub fn svscale_x<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg, exp: &VReg) -> 
 /// register copy; accounted separately because it occupies an issue slot.
 #[inline]
 pub fn movprfx(ctx: &SveCtx, src: &VReg) -> VReg {
-    ctx.exec(Opcode::Movprfx);
-    *src
+    ctx.sized().movprfx(src)
 }
 
 /// `mov z, z` — plain vector register move.

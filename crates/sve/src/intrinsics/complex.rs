@@ -18,10 +18,10 @@
 
 use super::shape::complex;
 use crate::count::Opcode;
-use crate::ctx::SveCtx;
+use crate::ctx::{SizedCtx, SveCtx};
 use crate::elem::SveFloat;
 use crate::pred::PReg;
-use crate::vreg::VReg;
+use crate::vreg::{Reg, VReg};
 
 /// Rotation immediate of `FCMLA`/`FCADD`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,6 +36,84 @@ pub enum Rot {
     R270 = 270,
 }
 
+/// The complex instructions a fixed-length kernel issues, on `N`-byte
+/// registers; the free functions of the same names below are these at the
+/// maximum capacity.
+impl<const N: usize> SizedCtx<'_, N> {
+    /// [`svcmla`] on `N`-byte registers.
+    #[inline]
+    pub fn svcmla<E: SveFloat>(
+        &self,
+        pg: &PReg,
+        acc: &Reg<N>,
+        x: &Reg<N>,
+        y: &Reg<N>,
+        rot: Rot,
+    ) -> Reg<N> {
+        self.ctx.exec(Opcode::Fcmla);
+        complex(
+            self.ctx,
+            pg,
+            acc,
+            x,
+            y,
+            |[zr, zi]: [E; 2], [xr, xi], [yr, yi]| match rot {
+                Rot::R0 => [xr.mul_add(yr, zr), xr.mul_add(yi, zi)],
+                Rot::R90 => [xi.neg().mul_add(yi, zr), xi.mul_add(yr, zi)],
+                Rot::R180 => [xr.neg().mul_add(yr, zr), xr.neg().mul_add(yi, zi)],
+                Rot::R270 => [xi.mul_add(yi, zr), xi.neg().mul_add(yr, zi)],
+            },
+        )
+    }
+
+    /// [`svcadd`] on `N`-byte registers.
+    #[inline]
+    pub fn svcadd<E: SveFloat>(&self, pg: &PReg, x: &Reg<N>, y: &Reg<N>, rot: Rot) -> Reg<N> {
+        self.ctx.exec(Opcode::Fcadd);
+        assert!(
+            matches!(rot, Rot::R90 | Rot::R270),
+            "fcadd only supports 90/270 degree rotations"
+        );
+        complex(
+            self.ctx,
+            pg,
+            x,
+            x,
+            y,
+            |[xr, xi]: [E; 2], _, [yr, yi]| match rot {
+                Rot::R90 => [xr.sub(yi), xi.add(yr)],
+                _ => [xr.add(yi), xi.sub(yr)],
+            },
+        )
+    }
+
+    /// [`fcmla_mul_add`] on `N`-byte registers.
+    #[inline]
+    pub fn fcmla_mul_add<E: SveFloat>(
+        &self,
+        pg: &PReg,
+        acc: &Reg<N>,
+        x: &Reg<N>,
+        y: &Reg<N>,
+    ) -> Reg<N> {
+        let t = self.svcmla::<E>(pg, acc, x, y, Rot::R90);
+        self.svcmla::<E>(pg, &t, x, y, Rot::R0)
+    }
+
+    /// [`fcmla_conj_mul_add`] on `N`-byte registers.
+    #[inline]
+    pub fn fcmla_conj_mul_add<E: SveFloat>(
+        &self,
+        pg: &PReg,
+        acc: &Reg<N>,
+        x: &Reg<N>,
+        y: &Reg<N>,
+    ) -> Reg<N> {
+        let t = self.svcmla::<E>(pg, acc, x, y, Rot::R0);
+        self.svcmla::<E>(pg, &t, x, y, Rot::R270)
+    }
+}
+
 /// `svcmla` — complex fused multiply-add with rotation; merging
 /// predication (inactive lanes keep `acc`). The ACLE `_x` form behaves the
 /// same here.
@@ -48,20 +126,7 @@ pub fn svcmla<E: SveFloat>(
     y: &VReg,
     rot: Rot,
 ) -> VReg {
-    ctx.exec(Opcode::Fcmla);
-    complex(
-        ctx,
-        pg,
-        acc,
-        x,
-        y,
-        |[zr, zi]: [E; 2], [xr, xi], [yr, yi]| match rot {
-            Rot::R0 => [xr.mul_add(yr, zr), xr.mul_add(yi, zi)],
-            Rot::R90 => [xi.neg().mul_add(yi, zr), xi.mul_add(yr, zi)],
-            Rot::R180 => [xr.neg().mul_add(yr, zr), xr.neg().mul_add(yi, zi)],
-            Rot::R270 => [xi.mul_add(yi, zr), xi.neg().mul_add(yr, zi)],
-        },
-    )
+    ctx.sized().svcmla::<E>(pg, acc, x, y, rot)
 }
 
 /// `svcadd` — complex add with rotation: 90° gives `x + i*y`, 270° gives
@@ -70,30 +135,14 @@ pub fn svcmla<E: SveFloat>(
 /// instruction.)
 #[inline]
 pub fn svcadd<E: SveFloat>(ctx: &SveCtx, pg: &PReg, x: &VReg, y: &VReg, rot: Rot) -> VReg {
-    ctx.exec(Opcode::Fcadd);
-    assert!(
-        matches!(rot, Rot::R90 | Rot::R270),
-        "fcadd only supports 90/270 degree rotations"
-    );
-    complex(
-        ctx,
-        pg,
-        x,
-        x,
-        y,
-        |[xr, xi]: [E; 2], _, [yr, yi]| match rot {
-            Rot::R90 => [xr.sub(yi), xi.add(yr)],
-            _ => [xr.add(yi), xi.sub(yr)],
-        },
-    )
+    ctx.sized().svcadd::<E>(pg, x, y, rot)
 }
 
 /// Complex multiply-accumulate `acc + x*y` as the paper's two-FCMLA idiom
 /// (Eq. (2)): rotation 90° then 0°. Counts exactly two `fcmla`.
 #[inline]
 pub fn fcmla_mul_add<E: SveFloat>(ctx: &SveCtx, pg: &PReg, acc: &VReg, x: &VReg, y: &VReg) -> VReg {
-    let t = svcmla::<E>(ctx, pg, acc, x, y, Rot::R90);
-    svcmla::<E>(ctx, pg, &t, x, y, Rot::R0)
+    ctx.sized().fcmla_mul_add::<E>(pg, acc, x, y)
 }
 
 /// Complex multiply-accumulate with conjugated first operand,
@@ -106,8 +155,7 @@ pub fn fcmla_conj_mul_add<E: SveFloat>(
     x: &VReg,
     y: &VReg,
 ) -> VReg {
-    let t = svcmla::<E>(ctx, pg, acc, x, y, Rot::R0);
-    svcmla::<E>(ctx, pg, &t, x, y, Rot::R270)
+    ctx.sized().fcmla_conj_mul_add::<E>(pg, acc, x, y)
 }
 
 #[cfg(test)]

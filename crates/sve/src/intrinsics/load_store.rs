@@ -10,23 +10,37 @@
 
 use super::shape::{active_lanes, load, store};
 use crate::count::Opcode;
-use crate::ctx::SveCtx;
+use crate::ctx::{SizedCtx, SveCtx};
 use crate::elem::SveElem;
 use crate::pred::PReg;
-use crate::vreg::VReg;
+use crate::vreg::{Reg, VReg};
+
+impl<const N: usize> SizedCtx<'_, N> {
+    /// [`svld1`] into an `N`-byte register.
+    #[inline]
+    pub fn svld1<E: SveElem>(&self, pg: &PReg, src: &[E]) -> Reg<N> {
+        self.ctx.exec(Opcode::Ld1);
+        load(self.ctx, pg, src, 1, 0)
+    }
+
+    /// [`svst1`] from an `N`-byte register.
+    #[inline]
+    pub fn svst1<E: SveElem>(&self, pg: &PReg, dst: &mut [E], v: &Reg<N>) {
+        self.ctx.exec(Opcode::St1);
+        store(self.ctx, pg, dst, 1, 0, v);
+    }
+}
 
 /// `svld1` — contiguous predicated load with zeroing.
 #[inline]
 pub fn svld1<E: SveElem>(ctx: &SveCtx, pg: &PReg, src: &[E]) -> VReg {
-    ctx.exec(Opcode::Ld1);
-    load(ctx, pg, src, 1, 0)
+    ctx.sized().svld1(pg, src)
 }
 
 /// `svst1` — contiguous predicated store; only active lanes touch memory.
 #[inline]
 pub fn svst1<E: SveElem>(ctx: &SveCtx, pg: &PReg, dst: &mut [E], v: &VReg) {
-    ctx.exec(Opcode::St1);
-    store(ctx, pg, dst, 1, 0, v);
+    ctx.sized().svst1(pg, dst, v);
 }
 
 /// `svld2` — structure load of 2-element records: lane `e` of the first
@@ -97,7 +111,7 @@ pub fn svld1_gather<E: SveElem>(ctx: &SveCtx, pg: &PReg, src: &[E], idx: &VReg) 
 /// `svst1_scatter_index` — scatter store.
 pub fn svst1_scatter<E: SveElem>(ctx: &SveCtx, pg: &PReg, dst: &mut [E], idx: &VReg, v: &VReg) {
     ctx.exec(Opcode::St1Scatter);
-    for (e, x) in active_lanes::<E>(ctx, pg, v) {
+    for (e, x) in active_lanes::<E, _>(ctx, pg, v) {
         dst[idx_lane::<E>(idx, e)] = x;
     }
 }

@@ -8,10 +8,106 @@
 
 use super::shape::{active_lanes, binary, Inactive};
 use crate::count::Opcode;
-use crate::ctx::SveCtx;
+use crate::ctx::{SizedCtx, SveCtx};
 use crate::elem::SveElem;
 use crate::pred::PReg;
-use crate::vreg::VReg;
+use crate::vreg::{Reg, VReg};
+
+/// The permutes a fixed-length kernel issues, on `N`-byte registers; the
+/// free functions of the same names below are these at the maximum
+/// capacity.
+impl<const N: usize> SizedCtx<'_, N> {
+    /// [`svzip1`] on `N`-byte registers.
+    #[inline]
+    pub fn svzip1<E: SveElem>(&self, a: &Reg<N>, b: &Reg<N>) -> Reg<N> {
+        self.ctx.exec(Opcode::Zip1);
+        Reg::from_fn::<E>(self.ctx.vl(), |e| {
+            if e % 2 == 0 {
+                a.lane(e / 2)
+            } else {
+                b.lane(e / 2)
+            }
+        })
+    }
+
+    /// [`svuzp1`] on `N`-byte registers.
+    #[inline]
+    pub fn svuzp1<E: SveElem>(&self, a: &Reg<N>, b: &Reg<N>) -> Reg<N> {
+        self.ctx.exec(Opcode::Uzp1);
+        self.uzp::<E>(a, b, 0)
+    }
+
+    /// [`svuzp2`] on `N`-byte registers.
+    #[inline]
+    pub fn svuzp2<E: SveElem>(&self, a: &Reg<N>, b: &Reg<N>) -> Reg<N> {
+        self.ctx.exec(Opcode::Uzp2);
+        self.uzp::<E>(a, b, 1)
+    }
+
+    /// Concatenate the even (`odd = 0`) or odd (`odd = 1`) lanes of `a`,
+    /// then of `b`.
+    #[inline]
+    fn uzp<E: SveElem>(&self, a: &Reg<N>, b: &Reg<N>, odd: usize) -> Reg<N> {
+        let half = self.ctx.vl().lanes_of(E::BYTES) / 2;
+        Reg::from_fn::<E>(self.ctx.vl(), |e| {
+            if e < half {
+                a.lane(2 * e + odd)
+            } else {
+                b.lane(2 * (e - half) + odd)
+            }
+        })
+    }
+
+    /// [`svtrn1`] on `N`-byte registers.
+    #[inline]
+    pub fn svtrn1<E: SveElem>(&self, a: &Reg<N>, b: &Reg<N>) -> Reg<N> {
+        self.ctx.exec(Opcode::Trn1);
+        self.trn::<E>(a, b, 0)
+    }
+
+    /// [`svtrn2`] on `N`-byte registers.
+    #[inline]
+    pub fn svtrn2<E: SveElem>(&self, a: &Reg<N>, b: &Reg<N>) -> Reg<N> {
+        self.ctx.exec(Opcode::Trn2);
+        self.trn::<E>(a, b, 1)
+    }
+
+    /// Lane `2k` of the result is `a[2k + odd]`, lane `2k+1` is
+    /// `b[2k + odd]`.
+    #[inline]
+    fn trn<E: SveElem>(&self, a: &Reg<N>, b: &Reg<N>, odd: usize) -> Reg<N> {
+        Reg::from_fn::<E>(self.ctx.vl(), |e| {
+            let base = (e & !1) + odd;
+            if e % 2 == 0 {
+                a.lane(base)
+            } else {
+                b.lane(base)
+            }
+        })
+    }
+
+    /// [`svtbl`] on an `N`-byte register.
+    #[inline]
+    pub fn svtbl<E: SveElem>(&self, a: &Reg<N>, idx: &[usize]) -> Reg<N> {
+        self.ctx.exec(Opcode::Tbl);
+        let lanes = self.ctx.vl().lanes_of(E::BYTES);
+        Reg::from_fn::<E>(self.ctx.vl(), |e| {
+            let i = idx[e];
+            if i < lanes {
+                a.lane(i)
+            } else {
+                E::zero()
+            }
+        })
+    }
+
+    /// [`svsel`] on `N`-byte registers.
+    #[inline]
+    pub fn svsel<E: SveElem>(&self, pg: &PReg, a: &Reg<N>, b: &Reg<N>) -> Reg<N> {
+        self.ctx.exec(Opcode::Sel);
+        binary(self.ctx, pg, Inactive::First, b, a, |_: E, x| x)
+    }
+}
 
 /// `svext` — extract a vector spanning two sources: result lane `e` is
 /// `a[e + shift]` while in range, continuing into `b`. The classic
@@ -42,14 +138,7 @@ pub fn svrev<E: SveElem>(ctx: &SveCtx, a: &VReg) -> VReg {
 /// `svzip1` — interleave the low halves of two vectors.
 #[inline]
 pub fn svzip1<E: SveElem>(ctx: &SveCtx, a: &VReg, b: &VReg) -> VReg {
-    ctx.exec(Opcode::Zip1);
-    VReg::from_fn::<E>(ctx.vl(), |e| {
-        if e % 2 == 0 {
-            a.lane(e / 2)
-        } else {
-            b.lane(e / 2)
-        }
-    })
+    ctx.sized().svzip1::<E>(a, b)
 }
 
 /// `svzip2` — interleave the high halves of two vectors.
@@ -69,60 +158,26 @@ pub fn svzip2<E: SveElem>(ctx: &SveCtx, a: &VReg, b: &VReg) -> VReg {
 /// `svuzp1` — concatenate even lanes of `a` then `b` (de-interleave).
 #[inline]
 pub fn svuzp1<E: SveElem>(ctx: &SveCtx, a: &VReg, b: &VReg) -> VReg {
-    ctx.exec(Opcode::Uzp1);
-    let lanes = ctx.vl().lanes_of(E::BYTES);
-    let half = lanes / 2;
-    VReg::from_fn::<E>(ctx.vl(), |e| {
-        if e < half {
-            a.lane(2 * e)
-        } else {
-            b.lane(2 * (e - half))
-        }
-    })
+    ctx.sized().svuzp1::<E>(a, b)
 }
 
 /// `svuzp2` — concatenate odd lanes of `a` then `b`.
 #[inline]
 pub fn svuzp2<E: SveElem>(ctx: &SveCtx, a: &VReg, b: &VReg) -> VReg {
-    ctx.exec(Opcode::Uzp2);
-    let lanes = ctx.vl().lanes_of(E::BYTES);
-    let half = lanes / 2;
-    VReg::from_fn::<E>(ctx.vl(), |e| {
-        if e < half {
-            a.lane(2 * e + 1)
-        } else {
-            b.lane(2 * (e - half) + 1)
-        }
-    })
+    ctx.sized().svuzp2::<E>(a, b)
 }
 
 /// `svtrn1` — even lanes of both vectors, pairwise transposed: result lane
 /// `2k` = `a[2k]`, lane `2k+1` = `b[2k]`.
 #[inline]
 pub fn svtrn1<E: SveElem>(ctx: &SveCtx, a: &VReg, b: &VReg) -> VReg {
-    ctx.exec(Opcode::Trn1);
-    VReg::from_fn::<E>(ctx.vl(), |e| {
-        let base = e & !1;
-        if e % 2 == 0 {
-            a.lane(base)
-        } else {
-            b.lane(base)
-        }
-    })
+    ctx.sized().svtrn1::<E>(a, b)
 }
 
 /// `svtrn2` — odd-lane counterpart of [`svtrn1`].
 #[inline]
 pub fn svtrn2<E: SveElem>(ctx: &SveCtx, a: &VReg, b: &VReg) -> VReg {
-    ctx.exec(Opcode::Trn2);
-    VReg::from_fn::<E>(ctx.vl(), |e| {
-        let base = (e & !1) + 1;
-        if e % 2 == 0 {
-            a.lane(base)
-        } else {
-            b.lane(base)
-        }
-    })
+    ctx.sized().svtrn2::<E>(a, b)
 }
 
 /// `svtbl` — table lookup: result lane `e` is `a[idx[e]]`, or zero when the
@@ -130,23 +185,13 @@ pub fn svtrn2<E: SveElem>(ctx: &SveCtx, a: &VReg, b: &VReg) -> VReg {
 /// by Grid's virtual-node boundary shuffles.
 #[inline]
 pub fn svtbl<E: SveElem>(ctx: &SveCtx, a: &VReg, idx: &[usize]) -> VReg {
-    ctx.exec(Opcode::Tbl);
-    let lanes = ctx.vl().lanes_of(E::BYTES);
-    VReg::from_fn::<E>(ctx.vl(), |e| {
-        let i = idx[e];
-        if i < lanes {
-            a.lane(i)
-        } else {
-            E::zero()
-        }
-    })
+    ctx.sized().svtbl::<E>(a, idx)
 }
 
 /// `svsel` — lane select: active lanes from `a`, inactive from `b`.
 #[inline]
 pub fn svsel<E: SveElem>(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg {
-    ctx.exec(Opcode::Sel);
-    binary(ctx, pg, Inactive::First, b, a, |_: E, x| x)
+    ctx.sized().svsel::<E>(pg, a, b)
 }
 
 /// `svdup_lane` — broadcast lane `i` of `a` to all lanes.
@@ -159,7 +204,7 @@ pub fn svdup_lane<E: SveElem>(ctx: &SveCtx, a: &VReg, i: usize) -> VReg {
 /// `svsplice` — active lanes of `a` (under `pg`), then leading lanes of `b`.
 pub fn svsplice<E: SveElem>(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg {
     ctx.exec(Opcode::Splice);
-    let picked = active_lanes::<E>(ctx, pg, a).map(|(_, v)| v);
+    let picked = active_lanes::<E, _>(ctx, pg, a).map(|(_, v)| v);
     VReg::from_lanes(ctx.vl(), picked.chain(b.lanes::<E>(ctx.vl())))
 }
 
@@ -168,7 +213,7 @@ pub fn svsplice<E: SveElem>(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg
 /// element sizes exist in hardware; modelled generically.
 pub fn svcompact<E: SveElem>(ctx: &SveCtx, pg: &PReg, a: &VReg) -> VReg {
     ctx.exec(Opcode::Splice);
-    VReg::from_lanes(ctx.vl(), active_lanes::<E>(ctx, pg, a).map(|(_, v)| v))
+    VReg::from_lanes(ctx.vl(), active_lanes::<E, _>(ctx, pg, a).map(|(_, v)| v))
 }
 
 /// `svclasta` — conditionally extract: the element *after* the last active
@@ -177,7 +222,7 @@ pub fn svcompact<E: SveElem>(ctx: &SveCtx, pg: &PReg, a: &VReg) -> VReg {
 pub fn svclasta<E: SveElem>(ctx: &SveCtx, pg: &PReg, fallback: E, a: &VReg) -> E {
     ctx.exec(Opcode::Sel);
     let lanes = ctx.vl().lanes_of(E::BYTES);
-    match active_lanes::<E>(ctx, pg, a).last() {
+    match active_lanes::<E, _>(ctx, pg, a).last() {
         Some((e, _)) if e + 1 < lanes => a.lane(e + 1),
         _ => fallback,
     }
@@ -187,7 +232,7 @@ pub fn svclasta<E: SveElem>(ctx: &SveCtx, pg: &PReg, fallback: E, a: &VReg) -> E
 /// predicate is empty).
 pub fn svclastb<E: SveElem>(ctx: &SveCtx, pg: &PReg, fallback: E, a: &VReg) -> E {
     ctx.exec(Opcode::Sel);
-    active_lanes::<E>(ctx, pg, a)
+    active_lanes::<E, _>(ctx, pg, a)
         .last()
         .map_or(fallback, |(_, v)| v)
 }

@@ -3,10 +3,19 @@
 
 use super::shape::fold_active;
 use crate::count::Opcode;
-use crate::ctx::SveCtx;
+use crate::ctx::{SizedCtx, SveCtx};
 use crate::elem::SveFloat;
 use crate::pred::PReg;
-use crate::vreg::VReg;
+use crate::vreg::{Reg, VReg};
+
+impl<const N: usize> SizedCtx<'_, N> {
+    /// [`svaddv`] of an `N`-byte register.
+    #[inline]
+    pub fn svaddv<E: SveFloat>(&self, pg: &PReg, a: &Reg<N>) -> E {
+        self.ctx.exec(Opcode::Faddv);
+        fold_active(self.ctx, pg, a, E::zero(), E::add)
+    }
+}
 
 /// `svaddv` — sum of the active lanes. Hardware performs a tree reduction;
 /// this model sums in lane order, which is what a strictly-ordered `fadda`
@@ -14,8 +23,7 @@ use crate::vreg::VReg;
 /// reference implementations in tests).
 #[inline]
 pub fn svaddv<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg) -> E {
-    ctx.exec(Opcode::Faddv);
-    fold_active(ctx, pg, a, E::zero(), E::add)
+    ctx.sized().svaddv(pg, a)
 }
 
 /// `svmaxv` — maximum of the active lanes (zero when none is active).

@@ -10,8 +10,10 @@
 //!
 //! * [`VectorLength`] — the vector-length-agnostic register size
 //!   (128..2048 bits in multiples of 128, Section III-B of the paper);
-//! * [`VReg`] / [`PReg`] — untyped vector registers and per-byte predicate
-//!   registers, exactly as architected;
+//! * [`Reg`] / [`PReg`] — untyped vector registers and per-byte predicate
+//!   registers, exactly as architected; a register is sized by the vector
+//!   length of the kernel that holds it, and [`VReg`] is the 2048-bit
+//!   capacity for code that learns its length at run time;
 //! * [`intrinsics`] — an ACLE-style API (the paper's reference \[6\]): predicated
 //!   loads/stores, structure loads, real and complex arithmetic (`FCMLA`,
 //!   `FCADD`, Section III-D), permutes, reductions, precision conversion and
@@ -69,11 +71,11 @@ pub mod acle;
 pub mod intrinsics;
 
 pub use count::{CostModel, Counters, OpClass, Opcode};
-pub use ctx::{SveCtx, ToolchainFault};
+pub use ctx::{SizedCtx, SveCtx, ToolchainFault};
 pub use elem::{SveElem, SveFloat};
 pub use f16::F16;
 pub use host::host_lanes;
 pub use intrinsics::Rot;
 pub use pred::{PReg, PredFlags};
 pub use vl::{VectorLength, VL_MAX_BITS, VL_MAX_BYTES, VL_MIN_BITS, VL_STEP_BITS};
-pub use vreg::VReg;
+pub use vreg::{Reg, VReg};

@@ -1,9 +1,14 @@
 //! The vector register file model.
 //!
 //! A `z` register is an untyped container of `VL` bits; instructions impose
-//! the element view. [`VReg`] therefore stores raw bytes sized for the
-//! architectural maximum (2048 bits) — a context's [`VectorLength`]
-//! determines how many of them an operation touches.
+//! the element view. [`Reg<N>`] therefore stores `N` raw bytes, and a
+//! context's [`VectorLength`] determines how many of them an operation
+//! touches. Code that bounds its vector length at compile time — the paper's
+//! port fixes it (`SVE_VECTOR_LENGTH` of at most 64 bytes, Section V-A) —
+//! holds registers of that many bytes and stops moving the rest; [`VReg`]
+//! is the 2048-bit capacity that fits whatever length a context turns out
+//! to have (`armie`, the VLA listings, probes). Every lane loop below is
+//! written once over `N`.
 
 use crate::elem::SveElem;
 use crate::host::{unrolled, LaneLoop, Lowering};
@@ -49,26 +54,61 @@ impl<E: SveElem> LaneGroup for [E; 2] {
     }
 }
 
-/// One SVE vector register (`z0`..`z31`): 2048 bits of untyped storage,
-/// interpreted per-instruction through [`SveElem`] lane views.
+/// One SVE vector register (`z0`..`z31`) with room for `N` bytes: untyped
+/// storage, interpreted per-instruction through [`SveElem`] lane views. It
+/// serves every context whose vector length is at most `N` bytes; an
+/// instruction under a longer one panics.
+///
+/// Registers sit on cache lines of their own, so `N` is a multiple of 64
+/// (checked at compile time): a register at a smaller alignment makes the
+/// host's 32-byte loads and stores straddle lines, measured at +3–4 ns on a
+/// 10 ns instruction.
 #[derive(Clone, Copy)]
 #[repr(align(64))]
-pub struct VReg {
-    bytes: [u8; VL_MAX_BYTES],
+pub struct Reg<const N: usize> {
+    bytes: [u8; N],
 }
 
-impl Default for VReg {
+/// A register with the architectural maximum of 2048 bits: what code that
+/// learns its vector length at run time holds.
+pub type VReg = Reg<VL_MAX_BYTES>;
+
+impl<const N: usize> Default for Reg<N> {
     fn default() -> Self {
         Self::zeroed()
     }
 }
 
-impl VReg {
+#[cold]
+#[inline(never)]
+fn register_too_narrow(capacity: usize, vl: VectorLength) -> ! {
+    panic!(
+        "sve: a {capacity}-byte register cannot hold a {vl:?} vector ({} bytes)",
+        vl.bytes()
+    )
+}
+
+/// The bytes an instruction at `vl` touches in registers of `capacity`
+/// bytes, having checked that they hold them (nothing to check at the
+/// maximum capacity).
+#[inline(always)]
+pub(crate) fn prefix_len(capacity: usize, vl: VectorLength) -> usize {
+    if capacity < VL_MAX_BYTES && vl.bytes() > capacity {
+        register_too_narrow(capacity, vl);
+    }
+    vl.bytes()
+}
+
+impl<const N: usize> Reg<N> {
     /// An all-zero register (`mov z0.d, #0` writes this).
     pub const fn zeroed() -> Self {
-        VReg {
-            bytes: [0; VL_MAX_BYTES],
-        }
+        const {
+            assert!(
+                N > 0 && N.is_multiple_of(64) && N <= VL_MAX_BYTES,
+                "a register holds 64, 128, 192 or 256 bytes"
+            )
+        };
+        Reg { bytes: [0; N] }
     }
 
     /// Read lane `i` under the element view `E`.
@@ -86,12 +126,12 @@ impl VReg {
     }
 
     /// Raw little-endian bytes of the register.
-    pub fn bytes(&self) -> &[u8; VL_MAX_BYTES] {
+    pub fn bytes(&self) -> &[u8; N] {
         &self.bytes
     }
 
     /// Mutable raw bytes.
-    pub fn bytes_mut(&mut self) -> &mut [u8; VL_MAX_BYTES] {
+    pub fn bytes_mut(&mut self) -> &mut [u8; N] {
         &mut self.bytes
     }
 
@@ -101,7 +141,7 @@ impl VReg {
         &self,
         vl: VectorLength,
     ) -> impl ExactSizeIterator<Item = G> + '_ {
-        self.bytes[..vl.bytes()]
+        self.bytes[..prefix_len(N, vl)]
             .chunks_exact(G::BYTES)
             .map(G::read_le)
     }
@@ -114,18 +154,28 @@ impl VReg {
         vl: VectorLength,
         items: impl Iterator<Item = G>,
     ) -> Self {
-        let mut r = VReg::zeroed();
-        for (dst, v) in r.bytes[..vl.bytes()].chunks_exact_mut(G::BYTES).zip(items) {
+        let mut r = Self::zeroed();
+        for (dst, v) in r.bytes[..prefix_len(N, vl)]
+            .chunks_exact_mut(G::BYTES)
+            .zip(items)
+        {
             v.write_le(dst);
         }
         r
+    }
+
+    /// Build a register from the leading lanes of `src`, which must cover
+    /// `vl`: the contiguous all-active load. Storage above `vl` stays zero.
+    #[inline]
+    pub(crate) fn from_slice<G: LaneGroup>(lw: Lowering, src: &[G]) -> Self {
+        lw.run(FromSlice::<_, N>(src))
     }
 
     /// The generating lane loop: lane (or lane pair) `i` of the result is
     /// `f(i)` for every lane inside `vl`; storage above `vl` stays zero.
     #[inline]
     pub(crate) fn from_index<G: LaneGroup>(vl: VectorLength, f: impl FnMut(usize) -> G) -> Self {
-        unrolled(vl, FromIndex(f))
+        unrolled(vl, FromIndex::<_, N>(f))
     }
 
     /// The element-wise lane loop: lane (or lane pair) `i` of the result is
@@ -134,11 +184,11 @@ impl VReg {
     #[inline]
     pub(crate) fn zip3<G: LaneGroup>(
         &self,
-        a: &VReg,
-        b: &VReg,
+        a: &Self,
+        b: &Self,
         lw: Lowering,
         f: impl Fn(usize, G, G, G) -> G,
-    ) -> VReg {
+    ) -> Self {
         lw.run(Zip3 { z: self, a, b, f })
     }
 
@@ -156,18 +206,35 @@ impl VReg {
 
     /// True if the registers agree on all lanes active for `vl` under view
     /// `E` (upper storage is ignored, as hardware would).
-    pub fn lanes_eq<E: SveElem>(&self, other: &VReg, vl: VectorLength) -> bool {
+    pub fn lanes_eq<E: SveElem>(&self, other: &Self, vl: VectorLength) -> bool {
         self.lanes::<E>(vl).eq(other.lanes::<E>(vl))
     }
 }
 
-struct FromIndex<F>(F);
+struct FromSlice<'a, G, const N: usize>(&'a [G]);
 
-impl<G: LaneGroup, F: FnMut(usize) -> G> LaneLoop<G> for FromIndex<F> {
-    type Out = VReg;
+impl<G: LaneGroup, const N: usize> LaneLoop<G> for FromSlice<'_, G, N> {
+    type Out = Reg<N>;
+    const CAPACITY: usize = N;
     #[inline(always)]
-    fn run(mut self, bytes: usize) -> VReg {
-        let mut r = VReg::zeroed();
+    fn run(self, bytes: usize) -> Reg<N> {
+        let mut r = Reg::zeroed();
+        let src = &self.0[..bytes / G::BYTES];
+        for (dst, v) in r.bytes[..bytes].chunks_exact_mut(G::BYTES).zip(src) {
+            v.write_le(dst);
+        }
+        r
+    }
+}
+
+struct FromIndex<F, const N: usize>(F);
+
+impl<G: LaneGroup, F: FnMut(usize) -> G, const N: usize> LaneLoop<G> for FromIndex<F, N> {
+    type Out = Reg<N>;
+    const CAPACITY: usize = N;
+    #[inline(always)]
+    fn run(mut self, bytes: usize) -> Reg<N> {
+        let mut r = Reg::zeroed();
         for (i, dst) in r.bytes[..bytes].chunks_exact_mut(G::BYTES).enumerate() {
             (self.0)(i).write_le(dst);
         }
@@ -175,18 +242,19 @@ impl<G: LaneGroup, F: FnMut(usize) -> G> LaneLoop<G> for FromIndex<F> {
     }
 }
 
-struct Zip3<'a, F> {
-    z: &'a VReg,
-    a: &'a VReg,
-    b: &'a VReg,
+struct Zip3<'a, F, const N: usize> {
+    z: &'a Reg<N>,
+    a: &'a Reg<N>,
+    b: &'a Reg<N>,
     f: F,
 }
 
-impl<G: LaneGroup, F: Fn(usize, G, G, G) -> G> LaneLoop<G> for Zip3<'_, F> {
-    type Out = VReg;
+impl<G: LaneGroup, F: Fn(usize, G, G, G) -> G, const N: usize> LaneLoop<G> for Zip3<'_, F, N> {
+    type Out = Reg<N>;
+    const CAPACITY: usize = N;
     #[inline(always)]
-    fn run(self, bytes: usize) -> VReg {
-        let mut r = VReg::zeroed();
+    fn run(self, bytes: usize) -> Reg<N> {
+        let mut r = Reg::zeroed();
         let dst = r.bytes[..bytes].chunks_exact_mut(G::BYTES);
         let z = self.z.bytes[..bytes].chunks_exact(G::BYTES);
         let a = self.a.bytes[..bytes].chunks_exact(G::BYTES);
@@ -198,12 +266,12 @@ impl<G: LaneGroup, F: Fn(usize, G, G, G) -> G> LaneLoop<G> for Zip3<'_, F> {
     }
 }
 
-impl std::fmt::Debug for VReg {
+impl<const N: usize> std::fmt::Debug for Reg<N> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Print as 64-bit lanes of the architectural maximum; contexts know
+        // Print the leading 64-bit lanes of the storage; contexts know
         // their own VL.
-        write!(f, "VReg[")?;
-        for i in 0..4 {
+        write!(f, "Reg<{N}>[")?;
+        for i in 0..(N / 8).min(4) {
             if i > 0 {
                 write!(f, ", ")?;
             }

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use sve::intrinsics::*;
-use sve::{SveCtx, SveFloat, VReg, VectorLength, F16};
+use sve::{Reg, SveCtx, SveFloat, VReg, VectorLength, F16};
 
 /// Strategy: any architecturally valid vector length.
 fn any_vl() -> impl Strategy<Value = VectorLength> {
@@ -1243,4 +1243,197 @@ fn predicate_intrinsics_match_their_per_element_definition() {
             (0..lanes as u64).map(|i| 5 + 3 * i).collect::<Vec<_>>()
         );
     }
+}
+
+/// The little-endian bytes of `v`, for bitwise comparison.
+fn bits<E: SveElem>(v: &[E]) -> Vec<u8> {
+    let mut r = VReg::zeroed();
+    v.iter()
+        .flat_map(|&x| {
+            r.set_lane(0, x);
+            r.bytes()[..E::BYTES].to_vec()
+        })
+        .collect()
+}
+
+/// The first `N` bytes of a maximum-capacity register, as an `N`-byte one.
+fn narrow<const N: usize>(r: &VReg) -> Reg<N> {
+    let mut out = Reg::<N>::zeroed();
+    out.bytes_mut().copy_from_slice(&r.bytes()[..N]);
+    out
+}
+
+/// Every intrinsic that has a sized form, on `N`-byte registers at vector
+/// length `vl`, against the `VReg` form on the same operands under a second
+/// context: the bytes are the first `N` of the `VReg` result and both
+/// contexts retired the same opcodes.
+fn sized_forms_match<E: SveFloat, const N: usize>(vl: VectorLength) {
+    let lanes = vl.lanes_of(E::BYTES);
+    let mut rng = Bits(0x51_7ed0 ^ (N * vl.bytes() * E::BYTES) as u64);
+    let [a, b, c] = [0, 1, 2].map(|k| operand::<E>(vl, k, &mut rng));
+    let [sa, sb, sc] = [&a, &b, &c].map(narrow::<N>);
+    let mem: Vec<E> = (0..lanes)
+        .map(|i| E::from_f64(0.25 * i as f64 - 1.0))
+        .collect();
+    // A table with in-range, repeated and out-of-range indices.
+    let tbl: Vec<usize> = (0..lanes).map(|e| (5 * e + 3) % (lanes + 2)).collect();
+    let x = a.lane::<E>(1);
+    for (name, pg) in predicates::<E>(vl, &mut rng) {
+        let (wide, fixed) = (SveCtx::new(vl), SveCtx::new(vl));
+        let sz = fixed.sized::<N>();
+        let same_counts = |what: &str| {
+            assert_eq!(
+                fixed.counters().snapshot(),
+                wide.counters().snapshot(),
+                "{what} .{} at {vl} under {name}: opcode counts",
+                E::SUFFIX
+            );
+        };
+        let same = |what: &str, got: Reg<N>, want: VReg| {
+            assert_eq!(
+                got.bytes()[..],
+                want.bytes()[..N],
+                "{what} .{} at {vl} under {name}",
+                E::SUFFIX
+            );
+            same_counts(what);
+        };
+        same("ld1", sz.svld1(&pg, &mem), svld1(&wide, &pg, &mem));
+        let (mut got, mut want) = (mem.clone(), mem.clone());
+        sz.svst1(&pg, &mut got, &sa);
+        svst1(&wide, &pg, &mut want, &a);
+        assert_eq!(bits(&got), bits(&want), "st1 at {vl} under {name}");
+        same_counts("st1");
+        same("dup", sz.svdup(x), svdup(&wide, x));
+        same(
+            "add_x",
+            sz.svadd_x::<E>(&pg, &sa, &sb),
+            svadd_x::<E>(&wide, &pg, &a, &b),
+        );
+        same(
+            "sub_x",
+            sz.svsub_x::<E>(&pg, &sa, &sb),
+            svsub_x::<E>(&wide, &pg, &a, &b),
+        );
+        same(
+            "mul_x",
+            sz.svmul_x::<E>(&pg, &sa, &sb),
+            svmul_x::<E>(&wide, &pg, &a, &b),
+        );
+        same(
+            "neg_x",
+            sz.svneg_x::<E>(&pg, &sa),
+            svneg_x::<E>(&wide, &pg, &a),
+        );
+        same(
+            "neg_m",
+            sz.svneg_m::<E>(&pg, &sa),
+            svneg_m::<E>(&wide, &pg, &a),
+        );
+        same(
+            "mla_m",
+            sz.svmla_m::<E>(&pg, &sc, &sa, &sb),
+            svmla_m::<E>(&wide, &pg, &c, &a, &b),
+        );
+        same(
+            "nmls_m",
+            sz.svnmls_m::<E>(&pg, &sc, &sa, &sb),
+            svnmls_m::<E>(&wide, &pg, &c, &a, &b),
+        );
+        same("movprfx", sz.movprfx(&sa), movprfx(&wide, &a));
+        same("zip1", sz.svzip1::<E>(&sa, &sb), svzip1::<E>(&wide, &a, &b));
+        same("uzp1", sz.svuzp1::<E>(&sa, &sb), svuzp1::<E>(&wide, &a, &b));
+        same("uzp2", sz.svuzp2::<E>(&sa, &sb), svuzp2::<E>(&wide, &a, &b));
+        same("trn1", sz.svtrn1::<E>(&sa, &sb), svtrn1::<E>(&wide, &a, &b));
+        same("trn2", sz.svtrn2::<E>(&sa, &sb), svtrn2::<E>(&wide, &a, &b));
+        same("tbl", sz.svtbl::<E>(&sa, &tbl), svtbl::<E>(&wide, &a, &tbl));
+        same(
+            "sel",
+            sz.svsel::<E>(&pg, &sa, &sb),
+            svsel::<E>(&wide, &pg, &a, &b),
+        );
+        for rot in [Rot::R0, Rot::R90, Rot::R180, Rot::R270] {
+            same(
+                "cmla",
+                sz.svcmla::<E>(&pg, &sc, &sa, &sb, rot),
+                svcmla::<E>(&wide, &pg, &c, &a, &b, rot),
+            );
+        }
+        for rot in [Rot::R90, Rot::R270] {
+            same(
+                "cadd",
+                sz.svcadd::<E>(&pg, &sa, &sb, rot),
+                svcadd::<E>(&wide, &pg, &a, &b, rot),
+            );
+        }
+        same(
+            "fcmla_mul_add",
+            sz.fcmla_mul_add::<E>(&pg, &sc, &sa, &sb),
+            fcmla_mul_add::<E>(&wide, &pg, &c, &a, &b),
+        );
+        same(
+            "fcmla_conj_mul_add",
+            sz.fcmla_conj_mul_add::<E>(&pg, &sc, &sa, &sb),
+            fcmla_conj_mul_add::<E>(&wide, &pg, &c, &a, &b),
+        );
+        let (got, want) = (sz.svaddv::<E>(&pg, &sa), svaddv::<E>(&wide, &pg, &a));
+        assert_eq!(
+            bits(&[got]),
+            bits(&[want]),
+            "addv .{} at {vl} under {name}",
+            E::SUFFIX
+        );
+        same_counts("addv");
+    }
+}
+
+/// Every swept vector length in every register capacity that holds it.
+fn sized_forms_match_at_every_length<E: SveFloat>() {
+    for vl in VectorLength::sweep() {
+        if vl.bytes() <= 64 {
+            sized_forms_match::<E, 64>(vl);
+        }
+        if vl.bytes() <= 128 {
+            sized_forms_match::<E, 128>(vl);
+        }
+        sized_forms_match::<E, 256>(vl);
+    }
+}
+
+#[test]
+fn sized_forms_equal_the_vreg_forms_f64() {
+    sized_forms_match_at_every_length::<f64>();
+}
+
+#[test]
+fn sized_forms_equal_the_vreg_forms_f32() {
+    sized_forms_match_at_every_length::<f32>();
+}
+
+#[test]
+fn sized_forms_equal_the_vreg_forms_f16() {
+    sized_forms_match_at_every_length::<F16>();
+}
+
+/// A register shorter than the context's vector cannot hold an instruction's
+/// result; the panic names both sizes.
+#[test]
+#[should_panic(expected = "a 64-byte register cannot hold a VL1024 vector (128 bytes)")]
+fn a_register_shorter_than_the_vector_panics() {
+    let ctx = SveCtx::new(VectorLength::of(1024));
+    let a = Reg::<64>::zeroed();
+    let _ = ctx
+        .sized()
+        .svadd_x::<f64>(&PReg::ptrue::<f64>(ctx.vl()), &a, &a);
+}
+
+/// A shorter vector uses a prefix of a longer register, like `VReg` does.
+#[test]
+fn a_register_longer_than_the_vector_holds_a_prefix() {
+    let ctx = SveCtx::new(VectorLength::of(128));
+    let pg = PReg::ptrue::<f64>(ctx.vl());
+    let a = ctx.sized::<64>().svdup(1.5f64);
+    let sum = ctx.sized().svadd_x::<f64>(&pg, &a, &a);
+    assert_eq!(sum.to_vec::<f64>(ctx.vl()), vec![3.0, 3.0]);
+    assert!(sum.bytes()[16..].iter().all(|&b| b == 0));
 }

@@ -75,18 +75,19 @@ fn registry() -> &'static Mutex<BTreeMap<String, RegionStat>> {
 }
 
 /// A completed-span event for Chrome `trace_event` export. The span path is
-/// an index into [`TraceLog::paths`]: an event costs 24 bytes and no
+/// an index into [`TraceLog::paths`]: an event costs 16 bytes and no
 /// allocation, so what a run retains grows by the spans it closes, not by
-/// the length of their names. Thread ordinals and durations saturate at
-/// `u32::MAX` (71 minutes for one span).
+/// the length of their names. Durations saturate at `u32::MAX` (71 minutes
+/// for one span) and thread ordinals at `u16::MAX`; a span on a path beyond
+/// the first 65 536 distinct ones is not logged.
 struct TraceEvent {
-    path: u32,
-    tid: u32,
     start_us: u64,
     dur_us: u32,
+    path: u16,
+    tid: u16,
 }
 
-/// Events per block of the log: 96 KiB, so a full log is 25 blocks.
+/// Events per block of the log: 64 KiB, so a full log is 25 blocks.
 const TRACE_BLOCK_EVENTS: usize = 4096;
 
 /// Trace-event log, bounded so long solver runs cannot grow without limit.
@@ -98,7 +99,7 @@ const TRACE_BLOCK_EVENTS: usize = 4096;
 pub(crate) struct TraceLog {
     /// Distinct span paths in order of first appearance.
     paths: Vec<String>,
-    path_ids: BTreeMap<String, u32>,
+    path_ids: BTreeMap<String, u16>,
     /// Every block but the last holds `TRACE_BLOCK_EVENTS` events.
     blocks: Vec<Vec<TraceEvent>>,
 }
@@ -118,7 +119,9 @@ impl TraceLog {
         let path = match self.path_ids.get(path) {
             Some(&id) => id,
             None => {
-                let id = self.paths.len() as u32;
+                let Ok(id) = u16::try_from(self.paths.len()) else {
+                    return;
+                };
                 self.paths.push(path.to_string());
                 self.path_ids.insert(path.to_string(), id);
                 id
@@ -133,10 +136,10 @@ impl TraceLog {
         }
         let block = self.blocks.last_mut().expect("a block with room");
         block.push(TraceEvent {
-            path,
-            tid: u32::try_from(tid).unwrap_or(u32::MAX),
             start_us,
             dur_us: u32::try_from(dur_us).unwrap_or(u32::MAX),
+            path,
+            tid: u16::try_from(tid).unwrap_or(u16::MAX),
         });
     }
 
@@ -466,7 +469,7 @@ mod tests {
 
     #[test]
     fn trace_log_keeps_a_capped_prefix_in_fixed_blocks() {
-        assert!(std::mem::size_of::<TraceEvent>() <= 24);
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 16);
         let mut log = TraceLog::default();
         for i in 0..TRACE_EVENT_CAP as u64 + 10 {
             log.push(if i % 2 == 0 { "a" } else { "a/b" }, i, 7, 3);
@@ -494,7 +497,18 @@ mod tests {
         log.push("a", 5, u64::MAX, u64::MAX);
         log.push("a", 6, u64::from(u32::MAX) - 1, 2);
         let got: Vec<_> = log.events().collect();
-        assert_eq!(got[0], ("a", 5, u64::from(u32::MAX), u64::from(u32::MAX)));
+        assert_eq!(got[0], ("a", 5, u64::from(u32::MAX), u64::from(u16::MAX)));
         assert_eq!(got[1], ("a", 6, u64::from(u32::MAX) - 1, 2));
+    }
+
+    #[test]
+    fn spans_on_paths_beyond_the_id_space_are_not_logged() {
+        let mut log = TraceLog::default();
+        for i in 0..=u32::from(u16::MAX) + 1 {
+            log.push(&format!("p{i}"), 0, 1, 1);
+        }
+        assert_eq!(log.len(), usize::from(u16::MAX) + 1);
+        log.push("p0", 9, 1, 1);
+        assert_eq!(log.events().last().map(|e| (e.0, e.1)), Some(("p0", 9)));
     }
 }

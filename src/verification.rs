@@ -417,9 +417,10 @@ fn test_su3_matvec(cfg: &CheckCfg) -> Result<(), String> {
     let vecs: Vec<[Complex; 3]> = (0..eng.lanes_c())
         .map(|l| std::array::from_fn(|c| Complex::new(l as f64 - c as f64, 0.5)))
         .collect();
-    let uw: [[grid::CVec; 3]; 3] =
+    let uw: [[grid::CVec<{ sve::VL_MAX_BYTES }>; 3]; 3] =
         std::array::from_fn(|r| std::array::from_fn(|c| eng.from_fn(|l| mats[l][r][c])));
-    let vw: [grid::CVec; 3] = std::array::from_fn(|c| eng.from_fn(|l| vecs[l][c]));
+    let vw: [grid::CVec<{ sve::VL_MAX_BYTES }>; 3] =
+        std::array::from_fn(|c| eng.from_fn(|l| vecs[l][c]));
     let uv = mat_vec(&eng, &uw, &vw);
     for l in 0..eng.lanes_c() {
         let want = mat_vec_scalar(&mats[l], &vecs[l]);

@@ -219,3 +219,35 @@ const HOP_F64: u64 = 0xc39a_40d1_b9ed_c71b;
 const HOP_F32: u64 = 0xba9e_2003_471f_9790;
 const HOP_F16: u64 = 0x8a53_2da2_4e2e_3091;
 const CG_F64: (u64, usize, u64) = (0xe96a_d055_d91a_59d3, 36, 0x3e3d_4c68_1498_8b71);
+
+#[test]
+fn registers_and_words_take_the_bytes_they_are_sized_for() {
+    // The point of sizing lane storage: a word of the paper's vector
+    // lengths is 64 bytes to hold, copy and return, not the 256 of the
+    // architectural maximum (capacities are whole cache lines).
+    fn check<const N: usize>() {
+        assert_eq!(std::mem::size_of::<sve::Reg<N>>(), N);
+        assert_eq!(std::mem::size_of::<grid::CVec<N>>(), N);
+    }
+    check::<64>();
+    check::<128>();
+    check::<256>();
+    assert_eq!(grid::simd::PORT_WORD_BYTES, 64);
+    assert_eq!(std::mem::size_of::<sve::VReg>(), sve::VL_MAX_BYTES);
+}
+
+#[test]
+fn the_functor_layer_runs_at_lengths_no_grid_has() {
+    // An engine exists at any architectural length and the width dispatch
+    // is total: VL384 (48 bytes) runs in the 64-byte word.
+    let vl = VectorLength::of(384);
+    let eng = SimdEngine::new(Arc::new(SveCtx::new(vl)), SimdBackend::Fcmla);
+    let x = interleaved(vl.lanes64(), 0.0);
+    let mut out = vec![0.0; vl.lanes64()];
+    MultComplex.apply(&eng, &x, &x, &mut out);
+    for p in 0..vl.lanes64() / 2 {
+        let (re, im) = (x[2 * p], x[2 * p + 1]);
+        assert!((out[2 * p] - (re * re - im * im)).abs() < 1e-12);
+        assert!((out[2 * p + 1] - 2.0 * re * im).abs() < 1e-12);
+    }
+}
