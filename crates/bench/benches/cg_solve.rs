@@ -23,7 +23,11 @@ fn bench_solvers(c: &mut Criterion) {
             bch.iter(|| solve_eo(&op, &b_field, 1e-6, 500))
         });
         group.bench_with_input(BenchmarkId::new("mixed_precision", vl), &vl, |bch, _| {
-            bch.iter(|| mixed_precision_solve(&op, &b_field, 1e-6, 1e-4, 10, 500))
+            let cfg = LadderConfig {
+                max_outer: 10,
+                ..LadderConfig::f32_only(1e-6)
+            };
+            bch.iter(|| ladder_solve(&op, &b_field, &cfg))
         });
     }
     group.finish();

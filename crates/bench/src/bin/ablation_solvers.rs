@@ -79,12 +79,16 @@ fn main() {
         let op = WilsonDirac::new(random_gauge(g.clone(), 11), 0.3);
         let b = FermionField::random(g.clone(), 12);
         g.engine().ctx().counters().reset();
-        let (_, r) = mixed_precision_solve(&op, &b, tol, 1e-4, 30, 1000);
+        let cfg = LadderConfig {
+            max_inner: 1000,
+            ..LadderConfig::f32_only(tol)
+        };
+        let (_, r) = ladder_solve(&op, &b, &cfg);
         println!(
             "{:<26} {:>5}+{:<3} {:>9.2e} {:>12.1}M {:>12.1}M",
             "mixed f32/f64 defect-corr",
             r.outer_iterations,
-            r.inner_iterations,
+            r.f32_iterations,
             r.residual,
             r.f64_instructions as f64 / 1e6,
             r.f32_instructions as f64 / 1e6,

@@ -204,7 +204,7 @@ pub fn run_deflation_bench(cfg: &DeflationConfig) -> Result<DeflationBench, Stri
     let deflated_iters: u64 = defl.per_rhs_iterations.iter().map(|&i| i as u64).sum();
 
     let cs = CoarseSpace::build(&op, &sub.vectors, cfg.cell);
-    let (_, coarse) = coarse_pcg(&op, &cs, &fields[0], cfg.tol, cfg.max_iter);
+    let (_, coarse) = coarse_pcg(&op, &cs, None, &fields[0], cfg.tol, cfg.max_iter);
     if !coarse.converged {
         return Err("coarse-preconditioned solve did not converge".into());
     }

@@ -342,6 +342,7 @@ pub fn write_interrupted_checkpoint(
     let (_, report, snapshots) = qcd_io::cg_checkpointed(
         |v| op.mdag_m(v),
         &b,
+        CgState::new(&b),
         CHECKPOINT_DEMO_TOL,
         CHECKPOINT_DEMO_KILL_AT,
         every,
@@ -368,7 +369,7 @@ pub fn resume_from_checkpoint(path: &str) -> Result<(usize, SolveReport), String
     let state = qcd_io::load_cg(std::path::Path::new(path), b.grid())
         .map_err(|e| format!("load {path}: {e}"))?;
     let resumed_from = state.iterations;
-    let (x, report, _) = qcd_io::checkpoint::cg_checkpointed_from(
+    let (x, report, _) = qcd_io::cg_checkpointed(
         apply,
         &b,
         state,
@@ -379,8 +380,9 @@ pub fn resume_from_checkpoint(path: &str) -> Result<(usize, SolveReport), String
     )
     .map_err(|e| format!("resume: {e}"))?;
 
-    // Bit-equivalence against the uninterrupted in-process reference.
-    let (x_ref, ref_report) = cg_op(apply, &b, CHECKPOINT_DEMO_TOL, CHECKPOINT_DEMO_MAX_ITER);
+    // Bit-equivalence against the uninterrupted in-process reference (the
+    // fused solve is bit-identical to the closure path the checkpoints ran).
+    let (x_ref, ref_report) = cg(&op, &b, CHECKPOINT_DEMO_TOL, CHECKPOINT_DEMO_MAX_ITER);
     if report.residual.to_bits() != ref_report.residual.to_bits()
         || x.max_abs_diff(&x_ref) != 0.0
         || report.iterations != ref_report.iterations

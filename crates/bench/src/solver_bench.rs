@@ -22,6 +22,7 @@
 use grid::dirac::{
     FUSED_DOT_FLOPS_PER_SITE, FUSED_MASS_AXPY_FLOPS_PER_SITE, HOPPING_FLOPS_PER_SITE,
 };
+use grid::krylov::{cg_step, Allocating, Layout, Scratch};
 use grid::prelude::*;
 use grid::Coor;
 use qcd_trace::Json;
@@ -430,9 +431,14 @@ pub fn run_solver_bench_with_rhs(
     let b = FermionField::random(g.clone(), 92);
     let a = 0.2 + 4.0;
 
+    // Both legs step the one recurrence; tolerance 0 never converges, so
+    // each runs exactly `iters` iterations after a warm-up step.
+    let mut scratch = Scratch::new(&b);
+
     // Baseline: hopping sweep + separate mass linear combination, fresh
-    // fields per application, standalone curvature dot inside `step`.
-    let unfused_apply = |p: &FermionField| {
+    // fields per application, standalone curvature dot (the allocating
+    // closure adapter).
+    let mut unfused = Allocating::new(g.clone(), |p: &FermionField| {
         let h = op.hopping(p);
         let mut mp = FermionField::zero(g.clone());
         mp.scale_axpy_from(-0.5, &h, a, p);
@@ -440,30 +446,31 @@ pub fn run_solver_bench_with_rhs(
         let mut out = FermionField::zero(g.clone());
         out.scale_axpy_from(-0.5, &hd, a, &mp);
         out
-    };
+    });
     let mut base_state = CgState::new(&b);
-    base_state.step(unfused_apply); // warm-up outside the timed loop
+    let _ = cg_step(&mut unfused, &mut base_state, &mut scratch, 0.0, iters); // warm-up
     let mut base_state = CgState::new(&b);
     let t0 = Instant::now();
     for _ in 0..iters {
-        base_state.step(unfused_apply);
+        let _ = cg_step(&mut unfused, &mut base_state, &mut scratch, 0.0, iters);
     }
     let base_wall = t0.elapsed().as_nanos() as u64;
 
-    // Fused: preallocated workspace, fused dslash+mass+dot sweeps.
-    let mut ws = SolverWorkspace::new(g.clone());
-    let mut fused_apply = |p: &FermionField, ws: &mut SolverWorkspace| {
-        let SolverWorkspace { tmp, ap, .. } = ws;
-        op.mdag_m_into_dot(p, tmp, ap)
-    };
+    // Fused: preallocated intermediate, fused dslash+mass+dot sweeps.
+    let mut tmp = FermionField::zero(g.clone());
+    let mut fused = Layout::new(
+        |p: &FermionField, ap: &mut FermionField, curv: &mut [f64]| {
+            curv[0] = op.mdag_m_into_dot(p, &mut tmp, ap);
+        },
+    );
     let mut fused_state = CgState::new(&b);
     fused_state.history.reserve(iters + 1);
-    fused_state.step_ws(&mut ws, &mut fused_apply); // warm-up
+    let _ = cg_step(&mut fused, &mut fused_state, &mut scratch, 0.0, iters); // warm-up
     let mut fused_state = CgState::new(&b);
     fused_state.history.reserve(iters + 1);
     let t0 = Instant::now();
     for _ in 0..iters {
-        fused_state.step_ws(&mut ws, &mut fused_apply);
+        let _ = cg_step(&mut fused, &mut fused_state, &mut scratch, 0.0, iters);
     }
     let fused_wall = t0.elapsed().as_nanos() as u64;
 

@@ -324,8 +324,9 @@ impl CloverWilson {
 mod tests {
     use super::*;
     use crate::dirac::gamma5;
+    use crate::krylov::{cg_solve, no_observer, Allocating, Start};
     use crate::simd::SimdBackend;
-    use crate::solver::cg_op;
+    use crate::solver::CgState;
     use crate::tensor::su3::{random_gauge, unit_gauge};
     use sve::VectorLength;
 
@@ -438,8 +439,17 @@ mod tests {
         let g = grid();
         let op = CloverWilson::new(random_gauge(g.clone(), 153), 0.3, 1.0);
         let b = FermionField::random(g.clone(), 154);
-        let (x, report) = cg_op(|v| op.mdag_m(v), &b, 1e-8, 2000);
-        assert!(report.converged, "{report:?}");
+        let (x, report) = cg_solve(
+            &mut Allocating::new(g.clone(), |v: &FermionField| op.mdag_m(v)),
+            &b,
+            Start::<CgState>::Zero,
+            1e-8,
+            2000,
+            qcd_trace::span!("solver.cg", g.engine().ctx()),
+            "solver.cg",
+            no_observer,
+        );
+        assert!(report.converged[0], "{report:?}");
         let ax = op.mdag_m(&x);
         let mut diff = FermionField::zero(g);
         diff.sub(&ax, &b);

@@ -50,18 +50,17 @@ use crate::dirac::{
     HOPPING_READS_PER_SITE, HOPPING_WRITES_PER_SITE,
 };
 use crate::field::{
-    cg_update_x_r, gauge_comp, spinor_comp, FermionBlock, FermionField, Field, FieldKind,
-    GaugeField,
+    gauge_comp, spinor_comp, FermionBlock, FermionField, Field, FieldKind, GaugeField,
 };
+use crate::krylov::{self, CgSpace, Start};
 use crate::layout::{lex, Coor, NCOLOR, NDIM, NSPIN};
 use crate::reduce::canonical_sum;
 use crate::simd::{CVec, Words};
-use crate::solver::{conclude_health, SolveReport};
+use crate::solver::{CgState, SolveReport};
 use crate::stencil::{dir_index, StencilEntry};
 use crate::tensor::gamma::proj_table;
 use crate::tensor::su3::{mat_dag_vec, mat_vec, reconstruct_row2};
 use crate::topology::{fermion_face_bytes, link_ghost_bytes, FERMION_FACE_SCALARS};
-use qcd_metrics::HealthMonitor;
 use std::cell::Cell;
 use std::sync::Arc;
 
@@ -759,13 +758,40 @@ pub fn restrict_field<K: FieldKind>(ctx: &RankCtx, global: &Field<K>) -> Field<K
     out
 }
 
-/// Distributed Conjugate Gradient on `M†M x = b` through a caller-provided
-/// workspace. The operator applications overlap comms with interior
-/// compute; every recurrence scalar is globally canonical, so for a fixed
-/// global lattice the solution and residual history are **bit-identical at
-/// any rank count** (uncompressed wire), and invariant under vector length
-/// and worker thread count.
-pub fn dist_cg_ws(
+/// The rank-local space of the distributed solve: the overlapped `M†M`
+/// application of `dw`, steered by globally canonical scalars (every norm
+/// and curvature is a ring allgather summed over the *global* volume). The
+/// fused update sweep's local `|r|²` is discarded; the zero-start `|r|²`
+/// copies `|b|²` rather than pay a second allgather.
+struct RankLocal<'a, 'c> {
+    dw: &'a DistWilson<'c>,
+    ws: &'a mut DistWorkspace,
+}
+
+impl CgSpace for RankLocal<'_, '_> {
+    type V = FermionField;
+    const CANONICAL: bool = true;
+
+    fn apply(&mut self, p: &FermionField, ap: &mut FermionField, curv: &mut [f64]) {
+        self.dw.mdag_m_into(p, self.ws, ap);
+        curv[0] = self.dw.canon_inner_re(p, ap, self.ws);
+    }
+
+    fn operator(&mut self, x: &FermionField, ax: &mut FermionField, _unused: &mut [f64]) {
+        self.dw.mdag_m_into(x, self.ws, ax);
+    }
+
+    fn norms2(&mut self, v: &FermionField, out: &mut [f64]) {
+        out[0] = self.dw.canon_norm2(v, self.ws);
+    }
+
+    fn initial_r2(&mut self, _r: &FermionField, b_norm2: &[f64], out: &mut [f64]) {
+        out.copy_from_slice(b_norm2);
+    }
+}
+
+/// One distributed solve through a caller-held workspace.
+fn dist_cg_in(
     dw: &DistWilson,
     b: &FermionField,
     ws: &mut DistWorkspace,
@@ -774,71 +800,36 @@ pub fn dist_cg_ws(
 ) -> (FermionField, SolveReport) {
     let grid = b.grid().clone();
     let span = qcd_trace::span!("solver.dist_cg", grid.engine().ctx());
-    let b_norm2 = dw.canon_norm2(b, ws);
-    assert!(b_norm2 > 0.0, "CG needs a nonzero right-hand side");
-    let mut x = FermionField::zero(grid.clone());
-    let mut r = b.clone();
-    let mut p = r.clone();
-    let mut ap = FermionField::zero(grid.clone());
-    let mut r2 = b_norm2;
-    let mut iterations = 0usize;
-    let mut history = Vec::with_capacity(max_iter + 2);
-    history.push((r2 / b_norm2).sqrt());
-    let mut monitor = HealthMonitor::new("solver.dist_cg");
-    monitor.replay(&history);
-
-    while iterations < max_iter && r2 > tol * tol * b_norm2 {
-        dw.mdag_m_into(&p, ws, &mut ap);
-        let p_ap = dw.canon_inner_re(&p, &ap, ws);
-        assert!(
-            p_ap > 0.0,
-            "search direction has non-positive curvature: operator not HPD?"
-        );
-        let alpha = r2 / p_ap;
-        // The fused sweep's local |r|² is discarded: the recurrence runs on
-        // the canonical norm below so scalars match at every rank count.
-        let _local_r2 = cg_update_x_r(&mut x, &mut r, alpha, &p, &ap);
-        let r2_new = dw.canon_norm2(&r, ws);
-        let beta = r2_new / r2;
-        p.aypx(beta, &r);
-        r2 = r2_new;
-        iterations += 1;
-        history.push((r2 / b_norm2).sqrt());
-        monitor.observe(*history.last().unwrap());
-    }
-
-    let converged = r2 <= tol * tol * b_norm2;
-    // True residual (canonical), reusing the spent search direction.
-    dw.mdag_m_into(&x, ws, &mut ap);
-    p.sub(b, &ap);
-    let residual = (dw.canon_norm2(&p, ws) / b_norm2).sqrt();
-    let (history, health) = conclude_health("solver.dist_cg", monitor, &history, iterations);
-    (
-        x,
-        SolveReport {
-            iterations,
-            residual,
-            converged,
-            history,
-            health,
-            telemetry: span.finish(),
-        },
-    )
+    let (x, report) = krylov::cg_solve(
+        &mut RankLocal { dw, ws },
+        b,
+        Start::<CgState>::Zero,
+        tol,
+        max_iter,
+        span,
+        "solver.dist_cg",
+        krylov::no_observer,
+    );
+    (x, report.into_single())
 }
 
-/// [`dist_cg_ws`] with an internally allocated workspace.
+/// Distributed Conjugate Gradient on `M†M x = b`. The operator
+/// applications overlap comms with interior compute; every recurrence
+/// scalar is globally canonical, so for a fixed global lattice the solution
+/// and residual history are **bit-identical at any rank count**
+/// (uncompressed wire), and invariant under vector length and worker
+/// thread count.
 pub fn dist_cg(
     dw: &DistWilson,
     b: &FermionField,
     tol: f64,
     max_iter: usize,
 ) -> (FermionField, SolveReport) {
-    let mut ws = DistWorkspace::new(dw);
-    dist_cg_ws(dw, b, &mut ws, tol, max_iter)
+    dist_cg_in(dw, b, &mut DistWorkspace::new(dw), tol, max_iter)
 }
 
 /// Distributed multi-RHS solve: each right-hand side runs an independent
-/// [`dist_cg_ws`] through one shared workspace. Unlike the single-process
+/// [`dist_cg`] through one shared workspace. Unlike the single-process
 /// block solver there is no shared-Krylov coupling across the batch, so
 /// every RHS inherits the full per-RHS determinism guarantee: bit-identical
 /// at any rank count to the same RHS solved at `R = 1`.
@@ -860,7 +851,7 @@ pub fn dist_block_cg(
                 rhs.word_mut(o, comp).copy_from_slice(b.word(o, j, comp));
             }
         }
-        let (xj, report) = dist_cg_ws(dw, &rhs, &mut ws, tol, max_iter);
+        let (xj, report) = dist_cg_in(dw, &rhs, &mut ws, tol, max_iter);
         for o in 0..grid.osites() {
             for comp in 0..NCOMP {
                 x.word_mut(o, j, comp).copy_from_slice(xj.word(o, comp));

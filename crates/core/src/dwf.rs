@@ -20,6 +20,7 @@
 
 use crate::dirac::{gamma5, WilsonDirac};
 use crate::field::{spinor_comp, FermionField, GaugeField};
+use crate::krylov::{self, CgSpace, Start, State, Vector};
 use crate::layout::NCOLOR;
 use crate::solver::SolveReport;
 use crate::Complex;
@@ -271,67 +272,88 @@ pub fn r5_gamma5(psi: &Fermion5) -> Fermion5 {
     }
 }
 
+impl Vector for Fermion5 {
+    fn zero_like(&self) -> Self {
+        Fermion5::zero(self.slices[0].grid().clone(), self.ls())
+    }
+
+    fn norms2_into(&self, out: &mut [f64]) {
+        out[0] = self.norm2();
+    }
+
+    fn sub_into(&mut self, x: &Self, y: &Self) {
+        self.sub(x, y);
+    }
+
+    fn sub_norms2_into(&mut self, x: &Self, y: &Self, out: &mut [f64]) {
+        self.sub(x, y);
+        out[0] = self.norm2();
+    }
+
+    fn cg_update(
+        x: &mut Self,
+        r: &mut Self,
+        alpha: &[f64],
+        p: &Self,
+        ap: &Self,
+        _active: &[bool],
+        r2: &mut [f64],
+    ) {
+        x.axpy_inplace(alpha[0], p);
+        r2[0] = r.axpy_norm2(-alpha[0], ap);
+    }
+
+    fn aypx_active(&mut self, beta: &[f64], x: &Self, _active: &[bool]) {
+        self.aypx(beta[0], x);
+    }
+}
+
+/// The layout space of the domain-wall normal operator: `D†D` through a
+/// held `D ψ` intermediate, the curvature a separate slice-ordered inner
+/// product (which the true-residual check therefore skips).
+struct DwfNormal<'a> {
+    op: &'a DomainWall,
+    tmp: Fermion5,
+}
+
+impl CgSpace for DwfNormal<'_> {
+    type V = Fermion5;
+
+    fn apply(&mut self, p: &Fermion5, ap: &mut Fermion5, curv: &mut [f64]) {
+        self.op.ddag_d_into(p, &mut self.tmp, ap);
+        curv[0] = p.inner(ap).re;
+    }
+
+    fn operator(&mut self, x: &Fermion5, ax: &mut Fermion5, _unused: &mut [f64]) {
+        self.op.ddag_d_into(x, &mut self.tmp, ax);
+    }
+}
+
 /// Conjugate Gradient on the domain-wall normal equations `D†D x = b`.
 ///
 /// Runs allocation-free in steady state: the `D ψ` intermediate and the
-/// operator output live in two preallocated 5-D workspaces reused across
-/// iterations, the residual update is the fused `axpy_norm2` sweep, and no
+/// operator output are preallocated 5-D fermions reused across iterations,
+/// the residual update is the fused `axpy_norm2` sweep, and no
 /// per-iteration telemetry span is opened (span entry allocates; the
 /// solve-level span still collects flops and bytes).
 pub fn cg_dwf(op: &DomainWall, b: &Fermion5, tol: f64, max_iter: usize) -> (Fermion5, SolveReport) {
-    let b_norm2 = b.norm2();
-    assert!(b_norm2 > 0.0, "CG needs a nonzero right-hand side");
     let grid = b.slices[0].grid().clone();
     let span = qcd_trace::span!("solver.cg_dwf", grid.engine().ctx());
-    let ls = b.ls();
-    let mut x = Fermion5::zero(grid.clone(), ls);
-    let mut r = b.clone();
-    let mut p = r.clone();
-    let mut tmp = Fermion5::zero(grid.clone(), ls);
-    let mut ap = Fermion5::zero(grid.clone(), ls);
-    let mut r2 = r.norm2();
-    let target = tol * tol * b_norm2;
-    let mut history = Vec::with_capacity(max_iter + 1);
-    history.push((r2 / b_norm2).sqrt());
-    let mut monitor = qcd_metrics::HealthMonitor::new("solver.cg_dwf");
-    monitor.replay(&history);
-    let mut iterations = 0;
-    while iterations < max_iter && r2 > target {
-        op.ddag_d_into(&p, &mut tmp, &mut ap);
-        let p_ap = p.inner(&ap).re;
-        assert!(p_ap > 0.0, "operator not HPD?");
-        let alpha = r2 / p_ap;
-        x.axpy_inplace(alpha, &p);
-        let r2_new = r.axpy_norm2(-alpha, &ap);
-        p.aypx(r2_new / r2, &r);
-        r2 = r2_new;
-        iterations += 1;
-        let rel = (r2 / b_norm2).sqrt();
-        history.push(rel);
-        monitor.observe(rel);
-    }
-    // True residual check, reusing the workspaces and the spent residual.
-    op.ddag_d_into(&x, &mut tmp, &mut ap);
-    r.sub(b, &ap);
-    let residual = (r.norm2() / b_norm2).sqrt();
-    let (capped, _kept) = qcd_metrics::bound_history(
-        &history,
-        &monitor.flagged_iterations(),
-        crate::solver::HISTORY_CAP,
+    let mut space = DwfNormal {
+        op,
+        tmp: b.zero_like(),
+    };
+    let (x, report) = krylov::cg_solve(
+        &mut space,
+        b,
+        Start::<State<Fermion5>>::Zero,
+        tol,
+        max_iter,
+        span,
+        "solver.cg_dwf",
+        krylov::no_observer,
     );
-    qcd_metrics::histogram("solver.cg_dwf.iterations").record(iterations as u64);
-    qcd_metrics::counter("solver.solves").inc();
-    (
-        x,
-        SolveReport {
-            iterations,
-            residual,
-            converged: r2 <= target,
-            history: capped,
-            health: monitor.into_events(),
-            telemetry: span.finish(),
-        },
-    )
+    (x, report.into_single())
 }
 
 #[cfg(test)]

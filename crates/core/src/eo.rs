@@ -24,11 +24,9 @@
 
 use crate::dirac::{gamma5_block_inplace, gamma5_inplace, WilsonDirac};
 use crate::field::{FermionBlock, FermionField, Field, FieldKind};
+use crate::krylov::{self, Layout, Start};
 use crate::layout::{delex, Grid, NDIM};
-use crate::solver::{
-    block_cg_ws_from_state, cg_ws_from_state, BlockCgState, BlockSolveReport, BlockWorkspace,
-    CgState, SolveReport, SolverWorkspace,
-};
+use crate::solver::{BlockCgState, BlockSolveReport, CgState, SolveReport, SolverWorkspace};
 use std::sync::Arc;
 use sve::PReg;
 
@@ -138,23 +136,36 @@ pub fn solve_eo(
     rhs.axpy_inplace(-0.25 / a, &ws.tmp);
     gamma5_inplace(&mut rhs);
 
-    // A v = S†S v into ws.ap, returning the CG curvature Re ⟨v, A v⟩.
-    // The second Schur application runs in place on the output field.
-    let apply = |v: &FermionField, ws: &mut SolverWorkspace| {
-        let SolverWorkspace { tmp, ap, hop } = ws;
-        op.hopping_into(v, hop);
-        op.hopping_into(hop, tmp);
-        ap.scale_axpy_from(a, v, -0.25 / a, tmp); // ap = S v
-        gamma5_inplace(ap);
-        op.hopping_into(ap, hop);
-        op.hopping_into(hop, tmp);
-        ap.scale(a);
-        ap.axpy_inplace(-0.25 / a, tmp);
-        gamma5_inplace(ap); // ap = γ5 S γ5 (S v) = S†S v
-        v.inner(ap).re
-    };
+    // ap = A v = S†S v with the CG curvature Re ⟨v, A v⟩. The second Schur
+    // application runs in place on the output field.
+    let SolverWorkspace { tmp, hop, .. } = &mut ws;
+    let mut space = Layout::new(
+        |v: &FermionField, ap: &mut FermionField, curv: &mut [f64]| {
+            op.hopping_into(v, hop);
+            op.hopping_into(hop, tmp);
+            ap.scale_axpy_from(a, v, -0.25 / a, tmp); // ap = S v
+            gamma5_inplace(ap);
+            op.hopping_into(ap, hop);
+            op.hopping_into(hop, tmp);
+            ap.scale(a);
+            ap.axpy_inplace(-0.25 / a, tmp);
+            gamma5_inplace(ap); // ap = γ5 S γ5 (S v) = S†S v
+            curv[0] = v.inner(ap).re;
+        },
+    );
     let state = CgState::new(&rhs);
-    let (xe, inner_report) = cg_ws_from_state(apply, &rhs, &mut ws, state, tol, max_iter);
+    let cg_span = qcd_trace::span!("solver.cg", grid.engine().ctx());
+    let (xe, inner) = krylov::cg_solve(
+        &mut space,
+        &rhs,
+        Start::State(state),
+        tol,
+        max_iter,
+        cg_span,
+        "solver.cg",
+        krylov::no_observer,
+    );
+    let inner_report = inner.into_single();
 
     // Back-substitution: x_o = (b_o + ½ D_oe x_e) / a.
     let xo = &mut ws.hop;
@@ -228,25 +239,38 @@ pub fn solve_eo_block(
         bos.push(bo);
     }
 
-    // Batched A v = S†S v into ws.ap with per-RHS curvatures — every block
-    // op is per-RHS bit-identical to its single-RHS twin in `solve_eo`.
-    let mut ws = BlockWorkspace::new(grid.clone(), nrhs);
-    let apply = |v: &FermionBlock, ws: &mut BlockWorkspace| {
-        let BlockWorkspace { tmp, ap, hop } = ws;
-        op.hopping_block_into(v, hop);
-        op.hopping_block_into(hop, tmp);
-        ap.scale_axpy_from(a, v, -0.25 / a, tmp); // ap = S v
-        gamma5_block_inplace(ap);
-        op.hopping_block_into(ap, hop);
-        op.hopping_block_into(hop, tmp);
-        ap.scale(a);
-        ap.axpy_inplace(-0.25 / a, tmp);
-        gamma5_block_inplace(ap); // ap = γ5 S γ5 (S v) = S†S v
-        v.inners(ap).iter().map(|z| z.re).collect()
-    };
+    // Batched ap = A v = S†S v with per-RHS curvatures — every block op is
+    // per-RHS bit-identical to its single-RHS twin in `solve_eo`.
+    let mut tmp = FermionBlock::zero(grid.clone(), nrhs);
+    let mut hop = FermionBlock::zero(grid.clone(), nrhs);
+    let mut space = Layout::new(
+        |v: &FermionBlock, ap: &mut FermionBlock, curv: &mut [f64]| {
+            op.hopping_block_into(v, &mut hop);
+            op.hopping_block_into(&hop, &mut tmp);
+            ap.scale_axpy_from(a, v, -0.25 / a, &tmp); // ap = S v
+            gamma5_block_inplace(ap);
+            op.hopping_block_into(ap, &mut hop);
+            op.hopping_block_into(&hop, &mut tmp);
+            ap.scale(a);
+            ap.axpy_inplace(-0.25 / a, &tmp);
+            gamma5_block_inplace(ap); // ap = γ5 S γ5 (S v) = S†S v
+            for (c, z) in curv.iter_mut().zip(v.inners(ap)) {
+                *c = z.re;
+            }
+        },
+    );
     let state = BlockCgState::new(&rhs_block);
-    let (xe_block, inner) =
-        block_cg_ws_from_state(apply, &rhs_block, &mut ws, state, tol, max_iter);
+    let cg_span = qcd_trace::span!("solver.block_cg", grid.engine().ctx());
+    let (xe_block, inner) = krylov::cg_solve(
+        &mut space,
+        &rhs_block,
+        Start::State(state),
+        tol,
+        max_iter,
+        cg_span,
+        "solver.block_cg",
+        krylov::no_observer,
+    );
 
     // Per-RHS epilogue, single-RHS ops verbatim: back-substitute the odd
     // checkerboard and report the true residual of the full system.

@@ -1,0 +1,802 @@
+//! The Krylov driver: the Conjugate Gradient recurrence, written once.
+//!
+//! Grid writes its solver once — one templated CG over a linear-operator
+//! base, with mixed-precision and block solvers as compositions of it — and
+//! so does this crate. [`cg_step`] is the only function that computes
+//! `α = ρ/⟨p,Ap⟩` and `β`; [`cg_iterate`] is the only loop that drives it;
+//! [`cg_solve`] wraps that loop in a start, the health monitors, the
+//! true-residual check and the solve-level report. Everything else that
+//! used to be a hand-written loop is a **space** ([`CgSpace`]: an operator
+//! bound to a vector type and the inner product it steers by), a **start**
+//! ([`Start`]) and an **observer** (a closure called after every
+//! iteration).
+//!
+//! Scalars travel as slices of length `nrhs` — one entry for single-vector
+//! spaces — so a field, a block of right-hand sides, a 5-d fermion, a
+//! rank-local slab and a binary16 field all run the same loop. The driver
+//! owns every per-iteration scratch vector ([`Scratch`]); a steady-state
+//! [`cg_step`] allocates nothing the space's kernels do not.
+//!
+//! What the spaces disagree on is deliberate and pinned by instruction
+//! counts and bit hashes (DESIGN.md §16): which reduction they trust
+//! (layout-ordered from the fused sweep, or a canonical lexicographic one
+//! that is the same at every vector length, thread and rank count) and
+//! which sweeps they retire to get it.
+
+use crate::dirac::WilsonDirac;
+use crate::field::{
+    block_cg_update_x_r, cg_update_x_r, FermionBlock, FermionKind, Field, FieldKind,
+};
+use crate::layout::Grid;
+use crate::reduce::canonical_sum;
+use crate::solver::{conclude_health, BlockSolveReport};
+use qcd_metrics::HealthMonitor;
+use std::marker::PhantomData;
+use std::ops::ControlFlow;
+use std::sync::Arc;
+use sve::SveFloat;
+
+/// Upper bound on the residual-history capacity reserved up front. The
+/// reservation is `min(remaining budget, this)`; longer solves grow the
+/// vector amortised. Sizing it by the budget alone let a large `max_iter`
+/// (a `u64` straight out of a farm job record) abort the process.
+pub const HISTORY_RESERVE: usize = 1024;
+
+/// What the recurrence needs of a vector type, in the type's own storage
+/// order: the *layout* reductions and the fused update sweeps. Canonical
+/// spaces override the reductions in [`CgSpace`] and keep the sweeps.
+pub trait Vector: Clone {
+    /// Whether the type carries several right-hand sides (health monitors
+    /// of a batch are labelled `region[j]`, even at batch width one).
+    const BATCHED: bool = false;
+
+    /// Right-hand sides carried.
+    fn nrhs(&self) -> usize {
+        1
+    }
+
+    /// A zero vector of the same shape (retires no instruction).
+    fn zero_like(&self) -> Self;
+
+    /// Per-RHS `|self|²`.
+    fn norms2_into(&self, out: &mut [f64]);
+
+    /// `self = x − y`.
+    fn sub_into(&mut self, x: &Self, y: &Self);
+
+    /// `self = x − y` and per-RHS `|self|²`, fused where the type fuses it.
+    fn sub_norms2_into(&mut self, x: &Self, y: &Self, out: &mut [f64]);
+
+    /// `x += α p`, `r −= α ap` on the active RHS; their new `|r|²` to `r2`.
+    fn cg_update(
+        x: &mut Self,
+        r: &mut Self,
+        alpha: &[f64],
+        p: &Self,
+        ap: &Self,
+        active: &[bool],
+        r2: &mut [f64],
+    );
+
+    /// `self = x + β self` on the active RHS.
+    fn aypx_active(&mut self, beta: &[f64], x: &Self, active: &[bool]);
+}
+
+impl<K: FieldKind, E: SveFloat> Vector for Field<K, E> {
+    fn zero_like(&self) -> Self {
+        Field::zero(self.grid().clone())
+    }
+
+    fn norms2_into(&self, out: &mut [f64]) {
+        out[0] = self.norm2();
+    }
+
+    fn sub_into(&mut self, x: &Self, y: &Self) {
+        self.sub(x, y);
+    }
+
+    fn sub_norms2_into(&mut self, x: &Self, y: &Self, out: &mut [f64]) {
+        out[0] = self.sub_norm2(x, y);
+    }
+
+    fn cg_update(
+        x: &mut Self,
+        r: &mut Self,
+        alpha: &[f64],
+        p: &Self,
+        ap: &Self,
+        _active: &[bool],
+        r2: &mut [f64],
+    ) {
+        r2[0] = cg_update_x_r(x, r, alpha[0], p, ap);
+    }
+
+    fn aypx_active(&mut self, beta: &[f64], x: &Self, _active: &[bool]) {
+        self.aypx(beta[0], x);
+    }
+}
+
+impl<E: SveFloat> Vector for FermionBlock<E> {
+    const BATCHED: bool = true;
+
+    fn nrhs(&self) -> usize {
+        FermionBlock::nrhs(self)
+    }
+
+    fn zero_like(&self) -> Self {
+        FermionBlock::zero(self.grid().clone(), FermionBlock::nrhs(self))
+    }
+
+    fn norms2_into(&self, out: &mut [f64]) {
+        out.copy_from_slice(&self.norms2());
+    }
+
+    fn sub_into(&mut self, x: &Self, y: &Self) {
+        // x + (−1)·y: bit-identical to the single-field `sub` (negation and
+        // the unit multiply are exact).
+        self.scale_axpy_from(-1.0, y, 1.0, x);
+    }
+
+    fn sub_norms2_into(&mut self, x: &Self, y: &Self, out: &mut [f64]) {
+        out.copy_from_slice(&self.sub_norms2(x, y));
+    }
+
+    fn cg_update(
+        x: &mut Self,
+        r: &mut Self,
+        alpha: &[f64],
+        p: &Self,
+        ap: &Self,
+        active: &[bool],
+        r2: &mut [f64],
+    ) {
+        r2.copy_from_slice(&block_cg_update_x_r(x, r, alpha, p, ap, active));
+    }
+
+    fn aypx_active(&mut self, beta: &[f64], x: &Self, active: &[bool]) {
+        self.aypx_masked(beta, x, active);
+    }
+}
+
+/// An operator bound to a vector type and the inner product its CG steers
+/// by. Only [`apply`](Self::apply) is required; the defaults are the layout
+/// space: reductions in storage order, the fused sweep's `|r|²` trusted. A
+/// **canonical** space sets [`CANONICAL`](Self::CANONICAL) and overrides
+/// [`norms2`](Self::norms2) and [`operator`](Self::operator): its scalars
+/// are reductions that do not depend on the layout, so the driver discards
+/// what the fused sweeps reduced and asks the space again. A space
+/// contains no recurrence.
+pub trait CgSpace {
+    /// The vector type of iterates, residuals and search directions.
+    type V: Vector;
+
+    /// Whether the steering scalars are canonical reductions rather than
+    /// the layout-ordered ones the fused sweeps return.
+    const CANONICAL: bool = false;
+
+    /// `ap = A p` and the per-RHS curvature `Re ⟨p_j, A p_j⟩`, fused where
+    /// the operator fuses it.
+    fn apply(&mut self, p: &Self::V, ap: &mut Self::V, curv: &mut [f64]);
+
+    /// `ax = A x` where the curvature is not wanted (the true-residual
+    /// check, the residual of a guess). A space whose operator fuses the
+    /// curvature keeps the default — it is computed into `unused` anyway —
+    /// and one that pays for it separately skips it here.
+    fn operator(&mut self, x: &Self::V, ax: &mut Self::V, unused: &mut [f64]) {
+        self.apply(x, ax, unused);
+    }
+
+    /// Per-RHS `|v|²` in this space's inner product.
+    fn norms2(&mut self, v: &Self::V, out: &mut [f64]) {
+        v.norms2_into(out);
+    }
+
+    /// `|r|²` of the zero-start residual `r = b`. Layout spaces retire the
+    /// sweep a second time (the instruction counts are pinned); a space
+    /// whose norm is a collective copies `|b|²` instead.
+    fn initial_r2(&mut self, r: &Self::V, _b_norm2: &[f64], out: &mut [f64]) {
+        self.norms2(r, out);
+    }
+
+    /// The iterate/residual update on the active RHS, leaving in `r2` the
+    /// new `|r|²` this space considers authoritative: the fused sweep's
+    /// own reduction, or — the sweep's reduction instructions still retire
+    /// but their result is discarded — a canonical one.
+    #[allow(clippy::too_many_arguments)]
+    fn update_x_r(
+        &mut self,
+        x: &mut Self::V,
+        r: &mut Self::V,
+        alpha: &[f64],
+        p: &Self::V,
+        ap: &Self::V,
+        active: &[bool],
+        r2: &mut [f64],
+    ) {
+        Self::V::cg_update(x, r, alpha, p, ap, active, r2);
+        if Self::CANONICAL {
+            self.norms2(r, r2);
+        }
+    }
+
+    /// `z = M⁻¹ r` and per-RHS `Re ⟨r_j, z_j⟩` for a preconditioned space;
+    /// `false` (the default, touching nothing) for an unpreconditioned one.
+    fn precondition(&mut self, _r: &Self::V, _z: &mut Self::V, _rz: &mut [f64]) -> bool {
+        false
+    }
+
+    /// Scope of one iteration. The allocating adapter opens its `iter`
+    /// span here; the workspace spaces deliberately open none (span entry
+    /// allocates).
+    fn iteration<R>(&mut self, body: impl FnOnce(&mut Self) -> R) -> R
+    where
+        Self: Sized,
+    {
+        body(self)
+    }
+}
+
+/// `out = b − A x` through `ax` and its per-RHS `|out|²` in `space`: the
+/// true-residual check, and the residual of a [`Start::Guess`]. A layout
+/// space takes the fused subtract-and-norm sweep; a canonical one
+/// subtracts and then reduces canonically.
+fn residual<S: CgSpace>(
+    space: &mut S,
+    b: &S::V,
+    x: &S::V,
+    ax: &mut S::V,
+    out: &mut S::V,
+    n2: &mut [f64],
+) {
+    space.operator(x, ax, n2);
+    if S::CANONICAL {
+        out.sub_into(b, ax);
+        space.norms2(out, n2);
+    } else {
+        out.sub_norms2_into(b, ax, n2);
+    }
+}
+
+/// The layout space over any vector type: `apply(p, ap, curv)` evaluates
+/// the operator and its curvature, every other scalar is the type's own
+/// storage-order reduction. `cg`, `block_cg` and the even-odd Schur solves
+/// are this space around their fused sweeps.
+pub struct Layout<V, A> {
+    apply: A,
+    _vector: PhantomData<fn(&V)>,
+}
+
+impl<V: Vector, A: FnMut(&V, &mut V, &mut [f64])> Layout<V, A> {
+    /// Bind the operator.
+    pub fn new(apply: A) -> Self {
+        Layout {
+            apply,
+            _vector: PhantomData,
+        }
+    }
+}
+
+impl<V: Vector, A: FnMut(&V, &mut V, &mut [f64])> CgSpace for Layout<V, A> {
+    type V = V;
+
+    fn apply(&mut self, p: &V, ap: &mut V, curv: &mut [f64]) {
+        (self.apply)(p, ap, curv);
+    }
+}
+
+/// The allocating closure adapter: any hermitian positive-definite
+/// operator given as `Fn(&F) -> F` (the shape Grid's `ConjugateGradient`
+/// template takes, the face `qcd_io::cg_checkpointed` exposes, and the
+/// oracle the conformance matrix compares every other space against). It
+/// allocates the operator output every iteration, takes the curvature as a
+/// separate inner product, and opens an `iter` span per iteration —
+/// bit-identical to the fused spaces on the same operator all the same.
+pub struct Allocating<E: SveFloat, F> {
+    grid: Arc<Grid<E>>,
+    op: F,
+}
+
+impl<E: SveFloat, F: Fn(&Field<FermionKind, E>) -> Field<FermionKind, E>> Allocating<E, F> {
+    /// Bind `op`, an operator on fields of `grid`.
+    pub fn new(grid: Arc<Grid<E>>, op: F) -> Self {
+        Allocating { grid, op }
+    }
+}
+
+impl<E: SveFloat, F: Fn(&Field<FermionKind, E>) -> Field<FermionKind, E>> CgSpace
+    for Allocating<E, F>
+{
+    type V = Field<FermionKind, E>;
+
+    fn apply(&mut self, p: &Self::V, ap: &mut Self::V, curv: &mut [f64]) {
+        *ap = (self.op)(p);
+        curv[0] = p.inner(ap).re;
+    }
+
+    fn operator(&mut self, x: &Self::V, ax: &mut Self::V, _unused: &mut [f64]) {
+        *ax = (self.op)(x);
+    }
+
+    fn iteration<R>(&mut self, body: impl FnOnce(&mut Self) -> R) -> R {
+        let grid = self.grid.clone();
+        let _iter_span = qcd_trace::span!("iter", grid.engine().ctx());
+        body(self)
+    }
+}
+
+/// The Wilson normal operator with **canonical** steering scalars: every
+/// norm and curvature is a lexicographic per-site scatter summed through
+/// the fixed chunk tree, so histories, iteration counts and solutions are
+/// bit-identical across vector lengths *and* thread counts. The space holds
+/// the one scatter buffer; an iteration allocates nothing.
+pub struct Canonical<'a, E: SveFloat> {
+    op: &'a WilsonDirac<E>,
+    tmp: &'a mut Field<FermionKind, E>,
+    buf: &'a mut [f64],
+}
+
+impl<'a, E: SveFloat> Canonical<'a, E> {
+    /// Bind `op` with the `M p` intermediate and a `volume`-entry scatter
+    /// buffer, both caller-held so they outlive repeated solves.
+    pub fn new(
+        op: &'a WilsonDirac<E>,
+        tmp: &'a mut Field<FermionKind, E>,
+        buf: &'a mut [f64],
+    ) -> Self {
+        Canonical { op, tmp, buf }
+    }
+
+    /// Canonical `Re ⟨a, b⟩` through the held buffer.
+    pub fn inner_re(&mut self, a: &Field<FermionKind, E>, b: &Field<FermionKind, E>) -> f64 {
+        a.site_inner_re_lex(b, self.buf);
+        canonical_sum(self.buf)
+    }
+}
+
+impl<E: SveFloat> CgSpace for Canonical<'_, E> {
+    type V = Field<FermionKind, E>;
+    const CANONICAL: bool = true;
+
+    fn apply(&mut self, p: &Self::V, ap: &mut Self::V, curv: &mut [f64]) {
+        self.op.mdag_m_into(p, self.tmp, ap);
+        curv[0] = self.inner_re(p, ap);
+    }
+
+    fn operator(&mut self, x: &Self::V, ax: &mut Self::V, _unused: &mut [f64]) {
+        self.op.mdag_m_into(x, self.tmp, ax);
+    }
+
+    fn norms2(&mut self, v: &Self::V, out: &mut [f64]) {
+        v.site_norm2_lex(self.buf);
+        out[0] = canonical_sum(self.buf);
+    }
+}
+
+/// Borrowed view of a recurrence state: what [`cg_step`] reads and writes.
+pub struct Parts<'a, V> {
+    /// Solution estimates.
+    pub x: &'a mut V,
+    /// Recurrence residuals.
+    pub r: &'a mut V,
+    /// Search directions.
+    pub p: &'a mut V,
+    /// Per-RHS `|r|²` (recurrence values, not recomputed).
+    pub r2: &'a mut [f64],
+    /// Per-RHS `|b|²`.
+    pub b_norm2: &'a [f64],
+    /// Per-RHS iterations completed.
+    pub iterations: &'a mut [usize],
+    /// Per-RHS relative residual history, never capped.
+    pub histories: &'a mut [Vec<f64>],
+}
+
+/// A CG recurrence state — the checkpoint unit. [`crate::solver::CgState`]
+/// (scalar fields, what `qcd-io` serializes for a single solve) and
+/// [`State`] (per-RHS vectors; [`crate::solver::BlockCgState`] is one)
+/// both drive the same [`cg_step`].
+pub trait Recurrence: Sized {
+    /// The vector type.
+    type V;
+
+    /// A state at iteration zero from its vectors and per-RHS scalars.
+    fn assemble(x: Self::V, r: Self::V, p: Self::V, r2: &[f64], b_norm2: &[f64]) -> Self;
+
+    /// The state's members, borrowed.
+    fn parts(&mut self) -> Parts<'_, Self::V>;
+
+    /// The solution estimate, consuming the state.
+    fn into_solution(self) -> Self::V;
+}
+
+/// The complete state of an in-flight CG over `nrhs` right-hand sides
+/// sharing every operator sweep. There is no stored "active" mask — which
+/// RHS still iterate is *derived* from `iterations` and `r2` exactly like
+/// a single-RHS loop condition, so a snapshot carries everything a resume
+/// needs.
+#[derive(Clone)]
+pub struct State<V> {
+    /// Current solution estimates.
+    pub x: V,
+    /// Recurrence residuals `b_j − A x_j`.
+    pub r: V,
+    /// Search directions.
+    pub p: V,
+    /// Squared norm of each `r_j` (recurrence values, not recomputed).
+    pub r2: Vec<f64>,
+    /// Squared norm of each right-hand side.
+    pub b_norm2: Vec<f64>,
+    /// Iterations completed per RHS.
+    pub iterations: Vec<usize>,
+    /// Relative residual history per RHS.
+    pub histories: Vec<Vec<f64>>,
+}
+
+impl<V> State<V> {
+    /// The batch width.
+    pub fn nrhs(&self) -> usize {
+        self.r2.len()
+    }
+}
+
+impl<V> Recurrence for State<V> {
+    type V = V;
+
+    fn assemble(x: V, r: V, p: V, r2: &[f64], b_norm2: &[f64]) -> Self {
+        State {
+            x,
+            r,
+            p,
+            r2: r2.to_vec(),
+            b_norm2: b_norm2.to_vec(),
+            iterations: vec![0; r2.len()],
+            histories: r2
+                .iter()
+                .zip(b_norm2)
+                .map(|(r2, b2)| vec![(r2 / b2).sqrt()])
+                .collect(),
+        }
+    }
+
+    fn parts(&mut self) -> Parts<'_, V> {
+        Parts {
+            x: &mut self.x,
+            r: &mut self.r,
+            p: &mut self.p,
+            r2: &mut self.r2,
+            b_norm2: &self.b_norm2,
+            iterations: &mut self.iterations,
+            histories: &mut self.histories,
+        }
+    }
+
+    fn into_solution(self) -> V {
+        self.x
+    }
+}
+
+/// Where a solve begins.
+pub enum Start<St: Recurrence> {
+    /// `x = 0`, `r = p = b`.
+    Zero,
+    /// From an initial guess (deflation's Galerkin guess): `r = b − A x₀`
+    /// in the space's inner product, `p = r`.
+    Guess(St::V),
+    /// From a restored (or hand-stepped) state. The budget counts *total*
+    /// iterations including those already inside it.
+    State(St),
+}
+
+/// Why [`cg_step`] / [`cg_iterate`] stopped.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Stop {
+    /// Every RHS has converged or spent its budget.
+    Finished,
+    /// The observer asked to stop.
+    Observer,
+    /// The curvature `⟨p,Ap⟩` of this RHS was not positive (or not a
+    /// number). What that means is the caller's decision: [`cg_solve`]
+    /// panics (the operator is not HPD), the binary16 tier demotes itself.
+    Breakdown(usize),
+}
+
+/// The driver-owned per-iteration storage: the operator output, the
+/// preconditioned residual when the space has one, and the per-RHS
+/// scalars. Built once per solve (or once per tier and reused).
+pub struct Scratch<V> {
+    /// The operator output `A p`.
+    pub ap: V,
+    z: Option<V>,
+    k: Scalars,
+}
+
+/// The per-RHS scalars of one iteration.
+struct Scalars {
+    /// `⟨r,z⟩` of a preconditioned space (an unpreconditioned one steers
+    /// by the state's `|r|²`).
+    rho: Vec<f64>,
+    curv: Vec<f64>,
+    alpha: Vec<f64>,
+    beta: Vec<f64>,
+    fresh: Vec<f64>,
+    active: Vec<bool>,
+    onward: Vec<bool>,
+}
+
+impl Scalars {
+    fn new(n: usize) -> Self {
+        Scalars {
+            rho: vec![0.0; n],
+            curv: vec![0.0; n],
+            alpha: vec![0.0; n],
+            beta: vec![0.0; n],
+            fresh: vec![0.0; n],
+            active: vec![false; n],
+            onward: vec![false; n],
+        }
+    }
+}
+
+impl<V: Vector> Scratch<V> {
+    /// Storage shaped like `like`.
+    pub fn new(like: &V) -> Self {
+        Scratch {
+            ap: like.zero_like(),
+            z: None,
+            k: Scalars::new(like.nrhs()),
+        }
+    }
+}
+
+/// An observer that never stops a solve.
+pub fn no_observer<St>(_: &St, _: &[HealthMonitor]) -> ControlFlow<()> {
+    ControlFlow::Continue(())
+}
+
+/// One Hestenes–Stiefel iteration over the RHS that are still active
+/// (`iterations < max_iter` and `|r|² > tol²|b|²`, derived per RHS):
+/// `α = ρ/⟨p,Ap⟩`, the space's iterate/residual update, `β = ρ'/ρ`, the
+/// masked search-direction update, and the history push. `ρ` is `|r|²`, or
+/// `⟨r,z⟩` in a preconditioned space — where the new direction is built
+/// only for RHS that go on, so a converged RHS skips the preconditioner.
+/// Inactive RHS are frozen: the masked sweeps do not load their words.
+///
+/// This is the only place in the workspace that computes the CG scalars.
+pub fn cg_step<S: CgSpace, St: Recurrence<V = S::V>>(
+    space: &mut S,
+    state: &mut St,
+    w: &mut Scratch<S::V>,
+    tol: f64,
+    max_iter: usize,
+) -> ControlFlow<Stop> {
+    let s = state.parts();
+    let Scratch { ap, z, k } = w;
+    let nrhs = s.r2.len();
+    let target = |j: usize| tol * tol * s.b_norm2[j];
+    for j in 0..nrhs {
+        k.active[j] = s.iterations[j] < max_iter && s.r2[j] > target(j);
+    }
+    if !k.active.contains(&true) {
+        return ControlFlow::Break(Stop::Finished);
+    }
+    space.iteration(|space| {
+        space.apply(s.p, ap, &mut k.curv);
+        for j in 0..nrhs {
+            if k.active[j] {
+                if k.curv[j].is_nan() || k.curv[j] <= 0.0 {
+                    return ControlFlow::Break(Stop::Breakdown(j));
+                }
+                let rho = if z.is_some() { k.rho[j] } else { s.r2[j] };
+                k.alpha[j] = rho / k.curv[j];
+            }
+        }
+        space.update_x_r(s.x, s.r, &k.alpha, s.p, ap, &k.active, &mut k.fresh);
+        for j in 0..nrhs {
+            if k.active[j] {
+                k.beta[j] = k.fresh[j] / s.r2[j];
+                s.r2[j] = k.fresh[j];
+                s.iterations[j] += 1;
+                s.histories[j].push((s.r2[j] / s.b_norm2[j]).sqrt());
+            }
+        }
+        let Some(z) = z else {
+            s.p.aypx_active(&k.beta, s.r, &k.active);
+            return ControlFlow::Continue(());
+        };
+        for j in 0..nrhs {
+            k.onward[j] = k.active[j] && s.r2[j] > target(j);
+        }
+        if k.onward.contains(&true) {
+            space.precondition(s.r, z, &mut k.fresh);
+            for j in 0..nrhs {
+                if k.onward[j] {
+                    k.beta[j] = k.fresh[j] / k.rho[j];
+                    k.rho[j] = k.fresh[j];
+                }
+            }
+            s.p.aypx_active(&k.beta, z, &k.onward);
+        }
+        ControlFlow::Continue(())
+    })
+}
+
+/// Build the state a solve starts from, and the preconditioned residual
+/// `z` (with `ρ = ⟨r,z⟩`, both pure functions of `r`) when the space has a
+/// preconditioner.
+fn begin<S: CgSpace, St: Recurrence<V = S::V>>(
+    space: &mut S,
+    b: &S::V,
+    w: &mut Scratch<S::V>,
+    start: Start<St>,
+) -> St {
+    let mut state = match start {
+        Start::State(state) => state,
+        fresh => {
+            let mut b_norm2 = vec![0.0; b.nrhs()];
+            space.norms2(b, &mut b_norm2);
+            assert_nonzero(&b_norm2);
+            let mut r2 = vec![0.0; b.nrhs()];
+            let (x, r) = match fresh {
+                Start::Guess(x0) => {
+                    let mut r = b.zero_like();
+                    residual(space, b, &x0, &mut w.ap, &mut r, &mut r2);
+                    (x0, r)
+                }
+                _ => {
+                    let r = b.clone();
+                    space.initial_r2(&r, &b_norm2, &mut r2);
+                    (b.zero_like(), r)
+                }
+            };
+            let p = r.clone();
+            St::assemble(x, r, p, &r2, &b_norm2)
+        }
+    };
+    let s = state.parts();
+    if space.precondition(s.r, &mut w.ap, &mut w.k.rho) {
+        // A restored direction is kept; a fresh one starts at z.
+        if s.iterations.iter().all(|&done| done == 0) {
+            s.p.clone_from(&w.ap);
+        }
+        w.z = Some(w.ap.clone());
+    }
+    state
+}
+
+fn assert_nonzero(b_norm2: &[f64]) {
+    for (j, &n) in b_norm2.iter().enumerate() {
+        assert!(n > 0.0, "CG needs a nonzero right-hand side (RHS {j})");
+    }
+}
+
+/// The one loop: [`cg_step`] until every RHS has converged or spent its
+/// budget, feeding each advanced RHS's new history entry to its monitor
+/// and then asking the observer whether to go on. `monitors` must already
+/// have seen the history inside `state`.
+///
+/// Solves go through [`cg_solve`]; this is public for a caller that is a
+/// *cycle* of something larger and owns its own monitor, state and
+/// scratch across cycles — the binary16 tier of the precision ladder.
+pub fn cg_iterate<S: CgSpace, St: Recurrence<V = S::V>>(
+    space: &mut S,
+    state: &mut St,
+    w: &mut Scratch<S::V>,
+    monitors: &mut [HealthMonitor],
+    tol: f64,
+    max_iter: usize,
+    mut observer: impl FnMut(&St, &[HealthMonitor]) -> ControlFlow<()>,
+) -> Stop {
+    let s = state.parts();
+    for (history, &done) in s.histories.iter_mut().zip(s.iterations.iter()) {
+        history.reserve(max_iter.saturating_sub(done).min(HISTORY_RESERVE));
+    }
+    loop {
+        if let ControlFlow::Break(stop) = cg_step(space, state, w, tol, max_iter) {
+            return stop;
+        }
+        let s = state.parts();
+        for (j, monitor) in monitors.iter_mut().enumerate() {
+            if w.k.active[j] {
+                monitor.observe(*s.histories[j].last().expect("a step pushes its entry"));
+            }
+        }
+        if observer(state, monitors).is_break() {
+            return Stop::Observer;
+        }
+    }
+}
+
+/// Solve `A x_j = b_j` by Conjugate Gradient in `space`, to `tol` relative
+/// to `|b_j|` or `max_iter` *total* iterations per RHS.
+///
+/// `span` is the caller's already-open solve-level span (its name is the
+/// caller's, its summary becomes the report's telemetry); `region` labels
+/// the health monitors (`region[j]` for batched vectors), the
+/// `<region>.iterations` histogram and the flight events. `observer` runs
+/// after every iteration with the state and the monitors — a checkpoint
+/// writer, or [`no_observer`]. The report is per RHS;
+/// [`BlockSolveReport::into_single`] is the single-vector view.
+///
+/// The true residual `b − A x` is taken once at the end through the spent
+/// search direction, guarding the reported residual against recurrence
+/// drift. A [`Stop::Breakdown`] panics here: the operator is not hermitian
+/// positive-definite.
+#[allow(clippy::too_many_arguments)]
+pub fn cg_solve<S: CgSpace, St: Recurrence<V = S::V>>(
+    space: &mut S,
+    b: &S::V,
+    start: Start<St>,
+    tol: f64,
+    max_iter: usize,
+    span: qcd_trace::SpanGuard<'_>,
+    region: &str,
+    observer: impl FnMut(&St, &[HealthMonitor]) -> ControlFlow<()>,
+) -> (S::V, BlockSolveReport) {
+    let mut w = Scratch::new(b);
+    let mut state = begin(space, b, &mut w, start);
+    let mut monitors = health_monitors(region, S::V::BATCHED, state.parts().histories);
+    let stop = cg_iterate(
+        space,
+        &mut state,
+        &mut w,
+        &mut monitors,
+        tol,
+        max_iter,
+        observer,
+    );
+    if let Stop::Breakdown(j) = stop {
+        panic!("search direction has non-positive curvature: operator not HPD? (RHS {j})");
+    }
+    let s = state.parts();
+    residual(space, b, s.x, &mut w.ap, s.p, &mut w.k.fresh);
+    let report = conclude(region, monitors, &s, &w.k.fresh, tol, span.finish());
+    (state.into_solution(), report)
+}
+
+/// One monitor per RHS, labelled `region` (or `region[j]` in a batch) and
+/// caught up on the history a restored state already holds.
+fn health_monitors(region: &str, batched: bool, histories: &[Vec<f64>]) -> Vec<HealthMonitor> {
+    let monitor = |(j, history): (usize, &Vec<f64>)| {
+        let mut monitor = if batched {
+            HealthMonitor::new(&format!("{region}[{j}]"))
+        } else {
+            HealthMonitor::new(region)
+        };
+        monitor.replay(history);
+        monitor
+    };
+    histories.iter().enumerate().map(monitor).collect()
+}
+
+/// The per-RHS report of a finished solve: convergence of the recurrence,
+/// the true residuals, and each monitor concluded into its capped history
+/// and typed events.
+fn conclude<V>(
+    region: &str,
+    monitors: Vec<HealthMonitor>,
+    s: &Parts<'_, V>,
+    true_r2: &[f64],
+    tol: f64,
+    telemetry: qcd_trace::RegionSummary,
+) -> BlockSolveReport {
+    let nrhs = s.r2.len();
+    let mut histories = Vec::with_capacity(nrhs);
+    let mut health = Vec::with_capacity(nrhs);
+    for (j, monitor) in monitors.into_iter().enumerate() {
+        let (capped, events) = conclude_health(region, monitor, &s.histories[j], s.iterations[j]);
+        histories.push(capped);
+        health.push(events);
+    }
+    BlockSolveReport {
+        iterations: s.iterations.iter().copied().max().unwrap_or(0),
+        per_rhs_iterations: s.iterations.to_vec(),
+        residuals: (0..nrhs)
+            .map(|j| (true_r2[j] / s.b_norm2[j]).sqrt())
+            .collect(),
+        converged: (0..nrhs)
+            .map(|j| s.r2[j] <= tol * tol * s.b_norm2[j])
+            .collect(),
+        histories,
+        health,
+        telemetry,
+    }
+}

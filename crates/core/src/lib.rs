@@ -24,7 +24,9 @@
 //! * **Physics** ([`tensor`], [`dirac`]): SU(3) gauge links, Dirac gamma
 //!   algebra with spin projectors, and the Wilson hopping term of Eq. (1),
 //!   "the most compute-intensive task" of LQCD.
-//! * **Solvers** ([`solver`]): Conjugate Gradient on `M†M` and BiCGStab.
+//! * **Solvers** ([`krylov`], [`solver`]): one Conjugate Gradient driver
+//!   over operator/vector-space impls (field, block, 5-d, rank-local,
+//!   binary16), the Wilson entry points on `M†M`, and BiCGStab.
 //! * **Comms** ([`comms`]): simulated multi-rank domain decomposition with
 //!   halo exchange and optional binary16 wire compression (Section V-B).
 //!
@@ -57,6 +59,7 @@ pub mod dwf;
 pub mod eo;
 pub mod field;
 pub mod gauge;
+pub mod krylov;
 pub mod layout;
 pub mod mixed;
 pub mod reduce;
@@ -92,9 +95,7 @@ pub mod prelude {
         gamma5, gamma5_block_inplace, gamma5_inplace, hopping_via_cshift, mult_gauge, project_half,
         reconstruct_half, WilsonDirac,
     };
-    pub use crate::dist::{
-        dist_block_cg, dist_cg, dist_cg_ws, restrict_field, DistWilson, DistWorkspace,
-    };
+    pub use crate::dist::{dist_block_cg, dist_cg, restrict_field, DistWilson, DistWorkspace};
     pub use crate::dwf::{axpy_chiral, cg_dwf, chiral_minus, chiral_plus, DomainWall, Fermion5};
     pub use crate::eo::{parity_project, solve_eo, solve_eo_block};
     pub use crate::field::{block_cg_update_x_r, cg_update_x_r};
@@ -108,18 +109,15 @@ pub mod prelude {
     pub use crate::layout::Grid;
     pub use crate::mixed::{
         f16_canonical_inner_re, f16_canonical_norm2, f16_site_inner_re_lex, f16_site_norm2_lex,
-        ladder_solve, ladder_solve_from, mixed_precision_solve, mixed_precision_solve_from,
-        to_precision, to_precision_into, LadderConfig, LadderReport, MixedReport,
-        F16_RESIDUAL_FLOOR,
+        ladder_solve, ladder_solve_from, to_precision, to_precision_into, LadderConfig,
+        LadderReport, F16_RESIDUAL_FLOOR,
     };
     pub use crate::requests::{solve_cg_requests, solve_eo_requests, SolveOutcome, SolveRequest};
     pub use crate::rng::StreamRng;
     pub use crate::simd::{SimdBackend, SimdEngine};
     pub use crate::solver::{
-        bicgstab, bicgstab_from_state, block_cg, block_cg_ws, block_cg_ws_from_state, cg,
-        cg_canonical_ws, cg_op, cg_op_from_state, cg_ws, cg_ws_from_state, solve_wilson,
-        BicgStabState, BlockCgState, BlockSolveReport, BlockWorkspace, CgState, SolveReport,
-        SolverWorkspace,
+        bicgstab, bicgstab_from_state, block_cg, cg, solve_wilson, BicgStabState, BlockCgState,
+        BlockSolveReport, CgState, SolveReport, SolverWorkspace,
     };
     pub use crate::tensor::gamma_algebra::{mult_gamma, GammaElement};
     pub use crate::tensor::su3::{

@@ -8,26 +8,20 @@
 //! (`axpy`, inner products, norms), so every arithmetic instruction they
 //! retire is visible to the SVE counters.
 //!
-//! # Allocation-free steady state
-//!
-//! Every solver has two faces. The closure-based entry points ([`cg_op`],
-//! [`CgState::step`]) allocate the operator output each iteration — simple,
-//! and the shape the checkpoint layer wraps. The workspace entry points
-//! ([`cg_ws`], [`CgState::step_ws`], [`BicgStabState::step_ws`]) instead
-//! thread a preallocated [`SolverWorkspace`] through every iteration: the
-//! operator writes into workspace fields, the linear algebra runs through
-//! the fused sweeps of [`crate::field`], and a steady-state iteration
-//! performs **zero** heap allocations. The two faces are bit-identical —
-//! the fused kernels retire the same engine ops per word in the same
-//! deterministic chunk-tree order — so a checkpoint taken on either path
-//! resumes exactly on the other.
+//! The CG recurrence itself lives in [`crate::krylov`], once. This module
+//! holds what a solve is made of around it: the report types, the
+//! checkpointable states ([`CgState`], [`BlockCgState`]), and the Wilson
+//! entry points [`cg`] and [`block_cg`] — the layout space around the
+//! fused `M†M` sweeps, whose steady-state iteration performs no heap
+//! allocation of its own. BiCGStab keeps its one recurrence here
+//! ([`BicgStabState`]).
 
 use crate::dirac::WilsonDirac;
-use crate::field::{
-    block_cg_update_x_r, cg_update_x_r, FermionBlock, FermionField, FermionKind, Field,
-};
+use crate::field::{FermionBlock, FermionField, FermionKind, Field};
+use crate::krylov::{self, Layout, Parts, Recurrence, Start};
 use crate::layout::Grid;
 use qcd_metrics::{HealthEvent, HealthMonitor};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use sve::SveFloat;
 
@@ -74,18 +68,20 @@ pub(crate) fn conclude_health(
     qcd_metrics::conclude_solver_health(region, monitor, history, iterations, HISTORY_CAP)
 }
 
-/// Preallocated scratch fields for the allocation-free solver paths: built
-/// once per grid, reused across every iteration (and across the restarts of
-/// the mixed-precision defect-correction loop).
+/// Preallocated scratch fields for the operator side of a solve: built
+/// once per grid, reused across every iteration (and across the rounds of
+/// the precision ladder). The CG driver owns its own `A p` output
+/// ([`krylov::Scratch`]); what lives here is what an *operator* needs in
+/// between.
 ///
-/// Three fields cover every solver in the crate: CG on the normal equations
-/// uses `tmp` for the `M p` intermediate and `ap` for `M†M p`; BiCGStab maps
-/// `v`/`s`/`t` onto `ap`/`tmp`/`hop`; the even-odd Schur solve uses
-/// `hop`/`tmp` for its nested hopping applications.
+/// BiCGStab maps `v`/`s`/`t` onto `ap`/`tmp`/`hop`; the even-odd Schur
+/// solve uses `hop`/`tmp` for its nested hopping applications and `ap` for
+/// its full-system residual; the ladder and the binary16 smoother use
+/// `tmp`/`ap` for their `M†M` applications outside CG.
 pub struct SolverWorkspace<E: SveFloat = f64> {
-    /// `M p` intermediate (CG on the normal equations), `s` (BiCGStab).
+    /// `M p` intermediate of a normal-operator application, `s` (BiCGStab).
     pub tmp: Field<FermionKind, E>,
-    /// Operator output `A p` (CG), `v` (BiCGStab).
+    /// Operator output outside CG, `v` (BiCGStab).
     pub ap: Field<FermionKind, E>,
     /// Extra scratch: `t` (BiCGStab), hopping intermediates (even-odd).
     pub hop: Field<FermionKind, E>,
@@ -112,7 +108,7 @@ impl<E: SveFloat> SolverWorkspace<E> {
 /// Every scalar and vector of the Hestenes–Stiefel recurrence lives here,
 /// which makes the struct the unit of checkpoint/restart: snapshot the
 /// fields (`x`, `r`, `p`) and scalars mid-solve, kill the process, rebuild
-/// the state, and [`CgState::step`] continues *bit-identically* — every
+/// the state, and [`krylov::cg_step`] continues *bit-identically* — every
 /// quantity below is exactly the same f64 data an uninterrupted run would
 /// hold. `qcd-io`'s `SolverCheckpoint` serializes exactly these members.
 #[derive(Clone)]
@@ -134,7 +130,8 @@ pub struct CgState<E: SveFloat = f64> {
 }
 
 impl<E: SveFloat> CgState<E> {
-    /// Fresh state for solving `A x = b` from the zero initial guess.
+    /// Fresh state for solving `A x = b` from the zero initial guess, with
+    /// layout-ordered norms.
     pub fn new(b: &Field<FermionKind, E>) -> Self {
         let grid = b.grid().clone();
         let b_norm2 = b.norm2();
@@ -159,264 +156,72 @@ impl<E: SveFloat> CgState<E> {
     pub fn converged(&self, tol: f64) -> bool {
         self.r2 <= tol * tol * self.b_norm2
     }
-
-    /// The Hestenes–Stiefel recurrence tail shared by [`Self::step`] and
-    /// [`Self::step_ws`], entered once `A p` and the curvature `p·Ap` are
-    /// in hand: the fused iterate/residual sweep of [`cg_update_x_r`]
-    /// (`x += α p`, `r −= α Ap`, new `|r|²` out of the same pass) followed
-    /// by the search-direction update.
-    fn advance(&mut self, p_ap: f64, ap: &Field<FermionKind, E>) {
-        assert!(
-            p_ap > 0.0,
-            "search direction has non-positive curvature: operator not HPD?"
-        );
-        let alpha = self.r2 / p_ap;
-        let r2_new = cg_update_x_r(&mut self.x, &mut self.r, alpha, &self.p, ap);
-        let beta = r2_new / self.r2;
-        self.p.aypx(beta, &self.r); // p = r + beta p
-        self.r2 = r2_new;
-        self.iterations += 1;
-        self.history.push((self.r2 / self.b_norm2).sqrt());
-    }
-
-    /// One Hestenes–Stiefel iteration under a per-iteration telemetry span.
-    pub fn step(&mut self, apply: impl Fn(&Field<FermionKind, E>) -> Field<FermionKind, E>) {
-        let grid = self.x.grid().clone();
-        let _iter_span = qcd_trace::span!("iter", grid.engine().ctx());
-        let ap = apply(&self.p);
-        let p_ap = self.p.inner(&ap).re;
-        self.advance(p_ap, &ap);
-    }
-
-    /// One Hestenes–Stiefel iteration through caller-provided storage.
-    ///
-    /// `apply_into` evaluates the operator at its first argument into
-    /// `ws.ap` (using whatever other workspace fields it needs) and returns
-    /// the curvature `Re ⟨p, A p⟩` — for the Wilson normal operator that
-    /// dot comes fused out of the second hopping sweep
-    /// ([`WilsonDirac::mdag_m_into_dot`]). No telemetry span is opened
-    /// here: span entry allocates its path string, and this is the
-    /// allocation-free path (the enclosing solve-level span still
-    /// attributes flops and bytes). The history push is amortized — the
-    /// driving loops reserve capacity up front.
-    pub fn step_ws(
-        &mut self,
-        ws: &mut SolverWorkspace<E>,
-        apply_into: &mut impl FnMut(&Field<FermionKind, E>, &mut SolverWorkspace<E>) -> f64,
-    ) {
-        let p_ap = apply_into(&self.p, ws);
-        self.advance(p_ap, &ws.ap);
-    }
 }
 
-/// Conjugate Gradient on an arbitrary hermitian positive-definite operator,
-/// supplied as a closure (the shape Grid's `ConjugateGradient` template
-/// takes). Standard Hestenes–Stiefel recurrence; `tol` is relative to `|b|`.
-pub fn cg_op<E: SveFloat>(
-    apply: impl Fn(&Field<FermionKind, E>) -> Field<FermionKind, E>,
-    b: &Field<FermionKind, E>,
-    tol: f64,
-    max_iter: usize,
-) -> (Field<FermionKind, E>, SolveReport) {
-    cg_op_from_state(apply, b, CgState::new(b), tol, max_iter)
-}
+impl<E: SveFloat> Recurrence for CgState<E> {
+    type V = Field<FermionKind, E>;
 
-/// Continue a Conjugate Gradient solve from an arbitrary [`CgState`] —
-/// freshly built by [`CgState::new`] or restored from a checkpoint. The
-/// iteration budget `max_iter` counts *total* iterations including those
-/// already inside `state`, so a resumed solve stops at the same point the
-/// uninterrupted one would.
-pub fn cg_op_from_state<E: SveFloat>(
-    apply: impl Fn(&Field<FermionKind, E>) -> Field<FermionKind, E>,
-    b: &Field<FermionKind, E>,
-    mut state: CgState<E>,
-    tol: f64,
-    max_iter: usize,
-) -> (Field<FermionKind, E>, SolveReport) {
-    let grid = b.grid().clone();
-    let span = qcd_trace::span!("solver.cg", grid.engine().ctx());
-    let mut monitor = HealthMonitor::new("solver.cg");
-    monitor.replay(&state.history);
-
-    while state.iterations < max_iter && !state.converged(tol) {
-        state.step(&apply);
-        monitor.observe(*state.history.last().unwrap());
+    fn assemble(x: Self::V, r: Self::V, p: Self::V, r2: &[f64], b_norm2: &[f64]) -> Self {
+        CgState {
+            x,
+            r,
+            p,
+            r2: r2[0],
+            b_norm2: b_norm2[0],
+            iterations: 0,
+            history: vec![(r2[0] / b_norm2[0]).sqrt()],
+        }
     }
 
-    // True residual check (guards against recurrence drift).
-    let mut true_r = Field::<FermionKind, E>::zero(grid.clone());
-    true_r.sub(b, &apply(&state.x));
-    let residual = (true_r.norm2() / state.b_norm2).sqrt();
-    let converged = state.converged(tol);
-    let (history, health) = conclude_health("solver.cg", monitor, &state.history, state.iterations);
-    (
-        state.x,
-        SolveReport {
-            iterations: state.iterations,
-            residual,
-            converged,
-            history,
-            health,
-            telemetry: span.finish(),
-        },
-    )
-}
-
-/// Continue an allocation-free Conjugate Gradient solve from an arbitrary
-/// [`CgState`] through a caller-provided [`SolverWorkspace`].
-///
-/// `apply_into` has the [`CgState::step_ws`] contract: evaluate the
-/// operator at the given field into `ws.ap` and return `Re ⟨p, A p⟩`.
-/// Bit-identical to [`cg_op_from_state`] with the matching allocating
-/// operator — same engine ops per word, same deterministic chunk-tree
-/// reductions; only the sweep structure and allocation count differ.
-pub fn cg_ws_from_state<E: SveFloat>(
-    mut apply_into: impl FnMut(&Field<FermionKind, E>, &mut SolverWorkspace<E>) -> f64,
-    b: &Field<FermionKind, E>,
-    ws: &mut SolverWorkspace<E>,
-    mut state: CgState<E>,
-    tol: f64,
-    max_iter: usize,
-) -> (Field<FermionKind, E>, SolveReport) {
-    let grid = b.grid().clone();
-    let span = qcd_trace::span!("solver.cg", grid.engine().ctx());
-    state
-        .history
-        .reserve((max_iter + 1).saturating_sub(state.history.len()));
-    let mut monitor = HealthMonitor::new("solver.cg");
-    monitor.replay(&state.history);
-
-    while state.iterations < max_iter && !state.converged(tol) {
-        state.step_ws(ws, &mut apply_into);
-        monitor.observe(*state.history.last().unwrap());
+    fn parts(&mut self) -> Parts<'_, Self::V> {
+        Parts {
+            x: &mut self.x,
+            r: &mut self.r,
+            p: &mut self.p,
+            r2: std::slice::from_mut(&mut self.r2),
+            b_norm2: std::slice::from_ref(&self.b_norm2),
+            iterations: std::slice::from_mut(&mut self.iterations),
+            histories: std::slice::from_mut(&mut self.history),
+        }
     }
 
-    let converged = state.converged(tol);
-    // True residual check (guards against recurrence drift): `A x` lands in
-    // the workspace and the subtract-and-norm runs as one fused sweep
-    // through the spent search direction — no fresh field.
-    apply_into(&state.x, ws);
-    let residual = (state.p.sub_norm2(b, &ws.ap) / state.b_norm2).sqrt();
-    let (history, health) = conclude_health("solver.cg", monitor, &state.history, state.iterations);
-    (
-        state.x,
-        SolveReport {
-            iterations: state.iterations,
-            residual,
-            converged,
-            history,
-            health,
-            telemetry: span.finish(),
-        },
-    )
-}
-
-/// Conjugate Gradient on the Wilson normal equations through a reusable
-/// workspace: `M†M x = b` with fused dslash+mass sweeps, the curvature dot
-/// fused into the second hopping pass, and zero steady-state allocations.
-pub fn cg_ws<E: SveFloat>(
-    op: &WilsonDirac<E>,
-    b: &Field<FermionKind, E>,
-    ws: &mut SolverWorkspace<E>,
-    tol: f64,
-    max_iter: usize,
-) -> (Field<FermionKind, E>, SolveReport) {
-    cg_ws_from_state(
-        |p, ws| {
-            let SolverWorkspace { tmp, ap, .. } = ws;
-            op.mdag_m_into_dot(p, tmp, ap)
-        },
-        b,
-        ws,
-        CgState::new(b),
-        tol,
-        max_iter,
-    )
+    fn into_solution(self) -> Self::V {
+        self.x
+    }
 }
 
 /// Conjugate Gradient on the Wilson normal equations: solves `M†M x = b`
-/// on the fused allocation-free path (the workspace is allocated once here;
-/// bit-identical to the closure-based `cg_op(|p| op.mdag_m(p), ..)`).
+/// in the layout space around the fused sweeps — dslash+mass in one pass,
+/// the curvature dot fused into the second hopping pass
+/// ([`WilsonDirac::mdag_m_into_dot`]), zero steady-state allocations.
+/// Bit-identical to the allocating [`krylov::Allocating`] adapter over
+/// `|p| op.mdag_m(p)`.
 pub fn cg<E: SveFloat>(
     op: &WilsonDirac<E>,
     b: &Field<FermionKind, E>,
     tol: f64,
     max_iter: usize,
 ) -> (Field<FermionKind, E>, SolveReport) {
-    let mut ws = SolverWorkspace::new(b.grid().clone());
-    cg_ws(op, b, &mut ws, tol, max_iter)
-}
-
-/// Conjugate Gradient on the Wilson normal equations with **canonical**
-/// steering scalars: every norm and curvature dot is a lexicographic
-/// per-site scatter summed through the fixed chunk tree
-/// ([`Field::canonical_norm2`] / [`Field::canonical_inner_re`]), so the
-/// residual history, iteration count and solution are bit-identical across
-/// vector lengths *and* thread counts — the invariance regime `dist_cg`
-/// and the `qcd-deflate` stack already maintain. The fused update sweep's
-/// layout-dependent reduction is discarded and recomputed canonically:
-/// slower per iteration than [`cg_ws`], layout-invariant in exchange.
-/// `region` labels the health monitor and the concluded metrics (e.g.
-/// `solver.ladder.f32`).
-pub fn cg_canonical_ws<E: SveFloat>(
-    op: &WilsonDirac<E>,
-    b: &Field<FermionKind, E>,
-    ws: &mut SolverWorkspace<E>,
-    tol: f64,
-    max_iter: usize,
-    region: &str,
-) -> (Field<FermionKind, E>, SolveReport) {
     let grid = b.grid().clone();
-    let span = qcd_trace::span!("solver.cg_canonical", grid.engine().ctx());
-    let mut monitor = HealthMonitor::new(region);
-    let b_norm2 = b.canonical_norm2();
-    assert!(b_norm2 > 0.0, "CG needs a nonzero right-hand side");
-    let mut x = Field::<FermionKind, E>::zero(grid.clone());
-    let mut r = b.clone();
-    let mut p = r.clone();
-    let mut r2 = r.canonical_norm2();
-    let mut history = vec![(r2 / b_norm2).sqrt()];
-    monitor.replay(&history);
-
-    let mut iterations = 0;
-    while iterations < max_iter && r2 > tol * tol * b_norm2 {
-        op.mdag_m_into(&p, &mut ws.tmp, &mut ws.ap);
-        let p_ap = p.canonical_inner_re(&ws.ap);
-        assert!(
-            p_ap > 0.0,
-            "search direction has non-positive curvature: operator not HPD?"
-        );
-        let alpha = r2 / p_ap;
-        // The fused sweep's returned |r|² is layout-dependent; discard it
-        // and recompute canonically so the trajectory is VL-invariant.
-        let _ = cg_update_x_r(&mut x, &mut r, alpha, &p, &ws.ap);
-        let r2_new = r.canonical_norm2();
-        let beta = r2_new / r2;
-        p.aypx(beta, &r);
-        r2 = r2_new;
-        iterations += 1;
-        history.push((r2 / b_norm2).sqrt());
-        monitor.observe(*history.last().unwrap());
-    }
-
-    let converged = r2 <= tol * tol * b_norm2;
-    // True residual check (canonical, guards recurrence drift); the spent
-    // search direction serves as scratch.
-    op.mdag_m_into(&x, &mut ws.tmp, &mut ws.ap);
-    p.sub(b, &ws.ap);
-    let residual = (p.canonical_norm2() / b_norm2).sqrt();
-    let (history, health) = conclude_health(region, monitor, &history, iterations);
-    (
-        x,
-        SolveReport {
-            iterations,
-            residual,
-            converged,
-            history,
-            health,
-            telemetry: span.finish(),
+    let mut tmp = Field::zero(grid.clone());
+    let mut space = Layout::new(
+        |p: &Field<FermionKind, E>, ap: &mut Field<FermionKind, E>, curv: &mut [f64]| {
+            curv[0] = op.mdag_m_into_dot(p, &mut tmp, ap);
         },
-    )
+    );
+    let state = CgState::new(b);
+    let span = qcd_trace::span!("solver.cg", grid.engine().ctx());
+    let (x, report) = krylov::cg_solve(
+        &mut space,
+        b,
+        Start::State(state),
+        tol,
+        max_iter,
+        span,
+        "solver.cg",
+        krylov::no_observer,
+    );
+    (x, report.into_single())
 }
 
 /// Solve `M x = b` through the normal equations: CG on `M†M x = M†b`.
@@ -460,267 +265,78 @@ pub struct BlockSolveReport {
     pub telemetry: qcd_trace::RegionSummary,
 }
 
-/// Preallocated scratch blocks for the batched solver path — the
-/// [`SolverWorkspace`] shape at batch width `N`.
-pub struct BlockWorkspace<E: SveFloat = f64> {
-    /// `M p` intermediate (CG on the normal equations).
-    pub tmp: FermionBlock<E>,
-    /// Operator output `A p`.
-    pub ap: FermionBlock<E>,
-    /// Extra scratch (hopping intermediates for the even-odd Schur solve).
-    pub hop: FermionBlock<E>,
-}
-
-impl<E: SveFloat> BlockWorkspace<E> {
-    /// Allocate a workspace of batch width `nrhs` on `grid`.
-    pub fn new(grid: Arc<Grid<E>>, nrhs: usize) -> Self {
-        BlockWorkspace {
-            tmp: FermionBlock::zero(grid.clone(), nrhs),
-            ap: FermionBlock::zero(grid.clone(), nrhs),
-            hop: FermionBlock::zero(grid, nrhs),
+impl BlockSolveReport {
+    /// The single-vector view of a one-RHS report.
+    pub fn into_single(mut self) -> SolveReport {
+        assert_eq!(self.residuals.len(), 1, "not a single-RHS report");
+        SolveReport {
+            iterations: self.iterations,
+            residual: self.residuals[0],
+            converged: self.converged[0],
+            history: self.histories.swap_remove(0),
+            health: self.health.swap_remove(0),
+            telemetry: self.telemetry,
         }
-    }
-
-    /// The lattice the workspace blocks live on.
-    pub fn grid(&self) -> &Arc<Grid<E>> {
-        self.tmp.grid()
-    }
-
-    /// The batch width.
-    pub fn nrhs(&self) -> usize {
-        self.tmp.nrhs()
     }
 }
 
 /// The complete state of an in-flight **block** Conjugate Gradient solve:
 /// `N` independent Hestenes–Stiefel recurrences sharing every operator
-/// sweep. There is no stored "active" mask — which RHS still iterate is
-/// *derived* from `iterations` and `r2` exactly like the single-RHS loop
-/// condition, so a state snapshot carries everything a resume needs.
+/// sweep — [`krylov::State`] over a [`FermionBlock`].
 ///
 /// Per RHS the recurrence is bit-identical to [`CgState`] driven alone:
 /// converged RHS are frozen (their words are not even loaded by the masked
 /// sweeps), and the shared reductions accumulate per RHS in the single-RHS
 /// chunk order and tree.
-#[derive(Clone)]
-pub struct BlockCgState<E: SveFloat = f64> {
-    /// Current solution estimates.
-    pub x: FermionBlock<E>,
-    /// Recurrence residuals `b_j − A x_j`.
-    pub r: FermionBlock<E>,
-    /// Search directions.
-    pub p: FermionBlock<E>,
-    /// Squared norm of each `r_j` (recurrence values, not recomputed).
-    pub r2: Vec<f64>,
-    /// Squared norm of each right-hand side.
-    pub b_norm2: Vec<f64>,
-    /// Iterations completed per RHS.
-    pub iterations: Vec<usize>,
-    /// Relative residual history per RHS.
-    pub histories: Vec<Vec<f64>>,
-}
+pub type BlockCgState<E = f64> = krylov::State<FermionBlock<E>>;
 
 impl<E: SveFloat> BlockCgState<E> {
     /// Fresh state for solving `A x_j = b_j` from zero initial guesses.
     pub fn new(b: &FermionBlock<E>) -> Self {
-        let grid = b.grid().clone();
-        let nrhs = b.nrhs();
         let b_norm2 = b.norms2();
         for (j, &n) in b_norm2.iter().enumerate() {
             assert!(n > 0.0, "CG needs a nonzero right-hand side (RHS {j})");
         }
-        let x = FermionBlock::zero(grid, nrhs);
+        let x = FermionBlock::zero(b.grid().clone(), b.nrhs());
         let r = b.clone();
         let p = r.clone();
         let r2 = r.norms2();
-        let histories = (0..nrhs)
-            .map(|j| vec![(r2[j] / b_norm2[j]).sqrt()])
-            .collect();
-        BlockCgState {
-            x,
-            r,
-            p,
-            r2,
-            b_norm2,
-            iterations: vec![0; nrhs],
-            histories,
-        }
-    }
-
-    /// The batch width.
-    pub fn nrhs(&self) -> usize {
-        self.r2.len()
-    }
-
-    /// Whether RHS `j`'s recurrence residual is at or below `tol` relative
-    /// to `|b_j|` — the per-RHS [`CgState::converged`].
-    pub fn converged_rhs(&self, j: usize, tol: f64) -> bool {
-        self.r2[j] <= tol * tol * self.b_norm2[j]
-    }
-
-    /// Which RHS still iterate: exactly the single-RHS loop condition
-    /// `iterations < max_iter && !converged(tol)`, derived per RHS.
-    pub fn active(&self, tol: f64, max_iter: usize) -> Vec<bool> {
-        (0..self.nrhs())
-            .map(|j| self.iterations[j] < max_iter && !self.converged_rhs(j, tol))
-            .collect()
-    }
-
-    /// One batched Hestenes–Stiefel iteration over the active RHS.
-    ///
-    /// `apply_into` evaluates the operator at its first argument into
-    /// `ws.ap` (over the whole batch — the sweep is uniform; frozen RHS
-    /// carry converged data whose result is simply ignored) and returns the
-    /// per-RHS curvatures `Re ⟨p_j, A p_j⟩`. Active RHS then run the exact
-    /// [`CgState::advance`] sequence through the masked fused sweeps;
-    /// inactive RHS are untouched.
-    pub fn step_ws(
-        &mut self,
-        ws: &mut BlockWorkspace<E>,
-        apply_into: &mut impl FnMut(&FermionBlock<E>, &mut BlockWorkspace<E>) -> Vec<f64>,
-        active: &[bool],
-    ) {
-        let nrhs = self.nrhs();
-        let p_ap = apply_into(&self.p, ws);
-        let mut alphas = vec![0.0; nrhs];
-        for j in 0..nrhs {
-            if active[j] {
-                assert!(
-                    p_ap[j] > 0.0,
-                    "search direction has non-positive curvature: operator not HPD? (RHS {j})"
-                );
-                alphas[j] = self.r2[j] / p_ap[j];
-            }
-        }
-        let r2_new =
-            block_cg_update_x_r(&mut self.x, &mut self.r, &alphas, &self.p, &ws.ap, active);
-        let mut betas = vec![0.0; nrhs];
-        for j in 0..nrhs {
-            if active[j] {
-                betas[j] = r2_new[j] / self.r2[j];
-            }
-        }
-        self.p.aypx_masked(&betas, &self.r, active);
-        for j in 0..nrhs {
-            if active[j] {
-                self.r2[j] = r2_new[j];
-                self.iterations[j] += 1;
-                self.histories[j].push((self.r2[j] / self.b_norm2[j]).sqrt());
-            }
-        }
+        Self::assemble(x, r, p, &r2, &b_norm2)
     }
 }
 
-/// Continue an allocation-free **block** Conjugate Gradient solve from an
-/// arbitrary [`BlockCgState`] through a caller-provided [`BlockWorkspace`]
-/// — the batched [`cg_ws_from_state`]. The loop sweeps all RHS together
-/// until every one has converged or exhausted `max_iter`; per-RHS
-/// convergence masking freezes finished recurrences without branching the
-/// shared operator sweeps.
-///
-/// RHS `j` of the solution, its history, and its reported residual are
-/// bit-identical to an independent single-RHS [`cg_ws`] solve of `b_j`.
-pub fn block_cg_ws_from_state<E: SveFloat>(
-    mut apply_into: impl FnMut(&FermionBlock<E>, &mut BlockWorkspace<E>) -> Vec<f64>,
-    b: &FermionBlock<E>,
-    ws: &mut BlockWorkspace<E>,
-    mut state: BlockCgState<E>,
-    tol: f64,
-    max_iter: usize,
-) -> (FermionBlock<E>, BlockSolveReport) {
-    let grid = b.grid().clone();
-    let nrhs = b.nrhs();
-    let span = qcd_trace::span!("solver.block_cg", grid.engine().ctx());
-    for h in &mut state.histories {
-        h.reserve((max_iter + 1).saturating_sub(h.len()));
-    }
-    let mut monitors: Vec<HealthMonitor> = (0..nrhs)
-        .map(|j| HealthMonitor::new(&format!("solver.block_cg[{j}]")))
-        .collect();
-    for (m, h) in monitors.iter_mut().zip(&state.histories) {
-        m.replay(h);
-    }
-
-    loop {
-        let active = state.active(tol, max_iter);
-        if !active.iter().any(|&a| a) {
-            break;
-        }
-        state.step_ws(ws, &mut apply_into, &active);
-        for j in 0..nrhs {
-            if active[j] {
-                monitors[j].observe(*state.histories[j].last().unwrap());
-            }
-        }
-    }
-
-    let converged: Vec<bool> = (0..nrhs).map(|j| state.converged_rhs(j, tol)).collect();
-    // True residual check per RHS, batched: `A x` lands in the workspace and
-    // the subtract-and-norms runs as one fused sweep through the spent
-    // search directions.
-    apply_into(&state.x, ws);
-    let sn = state.p.sub_norms2(b, &ws.ap);
-    let residuals: Vec<f64> = (0..nrhs)
-        .map(|j| (sn[j] / state.b_norm2[j]).sqrt())
-        .collect();
-    let mut histories = Vec::with_capacity(nrhs);
-    let mut health = Vec::with_capacity(nrhs);
-    for (monitor, (full, iters)) in monitors
-        .into_iter()
-        .zip(state.histories.iter().zip(&state.iterations))
-    {
-        let (capped, events) = conclude_health("solver.block_cg", monitor, full, *iters);
-        histories.push(capped);
-        health.push(events);
-    }
-    (
-        state.x,
-        BlockSolveReport {
-            iterations: state.iterations.iter().copied().max().unwrap_or(0),
-            per_rhs_iterations: state.iterations,
-            residuals,
-            converged,
-            histories,
-            health,
-            telemetry: span.finish(),
-        },
-    )
-}
-
-/// Block Conjugate Gradient on the Wilson normal equations through a
-/// reusable workspace: `M†M x_j = b_j` for all RHS at once, each dslash
-/// sweep loading every gauge link once per site for the whole batch.
-pub fn block_cg_ws<E: SveFloat>(
-    op: &WilsonDirac<E>,
-    b: &FermionBlock<E>,
-    ws: &mut BlockWorkspace<E>,
-    tol: f64,
-    max_iter: usize,
-) -> (FermionBlock<E>, BlockSolveReport) {
-    block_cg_ws_from_state(
-        |p, ws| {
-            let BlockWorkspace { tmp, ap, .. } = ws;
-            op.mdag_m_block_into_dot(p, tmp, ap)
-        },
-        b,
-        ws,
-        BlockCgState::new(b),
-        tol,
-        max_iter,
-    )
-}
-
-/// Block Conjugate Gradient on the Wilson normal equations (workspace
-/// allocated here): solves `M†M x_j = b_j` for every RHS in `b`, with RHS
-/// `j` bit-identical to a single-RHS [`cg`] solve of `b_j`.
+/// Block Conjugate Gradient on the Wilson normal equations: solves
+/// `M†M x_j = b_j` for every RHS in `b` at once, each dslash sweep loading
+/// every gauge link once per site for the whole batch. The loop sweeps all
+/// RHS together until every one has converged or exhausted `max_iter`;
+/// per-RHS convergence masking freezes finished recurrences without
+/// branching the shared operator sweeps. RHS `j` — solution, history,
+/// reported residual — is bit-identical to a single-RHS [`cg`] of `b_j`.
 pub fn block_cg<E: SveFloat>(
     op: &WilsonDirac<E>,
     b: &FermionBlock<E>,
     tol: f64,
     max_iter: usize,
 ) -> (FermionBlock<E>, BlockSolveReport) {
-    let mut ws = BlockWorkspace::new(b.grid().clone(), b.nrhs());
-    block_cg_ws(op, b, &mut ws, tol, max_iter)
+    let grid = b.grid().clone();
+    let mut tmp = FermionBlock::zero(grid.clone(), b.nrhs());
+    let mut space = Layout::new(
+        |p: &FermionBlock<E>, ap: &mut FermionBlock<E>, curv: &mut [f64]| {
+            curv.copy_from_slice(&op.mdag_m_block_into_dot(p, &mut tmp, ap));
+        },
+    );
+    let state = BlockCgState::new(b);
+    let span = qcd_trace::span!("solver.block_cg", grid.engine().ctx());
+    krylov::cg_solve(
+        &mut space,
+        b,
+        Start::State(state),
+        tol,
+        max_iter,
+        span,
+        "solver.block_cg",
+        krylov::no_observer,
+    )
 }
 
 /// The complete state of an in-flight BiCGStab solve — the checkpoint unit
@@ -856,27 +472,33 @@ pub fn bicgstab(
     tol: f64,
     max_iter: usize,
 ) -> (FermionField, SolveReport) {
-    bicgstab_from_state(op, b, BicgStabState::new(b), tol, max_iter)
+    bicgstab_from_state(op, b, BicgStabState::new(b), tol, max_iter, |_| {
+        ControlFlow::Continue(())
+    })
 }
 
 /// Continue a BiCGStab solve from an arbitrary [`BicgStabState`] — freshly
 /// built or restored from a checkpoint. `max_iter` counts total iterations
 /// including those already inside `state`. Runs the allocation-free fused
 /// path: one workspace for the whole solve, `M` applied through
-/// [`WilsonDirac::apply_into`].
+/// [`WilsonDirac::apply_into`]. `observer` runs after every iteration (the
+/// hook [`krylov::cg_solve`] has: a checkpoint writer breaks to stop).
 pub fn bicgstab_from_state(
     op: &WilsonDirac,
     b: &FermionField,
     mut state: BicgStabState,
     tol: f64,
     max_iter: usize,
+    mut observer: impl FnMut(&BicgStabState) -> ControlFlow<()>,
 ) -> (FermionField, SolveReport) {
     let grid = b.grid().clone();
     let span = qcd_trace::span!("solver.bicgstab", grid.engine().ctx());
     let mut ws = SolverWorkspace::new(grid.clone());
-    state
-        .history
-        .reserve((max_iter + 1).saturating_sub(state.history.len()));
+    state.history.reserve(
+        max_iter
+            .saturating_sub(state.iterations)
+            .min(krylov::HISTORY_RESERVE),
+    );
     let mut apply_into = |f: &FermionField, out: &mut FermionField| op.apply_into(f, out);
     let mut monitor = HealthMonitor::new("solver.bicgstab");
     monitor.replay(&state.history);
@@ -884,6 +506,9 @@ pub fn bicgstab_from_state(
     while state.iterations < max_iter && !state.converged(tol) {
         state.step_ws(&mut ws, &mut apply_into);
         monitor.observe(*state.history.last().unwrap());
+        if observer(&state).is_break() {
+            break;
+        }
     }
 
     op.apply_into(&state.x, &mut ws.ap);
@@ -906,10 +531,36 @@ pub fn bicgstab_from_state(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::krylov::{cg_solve, cg_step, no_observer, Allocating, Scratch};
     use crate::layout::Grid;
     use crate::simd::SimdBackend;
     use crate::tensor::su3::random_gauge;
     use sve::VectorLength;
+
+    /// CG on `M†M` through the allocating closure adapter — the oracle the
+    /// fused path is held to.
+    fn cg_closure(
+        op: &WilsonDirac,
+        b: &FermionField,
+        start: Start<CgState>,
+        tol: f64,
+        max_iter: usize,
+    ) -> (FermionField, SolveReport) {
+        let grid = b.grid().clone();
+        let mut space = Allocating::new(grid.clone(), |p: &FermionField| op.mdag_m(p));
+        let span = qcd_trace::span!("solver.cg", grid.engine().ctx());
+        let (x, report) = cg_solve(
+            &mut space,
+            b,
+            start,
+            tol,
+            max_iter,
+            span,
+            "solver.cg",
+            no_observer,
+        );
+        (x, report.into_single())
+    }
 
     fn setup(bits: usize, backend: SimdBackend) -> (WilsonDirac, FermionField) {
         let g = Grid::new([4, 4, 4, 4], VectorLength::of(bits), backend);
@@ -1017,7 +668,7 @@ mod tests {
         // residual must agree bit for bit.
         let (op, b) = setup(512, SimdBackend::Fcmla);
         let (x_ws, ws_report) = cg(&op, &b, 1e-8, 2000);
-        let (x_cl, cl_report) = cg_op(|p| op.mdag_m(p), &b, 1e-8, 2000);
+        let (x_cl, cl_report) = cg_closure(&op, &b, Start::Zero, 1e-8, 2000);
         assert_eq!(ws_report.iterations, cl_report.iterations);
         assert_eq!(ws_report.residual.to_bits(), cl_report.residual.to_bits());
         for (a, c) in ws_report.history.iter().zip(&cl_report.history) {
@@ -1029,16 +680,33 @@ mod tests {
     }
 
     #[test]
-    fn workspace_is_reusable_across_solves() {
-        // A second solve through the same workspace must match a solve
-        // through a fresh one bitwise (no state leaks between solves).
+    fn a_space_is_reusable_across_solves() {
+        // A second solve through the same space (and its `M p`
+        // intermediate) must match a solve through a fresh one bitwise: no
+        // state leaks between solves.
         let (op, b) = setup(256, SimdBackend::Fcmla);
         let b2 = FermionField::random(b.grid().clone(), 23);
-        let mut ws = SolverWorkspace::new(b.grid().clone());
-        let _ = cg_ws(&op, &b, &mut ws, 1e-8, 2000);
-        let (x_reused, rep_reused) = cg_ws(&op, &b2, &mut ws, 1e-8, 2000);
-        let mut fresh = SolverWorkspace::new(b.grid().clone());
-        let (x_fresh, rep_fresh) = cg_ws(&op, &b2, &mut fresh, 1e-8, 2000);
+        let grid = b.grid().clone();
+        let mut tmp = FermionField::zero(grid.clone());
+        let mut space = Layout::new(|p: &FermionField, ap: &mut FermionField, c: &mut [f64]| {
+            c[0] = op.mdag_m_into_dot(p, &mut tmp, ap);
+        });
+        let mut solve = |rhs: &FermionField| {
+            let span = qcd_trace::span!("solver.cg", grid.engine().ctx());
+            cg_solve(
+                &mut space,
+                rhs,
+                Start::<CgState>::Zero,
+                1e-8,
+                2000,
+                span,
+                "solver.cg",
+                no_observer,
+            )
+        };
+        let _ = solve(&b);
+        let (x_reused, rep_reused) = solve(&b2);
+        let (x_fresh, rep_fresh) = cg(&op, &b2, 1e-8, 2000);
         assert_eq!(rep_reused.iterations, rep_fresh.iterations);
         for (a, c) in x_reused.data().iter().zip(x_fresh.data()) {
             assert_eq!(a.to_bits(), c.to_bits());
@@ -1051,16 +719,17 @@ mod tests {
         // snapshot the state, continue from the snapshot — iteration count,
         // history, and the solution *bits* must match an uninterrupted run.
         let (op, b) = setup(256, SimdBackend::Fcmla);
-        let apply = |p: &FermionField| op.mdag_m(p);
         let (x_full, full) = cg(&op, &b, 1e-8, 2000);
 
+        let mut space = Allocating::new(b.grid().clone(), |p: &FermionField| op.mdag_m(p));
+        let mut scratch = Scratch::new(&b);
         let mut st = CgState::new(&b);
         for _ in 0..10 {
-            st.step(apply);
+            let _ = cg_step(&mut space, &mut st, &mut scratch, 1e-8, 2000);
         }
         let snapshot = st.clone(); // what qcd-io serializes
         drop(st); // the "killed" solve
-        let (x_res, res) = cg_op_from_state(apply, &b, snapshot, 1e-8, 2000);
+        let (x_res, res) = cg_closure(&op, &b, Start::State(snapshot), 1e-8, 2000);
 
         assert_eq!(res.iterations, full.iterations);
         assert_eq!(res.history.len(), full.history.len());
@@ -1087,12 +756,32 @@ mod tests {
         }
         let snapshot = st.clone();
         drop(st);
-        let (x_res, res) = bicgstab_from_state(&op, &b, snapshot, 1e-8, 2000);
+        let (x_res, res) =
+            bicgstab_from_state(&op, &b, snapshot, 1e-8, 2000, |_| ControlFlow::Continue(()));
 
         assert_eq!(res.iterations, full.iterations);
         for (a, c) in x_full.data().iter().zip(x_res.data()) {
             assert_eq!(a.to_bits(), c.to_bits(), "solution bits diverged");
         }
+    }
+
+    #[test]
+    fn a_huge_iteration_budget_neither_overflows_nor_reserves_the_budget() {
+        // The history reservation used to be sized by `max_iter`:
+        // `usize::MAX` overflowed the `+ 1` under the dev profile and
+        // `1 << 45` aborted the process with a 256 TiB allocation.
+        let (op, b) = setup(512, SimdBackend::Fcmla);
+        let (_, reference) = cg(&op, &b, 1e-8, 2000);
+        for budget in [usize::MAX, 1 << 45] {
+            let (_, report) = cg(&op, &b, 1e-8, budget);
+            assert!(report.converged, "budget {budget}: {report:?}");
+            assert_eq!(report.iterations, reference.iterations);
+        }
+        let block = FermionBlock::from_fields(std::slice::from_ref(&b));
+        let (_, report) = block_cg(&op, &block, 1e-8, usize::MAX);
+        assert!(report.converged[0]);
+        let (_, report) = bicgstab(&op, &b, 1e-8, usize::MAX);
+        assert!(report.converged, "{report:?}");
     }
 
     #[test]
@@ -1176,19 +865,28 @@ mod tests {
         let block = FermionBlock::from_fields(&rhss);
         let (x_full, full) = block_cg(&op, &block, 1e-8, 2000);
 
-        let mut ws = BlockWorkspace::new(g.clone(), 2);
-        let mut apply = |p: &FermionBlock, ws: &mut BlockWorkspace| {
-            let BlockWorkspace { tmp, ap, .. } = ws;
-            op.mdag_m_block_into_dot(p, tmp, ap)
-        };
+        let mut tmp = FermionBlock::zero(g.clone(), 2);
+        let mut space = Layout::new(|p: &FermionBlock, ap: &mut FermionBlock, c: &mut [f64]| {
+            c.copy_from_slice(&op.mdag_m_block_into_dot(p, &mut tmp, ap));
+        });
+        let mut scratch = Scratch::new(&block);
         let mut st = BlockCgState::new(&block);
         for _ in 0..10 {
-            let active = st.active(1e-8, 2000);
-            st.step_ws(&mut ws, &mut apply, &active);
+            let _ = cg_step(&mut space, &mut st, &mut scratch, 1e-8, 2000);
         }
         let snapshot = st.clone();
         drop(st);
-        let (x_res, res) = block_cg_ws_from_state(apply, &block, &mut ws, snapshot, 1e-8, 2000);
+        let span = qcd_trace::span!("solver.block_cg", g.engine().ctx());
+        let (x_res, res) = cg_solve(
+            &mut space,
+            &block,
+            Start::State(snapshot),
+            1e-8,
+            2000,
+            span,
+            "solver.block_cg",
+            no_observer,
+        );
         assert_eq!(res.per_rhs_iterations, full.per_rhs_iterations);
         assert_eq!(x_res.max_abs_diff(&x_full), 0.0);
         for j in 0..2 {
@@ -1210,8 +908,7 @@ mod tests {
         let u = random_gauge(g.clone(), 21);
         let op = WilsonDirac::<f32>::new(u, 0.2);
         let b = Field::<FermionKind, f32>::random(g.clone(), 22);
-        let mut ws = SolverWorkspace::<f32>::new(g.clone());
-        let (_, report) = cg_ws(&op, &b, &mut ws, 1e-30, 700);
+        let (_, report) = cg(&op, &b, 1e-30, 700);
 
         assert!(!report.converged, "f32 cannot reach 1e-30");
         assert_eq!(report.iterations, 700, "must burn the whole budget");

@@ -2,10 +2,13 @@
 //!
 //! A counting global allocator wraps `System`; after a warm-up (which may
 //! grow the residual-history vector to its reserved capacity), a block of
-//! `step_ws` iterations must leave the allocation counter untouched — for
-//! CG on the fused `M†M` path, for BiCGStab on `apply_into`, and for all
-//! six precision-pair directions of `to_precision_into` (f64/f32/f16,
-//! both ways) into preallocated destinations.
+//! `krylov::cg_step` iterations must leave the allocation counter untouched
+//! — in the fused-layout, canonical and 5-d spaces — as must BiCGStab's
+//! `step_ws` on `apply_into` and all six precision-pair directions of
+//! `to_precision_into` (f64/f32/f16, both ways) into preallocated
+//! destinations. The block space is held to its kernels' own floor: the
+//! batched sweeps return their per-RHS scalars as `Vec`s, and the driver
+//! must add nothing on top (it owns `α`, `β`, the mask and the curvature).
 //!
 //! The guarantee is for the serial sweep path (`rayon` worker spawning
 //! allocates thread stacks by design), so the test pins one worker. The
@@ -17,6 +20,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use grid::field::FermionKind;
+use grid::krylov::{
+    cg_step, Canonical, CgSpace, Layout as LayoutSpace, Recurrence, Scratch, State,
+};
 use grid::prelude::*;
 use sve::F16;
 
@@ -49,6 +55,26 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::SeqCst)
 }
 
+/// Allocations of ten steady-state `cg_step`s in `space`, after three
+/// warm-up steps. The state must not converge inside the window.
+fn ten_steps<S: CgSpace, St: Recurrence<V = S::V>>(space: &mut S, state: &mut St) -> u64 {
+    let mut scratch = Scratch::new(&*state.parts().x);
+    for history in state.parts().histories.iter_mut() {
+        history.reserve(64);
+    }
+    for _ in 0..3 {
+        let _ = cg_step(space, state, &mut scratch, 1e-30, 64); // warm-up
+    }
+    let before = allocations();
+    for _ in 0..10 {
+        assert!(
+            cg_step(space, state, &mut scratch, 1e-30, 64).is_continue(),
+            "test lattice converged too fast"
+        );
+    }
+    allocations() - before
+}
+
 #[test]
 fn solver_steady_state_allocates_nothing() {
     rayon::set_num_threads(1);
@@ -57,24 +83,68 @@ fn solver_steady_state_allocates_nothing() {
     let d = WilsonDirac::new(u, 0.2);
     let b = FermionField::random(g.clone(), 52);
 
-    // --- CG on the fused normal operator -------------------------------
-    let mut state = CgState::new(&b);
-    state.history.reserve(64);
+    // --- CG in the fused-layout space --------------------------------
     let mut ws = SolverWorkspace::new(g.clone());
-    let mut apply = |p: &FermionField, ws: &mut SolverWorkspace| {
-        let SolverWorkspace { tmp, ap, .. } = ws;
-        d.mdag_m_into_dot(p, tmp, ap)
-    };
-    for _ in 0..3 {
-        state.step_ws(&mut ws, &mut apply); // warm-up
-    }
-    let before = allocations();
-    for _ in 0..10 {
-        state.step_ws(&mut ws, &mut apply);
-        assert!(!state.converged(1e-30), "test lattice converged too fast");
-    }
-    let delta = allocations() - before;
+    let mut fused = LayoutSpace::new(|p: &FermionField, ap: &mut FermionField, c: &mut [f64]| {
+        c[0] = d.mdag_m_into_dot(p, &mut ws.tmp, ap);
+    });
+    let delta = ten_steps(&mut fused, &mut CgState::new(&b));
     assert_eq!(delta, 0, "CG steady state performed {delta} allocations");
+
+    // --- CG in the canonical space: the scatter buffer is the space's --
+    let mut buf = vec![0.0; g.volume()];
+    let mut canonical = Canonical::new(&d, &mut ws.hop, &mut buf);
+    let delta = ten_steps(&mut canonical, &mut CgState::new(&b));
+    assert_eq!(delta, 0, "canonical CG performed {delta} allocations");
+
+    // --- CG on the 5-d domain-wall normal operator ---------------------
+    let dwf = DomainWall::new(random_gauge(g.clone(), 54), 4, 1.8, 0.04);
+    let b5 = Fermion5::random(g.clone(), 4, 55);
+    let mut tmp5 = Fermion5::zero(g.clone(), 4);
+    let mut five_d = LayoutSpace::new(|p: &Fermion5, ap: &mut Fermion5, c: &mut [f64]| {
+        dwf.ddag_d_into(p, &mut tmp5, ap);
+        c[0] = p.inner(ap).re;
+    });
+    let n5 = b5.norm2();
+    let mut state5 = State::assemble(
+        Fermion5::zero(g.clone(), 4),
+        b5.clone(),
+        b5.clone(),
+        &[n5],
+        &[n5],
+    );
+    let delta = ten_steps(&mut five_d, &mut state5);
+    assert_eq!(
+        delta, 0,
+        "5-d CG steady state performed {delta} allocations"
+    );
+
+    // --- Block CG: the driver adds nothing to the kernels' own floor ---
+    let block = FermionBlock::from_fields(&[b.clone(), FermionField::random(g.clone(), 56)]);
+    let mut btmp = FermionBlock::zero(g.clone(), 2);
+    let floor = {
+        let mut st = BlockCgState::new(&block);
+        let mut ap = FermionBlock::zero(g.clone(), 2);
+        let (alpha, active) = ([1e-3, 1e-3], [true, true]);
+        let mut before = 0;
+        for sweep in 0..13 {
+            if sweep == 3 {
+                before = allocations(); // three warm-up sweeps, as `ten_steps`
+            }
+            let _ = d.mdag_m_block_into_dot(&st.p, &mut btmp, &mut ap);
+            let _ = block_cg_update_x_r(&mut st.x, &mut st.r, &alpha, &st.p, &ap, &active);
+            st.p.aypx_masked(&alpha, &st.r, &active);
+        }
+        allocations() - before
+    };
+    let mut batched = LayoutSpace::new(|p: &FermionBlock, ap: &mut FermionBlock, c: &mut [f64]| {
+        c.copy_from_slice(&d.mdag_m_block_into_dot(p, &mut btmp, ap));
+    });
+    let delta = ten_steps(&mut batched, &mut BlockCgState::new(&block));
+    assert_eq!(
+        delta, floor,
+        "block CG: {delta} allocations against the kernels' own {floor}"
+    );
 
     // --- BiCGStab on the fused Wilson apply ----------------------------
     let mut bstate = BicgStabState::new(&b);

@@ -33,11 +33,11 @@
 use crate::dense::Cholesky;
 use grid::dirac::WilsonDirac;
 use grid::field::FermionKind;
+use grid::krylov::{self, Canonical, CgSpace, Start, Vector};
 use grid::layout::{delex, lex};
 use grid::mixed::{to_precision, to_precision_into};
-use grid::solver::{SolveReport, SolverWorkspace, HISTORY_CAP};
+use grid::solver::{CgState, SolveReport, SolverWorkspace};
 use grid::{Complex, Coor, Field, FieldKind, Grid};
-use qcd_metrics::HealthMonitor;
 use std::sync::Arc;
 use sve::{SveFloat, F16};
 
@@ -331,115 +331,99 @@ impl<E: SveFloat> F16Smoother<E> {
     }
 }
 
+/// The canonical Wilson space with the two-level correction of a
+/// [`CoarseSpace`] (plus an optional [`F16Smoother`] term) as its
+/// preconditioner. The iterate and residual move by unfused `axpy` pairs
+/// and the zero-start `|r|²` copies `|b|²`; the recurrence, including
+/// "skip `M⁻¹` once converged", is the driver's.
+struct TwoLevel<'a, E: SveFloat> {
+    fine: Canonical<'a, E>,
+    cs: &'a CoarseSpace<E>,
+    smoother: Option<&'a mut F16Smoother<E>>,
+}
+
+impl<E: SveFloat> CgSpace for TwoLevel<'_, E> {
+    type V = Field<FermionKind, E>;
+    const CANONICAL: bool = true;
+
+    fn apply(&mut self, p: &Self::V, ap: &mut Self::V, curv: &mut [f64]) {
+        self.fine.apply(p, ap, curv);
+    }
+
+    fn operator(&mut self, x: &Self::V, ax: &mut Self::V, unused: &mut [f64]) {
+        self.fine.operator(x, ax, unused);
+    }
+
+    fn norms2(&mut self, v: &Self::V, out: &mut [f64]) {
+        self.fine.norms2(v, out);
+    }
+
+    fn initial_r2(&mut self, _r: &Self::V, b_norm2: &[f64], out: &mut [f64]) {
+        out.copy_from_slice(b_norm2);
+    }
+
+    fn update_x_r(
+        &mut self,
+        x: &mut Self::V,
+        r: &mut Self::V,
+        alpha: &[f64],
+        p: &Self::V,
+        ap: &Self::V,
+        _active: &[bool],
+        r2: &mut [f64],
+    ) {
+        x.axpy_inplace(alpha[0], p);
+        r.axpy_inplace(-alpha[0], ap);
+        self.fine.norms2(r, r2);
+    }
+
+    fn precondition(&mut self, r: &Self::V, z: &mut Self::V, rz: &mut [f64]) -> bool {
+        *z = self.cs.precondition(r);
+        if let Some(sm) = self.smoother.as_deref_mut() {
+            sm.accumulate(r, z);
+        }
+        rz[0] = self.fine.inner_re(r, z);
+        true
+    }
+}
+
 /// Preconditioned Conjugate Gradient on `M†M` with the two-level coarse
-/// correction of `cs` as the (fixed, HPD) preconditioner. Every steering
-/// scalar is canonical; convergence is tested on the true residual norm
-/// `|r|/|b|` like the unpreconditioned CG, so iteration counts compare
-/// directly. Runs under an `mg.coarse` span with health monitoring in the
-/// `solver.coarse_pcg` region.
+/// correction of `cs` as the (fixed, HPD) preconditioner:
+/// `M⁻¹ r = (I − P P†) r + P A_c⁻¹ P† r`. With a `smoother`, the additive
+/// term `p_k(A) r` joins it, computed in binary16: the coarse solve removes
+/// the low end of the spectrum, the smoother damps the high end, and the
+/// smoother's operator applications run on the f16 compute tier.
+///
+/// Every steering scalar is canonical; convergence is tested on the true
+/// residual norm `|r|/|b|` like the unpreconditioned CG, so iteration
+/// counts compare directly. Runs under an `mg.coarse` span with health
+/// monitoring in the `solver.coarse_pcg` region.
 pub fn coarse_pcg<E: SveFloat>(
     op: &WilsonDirac<E>,
     cs: &CoarseSpace<E>,
-    b: &Field<FermionKind, E>,
-    tol: f64,
-    max_iter: usize,
-) -> (Field<FermionKind, E>, SolveReport) {
-    coarse_pcg_inner(op, cs, None, b, tol, max_iter)
-}
-
-/// [`coarse_pcg`] with an additive [`F16Smoother`] term in the
-/// preconditioner: `M⁻¹ r = (I − P P†) r + P A_c⁻¹ P† r + p_k(A) r`, the
-/// last term computed in binary16. The coarse solve removes the low end
-/// of the spectrum, the smoother damps the high end — and the smoother's
-/// operator applications run at half precision, moving that slice of the
-/// preconditioning work onto the f16 compute tier.
-pub fn coarse_pcg_smoothed<E: SveFloat>(
-    op: &WilsonDirac<E>,
-    cs: &CoarseSpace<E>,
-    smoother: &mut F16Smoother<E>,
-    b: &Field<FermionKind, E>,
-    tol: f64,
-    max_iter: usize,
-) -> (Field<FermionKind, E>, SolveReport) {
-    coarse_pcg_inner(op, cs, Some(smoother), b, tol, max_iter)
-}
-
-fn coarse_pcg_inner<E: SveFloat>(
-    op: &WilsonDirac<E>,
-    cs: &CoarseSpace<E>,
-    mut smoother: Option<&mut F16Smoother<E>>,
+    smoother: Option<&mut F16Smoother<E>>,
     b: &Field<FermionKind, E>,
     tol: f64,
     max_iter: usize,
 ) -> (Field<FermionKind, E>, SolveReport) {
     let grid = b.grid().clone();
     let span = qcd_trace::span!("mg.coarse", grid.engine().ctx());
-    let mut monitor = HealthMonitor::new("solver.coarse_pcg");
-    let mut ws = SolverWorkspace::<E>::new(grid.clone());
-
-    let b_norm2 = b.canonical_norm2();
-    assert!(b_norm2 > 0.0, "CG needs a nonzero right-hand side");
-    let mut x = Field::<FermionKind, E>::zero(grid.clone());
-    let mut r = b.clone();
-    let mut r2 = b_norm2;
-    let mut z = cs.precondition(&r);
-    if let Some(sm) = smoother.as_deref_mut() {
-        sm.accumulate(&r, &mut z);
-    }
-    let mut p = z.clone();
-    let mut rz = r.canonical_inner_re(&z);
-    let mut history = vec![(r2 / b_norm2).sqrt()];
-    monitor.replay(&history);
-
-    let mut iterations = 0;
-    while iterations < max_iter && r2 > tol * tol * b_norm2 {
-        op.mdag_m_into(&p, &mut ws.tmp, &mut ws.ap);
-        let p_ap = p.canonical_inner_re(&ws.ap);
-        assert!(
-            p_ap > 0.0,
-            "search direction has non-positive curvature: operator not HPD?"
-        );
-        let alpha = rz / p_ap;
-        x.axpy_inplace(alpha, &p);
-        r.axpy_inplace(-alpha, &ws.ap);
-        r2 = r.canonical_norm2();
-        iterations += 1;
-        history.push((r2 / b_norm2).sqrt());
-        monitor.observe(*history.last().unwrap());
-        if r2 <= tol * tol * b_norm2 {
-            break;
-        }
-        z = cs.precondition(&r);
-        if let Some(sm) = smoother.as_deref_mut() {
-            sm.accumulate(&r, &mut z);
-        }
-        let rz_new = r.canonical_inner_re(&z);
-        let beta = rz_new / rz;
-        p.aypx(beta, &z);
-        rz = rz_new;
-    }
-
-    let converged = r2 <= tol * tol * b_norm2;
-    op.mdag_m_into(&x, &mut ws.tmp, &mut ws.ap);
-    let mut true_r = Field::<FermionKind, E>::zero(grid.clone());
-    true_r.sub(b, &ws.ap);
-    let residual = (true_r.canonical_norm2() / b_norm2).sqrt();
-    let (history, health) = qcd_metrics::conclude_solver_health(
+    let mut tmp = b.zero_like();
+    let mut buf = vec![0.0; grid.volume()];
+    let mut space = TwoLevel {
+        fine: Canonical::new(op, &mut tmp, &mut buf),
+        cs,
+        smoother,
+    };
+    let (x, report) = krylov::cg_solve(
+        &mut space,
+        b,
+        Start::<CgState<E>>::Zero,
+        tol,
+        max_iter,
+        span,
         "solver.coarse_pcg",
-        monitor,
-        &history,
-        iterations,
-        HISTORY_CAP,
+        krylov::no_observer,
     );
-    (
-        x,
-        SolveReport {
-            iterations,
-            residual,
-            converged,
-            history,
-            health,
-            telemetry: span.finish(),
-        },
-    )
+    (x, report.into_single())
 }

@@ -17,9 +17,12 @@
 //! N-RHS [`FermionBlock`] — the amortization the eigensolver setup is paid
 //! back by — with the per-RHS guarantee the rest of the stack is built on:
 //! RHS `j` of a block solve is **bit-identical** to [`defl_cg`] of that
-//! RHS alone, for any batch width and composition. [`defl_mixed_solve`]
-//! composes deflation with the mixed-precision defect-correction ladder:
-//! the Galerkin guess seeds the outer double-precision loop.
+//! RHS alone, for any batch width and composition. [`defl_ladder_solve`]
+//! composes deflation with the precision ladder: the Galerkin guess seeds
+//! the outer double-precision loop.
+//!
+//! There is no recurrence here: deflation is a *start* of the one CG
+//! driver ([`grid::krylov`]) — [`Start::Guess`] in the canonical space.
 //!
 //! Determinism follows the same rule as the eigensolver: every steering
 //! scalar is a canonical reduction, every field update is pointwise, so
@@ -28,15 +31,12 @@
 
 use crate::lanczos::Subspace;
 use grid::dirac::WilsonDirac;
-use grid::field::{block_cg_update_x_r, cg_update_x_r, FermionBlock, FermionKind};
-use grid::mixed::{
-    ladder_solve_from, mixed_precision_solve_from, to_precision, to_precision_into, LadderConfig,
-    LadderReport, MixedReport,
-};
+use grid::field::{FermionBlock, FermionKind};
+use grid::krylov::{self, Canonical, CgSpace, Start, Vector};
+use grid::mixed::{ladder_solve_from, to_precision, to_precision_into, LadderConfig, LadderReport};
 use grid::reduce::canonical_sum;
-use grid::solver::{BlockSolveReport, SolveReport, SolverWorkspace, HISTORY_CAP};
+use grid::solver::{BlockCgState, BlockSolveReport, CgState, SolveReport};
 use grid::{FermionField, Field, Grid};
-use qcd_metrics::HealthMonitor;
 use sve::{SveFloat, F16};
 
 /// Check that `sub` belongs to `op`: same lattice, bit-identical mass.
@@ -102,7 +102,7 @@ pub fn galerkin_guess_f16(sub: &Subspace<f64>, b: &FermionField) -> FermionField
 }
 
 /// Deflation composed with the three-level precision ladder: solve
-/// `M x = b` (like [`defl_mixed_solve`]) seeded by the **f16-applied**
+/// `M x = b` (not the normal equations) seeded by the **f16-applied**
 /// Galerkin guess for `x = (M†M)⁻¹ M† b`, then run the f64 ↔ f32 ↔ f16
 /// reliable-update ladder from there. The subspace projection and the
 /// bulk of the Krylov work both execute on the binary16 compute tier;
@@ -135,86 +135,59 @@ pub fn defl_cg<E: SveFloat>(
     assert_subspace_matches(op, sub);
     let grid = b.grid().clone();
     let span = qcd_trace::span!("solver.deflate", grid.engine().ctx());
-    let mut monitor = HealthMonitor::new("solver.defl_cg");
-    let mut ws = SolverWorkspace::<E>::new(grid.clone());
+    let mut tmp = b.zero_like();
+    let mut buf = vec![0.0; grid.volume()];
+    let (x, report) = krylov::cg_solve(
+        &mut Canonical::new(op, &mut tmp, &mut buf),
+        b,
+        Start::<CgState<E>>::Guess(galerkin_guess(sub, b)),
+        tol,
+        max_iter,
+        span,
+        "solver.defl_cg",
+        krylov::no_observer,
+    );
+    (x, report.into_single())
+}
 
-    let b_norm2 = b.canonical_norm2();
-    assert!(b_norm2 > 0.0, "CG needs a nonzero right-hand side");
-    let mut x = galerkin_guess(sub, b);
-    op.mdag_m_into(&x, &mut ws.tmp, &mut ws.ap);
-    let mut r = Field::<FermionKind, E>::zero(grid.clone());
-    r.sub(b, &ws.ap);
-    let mut r2 = r.canonical_norm2();
-    let mut p = r.clone();
-    let mut history = vec![(r2 / b_norm2).sqrt()];
-    monitor.replay(&history);
+/// The block counterpart of [`Canonical`]: the batched Wilson normal
+/// operator with per-RHS canonical scalars — each RHS's sites scattered
+/// into global lexicographic order and summed through the fixed chunk
+/// tree, bit-identical to the canonical reductions of the extracted RHS.
+struct BlockCanonical<'a, E: SveFloat> {
+    op: &'a WilsonDirac<E>,
+    tmp: FermionBlock<E>,
+    /// `nrhs × volume` scatter buffer, RHS-major.
+    buf: Vec<f64>,
+}
 
-    let mut iterations = 0;
-    while iterations < max_iter && r2 > tol * tol * b_norm2 {
-        op.mdag_m_into(&p, &mut ws.tmp, &mut ws.ap);
-        let p_ap = p.canonical_inner_re(&ws.ap);
-        assert!(
-            p_ap > 0.0,
-            "search direction has non-positive curvature: operator not HPD?"
-        );
-        let alpha = r2 / p_ap;
-        // The fused sweep's returned |r|² is layout-dependent; discard it
-        // and recompute canonically so the trajectory is VL-invariant.
-        let _ = cg_update_x_r(&mut x, &mut r, alpha, &p, &ws.ap);
-        let r2_new = r.canonical_norm2();
-        let beta = r2_new / r2;
-        p.aypx(beta, &r);
-        r2 = r2_new;
-        iterations += 1;
-        history.push((r2 / b_norm2).sqrt());
-        monitor.observe(*history.last().unwrap());
+impl<E: SveFloat> BlockCanonical<'_, E> {
+    fn sums(&self, out: &mut [f64]) {
+        let vol = self.tmp.grid().volume();
+        for (o, row) in out.iter_mut().zip(self.buf.chunks_exact(vol)) {
+            *o = canonical_sum(row);
+        }
+    }
+}
+
+impl<E: SveFloat> CgSpace for BlockCanonical<'_, E> {
+    type V = FermionBlock<E>;
+    const CANONICAL: bool = true;
+
+    fn apply(&mut self, p: &Self::V, ap: &mut Self::V, curv: &mut [f64]) {
+        self.op.mdag_m_block_into(p, &mut self.tmp, ap);
+        p.site_inners_re_lex(ap, &mut self.buf);
+        self.sums(curv);
     }
 
-    let converged = r2 <= tol * tol * b_norm2;
-    // True residual check (canonical, guards recurrence drift).
-    op.mdag_m_into(&x, &mut ws.tmp, &mut ws.ap);
-    let mut true_r = Field::<FermionKind, E>::zero(grid.clone());
-    true_r.sub(b, &ws.ap);
-    let residual = (true_r.canonical_norm2() / b_norm2).sqrt();
-    let (history, health) = qcd_metrics::conclude_solver_health(
-        "solver.defl_cg",
-        monitor,
-        &history,
-        iterations,
-        HISTORY_CAP,
-    );
-    (
-        x,
-        SolveReport {
-            iterations,
-            residual,
-            converged,
-            history,
-            health,
-            telemetry: span.finish(),
-        },
-    )
-}
+    fn operator(&mut self, x: &Self::V, ax: &mut Self::V, _unused: &mut [f64]) {
+        self.op.mdag_m_block_into(x, &mut self.tmp, ax);
+    }
 
-/// Per-RHS canonical squared norms of a block: each RHS's sites scattered
-/// into global lexicographic order, then summed through the fixed chunk
-/// tree — bit-identical to [`Field::canonical_norm2`] of the extracted RHS.
-fn block_canonical_norms2<E: SveFloat>(b: &FermionBlock<E>, buf: &mut [f64]) -> Vec<f64> {
-    b.site_norms2_lex(buf);
-    let vol = b.grid().volume();
-    buf.chunks_exact(vol).map(canonical_sum).collect()
-}
-
-/// Per-RHS canonical real inner products — the block counterpart of
-/// [`Field::canonical_inner_re`].
-fn block_canonical_inners_re<E: SveFloat>(
-    a: &FermionBlock<E>,
-    b: &FermionBlock<E>,
-    buf: &mut [f64],
-) -> Vec<f64> {
-    a.site_inners_re_lex(b, buf);
-    let vol = a.grid().volume();
-    buf.chunks_exact(vol).map(canonical_sum).collect()
+    fn norms2(&mut self, v: &Self::V, out: &mut [f64]) {
+        v.site_norms2_lex(&mut self.buf);
+        self.sums(out);
+    }
 }
 
 /// Deflated **block** Conjugate Gradient: solve `M†M x_j = b_j` for every
@@ -233,132 +206,26 @@ pub fn defl_block_cg<E: SveFloat>(
     assert_subspace_matches(op, sub);
     let grid = b.grid().clone();
     let nrhs = b.nrhs();
-    let vol = grid.volume();
     let span = qcd_trace::span!("solver.deflate", grid.engine().ctx());
-    let mut monitors: Vec<HealthMonitor> = (0..nrhs)
-        .map(|j| HealthMonitor::new(&format!("solver.defl_block_cg[{j}]")))
-        .collect();
-    let mut buf = vec![0.0f64; nrhs * vol];
-
-    let b_norm2 = block_canonical_norms2(b, &mut buf);
-    for (j, &n) in b_norm2.iter().enumerate() {
-        assert!(n > 0.0, "CG needs a nonzero right-hand side (RHS {j})");
-    }
-
     // Per-RHS Galerkin guesses through the single-field path (identical
     // bits to defl_cg's setup), assembled into the block iterate.
-    let mut x = FermionBlock::zero(grid.clone(), nrhs);
+    let mut x0 = b.zero_like();
     for j in 0..nrhs {
-        x.set_rhs(j, &galerkin_guess(sub, &b.rhs_field(j)));
+        x0.set_rhs(j, &galerkin_guess(sub, &b.rhs_field(j)));
     }
-    let mut tmp = FermionBlock::zero(grid.clone(), nrhs);
-    let mut ap = FermionBlock::zero(grid.clone(), nrhs);
-    op.mdag_m_block_into(&x, &mut tmp, &mut ap);
-    let mut r = FermionBlock::zero(grid.clone(), nrhs);
-    // b + (−1)·Ax: bit-identical to the single-field `sub` (negation and
-    // the unit multiply are exact).
-    r.scale_axpy_from(-1.0, &ap, 1.0, b);
-    let mut r2 = block_canonical_norms2(&r, &mut buf);
-    let mut p = r.clone();
-    let mut iterations = vec![0usize; nrhs];
-    let mut histories: Vec<Vec<f64>> = (0..nrhs)
-        .map(|j| vec![(r2[j] / b_norm2[j]).sqrt()])
-        .collect();
-    for (m, h) in monitors.iter_mut().zip(&histories) {
-        m.replay(h);
-    }
-
-    loop {
-        let active: Vec<bool> = (0..nrhs)
-            .map(|j| iterations[j] < max_iter && r2[j] > tol * tol * b_norm2[j])
-            .collect();
-        if !active.iter().any(|&a| a) {
-            break;
-        }
-        op.mdag_m_block_into(&p, &mut tmp, &mut ap);
-        let p_ap = block_canonical_inners_re(&p, &ap, &mut buf);
-        let mut alphas = vec![0.0; nrhs];
-        for j in 0..nrhs {
-            if active[j] {
-                assert!(
-                    p_ap[j] > 0.0,
-                    "search direction has non-positive curvature: operator not HPD? (RHS {j})"
-                );
-                alphas[j] = r2[j] / p_ap[j];
-            }
-        }
-        let _ = block_cg_update_x_r(&mut x, &mut r, &alphas, &p, &ap, &active);
-        let r2_new = block_canonical_norms2(&r, &mut buf);
-        let mut betas = vec![0.0; nrhs];
-        for j in 0..nrhs {
-            if active[j] {
-                betas[j] = r2_new[j] / r2[j];
-            }
-        }
-        p.aypx_masked(&betas, &r, &active);
-        for j in 0..nrhs {
-            if active[j] {
-                r2[j] = r2_new[j];
-                iterations[j] += 1;
-                histories[j].push((r2[j] / b_norm2[j]).sqrt());
-                monitors[j].observe(*histories[j].last().unwrap());
-            }
-        }
-    }
-
-    let converged: Vec<bool> = (0..nrhs).map(|j| r2[j] <= tol * tol * b_norm2[j]).collect();
-    // True residuals, canonical per RHS.
-    op.mdag_m_block_into(&x, &mut tmp, &mut ap);
-    let mut true_r = FermionBlock::zero(grid.clone(), nrhs);
-    true_r.scale_axpy_from(-1.0, &ap, 1.0, b);
-    let tr2 = block_canonical_norms2(&true_r, &mut buf);
-    let residuals: Vec<f64> = (0..nrhs).map(|j| (tr2[j] / b_norm2[j]).sqrt()).collect();
-
-    let mut capped = Vec::with_capacity(nrhs);
-    let mut health = Vec::with_capacity(nrhs);
-    for (monitor, (full, iters)) in monitors.into_iter().zip(histories.iter().zip(&iterations)) {
-        let (c, e) = qcd_metrics::conclude_solver_health(
-            "solver.defl_block_cg",
-            monitor,
-            full,
-            *iters,
-            HISTORY_CAP,
-        );
-        capped.push(c);
-        health.push(e);
-    }
-    (
-        x,
-        BlockSolveReport {
-            iterations: iterations.iter().copied().max().unwrap_or(0),
-            per_rhs_iterations: iterations,
-            residuals,
-            converged,
-            histories: capped,
-            health,
-            telemetry: span.finish(),
-        },
+    let mut space = BlockCanonical {
+        op,
+        tmp: b.zero_like(),
+        buf: vec![0.0; nrhs * grid.volume()],
+    };
+    krylov::cg_solve(
+        &mut space,
+        b,
+        Start::<BlockCgState<E>>::Guess(x0),
+        tol,
+        max_iter,
+        span,
+        "solver.defl_block_cg",
+        krylov::no_observer,
     )
-}
-
-/// Deflation composed with the mixed-precision defect-correction ladder:
-/// solve `M x = b` (not the normal equations) by seeding the outer
-/// double-precision loop with the Galerkin guess for
-/// `x = (M†M)⁻¹ M† b`, then running the standard f32-inner/f64-outer
-/// ladder from there. The low-mode content of the error is removed before
-/// the first inner solve, so the ladder starts several digits ahead.
-pub fn defl_mixed_solve(
-    op: &WilsonDirac<f64>,
-    sub: &Subspace<f64>,
-    b: &FermionField,
-    tol: f64,
-    inner_tol: f64,
-    max_outer: usize,
-    max_inner: usize,
-) -> (FermionField, MixedReport) {
-    assert_subspace_matches(op, sub);
-    let _span = qcd_trace::span!("solver.deflate", op.grid().engine().ctx());
-    let rhs_dag = op.apply_dag(b);
-    let x0 = galerkin_guess(sub, &rhs_dag);
-    mixed_precision_solve_from(op, b, x0, tol, inner_tol, max_outer, max_inner)
 }

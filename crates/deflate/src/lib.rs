@@ -14,8 +14,8 @@
 //!   out of each RHS via the Galerkin guess `x₀ = V (V†AV)⁻¹ V† b`;
 //!   [`defl_block_cg`] recycles one subspace across a whole N-RHS batch
 //!   with per-RHS results bit-identical to the single-RHS path;
-//!   [`defl_mixed_solve`] seeds the mixed-precision defect-correction
-//!   ladder; [`solve_deflated_requests`] is the coalescing entry point a
+//!   [`defl_ladder_solve`] seeds the precision ladder;
+//!   [`solve_deflated_requests`] is the coalescing entry point a
 //!   job farm drives.
 //! * **Coarse grid** ([`coarse`]): cell-blocked near-null vectors,
 //!   Galerkin triple-product coarse operator, and a two-level
@@ -52,9 +52,7 @@ pub mod lanczos;
 pub mod persist;
 pub mod requests;
 
-pub use coarse::{coarse_pcg, coarse_pcg_smoothed, CoarseSpace, F16Smoother};
-pub use defl::{
-    defl_block_cg, defl_cg, defl_ladder_solve, defl_mixed_solve, galerkin_guess, galerkin_guess_f16,
-};
+pub use coarse::{coarse_pcg, CoarseSpace, F16Smoother};
+pub use defl::{defl_block_cg, defl_cg, defl_ladder_solve, galerkin_guess, galerkin_guess_f16};
 pub use lanczos::{build_subspace, lanczos, EigenReport, LanczosParams, Subspace};
 pub use requests::solve_deflated_requests;

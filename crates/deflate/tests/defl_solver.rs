@@ -14,9 +14,8 @@ use std::sync::{Arc, OnceLock};
 
 use grid::prelude::*;
 use qcd_deflate::{
-    coarse_pcg, coarse_pcg_smoothed, defl_block_cg, defl_cg, defl_ladder_solve, defl_mixed_solve,
-    galerkin_guess, galerkin_guess_f16, lanczos, solve_deflated_requests, CoarseSpace, F16Smoother,
-    LanczosParams, Subspace,
+    coarse_pcg, defl_block_cg, defl_cg, defl_ladder_solve, galerkin_guess, galerkin_guess_f16,
+    lanczos, solve_deflated_requests, CoarseSpace, F16Smoother, LanczosParams, Subspace,
 };
 use qcd_hmc::{HmcParams, IntegratorKind, MarkovChain};
 
@@ -192,14 +191,23 @@ fn deflated_requests_match_standalone_solves_in_any_order() {
 fn deflation_composes_with_the_mixed_precision_ladder() {
     let f = fixture();
     let b = FermionField::random(f.grid.clone(), 41);
-    let (x_mixed, rep_mixed) = mixed_precision_solve(&f.op, &b, TOL, 1e-5, 50, 600);
-    let (x_defl, rep_defl) = defl_mixed_solve(&f.op, &f.sub, &b, TOL, 1e-5, 50, 600);
+    // The two-level ladder, cold and seeded with the Galerkin guess for
+    // x = (M†M)⁻¹ M† b.
+    let cfg = LadderConfig {
+        inner_tol: 1e-5,
+        max_outer: 50,
+        max_inner: 600,
+        ..LadderConfig::f32_only(TOL)
+    };
+    let (x_mixed, rep_mixed) = ladder_solve(&f.op, &b, &cfg);
+    let x0 = galerkin_guess(&f.sub, &f.op.apply_dag(&b));
+    let (x_defl, rep_defl) = ladder_solve_from(&f.op, &b, x0, &cfg);
     assert!(rep_mixed.converged && rep_defl.converged);
     assert!(
-        rep_defl.inner_iterations <= rep_mixed.inner_iterations,
+        rep_defl.f32_iterations <= rep_mixed.f32_iterations,
         "deflated ladder spent more inner iterations: {} vs {}",
-        rep_defl.inner_iterations,
-        rep_mixed.inner_iterations
+        rep_defl.f32_iterations,
+        rep_mixed.f32_iterations
     );
     let mut d = x_mixed.clone();
     d.sub(&x_mixed, &x_defl);
@@ -223,7 +231,7 @@ fn coarse_pcg_beats_plain_cg_on_the_thermalized_config() {
     assert_eq!(cs.ncoarse(), 16 * f.sub.nev());
     let b = FermionField::random(f.grid.clone(), 11);
     let (x_plain, rep_plain) = cg(&f.op, &b, TOL, 6000);
-    let (x_pcg, rep_pcg) = coarse_pcg(&f.op, &cs, &b, TOL, 6000);
+    let (x_pcg, rep_pcg) = coarse_pcg(&f.op, &cs, None, &b, TOL, 6000);
     assert!(rep_plain.converged && rep_pcg.converged);
     assert!(
         rep_pcg.iterations < rep_plain.iterations,
@@ -321,9 +329,9 @@ fn f16_smoothed_pcg_converges_to_the_same_solution() {
     let f = fixture();
     let cs = CoarseSpace::build(&f.op, &f.sub.vectors, [2, 2, 2, 2]);
     let b = FermionField::random(f.grid.clone(), 11);
-    let (x_pcg, rep_pcg) = coarse_pcg(&f.op, &cs, &b, TOL, 6000);
+    let (x_pcg, rep_pcg) = coarse_pcg(&f.op, &cs, None, &b, TOL, 6000);
     let mut sm = F16Smoother::with_defaults(&f.op);
-    let (x_sm, rep_sm) = coarse_pcg_smoothed(&f.op, &cs, &mut sm, &b, TOL, 6000);
+    let (x_sm, rep_sm) = coarse_pcg(&f.op, &cs, Some(&mut sm), &b, TOL, 6000);
     assert!(rep_pcg.converged && rep_sm.converged);
     // The additive f16 term perturbs the preconditioner at the binary16
     // grain — it must not derail convergence (small slack over the
@@ -339,7 +347,7 @@ fn f16_smoothed_pcg_converges_to_the_same_solution() {
     assert!(d.norm2().sqrt() / x_pcg.norm2().sqrt() < 1e-5);
     // The smoother genuinely ran in binary16, and rerunning it on the
     // same right-hand side is deterministic bit for bit.
-    let (x_sm2, rep_sm2) = coarse_pcg_smoothed(&f.op, &cs, &mut sm, &b, TOL, 6000);
+    let (x_sm2, rep_sm2) = coarse_pcg(&f.op, &cs, Some(&mut sm), &b, TOL, 6000);
     assert_eq!(rep_sm2.iterations, rep_sm.iterations);
     assert_eq!(rep_sm2.residual.to_bits(), rep_sm.residual.to_bits());
     assert_eq!(x_sm2.max_abs_diff(&x_sm), 0.0);

@@ -263,7 +263,7 @@ impl<'a> Dec<'a> {
         Dec { bytes, pos: 0 }
     }
     fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
-        if self.pos + n > self.bytes.len() {
+        if n > self.bytes.len() - self.pos {
             return Err(bad(format!("payload too short for {what}")));
         }
         let s = &self.bytes[self.pos..self.pos + n];
@@ -285,6 +285,19 @@ impl<'a> Dec<'a> {
         let len = self.u64(what)? as usize;
         let bytes = self.take(len, what)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| bad(format!("{what} is not UTF-8")))
+    }
+    /// A count of `item_bytes`-sized items still to come. It is bounded by
+    /// the bytes left in the payload, so a forged count is a typed error
+    /// before it can size an allocation.
+    fn count(&mut self, item_bytes: u64, what: &str) -> Result<usize> {
+        let n = self.u64(what)?;
+        let left = (self.bytes.len() - self.pos) as u64;
+        if n.checked_mul(item_bytes).is_none_or(|need| need > left) {
+            return Err(bad(format!(
+                "{what} {n} exceeds the {left} payload bytes that follow"
+            )));
+        }
+        Ok(n as usize)
     }
     fn done(&self) -> Result<()> {
         if self.pos != self.bytes.len() {
@@ -415,7 +428,7 @@ fn job_from_record(r: &Record) -> Result<JobSpec> {
                 1 => Some(d.str("subspace stem")?),
                 other => return Err(bad(format!("unknown subspace flag {other}"))),
             };
-            let n = d.u64("request count")? as usize;
+            let n = d.count(8, "request count")?;
             let mut rhs_seeds = Vec::with_capacity(n);
             for _ in 0..n {
                 rhs_seeds.push(d.u64("RHS seed")?);
@@ -522,7 +535,7 @@ fn done_from_record(r: &Record) -> Result<DoneDigest> {
             accepted: d.u64("accepted count")?,
         },
         1 => {
-            let n = d.u64("request count")? as usize;
+            let n = d.count(32, "request count")?;
             let mut reqs = Vec::with_capacity(n);
             for _ in 0..n {
                 reqs.push(RequestDigest {
@@ -650,10 +663,41 @@ mod tests {
 
     #[test]
     fn truncated_spec_payloads_are_typed_errors() {
-        let rec = job_record(&hmc_spec());
-        for cut in [0, 1, 9, rec.payload.len() - 1] {
-            let torn = Record::new(JOB_RECORD, rec.payload[..cut].to_vec());
-            assert!(job_from_record(&torn).is_err(), "cut at {cut} must fail");
+        for rec in [job_record(&hmc_spec()), job_record(&solve_spec())] {
+            // The last cuts of the solve spec tear its seed list.
+            for cut in [0, 1, 9, rec.payload.len() - 9, rec.payload.len() - 1] {
+                let torn = Record::new(JOB_RECORD, rec.payload[..cut].to_vec());
+                assert!(job_from_record(&torn).is_err(), "cut at {cut} must fail");
+            }
         }
+    }
+
+    #[test]
+    fn forged_counts_and_lengths_are_typed_errors_not_allocations() {
+        // The request count sits 8 bytes before the three 8-byte seeds. A
+        // count the payload cannot hold used to reach `Vec::with_capacity`
+        // (an abort, not an error); so did a string length via `pos + n`.
+        let rec = job_record(&solve_spec());
+        let at = rec.payload.len() - 4 * 8;
+        for forged in [u64::MAX, 1 << 60, 4] {
+            let mut payload = rec.payload.clone();
+            payload[at..at + 8].copy_from_slice(&forged.to_le_bytes());
+            let err = job_from_record(&Record::new(JOB_RECORD, payload)).unwrap_err();
+            assert!(err.to_string().contains("request count"), "{err}");
+        }
+        // The job name's length prefix follows the one-byte kind tag.
+        let mut payload = rec.payload.clone();
+        payload[1..9].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(job_from_record(&Record::new(JOB_RECORD, payload)).is_err());
+
+        let done = done_record(&DoneDigest::Solve(vec![RequestDigest {
+            index: 0,
+            iterations: 61,
+            residual_bits: 1e-9f64.to_bits(),
+            norm2_bits: 42.0f64.to_bits(),
+        }]));
+        let mut payload = done.payload.clone();
+        payload[1..9].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(done_from_record(&Record::new(DONE_RECORD, payload)).is_err());
     }
 }

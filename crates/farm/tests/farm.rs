@@ -101,6 +101,39 @@ fn a_mixed_workload_runs_to_completion_with_a_valid_status_surface() {
 }
 
 #[test]
+fn a_solve_job_with_an_unbounded_iteration_budget_completes() {
+    // `max_iter` is a `u64` straight out of the job record. The solver used
+    // to size its history reservation by it, so this spec took the whole
+    // service down (overflow panic, or a multi-terabyte allocation abort).
+    let dir = scratch("unbounded");
+    let farm = Farm::open(&dir, cfg()).unwrap();
+    let JobSpec::Solve(mut spec) = burst("burst-max", 2) else {
+        unreachable!()
+    };
+    spec.max_iter = u64::MAX;
+    farm.submit(JobSpec::Solve(spec)).unwrap();
+    let stop = AtomicBool::new(false);
+    farm.run(1, &stop, None).unwrap();
+    assert!(farm.all_done());
+    let DoneDigest::Solve(unbounded) = read_done(&JobPaths::done(&dir, "burst-max")).unwrap()
+    else {
+        panic!("solve digest expected")
+    };
+    // Same answers as the budget every other test uses.
+    let bounded_dir = scratch("bounded");
+    let bounded_farm = Farm::open(&bounded_dir, cfg()).unwrap();
+    bounded_farm.submit(burst("burst-max", 2)).unwrap();
+    bounded_farm.run(1, &stop, None).unwrap();
+    let DoneDigest::Solve(bounded) = read_done(&JobPaths::done(&bounded_dir, "burst-max")).unwrap()
+    else {
+        panic!("solve digest expected")
+    };
+    assert_eq!(unbounded, bounded);
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&bounded_dir).ok();
+}
+
+#[test]
 fn an_interrupted_service_recovers_bit_identically() {
     let mix = |farm: &Farm| {
         farm.submit(stream("stream-a", 21, 3, 1)).unwrap();

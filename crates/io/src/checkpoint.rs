@@ -22,12 +22,13 @@ use crate::container::{Container, Record};
 use crate::error::{IoError, Result};
 use crate::fields::{decode_field, encode_field, Cursor, FieldMeta, META_RECORD};
 use grid::codec::Precision;
+use grid::krylov::{self, Allocating, Layout, Start};
 use grid::prelude::{
-    block_cg_ws_from_state, cg_op_from_state, BicgStabState, BlockCgState, BlockSolveReport,
-    BlockWorkspace, CgState, SolveReport, WilsonDirac,
+    BicgStabState, BlockCgState, BlockSolveReport, CgState, SolveReport, WilsonDirac,
 };
 use grid::solver::bicgstab_from_state;
 use grid::{Complex, FermionBlock, FermionField, Grid};
+use std::ops::ControlFlow;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -267,23 +268,63 @@ pub fn load_block_cg(path: &Path, grid: &Arc<Grid<f64>>) -> Result<BlockCgState>
     })
 }
 
-/// Step the block CG recurrence to convergence, writing an atomic snapshot
-/// every `every` outer iterations. The restored run replays the identical
-/// per-RHS iteration sequence the uninterrupted solve would have — the
-/// active mask is *derived* from the checkpointed per-RHS scalars, so
-/// convergence masking survives the round trip bit-exactly. Entry point
-/// for both cold starts and resumes — pass either `BlockCgState::new(b)`
-/// or a state from [`load_block_cg`].
-pub fn block_cg_checkpointed_from(
+/// The checkpoint-every-k observer state shared by the three checkpointed
+/// solves: counts snapshots, and holds the first write error — the
+/// observer breaks the solve on it and the caller returns it.
+struct Snapshots {
+    every: usize,
+    written: usize,
+    error: Option<IoError>,
+}
+
+impl Snapshots {
+    fn every(every: usize) -> Self {
+        assert!(every > 0, "checkpoint interval must be positive");
+        Snapshots {
+            every,
+            written: 0,
+            error: None,
+        }
+    }
+
+    /// After iteration `count`: write a snapshot if one is due.
+    fn after(&mut self, count: usize, save: impl FnOnce() -> Result<u64>) -> ControlFlow<()> {
+        if count.is_multiple_of(self.every) {
+            match save() {
+                Ok(_) => self.written += 1,
+                Err(e) => {
+                    self.error = Some(e);
+                    return ControlFlow::Break(());
+                }
+            }
+        }
+        ControlFlow::Continue(())
+    }
+
+    fn finish<T, R>(self, solved: (T, R)) -> Result<(T, R, usize)> {
+        match self.error {
+            Some(e) => Err(e),
+            None => Ok((solved.0, solved.1, self.written)),
+        }
+    }
+}
+
+/// Run the block CG recurrence from `state` — `BlockCgState::new(b)` or a
+/// state from [`load_block_cg`] — to convergence, writing an atomic
+/// snapshot every `every` sweeps of this run. The restored run replays the
+/// identical per-RHS iteration sequence the uninterrupted solve would have
+/// — the active mask is *derived* from the checkpointed per-RHS scalars,
+/// so convergence masking survives the round trip bit-exactly.
+pub fn block_cg_checkpointed(
     op: &WilsonDirac,
     b: &FermionBlock,
-    mut state: BlockCgState,
+    state: BlockCgState,
     tol: f64,
     max_iter: usize,
     every: usize,
     path: &Path,
 ) -> Result<(FermionBlock, BlockSolveReport, usize)> {
-    assert!(every > 0, "checkpoint interval must be positive");
+    let mut snapshots = Snapshots::every(every);
     for (j, (&stored, recomputed)) in state.b_norm2.iter().zip(b.norms2()).enumerate() {
         if recomputed.to_bits() != stored.to_bits() {
             return Err(IoError::BadRecord {
@@ -295,41 +336,28 @@ pub fn block_cg_checkpointed_from(
             });
         }
     }
-    let mut ws = BlockWorkspace::new(b.grid().clone(), b.nrhs());
-    let mut apply = |p: &FermionBlock, ws: &mut BlockWorkspace| {
-        let BlockWorkspace { tmp, ap, .. } = ws;
-        op.mdag_m_block_into_dot(p, tmp, ap)
-    };
-    let mut snapshots = 0;
-    let mut steps = 0usize;
-    loop {
-        let active = state.active(tol, max_iter);
-        if !active.iter().any(|&a| a) {
-            break;
-        }
-        state.step_ws(&mut ws, &mut apply, &active);
-        steps += 1;
-        if steps.is_multiple_of(every) {
-            save_block_cg(&state, path)?;
-            snapshots += 1;
-        }
-    }
-    // Zero further iterations happen here; this builds the per-RHS report
-    // with the true-residual check.
-    let (x, report) = block_cg_ws_from_state(&mut apply, b, &mut ws, state, tol, max_iter);
-    Ok((x, report, snapshots))
-}
-
-/// [`block_cg_checkpointed_from`] starting from the zero initial guess.
-pub fn block_cg_checkpointed(
-    op: &WilsonDirac,
-    b: &FermionBlock,
-    tol: f64,
-    max_iter: usize,
-    every: usize,
-    path: &Path,
-) -> Result<(FermionBlock, BlockSolveReport, usize)> {
-    block_cg_checkpointed_from(op, b, BlockCgState::new(b), tol, max_iter, every, path)
+    let grid = b.grid().clone();
+    let mut tmp = FermionBlock::zero(grid.clone(), b.nrhs());
+    let mut space = Layout::new(
+        |p: &FermionBlock, ap: &mut FermionBlock, curv: &mut [f64]| {
+            curv.copy_from_slice(&op.mdag_m_block_into_dot(p, &mut tmp, ap));
+        },
+    );
+    let mut sweeps = 0;
+    let solved = krylov::cg_solve(
+        &mut space,
+        b,
+        Start::State(state),
+        tol,
+        max_iter,
+        qcd_trace::span!("solver.block_cg", grid.engine().ctx()),
+        "solver.block_cg",
+        |state: &BlockCgState, _| {
+            sweeps += 1;
+            snapshots.after(sweeps, || save_block_cg(state, path))
+        },
+    );
+    snapshots.finish(solved)
 }
 
 /// Resume a block CG solve from the snapshot at `path` and run it to
@@ -343,7 +371,7 @@ pub fn resume_block_cg(
     path: &Path,
 ) -> Result<(FermionBlock, BlockSolveReport, usize)> {
     let state = load_block_cg(path, b.grid())?;
-    block_cg_checkpointed_from(op, b, state, tol, max_iter, every, path)
+    block_cg_checkpointed(op, b, state, tol, max_iter, every, path)
 }
 
 /// Check that a resumed solve is continuing against the same right-hand
@@ -363,45 +391,34 @@ fn validate_rhs(stored_b_norm2: f64, b: &FermionField, record: &str) -> Result<(
     Ok(())
 }
 
-/// Step the CG recurrence to convergence, writing an atomic snapshot every
-/// `every` iterations. Returns the snapshot count alongside the usual
-/// solve result. Entry point for both cold starts and resumes — pass
-/// either `CgState::new(b)` or a state from [`load_cg`].
-pub fn cg_checkpointed_from(
-    apply: impl Fn(&FermionField) -> FermionField,
-    b: &FermionField,
-    mut state: CgState,
-    tol: f64,
-    max_iter: usize,
-    every: usize,
-    path: &Path,
-) -> Result<(FermionField, SolveReport, usize)> {
-    assert!(every > 0, "checkpoint interval must be positive");
-    validate_rhs(state.b_norm2, b, CG_SCALARS)?;
-    let mut snapshots = 0;
-    while state.iterations < max_iter && !state.converged(tol) {
-        state.step(&apply);
-        if state.iterations % every == 0 {
-            save_cg(&state, path)?;
-            snapshots += 1;
-        }
-    }
-    // Zero further iterations happen here; this builds the report with the
-    // true-residual check.
-    let (x, report) = cg_op_from_state(&apply, b, state, tol, max_iter);
-    Ok((x, report, snapshots))
-}
-
-/// [`cg_checkpointed_from`] starting from the zero initial guess.
+/// Run CG on any hermitian positive-definite `apply` from `state` —
+/// `CgState::new(b)` or a state from [`load_cg`] — to convergence, writing
+/// an atomic snapshot whenever the total iteration count reaches a
+/// multiple of `every`. Returns the snapshot count alongside the usual
+/// solve result.
 pub fn cg_checkpointed(
     apply: impl Fn(&FermionField) -> FermionField,
     b: &FermionField,
+    state: CgState,
     tol: f64,
     max_iter: usize,
     every: usize,
     path: &Path,
 ) -> Result<(FermionField, SolveReport, usize)> {
-    cg_checkpointed_from(&apply, b, CgState::new(b), tol, max_iter, every, path)
+    let mut snapshots = Snapshots::every(every);
+    validate_rhs(state.b_norm2, b, CG_SCALARS)?;
+    let grid = b.grid().clone();
+    let (x, report) = krylov::cg_solve(
+        &mut Allocating::new(grid.clone(), apply),
+        b,
+        Start::State(state),
+        tol,
+        max_iter,
+        qcd_trace::span!("solver.cg", grid.engine().ctx()),
+        "solver.cg",
+        |state: &CgState, _| snapshots.after(state.iterations, || save_cg(state, path)),
+    );
+    snapshots.finish((x, report.into_single()))
 }
 
 /// Resume a CG solve from the snapshot at `path` and run it to
@@ -415,31 +432,25 @@ pub fn resume_cg(
     path: &Path,
 ) -> Result<(FermionField, SolveReport, usize)> {
     let state = load_cg(path, b.grid())?;
-    cg_checkpointed_from(apply, b, state, tol, max_iter, every, path)
+    cg_checkpointed(apply, b, state, tol, max_iter, every, path)
 }
 
-/// BiCGStab analogue of [`cg_checkpointed_from`].
+/// BiCGStab analogue of [`cg_checkpointed`].
 pub fn bicgstab_checkpointed_from(
     op: &WilsonDirac,
     b: &FermionField,
-    mut state: BicgStabState,
+    state: BicgStabState,
     tol: f64,
     max_iter: usize,
     every: usize,
     path: &Path,
 ) -> Result<(FermionField, SolveReport, usize)> {
-    assert!(every > 0, "checkpoint interval must be positive");
+    let mut snapshots = Snapshots::every(every);
     validate_rhs(state.b_norm2, b, BI_SCALARS)?;
-    let mut snapshots = 0;
-    while state.iterations < max_iter && !state.converged(tol) {
-        state.step(|f| op.apply(f));
-        if state.iterations.is_multiple_of(every) {
-            save_bicgstab(&state, path)?;
-            snapshots += 1;
-        }
-    }
-    let (x, report) = bicgstab_from_state(op, b, state, tol, max_iter);
-    Ok((x, report, snapshots))
+    let solved = bicgstab_from_state(op, b, state, tol, max_iter, |state| {
+        snapshots.after(state.iterations, || save_bicgstab(state, path))
+    });
+    snapshots.finish(solved)
 }
 
 /// Resume a BiCGStab solve from the snapshot at `path`.

@@ -59,9 +59,9 @@ pub mod scan;
 pub mod subspace;
 
 pub use checkpoint::{
-    bicgstab_checkpointed_from, block_cg_checkpointed, block_cg_checkpointed_from, cg_checkpointed,
-    cg_checkpointed_from, load_bicgstab, load_block_cg, load_cg, load_mixed, resume_bicgstab,
-    resume_block_cg, resume_cg, save_bicgstab, save_block_cg, save_cg, save_mixed, MixedCheckpoint,
+    bicgstab_checkpointed_from, block_cg_checkpointed, cg_checkpointed, load_bicgstab,
+    load_block_cg, load_cg, load_mixed, resume_bicgstab, resume_block_cg, resume_cg, save_bicgstab,
+    save_block_cg, save_cg, save_mixed, MixedCheckpoint,
 };
 pub use container::{Container, ContainerReader, ContainerWriter, Record, MAGIC, VERSION};
 pub use crc::{crc32, Crc32};

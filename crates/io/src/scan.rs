@@ -310,8 +310,11 @@ mod tests {
         let op = WilsonDirac::new(grid::tensor::su3::random_gauge(g.clone(), 9), 0.25);
         let b = FermionField::random(g.clone(), 5);
         let mut cg = CgState::new(&b);
-        cg.step(|p| op.mdag_m(p));
-        cg.step(|p| op.mdag_m(p));
+        let mut space = grid::krylov::Allocating::new(g.clone(), |p: &FermionField| op.mdag_m(p));
+        let mut scratch = grid::krylov::Scratch::new(&b);
+        for _ in 0..2 {
+            let _ = grid::krylov::cg_step(&mut space, &mut cg, &mut scratch, 1e-10, 100);
+        }
         save_cg(&cg, &dir.join("j1.solve.qio")).unwrap();
 
         let report = scan_checkpoints(&dir).unwrap();

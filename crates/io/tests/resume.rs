@@ -2,6 +2,7 @@
 //! its on-disk checkpoint must retrace the uninterrupted iteration
 //! sequence bit-for-bit.
 
+use grid::krylov::{self, cg_step, Allocating, Layout, Scratch, Start};
 use grid::prelude::*;
 use qcd_io::checkpoint::bicgstab_checkpointed_from;
 use qcd_io::{
@@ -16,6 +17,28 @@ fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("qcd-io-resume");
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(name)
+}
+
+/// The uninterrupted reference: CG on `M†M` through the allocating closure
+/// adapter the checkpointed solves run on.
+fn cg_closure(
+    op: &WilsonDirac,
+    b: &FermionField,
+    tol: f64,
+    max_iter: usize,
+) -> (FermionField, SolveReport) {
+    let grid = b.grid().clone();
+    let (x, report) = krylov::cg_solve(
+        &mut Allocating::new(grid.clone(), |v: &FermionField| op.mdag_m(v)),
+        b,
+        Start::<CgState>::Zero,
+        tol,
+        max_iter,
+        qcd_trace::span!("solver.cg", grid.engine().ctx()),
+        "solver.cg",
+        krylov::no_observer,
+    );
+    (x, report.into_single())
 }
 
 fn setup() -> (WilsonDirac<f64>, FermionField) {
@@ -33,12 +56,13 @@ fn cg_killed_and_resumed_from_disk_is_bit_identical() {
     let max_iter = 500;
 
     // Reference: the uninterrupted solve.
-    let (x_ref, ref_report) = cg_op(apply, &b, tol, max_iter);
+    let (x_ref, ref_report) = cg_closure(&op, &b, tol, max_iter);
 
     // "Kill" a checkpointing solve by capping its iteration budget at 12;
     // the snapshot on disk is then the one written at iteration 10.
     let path = tmp("cg.qio");
-    let (_, partial, snapshots) = cg_checkpointed(apply, &b, tol, 12, 5, &path).unwrap();
+    let (_, partial, snapshots) =
+        cg_checkpointed(apply, &b, CgState::new(&b), tol, 12, 5, &path).unwrap();
     assert_eq!(partial.iterations, 12);
     assert_eq!(snapshots, 2, "snapshots at iterations 5 and 10");
     let on_disk = load_cg(&path, b.grid()).unwrap();
@@ -70,12 +94,11 @@ fn cg_killed_and_resumed_from_disk_is_bit_identical() {
 
 #[test]
 fn checkpoint_resumes_bit_identically_on_the_fused_workspace_path() {
-    // A checkpoint written by the legacy closure-driven solver, resumed
-    // through the allocation-free workspace path (`cg_ws_from_state` over
-    // the fused `M†M` + curvature-dot kernel), must retrace the fused
-    // reference solve bit for bit — the fused kernels retire the same
-    // engine ops in the same order, so checkpoints are interchangeable
-    // between the two drivers.
+    // A checkpoint written by the allocating closure space, resumed in the
+    // allocation-free layout space (the fused `M†M` + curvature-dot
+    // kernel), must retrace the fused reference solve bit for bit — the
+    // fused kernels retire the same engine ops in the same order, so
+    // checkpoints are interchangeable between the two spaces.
     let (op, b) = setup();
     let tol = 1e-10;
     let max_iter = 500;
@@ -84,23 +107,26 @@ fn checkpoint_resumes_bit_identically_on_the_fused_workspace_path() {
 
     let path = tmp("cg_fused.qio");
     let apply = |v: &FermionField| op.mdag_m(v);
-    let (_, _, snapshots) = cg_checkpointed(apply, &b, tol, 12, 5, &path).unwrap();
+    let (_, _, snapshots) =
+        cg_checkpointed(apply, &b, CgState::new(&b), tol, 12, 5, &path).unwrap();
     assert_eq!(snapshots, 2);
     let state = load_cg(&path, b.grid()).unwrap();
     assert_eq!(state.iterations, 10);
 
-    let mut ws = SolverWorkspace::new(b.grid().clone());
-    let (x, resumed) = cg_ws_from_state(
-        |p, ws| {
-            let SolverWorkspace { tmp, ap, .. } = ws;
-            op.mdag_m_into_dot(p, tmp, ap)
-        },
+    let mut mp = FermionField::zero(b.grid().clone());
+    let (x, resumed) = krylov::cg_solve(
+        &mut Layout::new(|p: &FermionField, ap: &mut FermionField, c: &mut [f64]| {
+            c[0] = op.mdag_m_into_dot(p, &mut mp, ap);
+        }),
         &b,
-        &mut ws,
-        state,
+        Start::State(state),
         tol,
         max_iter,
+        qcd_trace::span!("solver.cg", b.grid().engine().ctx()),
+        "solver.cg",
+        krylov::no_observer,
     );
+    let resumed = resumed.into_single();
 
     assert_eq!(resumed.iterations, ref_report.iterations);
     assert_eq!(resumed.residual.to_bits(), ref_report.residual.to_bits());
@@ -116,8 +142,10 @@ fn checkpoint_resumes_bit_identically_on_the_fused_workspace_path() {
 fn cg_state_survives_a_save_load_cycle_bit_exactly() {
     let (op, b) = setup();
     let mut state = CgState::new(&b);
+    let mut space = Allocating::new(b.grid().clone(), |v: &FermionField| op.mdag_m(v));
+    let mut scratch = Scratch::new(&b);
     for _ in 0..7 {
-        state.step(|v| op.mdag_m(v));
+        let _ = cg_step(&mut space, &mut state, &mut scratch, 1e-10, 500);
     }
     let path = tmp("cg_state.qio");
     save_cg(&state, &path).unwrap();
@@ -191,7 +219,8 @@ fn block_cg_killed_and_resumed_from_disk_is_bit_identical() {
     // "Kill" a checkpointing solve by capping its budget at 12 outer
     // steps; the snapshot on disk is then the one written at step 10.
     let path = tmp("blk.qio");
-    let (_, partial, snapshots) = block_cg_checkpointed(&op, &b, tol, 12, 5, &path).unwrap();
+    let (_, partial, snapshots) =
+        block_cg_checkpointed(&op, &b, BlockCgState::new(&b), tol, 12, 5, &path).unwrap();
     assert_eq!(partial.iterations, 12);
     assert_eq!(snapshots, 2, "snapshots at steps 5 and 10");
     let on_disk = load_block_cg(&path, b.grid()).unwrap();
@@ -230,14 +259,13 @@ fn block_cg_state_survives_a_save_load_cycle_bit_exactly() {
     let b1 = FermionField::random(b0.grid().clone(), 84);
     let b = FermionBlock::from_fields(&[b0, b1]);
     let mut state = BlockCgState::new(&b);
-    let mut ws = BlockWorkspace::new(b.grid().clone(), b.nrhs());
-    let mut apply = |p: &FermionBlock, ws: &mut BlockWorkspace| {
-        let BlockWorkspace { tmp, ap, .. } = ws;
-        op.mdag_m_block_into_dot(p, tmp, ap)
-    };
+    let mut mp = FermionBlock::zero(b.grid().clone(), b.nrhs());
+    let mut space = Layout::new(|p: &FermionBlock, ap: &mut FermionBlock, c: &mut [f64]| {
+        c.copy_from_slice(&op.mdag_m_block_into_dot(p, &mut mp, ap));
+    });
+    let mut scratch = Scratch::new(&b);
     for _ in 0..7 {
-        let active = state.active(1e-10, 500);
-        state.step_ws(&mut ws, &mut apply, &active);
+        let _ = cg_step(&mut space, &mut state, &mut scratch, 1e-10, 500);
     }
     let path = tmp("blk_state.qio");
     save_block_cg(&state, &path).unwrap();
@@ -261,7 +289,7 @@ fn block_resume_against_the_wrong_rhs_is_refused_by_index() {
     let b1 = FermionField::random(b0.grid().clone(), 85);
     let b = FermionBlock::from_fields(&[b0.clone(), b1]);
     let path = tmp("blk_wrong_rhs.qio");
-    block_cg_checkpointed(&op, &b, 1e-10, 12, 5, &path).unwrap();
+    block_cg_checkpointed(&op, &b, BlockCgState::new(&b), 1e-10, 12, 5, &path).unwrap();
     // Swap out the second right-hand side only: the error must name it.
     let other =
         FermionBlock::from_fields(&[b0.clone(), FermionField::random(b0.grid().clone(), 998)]);
@@ -278,16 +306,20 @@ fn block_resume_against_the_wrong_rhs_is_refused_by_index() {
 }
 
 #[test]
-fn mixed_solve_resumes_from_a_disk_checkpoint() {
+fn two_level_solve_resumes_from_a_disk_checkpoint() {
     let (op, b) = setup();
     // Partial solve, snapshot the f64 iterate, reload, and finish.
-    let (x_partial, partial) = mixed_precision_solve(&op, &b, 1e-4, 1e-4, 2, 500);
+    let cut = LadderConfig {
+        max_outer: 2,
+        ..LadderConfig::f32_only(1e-4)
+    };
+    let (x_partial, partial) = ladder_solve(&op, &b, &cut);
     let path = tmp("mixed.qio");
     save_mixed(
         &MixedCheckpoint {
             x: x_partial,
             outer_done: partial.outer_iterations,
-            inner_done: partial.inner_iterations,
+            inner_done: partial.f32_iterations,
         },
         &path,
     )
@@ -295,11 +327,12 @@ fn mixed_solve_resumes_from_a_disk_checkpoint() {
 
     let ck = load_mixed(&path, b.grid()).unwrap();
     assert_eq!(ck.outer_done, partial.outer_iterations);
-    assert_eq!(ck.inner_done, partial.inner_iterations);
-    let (x, resumed) = mixed_precision_solve_from(&op, &b, ck.x, 1e-10, 1e-4, 30, 500);
+    assert_eq!(ck.inner_done, partial.f32_iterations);
+    let cfg = LadderConfig::f32_only(1e-10);
+    let (x, resumed) = ladder_solve_from(&op, &b, ck.x, &cfg);
     assert!(resumed.converged, "{resumed:?}");
     assert!(resumed.residual <= 1e-10);
-    let (_, cold) = mixed_precision_solve(&op, &b, 1e-10, 1e-4, 30, 500);
+    let (_, cold) = ladder_solve(&op, &b, &cfg);
     assert!(
         resumed.outer_iterations < cold.outer_iterations,
         "the checkpointed progress must be reused ({} vs {})",
@@ -314,7 +347,6 @@ fn mixed_solve_resumes_from_a_disk_checkpoint() {
 
 #[test]
 fn ladder_solve_killed_and_resumed_from_disk_is_bit_identical() {
-    use grid::mixed::{ladder_solve, ladder_solve_from, LadderConfig};
     let (op, b) = setup();
     let tol = 1e-10;
 
@@ -367,7 +399,7 @@ fn resuming_against_the_wrong_rhs_is_refused() {
     let (op, b) = setup();
     let apply = |v: &FermionField| op.mdag_m(v);
     let path = tmp("cg_wrong_rhs.qio");
-    let (_, _, _) = cg_checkpointed(apply, &b, 1e-10, 12, 5, &path).unwrap();
+    let (_, _, _) = cg_checkpointed(apply, &b, CgState::new(&b), 1e-10, 12, 5, &path).unwrap();
     let other_b = FermionField::random(b.grid().clone(), 999);
     match resume_cg(apply, &other_b, 1e-10, 500, 50, &path) {
         Err(IoError::BadRecord { record, .. }) => assert_eq!(record, "cg.scalars"),

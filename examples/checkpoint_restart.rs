@@ -63,8 +63,9 @@ fn main() {
     let apply = |v: &FermionField| op.mdag_m(v);
     let (tol, max_iter) = (1e-10, 2000);
 
-    // Reference: the solve nothing interrupts.
-    let (x_ref, ref_report) = cg_op(apply, &b, tol, max_iter);
+    // Reference: the solve nothing interrupts (the fused path; the closure
+    // path the checkpoints run on is bit-identical to it).
+    let (x_ref, ref_report) = cg(&op, &b, tol, max_iter);
     println!(
         "uninterrupted CG : {} iterations, residual {:.3e}",
         ref_report.iterations, ref_report.residual
@@ -73,7 +74,8 @@ fn main() {
     // "Node failure": cap the iteration budget at 14; the snapshot written
     // at iteration 10 (checkpoint interval 5) is what survives on disk.
     let ckpt = dir.join("cg.qio");
-    let (_, partial, snaps) = cg_checkpointed(apply, &b, tol, 14, 5, &ckpt).unwrap();
+    let (_, partial, snaps) =
+        cg_checkpointed(apply, &b, CgState::new(&b), tol, 14, 5, &ckpt).unwrap();
     println!(
         "killed CG        : stopped at iteration {} ({snaps} snapshots written)",
         partial.iterations

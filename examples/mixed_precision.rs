@@ -39,10 +39,14 @@ fn main() {
 
     // Mixed precision.
     g.engine().ctx().counters().reset();
-    let (x, mrep) = mixed_precision_solve(&op, &b, 1e-10, 1e-4, 30, 2000);
+    let two_level = LadderConfig {
+        max_inner: 2000,
+        ..LadderConfig::f32_only(1e-10)
+    };
+    let (x, mrep) = ladder_solve(&op, &b, &two_level);
     println!(
         "mixed f32/f64    : {} outer + {} inner iterations, residual {:.2e}",
-        mrep.outer_iterations, mrep.inner_iterations, mrep.residual
+        mrep.outer_iterations, mrep.f32_iterations, mrep.residual
     );
     println!(
         "                   {:.1}M f64 instructions + {:.1}M f32 instructions \

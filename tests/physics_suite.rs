@@ -53,7 +53,11 @@ fn mixed_precision_agrees_with_pure_double_across_backends() {
         let g = Grid::new([4, 4, 4, 4], VectorLength::of(512), backend);
         let op = WilsonDirac::new(random_gauge(g.clone(), 206), 0.3);
         let b = FermionField::random(g.clone(), 207);
-        let (x_mixed, rep) = mixed_precision_solve(&op, &b, 1e-10, 1e-4, 30, 1000);
+        let cfg = LadderConfig {
+            max_inner: 1000,
+            ..LadderConfig::f32_only(1e-10)
+        };
+        let (x_mixed, rep) = ladder_solve(&op, &b, &cfg);
         assert!(rep.converged, "{backend:?}: {rep:?}");
         let (x_ref, _) = solve_wilson(&op, &b, 1e-10, 3000);
         let diff = x_mixed.max_abs_diff(&x_ref);
