@@ -2,12 +2,17 @@
 //! Section V-D "tests and benchmarks"): `Benchmark_memory` (streaming
 //! axpy), `Benchmark_su3` (SU(3) matrix x vector throughput) and
 //! `Benchmark_wilson` (the Dirac kernel), reported in simulated-traffic and
-//! simulated-FLOP terms per vector instruction.
+//! simulated-FLOP terms per vector instruction — and one leg on a clock,
+//! `Benchmark_f16_scale`: the binary16 normal operator on data of order 1
+//! and of order 10⁻⁴, which must cost the same.
 
 use bench::BENCH_LATTICE;
+use criterion::Criterion;
+use grid::field::{FermionKind, Field};
 use grid::prelude::*;
 use grid::tensor::su3::{mat_vec, random_su3};
 use std::sync::Arc;
+use sve::F16;
 
 fn main() {
     let vl = VectorLength::of(512);
@@ -89,6 +94,35 @@ fn main() {
             );
         }
         println!("  (*fcmla-fast profile; 1320 flops/site is the standard Wilson count)");
+    }
+
+    // ---- Benchmark_f16_scale: the clock must not see the data ------------
+    //
+    // The f16 tier normalises its right-hand side, so its residuals end up
+    // in the binary16 subnormal range: the regime in which a conversion
+    // that hands the FPU a denormal operand pays a microcode assist per
+    // lane (DESIGN.md §5). Medians of ten on a 4⁴ lattice; not a gate.
+    {
+        let g64 = Grid::new([4, 4, 4, 4], vl, SimdBackend::Fcmla);
+        let g16 = Grid::<F16>::new(g64.fdims(), vl, SimdBackend::Fcmla);
+        let op = WilsonDirac::<F16>::new(to_precision(&random_gauge(g64.clone(), 8), &g16), 0.2);
+        let mut criterion = Criterion::default();
+        let mut group = criterion.benchmark_group("Benchmark_f16_scale");
+        let lanes = sve::host_lanes();
+        println!(
+            "(f16 mdag_m_into, {} sites, host lanes: {lanes})",
+            g16.volume()
+        );
+        for scale in [1.0, 1.0e-4] {
+            let mut psi64 = FermionField::random(g64.clone(), 9);
+            psi64.scale(scale);
+            let psi: Field<FermionKind, F16> = to_precision(&psi64, &g16);
+            let (mut tmp, mut out) = (psi.clone(), psi.clone());
+            group.bench_function(format!("scale {scale:e}"), |b| {
+                b.iter(|| op.mdag_m_into(&psi, &mut tmp, &mut out))
+            });
+        }
+        group.finish();
     }
 
     // ---- Benchmark_dwf: the domain-wall operator -------------------------

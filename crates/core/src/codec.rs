@@ -106,15 +106,53 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+/// Scalars the binary16 paths hand to [`sve::F16`]'s slice conversions at a
+/// time: one stack buffer's worth, so no path allocates a staging `Vec`.
+const F16_BLOCK: usize = 256;
+
+/// Narrow `data` to little-endian binary16 (`f64 → f32 → f16`, each step
+/// round-to-nearest-even: what [`sve::F16::from_f64`] does to one scalar),
+/// a block at a time, handing each block's bytes to `sink`.
+fn narrow_f16_blocks(data: &[f64], mut sink: impl FnMut(&[u8])) {
+    let (mut single, mut half) = ([0.0f32; F16_BLOCK], [0u8; 2 * F16_BLOCK]);
+    for block in data.chunks(F16_BLOCK) {
+        let n = block.len();
+        for (s, &x) in single.iter_mut().zip(block) {
+            *s = x as f32;
+        }
+        F16::narrow_slice(&single[..n], &mut half[..2 * n]);
+        sink(&half[..2 * n]);
+    }
+}
+
+/// Widen little-endian binary16 into `out` (exact), a block at a time;
+/// `fill(i, half)` puts the bytes of the scalars from index `i` on into
+/// `half`, which is as long as the block.
+fn widen_f16_blocks(out: &mut [f64], fill: impl Fn(usize, &mut [u8])) {
+    let (mut single, mut half) = ([0.0f32; F16_BLOCK], [0u8; 2 * F16_BLOCK]);
+    for (k, block) in out.chunks_mut(F16_BLOCK).enumerate() {
+        let n = block.len();
+        fill(k * F16_BLOCK, &mut half[..2 * n]);
+        F16::widen_slice(&half[..2 * n], &mut single[..n]);
+        for (o, &s) in block.iter_mut().zip(&single) {
+            *o = f64::from(s);
+        }
+    }
+}
+
 /// Compress a double-precision buffer to binary16 bit patterns
 /// (round-to-nearest-even, via [`sve::F16`]).
 pub fn compress_f16(data: &[f64]) -> Vec<u16> {
-    data.iter().map(|&x| F16::from_f64(x).to_bits()).collect()
+    let mut out = Vec::with_capacity(data.len());
+    compress_f16_into(data, &mut out);
+    out
 }
 
 /// Expand binary16 bit patterns back to doubles (exact).
 pub fn decompress_f16(bits: &[u16]) -> Vec<f64> {
-    bits.iter().map(|&b| F16::from_bits(b).to_f64()).collect()
+    let mut out = vec![0.0; bits.len()];
+    decompress_f16_into(bits, &mut out);
+    out
 }
 
 /// [`compress_f16`] into a reusable buffer: `out` is cleared and refilled,
@@ -122,7 +160,12 @@ pub fn decompress_f16(bits: &[u16]) -> Vec<f64> {
 /// without touching the allocator — the halo-exchange steady state.
 pub fn compress_f16_into(data: &[f64], out: &mut Vec<u16>) {
     out.clear();
-    out.extend(data.iter().map(|&x| F16::from_f64(x).to_bits()));
+    narrow_f16_blocks(data, |half| {
+        out.extend(
+            half.chunks_exact(2)
+                .map(|h| u16::from_le_bytes([h[0], h[1]])),
+        );
+    });
 }
 
 /// [`decompress_f16`] into a caller-owned slice (exact, allocation-free).
@@ -133,9 +176,11 @@ pub fn decompress_f16_into(bits: &[u16], out: &mut [f64]) {
         out.len(),
         "f16 stream length does not match the output buffer"
     );
-    for (o, &b) in out.iter_mut().zip(bits) {
-        *o = F16::from_bits(b).to_f64();
-    }
+    widen_f16_blocks(out, |from, half| {
+        for (h, b) in half.chunks_exact_mut(2).zip(&bits[from..]) {
+            h.copy_from_slice(&b.to_le_bytes());
+        }
+    });
 }
 
 /// Drop the third row of each 3×3 link in a flat row-major re/im scalar
@@ -203,11 +248,7 @@ pub fn encode_f64s(data: &[f64], precision: Precision) -> Vec<u8> {
                 out.extend_from_slice(&(x as f32).to_le_bytes());
             }
         }
-        Precision::F16 => {
-            for bits in compress_f16(data) {
-                out.extend_from_slice(&bits.to_le_bytes());
-            }
-        }
+        Precision::F16 => narrow_f16_blocks(data, |half| out.extend_from_slice(half)),
     }
     out
 }
@@ -236,12 +277,13 @@ pub fn decode_f64s(bytes: &[u8], precision: Precision) -> Result<Vec<f64>, Codec
             .chunks_exact(4)
             .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk")) as f64)
             .collect(),
-        Precision::F16 => bytes
-            .chunks_exact(2)
-            .map(|c| {
-                F16::from_bits(u16::from_le_bytes(c.try_into().expect("2-byte chunk"))).to_f64()
-            })
-            .collect(),
+        Precision::F16 => {
+            let mut out = vec![0.0; bytes.len() / 2];
+            widen_f16_blocks(&mut out, |from, half| {
+                half.copy_from_slice(&bytes[2 * from..2 * from + half.len()]);
+            });
+            out
+        }
     };
     Ok(out)
 }
@@ -285,6 +327,67 @@ mod tests {
         for (a, b) in data.iter().zip(&dec) {
             assert_eq!(*b, F16::from_f64(*a).to_f64());
         }
+    }
+
+    #[test]
+    fn f16_paths_match_the_scalar_conversion_at_every_length() {
+        // Streams that end before, at and after a block of the slice
+        // conversions, over values that hit every rounding regime.
+        let specials = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            65519.0,
+            65520.0,
+            2.0f64.powi(-25),
+            -2.0f64.powi(-25) * 1.0001,
+            1.0 + 2.0f64.powi(-11),
+            6.0e-8,
+            1.0e-40,
+            1.0e300,
+        ];
+        let data: Vec<f64> = (0..2 * F16_BLOCK + 5)
+            .map(|i| {
+                specials
+                    .get(i % 29)
+                    .copied()
+                    .unwrap_or((i as f64 - 300.0) * 1.7e-3)
+            })
+            .collect();
+        for n in [
+            0,
+            1,
+            7,
+            8,
+            9,
+            F16_BLOCK - 1,
+            F16_BLOCK,
+            F16_BLOCK + 1,
+            data.len(),
+        ] {
+            let data = &data[..n];
+            let want: Vec<u16> = data.iter().map(|&x| F16::from_f64(x).to_bits()).collect();
+            assert_eq!(compress_f16(data), want, "{n} scalars");
+            let mut reused = vec![7; 3];
+            compress_f16_into(data, &mut reused);
+            assert_eq!(reused, want, "{n} scalars, into");
+            let bytes = encode_f64s(data, Precision::F16);
+            let le: Vec<u8> = want.iter().flat_map(|b| b.to_le_bytes()).collect();
+            assert_eq!(bytes, le, "{n} scalars, bytes");
+            let back: Vec<u64> = want
+                .iter()
+                .map(|&b| F16::from_bits(b).to_f64().to_bits())
+                .collect();
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(bits(decompress_f16(&want)), back, "{n} scalars, back");
+            assert_eq!(bits(decode_f64s(&bytes, Precision::F16).unwrap()), back);
+        }
+        // NaNs stay NaNs, with the sign they had.
+        let nans = compress_f16(&[f64::NAN, -f64::NAN]);
+        assert!(nans.iter().all(|&b| F16::from_bits(b).is_nan()));
+        assert_eq!(nans[0] ^ nans[1], 0x8000);
+        assert!(decompress_f16(&nans).iter().all(|x| x.is_nan()));
     }
 
     #[test]

@@ -56,6 +56,16 @@ impl SveCtx {
         }
     }
 
+    /// A faithful context that runs the baseline copy of the lane loops,
+    /// whatever the host offers.
+    #[cfg(test)]
+    pub(crate) fn portable(vl: VectorLength) -> Self {
+        SveCtx {
+            lowering: Lowering::portable(vl),
+            ..Self::new(vl)
+        }
+    }
+
     /// The vector length this "silicon" implements.
     #[inline]
     pub fn vl(&self) -> VectorLength {

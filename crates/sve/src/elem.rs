@@ -8,6 +8,7 @@
 //! instructions need.
 
 use crate::f16::F16;
+use crate::vreg::{Direct, Widened};
 
 /// A scalar type that can occupy vector-register lanes.
 pub trait SveElem: Copy + PartialEq + Send + Sync + std::fmt::Debug + 'static {
@@ -16,12 +17,6 @@ pub trait SveElem: Copy + PartialEq + Send + Sync + std::fmt::Debug + 'static {
     /// Assembly suffix for this element size (`b`, `h`, `s`, `d`), as used
     /// in the paper's listings (`z0.d`, `p1.b`, ...).
     const SUFFIX: char;
-    /// Whether loops over lanes of this type are compiled per vector length
-    /// and per host instruction set. True where lane arithmetic is a host
-    /// instruction; software arithmetic ([`F16`]) measured slower that way.
-    #[doc(hidden)]
-    const LOWERED: bool = true;
-
     /// The additive identity; also what predicated-zeroing loads place in
     /// inactive lanes (`p1/z` in listing IV-A).
     fn zero() -> Self;
@@ -34,14 +29,39 @@ pub trait SveElem: Copy + PartialEq + Send + Sync + std::fmt::Debug + 'static {
 }
 
 /// Floating-point element: the operations behind `fmul`, `fmla`, `fcmla`
-/// and friends. All arithmetic is performed in the element's own precision.
-/// For [`F16`] this means round-tripping through `f32` per operation — not
-/// an approximation: f32's 24-bit significand satisfies 24 ≥ 2·11 + 2, so
-/// the intermediate rounding is innocuous and every op is the *correctly
-/// rounded* binary16 result, matching a hardware half-precision unit bit
-/// for bit (the property-test suite pins this). The solver's f16 compute
-/// tier depends on it.
+/// and friends, one lane at a time. For `f32` and `f64` these are the host's
+/// operations. For [`F16`] every operation widens its operands to `f32`
+/// (exact), operates there, and narrows the result (round to nearest even):
+///
+/// * `add`, `sub`, `mul` and `sqrt` are thereby the *correctly rounded*
+///   binary16 results, bit for bit what a hardware half-precision unit
+///   returns — f32's 24-bit significand satisfies 24 ≥ 2·11 + 2, which
+///   makes the intermediate rounding innocuous (the property-test suite
+///   pins this);
+/// * `mul_add` is **not** a fused binary16 multiply-add. The product is
+///   exact in f32, but the sum is rounded to f32 and then again to
+///   binary16, and the second rounding can land on the other side of a
+///   tie the first one created: `0x3c01 · 0x0ffe + 0x3c01` is 2⁻³¹ below
+///   the midpoint of `0x3c01` and `0x3c02`; a fused unit returns `0x3c01`,
+///   this returns `0x3c02`. It is "accumulate in f32, then narrow" —
+///   which is also exactly what `vcvtph2ps`, an f32 multiply-add (fused
+///   or not) and `vcvtps2ph` compute, so the lowered lane loops agree
+///   with it on every bit. The solver's f16 tier is pinned to this
+///   definition.
+///
+/// The intrinsics do not call the [`F16`] methods: they convert a whole
+/// register per instruction ([`SveFloat::Wide`]). The methods are the
+/// per-lane definition the tests hold the intrinsics to.
 pub trait SveFloat: SveElem {
+    /// What this element's arithmetic is carried out on, and an intrinsic's
+    /// lane body is written for: the element itself, except for [`F16`],
+    /// whose lanes become `f32`s once per instruction, eight to an
+    /// [`Octet`].
+    type Wide: Lane;
+    /// How the arithmetic intrinsics get from lanes to `Wide` values.
+    #[doc(hidden)]
+    type Lanes: crate::vreg::ArithLanes<Self>;
+
     /// The multiplicative identity.
     fn one() -> Self;
     /// Lane addition.
@@ -68,6 +88,106 @@ pub trait SveFloat: SveElem {
     fn to_f64(self) -> f64;
 }
 
+/// What the lane body of an arithmetic intrinsic is written on
+/// ([`SveFloat::Wide`]): the rounding operations of a lane, on one lane or on
+/// several at once.
+pub trait Lane: Copy {
+    /// Lane addition.
+    fn add(self, rhs: Self) -> Self;
+    /// Lane subtraction.
+    fn sub(self, rhs: Self) -> Self;
+    /// Lane multiplication.
+    fn mul(self, rhs: Self) -> Self;
+    /// Lane negation.
+    fn neg(self) -> Self;
+    /// `self * rhs + acc`, the sum rounded once.
+    fn mul_add(self, rhs: Self, acc: Self) -> Self;
+    /// Lane maximum.
+    fn max(self, rhs: Self) -> Self;
+    /// Lane minimum.
+    fn min(self, rhs: Self) -> Self;
+    /// Lane square root.
+    fn sqrt(self) -> Self;
+}
+
+impl<E: SveFloat> Lane for E {
+    #[inline(always)]
+    fn add(self, rhs: Self) -> Self {
+        SveFloat::add(self, rhs)
+    }
+    #[inline(always)]
+    fn sub(self, rhs: Self) -> Self {
+        SveFloat::sub(self, rhs)
+    }
+    #[inline(always)]
+    fn mul(self, rhs: Self) -> Self {
+        SveFloat::mul(self, rhs)
+    }
+    #[inline(always)]
+    fn neg(self) -> Self {
+        SveFloat::neg(self)
+    }
+    #[inline(always)]
+    fn mul_add(self, rhs: Self, acc: Self) -> Self {
+        SveFloat::mul_add(self, rhs, acc)
+    }
+    #[inline(always)]
+    fn max(self, rhs: Self) -> Self {
+        SveFloat::max(self, rhs)
+    }
+    #[inline(always)]
+    fn min(self, rhs: Self) -> Self {
+        SveFloat::min(self, rhs)
+    }
+    #[inline(always)]
+    fn sqrt(self) -> Self {
+        SveFloat::sqrt(self)
+    }
+}
+
+/// Eight binary16 lanes widened to `f32`: what one `vcvtph2ps` yields, and
+/// a `ymm` register's worth for the lane body to work on.
+pub type Octet = [f32; 8];
+
+impl Lane for Octet {
+    #[inline(always)]
+    fn add(self, rhs: Self) -> Self {
+        std::array::from_fn(|i| self[i] + rhs[i])
+    }
+    #[inline(always)]
+    fn sub(self, rhs: Self) -> Self {
+        std::array::from_fn(|i| self[i] - rhs[i])
+    }
+    #[inline(always)]
+    fn mul(self, rhs: Self) -> Self {
+        std::array::from_fn(|i| self[i] * rhs[i])
+    }
+    #[inline(always)]
+    fn neg(self) -> Self {
+        self.map(|x| -x)
+    }
+    /// The product of two widened binary16 values is exact in `f32`, so a
+    /// multiplication and an addition round once, like an `fma` — and need
+    /// no `fma`, which on a host without the instruction is a call into
+    /// libm per lane.
+    #[inline(always)]
+    fn mul_add(self, rhs: Self, acc: Self) -> Self {
+        std::array::from_fn(|i| self[i] * rhs[i] + acc[i])
+    }
+    #[inline(always)]
+    fn max(self, rhs: Self) -> Self {
+        std::array::from_fn(|i| self[i].max(rhs[i]))
+    }
+    #[inline(always)]
+    fn min(self, rhs: Self) -> Self {
+        std::array::from_fn(|i| self[i].min(rhs[i]))
+    }
+    #[inline(always)]
+    fn sqrt(self) -> Self {
+        self.map(f32::sqrt)
+    }
+}
+
 impl SveElem for f64 {
     const BYTES: usize = 8;
     const SUFFIX: char = 'd';
@@ -89,6 +209,9 @@ impl SveElem for f64 {
 }
 
 impl SveFloat for f64 {
+    type Wide = f64;
+    type Lanes = Direct;
+
     #[inline]
     fn one() -> Self {
         1.0
@@ -160,6 +283,9 @@ impl SveElem for f32 {
 }
 
 impl SveFloat for f32 {
+    type Wide = f32;
+    type Lanes = Direct;
+
     #[inline]
     fn one() -> Self {
         1.0
@@ -213,7 +339,6 @@ impl SveFloat for f32 {
 impl SveElem for F16 {
     const BYTES: usize = 2;
     const SUFFIX: char = 'h';
-    const LOWERED: bool = false;
 
     #[inline]
     fn zero() -> Self {
@@ -232,6 +357,9 @@ impl SveElem for F16 {
 }
 
 impl SveFloat for F16 {
+    type Wide = Octet;
+    type Lanes = Widened;
+
     #[inline]
     fn one() -> Self {
         F16::from_f32(1.0)
@@ -254,8 +382,8 @@ impl SveFloat for F16 {
     }
     #[inline]
     fn mul_add(self, rhs: Self, acc: Self) -> Self {
-        // f32 holds the exact product of two f16s, so a single rounding at
-        // the end matches a fused half-precision unit.
+        // f32 holds the exact product of two f16s; the sum is rounded to
+        // f32 and then to f16 (see the trait's documentation).
         F16::from_f32(self.to_f32() * rhs.to_f32() + acc.to_f32())
     }
     #[inline]
@@ -357,6 +485,33 @@ mod tests {
         let x = F16::from_f32(2.5);
         assert_eq!(SveFloat::neg(x).to_f32(), -2.5);
         assert_eq!(SveFloat::abs(SveFloat::neg(x)).to_f32(), 2.5);
+    }
+
+    /// Pins the answer the model gives today, which is *not* the fused
+    /// one: with a = c = 1 + 2⁻¹⁰ and b = (1 − 2⁻¹⁰)·2⁻¹¹, the exact a·b + c
+    /// is 1 + 2⁻¹⁰ + 2⁻¹¹ − 2⁻³¹, just below the midpoint of `0x3c01` and
+    /// `0x3c02`. A fused binary16 unit rounds once and returns `0x3c01`;
+    /// here the sum is first rounded to f32, which cannot hold the 2⁻³¹
+    /// and lands on the midpoint, and the second rounding takes the tie to
+    /// even. Every f16 pin in the workspace is generated with this
+    /// arithmetic, and `vcvtph2ps`, an f32 multiply-add and `vcvtps2ph`
+    /// compute the same; a true fused f16 FMA is a ROADMAP item that
+    /// regenerates them all.
+    #[test]
+    fn f16_mul_add_accumulates_in_f32_then_narrows() {
+        let (a, b, c) = (F16(0x3c01), F16(0x0ffe), F16(0x3c01));
+        let exact = a.to_f64().mul_add(b.to_f64(), c.to_f64());
+        let tie = 1.0 + 2f64.powi(-10) + 2f64.powi(-11);
+        assert_eq!(exact, tie - 2f64.powi(-31));
+        assert_eq!(a.to_f32() * b.to_f32() + c.to_f32(), tie as f32);
+        assert_eq!(
+            SveFloat::mul_add(a, b, c),
+            F16(0x3c02),
+            "the model's answer"
+        );
+        // A fused unit's answer is the nearer neighbour, `0x3c01`.
+        let (below, above) = (F16(0x3c01).to_f64(), F16(0x3c02).to_f64());
+        assert!(exact - below < above - exact);
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! building blocks of the paper's Section V-E "alternative implementation of
 //! complex arithmetics based on instructions for real arithmetics".
 
-use super::shape::{binary, fold_active, ternary, unary, Inactive};
+use super::shape::{arith1, arith2, fold_arith, moved, ternary, Inactive};
 use crate::count::Opcode;
 use crate::ctx::{SizedCtx, SveCtx};
-use crate::elem::{SveElem, SveFloat};
+use crate::elem::{Lane, SveElem, SveFloat};
 use crate::pred::PReg;
 use crate::vreg::{Reg, VReg};
 
@@ -27,49 +27,65 @@ impl<const N: usize> SizedCtx<'_, N> {
     #[inline]
     pub fn svadd_x<E: SveFloat>(&self, pg: &PReg, a: &Reg<N>, b: &Reg<N>) -> Reg<N> {
         self.ctx.exec(Opcode::Fadd);
-        binary(self.ctx, pg, Inactive::Computed, a, b, E::add)
+        arith2::<E, N>(self.ctx, pg, Inactive::Computed, a, b, E::Wide::add)
     }
 
     /// [`svsub_x`] on `N`-byte registers.
     #[inline]
     pub fn svsub_x<E: SveFloat>(&self, pg: &PReg, a: &Reg<N>, b: &Reg<N>) -> Reg<N> {
         self.ctx.exec(Opcode::Fsub);
-        binary(self.ctx, pg, Inactive::Computed, a, b, E::sub)
+        arith2::<E, N>(self.ctx, pg, Inactive::Computed, a, b, E::Wide::sub)
     }
 
     /// [`svmul_x`] on `N`-byte registers.
     #[inline]
     pub fn svmul_x<E: SveFloat>(&self, pg: &PReg, a: &Reg<N>, b: &Reg<N>) -> Reg<N> {
         self.ctx.exec(Opcode::Fmul);
-        binary(self.ctx, pg, Inactive::Computed, a, b, E::mul)
+        arith2::<E, N>(self.ctx, pg, Inactive::Computed, a, b, E::Wide::mul)
     }
 
     /// [`svneg_x`] on an `N`-byte register.
     #[inline]
     pub fn svneg_x<E: SveFloat>(&self, pg: &PReg, a: &Reg<N>) -> Reg<N> {
         self.ctx.exec(Opcode::Fneg);
-        unary(self.ctx, pg, Inactive::Computed, a, E::neg)
+        moved(self.ctx, pg, Inactive::Computed, a, E::neg)
     }
 
     /// [`svneg_m`] on an `N`-byte register.
     #[inline]
     pub fn svneg_m<E: SveFloat>(&self, pg: &PReg, a: &Reg<N>) -> Reg<N> {
         self.ctx.exec(Opcode::Fneg);
-        unary(self.ctx, pg, Inactive::First, a, E::neg)
+        moved(self.ctx, pg, Inactive::First, a, E::neg)
     }
 
     /// [`svmla_m`] on `N`-byte registers.
     #[inline]
     pub fn svmla_m<E: SveFloat>(&self, pg: &PReg, acc: &Reg<N>, a: &Reg<N>, b: &Reg<N>) -> Reg<N> {
         self.ctx.exec(Opcode::Fmla);
-        ternary(self.ctx, pg, acc, a, b, |z: E, x, y| x.mul_add(y, z))
+        ternary::<E, N>(
+            self.ctx,
+            pg,
+            acc,
+            a,
+            b,
+            #[inline(always)]
+            |z, x, y| x.mul_add(y, z),
+        )
     }
 
     /// [`svnmls_m`] on `N`-byte registers.
     #[inline]
     pub fn svnmls_m<E: SveFloat>(&self, pg: &PReg, acc: &Reg<N>, a: &Reg<N>, b: &Reg<N>) -> Reg<N> {
         self.ctx.exec(Opcode::Fnmls);
-        ternary(self.ctx, pg, acc, a, b, |z: E, x, y| x.mul_add(y, z.neg()))
+        ternary::<E, N>(
+            self.ctx,
+            pg,
+            acc,
+            a,
+            b,
+            #[inline(always)]
+            |z, x, y| x.mul_add(y, z.neg()),
+        )
     }
 
     /// [`movprfx`] of an `N`-byte register.
@@ -97,7 +113,7 @@ pub fn svadd_x<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg
 #[inline]
 pub fn svadd_m<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg {
     ctx.exec(Opcode::Fadd);
-    binary(ctx, pg, Inactive::First, a, b, E::add)
+    arith2::<E, _>(ctx, pg, Inactive::First, a, b, E::Wide::add)
 }
 
 /// `svsub_x` — lane-wise subtract.
@@ -116,7 +132,7 @@ pub fn svmul_x<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg
 #[inline]
 pub fn svmul_z<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg {
     ctx.exec(Opcode::Fmul);
-    binary(ctx, pg, Inactive::Zero, a, b, E::mul)
+    arith2::<E, _>(ctx, pg, Inactive::Zero, a, b, E::Wide::mul)
 }
 
 /// `svneg_x` — lane-wise negate.
@@ -137,28 +153,28 @@ pub fn svneg_m<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg) -> VReg {
 #[inline]
 pub fn svabs_x<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg) -> VReg {
     ctx.exec(Opcode::Fabs);
-    unary(ctx, pg, Inactive::Computed, a, E::abs)
+    moved(ctx, pg, Inactive::Computed, a, E::abs)
 }
 
 /// `svsqrt_x` — lane-wise square root.
 #[inline]
 pub fn svsqrt_x<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg) -> VReg {
     ctx.exec(Opcode::Fsqrt);
-    unary(ctx, pg, Inactive::Computed, a, E::sqrt)
+    arith1::<E, _>(ctx, pg, Inactive::Computed, a, E::Wide::sqrt)
 }
 
 /// `svmax_x` / `svmin_x` — lane-wise max/min.
 #[inline]
 pub fn svmax_x<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg {
     ctx.exec(Opcode::Fmax);
-    binary(ctx, pg, Inactive::Computed, a, b, E::max)
+    arith2::<E, _>(ctx, pg, Inactive::Computed, a, b, E::Wide::max)
 }
 
 /// `svmin_x` — lane-wise minimum.
 #[inline]
 pub fn svmin_x<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg {
     ctx.exec(Opcode::Fmin);
-    binary(ctx, pg, Inactive::Computed, a, b, E::min)
+    arith2::<E, _>(ctx, pg, Inactive::Computed, a, b, E::Wide::min)
 }
 
 /// `svmla_m` — fused multiply-add: `acc + a*b` per lane, inactive lanes keep
@@ -172,7 +188,15 @@ pub fn svmla_m<E: SveFloat>(ctx: &SveCtx, pg: &PReg, acc: &VReg, a: &VReg, b: &V
 #[inline]
 pub fn svmls_m<E: SveFloat>(ctx: &SveCtx, pg: &PReg, acc: &VReg, a: &VReg, b: &VReg) -> VReg {
     ctx.exec(Opcode::Fmls);
-    ternary(ctx, pg, acc, a, b, |z: E, x, y| x.neg().mul_add(y, z))
+    ternary::<E, _>(
+        ctx,
+        pg,
+        acc,
+        a,
+        b,
+        #[inline(always)]
+        |z, x, y| x.neg().mul_add(y, z),
+    )
 }
 
 /// `svnmls_m` — negated multiply-subtract: `a*b - acc` per lane (listing
@@ -195,7 +219,7 @@ pub fn svindex(ctx: &SveCtx, base: u64, step: u64) -> VReg {
 #[inline]
 pub fn svadda<E: SveFloat>(ctx: &SveCtx, pg: &PReg, init: E, a: &VReg) -> E {
     ctx.exec(Opcode::Faddv);
-    fold_active(ctx, pg, a, init, E::add)
+    fold_arith(ctx, pg, a, Some(init), E::Wide::add).expect("a chain from `init`")
 }
 
 /// `svscale_x` — multiply each active lane by `2^exp[i]` (integer exponent

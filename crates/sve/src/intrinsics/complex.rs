@@ -19,7 +19,7 @@
 use super::shape::complex;
 use crate::count::Opcode;
 use crate::ctx::{SizedCtx, SveCtx};
-use crate::elem::SveFloat;
+use crate::elem::{Lane, SveFloat};
 use crate::pred::PReg;
 use crate::vreg::{Reg, VReg};
 
@@ -51,13 +51,12 @@ impl<const N: usize> SizedCtx<'_, N> {
         rot: Rot,
     ) -> Reg<N> {
         self.ctx.exec(Opcode::Fcmla);
-        complex(
+        complex::<E, N>(
             self.ctx,
             pg,
-            acc,
-            x,
-            y,
-            |[zr, zi]: [E; 2], [xr, xi], [yr, yi]| match rot {
+            [acc, x, y],
+            #[inline(always)]
+            |[zr, zi], [xr, xi], [yr, yi]| match rot {
                 Rot::R0 => [xr.mul_add(yr, zr), xr.mul_add(yi, zi)],
                 Rot::R90 => [xi.neg().mul_add(yi, zr), xi.mul_add(yr, zi)],
                 Rot::R180 => [xr.neg().mul_add(yr, zr), xr.neg().mul_add(yi, zi)],
@@ -74,13 +73,12 @@ impl<const N: usize> SizedCtx<'_, N> {
             matches!(rot, Rot::R90 | Rot::R270),
             "fcadd only supports 90/270 degree rotations"
         );
-        complex(
+        complex::<E, N>(
             self.ctx,
             pg,
-            x,
-            x,
-            y,
-            |[xr, xi]: [E; 2], _, [yr, yi]| match rot {
+            [x, x, y],
+            #[inline(always)]
+            |[xr, xi], _, [yr, yi]| match rot {
                 Rot::R90 => [xr.sub(yi), xi.add(yr)],
                 _ => [xr.add(yi), xi.sub(yr)],
             },

@@ -11,12 +11,14 @@
 //! (narrow) or `zip1/zip2` with `fcvt` (widen); the `pack`/`unpack` helpers
 //! below execute — and account — exactly those sequences.
 
-use super::shape::{unary, Inactive};
+use super::shape::{moved, Inactive};
 use crate::count::Opcode;
 use crate::ctx::SveCtx;
 use crate::f16::F16;
+use crate::host::{Convert, LaneLoop};
 use crate::intrinsics::{svuzp1, svzip1, svzip2};
 use crate::pred::PReg;
+use crate::vl::VL_MAX_BYTES;
 use crate::vreg::VReg;
 
 /// `svcvt_f32_f64` — narrow each active 64-bit element's `f64` to an `f32`
@@ -24,7 +26,7 @@ use crate::vreg::VReg;
 #[inline]
 pub fn svcvt_f32_f64(ctx: &SveCtx, pg: &PReg, a: &VReg) -> VReg {
     ctx.exec(Opcode::Fcvt);
-    unary(ctx, pg, Inactive::Zero, a, |d: u64| {
+    moved(ctx, pg, Inactive::Zero, a, |d: u64| {
         (f64::from_bits(d) as f32).to_bits() as u64
     })
 }
@@ -34,29 +36,72 @@ pub fn svcvt_f32_f64(ctx: &SveCtx, pg: &PReg, a: &VReg) -> VReg {
 #[inline]
 pub fn svcvt_f64_f32(ctx: &SveCtx, pg: &PReg, a: &VReg) -> VReg {
     ctx.exec(Opcode::Fcvt);
-    unary(ctx, pg, Inactive::Zero, a, |d: u64| {
+    moved(ctx, pg, Inactive::Zero, a, |d: u64| {
         (f32::from_bits(d as u32) as f64).to_bits()
     })
+}
+
+/// The `fcvt` between binary32 and binary16 inside 32-bit containers, all
+/// containers computed: the binary16 sits in the low half of its container,
+/// the high half is zero.
+struct InContainers<'a> {
+    a: &'a VReg,
+    narrow: bool,
+}
+
+impl LaneLoop<i32> for InContainers<'_> {
+    type Out = VReg;
+    const CAPACITY: usize = VL_MAX_BYTES;
+    #[inline(always)]
+    fn run<C: Convert>(self, bytes: usize, cv: C) -> VReg {
+        const CONTAINERS: usize = VL_MAX_BYTES / 4;
+        let n = bytes / 4;
+        let (mut single, mut half) = ([0.0f32; CONTAINERS], [0u8; 2 * CONTAINERS]);
+        let src = self.a.bytes()[..bytes].chunks_exact(4);
+        let mut r = VReg::zeroed();
+        let dst = r.bytes_mut()[..bytes].chunks_exact_mut(4);
+        if self.narrow {
+            for (w, s) in single.iter_mut().zip(src) {
+                *w = f32::from_le_bytes(s.try_into().expect("4-byte container"));
+            }
+            cv.narrow(&single[..n], &mut half[..2 * n]);
+            for (d, h) in dst.zip(half.chunks_exact(2)) {
+                d[..2].copy_from_slice(h);
+            }
+        } else {
+            for (h, s) in half.chunks_exact_mut(2).zip(src) {
+                h.copy_from_slice(&s[..2]);
+            }
+            cv.widen(&half[..2 * n], &mut single[..n]);
+            for (d, w) in dst.zip(single) {
+                d.copy_from_slice(&w.to_le_bytes());
+            }
+        }
+        r
+    }
+}
+
+/// An [`InContainers`] conversion with the containers `pg` leaves out
+/// zeroed.
+#[inline]
+fn cvt_in_containers(ctx: &SveCtx, pg: &PReg, a: &VReg, narrow: bool) -> VReg {
+    ctx.exec(Opcode::Fcvt);
+    let all = ctx.lowering().run(InContainers { a, narrow });
+    moved(ctx, pg, Inactive::Zero, &all, |s: i32| s)
 }
 
 /// `svcvt_f16_f32` — narrow each active 32-bit element's `f32` to binary16
 /// in the low 16 bits of the container.
 #[inline]
 pub fn svcvt_f16_f32(ctx: &SveCtx, pg: &PReg, a: &VReg) -> VReg {
-    ctx.exec(Opcode::Fcvt);
-    unary(ctx, pg, Inactive::Zero, a, |s: i32| {
-        F16::from_f32(f32::from_bits(s as u32)).to_bits() as i32
-    })
+    cvt_in_containers(ctx, pg, a, true)
 }
 
 /// `svcvt_f32_f16` — widen binary16 in the low half of each active 32-bit
 /// container to `f32`.
 #[inline]
 pub fn svcvt_f32_f16(ctx: &SveCtx, pg: &PReg, a: &VReg) -> VReg {
-    ctx.exec(Opcode::Fcvt);
-    unary(ctx, pg, Inactive::Zero, a, |s: i32| {
-        F16::from_bits(s as u16).to_f32().to_bits() as i32
-    })
+    cvt_in_containers(ctx, pg, a, false)
 }
 
 /// Narrow two double-precision vectors into one single-precision vector

@@ -6,7 +6,7 @@
 //! boundaries into lane permutations, and the Section V-E real-arithmetic
 //! complex kernels need `trn1/trn2`-style de-interleaving inside registers.
 
-use super::shape::{active_lanes, binary, Inactive};
+use super::shape::{active_lanes, moved2, Inactive};
 use crate::count::Opcode;
 use crate::ctx::{SizedCtx, SveCtx};
 use crate::elem::SveElem;
@@ -105,7 +105,7 @@ impl<const N: usize> SizedCtx<'_, N> {
     #[inline]
     pub fn svsel<E: SveElem>(&self, pg: &PReg, a: &Reg<N>, b: &Reg<N>) -> Reg<N> {
         self.ctx.exec(Opcode::Sel);
-        binary(self.ctx, pg, Inactive::First, b, a, |_: E, x| x)
+        moved2(self.ctx, pg, Inactive::First, b, a, |_: E, x| x)
     }
 }
 

@@ -1,10 +1,10 @@
 //! Horizontal reductions — used by Grid for inner products and norms, the
 //! scalars that drive the Conjugate Gradient iteration.
 
-use super::shape::fold_active;
+use super::shape::fold_arith;
 use crate::count::Opcode;
 use crate::ctx::{SizedCtx, SveCtx};
-use crate::elem::SveFloat;
+use crate::elem::{Lane, SveFloat};
 use crate::pred::PReg;
 use crate::vreg::{Reg, VReg};
 
@@ -13,7 +13,7 @@ impl<const N: usize> SizedCtx<'_, N> {
     #[inline]
     pub fn svaddv<E: SveFloat>(&self, pg: &PReg, a: &Reg<N>) -> E {
         self.ctx.exec(Opcode::Faddv);
-        fold_active(self.ctx, pg, a, E::zero(), E::add)
+        fold_arith(self.ctx, pg, a, Some(E::zero()), E::Wide::add).expect("a chain from zero")
     }
 }
 
@@ -29,10 +29,7 @@ pub fn svaddv<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg) -> E {
 /// `svmaxv` — maximum of the active lanes (zero when none is active).
 pub fn svmaxv<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg) -> E {
     ctx.exec(Opcode::Fmaxv);
-    fold_active(ctx, pg, a, None, |m: Option<E>, v| {
-        Some(m.map_or(v, |m| m.max(v)))
-    })
-    .unwrap_or_else(E::zero)
+    fold_arith(ctx, pg, a, None, E::Wide::max).unwrap_or_else(E::zero)
 }
 
 #[cfg(test)]

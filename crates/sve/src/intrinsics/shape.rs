@@ -2,23 +2,31 @@
 //!
 //! An intrinsic names its shape (element-wise map of one, two or three
 //! operands, complex pairs, fold of the active lanes, structure load/store)
-//! and supplies the per-lane arithmetic; the shape decides predication
-//! **once per instruction**: under an all-true governing predicate — what
-//! every fixed-size kernel of the port passes (paper listing IV-D) — or for
-//! an `_x` form, it runs the straight loop over the `VL` prefix, otherwise a
-//! select per lane. The arithmetic loop is [`Reg::zip3`] and the contiguous
-//! all-active load [`Reg::from_slice`], which the context's lowering
-//! (`host.rs`) compiles per vector length and per host instruction set — a
-//! load written with narrower stores than the arithmetic that follows reads
-//! stalls it; the other loads, stores and folds only move data or add in
-//! lane order and walk [`Reg::from_lanes`] and [`Reg::lanes`]; permutes and
-//! broadcasts go through [`Reg::from_fn`]. Every shape is written once over
-//! the register capacity `N`, which its operands fix.
+//! and supplies the per-lane body; the shape decides predication **once per
+//! instruction**: under an all-true governing predicate — what every
+//! fixed-size kernel of the port passes (paper listing IV-D) — or for an
+//! `_x` form, it runs the straight loop over the `VL` prefix, otherwise a
+//! select per lane. Element-wise shapes come in two kinds. [`moved`] and
+//! [`moved2`] hand the body the lanes as stored (selects, sign-bit
+//! operations, conversions inside a container). The arithmetic shapes —
+//! [`arith1`], [`arith2`], [`ternary`], [`complex`], [`fold_arith`] — hand it
+//! [`SveFloat::Wide`] values: the lane itself for `f32`/`f64`, and for
+//! binary16 eight lanes at once, widened to `f32` along with the rest of
+//! their register (`vreg.rs`), the select then working on the narrowed
+//! lanes. Either way
+//! the loop is [`Reg::zip3`] or a relative and the contiguous all-active
+//! load [`Reg::from_slice`], which the context's lowering (`host.rs`)
+//! compiles per vector length and per host instruction set — a load written
+//! with narrower stores than the arithmetic that follows reads stalls it;
+//! the other loads and stores only move data and walk [`Reg::from_lanes`]
+//! and [`Reg::lanes`]; permutes and broadcasts go through [`Reg::from_fn`].
+//! Every shape is written once over the register capacity `N`, which its
+//! operands fix.
 
 use crate::ctx::SveCtx;
-use crate::elem::SveElem;
+use crate::elem::{SveElem, SveFloat};
 use crate::pred::PReg;
-use crate::vreg::{LaneGroup, Reg};
+use crate::vreg::{ArithLanes, Reg};
 
 /// What an inactive lane of an element-wise result holds.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -31,33 +39,29 @@ pub(super) enum Inactive {
     First,
 }
 
-/// Every element-wise instruction: lane (or (re, im) lane pair, with
-/// `G = [E; 2]`) `i` of the result is `f(z, a, b)`. Unless `every_lane` is
-/// set or `pg` governs every `E` lane, `merge(i, z, new)` then decides what
-/// of the new value lane `i` keeps.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn lanewise<E: SveElem, G: LaneGroup, const N: usize>(
-    ctx: &SveCtx,
-    pg: &PReg,
-    every_lane: bool,
-    z: &Reg<N>,
-    a: &Reg<N>,
-    b: &Reg<N>,
-    f: impl Fn(G, G, G) -> G,
-    merge: impl Fn(usize, G, G) -> G,
-) -> Reg<N> {
-    let lw = ctx.lowering();
-    if every_lane || pg.all_active::<E>(lw.vl()) {
-        z.zip3(a, b, lw, |_, z, a, b| f(z, a, b))
-    } else {
-        z.zip3(a, b, lw, |i, z, a, b| merge(i, z, f(z, a, b)))
+impl Inactive {
+    /// What lane `e` of an `E` view keeps of `new` under `pg`, `first`
+    /// being the lane of the first operand.
+    #[inline(always)]
+    fn merge<E: SveElem>(self, pg: &PReg, e: usize, first: E, new: E) -> E {
+        match (pg.elem_active::<E>(e), self) {
+            (true, _) => new,
+            (false, Inactive::Zero) => E::zero(),
+            (false, _) => first,
+        }
+    }
+
+    /// Whether the instruction computes every lane of the `E` view: an `_x`
+    /// form, or a predicate that governs them all.
+    #[inline(always)]
+    fn every_lane<E: SveElem>(self, ctx: &SveCtx, pg: &PReg) -> bool {
+        self == Inactive::Computed || pg.all_active::<E>(ctx.vl())
     }
 }
 
-/// Two-operand map: active lanes get `f(a, b)`.
+/// Two-operand map on the lanes as stored: active lanes get `f(a, b)`.
 #[inline]
-pub(super) fn binary<E: SveElem, const N: usize>(
+pub(super) fn moved2<E: SveElem, const N: usize>(
     ctx: &SveCtx,
     pg: &PReg,
     inactive: Inactive,
@@ -65,58 +69,124 @@ pub(super) fn binary<E: SveElem, const N: usize>(
     b: &Reg<N>,
     f: impl Fn(E, E) -> E,
 ) -> Reg<N> {
-    let every_lane = inactive == Inactive::Computed;
-    let merge = |e, first, new| match (pg.elem_active::<E>(e), inactive) {
-        (true, _) => new,
-        (false, Inactive::Zero) => E::zero(),
-        (false, _) => first,
-    };
-    lanewise::<E, E, N>(ctx, pg, every_lane, a, a, b, |x, _, y| f(x, y), merge)
+    let lw = ctx.lowering();
+    if inactive.every_lane::<E>(ctx, pg) {
+        a.zip3(a, b, lw, |_, x: E, _, y| f(x, y))
+    } else {
+        a.zip3(a, b, lw, |e, x: E, _, y| inactive.merge(pg, e, x, f(x, y)))
+    }
 }
 
-/// One-operand map: active lanes get `f(a)`.
+/// One-operand map on the lanes as stored: active lanes get `f(a)`.
 #[inline]
-pub(super) fn unary<E: SveElem, const N: usize>(
+pub(super) fn moved<E: SveElem, const N: usize>(
     ctx: &SveCtx,
     pg: &PReg,
     inactive: Inactive,
     a: &Reg<N>,
     f: impl Fn(E) -> E,
 ) -> Reg<N> {
-    binary(ctx, pg, inactive, a, a, |x, _| f(x))
+    moved2(ctx, pg, inactive, a, a, |x, _| f(x))
+}
+
+/// Every element-wise arithmetic instruction on single lanes: active lanes
+/// get `f(z, a, b)`, inactive ones what `inactive` says of `z`.
+#[inline]
+fn arith3<E: SveFloat, const N: usize>(
+    ctx: &SveCtx,
+    pg: &PReg,
+    inactive: Inactive,
+    regs: [&Reg<N>; 3],
+    f: impl Fn(E::Wide, E::Wide, E::Wide) -> E::Wide,
+) -> Reg<N> {
+    let merge = |e, first: E, new: E| inactive.merge(pg, e, first, new);
+    let merge = (!inactive.every_lane::<E>(ctx, pg)).then_some(merge);
+    E::Lanes::zip3(ctx, regs, f, merge)
+}
+
+/// Two-operand arithmetic: active lanes get `f(a, b)`.
+#[inline]
+pub(super) fn arith2<E: SveFloat, const N: usize>(
+    ctx: &SveCtx,
+    pg: &PReg,
+    inactive: Inactive,
+    a: &Reg<N>,
+    b: &Reg<N>,
+    f: impl Fn(E::Wide, E::Wide) -> E::Wide,
+) -> Reg<N> {
+    arith3::<E, N>(
+        ctx,
+        pg,
+        inactive,
+        [a, a, b],
+        #[inline(always)]
+        |x, _, y| f(x, y),
+    )
+}
+
+/// One-operand arithmetic: active lanes get `f(a)`.
+#[inline]
+pub(super) fn arith1<E: SveFloat, const N: usize>(
+    ctx: &SveCtx,
+    pg: &PReg,
+    inactive: Inactive,
+    a: &Reg<N>,
+    f: impl Fn(E::Wide) -> E::Wide,
+) -> Reg<N> {
+    arith3::<E, N>(
+        ctx,
+        pg,
+        inactive,
+        [a, a, a],
+        #[inline(always)]
+        |x, _, _| f(x),
+    )
 }
 
 /// Three-operand accumulate (`fmla` family): active lanes get
 /// `f(acc, a, b)`, inactive lanes keep `acc`.
 #[inline]
-pub(super) fn ternary<E: SveElem, const N: usize>(
+pub(super) fn ternary<E: SveFloat, const N: usize>(
     ctx: &SveCtx,
     pg: &PReg,
     acc: &Reg<N>,
     a: &Reg<N>,
     b: &Reg<N>,
-    f: impl Fn(E, E, E) -> E,
+    f: impl Fn(E::Wide, E::Wide, E::Wide) -> E::Wide,
 ) -> Reg<N> {
-    let merge = |e, z, new| if pg.elem_active::<E>(e) { new } else { z };
-    lanewise::<E, E, N>(ctx, pg, false, acc, a, b, f, merge)
+    arith3::<E, N>(ctx, pg, Inactive::First, [acc, a, b], f)
 }
 
-/// Complex accumulate (`fcmla`, `fcadd`): every (re, im) pair of adjacent
-/// lanes gets `f(acc, x, y)`; the real and the imaginary lane are each
-/// governed by their own predicate bit, inactive ones keep `acc`.
+/// Complex accumulate (`fcmla`, `fcadd`) on `regs = [acc, x, y]`: every
+/// (re, im) pair of adjacent lanes gets `f(acc, x, y)`; the real and the
+/// imaginary lane are each governed by their own predicate bit, inactive
+/// ones keep `acc`.
 #[inline]
-pub(super) fn complex<E: SveElem, const N: usize>(
+pub(super) fn complex<E: SveFloat, const N: usize>(
     ctx: &SveCtx,
     pg: &PReg,
-    acc: &Reg<N>,
-    x: &Reg<N>,
-    y: &Reg<N>,
-    f: impl Fn([E; 2], [E; 2], [E; 2]) -> [E; 2],
+    regs: [&Reg<N>; 3],
+    f: impl Fn([E::Wide; 2], [E::Wide; 2], [E::Wide; 2]) -> [E::Wide; 2],
 ) -> Reg<N> {
     let keep = |e, z, new| if pg.elem_active::<E>(e) { new } else { z };
     let merge =
         |p, z: [E; 2], new: [E; 2]| [keep(2 * p, z[0], new[0]), keep(2 * p + 1, z[1], new[1])];
-    lanewise::<E, [E; 2], N>(ctx, pg, false, acc, x, y, f, merge)
+    let merge = (!pg.all_active::<E>(ctx.vl())).then_some(merge);
+    E::Lanes::zip3_pairs(ctx, regs, f, merge)
+}
+
+/// Fold the lanes of `a` active under `pg` into `init` with `f`, in lane
+/// order and rounding to `E` after every step (the first active lane starts
+/// the chain when there is no `init`; `None` if there is neither).
+#[inline]
+pub(super) fn fold_arith<E: SveFloat, const N: usize>(
+    ctx: &SveCtx,
+    pg: &PReg,
+    a: &Reg<N>,
+    init: Option<E>,
+    f: impl Fn(E::Wide, E::Wide) -> E::Wide,
+) -> Option<E> {
+    E::Lanes::fold(ctx, pg, a, init, f)
 }
 
 /// `(lane index, value)` of each active lane of `a`, in lane order.
@@ -129,22 +199,6 @@ pub(super) fn active_lanes<'a, E: SveElem, const N: usize>(
     a.lanes::<E>(ctx.vl())
         .enumerate()
         .filter(move |&(e, _)| pg.elem_active::<E>(e))
-}
-
-/// Fold the active lanes of `a` in lane order.
-#[inline]
-pub(super) fn fold_active<E: SveElem, A, const N: usize>(
-    ctx: &SveCtx,
-    pg: &PReg,
-    a: &Reg<N>,
-    init: A,
-    f: impl Fn(A, E) -> A,
-) -> A {
-    if pg.all_active::<E>(ctx.vl()) {
-        a.lanes::<E>(ctx.vl()).fold(init, f)
-    } else {
-        active_lanes(ctx, pg, a).fold(init, |acc, (_, v)| f(acc, v))
-    }
 }
 
 /// An active lane of a load (`access = "reads"`) or store (`"writes"`) falls

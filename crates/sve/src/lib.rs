@@ -22,13 +22,14 @@
 //!   executed operation per [`Opcode`], prices tallies under pluggable
 //!   [`CostModel`]s, and can inject the toolchain faults that made some of
 //!   the paper's verification runs fail (Section V-D);
-//! * [`F16`] — software binary16 for the comms-compression data path
-//!   (Section V-B).
+//! * [`F16`] — binary16, for the comms-compression data path (Section V-B)
+//!   and as a compute precision: its lanes are widened to `f32` once per
+//!   arithmetic instruction and narrowed once ([`SveFloat::Wide`]).
 //!
 //! The lane loops behind the arithmetic intrinsics are compiled once per
-//! swept vector length and, on x86-64, a second time for AVX2+FMA; the copy
-//! is picked from the CPU at context construction ([`host_lanes`] names it)
-//! and cannot change a result bit.
+//! swept vector length and, on x86-64, a second time for AVX2+FMA+F16C; the
+//! copy is picked from the CPU at context construction ([`host_lanes`] names
+//! it) and cannot change a result bit.
 //!
 //! # Example: the paper's two-FCMLA complex multiply (Section IV-D)
 //!
@@ -52,8 +53,8 @@
 //! assert_eq!(z[1], 1.0 * (-1.0) + 2.0 * 3.0); // im(x0 * y0)
 //! ```
 
-// One `unsafe` block in the crate: the call into the AVX2+FMA copy of the lane
-// loops in `host.rs`, behind the CPU detection it needs.
+// One `unsafe` block in the crate: the call into the AVX2+FMA+F16C copy of
+// the lane loops in `host.rs`, behind the CPU detection it needs.
 #![deny(unsafe_code)]
 #![warn(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
@@ -72,7 +73,7 @@ pub mod intrinsics;
 
 pub use count::{CostModel, Counters, OpClass, Opcode};
 pub use ctx::{SizedCtx, SveCtx, ToolchainFault};
-pub use elem::{SveElem, SveFloat};
+pub use elem::{Lane, Octet, SveElem, SveFloat};
 pub use f16::F16;
 pub use host::host_lanes;
 pub use intrinsics::Rot;

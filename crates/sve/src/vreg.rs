@@ -10,24 +10,23 @@
 //! to have (`armie`, the VLA listings, probes). Every lane loop below is
 //! written once over `N`.
 
-use crate::elem::SveElem;
-use crate::host::{unrolled, LaneLoop, Lowering};
+use crate::ctx::SveCtx;
+use crate::elem::{Octet, SveElem, SveFloat};
+use crate::f16::F16;
+use crate::host::{unrolled, Convert, LaneLoop, Lowering, Portable};
+use crate::pred::PReg;
 use crate::vl::{VectorLength, VL_MAX_BYTES};
 
 /// What one step of a lane loop reads or writes: a single element, or the
 /// (re, im) pair of adjacent lanes that `fcmla`/`fcadd` work on.
 pub(crate) trait LaneGroup: Copy + 'static {
     const BYTES: usize;
-    /// Whether loops over this group are compiled per vector length and per
-    /// host context (see [`SveElem::LOWERED`]).
-    const LOWERED: bool;
     fn read_le(src: &[u8]) -> Self;
     fn write_le(self, dst: &mut [u8]);
 }
 
 impl<E: SveElem> LaneGroup for E {
     const BYTES: usize = E::BYTES;
-    const LOWERED: bool = E::LOWERED;
     #[inline]
     fn read_le(src: &[u8]) -> Self {
         E::read_le(src)
@@ -40,7 +39,6 @@ impl<E: SveElem> LaneGroup for E {
 
 impl<E: SveElem> LaneGroup for [E; 2] {
     const BYTES: usize = 2 * E::BYTES;
-    const LOWERED: bool = E::LOWERED;
     #[inline]
     fn read_le(src: &[u8]) -> Self {
         let (re, im) = src.split_at(E::BYTES);
@@ -175,7 +173,7 @@ impl<const N: usize> Reg<N> {
     /// `f(i)` for every lane inside `vl`; storage above `vl` stays zero.
     #[inline]
     pub(crate) fn from_index<G: LaneGroup>(vl: VectorLength, f: impl FnMut(usize) -> G) -> Self {
-        unrolled(vl, FromIndex::<_, N>(f))
+        unrolled(vl, FromIndex::<_, N>(f), Portable)
     }
 
     /// The element-wise lane loop: lane (or lane pair) `i` of the result is
@@ -217,7 +215,7 @@ impl<G: LaneGroup, const N: usize> LaneLoop<G> for FromSlice<'_, G, N> {
     type Out = Reg<N>;
     const CAPACITY: usize = N;
     #[inline(always)]
-    fn run(self, bytes: usize) -> Reg<N> {
+    fn run<C: Convert>(self, bytes: usize, _: C) -> Reg<N> {
         let mut r = Reg::zeroed();
         let src = &self.0[..bytes / G::BYTES];
         for (dst, v) in r.bytes[..bytes].chunks_exact_mut(G::BYTES).zip(src) {
@@ -233,7 +231,7 @@ impl<G: LaneGroup, F: FnMut(usize) -> G, const N: usize> LaneLoop<G> for FromInd
     type Out = Reg<N>;
     const CAPACITY: usize = N;
     #[inline(always)]
-    fn run(mut self, bytes: usize) -> Reg<N> {
+    fn run<C: Convert>(mut self, bytes: usize, _: C) -> Reg<N> {
         let mut r = Reg::zeroed();
         for (i, dst) in r.bytes[..bytes].chunks_exact_mut(G::BYTES).enumerate() {
             (self.0)(i).write_le(dst);
@@ -253,7 +251,7 @@ impl<G: LaneGroup, F: Fn(usize, G, G, G) -> G, const N: usize> LaneLoop<G> for Z
     type Out = Reg<N>;
     const CAPACITY: usize = N;
     #[inline(always)]
-    fn run(self, bytes: usize) -> Reg<N> {
+    fn run<C: Convert>(self, bytes: usize, _: C) -> Reg<N> {
         let mut r = Reg::zeroed();
         let dst = r.bytes[..bytes].chunks_exact_mut(G::BYTES);
         let z = self.z.bytes[..bytes].chunks_exact(G::BYTES);
@@ -263,6 +261,277 @@ impl<G: LaneGroup, F: Fn(usize, G, G, G) -> G, const N: usize> LaneLoop<G> for Z
             (self.f)(i, G::read_le(z), G::read_le(a), G::read_le(b)).write_le(dst);
         }
         r
+    }
+}
+
+/// How the arithmetic intrinsics walk registers of `E` lanes: an intrinsic
+/// states its lane body once, on [`SveFloat::Wide`] values, and
+/// [`SveFloat::Lanes`] decides what reading a lane as a `Wide` takes.
+///
+/// `merge`, when an instruction's predicate leaves lanes out, maps (lane
+/// index, lane of `z`, computed lane) to the lane the result keeps; it works
+/// on the lanes as stored, so an inactive binary16 lane keeps its bits.
+pub trait ArithLanes<E: SveFloat> {
+    /// Lane `i` of the result is `f(z[i], a[i], b[i])`, then `merge`.
+    fn zip3<const N: usize>(
+        ctx: &SveCtx,
+        regs: [&Reg<N>; 3],
+        f: impl Fn(E::Wide, E::Wide, E::Wide) -> E::Wide,
+        merge: Option<impl Fn(usize, E, E) -> E>,
+    ) -> Reg<N>;
+
+    /// [`ArithLanes::zip3`] over the (re, im) pairs of adjacent lanes;
+    /// `merge` sees one pair.
+    fn zip3_pairs<const N: usize>(
+        ctx: &SveCtx,
+        regs: [&Reg<N>; 3],
+        f: impl Fn([E::Wide; 2], [E::Wide; 2], [E::Wide; 2]) -> [E::Wide; 2],
+        merge: Option<impl Fn(usize, [E; 2], [E; 2]) -> [E; 2]>,
+    ) -> Reg<N>;
+
+    /// Fold the lanes of `a` that `pg` governs into `init` in lane order,
+    /// rounding to `E` after every step; without an `init` the first such
+    /// lane starts the chain, and `None` comes back if there is none.
+    fn fold<const N: usize>(
+        ctx: &SveCtx,
+        pg: &PReg,
+        a: &Reg<N>,
+        init: Option<E>,
+        f: impl Fn(E::Wide, E::Wide) -> E::Wide,
+    ) -> Option<E>;
+}
+
+/// Lanes whose arithmetic type is the lane type (`f32`, `f64`): the
+/// element-wise loop is [`Reg::zip3`] as it stands.
+pub struct Direct;
+
+/// [`Reg::zip3`] over lanes or lane pairs `G`, with or without a `merge`.
+#[inline(always)]
+fn zip3_direct<G: LaneGroup, const N: usize>(
+    ctx: &SveCtx,
+    [z, a, b]: [&Reg<N>; 3],
+    f: impl Fn(G, G, G) -> G,
+    merge: Option<impl Fn(usize, G, G) -> G>,
+) -> Reg<N> {
+    match merge {
+        None => z.zip3(a, b, ctx.lowering(), |_, z, a, b| f(z, a, b)),
+        Some(merge) => z.zip3(a, b, ctx.lowering(), |i, z, a, b| merge(i, z, f(z, a, b))),
+    }
+}
+
+impl<E: SveFloat<Wide = E>> ArithLanes<E> for Direct {
+    #[inline(always)]
+    fn zip3<const N: usize>(
+        ctx: &SveCtx,
+        regs: [&Reg<N>; 3],
+        f: impl Fn(E, E, E) -> E,
+        merge: Option<impl Fn(usize, E, E) -> E>,
+    ) -> Reg<N> {
+        zip3_direct(ctx, regs, f, merge)
+    }
+
+    #[inline(always)]
+    fn zip3_pairs<const N: usize>(
+        ctx: &SveCtx,
+        regs: [&Reg<N>; 3],
+        f: impl Fn([E; 2], [E; 2], [E; 2]) -> [E; 2],
+        merge: Option<impl Fn(usize, [E; 2], [E; 2]) -> [E; 2]>,
+    ) -> Reg<N> {
+        zip3_direct(ctx, regs, f, merge)
+    }
+
+    #[inline(always)]
+    fn fold<const N: usize>(
+        ctx: &SveCtx,
+        pg: &PReg,
+        a: &Reg<N>,
+        init: Option<E>,
+        f: impl Fn(E, E) -> E,
+    ) -> Option<E> {
+        let vl = ctx.vl();
+        if pg.all_active::<E>(vl) {
+            chain(a.lanes::<E>(vl), init, f)
+        } else {
+            let active = a.lanes::<E>(vl).enumerate();
+            let active = active.filter_map(|(e, v)| pg.elem_active::<E>(e).then_some(v));
+            chain(active, init, f)
+        }
+    }
+}
+
+/// `f` folded over `lanes` from `init`, or from the first lane.
+#[inline(always)]
+fn chain<E>(
+    mut lanes: impl Iterator<Item = E>,
+    init: Option<E>,
+    f: impl Fn(E, E) -> E,
+) -> Option<E> {
+    let first = match init {
+        Some(init) => init,
+        None => lanes.next()?,
+    };
+    Some(lanes.fold(first, f))
+}
+
+/// Binary16 lanes: a register's lanes are widened to `f32` once per
+/// instruction, eight to an [`Octet`], the lane body runs on those, and the
+/// results are narrowed once, with the conversion of the copy of the loops
+/// that runs.
+pub struct Widened;
+
+/// What a lane body sees of binary16 lanes in one call: eight lanes, or
+/// the real and the imaginary parts of eight (re, im) pairs.
+trait WideGroup: Sized {
+    /// Bytes of binary16 lanes in a group.
+    const BYTES: usize;
+    /// The lanes of `src`: a whole group, or the leading half of a group of
+    /// pairs (a vector is a whole number of 128-bit granules), which zeros
+    /// make up.
+    fn widen<C: Convert>(cv: C, src: &[u8]) -> Self;
+    /// As many lanes as `dst` holds, rounded to binary16.
+    fn narrow<C: Convert>(self, cv: C, dst: &mut [u8]);
+}
+
+impl WideGroup for Octet {
+    const BYTES: usize = 16;
+    #[inline(always)]
+    fn widen<C: Convert>(cv: C, src: &[u8]) -> Octet {
+        let mut lanes = [0.0; 8];
+        cv.widen(src, &mut lanes);
+        lanes
+    }
+    #[inline(always)]
+    fn narrow<C: Convert>(self, cv: C, dst: &mut [u8]) {
+        cv.narrow(&self, dst);
+    }
+}
+
+impl WideGroup for [Octet; 2] {
+    const BYTES: usize = 32;
+    #[inline(always)]
+    fn widen<C: Convert>(cv: C, src: &[u8]) -> [Octet; 2] {
+        let mut pairs = [0; 32];
+        pairs[..src.len()].copy_from_slice(src);
+        cv.widen_pairs(&pairs)
+    }
+    #[inline(always)]
+    fn narrow<C: Convert>(self, cv: C, dst: &mut [u8]) {
+        dst.copy_from_slice(&cv.narrow_pairs(self)[..dst.len()]);
+    }
+}
+
+/// The element-wise loop over binary16 lanes (`G` is `F16` or `[F16; 2]`,
+/// `W` what the lane body sees of a group of them).
+struct Zip3Widened<'a, W, F, M, const N: usize> {
+    regs: [&'a Reg<N>; 3],
+    f: F,
+    merge: Option<M>,
+    wide: std::marker::PhantomData<W>,
+}
+
+impl<G, W, F, M, const N: usize> LaneLoop<G> for Zip3Widened<'_, W, F, M, N>
+where
+    G: LaneGroup,
+    W: WideGroup,
+    F: Fn(W, W, W) -> W,
+    M: Fn(usize, G, G) -> G,
+{
+    type Out = Reg<N>;
+    const CAPACITY: usize = N;
+    #[inline(always)]
+    fn run<C: Convert>(self, bytes: usize, cv: C) -> Reg<N> {
+        let [z, a, b] = self.regs.map(|r| r.bytes[..bytes].chunks(W::BYTES));
+        let mut r = Reg::zeroed();
+        let dst = r.bytes[..bytes].chunks_mut(W::BYTES);
+        for (((dst, z), a), b) in dst.zip(z).zip(a).zip(b) {
+            let at = |src| W::widen(cv, src);
+            (self.f)(at(z), at(a), at(b)).narrow(cv, dst);
+        }
+        if let Some(merge) = self.merge {
+            let z = self.regs[0].bytes[..bytes].chunks_exact(G::BYTES);
+            let dst = r.bytes[..bytes].chunks_exact_mut(G::BYTES);
+            for (i, (dst, z)) in dst.zip(z).enumerate() {
+                merge(i, G::read_le(z), G::read_le(dst)).write_le(dst);
+            }
+        }
+        r
+    }
+}
+
+/// The ordered fold over binary16 lanes.
+struct FoldWidened<'a, F, const N: usize> {
+    pg: &'a PReg,
+    a: &'a Reg<N>,
+    init: Option<F16>,
+    f: F,
+}
+
+impl<F: Fn(Octet, Octet) -> Octet, const N: usize> LaneLoop<F16> for FoldWidened<'_, F, N> {
+    type Out = Option<F16>;
+    const CAPACITY: usize = N;
+    #[inline(always)]
+    fn run<C: Convert>(self, bytes: usize, cv: C) -> Option<F16> {
+        let mut acc = self.init;
+        for (k, granule) in self.a.bytes[..bytes].chunks_exact(16).enumerate() {
+            for (i, x) in Octet::widen(cv, granule).into_iter().enumerate() {
+                let e = 8 * k + i;
+                if self.pg.elem_active::<F16>(e) {
+                    acc = Some(match acc {
+                        // The lane as it is stored, not widened and
+                        // narrowed: a chain of one lane returns its bits.
+                        None => self.a.lane(e),
+                        // A chain has one lane: it takes the first of eight.
+                        Some(acc) => cv.narrow1((self.f)([cv.widen1(acc); 8], [x; 8])[0]),
+                    });
+                }
+            }
+        }
+        acc
+    }
+}
+
+impl ArithLanes<F16> for Widened {
+    #[inline(always)]
+    fn zip3<const N: usize>(
+        ctx: &SveCtx,
+        regs: [&Reg<N>; 3],
+        f: impl Fn(Octet, Octet, Octet) -> Octet,
+        merge: Option<impl Fn(usize, F16, F16) -> F16>,
+    ) -> Reg<N> {
+        let wide = std::marker::PhantomData;
+        ctx.lowering().run::<F16, _>(Zip3Widened {
+            regs,
+            f,
+            merge,
+            wide,
+        })
+    }
+
+    #[inline(always)]
+    fn zip3_pairs<const N: usize>(
+        ctx: &SveCtx,
+        regs: [&Reg<N>; 3],
+        f: impl Fn([Octet; 2], [Octet; 2], [Octet; 2]) -> [Octet; 2],
+        merge: Option<impl Fn(usize, [F16; 2], [F16; 2]) -> [F16; 2]>,
+    ) -> Reg<N> {
+        let wide = std::marker::PhantomData;
+        ctx.lowering().run::<[F16; 2], _>(Zip3Widened {
+            regs,
+            f,
+            merge,
+            wide,
+        })
+    }
+
+    #[inline(always)]
+    fn fold<const N: usize>(
+        ctx: &SveCtx,
+        pg: &PReg,
+        a: &Reg<N>,
+        init: Option<F16>,
+        f: impl Fn(Octet, Octet) -> Octet,
+    ) -> Option<F16> {
+        ctx.lowering().run(FoldWidened { pg, a, init, f })
     }
 }
 
