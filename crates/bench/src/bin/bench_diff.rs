@@ -2,18 +2,24 @@
 //!
 //! Usage: `bench_diff <baseline.json> <current.json>`.
 //!
-//! Both files must carry the same benchmark schema (`qcd-bench-solver/v1`
-//! or `qcd-bench-hmc/v1`, auto-detected). Model-derived metrics — sweep
-//! counts, arithmetic intensities, the memory-bound speedup model, the
-//! seeded HMC physics observables — are compared at floating-point
-//! tolerance and any drift fails the gate. Wall-clock metrics are compared
-//! at a loose host-noise tolerance and only warn.
+//! Compares two bench documents of the same `schema` structurally
+//! ([`bench::doc::diff`]): the same members in the same order, arrays of
+//! the same length, strings equal, numbers within 1e-9 relative; members
+//! named `host` are skipped. A document holds only what reproduces, so any
+//! difference means the code changed, not the machine.
 //!
-//! Exit codes: `0` no regression (warnings allowed), `1` regression or
-//! configuration mismatch, `2` usage / unreadable / mismatched-schema
-//! input.
+//! Exit codes: `0` the documents agree (the count of numbers compared is
+//! printed), `1` at least one difference (each named by its path), `2`
+//! usage, an unreadable or unparseable file, or a comparison that could
+//! not have failed (no `schema`, two schemas, no number compared).
 
-use bench::diff;
+use bench::doc;
+use qcd_trace::Json;
+
+fn read(path: &str) -> Result<Json, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+    Json::parse(&text).map_err(|e| format!("{path}: {e}"))
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -21,30 +27,25 @@ fn main() {
         eprintln!("usage: bench_diff <baseline.json> <current.json>");
         std::process::exit(2);
     };
-    let report = match diff::diff_files(baseline, current) {
-        Ok(r) => r,
-        Err(e) => {
+    let diff = read(baseline)
+        .and_then(|b| Ok((b, read(current)?)))
+        .and_then(|(b, c)| doc::diff(&b, &c))
+        .unwrap_or_else(|e| {
             eprintln!("bench_diff: {e}");
             std::process::exit(2);
-        }
-    };
-    for w in &report.warnings {
-        println!("warning (wall-clock, not gated): {w}");
+        });
+    for finding in &diff.findings {
+        println!("REGRESSION: {finding}");
     }
-    for f in &report.failures {
-        println!("REGRESSION: {f}");
-    }
-    if report.passed() {
-        println!(
-            "bench_diff: OK — {baseline} vs {current}: no model-derived drift \
-             ({} wall-clock warning(s))",
-            report.warnings.len()
-        );
-    } else {
+    if !diff.findings.is_empty() {
         eprintln!(
-            "bench_diff: FAILED — {} regression(s) against {baseline}",
-            report.failures.len()
+            "bench_diff: FAILED — {} difference(s) against {baseline}",
+            diff.findings.len()
         );
         std::process::exit(1);
     }
+    println!(
+        "bench_diff: OK — {} values equal ({baseline} vs {current})",
+        diff.compared
+    );
 }

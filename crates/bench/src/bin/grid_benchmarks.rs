@@ -7,11 +7,11 @@
 //! and of order 10⁻⁴, which must cost the same.
 
 use bench::BENCH_LATTICE;
-use criterion::Criterion;
 use grid::field::{FermionKind, Field};
 use grid::prelude::*;
 use grid::tensor::su3::{mat_vec, random_su3};
 use std::sync::Arc;
+use std::time::Instant;
 use sve::F16;
 
 fn main() {
@@ -106,23 +106,26 @@ fn main() {
         let g64 = Grid::new([4, 4, 4, 4], vl, SimdBackend::Fcmla);
         let g16 = Grid::<F16>::new(g64.fdims(), vl, SimdBackend::Fcmla);
         let op = WilsonDirac::<F16>::new(to_precision(&random_gauge(g64.clone(), 8), &g16), 0.2);
-        let mut criterion = Criterion::default();
-        let mut group = criterion.benchmark_group("Benchmark_f16_scale");
-        let lanes = sve::host_lanes();
         println!(
-            "(f16 mdag_m_into, {} sites, host lanes: {lanes})",
-            g16.volume()
+            "\nBenchmark_f16_scale (f16 mdag_m_into, {} sites, host lanes: {})",
+            g16.volume(),
+            sve::host_lanes()
         );
         for scale in [1.0, 1.0e-4] {
             let mut psi64 = FermionField::random(g64.clone(), 9);
             psi64.scale(scale);
             let psi: Field<FermionKind, F16> = to_precision(&psi64, &g16);
             let (mut tmp, mut out) = (psi.clone(), psi.clone());
-            group.bench_function(format!("scale {scale:e}"), |b| {
-                b.iter(|| op.mdag_m_into(&psi, &mut tmp, &mut out))
-            });
+            let mut times: Vec<_> = (0..10)
+                .map(|_| {
+                    let t0 = Instant::now();
+                    op.mdag_m_into(&psi, &mut tmp, &mut out);
+                    t0.elapsed()
+                })
+                .collect();
+            times.sort();
+            println!("  scale {scale:e}: {:>12.2?}", times[times.len() / 2]);
         }
-        group.finish();
     }
 
     // ---- Benchmark_dwf: the domain-wall operator -------------------------

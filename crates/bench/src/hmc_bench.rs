@@ -1,22 +1,21 @@
-//! The ensemble-generation benchmark behind `wilson_report --hmc`.
+//! The ensemble-generation document behind `wilson_report --bench hmc`
+//! (`qcd-bench-hmc/v2`).
 //!
 //! Runs a short pure-gauge HMC chain (cold start → thermalization →
-//! measurement window), checks the two equilibrium identities any correct
-//! implementation must satisfy — Metropolis acceptance well above half and
-//! Creutz's `⟨exp(-ΔH)⟩ = 1` within statistics — and exports the result as
-//! a `qcd-bench-hmc/v1` JSON document, validated by a parse-back schema
-//! check before anything touches disk. The force throughput number comes
-//! from the `hmc.force` trace spans the kernels emit, so the GFLOP/s is
-//! measured over the force's own wall time, not the whole trajectory.
+//! measurement window) and records the observables of the seeded chain:
+//! acceptance, Creutz's `⟨exp(-ΔH)⟩` with its standard error, the mean
+//! plaquette. The chain is a pure function of (configuration, seed), so
+//! they reproduce bit for bit; [`check`] holds them to the two equilibrium
+//! identities any correct implementation must satisfy. What a trajectory
+//! costs on a clock is stackbench's `hmc_quenched`.
 
+use crate::doc::{get_num, num, nums, obj};
 use grid::prelude::*;
-use grid::Coor;
 use qcd_hmc::{HmcParams, IntegratorKind, MarkovChain, FORCE_FLOPS_PER_SITE};
 use qcd_trace::Json;
-use std::time::Instant;
 
-/// Schema identifier of the exported benchmark document.
-pub const HMC_BENCH_SCHEMA: &str = "qcd-bench-hmc/v1";
+/// Schema identifier of the exported document.
+pub const HMC_BENCH_SCHEMA: &str = "qcd-bench-hmc/v2";
 
 /// Configuration of one HMC benchmark run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,52 +50,15 @@ impl Default for HmcBenchConfig {
     }
 }
 
-/// Results of one HMC benchmark run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HmcBench {
-    /// Lattice extents.
-    pub dims: Coor,
-    /// SVE vector length in bits.
-    pub vl_bits: u64,
-    /// Complex-arithmetic backend name.
-    pub backend: String,
-    /// Worker threads the parallel kernels used.
-    pub threads: usize,
-    /// The configuration that produced this run.
-    pub config: HmcBenchConfig,
-    /// Wall time of the measurement window.
-    pub wall_ns: u64,
-    /// Measured trajectories retired per second.
-    pub trajectories_per_sec: f64,
-    /// Gauge-force throughput over the force spans' own wall time.
-    pub force_gflops: f64,
-    /// Metropolis acceptance over the measurement window.
-    pub acceptance: f64,
-    /// `⟨exp(-ΔH)⟩` over the measurement window (1 in equilibrium).
-    pub mean_exp_dh: f64,
-    /// Standard error of `⟨exp(-ΔH)⟩`.
-    pub stderr_exp_dh: f64,
-    /// Mean plaquette over the measurement window.
-    pub avg_plaquette: f64,
-}
-
-/// Run the benchmark chain at 512-bit SVE with the FCMLA backend.
-///
-/// Resets the global `qcd-trace` registry (the force GFLOP/s comes out of
-/// the `hmc.force` spans), so don't interleave with another profile build.
-pub fn run_hmc_bench(cfg: HmcBenchConfig) -> Result<HmcBench, String> {
-    run_hmc_bench_sampled(cfg, None)
-}
-
-/// [`run_hmc_bench`] with an optional [`qcd_metrics::Sampler`] ticked once
-/// per measured trajectory, building the metrics time series behind
-/// `wilson_report --hmc --metrics`.
-pub fn run_hmc_bench_sampled(
+/// Run the chain at 512-bit SVE with the FCMLA backend. A
+/// [`qcd_metrics::Sampler`], when given, is ticked once per measured
+/// trajectory: the time series behind `wilson_report --bench hmc --metrics`.
+pub fn run_hmc_bench(
     cfg: HmcBenchConfig,
-    sampler: Option<&mut qcd_metrics::Sampler>,
-) -> Result<HmcBench, String> {
+    mut sampler: Option<&mut qcd_metrics::Sampler>,
+) -> Result<Json, String> {
     if cfg.traj == 0 || cfg.n_steps == 0 {
-        return Err("--hmc-traj and MD steps must be positive".into());
+        return Err("measured trajectories and MD steps must be positive".into());
     }
     if !(cfg.beta.is_finite() && cfg.beta > 0.0 && cfg.step_size > 0.0) {
         return Err(format!(
@@ -104,12 +66,11 @@ pub fn run_hmc_bench_sampled(
             cfg.beta, cfg.step_size
         ));
     }
-    let dims: Coor = [cfg.l; 4];
+    let dims = [cfg.l; 4];
     let vl = VectorLength::of(512);
     let backend = SimdBackend::Fcmla;
-    let g = Grid::new(dims, vl, backend);
     let mut chain = MarkovChain::cold_start(
-        g,
+        Grid::new(dims, vl, backend),
         HmcParams {
             beta: cfg.beta,
             n_steps: cfg.n_steps,
@@ -124,33 +85,21 @@ pub fn run_hmc_bench_sampled(
     // below is a proper detailed-balance chain.
     chain.thermalize(cfg.therm);
 
-    qcd_trace::reset();
-    let t0 = Instant::now();
-    let reports = match sampler {
-        Some(sampler) => (0..cfg.traj)
-            .map(|_| {
-                let r = chain.step();
-                sampler.tick();
-                r
-            })
-            .collect(),
-        None => chain.run(cfg.traj),
-    };
-    let wall_ns = (t0.elapsed().as_nanos() as u64).max(1);
-    let snap = qcd_trace::snapshot();
-
-    // Sum every hmc.force region in the snapshot (they nest under the
-    // integrate span, so match by suffix).
-    let (force_flops, force_ns) = snap
-        .regions
-        .iter()
-        .filter(|(path, _)| path.ends_with("hmc.force"))
-        .fold((0u64, 0u64), |(f, t), (_, stat)| {
-            (f + stat.flops, t + stat.wall_ns)
-        });
-    if force_flops == 0 || force_ns == 0 {
-        return Err("no hmc.force spans recorded — trace registry clobbered mid-run".into());
-    }
+    let (reports, force_flops, _) = crate::probe(
+        || -> Vec<_> {
+            (0..cfg.traj)
+                .map(|_| {
+                    let r = chain.step();
+                    if let Some(s) = sampler.as_deref_mut() {
+                        s.tick();
+                    }
+                    r
+                })
+                .collect()
+        },
+        |path| path.ends_with("hmc.force"),
+    );
+    // The hmc.force spans must have credited exactly the model's flops.
     let expected_flops = (cfg.traj * 3 * cfg.n_steps) as u64
         * dims.iter().product::<usize>() as u64
         * FORCE_FLOPS_PER_SITE;
@@ -170,157 +119,49 @@ pub fn run_hmc_bench_sampled(
         / (n - 1.0).max(1.0);
     let accepted = reports.iter().filter(|r| r.accepted).count() as f64;
 
-    Ok(HmcBench {
-        dims,
-        vl_bits: vl.bits() as u64,
-        backend: backend.name().to_string(),
-        threads: rayon::current_num_threads(),
-        config: cfg,
-        wall_ns,
-        trajectories_per_sec: n / (wall_ns as f64 / 1e9),
-        force_gflops: force_flops as f64 / (force_ns as f64 / 1e9) / 1e9,
-        acceptance: accepted / n,
-        mean_exp_dh,
-        stderr_exp_dh: (var / n).sqrt(),
-        avg_plaquette: reports.iter().map(|r| r.plaquette).sum::<f64>() / n,
-    })
+    Ok(obj([
+        ("schema", Json::Str(HMC_BENCH_SCHEMA.into())),
+        ("lattice", nums(&dims)),
+        ("vl_bits", num(vl.bits() as f64)),
+        ("backend", Json::Str(backend.name().into())),
+        ("beta", num(cfg.beta)),
+        ("therm", num(cfg.therm as f64)),
+        ("trajectories", num(cfg.traj as f64)),
+        ("n_steps", num(cfg.n_steps as f64)),
+        ("step_size", num(cfg.step_size)),
+        ("seed", num(cfg.seed as f64)),
+        ("acceptance", num(accepted / n)),
+        ("mean_exp_dh", num(mean_exp_dh)),
+        ("stderr_exp_dh", num((var / n).sqrt())),
+        (
+            "avg_plaquette",
+            num(reports.iter().map(|r| r.plaquette).sum::<f64>() / n),
+        ),
+    ]))
 }
 
-/// The physics gate the CI `hmc-smoke` job enforces: acceptance above one
-/// half, and Creutz's `⟨exp(-ΔH)⟩ = 1` within 3σ (with a small σ floor so
-/// a freakishly quiet chain cannot fail on roundoff).
-pub fn check_hmc_physics(b: &HmcBench) -> Result<(), String> {
-    if b.acceptance <= 0.5 {
+/// Gate: Metropolis acceptance above one half, Creutz's `⟨exp(-ΔH)⟩ = 1`
+/// within 3σ (with a small σ floor so a freakishly quiet chain cannot fail
+/// on roundoff), and a mean plaquette inside (0, 1).
+pub fn check(doc: &Json) -> Result<(), String> {
+    let acceptance = get_num(doc, "acceptance")?;
+    if acceptance <= 0.5 {
         return Err(format!(
-            "Metropolis acceptance {} is not above 0.5 — step size too coarse or force wrong",
-            b.acceptance
+            "Metropolis acceptance {acceptance} is not above 0.5 — step size too coarse or \
+             force wrong"
         ));
     }
-    let sigma = b.stderr_exp_dh.max(1e-3);
-    let pull = (b.mean_exp_dh - 1.0).abs() / sigma;
+    let (mean, stderr) = (get_num(doc, "mean_exp_dh")?, get_num(doc, "stderr_exp_dh")?);
+    let pull = (mean - 1.0).abs() / stderr.max(1e-3);
     if pull > 3.0 {
         return Err(format!(
-            "⟨exp(-ΔH)⟩ = {} ± {} is {pull:.1}σ from 1 — detailed balance violated",
-            b.mean_exp_dh, b.stderr_exp_dh
+            "⟨exp(-ΔH)⟩ = {mean} ± {stderr} is {pull:.1}σ from 1 — detailed balance violated"
         ));
     }
-    if !(0.0..1.0).contains(&b.avg_plaquette) {
-        return Err(format!("plaquette {} outside (0, 1)", b.avg_plaquette));
+    let plaquette = get_num(doc, "avg_plaquette")?;
+    if plaquette <= 0.0 || plaquette >= 1.0 {
+        return Err(format!("plaquette {plaquette} outside (0, 1)"));
     }
-    Ok(())
-}
-
-/// Render a benchmark as a `qcd-bench-hmc/v1` document.
-pub fn hmc_bench_to_json(b: &HmcBench) -> Json {
-    Json::Obj(vec![
-        ("schema".into(), Json::Str(HMC_BENCH_SCHEMA.into())),
-        (
-            "lattice".into(),
-            Json::Arr(b.dims.iter().map(|&d| Json::Num(d as f64)).collect()),
-        ),
-        ("vl_bits".into(), Json::Num(b.vl_bits as f64)),
-        ("backend".into(), Json::Str(b.backend.clone())),
-        ("threads".into(), Json::Num(b.threads as f64)),
-        ("beta".into(), Json::Num(b.config.beta)),
-        ("therm".into(), Json::Num(b.config.therm as f64)),
-        ("trajectories".into(), Json::Num(b.config.traj as f64)),
-        ("n_steps".into(), Json::Num(b.config.n_steps as f64)),
-        ("step_size".into(), Json::Num(b.config.step_size)),
-        ("seed".into(), Json::Num(b.config.seed as f64)),
-        ("wall_ns".into(), Json::Num(b.wall_ns as f64)),
-        (
-            "trajectories_per_sec".into(),
-            Json::Num(b.trajectories_per_sec),
-        ),
-        ("force_gflops".into(), Json::Num(b.force_gflops)),
-        ("acceptance".into(), Json::Num(b.acceptance)),
-        ("mean_exp_dh".into(), Json::Num(b.mean_exp_dh)),
-        ("stderr_exp_dh".into(), Json::Num(b.stderr_exp_dh)),
-        ("avg_plaquette".into(), Json::Num(b.avg_plaquette)),
-    ])
-}
-
-/// Validate a parsed document against the `qcd-bench-hmc/v1` schema — the
-/// check the CI `hmc-smoke` job runs on the uploaded artifact.
-pub fn validate_hmc_bench_json(doc: &Json) -> Result<(), String> {
-    match doc.get("schema").and_then(Json::as_str) {
-        Some(HMC_BENCH_SCHEMA) => {}
-        Some(other) => return Err(format!("schema `{other}` != `{HMC_BENCH_SCHEMA}`")),
-        None => return Err("missing `schema`".into()),
-    }
-    let lat = doc
-        .get("lattice")
-        .and_then(Json::as_arr)
-        .ok_or("missing array `lattice`")?;
-    if lat.len() != 4 || lat.iter().any(|d| d.as_u64().is_none_or(|v| v == 0)) {
-        return Err("`lattice` must be four positive extents".into());
-    }
-    for field in ["vl_bits", "threads", "trajectories", "n_steps"] {
-        if doc.get(field).and_then(Json::as_u64).is_none_or(|v| v == 0) {
-            return Err(format!("`{field}` missing or not a positive integer"));
-        }
-    }
-    if doc.get("therm").and_then(Json::as_u64).is_none() {
-        return Err("`therm` missing or not an integer".into());
-    }
-    if doc.get("backend").and_then(Json::as_str).is_none() {
-        return Err("missing string `backend`".into());
-    }
-    for field in [
-        "beta",
-        "step_size",
-        "wall_ns",
-        "trajectories_per_sec",
-        "force_gflops",
-        "mean_exp_dh",
-    ] {
-        let v = doc
-            .get(field)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("`{field}` missing or not a number"))?;
-        if v <= 0.0 || !v.is_finite() {
-            return Err(format!("`{field}` must be positive, got {v}"));
-        }
-    }
-    if doc.get("seed").and_then(Json::as_f64).is_none() {
-        return Err("`seed` missing".into());
-    }
-    if !doc
-        .get("stderr_exp_dh")
-        .and_then(Json::as_f64)
-        .is_some_and(|v| v >= 0.0 && v.is_finite())
-    {
-        return Err("`stderr_exp_dh` missing or negative".into());
-    }
-    if !doc
-        .get("acceptance")
-        .and_then(Json::as_f64)
-        .is_some_and(|v| (0.0..=1.0).contains(&v))
-    {
-        return Err("`acceptance` missing or outside [0, 1]".into());
-    }
-    if !doc
-        .get("avg_plaquette")
-        .and_then(Json::as_f64)
-        .is_some_and(|v| (0.0..1.0).contains(&v))
-    {
-        return Err("`avg_plaquette` missing or outside (0, 1)".into());
-    }
-    Ok(())
-}
-
-/// Render, validate by parse-back, and write `BENCH_hmc.json`. An invalid
-/// document is an error, not an artifact.
-pub fn write_validated_hmc_bench_json(b: &HmcBench, path: &str) -> Result<(), String> {
-    let json = hmc_bench_to_json(b);
-    let doc = json.render();
-    let parsed = Json::parse(&doc)
-        .map_err(|e| format!("emitted JSON does not parse: {} at byte {}", e.msg, e.at))?;
-    validate_hmc_bench_json(&parsed)?;
-    if parsed != json {
-        return Err("JSON round-trip did not reproduce the benchmark document".into());
-    }
-    std::fs::write(path, doc).map_err(|e| format!("write {path}: {e}"))?;
     Ok(())
 }
 
@@ -341,58 +182,56 @@ mod tests {
     }
 
     #[test]
-    fn bench_runs_and_exports_a_valid_document() {
-        let _guard = crate::registry_lock();
-        let bench = run_hmc_bench(tiny()).unwrap();
-        assert_eq!(bench.config.traj, 3);
-        assert!(bench.trajectories_per_sec > 0.0);
-        assert!(bench.force_gflops > 0.0);
-        assert!((0.0..=1.0).contains(&bench.acceptance));
-        let doc = hmc_bench_to_json(&bench);
-        validate_hmc_bench_json(&doc).unwrap();
-        let parsed = Json::parse(&doc.render()).unwrap();
-        validate_hmc_bench_json(&parsed).unwrap();
-        assert_eq!(parsed, doc);
+    fn the_chain_reproduces_and_ticks_its_sampler() {
+        let doc = run_hmc_bench(tiny(), None).unwrap();
+        assert_eq!(get_num(&doc, "trajectories"), Ok(3.0));
+        let acceptance = get_num(&doc, "acceptance").unwrap();
+        assert!((0.0..=1.0).contains(&acceptance));
+        // The same seed walks the same chain, sampled or not.
+        let mut sampler = qcd_metrics::Sampler::new(1);
+        let again = run_hmc_bench(tiny(), Some(&mut sampler)).unwrap();
+        assert_eq!(again, doc);
+        assert_eq!(sampler.frames().len(), 3);
     }
 
     #[test]
-    fn physics_gate_rejects_sick_chains() {
-        let _guard = crate::registry_lock();
-        let mut bench = run_hmc_bench(tiny()).unwrap();
-        bench.acceptance = 0.3;
-        assert!(check_hmc_physics(&bench)
+    fn physics_gate_passes_at_the_bound_and_fails_just_past_it() {
+        let forged = |acceptance: f64, mean: f64, stderr: f64, plaquette: f64| {
+            obj([
+                ("acceptance", num(acceptance)),
+                ("mean_exp_dh", num(mean)),
+                ("stderr_exp_dh", num(stderr)),
+                ("avg_plaquette", num(plaquette)),
+            ])
+        };
+        check(&forged(0.5001, 1.25, 0.25, 0.56)).unwrap(); // 1.0σ, and 3.0σ:
+        check(&forged(1.0, 1.75, 0.25, 0.56)).unwrap();
+        assert!(check(&forged(0.5, 1.0, 0.1, 0.56))
             .unwrap_err()
             .contains("acceptance"));
-        bench.acceptance = 0.9;
-        bench.mean_exp_dh = 5.0;
-        bench.stderr_exp_dh = 0.01;
-        assert!(check_hmc_physics(&bench).unwrap_err().contains("exp(-ΔH)"));
-    }
-
-    #[test]
-    fn schema_validation_rejects_malformed_documents() {
-        let bad = Json::parse(r#"{"schema":"qcd-bench-hmc/v2"}"#).unwrap();
-        assert!(validate_hmc_bench_json(&bad)
+        assert!(check(&forged(0.9, 1.7501, 0.25, 0.56))
             .unwrap_err()
-            .contains("schema"));
-        let _guard = crate::registry_lock();
-        let bench = run_hmc_bench(tiny()).unwrap();
-        let Json::Obj(mut members) = hmc_bench_to_json(&bench) else {
-            panic!("bench document must be an object");
-        };
-        members.retain(|(k, _)| k != "force_gflops");
-        assert!(validate_hmc_bench_json(&Json::Obj(members))
+            .contains("exp(-ΔH)"));
+        // The σ floor: a quiet chain is held to 3 × 1e-3, not to roundoff.
+        check(&forged(0.9, 1.003, 0.0, 0.56)).unwrap();
+        assert!(check(&forged(0.9, 1.0031, 0.0, 0.56)).is_err());
+        for plaquette in [0.0, 1.0, -0.2] {
+            assert!(check(&forged(0.9, 1.0, 0.1, plaquette))
+                .unwrap_err()
+                .contains("plaquette"));
+        }
+        assert!(check(&obj([("acceptance", num(0.9))]))
             .unwrap_err()
-            .contains("force_gflops"));
+            .contains("`mean_exp_dh` missing"));
     }
 
     #[test]
     fn degenerate_configs_are_refused() {
-        assert!(run_hmc_bench(HmcBenchConfig { traj: 0, ..tiny() }).is_err());
-        assert!(run_hmc_bench(HmcBenchConfig {
+        assert!(run_hmc_bench(HmcBenchConfig { traj: 0, ..tiny() }, None).is_err());
+        let frozen = HmcBenchConfig {
             step_size: 0.0,
             ..tiny()
-        })
-        .is_err());
+        };
+        assert!(run_hmc_bench(frozen, None).is_err());
     }
 }

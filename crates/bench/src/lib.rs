@@ -2,11 +2,14 @@
 //!
 //! [`profile`] builds the registry-backed (`qcd-trace`) profiles behind the
 //! `wilson_report` and `table_inst_counts` binaries, including their
-//! `--json` export in the `qcd-trace/v1` schema.
+//! `--json` export in the `qcd-trace/v1` schema. [`doc`] is the one check,
+//! differ and renderer of a bench document; the `*_bench` modules are the
+//! runners that build one each (or a section of one) and its gates.
 
 pub mod comms_bench;
 pub mod deflate_bench;
-pub mod diff;
+pub mod doc;
+pub mod farm_bench;
 pub mod hmc_bench;
 pub mod precision_bench;
 pub mod profile;
@@ -23,6 +26,33 @@ pub fn registry_lock() -> std::sync::MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Run `work` under a uniquely named span and return, with its result, the
+/// `(flops, bytes moved)` that the spans it opened — those whose path below
+/// the probe satisfies `keep` — credited to the registry: the trace-span
+/// models of the bench documents. The unique parent makes the subtree sum
+/// race-free against concurrent telemetry; the registry lock keeps a
+/// concurrent `qcd_trace::reset` from wiping the subtree before it is read
+/// back.
+pub fn probe<T>(work: impl FnOnce() -> T, keep: impl Fn(&str) -> bool) -> (T, u64, u64) {
+    static SPAN_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let id = SPAN_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let name = format!("bench.probe.{id}");
+    let prefix = format!("{name}/");
+    let _guard = registry_lock();
+    let span = qcd_trace::SpanGuard::enter(&name, None);
+    let result = work();
+    let _ = span.finish();
+    let (flops, bytes) = qcd_trace::snapshot()
+        .regions
+        .iter()
+        .filter_map(|(path, stat)| path.strip_prefix(&prefix).map(|below| (below, stat)))
+        .filter(|(below, _)| keep(below))
+        .fold((0, 0), |(f, b), (_, stat)| {
+            (f + stat.flops, b + stat.bytes_read + stat.bytes_written)
+        });
+    (result, flops, bytes)
+}
+
 /// Deterministic interleaved complex test data.
 pub fn interleaved(n: usize, phase: f64) -> Vec<f64> {
     (0..n)
@@ -34,15 +64,6 @@ pub fn interleaved(n: usize, phase: f64) -> Vec<f64> {
 /// future-work widths.
 pub fn sweep_vls() -> [VectorLength; 5] {
     VectorLength::sweep()
-}
-
-/// A compact sweep for wall-clock benchmarks.
-pub fn bench_vls() -> [VectorLength; 3] {
-    [
-        VectorLength::of(128),
-        VectorLength::of(512),
-        VectorLength::of(2048),
-    ]
 }
 
 /// The report header line naming the SIMD word a grid kernel holds at `vl`:
@@ -57,18 +78,6 @@ pub fn word_bytes_line(vl: VectorLength) -> String {
 /// Standard benchmark lattice (paper-scale lattices don't fit a functional
 /// simulator; shape-preserving 4^3 x 8).
 pub const BENCH_LATTICE: Coor = [4, 4, 4, 8];
-
-/// Build a Wilson operator + source on a random gauge background.
-pub fn wilson_setup(
-    dims: Coor,
-    vl: VectorLength,
-    backend: SimdBackend,
-) -> (WilsonDirac, FermionField) {
-    let g = Grid::new(dims, vl, backend);
-    let u = random_gauge(g.clone(), 1001);
-    let b = FermionField::random(g.clone(), 1002);
-    (WilsonDirac::new(u, 0.25), b)
-}
 
 /// Render a markdown-ish table row.
 pub fn row(cells: &[String], widths: &[usize]) -> String {
@@ -92,8 +101,5 @@ mod tests {
             word_bytes_line(VectorLength::of(512)),
             "word bytes: 64 (VL512)"
         );
-        let (op, b) = wilson_setup([4, 4, 4, 4], VectorLength::of(256), SimdBackend::Fcmla);
-        assert!(b.norm2() > 0.0);
-        assert!(op.mass > 0.0);
     }
 }

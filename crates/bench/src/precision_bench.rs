@@ -1,5 +1,5 @@
-//! The precision benchmark behind `wilson_report --bench --precision`: the
-//! `precision` section of the `qcd-bench-solver/v1` document.
+//! The `precision` section of the solver document: the f16-inner against
+//! the f32-inner reliable-update ladder on the thermalized configuration.
 //!
 //! The headline claim of the binary16 compute tier is not that f16
 //! arithmetic is accurate — it is not — but that the three-level
@@ -7,377 +7,113 @@
 //! while moving roughly **half the bytes per inner iteration**, because the
 //! bulk of the Krylov work runs on 16-bit operands (the trace-span byte
 //! accounting scales with `size_of::<E>()`, the regime a bandwidth-bound
-//! machine lives in). This benchmark measures exactly that comparison on a
-//! thermalized configuration — the same β = 5.6 recipe as the deflation
-//! section, where the operator has a genuine low-mode tail and the solve
-//! is the one campaigns actually run:
+//! machine lives in):
 //!
 //! - **f32-inner** — [`LadderConfig::f32_only`]: the two-level baseline,
 //!   identical outer/middle structure with the binary16 tier disabled.
 //! - **f16-inner** — [`LadderConfig::new`]: binary16 inner cycles with
 //!   reliable updates and health-driven fallback.
 //!
-//! Both legs run under a uniquely named probe span; the bytes credited to
-//! the `solver.tier.f16` / `solver.tier.f32` subtrees divided by the inner
-//! iteration count give **inner-sweep bytes per iteration** per leg. The
-//! CI gate ([`check_precision`]) requires both legs to converge at the f64
-//! tolerance AND the f16 ladder's bytes/iteration to come in at no more
-//! than [`PRECISION_BYTE_RATIO_LIMIT`] of the f32 baseline's — if the f16
-//! tier silently stopped carrying the work (e.g. a fallback on every
-//! cycle), the ratio climbs toward 1 and the gate fails.
-//!
-//! Iteration counts, residuals (canonical reductions), the thermalized
-//! plaquette, and the byte model are pure functions of the seeded recipe,
-//! so they hard-fail the `bench_diff` gate on any drift; wall clocks only
-//! warn.
+//! The bytes credited to the `solver.tier.f16` / `solver.tier.f32` span
+//! subtrees divided by the inner iteration count give **inner-sweep bytes
+//! per iteration** per leg. If the f16 tier silently stopped carrying the
+//! work (a fallback on every cycle), their ratio climbs toward 1 and the
+//! gate fails. Iteration counts, residuals (canonical reductions) and the
+//! byte model are pure functions of the seeded recipe.
 
+use crate::doc::{get_num, num, obj};
+use crate::solver_bench::Thermalized;
 use grid::prelude::*;
-use grid::Coor;
-use qcd_hmc::{average_plaquette_fast, HmcParams, IntegratorKind, MarkovChain};
 use qcd_trace::Json;
-use std::time::Instant;
 
-/// Everything that pins the precision benchmark problem. Exported into the
-/// document's `precision` section as config keys: `bench_diff` refuses to
-/// compare runs of different shapes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PrecisionConfig {
-    /// Lattice extents.
-    pub dims: Coor,
-    /// Gauge coupling of the thermalization chain.
-    pub beta: f64,
-    /// Thermalization trajectories from the cold start.
-    pub therm: usize,
-    /// RNG seed of the HMC chain.
-    pub chain_seed: u64,
-    /// Bare Wilson mass of the solved operator.
-    pub mass: f64,
-    /// Seed of the random right-hand side.
-    pub rhs_seed: u64,
-    /// Target relative residual of both ladder legs — the f64 tolerance
-    /// the f16-inner leg must reach for the gate to pass.
-    pub tol: f64,
-}
+/// Seed of the random right-hand side.
+const RHS_SEED: u64 = 501;
 
-impl Default for PrecisionConfig {
-    /// The CI recipe: the deflation section's thermalized 4⁴ configuration
-    /// (β = 5.6, 12 trajectories, bare mass −0.2) solved to 1e-10 — deep
-    /// in f64 territory, seven orders below what binary16 can represent.
-    fn default() -> Self {
-        PrecisionConfig {
-            dims: [4, 4, 4, 4],
-            beta: 5.6,
-            therm: 12,
-            chain_seed: 5,
-            mass: -0.2,
-            rhs_seed: 501,
-            tol: 1e-10,
-        }
-    }
-}
-
-/// Integrator of the thermalization chain (fixed: part of the recipe).
-const THERM_STEPS: usize = 8;
-/// MD step size of the thermalization chain.
-const THERM_STEP_SIZE: f64 = 0.0625;
-
-/// Ceiling on [`PrecisionBench::byte_ratio`]: the f16-inner ladder must
-/// move at most this fraction of the f32-inner baseline's bytes per inner
-/// iteration. A pure f16 sweep moves 0.5×; the reliable updates and any
-/// f32 cleanup rounds eat into the margin, and a ladder whose binary16
-/// tier stopped carrying the work drifts toward 1× and fails.
+/// Ceiling on `byte_ratio`: the f16-inner ladder must move at most this
+/// fraction of the f32-inner baseline's bytes per inner iteration. A pure
+/// f16 sweep moves 0.5×; the reliable updates and any f32 cleanup rounds
+/// eat into the margin, and a ladder whose binary16 tier stopped carrying
+/// the work drifts toward 1× and fails.
 pub const PRECISION_BYTE_RATIO_LIMIT: f64 = 0.6;
 
-/// One measured ladder leg of the precision comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LadderLeg {
-    /// Outer (f64) defect-correction rounds.
-    pub outer_rounds: u64,
-    /// Binary16 inner-CG iterations (zero on the f32-only leg).
-    pub f16_iters: u64,
-    /// f32 CG iterations (middle rounds and fallback work).
-    pub f32_iters: u64,
-    /// Reliable updates: f32 residual recomputations closing f16 cycles.
-    pub reliable_updates: u64,
-    /// Health-driven tier demotions (f16 → f32).
-    pub tier_fallbacks: u64,
-    /// Total inner iterations (`f16_iters + f32_iters`) — the denominator
-    /// of the bytes-per-iteration model.
-    pub inner_iters: u64,
-    /// Final true relative residual in f64 (canonical: bit-identical
-    /// across vector lengths and thread counts).
-    pub residual: f64,
-    /// Whether the leg reached the configured tolerance.
-    pub converged: bool,
-    /// Wall time of the solve.
-    pub wall_ns: u64,
-    /// Bytes the `solver.tier.*` span subtrees credited to the registry.
-    pub inner_bytes: u64,
-    /// `inner_bytes / inner_iters`.
-    pub bytes_per_iter: f64,
-}
-
-/// Measured precision benchmark: the `precision` section of the
-/// `qcd-bench-solver/v1` document.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PrecisionBench {
-    /// The problem recipe.
-    pub config: PrecisionConfig,
-    /// Average plaquette of the thermalized configuration — the
-    /// fingerprint that the chain reproduced bit-for-bit.
-    pub plaquette: f64,
-    /// The two-level f32-inner baseline leg.
-    pub f32_inner: LadderLeg,
-    /// The three-level f16-inner ladder leg.
-    pub f16_inner: LadderLeg,
-    /// `f16_inner.bytes_per_iter / f32_inner.bytes_per_iter` — the
-    /// headline: inner-sweep bytes moved per iteration, f16 over f32.
-    pub byte_ratio: f64,
-}
-
-/// Run one ladder leg under a uniquely named probe span and derive its
-/// inner-sweep byte model from the `solver.tier.*` subtree telemetry. The
-/// registry lock keeps a concurrent `qcd_trace::reset` from wiping the
-/// subtree before it is read back.
-fn run_ladder_leg(
+/// Run one ladder leg and derive its inner-sweep byte model from the
+/// `solver.tier.*` subtree telemetry: the leg's object and its bytes per
+/// inner iteration.
+fn ladder_leg(
     op: &WilsonDirac<f64>,
     b: &FermionField,
     cfg: &LadderConfig,
-    label: &str,
-) -> Result<LadderLeg, String> {
-    static SPAN_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let probe = format!(
-        "bench.precision.{}",
-        SPAN_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+) -> Result<(Json, f64), String> {
+    let ((_, rep), _, inner_bytes) = crate::probe(
+        || ladder_solve(op, b, cfg),
+        |path| path.contains("solver.tier.f16") || path.contains("solver.tier.f32"),
     );
-    let guard = crate::registry_lock();
-    let span = qcd_trace::SpanGuard::enter(&probe, None);
-    let t0 = Instant::now();
-    let (_, rep) = ladder_solve(op, b, cfg);
-    let wall_ns = (t0.elapsed().as_nanos() as u64).max(1);
-    let _ = span.finish();
-    let prefix = format!("{probe}/");
-    let inner_bytes = qcd_trace::snapshot()
-        .regions
-        .iter()
-        .filter(|(path, _)| {
-            path.starts_with(&prefix)
-                && (path.contains("solver.tier.f16") || path.contains("solver.tier.f32"))
-        })
-        .fold(0u64, |acc, (_, stat)| {
-            acc + stat.bytes_read + stat.bytes_written
-        });
-    drop(guard);
-
-    if !rep.converged {
-        return Err(format!(
-            "{label} ladder did not converge: residual {:.3e} after {} outer rounds",
-            rep.residual, rep.outer_iterations
-        ));
-    }
-    let inner_iters = (rep.f16_iterations + rep.f32_iterations) as u64;
+    let inner_iters = rep.f16_iterations + rep.f32_iterations;
     if inner_iters == 0 || inner_bytes == 0 {
         return Err(format!(
-            "{label} probe recorded no inner-tier work ({inner_iters} iterations, \
+            "ladder probe recorded no inner-tier work ({inner_iters} iterations, \
              {inner_bytes} bytes)"
         ));
     }
-    Ok(LadderLeg {
-        outer_rounds: rep.outer_iterations as u64,
-        f16_iters: rep.f16_iterations as u64,
-        f32_iters: rep.f32_iterations as u64,
-        reliable_updates: rep.reliable_updates as u64,
-        tier_fallbacks: rep.tier_fallbacks as u64,
-        inner_iters,
-        residual: rep.residual,
-        converged: rep.converged,
-        wall_ns,
-        inner_bytes,
-        bytes_per_iter: inner_bytes as f64 / inner_iters as f64,
-    })
+    let bytes_per_iter = inner_bytes as f64 / inner_iters as f64;
+    let leg = obj([
+        ("outer_rounds", num(rep.outer_iterations as f64)),
+        ("f16_iters", num(rep.f16_iterations as f64)),
+        ("f32_iters", num(rep.f32_iterations as f64)),
+        ("reliable_updates", num(rep.reliable_updates as f64)),
+        ("tier_fallbacks", num(rep.tier_fallbacks as f64)),
+        ("inner_iters", num(inner_iters as f64)),
+        ("residual", num(rep.residual)),
+        ("inner_bytes", num(inner_bytes as f64)),
+        ("bytes_per_iter", num(bytes_per_iter)),
+    ]);
+    Ok((leg, bytes_per_iter))
 }
 
-/// Thermalize, run both ladder legs on the same right-hand side, and
-/// return the measured section. Errors (a leg not converging, telemetry
-/// missing) abort the benchmark — a half-measured comparison is not an
-/// artifact.
-pub fn run_precision_bench(cfg: &PrecisionConfig) -> Result<PrecisionBench, String> {
-    if cfg.tol.is_nan() || cfg.tol <= 0.0 {
-        return Err("--precision needs tol > 0".into());
+/// Run both ladder legs on the same right-hand side to relative residual
+/// `tol` and return the section. A leg that misses `tol` is still
+/// recorded — the gate ([`check`]) is what turns red.
+pub fn run(therm: &Thermalized, tol: f64) -> Result<Json, String> {
+    if tol.is_nan() || tol <= 0.0 {
+        return Err("the precision legs need tol > 0".into());
     }
-    let g = Grid::new(cfg.dims, VectorLength::of(512), SimdBackend::Fcmla);
-    let hp = HmcParams {
-        beta: cfg.beta,
-        n_steps: THERM_STEPS,
-        step_size: THERM_STEP_SIZE,
-        integrator: IntegratorKind::Omelyan,
-    };
-    let mut chain = MarkovChain::cold_start(g.clone(), hp, cfg.chain_seed);
-    chain.thermalize(cfg.therm);
-    let plaquette = average_plaquette_fast(chain.links());
-    let op = WilsonDirac::new(chain.links().clone(), cfg.mass);
-    drop(chain);
-    let b = FermionField::random(g.clone(), cfg.rhs_seed);
-
-    let f32_inner = run_ladder_leg(&op, &b, &LadderConfig::f32_only(cfg.tol), "f32-inner")?;
-    let f16_inner = run_ladder_leg(&op, &b, &LadderConfig::new(cfg.tol), "f16-inner")?;
-
-    Ok(PrecisionBench {
-        config: cfg.clone(),
-        plaquette,
-        byte_ratio: f16_inner.bytes_per_iter / f32_inner.bytes_per_iter,
-        f32_inner,
-        f16_inner,
-    })
+    let op = &therm.op;
+    let b = FermionField::random(op.grid().clone(), RHS_SEED);
+    let (f32_inner, f32_bytes) = ladder_leg(op, &b, &LadderConfig::f32_only(tol))?;
+    let (f16_inner, f16_bytes) = ladder_leg(op, &b, &LadderConfig::new(tol))?;
+    Ok(obj(therm.recipe().into_iter().chain([
+        ("rhs_seed", num(RHS_SEED as f64)),
+        ("tol", num(tol)),
+        ("plaquette", num(therm.plaquette)),
+        ("f32_inner", f32_inner),
+        ("f16_inner", f16_inner),
+        ("byte_ratio", num(f16_bytes / f32_bytes)),
+    ])))
 }
 
-/// The CI gate: both ladders must reach the f64 tolerance, the binary16
-/// tier must actually have carried iterations, and the f16-inner leg must
-/// move at most [`PRECISION_BYTE_RATIO_LIMIT`] of the f32-inner leg's
-/// bytes per inner iteration.
-pub fn check_precision(p: &PrecisionBench) -> Result<(), String> {
-    if !p.f32_inner.converged {
-        return Err(format!(
-            "f32-inner ladder did not converge: residual {:.3e}",
-            p.f32_inner.residual
-        ));
-    }
-    if !p.f16_inner.converged {
-        return Err(format!(
-            "f16-inner ladder did not converge: residual {:.3e}",
-            p.f16_inner.residual
-        ));
-    }
-    if p.f16_inner.f16_iters == 0 {
-        return Err("f16-inner ladder ran no binary16 iterations".into());
-    }
-    if p.byte_ratio > PRECISION_BYTE_RATIO_LIMIT {
-        return Err(format!(
-            "f16 inner-sweep byte model regressed: {:.3}x f32-inner bytes/iteration \
-             exceeds the {PRECISION_BYTE_RATIO_LIMIT}x limit",
-            p.byte_ratio
-        ));
-    }
-    Ok(())
-}
-
-fn ladder_leg_json(leg: &LadderLeg) -> Json {
-    Json::Obj(vec![
-        ("outer_rounds".into(), Json::Num(leg.outer_rounds as f64)),
-        ("f16_iters".into(), Json::Num(leg.f16_iters as f64)),
-        ("f32_iters".into(), Json::Num(leg.f32_iters as f64)),
-        (
-            "reliable_updates".into(),
-            Json::Num(leg.reliable_updates as f64),
-        ),
-        (
-            "tier_fallbacks".into(),
-            Json::Num(leg.tier_fallbacks as f64),
-        ),
-        ("inner_iters".into(), Json::Num(leg.inner_iters as f64)),
-        ("residual".into(), Json::Num(leg.residual)),
-        ("wall_ns".into(), Json::Num(leg.wall_ns as f64)),
-        ("inner_bytes".into(), Json::Num(leg.inner_bytes as f64)),
-        ("bytes_per_iter".into(), Json::Num(leg.bytes_per_iter)),
-    ])
-}
-
-/// Render the `precision` section.
-pub fn precision_to_json(p: &PrecisionBench) -> Json {
-    let c = &p.config;
-    Json::Obj(vec![
-        (
-            "lattice".into(),
-            Json::Arr(c.dims.iter().map(|&v| Json::Num(v as f64)).collect()),
-        ),
-        ("beta".into(), Json::Num(c.beta)),
-        ("therm".into(), Json::Num(c.therm as f64)),
-        ("chain_seed".into(), Json::Num(c.chain_seed as f64)),
-        ("mass".into(), Json::Num(c.mass)),
-        ("rhs_seed".into(), Json::Num(c.rhs_seed as f64)),
-        ("tol".into(), Json::Num(c.tol)),
-        ("plaquette".into(), Json::Num(p.plaquette)),
-        ("f32_inner".into(), ladder_leg_json(&p.f32_inner)),
-        ("f16_inner".into(), ladder_leg_json(&p.f16_inner)),
-        ("byte_ratio".into(), Json::Num(p.byte_ratio)),
-    ])
-}
-
-fn check_precision_leg(doc: &Json, key: &str) -> Result<(), String> {
-    let leg = doc
-        .get(key)
-        .ok_or_else(|| format!("missing object `precision.{key}`"))?;
-    for field in [
-        "outer_rounds",
-        "inner_iters",
-        "residual",
-        "wall_ns",
-        "inner_bytes",
-        "bytes_per_iter",
-    ] {
-        let v = leg
-            .get(field)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("`precision.{key}.{field}` missing or not a number"))?;
-        if v <= 0.0 || !v.is_finite() {
+/// Gates: both ladders reach the f64 tolerance, and the f16-inner leg moves
+/// at most [`PRECISION_BYTE_RATIO_LIMIT`] of the f32-inner leg's bytes per
+/// inner iteration.
+pub fn check(section: &Json) -> Result<(), String> {
+    let tol = get_num(section, "tol")?;
+    for leg in ["f32_inner", "f16_inner"] {
+        let residual = section
+            .get(leg)
+            .ok_or(format!("`{leg}` missing"))
+            .and_then(|l| get_num(l, "residual"))?;
+        if residual > tol {
             return Err(format!(
-                "`precision.{key}.{field}` must be positive, got {v}"
+                "{leg} ladder did not converge: residual {residual:.3e} above tol {tol:.0e}"
             ));
         }
     }
-    // Tier-specific iteration counts may legitimately be zero (no f16
-    // iterations on the f32-only leg; no f32 cleanup when the binary16
-    // tier finishes every round), as may the fallback/update counters.
-    for field in [
-        "f16_iters",
-        "f32_iters",
-        "reliable_updates",
-        "tier_fallbacks",
-    ] {
-        let v = leg
-            .get(field)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("`precision.{key}.{field}` missing or not a number"))?;
-        if !v.is_finite() || v < 0.0 {
-            return Err(format!(
-                "`precision.{key}.{field}` must be non-negative, got {v}"
-            ));
-        }
+    let ratio = get_num(section, "byte_ratio")?;
+    if ratio > PRECISION_BYTE_RATIO_LIMIT {
+        return Err(format!(
+            "f16 inner-sweep byte model regressed: {ratio:.3}x f32-inner bytes/iteration \
+             exceeds the {PRECISION_BYTE_RATIO_LIMIT}x limit"
+        ));
     }
-    Ok(())
-}
-
-/// Validate a parsed `precision` section (called from the solver-bench
-/// schema check when the section is present).
-pub fn validate_precision_json(doc: &Json) -> Result<(), String> {
-    let lat = doc
-        .get("lattice")
-        .and_then(Json::as_arr)
-        .ok_or("missing array `precision.lattice`")?;
-    if lat.len() != 4 || lat.iter().any(|d| d.as_u64().is_none_or(|v| v == 0)) {
-        return Err("`precision.lattice` must be four positive extents".into());
-    }
-    for field in ["beta", "therm", "tol", "plaquette", "byte_ratio"] {
-        let v = doc
-            .get(field)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("`precision.{field}` missing or not a number"))?;
-        if v <= 0.0 || !v.is_finite() {
-            return Err(format!("`precision.{field}` must be positive, got {v}"));
-        }
-    }
-    // The mass is negative by design; seeds may be anything.
-    for field in ["mass", "chain_seed", "rhs_seed"] {
-        let v = doc
-            .get(field)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("`precision.{field}` missing or not a number"))?;
-        if !v.is_finite() {
-            return Err(format!("`precision.{field}` must be finite, got {v}"));
-        }
-    }
-    check_precision_leg(doc, "f32_inner")?;
-    check_precision_leg(doc, "f16_inner")?;
     Ok(())
 }
 
@@ -385,90 +121,53 @@ pub fn validate_precision_json(doc: &Json) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    /// A shrunken recipe for test wall-clock: the [4,4,2,2] thermalized
-    /// fixture of the deflation suite at the campaign tolerance.
-    fn small_cfg() -> PrecisionConfig {
-        PrecisionConfig {
-            dims: [4, 4, 2, 2],
-            therm: 10,
-            tol: 1e-8,
-            ..PrecisionConfig::default()
-        }
-    }
-
     #[test]
-    fn precision_bench_measures_and_exports_a_valid_section() {
-        let p = run_precision_bench(&small_cfg()).unwrap();
-        assert!(p.plaquette > 0.0 && p.plaquette < 1.0);
+    fn the_f16_tier_carries_the_work_at_half_the_bytes() {
+        // The [4,4,2,2] thermalized fixture of the deflation suite at the
+        // campaign tolerance.
+        let p = run(&Thermalized::new([4, 4, 2, 2], 10), 1e-8).unwrap();
+        let leg = |leg: &str, key: &str| get_num(p.get(leg).unwrap(), key).unwrap();
         // Both legs reach the f64 tolerance...
-        assert!(p.f32_inner.converged && p.f32_inner.residual <= p.config.tol);
-        assert!(p.f16_inner.converged && p.f16_inner.residual <= p.config.tol);
+        assert!(leg("f32_inner", "residual") <= 1e-8);
+        assert!(leg("f16_inner", "residual") <= 1e-8);
         // ...and the f16 leg actually ran its binary16 tier.
-        assert!(p.f16_inner.f16_iters > 0, "f16 tier never ran");
-        assert_eq!(p.f32_inner.f16_iters, 0, "f32-only leg ran f16 work");
-        assert!(p.f16_inner.reliable_updates > 0, "no reliable updates");
-        // The byte model: 16-bit inner sweeps move roughly half the bytes
-        // of 32-bit ones, so even with reliable-update overhead the ratio
-        // must clear the CI gate.
-        assert!(
-            p.byte_ratio <= PRECISION_BYTE_RATIO_LIMIT,
-            "byte ratio {} above the {PRECISION_BYTE_RATIO_LIMIT} gate",
-            p.byte_ratio
-        );
-        check_precision(&p).unwrap();
-        let json = precision_to_json(&p);
-        validate_precision_json(&json).unwrap();
-        let parsed = Json::parse(&json.render()).unwrap();
-        validate_precision_json(&parsed).unwrap();
-        assert_eq!(parsed, json);
+        assert!(leg("f16_inner", "f16_iters") > 0.0, "f16 tier never ran");
+        assert_eq!(leg("f32_inner", "f16_iters"), 0.0, "f32-only leg ran f16");
+        assert!(leg("f16_inner", "reliable_updates") > 0.0);
+        // 16-bit inner sweeps move roughly half the bytes of 32-bit ones,
+        // so even with reliable-update overhead the ratio clears the gate.
+        check(&p).unwrap();
     }
 
     #[test]
-    fn gate_rejects_forged_regressions() {
-        let p = run_precision_bench(&small_cfg()).unwrap();
-        check_precision(&p).unwrap();
-        let mut forged = p.clone();
-        forged.f16_inner.converged = false;
-        forged.f16_inner.residual = 1e-3;
-        assert!(check_precision(&forged)
-            .unwrap_err()
-            .contains("did not converge"));
-        let mut forged = p.clone();
-        forged.f16_inner.f16_iters = 0;
-        assert!(check_precision(&forged)
-            .unwrap_err()
-            .contains("no binary16"));
-        let mut forged = p.clone();
-        forged.byte_ratio = 0.8;
-        assert!(check_precision(&forged).unwrap_err().contains("byte model"));
-        let mut forged = p;
-        forged.f32_inner.converged = false;
-        assert!(check_precision(&forged).unwrap_err().contains("f32-inner"));
-    }
-
-    #[test]
-    fn degenerate_recipes_and_malformed_sections_are_refused() {
-        let mut cfg = small_cfg();
-        cfg.tol = 0.0;
-        assert!(run_precision_bench(&cfg).is_err());
-
-        let p = run_precision_bench(&small_cfg()).unwrap();
-        let Json::Obj(members) = precision_to_json(&p) else {
-            panic!("section must be an object");
+    fn gates_pass_at_the_bound_and_fail_just_past_it() {
+        let forged = |f32_res: f64, f16_res: f64, ratio: f64| {
+            obj([
+                ("tol", num(1e-10)),
+                ("f32_inner", obj([("residual", num(f32_res))])),
+                ("f16_inner", obj([("residual", num(f16_res))])),
+                ("byte_ratio", num(ratio)),
+            ])
         };
-        let mut missing = members.clone();
-        missing.retain(|(k, _)| k != "f16_inner");
-        assert!(validate_precision_json(&Json::Obj(missing))
+        check(&forged(1e-10, 1e-10, 0.6)).unwrap();
+        assert!(check(&forged(1.0001e-10, 1e-12, 0.5))
             .unwrap_err()
-            .contains("f16_inner"));
-        let mut zeroed = members;
-        for (k, v) in zeroed.iter_mut() {
-            if k == "byte_ratio" {
-                *v = Json::Num(0.0);
-            }
-        }
-        assert!(validate_precision_json(&Json::Obj(zeroed))
+            .contains("f32_inner ladder did not converge"));
+        assert!(check(&forged(1e-12, 1e-3, 0.5))
             .unwrap_err()
-            .contains("byte_ratio"));
+            .contains("f16_inner ladder did not converge"));
+        assert!(check(&forged(1e-12, 1e-12, 0.6001))
+            .unwrap_err()
+            .contains("byte model"));
+        assert!(check(&obj([("tol", num(1e-10))]))
+            .unwrap_err()
+            .contains("`f32_inner` missing"));
+    }
+
+    #[test]
+    fn a_degenerate_tolerance_is_refused() {
+        let therm = Thermalized::new([4, 4, 2, 2], 1);
+        assert!(run(&therm, 0.0).is_err());
+        assert!(run(&therm, f64::NAN).is_err());
     }
 }

@@ -193,122 +193,73 @@ pub fn parse_json_arg(args: &[String]) -> Result<Option<String>, String> {
     Ok(out)
 }
 
+/// Which document `wilson_report --bench <kind> <path>` writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BenchKind {
+    /// `qcd-bench-solver/v2`: block legs, deflation, precision.
+    Solver,
+    /// `qcd-bench-hmc/v2`: the seeded pure-gauge chain.
+    Hmc,
+    /// `qcd-bench-comms/v2`: the multi-rank sweep.
+    Comms,
+    /// `qcd-bench-farm/v2`: request coalescing.
+    Farm,
+}
+
 /// Parsed command line of `wilson_report`.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct ReportArgs {
     /// `--json <path>`: export the profile snapshot.
     pub json: Option<String>,
+    /// `--metrics <path>`: dump the `qcd-metrics/v1` JSONL document —
+    /// every registered metric, the flight-recorder ring, and (for
+    /// `--bench hmc`) the per-trajectory sampler series — after the run.
+    pub metrics: Option<String>,
     /// `--checkpoint <path>`: run the interrupted checkpointed solve demo,
     /// leaving a mid-solve snapshot at the path.
     pub checkpoint: Option<String>,
     /// `--resume <path>`: restore a snapshot and finish the solve,
     /// verifying bit-equivalence against the uninterrupted run.
     pub resume: Option<String>,
-    /// `--ckpt-every <n>`: checkpoint interval in CG iterations.
-    pub every: usize,
-    /// `--bench <path>`: run the fused-vs-baseline solver benchmark and
-    /// write the `qcd-bench-solver/v1` document to the path.
-    pub bench: Option<String>,
-    /// `--bench-l <n>`: benchmark lattice extent (an `n⁴` lattice).
-    pub bench_l: usize,
-    /// `--bench-iters <n>`: timed CG iterations per benchmark leg.
-    pub bench_iters: usize,
-    /// `--rhs <n>`: benchmark the multi-RHS operator at this batch size
-    /// (plus the N=1 baseline) instead of the default N ∈ {1,4,8,16}
-    /// sweep.
-    pub rhs: Option<usize>,
-    /// `--deflate`: with `--bench`, additionally run the low-mode
-    /// deflation comparison on a thermalized configuration and export the
-    /// gated `deflation` section.
-    pub deflate: bool,
-    /// `--precision`: with `--bench`, additionally run the f16-inner vs
-    /// f32-inner mixed-precision ladder comparison on a thermalized
-    /// configuration and export the gated `precision` section.
-    pub precision: bool,
-    /// `--hmc <path>`: run the HMC ensemble-generation benchmark, enforce
-    /// the equilibrium physics gates, and write the `qcd-bench-hmc/v1`
-    /// document to the path.
-    pub hmc: Option<String>,
-    /// `--hmc-l <n>`: HMC lattice extent (an `n⁴` lattice).
-    pub hmc_l: usize,
-    /// `--hmc-traj <n>`: measured HMC trajectories.
-    pub hmc_traj: usize,
-    /// `--hmc-therm <n>`: thermalization trajectories discarded first.
-    pub hmc_therm: usize,
-    /// `--metrics <path>`: dump the `qcd-metrics/v1` JSONL document —
-    /// every registered metric, the flight-recorder ring, and (for `--hmc`)
-    /// the per-trajectory sampler series — after the run.
-    pub metrics: Option<String>,
-    /// `--bench-comms <path>`: run the multi-rank strong-scaling sweep,
-    /// enforce the wire-byte model and overlap-efficiency gates, and write
-    /// the `qcd-bench-comms/v1` document to the path.
-    pub bench_comms: Option<String>,
-    /// `--comms-rhs <n>`: right-hand sides in the distributed block solve.
-    pub comms_rhs: usize,
-    /// `--comms-iters <n>`: fixed CG iterations per RHS in the sweep.
-    pub comms_iters: usize,
+    /// `--bench <kind> <path>`: run one benchmark at its CI recipe, write
+    /// its document to the path, then enforce its gates.
+    pub bench: Option<(BenchKind, String)>,
 }
 
-/// Parse the `wilson_report` command line: `[--json <path>]
-/// [--checkpoint <path>] [--resume <path>] [--ckpt-every <n>]
-/// [--bench <path>] [--bench-l <n>] [--bench-iters <n>] [--rhs <n>]
-/// [--deflate] [--precision] [--hmc <path>] [--hmc-l <n>]
-/// [--hmc-traj <n>] [--hmc-therm <n>] [--bench-comms <path>]
-/// [--comms-rhs <n>] [--comms-iters <n>] [--metrics <path>]`.
+/// The usage line of `wilson_report`: every option there is.
+pub const REPORT_USAGE: &str = "usage: wilson_report [--json <path>] [--metrics <path>] \
+     [--checkpoint <path>] [--resume <path>] [--bench <solver|hmc|comms|farm> <path>]";
+
+/// Parse the `wilson_report` command line ([`REPORT_USAGE`]). Benchmark
+/// sizes are not options: a document of any other shape is a hard
+/// mismatch against the committed baseline.
 pub fn parse_report_args(args: &[String]) -> Result<ReportArgs, String> {
-    let mut out = ReportArgs {
-        every: 5,
-        bench_l: 8,
-        bench_iters: 10,
-        hmc_l: 8,
-        hmc_traj: 20,
-        hmc_therm: 10,
-        comms_rhs: 8,
-        comms_iters: 6,
-        ..ReportArgs::default()
-    };
-    fn path_value(it: &mut std::slice::Iter<'_, String>, arg: &str) -> Result<String, String> {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{arg} requires a path argument"))
-    }
-    fn count_value(it: &mut std::slice::Iter<'_, String>, arg: &str) -> Result<usize, String> {
-        let n: usize = it
-            .next()
-            .ok_or_else(|| format!("{arg} requires a count"))?
-            .parse()
-            .map_err(|e| format!("{arg}: {e}"))?;
-        if n == 0 {
-            return Err(format!("{arg} must be positive"));
-        }
-        Ok(n)
-    }
+    let mut out = ReportArgs::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        let mut value = |what: &str| {
+            it.next()
+                .cloned()
+                .ok_or_else(|| format!("{arg} requires a {what}\n{REPORT_USAGE}"))
+        };
         match arg.as_str() {
-            "--json" => out.json = Some(path_value(&mut it, arg)?),
-            "--checkpoint" => out.checkpoint = Some(path_value(&mut it, arg)?),
-            "--resume" => out.resume = Some(path_value(&mut it, arg)?),
-            "--bench" => out.bench = Some(path_value(&mut it, arg)?),
-            "--hmc" => out.hmc = Some(path_value(&mut it, arg)?),
-            "--bench-comms" => out.bench_comms = Some(path_value(&mut it, arg)?),
-            "--metrics" => out.metrics = Some(path_value(&mut it, arg)?),
-            "--ckpt-every" => out.every = count_value(&mut it, arg)?,
-            "--bench-l" => out.bench_l = count_value(&mut it, arg)?,
-            "--bench-iters" => out.bench_iters = count_value(&mut it, arg)?,
-            "--rhs" => out.rhs = Some(count_value(&mut it, arg)?),
-            "--deflate" => out.deflate = true,
-            "--precision" => out.precision = true,
-            "--hmc-l" => out.hmc_l = count_value(&mut it, arg)?,
-            "--hmc-traj" => out.hmc_traj = count_value(&mut it, arg)?,
-            "--hmc-therm" => out.hmc_therm = count_value(&mut it, arg)?,
-            "--comms-rhs" => out.comms_rhs = count_value(&mut it, arg)?,
-            "--comms-iters" => out.comms_iters = count_value(&mut it, arg)?,
-            other => {
-                return Err(format!(
-                    "unrecognised argument `{other}` (expected --json/--checkpoint/--resume/--bench/--hmc/--bench-comms/--metrics <path>, --ckpt-every/--bench-l/--bench-iters/--rhs/--hmc-l/--hmc-traj/--hmc-therm/--comms-rhs/--comms-iters <n>, --deflate, --precision)"
-                ))
+            "--json" => out.json = Some(value("path")?),
+            "--metrics" => out.metrics = Some(value("path")?),
+            "--checkpoint" => out.checkpoint = Some(value("path")?),
+            "--resume" => out.resume = Some(value("path")?),
+            "--bench" => {
+                let kind = match value("kind")?.as_str() {
+                    "solver" => BenchKind::Solver,
+                    "hmc" => BenchKind::Hmc,
+                    "comms" => BenchKind::Comms,
+                    "farm" => BenchKind::Farm,
+                    other => {
+                        return Err(format!("unknown benchmark `{other}`\n{REPORT_USAGE}"));
+                    }
+                };
+                out.bench = Some((kind, value("path")?));
             }
+            other => return Err(format!("unrecognised argument `{other}`\n{REPORT_USAGE}")),
         }
     }
     Ok(out)
@@ -324,6 +275,8 @@ fn checkpoint_demo_problem() -> (WilsonDirac<f64>, FermionField) {
     (WilsonDirac::new(u, 0.2), b)
 }
 
+/// Checkpoint interval of the demo solve, in CG iterations.
+pub const CHECKPOINT_DEMO_EVERY: usize = 5;
 /// Iteration budget at which the "interrupted" solve is killed.
 pub const CHECKPOINT_DEMO_KILL_AT: usize = 12;
 /// Relative tolerance of the demo solve.
@@ -334,10 +287,7 @@ pub const CHECKPOINT_DEMO_MAX_ITER: usize = 500;
 /// Run a checkpointed CG solve on the demo problem and kill it after
 /// [`CHECKPOINT_DEMO_KILL_AT`] iterations, leaving the latest snapshot at
 /// `path`. Returns `(iterations run, snapshots written, bytes on disk)`.
-pub fn write_interrupted_checkpoint(
-    path: &str,
-    every: usize,
-) -> Result<(usize, usize, u64), String> {
+pub fn write_interrupted_checkpoint(path: &str) -> Result<(usize, usize, u64), String> {
     let (op, b) = checkpoint_demo_problem();
     let (_, report, snapshots) = qcd_io::cg_checkpointed(
         |v| op.mdag_m(v),
@@ -345,13 +295,14 @@ pub fn write_interrupted_checkpoint(
         CgState::new(&b),
         CHECKPOINT_DEMO_TOL,
         CHECKPOINT_DEMO_KILL_AT,
-        every,
+        CHECKPOINT_DEMO_EVERY,
         std::path::Path::new(path),
     )
     .map_err(|e| format!("checkpoint demo: {e}"))?;
     if snapshots == 0 {
         return Err(format!(
-            "interval {every} wrote no snapshot within {CHECKPOINT_DEMO_KILL_AT} iterations"
+            "interval {CHECKPOINT_DEMO_EVERY} wrote no snapshot within \
+             {CHECKPOINT_DEMO_KILL_AT} iterations"
         ));
     }
     let bytes = std::fs::metadata(path)
@@ -529,6 +480,50 @@ mod tests {
                 let stat = snap.region(&listing_region(*vl, &program_name)).unwrap();
                 assert_eq!(stat.total_insts(), run.machine.ctx.counters().total());
             }
+        }
+    }
+
+    #[test]
+    fn report_args_are_five_options_and_an_old_flag_is_a_usage_error() {
+        let parse = |line: &str| {
+            let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+            parse_report_args(&args)
+        };
+        assert_eq!(parse("").unwrap(), ReportArgs::default());
+        let all = parse(
+            "--json p.json --metrics m.jsonl --checkpoint c.qio --resume r.qio --bench comms b.json",
+        )
+        .unwrap();
+        assert_eq!(all.json.as_deref(), Some("p.json"));
+        assert_eq!(all.metrics.as_deref(), Some("m.jsonl"));
+        assert_eq!(all.checkpoint.as_deref(), Some("c.qio"));
+        assert_eq!(all.resume.as_deref(), Some("r.qio"));
+        assert_eq!(all.bench, Some((BenchKind::Comms, "b.json".into())));
+        for (kind, name) in [
+            (BenchKind::Solver, "solver"),
+            (BenchKind::Hmc, "hmc"),
+            (BenchKind::Farm, "farm"),
+        ] {
+            let parsed = parse(&format!("--bench {name} x")).unwrap();
+            assert_eq!(parsed.bench, Some((kind, "x".into())));
+        }
+        // A flag that is not one of the five is an error with the usage
+        // line, not ignored: every size flag there once was.
+        let old = "--bench-l --bench-iters --rhs --deflate --precision --hmc --hmc-l --hmc-traj \
+                   --hmc-therm --bench-comms --comms-rhs --comms-iters --ckpt-every";
+        for flag in old.split_whitespace() {
+            let e = parse(&format!("{flag} 8")).unwrap_err();
+            assert!(e.contains(flag) && e.contains(REPORT_USAGE), "{e}");
+        }
+        // So are the old one-value `--bench <path>` and a dangling value.
+        for bad in [
+            "--bench BENCH_solver.json",
+            "--bench solver",
+            "--bench",
+            "--json",
+        ] {
+            let e = parse(bad).unwrap_err();
+            assert!(e.contains(REPORT_USAGE), "{bad}: {e}");
         }
     }
 

@@ -11,7 +11,6 @@
 //!          [--beta 5.6] [--steps 6] [--solves 8] [--tol 1e-6]
 //!          [--max-units N] [--stop-file PATH] [--http ADDR]
 //!          [--status-json PATH|-] [--metrics PATH]
-//! qcd_farm --bench PATH [--l 4] [--vl 256] [--bench-iters 4]
 //! qcd_farm --dir A --verify-against B
 //! ```
 //!
@@ -23,16 +22,13 @@
 //!   (`-` for stdout).
 //! * `--metrics PATH` — dump the validated `qcd-metrics/v1` JSONL
 //!   (counters, histograms, flight-recorder ring with the `farm.*` events).
-//! * `--bench PATH` — run the coalescing/worker benchmark, enforce the
-//!   RHS-throughput gate, and write the validated `qcd-bench-farm/v1`
-//!   document instead of running a service.
 //! * `--verify-against B` — byte-compare durable results of `--dir`
 //!   against farm directory `B` and exit non-zero on any difference.
 
 use grid::prelude::*;
 use qcd_farm::{
-    bench, render_validated_status, verify_dirs, Farm, FarmConfig, HmcStreamSpec, JobSpec,
-    Priority, SolveSpec,
+    render_validated_status, verify_dirs, Farm, FarmConfig, HmcStreamSpec, JobSpec, Priority,
+    SolveSpec,
 };
 use qcd_hmc::{HmcParams, IntegratorKind};
 use std::io::{Read, Write};
@@ -58,8 +54,6 @@ struct Args {
     http: Option<String>,
     status_json: Option<String>,
     metrics: Option<String>,
-    bench: Option<String>,
-    bench_iters: usize,
     verify_against: Option<PathBuf>,
 }
 
@@ -83,8 +77,6 @@ impl Default for Args {
             http: None,
             status_json: None,
             metrics: None,
-            bench: None,
-            bench_iters: 4,
             verify_against: None,
         }
     }
@@ -120,10 +112,6 @@ fn parse_args() -> Result<Args, String> {
             "--http" => out.http = Some(value("address")?.clone()),
             "--status-json" => out.status_json = Some(value("path")?.clone()),
             "--metrics" => out.metrics = Some(value("path")?.clone()),
-            "--bench" => out.bench = Some(value("path")?.clone()),
-            "--bench-iters" => {
-                out.bench_iters = value("count")?.parse().map_err(|e| format!("{e}"))?
-            }
             "--verify-against" => out.verify_against = Some(PathBuf::from(value("path")?)),
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -240,59 +228,6 @@ fn main() {
         vl_bits: args.vl,
         backend: SimdBackend::Fcmla,
     };
-
-    if let Some(path) = &args.bench {
-        let scratch = std::env::temp_dir().join(format!("qcd-farm-bench-{}", std::process::id()));
-        let b = match bench::run_farm_bench(&cfg, 16, args.bench_iters, &[1, 2], &scratch) {
-            Ok(b) => b,
-            Err(e) => fail(&e),
-        };
-        std::fs::remove_dir_all(&scratch).ok();
-        println!(
-            "FARM BENCHMARK — request coalescing and worker scaling\n\
-             lattice {:?}, VL{} {}, {} probe iterations, {} requests\n",
-            b.dims, b.vl_bits, b.backend, b.probe_iters, b.requests
-        );
-        println!(
-            "{:<6} {:>16} {:>14} {:>16}",
-            "nrhs", "bytes/RHS", "model speedup", "RHS-iters/s"
-        );
-        for leg in &b.coalesce {
-            println!(
-                "{:<6} {:>16.0} {:>13.2}x {:>16.0}",
-                leg.nrhs, leg.bytes_per_rhs, leg.model_speedup, leg.rhs_per_sec
-            );
-        }
-        println!(
-            "\n{:<9} {:>12} {:>8} {:>12}",
-            "workers", "wall ms", "units", "units/s"
-        );
-        for leg in &b.workers {
-            println!(
-                "{:<9} {:>12.1} {:>8} {:>12.2}",
-                leg.workers,
-                leg.wall_ns as f64 / 1e6,
-                leg.units,
-                leg.units_per_sec
-            );
-        }
-        if let Err(e) = bench::check_coalescing(&b) {
-            fail(&e);
-        }
-        println!(
-            "\ncoalescing gain at N=16: {:.2}x (target {:.1}x) — PASS",
-            b.coalesce_gain,
-            bench::COALESCE_TARGET
-        );
-        if let Err(e) = bench::write_validated_bench_json(&b, path) {
-            fail(&e);
-        }
-        println!(
-            "wrote validated {} document to {path}",
-            bench::FARM_BENCH_SCHEMA
-        );
-        return;
-    }
 
     if let Some(other) = &args.verify_against {
         match verify_dirs(&args.dir, other) {

@@ -30,15 +30,14 @@
 //!    utilization, batch-fill histogram) that is parse-back validated
 //!    before it leaves the process.
 //!
-//! The `qcd_farm` binary wraps all of this behind flags; the
-//! [`bench`] module exports the `qcd-bench-farm/v1` coalescing benchmark
-//! that CI gates at [`bench::COALESCE_TARGET`]× RHS-throughput.
+//! The `qcd_farm` binary wraps all of this behind flags. What coalescing
+//! buys is modeled from outside, through [`plan_batches`] alone:
+//! `wilson_report --bench farm`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod bench;
 pub mod job;
 pub mod queue;
 pub mod scheduler;

@@ -17,8 +17,8 @@ pub enum Json {
     Num(f64),
     Str(String),
     Arr(Vec<Json>),
-    /// Insertion-ordered object (no duplicate-key handling beyond
-    /// last-wins on lookup).
+    /// Insertion-ordered object. [`Json::parse`] refuses a repeated key, so
+    /// a parsed object has none.
     Obj(Vec<(String, Json)>),
 }
 
@@ -38,10 +38,10 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 impl Json {
-    /// Object member by key (last occurrence wins).
+    /// Object member by key.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
-            Json::Obj(members) => members.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
+            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -121,11 +121,13 @@ impl Json {
     }
 
     /// Parse a complete JSON document (trailing whitespace allowed,
-    /// trailing garbage rejected).
+    /// trailing garbage rejected). Input from outside the program gets an
+    /// error, never a panic: nesting beyond [`MAX_DEPTH`], a repeated
+    /// object key and a number outside the finite `f64` range are refused.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(err("trailing characters after document", pos));
@@ -133,6 +135,11 @@ impl Json {
         Ok(value)
     }
 }
+
+/// Deepest array/object nesting [`Json::parse`] follows: the parser
+/// recurses once per level, so an unbounded `[[[[…` would overflow the
+/// stack. The deepest document this workspace writes nests four levels.
+pub const MAX_DEPTH: usize = 128;
 
 fn render_num(n: f64, out: &mut String) {
     if !n.is_finite() {
@@ -184,8 +191,14 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
+    if depth > MAX_DEPTH {
+        return Err(err(
+            &format!("nesting deeper than {MAX_DEPTH} levels"),
+            *pos,
+        ));
+    }
     match bytes.get(*pos) {
         None => Err(err("unexpected end of input", *pos)),
         Some(b'n') => expect(bytes, pos, "null").map(|_| Json::Null),
@@ -201,7 +214,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -226,12 +239,13 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
                     Some(b'}') => {
+                        reject_repeated_keys(&members, *pos)?;
                         *pos += 1;
                         return Ok(Json::Obj(members));
                     }
@@ -244,6 +258,16 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
+/// Sorted once per object, so a hostile object of n keys costs n log n.
+fn reject_repeated_keys(members: &[(String, Json)], at: usize) -> Result<(), JsonError> {
+    let mut keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+    keys.sort_unstable();
+    match keys.windows(2).find(|w| w[0] == w[1]) {
+        Some(w) => Err(err(&format!("repeated object key `{}`", w[0]), at)),
+        None => Ok(()),
+    }
+}
+
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     let start = *pos;
     while *pos < bytes.len()
@@ -252,9 +276,13 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         *pos += 1;
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| err("bad number", start))?;
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| err("bad number", start))
+    // `1e999` parses to infinity, which renders as `null` and equals
+    // itself in a comparison: not a number a document may carry.
+    match text.parse::<f64>() {
+        Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+        Ok(_) => Err(err("number outside the finite f64 range", start)),
+        Err(_) => Err(err("bad number", start)),
+    }
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
@@ -285,10 +313,13 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                         let hex = bytes
                             .get(*pos + 1..*pos + 5)
                             .ok_or_else(|| err("truncated \\u escape", *pos))?;
-                        let hex =
-                            std::str::from_utf8(hex).map_err(|_| err("bad \\u escape", *pos))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| err("bad \\u escape", *pos))?;
+                        // Exactly four hex digits: `from_str_radix` alone
+                        // would take a sign (`\u+041`).
+                        if !hex.iter().all(u8::is_ascii_hexdigit) {
+                            return Err(err("bad \\u escape", *pos));
+                        }
+                        let hex = std::str::from_utf8(hex).expect("ASCII hex digits");
+                        let code = u32::from_str_radix(hex, 16).expect("four hex digits");
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         *pos += 4;
                     }
@@ -296,13 +327,22 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so byte
-                // boundaries are guaranteed valid).
-                let rest = std::str::from_utf8(&bytes[*pos..]).unwrap();
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+            Some(&lead) => {
+                // Consume one UTF-8 scalar. The input is a &str and every
+                // other byte consumed is ASCII, so `pos` is on a boundary
+                // and the lead byte gives the length (re-validating the
+                // rest of the document per character would be quadratic).
+                let len = match lead {
+                    0x00..=0x7f => 1,
+                    0xc0..=0xdf => 2,
+                    0xe0..=0xef => 3,
+                    _ => 4,
+                };
+                let scalar = bytes
+                    .get(*pos..*pos + len)
+                    .and_then(|b| std::str::from_utf8(b).ok());
+                out.push_str(scalar.ok_or_else(|| err("bad UTF-8 in string", *pos))?);
+                *pos += len;
             }
         }
     }
@@ -352,5 +392,57 @@ mod tests {
         assert_eq!(arr[0].as_f64(), Some(150.0));
         assert_eq!(arr[1], Json::Bool(true));
         assert_eq!(arr[2], Json::Null);
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_error_not_a_stack_overflow() {
+        // 200 KB of `[`: the parent commit died of SIGABRT here.
+        let e = Json::parse(&"[".repeat(200_000)).unwrap_err();
+        assert!(e.msg.contains("nesting"), "{e}");
+        let e = Json::parse(&"{\"a\":".repeat(200_000)).unwrap_err();
+        assert!(e.msg.contains("nesting"), "{e}");
+        // The cap is on depth, not on size.
+        let deep = format!("{}1{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&deep).is_ok());
+        let deeper = format!("[{deep}]");
+        assert!(Json::parse(&deeper).is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(Json::parse(r#""\u0041""#).unwrap(), Json::Str("A".into()));
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u04""#,
+            r#""\u00é""#,
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad} must not parse");
+        }
+    }
+
+    #[test]
+    fn numbers_outside_the_finite_range_are_refused() {
+        for bad in ["1e999", "-1e999", "[1, 1e400]"] {
+            let e = Json::parse(bad).unwrap_err();
+            assert!(e.msg.contains("finite"), "{bad}: {e}");
+        }
+        assert_eq!(Json::parse("1e308").unwrap(), Json::Num(1e308));
+        assert_eq!(Json::parse("1e-999").unwrap(), Json::Num(0.0));
+    }
+
+    #[test]
+    fn a_repeated_key_is_an_error_not_last_wins() {
+        let e = Json::parse(r#"{"a": 1, "b": 2, "a": 3}"#).unwrap_err();
+        assert!(e.msg.contains("repeated object key `a`"), "{e}");
+        // The same key in two different objects is not a repeat.
+        assert!(Json::parse(r#"[{"a": 1}, {"a": 2}]"#).is_ok());
+    }
+
+    #[test]
+    fn multibyte_scalars_survive_a_round_trip() {
+        let doc = Json::Str("⟨e^−ΔH⟩ 𝛽 é".into());
+        assert_eq!(Json::parse(&doc.render()).unwrap(), doc);
     }
 }
