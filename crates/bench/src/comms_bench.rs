@@ -66,8 +66,8 @@ struct RankLeg {
     histories: Vec<Vec<u64>>,
 }
 
-/// Run the strong-scaling sweep: an `nrhs`-RHS distributed block CG for
-/// exactly `iters` iterations per RHS at every rank count, on a two-row
+/// Run the strong-scaling sweep: `nrhs` distributed CG solves of
+/// exactly `iters` iterations each at every rank count, on a two-row
 /// f64 wire over the modeled fabric. The wire stays lossless because the
 /// sweep's anchor property is that residual histories are bit-identical
 /// across rank counts — an f16 wire rounds halo spinors and would
@@ -102,11 +102,10 @@ pub fn run_comms_bench(
             let fields: Vec<FermionField> = (0..nrhs)
                 .map(|j| restrict_field(ctx, &FermionField::random(g.clone(), 1002 + j as u64)))
                 .collect();
-            let block = FermionBlock::from_fields(&fields);
             let dw = DistWilson::new(ctx, u, 0.25, GaugeWire::TwoRow, Compression::None);
-            let (_, reports) = dist_block_cg(&dw, &block, 1e-30, iters);
-            let histories: Vec<Vec<u64>> = reports
+            let histories: Vec<Vec<u64>> = fields
                 .iter()
+                .map(|b| dist_cg(&dw, b, 1e-30, iters).1)
                 .map(|rep| rep.history.iter().map(|h| h.to_bits()).collect())
                 .collect();
             RankLeg {

@@ -5,7 +5,7 @@
 //! Three legs on the same operator:
 //!
 //! - **undeflated** — plain [`block_cg`] over the N-RHS batch.
-//! - **deflated** — [`defl_block_cg`] from the Galerkin guess of a
+//! - **deflated** — [`defl_cg`] on the batch, from the Galerkin guess of a
 //!   thick-restart Lanczos subspace built once on `M†M`.
 //! - **coarse** — [`coarse_pcg`] on RHS 0: the two-level preconditioner
 //!   assembled from the same subspace's cell-blocked near-null vectors.
@@ -18,7 +18,7 @@
 use crate::doc::{get_num, num, nums, obj};
 use crate::solver_bench::Thermalized;
 use grid::prelude::*;
-use qcd_deflate::{coarse_pcg, defl_block_cg, lanczos, CoarseSpace, LanczosParams};
+use qcd_deflate::{coarse_pcg, defl_cg, lanczos, CoarseSpace, LanczosParams};
 use qcd_trace::Json;
 
 /// The sizes of the deflation legs (the seeds, the iteration budget and the
@@ -96,7 +96,7 @@ pub fn run(therm: &Thermalized, cfg: &DeflationConfig) -> Result<Json, String> {
     if plain.converged.iter().any(|&c| !c) {
         return Err("undeflated block solve did not converge".into());
     }
-    let (_, defl) = defl_block_cg(op, &sub, &block, cfg.tol, MAX_ITER);
+    let (_, defl) = defl_cg(op, &sub, &block, cfg.tol, MAX_ITER);
     if defl.converged.iter().any(|&c| !c) {
         return Err("deflated block solve did not converge".into());
     }

@@ -9,6 +9,7 @@
 //! write a document that does not parse back into an identical snapshot.
 
 use armie::listings;
+use grid::krylov::{self, CgSpace, Start};
 use grid::prelude::*;
 use grid::Coor;
 use sve::SveCtx;
@@ -284,21 +285,44 @@ pub const CHECKPOINT_DEMO_TOL: f64 = 1e-10;
 /// Full iteration budget of the resumed solve.
 pub const CHECKPOINT_DEMO_MAX_ITER: usize = 500;
 
+/// The demo solve: `cg` made durable — its fused space (`space`), another
+/// start and a checkpoint observer.
+fn checkpoint_demo_solve(
+    space: &mut impl CgSpace<V = FermionField>,
+    b: &FermionField,
+    start: Start<FermionField>,
+    max_iter: usize,
+    checkpointer: &mut qcd_io::Checkpointer,
+) -> (FermionField, SolveReport) {
+    krylov::cg_solve(
+        space,
+        b,
+        start,
+        CHECKPOINT_DEMO_TOL,
+        max_iter,
+        qcd_trace::span!("solver.cg", b.grid().engine().ctx()),
+        "solver.cg",
+        checkpointer.observer(),
+    )
+}
+
 /// Run a checkpointed CG solve on the demo problem and kill it after
 /// [`CHECKPOINT_DEMO_KILL_AT`] iterations, leaving the latest snapshot at
 /// `path`. Returns `(iterations run, snapshots written, bytes on disk)`.
 pub fn write_interrupted_checkpoint(path: &str) -> Result<(usize, usize, u64), String> {
     let (op, b) = checkpoint_demo_problem();
-    let (_, report, snapshots) = qcd_io::cg_checkpointed(
-        |v| op.mdag_m(v),
+    let mut checkpointer =
+        qcd_io::Checkpointer::every(CHECKPOINT_DEMO_EVERY, std::path::Path::new(path));
+    let (_, report) = checkpoint_demo_solve(
+        &mut krylov::fused(&op, &mut FermionField::zero(b.grid().clone())),
         &b,
-        CgState::new(&b),
-        CHECKPOINT_DEMO_TOL,
+        Start::Zero,
         CHECKPOINT_DEMO_KILL_AT,
-        CHECKPOINT_DEMO_EVERY,
-        std::path::Path::new(path),
-    )
-    .map_err(|e| format!("checkpoint demo: {e}"))?;
+        &mut checkpointer,
+    );
+    let snapshots = checkpointer
+        .finish()
+        .map_err(|e| format!("checkpoint demo: {e}"))?;
     if snapshots == 0 {
         return Err(format!(
             "interval {CHECKPOINT_DEMO_EVERY} wrote no snapshot within \
@@ -316,23 +340,26 @@ pub fn write_interrupted_checkpoint(path: &str) -> Result<(usize, usize, u64), S
 /// uninterrupted solve. Returns `(resumed-from iteration, final report)`.
 pub fn resume_from_checkpoint(path: &str) -> Result<(usize, SolveReport), String> {
     let (op, b) = checkpoint_demo_problem();
-    let apply = |v: &FermionField| op.mdag_m(v);
-    let state = qcd_io::load_cg(std::path::Path::new(path), b.grid())
-        .map_err(|e| format!("load {path}: {e}"))?;
-    let resumed_from = state.iterations;
-    let (x, report, _) = qcd_io::cg_checkpointed(
-        apply,
+    let path = std::path::Path::new(path);
+    let mut tmp = FermionField::zero(b.grid().clone());
+    let mut space = krylov::fused(&op, &mut tmp);
+    let start = qcd_io::resume(&mut space, &b, path)
+        .map_err(|e| format!("load {}: {e}", path.display()))?;
+    let resumed_from = match &start {
+        Start::State(state) => state.iterations[0],
+        _ => 0,
+    };
+    let mut checkpointer = qcd_io::Checkpointer::every(CHECKPOINT_DEMO_MAX_ITER, path);
+    let (x, report) = checkpoint_demo_solve(
+        &mut space,
         &b,
-        state,
-        CHECKPOINT_DEMO_TOL,
+        start,
         CHECKPOINT_DEMO_MAX_ITER,
-        CHECKPOINT_DEMO_MAX_ITER,
-        std::path::Path::new(path),
-    )
-    .map_err(|e| format!("resume: {e}"))?;
+        &mut checkpointer,
+    );
+    checkpointer.finish().map_err(|e| format!("resume: {e}"))?;
 
-    // Bit-equivalence against the uninterrupted in-process reference (the
-    // fused solve is bit-identical to the closure path the checkpoints ran).
+    // Bit-equivalence against the uninterrupted in-process reference.
     let (x_ref, ref_report) = cg(&op, &b, CHECKPOINT_DEMO_TOL, CHECKPOINT_DEMO_MAX_ITER);
     if report.residual.to_bits() != ref_report.residual.to_bits()
         || x.max_abs_diff(&x_ref) != 0.0

@@ -30,7 +30,7 @@
 //! two-row wire format (rows 0 and 1 on the wire, third row reconstructed
 //! in registers after patching).
 //!
-//! [`dist_cg`]/[`dist_block_cg`] thread the overlapped operator through the
+//! [`dist_cg`] threads the overlapped operator through the
 //! Hestenes–Stiefel recurrence with **canonical scalars**: every inner
 //! product and norm is assembled per site, allgathered into global lexical
 //! order ([`RankCtx::ring_allgather`]), and summed by the deterministic
@@ -49,14 +49,12 @@ use crate::dirac::{
     apply_coeff, WilsonDirac, FUSED_MASS_AXPY_FLOPS_PER_SITE, HOPPING_FLOPS_PER_SITE,
     HOPPING_READS_PER_SITE, HOPPING_WRITES_PER_SITE,
 };
-use crate::field::{
-    gauge_comp, spinor_comp, FermionBlock, FermionField, Field, FieldKind, GaugeField,
-};
+use crate::field::{gauge_comp, spinor_comp, FermionField, Field, FieldKind, GaugeField};
 use crate::krylov::{self, CgSpace, Start};
 use crate::layout::{lex, Coor, NCOLOR, NDIM, NSPIN};
 use crate::reduce::canonical_sum;
 use crate::simd::{CVec, Words};
-use crate::solver::{CgState, SolveReport};
+use crate::solver::SolveReport;
 use crate::stencil::{dir_index, StencilEntry};
 use crate::tensor::gamma::proj_table;
 use crate::tensor::su3::{mat_dag_vec, mat_vec, reconstruct_row2};
@@ -790,29 +788,6 @@ impl CgSpace for RankLocal<'_, '_> {
     }
 }
 
-/// One distributed solve through a caller-held workspace.
-fn dist_cg_in(
-    dw: &DistWilson,
-    b: &FermionField,
-    ws: &mut DistWorkspace,
-    tol: f64,
-    max_iter: usize,
-) -> (FermionField, SolveReport) {
-    let grid = b.grid().clone();
-    let span = qcd_trace::span!("solver.dist_cg", grid.engine().ctx());
-    let (x, report) = krylov::cg_solve(
-        &mut RankLocal { dw, ws },
-        b,
-        Start::<CgState>::Zero,
-        tol,
-        max_iter,
-        span,
-        "solver.dist_cg",
-        krylov::no_observer,
-    );
-    (x, report.into_single())
-}
-
 /// Distributed Conjugate Gradient on `M†M x = b`. The operator
 /// applications overlap comms with interior compute; every recurrence
 /// scalar is globally canonical, so for a fixed global lattice the solution
@@ -825,41 +800,19 @@ pub fn dist_cg(
     tol: f64,
     max_iter: usize,
 ) -> (FermionField, SolveReport) {
-    dist_cg_in(dw, b, &mut DistWorkspace::new(dw), tol, max_iter)
-}
-
-/// Distributed multi-RHS solve: each right-hand side runs an independent
-/// [`dist_cg`] through one shared workspace. Unlike the single-process
-/// block solver there is no shared-Krylov coupling across the batch, so
-/// every RHS inherits the full per-RHS determinism guarantee: bit-identical
-/// at any rank count to the same RHS solved at `R = 1`.
-pub fn dist_block_cg(
-    dw: &DistWilson,
-    b: &FermionBlock,
-    tol: f64,
-    max_iter: usize,
-) -> (FermionBlock, Vec<SolveReport>) {
     let grid = b.grid().clone();
-    let nrhs = b.nrhs();
-    let mut ws = DistWorkspace::new(dw);
-    let mut x = FermionBlock::zero(grid.clone(), nrhs);
-    let mut rhs = FermionField::zero(grid.clone());
-    let mut reports = Vec::with_capacity(nrhs);
-    for j in 0..nrhs {
-        for o in 0..grid.osites() {
-            for comp in 0..NCOMP {
-                rhs.word_mut(o, comp).copy_from_slice(b.word(o, j, comp));
-            }
-        }
-        let (xj, report) = dist_cg_in(dw, &rhs, &mut ws, tol, max_iter);
-        for o in 0..grid.osites() {
-            for comp in 0..NCOMP {
-                x.word_mut(o, j, comp).copy_from_slice(xj.word(o, comp));
-            }
-        }
-        reports.push(report);
-    }
-    (x, reports)
+    let span = qcd_trace::span!("solver.dist_cg", grid.engine().ctx());
+    let ws = &mut DistWorkspace::new(dw);
+    krylov::cg_solve(
+        &mut RankLocal { dw, ws },
+        b,
+        Start::Zero,
+        tol,
+        max_iter,
+        span,
+        "solver.dist_cg",
+        krylov::no_observer,
+    )
 }
 
 #[cfg(test)]
@@ -1044,44 +997,6 @@ mod tests {
                         (a.re - r.re).abs() < 1e-6 && (a.im - r.im).abs() < 1e-6,
                         "distributed and single-process solutions disagree at {gc:?}"
                     );
-                }
-            }
-        });
-    }
-
-    #[test]
-    fn distributed_block_solve_matches_per_rhs_dist_cg() {
-        run_multinode_grid(GLOBAL, [1, 1, 1, 2], VL, SimdBackend::Fcmla, |ctx| {
-            let g = Grid::new(GLOBAL, VL, SimdBackend::Fcmla);
-            let u = random_gauge(g, 7);
-            let ul = restrict_field(ctx, &u);
-            let dw = DistWilson::new(ctx, ul, 0.3, GaugeWire::TwoRow, Compression::None);
-            let nrhs = 3;
-            let mut b = FermionBlock::zero(ctx.grid.clone(), nrhs);
-            for j in 0..nrhs {
-                let g = Grid::new(GLOBAL, VL, SimdBackend::Fcmla);
-                let bj = restrict_field(ctx, &FermionField::random(g, 20 + j as u64));
-                for o in 0..ctx.grid.osites() {
-                    for comp in 0..NCOMP {
-                        b.word_mut(o, j, comp).copy_from_slice(bj.word(o, comp));
-                    }
-                }
-            }
-            let (x, reports) = dist_block_cg(&dw, &b, 1e-8, 60);
-            assert_eq!(reports.len(), nrhs);
-            for j in 0..nrhs {
-                assert!(reports[j].converged);
-                let g = Grid::new(GLOBAL, VL, SimdBackend::Fcmla);
-                let bj = restrict_field(ctx, &FermionField::random(g, 20 + j as u64));
-                let (xj, _) = dist_cg(&dw, &bj, 1e-8, 60);
-                for o in 0..ctx.grid.osites() {
-                    for comp in 0..NCOMP {
-                        assert_eq!(
-                            x.word(o, j, comp),
-                            xj.word(o, comp),
-                            "block RHS {j} differs from its standalone solve"
-                        );
-                    }
                 }
             }
         });

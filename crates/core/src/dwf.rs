@@ -20,7 +20,7 @@
 
 use crate::dirac::{gamma5, WilsonDirac};
 use crate::field::{spinor_comp, FermionField, GaugeField};
-use crate::krylov::{self, CgSpace, Start, State, Vector};
+use crate::krylov::{self, CgSpace, Start, Vector};
 use crate::layout::NCOLOR;
 use crate::solver::SolveReport;
 use crate::Complex;
@@ -273,6 +273,8 @@ pub fn r5_gamma5(psi: &Fermion5) -> Fermion5 {
 }
 
 impl Vector for Fermion5 {
+    type Report = SolveReport;
+
     fn zero_like(&self) -> Self {
         Fermion5::zero(self.slices[0].grid().clone(), self.ls())
     }
@@ -343,17 +345,16 @@ pub fn cg_dwf(op: &DomainWall, b: &Fermion5, tol: f64, max_iter: usize) -> (Ferm
         op,
         tmp: b.zero_like(),
     };
-    let (x, report) = krylov::cg_solve(
+    krylov::cg_solve(
         &mut space,
         b,
-        Start::<State<Fermion5>>::Zero,
+        Start::Zero,
         tol,
         max_iter,
         span,
         "solver.cg_dwf",
         krylov::no_observer,
-    );
-    (x, report.into_single())
+    )
 }
 
 #[cfg(test)]

@@ -22,11 +22,11 @@
 //! preserved and measured; the memory-halving is not (documented
 //! simplification).
 
-use crate::dirac::{gamma5_block_inplace, gamma5_inplace, WilsonDirac};
-use crate::field::{FermionBlock, FermionField, Field, FieldKind};
+use crate::dirac::{gamma5_inplace, WilsonDirac};
+use crate::field::{FermionField, Field, FieldKind};
 use crate::krylov::{self, Layout, Start};
 use crate::layout::{delex, Grid, NDIM};
-use crate::solver::{BlockCgState, BlockSolveReport, CgState, SolveReport, SolverWorkspace};
+use crate::solver::{SolveReport, SolverWorkspace};
 use std::sync::Arc;
 use sve::PReg;
 
@@ -153,19 +153,17 @@ pub fn solve_eo(
             curv[0] = v.inner(ap).re;
         },
     );
-    let state = CgState::new(&rhs);
     let cg_span = qcd_trace::span!("solver.cg", grid.engine().ctx());
-    let (xe, inner) = krylov::cg_solve(
+    let (xe, inner_report) = krylov::cg_solve(
         &mut space,
         &rhs,
-        Start::State(state),
+        Start::Zero,
         tol,
         max_iter,
         cg_span,
         "solver.cg",
         krylov::no_observer,
     );
-    let inner_report = inner.into_single();
 
     // Back-substitution: x_o = (b_o + ½ D_oe x_e) / a.
     let xo = &mut ws.hop;
@@ -188,120 +186,6 @@ pub fn solve_eo(
             converged: residual <= tol * 100.0,
             history: inner_report.history,
             health: inner_report.health,
-            telemetry: span.finish(),
-        },
-    )
-}
-
-/// Batched Schur-complement Wilson solve: [`solve_eo`] for `N` right-hand
-/// sides at once. The per-RHS prologue (checkerboard split, `b'_e`
-/// assembly, `S†` application) and epilogue (back-substitution, true
-/// residual) run through the exact single-RHS op sequences on extracted
-/// fields; the expensive part — the `S†S` Conjugate Gradient, four hopping
-/// sweeps per iteration — runs batched, loading each gauge link once per
-/// site for the whole block. RHS `j` of the result is bit-identical to an
-/// independent [`solve_eo`] of that RHS.
-pub fn solve_eo_block(
-    op: &WilsonDirac,
-    b: &FermionBlock,
-    tol: f64,
-    max_iter: usize,
-) -> (FermionBlock, BlockSolveReport) {
-    let grid: Arc<Grid> = b.grid().clone();
-    let nrhs = b.nrhs();
-    let span = qcd_trace::span!("solver.eo", grid.engine().ctx());
-    let a = op.mass + 4.0;
-    let mut sws = SolverWorkspace::new(grid.clone());
-
-    // Per-RHS prologue, single-RHS ops verbatim: b'_e = b_e + D_eo b_o/(2a),
-    // then rhs_j = S† b'_e via the γ5 sandwich.
-    let mut rhs_block = FermionBlock::zero(grid.clone(), nrhs);
-    let mut bos = Vec::with_capacity(nrhs);
-    for j in 0..nrhs {
-        let bj = b.rhs_field(j);
-        let be = parity_project(&bj, 0);
-        let bo = parity_project(&bj, 1);
-        let mut bp = FermionField::zero(grid.clone());
-        op.hopping_into(&bo, &mut bp);
-        bp.scale(0.5 / a);
-        bp.add_assign_field(&be);
-        let mut rhs = bp;
-        gamma5_inplace(&mut rhs);
-        {
-            let SolverWorkspace { tmp, hop, .. } = &mut sws;
-            op.hopping_into(&rhs, hop);
-            op.hopping_into(hop, tmp);
-        }
-        rhs.scale(a);
-        rhs.axpy_inplace(-0.25 / a, &sws.tmp);
-        gamma5_inplace(&mut rhs);
-        rhs_block.set_rhs(j, &rhs);
-        bos.push(bo);
-    }
-
-    // Batched ap = A v = S†S v with per-RHS curvatures — every block op is
-    // per-RHS bit-identical to its single-RHS twin in `solve_eo`.
-    let mut tmp = FermionBlock::zero(grid.clone(), nrhs);
-    let mut hop = FermionBlock::zero(grid.clone(), nrhs);
-    let mut space = Layout::new(
-        |v: &FermionBlock, ap: &mut FermionBlock, curv: &mut [f64]| {
-            op.hopping_block_into(v, &mut hop);
-            op.hopping_block_into(&hop, &mut tmp);
-            ap.scale_axpy_from(a, v, -0.25 / a, &tmp); // ap = S v
-            gamma5_block_inplace(ap);
-            op.hopping_block_into(ap, &mut hop);
-            op.hopping_block_into(&hop, &mut tmp);
-            ap.scale(a);
-            ap.axpy_inplace(-0.25 / a, &tmp);
-            gamma5_block_inplace(ap); // ap = γ5 S γ5 (S v) = S†S v
-            for (c, z) in curv.iter_mut().zip(v.inners(ap)) {
-                *c = z.re;
-            }
-        },
-    );
-    let state = BlockCgState::new(&rhs_block);
-    let cg_span = qcd_trace::span!("solver.block_cg", grid.engine().ctx());
-    let (xe_block, inner) = krylov::cg_solve(
-        &mut space,
-        &rhs_block,
-        Start::State(state),
-        tol,
-        max_iter,
-        cg_span,
-        "solver.block_cg",
-        krylov::no_observer,
-    );
-
-    // Per-RHS epilogue, single-RHS ops verbatim: back-substitute the odd
-    // checkerboard and report the true residual of the full system.
-    let mut x_block = FermionBlock::zero(grid.clone(), nrhs);
-    let mut residuals = Vec::with_capacity(nrhs);
-    let mut converged = Vec::with_capacity(nrhs);
-    for (j, bo) in bos.iter().enumerate() {
-        let xe = xe_block.rhs_field(j);
-        let xo = &mut sws.hop;
-        op.hopping_into(&xe, xo);
-        xo.scale(0.5);
-        xo.add_assign_field(bo);
-        xo.scale(1.0 / a);
-        let mut x = xe;
-        x.add_assign_field(&sws.hop);
-        op.apply_into(&x, &mut sws.tmp);
-        let bj = b.rhs_field(j);
-        let residual = (sws.ap.sub_norm2(&bj, &sws.tmp) / bj.norm2()).sqrt();
-        residuals.push(residual);
-        converged.push(residual <= tol * 100.0);
-        x_block.set_rhs(j, &x);
-    }
-    (
-        x_block,
-        BlockSolveReport {
-            iterations: inner.iterations,
-            per_rhs_iterations: inner.per_rhs_iterations,
-            residuals,
-            converged,
-            histories: inner.histories,
-            health: inner.health,
             telemetry: span.finish(),
         },
     )
@@ -405,40 +289,6 @@ mod tests {
             eo.iterations,
             plain.iterations
         );
-    }
-
-    #[test]
-    fn block_schur_solve_is_bit_identical_to_independent_eo_solves() {
-        // RHS j of the batched Schur solve — solution bits, iteration
-        // count, histories, residual — must match an independent solve_eo
-        // of that RHS exactly, including when the batch converges unevenly.
-        let g = grid(256);
-        let op = WilsonDirac::new(random_gauge(g.clone(), 81), 0.3);
-        let rhss = vec![
-            FermionField::random(g.clone(), 82),
-            FermionField::random(g.clone(), 83),
-        ];
-        let block = FermionBlock::from_fields(&rhss);
-        let (bx, brep) = solve_eo_block(&op, &block, 1e-9, 1000);
-        for (j, bj) in rhss.iter().enumerate() {
-            let (x, rep) = solve_eo(&op, bj, 1e-9, 1000);
-            assert_eq!(brep.per_rhs_iterations[j], rep.iterations, "rhs {j}");
-            assert_eq!(
-                brep.residuals[j].to_bits(),
-                rep.residual.to_bits(),
-                "rhs {j} residual"
-            );
-            assert_eq!(brep.converged[j], rep.converged, "rhs {j}");
-            assert_eq!(brep.histories[j].len(), rep.history.len(), "rhs {j}");
-            for (a, c) in brep.histories[j].iter().zip(&rep.history) {
-                assert_eq!(a.to_bits(), c.to_bits(), "rhs {j} history diverged");
-            }
-            assert_eq!(
-                bx.rhs_field(j).max_abs_diff(&x),
-                0.0,
-                "rhs {j} solution diverged"
-            );
-        }
     }
 
     #[test]

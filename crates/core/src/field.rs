@@ -517,85 +517,27 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
     /// at every vector length and thread count. This is the single-process
     /// form of the canonical scalars `dist_cg` reduces over ranks, and the
     /// primitive the `qcd-deflate` eigensolver builds its VL-invariant
-    /// recurrences on.
+    /// recurrences on. A binary16 field accumulates each site in binary32
+    /// (see [`site_dot`]).
     pub fn site_norm2_lex(&self, out: &mut [f64]) {
-        assert_eq!(out.len(), self.grid.volume(), "scatter buffer != volume");
-        let grid = &self.grid;
-        let fdims = grid.fdims();
-        out.par_chunks_mut(reduce::CHUNK_SITES)
-            .enumerate()
-            .for_each(|(ci, chunk)| {
-                for (k, slot) in chunk.iter_mut().enumerate() {
-                    let x = crate::layout::delex(ci * reduce::CHUNK_SITES + k, &fdims);
-                    let (osite, lane) = grid.coor_to_osite_lane(&x);
-                    let li = 2 * lane;
-                    let mut s = 0.0;
-                    for comp in 0..K::NCOMP {
-                        let w = self.word(osite, comp);
-                        let (re, im) = (w[li].to_f64(), w[li + 1].to_f64());
-                        s += re * re + im * im;
-                    }
-                    *slot = s;
-                }
-            });
+        lex_scatter(&self.grid, out, |osite, li| {
+            site_dot((0..K::NCOMP).map(|comp| {
+                let w = self.word(osite, comp);
+                [w[li], w[li], w[li + 1], w[li + 1]]
+            }))
+        });
     }
 
     /// Scatter the per-site scalar `Re Σ_comp conj(self)·other` into `out`
     /// in global lexicographic site order (see [`Self::site_norm2_lex`]).
     pub fn site_inner_re_lex(&self, other: &Field<K, E>, out: &mut [f64]) {
         self.assert_compatible(other);
-        assert_eq!(out.len(), self.grid.volume(), "scatter buffer != volume");
-        let grid = &self.grid;
-        let fdims = grid.fdims();
-        out.par_chunks_mut(reduce::CHUNK_SITES)
-            .enumerate()
-            .for_each(|(ci, chunk)| {
-                for (k, slot) in chunk.iter_mut().enumerate() {
-                    let x = crate::layout::delex(ci * reduce::CHUNK_SITES + k, &fdims);
-                    let (osite, lane) = grid.coor_to_osite_lane(&x);
-                    let li = 2 * lane;
-                    let mut s = 0.0;
-                    for comp in 0..K::NCOMP {
-                        let a = self.word(osite, comp);
-                        let b = other.word(osite, comp);
-                        s += a[li].to_f64() * b[li].to_f64()
-                            + a[li + 1].to_f64() * b[li + 1].to_f64();
-                    }
-                    *slot = s;
-                }
-            });
-    }
-
-    /// Scatter the per-site complex `Σ_comp conj(self)·other` into
-    /// `(out_re, out_im)` in global lexicographic site order.
-    pub fn site_inner_lex(&self, other: &Field<K, E>, out_re: &mut [f64], out_im: &mut [f64]) {
-        self.assert_compatible(other);
-        assert_eq!(out_re.len(), self.grid.volume(), "scatter buffer != volume");
-        assert_eq!(out_im.len(), self.grid.volume(), "scatter buffer != volume");
-        let grid = &self.grid;
-        let fdims = grid.fdims();
-        out_re
-            .par_chunks_mut(reduce::CHUNK_SITES)
-            .zip(out_im.par_chunks_mut(reduce::CHUNK_SITES))
-            .enumerate()
-            .for_each(|(ci, (cre, cim))| {
-                for (k, (sre, sim)) in cre.iter_mut().zip(cim.iter_mut()).enumerate() {
-                    let x = crate::layout::delex(ci * reduce::CHUNK_SITES + k, &fdims);
-                    let (osite, lane) = grid.coor_to_osite_lane(&x);
-                    let li = 2 * lane;
-                    let (mut re, mut im) = (0.0, 0.0);
-                    for comp in 0..K::NCOMP {
-                        let a = self.word(osite, comp);
-                        let b = other.word(osite, comp);
-                        let (ar, ai) = (a[li].to_f64(), a[li + 1].to_f64());
-                        let (br, bi) = (b[li].to_f64(), b[li + 1].to_f64());
-                        re += ar * br + ai * bi;
-                        im += ar * bi - ai * br;
-                    }
-                    *sre = re;
-                    *sim = im;
-                }
-            });
+        lex_scatter(&self.grid, out, |osite, li| {
+            site_dot((0..K::NCOMP).map(|comp| {
+                let (a, b) = (self.word(osite, comp), other.word(osite, comp));
+                [a[li], b[li], a[li + 1], b[li + 1]]
+            }))
+        });
     }
 
     /// `|self|²` via the canonical (layout-independent) reduction: same bits
@@ -615,11 +557,25 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
         reduce::canonical_sum(&buf)
     }
 
-    /// `⟨self, other⟩` via the canonical reduction.
+    /// `⟨self, other⟩` via the canonical reduction: the per-site complex
+    /// `Σ_comp conj(self)·other`, accumulated in f64 at every precision.
     pub fn canonical_inner(&self, other: &Field<K, E>) -> Complex {
-        let mut re = vec![0.0; self.grid.volume()];
-        let mut im = vec![0.0; self.grid.volume()];
-        self.site_inner_lex(other, &mut re, &mut im);
+        self.assert_compatible(other);
+        let mut sites = vec![Complex::ZERO; self.grid.volume()];
+        lex_scatter(&self.grid, &mut sites, |osite, li| {
+            let (mut re, mut im) = (0.0, 0.0);
+            for comp in 0..K::NCOMP {
+                let a = self.word(osite, comp);
+                let b = other.word(osite, comp);
+                let (ar, ai) = (a[li].to_f64(), a[li + 1].to_f64());
+                let (br, bi) = (b[li].to_f64(), b[li + 1].to_f64());
+                re += ar * br + ai * bi;
+                im += ar * bi - ai * br;
+            }
+            Complex::new(re, im)
+        });
+        let re: Vec<f64> = sites.iter().map(|z| z.re).collect();
+        let im: Vec<f64> = sites.iter().map(|z| z.im).collect();
         Complex::new(reduce::canonical_sum(&re), reduce::canonical_sum(&im))
     }
 
@@ -715,6 +671,53 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
             .zip(&other.data)
             .map(|(a, b)| (a.to_f64() - b.to_f64()).abs())
             .fold(0.0, f64::max)
+    }
+}
+
+/// The lexicographic scatter every canonical reduction shares: `out[lex(x)]
+/// = site(osite, li)` for each site `x` of `grid`, where `osite` is its
+/// outer site and `li` the offset of its real part inside a word. Chunked
+/// like the reductions that consume it, so the slot order depends on
+/// neither the SIMD layout nor the worker count.
+fn lex_scatter<E: SveFloat, T: Send>(
+    grid: &Grid<E>,
+    out: &mut [T],
+    site: impl Fn(usize, usize) -> T + Sync,
+) {
+    assert_eq!(out.len(), grid.volume(), "scatter buffer != volume");
+    let fdims = grid.fdims();
+    out.par_chunks_mut(reduce::CHUNK_SITES)
+        .enumerate()
+        .for_each(|(ci, chunk)| {
+            for (k, slot) in chunk.iter_mut().enumerate() {
+                let x = crate::layout::delex(ci * reduce::CHUNK_SITES + k, &fdims);
+                let (osite, lane) = grid.coor_to_osite_lane(&x);
+                *slot = site(osite, 2 * lane);
+            }
+        });
+}
+
+/// `Σ (a·b + c·d)` over the `[a, b, c, d]` of a site's components, in
+/// order, in the accumulator canonical reductions of `E` use: f64, except
+/// binary32 for binary16 — the product of two f16 values is exact in f32
+/// (11-bit significands multiply into at most 22 bits), so only the
+/// additions round, and the binary16 tier steers by reductions no wider
+/// than an f16 unit's accumulator.
+#[inline(always)]
+fn site_dot<E: SveFloat>(terms: impl Iterator<Item = [E; 4]>) -> f64 {
+    if E::BYTES == 2 {
+        let f32_of = |v: E| v.to_f64() as f32;
+        let mut s = 0.0f32;
+        for [a, b, c, d] in terms {
+            s += f32_of(a) * f32_of(b) + f32_of(c) * f32_of(d);
+        }
+        s as f64
+    } else {
+        let mut s = 0.0;
+        for [a, b, c, d] in terms {
+            s += a.to_f64() * b.to_f64() + c.to_f64() * d.to_f64();
+        }
+        s
     }
 }
 
@@ -1129,25 +1132,13 @@ impl<E: SveFloat> FermionBlock<E> {
             self.nrhs * vol,
             "scatter buffer != nrhs * volume"
         );
-        let grid = &self.grid;
-        let fdims = grid.fdims();
         for (rhs, row) in out.chunks_exact_mut(vol).enumerate() {
-            row.par_chunks_mut(reduce::CHUNK_SITES)
-                .enumerate()
-                .for_each(|(ci, chunk)| {
-                    for (k, slot) in chunk.iter_mut().enumerate() {
-                        let x = crate::layout::delex(ci * reduce::CHUNK_SITES + k, &fdims);
-                        let (osite, lane) = grid.coor_to_osite_lane(&x);
-                        let li = 2 * lane;
-                        let mut s = 0.0;
-                        for comp in 0..FermionKind::NCOMP {
-                            let w = self.word(osite, rhs, comp);
-                            let (re, im) = (w[li].to_f64(), w[li + 1].to_f64());
-                            s += re * re + im * im;
-                        }
-                        *slot = s;
-                    }
-                });
+            lex_scatter(&self.grid, row, |osite, li| {
+                site_dot((0..FermionKind::NCOMP).map(|comp| {
+                    let w = self.word(osite, rhs, comp);
+                    [w[li], w[li], w[li + 1], w[li + 1]]
+                }))
+            });
         }
     }
 
@@ -1162,26 +1153,13 @@ impl<E: SveFloat> FermionBlock<E> {
             self.nrhs * vol,
             "scatter buffer != nrhs * volume"
         );
-        let grid = &self.grid;
-        let fdims = grid.fdims();
         for (rhs, row) in out.chunks_exact_mut(vol).enumerate() {
-            row.par_chunks_mut(reduce::CHUNK_SITES)
-                .enumerate()
-                .for_each(|(ci, chunk)| {
-                    for (k, slot) in chunk.iter_mut().enumerate() {
-                        let x = crate::layout::delex(ci * reduce::CHUNK_SITES + k, &fdims);
-                        let (osite, lane) = grid.coor_to_osite_lane(&x);
-                        let li = 2 * lane;
-                        let mut s = 0.0;
-                        for comp in 0..FermionKind::NCOMP {
-                            let a = self.word(osite, rhs, comp);
-                            let b = other.word(osite, rhs, comp);
-                            s += a[li].to_f64() * b[li].to_f64()
-                                + a[li + 1].to_f64() * b[li + 1].to_f64();
-                        }
-                        *slot = s;
-                    }
-                });
+            lex_scatter(&self.grid, row, |osite, li| {
+                site_dot((0..FermionKind::NCOMP).map(|comp| {
+                    let (a, b) = (self.word(osite, rhs, comp), other.word(osite, rhs, comp));
+                    [a[li], b[li], a[li + 1], b[li + 1]]
+                }))
+            });
         }
     }
 

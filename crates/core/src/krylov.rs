@@ -9,7 +9,8 @@
 //! used to be a hand-written loop is a **space** ([`CgSpace`]: an operator
 //! bound to a vector type and the inner product it steers by), a **start**
 //! ([`Start`]) and an **observer** (a closure called after every
-//! iteration).
+//! iteration). A solve is composed from those three at the call site;
+//! nothing here is named after a combination of them.
 //!
 //! Scalars travel as slices of length `nrhs` — one entry for single-vector
 //! spaces — so a field, a block of right-hand sides, a 5-d fermion, a
@@ -29,7 +30,7 @@ use crate::field::{
 };
 use crate::layout::Grid;
 use crate::reduce::canonical_sum;
-use crate::solver::{conclude_health, BlockSolveReport};
+use crate::solver::{conclude_health, BlockSolveReport, SolveReport};
 use qcd_metrics::HealthMonitor;
 use std::marker::PhantomData;
 use std::ops::ControlFlow;
@@ -46,6 +47,10 @@ pub const HISTORY_RESERVE: usize = 1024;
 /// order: the *layout* reductions and the fused update sweeps. Canonical
 /// spaces override the reductions in [`CgSpace`] and keep the sweeps.
 pub trait Vector: Clone {
+    /// What a finished solve reports for this type: a [`SolveReport`] for
+    /// one right-hand side, the per-RHS [`BlockSolveReport`] for a batch.
+    type Report: From<BlockSolveReport>;
+
     /// Whether the type carries several right-hand sides (health monitors
     /// of a batch are labelled `region[j]`, even at batch width one).
     const BATCHED: bool = false;
@@ -83,6 +88,8 @@ pub trait Vector: Clone {
 }
 
 impl<K: FieldKind, E: SveFloat> Vector for Field<K, E> {
+    type Report = SolveReport;
+
     fn zero_like(&self) -> Self {
         Field::zero(self.grid().clone())
     }
@@ -117,6 +124,7 @@ impl<K: FieldKind, E: SveFloat> Vector for Field<K, E> {
 }
 
 impl<E: SveFloat> Vector for FermionBlock<E> {
+    type Report = BlockSolveReport;
     const BATCHED: bool = true;
 
     fn nrhs(&self) -> usize {
@@ -155,6 +163,124 @@ impl<E: SveFloat> Vector for FermionBlock<E> {
 
     fn aypx_active(&mut self, beta: &[f64], x: &Self, active: &[bool]) {
         self.aypx_masked(beta, x, active);
+    }
+}
+
+/// A width of Wilson fermion: one field, or a block of right-hand sides
+/// sharing every sweep. What the widths disagree on — which kernel applies
+/// `M†M`, how a canonical scatter walks the storage, how one right-hand
+/// side comes out — is behind this trait, so a space ([`Canonical`],
+/// [`fused`]), a deflated solve and the checkpoint codec are each written
+/// once over `V`. Every method delegates to the width's existing kernel.
+pub trait WilsonVector: Vector {
+    /// The element type.
+    type E: SveFloat;
+
+    /// The lattice the vector lives on.
+    fn grid(&self) -> &Arc<Grid<Self::E>>;
+
+    /// Right-hand side `j` as a field of its own.
+    fn rhs_field(&self, j: usize) -> Field<FermionKind, Self::E>;
+
+    /// The vector whose right-hand sides are `fields`, in order.
+    fn from_fields(fields: &[Field<FermionKind, Self::E>]) -> Self;
+
+    /// `out = M†M p` through the `M p` intermediate `tmp`.
+    fn mdag_m_into(op: &WilsonDirac<Self::E>, p: &Self, tmp: &mut Self, out: &mut Self);
+
+    /// `out = M†M p` with the per-RHS curvature `Re ⟨p_j, M†M p_j⟩` fused
+    /// into the second hopping pass.
+    fn mdag_m_into_dot(
+        op: &WilsonDirac<Self::E>,
+        p: &Self,
+        tmp: &mut Self,
+        out: &mut Self,
+        curv: &mut [f64],
+    );
+
+    /// Per-site per-RHS `Σ_comp |·|²` in global lexicographic site order,
+    /// RHS-major (`out.len() == nrhs × volume`).
+    fn site_norms2_lex(&self, out: &mut [f64]);
+
+    /// Per-site per-RHS `Re Σ_comp conj(self)·other`, ordered likewise.
+    fn site_inners_re_lex(&self, other: &Self, out: &mut [f64]);
+}
+
+impl<E: SveFloat> WilsonVector for Field<FermionKind, E> {
+    type E = E;
+
+    fn grid(&self) -> &Arc<Grid<E>> {
+        Field::grid(self)
+    }
+
+    fn rhs_field(&self, j: usize) -> Self {
+        assert_eq!(j, 0, "a field is one right-hand side");
+        self.clone()
+    }
+
+    fn from_fields(fields: &[Self]) -> Self {
+        assert_eq!(fields.len(), 1, "a field is one right-hand side");
+        fields[0].clone()
+    }
+
+    fn mdag_m_into(op: &WilsonDirac<E>, p: &Self, tmp: &mut Self, out: &mut Self) {
+        op.mdag_m_into(p, tmp, out);
+    }
+
+    fn mdag_m_into_dot(
+        op: &WilsonDirac<E>,
+        p: &Self,
+        tmp: &mut Self,
+        out: &mut Self,
+        curv: &mut [f64],
+    ) {
+        curv[0] = op.mdag_m_into_dot(p, tmp, out);
+    }
+
+    fn site_norms2_lex(&self, out: &mut [f64]) {
+        self.site_norm2_lex(out);
+    }
+
+    fn site_inners_re_lex(&self, other: &Self, out: &mut [f64]) {
+        self.site_inner_re_lex(other, out);
+    }
+}
+
+impl<E: SveFloat> WilsonVector for FermionBlock<E> {
+    type E = E;
+
+    fn grid(&self) -> &Arc<Grid<E>> {
+        FermionBlock::grid(self)
+    }
+
+    fn rhs_field(&self, j: usize) -> Field<FermionKind, E> {
+        FermionBlock::rhs_field(self, j)
+    }
+
+    fn from_fields(fields: &[Field<FermionKind, E>]) -> Self {
+        FermionBlock::from_fields(fields)
+    }
+
+    fn mdag_m_into(op: &WilsonDirac<E>, p: &Self, tmp: &mut Self, out: &mut Self) {
+        op.mdag_m_block_into(p, tmp, out);
+    }
+
+    fn mdag_m_into_dot(
+        op: &WilsonDirac<E>,
+        p: &Self,
+        tmp: &mut Self,
+        out: &mut Self,
+        curv: &mut [f64],
+    ) {
+        curv.copy_from_slice(&op.mdag_m_block_into_dot(p, tmp, out));
+    }
+
+    fn site_norms2_lex(&self, out: &mut [f64]) {
+        FermionBlock::site_norms2_lex(self, out);
+    }
+
+    fn site_inners_re_lex(&self, other: &Self, out: &mut [f64]) {
+        FermionBlock::site_inners_re_lex(self, other, out);
     }
 }
 
@@ -259,8 +385,8 @@ fn residual<S: CgSpace>(
 
 /// The layout space over any vector type: `apply(p, ap, curv)` evaluates
 /// the operator and its curvature, every other scalar is the type's own
-/// storage-order reduction. `cg`, `block_cg` and the even-odd Schur solves
-/// are this space around their fused sweeps.
+/// storage-order reduction. [`fused`] and the even-odd Schur solve are this
+/// space around their sweeps.
 pub struct Layout<V, A> {
     apply: A,
     _vector: PhantomData<fn(&V)>,
@@ -284,10 +410,22 @@ impl<V: Vector, A: FnMut(&V, &mut V, &mut [f64])> CgSpace for Layout<V, A> {
     }
 }
 
+/// The layout space around the fused Wilson sweeps — dslash and mass in one
+/// pass, the curvature dot fused into the second hopping pass — with `tmp`
+/// the caller-held `M p` intermediate: what `cg` and `block_cg` run in, and
+/// what a caller composes with another start or observer. A steady-state
+/// iteration allocates nothing the kernels do not.
+pub fn fused<'a, V: WilsonVector>(
+    op: &'a WilsonDirac<V::E>,
+    tmp: &'a mut V,
+) -> Layout<V, impl FnMut(&V, &mut V, &mut [f64]) + 'a> {
+    Layout::new(move |p: &V, ap: &mut V, curv: &mut [f64]| V::mdag_m_into_dot(op, p, tmp, ap, curv))
+}
+
 /// The allocating closure adapter: any hermitian positive-definite
 /// operator given as `Fn(&F) -> F` (the shape Grid's `ConjugateGradient`
-/// template takes, the face `qcd_io::cg_checkpointed` exposes, and the
-/// oracle the conformance matrix compares every other space against). It
+/// template takes, and the oracle the conformance matrix compares every
+/// other space against). It
 /// allocates the operator output every iteration, takes the curvature as a
 /// separate inner product, and opens an `iter` span per iteration —
 /// bit-identical to the fused spaces on the same operator all the same.
@@ -324,95 +462,66 @@ impl<E: SveFloat, F: Fn(&Field<FermionKind, E>) -> Field<FermionKind, E>> CgSpac
     }
 }
 
-/// The Wilson normal operator with **canonical** steering scalars: every
-/// norm and curvature is a lexicographic per-site scatter summed through
-/// the fixed chunk tree, so histories, iteration counts and solutions are
-/// bit-identical across vector lengths *and* thread counts. The space holds
-/// the one scatter buffer; an iteration allocates nothing.
-pub struct Canonical<'a, E: SveFloat> {
-    op: &'a WilsonDirac<E>,
-    tmp: &'a mut Field<FermionKind, E>,
+/// The Wilson normal operator with **canonical** steering scalars, at
+/// either width and any precision: every norm and curvature is a
+/// lexicographic per-site scatter summed per RHS through the fixed chunk
+/// tree, so histories, iteration counts and solutions are bit-identical
+/// across vector lengths *and* thread counts, and RHS `j` of a block is
+/// bit-identical to the same field solved alone. The space holds the one
+/// scatter buffer; an iteration allocates nothing.
+pub struct Canonical<'a, V: WilsonVector> {
+    op: &'a WilsonDirac<V::E>,
+    tmp: &'a mut V,
     buf: &'a mut [f64],
 }
 
-impl<'a, E: SveFloat> Canonical<'a, E> {
-    /// Bind `op` with the `M p` intermediate and a `volume`-entry scatter
+impl<'a, V: WilsonVector> Canonical<'a, V> {
+    /// Bind `op` with the `M p` intermediate and an `nrhs × volume` scatter
     /// buffer, both caller-held so they outlive repeated solves.
-    pub fn new(
-        op: &'a WilsonDirac<E>,
-        tmp: &'a mut Field<FermionKind, E>,
-        buf: &'a mut [f64],
-    ) -> Self {
+    pub fn new(op: &'a WilsonDirac<V::E>, tmp: &'a mut V, buf: &'a mut [f64]) -> Self {
         Canonical { op, tmp, buf }
     }
 
-    /// Canonical `Re ⟨a, b⟩` through the held buffer.
-    pub fn inner_re(&mut self, a: &Field<FermionKind, E>, b: &Field<FermionKind, E>) -> f64 {
-        a.site_inner_re_lex(b, self.buf);
-        canonical_sum(self.buf)
+    /// Canonical per-RHS `Re ⟨a_j, b_j⟩` through the held buffer.
+    pub fn inners_re(&mut self, a: &V, b: &V, out: &mut [f64]) {
+        a.site_inners_re_lex(b, self.buf);
+        self.sums(out);
+    }
+
+    fn sums(&self, out: &mut [f64]) {
+        let rows = self.buf.chunks_exact(self.buf.len() / out.len());
+        for (o, row) in out.iter_mut().zip(rows) {
+            *o = canonical_sum(row);
+        }
     }
 }
 
-impl<E: SveFloat> CgSpace for Canonical<'_, E> {
-    type V = Field<FermionKind, E>;
+impl<V: WilsonVector> CgSpace for Canonical<'_, V> {
+    type V = V;
     const CANONICAL: bool = true;
 
-    fn apply(&mut self, p: &Self::V, ap: &mut Self::V, curv: &mut [f64]) {
-        self.op.mdag_m_into(p, self.tmp, ap);
-        curv[0] = self.inner_re(p, ap);
+    fn apply(&mut self, p: &V, ap: &mut V, curv: &mut [f64]) {
+        V::mdag_m_into(self.op, p, self.tmp, ap);
+        self.inners_re(p, ap, curv);
     }
 
-    fn operator(&mut self, x: &Self::V, ax: &mut Self::V, _unused: &mut [f64]) {
-        self.op.mdag_m_into(x, self.tmp, ax);
+    fn operator(&mut self, x: &V, ax: &mut V, _unused: &mut [f64]) {
+        V::mdag_m_into(self.op, x, self.tmp, ax);
     }
 
-    fn norms2(&mut self, v: &Self::V, out: &mut [f64]) {
-        v.site_norm2_lex(self.buf);
-        out[0] = canonical_sum(self.buf);
+    fn norms2(&mut self, v: &V, out: &mut [f64]) {
+        v.site_norms2_lex(self.buf);
+        self.sums(out);
     }
-}
-
-/// Borrowed view of a recurrence state: what [`cg_step`] reads and writes.
-pub struct Parts<'a, V> {
-    /// Solution estimates.
-    pub x: &'a mut V,
-    /// Recurrence residuals.
-    pub r: &'a mut V,
-    /// Search directions.
-    pub p: &'a mut V,
-    /// Per-RHS `|r|²` (recurrence values, not recomputed).
-    pub r2: &'a mut [f64],
-    /// Per-RHS `|b|²`.
-    pub b_norm2: &'a [f64],
-    /// Per-RHS iterations completed.
-    pub iterations: &'a mut [usize],
-    /// Per-RHS relative residual history, never capped.
-    pub histories: &'a mut [Vec<f64>],
-}
-
-/// A CG recurrence state — the checkpoint unit. [`crate::solver::CgState`]
-/// (scalar fields, what `qcd-io` serializes for a single solve) and
-/// [`State`] (per-RHS vectors; [`crate::solver::BlockCgState`] is one)
-/// both drive the same [`cg_step`].
-pub trait Recurrence: Sized {
-    /// The vector type.
-    type V;
-
-    /// A state at iteration zero from its vectors and per-RHS scalars.
-    fn assemble(x: Self::V, r: Self::V, p: Self::V, r2: &[f64], b_norm2: &[f64]) -> Self;
-
-    /// The state's members, borrowed.
-    fn parts(&mut self) -> Parts<'_, Self::V>;
-
-    /// The solution estimate, consuming the state.
-    fn into_solution(self) -> Self::V;
 }
 
 /// The complete state of an in-flight CG over `nrhs` right-hand sides
-/// sharing every operator sweep. There is no stored "active" mask — which
-/// RHS still iterate is *derived* from `iterations` and `r2` exactly like
-/// a single-RHS loop condition, so a snapshot carries everything a resume
-/// needs.
+/// sharing every operator sweep (one, for a single field) — the checkpoint
+/// unit: every member is exactly the f64 data an uninterrupted run would
+/// hold, so a restored state continues bit-identically. There is no stored
+/// "active" mask — which RHS still iterate is *derived* from `iterations`
+/// and `r2` exactly like a single-RHS loop condition, so a snapshot carries
+/// everything a resume needs.
 #[derive(Clone)]
 pub struct State<V> {
     /// Current solution estimates.
@@ -432,16 +541,8 @@ pub struct State<V> {
 }
 
 impl<V> State<V> {
-    /// The batch width.
-    pub fn nrhs(&self) -> usize {
-        self.r2.len()
-    }
-}
-
-impl<V> Recurrence for State<V> {
-    type V = V;
-
-    fn assemble(x: V, r: V, p: V, r2: &[f64], b_norm2: &[f64]) -> Self {
+    /// A state at iteration zero from its vectors and per-RHS scalars.
+    pub fn new(x: V, r: V, p: V, r2: &[f64], b_norm2: &[f64]) -> Self {
         State {
             x,
             r,
@@ -457,33 +558,22 @@ impl<V> Recurrence for State<V> {
         }
     }
 
-    fn parts(&mut self) -> Parts<'_, V> {
-        Parts {
-            x: &mut self.x,
-            r: &mut self.r,
-            p: &mut self.p,
-            r2: &mut self.r2,
-            b_norm2: &self.b_norm2,
-            iterations: &mut self.iterations,
-            histories: &mut self.histories,
-        }
-    }
-
-    fn into_solution(self) -> V {
-        self.x
+    /// The batch width.
+    pub fn nrhs(&self) -> usize {
+        self.r2.len()
     }
 }
 
 /// Where a solve begins.
-pub enum Start<St: Recurrence> {
+pub enum Start<V> {
     /// `x = 0`, `r = p = b`.
     Zero,
     /// From an initial guess (deflation's Galerkin guess): `r = b − A x₀`
     /// in the space's inner product, `p = r`.
-    Guess(St::V),
+    Guess(V),
     /// From a restored (or hand-stepped) state. The budget counts *total*
     /// iterations including those already inside it.
-    State(St),
+    State(State<V>),
 }
 
 /// Why [`cg_step`] / [`cg_iterate`] stopped.
@@ -561,14 +651,13 @@ pub fn no_observer<St>(_: &St, _: &[HealthMonitor]) -> ControlFlow<()> {
 /// Inactive RHS are frozen: the masked sweeps do not load their words.
 ///
 /// This is the only place in the workspace that computes the CG scalars.
-pub fn cg_step<S: CgSpace, St: Recurrence<V = S::V>>(
+pub fn cg_step<S: CgSpace>(
     space: &mut S,
-    state: &mut St,
+    s: &mut State<S::V>,
     w: &mut Scratch<S::V>,
     tol: f64,
     max_iter: usize,
 ) -> ControlFlow<Stop> {
-    let s = state.parts();
     let Scratch { ap, z, k } = w;
     let nrhs = s.r2.len();
     let target = |j: usize| tol * tol * s.b_norm2[j];
@@ -579,7 +668,7 @@ pub fn cg_step<S: CgSpace, St: Recurrence<V = S::V>>(
         return ControlFlow::Break(Stop::Finished);
     }
     space.iteration(|space| {
-        space.apply(s.p, ap, &mut k.curv);
+        space.apply(&s.p, ap, &mut k.curv);
         for j in 0..nrhs {
             if k.active[j] {
                 if k.curv[j].is_nan() || k.curv[j] <= 0.0 {
@@ -589,7 +678,15 @@ pub fn cg_step<S: CgSpace, St: Recurrence<V = S::V>>(
                 k.alpha[j] = rho / k.curv[j];
             }
         }
-        space.update_x_r(s.x, s.r, &k.alpha, s.p, ap, &k.active, &mut k.fresh);
+        space.update_x_r(
+            &mut s.x,
+            &mut s.r,
+            &k.alpha,
+            &s.p,
+            ap,
+            &k.active,
+            &mut k.fresh,
+        );
         for j in 0..nrhs {
             if k.active[j] {
                 k.beta[j] = k.fresh[j] / s.r2[j];
@@ -599,14 +696,14 @@ pub fn cg_step<S: CgSpace, St: Recurrence<V = S::V>>(
             }
         }
         let Some(z) = z else {
-            s.p.aypx_active(&k.beta, s.r, &k.active);
+            s.p.aypx_active(&k.beta, &s.r, &k.active);
             return ControlFlow::Continue(());
         };
         for j in 0..nrhs {
             k.onward[j] = k.active[j] && s.r2[j] > target(j);
         }
         if k.onward.contains(&true) {
-            space.precondition(s.r, z, &mut k.fresh);
+            space.precondition(&s.r, z, &mut k.fresh);
             for j in 0..nrhs {
                 if k.onward[j] {
                     k.beta[j] = k.fresh[j] / k.rho[j];
@@ -622,13 +719,13 @@ pub fn cg_step<S: CgSpace, St: Recurrence<V = S::V>>(
 /// Build the state a solve starts from, and the preconditioned residual
 /// `z` (with `ρ = ⟨r,z⟩`, both pure functions of `r`) when the space has a
 /// preconditioner.
-fn begin<S: CgSpace, St: Recurrence<V = S::V>>(
+fn begin<S: CgSpace>(
     space: &mut S,
     b: &S::V,
     w: &mut Scratch<S::V>,
-    start: Start<St>,
-) -> St {
-    let mut state = match start {
+    start: Start<S::V>,
+) -> State<S::V> {
+    let mut s = match start {
         Start::State(state) => state,
         fresh => {
             let mut b_norm2 = vec![0.0; b.nrhs()];
@@ -648,18 +745,17 @@ fn begin<S: CgSpace, St: Recurrence<V = S::V>>(
                 }
             };
             let p = r.clone();
-            St::assemble(x, r, p, &r2, &b_norm2)
+            State::new(x, r, p, &r2, &b_norm2)
         }
     };
-    let s = state.parts();
-    if space.precondition(s.r, &mut w.ap, &mut w.k.rho) {
+    if space.precondition(&s.r, &mut w.ap, &mut w.k.rho) {
         // A restored direction is kept; a fresh one starts at z.
         if s.iterations.iter().all(|&done| done == 0) {
             s.p.clone_from(&w.ap);
         }
         w.z = Some(w.ap.clone());
     }
-    state
+    s
 }
 
 fn assert_nonzero(b_norm2: &[f64]) {
@@ -676,27 +772,25 @@ fn assert_nonzero(b_norm2: &[f64]) {
 /// Solves go through [`cg_solve`]; this is public for a caller that is a
 /// *cycle* of something larger and owns its own monitor, state and
 /// scratch across cycles — the binary16 tier of the precision ladder.
-pub fn cg_iterate<S: CgSpace, St: Recurrence<V = S::V>>(
+pub fn cg_iterate<S: CgSpace>(
     space: &mut S,
-    state: &mut St,
+    state: &mut State<S::V>,
     w: &mut Scratch<S::V>,
     monitors: &mut [HealthMonitor],
     tol: f64,
     max_iter: usize,
-    mut observer: impl FnMut(&St, &[HealthMonitor]) -> ControlFlow<()>,
+    mut observer: impl FnMut(&State<S::V>, &[HealthMonitor]) -> ControlFlow<()>,
 ) -> Stop {
-    let s = state.parts();
-    for (history, &done) in s.histories.iter_mut().zip(s.iterations.iter()) {
+    for (history, &done) in state.histories.iter_mut().zip(&state.iterations) {
         history.reserve(max_iter.saturating_sub(done).min(HISTORY_RESERVE));
     }
     loop {
         if let ControlFlow::Break(stop) = cg_step(space, state, w, tol, max_iter) {
             return stop;
         }
-        let s = state.parts();
         for (j, monitor) in monitors.iter_mut().enumerate() {
             if w.k.active[j] {
-                monitor.observe(*s.histories[j].last().expect("a step pushes its entry"));
+                monitor.observe(*state.histories[j].last().expect("a step pushes its entry"));
             }
         }
         if observer(state, monitors).is_break() {
@@ -713,44 +807,62 @@ pub fn cg_iterate<S: CgSpace, St: Recurrence<V = S::V>>(
 /// the health monitors (`region[j]` for batched vectors), the
 /// `<region>.iterations` histogram and the flight events. `observer` runs
 /// after every iteration with the state and the monitors — a checkpoint
-/// writer, or [`no_observer`]. The report is per RHS;
-/// [`BlockSolveReport::into_single`] is the single-vector view.
+/// writer, or [`no_observer`]. The report is the vector type's own
+/// ([`Vector::Report`]).
 ///
 /// The true residual `b − A x` is taken once at the end through the spent
 /// search direction, guarding the reported residual against recurrence
 /// drift. A [`Stop::Breakdown`] panics here: the operator is not hermitian
 /// positive-definite.
 #[allow(clippy::too_many_arguments)]
-pub fn cg_solve<S: CgSpace, St: Recurrence<V = S::V>>(
+pub fn cg_solve<S: CgSpace>(
     space: &mut S,
     b: &S::V,
-    start: Start<St>,
+    start: Start<S::V>,
     tol: f64,
     max_iter: usize,
     span: qcd_trace::SpanGuard<'_>,
     region: &str,
-    observer: impl FnMut(&St, &[HealthMonitor]) -> ControlFlow<()>,
-) -> (S::V, BlockSolveReport) {
-    let mut w = Scratch::new(b);
-    let mut state = begin(space, b, &mut w, start);
-    let mut monitors = health_monitors(region, S::V::BATCHED, state.parts().histories);
-    let stop = cg_iterate(
-        space,
-        &mut state,
-        &mut w,
-        &mut monitors,
-        tol,
-        max_iter,
-        observer,
-    );
-    if let Stop::Breakdown(j) = stop {
-        panic!("search direction has non-positive curvature: operator not HPD? (RHS {j})");
+    mut observer: impl FnMut(&State<S::V>, &[HealthMonitor]) -> ControlFlow<()>,
+) -> (S::V, <S::V as Vector>::Report) {
+    // The observer runs once per iteration, beside sweeps over the whole
+    // lattice: behind `dyn`, the driver is compiled once per space rather
+    // than once per (space, observer).
+    #[allow(clippy::too_many_arguments)]
+    fn solve<S: CgSpace>(
+        space: &mut S,
+        b: &S::V,
+        start: Start<S::V>,
+        tol: f64,
+        max_iter: usize,
+        span: qcd_trace::SpanGuard<'_>,
+        region: &str,
+        observer: &mut Observer<'_, S::V>,
+    ) -> (S::V, <S::V as Vector>::Report) {
+        let mut w = Scratch::new(b);
+        let mut state = begin(space, b, &mut w, start);
+        let mut monitors = health_monitors(region, S::V::BATCHED, &state.histories);
+        let stop = cg_iterate(
+            space,
+            &mut state,
+            &mut w,
+            &mut monitors,
+            tol,
+            max_iter,
+            observer,
+        );
+        if let Stop::Breakdown(j) = stop {
+            panic!("search direction has non-positive curvature: operator not HPD? (RHS {j})");
+        }
+        residual(space, b, &state.x, &mut w.ap, &mut state.p, &mut w.k.fresh);
+        let report = conclude(region, monitors, &state, &w.k.fresh, tol, span.finish());
+        (state.x, report.into())
     }
-    let s = state.parts();
-    residual(space, b, s.x, &mut w.ap, s.p, &mut w.k.fresh);
-    let report = conclude(region, monitors, &s, &w.k.fresh, tol, span.finish());
-    (state.into_solution(), report)
+    solve(space, b, start, tol, max_iter, span, region, &mut observer)
 }
+
+/// What [`cg_solve`] asks after every iteration, type-erased.
+type Observer<'a, V> = dyn FnMut(&State<V>, &[HealthMonitor]) -> ControlFlow<()> + 'a;
 
 /// One monitor per RHS, labelled `region` (or `region[j]` in a batch) and
 /// caught up on the history a restored state already holds.
@@ -773,7 +885,7 @@ fn health_monitors(region: &str, batched: bool, histories: &[Vec<f64>]) -> Vec<H
 fn conclude<V>(
     region: &str,
     monitors: Vec<HealthMonitor>,
-    s: &Parts<'_, V>,
+    s: &State<V>,
     true_r2: &[f64],
     tol: f64,
     telemetry: qcd_trace::RegionSummary,
@@ -788,7 +900,7 @@ fn conclude<V>(
     }
     BlockSolveReport {
         iterations: s.iterations.iter().copied().max().unwrap_or(0),
-        per_rhs_iterations: s.iterations.to_vec(),
+        per_rhs_iterations: s.iterations.clone(),
         residuals: (0..nrhs)
             .map(|j| (true_r2[j] / s.b_norm2[j]).sqrt())
             .collect(),

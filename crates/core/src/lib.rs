@@ -95,9 +95,9 @@ pub mod prelude {
         gamma5, gamma5_block_inplace, gamma5_inplace, hopping_via_cshift, mult_gauge, project_half,
         reconstruct_half, WilsonDirac,
     };
-    pub use crate::dist::{dist_block_cg, dist_cg, restrict_field, DistWilson, DistWorkspace};
+    pub use crate::dist::{dist_cg, restrict_field, DistWilson, DistWorkspace};
     pub use crate::dwf::{axpy_chiral, cg_dwf, chiral_minus, chiral_plus, DomainWall, Fermion5};
-    pub use crate::eo::{parity_project, solve_eo, solve_eo_block};
+    pub use crate::eo::{parity_project, solve_eo};
     pub use crate::field::{block_cg_update_x_r, cg_update_x_r};
     pub use crate::field::{
         gauge_comp, spinor_comp, ComplexField, FermionBlock, FermionField, Field, GaugeField,
@@ -108,16 +108,15 @@ pub mod prelude {
     };
     pub use crate::layout::Grid;
     pub use crate::mixed::{
-        f16_canonical_inner_re, f16_canonical_norm2, f16_site_inner_re_lex, f16_site_norm2_lex,
         ladder_solve, ladder_solve_from, to_precision, to_precision_into, LadderConfig,
         LadderReport, F16_RESIDUAL_FLOOR,
     };
-    pub use crate::requests::{solve_cg_requests, solve_eo_requests, SolveOutcome, SolveRequest};
+    pub use crate::requests::{solve_cg_requests, SolveOutcome, SolveRequest};
     pub use crate::rng::StreamRng;
     pub use crate::simd::{SimdBackend, SimdEngine};
     pub use crate::solver::{
-        bicgstab, bicgstab_from_state, block_cg, cg, solve_wilson, BicgStabState, BlockCgState,
-        BlockSolveReport, CgState, SolveReport, SolverWorkspace,
+        bicgstab, block_cg, cg, solve_wilson, BicgStabState, BlockSolveReport, SolveReport,
+        SolverWorkspace,
     };
     pub use crate::tensor::gamma_algebra::{mult_gamma, GammaElement};
     pub use crate::tensor::su3::{

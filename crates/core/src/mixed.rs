@@ -17,13 +17,11 @@
 
 use crate::dirac::WilsonDirac;
 use crate::field::{FermionKind, Field, FieldKind};
-use crate::krylov::{self, Canonical, CgSpace, Recurrence, Scratch, Start, State, Stop};
+use crate::krylov::{self, Canonical, CgSpace, Scratch, Start, State, Stop};
 use crate::layout::Grid;
-use crate::reduce;
-use crate::solver::{CgState, SolverWorkspace};
+use crate::solver::SolverWorkspace;
 use crate::FermionField;
 use qcd_metrics::{HealthEvent, HealthMonitor};
-use rayon::prelude::*;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use sve::{Opcode, SveFloat, F16};
@@ -63,94 +61,12 @@ pub fn to_precision<K: FieldKind, E1: SveFloat, E2: SveFloat>(
     out
 }
 
-// ---------------------------------------------------------------------------
-// Binary16 canonical reductions (f32 scalar accumulation)
-// ---------------------------------------------------------------------------
-
 /// Relative-residual floor of the binary16 compute tier: the f16 unit
 /// roundoff `2⁻¹⁰`  ≈ 9.8 × 10⁻⁴. A recurrence residual driven below this
 /// level is dominated by representation noise of the iterate and stops
 /// carrying information, so an inner f16 cycle exits here and hands the
 /// true residual back to the f32 tier (a *reliable update*).
 pub const F16_RESIDUAL_FLOOR: f64 = 9.765625e-4;
-
-/// Scatter the per-site scalar `Σ_comp |f(x)|²` of a binary16 field into
-/// `out` in global lexicographic site order, accumulating each site in
-/// **f32**: the square of any f16 value is exact in f32 (11-bit mantissas
-/// square into at most 22 bits), so only the component-order additions
-/// round — in a fixed order that depends on neither the SIMD layout nor
-/// the worker count. [`reduce::canonical_sum`] over `out` therefore returns
-/// the same bits at every vector length and thread count, the same regime
-/// as [`Field::site_norm2_lex`] at f64/f32.
-pub fn f16_site_norm2_lex<K: FieldKind>(f: &Field<K, F16>, out: &mut [f64]) {
-    let grid = f.grid();
-    assert_eq!(out.len(), grid.volume(), "scatter buffer != volume");
-    let fdims = grid.fdims();
-    out.par_chunks_mut(reduce::CHUNK_SITES)
-        .enumerate()
-        .for_each(|(ci, chunk)| {
-            for (k, slot) in chunk.iter_mut().enumerate() {
-                let x = crate::layout::delex(ci * reduce::CHUNK_SITES + k, &fdims);
-                let (osite, lane) = grid.coor_to_osite_lane(&x);
-                let li = 2 * lane;
-                let mut s = 0.0f32;
-                for comp in 0..K::NCOMP {
-                    let w = f.word(osite, comp);
-                    let (re, im) = (w[li].to_f32(), w[li + 1].to_f32());
-                    s += re * re + im * im;
-                }
-                *slot = s as f64;
-            }
-        });
-}
-
-/// Scatter the per-site scalar `Re Σ_comp conj(a)·b` of two binary16
-/// fields in global lexicographic site order, accumulating each site in
-/// f32 (products of f16 values are exact in f32; see
-/// [`f16_site_norm2_lex`]).
-pub fn f16_site_inner_re_lex<K: FieldKind>(a: &Field<K, F16>, b: &Field<K, F16>, out: &mut [f64]) {
-    let grid = a.grid();
-    assert_eq!(grid.fdims(), b.grid().fdims(), "lattices must match");
-    assert_eq!(out.len(), grid.volume(), "scatter buffer != volume");
-    let fdims = grid.fdims();
-    out.par_chunks_mut(reduce::CHUNK_SITES)
-        .enumerate()
-        .for_each(|(ci, chunk)| {
-            for (k, slot) in chunk.iter_mut().enumerate() {
-                let x = crate::layout::delex(ci * reduce::CHUNK_SITES + k, &fdims);
-                let (osite, lane) = grid.coor_to_osite_lane(&x);
-                let (bsite, blane) = b.grid().coor_to_osite_lane(&x);
-                let (li, bi) = (2 * lane, 2 * blane);
-                let mut s = 0.0f32;
-                for comp in 0..K::NCOMP {
-                    let aw = a.word(osite, comp);
-                    let bw = b.word(bsite, comp);
-                    s += aw[li].to_f32() * bw[bi].to_f32()
-                        + aw[li + 1].to_f32() * bw[bi + 1].to_f32();
-                }
-                *slot = s as f64;
-            }
-        });
-}
-
-/// `|f|²` of a binary16 field through the canonical reduction with f32
-/// per-site accumulation. `buf` is the caller-held scatter buffer
-/// (`volume` entries) so hot loops allocate nothing.
-pub fn f16_canonical_norm2<K: FieldKind>(f: &Field<K, F16>, buf: &mut [f64]) -> f64 {
-    f16_site_norm2_lex(f, buf);
-    reduce::canonical_sum(buf)
-}
-
-/// `Re ⟨a, b⟩` of two binary16 fields through the canonical reduction with
-/// f32 per-site accumulation.
-pub fn f16_canonical_inner_re<K: FieldKind>(
-    a: &Field<K, F16>,
-    b: &Field<K, F16>,
-    buf: &mut [f64],
-) -> f64 {
-    f16_site_inner_re_lex(a, b, buf);
-    reduce::canonical_sum(buf)
-}
 
 // ---------------------------------------------------------------------------
 // The three-level precision ladder
@@ -254,46 +170,6 @@ pub struct LadderReport {
     pub f64_instructions: u64,
 }
 
-/// The binary16 tier's space: the Wilson normal operator on F16 fields,
-/// steered by canonical reductions accumulated per site in f32
-/// ([`f16_canonical_norm2`], [`f16_canonical_inner_re`]), so — as in
-/// [`Canonical`] — the trajectory is VL- and thread-invariant.
-pub struct F16Canonical<'a> {
-    op: &'a WilsonDirac<F16>,
-    tmp: &'a mut Field<FermionKind, F16>,
-    buf: &'a mut [f64],
-}
-
-impl<'a> F16Canonical<'a> {
-    /// Bind `op` with the `M p` intermediate and a `volume`-entry scatter
-    /// buffer, both caller-held across cycles.
-    pub fn new(
-        op: &'a WilsonDirac<F16>,
-        tmp: &'a mut Field<FermionKind, F16>,
-        buf: &'a mut [f64],
-    ) -> Self {
-        F16Canonical { op, tmp, buf }
-    }
-}
-
-impl CgSpace for F16Canonical<'_> {
-    type V = Field<FermionKind, F16>;
-    const CANONICAL: bool = true;
-
-    fn apply(&mut self, p: &Self::V, ap: &mut Self::V, curv: &mut [f64]) {
-        self.op.mdag_m_into(p, self.tmp, ap);
-        curv[0] = f16_canonical_inner_re(p, ap, self.buf);
-    }
-
-    fn operator(&mut self, x: &Self::V, ax: &mut Self::V, _unused: &mut [f64]) {
-        self.op.mdag_m_into(x, self.tmp, ax);
-    }
-
-    fn norms2(&mut self, v: &Self::V, out: &mut [f64]) {
-        out[0] = f16_canonical_norm2(v, self.buf);
-    }
-}
-
 /// Storage of the binary16 tier, hoisted across all cycles: the operator
 /// replica, the normalized right-hand side, and the recurrence state and
 /// driver scratch every cycle restarts in place.
@@ -307,8 +183,9 @@ struct F16Tier {
 
 /// One binary16 inner-CG cycle on the normalized residual system
 /// `A†A e = ŝ`: a zero start rebuilt in the tier's storage, then
-/// [`krylov::cg_iterate`] in the [`F16Canonical`] space — a cycle, not a
-/// solve: no span of its own, no true residual (the reliable update takes
+/// [`krylov::cg_iterate`] in the [`Canonical`] space at binary16 (whose
+/// per-site sums accumulate in f32, [`Field::site_norm2_lex`]) — a cycle,
+/// not a solve: no span of its own, no true residual (the reliable update takes
 /// it at f32), the caller's monitor. Appends the cycle's relative
 /// residuals to `history`; returns `(iterations, aborted)` where `aborted`
 /// means the tier must be demoted: `|b|²` underflowed binary16, the
@@ -329,22 +206,24 @@ fn f16_cycle(
     t.op.mdag_m_into(&st.x, &mut t.tmp, &mut t.scratch.ap);
     st.r.sub(&t.b, &t.scratch.ap);
     st.p.sub(&t.b, &t.scratch.ap);
-    let b2 = f16_canonical_norm2(&t.b, site_buf);
+    let mut space = Canonical::new(&t.op, &mut t.tmp, site_buf);
+    space.norms2(&t.b, &mut st.b_norm2);
+    let b2 = st.b_norm2[0];
     if b2.is_nan() || b2 <= 0.0 {
         // The residual underflowed binary16 entirely: nothing to solve at
         // this tier.
         monitor.observe(f64::NAN);
         return (0, true);
     }
-    let r2 = f16_canonical_norm2(&st.r, site_buf);
-    (st.r2[0], st.b_norm2[0], st.iterations[0]) = (r2, b2, 0);
+    space.norms2(&st.r, &mut st.r2);
+    st.iterations[0] = 0;
     st.histories[0].clear();
-    st.histories[0].push((r2 / b2).sqrt());
+    st.histories[0].push((st.r2[0] / b2).sqrt());
     let events_at_entry = monitor.events().len();
     monitor.observe(st.histories[0][0]);
 
     let stop = krylov::cg_iterate(
-        &mut F16Canonical::new(&t.op, &mut t.tmp, site_buf),
+        &mut space,
         &mut t.state,
         &mut t.scratch,
         std::slice::from_mut(monitor),
@@ -427,7 +306,7 @@ pub fn ladder_solve_from(
             b: zero.clone(),
             tmp: zero.clone(),
             // Placeholder scalars: every cycle rebuilds the state in place.
-            state: State::assemble(zero.clone(), zero.clone(), zero.clone(), &[1.0], &[1.0]),
+            state: State::new(zero.clone(), zero.clone(), zero.clone(), &[1.0], &[1.0]),
             scratch: Scratch::new(&zero),
         })
     } else {
@@ -591,14 +470,13 @@ pub fn ladder_solve_from(
             let (e, rep) = krylov::cg_solve(
                 &mut Canonical::new(&op32, &mut ws32.tmp, &mut site_buf),
                 &s32,
-                Start::<CgState<f32>>::Zero,
+                Start::Zero,
                 eff_tol,
                 cfg.max_inner,
                 qcd_trace::span!("solver.cg_canonical", grid32.engine().ctx()),
                 "solver.ladder.f32",
                 krylov::no_observer,
             );
-            let rep = rep.into_single();
             f32_iters += rep.iterations;
             inner_history.extend_from_slice(&rep.history);
             health.extend(rep.health);

@@ -4,11 +4,14 @@
 //!
 //! This is the compute entry point a job service (the `qcd-farm` crate)
 //! drives. Requests arrive one at a time in arbitrary order; the scheduler
-//! coalesces whatever is pending into a [`FermionBlock`] and calls one of
-//! the batch solvers here. The whole scheme is only sound because of the
-//! block-path contract ([`FermionBlock`], [`block_cg`]): per-RHS results of
-//! a batched solve are bit-identical to independent single-RHS solves, for
-//! *any* batch width and *any* RHS composition. That makes batching purely
+//! coalesces whatever is pending into a [`FermionBlock`] ([`coalesce`]),
+//! runs one batched solve on it — [`solve_cg_requests`] is that around
+//! [`block_cg`]; a deflated batch is `qcd_deflate::defl_cg` on the same
+//! block — and splits the result per request ([`demux`]). The whole scheme
+//! is only sound because of the block-path contract ([`FermionBlock`],
+//! [`block_cg`]): per-RHS results of a batched solve are bit-identical to
+//! independent single-RHS solves, for *any* batch width and *any* RHS
+//! composition. That makes batching purely
 //! an amortization decision — the scheduler can group requests however
 //! throughput dictates without changing a single answer bit, and a crashed
 //! batch can be re-run in a differently-shaped batch after recovery and
@@ -20,7 +23,6 @@
 //! of the batched dispatch that actually ran.
 
 use crate::dirac::WilsonDirac;
-use crate::eo::solve_eo_block;
 use crate::field::{FermionBlock, FermionField};
 use crate::solver::{block_cg, BlockSolveReport, SolveReport};
 
@@ -47,7 +49,7 @@ pub struct SolveOutcome {
 }
 
 /// Gather request sources into one site-major block, in arrival order.
-fn coalesce(requests: &[SolveRequest]) -> FermionBlock {
+pub fn coalesce(requests: &[SolveRequest]) -> FermionBlock {
     assert!(
         !requests.is_empty(),
         "cannot coalesce an empty request batch"
@@ -61,7 +63,11 @@ fn coalesce(requests: &[SolveRequest]) -> FermionBlock {
 }
 
 /// Split a batched solve back into per-request outcomes, in request order.
-fn demux(requests: &[SolveRequest], x: &FermionBlock, rep: &BlockSolveReport) -> Vec<SolveOutcome> {
+pub fn demux(
+    requests: &[SolveRequest],
+    x: &FermionBlock,
+    rep: &BlockSolveReport,
+) -> Vec<SolveOutcome> {
     requests
         .iter()
         .enumerate()
@@ -102,30 +108,9 @@ pub fn solve_cg_requests(
     demux(requests, &x, &rep)
 }
 
-/// Coalesce `requests` into one even-odd preconditioned block solve of
-/// `M x = b` (the [`solve_eo_block`] Schur path) and demultiplex per
-/// request.
-///
-/// Same contract as [`solve_cg_requests`]: per-request results match the
-/// standalone [`solve_eo`](crate::eo::solve_eo) of that RHS bit for bit.
-pub fn solve_eo_requests(
-    op: &WilsonDirac,
-    requests: &[SolveRequest],
-    tol: f64,
-    max_iter: usize,
-) -> Vec<SolveOutcome> {
-    let block = coalesce(requests);
-    let span = qcd_trace::span!("solver.requests", block.grid().engine().ctx());
-    qcd_metrics::histogram("solver.requests.batch_fill").record(requests.len() as u64);
-    let (x, rep) = solve_eo_block(op, &block, tol, max_iter);
-    drop(span);
-    demux(requests, &x, &rep)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eo::solve_eo;
     use crate::layout::Grid;
     use crate::simd::SimdBackend;
     use crate::solver::cg;
@@ -197,26 +182,6 @@ mod tests {
             assert_eq!(a.report.iterations, b.report.iterations);
             assert_eq!(a.report.residual.to_bits(), b.report.residual.to_bits());
             assert_eq!(a.solution.max_abs_diff(&b.solution), 0.0);
-        }
-    }
-
-    #[test]
-    fn eo_requests_match_standalone_eo_solves_bitwise() {
-        let (op, rhss) = setup();
-        let requests: Vec<_> = rhss
-            .iter()
-            .take(2)
-            .enumerate()
-            .map(|(k, b)| SolveRequest {
-                id: k as u64,
-                rhs: b.clone(),
-            })
-            .collect();
-        let outcomes = solve_eo_requests(&op, &requests, 1e-8, 2000);
-        for (k, out) in outcomes.iter().enumerate() {
-            let (x, rep) = solve_eo(&op, &rhss[k], 1e-8, 2000);
-            assert!(rep.converged, "rhs {k}");
-            assert_matches_solo(out, &x, &rep);
         }
     }
 

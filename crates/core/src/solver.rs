@@ -8,20 +8,18 @@
 //! (`axpy`, inner products, norms), so every arithmetic instruction they
 //! retire is visible to the SVE counters.
 //!
-//! The CG recurrence itself lives in [`crate::krylov`], once. This module
-//! holds what a solve is made of around it: the report types, the
-//! checkpointable states ([`CgState`], [`BlockCgState`]), and the Wilson
-//! entry points [`cg`] and [`block_cg`] — the layout space around the
-//! fused `M†M` sweeps, whose steady-state iteration performs no heap
-//! allocation of its own. BiCGStab keeps its one recurrence here
-//! ([`BicgStabState`]).
+//! The CG recurrence itself lives in [`crate::krylov`], once, with its one
+//! checkpointable state ([`krylov::State`]). This module holds what a solve
+//! is made of around it: the report types and the Wilson entry points
+//! [`cg`] and [`block_cg`] — [`krylov::fused`] from a zero start, whose
+//! steady-state iteration performs no heap allocation of its own. BiCGStab
+//! keeps its one recurrence here ([`BicgStabState`]).
 
 use crate::dirac::WilsonDirac;
 use crate::field::{FermionBlock, FermionField, FermionKind, Field};
-use crate::krylov::{self, Layout, Parts, Recurrence, Start};
+use crate::krylov::{self, Start, WilsonVector};
 use crate::layout::Grid;
 use qcd_metrics::{HealthEvent, HealthMonitor};
-use std::ops::ControlFlow;
 use std::sync::Arc;
 use sve::SveFloat;
 
@@ -103,91 +101,26 @@ impl<E: SveFloat> SolverWorkspace<E> {
     }
 }
 
-/// The complete state of an in-flight Conjugate Gradient solve.
-///
-/// Every scalar and vector of the Hestenes–Stiefel recurrence lives here,
-/// which makes the struct the unit of checkpoint/restart: snapshot the
-/// fields (`x`, `r`, `p`) and scalars mid-solve, kill the process, rebuild
-/// the state, and [`krylov::cg_step`] continues *bit-identically* — every
-/// quantity below is exactly the same f64 data an uninterrupted run would
-/// hold. `qcd-io`'s `SolverCheckpoint` serializes exactly these members.
-#[derive(Clone)]
-pub struct CgState<E: SveFloat = f64> {
-    /// Current solution estimate.
-    pub x: Field<FermionKind, E>,
-    /// Recurrence residual `b - A x`.
-    pub r: Field<FermionKind, E>,
-    /// Search direction.
-    pub p: Field<FermionKind, E>,
-    /// Squared norm of `r` (recurrence value, not recomputed).
-    pub r2: f64,
-    /// Squared norm of the right-hand side (fixes the relative target).
-    pub b_norm2: f64,
-    /// Iterations completed so far.
-    pub iterations: usize,
-    /// Relative residual history, entry 0 = before the first iteration.
-    pub history: Vec<f64>,
-}
-
-impl<E: SveFloat> CgState<E> {
-    /// Fresh state for solving `A x = b` from the zero initial guess, with
-    /// layout-ordered norms.
-    pub fn new(b: &Field<FermionKind, E>) -> Self {
-        let grid = b.grid().clone();
-        let b_norm2 = b.norm2();
-        assert!(b_norm2 > 0.0, "CG needs a nonzero right-hand side");
-        let x = Field::<FermionKind, E>::zero(grid);
-        let r = b.clone(); // r = b - A*0
-        let p = r.clone();
-        let r2 = r.norm2();
-        CgState {
-            x,
-            r,
-            p,
-            r2,
-            b_norm2,
-            iterations: 0,
-            history: vec![(r2 / b_norm2).sqrt()],
-        }
-    }
-
-    /// Whether the recurrence residual is at or below `tol` relative to
-    /// `|b|`.
-    pub fn converged(&self, tol: f64) -> bool {
-        self.r2 <= tol * tol * self.b_norm2
-    }
-}
-
-impl<E: SveFloat> Recurrence for CgState<E> {
-    type V = Field<FermionKind, E>;
-
-    fn assemble(x: Self::V, r: Self::V, p: Self::V, r2: &[f64], b_norm2: &[f64]) -> Self {
-        CgState {
-            x,
-            r,
-            p,
-            r2: r2[0],
-            b_norm2: b_norm2[0],
-            iterations: 0,
-            history: vec![(r2[0] / b_norm2[0]).sqrt()],
-        }
-    }
-
-    fn parts(&mut self) -> Parts<'_, Self::V> {
-        Parts {
-            x: &mut self.x,
-            r: &mut self.r,
-            p: &mut self.p,
-            r2: std::slice::from_mut(&mut self.r2),
-            b_norm2: std::slice::from_ref(&self.b_norm2),
-            iterations: std::slice::from_mut(&mut self.iterations),
-            histories: std::slice::from_mut(&mut self.history),
-        }
-    }
-
-    fn into_solution(self) -> Self::V {
-        self.x
-    }
+/// [`krylov::fused`] from a zero start, unobserved, under a span and health
+/// region both named `region`: the body of [`cg`] and [`block_cg`].
+fn fused_cg<V: WilsonVector>(
+    op: &WilsonDirac<V::E>,
+    b: &V,
+    tol: f64,
+    max_iter: usize,
+    region: &str,
+) -> (V, V::Report) {
+    let grid = b.grid().clone();
+    krylov::cg_solve(
+        &mut krylov::fused(op, &mut b.zero_like()),
+        b,
+        Start::Zero,
+        tol,
+        max_iter,
+        qcd_trace::span!(region, grid.engine().ctx()),
+        region,
+        krylov::no_observer,
+    )
 }
 
 /// Conjugate Gradient on the Wilson normal equations: solves `M†M x = b`
@@ -202,26 +135,7 @@ pub fn cg<E: SveFloat>(
     tol: f64,
     max_iter: usize,
 ) -> (Field<FermionKind, E>, SolveReport) {
-    let grid = b.grid().clone();
-    let mut tmp = Field::zero(grid.clone());
-    let mut space = Layout::new(
-        |p: &Field<FermionKind, E>, ap: &mut Field<FermionKind, E>, curv: &mut [f64]| {
-            curv[0] = op.mdag_m_into_dot(p, &mut tmp, ap);
-        },
-    );
-    let state = CgState::new(b);
-    let span = qcd_trace::span!("solver.cg", grid.engine().ctx());
-    let (x, report) = krylov::cg_solve(
-        &mut space,
-        b,
-        Start::State(state),
-        tol,
-        max_iter,
-        span,
-        "solver.cg",
-        krylov::no_observer,
-    );
-    (x, report.into_single())
+    fused_cg(op, b, tol, max_iter, "solver.cg")
 }
 
 /// Solve `M x = b` through the normal equations: CG on `M†M x = M†b`.
@@ -265,43 +179,18 @@ pub struct BlockSolveReport {
     pub telemetry: qcd_trace::RegionSummary,
 }
 
-impl BlockSolveReport {
-    /// The single-vector view of a one-RHS report.
-    pub fn into_single(mut self) -> SolveReport {
-        assert_eq!(self.residuals.len(), 1, "not a single-RHS report");
+/// The single-vector view of a one-RHS report.
+impl From<BlockSolveReport> for SolveReport {
+    fn from(mut per_rhs: BlockSolveReport) -> Self {
+        assert_eq!(per_rhs.residuals.len(), 1, "not a single-RHS report");
         SolveReport {
-            iterations: self.iterations,
-            residual: self.residuals[0],
-            converged: self.converged[0],
-            history: self.histories.swap_remove(0),
-            health: self.health.swap_remove(0),
-            telemetry: self.telemetry,
+            iterations: per_rhs.iterations,
+            residual: per_rhs.residuals[0],
+            converged: per_rhs.converged[0],
+            history: per_rhs.histories.swap_remove(0),
+            health: per_rhs.health.swap_remove(0),
+            telemetry: per_rhs.telemetry,
         }
-    }
-}
-
-/// The complete state of an in-flight **block** Conjugate Gradient solve:
-/// `N` independent Hestenes–Stiefel recurrences sharing every operator
-/// sweep — [`krylov::State`] over a [`FermionBlock`].
-///
-/// Per RHS the recurrence is bit-identical to [`CgState`] driven alone:
-/// converged RHS are frozen (their words are not even loaded by the masked
-/// sweeps), and the shared reductions accumulate per RHS in the single-RHS
-/// chunk order and tree.
-pub type BlockCgState<E = f64> = krylov::State<FermionBlock<E>>;
-
-impl<E: SveFloat> BlockCgState<E> {
-    /// Fresh state for solving `A x_j = b_j` from zero initial guesses.
-    pub fn new(b: &FermionBlock<E>) -> Self {
-        let b_norm2 = b.norms2();
-        for (j, &n) in b_norm2.iter().enumerate() {
-            assert!(n > 0.0, "CG needs a nonzero right-hand side (RHS {j})");
-        }
-        let x = FermionBlock::zero(b.grid().clone(), b.nrhs());
-        let r = b.clone();
-        let p = r.clone();
-        let r2 = r.norms2();
-        Self::assemble(x, r, p, &r2, &b_norm2)
     }
 }
 
@@ -318,29 +207,10 @@ pub fn block_cg<E: SveFloat>(
     tol: f64,
     max_iter: usize,
 ) -> (FermionBlock<E>, BlockSolveReport) {
-    let grid = b.grid().clone();
-    let mut tmp = FermionBlock::zero(grid.clone(), b.nrhs());
-    let mut space = Layout::new(
-        |p: &FermionBlock<E>, ap: &mut FermionBlock<E>, curv: &mut [f64]| {
-            curv.copy_from_slice(&op.mdag_m_block_into_dot(p, &mut tmp, ap));
-        },
-    );
-    let state = BlockCgState::new(b);
-    let span = qcd_trace::span!("solver.block_cg", grid.engine().ctx());
-    krylov::cg_solve(
-        &mut space,
-        b,
-        Start::State(state),
-        tol,
-        max_iter,
-        span,
-        "solver.block_cg",
-        krylov::no_observer,
-    )
+    fused_cg(op, b, tol, max_iter, "solver.block_cg")
 }
 
-/// The complete state of an in-flight BiCGStab solve — the checkpoint unit
-/// for the non-hermitian solver, mirroring [`CgState`].
+/// The complete state of an in-flight BiCGStab solve.
 #[derive(Clone)]
 pub struct BicgStabState {
     /// Current solution estimate.
@@ -400,9 +270,9 @@ impl BicgStabState {
         self.rho * d.conj().scale(1.0 / n2)
     }
 
-    /// The iteration tail shared by [`Self::step`] and [`Self::step_ws`]
-    /// once `v = M p`, `s = r − α v` and `t = M s` are in hand: fused
-    /// two-term sweeps for `x` and `r`, the fused three-op sweep for `p`.
+    /// The iteration tail once `v = M p`, `s = r − α v` and `t = M s` are
+    /// in hand: fused two-term sweeps for `x` and `r`, the fused three-op
+    /// sweep for `p`.
     fn conclude(
         &mut self,
         alpha: crate::complex::Complex,
@@ -431,25 +301,10 @@ impl BicgStabState {
         self.history.push((self.r.norm2() / self.b_norm2).sqrt());
     }
 
-    /// One BiCGStab iteration (two operator applications) under a
-    /// per-iteration telemetry span.
-    pub fn step(&mut self, apply: impl Fn(&FermionField) -> FermionField) {
-        let grid = self.x.grid().clone();
-        let _iter_span = qcd_trace::span!("iter", grid.engine().ctx());
-        let v = apply(&self.p);
-        let alpha = self.alpha(&v);
-        // s = r - alpha v (caxpy_from never reads its destination, so a
-        // zero field is as good as a clone of r).
-        let mut s = FermionField::zero(grid.clone());
-        s.caxpy_from(-alpha, &v, &self.r);
-        let t = apply(&s);
-        self.conclude(alpha, &v, &s, &t);
-    }
-
     /// One BiCGStab iteration through caller-provided storage: `v`/`s`/`t`
     /// live in the workspace (`ap`/`tmp`/`hop`), `apply_into` writes
     /// `M · input` into its output argument, and a steady-state iteration
-    /// allocates nothing. Bit-identical to [`Self::step`].
+    /// allocates nothing.
     pub fn step_ws(
         &mut self,
         ws: &mut SolverWorkspace,
@@ -465,50 +320,27 @@ impl BicgStabState {
 }
 
 /// BiCGStab on `M x = b` — the non-hermitian workhorse; roughly half the
-/// operator applications of normal-equation CG per iteration pair.
+/// operator applications of normal-equation CG per iteration pair. Runs
+/// allocation-free: one workspace for the whole solve, `M` applied through
+/// [`WilsonDirac::apply_into`].
 pub fn bicgstab(
     op: &WilsonDirac,
     b: &FermionField,
     tol: f64,
     max_iter: usize,
 ) -> (FermionField, SolveReport) {
-    bicgstab_from_state(op, b, BicgStabState::new(b), tol, max_iter, |_| {
-        ControlFlow::Continue(())
-    })
-}
-
-/// Continue a BiCGStab solve from an arbitrary [`BicgStabState`] — freshly
-/// built or restored from a checkpoint. `max_iter` counts total iterations
-/// including those already inside `state`. Runs the allocation-free fused
-/// path: one workspace for the whole solve, `M` applied through
-/// [`WilsonDirac::apply_into`]. `observer` runs after every iteration (the
-/// hook [`krylov::cg_solve`] has: a checkpoint writer breaks to stop).
-pub fn bicgstab_from_state(
-    op: &WilsonDirac,
-    b: &FermionField,
-    mut state: BicgStabState,
-    tol: f64,
-    max_iter: usize,
-    mut observer: impl FnMut(&BicgStabState) -> ControlFlow<()>,
-) -> (FermionField, SolveReport) {
     let grid = b.grid().clone();
     let span = qcd_trace::span!("solver.bicgstab", grid.engine().ctx());
     let mut ws = SolverWorkspace::new(grid.clone());
-    state.history.reserve(
-        max_iter
-            .saturating_sub(state.iterations)
-            .min(krylov::HISTORY_RESERVE),
-    );
+    let mut state = BicgStabState::new(b);
+    state.history.reserve(max_iter.min(krylov::HISTORY_RESERVE));
     let mut apply_into = |f: &FermionField, out: &mut FermionField| op.apply_into(f, out);
     let mut monitor = HealthMonitor::new("solver.bicgstab");
     monitor.replay(&state.history);
 
     while state.iterations < max_iter && !state.converged(tol) {
         state.step_ws(&mut ws, &mut apply_into);
-        monitor.observe(*state.history.last().unwrap());
-        if observer(&state).is_break() {
-            break;
-        }
+        monitor.observe(*state.history.last().expect("a step pushes its entry"));
     }
 
     op.apply_into(&state.x, &mut ws.ap);
@@ -531,7 +363,7 @@ pub fn bicgstab_from_state(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::krylov::{cg_solve, cg_step, no_observer, Allocating, Scratch};
+    use crate::krylov::{cg_solve, fused, no_observer, Allocating, CgSpace, State};
     use crate::layout::Grid;
     use crate::simd::SimdBackend;
     use crate::tensor::su3::random_gauge;
@@ -542,14 +374,14 @@ mod tests {
     fn cg_closure(
         op: &WilsonDirac,
         b: &FermionField,
-        start: Start<CgState>,
+        start: Start<FermionField>,
         tol: f64,
         max_iter: usize,
     ) -> (FermionField, SolveReport) {
         let grid = b.grid().clone();
         let mut space = Allocating::new(grid.clone(), |p: &FermionField| op.mdag_m(p));
         let span = qcd_trace::span!("solver.cg", grid.engine().ctx());
-        let (x, report) = cg_solve(
+        cg_solve(
             &mut space,
             b,
             start,
@@ -558,8 +390,31 @@ mod tests {
             span,
             "solver.cg",
             no_observer,
+        )
+    }
+
+    /// The state of a zero-start solve in `space` after `k` iterations —
+    /// what a checkpoint observer would have written — the solve stopped
+    /// there through the observer hook.
+    fn snapshot_at<S: CgSpace>(space: &mut S, b: &S::V, k: usize) -> State<S::V> {
+        let mut snapshot = None;
+        let _ = cg_solve(
+            space,
+            b,
+            Start::Zero,
+            1e-8,
+            2000,
+            qcd_trace::span!("test.snapshot"),
+            "test.snapshot",
+            |state: &State<S::V>, _: &[HealthMonitor]| {
+                if state.iterations.iter().max() == Some(&k) {
+                    snapshot = Some(state.clone());
+                    return std::ops::ControlFlow::Break(());
+                }
+                std::ops::ControlFlow::Continue(())
+            },
         );
-        (x, report.into_single())
+        snapshot.expect("the solve ended before the cut")
     }
 
     fn setup(bits: usize, backend: SimdBackend) -> (WilsonDirac, FermionField) {
@@ -688,15 +543,13 @@ mod tests {
         let b2 = FermionField::random(b.grid().clone(), 23);
         let grid = b.grid().clone();
         let mut tmp = FermionField::zero(grid.clone());
-        let mut space = Layout::new(|p: &FermionField, ap: &mut FermionField, c: &mut [f64]| {
-            c[0] = op.mdag_m_into_dot(p, &mut tmp, ap);
-        });
+        let mut space = fused(&op, &mut tmp);
         let mut solve = |rhs: &FermionField| {
             let span = qcd_trace::span!("solver.cg", grid.engine().ctx());
             cg_solve(
                 &mut space,
                 rhs,
-                Start::<CgState>::Zero,
+                Start::Zero,
                 1e-8,
                 2000,
                 span,
@@ -722,13 +575,7 @@ mod tests {
         let (x_full, full) = cg(&op, &b, 1e-8, 2000);
 
         let mut space = Allocating::new(b.grid().clone(), |p: &FermionField| op.mdag_m(p));
-        let mut scratch = Scratch::new(&b);
-        let mut st = CgState::new(&b);
-        for _ in 0..10 {
-            let _ = cg_step(&mut space, &mut st, &mut scratch, 1e-8, 2000);
-        }
-        let snapshot = st.clone(); // what qcd-io serializes
-        drop(st); // the "killed" solve
+        let snapshot = snapshot_at(&mut space, &b, 10); // what qcd-io serializes
         let (x_res, res) = cg_closure(&op, &b, Start::State(snapshot), 1e-8, 2000);
 
         assert_eq!(res.iterations, full.iterations);
@@ -743,26 +590,6 @@ mod tests {
         // Health is replayed through the restored history, so the resumed
         // report carries the same typed events as the uninterrupted one.
         assert_eq!(res.health, full.health);
-    }
-
-    #[test]
-    fn bicgstab_resumed_from_mid_solve_state_is_bit_identical() {
-        let (op, b) = setup(256, SimdBackend::Fcmla);
-        let (x_full, full) = bicgstab(&op, &b, 1e-8, 2000);
-
-        let mut st = BicgStabState::new(&b);
-        for _ in 0..7 {
-            st.step(|f| op.apply(f));
-        }
-        let snapshot = st.clone();
-        drop(st);
-        let (x_res, res) =
-            bicgstab_from_state(&op, &b, snapshot, 1e-8, 2000, |_| ControlFlow::Continue(()));
-
-        assert_eq!(res.iterations, full.iterations);
-        for (a, c) in x_full.data().iter().zip(x_res.data()) {
-            assert_eq!(a.to_bits(), c.to_bits(), "solution bits diverged");
-        }
     }
 
     #[test]
@@ -866,16 +693,8 @@ mod tests {
         let (x_full, full) = block_cg(&op, &block, 1e-8, 2000);
 
         let mut tmp = FermionBlock::zero(g.clone(), 2);
-        let mut space = Layout::new(|p: &FermionBlock, ap: &mut FermionBlock, c: &mut [f64]| {
-            c.copy_from_slice(&op.mdag_m_block_into_dot(p, &mut tmp, ap));
-        });
-        let mut scratch = Scratch::new(&block);
-        let mut st = BlockCgState::new(&block);
-        for _ in 0..10 {
-            let _ = cg_step(&mut space, &mut st, &mut scratch, 1e-8, 2000);
-        }
-        let snapshot = st.clone();
-        drop(st);
+        let mut space = fused(&op, &mut tmp);
+        let snapshot = snapshot_at(&mut space, &block, 10);
         let span = qcd_trace::span!("solver.block_cg", g.engine().ctx());
         let (x_res, res) = cg_solve(
             &mut space,

@@ -1,10 +1,12 @@
 //! Proof that the solvers' steady state performs **zero heap allocations**.
 //!
-//! A counting global allocator wraps `System`; after a warm-up (which may
-//! grow the residual-history vector to its reserved capacity), a block of
-//! `krylov::cg_step` iterations must leave the allocation counter untouched
-//! — in the fused-layout, canonical and 5-d spaces — as must BiCGStab's
-//! `step_ws` on `apply_into` and all six precision-pair directions of
+//! A counting global allocator wraps `System`; after a warm-up, ten
+//! iterations of `krylov::cg_solve` — the whole driver loop: step, health
+//! monitors, observer — must leave the allocation counter untouched in the
+//! fused-layout, canonical and 5-d spaces, **and with a checkpoint observer
+//! attached** whose interval is not reached (durability must not move a
+//! solve off the zero-allocation path); so must BiCGStab's `step_ws` on
+//! `apply_into` and all six precision-pair directions of
 //! `to_precision_into` (f64/f32/f16, both ways) into preallocated
 //! destinations. The block space is held to its kernels' own floor: the
 //! batched sweeps return their per-RHS scalars as `Vec`s, and the driver
@@ -19,11 +21,14 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use std::ops::ControlFlow;
+
 use grid::field::FermionKind;
 use grid::krylov::{
-    cg_step, Canonical, CgSpace, Layout as LayoutSpace, Recurrence, Scratch, State,
+    cg_solve, fused, no_observer, Canonical, CgSpace, Layout as LayoutSpace, Start, State,
 };
 use grid::prelude::*;
+use qcd_metrics::HealthMonitor;
 use sve::F16;
 
 struct CountingAlloc;
@@ -55,24 +60,36 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::SeqCst)
 }
 
-/// Allocations of ten steady-state `cg_step`s in `space`, after three
-/// warm-up steps. The state must not converge inside the window.
-fn ten_steps<S: CgSpace, St: Recurrence<V = S::V>>(space: &mut S, state: &mut St) -> u64 {
-    let mut scratch = Scratch::new(&*state.parts().x);
-    for history in state.parts().histories.iter_mut() {
-        history.reserve(64);
-    }
-    for _ in 0..3 {
-        let _ = cg_step(space, state, &mut scratch, 1e-30, 64); // warm-up
-    }
-    let before = allocations();
-    for _ in 0..10 {
-        assert!(
-            cg_step(space, state, &mut scratch, 1e-30, 64).is_continue(),
-            "test lattice converged too fast"
-        );
-    }
-    allocations() - before
+/// Allocations of ten steady-state iterations of a zero-start `cg_solve`
+/// in `space`, after three warm-up iterations, with `observer` attached.
+/// The solve must not converge inside the window.
+fn ten_iterations<S: CgSpace>(
+    space: &mut S,
+    b: &S::V,
+    mut observer: impl FnMut(&State<S::V>, &[HealthMonitor]) -> ControlFlow<()>,
+) -> u64 {
+    let (mut seen, mut before, mut delta) = (0, 0, None);
+    let _ = cg_solve(
+        space,
+        b,
+        Start::Zero,
+        1e-30,
+        64,
+        qcd_trace::span!("alloc.solve"),
+        "alloc.solve",
+        |state: &State<S::V>, monitors: &[HealthMonitor]| {
+            seen += 1;
+            if seen == 3 {
+                before = allocations();
+            }
+            if seen == 13 {
+                delta = Some(allocations() - before);
+                return ControlFlow::Break(());
+            }
+            observer(state, monitors)
+        },
+    );
+    delta.expect("test lattice converged too fast")
 }
 
 #[test]
@@ -85,16 +102,21 @@ fn solver_steady_state_allocates_nothing() {
 
     // --- CG in the fused-layout space --------------------------------
     let mut ws = SolverWorkspace::new(g.clone());
-    let mut fused = LayoutSpace::new(|p: &FermionField, ap: &mut FermionField, c: &mut [f64]| {
-        c[0] = d.mdag_m_into_dot(p, &mut ws.tmp, ap);
-    });
-    let delta = ten_steps(&mut fused, &mut CgState::new(&b));
+    let delta = ten_iterations(&mut fused(&d, &mut ws.tmp), &b, no_observer);
     assert_eq!(delta, 0, "CG steady state performed {delta} allocations");
+
+    // --- The same solve made durable: a checkpoint observer between
+    // snapshots costs the hot loop nothing -------------------------------
+    let path = std::env::temp_dir().join(format!("alloc-free-{}.qio", std::process::id()));
+    let mut checkpointer = qcd_io::Checkpointer::every(1000, &path);
+    let delta = ten_iterations(&mut fused(&d, &mut ws.tmp), &b, checkpointer.observer());
+    assert_eq!(delta, 0, "checkpointed CG performed {delta} allocations");
+    assert_eq!(checkpointer.finish().expect("no write was attempted"), 0);
 
     // --- CG in the canonical space: the scatter buffer is the space's --
     let mut buf = vec![0.0; g.volume()];
     let mut canonical = Canonical::new(&d, &mut ws.hop, &mut buf);
-    let delta = ten_steps(&mut canonical, &mut CgState::new(&b));
+    let delta = ten_iterations(&mut canonical, &b, no_observer);
     assert_eq!(delta, 0, "canonical CG performed {delta} allocations");
 
     // --- CG on the 5-d domain-wall normal operator ---------------------
@@ -105,15 +127,7 @@ fn solver_steady_state_allocates_nothing() {
         dwf.ddag_d_into(p, &mut tmp5, ap);
         c[0] = p.inner(ap).re;
     });
-    let n5 = b5.norm2();
-    let mut state5 = State::assemble(
-        Fermion5::zero(g.clone(), 4),
-        b5.clone(),
-        b5.clone(),
-        &[n5],
-        &[n5],
-    );
-    let delta = ten_steps(&mut five_d, &mut state5);
+    let delta = ten_iterations(&mut five_d, &b5, no_observer);
     assert_eq!(
         delta, 0,
         "5-d CG steady state performed {delta} allocations"
@@ -123,24 +137,29 @@ fn solver_steady_state_allocates_nothing() {
     let block = FermionBlock::from_fields(&[b.clone(), FermionField::random(g.clone(), 56)]);
     let mut btmp = FermionBlock::zero(g.clone(), 2);
     let floor = {
-        let mut st = BlockCgState::new(&block);
+        // Under a solve-level span, as every solve is: the batched sweeps
+        // open a `dirac.block` child span, and entering a child allocates
+        // its path.
+        let _span = qcd_trace::span!("alloc.solve");
+        let (mut x, mut r, mut p) = (
+            FermionBlock::zero(g.clone(), 2),
+            block.clone(),
+            block.clone(),
+        );
         let mut ap = FermionBlock::zero(g.clone(), 2);
         let (alpha, active) = ([1e-3, 1e-3], [true, true]);
         let mut before = 0;
         for sweep in 0..13 {
             if sweep == 3 {
-                before = allocations(); // three warm-up sweeps, as `ten_steps`
+                before = allocations(); // three warm-up sweeps, as `ten_iterations`
             }
-            let _ = d.mdag_m_block_into_dot(&st.p, &mut btmp, &mut ap);
-            let _ = block_cg_update_x_r(&mut st.x, &mut st.r, &alpha, &st.p, &ap, &active);
-            st.p.aypx_masked(&alpha, &st.r, &active);
+            let _ = d.mdag_m_block_into_dot(&p, &mut btmp, &mut ap);
+            let _ = block_cg_update_x_r(&mut x, &mut r, &alpha, &p, &ap, &active);
+            p.aypx_masked(&alpha, &r, &active);
         }
         allocations() - before
     };
-    let mut batched = LayoutSpace::new(|p: &FermionBlock, ap: &mut FermionBlock, c: &mut [f64]| {
-        c.copy_from_slice(&d.mdag_m_block_into_dot(p, &mut btmp, ap));
-    });
-    let delta = ten_steps(&mut batched, &mut BlockCgState::new(&block));
+    let delta = ten_iterations(&mut fused(&d, &mut btmp), &block, no_observer);
     assert_eq!(
         delta, floor,
         "block CG: {delta} allocations against the kernels' own {floor}"

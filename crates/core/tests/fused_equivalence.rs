@@ -23,17 +23,16 @@ fn cg_closure<E: SveFloat>(
     let grid = b.grid().clone();
     let mut space = Allocating::new(grid.clone(), |p: &Field<FermionKind, E>| d.mdag_m(p));
     let span = qcd_trace::span!("solver.cg", grid.engine().ctx());
-    let (x, report) = cg_solve(
+    cg_solve(
         &mut space,
         b,
-        Start::<CgState<E>>::Zero,
+        Start::Zero,
         tol,
         max_iter,
         span,
         "solver.cg",
         no_observer,
-    );
-    (x, report.into_single())
+    )
 }
 
 macro_rules! fused_equivalence_for {

@@ -36,7 +36,7 @@ use grid::field::FermionKind;
 use grid::krylov::{self, Canonical, CgSpace, Start, Vector};
 use grid::layout::{delex, lex};
 use grid::mixed::{to_precision, to_precision_into};
-use grid::solver::{CgState, SolveReport, SolverWorkspace};
+use grid::solver::{SolveReport, SolverWorkspace};
 use grid::{Complex, Coor, Field, FieldKind, Grid};
 use std::sync::Arc;
 use sve::{SveFloat, F16};
@@ -337,7 +337,7 @@ impl<E: SveFloat> F16Smoother<E> {
 /// and the zero-start `|r|²` copies `|b|²`; the recurrence, including
 /// "skip `M⁻¹` once converged", is the driver's.
 struct TwoLevel<'a, E: SveFloat> {
-    fine: Canonical<'a, E>,
+    fine: Canonical<'a, Field<FermionKind, E>>,
     cs: &'a CoarseSpace<E>,
     smoother: Option<&'a mut F16Smoother<E>>,
 }
@@ -382,7 +382,7 @@ impl<E: SveFloat> CgSpace for TwoLevel<'_, E> {
         if let Some(sm) = self.smoother.as_deref_mut() {
             sm.accumulate(r, z);
         }
-        rz[0] = self.fine.inner_re(r, z);
+        self.fine.inners_re(r, z, rz);
         true
     }
 }
@@ -415,15 +415,14 @@ pub fn coarse_pcg<E: SveFloat>(
         cs,
         smoother,
     };
-    let (x, report) = krylov::cg_solve(
+    krylov::cg_solve(
         &mut space,
         b,
-        Start::<CgState<E>>::Zero,
+        Start::Zero,
         tol,
         max_iter,
         span,
         "solver.coarse_pcg",
         krylov::no_observer,
-    );
-    (x, report.into_single())
+    )
 }

@@ -11,12 +11,11 @@
 //!   with full reorthogonalization on `M†M`, producing a [`Subspace`] of
 //!   validated eigenpairs (explicit `‖Av − θv‖` residuals, not estimates).
 //! * **Deflated solves** ([`defl`]): [`defl_cg`] projects the low modes
-//!   out of each RHS via the Galerkin guess `x₀ = V (V†AV)⁻¹ V† b`;
-//!   [`defl_block_cg`] recycles one subspace across a whole N-RHS batch
-//!   with per-RHS results bit-identical to the single-RHS path;
-//!   [`defl_ladder_solve`] seeds the precision ladder;
-//!   [`solve_deflated_requests`] is the coalescing entry point a
-//!   job farm drives.
+//!   out of each RHS via the Galerkin guess `x₀ = V (V†AV)⁻¹ V† b`, for
+//!   one field or — recycling one subspace across a whole N-RHS batch,
+//!   per-RHS results bit-identical to the single-RHS path — a block (what
+//!   a job farm runs on its coalesced requests); [`galerkin_guess_f16`]
+//!   seeds the precision ladder.
 //! * **Coarse grid** ([`coarse`]): cell-blocked near-null vectors,
 //!   Galerkin triple-product coarse operator, and a two-level
 //!   preconditioner inside CG ([`coarse_pcg`]).
@@ -50,9 +49,7 @@ pub mod defl;
 pub mod dense;
 pub mod lanczos;
 pub mod persist;
-pub mod requests;
 
 pub use coarse::{coarse_pcg, CoarseSpace, F16Smoother};
-pub use defl::{defl_block_cg, defl_cg, defl_ladder_solve, galerkin_guess, galerkin_guess_f16};
+pub use defl::{defl_cg, galerkin_guess, galerkin_guess_f16};
 pub use lanczos::{build_subspace, lanczos, EigenReport, LanczosParams, Subspace};
-pub use requests::solve_deflated_requests;

@@ -1,7 +1,7 @@
 //! Behavioural tests of the deflated solvers on a thermalized gauge
 //! configuration: eigenpair validation, iteration gains over plain CG,
-//! per-RHS bit-identity of the batched path, and the request-coalescing
-//! contract.
+//! per-RHS bit-identity of the batched path, and composition with the
+//! precision ladder.
 //!
 //! A *thermalized* configuration matters here: a random gauge field has no
 //! low modes (`λ_min(M†M) ≳ 2.5` even at zero quark mass, because maximal
@@ -14,8 +14,8 @@ use std::sync::{Arc, OnceLock};
 
 use grid::prelude::*;
 use qcd_deflate::{
-    coarse_pcg, defl_block_cg, defl_cg, defl_ladder_solve, galerkin_guess, galerkin_guess_f16,
-    lanczos, solve_deflated_requests, CoarseSpace, F16Smoother, LanczosParams, Subspace,
+    coarse_pcg, defl_cg, galerkin_guess, galerkin_guess_f16, lanczos, CoarseSpace, F16Smoother,
+    LanczosParams, Subspace,
 };
 use qcd_hmc::{HmcParams, IntegratorKind, MarkovChain};
 
@@ -140,7 +140,7 @@ fn block_defl_cg_is_bit_identical_to_single_rhs_defl_cg() {
         .map(|b| defl_cg(&f.op, &f.sub, b, TOL, 6000))
         .collect();
     let block = FermionBlock::from_fields(&rhss);
-    let (x, rep) = defl_block_cg(&f.op, &f.sub, &block, TOL, 6000);
+    let (x, rep) = defl_cg(&f.op, &f.sub, &block, TOL, 6000);
     for (j, (sx, srep)) in solo.iter().enumerate() {
         assert_eq!(rep.per_rhs_iterations[j], srep.iterations, "RHS {j}");
         assert_eq!(
@@ -153,37 +153,6 @@ fn block_defl_cg_is_bit_identical_to_single_rhs_defl_cg() {
             assert_eq!(a.to_bits(), b.to_bits(), "RHS {j} history");
         }
         assert_eq!(x.rhs_field(j).max_abs_diff(sx), 0.0, "RHS {j} solution");
-    }
-}
-
-#[test]
-fn deflated_requests_match_standalone_solves_in_any_order() {
-    let f = fixture();
-    let rhss: Vec<FermionField> = (0..3)
-        .map(|k| FermionField::random(f.grid.clone(), 31 + k))
-        .collect();
-    let solo: Vec<_> = rhss
-        .iter()
-        .map(|b| defl_cg(&f.op, &f.sub, b, TOL, 6000))
-        .collect();
-    for order in [[0usize, 1, 2], [2, 0, 1]] {
-        let requests: Vec<_> = order
-            .iter()
-            .map(|&k| grid::requests::SolveRequest {
-                id: 50 + k as u64,
-                rhs: rhss[k].clone(),
-            })
-            .collect();
-        let outcomes = solve_deflated_requests(&f.op, &f.sub, &requests, TOL, 6000);
-        for (slot, &k) in order.iter().enumerate() {
-            assert_eq!(outcomes[slot].id, 50 + k as u64);
-            assert_eq!(outcomes[slot].report.iterations, solo[k].1.iterations);
-            assert_eq!(
-                outcomes[slot].report.residual.to_bits(),
-                solo[k].1.residual.to_bits()
-            );
-            assert_eq!(outcomes[slot].solution.max_abs_diff(&solo[k].0), 0.0);
-        }
     }
 }
 
@@ -304,7 +273,8 @@ fn deflation_composes_with_the_f16_inner_ladder() {
     let b = FermionField::random(f.grid.clone(), 41);
     let cfg = grid::mixed::LadderConfig::new(TOL);
     let (x_plain, rep_plain) = grid::mixed::ladder_solve(&f.op, &b, &cfg);
-    let (x_defl, rep_defl) = defl_ladder_solve(&f.op, &f.sub, &b, &cfg);
+    let x0 = galerkin_guess_f16(&f.sub, &f.op.apply_dag(&b));
+    let (x_defl, rep_defl) = grid::mixed::ladder_solve_from(&f.op, &b, x0, &cfg);
     assert!(rep_plain.converged && rep_defl.converged);
     assert!(
         rep_defl.f16_iterations > 0,

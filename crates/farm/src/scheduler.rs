@@ -51,7 +51,7 @@ use crate::job::{
 };
 use crate::queue::{UnitPayload, WorkQueue, WorkUnit};
 use grid::prelude::*;
-use grid::requests::{solve_cg_requests, SolveRequest};
+use grid::requests::{coalesce, demux, solve_cg_requests, SolveRequest};
 use qcd_hmc::{average_plaquette_fast, MarkovChain};
 use qcd_io::{scan_checkpoints, CheckpointKind, IoError};
 use std::collections::BTreeMap;
@@ -552,20 +552,19 @@ impl Farm {
             Some(stem) => {
                 // Shared low-mode subspace: load the `defl.*` checkpoint
                 // (validated against this job's lattice and mass) and run
-                // the deflated batch solver. Each outcome remains
-                // bit-identical to a standalone `defl_cg` of its RHS.
+                // the deflated solve on the coalesced block. Each outcome
+                // remains bit-identical to a standalone `defl_cg` of its RHS.
                 let sub = qcd_deflate::Subspace::load(
                     &JobPaths::subspace(&self.dir, stem),
                     &grid,
                     spec.mass,
                 )?;
-                qcd_deflate::solve_deflated_requests(
-                    &op,
-                    &sub,
-                    &requests,
-                    spec.tol,
-                    spec.max_iter as usize,
-                )
+                let block = coalesce(&requests);
+                let _span = qcd_trace::span!("solver.requests", grid.engine().ctx());
+                qcd_metrics::histogram("solver.requests.batch_fill").record(requests.len() as u64);
+                let (x, rep) =
+                    qcd_deflate::defl_cg(&op, &sub, &block, spec.tol, spec.max_iter as usize);
+                demux(&requests, &x, &rep)
             }
         };
         drop(span);

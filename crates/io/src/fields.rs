@@ -147,7 +147,7 @@ impl<'a> Cursor<'a> {
     }
 
     pub(crate) fn bytes(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
-        if self.pos + n > self.bytes.len() {
+        if n > self.bytes.len() - self.pos {
             return Err(IoError::BadRecord {
                 record: self.record.to_string(),
                 msg: format!("payload too short for {what}"),
@@ -172,6 +172,23 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(
             self.bytes(8, what)?.try_into().expect("8 bytes"),
         ))
+    }
+
+    /// A count of items of at least `min_item_bytes` each still to come.
+    /// It is bounded by the bytes left in the payload, so a forged count is
+    /// a typed error before it can size an allocation.
+    pub(crate) fn count(&mut self, what: &str, min_item_bytes: usize) -> Result<usize> {
+        let n = self.u64(what)?;
+        let left = (self.bytes.len() - self.pos) as u64;
+        if n.checked_mul(min_item_bytes as u64)
+            .is_none_or(|need| need > left)
+        {
+            return Err(IoError::BadRecord {
+                record: self.record.to_string(),
+                msg: format!("{what} {n} exceeds the {left} payload bytes that follow"),
+            });
+        }
+        Ok(n as usize)
     }
 
     pub(crate) fn done(&self) -> Result<()> {
@@ -235,14 +252,20 @@ pub fn decode_field<K: FieldKind, E: SveFloat>(
             found: meta.geometry(),
         });
     }
-    let scalars = decode_f64s(payload, meta.precision)?;
+    // Sized before it is decoded: a wrong precision tag must not widen a
+    // payload into four times its bytes first.
     let want = grid.volume() * K::NCOMP * 2;
-    if scalars.len() != want {
+    let width = meta.precision.bytes_per_scalar();
+    if payload.len().is_multiple_of(width) && payload.len() / width != want {
         return Err(IoError::BadRecord {
             record: record.to_string(),
-            msg: format!("{} scalars in payload, lattice needs {want}", scalars.len()),
+            msg: format!(
+                "{} scalars in payload, lattice needs {want}",
+                payload.len() / width
+            ),
         });
     }
+    let scalars = decode_f64s(payload, meta.precision)?;
     let mut f = Field::<K, E>::zero(grid.clone());
     let mut i = 0;
     for x in grid.coords() {

@@ -141,7 +141,7 @@ impl HmcChainState {
         cur.done()?;
 
         let mut hcur = Cursor::new(&history.payload, HMC_HISTORY_RECORD);
-        let n = hcur.u64("history length")? as usize;
+        let n = hcur.count("history length", 9)?; // dH bits + accept flag
         let mut dh_history = Vec::with_capacity(n);
         let mut accept_history = Vec::with_capacity(n);
         for _ in 0..n {

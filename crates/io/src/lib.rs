@@ -15,8 +15,9 @@
 //!   [`grid::codec`] path). Scalars are serialized in global site order, so
 //!   files are portable across SVE vector lengths. Gauge metadata carries
 //!   the average plaquette for physics validation on load.
-//! * **Solver checkpoints** ([`checkpoint`]): snapshot CG, BiCGStab, and
-//!   mixed-precision solves; a killed solve resumes bit-identically.
+//! * **Solver checkpoints** ([`checkpoint`]): one codec for the CG
+//!   recurrence state at either width, a checkpoint-every-k observer for
+//!   any solve, and `resume`; a killed solve resumes bit-identically.
 //! * **Fault injection** ([`fault`]): wrap any reader/writer with bit
 //!   flips, truncation, or mid-stream failures and assert every corruption
 //!   class maps to a typed [`IoError`] — never a panic, never silent wrong
@@ -58,11 +59,7 @@ pub mod hmc;
 pub mod scan;
 pub mod subspace;
 
-pub use checkpoint::{
-    bicgstab_checkpointed_from, block_cg_checkpointed, cg_checkpointed, load_bicgstab,
-    load_block_cg, load_cg, load_mixed, resume_bicgstab, resume_block_cg, resume_cg, save_bicgstab,
-    save_block_cg, save_cg, save_mixed, MixedCheckpoint,
-};
+pub use checkpoint::{load_state, resume, save_state, Checkpointer, STATE_SCALARS};
 pub use container::{Container, ContainerReader, ContainerWriter, Record, MAGIC, VERSION};
 pub use crc::{crc32, Crc32};
 pub use error::{IoError, Result};

@@ -21,10 +21,9 @@
 //! `farm.scan.skip` flight event, so a recovery that silently dropped work
 //! is visible in the postmortem dump.
 
-use crate::checkpoint::{BI_SCALARS, BLK_SCALARS, CG_SCALARS, MX_SCALARS};
+use crate::checkpoint::{decode_scalars, STATE_SCALARS};
 use crate::container::{ContainerReader, Record};
 use crate::error::{IoError, Result};
-use crate::fields::Cursor;
 use crate::hmc::{HmcChainState, HMC_HISTORY_RECORD, HMC_RECORD};
 use std::fs::File;
 use std::path::{Path, PathBuf};
@@ -35,14 +34,9 @@ use std::path::{Path, PathBuf};
 pub enum CheckpointKind {
     /// An HMC Markov-chain snapshot (`hmc.chain` record set).
     HmcChain,
-    /// A single-RHS Conjugate Gradient snapshot (`cg.scalars`).
-    Cg,
-    /// A BiCGStab snapshot (`bi.scalars`).
-    BiCgStab,
-    /// A mixed-precision defect-correction snapshot (`mx.scalars`).
-    Mixed,
-    /// A batched block-CG snapshot (`blk.scalars`).
-    BlockCg,
+    /// A Conjugate Gradient recurrence state, one right-hand side or a
+    /// block (`state.scalars`).
+    SolverState,
     /// A valid container of an unrecognised record set (e.g. a plain field
     /// archive, or an application-level record like a farm job spec). The
     /// first record type is carried so callers can dispatch on it.
@@ -54,10 +48,7 @@ impl CheckpointKind {
     pub fn name(&self) -> &str {
         match self {
             CheckpointKind::HmcChain => "hmc-chain",
-            CheckpointKind::Cg => "cg",
-            CheckpointKind::BiCgStab => "bicgstab",
-            CheckpointKind::Mixed => "mixed",
-            CheckpointKind::BlockCg => "block-cg",
+            CheckpointKind::SolverState => "solver-state",
             CheckpointKind::Other(t) => t,
         }
     }
@@ -72,9 +63,9 @@ pub struct CheckpointEntry {
     pub job_id: String,
     /// Detected checkpoint kind.
     pub kind: CheckpointKind,
-    /// Progress marker: completed trajectories (HMC), iterations (Krylov
-    /// snapshots — the slowest RHS for block solves), outer rounds (mixed),
-    /// `0` for [`CheckpointKind::Other`].
+    /// Progress marker: completed trajectories (HMC), iterations of the
+    /// slowest right-hand side (solver states), `0` for
+    /// [`CheckpointKind::Other`].
     pub progress: u64,
     /// Whether every record in the file validated. Only a `true` entry may
     /// be resumed; a `false` one was salvaged from a damaged file and is
@@ -121,43 +112,11 @@ fn classify(records: &[Record]) -> Option<(CheckpointKind, u64)> {
         };
         return Some((CheckpointKind::HmcChain, progress));
     }
-    let scalar_iterations = |r: &Record, record: &str| -> u64 {
-        Cursor::new(&r.payload, record)
-            .u64("iteration count")
-            .unwrap_or(0)
-    };
-    if let Some(r) = find(CG_SCALARS) {
-        return Some((CheckpointKind::Cg, scalar_iterations(r, CG_SCALARS)));
-    }
-    if let Some(r) = find(BI_SCALARS) {
-        return Some((CheckpointKind::BiCgStab, scalar_iterations(r, BI_SCALARS)));
-    }
-    if let Some(r) = find(MX_SCALARS) {
-        return Some((CheckpointKind::Mixed, scalar_iterations(r, MX_SCALARS)));
-    }
-    if let Some(r) = find(BLK_SCALARS) {
-        // Per-RHS iteration counts; progress is the slowest RHS.
-        let mut cur = Cursor::new(&r.payload, BLK_SCALARS);
-        let mut progress = 0;
-        if let Ok(nrhs) = cur.u64("RHS count") {
-            for _ in 0..nrhs {
-                let Ok(iters) = cur.u64("iteration count") else {
-                    break;
-                };
-                progress = progress.max(iters);
-                // Skip r2, b_norm2, then the history block.
-                if cur.u64("r2").is_err() || cur.u64("b_norm2").is_err() {
-                    break;
-                }
-                let Ok(hist) = cur.u64("history length") else {
-                    break;
-                };
-                if (0..hist).any(|_| cur.u64("history entry").is_err()) {
-                    break;
-                }
-            }
-        }
-        return Some((CheckpointKind::BlockCg, progress));
+    if let Some(r) = find(STATE_SCALARS) {
+        let progress = decode_scalars(&r.payload)
+            .map(|s| s.iterations.into_iter().max().unwrap_or(0) as u64)
+            .unwrap_or(0);
+        return Some((CheckpointKind::SolverState, progress));
     }
     records
         .first()
@@ -264,7 +223,7 @@ pub fn scan_checkpoints(dir: &Path) -> Result<ScanReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::save_cg;
+    use crate::checkpoint::Checkpointer;
     use crate::container::Container;
     use crate::fault::{Fault, FaultyWriter};
     use grid::prelude::*;
@@ -309,20 +268,26 @@ mod tests {
         let g = grid4();
         let op = WilsonDirac::new(grid::tensor::su3::random_gauge(g.clone(), 9), 0.25);
         let b = FermionField::random(g.clone(), 5);
-        let mut cg = CgState::new(&b);
-        let mut space = grid::krylov::Allocating::new(g.clone(), |p: &FermionField| op.mdag_m(p));
-        let mut scratch = grid::krylov::Scratch::new(&b);
-        for _ in 0..2 {
-            let _ = grid::krylov::cg_step(&mut space, &mut cg, &mut scratch, 1e-10, 100);
-        }
-        save_cg(&cg, &dir.join("j1.solve.qio")).unwrap();
+        let path = dir.join("j1.solve.qio");
+        let mut every_second = Checkpointer::every(2, &path);
+        let _ = grid::krylov::cg_solve(
+            &mut grid::krylov::fused(&op, &mut FermionField::zero(g.clone())),
+            &b,
+            grid::krylov::Start::Zero,
+            1e-10,
+            3,
+            qcd_trace::span!("test.solve"),
+            "test.solve",
+            every_second.observer(),
+        );
+        assert_eq!(every_second.finish().unwrap(), 1);
 
         let report = scan_checkpoints(&dir).unwrap();
         assert!(report.skipped.is_empty(), "{:?}", report.skipped);
         assert_eq!(report.entries.len(), 2);
         // Sorted by job id: j1 before s0.
         assert_eq!(report.entries[0].job_id, "j1.solve");
-        assert_eq!(report.entries[0].kind, CheckpointKind::Cg);
+        assert_eq!(report.entries[0].kind, CheckpointKind::SolverState);
         assert_eq!(report.entries[0].progress, 2);
         assert!(report.entries[0].crc_valid);
         assert_eq!(report.entries[1].job_id, "s0.chain");

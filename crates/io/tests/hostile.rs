@@ -1,0 +1,202 @@
+//! Hostile and obsolete files: a container whose framing and CRCs are
+//! valid but whose *payload* lies — a count its bytes cannot hold, a record
+//! set of a format this reader no longer speaks — is a typed error, never
+//! an abort, a panic or a misparse.
+//!
+//! Every file here is built with [`Container`], so the bytes reach the
+//! decoders: the CRC layer has nothing to object to.
+
+use grid::codec::Precision;
+use grid::krylov::fused;
+use grid::prelude::*;
+use qcd_io::fields::{encode_field, META_RECORD};
+use qcd_io::{
+    load_state, read_hmc_chain, read_subspace, resume, scan_checkpoints, CheckpointKind, Container,
+    FieldMeta, HmcChainState, IoError, Record, DEFL_META_RECORD, DEFL_SCALARS_RECORD,
+    HMC_HISTORY_RECORD, STATE_SCALARS,
+};
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+fn dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("qcd-io-hostile-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn grid() -> Arc<Grid<f64>> {
+    Grid::new([2, 2, 2, 2], VectorLength::of(128), SimdBackend::Fcmla)
+}
+
+fn u64s(words: &[u64]) -> Vec<u8> {
+    words.iter().flat_map(|w| w.to_le_bytes()).collect()
+}
+
+fn write(path: &Path, records: Vec<Record>) {
+    let mut c = Container::new();
+    records.into_iter().for_each(|r| c.push(r));
+    c.write_atomic(path).unwrap();
+}
+
+fn field_record(name: &str, f: &FermionField) -> Record {
+    Record::new(name, encode_field(f, Precision::F64))
+}
+
+fn expect_bad_record<T>(outcome: Result<T, IoError>, record: &str, what: &str) {
+    match outcome {
+        Err(IoError::BadRecord { record: r, msg }) => {
+            assert_eq!(r, record, "{what}: {msg}");
+            assert!(msg.contains("exceeds"), "{what}: {msg}");
+        }
+        other => panic!(
+            "{what}: expected a refused count, got {:?}",
+            other.map(|_| ()).map_err(|e| e.to_string())
+        ),
+    }
+}
+
+#[test]
+fn a_forged_count_is_refused_before_it_sizes_an_allocation() {
+    let d = dir("counts");
+    let g = grid();
+    let f = FermionField::random(g.clone(), 3);
+    let meta = || Record::new(META_RECORD, FieldMeta::of(&f, Precision::F64).encode());
+    let one = 1.0f64.to_bits();
+
+    // A solver state whose history claims 2⁴⁴ entries (an attempted
+    // 128 TiB reservation at the parent commit: SIGABRT), 2⁶¹ (a capacity
+    // overflow panic), and one whose RHS count does.
+    for (tag, scalars) in [
+        ("history-2^44", u64s(&[1, 7, one, one, 1 << 44])),
+        ("history-2^61", u64s(&[1, 7, one, one, 1 << 61])),
+        ("nrhs-2^44", u64s(&[1 << 44, 7, one, one, 0])),
+    ] {
+        let path = d.join(format!("{tag}.qio"));
+        write(
+            &path,
+            vec![
+                meta(),
+                Record::new(STATE_SCALARS, scalars),
+                field_record("state.x.0", &f),
+                field_record("state.r.0", &f),
+                field_record("state.p.0", &f),
+            ],
+        );
+        expect_bad_record(load_state::<FermionField>(&path, &g), STATE_SCALARS, tag);
+        expect_bad_record(load_state::<FermionBlock>(&path, &g), STATE_SCALARS, tag);
+    }
+
+    // The chain history the farm reloads at every chunk boundary.
+    let state = HmcChainState {
+        beta: 5.6,
+        step_size: 0.1,
+        n_steps: 4,
+        integrator: 0,
+        seed: 11,
+        trajectory: 0,
+        accepted: 0,
+        rejected: 0,
+        dh_history: vec![],
+        accept_history: vec![],
+    };
+    let (chain, _) = state.to_records();
+    let path = d.join("chain.qio");
+    write(
+        &path,
+        vec![chain, Record::new(HMC_HISTORY_RECORD, u64s(&[1 << 44]))],
+    );
+    expect_bad_record(read_hmc_chain(&path, &g), HMC_HISTORY_RECORD, "chain");
+
+    // The eigenpair count of the subspace a `SolveSpec.subspace` names.
+    let path = d.join("subspace.qio");
+    write(
+        &path,
+        vec![
+            Record::new(DEFL_META_RECORD, FieldMeta::of(&f, Precision::F64).encode()),
+            Record::new(DEFL_SCALARS_RECORD, u64s(&[0.25f64.to_bits(), 1 << 44])),
+        ],
+    );
+    expect_bad_record(read_subspace(&path, &g, 0.25), DEFL_SCALARS_RECORD, "nev");
+    let _ = std::fs::remove_dir_all(&d);
+}
+
+#[test]
+fn files_of_the_four_retired_solver_layouts_are_refused_by_name() {
+    // The byte layouts `save_cg`, `save_block_cg`, `save_bicgstab` and
+    // `save_mixed` wrote before the one state codec. None carries a
+    // `state.scalars` record, so none can be misread as one (`cg.scalars`
+    // begins with an iteration count where the RHS count now sits).
+    let d = dir("retired");
+    let g = grid();
+    let f = FermionField::random(g.clone(), 5);
+    let meta = || Record::new(META_RECORD, FieldMeta::of(&f, Precision::F64).encode());
+    let one = 1.0f64.to_bits();
+    let fields = |names: &[&str]| {
+        names
+            .iter()
+            .map(|n| field_record(n, &f))
+            .collect::<Vec<_>>()
+    };
+    let layouts: [(&str, Record, Vec<Record>); 4] = [
+        (
+            "cg",
+            Record::new("cg.scalars", u64s(&[2, one, one, 1, one])),
+            fields(&["cg.x", "cg.r", "cg.p"]),
+        ),
+        (
+            "blk",
+            Record::new("blk.scalars", u64s(&[1, 2, one, one, 1, one])),
+            fields(&["blk.x.0", "blk.r.0", "blk.p.0"]),
+        ),
+        (
+            "bi",
+            Record::new("bi.scalars", u64s(&[2, one, 0, one, 1, one])),
+            fields(&["bi.x", "bi.r", "bi.r0", "bi.p"]),
+        ),
+        (
+            "mx",
+            Record::new("mx.scalars", u64s(&[2, 40])),
+            fields(&["mx.x"]),
+        ),
+    ];
+    let op = WilsonDirac::new(random_gauge(g.clone(), 9), 0.25);
+    let mut tmp = FermionField::zero(g.clone());
+    for (stem, scalars, fields) in layouts {
+        let path = d.join(format!("{stem}.qio"));
+        write(&path, [vec![meta(), scalars], fields].concat());
+        let missing = |outcome: Option<IoError>| match outcome {
+            Some(IoError::MissingRecord { record }) => assert_eq!(record, STATE_SCALARS, "{stem}"),
+            other => panic!("{stem}: expected a missing `state.scalars`, got {other:?}"),
+        };
+        missing(load_state::<FermionField>(&path, &g).err());
+        missing(load_state::<FermionBlock>(&path, &g).err());
+        missing(resume(&mut fused(&op, &mut tmp), &f, &path).err());
+    }
+
+    // The recovery scan files all four under `Other`, never as a solver
+    // state it might hand to a resume.
+    let report = scan_checkpoints(&d).unwrap();
+    assert!(report.skipped.is_empty(), "{:?}", report.skipped);
+    assert_eq!(report.entries.len(), 4);
+    for entry in &report.entries {
+        assert_eq!(entry.kind, CheckpointKind::Other(META_RECORD.to_string()));
+        assert_eq!(entry.progress, 0);
+    }
+
+    // And a state of the current layout with no right-hand side is still
+    // rejected, as `load_block_cg` rejected it.
+    let path = d.join("empty.qio");
+    write(&path, vec![meta(), Record::new(STATE_SCALARS, u64s(&[0]))]);
+    match load_state::<FermionBlock>(&path, &g) {
+        Err(IoError::BadRecord { record, msg }) => {
+            assert_eq!(record, STATE_SCALARS);
+            assert!(msg.contains("at least one right-hand side"), "{msg}");
+        }
+        other => panic!(
+            "expected an empty state to be refused, got {:?}",
+            other.err()
+        ),
+    }
+    let _ = std::fs::remove_dir_all(&d);
+}

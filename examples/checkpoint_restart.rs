@@ -16,9 +16,31 @@
 //! cargo run --release --example checkpoint_restart
 //! ```
 
+use grid::krylov::{cg_solve, fused, CgSpace, Start};
 use grid::prelude::*;
-use qcd_io::{cg_checkpointed, read_gauge, resume_cg, write_gauge, Fault, FaultyWriter};
+use qcd_io::{read_gauge, resume, write_gauge, Checkpointer, Fault, FaultyWriter};
 use std::io::Write;
+use std::path::Path;
+
+const TOL: f64 = 1e-10;
+
+/// A durable solve is the same `cg_solve` with a checkpoint observer: a
+/// snapshot to `path` every `every` iterations. Returns the solve and the
+/// number of snapshots written.
+fn durable_cg(
+    space: &mut impl CgSpace<V = FermionField>,
+    b: &FermionField,
+    start: Start<FermionField>,
+    budget: usize,
+    every: usize,
+    path: &Path,
+) -> (FermionField, SolveReport, usize) {
+    let mut checkpointer = Checkpointer::every(every, path);
+    let span = qcd_trace::span!("solver.cg", b.grid().engine().ctx());
+    let observer = checkpointer.observer();
+    let (x, report) = cg_solve(space, b, start, TOL, budget, span, "solver.cg", observer);
+    (x, report, checkpointer.finish().unwrap())
+}
 
 fn main() {
     let dir = std::env::temp_dir().join("qcd-io-example");
@@ -60,29 +82,32 @@ fn main() {
     // --- 3. Kill a solve, resume it, converge bit-identically -----------
     let op = WilsonDirac::new(u, 0.25);
     let b = FermionField::random(g.clone(), 14);
-    let apply = |v: &FermionField| op.mdag_m(v);
-    let (tol, max_iter) = (1e-10, 2000);
+    let max_iter = 2000;
 
-    // Reference: the solve nothing interrupts (the fused path; the closure
-    // path the checkpoints run on is bit-identical to it).
-    let (x_ref, ref_report) = cg(&op, &b, tol, max_iter);
+    // Reference: the solve nothing interrupts.
+    let (x_ref, ref_report) = cg(&op, &b, TOL, max_iter);
     println!(
         "uninterrupted CG : {} iterations, residual {:.3e}",
         ref_report.iterations, ref_report.residual
     );
 
+    // The space `cg` runs in: the fused sweeps, nothing allocated per
+    // iteration — with or without the observer.
+    let mut tmp = FermionField::zero(g.clone());
+    let mut space = fused(&op, &mut tmp);
+    let ckpt = dir.join("cg.qio");
+
     // "Node failure": cap the iteration budget at 14; the snapshot written
     // at iteration 10 (checkpoint interval 5) is what survives on disk.
-    let ckpt = dir.join("cg.qio");
-    let (_, partial, snaps) =
-        cg_checkpointed(apply, &b, CgState::new(&b), tol, 14, 5, &ckpt).unwrap();
+    let (_, partial, snaps) = durable_cg(&mut space, &b, Start::Zero, 14, 5, &ckpt);
     println!(
         "killed CG        : stopped at iteration {} ({snaps} snapshots written)",
         partial.iterations
     );
 
     // Restart: restore the state and finish the job.
-    let (x, resumed, _) = resume_cg(apply, &b, tol, max_iter, 50, &ckpt).unwrap();
+    let start = resume(&mut space, &b, &ckpt).unwrap();
+    let (x, resumed, _) = durable_cg(&mut space, &b, start, max_iter, 50, &ckpt);
     println!(
         "resumed CG       : {} total iterations, residual {:.3e}",
         resumed.iterations, resumed.residual
