@@ -48,23 +48,19 @@
 //! (`benchmark/`). The elapsed seconds of the run are printed for the log.
 //!
 //! With `--metrics <path>`, additionally dumps the observability state —
-//! every registered counter/gauge/histogram, the flight-recorder ring, and
-//! (for `--bench hmc`) the per-trajectory sampler time series — as a
-//! validated `qcd-metrics/v1` JSONL document.
+//! every registered counter/gauge/histogram, the flight-recorder ring (for
+//! `--bench hmc` it holds one `hmc.trajectory` event per trajectory) and the
+//! last span closes — as a validated `qcd-metrics/v1` JSONL document.
 
 use bench::profile::{self, BenchKind};
 use bench::{comms_bench, doc, farm_bench, hmc_bench, solver_bench, BENCH_LATTICE};
 use grid::prelude::*;
 use sve::{OpClass, Opcode};
 
-/// Render, validate, and write the `qcd-metrics/v1` JSONL dump, with the
-/// sampler's time-series lines appended when a sampler ran.
-fn write_metrics_dump(path: &str, sampler: Option<&qcd_metrics::Sampler>) {
-    let mut doc = qcd_metrics::dump_all_jsonl();
-    if let Some(s) = sampler {
-        doc.push_str(&s.to_jsonl());
-    }
-    if let Err(e) = qcd_metrics::validate_jsonl(&doc) {
+/// Render, validate, and write the `qcd-metrics/v1` JSONL dump.
+fn write_metrics_dump(path: &str) {
+    let doc = qcd_trace::dump_all_jsonl();
+    if let Err(e) = qcd_trace::validate_jsonl(&doc) {
         fail(&format!("metrics dump failed validation: {e}"));
     }
     if let Err(e) = std::fs::write(path, &doc) {
@@ -72,7 +68,7 @@ fn write_metrics_dump(path: &str, sampler: Option<&qcd_metrics::Sampler>) {
     }
     println!(
         "wrote validated {schema} metrics dump to {path}",
-        schema = qcd_metrics::SCHEMA
+        schema = qcd_trace::METRICS_SCHEMA
     );
 }
 
@@ -97,24 +93,18 @@ fn main() {
     println!("host lanes: {}", sve::host_lanes());
     // The vector length of the benchmarks (solver, precision, HMC).
     println!("{}", bench::word_bytes_line(VectorLength::of(512)));
-    // Every span close from here on feeds the flight recorder and the
-    // `span.<leaf>` histograms.
-    qcd_metrics::install_span_observer();
+    // In a run that will dump them, every span close from here on feeds
+    // the span ring and the `span.<leaf>` histograms.
+    qcd_trace::set_span_events(report_args.metrics.is_some());
 
     // A benchmark run is standalone: build the document, print it, write
     // it, then hold it to its gates.
     if let Some((kind, path)) = &report_args.bench {
         let t0 = std::time::Instant::now();
-        // With --metrics, sample the registry once per measured trajectory
-        // so the dump carries the plaquette / ΔH time series.
-        let mut sampler = match (kind, &report_args.metrics) {
-            (BenchKind::Hmc, Some(_)) => Some(qcd_metrics::Sampler::new(1)),
-            _ => None,
-        };
         let (built, gate): (_, Gate) = match kind {
             BenchKind::Solver => (solver_bench::run_solver_bench(), solver_bench::check),
             BenchKind::Hmc => (
-                hmc_bench::run_hmc_bench(hmc_bench::HmcBenchConfig::default(), sampler.as_mut()),
+                hmc_bench::run_hmc_bench(hmc_bench::HmcBenchConfig::default()),
                 hmc_bench::check,
             ),
             BenchKind::Comms => (
@@ -140,7 +130,7 @@ fn main() {
         }
         println!("wrote {path}");
         if let Some(mpath) = &report_args.metrics {
-            write_metrics_dump(mpath, sampler.as_ref());
+            write_metrics_dump(mpath);
         }
         if let Err(e) = gate(&document) {
             fail(&format!("gate failed: {e}"));
@@ -173,7 +163,7 @@ fn main() {
             }
         }
         if let Some(mpath) = &report_args.metrics {
-            write_metrics_dump(mpath, None);
+            write_metrics_dump(mpath);
         }
         return;
     }
@@ -276,6 +266,6 @@ fn main() {
         }
     }
     if let Some(mpath) = &report_args.metrics {
-        write_metrics_dump(mpath, None);
+        write_metrics_dump(mpath);
     }
 }

@@ -50,13 +50,11 @@ impl Default for HmcBenchConfig {
     }
 }
 
-/// Run the chain at 512-bit SVE with the FCMLA backend. A
-/// [`qcd_metrics::Sampler`], when given, is ticked once per measured
-/// trajectory: the time series behind `wilson_report --bench hmc --metrics`.
-pub fn run_hmc_bench(
-    cfg: HmcBenchConfig,
-    mut sampler: Option<&mut qcd_metrics::Sampler>,
-) -> Result<Json, String> {
+/// Run the chain at 512-bit SVE with the FCMLA backend. The time series
+/// behind `wilson_report --bench hmc --metrics` is the chain's own
+/// `hmc.trajectory` flight events, one per trajectory (thermalization
+/// included) with its `dh` and `plaquette`.
+pub fn run_hmc_bench(cfg: HmcBenchConfig) -> Result<Json, String> {
     if cfg.traj == 0 || cfg.n_steps == 0 {
         return Err("measured trajectories and MD steps must be positive".into());
     }
@@ -85,20 +83,8 @@ pub fn run_hmc_bench(
     // below is a proper detailed-balance chain.
     chain.thermalize(cfg.therm);
 
-    let (reports, force_flops, _) = crate::probe(
-        || -> Vec<_> {
-            (0..cfg.traj)
-                .map(|_| {
-                    let r = chain.step();
-                    if let Some(s) = sampler.as_deref_mut() {
-                        s.tick();
-                    }
-                    r
-                })
-                .collect()
-        },
-        |path| path.ends_with("hmc.force"),
-    );
+    let (reports, force_flops, _) =
+        crate::probe(|| chain.run(cfg.traj), |path| path.ends_with("hmc.force"));
     // The hmc.force spans must have credited exactly the model's flops.
     let expected_flops = (cfg.traj * 3 * cfg.n_steps) as u64
         * dims.iter().product::<usize>() as u64
@@ -182,19 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn the_chain_reproduces_and_ticks_its_sampler() {
-        let doc = run_hmc_bench(tiny(), None).unwrap();
-        assert_eq!(get_num(&doc, "trajectories"), Ok(3.0));
-        let acceptance = get_num(&doc, "acceptance").unwrap();
-        assert!((0.0..=1.0).contains(&acceptance));
-        // The same seed walks the same chain, sampled or not.
-        let mut sampler = qcd_metrics::Sampler::new(1);
-        let again = run_hmc_bench(tiny(), Some(&mut sampler)).unwrap();
-        assert_eq!(again, doc);
-        assert_eq!(sampler.frames().len(), 3);
-    }
-
-    #[test]
     fn physics_gate_passes_at_the_bound_and_fails_just_past_it() {
         let forged = |acceptance: f64, mean: f64, stderr: f64, plaquette: f64| {
             obj([
@@ -227,11 +200,11 @@ mod tests {
 
     #[test]
     fn degenerate_configs_are_refused() {
-        assert!(run_hmc_bench(HmcBenchConfig { traj: 0, ..tiny() }, None).is_err());
+        assert!(run_hmc_bench(HmcBenchConfig { traj: 0, ..tiny() }).is_err());
         let frozen = HmcBenchConfig {
             step_size: 0.0,
             ..tiny()
         };
-        assert!(run_hmc_bench(frozen, None).is_err());
+        assert!(run_hmc_bench(frozen).is_err());
     }
 }

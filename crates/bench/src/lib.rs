@@ -18,27 +18,19 @@ pub mod solver_bench;
 use grid::prelude::*;
 use grid::Coor;
 
-/// The `qcd-trace` registry is process-global; anything that calls
-/// `qcd_trace::reset()` (profile builds, the HMC benchmark) serialises on
-/// this lock so concurrent resets cannot shear each other's snapshots.
-pub fn registry_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// Run `work` under a uniquely named span and return, with its result, the
 /// `(flops, bytes moved)` that the spans it opened — those whose path below
 /// the probe satisfies `keep` — credited to the registry: the trace-span
 /// models of the bench documents. The unique parent makes the subtree sum
-/// race-free against concurrent telemetry; the registry lock keeps a
-/// concurrent `qcd_trace::reset` from wiping the subtree before it is read
-/// back.
+/// race-free against concurrent telemetry; `qcd_trace::global_test_lock`
+/// keeps a concurrent `qcd_trace::reset` (a profile build under test) from
+/// wiping the subtree before it is read back — so a caller must not hold it.
 pub fn probe<T>(work: impl FnOnce() -> T, keep: impl Fn(&str) -> bool) -> (T, u64, u64) {
     static SPAN_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let id = SPAN_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let name = format!("bench.probe.{id}");
     let prefix = format!("{name}/");
-    let _guard = registry_lock();
+    let _guard = qcd_trace::global_test_lock();
     let span = qcd_trace::SpanGuard::enter(&name, None);
     let result = work();
     let _ = span.finish();

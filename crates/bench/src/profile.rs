@@ -394,13 +394,11 @@ mod tests {
     use super::*;
     use sve::Opcode;
 
-    use crate::registry_lock;
-
     #[test]
     fn fcmla_regions_match_paper_listings() {
         // ISSUE acceptance: the FCMLA-backend complex-multiply regions must
         // reproduce the instruction counts of paper listings IV-C/IV-D.
-        let _guard = registry_lock();
+        let _guard = qcd_trace::global_test_lock();
         qcd_trace::reset();
         profile_mult_cplx();
         let snap = qcd_trace::snapshot();
@@ -454,7 +452,7 @@ mod tests {
 
     #[test]
     fn wilson_profile_nests_and_nested_times_fit_parents() {
-        let _guard = registry_lock();
+        let _guard = qcd_trace::global_test_lock();
         let snap = build_wilson_profile([4, 4, 4, 4]);
 
         // Every sweep combination produced an instrumented hopping region
@@ -493,7 +491,7 @@ mod tests {
 
     #[test]
     fn listings_profile_matches_run_reports() {
-        let _guard = registry_lock();
+        let _guard = qcd_trace::global_test_lock();
         let (all, snap) = build_listings_profile(24);
         // Region totals equal the per-run counter totals the old table used.
         for (vl, runs) in &all {

@@ -278,7 +278,7 @@ pub struct RankCtx {
     /// steady state allocation-free; the counters and the `comms.wait`
     /// histogram below always update regardless.
     detail: Cell<bool>,
-    wait_hist: qcd_metrics::Histogram,
+    wait_hist: qcd_trace::Histogram,
     wait_ns: Cell<u64>,
     flight_ns: Cell<u64>,
     /// When this rank last posted a face send: the start of its overlap
@@ -389,8 +389,8 @@ impl RankCtx {
             let _span = detail.then(|| qcd_trace::span!("comms.send"));
             qcd_trace::record_wire_bytes(bytes as u64);
         }
-        if detail && qcd_metrics::flight_enabled() {
-            qcd_metrics::record_event(
+        if detail {
+            qcd_trace::record_event(
                 "comms",
                 if toward_next {
                     "send.next"
@@ -461,17 +461,15 @@ impl RankCtx {
         if detail {
             let _span = qcd_trace::span!("comms.recv");
             qcd_trace::record_wire_bytes(face.msg.wire_bytes() as u64);
-            if qcd_metrics::flight_enabled() {
-                qcd_metrics::record_event(
-                    "comms",
-                    if from_next { "recv.next" } else { "recv.prev" },
-                    &[
-                        ("dim", d as f64),
-                        ("bytes", face.msg.wire_bytes() as f64),
-                        ("wait_ns", waited as f64),
-                    ],
-                );
-            }
+            qcd_trace::record_event(
+                "comms",
+                if from_next { "recv.next" } else { "recv.prev" },
+                &[
+                    ("dim", d as f64),
+                    ("bytes", face.msg.wire_bytes() as f64),
+                    ("wait_ns", waited as f64),
+                ],
+            );
         }
         face.msg
     }
@@ -620,7 +618,7 @@ pub fn run_multinode_topo<T: Send>(
                 topology: topo,
                 net,
                 detail: Cell::new(true),
-                wait_hist: qcd_metrics::histogram("comms.wait"),
+                wait_hist: qcd_trace::histogram("comms.wait"),
                 wait_ns: Cell::new(0),
                 flight_ns: Cell::new(0),
                 last_post: Cell::new(Instant::now()),

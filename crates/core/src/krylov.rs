@@ -31,7 +31,7 @@ use crate::field::{
 use crate::layout::Grid;
 use crate::reduce::canonical_sum;
 use crate::solver::{conclude_health, BlockSolveReport, SolveReport};
-use qcd_metrics::HealthMonitor;
+use qcd_trace::HealthMonitor;
 use std::marker::PhantomData;
 use std::ops::ControlFlow;
 use std::sync::Arc;

@@ -21,7 +21,7 @@ use crate::krylov::{self, Canonical, CgSpace, Scratch, Start, State, Stop};
 use crate::layout::Grid;
 use crate::solver::SolverWorkspace;
 use crate::FermionField;
-use qcd_metrics::{HealthEvent, HealthMonitor};
+use qcd_trace::{HealthEvent, HealthMonitor};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use sve::{Opcode, SveFloat, F16};
@@ -117,8 +117,8 @@ impl LadderConfig {
             max_inner: 500,
             max_cycles: 8,
             use_f16: true,
-            stall_window: qcd_metrics::DEFAULT_STALL_WINDOW,
-            divergence_factor: qcd_metrics::DEFAULT_DIVERGENCE_FACTOR,
+            stall_window: qcd_trace::DEFAULT_STALL_WINDOW,
+            divergence_factor: qcd_trace::DEFAULT_DIVERGENCE_FACTOR,
         }
     }
 
@@ -369,7 +369,7 @@ pub fn ladder_solve_from(
             let t = tier16.as_mut().expect("f16 tier enabled but not built");
             let scale = s2.sqrt();
             let rel = (s2 / rhs_n2).sqrt();
-            qcd_metrics::record_event(
+            qcd_trace::record_event(
                 "tier",
                 "solver.ladder.switch:f32_to_f16",
                 &[
@@ -404,7 +404,7 @@ pub fn ladder_solve_from(
             if aborted {
                 tier_fallbacks += 1;
                 f16_on = false;
-                qcd_metrics::record_event(
+                qcd_trace::record_event(
                     "tier",
                     "solver.ladder.fallback:f16_to_f32",
                     &[
@@ -413,7 +413,7 @@ pub fn ladder_solve_from(
                         ("rel_residual", rel),
                     ],
                 );
-                qcd_metrics::counter("ladder.tier_fallbacks").inc();
+                qcd_trace::counter("ladder.tier_fallbacks").inc();
                 // Rebuild the residual the cycle consumed.
                 let _t32 = qcd_trace::span!("solver.tier.f32", grid32.engine().ctx());
                 op32.mdag_m_into(&d32, &mut ws32.tmp, &mut ws32.ap);
@@ -432,7 +432,7 @@ pub fn ladder_solve_from(
             }
             let s2_new = s32.canonical_norm2();
             reliable_updates += 1;
-            qcd_metrics::record_event(
+            qcd_trace::record_event(
                 "tier",
                 "solver.ladder.switch:f16_to_f32",
                 &[
@@ -446,7 +446,7 @@ pub fn ladder_solve_from(
                 // before the middle target): demote for good.
                 tier_fallbacks += 1;
                 f16_on = false;
-                qcd_metrics::record_event(
+                qcd_trace::record_event(
                     "tier",
                     "solver.ladder.fallback:f16_to_f32",
                     &[
@@ -455,7 +455,7 @@ pub fn ladder_solve_from(
                         ("rel_residual", (s2_new / rhs_n2).sqrt()),
                     ],
                 );
-                qcd_metrics::counter("ladder.tier_fallbacks").inc();
+                qcd_trace::counter("ladder.tier_fallbacks").inc();
             }
             s2 = s2_new;
             cycles += 1;
@@ -488,10 +488,10 @@ pub fn ladder_solve_from(
         outer += 1;
     }
 
-    qcd_metrics::counter("ladder.iterations.f64").add(outer as u64);
-    qcd_metrics::counter("ladder.iterations.f32").add(f32_iters as u64);
-    qcd_metrics::counter("ladder.iterations.f16").add(f16_iters as u64);
-    qcd_metrics::counter("ladder.reliable_updates").add(reliable_updates as u64);
+    qcd_trace::counter("ladder.iterations.f64").add(outer as u64);
+    qcd_trace::counter("ladder.iterations.f32").add(f32_iters as u64);
+    qcd_trace::counter("ladder.iterations.f16").add(f16_iters as u64);
+    qcd_trace::counter("ladder.reliable_updates").add(reliable_updates as u64);
 
     let f16_instructions = tier16
         .as_ref()
@@ -677,7 +677,7 @@ mod tests {
             report
                 .health
                 .iter()
-                .any(|e| matches!(e.kind, qcd_metrics::HealthEventKind::Stall)),
+                .any(|e| matches!(e.kind, qcd_trace::HealthEventKind::Stall)),
             "expected a typed stall episode, got {:?}",
             report.health
         );

@@ -102,7 +102,7 @@ pub fn solve_cg_requests(
 ) -> Vec<SolveOutcome> {
     let block = coalesce(requests);
     let span = qcd_trace::span!("solver.requests", block.grid().engine().ctx());
-    qcd_metrics::histogram("solver.requests.batch_fill").record(requests.len() as u64);
+    qcd_trace::histogram("solver.requests.batch_fill").record(requests.len() as u64);
     let (x, rep) = block_cg(op, &block, tol, max_iter);
     drop(span);
     demux(requests, &x, &rep)

@@ -19,12 +19,12 @@ use crate::dirac::WilsonDirac;
 use crate::field::{FermionBlock, FermionField, FermionKind, Field};
 use crate::krylov::{self, Start, WilsonVector};
 use crate::layout::Grid;
-use qcd_metrics::{HealthEvent, HealthMonitor};
+use qcd_trace::{HealthEvent, HealthMonitor};
 use std::sync::Arc;
 use sve::SveFloat;
 
 /// Cap on the residual history surfaced in a [`SolveReport`]. Longer
-/// histories are downsampled by [`qcd_metrics::bound_history`], keeping the
+/// histories are downsampled by [`qcd_trace::bound_history`], keeping the
 /// endpoints and every health-flagged entry. The history inside the solver
 /// *state* (the checkpoint unit) is never capped, so resume stays
 /// bit-identical.
@@ -56,14 +56,14 @@ pub struct SolveReport {
 /// have observed every entry of `history` — restored prefix replayed, new
 /// entries observed live — so a resumed solve reports exactly what the
 /// uninterrupted one would. Thin wrapper over
-/// [`qcd_metrics::conclude_solver_health`] at [`HISTORY_CAP`].
+/// [`qcd_trace::conclude_solver_health`] at [`HISTORY_CAP`].
 pub(crate) fn conclude_health(
     region: &str,
     monitor: HealthMonitor,
     history: &[f64],
     iterations: usize,
 ) -> (Vec<f64>, Vec<HealthEvent>) {
-    qcd_metrics::conclude_solver_health(region, monitor, history, iterations, HISTORY_CAP)
+    qcd_trace::conclude_solver_health(region, monitor, history, iterations, HISTORY_CAP)
 }
 
 /// Preallocated scratch fields for the operator side of a solve: built
@@ -716,13 +716,13 @@ mod tests {
 
     #[test]
     fn a_stalled_f32_solve_reports_stall_events_and_caps_history() {
-        use qcd_metrics::HealthEventKind;
+        use qcd_trace::HealthEventKind;
         // Ask the f32 path for a tolerance single precision cannot reach:
         // the recurrence residual floors near the f32 underflow region
         // (~1e-24 relative) and the monitor must flag the stall. The long
         // run also exercises the report-time history cap.
-        let _guard = qcd_metrics::global_test_lock();
-        qcd_metrics::flight_reset();
+        let _guard = qcd_trace::global_test_lock();
+        qcd_trace::flight_reset();
         let g = Grid::<f32>::new([4, 4, 4, 4], VectorLength::of(512), SimdBackend::Fcmla);
         let u = random_gauge(g.clone(), 21);
         let op = WilsonDirac::<f32>::new(u, 0.2);
@@ -747,15 +747,15 @@ mod tests {
         // Endpoints survive the cap.
         assert_eq!(report.history[0].to_bits(), 1.0f64.to_bits());
         // Every health event also landed in the flight recorder, typed.
-        let flight = qcd_metrics::flight_snapshot();
+        let flight = qcd_trace::flight_snapshot();
         let stalls: Vec<_> = flight
             .iter()
             .filter(|ev| ev.kind == "health" && ev.label == "solver.cg:stall")
             .collect();
         assert!(!stalls.is_empty(), "stall missing from flight ring");
-        let dump = qcd_metrics::flight_dump_jsonl();
+        let dump = qcd_trace::flight_dump_jsonl();
         assert!(dump.contains("\"label\":\"solver.cg:stall\""));
-        qcd_metrics::validate_jsonl(&dump).expect("flight dump must validate");
+        qcd_trace::validate_jsonl(&dump).expect("flight dump must validate");
     }
 
     #[test]

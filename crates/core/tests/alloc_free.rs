@@ -28,7 +28,7 @@ use grid::krylov::{
     cg_solve, fused, no_observer, Canonical, CgSpace, Layout as LayoutSpace, Start, State,
 };
 use grid::prelude::*;
-use qcd_metrics::HealthMonitor;
+use qcd_trace::HealthMonitor;
 use sve::F16;
 
 struct CountingAlloc;

@@ -80,7 +80,6 @@ fn measured_sweeps(
 #[test]
 fn distributed_steady_state_allocates_nothing() {
     rayon::set_num_threads(1);
-    qcd_metrics::set_flight_enabled(false);
     const GLOBAL: [usize; 4] = [4, 4, 4, 8];
     for compression in [Compression::None, Compression::F16] {
         let deltas = run_multinode_grid(
@@ -106,6 +105,5 @@ fn distributed_steady_state_allocates_nothing() {
             );
         }
     }
-    qcd_metrics::set_flight_enabled(true);
     rayon::set_num_threads(0);
 }

@@ -115,8 +115,8 @@ fn tier_fallback_is_visible_in_the_flight_recorder() {
     // inner-tier monitor, (b) the tier-switch events of the healthy
     // cycles, and (c) the fallback event of the demotion — and the whole
     // dump must be schema-valid qcd-metrics/v1.
-    let _guard = qcd_metrics::global_test_lock();
-    qcd_metrics::flight_reset();
+    let _guard = qcd_trace::global_test_lock();
+    qcd_trace::flight_reset();
     let (op, b) = setup64();
     let mut cfg = LadderConfig::new(1e-10);
     cfg.f16_cycle_tol = 1e-7; // below F16_RESIDUAL_FLOOR: unreachable
@@ -124,7 +124,7 @@ fn tier_fallback_is_visible_in_the_flight_recorder() {
     assert!(report.tier_fallbacks >= 1, "no fallback: {report:?}");
     assert!(report.converged, "fallback must still converge: {report:?}");
 
-    let dump = qcd_metrics::flight_dump_jsonl();
+    let dump = qcd_trace::flight_dump_jsonl();
     assert!(
         dump.contains("\"label\":\"solver.ladder.f16:stall\""),
         "typed stall episode missing from flight dump"
@@ -137,5 +137,5 @@ fn tier_fallback_is_visible_in_the_flight_recorder() {
         dump.contains("\"label\":\"solver.ladder.fallback:f16_to_f32\""),
         "fallback event missing from flight dump"
     );
-    qcd_metrics::validate_jsonl(&dump).expect("flight dump must be schema-valid");
+    qcd_trace::validate_jsonl(&dump).expect("flight dump must be schema-valid");
 }

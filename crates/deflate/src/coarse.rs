@@ -178,7 +178,7 @@ impl<E: SveFloat> CoarseSpace<E> {
             ac[i * nc + i] = Complex::new(ac[i * nc + i].re, 0.0);
         }
         half.chol = Cholesky::factor(&ac, nc);
-        qcd_metrics::histogram("mg.coarse.dim").record(nc as u64);
+        qcd_trace::histogram("mg.coarse.dim").record(nc as u64);
         span.finish();
         half
     }
@@ -327,7 +327,7 @@ impl<E: SveFloat> F16Smoother<E> {
         }
         to_precision_into(&self.s16, &mut self.fine);
         out.axpy_inplace(scale, &self.fine);
-        qcd_metrics::counter("mg.smoother.f16_sweeps").add(self.steps as u64);
+        qcd_trace::counter("mg.smoother.f16_sweeps").add(self.steps as u64);
     }
 }
 

@@ -275,8 +275,8 @@ pub fn lanczos<E: SveFloat>(
         vectors.push(u);
     }
     let converged = residuals.iter().all(|&r| r <= params.tol);
-    qcd_metrics::histogram("eig.lanczos.restarts").record(restarts as u64);
-    qcd_metrics::histogram("eig.lanczos.mvps").record(mvps as u64);
+    qcd_trace::histogram("eig.lanczos.restarts").record(restarts as u64);
+    qcd_trace::histogram("eig.lanczos.mvps").record(mvps as u64);
     (
         Subspace {
             vectors,

@@ -38,7 +38,7 @@
 //!
 //! Solves run under `solver.deflate` spans, the eigensolver under
 //! `eig.lanczos`, the coarse machinery under `mg.coarse`; health events
-//! surface through the shared [`qcd_metrics`] monitor exactly like the
+//! surface through the shared [`qcd_trace`] monitor exactly like the
 //! `grid` solvers.
 
 #![forbid(unsafe_code)]

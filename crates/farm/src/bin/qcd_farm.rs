@@ -21,7 +21,8 @@
 //! * `--status-json PATH` — write the final validated status document
 //!   (`-` for stdout).
 //! * `--metrics PATH` — dump the validated `qcd-metrics/v1` JSONL
-//!   (counters, histograms, flight-recorder ring with the `farm.*` events).
+//!   (counters, histograms with the `span.*` wall times, flight-recorder
+//!   ring with the `farm.*` events, the last span closes).
 //! * `--verify-against B` — byte-compare durable results of `--dir`
 //!   against farm directory `B` and exit non-zero on any difference.
 
@@ -219,10 +220,10 @@ fn main() {
             std::process::exit(2);
         }
     };
-    // Deliberately no span observer here: the flight ring is bounded, and
-    // a service run emits enough span closes to evict the farm.* events
-    // (recovery, scheduling, batching) that a postmortem dump is for. The
-    // solver/HMC smoke binaries cover span-level profiling.
+    // A run that will dump them records its span closes; they have a ring
+    // of their own, so however many a service run emits, the farm.* events
+    // (recovery, scheduling, batching) a postmortem dump is for stay.
+    qcd_trace::set_span_events(args.metrics.is_some());
     let cfg = FarmConfig {
         dims: [args.l; 4],
         vl_bits: args.vl,
@@ -321,8 +322,8 @@ fn main() {
     }
 
     if let Some(path) = &args.metrics {
-        let doc = qcd_metrics::dump_all_jsonl();
-        if let Err(e) = qcd_metrics::validate_jsonl(&doc) {
+        let doc = qcd_trace::dump_all_jsonl();
+        if let Err(e) = qcd_trace::validate_jsonl(&doc) {
             fail(&format!("metrics dump failed validation: {e}"));
         }
         if let Err(e) = std::fs::write(path, &doc) {
@@ -330,7 +331,7 @@ fn main() {
         }
         println!(
             "wrote validated {} metrics dump to {path}",
-            qcd_metrics::SCHEMA
+            qcd_trace::METRICS_SCHEMA
         );
     }
 }

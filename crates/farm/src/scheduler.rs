@@ -217,8 +217,8 @@ impl Farm {
             } else {
                 *chain_progress.get(&name).unwrap_or(&0)
             };
-            qcd_metrics::counter("farm.jobs.recovered").inc();
-            qcd_metrics::record_event(
+            qcd_trace::counter("farm.jobs.recovered").inc();
+            qcd_trace::record_event(
                 "farm.recover",
                 &name,
                 &[
@@ -288,7 +288,7 @@ impl Farm {
     fn push_unit(&self, job: String, priority: Priority, payload: UnitPayload) {
         self.outstanding.fetch_add(1, Ordering::SeqCst);
         let seq = self.queue.push(job.clone(), priority, payload);
-        qcd_metrics::record_event("farm.schedule", &job, &[("seq", seq as f64)]);
+        qcd_trace::record_event("farm.schedule", &job, &[("seq", seq as f64)]);
         self.maybe_preempt(priority);
     }
 
@@ -308,7 +308,7 @@ impl Farm {
         if let Some(v) = victim {
             let _span = qcd_trace::span!("farm.preempt");
             v.yield_flag.store(true, Ordering::SeqCst);
-            qcd_metrics::counter("farm.preempt").inc();
+            qcd_trace::counter("farm.preempt").inc();
         }
     }
 
@@ -326,7 +326,7 @@ impl Farm {
             }
         }
         write_spec(&self.dir, &self.cfg, &spec)?;
-        qcd_metrics::counter("farm.jobs.submitted").inc();
+        qcd_trace::counter("farm.jobs.submitted").inc();
         self.track(spec.clone(), JobState::Pending, 0);
         self.enqueue_job(&spec);
         Ok(())
@@ -381,7 +381,7 @@ impl Farm {
                         self.clear_slot(w);
                         if let Err(e) = result {
                             eprintln!("farm: unit for job `{}` failed: {e}", unit.job);
-                            qcd_metrics::counter("farm.unit.errors").inc();
+                            qcd_trace::counter("farm.unit.errors").inc();
                             let mut slot = first_error.lock().unwrap_or_else(|e| e.into_inner());
                             if slot.is_none() {
                                 *slot = Some(e);
@@ -495,7 +495,7 @@ impl Farm {
         let preempted = outcome.stopped && !stop.load(Ordering::SeqCst);
         if preempted {
             self.preemptions.fetch_add(1, Ordering::SeqCst);
-            qcd_metrics::record_event(
+            qcd_trace::record_event(
                 "farm.preempt",
                 &unit.job,
                 &[("trajectory", trajectory as f64)],
@@ -537,8 +537,8 @@ impl Farm {
         };
         let grid = self.cfg.grid();
         let span = qcd_trace::span!("farm.batch", grid.engine().ctx());
-        qcd_metrics::histogram("farm.batch.fill").record(indices.len() as u64);
-        qcd_metrics::record_event("farm.batch", &unit.job, &[("nrhs", indices.len() as f64)]);
+        qcd_trace::histogram("farm.batch.fill").record(indices.len() as u64);
+        qcd_trace::record_event("farm.batch", &unit.job, &[("nrhs", indices.len() as f64)]);
         let op = WilsonDirac::new(random_gauge(grid.clone(), spec.gauge_seed), spec.mass);
         let requests: Vec<SolveRequest> = indices
             .iter()
@@ -561,7 +561,7 @@ impl Farm {
                 )?;
                 let block = coalesce(&requests);
                 let _span = qcd_trace::span!("solver.requests", grid.engine().ctx());
-                qcd_metrics::histogram("solver.requests.batch_fill").record(requests.len() as u64);
+                qcd_trace::histogram("solver.requests.batch_fill").record(requests.len() as u64);
                 let (x, rep) =
                     qcd_deflate::defl_cg(&op, &sub, &block, spec.tol, spec.max_iter as usize);
                 demux(&requests, &x, &rep)
@@ -597,8 +597,8 @@ impl Farm {
                 entry.state = JobState::Done;
             }
         }
-        qcd_metrics::counter("farm.jobs.completed").inc();
-        qcd_metrics::record_event("farm.done", name, &[]);
+        qcd_trace::counter("farm.jobs.completed").inc();
+        qcd_trace::record_event("farm.done", name, &[]);
     }
 
     /// Point-in-time views of every tracked job, name-sorted.

@@ -37,7 +37,7 @@ pub fn status_json(farm: &Farm) -> Json {
             ])
         })
         .collect();
-    let fill = qcd_metrics::metrics_snapshot()
+    let fill = qcd_trace::metrics_snapshot()
         .histograms
         .get("farm.batch.fill")
         .map(|h| {

@@ -186,17 +186,17 @@ impl MarkovChain {
         // ⟨plaq⟩ falls out of the action: S = β·6V·(1 - ⟨plaq⟩).
         let n_plaq = (grid.volume() * NDIM * (NDIM - 1) / 2) as f64;
         let plaquette = 1.0 - s_now / (beta * n_plaq);
-        qcd_metrics::counter(if accepted {
+        qcd_trace::counter(if accepted {
             "hmc.accepted"
         } else {
             "hmc.rejected"
         })
         .inc();
-        qcd_metrics::gauge("hmc.plaquette").set(plaquette);
+        qcd_trace::gauge("hmc.plaquette").set(plaquette);
         // |ΔH| in micro-units so the log2-bucket histogram resolves the
         // typical 1e-4..1e-1 range of a well-tuned integrator.
-        qcd_metrics::histogram("hmc.abs_dh_micro").record((dh.abs() * 1e6) as u64);
-        qcd_metrics::record_event(
+        qcd_trace::histogram("hmc.abs_dh_micro").record((dh.abs() * 1e6) as u64);
+        qcd_trace::record_event(
             "hmc.trajectory",
             if accepted { "accept" } else { "reject" },
             &[
@@ -233,7 +233,7 @@ impl MarkovChain {
     /// `run_trajectories(b)` — across any number of checkpoint/resume
     /// cycles — is bit-identical to one uninterrupted `run(a + b)`.
     ///
-    /// Callers that dump the [`qcd_metrics`] flight recorder should flush
+    /// Callers that dump the [`qcd_trace`] flight recorder should flush
     /// it after the chunk that observed the stop (the `qcd_farm` binary
     /// does), so the shutdown's trailing events reach the postmortem file.
     pub fn run_trajectories(

@@ -29,7 +29,7 @@ use crate::fields::{decode_field, encode_field, Cursor, FieldMeta, META_RECORD};
 use grid::codec::Precision;
 use grid::krylov::{CgSpace, Start, State, Vector, WilsonVector};
 use grid::Grid;
-use qcd_metrics::HealthMonitor;
+use qcd_trace::HealthMonitor;
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;

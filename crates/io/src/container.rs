@@ -302,9 +302,9 @@ impl Container {
         let _span = qcd_trace::span!("io.write");
         self.write_atomic_inner(path)
             .inspect(|&written| {
-                qcd_metrics::counter("io.writes").inc();
-                qcd_metrics::histogram("io.write.bytes").record(written);
-                qcd_metrics::record_event(
+                qcd_trace::counter("io.writes").inc();
+                qcd_trace::histogram("io.write.bytes").record(written);
+                qcd_trace::record_event(
                     "checkpoint.write",
                     &path.to_string_lossy(),
                     &[("bytes", written as f64)],

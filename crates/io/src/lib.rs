@@ -26,7 +26,7 @@
 //! I/O paths run under [`qcd_trace`] spans (`io.write`, `io.read`,
 //! `io.validate`) with byte counts attached, so checkpoint bandwidth shows
 //! up in the same profile as solver arithmetic. Failures additionally land
-//! in the [`qcd_metrics`] flight recorder as typed `io.error` events
+//! in the [`qcd_trace`] flight recorder as typed `io.error` events
 //! (labelled by [`IoError::variant_name`]), and checkpoint writes as
 //! `checkpoint.write` events, so a postmortem dump shows what I/O happened
 //! around a crash.
@@ -79,6 +79,6 @@ pub use subspace::{
 /// Called by every read/write/validate path the moment a failure surfaces,
 /// before the error propagates to the caller.
 pub(crate) fn record_io_error(e: &IoError) {
-    qcd_metrics::counter("io.errors").inc();
-    qcd_metrics::record_event("io.error", e.variant_name(), &[]);
+    qcd_trace::counter("io.errors").inc();
+    qcd_trace::record_event("io.error", e.variant_name(), &[]);
 }

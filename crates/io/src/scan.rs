@@ -154,8 +154,8 @@ fn warn_skip(path: &Path, error: &IoError, salvaged: bool) {
         "warning: checkpoint scan {what} {}: {error}",
         path.display()
     );
-    qcd_metrics::counter("farm.scan.skipped").inc();
-    qcd_metrics::record_event(
+    qcd_trace::counter("farm.scan.skipped").inc();
+    qcd_trace::record_event(
         "farm.scan.skip",
         &format!("{}: {}", path.display(), error.variant_name()),
         &[("salvaged", salvaged as u8 as f64)],

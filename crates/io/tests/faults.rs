@@ -230,8 +230,8 @@ fn injected_faults_land_in_the_flight_recorder_typed() {
     // through `FaultyReader` and find each class in the flight-recorder
     // dump as a typed `io.error` event, in a dump that validates as
     // `qcd-metrics/v1` JSONL.
-    let _guard = qcd_metrics::global_test_lock();
-    qcd_metrics::flight_reset();
+    let _guard = qcd_trace::global_test_lock();
+    qcd_trace::flight_reset();
     let bytes = sample_bytes();
 
     // Device failure mid-read -> "io".
@@ -255,7 +255,7 @@ fn injected_faults_land_in_the_flight_recorder_typed() {
     );
     assert!(Container::read_from(reader).is_err());
 
-    let events = qcd_metrics::flight_snapshot();
+    let events = qcd_trace::flight_snapshot();
     let labels: Vec<&str> = events
         .iter()
         .filter(|ev| ev.kind == "io.error")
@@ -268,21 +268,21 @@ fn injected_faults_land_in_the_flight_recorder_typed() {
         );
     }
 
-    let dump = qcd_metrics::flight_dump_jsonl();
-    qcd_metrics::validate_jsonl(&dump).expect("flight dump must validate");
+    let dump = qcd_trace::flight_dump_jsonl();
+    qcd_trace::validate_jsonl(&dump).expect("flight dump must validate");
     assert!(dump.contains("\"kind\":\"io.error\",\"label\":\"crc_mismatch\""));
-    qcd_metrics::flight_reset();
+    qcd_trace::flight_reset();
 }
 
 #[test]
 fn checkpoint_writes_are_flight_recorded() {
-    let _guard = qcd_metrics::global_test_lock();
-    qcd_metrics::flight_reset();
+    let _guard = qcd_trace::global_test_lock();
+    qcd_trace::flight_reset();
     let g = small_grid();
     let u = random_gauge(g.clone(), 72);
     let path = tmp("flight-write.qio");
     let written = write_gauge(&u, &path, Precision::F64).unwrap();
-    let events = qcd_metrics::flight_snapshot();
+    let events = qcd_trace::flight_snapshot();
     let ev = events
         .iter()
         .find(|ev| ev.kind == "checkpoint.write")
@@ -290,5 +290,5 @@ fn checkpoint_writes_are_flight_recorded() {
     assert!(ev.label.ends_with("flight-write.qio"));
     assert_eq!(ev.data[0], ("bytes".to_string(), written as f64));
     std::fs::remove_file(&path).unwrap();
-    qcd_metrics::flight_reset();
+    qcd_trace::flight_reset();
 }

@@ -203,7 +203,7 @@ fn seven_iterations_in<V: WilsonVector<E = f64>>(op: &WilsonDirac, b: &V) -> Sta
         7,
         qcd_trace::span!("test.solve"),
         "test.solve",
-        |state: &State<V>, _: &[qcd_metrics::HealthMonitor]| {
+        |state: &State<V>, _: &[qcd_trace::HealthMonitor]| {
             snapshot = Some(state.clone());
             std::ops::ControlFlow::Continue(())
         },

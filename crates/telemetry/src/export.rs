@@ -1,11 +1,59 @@
-//! Structured exporters: human-readable table, JSON lines, and Chrome
-//! `trace_event` format.
+//! Structured exporters: the human-readable region table, the
+//! `qcd-metrics/v1` JSONL dump and its validator, and Chrome `trace_event`
+//! format. (`qcd-trace/v1` is [`Snapshot::to_json`].)
 
 use sve::{CostModel, Opcode};
 
 use crate::json::Json;
+use crate::metrics::metrics_snapshot;
+use crate::recorder::{events_jsonl, flight_dump_jsonl, span_snapshot, THREAD_NAMES};
 use crate::region::Snapshot;
-use crate::span::trace_log;
+
+/// Schema tag carried by every line of the JSONL dump.
+pub const METRICS_SCHEMA: &str = "qcd-metrics/v1";
+
+/// One line of the dump: `{"schema":…,"type":kind,…members}` and a newline.
+pub(crate) fn line(kind: &str, members: Vec<(String, Json)>) -> String {
+    let mut all = vec![
+        ("schema".to_string(), Json::Str(METRICS_SCHEMA.into())),
+        ("type".to_string(), Json::Str(kind.into())),
+    ];
+    all.extend(members);
+    let mut line = Json::Obj(all).render();
+    line.push('\n');
+    line
+}
+
+/// Render the full observable state — every registered metric, the retained
+/// flight events, then the retained span events (none unless
+/// [`set_span_events`](crate::set_span_events) was on) — as one
+/// `qcd-metrics/v1` JSONL document.
+pub fn dump_all_jsonl() -> String {
+    let mut out = metrics_snapshot().to_json_lines();
+    out.push_str(&flight_dump_jsonl());
+    out.push_str(&events_jsonl(&span_snapshot()));
+    out
+}
+
+/// Check that every line of `text` parses as JSON and carries the
+/// `qcd-metrics/v1` schema tag plus a known `type`. Returns the number of
+/// lines on success.
+pub fn validate_jsonl(text: &str) -> Result<usize, String> {
+    let mut n = 0;
+    for (i, line) in text.lines().enumerate() {
+        let doc = Json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        match doc.get("schema").and_then(Json::as_str) {
+            Some(METRICS_SCHEMA) => {}
+            other => return Err(format!("line {}: bad schema tag {other:?}", i + 1)),
+        }
+        match doc.get("type").and_then(Json::as_str) {
+            Some("counter" | "gauge" | "histogram" | "flight") => {}
+            other => return Err(format!("line {}: unknown type {other:?}", i + 1)),
+        }
+        n += 1;
+    }
+    Ok(n)
+}
 
 /// Render a snapshot as an aligned human-readable table, one row per region
 /// path (indented by nesting depth), with derived metrics.
@@ -59,67 +107,44 @@ pub fn render_table(snap: &Snapshot) -> String {
     out
 }
 
-/// Render a snapshot as JSON lines: one compact object per region, each
-/// carrying the schema tag so a line is self-describing in isolation.
-pub fn to_json_lines(snap: &Snapshot) -> String {
-    let doc = snap.to_json();
-    let regions = doc
-        .get("regions")
-        .and_then(Json::as_arr)
-        .unwrap_or(&[])
-        .to_vec();
-    let mut out = String::new();
-    for region in regions {
-        let mut members = vec![(
-            "schema".to_string(),
-            Json::Str(crate::region::SCHEMA.into()),
-        )];
-        if let Some(obj) = region.as_obj() {
-            members.extend(obj.iter().cloned());
-        }
-        out.push_str(&Json::Obj(members).render());
-        out.push('\n');
-    }
-    out
-}
-
-/// Render the retained span timeline in Chrome `trace_event` JSON (load via
-/// `chrome://tracing` or Perfetto). Events are complete (`"ph":"X"`) with
-/// microsecond timestamps relative to the first span of the process.
-/// Metadata events (`"ph":"M"`) name the process and every thread that
-/// closed a span, so Perfetto groups worker tracks by name instead of by
-/// bare ordinal.
+/// Render the retained span events — the last [`SPAN_CAP`](crate::SPAN_CAP)
+/// span closes of a run that turned span events on, nothing of one that did
+/// not — in Chrome `trace_event` JSON (load via `chrome://tracing` or
+/// Perfetto). Events are complete (`"ph":"X"`) with microsecond timestamps
+/// relative to the process's first recorded event. Metadata events
+/// (`"ph":"M"`) name the process and every thread that closed such a span,
+/// so Perfetto groups worker tracks by name instead of by bare ordinal.
 pub fn to_chrome_trace() -> String {
-    let mut events: Vec<Json> = vec![Json::Obj(vec![
-        ("name".into(), Json::Str("process_name".into())),
-        ("ph".into(), Json::Str("M".into())),
-        ("pid".into(), Json::Num(1.0)),
-        (
-            "args".into(),
-            Json::Obj(vec![("name".into(), Json::Str("lqcd-sve".into()))]),
-        ),
-    ])];
-    for (tid, name) in crate::span::thread_name_map() {
-        events.push(Json::Obj(vec![
-            ("name".into(), Json::Str("thread_name".into())),
+    let meta = |what: &str, tid: Option<u64>, name: String| {
+        let mut members = vec![
+            ("name".to_string(), Json::Str(what.into())),
             ("ph".into(), Json::Str("M".into())),
             ("pid".into(), Json::Num(1.0)),
-            ("tid".into(), Json::Num(tid as f64)),
-            (
-                "args".into(),
-                Json::Obj(vec![("name".into(), Json::Str(name))]),
-            ),
-        ]));
-    }
-    let log = trace_log().lock().unwrap();
-    events.extend(log.events().map(|(path, start_us, dur_us, tid)| {
+        ];
+        members.extend(tid.map(|t| ("tid".to_string(), Json::Num(t as f64))));
+        let args = Json::Obj(vec![("name".into(), Json::Str(name))]);
+        members.push(("args".into(), args));
+        Json::Obj(members)
+    };
+    let mut events = vec![meta("process_name", None, "lqcd-sve".into())];
+    let names = THREAD_NAMES.lock().unwrap().clone();
+    events.extend(
+        names
+            .into_iter()
+            .map(|(tid, name)| meta("thread_name", Some(tid), name)),
+    );
+    events.extend(span_snapshot().into_iter().map(|ev| {
+        // What `recorder::span_closed` wrote: `wall_ns`, then `tid`.
+        let (wall_ns, tid) = (ev.data[0].1, ev.data[1].1);
+        let dur_us = (wall_ns / 1e3).floor();
         Json::Obj(vec![
-            ("name".into(), Json::Str(path.to_string())),
+            ("name".into(), Json::Str(ev.label)),
             ("ph".into(), Json::Str("X".into())),
-            ("ts".into(), Json::Num(start_us as f64)),
-            ("dur".into(), Json::Num(dur_us as f64)),
+            // An event is stamped when its span closes.
+            ("ts".into(), Json::Num((ev.t_us as f64 - dur_us).max(0.0))),
+            ("dur".into(), Json::Num(dur_us)),
             ("pid".into(), Json::Num(1.0)),
-            ("tid".into(), Json::Num(tid as f64)),
+            ("tid".into(), Json::Num(tid)),
         ])
     }));
     Json::Obj(vec![
@@ -159,28 +184,19 @@ mod tests {
     }
 
     #[test]
-    fn json_lines_are_individually_parseable() {
-        let mut snap = Snapshot::default();
-        snap.regions.insert("a".into(), RegionStat::default());
-        snap.regions.insert("a/b".into(), RegionStat::default());
-        let lines = to_json_lines(&snap);
-        let parsed: Vec<Json> = lines
-            .lines()
-            .map(|l| Json::parse(l).expect("line must parse"))
-            .collect();
-        assert_eq!(parsed.len(), 2);
-        for line in &parsed {
-            assert_eq!(
-                line.get("schema").and_then(Json::as_str),
-                Some(crate::region::SCHEMA)
-            );
-            assert!(line.get("path").is_some());
-        }
-    }
-
-    #[test]
     fn chrome_trace_is_valid_json() {
         let doc = Json::parse(&to_chrome_trace()).unwrap();
         assert!(doc.get("traceEvents").and_then(Json::as_arr).is_some());
+    }
+
+    #[test]
+    fn validate_jsonl_accepts_own_output_and_rejects_garbage() {
+        let good = line("counter", vec![("name".into(), Json::Str("x".into()))]);
+        assert_eq!(validate_jsonl(&good), Ok(1));
+        assert!(validate_jsonl("not json").is_err());
+        assert!(validate_jsonl("{\"schema\":\"other/v1\",\"type\":\"counter\"}").is_err());
+        assert!(validate_jsonl(&good.replace("counter", "mystery")).is_err());
+        // The retired time-series line is no longer a known type.
+        assert!(validate_jsonl(&good.replace("counter", "sample")).is_err());
     }
 }

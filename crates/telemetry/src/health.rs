@@ -6,6 +6,7 @@
 //! events the uninterrupted solve would have reported, which is what keeps
 //! `SolveReport.health` bit-stable across kill/resume.
 
+use crate::metrics::{counter, histogram};
 use crate::recorder::record_event;
 
 /// Default stall window: iterations without a new best relative residual
@@ -129,7 +130,7 @@ impl HealthMonitor {
                 ("rel_residual", rel_residual),
             ],
         );
-        crate::counter("health.events").inc();
+        counter("health.events").inc();
         self.events.push(HealthEvent {
             kind,
             iteration,
@@ -153,11 +154,63 @@ impl HealthMonitor {
     pub fn into_events(self) -> Vec<HealthEvent> {
         self.events
     }
+}
 
-    /// History indices that carry an event (for downsampling to preserve).
-    pub fn flagged_iterations(&self) -> Vec<usize> {
-        self.events.iter().map(|e| e.iteration).collect()
+/// Finish a solve's health bookkeeping in one call: cap the reported
+/// residual history with [`bound_history`] (keeping every health-flagged
+/// iteration), feed the `<region>.iterations` histogram and the global
+/// `solver.solves` counter, and drain the monitor into its typed event
+/// list. Every solver concludes through here — `grid`'s one CG driver
+/// (`krylov::cg_solve`, whatever the space: field, block, 5-d, rank-local,
+/// deflated, coarse-preconditioned) and BiCGStab — so solve-level metrics
+/// stay uniform across subsystems. The monitor must have observed every entry
+/// of `history` (restored prefix replayed, new entries live), so a resumed
+/// solve reports exactly what the uninterrupted one would.
+pub fn conclude_solver_health(
+    region: &str,
+    monitor: HealthMonitor,
+    history: &[f64],
+    iterations: usize,
+    cap: usize,
+) -> (Vec<f64>, Vec<HealthEvent>) {
+    let flagged: Vec<usize> = monitor.events.iter().map(|e| e.iteration).collect();
+    let (capped, _kept) = bound_history(history, &flagged, cap);
+    histogram(&format!("{region}.iterations")).record(iterations as u64);
+    counter("solver.solves").inc();
+    (capped, monitor.into_events())
+}
+
+/// Cap a solver residual history for reporting: keep the first and last
+/// entries and every `flagged` index (health events), then fill the rest by
+/// uniform striding, doubling the stride until the result fits `cap`. The
+/// checkpointed history is never capped — only the copy surfaced in
+/// `SolveReport.history` — so resume stays bit-identical.
+///
+/// Returns `(kept_values, kept_indices)`; indices refer to the original
+/// history.
+pub fn bound_history(history: &[f64], flagged: &[usize], cap: usize) -> (Vec<f64>, Vec<usize>) {
+    assert!(cap >= 2, "history cap must keep at least the endpoints");
+    if history.len() <= cap {
+        return (history.to_vec(), (0..history.len()).collect());
     }
+    let last = history.len() - 1;
+    let mut keep: Vec<usize> = Vec::new();
+    let mut stride = 1usize;
+    loop {
+        stride *= 2;
+        keep.clear();
+        keep.push(0);
+        keep.extend(flagged.iter().copied().filter(|&i| i <= last));
+        keep.extend((0..=last).step_by(stride));
+        keep.push(last);
+        keep.sort_unstable();
+        keep.dedup();
+        if keep.len() <= cap {
+            break;
+        }
+    }
+    let values = keep.iter().map(|&i| history[i]).collect();
+    (values, keep)
 }
 
 #[cfg(test)]
@@ -224,5 +277,31 @@ mod tests {
         let mut replayed = HealthMonitor::with_thresholds("s", 3, 10.0);
         replayed.replay(&history);
         assert_eq!(streamed.events(), replayed.events());
+    }
+
+    #[test]
+    fn short_histories_pass_through_unchanged() {
+        let h: Vec<f64> = (0..10).map(|i| i as f64).collect();
+        let (v, idx) = bound_history(&h, &[], 512);
+        assert_eq!(v, h);
+        assert_eq!(idx, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn capping_keeps_endpoints_and_flagged_entries() {
+        let h: Vec<f64> = (0..2000).map(|i| i as f64).collect();
+        let flagged = [613, 1777];
+        let (v, idx) = bound_history(&h, &flagged, 512);
+        assert!(v.len() <= 512, "cap violated: {}", v.len());
+        assert_eq!(idx.first(), Some(&0));
+        assert_eq!(idx.last(), Some(&1999));
+        for f in flagged {
+            assert!(idx.contains(&f), "flagged index {f} was dropped");
+        }
+        for (&i, &val) in idx.iter().zip(v.iter()) {
+            assert_eq!(val, h[i], "kept value must come from its index");
+        }
+        // Indices are strictly increasing — the kept history stays ordered.
+        assert!(idx.windows(2).all(|w| w[0] < w[1]));
     }
 }

@@ -53,10 +53,14 @@ impl Json {
         }
     }
 
-    /// Numeric member interpreted as a non-negative integer counter.
+    /// Numeric member interpreted as a non-negative integer counter. A
+    /// number above 2⁵³ is refused: it is not exact in an `f64`, and `as u64`
+    /// would saturate a forged `1e300` to `u64::MAX`, which the first sum
+    /// over such counters overflows.
     pub fn as_u64(&self) -> Option<u64> {
+        const MAX_EXACT: f64 = (1u64 << 53) as f64;
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+            Json::Num(n) if (0.0..=MAX_EXACT).contains(n) && n.fract() == 0.0 => Some(*n as u64),
             _ => None,
         }
     }
@@ -430,6 +434,14 @@ mod tests {
         }
         assert_eq!(Json::parse("1e308").unwrap(), Json::Num(1e308));
         assert_eq!(Json::parse("1e-999").unwrap(), Json::Num(0.0));
+    }
+
+    #[test]
+    fn integers_beyond_f64_exactness_are_not_counters() {
+        assert_eq!(Json::Num(9_007_199_254_740_992.0).as_u64(), Some(1 << 53));
+        for bad in [9_007_199_254_740_994.0, 1e300, -1.0, 0.5] {
+            assert_eq!(Json::Num(bad).as_u64(), None, "{bad}");
+        }
     }
 
     #[test]

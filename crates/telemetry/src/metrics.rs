@@ -1,19 +1,18 @@
 //! Counters, gauges, and deterministic log2-bucket histograms, registered
-//! in a process-global registry with snapshot/reset semantics mirroring the
-//! `qcd-trace` span registry.
+//! by name in a process-global registry beside the region registry of
+//! [`crate::span`].
 //!
 //! Handles are cheap clones of `Arc<Atomic…>` cells, so the hot path of an
 //! instrumented loop is a relaxed atomic add — no lock, no allocation. The
-//! registry lock is taken only on first lookup of a name and on
-//! snapshot/reset.
+//! registry lock is taken only on lookup of a name and on snapshot; a
+//! lookup allocates the first time a name is seen and never after.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
-use qcd_trace::Json;
-
-use crate::SCHEMA;
+use crate::export::line;
+use crate::json::Json;
 
 /// Number of log2 buckets: bucket `i` (for `i > 0`) holds values in
 /// `[2^(i-1), 2^i - 1]`; bucket 0 holds the value 0. Values at or above
@@ -76,16 +75,6 @@ impl HistogramCells {
             buckets: [(); HISTOGRAM_BUCKETS].map(|_| AtomicU64::new(0)),
         }
     }
-
-    fn zero(&self) {
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.min.store(u64::MAX, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 /// Bucket index for a recorded value: 0 for 0, otherwise the bit width of
@@ -120,13 +109,30 @@ impl Histogram {
         cells.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
+    /// Copy the current state.
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
+        let cells = &self.0;
+        let nonzero = |(idx, b): (usize, &AtomicU64)| {
+            let n = b.load(Ordering::Relaxed);
+            (n != 0).then_some((idx, n))
+        };
+        HistogramSnapshot {
+            count: cells.count.load(Ordering::Relaxed),
+            sum: cells.sum.load(Ordering::Relaxed),
+            min: cells.min.load(Ordering::Relaxed),
+            max: cells.max.load(Ordering::Relaxed),
+            buckets: cells
+                .buckets
+                .iter()
+                .enumerate()
+                .filter_map(nonzero)
+                .collect(),
+        }
     }
 }
 
 /// One registered metric cell.
+#[derive(Clone)]
 enum Metric {
     Counter(Counter),
     Gauge(Gauge),
@@ -143,9 +149,25 @@ impl Metric {
     }
 }
 
-fn registry() -> &'static Mutex<BTreeMap<String, Metric>> {
-    static REGISTRY: OnceLock<Mutex<BTreeMap<String, Metric>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(BTreeMap::new()))
+static REGISTRY: Mutex<BTreeMap<String, Metric>> = Mutex::new(BTreeMap::new());
+
+/// Span wall-time histograms by span leaf name: a span close looks its leaf
+/// up as it stands in the path, and a snapshot names the histogram
+/// `span.<leaf>`, so no name is built per close.
+static SPAN_WALL: Mutex<BTreeMap<String, Histogram>> = Mutex::new(BTreeMap::new());
+
+/// The cell under `name`, which is `make()` the first time the name is seen
+/// — the only time the key is cloned.
+fn lookup<T: Clone>(map: &Mutex<BTreeMap<String, T>>, name: &str, make: fn() -> T) -> T {
+    let mut map = map.lock().unwrap();
+    if let Some(cell) = map.get(name) {
+        return cell.clone();
+    }
+    map.entry(name.to_string()).or_insert_with(make).clone()
+}
+
+fn new_histogram() -> Histogram {
+    Histogram(Arc::new(HistogramCells::new()))
 }
 
 /// Get or create the counter named `name`.
@@ -153,12 +175,10 @@ fn registry() -> &'static Mutex<BTreeMap<String, Metric>> {
 /// # Panics
 /// If `name` is already registered as a different metric kind.
 pub fn counter(name: &str) -> Counter {
-    let mut reg = registry().lock().unwrap();
-    let metric = reg
-        .entry(name.to_string())
-        .or_insert_with(|| Metric::Counter(Counter(Arc::new(AtomicU64::new(0)))));
-    match metric {
-        Metric::Counter(c) => c.clone(),
+    match lookup(&REGISTRY, name, || {
+        Metric::Counter(Counter(Arc::new(AtomicU64::new(0))))
+    }) {
+        Metric::Counter(c) => c,
         other => panic!("metric `{name}` is a {}, not a counter", other.kind()),
     }
 }
@@ -168,12 +188,10 @@ pub fn counter(name: &str) -> Counter {
 /// # Panics
 /// If `name` is already registered as a different metric kind.
 pub fn gauge(name: &str) -> Gauge {
-    let mut reg = registry().lock().unwrap();
-    let metric = reg
-        .entry(name.to_string())
-        .or_insert_with(|| Metric::Gauge(Gauge(Arc::new(AtomicU64::new(0f64.to_bits())))));
-    match metric {
-        Metric::Gauge(g) => g.clone(),
+    match lookup(&REGISTRY, name, || {
+        Metric::Gauge(Gauge(Arc::new(AtomicU64::new(0f64.to_bits()))))
+    }) {
+        Metric::Gauge(g) => g,
         other => panic!("metric `{name}` is a {}, not a gauge", other.kind()),
     }
 }
@@ -183,14 +201,15 @@ pub fn gauge(name: &str) -> Gauge {
 /// # Panics
 /// If `name` is already registered as a different metric kind.
 pub fn histogram(name: &str) -> Histogram {
-    let mut reg = registry().lock().unwrap();
-    let metric = reg
-        .entry(name.to_string())
-        .or_insert_with(|| Metric::Histogram(Histogram(Arc::new(HistogramCells::new()))));
-    match metric {
-        Metric::Histogram(h) => h.clone(),
+    match lookup(&REGISTRY, name, || Metric::Histogram(new_histogram())) {
+        Metric::Histogram(h) => h,
         other => panic!("metric `{name}` is a {}, not a histogram", other.kind()),
     }
+}
+
+/// Record one span's wall time under its leaf name.
+pub(crate) fn record_span_wall(leaf: &str, wall_ns: u64) {
+    lookup(&SPAN_WALL, leaf, new_histogram).record(wall_ns);
 }
 
 /// Point-in-time copy of one histogram.
@@ -241,11 +260,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// True when no metric has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
     /// Render as `qcd-metrics/v1` JSON lines: one self-describing object per
     /// metric. Histogram lines carry the non-empty buckets and the
     /// deterministic p50/p90/p99 estimates.
@@ -253,15 +267,15 @@ impl MetricsSnapshot {
         let mut out = String::new();
         for (name, v) in &self.counters {
             out.push_str(&metric_line(
-                name,
                 "counter",
+                name,
                 vec![("value".into(), Json::Num(*v as f64))],
             ));
         }
         for (name, v) in &self.gauges {
             out.push_str(&metric_line(
-                name,
                 "gauge",
+                name,
                 vec![("value".into(), Json::Num(*v))],
             ));
         }
@@ -278,8 +292,8 @@ impl MetricsSnapshot {
                 .collect();
             let min = if h.count == 0 { 0 } else { h.min };
             out.push_str(&metric_line(
-                name,
                 "histogram",
+                name,
                 vec![
                     ("count".into(), Json::Num(h.count as f64)),
                     ("sum".into(), Json::Num(h.sum as f64)),
@@ -303,23 +317,17 @@ fn percentile_json(h: &HistogramSnapshot, q: f64) -> Json {
     }
 }
 
-fn metric_line(name: &str, kind: &str, rest: Vec<(String, Json)>) -> String {
-    let mut members = vec![
-        ("schema".to_string(), Json::Str(SCHEMA.into())),
-        ("type".to_string(), Json::Str(kind.into())),
-        ("name".to_string(), Json::Str(name.into())),
-    ];
+fn metric_line(kind: &str, name: &str, rest: Vec<(String, Json)>) -> String {
+    let mut members = vec![("name".to_string(), Json::Str(name.into()))];
     members.extend(rest);
-    let mut line = Json::Obj(members).render();
-    line.push('\n');
-    line
+    line(kind, members)
 }
 
-/// Copy every registered metric.
+/// Copy every registered metric, the span wall-time histograms included
+/// (as `span.<leaf>`).
 pub fn metrics_snapshot() -> MetricsSnapshot {
-    let reg = registry().lock().unwrap();
     let mut snap = MetricsSnapshot::default();
-    for (name, metric) in reg.iter() {
+    for (name, metric) in REGISTRY.lock().unwrap().iter() {
         match metric {
             Metric::Counter(c) => {
                 snap.counters.insert(name.clone(), c.get());
@@ -328,43 +336,14 @@ pub fn metrics_snapshot() -> MetricsSnapshot {
                 snap.gauges.insert(name.clone(), g.get());
             }
             Metric::Histogram(h) => {
-                let cells = &h.0;
-                let buckets: Vec<(usize, u64)> = cells
-                    .buckets
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(idx, b)| {
-                        let n = b.load(Ordering::Relaxed);
-                        (n != 0).then_some((idx, n))
-                    })
-                    .collect();
-                snap.histograms.insert(
-                    name.clone(),
-                    HistogramSnapshot {
-                        count: cells.count.load(Ordering::Relaxed),
-                        sum: cells.sum.load(Ordering::Relaxed),
-                        min: cells.min.load(Ordering::Relaxed),
-                        max: cells.max.load(Ordering::Relaxed),
-                        buckets,
-                    },
-                );
+                snap.histograms.insert(name.clone(), h.snapshot());
             }
         }
     }
-    snap
-}
-
-/// Zero every registered metric in place. Live handles stay valid — they
-/// observe the reset, exactly like spans folding into a cleared registry.
-pub fn metrics_reset() {
-    let reg = registry().lock().unwrap();
-    for metric in reg.values() {
-        match metric {
-            Metric::Counter(c) => c.0.store(0, Ordering::Relaxed),
-            Metric::Gauge(g) => g.0.store(0f64.to_bits(), Ordering::Relaxed),
-            Metric::Histogram(h) => h.0.zero(),
-        }
+    for (leaf, h) in SPAN_WALL.lock().unwrap().iter() {
+        snap.histograms.insert(format!("span.{leaf}"), h.snapshot());
     }
+    snap
 }
 
 #[cfg(test)]
@@ -387,34 +366,15 @@ mod tests {
 
     #[test]
     fn percentiles_are_deterministic_bucket_boundaries() {
-        let h = Histogram(Arc::new(HistogramCells::new()));
+        let h = new_histogram();
         for v in 1..=100u64 {
             h.record(v);
         }
-        let snap = metrics_snapshot_of(&h);
+        let snap = h.snapshot();
         // p50 of 1..=100 lands in the bucket holding 50 (i.e. [32,63]).
         assert_eq!(snap.percentile(0.50), Some(63));
         assert_eq!(snap.percentile(0.99), Some(100)); // clamped to max
         assert_eq!(snap.percentile(0.0), Some(1)); // clamped to min
-    }
-
-    fn metrics_snapshot_of(h: &Histogram) -> HistogramSnapshot {
-        let cells = &h.0;
-        HistogramSnapshot {
-            count: cells.count.load(Ordering::Relaxed),
-            sum: cells.sum.load(Ordering::Relaxed),
-            min: cells.min.load(Ordering::Relaxed),
-            max: cells.max.load(Ordering::Relaxed),
-            buckets: cells
-                .buckets
-                .iter()
-                .enumerate()
-                .filter_map(|(idx, b)| {
-                    let n = b.load(Ordering::Relaxed);
-                    (n != 0).then_some((idx, n))
-                })
-                .collect(),
-        }
     }
 
     #[test]

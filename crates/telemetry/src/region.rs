@@ -348,6 +348,19 @@ mod tests {
     }
 
     #[test]
+    fn forged_huge_counts_are_an_error_not_an_overflow() {
+        // `1e300 as u64` saturates: two of them overflowed `total_insts`
+        // (a panic in the dev profile, a wrapped sum in release).
+        let forged = sample().to_json().render().replace(
+            "\"insts\":{\"ld1\":2,\"fcmla\":2}",
+            "\"insts\":{\"fcmla\":1e300,\"ld1\":1e300}",
+        );
+        assert!(forged.contains("1e300"), "needle not found: {forged}");
+        let e = Snapshot::from_json(&Json::parse(&forged).unwrap()).unwrap_err();
+        assert!(e.msg.contains("bad count for opcode"), "{e}");
+    }
+
+    #[test]
     fn derived_metrics() {
         let snap = sample();
         let stat = snap.region("dirac.hop").unwrap();

@@ -2,16 +2,10 @@
 //! same-name nesting, snapshots taken while spans are still open, and the
 //! Chrome-trace metadata contract.
 //!
-//! The registry is process-global, so every test takes [`registry_lock`]
+//! The registry is process-global, so every test takes [`global_test_lock`]
 //! before touching it.
 
-use qcd_trace::{span, Json, Snapshot};
-
-/// Serialise tests that reset or read the process-global registry.
-fn registry_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
+use qcd_trace::{global_test_lock, span, Json, Snapshot};
 
 #[test]
 fn empty_snapshot_round_trips_through_json() {
@@ -21,20 +15,18 @@ fn empty_snapshot_round_trips_through_json() {
     let parsed = Json::parse(&rendered).expect("empty snapshot renders valid JSON");
     let back = Snapshot::from_json(&parsed).expect("empty snapshot parses back");
     assert!(back.regions.is_empty());
-    // The line-oriented exporter agrees: zero regions, zero lines.
-    assert_eq!(qcd_trace::to_json_lines(&empty), "");
 }
 
 #[test]
 fn an_empty_registry_snapshot_is_empty() {
-    let _guard = registry_lock();
+    let _guard = global_test_lock();
     qcd_trace::reset();
     assert!(qcd_trace::snapshot().regions.is_empty());
 }
 
 #[test]
 fn nested_same_name_regions_stay_distinct_paths() {
-    let _guard = registry_lock();
+    let _guard = global_test_lock();
     qcd_trace::reset();
     {
         let _outer = span!("same");
@@ -61,7 +53,7 @@ fn nested_same_name_regions_stay_distinct_paths() {
 
 #[test]
 fn snapshot_taken_with_open_spans_omits_them_until_close() {
-    let _guard = registry_lock();
+    let _guard = global_test_lock();
     qcd_trace::reset();
     let open = span!("still_open");
     {
@@ -83,8 +75,9 @@ fn snapshot_taken_with_open_spans_omits_them_until_close() {
 
 #[test]
 fn chrome_trace_names_the_process_and_every_span_thread() {
-    let _guard = registry_lock();
+    let _guard = global_test_lock();
     qcd_trace::reset();
+    qcd_trace::set_span_events(true);
     {
         let _a = span!("chrome_meta_main");
     }
@@ -96,6 +89,7 @@ fn chrome_trace_names_the_process_and_every_span_thread() {
         .unwrap()
         .join()
         .unwrap();
+    qcd_trace::set_span_events(false);
     let doc = Json::parse(&qcd_trace::to_chrome_trace()).expect("chrome trace is valid JSON");
     let events = doc
         .get("traceEvents")

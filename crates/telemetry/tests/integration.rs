@@ -3,17 +3,11 @@
 //! thread-merge determinism under the rayon worker pool, and
 //! snapshot/reset isolation.
 //!
-//! The registry is process-global, so every test takes [`registry_lock`]
+//! The registry is process-global, so every test takes [`global_test_lock`]
 //! before touching it.
 
-use qcd_trace::span;
+use qcd_trace::{global_test_lock, span};
 use sve::{Opcode, SveCtx, VectorLength};
-
-/// Serialise tests that reset or read the process-global registry.
-fn registry_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn ctx512() -> SveCtx {
     SveCtx::new(VectorLength::new(512).unwrap())
@@ -31,7 +25,7 @@ fn run_fixed_kernel(ctx: &SveCtx) {
 
 #[test]
 fn nested_spans_attribute_instructions_exclusively() {
-    let _guard = registry_lock();
+    let _guard = global_test_lock();
     qcd_trace::reset();
     let ctx = ctx512();
     {
@@ -60,7 +54,7 @@ fn nested_spans_attribute_instructions_exclusively() {
 
 #[test]
 fn counter_delta_matches_hand_counted_acle_kernel() {
-    let _guard = registry_lock();
+    let _guard = global_test_lock();
     qcd_trace::reset();
     let ctx = ctx512();
     // Dirty the counters before the span: the span must report the delta,
@@ -92,7 +86,7 @@ fn counter_delta_matches_hand_counted_acle_kernel() {
 #[test]
 fn thread_merge_is_deterministic_under_rayon() {
     use rayon::prelude::*;
-    let _guard = registry_lock();
+    let _guard = global_test_lock();
 
     let run_once = || {
         qcd_trace::reset();
@@ -135,7 +129,7 @@ fn thread_merge_is_deterministic_under_rayon() {
 
 #[test]
 fn snapshot_and_reset_isolate_runs() {
-    let _guard = registry_lock();
+    let _guard = global_test_lock();
     qcd_trace::reset();
     {
         let _a = span!("iso_a");

@@ -31,7 +31,7 @@ use grid::prelude::*;
 use grid::{Field, FieldKind};
 use qcd_deflate::{coarse_pcg, defl_cg, galerkin_guess, CoarseSpace, Subspace};
 use qcd_io::Checkpointer;
-use qcd_metrics::HealthMonitor;
+use qcd_trace::HealthMonitor;
 use sve::{SveFloat, F16};
 
 const DIMS: [usize; 4] = [2, 2, 4, 4];
