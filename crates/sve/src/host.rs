@@ -682,7 +682,7 @@ mod tests {
                     &tag("addv"),
                     one,
                     &scalar(sz.svaddv::<F16>(pg, &sd)),
-                    &scalar_reg(sum(F16::ZERO)),
+                    &scalar_reg(pairwise(lanes, &|e| if on(e) { dl(e) } else { F16::ZERO })),
                 );
                 if N < VL_MAX_BYTES {
                     continue;
@@ -737,6 +737,19 @@ mod tests {
         let mut r = VReg::zeroed();
         r.set_lane(0, x);
         r
+    }
+
+    /// `FADDV` as the architecture writes it: `lanes` padded with `+0.0` to
+    /// a power of two, then the lower half's sum plus the upper half's.
+    fn pairwise(lanes: usize, lane: &dyn Fn(usize) -> F16) -> F16 {
+        fn half(lo: usize, n: usize, lanes: usize, lane: &dyn Fn(usize) -> F16) -> F16 {
+            match n {
+                1 if lo < lanes => lane(lo),
+                1 => F16::ZERO,
+                _ => half(lo, n / 2, lanes, lane).add(half(lo + n / 2, n / 2, lanes, lane)),
+            }
+        }
+        half(0, lanes.next_power_of_two(), lanes, lane)
     }
 
     #[test]

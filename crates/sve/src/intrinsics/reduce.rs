@@ -6,6 +6,7 @@ use crate::count::Opcode;
 use crate::ctx::{SizedCtx, SveCtx};
 use crate::elem::{Lane, SveFloat};
 use crate::pred::PReg;
+use crate::vl::VL_MAX_BYTES;
 use crate::vreg::{Reg, VReg};
 
 impl<const N: usize> SizedCtx<'_, N> {
@@ -13,14 +14,33 @@ impl<const N: usize> SizedCtx<'_, N> {
     #[inline]
     pub fn svaddv<E: SveFloat>(&self, pg: &PReg, a: &Reg<N>) -> E {
         self.ctx.exec(Opcode::Faddv);
-        fold_arith(self.ctx, pg, a, Some(E::zero()), E::Wide::add).expect("a chain from zero")
+        let lanes = self.ctx.vl().bytes() / E::BYTES;
+        let mut sums = [E::zero(); VL_MAX_BYTES / 2];
+        for (e, sum) in sums[..lanes].iter_mut().enumerate() {
+            if pg.elem_active::<E>(e) {
+                *sum = a.lane(e);
+            }
+        }
+        // Level by level: lane pairs, then pairs of pair sums, the lower
+        // half always the first operand.
+        let mut width = lanes.next_power_of_two();
+        while width > 1 {
+            width /= 2;
+            for i in 0..width {
+                sums[i] = SveFloat::add(sums[2 * i], sums[2 * i + 1]);
+            }
+        }
+        sums[0]
     }
 }
 
-/// `svaddv` — sum of the active lanes. Hardware performs a tree reduction;
-/// this model sums in lane order, which is what a strictly-ordered `fadda`
-/// would produce (deterministic across runs, and the ordering used by the
-/// reference implementations in tests).
+/// `svaddv` — sum of the active lanes, as the architecture defines `FADDV`:
+/// inactive lanes read as `+0.0`, the vector is padded with `+0.0` to a
+/// power-of-two number of lanes, and the sum is the recursive pairwise tree
+/// — the sum of the lower half plus the sum of the upper half, each rounded
+/// to `E`. The grouping depends on the vector length, so the same data
+/// summed at two lengths can differ in the last bits; a strictly-ordered
+/// sum is [`svadda`](crate::intrinsics::svadda).
 #[inline]
 pub fn svaddv<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg) -> E {
     ctx.sized().svaddv(pg, a)
@@ -46,6 +66,28 @@ mod tests {
         assert_eq!(svaddv::<f64>(&ctx, &pg, &a), 36.0); // 1+..+8
         let partial = svwhilelt::<f64>(&ctx, 0, 3);
         assert_eq!(svaddv::<f64>(&ctx, &partial, &a), 6.0);
+    }
+
+    #[test]
+    fn addv_groups_by_halves_and_reads_inactive_lanes_as_plus_zero() {
+        let ctx = SveCtx::new(VectorLength::of(256));
+        let pg = svptrue::<f64>(&ctx);
+        let a = VReg::from_fn::<f64>(ctx.vl(), |i| [1e16, 1.0, -1e16, 1.0][i]);
+        // (1e16 + 1) + (-1e16 + 1) rounds both pairs to ±1e16; the lane
+        // order ((1e16 + 1) - 1e16) + 1 would give 1.
+        assert_eq!(svaddv::<f64>(&ctx, &pg, &a), 0.0);
+        let negative_zeros = VReg::from_fn::<f64>(ctx.vl(), |_| -0.0);
+        let three = svwhilelt::<f64>(&ctx, 0, 3);
+        assert_eq!(
+            svaddv::<f64>(&ctx, &pg, &negative_zeros).to_bits(),
+            (-0.0f64).to_bits()
+        );
+        assert_eq!(svaddv::<f64>(&ctx, &three, &negative_zeros).to_bits(), 0);
+        // VL384 holds six lanes, padded to eight:
+        // ((1 + 2) + (3 + 4)) + ((5 + 6) + (0 + 0)).
+        let ctx = SveCtx::new(VectorLength::of(384));
+        let six = VReg::from_fn::<f64>(ctx.vl(), |i| i as f64 + 1.0);
+        assert_eq!(svaddv::<f64>(&ctx, &svptrue::<f64>(&ctx), &six), 21.0);
     }
 
     #[test]

@@ -173,15 +173,17 @@ proptest! {
         prop_assert!(r.lanes_eq::<f64>(&v, vl));
     }
 
-    /// addv of a vector equals the sequential sum of its lanes.
+    /// addv of a vector is the pairwise tree of its lanes, bit for bit, and
+    /// the sequential sum to rounding.
     #[test]
-    fn addv_matches_sequential_sum((vl, xs, _) in vl_and_lanes()) {
+    fn addv_is_the_pairwise_tree((vl, xs, _) in vl_and_lanes()) {
         let ctx = SveCtx::new(vl);
         let pg = svptrue::<f64>(&ctx);
         let v = vreg_from(vl, &xs);
         let got = svaddv::<f64>(&ctx, &pg, &v);
-        let want: f64 = xs.iter().sum();
-        prop_assert!((got - want).abs() <= 1e-9 * want.abs().max(1.0));
+        prop_assert_eq!(got.to_bits(), pairwise(xs.len(), &|e| xs[e]).to_bits());
+        let sequential: f64 = xs.iter().sum();
+        prop_assert!((got - sequential).abs() <= 1e-9 * sequential.abs().max(1.0));
     }
 
     /// f64 -> f32 -> f16 -> f32 compression path error stays within the
@@ -667,6 +669,18 @@ fn lane_bits(lane: &[u8]) -> u64 {
 
 /// Whether the little-endian bytes of one float lane hold a NaN.
 fn is_nan_lane(lane: &[u8]) -> bool {
+    let (top_exponent, fraction) = exponent_and_fraction(lane);
+    top_exponent && fraction != 0
+}
+
+/// Whether the little-endian bytes of one float lane hold a NaN or an
+/// infinity.
+fn is_non_finite_lane(lane: &[u8]) -> bool {
+    exponent_and_fraction(lane).0
+}
+
+/// Whether the exponent of a float lane is all ones, and its fraction.
+fn exponent_and_fraction(lane: &[u8]) -> (bool, u64) {
     let fraction_bits = match lane.len() {
         2 => 10,
         4 => 23,
@@ -674,8 +688,10 @@ fn is_nan_lane(lane: &[u8]) -> bool {
         n => panic!("no float lane is {n} bytes wide"),
     };
     let magnitude = lane_bits(lane) & ((1 << (8 * lane.len() - 1)) - 1);
-    magnitude >> fraction_bits == (1 << (8 * lane.len() - 1 - fraction_bits)) - 1
-        && magnitude & ((1 << fraction_bits) - 1) != 0
+    (
+        magnitude >> fraction_bits == (1 << (8 * lane.len() - 1 - fraction_bits)) - 1,
+        magnitude & ((1 << fraction_bits) - 1),
+    )
 }
 
 /// `r` with every NaN lane after the first replaced by one: what an ordered
@@ -683,11 +699,23 @@ fn is_nan_lane(lane: &[u8]) -> bool {
 /// two NaNs, and whose payload survives that is the compiler's choice of
 /// operand order — different in the intrinsic and in the reference.
 fn at_most_one_nan<E: SveFloat>(vl: VectorLength, r: &VReg) -> VReg {
+    at_most_one::<E>(vl, r, is_nan_lane)
+}
+
+/// `r` with every NaN or infinite lane after the first replaced by one:
+/// what the pairwise `faddv` is tried on. Its tree adds `+inf` and `-inf`
+/// where the lanes happen to meet, and their sum is a second NaN.
+fn at_most_one_non_finite<E: SveFloat>(vl: VectorLength, r: &VReg) -> VReg {
+    at_most_one::<E>(vl, r, is_non_finite_lane)
+}
+
+/// `r` with every `special` lane after the first replaced by one.
+fn at_most_one<E: SveFloat>(vl: VectorLength, r: &VReg, special: fn(&[u8]) -> bool) -> VReg {
     let mut seen = false;
     by_lane(vl, |e| {
-        let nan = is_nan_lane(&r.bytes()[e * E::BYTES..(e + 1) * E::BYTES]);
-        let keep = !(nan && seen);
-        seen |= nan;
+        let hit = special(&r.bytes()[e * E::BYTES..(e + 1) * E::BYTES]);
+        let keep = !(hit && seen);
+        seen |= hit;
         if keep {
             r.lane(e)
         } else {
@@ -735,6 +763,19 @@ fn scalar_reg<E: SveElem>(x: E) -> VReg {
     let mut r = VReg::zeroed();
     r.set_lane(0, x);
     r
+}
+
+/// `FADDV` as the architecture writes it: `lanes` padded with `+0.0` to a
+/// power of two, then the lower half's sum plus the upper half's.
+fn pairwise<E: SveFloat>(lanes: usize, lane: &dyn Fn(usize) -> E) -> E {
+    fn half<E: SveFloat>(lo: usize, n: usize, lanes: usize, lane: &dyn Fn(usize) -> E) -> E {
+        match n {
+            1 if lo < lanes => lane(lo),
+            1 => E::zero(),
+            _ => half(lo, n / 2, lanes, lane).add(half(lo + n / 2, n / 2, lanes, lane)),
+        }
+    }
+    half(0, lanes.next_power_of_two(), lanes, lane)
 }
 
 fn differential_float<E: SveFloat>() {
@@ -926,15 +967,18 @@ fn differential_float<E: SveFloat>() {
                 ),
             );
 
-            // Folds over the active lanes, in lane order.
+            // The pairwise `faddv`, then the folds over the active lanes in
+            // lane order.
             let active = || (0..lanes).filter(|&e| on(e));
-            let folded = at_most_one_nan::<E>(vl, &a);
-            let fl = |e: usize| folded.lane::<E>(e);
+            let summed = at_most_one_non_finite::<E>(vl, &a);
+            let sl = |e: usize| summed.lane::<E>(e);
             check(
                 "addv",
-                scalar_reg(svaddv::<E>(&ctx, &pg, &folded)),
-                scalar_reg(active().fold(E::zero(), |s, e| s.add(fl(e)))),
+                scalar_reg(svaddv::<E>(&ctx, &pg, &summed)),
+                scalar_reg(pairwise(lanes, &|e| if on(e) { sl(e) } else { E::zero() })),
             );
+            let folded = at_most_one_nan::<E>(vl, &a);
+            let fl = |e: usize| folded.lane::<E>(e);
             check(
                 "adda",
                 scalar_reg(svadda::<E>(&ctx, &pg, cl(0), &folded)),
@@ -1489,10 +1533,10 @@ fn sized_forms_match<E: SveFloat, const N: usize>(vl: VectorLength, range: Range
             sz.fcmla_conj_mul_add::<E>(&pg, &sc, &sa, &sb),
             fcmla_conj_mul_add::<E>(&wide, &pg, &c, &a, &b),
         );
-        let folded = at_most_one_nan::<E>(vl, &a);
+        let summed = at_most_one_non_finite::<E>(vl, &a);
         let (got, want) = (
-            sz.svaddv::<E>(&pg, &narrow(&folded)),
-            svaddv::<E>(&wide, &pg, &folded),
+            sz.svaddv::<E>(&pg, &narrow(&summed)),
+            svaddv::<E>(&wide, &pg, &summed),
         );
         assert!(
             same_float_lane(&bits(&[got]), &bits(&[want])),
