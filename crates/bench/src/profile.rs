@@ -343,8 +343,7 @@ pub fn resume_from_checkpoint(path: &str) -> Result<(usize, SolveReport), String
     let path = std::path::Path::new(path);
     let mut tmp = FermionField::zero(b.grid().clone());
     let mut space = krylov::fused(&op, &mut tmp);
-    let start = qcd_io::resume(&mut space, &b, path)
-        .map_err(|e| format!("load {}: {e}", path.display()))?;
+    let start = qcd_io::resume(&b, path).map_err(|e| format!("load {}: {e}", path.display()))?;
     let resumed_from = match &start {
         Start::State(state) => state.iterations[0],
         _ => 0,

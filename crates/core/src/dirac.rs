@@ -19,7 +19,6 @@
 //! thread-level parallelization Grid gets from OpenMP (paper, Section II-A).
 
 use crate::codec::{LINK_SCALARS_FULL, LINK_SCALARS_TWO_ROW};
-use crate::complex::Complex;
 use crate::field::{spinor_comp, FermionBlock, FermionKind, Field, GaugeKind, HalfFermionKind};
 use crate::layout::{Grid, NCOLOR, NSPIN};
 use crate::reduce;
@@ -51,9 +50,9 @@ pub const HOPPING_WRITES_PER_SITE: u64 = 24;
 /// (2 × 24) on the output spinor.
 pub const FUSED_MASS_AXPY_FLOPS_PER_SITE: u64 = 72;
 
-/// Extra flops per site for the fused inner-product accumulation: one
-/// conjugated complex FMA (8 flops) per complex component.
-pub const FUSED_DOT_FLOPS_PER_SITE: u64 = 96;
+/// Extra flops per site for the fused curvature `Re ⟨ψ, out⟩`: two
+/// multiplies and two adds per complex component.
+pub const FUSED_DOT_FLOPS_PER_SITE: u64 = 48;
 
 /// Apply a projector coefficient to a SIMD word.
 #[inline]
@@ -184,10 +183,10 @@ impl<E: SveFloat> WilsonDirac<E> {
         self.hopping_fused(psi, out, true, Some(self.mass + 4.0), None);
     }
 
-    /// `out = M† ψ` fused with the reduction `Re ⟨dot_with, out⟩`, which
-    /// accumulates inside the same store loop using the deterministic chunk
-    /// tree of [`crate::reduce`] — bit-identical to calling
-    /// `dot_with.inner(&out).re` afterwards, without the extra sweep.
+    /// `out = M† ψ` fused with the reduction `Re ⟨dot_with, out⟩`, whose
+    /// per-site values are taken inside the same parallel sweep — bit-
+    /// identical to calling `dot_with.inner(&out).re` afterwards, without
+    /// the extra sweep.
     pub fn apply_dag_into_dot(
         &self,
         psi: &Field<FermionKind, E>,
@@ -195,7 +194,6 @@ impl<E: SveFloat> WilsonDirac<E> {
         dot_with: &Field<FermionKind, E>,
     ) -> f64 {
         self.hopping_fused(psi, out, true, Some(self.mass + 4.0), Some(dot_with))
-            .re
     }
 
     /// `out = M† M ψ` using caller-provided storage (`tmp` holds `M ψ`).
@@ -232,16 +230,17 @@ impl<E: SveFloat> WilsonDirac<E> {
     }
 
     /// The one parallel sweep behind every hopping/apply variant: per
-    /// reduction chunk of [`reduce::CHUNK_SITES`] outer sites, compute the
-    /// eight-leg stencil accumulator, optionally fuse the `(m+4)ψ − ½(·)`
-    /// mass axpy into the store (`mass_axpy = Some(m+4)`), and optionally
-    /// accumulate `⟨dot_with, out⟩` with the deterministic chunk tree.
+    /// chunk of [`reduce::CHUNK_SITES`] outer sites, compute the eight-leg
+    /// stencil accumulator, optionally fuse the `(m+4)ψ − ½(·)` mass axpy
+    /// into the store (`mass_axpy = Some(m+4)`), and optionally take each
+    /// site's value of `Re ⟨dot_with, out⟩` from the words just stored; the
+    /// result is the canonical sum of those values, or zero without a
+    /// `dot_with`.
     ///
     /// The fused mass term performs, per word, the exact op sequence of the
     /// unfused path (`scale(-0.5)` then `axpy(m+4, ψ)`), and the fused dot
-    /// accumulates in the word order and chunk grouping of
-    /// [`Field::inner`] — both therefore match their unfused counterparts
-    /// bit for bit.
+    /// is the reduction [`Field::inner`] takes — both therefore match their
+    /// unfused counterparts bit for bit.
     fn hopping_fused(
         &self,
         psi: &Field<FermionKind, E>,
@@ -249,7 +248,7 @@ impl<E: SveFloat> WilsonDirac<E> {
         dagger: bool,
         mass_axpy: Option<f64>,
         dot_with: Option<&Field<FermionKind, E>>,
-    ) -> Complex {
+    ) -> f64 {
         assert!(
             Arc::ptr_eq(psi.grid(), &self.grid),
             "fermion field lives on a different grid"
@@ -282,9 +281,10 @@ impl<E: SveFloat> WilsonDirac<E> {
             let cs = reduce::CHUNK_SITES * stride;
             let mass_dup = mass_axpy.map(|m| eng.dup_real(m));
             let neg_half = eng.dup_real(-0.5);
-            let data = out.data_mut();
-            let kernel = |ci: usize, chunk: &mut [E]| -> Complex {
-                let mut acc_dot = eng.zero();
+            let lanes = self.grid.lanes_c();
+            // `part` holds a chunk's per-site values of the dot, when there
+            // is one.
+            let kernel = |ci: usize, chunk: &mut [E], mut part: Option<&mut [f64]>| {
                 for (k, site) in chunk.chunks_exact_mut(stride).enumerate() {
                     let osite = ci * reduce::CHUNK_SITES + k;
                     let acc = self.site_hopping(eng, psi, osite, dagger);
@@ -298,50 +298,32 @@ impl<E: SveFloat> WilsonDirac<E> {
                                 r = eng.axpy_word(m_dup, pv, hs);
                             }
                             eng.store(&mut site[comp * word..(comp + 1) * word], r);
-                            if let Some(d) = dot_with {
-                                let dv = eng.load(d.word(osite, comp));
-                                acc_dot = eng.madd_conj(acc_dot, dv, r);
-                            }
                         }
                     }
-                }
-                if dot_with.is_some() {
-                    eng.reduce_sum(acc_dot)
-                } else {
-                    Complex::ZERO
+                    if let (Some(d), Some(part)) = (dot_with, part.as_deref_mut()) {
+                        let dsite = &d.data()[osite * stride..(osite + 1) * stride];
+                        reduce::site_dots::<E>(dsite, site, &mut part[k * lanes..(k + 1) * lanes]);
+                    }
                 }
             };
+            let data = out.data_mut().par_chunks_mut(cs);
+            let mut dot = 0.0;
             match dot_with {
-                None => {
-                    data.par_chunks_mut(cs).enumerate().for_each(|(ci, chunk)| {
-                        kernel(ci, chunk);
-                    });
-                    Complex::ZERO
-                }
+                None => data
+                    .enumerate()
+                    .for_each(|(ci, chunk)| kernel(ci, chunk, None)),
                 Some(d) => {
                     assert!(
                         Arc::ptr_eq(d.grid(), &self.grid),
                         "dot field lives on a different grid"
                     );
-                    let n = reduce::n_chunks(data.len(), cs);
-                    if rayon::current_num_threads() <= 1 || n <= 1 {
-                        let len = data.len();
-                        let mut lf = |ci: usize| {
-                            let lo = ci * cs;
-                            let hi = (lo + cs).min(len);
-                            kernel(ci, &mut data[lo..hi])
-                        };
-                        reduce::reduce_serial(n, &mut lf, &|a, b| a + b)
-                    } else {
-                        let leaves: Vec<Complex> = data
-                            .par_chunks_mut(cs)
-                            .enumerate()
-                            .map(|(ci, chunk)| kernel(ci, chunk))
-                            .collect();
-                        reduce::combine_tree(&leaves, &|a, b| a + b)
-                    }
+                    let dotted =
+                        |ci, chunk: &mut [E], part: &mut [f64]| kernel(ci, chunk, Some(part));
+                    let dot = std::slice::from_mut(&mut dot);
+                    reduce::sweep_sums(&self.grid, data, dotted, dot);
                 }
             }
+            dot
         })
     }
 
@@ -500,9 +482,6 @@ impl<E: SveFloat> WilsonDirac<E> {
         dot_with: &FermionBlock<E>,
     ) -> Vec<f64> {
         self.hopping_block_fused(psi, out, true, Some(self.mass + 4.0), Some(dot_with))
-            .iter()
-            .map(|z| z.re)
-            .collect()
     }
 
     /// `out = M† M ψ` for every RHS using caller-provided storage.
@@ -530,14 +509,14 @@ impl<E: SveFloat> WilsonDirac<E> {
     }
 
     /// The batched twin of [`Self::hopping_fused`]: one parallel sweep over
-    /// reduction chunks of [`reduce::CHUNK_SITES`] outer sites, computing
-    /// the eight-leg stencil for all `N` right-hand sides per site so each
-    /// gauge link, stencil entry, and projector table is loaded once and
+    /// chunks of [`reduce::CHUNK_SITES`] outer sites, computing the
+    /// eight-leg stencil for all `N` right-hand sides per site so each gauge
+    /// link, stencil entry, and projector table is loaded once and
     /// amortized over the batch. Per RHS the engine-op sequence — projection,
-    /// color multiply, reconstruction, fused mass axpy, fused dot — is
-    /// exactly that of the single-RHS kernel, and the per-RHS dot partials
-    /// combine through the same fixed chunk tree, so RHS `j` of any result
-    /// is bit-identical to running the single-RHS path on RHS `j` alone.
+    /// color multiply, reconstruction, fused mass axpy — is exactly that of
+    /// the single-RHS kernel, and the per-RHS dots (zeros without a
+    /// `dot_with`) are the same canonical sums, so RHS `j` of any result is
+    /// bit-identical to running the single-RHS path on RHS `j` alone.
     ///
     /// Opens a `dirac.block` trace region; the recorded bytes credit link
     /// data once per site (not once per RHS), which is the measured
@@ -549,7 +528,7 @@ impl<E: SveFloat> WilsonDirac<E> {
         dagger: bool,
         mass_axpy: Option<f64>,
         dot_with: Option<&FermionBlock<E>>,
-    ) -> Vec<Complex> {
+    ) -> Vec<f64> {
         assert!(
             Arc::ptr_eq(psi.grid(), &self.grid),
             "fermion block lives on a different grid"
@@ -590,14 +569,15 @@ impl<E: SveFloat> WilsonDirac<E> {
             let cs = reduce::CHUNK_SITES * stride;
             let mass_dup = mass_axpy.map(|m| eng.dup_real(m));
             let neg_half = eng.dup_real(-0.5);
-            let data = out.data_mut();
-            let kernel = |ci: usize, chunk: &mut [E]| -> Vec<Complex> {
+            let (lanes, rhs_len) = (self.grid.lanes_c(), NCOMP * word);
+            // `part` holds a chunk's per-site per-RHS values of the dots,
+            // when there are any.
+            let kernel = |ci: usize, chunk: &mut [E], mut part: Option<&mut [f64]>| {
                 let mut acc = vec![eng.zero(); nrhs * NCOMP];
-                let mut acc_dot = vec![eng.zero(); nrhs];
                 for (k, site) in chunk.chunks_exact_mut(stride).enumerate() {
                     let osite = ci * reduce::CHUNK_SITES + k;
                     self.site_hopping_block(eng, psi, osite, dagger, &mut acc);
-                    for (rhs, dot) in acc_dot.iter_mut().enumerate() {
+                    for rhs in 0..nrhs {
                         for s in 0..NSPIN {
                             for c in 0..NCOLOR {
                                 let comp = spinor_comp(s, c);
@@ -609,51 +589,36 @@ impl<E: SveFloat> WilsonDirac<E> {
                                 }
                                 let off = (rhs * NCOMP + comp) * word;
                                 eng.store(&mut site[off..off + word], r);
-                                if let Some(d) = dot_with {
-                                    let dv = eng.load(d.word(osite, rhs, comp));
-                                    *dot = eng.madd_conj(*dot, dv, r);
-                                }
                             }
+                        }
+                        if let (Some(d), Some(part)) = (dot_with, part.as_deref_mut()) {
+                            let seg = (osite * nrhs + rhs) * rhs_len;
+                            let dseg = &d.data()[seg..seg + rhs_len];
+                            let p = (k * nrhs + rhs) * lanes;
+                            let ours = &site[rhs * rhs_len..(rhs + 1) * rhs_len];
+                            reduce::site_dots::<E>(dseg, ours, &mut part[p..p + lanes]);
                         }
                     }
                 }
-                acc_dot.iter().map(|&a| eng.reduce_sum(a)).collect()
             };
+            let data = out.data_mut().par_chunks_mut(cs);
+            let mut dots = vec![0.0; nrhs];
             match dot_with {
-                None => {
-                    data.par_chunks_mut(cs).enumerate().for_each(|(ci, chunk)| {
-                        kernel(ci, chunk);
-                    });
-                    vec![Complex::ZERO; nrhs]
-                }
+                None => data
+                    .enumerate()
+                    .for_each(|(ci, chunk)| kernel(ci, chunk, None)),
                 Some(d) => {
                     assert!(
                         Arc::ptr_eq(d.grid(), &self.grid),
                         "dot block lives on a different grid"
                     );
                     assert_eq!(d.nrhs(), nrhs, "fermion blocks hold different batch sizes");
-                    let combine = |a: &Vec<Complex>, b: &Vec<Complex>| -> Vec<Complex> {
-                        a.iter().zip(b.iter()).map(|(x, y)| *x + *y).collect()
-                    };
-                    let n = reduce::n_chunks(data.len(), cs);
-                    if rayon::current_num_threads() <= 1 || n <= 1 {
-                        let len = data.len();
-                        let mut lf = |ci: usize| {
-                            let lo = ci * cs;
-                            let hi = (lo + cs).min(len);
-                            kernel(ci, &mut data[lo..hi])
-                        };
-                        reduce::reduce_serial(n, &mut lf, &|a, b| combine(&a, &b))
-                    } else {
-                        let leaves: Vec<Vec<Complex>> = data
-                            .par_chunks_mut(cs)
-                            .enumerate()
-                            .map(|(ci, chunk)| kernel(ci, chunk))
-                            .collect();
-                        reduce::combine_tree_ref(&leaves, &combine)
-                    }
+                    let dotted =
+                        |ci, chunk: &mut [E], part: &mut [f64]| kernel(ci, chunk, Some(part));
+                    reduce::sweep_sums(&self.grid, data, dotted, &mut dots);
                 }
             }
+            dots
         })
     }
 

@@ -49,8 +49,10 @@ use crate::dirac::{
     apply_coeff, WilsonDirac, FUSED_MASS_AXPY_FLOPS_PER_SITE, HOPPING_FLOPS_PER_SITE,
     HOPPING_READS_PER_SITE, HOPPING_WRITES_PER_SITE,
 };
-use crate::field::{gauge_comp, spinor_comp, FermionField, Field, FieldKind, GaugeField};
-use crate::krylov::{self, CgSpace, Start};
+use crate::field::{
+    cg_update_x_r, gauge_comp, spinor_comp, FermionField, Field, FieldKind, GaugeField,
+};
+use crate::krylov::{self, Operator, Start, Vector};
 use crate::layout::{lex, Coor, NCOLOR, NDIM, NSPIN};
 use crate::reduce::canonical_sum;
 use crate::simd::{CVec, Words};
@@ -59,7 +61,7 @@ use crate::stencil::{dir_index, StencilEntry};
 use crate::tensor::gamma::proj_table;
 use crate::tensor::su3::{mat_dag_vec, mat_vec, reconstruct_row2};
 use crate::topology::{fermion_face_bytes, link_ghost_bytes, FERMION_FACE_SCALARS};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 /// Complex components per spinor.
@@ -665,7 +667,8 @@ impl<'a> DistWilson<'a> {
                 global[g as usize] = s[j];
             }
         });
-        canonical_sum(&ws.global_scalars)
+        let global = &ws.global_scalars;
+        canonical_sum(global.len(), |i| global[i])
     }
 
     /// Globally canonical `|f|²`.
@@ -756,35 +759,58 @@ pub fn restrict_field<K: FieldKind>(ctx: &RankCtx, global: &Field<K>) -> Field<K
     out
 }
 
-/// The rank-local space of the distributed solve: the overlapped `M†M`
-/// application of `dw`, steered by globally canonical scalars (every norm
-/// and curvature is a ring allgather summed over the *global* volume). The
-/// fused update sweep's local `|r|²` is discarded; the zero-start `|r|²`
-/// copies `|b|²` rather than pay a second allgather.
-struct RankLocal<'a, 'c> {
+/// A rank's slab of a distributed fermion as the Krylov driver sees it:
+/// every norm is a ring allgather summed over the *global* volume in the
+/// canonical order, so every rank steers by the same scalars. The update
+/// sweep's rank-local `|r|²` is discarded.
+#[derive(Clone)]
+struct Slab<'a, 'c> {
+    f: FermionField,
     dw: &'a DistWilson<'c>,
-    ws: &'a mut DistWorkspace,
+    ws: &'a RefCell<DistWorkspace>,
 }
 
-impl CgSpace for RankLocal<'_, '_> {
-    type V = FermionField;
-    const CANONICAL: bool = true;
+impl Slab<'_, '_> {
+    fn norm2(&self) -> f64 {
+        self.dw.canon_norm2(&self.f, &mut self.ws.borrow_mut())
+    }
+}
 
-    fn apply(&mut self, p: &FermionField, ap: &mut FermionField, curv: &mut [f64]) {
-        self.dw.mdag_m_into(p, self.ws, ap);
-        curv[0] = self.dw.canon_inner_re(p, ap, self.ws);
+impl Vector for Slab<'_, '_> {
+    type Report = SolveReport;
+
+    fn zero_like(&self) -> Self {
+        Slab {
+            f: self.f.zero_like(),
+            dw: self.dw,
+            ws: self.ws,
+        }
     }
 
-    fn operator(&mut self, x: &FermionField, ax: &mut FermionField, _unused: &mut [f64]) {
-        self.dw.mdag_m_into(x, self.ws, ax);
+    fn norms2_into(&self, out: &mut [f64]) {
+        out[0] = self.norm2();
     }
 
-    fn norms2(&mut self, v: &FermionField, out: &mut [f64]) {
-        out[0] = self.dw.canon_norm2(v, self.ws);
+    fn sub_norms2_into(&mut self, x: &Self, y: &Self, out: &mut [f64]) {
+        self.f.sub(&x.f, &y.f);
+        out[0] = self.norm2();
     }
 
-    fn initial_r2(&mut self, _r: &FermionField, b_norm2: &[f64], out: &mut [f64]) {
-        out.copy_from_slice(b_norm2);
+    fn cg_update(
+        x: &mut Self,
+        r: &mut Self,
+        alpha: &[f64],
+        p: &Self,
+        ap: &Self,
+        _active: &[bool],
+        r2: &mut [f64],
+    ) {
+        cg_update_x_r(&mut x.f, &mut r.f, alpha[0], &p.f, &ap.f);
+        r2[0] = r.norm2();
+    }
+
+    fn aypx_active(&mut self, beta: &[f64], x: &Self, _active: &[bool]) {
+        self.f.aypx(beta[0], &x.f);
     }
 }
 
@@ -802,17 +828,28 @@ pub fn dist_cg(
 ) -> (FermionField, SolveReport) {
     let grid = b.grid().clone();
     let span = qcd_trace::span!("solver.dist_cg", grid.engine().ctx());
-    let ws = &mut DistWorkspace::new(dw);
-    krylov::cg_solve(
-        &mut RankLocal { dw, ws },
-        b,
+    let ws = RefCell::new(DistWorkspace::new(dw));
+    let mut space = Operator::new(|p: &Slab, ap: &mut Slab, curv: &mut [f64]| {
+        let ws = &mut ws.borrow_mut();
+        dw.mdag_m_into(&p.f, ws, &mut ap.f);
+        curv[0] = dw.canon_inner_re(&p.f, &ap.f, ws);
+    });
+    let b = Slab {
+        f: b.clone(),
+        dw,
+        ws: &ws,
+    };
+    let (x, report) = krylov::cg_solve(
+        &mut space,
+        &b,
         Start::Zero,
         tol,
         max_iter,
         span,
         "solver.dist_cg",
         krylov::no_observer,
-    )
+    );
+    (x.f, report)
 }
 
 #[cfg(test)]

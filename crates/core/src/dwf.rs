@@ -283,10 +283,6 @@ impl Vector for Fermion5 {
         out[0] = self.norm2();
     }
 
-    fn sub_into(&mut self, x: &Self, y: &Self) {
-        self.sub(x, y);
-    }
-
     fn sub_norms2_into(&mut self, x: &Self, y: &Self, out: &mut [f64]) {
         self.sub(x, y);
         out[0] = self.norm2();
@@ -310,9 +306,9 @@ impl Vector for Fermion5 {
     }
 }
 
-/// The layout space of the domain-wall normal operator: `D†D` through a
-/// held `D ψ` intermediate, the curvature a separate slice-ordered inner
-/// product (which the true-residual check therefore skips).
+/// The space of the domain-wall normal operator: `D†D` through a held `D ψ`
+/// intermediate, the curvature a separate inner product summed over the
+/// slices in order.
 struct DwfNormal<'a> {
     op: &'a DomainWall,
     tmp: Fermion5,
@@ -324,10 +320,6 @@ impl CgSpace for DwfNormal<'_> {
     fn apply(&mut self, p: &Fermion5, ap: &mut Fermion5, curv: &mut [f64]) {
         self.op.ddag_d_into(p, &mut self.tmp, ap);
         curv[0] = p.inner(ap).re;
-    }
-
-    fn operator(&mut self, x: &Fermion5, ax: &mut Fermion5, _unused: &mut [f64]) {
-        self.op.ddag_d_into(x, &mut self.tmp, ax);
     }
 }
 

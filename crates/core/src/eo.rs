@@ -24,7 +24,7 @@
 
 use crate::dirac::{gamma5_inplace, WilsonDirac};
 use crate::field::{FermionField, Field, FieldKind};
-use crate::krylov::{self, Layout, Start};
+use crate::krylov::{self, Operator, Start};
 use crate::layout::{delex, Grid, NDIM};
 use crate::solver::{SolveReport, SolverWorkspace};
 use std::sync::Arc;
@@ -139,7 +139,7 @@ pub fn solve_eo(
     // ap = A v = S†S v with the CG curvature Re ⟨v, A v⟩. The second Schur
     // application runs in place on the output field.
     let SolverWorkspace { tmp, hop, .. } = &mut ws;
-    let mut space = Layout::new(
+    let mut space = Operator::new(
         |v: &FermionField, ap: &mut FermionField, curv: &mut [f64]| {
             op.hopping_into(v, hop);
             op.hopping_into(hop, tmp);

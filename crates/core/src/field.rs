@@ -9,13 +9,13 @@
 //! the engine's intrinsics and stores back.
 //!
 //! All linear algebra runs in parallel over fixed chunks of
-//! [`reduce::CHUNK_SITES`] outer sites. Reductions (`inner`, `norm2` and the
-//! fused `*_norm2` kernels) produce one partial per chunk, in ascending word
-//! order, and combine partials with the fixed binary tree of [`reduce`] —
-//! so their results are bit-identical for any worker count, which keeps
-//! qcd-io's bit-exact checkpoint resume valid under threading. With a single
-//! worker every operation degrades to a direct loop that allocates nothing;
-//! the solvers' allocation-free steady state depends on that.
+//! [`reduce::CHUNK_SITES`] outer sites. Every reduction — `inner`, `norm2`,
+//! the fused `*_norm2` sweeps, the CG update — writes one value per site and
+//! sums them in global lexicographic site order ([`reduce`]), so its bits are
+//! the same at every vector length and worker count: a solve, a checkpoint
+//! and a resume are the same at VL128 as at VL2048. With a single worker
+//! every operation degrades to a direct loop that allocates nothing; the
+//! solvers' allocation-free steady state depends on that.
 
 use crate::complex::Complex;
 use crate::layout::{Coor, Grid};
@@ -263,62 +263,6 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
         });
     }
 
-    /// Deterministic chunked tree reduction over this field's chunks.
-    /// `leaf(chunk_index, chunk)` must accumulate in ascending word order so
-    /// the serial and parallel paths agree bit-for-bit.
-    fn chunk_reduce<R: Copy + Send>(
-        &self,
-        leaf: impl Fn(usize, &[E]) -> R + Sync,
-        combine: impl Fn(R, R) -> R + Sync,
-    ) -> R {
-        let cs = self.chunk_scalars();
-        let n = reduce::n_chunks(self.data.len(), cs);
-        if rayon::current_num_threads() <= 1 || n <= 1 {
-            let mut lf = |ci: usize| {
-                let lo = ci * cs;
-                let hi = (lo + cs).min(self.data.len());
-                leaf(ci, &self.data[lo..hi])
-            };
-            reduce::reduce_serial(n, &mut lf, &combine)
-        } else {
-            let leaves: Vec<R> = self
-                .data
-                .par_chunks(cs)
-                .enumerate()
-                .map(|(ci, c)| leaf(ci, c))
-                .collect();
-            reduce::combine_tree(&leaves, &combine)
-        }
-    }
-
-    /// As [`Self::chunk_reduce`], but the leaf also mutates its chunk (the
-    /// fused update+reduce kernels).
-    fn chunk_reduce_mut<R: Copy + Send>(
-        &mut self,
-        leaf: impl Fn(usize, &mut [E]) -> R + Sync,
-        combine: impl Fn(R, R) -> R + Sync,
-    ) -> R {
-        let cs = self.chunk_scalars();
-        let len = self.data.len();
-        let n = reduce::n_chunks(len, cs);
-        let data = &mut self.data;
-        if rayon::current_num_threads() <= 1 || n <= 1 {
-            let mut lf = |ci: usize| {
-                let lo = ci * cs;
-                let hi = (lo + cs).min(len);
-                leaf(ci, &mut data[lo..hi])
-            };
-            reduce::reduce_serial(n, &mut lf, &combine)
-        } else {
-            let leaves: Vec<R> = data
-                .par_chunks_mut(cs)
-                .enumerate()
-                .map(|(ci, c)| leaf(ci, c))
-                .collect();
-            reduce::combine_tree(&leaves, &combine)
-        }
-    }
-
     /// `self = a * x + y` lane-wise (one fused `fmla` per word).
     pub fn axpy(&mut self, a: f64, x: &Field<K, E>, y: &Field<K, E>) {
         crate::sized!(x.grid.engine(), |eng| {
@@ -467,171 +411,55 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
         })
     }
 
-    /// Global inner product `<self, other> = Σ conj(self) · other`
-    /// (vectorized conjugate-FMA accumulation, one chunk-tree reduction).
+    /// Global inner product `⟨self, other⟩ = Σ conj(self) · other`, summed
+    /// in the canonical order ([`reduce`]).
     pub fn inner(&self, other: &Field<K, E>) -> Complex {
         self.assert_compatible(other);
-        let cs = self.chunk_scalars();
-        crate::sized!(other.grid.engine(), |eng| {
-            let w = eng.word_len();
-            let od = other.data();
-            self.chunk_reduce(
-                |ci, chunk| {
-                    let base = ci * cs;
-                    let mut acc: CVec<_> = eng.zero();
-                    for (j, aw) in chunk.chunks_exact(w).enumerate() {
-                        let off = base + j * w;
-                        let a = eng.load(aw);
-                        let b = eng.load(&od[off..off + w]);
-                        acc = eng.madd_conj(acc, a, b);
-                    }
-                    eng.reduce_sum(acc)
-                },
-                |a, b| a + b,
-            )
-        })
+        let mut z = [0.0; 2];
+        inners(&self.grid, &self.data, &other.data, K::NCOMP, &mut z);
+        Complex::new(z[0], z[1])
     }
 
-    /// Global squared norm `|self|^2` (always real, computed as a real
-    /// lane-square accumulation with the deterministic chunk tree).
+    /// Global squared norm `|self|²`, summed in the canonical order.
     pub fn norm2(&self) -> f64 {
-        crate::sized!(self.grid.engine(), |eng| {
-            let w = eng.word_len();
-            self.chunk_reduce(
-                |_, chunk| {
-                    let mut t = 0.0;
-                    for aw in chunk.chunks_exact(w) {
-                        t += eng.norm2(eng.load(aw));
-                    }
-                    t
-                },
-                |a, b| a + b,
-            )
-        })
+        let mut n = 0.0;
+        norms2(
+            &self.grid,
+            &self.data,
+            K::NCOMP,
+            std::slice::from_mut(&mut n),
+        );
+        n
     }
 
-    /// Scatter the per-site scalar `Σ_comp |f(x)|²` into `out` in **global
-    /// lexicographic site order** (`out.len() == volume`). The order depends
-    /// only on the lattice extents — never on the SIMD layout or the worker
-    /// count — so [`reduce::canonical_sum`] over `out` returns the same bits
-    /// at every vector length and thread count. This is the single-process
-    /// form of the canonical scalars `dist_cg` reduces over ranks, and the
-    /// primitive the `qcd-deflate` eigensolver builds its VL-invariant
-    /// recurrences on. A binary16 field accumulates each site in binary32
-    /// (see [`site_dot`]).
-    pub fn site_norm2_lex(&self, out: &mut [f64]) {
-        lex_scatter(&self.grid, out, |osite, li| {
-            site_dot((0..K::NCOMP).map(|comp| {
-                let w = self.word(osite, comp);
-                [w[li], w[li], w[li + 1], w[li + 1]]
-            }))
-        });
-    }
-
-    /// Scatter the per-site scalar `Re Σ_comp conj(self)·other` into `out`
-    /// in global lexicographic site order (see [`Self::site_norm2_lex`]).
-    pub fn site_inner_re_lex(&self, other: &Field<K, E>, out: &mut [f64]) {
-        self.assert_compatible(other);
-        lex_scatter(&self.grid, out, |osite, li| {
-            site_dot((0..K::NCOMP).map(|comp| {
-                let (a, b) = (self.word(osite, comp), other.word(osite, comp));
-                [a[li], b[li], a[li + 1], b[li + 1]]
-            }))
-        });
-    }
-
-    /// `|self|²` via the canonical (layout-independent) reduction: same bits
-    /// at every vector length and thread count. Allocates a per-site scatter
-    /// buffer; hot loops should hold one and call [`Self::site_norm2_lex`] +
-    /// [`reduce::canonical_sum`] directly.
+    /// [`Self::norm2`] under the name stackbench's pinned source calls;
+    /// removed by a `[benchmark]` PR.
     pub fn canonical_norm2(&self) -> f64 {
-        let mut buf = vec![0.0; self.grid.volume()];
-        self.site_norm2_lex(&mut buf);
-        reduce::canonical_sum(&buf)
+        self.norm2()
     }
 
-    /// `Re ⟨self, other⟩` via the canonical reduction.
-    pub fn canonical_inner_re(&self, other: &Field<K, E>) -> f64 {
-        let mut buf = vec![0.0; self.grid.volume()];
-        self.site_inner_re_lex(other, &mut buf);
-        reduce::canonical_sum(&buf)
-    }
-
-    /// `⟨self, other⟩` via the canonical reduction: the per-site complex
-    /// `Σ_comp conj(self)·other`, accumulated in f64 at every precision.
-    pub fn canonical_inner(&self, other: &Field<K, E>) -> Complex {
-        self.assert_compatible(other);
-        let mut sites = vec![Complex::ZERO; self.grid.volume()];
-        lex_scatter(&self.grid, &mut sites, |osite, li| {
-            let (mut re, mut im) = (0.0, 0.0);
-            for comp in 0..K::NCOMP {
-                let a = self.word(osite, comp);
-                let b = other.word(osite, comp);
-                let (ar, ai) = (a[li].to_f64(), a[li + 1].to_f64());
-                let (br, bi) = (b[li].to_f64(), b[li + 1].to_f64());
-                re += ar * br + ai * bi;
-                im += ar * bi - ai * br;
-            }
-            Complex::new(re, im)
-        });
-        let re: Vec<f64> = sites.iter().map(|z| z.re).collect();
-        let im: Vec<f64> = sites.iter().map(|z| z.im).collect();
-        Complex::new(reduce::canonical_sum(&re), reduce::canonical_sum(&im))
-    }
-
-    /// Fused `self += a * x; |self|^2` in one sweep. Bit-identical to the
-    /// unfused pair: the norm accumulates the freshly computed words in the
-    /// same chunk order [`Self::norm2`] would read them back.
+    /// Fused `self += a * x; |self|^2` in one sweep, bit-identical to the
+    /// unfused pair.
     pub fn axpy_norm2(&mut self, a: f64, x: &Field<K, E>) -> f64 {
         self.assert_compatible(x);
-        let cs = self.chunk_scalars();
         crate::sized!(x.grid.engine(), |eng| {
-            let w = eng.word_len();
-            let a_dup = eng.dup_real(a);
-            let xd = x.data();
-            self.chunk_reduce_mut(
-                |ci, chunk| {
-                    let base = ci * cs;
-                    let mut t = 0.0;
-                    for (j, sw) in chunk.chunks_exact_mut(w).enumerate() {
-                        let off = base + j * w;
-                        let sv = eng.load(sw);
-                        let xv = eng.load(&xd[off..off + w]);
-                        let r = eng.axpy_word(a_dup, xv, sv);
-                        eng.store(sw, r);
-                        t += eng.norm2(r);
-                    }
-                    t
-                },
-                |a, b| a + b,
-            )
+            let (w, a_dup, xd) = (eng.word_len(), eng.dup_real(a), x.data());
+            self.update_norm2(|off, sw| {
+                let r = eng.axpy_word(a_dup, eng.load(&xd[off..off + w]), eng.load(sw));
+                eng.store(sw, r);
+            })
         })
     }
 
     /// Fused `self += a * x; |self|^2` with complex `a`, one sweep.
     pub fn caxpy_norm2(&mut self, a: Complex, x: &Field<K, E>) -> f64 {
         self.assert_compatible(x);
-        let cs = self.chunk_scalars();
         crate::sized!(x.grid.engine(), |eng| {
-            let w = eng.word_len();
-            let a_splat = eng.splat(a);
-            let xd = x.data();
-            self.chunk_reduce_mut(
-                |ci, chunk| {
-                    let base = ci * cs;
-                    let mut t = 0.0;
-                    for (j, sw) in chunk.chunks_exact_mut(w).enumerate() {
-                        let off = base + j * w;
-                        let sv = eng.load(sw);
-                        let xv = eng.load(&xd[off..off + w]);
-                        let r = eng.madd(sv, a_splat, xv);
-                        eng.store(sw, r);
-                        t += eng.norm2(r);
-                    }
-                    t
-                },
-                |a, b| a + b,
-            )
+            let (w, a_splat, xd) = (eng.word_len(), eng.splat(a), x.data());
+            self.update_norm2(|off, sw| {
+                let r = eng.madd(eng.load(sw), a_splat, eng.load(&xd[off..off + w]));
+                eng.store(sw, r);
+            })
         })
     }
 
@@ -639,28 +467,30 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
     pub fn sub_norm2(&mut self, x: &Field<K, E>, y: &Field<K, E>) -> f64 {
         self.assert_compatible(x);
         self.assert_compatible(y);
-        let cs = self.chunk_scalars();
         crate::sized!(x.grid.engine(), |eng| {
-            let w = eng.word_len();
-            let xd = x.data();
-            let yd = y.data();
-            self.chunk_reduce_mut(
-                |ci, chunk| {
-                    let base = ci * cs;
-                    let mut t = 0.0;
-                    for (j, sw) in chunk.chunks_exact_mut(w).enumerate() {
-                        let off = base + j * w;
-                        let xv = eng.load(&xd[off..off + w]);
-                        let yv = eng.load(&yd[off..off + w]);
-                        let r = eng.sub(xv, yv);
-                        eng.store(sw, r);
-                        t += eng.norm2(r);
-                    }
-                    t
-                },
-                |a, b| a + b,
-            )
+            let (w, xd, yd) = (eng.word_len(), x.data(), y.data());
+            self.update_norm2(|off, sw| {
+                let r = eng.sub(eng.load(&xd[off..off + w]), eng.load(&yd[off..off + w]));
+                eng.store(sw, r);
+            })
         })
+    }
+
+    /// Overwrite every word through `word(offset, word)` and return `|self|²`
+    /// of the result, in one sweep.
+    fn update_norm2(&mut self, word: impl Fn(usize, &mut [E]) + Sync) -> f64 {
+        let mut n = 0.0;
+        let grid = self.grid.clone();
+        let out = std::slice::from_mut(&mut n);
+        update_norms2(
+            &grid,
+            &mut self.data,
+            K::NCOMP,
+            &[true],
+            |_, off, w| word(off, w),
+            out,
+        );
+        n
     }
 
     /// Maximum absolute difference to another field (test metric).
@@ -674,59 +504,133 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
     }
 }
 
-/// The lexicographic scatter every canonical reduction shares: `out[lex(x)]
-/// = site(osite, li)` for each site `x` of `grid`, where `osite` is its
-/// outer site and `li` the offset of its real part inside a word. Chunked
-/// like the reductions that consume it, so the slot order depends on
-/// neither the SIMD layout nor the worker count.
-fn lex_scatter<E: SveFloat, T: Send>(
-    grid: &Grid<E>,
-    out: &mut [T],
-    site: impl Fn(usize, usize) -> T + Sync,
-) {
-    assert_eq!(out.len(), grid.volume(), "scatter buffer != volume");
-    let fdims = grid.fdims();
-    out.par_chunks_mut(reduce::CHUNK_SITES)
-        .enumerate()
-        .for_each(|(ci, chunk)| {
-            for (k, slot) in chunk.iter_mut().enumerate() {
-                let x = crate::layout::delex(ci * reduce::CHUNK_SITES + k, &fdims);
-                let (osite, lane) = grid.coor_to_osite_lane(&x);
-                *slot = site(osite, 2 * lane);
-            }
-        });
+/// Per-RHS `Σ conj(a)·b` over storage of `out.len() / 2` right-hand sides
+/// of `ncomp` components per site: real part to `out[2j]`, imaginary to
+/// `out[2j + 1]`.
+fn inners<E: SveFloat>(grid: &Grid<E>, a: &[E], b: &[E], ncomp: usize, out: &mut [f64]) {
+    let lanes = grid.lanes_c();
+    let rhs = ncomp * 2 * lanes;
+    let cs = reduce::CHUNK_SITES * out.len() / 2 * rhs;
+    let kernel = |ci: usize, chunk: &[E], part: &mut [f64]| {
+        let b = b[ci * cs..].chunks_exact(rhs);
+        for ((a, b), p) in chunk
+            .chunks_exact(rhs)
+            .zip(b)
+            .zip(part.chunks_exact_mut(2 * lanes))
+        {
+            reduce::site_inners(a, b, p);
+        }
+    };
+    reduce::sweep_sums(grid, a.par_chunks(cs), kernel, out);
 }
 
-/// `Σ (a·b + c·d)` over the `[a, b, c, d]` of a site's components, in
-/// order, in the accumulator canonical reductions of `E` use: f64, except
-/// binary32 for binary16 — the product of two f16 values is exact in f32
-/// (11-bit significands multiply into at most 22 bits), so only the
-/// additions round, and the binary16 tier steers by reductions no wider
-/// than an f16 unit's accumulator.
-#[inline(always)]
-fn site_dot<E: SveFloat>(terms: impl Iterator<Item = [E; 4]>) -> f64 {
-    if E::BYTES == 2 {
-        let f32_of = |v: E| v.to_f64() as f32;
-        let mut s = 0.0f32;
-        for [a, b, c, d] in terms {
-            s += f32_of(a) * f32_of(b) + f32_of(c) * f32_of(d);
+/// Per-RHS `|a|²` over storage of `out.len()` right-hand sides of `ncomp`
+/// components per site.
+fn norms2<E: SveFloat>(grid: &Grid<E>, a: &[E], ncomp: usize, out: &mut [f64]) {
+    let lanes = grid.lanes_c();
+    let rhs = ncomp * 2 * lanes;
+    let kernel = |_, chunk: &[E], part: &mut [f64]| {
+        for (a, p) in chunk.chunks_exact(rhs).zip(part.chunks_exact_mut(lanes)) {
+            reduce::site_dots(a, a, p);
         }
-        s as f64
-    } else {
-        let mut s = 0.0;
-        for [a, b, c, d] in terms {
-            s += a.to_f64() * b.to_f64() + c.to_f64() * d.to_f64();
+    };
+    let cs = reduce::CHUNK_SITES * out.len() * rhs;
+    reduce::sweep_sums(grid, a.par_chunks(cs), kernel, out);
+}
+
+/// One sweep over storage of `out.len()` right-hand sides of `ncomp`
+/// components per site: every word of an active RHS `j` is rewritten by
+/// `word(j, offset, word)`, and `out[j]` is `|·|²` of the result. An
+/// inactive RHS is not touched and its `out` entry is zero.
+fn update_norms2<E: SveFloat>(
+    grid: &Grid<E>,
+    data: &mut [E],
+    ncomp: usize,
+    active: &[bool],
+    word: impl Fn(usize, usize, &mut [E]) + Sync,
+    out: &mut [f64],
+) {
+    let (nrhs, lanes) = (out.len(), grid.lanes_c());
+    let (w, rhs) = (2 * lanes, ncomp * 2 * lanes);
+    let cs = reduce::CHUNK_SITES * nrhs * rhs;
+    let kernel = |ci: usize, chunk: &mut [E], part: &mut [f64]| {
+        let segments = chunk
+            .chunks_exact_mut(rhs)
+            .zip(part.chunks_exact_mut(lanes));
+        for (s, (seg, p)) in segments.enumerate() {
+            let j = s % nrhs;
+            if !active[j] {
+                p.fill(0.0);
+                continue;
+            }
+            let base = ci * cs + s * rhs;
+            for (k, sw) in seg.chunks_exact_mut(w).enumerate() {
+                word(j, base + k * w, sw);
+            }
+            reduce::site_dots::<E>(seg, seg, p);
         }
-        s
-    }
+    };
+    reduce::sweep_sums(grid, data.par_chunks_mut(cs), kernel, out);
+}
+
+/// The CG iterate/residual update over storage of `r2.len()` right-hand
+/// sides: for every active RHS `j`, `x_j += alpha[j] * p_j`, `r_j -=
+/// alpha[j] * ap_j`, and `r2[j] = |r_j|²` — one zipped sweep over `x` and
+/// `r`, every word the op sequence of two `axpy_inplace` calls.
+fn cg_updates<E: SveFloat>(
+    x: &mut [E],
+    r: &mut [E],
+    grid: &Grid<E>,
+    alpha: &[f64],
+    (p, ap): (&[E], &[E]),
+    active: &[bool],
+    r2: &mut [f64],
+) {
+    let (nrhs, lanes) = (r2.len(), grid.lanes_c());
+    let rhs = x.len() / (grid.osites() * nrhs);
+    let cs = reduce::CHUNK_SITES * nrhs * rhs;
+    crate::sized!(grid.engine(), |eng| {
+        let w = eng.word_len();
+        let dup = |j: usize| (eng.dup_real(alpha[j]), eng.dup_real(-alpha[j]));
+        // A field's multipliers stay on the stack: its sweep allocates
+        // nothing.
+        let single = (nrhs == 1).then(|| dup(0));
+        let block: Vec<_> = match single {
+            Some(_) => Vec::new(),
+            None => (0..nrhs).map(dup).collect(),
+        };
+        let kernel = |ci: usize, (xc, rc): (&mut [E], &mut [E]), part: &mut [f64]| {
+            let segments = xc.chunks_exact_mut(rhs).zip(rc.chunks_exact_mut(rhs));
+            for (s, ((xs, rs), q)) in segments.zip(part.chunks_exact_mut(lanes)).enumerate() {
+                let j = s % nrhs;
+                if !active[j] {
+                    q.fill(0.0);
+                    continue;
+                }
+                let (a_dup, na_dup) = single.unwrap_or_else(|| block[j]);
+                let base = ci * cs + s * rhs;
+                for (k, (xw, rw)) in xs
+                    .chunks_exact_mut(w)
+                    .zip(rs.chunks_exact_mut(w))
+                    .enumerate()
+                {
+                    let off = base + k * w;
+                    let (pv, apv) = (eng.load(&p[off..off + w]), eng.load(&ap[off..off + w]));
+                    eng.store(xw, eng.axpy_word(a_dup, pv, eng.load(xw)));
+                    eng.store(rw, eng.axpy_word(na_dup, apv, eng.load(rw)));
+                }
+                reduce::site_dots::<E>(rs, rs, q);
+            }
+        };
+        let data = x.par_chunks_mut(cs).zip(r.par_chunks_mut(cs));
+        reduce::sweep_sums(grid, data, kernel, r2);
+    })
 }
 
 /// The fused CG iterate/residual update: `x += alpha * p`, `r -= alpha *
 /// ap`, returning the new `|r|^2` — one zipped sweep over `x`/`r` instead of
-/// two axpys plus a separate norm. Bit-identical to the unfused sequence
-/// (`axpy_inplace(alpha, p)`, `axpy_inplace(-alpha, ap)`, `norm2()`): every
-/// word sees the same engine ops, and the norm accumulates per reduction
-/// chunk in the order `norm2` would.
+/// two axpys plus a separate norm, bit-identical to that sequence
+/// (`axpy_inplace(alpha, p)`, `axpy_inplace(-alpha, ap)`, `norm2()`).
 pub fn cg_update_x_r<K: FieldKind, E: SveFloat>(
     x: &mut Field<K, E>,
     r: &mut Field<K, E>,
@@ -737,54 +641,19 @@ pub fn cg_update_x_r<K: FieldKind, E: SveFloat>(
     x.assert_compatible(r);
     x.assert_compatible(p);
     x.assert_compatible(ap);
-    let cs = x.chunk_scalars();
-    crate::sized!(p.grid.engine(), |eng| {
-        let w = eng.word_len();
-        let a_dup = eng.dup_real(alpha);
-        let na_dup = eng.dup_real(-alpha);
-        let pd = p.data();
-        let apd = ap.data();
-        let xd = x.data.as_mut_slice();
-        let rd = r.data.as_mut_slice();
-        let len = xd.len();
-        let kernel = |ci: usize, xc: &mut [E], rc: &mut [E]| -> f64 {
-            let base = ci * cs;
-            let mut t = 0.0;
-            for (j, (xw, rw)) in xc
-                .chunks_exact_mut(w)
-                .zip(rc.chunks_exact_mut(w))
-                .enumerate()
-            {
-                let off = base + j * w;
-                let pv = eng.load(&pd[off..off + w]);
-                let apv = eng.load(&apd[off..off + w]);
-                let xv = eng.load(xw);
-                eng.store(xw, eng.axpy_word(a_dup, pv, xv));
-                let rv = eng.load(rw);
-                let rn = eng.axpy_word(na_dup, apv, rv);
-                eng.store(rw, rn);
-                t += eng.norm2(rn);
-            }
-            t
-        };
-        let n = reduce::n_chunks(len, cs);
-        if rayon::current_num_threads() <= 1 || n <= 1 {
-            let mut lf = |ci: usize| {
-                let lo = ci * cs;
-                let hi = (lo + cs).min(len);
-                kernel(ci, &mut xd[lo..hi], &mut rd[lo..hi])
-            };
-            reduce::reduce_serial(n, &mut lf, &|a, b| a + b)
-        } else {
-            let leaves: Vec<f64> = xd
-                .par_chunks_mut(cs)
-                .zip(rd.par_chunks_mut(cs))
-                .enumerate()
-                .map(|(ci, (xc, rc))| kernel(ci, xc, rc))
-                .collect();
-            reduce::combine_tree(&leaves, &|a, b| a + b)
-        }
-    })
+    let mut r2 = 0.0;
+    let xs = (x.data.as_mut_slice(), r.data.as_mut_slice());
+    let r2s = std::slice::from_mut(&mut r2);
+    cg_updates(
+        xs.0,
+        xs.1,
+        &p.grid,
+        &[alpha],
+        (&p.data, &ap.data),
+        &[true],
+        r2s,
+    );
+    r2
 }
 
 /// A batch of `N` right-hand-side fermion fields stored **site-major**: at
@@ -797,13 +666,11 @@ pub fn cg_update_x_r<K: FieldKind, E: SveFloat>(
 /// toward the link-free limit as `N` grows, because the `8 × 18` link reals
 /// per site are amortized over the batch.
 ///
-/// Every per-RHS quantity (norms, inner products, CG recurrences) is
-/// computed with the same fixed-chunk tree reductions as [`Field`] — chunks
-/// cover [`reduce::CHUNK_SITES`] outer sites, so the chunk *count* and the
-/// per-RHS accumulation order are identical to a single-RHS field on the
-/// same grid. A block with `N = 1` is therefore bit-identical to the
-/// single-RHS path, and per-RHS results at any `N` match `N` independent
-/// single-RHS computations bit for bit.
+/// Every per-RHS quantity (norms, inner products, CG recurrences) is the
+/// canonical reduction of [`reduce`] over that RHS's sites — the per-site
+/// values and their order are those of a single-RHS field on the same
+/// grid — so per-RHS results at any `N` match `N` independent single-RHS
+/// computations bit for bit.
 pub struct FermionBlock<E: SveFloat = f64> {
     grid: Arc<Grid<E>>,
     nrhs: usize,
@@ -928,9 +795,8 @@ impl<E: SveFloat> FermionBlock<E> {
         assert_eq!(self.nrhs, other.nrhs, "blocks hold different batch sizes");
     }
 
-    /// Scalars per parallel work unit / reduction chunk: the block chunk
-    /// covers the same [`reduce::CHUNK_SITES`] outer sites as a [`Field`]
-    /// chunk, so the reduction tree has the same shape.
+    /// Scalars per parallel work unit: the same [`reduce::CHUNK_SITES`]
+    /// outer sites as a [`Field`] chunk.
     #[inline]
     fn chunk_scalars(&self) -> usize {
         reduce::CHUNK_SITES * self.nrhs * FermionKind::NCOMP * self.grid.engine().word_len()
@@ -1035,179 +901,45 @@ impl<E: SveFloat> FermionBlock<E> {
         })
     }
 
-    /// Deterministic chunked tree reduction producing one partial *vector*
-    /// (one entry per RHS) per chunk. Within a chunk the leaf walks words in
-    /// storage order (site, rhs, component), so each RHS accumulates its
-    /// values in exactly the order the corresponding [`Field`] reduction
-    /// would; the partials combine element-wise through
-    /// [`reduce::combine_tree_ref`], whose tree shape matches
-    /// [`reduce::combine_tree`] — per-RHS results are bit-identical to `N`
-    /// independent single-RHS reductions.
-    fn chunk_reduce_vec<R: Clone + Send + Sync>(
-        &self,
-        leaf: impl Fn(usize, &[E]) -> Vec<R> + Sync,
-        combine: impl Fn(&R, &R) -> R + Sync,
-    ) -> Vec<R> {
-        let cs = self.chunk_scalars();
-        let n = reduce::n_chunks(self.data.len(), cs);
-        let combine_vec = |a: &Vec<R>, b: &Vec<R>| -> Vec<R> {
-            a.iter().zip(b.iter()).map(|(x, y)| combine(x, y)).collect()
-        };
-        if rayon::current_num_threads() <= 1 || n <= 1 {
-            let mut lf = |ci: usize| {
-                let lo = ci * cs;
-                let hi = (lo + cs).min(self.data.len());
-                leaf(ci, &self.data[lo..hi])
-            };
-            reduce::reduce_serial(n, &mut lf, &|a, b| combine_vec(&a, &b))
-        } else {
-            let leaves: Vec<Vec<R>> = self
-                .data
-                .par_chunks(cs)
-                .enumerate()
-                .map(|(ci, c)| leaf(ci, c))
-                .collect();
-            reduce::combine_tree_ref(&leaves, &combine_vec)
-        }
-    }
-
     /// Per-RHS squared norms, bit-identical to calling [`Field::norm2`] on
     /// each extracted RHS.
     pub fn norms2(&self) -> Vec<f64> {
-        crate::sized!(self.grid.engine(), |eng| {
-            let w = eng.word_len();
-            let nrhs = self.nrhs;
-            self.chunk_reduce_vec(
-                |_, chunk| {
-                    let mut t = vec![0.0; nrhs];
-                    for (j, aw) in chunk.chunks_exact(w).enumerate() {
-                        t[(j / FermionKind::NCOMP) % nrhs] += eng.norm2(eng.load(aw));
-                    }
-                    t
-                },
-                |a, b| a + b,
-            )
-        })
+        let mut out = vec![0.0; self.nrhs];
+        norms2(&self.grid, &self.data, FermionKind::NCOMP, &mut out);
+        out
     }
 
     /// Per-RHS inner products `⟨self_j, other_j⟩`, bit-identical to
-    /// [`Field::inner`] per extracted RHS (same conjugate-FMA word
-    /// accumulation, one `reduce_sum` per chunk per RHS, same chunk tree).
+    /// [`Field::inner`] per extracted RHS.
     pub fn inners(&self, other: &FermionBlock<E>) -> Vec<Complex> {
         self.assert_compatible(other);
-        let cs = self.chunk_scalars();
-        crate::sized!(self.grid.engine(), |eng| {
-            let w = eng.word_len();
-            let nrhs = self.nrhs;
-            let od = other.data();
-            self.chunk_reduce_vec(
-                |ci, chunk| {
-                    let base = ci * cs;
-                    let mut acc: Vec<CVec<_>> = vec![eng.zero(); nrhs];
-                    for (j, aw) in chunk.chunks_exact(w).enumerate() {
-                        let off = base + j * w;
-                        let a = eng.load(aw);
-                        let b = eng.load(&od[off..off + w]);
-                        let rhs = (j / FermionKind::NCOMP) % nrhs;
-                        acc[rhs] = eng.madd_conj(acc[rhs], a, b);
-                    }
-                    acc.iter().map(|&a| eng.reduce_sum(a)).collect()
-                },
-                |a, b| *a + *b,
-            )
-        })
-    }
-
-    /// Scatter per-site per-RHS `Σ_comp |·|²` into `out` in global
-    /// lexicographic site order, RHS-major: `out[j * volume + lex(x)]` is
-    /// RHS `j`'s contribution at site `x`. The per-site accumulation order
-    /// (components ascending, `re² + im²`) matches [`Field::site_norm2_lex`]
-    /// exactly, so per-RHS canonical sums are bit-identical to the extracted
-    /// single-RHS field's — at every vector length, batch width, and thread
-    /// count.
-    pub fn site_norms2_lex(&self, out: &mut [f64]) {
-        let vol = self.grid.volume();
-        assert_eq!(
-            out.len(),
-            self.nrhs * vol,
-            "scatter buffer != nrhs * volume"
+        let mut z = vec![0.0; 2 * self.nrhs];
+        inners(
+            &self.grid,
+            &self.data,
+            &other.data,
+            FermionKind::NCOMP,
+            &mut z,
         );
-        for (rhs, row) in out.chunks_exact_mut(vol).enumerate() {
-            lex_scatter(&self.grid, row, |osite, li| {
-                site_dot((0..FermionKind::NCOMP).map(|comp| {
-                    let w = self.word(osite, rhs, comp);
-                    [w[li], w[li], w[li + 1], w[li + 1]]
-                }))
-            });
-        }
-    }
-
-    /// Scatter per-site per-RHS `Re Σ_comp conj(self)·other` into `out`
-    /// (RHS-major lexicographic, see [`Self::site_norms2_lex`]), matching
-    /// [`Field::site_inner_re_lex`] per RHS bit for bit.
-    pub fn site_inners_re_lex(&self, other: &FermionBlock<E>, out: &mut [f64]) {
-        self.assert_compatible(other);
-        let vol = self.grid.volume();
-        assert_eq!(
-            out.len(),
-            self.nrhs * vol,
-            "scatter buffer != nrhs * volume"
-        );
-        for (rhs, row) in out.chunks_exact_mut(vol).enumerate() {
-            lex_scatter(&self.grid, row, |osite, li| {
-                site_dot((0..FermionKind::NCOMP).map(|comp| {
-                    let (a, b) = (self.word(osite, rhs, comp), other.word(osite, rhs, comp));
-                    [a[li], b[li], a[li + 1], b[li + 1]]
-                }))
-            });
-        }
+        z.chunks_exact(2)
+            .map(|z| Complex::new(z[0], z[1]))
+            .collect()
     }
 
     /// Fused `self = x - y; per-RHS |self|²` in one sweep — the block form
     /// of [`Field::sub_norm2`], used for the batched true-residual check.
-    pub fn sub_norms2(&mut self, x: &FermionBlock<E>, y: &FermionBlock<E>) -> Vec<f64> {
+    pub fn sub_norms2(&mut self, x: &FermionBlock<E>, y: &FermionBlock<E>, out: &mut [f64]) {
         self.assert_compatible(x);
         self.assert_compatible(y);
-        let cs = self.chunk_scalars();
-        let len = self.data.len();
-        let n = reduce::n_chunks(len, cs);
+        let active = vec![true; self.nrhs];
         crate::sized!(self.grid.engine(), |eng| {
-            let w = eng.word_len();
-            let nrhs = self.nrhs;
-            let xd = x.data();
-            let yd = y.data();
-            let kernel = |ci: usize, chunk: &mut [E]| -> Vec<f64> {
-                let base = ci * cs;
-                let mut t = vec![0.0; nrhs];
-                for (j, sw) in chunk.chunks_exact_mut(w).enumerate() {
-                    let off = base + j * w;
-                    let xv = eng.load(&xd[off..off + w]);
-                    let yv = eng.load(&yd[off..off + w]);
-                    let r = eng.sub(xv, yv);
-                    eng.store(sw, r);
-                    t[(j / FermionKind::NCOMP) % nrhs] += eng.norm2(r);
-                }
-                t
+            let (w, xd, yd) = (eng.word_len(), x.data(), y.data());
+            let word = |_, off: usize, sw: &mut [E]| {
+                let r = eng.sub(eng.load(&xd[off..off + w]), eng.load(&yd[off..off + w]));
+                eng.store(sw, r);
             };
-            let combine = |a: &Vec<f64>, b: &Vec<f64>| -> Vec<f64> {
-                a.iter().zip(b.iter()).map(|(x, y)| x + y).collect()
-            };
-            let data = &mut self.data;
-            if rayon::current_num_threads() <= 1 || n <= 1 {
-                let mut lf = |ci: usize| {
-                    let lo = ci * cs;
-                    let hi = (lo + cs).min(len);
-                    kernel(ci, &mut data[lo..hi])
-                };
-                reduce::reduce_serial(n, &mut lf, &|a, b| combine(&a, &b))
-            } else {
-                let leaves: Vec<Vec<f64>> = data
-                    .par_chunks_mut(cs)
-                    .enumerate()
-                    .map(|(ci, c)| kernel(ci, c))
-                    .collect();
-                reduce::combine_tree_ref(&leaves, &combine)
-            }
+            let ncomp = FermionKind::NCOMP;
+            update_norms2(&self.grid, &mut self.data, ncomp, &active, word, out);
         })
     }
 
@@ -1223,13 +955,10 @@ impl<E: SveFloat> FermionBlock<E> {
 }
 
 /// The batched CG iterate/residual update: for every **active** RHS `j`,
-/// `x_j += alpha[j] * p_j`, `r_j -= alpha[j] * ap_j`, returning the new
-/// per-RHS `|r_j|²` — the block form of [`cg_update_x_r`]. Inactive RHS are
-/// untouched (words not loaded, nothing accumulated; their result entry is
-/// 0 and must be ignored). For an active RHS every word sees the exact op
-/// sequence of [`cg_update_x_r`] and the norm accumulates in the same chunk
-/// order and tree grouping, so per-RHS results match the single-RHS path
-/// bit for bit.
+/// `x_j += alpha[j] * p_j`, `r_j -= alpha[j] * ap_j`, leaving the new
+/// `|r_j|²` in `r2[j]` — the block form of [`cg_update_x_r`]. Inactive RHS
+/// are untouched (words not loaded; their `r2` entry is 0 and must be
+/// ignored). An active RHS matches the single-RHS update bit for bit.
 pub fn block_cg_update_x_r<E: SveFloat>(
     x: &mut FermionBlock<E>,
     r: &mut FermionBlock<E>,
@@ -1237,75 +966,30 @@ pub fn block_cg_update_x_r<E: SveFloat>(
     p: &FermionBlock<E>,
     ap: &FermionBlock<E>,
     active: &[bool],
-) -> Vec<f64> {
+    r2: &mut [f64],
+) {
     x.assert_compatible(r);
     x.assert_compatible(p);
     x.assert_compatible(ap);
-    let nrhs = x.nrhs();
-    assert_eq!(alpha.len(), nrhs);
-    assert_eq!(active.len(), nrhs);
-    let cs = x.chunk_scalars();
-    crate::sized!(p.grid.engine(), |eng| {
-        let w = eng.word_len();
-        let a_dups: Vec<CVec<_>> = alpha.iter().map(|&a| eng.dup_real(a)).collect();
-        let na_dups: Vec<CVec<_>> = alpha.iter().map(|&a| eng.dup_real(-a)).collect();
-        let pd = p.data();
-        let apd = ap.data();
-        let xd = x.data.as_mut_slice();
-        let rd = r.data.as_mut_slice();
-        let len = xd.len();
-        let kernel = |ci: usize, xc: &mut [E], rc: &mut [E]| -> Vec<f64> {
-            let base = ci * cs;
-            let mut t = vec![0.0; nrhs];
-            for (j, (xw, rw)) in xc
-                .chunks_exact_mut(w)
-                .zip(rc.chunks_exact_mut(w))
-                .enumerate()
-            {
-                let rhs = (j / FermionKind::NCOMP) % nrhs;
-                if !active[rhs] {
-                    continue;
-                }
-                let off = base + j * w;
-                let pv = eng.load(&pd[off..off + w]);
-                let apv = eng.load(&apd[off..off + w]);
-                let xv = eng.load(xw);
-                eng.store(xw, eng.axpy_word(a_dups[rhs], pv, xv));
-                let rv = eng.load(rw);
-                let rn = eng.axpy_word(na_dups[rhs], apv, rv);
-                eng.store(rw, rn);
-                t[rhs] += eng.norm2(rn);
-            }
-            t
-        };
-        let combine = |a: &Vec<f64>, b: &Vec<f64>| -> Vec<f64> {
-            a.iter().zip(b.iter()).map(|(x, y)| x + y).collect()
-        };
-        let n = reduce::n_chunks(len, cs);
-        if rayon::current_num_threads() <= 1 || n <= 1 {
-            let mut lf = |ci: usize| {
-                let lo = ci * cs;
-                let hi = (lo + cs).min(len);
-                kernel(ci, &mut xd[lo..hi], &mut rd[lo..hi])
-            };
-            reduce::reduce_serial(n, &mut lf, &|a, b| combine(&a, &b))
-        } else {
-            let leaves: Vec<Vec<f64>> = xd
-                .par_chunks_mut(cs)
-                .zip(rd.par_chunks_mut(cs))
-                .enumerate()
-                .map(|(ci, (xc, rc))| kernel(ci, xc, rc))
-                .collect();
-            reduce::combine_tree_ref(&leaves, &combine)
-        }
-    })
+    assert_eq!(alpha.len(), x.nrhs);
+    assert_eq!(active.len(), x.nrhs);
+    let vectors = (p.data.as_slice(), ap.data.as_slice());
+    cg_updates(
+        &mut x.data,
+        &mut r.data,
+        &p.grid,
+        alpha,
+        vectors,
+        active,
+        r2,
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::simd::SimdBackend;
-    use sve::VectorLength;
+    use sve::{VectorLength, F16};
 
     fn grid() -> Arc<Grid> {
         Grid::new([4, 4, 4, 4], VectorLength::of(512), SimdBackend::Fcmla)
@@ -1393,78 +1077,66 @@ mod tests {
         let xx = x.inner(&x);
         assert!(xx.im.abs() < 1e-10);
         assert!(xx.re > 0.0);
-        assert!((xx.re - x.norm2()).abs() < 1e-9 * xx.re);
+        assert_eq!(xx.re.to_bits(), x.norm2().to_bits());
+    }
+
+    /// Every reduction of a field of `E`, as bits: `norm2`, `inner`, and the
+    /// fused `axpy_norm2`, `caxpy_norm2`, `sub_norm2` and CG update.
+    fn reduction_bits<E: SveFloat>(bits: usize) -> Vec<u64> {
+        let g = Grid::<E>::new([4, 4, 4, 4], VectorLength::of(bits), SimdBackend::Fcmla);
+        let x = Field::<FermionKind, E>::random(g.clone(), 9);
+        let y = Field::<FermionKind, E>::random(g.clone(), 10);
+        let z = x.inner(&y);
+        let (mut a, mut c, mut d) = (y.clone(), y.clone(), y.clone());
+        let (mut u, mut r) = (x.clone(), y.clone());
+        vec![
+            x.norm2().to_bits(),
+            z.re.to_bits(),
+            z.im.to_bits(),
+            a.axpy_norm2(-0.375, &x).to_bits(),
+            c.caxpy_norm2(Complex::new(0.25, -0.5), &x).to_bits(),
+            d.sub_norm2(&x, &y).to_bits(),
+            cg_update_x_r(&mut u, &mut r, 0.6875, &x, &y).to_bits(),
+        ]
     }
 
     #[test]
-    fn canonical_reductions_are_bit_identical_across_vls() {
-        // The canonical reductions sum per-site scalars in global lex order
-        // with the fixed chunk tree: the exact bits must not depend on the
-        // vector length (random fields are layout-independent by seed).
-        let mut reference: Option<(u64, u64, u64, u64)> = None;
-        for bits in [128usize, 256, 512, 1024, 2048] {
-            let g = Grid::new([4, 4, 4, 4], VectorLength::of(bits), SimdBackend::Fcmla);
-            let x = FermionField::random(g.clone(), 9);
-            let y = FermionField::random(g.clone(), 10);
-            let n = x.canonical_norm2();
-            let ir = x.canonical_inner_re(&y);
-            let z = x.canonical_inner(&y);
-            assert!((n - x.norm2()).abs() < 1e-9 * n, "vl={bits}");
-            assert!((z.re - ir).abs() == 0.0, "vl={bits}");
-            let got = (n.to_bits(), ir.to_bits(), z.re.to_bits(), z.im.to_bits());
-            match reference {
-                None => reference = Some(got),
-                Some(want) => assert_eq!(got, want, "vl={bits}"),
+    fn reductions_are_bit_identical_across_vls() {
+        // Random fields are layout-independent by seed, and every reduction
+        // sums per-site values in lexicographic order: the bits must not
+        // depend on the vector length, at any precision.
+        fn check<E: SveFloat>() {
+            let reference = reduction_bits::<E>(128);
+            for bits in [256usize, 512, 1024, 2048] {
+                assert_eq!(
+                    reduction_bits::<E>(bits),
+                    reference,
+                    "{} vl={bits}",
+                    E::SUFFIX
+                );
             }
         }
+        check::<f64>();
+        check::<f32>();
+        check::<F16>();
     }
 
     #[test]
-    fn block_canonical_scatter_matches_single_rhs() {
-        let g = grid();
-        let fields: Vec<FermionField> = (0..3)
-            .map(|j| FermionField::random(g.clone(), 30 + j))
-            .collect();
-        let others: Vec<FermionField> = (0..3)
-            .map(|j| FermionField::random(g.clone(), 40 + j))
-            .collect();
-        let a = FermionBlock::from_fields(&fields);
-        let b = FermionBlock::from_fields(&others);
-        let vol = g.volume();
-        let mut outs = vec![0.0; 3 * vol];
-        let mut dots = vec![0.0; 3 * vol];
-        a.site_norms2_lex(&mut outs);
-        a.site_inners_re_lex(&b, &mut dots);
-        let mut single = vec![0.0; vol];
-        for j in 0..3 {
-            fields[j].site_norm2_lex(&mut single);
-            assert_eq!(
-                reduce::canonical_sum(&single).to_bits(),
-                reduce::canonical_sum(&outs[j * vol..(j + 1) * vol]).to_bits(),
-                "rhs {j} norm"
-            );
-            fields[j].site_inner_re_lex(&others[j], &mut single);
-            assert_eq!(
-                reduce::canonical_sum(&single).to_bits(),
-                reduce::canonical_sum(&dots[j * vol..(j + 1) * vol]).to_bits(),
-                "rhs {j} dot"
-            );
+    fn a_binary16_norm_does_not_overflow_at_any_vector_length() {
+        // 256 sites × 12 components × |40 + 40i|² = 9 830 400: past binary16
+        // (65 504), so a norm that rounds partial sums back to binary16
+        // overflows; one accumulated per site in f32 and summed in f64 is
+        // exact.
+        for bits in [128usize, 512, 2048] {
+            let g = Grid::<F16>::new([4, 4, 4, 4], VectorLength::of(bits), SimdBackend::Fcmla);
+            let mut f = Field::<FermionKind, F16>::zero(g.clone());
+            for x in g.coords() {
+                for comp in 0..FermionKind::NCOMP {
+                    f.poke(&x, comp, Complex::new(40.0, 40.0));
+                }
+            }
+            assert_eq!(f.norm2(), 9_830_400.0, "vl={bits}");
         }
-    }
-
-    #[test]
-    fn norm_is_layout_invariant_up_to_rounding() {
-        let n128 = FermionField::random(
-            Grid::new([4, 4, 4, 4], VectorLength::of(128), SimdBackend::Fcmla),
-            9,
-        )
-        .norm2();
-        let n1024 = FermionField::random(
-            Grid::new([4, 4, 4, 4], VectorLength::of(1024), SimdBackend::Fcmla),
-            9,
-        )
-        .norm2();
-        assert!((n128 - n1024).abs() < 1e-9 * n128);
     }
 
     #[test]
@@ -1685,7 +1357,8 @@ mod tests {
         let mut f = FermionBlock::zero(g.clone(), 3);
         f.scale_axpy_from(1.7, &bx, -0.25, &by);
         let mut sub = FermionBlock::zero(g.clone(), 3);
-        let sn = sub.sub_norms2(&bx, &by);
+        let mut sn = [0.0; 3];
+        sub.sub_norms2(&bx, &by, &mut sn);
         for j in 0..3 {
             let mut fs = xs[j].clone();
             fs.scale(1.375);
@@ -1716,7 +1389,8 @@ mod tests {
         let mut br = FermionBlock::from_fields(&rs);
         let active = [true, false, true];
         let alphas = [0.6875, 123.0, -0.3125]; // inactive alpha must be ignored
-        let r2 = block_cg_update_x_r(&mut bx, &mut br, &alphas, &bp, &bap, &active);
+        let mut r2 = [f64::NAN; 3];
+        block_cg_update_x_r(&mut bx, &mut br, &alphas, &bp, &bap, &active, &mut r2);
         let mut pb = bp.clone();
         pb.aypx_masked(&alphas, &br, &active);
         for j in 0..3 {
@@ -1743,7 +1417,7 @@ mod tests {
     #[test]
     fn single_rhs_block_reductions_are_bitwise_the_field_path() {
         // N = 1 block reductions must reproduce the Field reductions bit for
-        // bit: same chunk count, same in-chunk order, same combine tree.
+        // bit: the same per-site values, summed in the same order.
         let g = grid();
         let x = FermionField::random(g.clone(), 90);
         let y = FermionField::random(g.clone(), 91);

@@ -18,18 +18,16 @@
 //! owns every per-iteration scratch vector ([`Scratch`]); a steady-state
 //! [`cg_step`] allocates nothing the space's kernels do not.
 //!
-//! What the spaces disagree on is deliberate and pinned by instruction
-//! counts and bit hashes (DESIGN.md §16): which reduction they trust
-//! (layout-ordered from the fused sweep, or a canonical lexicographic one
-//! that is the same at every vector length, thread and rank count) and
-//! which sweeps they retire to get it.
+//! Every scalar the recurrence steers by is a reduction in the one order of
+//! [`crate::reduce`] — the vector type's own, taken inside the sweep that
+//! produces the vector — so a solve in any space is the same solve at every
+//! vector length, thread count and (for `dist_cg`) rank count.
 
 use crate::dirac::WilsonDirac;
 use crate::field::{
     block_cg_update_x_r, cg_update_x_r, FermionBlock, FermionKind, Field, FieldKind,
 };
 use crate::layout::Grid;
-use crate::reduce::canonical_sum;
 use crate::solver::{conclude_health, BlockSolveReport, SolveReport};
 use qcd_trace::HealthMonitor;
 use std::marker::PhantomData;
@@ -43,9 +41,8 @@ use sve::SveFloat;
 /// (a `u64` straight out of a farm job record) abort the process.
 pub const HISTORY_RESERVE: usize = 1024;
 
-/// What the recurrence needs of a vector type, in the type's own storage
-/// order: the *layout* reductions and the fused update sweeps. Canonical
-/// spaces override the reductions in [`CgSpace`] and keep the sweeps.
+/// What the recurrence needs of a vector type: its norms and its fused
+/// update sweeps, each returning the canonical reductions of what it wrote.
 pub trait Vector: Clone {
     /// What a finished solve reports for this type: a [`SolveReport`] for
     /// one right-hand side, the per-RHS [`BlockSolveReport`] for a batch.
@@ -65,9 +62,6 @@ pub trait Vector: Clone {
 
     /// Per-RHS `|self|²`.
     fn norms2_into(&self, out: &mut [f64]);
-
-    /// `self = x − y`.
-    fn sub_into(&mut self, x: &Self, y: &Self);
 
     /// `self = x − y` and per-RHS `|self|²`, fused where the type fuses it.
     fn sub_norms2_into(&mut self, x: &Self, y: &Self, out: &mut [f64]);
@@ -96,10 +90,6 @@ impl<K: FieldKind, E: SveFloat> Vector for Field<K, E> {
 
     fn norms2_into(&self, out: &mut [f64]) {
         out[0] = self.norm2();
-    }
-
-    fn sub_into(&mut self, x: &Self, y: &Self) {
-        self.sub(x, y);
     }
 
     fn sub_norms2_into(&mut self, x: &Self, y: &Self, out: &mut [f64]) {
@@ -139,14 +129,8 @@ impl<E: SveFloat> Vector for FermionBlock<E> {
         out.copy_from_slice(&self.norms2());
     }
 
-    fn sub_into(&mut self, x: &Self, y: &Self) {
-        // x + (−1)·y: bit-identical to the single-field `sub` (negation and
-        // the unit multiply are exact).
-        self.scale_axpy_from(-1.0, y, 1.0, x);
-    }
-
     fn sub_norms2_into(&mut self, x: &Self, y: &Self, out: &mut [f64]) {
-        out.copy_from_slice(&self.sub_norms2(x, y));
+        self.sub_norms2(x, y, out);
     }
 
     fn cg_update(
@@ -158,7 +142,7 @@ impl<E: SveFloat> Vector for FermionBlock<E> {
         active: &[bool],
         r2: &mut [f64],
     ) {
-        r2.copy_from_slice(&block_cg_update_x_r(x, r, alpha, p, ap, active));
+        block_cg_update_x_r(x, r, alpha, p, ap, active, r2);
     }
 
     fn aypx_active(&mut self, beta: &[f64], x: &Self, active: &[bool]) {
@@ -168,10 +152,9 @@ impl<E: SveFloat> Vector for FermionBlock<E> {
 
 /// A width of Wilson fermion: one field, or a block of right-hand sides
 /// sharing every sweep. What the widths disagree on — which kernel applies
-/// `M†M`, how a canonical scatter walks the storage, how one right-hand
-/// side comes out — is behind this trait, so a space ([`Canonical`],
-/// [`fused`]), a deflated solve and the checkpoint codec are each written
-/// once over `V`. Every method delegates to the width's existing kernel.
+/// `M†M`, how one right-hand side comes out — is behind this trait, so the
+/// [`fused`] space, a deflated solve and the checkpoint codec are each
+/// written once over `V`. Every method delegates to the width's kernel.
 pub trait WilsonVector: Vector {
     /// The element type.
     type E: SveFloat;
@@ -185,9 +168,6 @@ pub trait WilsonVector: Vector {
     /// The vector whose right-hand sides are `fields`, in order.
     fn from_fields(fields: &[Field<FermionKind, Self::E>]) -> Self;
 
-    /// `out = M†M p` through the `M p` intermediate `tmp`.
-    fn mdag_m_into(op: &WilsonDirac<Self::E>, p: &Self, tmp: &mut Self, out: &mut Self);
-
     /// `out = M†M p` with the per-RHS curvature `Re ⟨p_j, M†M p_j⟩` fused
     /// into the second hopping pass.
     fn mdag_m_into_dot(
@@ -197,13 +177,6 @@ pub trait WilsonVector: Vector {
         out: &mut Self,
         curv: &mut [f64],
     );
-
-    /// Per-site per-RHS `Σ_comp |·|²` in global lexicographic site order,
-    /// RHS-major (`out.len() == nrhs × volume`).
-    fn site_norms2_lex(&self, out: &mut [f64]);
-
-    /// Per-site per-RHS `Re Σ_comp conj(self)·other`, ordered likewise.
-    fn site_inners_re_lex(&self, other: &Self, out: &mut [f64]);
 }
 
 impl<E: SveFloat> WilsonVector for Field<FermionKind, E> {
@@ -223,10 +196,6 @@ impl<E: SveFloat> WilsonVector for Field<FermionKind, E> {
         fields[0].clone()
     }
 
-    fn mdag_m_into(op: &WilsonDirac<E>, p: &Self, tmp: &mut Self, out: &mut Self) {
-        op.mdag_m_into(p, tmp, out);
-    }
-
     fn mdag_m_into_dot(
         op: &WilsonDirac<E>,
         p: &Self,
@@ -235,14 +204,6 @@ impl<E: SveFloat> WilsonVector for Field<FermionKind, E> {
         curv: &mut [f64],
     ) {
         curv[0] = op.mdag_m_into_dot(p, tmp, out);
-    }
-
-    fn site_norms2_lex(&self, out: &mut [f64]) {
-        self.site_norm2_lex(out);
-    }
-
-    fn site_inners_re_lex(&self, other: &Self, out: &mut [f64]) {
-        self.site_inner_re_lex(other, out);
     }
 }
 
@@ -261,10 +222,6 @@ impl<E: SveFloat> WilsonVector for FermionBlock<E> {
         FermionBlock::from_fields(fields)
     }
 
-    fn mdag_m_into(op: &WilsonDirac<E>, p: &Self, tmp: &mut Self, out: &mut Self) {
-        op.mdag_m_block_into(p, tmp, out);
-    }
-
     fn mdag_m_into_dot(
         op: &WilsonDirac<E>,
         p: &Self,
@@ -274,76 +231,19 @@ impl<E: SveFloat> WilsonVector for FermionBlock<E> {
     ) {
         curv.copy_from_slice(&op.mdag_m_block_into_dot(p, tmp, out));
     }
-
-    fn site_norms2_lex(&self, out: &mut [f64]) {
-        FermionBlock::site_norms2_lex(self, out);
-    }
-
-    fn site_inners_re_lex(&self, other: &Self, out: &mut [f64]) {
-        FermionBlock::site_inners_re_lex(self, other, out);
-    }
 }
 
-/// An operator bound to a vector type and the inner product its CG steers
-/// by. Only [`apply`](Self::apply) is required; the defaults are the layout
-/// space: reductions in storage order, the fused sweep's `|r|²` trusted. A
-/// **canonical** space sets [`CANONICAL`](Self::CANONICAL) and overrides
-/// [`norms2`](Self::norms2) and [`operator`](Self::operator): its scalars
-/// are reductions that do not depend on the layout, so the driver discards
-/// what the fused sweeps reduced and asks the space again. A space
-/// contains no recurrence.
+/// An operator bound to a vector type. Only [`apply`](Self::apply) is
+/// required: every scalar the recurrence steers by is a reduction of the
+/// vector type itself ([`Vector`]), so a space contains neither a
+/// recurrence nor an inner product of its own.
 pub trait CgSpace {
     /// The vector type of iterates, residuals and search directions.
     type V: Vector;
 
-    /// Whether the steering scalars are canonical reductions rather than
-    /// the layout-ordered ones the fused sweeps return.
-    const CANONICAL: bool = false;
-
     /// `ap = A p` and the per-RHS curvature `Re ⟨p_j, A p_j⟩`, fused where
     /// the operator fuses it.
     fn apply(&mut self, p: &Self::V, ap: &mut Self::V, curv: &mut [f64]);
-
-    /// `ax = A x` where the curvature is not wanted (the true-residual
-    /// check, the residual of a guess). A space whose operator fuses the
-    /// curvature keeps the default — it is computed into `unused` anyway —
-    /// and one that pays for it separately skips it here.
-    fn operator(&mut self, x: &Self::V, ax: &mut Self::V, unused: &mut [f64]) {
-        self.apply(x, ax, unused);
-    }
-
-    /// Per-RHS `|v|²` in this space's inner product.
-    fn norms2(&mut self, v: &Self::V, out: &mut [f64]) {
-        v.norms2_into(out);
-    }
-
-    /// `|r|²` of the zero-start residual `r = b`. Layout spaces retire the
-    /// sweep a second time (the instruction counts are pinned); a space
-    /// whose norm is a collective copies `|b|²` instead.
-    fn initial_r2(&mut self, r: &Self::V, _b_norm2: &[f64], out: &mut [f64]) {
-        self.norms2(r, out);
-    }
-
-    /// The iterate/residual update on the active RHS, leaving in `r2` the
-    /// new `|r|²` this space considers authoritative: the fused sweep's
-    /// own reduction, or — the sweep's reduction instructions still retire
-    /// but their result is discarded — a canonical one.
-    #[allow(clippy::too_many_arguments)]
-    fn update_x_r(
-        &mut self,
-        x: &mut Self::V,
-        r: &mut Self::V,
-        alpha: &[f64],
-        p: &Self::V,
-        ap: &Self::V,
-        active: &[bool],
-        r2: &mut [f64],
-    ) {
-        Self::V::cg_update(x, r, alpha, p, ap, active, r2);
-        if Self::CANONICAL {
-            self.norms2(r, r2);
-        }
-    }
 
     /// `z = M⁻¹ r` and per-RHS `Re ⟨r_j, z_j⟩` for a preconditioned space;
     /// `false` (the default, touching nothing) for an unpreconditioned one.
@@ -362,10 +262,9 @@ pub trait CgSpace {
     }
 }
 
-/// `out = b − A x` through `ax` and its per-RHS `|out|²` in `space`: the
-/// true-residual check, and the residual of a [`Start::Guess`]. A layout
-/// space takes the fused subtract-and-norm sweep; a canonical one
-/// subtracts and then reduces canonically.
+/// `out = b − A x` through `ax` and its per-RHS `|out|²`: the true-residual
+/// check, and the residual of a [`Start::Guess`]. The curvature `apply`
+/// computes on the way lands in `n2` and is overwritten.
 fn residual<S: CgSpace>(
     space: &mut S,
     b: &S::V,
@@ -374,35 +273,29 @@ fn residual<S: CgSpace>(
     out: &mut S::V,
     n2: &mut [f64],
 ) {
-    space.operator(x, ax, n2);
-    if S::CANONICAL {
-        out.sub_into(b, ax);
-        space.norms2(out, n2);
-    } else {
-        out.sub_norms2_into(b, ax, n2);
-    }
+    space.apply(x, ax, n2);
+    out.sub_norms2_into(b, ax, n2);
 }
 
-/// The layout space over any vector type: `apply(p, ap, curv)` evaluates
-/// the operator and its curvature, every other scalar is the type's own
-/// storage-order reduction. [`fused`] and the even-odd Schur solve are this
+/// The space of an operator given as `apply(p, ap, curv)`, which evaluates
+/// it and its curvature. [`fused`] and the even-odd Schur solve are this
 /// space around their sweeps.
-pub struct Layout<V, A> {
+pub struct Operator<V, A> {
     apply: A,
     _vector: PhantomData<fn(&V)>,
 }
 
-impl<V: Vector, A: FnMut(&V, &mut V, &mut [f64])> Layout<V, A> {
+impl<V: Vector, A: FnMut(&V, &mut V, &mut [f64])> Operator<V, A> {
     /// Bind the operator.
     pub fn new(apply: A) -> Self {
-        Layout {
+        Operator {
             apply,
             _vector: PhantomData,
         }
     }
 }
 
-impl<V: Vector, A: FnMut(&V, &mut V, &mut [f64])> CgSpace for Layout<V, A> {
+impl<V: Vector, A: FnMut(&V, &mut V, &mut [f64])> CgSpace for Operator<V, A> {
     type V = V;
 
     fn apply(&mut self, p: &V, ap: &mut V, curv: &mut [f64]) {
@@ -410,25 +303,28 @@ impl<V: Vector, A: FnMut(&V, &mut V, &mut [f64])> CgSpace for Layout<V, A> {
     }
 }
 
-/// The layout space around the fused Wilson sweeps — dslash and mass in one
-/// pass, the curvature dot fused into the second hopping pass — with `tmp`
-/// the caller-held `M p` intermediate: what `cg` and `block_cg` run in, and
-/// what a caller composes with another start or observer. A steady-state
-/// iteration allocates nothing the kernels do not.
+/// The space around the fused Wilson sweeps — dslash and mass in one pass,
+/// the curvature fused into the second hopping pass — with `tmp` the
+/// caller-held `M p` intermediate, at either width and any precision: what
+/// `cg`, `block_cg`, `defl_cg`, `coarse_pcg` and the precision ladder's
+/// tiers run in, and what a caller composes with another start or observer.
+/// A steady-state iteration allocates nothing the kernels do not.
 pub fn fused<'a, V: WilsonVector>(
     op: &'a WilsonDirac<V::E>,
     tmp: &'a mut V,
-) -> Layout<V, impl FnMut(&V, &mut V, &mut [f64]) + 'a> {
-    Layout::new(move |p: &V, ap: &mut V, curv: &mut [f64]| V::mdag_m_into_dot(op, p, tmp, ap, curv))
+) -> Operator<V, impl FnMut(&V, &mut V, &mut [f64]) + 'a> {
+    Operator::new(move |p: &V, ap: &mut V, curv: &mut [f64]| {
+        V::mdag_m_into_dot(op, p, tmp, ap, curv)
+    })
 }
 
 /// The allocating closure adapter: any hermitian positive-definite
 /// operator given as `Fn(&F) -> F` (the shape Grid's `ConjugateGradient`
 /// template takes, and the oracle the conformance matrix compares every
-/// other space against). It
-/// allocates the operator output every iteration, takes the curvature as a
-/// separate inner product, and opens an `iter` span per iteration —
-/// bit-identical to the fused spaces on the same operator all the same.
+/// other space against). It allocates the operator output every iteration,
+/// takes the curvature as a separate inner product, and opens an `iter`
+/// span per iteration — bit-identical to the fused spaces on the same
+/// operator all the same.
 pub struct Allocating<E: SveFloat, F> {
     grid: Arc<Grid<E>>,
     op: F,
@@ -451,67 +347,10 @@ impl<E: SveFloat, F: Fn(&Field<FermionKind, E>) -> Field<FermionKind, E>> CgSpac
         curv[0] = p.inner(ap).re;
     }
 
-    fn operator(&mut self, x: &Self::V, ax: &mut Self::V, _unused: &mut [f64]) {
-        *ax = (self.op)(x);
-    }
-
     fn iteration<R>(&mut self, body: impl FnOnce(&mut Self) -> R) -> R {
         let grid = self.grid.clone();
         let _iter_span = qcd_trace::span!("iter", grid.engine().ctx());
         body(self)
-    }
-}
-
-/// The Wilson normal operator with **canonical** steering scalars, at
-/// either width and any precision: every norm and curvature is a
-/// lexicographic per-site scatter summed per RHS through the fixed chunk
-/// tree, so histories, iteration counts and solutions are bit-identical
-/// across vector lengths *and* thread counts, and RHS `j` of a block is
-/// bit-identical to the same field solved alone. The space holds the one
-/// scatter buffer; an iteration allocates nothing.
-pub struct Canonical<'a, V: WilsonVector> {
-    op: &'a WilsonDirac<V::E>,
-    tmp: &'a mut V,
-    buf: &'a mut [f64],
-}
-
-impl<'a, V: WilsonVector> Canonical<'a, V> {
-    /// Bind `op` with the `M p` intermediate and an `nrhs × volume` scatter
-    /// buffer, both caller-held so they outlive repeated solves.
-    pub fn new(op: &'a WilsonDirac<V::E>, tmp: &'a mut V, buf: &'a mut [f64]) -> Self {
-        Canonical { op, tmp, buf }
-    }
-
-    /// Canonical per-RHS `Re ⟨a_j, b_j⟩` through the held buffer.
-    pub fn inners_re(&mut self, a: &V, b: &V, out: &mut [f64]) {
-        a.site_inners_re_lex(b, self.buf);
-        self.sums(out);
-    }
-
-    fn sums(&self, out: &mut [f64]) {
-        let rows = self.buf.chunks_exact(self.buf.len() / out.len());
-        for (o, row) in out.iter_mut().zip(rows) {
-            *o = canonical_sum(row);
-        }
-    }
-}
-
-impl<V: WilsonVector> CgSpace for Canonical<'_, V> {
-    type V = V;
-    const CANONICAL: bool = true;
-
-    fn apply(&mut self, p: &V, ap: &mut V, curv: &mut [f64]) {
-        V::mdag_m_into(self.op, p, self.tmp, ap);
-        self.inners_re(p, ap, curv);
-    }
-
-    fn operator(&mut self, x: &V, ax: &mut V, _unused: &mut [f64]) {
-        V::mdag_m_into(self.op, x, self.tmp, ax);
-    }
-
-    fn norms2(&mut self, v: &V, out: &mut [f64]) {
-        v.site_norms2_lex(self.buf);
-        self.sums(out);
     }
 }
 
@@ -568,8 +407,8 @@ impl<V> State<V> {
 pub enum Start<V> {
     /// `x = 0`, `r = p = b`.
     Zero,
-    /// From an initial guess (deflation's Galerkin guess): `r = b − A x₀`
-    /// in the space's inner product, `p = r`.
+    /// From an initial guess (deflation's Galerkin guess): `r = b − A x₀`,
+    /// `p = r`.
     Guess(V),
     /// From a restored (or hand-stepped) state. The budget counts *total*
     /// iterations including those already inside it.
@@ -644,7 +483,7 @@ pub fn no_observer<St>(_: &St, _: &[HealthMonitor]) -> ControlFlow<()> {
 
 /// One Hestenes–Stiefel iteration over the RHS that are still active
 /// (`iterations < max_iter` and `|r|² > tol²|b|²`, derived per RHS):
-/// `α = ρ/⟨p,Ap⟩`, the space's iterate/residual update, `β = ρ'/ρ`, the
+/// `α = ρ/⟨p,Ap⟩`, the fused iterate/residual update, `β = ρ'/ρ`, the
 /// masked search-direction update, and the history push. `ρ` is `|r|²`, or
 /// `⟨r,z⟩` in a preconditioned space — where the new direction is built
 /// only for RHS that go on, so a converged RHS skips the preconditioner.
@@ -678,7 +517,7 @@ pub fn cg_step<S: CgSpace>(
                 k.alpha[j] = rho / k.curv[j];
             }
         }
-        space.update_x_r(
+        S::V::cg_update(
             &mut s.x,
             &mut s.r,
             &k.alpha,
@@ -729,20 +568,17 @@ fn begin<S: CgSpace>(
         Start::State(state) => state,
         fresh => {
             let mut b_norm2 = vec![0.0; b.nrhs()];
-            space.norms2(b, &mut b_norm2);
+            b.norms2_into(&mut b_norm2);
             assert_nonzero(&b_norm2);
-            let mut r2 = vec![0.0; b.nrhs()];
+            // From zero, `r` is `b` and `|r|²` is `|b|²`.
+            let mut r2 = b_norm2.clone();
             let (x, r) = match fresh {
                 Start::Guess(x0) => {
                     let mut r = b.zero_like();
                     residual(space, b, &x0, &mut w.ap, &mut r, &mut r2);
                     (x0, r)
                 }
-                _ => {
-                    let r = b.clone();
-                    space.initial_r2(&r, &b_norm2, &mut r2);
-                    (b.zero_like(), r)
-                }
+                _ => (b.zero_like(), b.clone()),
             };
             let p = r.clone();
             State::new(x, r, p, &r2, &b_norm2)

@@ -53,6 +53,7 @@ pub struct Grid<E: SveFloat = f64> {
     osites: usize,
     volume: usize,
     engine: SimdEngine<E>,
+    lex_slots: Vec<u32>,
 }
 
 impl<E: SveFloat> Grid<E> {
@@ -83,14 +84,21 @@ impl<E: SveFloat> Grid<E> {
         let volume: usize = fdims.iter().product();
         let osites: usize = rdims.iter().product();
         debug_assert_eq!(osites * lanes_c, volume);
-        Arc::new(Grid {
+        let mut grid = Grid {
             fdims,
             simd_layout,
             rdims,
             osites,
             volume,
             engine,
-        })
+            lex_slots: Vec::with_capacity(volume),
+        };
+        for i in 0..volume {
+            let (osite, lane) = grid.coor_to_osite_lane(&delex(i, &fdims));
+            let slot = u32::try_from(osite * lanes_c + lane).expect("lattice too large");
+            grid.lex_slots.push(slot);
+        }
+        Arc::new(grid)
     }
 
     /// Split `lanes_c` (a power of two) across dimensions: repeatedly halve
@@ -187,6 +195,13 @@ impl<E: SveFloat> Grid<E> {
             x[d] = vnode[d] * self.rdims[d] + inner[d];
         }
         x
+    }
+
+    /// The storage slot `osite · lanes_c + lane` of every site, in global
+    /// lexicographic site order: the permutation through which a reduction
+    /// reads per-site values a sweep wrote in storage order.
+    pub fn lex_slots(&self) -> &[u32] {
+        &self.lex_slots
     }
 
     /// Global lexicographic site index (layout independent; seeds the RNG
@@ -295,6 +310,18 @@ mod tests {
             seen[slot] = true;
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn lex_slots_invert_the_storage_map() {
+        for bits in [128, 512, 2048] {
+            let g = grid([4, 4, 4, 8], bits);
+            for (i, &slot) in g.lex_slots().iter().enumerate() {
+                let slot = slot as usize;
+                let x = g.osite_lane_to_coor(slot / g.lanes_c(), slot % g.lanes_c());
+                assert_eq!(g.global_index(&x), i, "vl={bits}");
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use crate::dirac::WilsonDirac;
 use crate::field::{FermionKind, Field, FieldKind};
-use crate::krylov::{self, Canonical, CgSpace, Scratch, Start, State, Stop};
+use crate::krylov::{self, Scratch, Start, State, Stop};
 use crate::layout::Grid;
 use crate::solver::SolverWorkspace;
 use crate::FermionField;
@@ -183,10 +183,10 @@ struct F16Tier {
 
 /// One binary16 inner-CG cycle on the normalized residual system
 /// `A†A e = ŝ`: a zero start rebuilt in the tier's storage, then
-/// [`krylov::cg_iterate`] in the [`Canonical`] space at binary16 (whose
-/// per-site sums accumulate in f32, [`Field::site_norm2_lex`]) — a cycle,
-/// not a solve: no span of its own, no true residual (the reliable update takes
-/// it at f32), the caller's monitor. Appends the cycle's relative
+/// [`krylov::cg_iterate`] in the [`krylov::fused`] space at binary16 (whose
+/// per-site sums accumulate in f32, [`crate::reduce::site_dot`]) — a
+/// cycle, not a solve: no span of its own, no true residual (the reliable
+/// update takes it at f32), the caller's monitor. Appends the cycle's relative
 /// residuals to `history`; returns `(iterations, aborted)` where `aborted`
 /// means the tier must be demoted: `|b|²` underflowed binary16, the
 /// curvature was lost to binary16 noise (surfaced as a non-finite
@@ -194,7 +194,6 @@ struct F16Tier {
 /// non-finite) during the cycle.
 fn f16_cycle(
     t: &mut F16Tier,
-    site_buf: &mut [f64],
     tol: f64,
     max_iter: usize,
     monitor: &mut HealthMonitor,
@@ -206,8 +205,8 @@ fn f16_cycle(
     t.op.mdag_m_into(&st.x, &mut t.tmp, &mut t.scratch.ap);
     st.r.sub(&t.b, &t.scratch.ap);
     st.p.sub(&t.b, &t.scratch.ap);
-    let mut space = Canonical::new(&t.op, &mut t.tmp, site_buf);
-    space.norms2(&t.b, &mut st.b_norm2);
+    let mut space = krylov::fused(&t.op, &mut t.tmp);
+    st.b_norm2[0] = t.b.norm2();
     let b2 = st.b_norm2[0];
     if b2.is_nan() || b2 <= 0.0 {
         // The residual underflowed binary16 entirely: nothing to solve at
@@ -215,7 +214,7 @@ fn f16_cycle(
         monitor.observe(f64::NAN);
         return (0, true);
     }
-    space.norms2(&st.r, &mut st.r2);
+    st.r2[0] = st.r.norm2();
     st.iterations[0] = 0;
     st.histories[0].clear();
     st.histories[0].push((st.r2[0] / b2).sqrt());
@@ -258,8 +257,8 @@ fn f16_cycle(
 /// true f32 residual before the next cycle. A [`HealthMonitor`] watches
 /// every inner history: a stall, divergence or non-finite episode demotes
 /// the ladder to the f32 tier for the rest of the solve (a `tier`-kind
-/// flight event records the switch), where CG in the [`Canonical`] space
-/// finishes the round.
+/// flight event records the switch), where CG in the [`krylov::fused`]
+/// space finishes the round.
 ///
 /// Every steering scalar at every level is a canonical reduction, so
 /// residual histories and the solution are **bit-identical across vector
@@ -290,7 +289,6 @@ pub fn ladder_solve_from(
     let _span = qcd_trace::span!("solver.ladder", grid64.engine().ctx());
     let grid32 = Grid::<f32>::new(grid64.fdims(), grid64.vl(), grid64.engine().backend());
     let f64_before = grid64.engine().ctx().counters().total();
-    let volume = grid64.volume();
 
     let u32f = to_precision(op.gauge(), &grid32);
     let op32 = WilsonDirac::<f32>::new(u32f, op.mass);
@@ -313,7 +311,7 @@ pub fn ladder_solve_from(
         None
     };
 
-    let b_norm2 = b.canonical_norm2();
+    let b_norm2 = b.norm2();
     assert!(
         b_norm2 > 0.0,
         "ladder solve needs a nonzero right-hand side"
@@ -339,13 +337,12 @@ pub fn ladder_solve_from(
     let mut s32 = Field::<FermionKind, f32>::zero(grid32.clone());
     let mut e32 = Field::<FermionKind, f32>::zero(grid32.clone());
     let mut ws32 = SolverWorkspace::<f32>::new(grid32.clone());
-    let mut site_buf = vec![0.0f64; volume];
 
     loop {
         // Double-precision defect, canonically reduced.
         op.apply_into(&x, &mut ax);
         r.sub(b, &ax);
-        residual = (r.canonical_norm2() / b_norm2).sqrt();
+        residual = (r.norm2() / b_norm2).sqrt();
         outer_history.push(residual);
         if residual <= cfg.tol || outer >= cfg.max_outer {
             break;
@@ -356,7 +353,7 @@ pub fn ladder_solve_from(
         {
             let _t32 = qcd_trace::span!("solver.tier.f32", grid32.engine().ctx());
             op32.apply_dag_into(&r32, &mut rhs32);
-            rhs_n2 = rhs32.canonical_norm2();
+            rhs_n2 = rhs32.norm2();
             d32.scale(0.0);
             s32.clone_from(&rhs32);
         }
@@ -392,7 +389,6 @@ pub fn ladder_solve_from(
                 to_precision_into(&s32, &mut t.b);
                 f16_cycle(
                     t,
-                    &mut site_buf,
                     cycle_tol,
                     cfg.max_inner,
                     &mut monitor,
@@ -418,7 +414,7 @@ pub fn ladder_solve_from(
                 let _t32 = qcd_trace::span!("solver.tier.f32", grid32.engine().ctx());
                 op32.mdag_m_into(&d32, &mut ws32.tmp, &mut ws32.ap);
                 s32.sub(&rhs32, &ws32.ap);
-                s2 = s32.canonical_norm2();
+                s2 = s32.norm2();
                 break;
             }
             // Promote the correction and perform the reliable update:
@@ -430,7 +426,7 @@ pub fn ladder_solve_from(
                 op32.mdag_m_into(&d32, &mut ws32.tmp, &mut ws32.ap);
                 s32.sub(&rhs32, &ws32.ap);
             }
-            let s2_new = s32.canonical_norm2();
+            let s2_new = s32.norm2();
             reliable_updates += 1;
             qcd_trace::record_event(
                 "tier",
@@ -468,12 +464,12 @@ pub fn ladder_solve_from(
             // `inner_tol` relative to `rhs32`.
             let eff_tol = (mid_target / s2).sqrt().min(0.9);
             let (e, rep) = krylov::cg_solve(
-                &mut Canonical::new(&op32, &mut ws32.tmp, &mut site_buf),
+                &mut krylov::fused(&op32, &mut ws32.tmp),
                 &s32,
                 Start::Zero,
                 eff_tol,
                 cfg.max_inner,
-                qcd_trace::span!("solver.cg_canonical", grid32.engine().ctx()),
+                qcd_trace::span!("solver.cg", grid32.engine().ctx()),
                 "solver.ladder.f32",
                 krylov::no_observer,
             );

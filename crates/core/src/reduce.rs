@@ -1,113 +1,148 @@
-//! Deterministic fixed-chunk tree reductions.
+//! The one reduction order.
 //!
-//! Floating-point addition is not associative, so a reduction whose grouping
-//! depends on the number of worker threads returns different bits on
-//! different machines. That would break two guarantees this codebase leans
-//! on: qcd-io's bit-exact checkpoint resume (PR 2) and the
-//! "convergence is identical across vector lengths / backends" test family.
+//! Floating-point addition is not associative, so a sum whose grouping
+//! depends on the SIMD layout or on the number of worker threads returns
+//! different bits at another vector length or on another machine. That
+//! would break the guarantees this codebase leans on: qcd-io's bit-exact
+//! checkpoint resume, and the paper's §V-D matrix read strictly — a solve at
+//! any vector length, thread count and rank count is the *same* solve.
 //!
-//! The fix used here (and by Grid's `sumD` reductions) is to make the
-//! grouping a property of the *data layout*, not of the executor: the
-//! iteration space is cut into fixed chunks of [`CHUNK_SITES`] outer sites,
-//! each chunk produces one partial in ascending word order, and the partials
-//! are combined with a fixed binary-split tree. Threads only change *where*
-//! a leaf is evaluated, never which values are added in which order, so the
-//! result is bit-identical for 1, 2, or 8 workers — and identical to the
-//! serial path, which walks the same tree recursively without allocating.
+//! Every field-to-scalar reduction therefore has one shape. A sweep computes
+//! one value per lattice site ([`site_dot`]: the site's components summed in
+//! order, in `f64`, or `f32` for binary16) and writes it, in storage order,
+//! into its own chunk of a buffer each thread keeps and reuses
+//! ([`sweep_sums`]); [`canonical_sum`] then reads those values through the
+//! grid's lexicographic → storage permutation ([`Grid::lex_slots`]) and sums
+//! them in global lexicographic site order with a fixed tree — chunks of
+//! [`CHUNK_SITES`] values summed left to right, chunk sums combined by
+//! binary split. The grouping depends only on the lattice extents: threads
+//! change where a site's value is computed, never which values are added in
+//! which order, and a fused update+reduce sweep stays one parallel region.
 
-/// Outer sites per reduction chunk (also the parallel work-unit granularity
-/// for the fused solver kernels). Fixed so that reduction trees — and hence
-/// solver trajectories — do not depend on thread count or lattice-agnostic
-/// tuning knobs.
+use crate::layout::Grid;
+use rayon::prelude::*;
+use rayon::{Chunked, ParChunks};
+use std::cell::Cell;
+use sve::SveFloat;
+
+/// Outer sites per reduction chunk and per parallel work unit of every
+/// field sweep, and values per leaf of [`canonical_sum`]. Fixed, so that
+/// no result depends on the thread count or a tuning knob.
 pub const CHUNK_SITES: usize = 16;
 
-/// Number of fixed-size chunks covering `n` items (at least 1 so empty
-/// ranges still have a well-defined tree shape).
-pub fn n_chunks(n: usize, chunk: usize) -> usize {
-    n.div_ceil(chunk).max(1)
-}
-
-/// Combine precomputed per-chunk partials with the fixed binary-split tree
-/// (`mid = lo + (hi - lo) / 2`). This is the parallel half of the reduction:
-/// leaves come from an order-preserving parallel map, the combine happens
-/// here on one thread.
-pub fn combine_tree<R: Copy>(leaves: &[R], combine: &impl Fn(R, R) -> R) -> R {
-    fn rec<R: Copy>(leaves: &[R], lo: usize, hi: usize, combine: &impl Fn(R, R) -> R) -> R {
-        if hi - lo == 1 {
-            return leaves[lo];
-        }
-        let mid = lo + (hi - lo) / 2;
-        combine(rec(leaves, lo, mid, combine), rec(leaves, mid, hi, combine))
-    }
-    assert!(!leaves.is_empty(), "reduction over an empty leaf set");
-    rec(leaves, 0, leaves.len(), combine)
-}
-
-/// Walk the same tree as [`combine_tree`] but evaluate leaves on demand,
-/// in ascending index order, on the calling thread. This is the serial,
-/// allocation-free half of the reduction: `leaf(i)` may mutate captured
-/// state (e.g. store fused kernel results) because chunks are disjoint and
-/// visited left-to-right.
-pub fn reduce_serial<R>(
-    n: usize,
-    leaf: &mut impl FnMut(usize) -> R,
-    combine: &impl Fn(R, R) -> R,
-) -> R {
-    fn rec<R>(
-        lo: usize,
-        hi: usize,
-        leaf: &mut impl FnMut(usize) -> R,
-        combine: &impl Fn(R, R) -> R,
-    ) -> R {
+/// `at(0) + … + at(n − 1)` in the canonical grouping: leaves of
+/// [`CHUNK_SITES`] consecutive values summed left to right, leaf sums
+/// combined by the fixed binary split `mid = lo + (hi − lo) / 2`. The
+/// grouping depends on `n` alone, so values listed in global lexicographic
+/// site order sum to the same bits at every vector length, thread count and
+/// rank count.
+pub fn canonical_sum(n: usize, at: impl Fn(usize) -> f64) -> f64 {
+    fn split(lo: usize, hi: usize, leaf: &impl Fn(usize) -> f64) -> f64 {
         if hi - lo == 1 {
             return leaf(lo);
         }
         let mid = lo + (hi - lo) / 2;
-        let left = rec(lo, mid, leaf, combine);
-        let right = rec(mid, hi, leaf, combine);
-        combine(left, right)
+        let left = split(lo, mid, leaf);
+        left + split(mid, hi, leaf)
     }
-    assert!(n > 0, "reduction over an empty range");
-    rec(0, n, leaf, combine)
-}
-
-/// Deterministic chunk-tree sum over a scalar array laid out in a
-/// **layout-independent** order (global lexicographic site order): the same
-/// binary-split grouping as [`combine_tree`], leaves of [`CHUNK_SITES`]
-/// values summed left to right. Because the grouping depends only on
-/// `vals.len()`, a sum over per-site scalars in global lexicographic order
-/// is bit-identical at every vector length, thread count — and, for the
-/// distributed solver, rank count. This is the reduction the canonical
-/// scalars of `dist_cg` and the deflation subsystem (`qcd-deflate`) are
-/// built on.
-pub fn canonical_sum(vals: &[f64]) -> f64 {
-    let n = n_chunks(vals.len(), CHUNK_SITES);
-    let mut leaf = |ci: usize| {
+    let leaf = |ci: usize| {
         let lo = ci * CHUNK_SITES;
-        let hi = (lo + CHUNK_SITES).min(vals.len());
-        vals[lo..hi].iter().sum::<f64>()
+        (lo..(lo + CHUNK_SITES).min(n)).map(&at).sum::<f64>()
     };
-    reduce_serial(n, &mut leaf, &|a, b| a + b)
+    split(0, n.div_ceil(CHUNK_SITES).max(1), &leaf)
 }
 
-/// [`combine_tree`] for non-`Copy` partials (e.g. the per-RHS `Vec<f64>`
-/// accumulators of the block kernels). Walks the identical binary-split
-/// tree (`mid = lo + (hi - lo) / 2`), so element `r` of the result combines
-/// the per-chunk partials in exactly the grouping [`combine_tree`] would use
-/// for a scalar reduction over the same chunk count — the property the
-/// block path's per-RHS bitwise-identity guarantee rests on.
-pub fn combine_tree_ref<R: Clone>(leaves: &[R], combine: &impl Fn(&R, &R) -> R) -> R {
-    fn rec<R: Clone>(leaves: &[R], lo: usize, hi: usize, combine: &impl Fn(&R, &R) -> R) -> R {
-        if hi - lo == 1 {
-            return leaves[lo].clone();
-        }
-        let mid = lo + (hi - lo) / 2;
-        let left = rec(leaves, lo, mid, combine);
-        let right = rec(leaves, mid, hi, combine);
-        combine(&left, &right)
+thread_local! {
+    /// The per-site values of the reduction in flight on this thread. It
+    /// grows to the largest reduction the thread has run and is reused, so
+    /// a steady-state reduction allocates nothing.
+    static PARTIALS: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+}
+
+/// Run a reduction sweep and sum it canonically: in one parallel region,
+/// `kernel(chunk index, chunk of data, partials)` runs over the reduction
+/// chunks of `data` (each [`CHUNK_SITES`] outer sites of `grid`) and writes
+/// `out.len()` rows of per-site values — `partials[(k · rows + row) · lanes
+/// + lane]` for outer site `k` of the chunk. Then `out[row]` is the
+/// [`canonical_sum`] of row `row` over the whole lattice.
+pub fn sweep_sums<E: SveFloat, S: Chunked>(
+    grid: &Grid<E>,
+    data: ParChunks<S>,
+    kernel: impl Fn(usize, S::Chunk, &mut [f64]) + Sync,
+    out: &mut [f64],
+) {
+    let (rows, lanes) = (out.len(), grid.lanes_c());
+    let mut partials = PARTIALS.take();
+    let len = grid.osites() * rows * lanes;
+    if partials.len() < len {
+        partials.resize(len, 0.0);
     }
-    assert!(!leaves.is_empty(), "reduction over an empty leaf set");
-    rec(leaves, 0, leaves.len(), combine)
+    let part = &mut partials[..len];
+    part.par_chunks_mut(CHUNK_SITES * rows * lanes)
+        .zip(data)
+        .enumerate()
+        .for_each(|(ci, (p, d))| kernel(ci, d, p));
+    let (shift, lane) = (lanes.trailing_zeros(), lanes - 1);
+    let slots = grid.lex_slots();
+    for (row, o) in out.iter_mut().enumerate() {
+        *o = canonical_sum(slots.len(), |i| {
+            let slot = slots[i] as usize;
+            part[(((slot >> shift) * rows + row) << shift) | (slot & lane)]
+        });
+    }
+    PARTIALS.set(partials);
+}
+
+/// `Σ (a·b + c·d)` over the `[a, b, c, d]` of a site's components, in
+/// order: the value one site contributes to a reduction. Accumulated in
+/// `f64`, except in `f32` for binary16 — the product of two f16 values is
+/// exact in f32 (11-bit significands multiply into at most 22 bits), so
+/// only the additions round, and the binary16 tier steers by sums no wider
+/// than an f16 unit's accumulator.
+#[inline(always)]
+pub(crate) fn site_dot<E: SveFloat>(terms: impl Iterator<Item = [f64; 4]>) -> f64 {
+    if E::BYTES == 2 {
+        let mut s = 0.0f32;
+        for [a, b, c, d] in terms {
+            s += a as f32 * b as f32 + c as f32 * d as f32;
+        }
+        s as f64
+    } else {
+        let mut s = 0.0;
+        for [a, b, c, d] in terms {
+            s += a * b + c * d;
+        }
+        s
+    }
+}
+
+/// `out[lane] = Σ_comp Re(conj(a)·b)` at every lane of one outer site whose
+/// component words are `a` and `b` (`out.len()` complex lanes per word).
+#[inline(always)]
+pub(crate) fn site_dots<E: SveFloat>(a: &[E], b: &[E], out: &mut [f64]) {
+    let w = 2 * out.len();
+    for (lane, o) in out.iter_mut().enumerate() {
+        let (re, im) = (2 * lane, 2 * lane + 1);
+        let words = a.chunks_exact(w).zip(b.chunks_exact(w));
+        *o = site_dot::<E>(words.map(|(a, b)| [a[re], b[re], a[im], b[im]].map(SveFloat::to_f64)));
+    }
+}
+
+/// [`site_dots`] for the whole complex `Σ_comp conj(a)·b`: the real parts
+/// to the first half of `out`, the imaginary parts to the second.
+#[inline(always)]
+pub(crate) fn site_inners<E: SveFloat>(a: &[E], b: &[E], out: &mut [f64]) {
+    let (re_out, im_out) = out.split_at_mut(out.len() / 2);
+    site_dots(a, b, re_out);
+    let w = 2 * im_out.len();
+    for (lane, o) in im_out.iter_mut().enumerate() {
+        let (re, im) = (2 * lane, 2 * lane + 1);
+        let words = a.chunks_exact(w).zip(b.chunks_exact(w));
+        *o = site_dot::<E>(words.map(|(a, b)| {
+            let [ar, ai, br, bi] = [a[re], a[im], b[re], b[im]].map(SveFloat::to_f64);
+            [ar, bi, -ai, br]
+        }));
+    }
 }
 
 #[cfg(test)]
@@ -115,68 +150,37 @@ mod tests {
     use super::*;
 
     #[test]
-    fn serial_and_tree_agree_exactly() {
+    fn leaves_run_left_to_right_and_combine_by_halves() {
         // Values chosen so grouping matters in f64: mixing magnitudes makes
         // (a+b)+c differ from a+(b+c) in the last bits.
-        let leaves: Vec<f64> = (0..37)
+        let vals: Vec<f64> = (0..37 * CHUNK_SITES)
             .map(|i| (1.0 + i as f64).powi(7) * if i % 3 == 0 { 1e-13 } else { 1.0 })
             .collect();
-        let tree = combine_tree(&leaves, &|a, b| a + b);
-        let mut lf = |i: usize| leaves[i];
-        let serial = reduce_serial(leaves.len(), &mut lf, &|a, b| a + b);
-        assert_eq!(tree.to_bits(), serial.to_bits());
-    }
-
-    #[test]
-    fn tree_grouping_differs_from_left_fold() {
-        let leaves: Vec<f64> = (0..33).map(|i| (0.1f64 + i as f64).exp()).collect();
-        let fold: f64 = leaves.iter().sum();
-        let tree = combine_tree(&leaves, &|a, b| a + b);
-        // Not a correctness requirement, but documents that the tree is a
-        // genuinely different (and fixed) grouping.
-        assert!((fold - tree).abs() <= 1e-9 * fold.abs());
-    }
-
-    #[test]
-    fn serial_leaves_run_in_ascending_order() {
-        let mut seen = Vec::new();
-        let mut lf = |i: usize| {
-            seen.push(i);
-            i as u64
-        };
-        let total = reduce_serial(11, &mut lf, &|a, b| a + b);
-        assert_eq!(total, (0..11).sum::<u64>());
-        assert_eq!(seen, (0..11).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn ref_tree_matches_scalar_tree_elementwise() {
-        // Per-RHS vectors reduced through combine_tree_ref must group each
-        // element exactly as combine_tree groups the corresponding scalars.
-        let scalar: Vec<Vec<f64>> = (0..2)
-            .map(|r| {
-                (0..37)
-                    .map(|i| {
-                        (1.0 + i as f64 + r as f64).powi(7) * if i % 3 == 0 { 1e-13 } else { 1.0 }
-                    })
-                    .collect()
-            })
-            .collect();
-        let leaves: Vec<Vec<f64>> = (0..37).map(|i| vec![scalar[0][i], scalar[1][i]]).collect();
-        let tree = combine_tree_ref(&leaves, &|a, b| {
-            a.iter().zip(b.iter()).map(|(x, y)| x + y).collect()
-        });
-        for r in 0..2 {
-            let want = combine_tree(&scalar[r], &|a, b| a + b);
-            assert_eq!(tree[r].to_bits(), want.to_bits(), "rhs {r}");
+        let leaves: Vec<f64> = vals.chunks(CHUNK_SITES).map(|c| c.iter().sum()).collect();
+        fn halves(l: &[f64]) -> f64 {
+            match l.len() {
+                1 => l[0],
+                n => halves(&l[..n / 2]) + halves(&l[n / 2..]),
+            }
         }
+        let got = canonical_sum(vals.len(), |i| vals[i]);
+        assert_eq!(got.to_bits(), halves(&leaves).to_bits());
+        let fold: f64 = vals.iter().sum();
+        assert!((fold - got).abs() <= 1e-12 * fold.abs());
     }
 
     #[test]
-    fn n_chunks_covers_the_range() {
-        assert_eq!(n_chunks(0, 16), 1);
-        assert_eq!(n_chunks(16, 16), 1);
-        assert_eq!(n_chunks(17, 16), 2);
-        assert_eq!(n_chunks(256, 16), 16);
+    fn a_partial_last_leaf_and_an_empty_sum() {
+        assert_eq!(canonical_sum(0, |_| unreachable!()), 0.0);
+        assert_eq!(canonical_sum(CHUNK_SITES + 3, |i| i as f64), 171.0);
+    }
+
+    #[test]
+    fn binary16_sites_accumulate_in_binary32() {
+        // 4096² = 2²⁴ is exact in both accumulators; the f32 one then
+        // loses the 1 added to it, the f64 one keeps it.
+        let terms = || [[4096.0, 4096.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]].into_iter();
+        assert_eq!(site_dot::<sve::F16>(terms()), 16_777_216.0);
+        assert_eq!(site_dot::<f64>(terms()), 16_777_217.0);
     }
 }

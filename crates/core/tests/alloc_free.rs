@@ -3,8 +3,8 @@
 //! A counting global allocator wraps `System`; after a warm-up, ten
 //! iterations of `krylov::cg_solve` — the whole driver loop: step, health
 //! monitors, observer — must leave the allocation counter untouched in the
-//! fused-layout, canonical and 5-d spaces, **and with a checkpoint observer
-//! attached** whose interval is not reached (durability must not move a
+//! fused space at f64 and at binary16 and in the 5-d space, **and with a
+//! checkpoint observer attached** whose interval is not reached (durability must not move a
 //! solve off the zero-allocation path); so must BiCGStab's `step_ws` on
 //! `apply_into` and all six precision-pair directions of
 //! `to_precision_into` (f64/f32/f16, both ways) into preallocated
@@ -24,9 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::ops::ControlFlow;
 
 use grid::field::FermionKind;
-use grid::krylov::{
-    cg_solve, fused, no_observer, Canonical, CgSpace, Layout as LayoutSpace, Start, State,
-};
+use grid::krylov::{cg_solve, fused, no_observer, CgSpace, Operator, Start, State};
 use grid::prelude::*;
 use qcd_trace::HealthMonitor;
 use sve::F16;
@@ -100,7 +98,7 @@ fn solver_steady_state_allocates_nothing() {
     let d = WilsonDirac::new(u, 0.2);
     let b = FermionField::random(g.clone(), 52);
 
-    // --- CG in the fused-layout space --------------------------------
+    // --- CG in the fused space ---------------------------------------
     let mut ws = SolverWorkspace::new(g.clone());
     let delta = ten_iterations(&mut fused(&d, &mut ws.tmp), &b, no_observer);
     assert_eq!(delta, 0, "CG steady state performed {delta} allocations");
@@ -113,17 +111,19 @@ fn solver_steady_state_allocates_nothing() {
     assert_eq!(delta, 0, "checkpointed CG performed {delta} allocations");
     assert_eq!(checkpointer.finish().expect("no write was attempted"), 0);
 
-    // --- CG in the canonical space: the scatter buffer is the space's --
-    let mut buf = vec![0.0; g.volume()];
-    let mut canonical = Canonical::new(&d, &mut ws.hop, &mut buf);
-    let delta = ten_iterations(&mut canonical, &b, no_observer);
-    assert_eq!(delta, 0, "canonical CG performed {delta} allocations");
+    // --- The same space at binary16: the precision ladder's inner tier --
+    let g16 = Grid::<F16>::new(g.fdims(), g.vl(), g.engine().backend());
+    let d16 = WilsonDirac::<F16>::new(to_precision(d.gauge(), &g16), 0.2);
+    let b16 = to_precision(&b, &g16);
+    let mut tmp16 = Field::<FermionKind, F16>::zero(g16.clone());
+    let delta = ten_iterations(&mut fused(&d16, &mut tmp16), &b16, no_observer);
+    assert_eq!(delta, 0, "binary16 CG performed {delta} allocations");
 
     // --- CG on the 5-d domain-wall normal operator ---------------------
     let dwf = DomainWall::new(random_gauge(g.clone(), 54), 4, 1.8, 0.04);
     let b5 = Fermion5::random(g.clone(), 4, 55);
     let mut tmp5 = Fermion5::zero(g.clone(), 4);
-    let mut five_d = LayoutSpace::new(|p: &Fermion5, ap: &mut Fermion5, c: &mut [f64]| {
+    let mut five_d = Operator::new(|p: &Fermion5, ap: &mut Fermion5, c: &mut [f64]| {
         dwf.ddag_d_into(p, &mut tmp5, ap);
         c[0] = p.inner(ap).re;
     });
@@ -147,14 +147,14 @@ fn solver_steady_state_allocates_nothing() {
             block.clone(),
         );
         let mut ap = FermionBlock::zero(g.clone(), 2);
-        let (alpha, active) = ([1e-3, 1e-3], [true, true]);
+        let (alpha, active, mut r2) = ([1e-3, 1e-3], [true, true], [0.0; 2]);
         let mut before = 0;
         for sweep in 0..13 {
             if sweep == 3 {
                 before = allocations(); // three warm-up sweeps, as `ten_iterations`
             }
             let _ = d.mdag_m_block_into_dot(&p, &mut btmp, &mut ap);
-            let _ = block_cg_update_x_r(&mut x, &mut r, &alpha, &p, &ap, &active);
+            block_cg_update_x_r(&mut x, &mut r, &alpha, &p, &ap, &active, &mut r2);
             p.aypx_masked(&alpha, &r, &active);
         }
         allocations() - before

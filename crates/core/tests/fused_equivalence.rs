@@ -1,6 +1,6 @@
 //! Bit-for-bit equivalence of the fused hot-path kernels against the same
 //! math composed from separate full-field primitives, across precisions
-//! (f64, f32) and vector lengths (128 through 2048 bits).
+//! (f64, f32, binary16) and vector lengths (128 through 2048 bits).
 //!
 //! The fusion contract is that `apply_into`, `apply_dag_into` and the
 //! fused curvature dot retire the *exact same engine ops per word in the
@@ -90,6 +90,7 @@ macro_rules! fused_equivalence_for {
 
 fused_equivalence_for!(fused_sweeps_are_bit_identical_in_f64, f64);
 fused_equivalence_for!(fused_sweeps_are_bit_identical_in_f32, f32);
+fused_equivalence_for!(fused_sweeps_are_bit_identical_in_f16, sve::F16);
 
 #[test]
 fn fused_solvers_are_bit_identical_to_the_closure_solvers() {

@@ -1,76 +1,100 @@
-//! Thread-count determinism of the parallel field reductions.
+//! Thread-count and vector-length determinism of the field reductions.
 //!
-//! The fixed-chunk tree reduction guarantees that `inner`, `norm2` and the
-//! fused axpy+norm kernels produce *bit-identical* scalars whether they run
-//! on 1, 2 or 8 workers — the property that makes checkpoints, residual
+//! Every reduction sums one value per site in global lexicographic order
+//! (`grid::reduce`), so `inner`, `norm2`, the fused `*_norm2` sweeps, the CG
+//! update and the curvature fused into `mdag_m_into_dot` produce the same
+//! bits whether they run on 1, 2 or 8 workers and at every vector length —
+//! at f64, f32 and binary16 — and every fused form equals the standalone
+//! sweeps it replaces: the property that makes checkpoints, residual
 //! histories and CI logs reproducible across machines.
 //!
 //! `rayon::set_num_threads` mutates process-global state, so this file is a
 //! single `#[test]` in its own integration-test binary.
 
+use grid::field::FermionKind;
+use grid::krylov::Vector;
 use grid::prelude::*;
+use grid::Field;
+use sve::{SveFloat, F16};
 
-struct Sample {
-    inner: (u64, u64),
-    norm2: u64,
-    axpy_norm2: u64,
-    caxpy_norm2: u64,
-    sub_norm2: u64,
-    axpy_out: Vec<u64>,
+/// Every reduction of two random fields at `bits`, as bits, after checking
+/// each fused form against its standalone sweeps at that vector length.
+fn sample<E: SveFloat>(bits: usize) -> Vec<u64> {
+    let g = Grid::<E>::new([4, 4, 4, 8], VectorLength::of(bits), SimdBackend::Fcmla);
+    let x = Field::<FermionKind, E>::random(g.clone(), 41);
+    let y = Field::<FermionKind, E>::random(g.clone(), 42);
+    let same = |what: &str, fused: (&Field<FermionKind, E>, f64), parts: (&Field<_, E>, f64)| {
+        assert_eq!(fused.0.max_abs_diff(parts.0), 0.0, "{what} field");
+        assert_eq!(fused.1.to_bits(), parts.1.to_bits(), "{what} reduction");
+        fused.1.to_bits()
+    };
+    let ip = x.inner(&y);
+    let mut out = vec![ip.re.to_bits(), ip.im.to_bits(), x.norm2().to_bits()];
+
+    let (mut fused, mut parts) = (y.clone(), y.clone());
+    let n = fused.axpy_norm2(-0.375, &x);
+    parts.axpy_inplace(-0.375, &x);
+    out.push(same("axpy_norm2", (&fused, n), (&parts, parts.norm2())));
+
+    let a = Complex::new(0.25, -0.5);
+    let (mut fused, mut parts) = (y.clone(), y.clone());
+    let n = fused.caxpy_norm2(a, &x);
+    parts.axpy_complex(a, &x);
+    out.push(same("caxpy_norm2", (&fused, n), (&parts, parts.norm2())));
+
+    let (mut fused, mut parts) = (y.zero_like(), y.zero_like());
+    let n = fused.sub_norm2(&x, &y);
+    parts.sub(&x, &y);
+    out.push(same("sub_norm2", (&fused, n), (&parts, parts.norm2())));
+
+    let (mut fx, mut fr, mut px, mut pr) = (x.clone(), y.clone(), x.clone(), y.clone());
+    let n = cg_update_x_r(&mut fx, &mut fr, 0.6875, &y, &x);
+    px.axpy_inplace(0.6875, &y);
+    pr.axpy_inplace(-0.6875, &x);
+    assert_eq!(fx.max_abs_diff(&px), 0.0, "cg_update_x_r iterate");
+    out.push(same("cg_update_x_r", (&fr, n), (&pr, pr.norm2())));
+
+    let op = WilsonDirac::<E>::new(random_gauge(g.clone(), 43), 0.3);
+    let (mut tmp, mut fused, mut parts) = (x.zero_like(), x.zero_like(), x.zero_like());
+    let dot = op.mdag_m_into_dot(&x, &mut tmp, &mut fused);
+    op.mdag_m_into(&x, &mut tmp, &mut parts);
+    out.push(same(
+        "mdag_m_into_dot",
+        (&fused, dot),
+        (&parts, x.inner(&parts).re),
+    ));
+    out
 }
 
-fn sample(x: &FermionField, y: &FermionField) -> Sample {
-    let ip = x.inner(y);
-    let mut ax = y.clone();
-    let axn = ax.axpy_norm2(-0.375, x);
-    let mut cx = y.clone();
-    let cxn = cx.caxpy_norm2(Complex::new(0.25, -0.5), x);
-    let mut sub = FermionField::zero(x.grid().clone());
-    let sn = sub.sub_norm2(x, y);
-    Sample {
-        inner: (ip.re.to_bits(), ip.im.to_bits()),
-        norm2: x.norm2().to_bits(),
-        axpy_norm2: axn.to_bits(),
-        caxpy_norm2: cxn.to_bits(),
-        sub_norm2: sn.to_bits(),
-        axpy_out: ax.data().iter().map(|v| v.to_bits()).collect(),
+/// Every precision's sample at every vector length and thread count must
+/// be the single-thread VL128 one.
+fn check<E: SveFloat>() {
+    rayon::set_num_threads(1);
+    let reference = sample::<E>(128);
+    for bits in [128usize, 512, 2048] {
+        for threads in [1usize, 2, 8] {
+            rayon::set_num_threads(threads);
+            let got = sample::<E>(bits);
+            assert_eq!(
+                got,
+                reference,
+                "{} at VL{bits} × {threads} threads",
+                E::SUFFIX
+            );
+        }
     }
 }
 
 #[test]
-fn reductions_are_bit_identical_across_thread_counts() {
-    let g = Grid::new([4, 4, 4, 8], VectorLength::of(512), SimdBackend::Fcmla);
-    let x = FermionField::random(g.clone(), 41);
-    let y = FermionField::random(g.clone(), 42);
-
-    rayon::set_num_threads(1);
-    let reference = sample(&x, &y);
-
-    for threads in [2usize, 8] {
-        rayon::set_num_threads(threads);
-        let s = sample(&x, &y);
-        assert_eq!(s.inner, reference.inner, "inner @ {threads} threads");
-        assert_eq!(s.norm2, reference.norm2, "norm2 @ {threads} threads");
-        assert_eq!(
-            s.axpy_norm2, reference.axpy_norm2,
-            "axpy_norm2 @ {threads} threads"
-        );
-        assert_eq!(
-            s.caxpy_norm2, reference.caxpy_norm2,
-            "caxpy_norm2 @ {threads} threads"
-        );
-        assert_eq!(
-            s.sub_norm2, reference.sub_norm2,
-            "sub_norm2 @ {threads} threads"
-        );
-        assert_eq!(
-            s.axpy_out, reference.axpy_out,
-            "axpy_norm2 output field @ {threads} threads"
-        );
-    }
+fn reductions_are_bit_identical_across_threads_and_vector_lengths() {
+    check::<f64>();
+    check::<f32>();
+    check::<F16>();
 
     // A full solve — reductions feed step acceptance, so any divergence
     // would compound. The whole history must match, not just the answer.
+    let g = Grid::new([4, 4, 4, 8], VectorLength::of(512), SimdBackend::Fcmla);
+    let y = FermionField::random(g.clone(), 42);
     rayon::set_num_threads(1);
     let u = random_gauge(g.clone(), 43);
     let d = WilsonDirac::new(u, 0.3);

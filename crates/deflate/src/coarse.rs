@@ -33,7 +33,7 @@
 use crate::dense::Cholesky;
 use grid::dirac::WilsonDirac;
 use grid::field::FermionKind;
-use grid::krylov::{self, Canonical, CgSpace, Start, Vector};
+use grid::krylov::{self, CgSpace, Start, Vector};
 use grid::layout::{delex, lex};
 use grid::mixed::{to_precision, to_precision_into};
 use grid::solver::{SolveReport, SolverWorkspace};
@@ -310,7 +310,7 @@ impl<E: SveFloat> F16Smoother<E> {
     /// Accumulate the smoothed residual: `out += p_k(A) r`, the polynomial
     /// applied in binary16.
     pub fn accumulate(&mut self, r: &Field<FermionKind, E>, out: &mut Field<FermionKind, E>) {
-        let rn2 = r.canonical_norm2();
+        let rn2 = r.norm2();
         if rn2.is_nan() || rn2 <= 0.0 {
             return; // smoothing a zero residual is a no-op
         }
@@ -331,50 +331,21 @@ impl<E: SveFloat> F16Smoother<E> {
     }
 }
 
-/// The canonical Wilson space with the two-level correction of a
+/// The fused Wilson space with the two-level correction of a
 /// [`CoarseSpace`] (plus an optional [`F16Smoother`] term) as its
-/// preconditioner. The iterate and residual move by unfused `axpy` pairs
-/// and the zero-start `|r|²` copies `|b|²`; the recurrence, including
-/// "skip `M⁻¹` once converged", is the driver's.
-struct TwoLevel<'a, E: SveFloat> {
-    fine: Canonical<'a, Field<FermionKind, E>>,
+/// preconditioner; the recurrence, including "skip `M⁻¹` once converged",
+/// is the driver's.
+struct TwoLevel<'a, E: SveFloat, A> {
+    fine: A,
     cs: &'a CoarseSpace<E>,
     smoother: Option<&'a mut F16Smoother<E>>,
 }
 
-impl<E: SveFloat> CgSpace for TwoLevel<'_, E> {
+impl<E: SveFloat, A: CgSpace<V = Field<FermionKind, E>>> CgSpace for TwoLevel<'_, E, A> {
     type V = Field<FermionKind, E>;
-    const CANONICAL: bool = true;
 
     fn apply(&mut self, p: &Self::V, ap: &mut Self::V, curv: &mut [f64]) {
         self.fine.apply(p, ap, curv);
-    }
-
-    fn operator(&mut self, x: &Self::V, ax: &mut Self::V, unused: &mut [f64]) {
-        self.fine.operator(x, ax, unused);
-    }
-
-    fn norms2(&mut self, v: &Self::V, out: &mut [f64]) {
-        self.fine.norms2(v, out);
-    }
-
-    fn initial_r2(&mut self, _r: &Self::V, b_norm2: &[f64], out: &mut [f64]) {
-        out.copy_from_slice(b_norm2);
-    }
-
-    fn update_x_r(
-        &mut self,
-        x: &mut Self::V,
-        r: &mut Self::V,
-        alpha: &[f64],
-        p: &Self::V,
-        ap: &Self::V,
-        _active: &[bool],
-        r2: &mut [f64],
-    ) {
-        x.axpy_inplace(alpha[0], p);
-        r.axpy_inplace(-alpha[0], ap);
-        self.fine.norms2(r, r2);
     }
 
     fn precondition(&mut self, r: &Self::V, z: &mut Self::V, rz: &mut [f64]) -> bool {
@@ -382,7 +353,7 @@ impl<E: SveFloat> CgSpace for TwoLevel<'_, E> {
         if let Some(sm) = self.smoother.as_deref_mut() {
             sm.accumulate(r, z);
         }
-        self.fine.inners_re(r, z, rz);
+        rz[0] = r.inner(z).re;
         true
     }
 }
@@ -409,9 +380,8 @@ pub fn coarse_pcg<E: SveFloat>(
     let grid = b.grid().clone();
     let span = qcd_trace::span!("mg.coarse", grid.engine().ctx());
     let mut tmp = b.zero_like();
-    let mut buf = vec![0.0; grid.volume()];
     let mut space = TwoLevel {
-        fine: Canonical::new(op, &mut tmp, &mut buf),
+        fine: krylov::fused(op, &mut tmp),
         cs,
         smoother,
     };

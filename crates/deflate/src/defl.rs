@@ -21,7 +21,7 @@
 //!
 //! There is no recurrence here, and no solver per combination: deflation
 //! is a *start* of the one CG driver ([`grid::krylov`]) — [`Start::Guess`]
-//! in the canonical space. It composes with the precision ladder the same
+//! in the fused space. It composes with the precision ladder the same
 //! way: `ladder_solve_from(op, b, galerkin_guess_f16(sub, &op.apply_dag(b)),
 //! cfg)` seeds the outer double-precision loop with the f16-applied guess.
 //!
@@ -33,7 +33,7 @@
 use crate::lanczos::Subspace;
 use grid::dirac::WilsonDirac;
 use grid::field::FermionKind;
-use grid::krylov::{self, Canonical, Start, WilsonVector};
+use grid::krylov::{self, Start, WilsonVector};
 use grid::mixed::{to_precision, to_precision_into};
 use grid::{FermionField, Field, Grid};
 use sve::{SveFloat, F16};
@@ -68,7 +68,7 @@ pub fn galerkin_guess<V: WilsonVector>(sub: &Subspace<V::E>, b: &V) -> V {
             let bj = b.rhs_field(j);
             let mut x0 = Field::<FermionKind, V::E>::zero(bj.grid().clone());
             for (v, &theta) in sub.vectors.iter().zip(sub.values.iter()) {
-                let c = v.canonical_inner(&bj);
+                let c = v.inner(&bj);
                 x0.axpy_complex(c.scale(1.0 / theta), v);
             }
             x0
@@ -80,8 +80,8 @@ pub fn galerkin_guess<V: WilsonVector>(sub: &Subspace<V::E>, b: &V) -> V {
 /// The Galerkin guess with the subspace **applied at binary16**: the Ritz
 /// vectors and the right-hand side are re-laid-out to F16 fields, the
 /// projection coefficients `⟨v_i, b⟩` are canonical reductions over the
-/// f16 data, and the accumulation `x₀ += (c_i/θ_i) v_i` runs in f16
-/// arithmetic. Storing and streaming the subspace at 2 bytes/scalar is
+/// f16 data (each site summed in f32), and the accumulation
+/// `x₀ += (c_i/θ_i) v_i` runs in f16 arithmetic. Storing and streaming the subspace at 2 bytes/scalar is
 /// the point — a 16-vector subspace applied this way moves a quarter of
 /// the bytes of the f64 [`galerkin_guess`].
 ///
@@ -97,7 +97,7 @@ pub fn galerkin_guess_f16(sub: &Subspace<f64>, b: &FermionField) -> FermionField
     let mut x0_16 = Field::<FermionKind, F16>::zero(g16.clone());
     for (v, &theta) in sub.vectors.iter().zip(sub.values.iter()) {
         let v16 = to_precision(v, &g16);
-        let c = v16.canonical_inner(&b16);
+        let c = v16.inner(&b16);
         x0_16.axpy_complex(c.scale(1.0 / theta), &v16);
     }
     let mut x0 = FermionField::zero(g.clone());
@@ -124,14 +124,14 @@ pub fn defl_cg<V: WilsonVector>(
     let grid = b.grid().clone();
     let span = qcd_trace::span!("solver.deflate", grid.engine().ctx());
     let mut tmp = b.zero_like();
-    let mut buf = vec![0.0; b.nrhs() * grid.volume()];
+    let mut space = krylov::fused(op, &mut tmp);
     let region = if V::BATCHED {
         "solver.defl_block_cg"
     } else {
         "solver.defl_cg"
     };
     krylov::cg_solve(
-        &mut Canonical::new(op, &mut tmp, &mut buf),
+        &mut space,
         b,
         Start::Guess(galerkin_guess(sub, b)),
         tol,

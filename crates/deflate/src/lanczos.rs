@@ -27,9 +27,9 @@
 //!
 //! Acceptance requires eigenpairs bit-identical across SVE vector lengths
 //! and thread counts. Every scalar that steers the iteration — inner
-//! products, norms, the projected matrix — is produced by the *canonical*
-//! reductions of [`grid::Field`] (global-lexicographic scatter + fixed
-//! chunk-tree sum), which are layout- and thread-invariant. The pointwise
+//! products, norms, the projected matrix — is produced by the reductions of
+//! [`grid::Field`] (per-site values summed in global lexicographic order by
+//! a fixed tree), which are layout- and thread-invariant. The pointwise
 //! field updates and the per-site operator are vector-length-invariant
 //! already, and the dense eigensolve is fixed-order scalar arithmetic, so
 //! the whole trajectory — restart decisions included — reproduces to the
@@ -114,9 +114,9 @@ pub struct EigenReport {
     pub telemetry: qcd_trace::RegionSummary,
 }
 
-/// Normalize `f` by its canonical norm; returns the norm.
-fn canonical_normalize<E: SveFloat>(f: &mut Field<FermionKind, E>) -> f64 {
-    let n = f.canonical_norm2().sqrt();
+/// Normalize `f` by its norm; returns the norm.
+fn normalize<E: SveFloat>(f: &mut Field<FermionKind, E>) -> f64 {
+    let n = f.norm2().sqrt();
     assert!(n > 0.0, "cannot normalize a zero vector");
     f.scale(1.0 / n);
     n
@@ -133,7 +133,7 @@ fn reorthogonalize<E: SveFloat>(
     let mut coef = vec![Complex::ZERO; n];
     for _pass in 0..2 {
         for (i, c) in coef.iter_mut().enumerate() {
-            let h = basis[i].canonical_inner(w);
+            let h = basis[i].inner(w);
             w.axpy_complex(-h, &basis[i]);
             *c += h;
         }
@@ -174,7 +174,7 @@ pub fn lanczos<E: SveFloat>(
     let mut w = Field::<FermionKind, E>::zero(grid.clone());
 
     basis[0] = Field::<FermionKind, E>::random(grid.clone(), seed);
-    canonical_normalize(&mut basis[0]);
+    normalize(&mut basis[0]);
 
     // Projected matrix (row-major m×m, kept exactly symmetric).
     let mut h = vec![0.0f64; m * m];
@@ -195,7 +195,7 @@ pub fn lanczos<E: SveFloat>(
                 h[i * m + j] = c.re;
                 h[j * m + i] = c.re;
             }
-            let beta = w.canonical_norm2().sqrt();
+            let beta = w.norm2().sqrt();
             assert!(
                 beta > 0.0,
                 "Krylov breakdown: invariant subspace hit before basis filled"
@@ -227,7 +227,7 @@ pub fn lanczos<E: SveFloat>(
             for (j, v) in basis.iter().take(m).enumerate() {
                 s.axpy_inplace(vecs[j * m + c], v);
             }
-            canonical_normalize(s);
+            normalize(s);
         }
         for (c, s) in scratch.iter_mut().enumerate() {
             std::mem::swap(&mut basis[c], s);
@@ -240,11 +240,11 @@ pub fn lanczos<E: SveFloat>(
             let vk = &mut rest[0];
             for _pass in 0..2 {
                 for r in ritz.iter() {
-                    let c = r.canonical_inner(vk);
+                    let c = r.inner(vk);
                     vk.axpy_complex(-c, r);
                 }
             }
-            canonical_normalize(vk);
+            normalize(vk);
         }
         // Restarted projected matrix: diag(θ) on the kept block. The
         // arrowhead coupling column regenerates from the Gram–Schmidt
@@ -265,12 +265,12 @@ pub fn lanczos<E: SveFloat>(
         for (j, v) in basis.iter().take(m).enumerate() {
             u.axpy_inplace(q[j * m + i], v);
         }
-        canonical_normalize(&mut u);
+        normalize(&mut u);
         let mut au = Field::<FermionKind, E>::zero(grid.clone());
         op.mdag_m_into(&u, &mut tmp, &mut au);
         mvps += 1;
         au.axpy_inplace(-theta[i], &u); // au = A u − θ u
-        residuals.push(au.canonical_norm2().sqrt());
+        residuals.push(au.norm2().sqrt());
         values.push(theta[i]);
         vectors.push(u);
     }

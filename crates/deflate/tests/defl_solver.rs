@@ -82,7 +82,7 @@ fn lanczos_eigenpairs_are_validated_and_positive() {
     // Ritz vectors are orthonormal to solver accuracy.
     for i in 0..f.sub.nev() {
         for j in 0..=i {
-            let ip = f.sub.vectors[j].canonical_inner(&f.sub.vectors[i]);
+            let ip = f.sub.vectors[j].inner(&f.sub.vectors[i]);
             let want = if i == j { 1.0 } else { 0.0 };
             assert!(
                 (ip.re - want).abs() < 1e-7 && ip.im.abs() < 1e-7,
@@ -230,7 +230,7 @@ fn restriction_is_the_adjoint_of_prolongation() {
         .iter()
         .zip(&y)
         .fold(Complex::ZERO, |acc, (a, b)| acc + a.conj() * *b);
-    let rhs = fine.canonical_inner(&py);
+    let rhs = fine.inner(&py);
     assert!(
         (lhs - rhs).abs() < 1e-10 * (1.0 + rhs.abs()),
         "⟨P†f, y⟩ = {lhs:?} vs ⟨f, Py⟩ = {rhs:?}"
@@ -244,7 +244,7 @@ fn coarse_preconditioner_is_positive_definite() {
     for seed in [71u64, 72, 73] {
         let r = FermionField::random(f.grid.clone(), seed);
         let z = cs.precondition(&r);
-        let rz = r.canonical_inner(&z);
+        let rz = r.inner(&z);
         assert!(
             rz.re > 0.0 && rz.im.abs() < 1e-9 * rz.re,
             "⟨r, M⁻¹r⟩ = {rz:?} not real-positive (seed {seed})"
@@ -332,8 +332,8 @@ fn galerkin_guess_is_the_projected_exact_solve() {
     // part of the residual b − A x₀ vanishes to eigensolver accuracy.
     let ax0 = f.op.mdag_m(&x0);
     for (i, v) in f.sub.vectors.iter().enumerate() {
-        let lhs = v.canonical_inner(&ax0);
-        let rhs = v.canonical_inner(&b);
+        let lhs = v.inner(&ax0);
+        let rhs = v.inner(&b);
         assert!(
             (lhs - rhs).abs() < 1e-6,
             "direction {i}: ⟨v,Ax₀⟩ = {lhs:?} vs ⟨v,b⟩ = {rhs:?}"

@@ -78,8 +78,8 @@ proptest! {
         let op = WilsonDirac::new(random_gauge(g.clone(), seed), mass);
         let x = FermionField::random(g.clone(), seed + 2000);
         let y = FermionField::random(g, seed + 3000);
-        let lhs = op.apply_dag(&x).canonical_inner(&y);
-        let rhs = x.canonical_inner(&op.apply(&y));
+        let lhs = op.apply_dag(&x).inner(&y);
+        let rhs = x.inner(&op.apply(&y));
         let scale = lhs.abs().max(1.0);
         prop_assert!((lhs - rhs).abs() <= 1e-10 * scale, "{lhs:?} vs {rhs:?}");
     }
@@ -95,7 +95,7 @@ proptest! {
         let g = Grid::new(dims, vl, backend);
         let op = WilsonDirac::new(random_gauge(g.clone(), seed), mass);
         let x = FermionField::random(g, seed + 4000);
-        let quad = x.canonical_inner(&op.mdag_m(&x));
+        let quad = x.inner(&op.mdag_m(&x));
         prop_assert!(quad.re > 0.0, "⟨x, M†Mx⟩ = {quad:?}");
         prop_assert!(quad.im.abs() <= 1e-10 * quad.re, "⟨x, M†Mx⟩ = {quad:?}");
     }

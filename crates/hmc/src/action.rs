@@ -4,10 +4,12 @@
 //! All heavy loops run word-level through the [`grid::SimdEngine`] (one
 //! 3×3 product per virtual node per call) and are parallelized through the
 //! rayon shim using the same fixed-chunk decomposition as the solver
-//! kernels: chunks of [`reduce::CHUNK_SITES`] outer sites, reductions over
-//! a fixed binary-split tree. Forces are per-site maps (no reduction at
-//! all), actions reduce through the chunk tree — so every number produced
-//! here is bit-identical for 1, 2, or 8 worker threads.
+//! kernels: chunks of [`reduce::CHUNK_SITES`] outer sites. Forces and link
+//! updates are per-site maps (no reduction at all); the action and the
+//! kinetic energy are the canonical reductions of [`grid::reduce`] — one
+//! value per site, summed in global lexicographic order — so ΔH, and with
+//! it every accept/reject decision, is bit-identical at every vector length
+//! and worker-thread count.
 //!
 //! **Force derivation.** With `U̇_µ(x) = P_µ(x) U_µ(x)` and the Wilson
 //! action `S = β Σ_{x,µ<ν} (1 - Re tr P_{µν}/3)`, writing `Σ_µ(x)` for the
@@ -59,31 +61,6 @@ fn load_mat<K: FieldKind, const N: usize>(
     std::array::from_fn(|r| std::array::from_fn(|c| eng.load(f.word(osite, comp0 + r * 3 + c))))
 }
 
-/// Deterministic fixed-chunk sum over outer sites: ascending-osite leaves
-/// of [`reduce::CHUNK_SITES`] sites combined through the fixed binary tree,
-/// exactly like the field reductions — thread count never changes the bits.
-fn osite_tree_sum(grid: &Arc<Grid>, leaf: impl Fn(usize, usize) -> f64 + Sync) -> f64 {
-    let osites = grid.osites();
-    let n = reduce::n_chunks(osites, reduce::CHUNK_SITES);
-    let chunk_sum = |ci: usize| {
-        let lo = ci * reduce::CHUNK_SITES;
-        let hi = (lo + reduce::CHUNK_SITES).min(osites);
-        leaf(lo, hi)
-    };
-    if rayon::current_num_threads() <= 1 || n <= 1 {
-        let mut lf = chunk_sum;
-        reduce::reduce_serial(n, &mut lf, &|a, b| a + b)
-    } else {
-        let ids: Vec<usize> = (0..n).collect();
-        let leaves: Vec<f64> = ids
-            .par_chunks(1)
-            .enumerate()
-            .map(|(_, c)| chunk_sum(c[0]))
-            .collect();
-        reduce::combine_tree(&leaves, &|a, b| a + b)
-    }
-}
-
 /// `tr(M C†)` per word: `Σ_{r,k} M[r][k]·conj(C[r][k])` — the trace of a
 /// product with an adjoint without materializing the product.
 #[inline]
@@ -104,16 +81,20 @@ fn trace_mul_dag<const N: usize>(
     acc
 }
 
-/// Sum of `Re tr P_{µν}(x)` over all sites and the six `µ<ν` planes,
-/// word-level with a deterministic chunk-tree reduction.
+/// Sum of `Re tr P_{µν}(x)` over all sites and the six `µ<ν` planes: each
+/// site's six traces summed in plane order, the sites summed canonically.
 fn plaquette_re_trace_sum(u: &GaugeField) -> f64 {
     let grid = u.grid().clone();
     // U(x+d̂) for every direction, site-local after the shift.
     let shifted: Vec<GaugeField> = (0..NDIM).map(|d| cshift(u, d, 1)).collect();
+    let lanes = grid.lanes_c();
+    let mut sum = 0.0;
     grid::sized!(grid.engine(), |eng| {
-        osite_tree_sum(&grid, |lo, hi| {
-            let mut sum = 0.0;
-            for osite in lo..hi {
+        let cs = reduce::CHUNK_SITES * GaugeKind::NCOMP * eng.word_len();
+        let kernel = |ci: usize, _: &[f64], part: &mut [f64]| {
+            for (k, site) in part.chunks_exact_mut(lanes).enumerate() {
+                let osite = ci * reduce::CHUNK_SITES + k;
+                site.fill(0.0);
                 for mu in 0..NDIM {
                     let umu = load_mat(eng, u, osite, gauge_comp(mu, 0, 0));
                     for nu in (mu + 1)..NDIM {
@@ -124,20 +105,25 @@ fn plaquette_re_trace_sum(u: &GaugeField) -> f64 {
                         // trace against the last adjoint directly.
                         let m1 = mat_mul(eng, &umu, &unu_xmu);
                         let m2 = mat_mul_dag(eng, &m1, &umu_xnu);
-                        sum += eng.reduce_sum(trace_mul_dag(eng, &m2, &unu)).re;
+                        let tr = trace_mul_dag(eng, &m2, &unu);
+                        for (lane, s) in site.iter_mut().enumerate() {
+                            *s += eng.lane(tr, lane).re;
+                        }
                     }
                 }
             }
-            sum
-        })
-    })
+        };
+        let chunks = u.data().par_chunks(cs);
+        reduce::sweep_sums(&grid, chunks, kernel, std::slice::from_mut(&mut sum));
+    });
+    sum
 }
 
 /// Wilson gauge action `S = β Σ_{x,µ<ν} (1 - Re tr P_{µν}(x) / 3)`.
 ///
 /// Zero on a unit gauge configuration, `≈ 6βV` deep in the random regime.
-/// Gauge invariant, and bit-identical across 1/2/8 worker threads (fixed
-/// chunk-tree reduction).
+/// Gauge invariant, and bit-identical at every vector length and worker
+/// count (a canonical reduction).
 pub fn wilson_action(u: &GaugeField, beta: f64) -> f64 {
     let grid = u.grid().clone();
     let _span = qcd_trace::span!("hmc.action", grid.engine().ctx());
@@ -296,8 +282,8 @@ pub fn force(u: &GaugeField, beta: f64) -> GaugeField {
 }
 
 /// Kinetic energy of a momentum field: `K = -Σ_{x,µ} tr P_µ(x)²`, which for
-/// anti-Hermitian momenta is exactly the Frobenius `norm2` — reusing the
-/// field's deterministic chunk-tree reduction.
+/// anti-Hermitian momenta is exactly the Frobenius `norm2` — the field's
+/// canonical reduction.
 pub fn kinetic_energy(p: &GaugeField) -> f64 {
     p.norm2()
 }
@@ -405,19 +391,21 @@ mod tests {
     }
 
     #[test]
-    fn action_is_identical_across_vector_lengths() {
-        // Same physical field, different layouts: per-site arithmetic is
-        // lane-wise identical, but the summation order over sites follows
-        // the layout, so agreement is to rounding, not to the bit.
+    fn action_and_kinetic_energy_are_identical_across_vector_lengths() {
+        // Same physical fields, different layouts: per-site arithmetic is
+        // lane-wise identical and the sites are summed in lexicographic
+        // order, so the agreement is to the bit.
         let mut vals = Vec::new();
         for bits in [128usize, 512, 2048] {
             let g = grid4(bits);
-            let u = random_gauge(g, 52);
-            vals.push(wilson_action(&u, 5.7));
+            let u = random_gauge(g.clone(), 52);
+            let p = refresh_momenta(g, 9);
+            vals.push((
+                wilson_action(&u, 5.7).to_bits(),
+                kinetic_energy(&p).to_bits(),
+            ));
         }
-        for v in &vals[1..] {
-            assert!((v - vals[0]).abs() < 1e-8 * vals[0].abs());
-        }
+        assert!(vals.iter().all(|v| *v == vals[0]), "{vals:x?}");
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! configurations side by side.
 
 use grid::prelude::*;
-use qcd_hmc::{HmcParams, IntegratorKind, MarkovChain};
+use qcd_hmc::{
+    kinetic_energy, refresh_momenta, wilson_action, HmcParams, IntegratorKind, MarkovChain,
+};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -84,36 +86,48 @@ fn resume_is_bit_identical_to_uninterrupted_chain() {
 }
 
 #[test]
-fn trajectories_are_bit_identical_across_thread_counts() {
-    let g = grid4(256);
-
-    rayon::set_num_threads(1);
-    let mut reference = MarkovChain::cold_start(g.clone(), params(), 101);
-    reference.run(3);
-
-    for threads in [2usize, 8] {
-        rayon::set_num_threads(threads);
+fn trajectories_are_bit_identical_across_thread_counts_and_vector_lengths() {
+    // Links, ΔH, the accept sequence, and the action and kinetic energy the
+    // chain's ΔH is made of: one set of bits at every worker count and
+    // vector length (the energies are canonical reductions).
+    let run = |bits: usize| {
+        let g = grid4(bits);
         let mut chain = MarkovChain::cold_start(g.clone(), params(), 101);
         chain.run(3);
-        assert_eq!(
-            link_bits(reference.links()),
-            link_bits(chain.links()),
-            "links @ {threads} threads"
-        );
-        assert_eq!(
-            reference
-                .dh_history()
-                .iter()
-                .map(|d| d.to_bits())
-                .collect::<Vec<_>>(),
-            chain
-                .dh_history()
-                .iter()
-                .map(|d| d.to_bits())
-                .collect::<Vec<_>>(),
-            "ΔH history @ {threads} threads"
-        );
-        assert_eq!(reference.accept_history(), chain.accept_history());
+        let u = chain.links();
+        let links: Vec<u64> = g
+            .coords()
+            .flat_map(|x| {
+                (0..36).flat_map(move |comp| {
+                    let z = u.peek(&x, comp);
+                    [z.re.to_bits(), z.im.to_bits()]
+                })
+            })
+            .collect();
+        let energies = [
+            wilson_action(u, 5.7).to_bits(),
+            kinetic_energy(&refresh_momenta(g, 5)).to_bits(),
+        ];
+        let dh: Vec<u64> = chain.dh_history().iter().map(|d| d.to_bits()).collect();
+        (links, dh, chain.accept_history().to_vec(), energies)
+    };
+    rayon::set_num_threads(1);
+    let reference = run(128);
+    for bits in [128usize, 512, 2048] {
+        for threads in [1usize, 2, 8] {
+            rayon::set_num_threads(threads);
+            let got = run(bits);
+            assert!(got.0 == reference.0, "links @ VL{bits} × {threads} threads");
+            assert_eq!(
+                got.1, reference.1,
+                "ΔH history @ VL{bits} × {threads} threads"
+            );
+            assert_eq!(got.2, reference.2, "accepts @ VL{bits} × {threads} threads");
+            assert_eq!(
+                got.3, reference.3,
+                "action, kinetic energy @ VL{bits} × {threads}"
+            );
+        }
     }
     rayon::set_num_threads(0);
 }

@@ -27,7 +27,7 @@ use crate::container::{Container, Record};
 use crate::error::{IoError, Result};
 use crate::fields::{decode_field, encode_field, Cursor, FieldMeta, META_RECORD};
 use grid::codec::Precision;
-use grid::krylov::{CgSpace, Start, State, Vector, WilsonVector};
+use grid::krylov::{Start, State, WilsonVector};
 use grid::Grid;
 use qcd_trace::HealthMonitor;
 use std::ops::ControlFlow;
@@ -202,15 +202,12 @@ impl Checkpointer {
     }
 }
 
-/// The start that continues the solve of `b` in `space` from the snapshot
-/// at `path`. The right-hand side must be the one the snapshot was taken
-/// with: `|b_j|²` is recomputed in `space` — deterministically, in the
-/// inner product the stored value was taken in — and its bits must match.
-pub fn resume<S: CgSpace>(space: &mut S, b: &S::V, path: &Path) -> Result<Start<S::V>>
-where
-    S::V: WilsonVector<E = f64>,
-{
-    let state: State<S::V> = load_state(path, b.grid())?;
+/// The start that continues the solve of `b` from the snapshot at `path`,
+/// in any space. The right-hand side must be the one the snapshot was
+/// taken with: `|b_j|²` is recomputed — a canonical reduction, the same
+/// bits at any vector length and thread count — and must match.
+pub fn resume<V: WilsonVector<E = f64>>(b: &V, path: &Path) -> Result<Start<V>> {
+    let state: State<V> = load_state(path, b.grid())?;
     let mut b_norm2 = vec![0.0; state.nrhs()];
     if b_norm2.len() != b.nrhs() {
         return Err(bad_scalars(format!(
@@ -219,7 +216,7 @@ where
             b.nrhs()
         )));
     }
-    space.norms2(b, &mut b_norm2);
+    b.norms2_into(&mut b_norm2);
     for (j, (stored, recomputed)) in state.b_norm2.iter().zip(&b_norm2).enumerate() {
         if recomputed.to_bits() != stored.to_bits() {
             return Err(bad_scalars(format!(

@@ -1,11 +1,9 @@
 //! Resume-equivalence tests: a solve killed mid-flight and restored from
 //! its on-disk checkpoint must retrace the uninterrupted iteration
-//! sequence bit-for-bit — at either width, in a layout or a canonical
-//! space: durability is an observer of the one `cg_solve`, not a solver.
+//! sequence bit-for-bit — at either width, in any space: durability is an
+//! observer of the one `cg_solve`, not a solver.
 
-use grid::krylov::{
-    self, fused, Allocating, Canonical, CgSpace, Start, State, Vector, WilsonVector,
-};
+use grid::krylov::{self, fused, Allocating, CgSpace, Start, State, Vector, WilsonVector};
 use grid::prelude::*;
 use qcd_io::{load_state, read_field, resume, save_state, write_field, Checkpointer, IoError};
 use std::path::PathBuf;
@@ -78,7 +76,7 @@ where
     let on_disk: State<S::V> = load_state(&path, b.grid()).unwrap();
     assert!(on_disk.iterations.iter().all(|&n| n == 10));
 
-    let start = resume(space, b, &path).unwrap();
+    let start = resume(b, &path).unwrap();
     let (x, resumed, _) = durable(space, b, start, MAX_ITER, 50, &path);
     for j in 0..b.nrhs() {
         assert_eq!(
@@ -146,36 +144,12 @@ fn block_cg_killed_and_resumed_from_disk_is_bit_identical() {
 }
 
 #[test]
-fn canonical_solves_resume_bit_identically_at_both_widths() {
-    // What no `*_checkpointed` function ever reached: the canonical space.
-    let (op, b0) = setup();
-    let mut buf = vec![0.0; 2 * b0.grid().volume()];
-
-    let mut tmp_field = b0.zero_like();
-    let vol = b0.grid().volume();
-    let [(_, reference), (_, resumed)] = kill_and_resume(
-        &mut Canonical::new(&op, &mut tmp_field, &mut buf[..vol]),
-        &b0,
-        "canonical.qio",
-    );
-    assert_same_solve(&reference, &resumed);
-
-    let b = two_rhs(&b0, 86);
-    let mut tmp_block = b.zero_like();
-    let [(_, reference), (_, resumed)] = kill_and_resume(
-        &mut Canonical::new(&op, &mut tmp_block, &mut buf),
-        &b,
-        "canonical_blk.qio",
-    );
-    assert_same_block_solve(&reference, &resumed);
-}
-
-#[test]
 fn a_checkpoint_is_interchangeable_between_spaces_with_the_same_bits() {
     // A checkpoint written in the allocating closure space, resumed in the
-    // allocation-free layout space (the fused `M†M` + curvature-dot
-    // kernel), retraces the fused reference solve bit for bit — the fused
-    // kernels retire the same engine ops in the same order.
+    // allocation-free fused space (the fused `M†M` + curvature-dot kernel),
+    // retraces the fused reference solve bit for bit — the fused kernels
+    // retire the same engine ops in the same order and take the same
+    // reductions.
     let (op, b) = setup();
     let (x_ref, reference) = cg(&op, &b, TOL, MAX_ITER);
 
@@ -186,7 +160,7 @@ fn a_checkpoint_is_interchangeable_between_spaces_with_the_same_bits() {
 
     let mut tmp_field = b.zero_like();
     let mut space = fused(&op, &mut tmp_field);
-    let start = resume(&mut space, &b, &path).unwrap();
+    let start = resume(&b, &path).unwrap();
     let (x, resumed, _) = durable(&mut space, &b, start, MAX_ITER, MAX_ITER, &path);
     assert_eq!(x.max_abs_diff(&x_ref), 0.0);
     assert_same_solve(&reference, &resumed);
@@ -247,27 +221,24 @@ where
 {
     let path = tmp(file);
     durable(space, b, Start::Zero, 12, 5, &path);
-    match resume(space, other, &path) {
+    match resume(other, &path) {
         Err(IoError::BadRecord { record, msg }) => {
             assert_eq!(record, "state.scalars");
             assert!(msg.contains(&format!("right-hand side {index}")), "{msg}");
         }
         other => panic!("expected a right-hand-side mismatch, got {:?}", other.err()),
     }
-    assert!(resume(space, b, &path).is_ok());
+    assert!(resume(b, &path).is_ok());
 }
 
 #[test]
 fn resuming_against_the_wrong_rhs_is_refused_by_index_in_every_space() {
     let (op, b0) = setup();
-    let vol = b0.grid().volume();
     let b = two_rhs(&b0, 85);
     // Swap out the second right-hand side only: the error must name it.
     let other_b = two_rhs(&b0, 998);
     let other_b0 = FermionField::random(b0.grid().clone(), 999);
     let (mut tmp_field, mut tmp_block) = (b0.zero_like(), b.zero_like());
-    let (mut tmp_field2, mut tmp_block2) = (b0.zero_like(), b.zero_like());
-    let mut buf = vec![0.0; 2 * vol];
 
     let fused_field = &mut fused(&op, &mut tmp_field);
     wrong_rhs_is_refused(fused_field, &b0, &other_b0, 0, "wrong_rhs.qio");
@@ -276,26 +247,16 @@ fn resuming_against_the_wrong_rhs_is_refused_by_index_in_every_space() {
     // A checkpoint of one width is not the other's, whatever it holds.
     for (wrong_width, path) in [
         (
-            resume(fused_field, &b0, &tmp("wrong_rhs_blk.qio")).err(),
+            resume(&b0, &tmp("wrong_rhs_blk.qio")).err(),
             "block as field",
         ),
-        (
-            resume(fused_block, &b, &tmp("wrong_rhs.qio")).err(),
-            "field as block",
-        ),
+        (resume(&b, &tmp("wrong_rhs.qio")).err(), "field as block"),
     ] {
         assert!(
             matches!(wrong_width, Some(IoError::BadRecord { .. })),
             "{path}"
         );
     }
-
-    // Canonical spaces store canonical `|b|²`: the guard compares in the
-    // space's own inner product, so it holds (and passes) there too.
-    let canonical = &mut Canonical::new(&op, &mut tmp_field2, &mut buf[..vol]);
-    wrong_rhs_is_refused(canonical, &b0, &other_b0, 0, "wrong_rhs_canonical.qio");
-    let canonical = &mut Canonical::new(&op, &mut tmp_block2, &mut buf);
-    wrong_rhs_is_refused(canonical, &b, &other_b, 1, "wrong_rhs_canonical_blk.qio");
 }
 
 #[test]

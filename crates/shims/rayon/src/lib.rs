@@ -12,7 +12,9 @@
 //! - `par_chunks_mut` / `par_chunks` with `enumerate()`, `for_each`, and
 //!   order-preserving `map(..).collect()` (the indexed map/collect the
 //!   deterministic field reductions need);
-//! - `zip` of two mutable chunk iterators (fused two-field solver kernels);
+//! - `zip` of two chunk iterators with as many chunks each, of any sizes
+//!   (fused solver kernels that update two fields, or that write one
+//!   reduction partial per site beside the field they sweep);
 //! - `current_num_threads()` / `set_num_threads()` with a `RAYON_NUM_THREADS`
 //!   environment override, mirroring rayon's global pool sizing.
 //!
@@ -75,11 +77,11 @@ pub fn current_num_threads() -> usize {
 /// Slices that can be split into parallel immutable chunks.
 pub trait ParallelSlice<T: Sync> {
     /// Parallel equivalent of [`slice::chunks`].
-    fn par_chunks(&self, chunk_size: usize) -> ParChunks<&[T]>;
+    fn par_chunks(&self, chunk_size: usize) -> ParChunks<Cut<&[T]>>;
 }
 
 impl<T: Sync> ParallelSlice<T> for [T] {
-    fn par_chunks(&self, chunk_size: usize) -> ParChunks<&[T]> {
+    fn par_chunks(&self, chunk_size: usize) -> ParChunks<Cut<&[T]>> {
         ParChunks::new(self, chunk_size)
     }
 }
@@ -87,56 +89,71 @@ impl<T: Sync> ParallelSlice<T> for [T] {
 /// Slices that can be split into parallel mutable chunks.
 pub trait ParallelSliceMut<T: Send> {
     /// Parallel equivalent of [`slice::chunks_mut`].
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunks<&mut [T]>;
+    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunks<Cut<&mut [T]>>;
 }
 
 impl<T: Send> ParallelSliceMut<T> for [T] {
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunks<&mut [T]> {
+    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunks<Cut<&mut [T]>> {
         ParChunks::new(self, chunk_size)
+    }
+}
+
+impl<S> ParChunks<Cut<S>> {
+    fn new(data: S, size: usize) -> Self {
+        assert!(size > 0, "chunk size must be positive");
+        ParChunks {
+            data: Cut { data, size },
+        }
     }
 }
 
 /// Marker trait so `use rayon::prelude::*` call sites that name it resolve.
 pub trait IndexedParallelIterator {}
 
-/// What a parallel chunk iterator runs over: a shared slice, a mutable
-/// slice, or a pair of them advanced in lockstep.
+/// What a parallel chunk iterator runs over: a slice cut into chunks of a
+/// size, or a pair of them advanced in lockstep.
 pub trait Chunked: Sized + Send {
     /// One chunk: `&[T]`, `&mut [T]` or a pair of chunks.
     type Chunk: Send;
-    /// Number of elements.
-    fn elems(&self) -> usize;
-    /// Serial chunks of `size` elements, in order.
-    fn chunks(self, size: usize) -> impl Iterator<Item = Self::Chunk>;
+    /// Number of chunks (at least one).
+    fn count(&self) -> usize;
+    /// The chunks, in order.
+    fn chunks(self) -> impl Iterator<Item = Self::Chunk>;
 }
 
-impl<'a, T: Sync> Chunked for &'a [T] {
+/// A slice and the size of its chunks.
+pub struct Cut<S> {
+    data: S,
+    size: usize,
+}
+
+impl<'a, T: Sync> Chunked for Cut<&'a [T]> {
     type Chunk = &'a [T];
-    fn elems(&self) -> usize {
-        self.len()
+    fn count(&self) -> usize {
+        self.data.len().div_ceil(self.size).max(1)
     }
-    fn chunks(self, size: usize) -> impl Iterator<Item = Self::Chunk> {
-        <[T]>::chunks(self, size)
+    fn chunks(self) -> impl Iterator<Item = Self::Chunk> {
+        self.data.chunks(self.size)
     }
 }
 
-impl<'a, T: Send> Chunked for &'a mut [T] {
+impl<'a, T: Send> Chunked for Cut<&'a mut [T]> {
     type Chunk = &'a mut [T];
-    fn elems(&self) -> usize {
-        self.len()
+    fn count(&self) -> usize {
+        self.data.len().div_ceil(self.size).max(1)
     }
-    fn chunks(self, size: usize) -> impl Iterator<Item = Self::Chunk> {
-        self.chunks_mut(size)
+    fn chunks(self) -> impl Iterator<Item = Self::Chunk> {
+        self.data.chunks_mut(self.size)
     }
 }
 
 impl<A: Chunked, B: Chunked> Chunked for (A, B) {
     type Chunk = (A::Chunk, B::Chunk);
-    fn elems(&self) -> usize {
-        self.0.elems()
+    fn count(&self) -> usize {
+        self.0.count()
     }
-    fn chunks(self, size: usize) -> impl Iterator<Item = Self::Chunk> {
-        self.0.chunks(size).zip(self.1.chunks(size))
+    fn chunks(self) -> impl Iterator<Item = Self::Chunk> {
+        self.0.chunks().zip(self.1.chunks())
     }
 }
 
@@ -151,18 +168,13 @@ enum Slot<C, R> {
 /// this is a direct serial loop that spawns nothing and, for `R = ()`,
 /// allocates nothing; otherwise see [`run_on_threads`]. Results come back
 /// in chunk order either way.
-fn run<S: Chunked, R: Send>(
-    data: S,
-    chunk_size: usize,
-    f: impl Fn((usize, S::Chunk)) -> R + Sync,
-) -> Vec<R> {
-    let n_chunks = data.elems().div_ceil(chunk_size).max(1);
-    let threads = current_num_threads().min(n_chunks).max(1);
+fn run<S: Chunked, R: Send>(data: S, f: impl Fn((usize, S::Chunk)) -> R + Sync) -> Vec<R> {
+    let threads = current_num_threads().min(data.count()).max(1);
     if threads <= 1 {
-        return data.chunks(chunk_size).enumerate().map(f).collect();
+        return data.chunks().enumerate().map(f).collect();
     }
     let slots = data
-        .chunks(chunk_size)
+        .chunks()
         .map(|chunk| Mutex::new(Slot::Todo(chunk)))
         .collect();
     run_on_threads(slots, threads, &f)
@@ -231,15 +243,9 @@ fn run_on_threads<C: Send, R: Send>(
 /// [`ParallelSliceMut::par_chunks_mut`], [`ParChunks::zip`]).
 pub struct ParChunks<S> {
     data: S,
-    chunk_size: usize,
 }
 
 impl<S: Chunked> ParChunks<S> {
-    fn new(data: S, chunk_size: usize) -> Self {
-        assert!(chunk_size > 0, "chunk size must be positive");
-        ParChunks { data, chunk_size }
-    }
-
     /// Pair every chunk with its index, preserving slice order.
     pub fn enumerate(self) -> EnumParChunks<S> {
         EnumParChunks { inner: self }
@@ -252,27 +258,17 @@ impl<S: Chunked> ParChunks<S> {
     {
         self.enumerate().for_each(|(_, chunk)| f(chunk));
     }
-}
 
-impl<'a, T: Send> ParChunks<&'a mut [T]> {
-    /// Pair chunk `i` of `self` with chunk `i` of `other` (both slices must
-    /// have the same length; chunking is element-wise identical).
-    pub fn zip<U: Send>(
-        self,
-        other: ParChunks<&'a mut [U]>,
-    ) -> ParChunks<(&'a mut [T], &'a mut [U])> {
+    /// Pair chunk `i` of `self` with chunk `i` of `other`. The two need not
+    /// cut their slices alike, but must have as many chunks.
+    pub fn zip<B: Chunked>(self, other: ParChunks<B>) -> ParChunks<(S, B)> {
         assert_eq!(
-            self.data.len(),
-            other.data.len(),
-            "zipped parallel chunk iterators must cover equal lengths"
-        );
-        assert_eq!(
-            self.chunk_size, other.chunk_size,
-            "zipped parallel chunk iterators must agree on chunk size"
+            self.data.count(),
+            other.data.count(),
+            "zipped parallel chunk iterators must have as many chunks"
         );
         ParChunks {
             data: (self.data, other.data),
-            chunk_size: self.chunk_size,
         }
     }
 }
@@ -289,7 +285,7 @@ impl<S: Chunked> EnumParChunks<S> {
         F: Fn((usize, S::Chunk)) + Sync,
     {
         // A `Vec<()>` never allocates.
-        run(self.inner.data, self.inner.chunk_size, f);
+        run(self.inner.data, f);
     }
 
     /// Map every `(index, chunk)` pair through `f` (order-preserving; see
@@ -319,7 +315,7 @@ impl<S: Chunked, F> MapEnumParChunks<S, F> {
         F: Fn((usize, S::Chunk)) -> R + Sync,
         R: Send,
     {
-        run(self.inner.data, self.inner.chunk_size, self.f)
+        run(self.inner.data, self.f)
     }
 }
 
@@ -451,6 +447,39 @@ mod tests {
             assert_eq!(*va, 2 * (j / 4));
             assert_eq!(*vb, 2 * (j / 4) + 1);
         }
+    }
+
+    #[test]
+    fn zip_pairs_chunks_of_different_sizes_by_index() {
+        // Eleven chunks of four words beside eleven chunks of two partials,
+        // the shape of a sweep that writes a value per site: threads never
+        // change which chunk meets which.
+        let words: Vec<usize> = (0..42).collect();
+        for threads in [1usize, 2, 8] {
+            super::set_num_threads(threads);
+            let mut partials = [0usize; 22];
+            partials
+                .par_chunks_mut(2)
+                .zip(words.par_chunks(4))
+                .enumerate()
+                .for_each(|(i, (p, w))| {
+                    p[0] = i;
+                    p[1] = w.iter().sum();
+                });
+            for (i, p) in partials.chunks(2).enumerate() {
+                assert_eq!(p[0], i, "threads={threads}");
+                assert_eq!(p[1], words.chunks(4).nth(i).unwrap().iter().sum::<usize>());
+            }
+        }
+        super::set_num_threads(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "as many chunks")]
+    fn zip_refuses_unequal_chunk_counts() {
+        let mut a = [0u8; 8];
+        let b = [0u8; 9];
+        a.par_chunks_mut(4).zip(b.par_chunks(4)).for_each(|_| {});
     }
 
     #[test]

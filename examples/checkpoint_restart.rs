@@ -106,7 +106,7 @@ fn main() {
     );
 
     // Restart: restore the state and finish the job.
-    let start = resume(&mut space, &b, &ckpt).unwrap();
+    let start = resume(&b, &ckpt).unwrap();
     let (x, resumed, _) = durable_cg(&mut space, &b, start, max_iter, 50, &ckpt);
     println!(
         "resumed CG       : {} total iterations, residual {:.3e}",

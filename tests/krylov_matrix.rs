@@ -7,14 +7,16 @@
 //! A solve is composed, not named: each cell hands `krylov::cg_solve` a
 //! space, a start and an observer (or calls the public preset that does)
 //! and fingerprints the solve: solution bits in global lexicographic site
-//! order, the full residual history, the iteration counts. A **layout**
-//! space must equal the allocating closure adapter on the same operator
-//! and start at the same vector length, bit for bit; a **canonical** space
-//! must be bit-equal across its whole row (and agree with the adapter to
-//! solver accuracy). Every cell whose vector type allows it adds a
-//! stop-at-iteration-k / restore / continue leg — the stop is the public
-//! observer hook — and every **ckpt** cell a kill / `qcd_io::resume` /
-//! continue leg through a file; both must equal the uninterrupted run.
+//! order, the full residual history, the iteration counts. Every reduction
+//! is summed in the one canonical order, so **every row is one print**:
+//! each cell must equal the row's first, bit for bit, at every vector
+//! length and thread count. Within a cell, the field and block spaces must
+//! also equal the allocating closure adapter on the same operator and
+//! start, and a block's RHS `j` the field solved alone. Every cell whose
+//! vector type allows it adds a stop-at-iteration-k / restore / continue
+//! leg — the stop is the public observer hook — and every **ckpt** cell a
+//! kill / `qcd_io::resume` / continue leg through a file; both must equal
+//! the uninterrupted run.
 //!
 //! `rayon::set_num_threads` is process-global, so the matrix is one test.
 
@@ -23,7 +25,7 @@ use std::sync::Arc;
 
 use grid::field::FermionKind;
 use grid::krylov::{
-    self, fused, Allocating, Canonical, CgSpace, Layout, Start, State, Vector, WilsonVector,
+    self, fused, Allocating, CgSpace, Operator, Start, State, Vector, WilsonVector,
 };
 use grid::layout::delex;
 use grid::mixed::to_precision;
@@ -222,7 +224,7 @@ where
     if written != 2 {
         return Err(format!("{written} snapshots, expected 2"));
     }
-    let restored = qcd_io::resume(space, b, &path).map_err(io)?;
+    let restored = qcd_io::resume(b, &path).map_err(io)?;
     let mut checkpointer = Checkpointer::every(CUT, &path);
     let (x, report) = observed(space, b, restored, TOL, BUDGET, checkpointer.observer());
     checkpointer.finish().map_err(io)?;
@@ -254,8 +256,8 @@ fn oracle(p: &Problem, b: &FermionField, start: Start<FermionField>) -> Print {
     solve(&mut space, b, start, TOL)
 }
 
-/// `a` and `b` are the same answer to solver accuracy (another inner
-/// product, or a preconditioner, walks another trajectory to it).
+/// `a` and `b` are the same answer to solver accuracy (a preconditioner
+/// walks another trajectory to it).
 fn close(a: &Print, b: &Print) -> Result<(), String> {
     let worst =
         a.x.iter()
@@ -319,8 +321,8 @@ fn moved_by_the_guess(from: StartAt, print: &Print) -> Result<(), String> {
     Ok(())
 }
 
-/// The fused field space: bit-equal to the oracle from the same start, and
-/// — from zero, undurable — the body of `cg()`.
+/// The fused field space: bit-equal to the oracle from the same start; from
+/// zero, undurable, the body of `cg()`; from the Galerkin guess, `defl_cg`.
 fn field_fused(bits: usize, from: StartAt, durable: bool) -> Result<Print, String> {
     let p = problem(bits);
     let mut tmp = p.b.zero_like();
@@ -331,15 +333,18 @@ fn field_fused(bits: usize, from: StartAt, durable: bool) -> Result<Print, Strin
         durable,
     )?;
     same("oracle", &whole, &oracle(&p, &p.b, from.start(&p, &p.b)))?;
-    if from == StartAt::Zero {
-        let (x, report) = cg(&p.op, &p.b, TOL, BUDGET);
-        same("cg()", &whole, &Print::of_single(field_bits(&x), &report))?;
-    }
+    let (x, report) = match from {
+        StartAt::Zero => cg(&p.op, &p.b, TOL, BUDGET),
+        StartAt::Galerkin => defl_cg(&p.op, &subspace(&p), &p.b, TOL, BUDGET),
+    };
+    same("preset", &whole, &Print::of_single(field_bits(&x), &report))?;
     moved_by_the_guess(from, &whole)?;
     Ok(whole)
 }
 
-/// The fused block space: per RHS bit-equal to the oracle on that field.
+/// The fused block space: per RHS bit-equal to the oracle and to the field
+/// space on that field; from zero `block_cg`, from the Galerkin guess
+/// `defl_cg` of the block and of each RHS alone.
 fn block_fused(bits: usize, from: StartAt, durable: bool) -> Result<Print, String> {
     let p = problem(bits);
     let block = FermionBlock::from_fields(&[p.b.clone(), p.b2.clone()]);
@@ -350,74 +355,31 @@ fn block_fused(bits: usize, from: StartAt, durable: bool) -> Result<Print, Strin
         || from.start(&p, &block),
         durable,
     )?;
-    for (j, b) in [&p.b, &p.b2].into_iter().enumerate() {
-        let solo = oracle(&p, b, from.start(&p, b));
-        same("oracle per RHS", &whole.rhs(j, 2), &solo)?;
-    }
-    if from == StartAt::Zero {
-        let (x, report) = block_cg(&p.op, &block, TOL, BUDGET);
-        same("block_cg()", &whole, &Print::of(block_bits(&x), &report))?;
-    }
-    moved_by_the_guess(from, &whole).map(|()| whole)
-}
-
-/// The canonical field space; from the Galerkin guess it is `defl_cg`.
-fn field_canonical(bits: usize, from: StartAt, durable: bool) -> Result<Print, String> {
-    let p = problem(bits);
-    let (mut tmp, mut buf) = (p.b.zero_like(), vec![0.0; p.grid.volume()]);
-    let whole = cell(
-        &mut Canonical::new(&p.op, &mut tmp, &mut buf),
-        &p.b,
-        || from.start(&p, &p.b),
-        durable,
-    )?;
-    close(&whole, &oracle(&p, &p.b, Start::Zero))?;
-    if from == StartAt::Galerkin {
-        let (x, report) = defl_cg(&p.op, &subspace(&p), &p.b, TOL, BUDGET);
-        same(
-            "defl_cg",
-            &whole,
-            &Print::of_single(field_bits(&x), &report),
-        )?;
-    }
-    moved_by_the_guess(from, &whole)?;
-    Ok(whole)
-}
-
-/// The canonical block space — the same `Canonical`, the same `defl_cg`:
-/// per RHS bit-equal to the canonical field space on that field.
-fn block_canonical(bits: usize, from: StartAt, durable: bool) -> Result<Print, String> {
-    let p = problem(bits);
-    let block = FermionBlock::from_fields(&[p.b.clone(), p.b2.clone()]);
-    let (mut tmp, mut buf) = (block.zero_like(), vec![0.0; 2 * p.grid.volume()]);
-    let whole = cell(
-        &mut Canonical::new(&p.op, &mut tmp, &mut buf),
-        &block,
-        || from.start(&p, &block),
-        durable,
-    )?;
-    let (mut tmp, mut buf) = (p.b.zero_like(), vec![0.0; p.grid.volume()]);
-    let mut single = Canonical::new(&p.op, &mut tmp, &mut buf);
+    let mut tmp = p.b.zero_like();
+    let mut single = fused(&p.op, &mut tmp);
     for (j, b) in [&p.b, &p.b2].into_iter().enumerate() {
         let solo = solve(&mut single, b, from.start(&p, b), TOL);
-        same("field canonical per RHS", &whole.rhs(j, 2), &solo)?;
+        same("field space per RHS", &whole.rhs(j, 2), &solo)?;
+        same("oracle per RHS", &solo, &oracle(&p, b, from.start(&p, b)))?;
     }
+    let sub = subspace(&p);
+    let (x, report) = match from {
+        StartAt::Zero => block_cg(&p.op, &block, TOL, BUDGET),
+        StartAt::Galerkin => defl_cg(&p.op, &sub, &block, TOL, BUDGET),
+    };
+    same("preset", &whole, &Print::of(block_bits(&x), &report))?;
     if from == StartAt::Galerkin {
-        let sub = subspace(&p);
-        let (x, report) = defl_cg(&p.op, &sub, &block, TOL, BUDGET);
-        same("defl_cg", &whole, &Print::of(block_bits(&x), &report))?;
         for (j, b) in [&p.b, &p.b2].into_iter().enumerate() {
             let (x, report) = defl_cg(&p.op, &sub, b, TOL, BUDGET);
             let solo = Print::of_single(field_bits(&x), &report);
             same("defl_cg per RHS", &whole.rhs(j, 2), &solo)?;
         }
     }
-    moved_by_the_guess(from, &whole)?;
-    Ok(whole)
+    moved_by_the_guess(from, &whole).map(|()| whole)
 }
 
 /// `S†S` on the even checkerboard, in place (the space `solve_eo` runs its
-/// CG in) against the same operator allocating.
+/// CG in): bit-equal to the same operator allocating.
 fn eo_schur(bits: usize, durable: bool) -> Result<Print, String> {
     let p = problem(bits);
     let a = MASS + 4.0;
@@ -433,7 +395,7 @@ fn eo_schur(bits: usize, durable: bool) -> Result<Print, String> {
     let reference = solve(&mut allocating, &rhs, Start::Zero, TOL);
 
     let (mut hop, mut tmp) = (rhs.zero_like(), rhs.zero_like());
-    let mut space = Layout::new(|v: &FermionField, ap: &mut FermionField, c: &mut [f64]| {
+    let mut space = Operator::new(|v: &FermionField, ap: &mut FermionField, c: &mut [f64]| {
         p.op.hopping_into(v, &mut hop);
         p.op.hopping_into(&hop, &mut tmp);
         ap.scale_axpy_from(a, v, -0.25 / a, &tmp);
@@ -446,7 +408,7 @@ fn eo_schur(bits: usize, durable: bool) -> Result<Print, String> {
         c[0] = v.inner(ap).re;
     });
     let whole = cell(&mut space, &rhs, || Start::Zero, durable)?;
-    close(&whole, &reference)?;
+    same("oracle", &whole, &reference)?;
     Ok(whole)
 }
 
@@ -504,7 +466,7 @@ fn fermion5(bits: usize) -> Result<Print, String> {
     let (x, report) = cg_dwf(&op, &b, TOL, BUDGET);
     let whole = Print::of_single(five_bits(&x), &report);
     // The oracle: the same operator as an allocating closure.
-    let mut space = Layout::new(|v: &Fermion5, ap: &mut Fermion5, c: &mut [f64]| {
+    let mut space = Operator::new(|v: &Fermion5, ap: &mut Fermion5, c: &mut [f64]| {
         *ap = op.ddag_d(v);
         c[0] = v.inner(ap).re;
     });
@@ -516,16 +478,16 @@ fn fermion5(bits: usize) -> Result<Print, String> {
     Ok(whole)
 }
 
-/// The one `Canonical` at binary16: the space of the ladder's inner tier.
-fn f16_canonical(bits: usize) -> Result<Print, String> {
+/// The fused space at binary16: the space of the ladder's inner tier.
+fn f16_fused(bits: usize) -> Result<Print, String> {
     let p = problem(bits);
     let g16 = Grid::<F16>::new(DIMS, VectorLength::of(bits), SimdBackend::Fcmla);
     let op = WilsonDirac::<F16>::new(to_precision(p.op.gauge(), &g16), MASS);
     let mut b = p.b.clone();
     b.scale(1.0 / p.b.norm2().sqrt()); // into binary16 range, like the ladder
     let b = to_precision(&b, &g16);
-    let (mut tmp, mut buf) = (b.zero_like(), vec![0.0; g16.volume()]);
-    let mut space = Canonical::new(&op, &mut tmp, &mut buf);
+    let mut tmp = b.zero_like();
+    let mut space = fused(&op, &mut tmp);
     // Binary16 carries ~3 digits: stop well above its floor, and cut
     // after the first iteration.
     solve_and_resume(&mut space, &b, || Start::Zero, 1e-2, 1)
@@ -542,13 +504,12 @@ fn coarse_preconditioned(bits: usize) -> Result<Print, String> {
 
 /// One row of the product: a space, a start and a durability, run at
 /// every vector length and thread count. A cell returns its print, already
-/// checked against whatever it must equal *at that vector length*; in a
-/// canonical row every cell must moreover equal the first.
+/// checked against whatever it must equal *at that vector length*; every
+/// cell must moreover equal the row's first.
 struct Row {
     space: &'static str,
     from: StartAt,
     durable: bool,
-    canonical: bool,
     cell: Cell,
 }
 
@@ -574,7 +535,7 @@ const UNREACHABLE: [(&str, &str); 9] = [
         "Fermion5 has no codec, no eigensolver and no precision twin",
     ),
     (
-        "f16 canonical × ckpt",
+        "f16 fused × ckpt",
         "the state codec stores f64 fields; the f16 tier's durable unit is the ladder's f64 iterate",
     ),
     (
@@ -598,62 +559,31 @@ const UNREACHABLE: [(&str, &str); 9] = [
 #[test]
 fn every_space_conforms_across_vector_lengths_and_threads() {
     let mut rows = Vec::new();
-    let mut row = |space, canonical, starts: &[StartAt], durabilities: &[bool], cell: Cell| {
+    let mut row = |space, starts: &[StartAt], durabilities: &[bool], cell: Cell| {
         for &from in starts {
             for &durable in durabilities {
                 rows.push(Row {
                     space,
                     from,
                     durable,
-                    canonical,
                     cell,
                 });
             }
         }
     };
     let (both, zero) = ([StartAt::Zero, StartAt::Galerkin], [StartAt::Zero]);
-    row("field fused", false, &both, &[false, true], field_fused);
-    row(
-        "field canonical",
-        true,
-        &both,
-        &[false, true],
-        field_canonical,
-    );
-    row("block fused", false, &both, &[false, true], block_fused);
-    row(
-        "block canonical",
-        true,
-        &both,
-        &[false, true],
-        block_canonical,
-    );
-    row(
-        "EO-Schur",
-        false,
-        &zero,
-        &[false, true],
-        |bits, _, durable| eo_schur(bits, durable),
-    );
-    row("dist R=1", true, &zero, &[false], |bits, _, _| {
-        dist(bits, 1)
+    row("field fused", &both, &[false, true], field_fused);
+    row("block fused", &both, &[false, true], block_fused);
+    row("EO-Schur", &zero, &[false, true], |bits, _, durable| {
+        eo_schur(bits, durable)
     });
-    row("dist R=2", true, &zero, &[false], |bits, _, _| {
-        dist_r2(bits)
+    row("dist R=1", &zero, &[false], |bits, _, _| dist(bits, 1));
+    row("dist R=2", &zero, &[false], |bits, _, _| dist_r2(bits));
+    row("Fermion5", &zero, &[false], |bits, _, _| fermion5(bits));
+    row("f16 fused", &zero, &[false], |bits, _, _| f16_fused(bits));
+    row("coarse-preconditioned", &zero, &[false], |bits, _, _| {
+        coarse_preconditioned(bits)
     });
-    row("Fermion5", false, &zero, &[false], |bits, _, _| {
-        fermion5(bits)
-    });
-    row("f16 canonical", true, &zero, &[false], |bits, _, _| {
-        f16_canonical(bits)
-    });
-    row(
-        "coarse-preconditioned",
-        true,
-        &zero,
-        &[false],
-        |bits, _, _| coarse_preconditioned(bits),
-    );
 
     let mut failures = Vec::new();
     let mut table = format!("{:<22} {:<8} {:<5}", "space", "start", "dur.");
@@ -670,13 +600,9 @@ fn every_space_conforms_across_vector_lengths_and_threads() {
         let durable = if row.durable { "ckpt" } else { "none" };
         let name = format!("{:<22} {:<8} {:<5}", row.space, start, durable);
         table += &format!("\n{name}");
-        // A canonical row is one print; a layout row is one print per
-        // vector length (the thread count never shows).
+        // A row is one print.
         let mut reference: Option<Print> = None;
         for bits in VLS {
-            if !row.canonical {
-                reference = None;
-            }
             for threads in THREADS {
                 rayon::set_num_threads(threads);
                 let cell =

@@ -129,3 +129,46 @@ fn observables_are_layout_invariant() {
     assert!((values[0].1 - values[1].1).abs() < 1e-13);
     assert!((values[0].2 - values[1].2).abs() < 1e-13);
 }
+
+#[test]
+fn hmc_trajectories_are_bit_identical_across_vector_lengths() {
+    // The links of a trajectory were always the same at every vector
+    // length; the energies are now too — action and kinetic energy are
+    // canonical reductions — so ΔH, the accept/reject decisions and the
+    // plaquettes are one set of bits, not one per layout.
+    use qcd_hmc::{HmcParams, IntegratorKind, MarkovChain};
+    let params = HmcParams {
+        beta: 5.7,
+        n_steps: 8,
+        step_size: 0.0625,
+        integrator: IntegratorKind::Omelyan,
+    };
+    let run = |bits: usize| {
+        let g = Grid::new([4, 4, 4, 4], VectorLength::of(bits), SimdBackend::Fcmla);
+        let mut chain = MarkovChain::cold_start(g.clone(), params, 11);
+        chain.thermalize(2);
+        let reports = chain.run(2);
+        let links: Vec<u64> = g
+            .coords()
+            .flat_map(|x| {
+                let u = chain.links();
+                (0..36).flat_map(move |comp| {
+                    let z = u.peek(&x, comp);
+                    [z.re.to_bits(), z.im.to_bits()]
+                })
+            })
+            .collect();
+        let per_trajectory: Vec<(u64, bool, u64)> = reports
+            .iter()
+            .map(|r| (r.dh.to_bits(), r.accepted, r.plaquette.to_bits()))
+            .collect();
+        (per_trajectory, chain.acceptance_rate().to_bits(), links)
+    };
+    let reference = run(128);
+    for bits in [512, 2048] {
+        let got = run(bits);
+        assert_eq!(got.0, reference.0, "ΔH, acceptance, plaquette at VL{bits}");
+        assert_eq!(got.1, reference.1, "acceptance rate at VL{bits}");
+        assert!(got.2 == reference.2, "links at VL{bits}");
+    }
+}
