@@ -480,16 +480,8 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
     /// of the result, in one sweep.
     fn update_norm2(&mut self, word: impl Fn(usize, &mut [E]) + Sync) -> f64 {
         let mut n = 0.0;
-        let grid = self.grid.clone();
-        let out = std::slice::from_mut(&mut n);
-        update_norms2(
-            &grid,
-            &mut self.data,
-            K::NCOMP,
-            &[true],
-            |_, off, w| word(off, w),
-            out,
-        );
+        let Field { grid, data, .. } = self;
+        update_norms2(grid, data, K::NCOMP, word, std::slice::from_mut(&mut n));
         n
     }
 
@@ -539,33 +531,26 @@ fn norms2<E: SveFloat>(grid: &Grid<E>, a: &[E], ncomp: usize, out: &mut [f64]) {
 }
 
 /// One sweep over storage of `out.len()` right-hand sides of `ncomp`
-/// components per site: every word of an active RHS `j` is rewritten by
-/// `word(j, offset, word)`, and `out[j]` is `|·|²` of the result. An
-/// inactive RHS is not touched and its `out` entry is zero.
+/// components per site: every word is rewritten by `word(offset, word)`,
+/// and `out[j]` is `|·|²` of RHS `j` of the result.
 fn update_norms2<E: SveFloat>(
     grid: &Grid<E>,
     data: &mut [E],
     ncomp: usize,
-    active: &[bool],
-    word: impl Fn(usize, usize, &mut [E]) + Sync,
+    word: impl Fn(usize, &mut [E]) + Sync,
     out: &mut [f64],
 ) {
-    let (nrhs, lanes) = (out.len(), grid.lanes_c());
+    let lanes = grid.lanes_c();
     let (w, rhs) = (2 * lanes, ncomp * 2 * lanes);
-    let cs = reduce::CHUNK_SITES * nrhs * rhs;
+    let cs = reduce::CHUNK_SITES * out.len() * rhs;
     let kernel = |ci: usize, chunk: &mut [E], part: &mut [f64]| {
         let segments = chunk
             .chunks_exact_mut(rhs)
             .zip(part.chunks_exact_mut(lanes));
         for (s, (seg, p)) in segments.enumerate() {
-            let j = s % nrhs;
-            if !active[j] {
-                p.fill(0.0);
-                continue;
-            }
             let base = ci * cs + s * rhs;
             for (k, sw) in seg.chunks_exact_mut(w).enumerate() {
-                word(j, base + k * w, sw);
+                word(base + k * w, sw);
             }
             reduce::site_dots::<E>(seg, seg, p);
         }
@@ -931,15 +916,13 @@ impl<E: SveFloat> FermionBlock<E> {
     pub fn sub_norms2(&mut self, x: &FermionBlock<E>, y: &FermionBlock<E>, out: &mut [f64]) {
         self.assert_compatible(x);
         self.assert_compatible(y);
-        let active = vec![true; self.nrhs];
         crate::sized!(self.grid.engine(), |eng| {
             let (w, xd, yd) = (eng.word_len(), x.data(), y.data());
-            let word = |_, off: usize, sw: &mut [E]| {
+            let word = |off: usize, sw: &mut [E]| {
                 let r = eng.sub(eng.load(&xd[off..off + w]), eng.load(&yd[off..off + w]));
                 eng.store(sw, r);
             };
-            let ncomp = FermionKind::NCOMP;
-            update_norms2(&self.grid, &mut self.data, ncomp, &active, word, out);
+            update_norms2(&self.grid, &mut self.data, FermionKind::NCOMP, word, out);
         })
     }
 

@@ -321,10 +321,10 @@ pub fn fused<'a, V: WilsonVector>(
 /// The allocating closure adapter: any hermitian positive-definite
 /// operator given as `Fn(&F) -> F` (the shape Grid's `ConjugateGradient`
 /// template takes, and the oracle the conformance matrix compares every
-/// other space against). It allocates the operator output every iteration,
-/// takes the curvature as a separate inner product, and opens an `iter`
-/// span per iteration — bit-identical to the fused spaces on the same
-/// operator all the same.
+/// other space against). It
+/// allocates the operator output every iteration, takes the curvature as a
+/// separate inner product, and opens an `iter` span per iteration —
+/// bit-identical to the fused spaces on the same operator all the same.
 pub struct Allocating<E: SveFloat, F> {
     grid: Arc<Grid<E>>,
     op: F,
