@@ -33,10 +33,10 @@
 //! [`dist_cg`] threads the overlapped operator through the
 //! Hestenes–Stiefel recurrence with **canonical scalars**: every inner
 //! product and norm is assembled per site, allgathered into global lexical
-//! order ([`RankCtx::ring_allgather`]), and summed by the deterministic
-//! chunk tree of [`reduce`] over the *global* volume — so α and β (and
-//! therefore every iterate) are bitwise independent of the rank count, the
-//! vector length, and the worker thread count.
+//! order ([`RankCtx::ring_allgather`]), and summed by
+//! [`canonical_sum`] over the *global* volume — so α and β (and therefore
+//! every iterate) are bitwise independent of the rank count, the vector
+//! length, and the worker thread count.
 //!
 //! [`RankTopology`]: crate::topology::RankTopology
 //! [`RankCtx::post_face_send`]: crate::comms::RankCtx::post_face_send

@@ -200,7 +200,7 @@ impl<E: SveFloat> Grid<E> {
     /// The storage slot `osite · lanes_c + lane` of every site, in global
     /// lexicographic site order: the permutation through which a reduction
     /// reads per-site values a sweep wrote in storage order.
-    pub fn lex_slots(&self) -> &[u32] {
+    pub(crate) fn lex_slots(&self) -> &[u32] {
         &self.lex_slots
     }
 

@@ -8,11 +8,11 @@
 //! any vector length, thread count and rank count is the *same* solve.
 //!
 //! Every field-to-scalar reduction therefore has one shape. A sweep computes
-//! one value per lattice site ([`site_dot`]: the site's components summed in
+//! one value per lattice site (`site_dot`: the site's components summed in
 //! order, in `f64`, or `f32` for binary16) and writes it, in storage order,
 //! into its own chunk of a buffer each thread keeps and reuses
 //! ([`sweep_sums`]); [`canonical_sum`] then reads those values through the
-//! grid's lexicographic → storage permutation ([`Grid::lex_slots`]) and sums
+//! grid's lexicographic → storage permutation (`Grid::lex_slots`) and sums
 //! them in global lexicographic site order with a fixed tree — chunks of
 //! [`CHUNK_SITES`] values summed left to right, chunk sums combined by
 //! binary split. The grouping depends only on the lattice extents: threads
@@ -62,9 +62,9 @@ thread_local! {
 /// Run a reduction sweep and sum it canonically: in one parallel region,
 /// `kernel(chunk index, chunk of data, partials)` runs over the reduction
 /// chunks of `data` (each [`CHUNK_SITES`] outer sites of `grid`) and writes
-/// `out.len()` rows of per-site values — `partials[(k · rows + row) · lanes
-/// + lane]` for outer site `k` of the chunk. Then `out[row]` is the
-/// [`canonical_sum`] of row `row` over the whole lattice.
+/// `out.len()` rows of per-site values, lane `l` of row `r` of the chunk's
+/// outer site `k` at `partials[(k * rows + r) * lanes + l]`. Then `out[r]`
+/// is the [`canonical_sum`] of row `r` over the whole lattice.
 pub fn sweep_sums<E: SveFloat, S: Chunked>(
     grid: &Grid<E>,
     data: ParChunks<S>,
