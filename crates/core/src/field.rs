@@ -916,6 +916,7 @@ impl<E: SveFloat> FermionBlock<E> {
     pub fn sub_norms2(&mut self, x: &FermionBlock<E>, y: &FermionBlock<E>, out: &mut [f64]) {
         self.assert_compatible(x);
         self.assert_compatible(y);
+        assert_eq!(out.len(), self.nrhs);
         crate::sized!(self.grid.engine(), |eng| {
             let (w, xd, yd) = (eng.word_len(), x.data(), y.data());
             let word = |off: usize, sw: &mut [E]| {
@@ -956,6 +957,7 @@ pub fn block_cg_update_x_r<E: SveFloat>(
     x.assert_compatible(ap);
     assert_eq!(alpha.len(), x.nrhs);
     assert_eq!(active.len(), x.nrhs);
+    assert_eq!(r2.len(), x.nrhs);
     let vectors = (p.data.as_slice(), ap.data.as_slice());
     cg_updates(
         &mut x.data,

@@ -3,10 +3,10 @@
 //! Every reduction sums one value per site in global lexicographic order
 //! (`grid::reduce`), so `inner`, `norm2`, the fused `*_norm2` sweeps, the CG
 //! update and the curvature fused into `mdag_m_into_dot` produce the same
-//! bits whether they run on 1, 2 or 8 workers and at every vector length —
-//! at f64, f32 and binary16 — and every fused form equals the standalone
-//! sweeps it replaces: the property that makes checkpoints, residual
-//! histories and CI logs reproducible across machines.
+//! bits, and write the same fields, whether they run on 1, 2 or 8 workers
+//! and at every vector length — at f64, f32 and binary16 — and every fused
+//! form equals the standalone sweeps it replaces: the property that makes
+//! checkpoints, residual histories and CI logs reproducible across machines.
 //!
 //! `rayon::set_num_threads` mutates process-global state, so this file is a
 //! single `#[test]` in its own integration-test binary.
@@ -14,55 +14,64 @@
 use grid::field::FermionKind;
 use grid::krylov::Vector;
 use grid::prelude::*;
-use grid::Field;
+use grid::{Field, FieldKind};
 use sve::{SveFloat, F16};
 
-/// Every reduction of two random fields at `bits`, as bits, after checking
-/// each fused form against its standalone sweeps at that vector length.
+/// Every reduction of two random fields at `bits`, and every field a fused
+/// sweep writes (read in global lexicographic order), as bits, after
+/// checking each fused form against its standalone sweeps at that vector
+/// length.
 fn sample<E: SveFloat>(bits: usize) -> Vec<u64> {
     let g = Grid::<E>::new([4, 4, 4, 8], VectorLength::of(bits), SimdBackend::Fcmla);
     let x = Field::<FermionKind, E>::random(g.clone(), 41);
     let y = Field::<FermionKind, E>::random(g.clone(), 42);
-    let same = |what: &str, fused: (&Field<FermionKind, E>, f64), parts: (&Field<_, E>, f64)| {
-        assert_eq!(fused.0.max_abs_diff(parts.0), 0.0, "{what} field");
-        assert_eq!(fused.1.to_bits(), parts.1.to_bits(), "{what} reduction");
-        fused.1.to_bits()
-    };
     let ip = x.inner(&y);
     let mut out = vec![ip.re.to_bits(), ip.im.to_bits(), x.norm2().to_bits()];
+    let mut same =
+        |what: &str, fused: (&Field<FermionKind, E>, f64), parts: (&Field<_, E>, f64)| {
+            assert_eq!(fused.0.max_abs_diff(parts.0), 0.0, "{what} field");
+            assert_eq!(fused.1.to_bits(), parts.1.to_bits(), "{what} reduction");
+            out.push(fused.1.to_bits());
+            for c in g.coords() {
+                for comp in 0..FermionKind::NCOMP {
+                    let z = fused.0.peek(&c, comp);
+                    out.extend([z.re.to_bits(), z.im.to_bits()]);
+                }
+            }
+        };
 
     let (mut fused, mut parts) = (y.clone(), y.clone());
     let n = fused.axpy_norm2(-0.375, &x);
     parts.axpy_inplace(-0.375, &x);
-    out.push(same("axpy_norm2", (&fused, n), (&parts, parts.norm2())));
+    same("axpy_norm2", (&fused, n), (&parts, parts.norm2()));
 
     let a = Complex::new(0.25, -0.5);
     let (mut fused, mut parts) = (y.clone(), y.clone());
     let n = fused.caxpy_norm2(a, &x);
     parts.axpy_complex(a, &x);
-    out.push(same("caxpy_norm2", (&fused, n), (&parts, parts.norm2())));
+    same("caxpy_norm2", (&fused, n), (&parts, parts.norm2()));
 
     let (mut fused, mut parts) = (y.zero_like(), y.zero_like());
     let n = fused.sub_norm2(&x, &y);
     parts.sub(&x, &y);
-    out.push(same("sub_norm2", (&fused, n), (&parts, parts.norm2())));
+    same("sub_norm2", (&fused, n), (&parts, parts.norm2()));
 
     let (mut fx, mut fr, mut px, mut pr) = (x.clone(), y.clone(), x.clone(), y.clone());
     let n = cg_update_x_r(&mut fx, &mut fr, 0.6875, &y, &x);
     px.axpy_inplace(0.6875, &y);
     pr.axpy_inplace(-0.6875, &x);
-    assert_eq!(fx.max_abs_diff(&px), 0.0, "cg_update_x_r iterate");
-    out.push(same("cg_update_x_r", (&fr, n), (&pr, pr.norm2())));
+    same("cg_update_x_r iterate", (&fx, 0.0), (&px, 0.0));
+    same("cg_update_x_r", (&fr, n), (&pr, pr.norm2()));
 
     let op = WilsonDirac::<E>::new(random_gauge(g.clone(), 43), 0.3);
     let (mut tmp, mut fused, mut parts) = (x.zero_like(), x.zero_like(), x.zero_like());
     let dot = op.mdag_m_into_dot(&x, &mut tmp, &mut fused);
     op.mdag_m_into(&x, &mut tmp, &mut parts);
-    out.push(same(
+    same(
         "mdag_m_into_dot",
         (&fused, dot),
         (&parts, x.inner(&parts).re),
-    ));
+    );
     out
 }
 
