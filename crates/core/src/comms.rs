@@ -11,27 +11,25 @@
 //! data compression upon data exchange over the communications network"
 //! (Section V-B).
 //!
-//! Two exchange styles coexist:
+//! A face moves in two halves: [`RankCtx::post_face_send`] queues it and
+//! returns, and [`RankCtx::wait_face_into`] blocks until the neighbour's
+//! face lands. A caller posts its face sends, overlaps interior compute
+//! while the halos are in flight, and only then blocks on the faces it
+//! needs — the comms/compute overlap the distributed operator
+//! ([`DistWilson`](crate::dist::DistWilson)) is built on. Message flight
+//! time is simulated by a [`NetworkModel`], so the *exposed* wait time
+//! (`comms.wait`) can be compared against the total flight time to measure
+//! how much communication the interior sweep actually hid.
 //!
-//! * the blocking [`RankCtx::exchange_dim`] (send both faces, wait for
-//!   both), which the `cshift`-composed operators below use, and
-//! * the split [`RankCtx::post_face_send`] / [`RankCtx::wait_face_into`]
-//!   pair, which lets a caller post its face sends, overlap interior
-//!   compute while the halos are in flight, and only then block on the
-//!   faces it needs — the comms/compute overlap the distributed operator
-//!   ([`DistWilson`](crate::dist::DistWilson)) is built on. Message flight
-//!   time is simulated by a [`NetworkModel`], so the *exposed* wait time
-//!   (`comms.wait`) can be compared against the total flight time to
-//!   measure how much communication the interior sweep actually hid.
+//! A rank that panics drops its channel ends, so its neighbours fail with
+//! "neighbour hung up" rather than wait for it, and
+//! [`run_multinode_topo`] hands the panic to its caller.
 //!
 //! Halo payloads travel as [`HaloMsg`] buffers that are recycled through a
 //! per-rank shell pool ([`HaloMsg::encode_into_shell`] /
 //! [`HaloMsg::decode_into`]), so the steady state of a distributed solve
 //! performs no allocation in the comms layer.
 
-use crate::cshift::cshift;
-use crate::dirac::{mult_gauge, proj_recon};
-use crate::field::{FermionField, Field, FieldKind, GaugeField};
 use crate::layout::{Coor, Grid, NDIM};
 use crate::simd::SimdBackend;
 use crate::topology::RankTopology;
@@ -183,7 +181,7 @@ impl HaloMsg {
 
 /// A latency/bandwidth model for the simulated interconnect. Each posted
 /// face is stamped with a modeled flight time; the receiver's
-/// [`RankCtx::wait_face_msg`] refuses to hand the message over before the
+/// [`RankCtx::wait_face_into`] refuses to hand the message over before the
 /// flight completes, so a rank that does *not* overlap compute with its
 /// halos pays the full flight time as exposed `comms.wait`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -432,7 +430,11 @@ impl RankCtx {
     /// post stamp rather than real blocked wall time so it survives rank
     /// threads timesharing cores, where channel waits reflect scheduler
     /// skew instead of the modeled fabric.
-    pub fn wait_face_msg(&self, d: usize, from_next: bool) -> HaloMsg {
+    ///
+    /// The face is decoded into `out`, a reusable face buffer, and its
+    /// message shell goes back to the pool: the whole path is
+    /// allocation-free in the steady state.
+    pub fn wait_face_into(&self, d: usize, from_next: bool, out: &mut [f64]) {
         let links = self.dim_links(d);
         let rx = if from_next {
             &links.recv_next
@@ -471,55 +473,8 @@ impl RankCtx {
                 ],
             );
         }
-        face.msg
-    }
-
-    /// [`wait_face_msg`](RankCtx::wait_face_msg), decoded into a reusable
-    /// face buffer; the message shell goes back to the pool. The whole path
-    /// is allocation-free in the steady state.
-    pub fn wait_face_into(&self, d: usize, from_next: bool, out: &mut [f64]) {
-        let msg = self.wait_face_msg(d, from_next);
-        msg.decode_into(out);
-        self.recycle_shell(msg);
-    }
-
-    /// Exchange halo slices with both neighbours along split dimension `d`
-    /// (periodic ring): sends `to_next` toward the +d neighbour and
-    /// `to_prev` toward the −d neighbour; returns `(from_prev, from_next)`.
-    ///
-    /// This is the blocking composition of [`post_face_send`] and
-    /// [`wait_face_msg`]: no compute is overlapped, so the full modeled
-    /// flight time shows up as exposed wait.
-    ///
-    /// [`post_face_send`]: RankCtx::post_face_send
-    /// [`wait_face_msg`]: RankCtx::wait_face_msg
-    pub fn exchange_dim(
-        &self,
-        d: usize,
-        to_next: &[f64],
-        to_prev: &[f64],
-        compression: Compression,
-    ) -> (Vec<f64>, Vec<f64>) {
-        let _span = qcd_trace::span!("comms.exchange");
-        self.post_face_send(d, true, to_next, compression);
-        self.post_face_send(d, false, to_prev, compression);
-        let prev_msg = self.wait_face_msg(d, false);
-        let next_msg = self.wait_face_msg(d, true);
-        let from_prev = prev_msg.decode();
-        let from_next = next_msg.decode();
-        self.recycle_shell(prev_msg);
-        self.recycle_shell(next_msg);
-        (from_prev, from_next)
-    }
-
-    /// Legacy single-dimension exchange along the default split (time).
-    pub fn exchange(
-        &self,
-        to_next: &[f64],
-        to_prev: &[f64],
-        compression: Compression,
-    ) -> (Vec<f64>, Vec<f64>) {
-        self.exchange_dim(SPLIT_DIM, to_next, to_prev, compression)
+        face.msg.decode_into(out);
+        self.recycle_shell(face.msg);
     }
 
     /// Ring allgather: `visit` sees every rank's slab exactly once (own
@@ -588,7 +543,7 @@ pub fn run_multinode_topo<T: Send>(
         .map(|_| bounded::<RingSlab>(FACES_IN_FLIGHT))
         .collect();
 
-    let mut ctxs: Vec<RankCtx> = (0..nranks)
+    let ctxs: Vec<RankCtx> = (0..nranks)
         .map(|r| {
             let rank_coor = topo.rank_coor(r);
             let offset = topo.offset(r, &global_dims);
@@ -629,16 +584,25 @@ pub fn run_multinode_topo<T: Send>(
             }
         })
         .collect();
+    // Every channel end now lives in exactly one rank's context, and each
+    // context moves into its rank's thread: a rank that panics drops its
+    // ends while unwinding, so a neighbour waiting on it — or blocked
+    // sending to it — fails with "hung up" instead of waiting forever.
+    drop((fwd, bwd, ring));
 
     std::thread::scope(|scope| {
         let handles: Vec<_> = ctxs
-            .iter_mut()
+            .into_iter()
             .map(|ctx| {
                 let f = &f;
-                scope.spawn(move || f(ctx))
+                scope.spawn(move || f(&ctx))
             })
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+        // The first rank (in rank order) that panicked is the caller's panic.
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     })
 }
 
@@ -662,237 +626,12 @@ pub fn run_multinode_grid<T: Send>(
     )
 }
 
-/// Run `f` on `nranks` ranks, splitting `global_dims` along the time
-/// direction (the common 1-D decomposition). Returns per-rank results in
-/// rank order.
-pub fn run_multinode<T: Send>(
-    global_dims: Coor,
-    nranks: usize,
-    vl: VectorLength,
-    backend: SimdBackend,
-    f: impl Fn(&RankCtx) -> T + Sync,
-) -> Vec<T> {
-    let mut rank_grid = [1; NDIM];
-    rank_grid[SPLIT_DIM] = nranks;
-    run_multinode_grid(global_dims, rank_grid, vl, backend, f)
-}
-
-/// Serialize one slice (`x[d] = idx`) of a field, iterating the remaining
-/// coordinates in global lex order (deterministic on both ends of the
-/// wire).
-fn pack_slice<K: FieldKind>(field: &Field<K>, d: usize, idx: usize) -> Vec<f64> {
-    let grid = field.grid();
-    let dims = grid.fdims();
-    let mut out = Vec::with_capacity(grid.volume() / dims[d] * K::NCOMP * 2);
-    for coor in grid.coords() {
-        if coor[d] != idx {
-            continue;
-        }
-        for comp in 0..K::NCOMP {
-            let v = field.peek(&coor, comp);
-            out.push(v.re);
-            out.push(v.im);
-        }
-    }
-    out
-}
-
-/// Write a packed slice into `field` at `x[d] = idx`.
-fn unpack_slice<K: FieldKind>(field: &mut Field<K>, d: usize, idx: usize, data: &[f64]) {
-    let grid = field.grid().clone();
-    let mut it = data.iter();
-    for coor in grid.coords() {
-        if coor[d] != idx {
-            continue;
-        }
-        for comp in 0..K::NCOMP {
-            let re = *it.next().expect("slice underrun");
-            let im = *it.next().expect("slice underrun");
-            field.poke(&coor, comp, crate::complex::Complex::new(re, im));
-        }
-    }
-    assert!(it.next().is_none(), "slice overrun");
-}
-
-/// Distributed circular shift: local [`cshift`] plus a halo exchange when
-/// the shifted dimension is split across ranks.
-pub fn cshift_dist<K: FieldKind>(
-    ctx: &RankCtx,
-    f: &Field<K>,
-    mu: usize,
-    disp: i32,
-    compression: Compression,
-) -> Field<K> {
-    let _span = qcd_trace::span!("comms.cshift_dist");
-    let mut out = cshift(f, mu, disp);
-    if ctx.rank_grid[mu] == 1 {
-        return out;
-    }
-    let l = ctx.grid.fdims()[mu];
-    if disp == 1 {
-        // out(.., x_mu = l-1) needs f(.., x_mu = 0) of the +mu neighbour:
-        // every rank sends its own leading slice toward -mu.
-        let mine = pack_slice(f, mu, 0);
-        let (_ignored, from_next) = ctx.exchange_dim(mu, &[], &mine, compression);
-        unpack_slice(&mut out, mu, l - 1, &from_next);
-    } else {
-        // out(.., x_mu = 0) needs f(.., x_mu = l-1) of the -mu neighbour.
-        let mine = pack_slice(f, mu, l - 1);
-        let (from_prev, _ignored) = ctx.exchange_dim(mu, &mine, &[], compression);
-        unpack_slice(&mut out, mu, 0, &from_prev);
-    }
-    out
-}
-
-/// Distributed circular shift of a gauge field with a selectable link wire
-/// format: under [`GaugeWire::TwoRow`] only the first two rows of each link
-/// cross the network (24 of 36 complex components per site) and the third
-/// row is reconstructed on unpack. [`HaloMsg::wire_bytes`] and the comms
-/// telemetry counters see the *compressed* stream, so bytes-on-wire
-/// accounting is truthful for every (wire, compression) combination.
-pub fn cshift_dist_gauge(
-    ctx: &RankCtx,
-    u: &GaugeField,
-    mu: usize,
-    disp: i32,
-    wire: GaugeWire,
-    compression: Compression,
-) -> GaugeField {
-    let _span = qcd_trace::span!("comms.cshift_dist");
-    let mut out = cshift(u, mu, disp);
-    if ctx.rank_grid[mu] == 1 {
-        return out;
-    }
-    // `pack_slice` emits links in the codec's layout (18 scalars per link,
-    // row-major, re/im interleaved), so the shared two-row codec applies
-    // directly to the packed stream.
-    let shrink = |data: Vec<f64>| match wire {
-        GaugeWire::Full => data,
-        GaugeWire::TwoRow => {
-            crate::codec::compress_two_row(&data).expect("gauge slice holds whole links")
-        }
-    };
-    let expand = |data: Vec<f64>| match wire {
-        GaugeWire::Full => data,
-        GaugeWire::TwoRow => {
-            crate::codec::decompress_two_row(&data).expect("two-row slice holds whole links")
-        }
-    };
-    let l = ctx.grid.fdims()[mu];
-    if disp == 1 {
-        let mine = shrink(pack_slice(u, mu, 0));
-        let (_ignored, from_next) = ctx.exchange_dim(mu, &[], &mine, compression);
-        unpack_slice(&mut out, mu, l - 1, &expand(from_next));
-    } else {
-        let mine = shrink(pack_slice(u, mu, l - 1));
-        let (from_prev, _ignored) = ctx.exchange_dim(mu, &mine, &[], compression);
-        unpack_slice(&mut out, mu, 0, &expand(from_prev));
-    }
-    out
-}
-
-/// Distributed Wilson hopping term via the cshift composition, with halo
-/// exchange (optionally fp16-compressed) on the split-direction legs.
-pub fn hopping_dist(
-    ctx: &RankCtx,
-    u: &GaugeField,
-    psi: &FermionField,
-    compression: Compression,
-) -> FermionField {
-    let grid = psi.grid().clone();
-    let _span = qcd_trace::span!("comms.hopping_dist", grid.engine().ctx());
-    let mut out = FermionField::zero(grid.clone());
-    for mu in 0..4 {
-        let fwd_src = cshift_dist(ctx, psi, mu, 1, compression);
-        let fwd = mult_gauge(u, mu, &proj_recon(mu, true, &fwd_src), false);
-        out.add_assign_field(&fwd);
-        let bwd_pre = mult_gauge(u, mu, &proj_recon(mu, false, psi), true);
-        let bwd = cshift_dist(ctx, &bwd_pre, mu, -1, compression);
-        out.add_assign_field(&bwd);
-    }
-    out
-}
-
-/// Distributed Wilson hopping term with Grid's spin-projection compressor:
-/// only *half spinors* cross the network (6 complex components instead of
-/// 12), optionally fp16-compressed on top — together an 8x wire-volume
-/// reduction over plain double-precision full spinors.
-pub fn hopping_dist_half(
-    ctx: &RankCtx,
-    u: &GaugeField,
-    psi: &FermionField,
-    compression: Compression,
-) -> FermionField {
-    use crate::dirac::{mult_gauge_half, project_half, reconstruct_half};
-    let grid = psi.grid().clone();
-    let _span = qcd_trace::span!("comms.hopping_dist_half", grid.engine().ctx());
-    let mut out = FermionField::zero(grid.clone());
-    for mu in 0..4 {
-        // Forward: shift the projected half spinor, then U, then expand.
-        let h = project_half(mu, true, psi);
-        let hs = cshift_dist(ctx, &h, mu, 1, compression);
-        let fwd = reconstruct_half(mu, true, &mult_gauge_half(u, mu, &hs, false));
-        out.add_assign_field(&fwd);
-        // Backward: project, U†, shift the half spinor, then expand.
-        let h = project_half(mu, false, psi);
-        let uh = mult_gauge_half(u, mu, &h, true);
-        let uhs = cshift_dist(ctx, &uh, mu, -1, compression);
-        let bwd = reconstruct_half(mu, false, &uhs);
-        out.add_assign_field(&bwd);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::complex::Complex;
-    use crate::dirac::WilsonDirac;
-    use crate::rng::{stream_id, uniform};
-    use crate::tensor::su3::random_gauge;
 
     const GLOBAL: Coor = [4, 4, 4, 8];
     const VL: VectorLength = VectorLength::of(256);
-
-    /// Build rank-local fields whose content matches the global-seeded
-    /// fields site by site.
-    fn local_fermion(ctx: &RankCtx, seed: u64) -> FermionField {
-        let mut f = FermionField::zero(ctx.grid.clone());
-        for local in ctx.grid.coords() {
-            let g = ctx.to_global(&local);
-            let gidx = crate::layout::lex(&g, &ctx.global_dims);
-            for comp in 0..12 {
-                f.poke(
-                    &local,
-                    comp,
-                    Complex::new(
-                        uniform(seed, stream_id(gidx, comp, 0)),
-                        uniform(seed, stream_id(gidx, comp, 1)),
-                    ),
-                );
-            }
-        }
-        f
-    }
-
-    fn local_gauge(ctx: &RankCtx, seed: u64) -> GaugeField {
-        use crate::field::gauge_comp;
-        use crate::tensor::su3::random_su3;
-        let mut u = GaugeField::zero(ctx.grid.clone());
-        for local in ctx.grid.coords() {
-            let g = ctx.to_global(&local);
-            let gidx = crate::layout::lex(&g, &ctx.global_dims);
-            for mu in 0..4 {
-                let m = random_su3(seed, stream_id(gidx, mu, 0) | 1);
-                for r in 0..3 {
-                    for c in 0..3 {
-                        u.poke(&local, gauge_comp(mu, r, c), m[r][c]);
-                    }
-                }
-            }
-        }
-        u
-    }
 
     #[test]
     fn halo_msg_round_trips() {
@@ -989,238 +728,10 @@ mod tests {
     }
 
     #[test]
-    fn distributed_cshift_matches_global() {
-        let nranks = 2;
-        let global_grid = Grid::new(GLOBAL, VL, SimdBackend::Fcmla);
-        let global_f = FermionField::random(global_grid.clone(), 31);
-        let global_shift = cshift(&global_f, SPLIT_DIM, 1);
-
-        let locals = run_multinode(GLOBAL, nranks, VL, SimdBackend::Fcmla, |ctx| {
-            let f = local_fermion(ctx, 31);
-            let s = cshift_dist(ctx, &f, SPLIT_DIM, 1, Compression::None);
-            (ctx.offset, s)
-        });
-        for (offset, local) in &locals {
-            for lx in local.grid().coords() {
-                let gx: Coor = std::array::from_fn(|d| lx[d] + offset[d]);
-                for comp in [0usize, 5, 11] {
-                    assert_eq!(
-                        local.peek(&lx, comp),
-                        global_shift.peek(&gx, comp),
-                        "{gx:?} comp {comp}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn distributed_hopping_matches_single_rank() {
-        for nranks in [1usize, 2, 4] {
-            let global_grid = Grid::new(GLOBAL, VL, SimdBackend::Fcmla);
-            let d = WilsonDirac::new(random_gauge(global_grid.clone(), 41), 0.1);
-            let psi = FermionField::random(global_grid.clone(), 42);
-            let reference = d.hopping(&psi);
-
-            let locals = run_multinode(GLOBAL, nranks, VL, SimdBackend::Fcmla, |ctx| {
-                let u = local_gauge(ctx, 41);
-                let f = local_fermion(ctx, 42);
-                (ctx.offset, hopping_dist(ctx, &u, &f, Compression::None))
-            });
-            for (offset, local) in &locals {
-                for lx in local.grid().coords() {
-                    let gx: Coor = std::array::from_fn(|d| lx[d] + offset[d]);
-                    for comp in 0..12 {
-                        let a = local.peek(&lx, comp);
-                        let b = reference.peek(&gx, comp);
-                        assert!(
-                            (a - b).abs() < 1e-12,
-                            "nranks={nranks} {gx:?} comp {comp}: {a:?} vs {b:?}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn compressed_halos_introduce_only_f16_error() {
-        let nranks = 2;
-        let global_grid = Grid::new(GLOBAL, VL, SimdBackend::Fcmla);
-        let d = WilsonDirac::new(random_gauge(global_grid.clone(), 51), 0.1);
-        let psi = FermionField::random(global_grid.clone(), 52);
-        let reference = d.hopping(&psi);
-
-        let locals = run_multinode(GLOBAL, nranks, VL, SimdBackend::Fcmla, |ctx| {
-            let u = local_gauge(ctx, 51);
-            let f = local_fermion(ctx, 52);
-            let h = hopping_dist(ctx, &u, &f, Compression::F16);
-            (ctx.offset, h, ctx.sent_bytes.get())
-        });
-        let mut worst: f64 = 0.0;
-        for (offset, local, sent) in &locals {
-            assert!(*sent > 0, "compression path must actually send bytes");
-            for lx in local.grid().coords() {
-                let gx: Coor = std::array::from_fn(|d| lx[d] + offset[d]);
-                for comp in 0..12 {
-                    let a = local.peek(&lx, comp);
-                    let b = reference.peek(&gx, comp);
-                    worst = worst.max((a - b).abs());
-                }
-            }
-        }
-        // Interior untouched; boundary error bounded by f16 epsilon times
-        // the data scale (|spinor| <= 1, SU(3) row norm 1, 8 legs).
-        assert!(worst > 0.0, "f16 must actually round something");
-        assert!(worst < 0.05, "worst error {worst} exceeds f16 budget");
-    }
-
-    #[test]
-    fn half_spinor_exchange_matches_full_spinor_exchange() {
-        let nranks = 2;
-        let global_grid = Grid::new(GLOBAL, VL, SimdBackend::Fcmla);
-        let d = WilsonDirac::new(random_gauge(global_grid.clone(), 71), 0.1);
-        let psi = FermionField::random(global_grid.clone(), 72);
-        let reference = d.hopping(&psi);
-
-        let locals = run_multinode(GLOBAL, nranks, VL, SimdBackend::Fcmla, |ctx| {
-            let u = local_gauge(ctx, 71);
-            let f = local_fermion(ctx, 72);
-            let h = hopping_dist_half(ctx, &u, &f, Compression::None);
-            (ctx.offset, h, ctx.sent_bytes.get())
-        });
-        for (offset, local, _) in &locals {
-            for lx in local.grid().coords().step_by(3) {
-                let gx: Coor = std::array::from_fn(|d| lx[d] + offset[d]);
-                for comp in 0..12 {
-                    let a = local.peek(&lx, comp);
-                    let b = reference.peek(&gx, comp);
-                    assert!((a - b).abs() < 1e-11, "{gx:?} comp {comp}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn spin_projection_halves_the_wire_volume() {
-        let volume = |half: bool, comp: Compression| -> usize {
-            run_multinode(GLOBAL, 2, VL, SimdBackend::Fcmla, |ctx| {
-                let u = local_gauge(ctx, 73);
-                let f = local_fermion(ctx, 74);
-                if half {
-                    let _ = hopping_dist_half(ctx, &u, &f, comp);
-                } else {
-                    let _ = hopping_dist(ctx, &u, &f, comp);
-                }
-                ctx.sent_bytes.get()
-            })
-            .into_iter()
-            .sum()
-        };
-        let full_f64 = volume(false, Compression::None);
-        let half_f64 = volume(true, Compression::None);
-        let half_f16 = volume(true, Compression::F16);
-        assert_eq!(
-            full_f64,
-            2 * half_f64,
-            "spin projection must halve wire volume"
-        );
-        assert_eq!(half_f64, 4 * half_f16, "fp16 must quarter it again");
-        assert_eq!(full_f64, 8 * half_f16, "combined: 8x reduction");
-    }
-
-    #[test]
-    fn two_row_gauge_halo_matches_full_wire() {
-        // A two-row gauge halo must reproduce the full-wire shift to the
-        // SU(3) reconstruction bound: links are unitary, so rebuilding the
-        // third row as the conjugate cross product is exact to rounding.
-        let nranks = 2;
-        let shifted = |wire: GaugeWire| {
-            run_multinode(GLOBAL, nranks, VL, SimdBackend::Fcmla, |ctx| {
-                let u = local_gauge(ctx, 91);
-                cshift_dist_gauge(ctx, &u, SPLIT_DIM, 1, wire, Compression::None)
-            })
-        };
-        let full = shifted(GaugeWire::Full);
-        let two_row = shifted(GaugeWire::TwoRow);
-        let mut worst: f64 = 0.0;
-        for (a, b) in full.iter().zip(&two_row) {
-            for lx in a.grid().coords() {
-                for comp in 0..36 {
-                    worst = worst.max((a.peek(&lx, comp) - b.peek(&lx, comp)).abs());
-                }
-            }
-        }
-        assert!(worst <= 1e-13, "two-row halo error {worst}");
-        // Rows 0 and 1 never leave f64, so away from the reconstructed row
-        // the shift is bit-identical.
-        for (a, b) in full.iter().zip(&two_row) {
-            for lx in a.grid().coords().step_by(3) {
-                for mu in 0..4 {
-                    for r in 0..2 {
-                        for c in 0..3 {
-                            let comp = crate::field::gauge_comp(mu, r, c);
-                            assert_eq!(a.peek(&lx, comp), b.peek(&lx, comp));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gauge_halo_bytes_on_wire_are_pinned_per_face() {
-        // GLOBAL = [4,4,4,8] over 2 time ranks: each rank's halo face is
-        // 4*4*4 = 64 sites. Per site a gauge halo carries 4 links:
-        //   full f64:    4 * 18 scalars * 8 B = 576 B/site
-        //   two-row f64: 4 * 12 scalars * 8 B = 384 B/site
-        //   two-row f16: 4 * 12 scalars * 2 B =  96 B/site
-        // Each rank sends exactly one face per shift, so `sent_bytes` and
-        // the wire telemetry must pin to these values exactly.
-        let face_sites = GLOBAL[0] * GLOBAL[1] * GLOBAL[2];
-        let sent = |wire: GaugeWire, comp: Compression| -> Vec<usize> {
-            run_multinode(GLOBAL, 2, VL, SimdBackend::Fcmla, |ctx| {
-                let u = local_gauge(ctx, 93);
-                let _ = cshift_dist_gauge(ctx, &u, SPLIT_DIM, 1, wire, comp);
-                ctx.sent_bytes.get()
-            })
-        };
-        for (wire, comp, bytes_per_site) in [
-            (GaugeWire::Full, Compression::None, 576),
-            (GaugeWire::TwoRow, Compression::None, 384),
-            (GaugeWire::TwoRow, Compression::F16, 96),
-        ] {
-            for (rank, got) in sent(wire, comp).iter().enumerate() {
-                assert_eq!(
-                    *got,
-                    face_sites * bytes_per_site,
-                    "rank {rank} {wire:?}/{comp:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn wire_volume_shrinks_4x_under_f16() {
-        let volumes: Vec<usize> = [Compression::None, Compression::F16]
-            .iter()
-            .map(|&comp| {
-                let locals = run_multinode(GLOBAL, 2, VL, SimdBackend::Fcmla, |ctx| {
-                    let f = local_fermion(ctx, 61);
-                    let _ = cshift_dist(ctx, &f, SPLIT_DIM, 1, comp);
-                    ctx.sent_bytes.get()
-                });
-                locals.into_iter().sum()
-            })
-            .collect();
-        assert_eq!(volumes[0], 4 * volumes[1]);
-    }
-
-    #[test]
-    fn blocking_exchange_exposes_the_modeled_flight_time_as_wait() {
-        // 50 µs latency, 1 GB/s: a blocking cshift exchange overlaps
-        // nothing, so every received face's flight time must show up as
-        // exposed wait.
+    fn waiting_right_after_posting_exposes_the_modeled_flight_time() {
+        // 50 µs latency, 1 GB/s: a rank that waits for its faces right
+        // after posting its own overlaps nothing, so every received face's
+        // flight time must show up as exposed wait.
         let stats = run_multinode_topo(
             GLOBAL,
             RankTopology::one_dim(2),
@@ -1229,8 +740,11 @@ mod tests {
             NetworkModel::custom(50_000, 1.0),
             |ctx| {
                 ctx.reset_comm_counters();
-                let face = vec![1.0; 24];
-                let _ = ctx.exchange(&face, &face, Compression::None);
+                let mut face = vec![1.0; 24];
+                ctx.post_face_send(SPLIT_DIM, true, &face, Compression::None);
+                ctx.post_face_send(SPLIT_DIM, false, &face, Compression::None);
+                ctx.wait_face_into(SPLIT_DIM, false, &mut face);
+                ctx.wait_face_into(SPLIT_DIM, true, &mut face);
                 (ctx.wait_ns(), ctx.flight_ns())
             },
         );
@@ -1241,7 +755,7 @@ mod tests {
             // waiting can shave anything off; half is a generous floor.
             assert!(
                 *wait >= 25_000,
-                "rank {rank}: blocking exchange must expose the latency, waited {wait} ns"
+                "rank {rank}: an unoverlapped wait must expose the latency, waited {wait} ns"
             );
         }
     }
@@ -1249,7 +763,7 @@ mod tests {
     #[test]
     fn ring_allgather_delivers_every_ranks_slab_exactly_once() {
         let nranks = 4;
-        let seen = run_multinode(GLOBAL, nranks, VL, SimdBackend::Fcmla, |ctx| {
+        let seen = run_multinode_grid(GLOBAL, [1, 1, 1, nranks], VL, SimdBackend::Fcmla, |ctx| {
             let slab = vec![ctx.rank as f64; 3];
             let mut seen = vec![0u32; ctx.nranks];
             let ret = ctx.ring_allgather(slab, |src, s| {
@@ -1276,102 +790,30 @@ mod tests {
     }
 
     #[test]
-    fn split_send_wait_pair_matches_the_blocking_exchange() {
-        // post_face_send + wait_face_into must move exactly the same
-        // payloads as exchange_dim, through reusable face buffers.
+    fn posted_faces_land_at_the_neighbours_waits() {
+        // post_face_send + wait_face_into move each rank's payload to both
+        // neighbours, round after round, through reusable face buffers.
         let nranks = 2;
         let face = GLOBAL[0] * GLOBAL[1] * GLOBAL[2];
-        let results = run_multinode(GLOBAL, nranks, VL, SimdBackend::Fcmla, |ctx| {
-            let mine: Vec<f64> = (0..face).map(|i| (ctx.rank * face + i) as f64).collect();
-            let mut from_prev = vec![0.0; face];
-            let mut from_next = vec![0.0; face];
-            for _round in 0..3 {
-                ctx.post_face_send(SPLIT_DIM, true, &mine, Compression::None);
-                ctx.post_face_send(SPLIT_DIM, false, &mine, Compression::None);
-                ctx.wait_face_into(SPLIT_DIM, false, &mut from_prev);
-                ctx.wait_face_into(SPLIT_DIM, true, &mut from_next);
-            }
-            (ctx.rank, from_prev, from_next)
-        });
+        let results =
+            run_multinode_grid(GLOBAL, [1, 1, 1, nranks], VL, SimdBackend::Fcmla, |ctx| {
+                let mine: Vec<f64> = (0..face).map(|i| (ctx.rank * face + i) as f64).collect();
+                let mut from_prev = vec![0.0; face];
+                let mut from_next = vec![0.0; face];
+                for _round in 0..3 {
+                    ctx.post_face_send(SPLIT_DIM, true, &mine, Compression::None);
+                    ctx.post_face_send(SPLIT_DIM, false, &mine, Compression::None);
+                    ctx.wait_face_into(SPLIT_DIM, false, &mut from_prev);
+                    ctx.wait_face_into(SPLIT_DIM, true, &mut from_next);
+                }
+                (ctx.rank, from_prev, from_next)
+            });
         for (rank, from_prev, from_next) in &results {
             let other = (rank + 1) % nranks;
             assert_eq!(from_prev[0], (other * face) as f64);
             assert_eq!(from_next[0], (other * face) as f64);
             assert_eq!(from_prev[face - 1], (other * face + face - 1) as f64);
         }
-    }
-}
-
-#[cfg(test)]
-mod grid_decomposition_tests {
-    use super::*;
-    use crate::dirac::WilsonDirac;
-    use crate::tensor::su3::random_gauge;
-    use crate::FermionField;
-
-    const GLOBAL: Coor = [4, 4, 4, 8];
-    const VL: sve::VectorLength = sve::VectorLength::of(256);
-
-    /// Assemble rank-local fields from a shared global field.
-    fn scatter(ctx: &RankCtx, u: &GaugeField, psi: &FermionField) -> (GaugeField, FermionField) {
-        let mut lu = GaugeField::zero(ctx.grid.clone());
-        let mut lf = FermionField::zero(ctx.grid.clone());
-        for lx in ctx.grid.coords() {
-            let gx = ctx.to_global(&lx);
-            for comp in 0..36 {
-                lu.poke(&lx, comp, u.peek(&gx, comp));
-            }
-            for comp in 0..12 {
-                lf.poke(&lx, comp, psi.peek(&gx, comp));
-            }
-        }
-        (lu, lf)
-    }
-
-    fn check_hopping(rank_grid: Coor) {
-        let gg = Grid::new(GLOBAL, VL, SimdBackend::Fcmla);
-        let u = random_gauge(gg.clone(), 81);
-        let psi = FermionField::random(gg.clone(), 82);
-        let want = WilsonDirac::new(u.clone(), 0.1).hopping(&psi);
-        let locals = run_multinode_grid(GLOBAL, rank_grid, VL, SimdBackend::Fcmla, |ctx| {
-            let (lu, lf) = scatter(ctx, &u, &psi);
-            (ctx.offset, hopping_dist(ctx, &lu, &lf, Compression::None))
-        });
-        for (offset, local) in &locals {
-            for lx in local.grid().coords().step_by(5) {
-                let gx: Coor = std::array::from_fn(|d| lx[d] + offset[d]);
-                for comp in 0..12 {
-                    let a = local.peek(&lx, comp);
-                    let b = want.peek(&gx, comp);
-                    assert!(
-                        (a - b).abs() < 1e-12,
-                        "{rank_grid:?} {gx:?} comp {comp}: {a:?} vs {b:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn two_dimensional_rank_grid() {
-        check_hopping([1, 1, 2, 2]);
-    }
-
-    #[test]
-    fn three_dimensional_rank_grid() {
-        check_hopping([2, 2, 1, 2]);
-    }
-
-    #[test]
-    fn four_dimensional_rank_grid() {
-        // "domain decomposition in 1 to 4 dimensions" (paper, Section II-A):
-        // the full 4-D decomposition, 16 ranks.
-        check_hopping([2, 2, 2, 2]);
-    }
-
-    #[test]
-    fn spatial_only_decomposition() {
-        check_hopping([4, 1, 1, 1]);
     }
 
     #[test]
@@ -1387,5 +829,61 @@ mod grid_decomposition_tests {
         offsets.sort();
         offsets.dedup();
         assert_eq!(offsets.len(), 8);
+    }
+
+    /// Runs `body` on rank 1 of two ranks along t while rank 0 panics
+    /// 100 ms in. True when rank 0's panic reaches the caller within the
+    /// watchdog's ten seconds; false when the ranks hung.
+    fn dead_rank_panic_reaches_the_caller(body: fn(&RankCtx)) -> bool {
+        let (done, watchdog) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let run = std::panic::catch_unwind(|| {
+                run_multinode_grid(GLOBAL, [1, 1, 1, 2], VL, SimdBackend::Fcmla, |ctx| {
+                    if ctx.rank == 0 {
+                        // Long enough for rank 1 to be parked in its wait.
+                        std::thread::sleep(Duration::from_millis(100));
+                        panic!("rank 0 dies");
+                    }
+                    body(ctx)
+                })
+            });
+            let payload = run.err().and_then(|e| e.downcast_ref::<&str>().copied());
+            let _ = done.send(payload == Some("rank 0 dies"));
+        });
+        let reached = watchdog.recv_timeout(Duration::from_secs(10)) == Ok(true);
+        if reached {
+            // A hung run is left behind; a finished one is joined.
+            worker
+                .join()
+                .expect("the watchdog's thread catches the ranks' panic");
+        }
+        reached
+    }
+
+    #[test]
+    fn a_dead_rank_fails_its_neighbours_instead_of_hanging() {
+        assert!(
+            dead_rank_panic_reaches_the_caller(|ctx| {
+                let mut face = vec![0.0; 8];
+                ctx.wait_face_into(SPLIT_DIM, false, &mut face);
+            }),
+            "a face wait on a dead neighbour hung"
+        );
+        assert!(
+            dead_rank_panic_reaches_the_caller(|ctx| {
+                // The channel holds FACES_IN_FLIGHT faces; the next send
+                // blocks until the dead rank's receiver is gone.
+                for _ in 0..=FACES_IN_FLIGHT {
+                    ctx.post_face_send(SPLIT_DIM, false, &[1.0; 8], Compression::None);
+                }
+            }),
+            "a send blocked on a dead neighbour's full channel hung"
+        );
+        assert!(
+            dead_rank_panic_reaches_the_caller(|ctx| {
+                ctx.ring_allgather(vec![0.0; 4], |_, _| {});
+            }),
+            "a ring allgather with a dead rank hung"
+        );
     }
 }

@@ -15,16 +15,24 @@
 //! choice (FCMLA / real-arithmetic / generic) switches the innermost
 //! instruction mix of the entire operator.
 //!
+//! The eight-leg body is written once ([`WilsonDirac::legs`] and
+//! [`Leg::run`]); what differs between sweeps is only where a leg's
+//! neighbour words come from. The single-field sweep fetches through the
+//! stencil, the block sweep runs each resolved leg once per right-hand side,
+//! and the distributed operator's boundary pass patches the lanes that cross
+//! a rank boundary ([`crate::dist`]). Every sweep ends a site with the same
+//! fused store ([`store_spinor`]).
+//!
 //! Site kernels are independent, so outer sites run under Rayon — the
 //! thread-level parallelization Grid gets from OpenMP (paper, Section II-A).
 
 use crate::codec::{LINK_SCALARS_FULL, LINK_SCALARS_TWO_ROW};
-use crate::field::{spinor_comp, FermionBlock, FermionKind, Field, GaugeKind, HalfFermionKind};
+use crate::field::{gauge_comp, spinor_comp, FermionBlock, FermionKind, Field, GaugeKind};
 use crate::layout::{Grid, NCOLOR, NSPIN};
 use crate::reduce;
 use crate::simd::{CVec, SimdEngine, Words};
 use crate::stencil::{dir_index, Stencil, StencilEntry};
-use crate::tensor::gamma::{proj_table, Coeff};
+use crate::tensor::gamma::{proj_table, Coeff, ProjTable};
 use crate::tensor::su3::{mat_dag_vec, mat_vec, reconstruct_row2};
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -32,6 +40,13 @@ use sve::SveFloat;
 
 /// Complex components per spinor (`NSPIN × NCOLOR`).
 const NCOMP: usize = NSPIN * NCOLOR;
+
+/// One spinor's words at an outer site, indexed by [`spinor_comp`] — the
+/// accumulator of the hopping term.
+pub(crate) type Spinor<const N: usize> = [CVec<N>; NCOMP];
+
+/// One SU(3) link's words at an outer site, `[row][col]`.
+pub(crate) type Link<const N: usize> = [[CVec<N>; NCOLOR]; NCOLOR];
 
 /// Real floating-point operations per lattice site of one hopping-term
 /// application (the standard Wilson dslash count the paper benchmarks
@@ -56,7 +71,7 @@ pub const FUSED_DOT_FLOPS_PER_SITE: u64 = 48;
 
 /// Apply a projector coefficient to a SIMD word.
 #[inline]
-pub(crate) fn apply_coeff<E: SveFloat, const N: usize>(
+fn apply_coeff<E: SveFloat, const N: usize>(
     eng: &SimdEngine<E>,
     coeff: Coeff,
     v: CVec<N>,
@@ -66,6 +81,95 @@ pub(crate) fn apply_coeff<E: SveFloat, const N: usize>(
         Coeff::MinusOne => eng.neg(v),
         Coeff::I => eng.times_i(v),
         Coeff::MinusI => eng.times_minus_i(v),
+    }
+}
+
+/// One leg of the hopping term at one outer site, resolved once and shared
+/// by every right-hand side: its stencil entry, its spin projector and its
+/// link (see [`WilsonDirac::legs`]).
+pub(crate) struct Leg<'l, const N: usize> {
+    /// The direction `µ`.
+    pub(crate) mu: usize,
+    /// `x + µ̂` (`true`) or `x − µ̂`.
+    pub(crate) forward: bool,
+    /// Where the neighbour's words come from.
+    pub(crate) entry: StencilEntry,
+    proj: ProjTable,
+    link: &'l Link<N>,
+}
+
+impl<const N: usize> Leg<'_, N> {
+    /// The leg body: spin-project the neighbour spinor, which `fetch` reads
+    /// one component word at a time, into a half spinor; colour-multiply
+    /// both rows by the link — `U` forward, `U†` backward via the
+    /// conjugated-FCMLA idiom; reconstruct the full spinor into `acc`.
+    #[inline(always)]
+    pub(crate) fn run<E: SveFloat>(
+        &self,
+        eng: &Words<'_, E, N>,
+        fetch: impl Fn(usize) -> CVec<N>,
+        acc: &mut Spinor<N>,
+    ) {
+        let t = &self.proj;
+        let mut h = [[eng.zero(); NCOLOR]; 2];
+        for (k, row) in h.iter_mut().enumerate() {
+            let (src, coeff) = t.proj[k];
+            for (c, out_w) in row.iter_mut().enumerate() {
+                let sk = fetch(spinor_comp(k, c));
+                let ss = fetch(spinor_comp(src, c));
+                *out_w = eng.add(sk, apply_coeff(eng, coeff, ss));
+            }
+        }
+        let uh: [[CVec<N>; NCOLOR]; 2] = if self.forward {
+            [
+                mat_vec(eng, self.link, &h[0]),
+                mat_vec(eng, self.link, &h[1]),
+            ]
+        } else {
+            [
+                mat_dag_vec(eng, self.link, &h[0]),
+                mat_dag_vec(eng, self.link, &h[1]),
+            ]
+        };
+        for c in 0..NCOLOR {
+            for k in 0..2 {
+                let s = spinor_comp(k, c);
+                acc[s] = eng.add(acc[s], uh[k][c]);
+            }
+            for k in 0..2 {
+                let (row, coeff) = t.recon[k];
+                let s = spinor_comp(2 + k, c);
+                acc[s] = eng.add(acc[s], apply_coeff(eng, coeff, uh[row][c]));
+            }
+        }
+    }
+}
+
+/// The store every hopping sweep ends a site with: per component word, the
+/// fused Wilson mass term `(m+4)ψ − ½·acc` when `mass` holds `m+4`
+/// duplicated — the op sequence of the unfused `scale(−½)` then
+/// `axpy(m+4, ψ)` — then one store. `psi` and `out` are the site's spinor
+/// words.
+#[inline(always)]
+pub(crate) fn store_spinor<E: SveFloat, const N: usize>(
+    eng: &Words<'_, E, N>,
+    acc: &Spinor<N>,
+    mass: Option<CVec<N>>,
+    neg_half: CVec<N>,
+    psi: &[E],
+    out: &mut [E],
+) {
+    let word = eng.word_len();
+    for (comp, &r) in acc.iter().enumerate() {
+        let w = comp * word..(comp + 1) * word;
+        let r = match mass {
+            Some(m) => {
+                let hs = eng.scale(neg_half, r);
+                eng.axpy_word(m, eng.load(&psi[w.clone()]), hs)
+            }
+            None => r,
+        };
+        eng.store(&mut out[w], r);
     }
 }
 
@@ -276,7 +380,6 @@ impl<E: SveFloat> WilsonDirac<E> {
             sites * HOPPING_WRITES_PER_SITE * esize,
         );
         crate::sized!(self.grid.engine(), |eng| {
-            let word = eng.word_len();
             let stride = out.site_stride();
             let cs = reduce::CHUNK_SITES * stride;
             let mass_dup = mass_axpy.map(|m| eng.dup_real(m));
@@ -288,18 +391,8 @@ impl<E: SveFloat> WilsonDirac<E> {
                 for (k, site) in chunk.chunks_exact_mut(stride).enumerate() {
                     let osite = ci * reduce::CHUNK_SITES + k;
                     let acc = self.site_hopping(eng, psi, osite, dagger);
-                    for s in 0..NSPIN {
-                        for c in 0..NCOLOR {
-                            let comp = spinor_comp(s, c);
-                            let mut r = acc[s][c];
-                            if let Some(m_dup) = mass_dup {
-                                let hs = eng.scale(neg_half, r);
-                                let pv = eng.load(psi.word(osite, comp));
-                                r = eng.axpy_word(m_dup, pv, hs);
-                            }
-                            eng.store(&mut site[comp * word..(comp + 1) * word], r);
-                        }
-                    }
+                    let psi_site = &psi.data()[osite * stride..(osite + 1) * stride];
+                    store_spinor(eng, &acc, mass_dup, neg_half, psi_site, site);
                     if let (Some(d), Some(part)) = (dot_with, part.as_deref_mut()) {
                         let dsite = &d.data()[osite * stride..(osite + 1) * stride];
                         reduce::site_dots::<E>(dsite, site, &mut part[k * lanes..(k + 1) * lanes]);
@@ -328,67 +421,80 @@ impl<E: SveFloat> WilsonDirac<E> {
     }
 
     /// The neighbour stencil (shared with the distributed operator, which
-    /// reuses the same legs and lane permutations for its interior sweep).
+    /// reuses the same legs and lane permutations for both of its passes).
     pub(crate) fn stencil(&self) -> &Stencil<E> {
         &self.stencil
     }
 
-    /// All eight legs of the hopping term for one outer site.
+    /// The eight legs of the hopping term at outer site `osite` — the one
+    /// loop every sweep runs. Per leg it resolves the stencil entry, the
+    /// projector — paper convention `(1+γµ)` on the forward leg, `(1−γµ)` on
+    /// the backward one, swapped by the adjoint — and the link: `U_µ` at the
+    /// site forward, `bwd_link(µ, entry)` backward (`U_{x−µ̂,µ}`, which a
+    /// rank boundary patches). `leg` runs [`Leg::run`] with the sweep's
+    /// neighbour fetch, once per right-hand side.
+    ///
+    /// Inlined, with `leg`, into each sweep's per-site kernel: the fetches
+    /// then compile to straight-line loads rather than calls.
+    #[inline(always)]
+    pub(crate) fn legs<const N: usize>(
+        &self,
+        eng: &Words<'_, E, N>,
+        osite: usize,
+        dagger: bool,
+        bwd_link: impl Fn(usize, StencilEntry) -> Link<N>,
+        mut leg: impl FnMut(&Leg<'_, N>),
+    ) {
+        for mu in 0..4 {
+            for forward in [true, false] {
+                let entry = self.stencil.leg(dir_index(mu, forward), osite);
+                let link = if forward {
+                    let mut uw = [[eng.zero(); NCOLOR]; NCOLOR];
+                    for (r, row) in uw.iter_mut().take(self.link_rows()).enumerate() {
+                        for (c, w) in row.iter_mut().enumerate() {
+                            *w = eng.load(self.u.word(osite, gauge_comp(mu, r, c)));
+                        }
+                    }
+                    self.complete_link(eng, uw)
+                } else {
+                    bwd_link(mu, entry)
+                };
+                leg(&Leg {
+                    mu,
+                    forward,
+                    entry,
+                    proj: proj_table(mu, forward ^ dagger),
+                    link: &link,
+                });
+            }
+        }
+    }
+
+    /// The hopping term at one outer site of a single field, every
+    /// neighbour word fetched through the stencil. Out of line: the field
+    /// sweep's kernels, with and without a fused dot, and the distributed
+    /// operator's interior pass share one copy.
+    #[inline(never)]
     pub(crate) fn site_hopping<const N: usize>(
         &self,
         eng: &Words<'_, E, N>,
         psi: &Field<FermionKind, E>,
         osite: usize,
         dagger: bool,
-    ) -> [[CVec<N>; NCOLOR]; NSPIN] {
-        let mut out = [[eng.zero(); NCOLOR]; NSPIN];
-        for mu in 0..4 {
-            for forward in [true, false] {
-                // Paper convention: (1+γµ) on the forward leg, (1−γµ) on the
-                // backward leg; the adjoint operator swaps the signs.
-                let plus = forward ^ dagger;
-                let dir = dir_index(mu, forward);
-                let entry = self.stencil.leg(dir, osite);
-                let t = proj_table(mu, plus);
-
-                // Spin-project the neighbour spinor into a half spinor.
-                let mut h = [[eng.zero(); NCOLOR]; 2];
-                for (k, row) in h.iter_mut().enumerate() {
-                    let (src, coeff) = t.proj[k];
-                    for (c, out_w) in row.iter_mut().enumerate() {
-                        let sk = self.stencil.fetch(eng, psi, spinor_comp(k, c), entry);
-                        let ss = self.stencil.fetch(eng, psi, spinor_comp(src, c), entry);
-                        *out_w = eng.add(sk, apply_coeff(eng, coeff, ss));
-                    }
-                }
-
-                // Color-multiply the two half-spinor rows.
-                let uh: [[CVec<N>; NCOLOR]; 2] = if forward {
-                    let uw = self.load_link_local(eng, osite, mu);
-                    [mat_vec(eng, &uw, &h[0]), mat_vec(eng, &uw, &h[1])]
-                } else {
-                    let uw = self.load_link_leg(eng, entry, mu);
-                    [mat_dag_vec(eng, &uw, &h[0]), mat_dag_vec(eng, &uw, &h[1])]
-                };
-
-                // Reconstruct the full spinor and accumulate.
-                for c in 0..NCOLOR {
-                    out[0][c] = eng.add(out[0][c], uh[0][c]);
-                    out[1][c] = eng.add(out[1][c], uh[1][c]);
-                    for k in 0..2 {
-                        let (row, coeff) = t.recon[k];
-                        out[2 + k][c] = eng.add(out[2 + k][c], apply_coeff(eng, coeff, uh[row][c]));
-                    }
-                }
-            }
-        }
-        out
+    ) -> Spinor<N> {
+        let mut acc = [eng.zero(); NCOMP];
+        let bwd_link = |mu, entry| self.neighbour_link(eng, mu, entry);
+        self.legs(eng, osite, dagger, bwd_link, |leg| {
+            let fetch = |comp| self.stencil.fetch(eng, psi, comp, leg.entry);
+            leg.run(eng, fetch, &mut acc);
+        });
+        acc
     }
 
     /// Link scalars actually read per link by the dslash (18 full, 12 in
     /// two-row compressed mode).
     #[inline]
-    fn link_scalars(&self) -> usize {
+    pub(crate) fn link_scalars(&self) -> usize {
         if self.two_row {
             LINK_SCALARS_TWO_ROW
         } else {
@@ -396,56 +502,51 @@ impl<E: SveFloat> WilsonDirac<E> {
         }
     }
 
-    /// Load `U_µ` at this outer site (forward legs). In two-row mode only
-    /// rows 0 and 1 are read; the third is reconstructed in registers.
+    /// Rows of a link the dslash reads: all three, or rows 0 and 1 in
+    /// two-row mode.
     #[inline]
-    pub(crate) fn load_link_local<const N: usize>(
-        &self,
-        eng: &Words<'_, E, N>,
-        osite: usize,
-        mu: usize,
-    ) -> [[CVec<N>; NCOLOR]; NCOLOR] {
+    pub(crate) fn link_rows(&self) -> usize {
         if self.two_row {
-            let rows: [[CVec<N>; NCOLOR]; 2] = std::array::from_fn(|r| {
-                std::array::from_fn(|c| {
-                    eng.load(self.u.word(osite, crate::field::gauge_comp(mu, r, c)))
-                })
-            });
-            [rows[0], rows[1], reconstruct_row2(eng, &rows[0], &rows[1])]
+            2
         } else {
-            std::array::from_fn(|r| {
-                std::array::from_fn(|c| {
-                    eng.load(self.u.word(osite, crate::field::gauge_comp(mu, r, c)))
-                })
-            })
+            NCOLOR
         }
     }
 
-    /// Load `U_µ` at the leg's neighbour site, lane-permuted like the
-    /// spinor data (backward legs need `U_{x−µ̂,µ}`).
-    #[inline]
-    pub(crate) fn load_link_leg<const N: usize>(
+    /// A link whose first [`link_rows`](Self::link_rows) rows are read: in
+    /// two-row mode the third is reconstructed from them — after whatever
+    /// the reads patched, exactly as the single-rank operator reconstructs
+    /// from the true neighbour rows.
+    #[inline(always)]
+    pub(crate) fn complete_link<const N: usize>(
         &self,
         eng: &Words<'_, E, N>,
-        entry: StencilEntry,
-        mu: usize,
-    ) -> [[CVec<N>; NCOLOR]; NCOLOR] {
+        mut uw: Link<N>,
+    ) -> Link<N> {
         if self.two_row {
-            let rows: [[CVec<N>; NCOLOR]; 2] = std::array::from_fn(|r| {
-                std::array::from_fn(|c| {
-                    self.stencil
-                        .fetch(eng, &self.u, crate::field::gauge_comp(mu, r, c), entry)
-                })
-            });
-            [rows[0], rows[1], reconstruct_row2(eng, &rows[0], &rows[1])]
-        } else {
-            std::array::from_fn(|r| {
-                std::array::from_fn(|c| {
-                    self.stencil
-                        .fetch(eng, &self.u, crate::field::gauge_comp(mu, r, c), entry)
-                })
-            })
+            uw[2] = reconstruct_row2(eng, &uw[0], &uw[1]);
         }
+        uw
+    }
+
+    /// `U_µ` at a leg's neighbour site, lane-permuted like the spinor data:
+    /// the link of a backward leg.
+    #[inline(always)]
+    pub(crate) fn neighbour_link<const N: usize>(
+        &self,
+        eng: &Words<'_, E, N>,
+        mu: usize,
+        entry: StencilEntry,
+    ) -> Link<N> {
+        let mut uw = [[eng.zero(); NCOLOR]; NCOLOR];
+        for (r, row) in uw.iter_mut().take(self.link_rows()).enumerate() {
+            for (c, w) in row.iter_mut().enumerate() {
+                *w = self
+                    .stencil
+                    .fetch(eng, &self.u, gauge_comp(mu, r, c), entry);
+            }
+        }
+        self.complete_link(eng, uw)
     }
 
     // ---- Multi-RHS batched path -------------------------------------------
@@ -571,31 +672,36 @@ impl<E: SveFloat> WilsonDirac<E> {
             let neg_half = eng.dup_real(-0.5);
             let (lanes, rhs_len) = (self.grid.lanes_c(), NCOMP * word);
             // `part` holds a chunk's per-site per-RHS values of the dots,
-            // when there are any.
-            let kernel = |ci: usize, chunk: &mut [E], mut part: Option<&mut [f64]>| {
-                let mut acc = vec![eng.zero(); nrhs * NCOMP];
+            // when there are any. Behind `dyn`, so that the sweeps with and
+            // without dots share one compiled copy of the kernel.
+            type Kernel<'k, E> = dyn Fn(usize, &mut [E], Option<&mut [f64]>) + Sync + 'k;
+            let kernel: &Kernel<E> = &|ci, chunk, mut part| {
+                let mut acc = vec![[eng.zero(); NCOMP]; nrhs];
                 for (k, site) in chunk.chunks_exact_mut(stride).enumerate() {
                     let osite = ci * reduce::CHUNK_SITES + k;
-                    self.site_hopping_block(eng, psi, osite, dagger, &mut acc);
-                    for rhs in 0..nrhs {
-                        for s in 0..NSPIN {
-                            for c in 0..NCOLOR {
-                                let comp = spinor_comp(s, c);
-                                let mut r = acc[rhs * NCOMP + comp];
-                                if let Some(m_dup) = mass_dup {
-                                    let hs = eng.scale(neg_half, r);
-                                    let pv = eng.load(psi.word(osite, rhs, comp));
-                                    r = eng.axpy_word(m_dup, pv, hs);
-                                }
-                                let off = (rhs * NCOMP + comp) * word;
-                                eng.store(&mut site[off..off + word], r);
-                            }
+                    acc.fill([eng.zero(); NCOMP]);
+                    // Each leg's link is resolved once, amortised over the
+                    // batch; only the spinor fetches and colour multiplies
+                    // run per RHS.
+                    let bwd_link = |mu, entry| self.neighbour_link(eng, mu, entry);
+                    self.legs(eng, osite, dagger, bwd_link, |leg| {
+                        let nbr = leg.entry.nbr as usize;
+                        for (rhs, a) in acc.iter_mut().enumerate() {
+                            let fetch = |comp| {
+                                let v = eng.load(psi.word(nbr, rhs, comp));
+                                self.stencil.permute(v, leg.entry)
+                            };
+                            leg.run(eng, fetch, a);
                         }
+                    });
+                    for (rhs, a) in acc.iter().enumerate() {
+                        let seg = (osite * nrhs + rhs) * rhs_len;
+                        let ours = &mut site[rhs * rhs_len..(rhs + 1) * rhs_len];
+                        let psi_seg = &psi.data()[seg..seg + rhs_len];
+                        store_spinor(eng, a, mass_dup, neg_half, psi_seg, ours);
                         if let (Some(d), Some(part)) = (dot_with, part.as_deref_mut()) {
-                            let seg = (osite * nrhs + rhs) * rhs_len;
                             let dseg = &d.data()[seg..seg + rhs_len];
                             let p = (k * nrhs + rhs) * lanes;
-                            let ours = &site[rhs * rhs_len..(rhs + 1) * rhs_len];
                             reduce::site_dots::<E>(dseg, ours, &mut part[p..p + lanes]);
                         }
                     }
@@ -621,77 +727,12 @@ impl<E: SveFloat> WilsonDirac<E> {
             dots
         })
     }
-
-    /// All eight legs of the hopping term for one outer site, all RHS at
-    /// once: stencil entry, projector table, and gauge link are resolved
-    /// per *leg* and reused across the batch; only the spinor fetches and
-    /// color multiplies run per RHS. `acc[rhs * 12 + spinor_comp(s, c)]`
-    /// receives the accumulator for RHS `rhs`.
-    fn site_hopping_block<const N: usize>(
-        &self,
-        eng: &Words<'_, E, N>,
-        psi: &FermionBlock<E>,
-        osite: usize,
-        dagger: bool,
-        acc: &mut [CVec<N>],
-    ) {
-        let nrhs = psi.nrhs();
-        for v in acc.iter_mut() {
-            *v = eng.zero();
-        }
-        for mu in 0..4 {
-            for forward in [true, false] {
-                let plus = forward ^ dagger;
-                let dir = dir_index(mu, forward);
-                let entry = self.stencil.leg(dir, osite);
-                let t = proj_table(mu, plus);
-                // One link load per leg, amortized over the whole batch.
-                let uw = if forward {
-                    self.load_link_local(eng, osite, mu)
-                } else {
-                    self.load_link_leg(eng, entry, mu)
-                };
-                for rhs in 0..nrhs {
-                    let fetch = |comp: usize| {
-                        let v = eng.load(psi.word(entry.nbr as usize, rhs, comp));
-                        self.stencil.permute(v, entry)
-                    };
-                    let mut h = [[eng.zero(); NCOLOR]; 2];
-                    for (k, row) in h.iter_mut().enumerate() {
-                        let (src, coeff) = t.proj[k];
-                        for (c, out_w) in row.iter_mut().enumerate() {
-                            let sk = fetch(spinor_comp(k, c));
-                            let ss = fetch(spinor_comp(src, c));
-                            *out_w = eng.add(sk, apply_coeff(eng, coeff, ss));
-                        }
-                    }
-                    let uh: [[CVec<N>; NCOLOR]; 2] = if forward {
-                        [mat_vec(eng, &uw, &h[0]), mat_vec(eng, &uw, &h[1])]
-                    } else {
-                        [mat_dag_vec(eng, &uw, &h[0]), mat_dag_vec(eng, &uw, &h[1])]
-                    };
-                    let a = &mut acc[rhs * NCOMP..(rhs + 1) * NCOMP];
-                    for c in 0..NCOLOR {
-                        a[spinor_comp(0, c)] = eng.add(a[spinor_comp(0, c)], uh[0][c]);
-                        a[spinor_comp(1, c)] = eng.add(a[spinor_comp(1, c)], uh[1][c]);
-                        for k in 0..2 {
-                            let (row, coeff) = t.recon[k];
-                            a[spinor_comp(2 + k, c)] = eng.add(
-                                a[spinor_comp(2 + k, c)],
-                                apply_coeff(eng, coeff, uh[row][c]),
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Site-local gauge multiply: `out(x) = U_µ(x) ψ(x)` (or `U†_µ(x) ψ(x)`),
 /// applied to every spin component. A building block of the
-/// cshift-composition form of the hopping term used by the distributed
-/// implementation.
+/// cshift-composition form of the hopping term, the reference the fused
+/// kernel is tested against.
 pub fn mult_gauge<E: SveFloat>(
     u: &Field<GaugeKind, E>,
     mu: usize,
@@ -755,99 +796,10 @@ pub fn proj_recon<E: SveFloat>(
     })
 }
 
-/// Spin-project a fermion field to a half-spinor field:
-/// `h_k = ψ_k + coeff·ψ_src` for the two independent rows of `(1 ± γµ)`.
-/// This is Grid's comms *compressor*: only the half spinor needs to cross
-/// the network, halving wire volume before any fp16 compression.
-pub fn project_half<E: SveFloat>(
-    mu: usize,
-    plus: bool,
-    psi: &Field<FermionKind, E>,
-) -> Field<HalfFermionKind, E> {
-    let grid = psi.grid().clone();
-    crate::sized!(grid.engine(), |eng| {
-        let t = proj_table(mu, plus);
-        let mut out = Field::<HalfFermionKind, E>::zero(grid.clone());
-        for osite in 0..grid.osites() {
-            for k in 0..2 {
-                let (src, coeff) = t.proj[k];
-                for c in 0..NCOLOR {
-                    let sk = eng.load(psi.word(osite, spinor_comp(k, c)));
-                    let ss = eng.load(psi.word(osite, spinor_comp(src, c)));
-                    let h = eng.add(sk, apply_coeff(eng, coeff, ss));
-                    eng.store(out.word_mut(osite, k * NCOLOR + c), h);
-                }
-            }
-        }
-        out
-    })
-}
-
-/// Expand a half-spinor field back to the full `(1 ± γµ)`-projected fermion.
-pub fn reconstruct_half<E: SveFloat>(
-    mu: usize,
-    plus: bool,
-    h: &Field<HalfFermionKind, E>,
-) -> Field<FermionKind, E> {
-    let grid = h.grid().clone();
-    crate::sized!(grid.engine(), |eng| {
-        let t = proj_table(mu, plus);
-        let mut out = Field::<FermionKind, E>::zero(grid.clone());
-        for osite in 0..grid.osites() {
-            for c in 0..NCOLOR {
-                let h0 = eng.load(h.word(osite, c));
-                let h1 = eng.load(h.word(osite, NCOLOR + c));
-                eng.store(out.word_mut(osite, spinor_comp(0, c)), h0);
-                eng.store(out.word_mut(osite, spinor_comp(1, c)), h1);
-                for k in 0..2 {
-                    let (row, coeff) = t.recon[k];
-                    let hv = if row == 0 { h0 } else { h1 };
-                    let r = apply_coeff(eng, coeff, hv);
-                    eng.store(out.word_mut(osite, spinor_comp(2 + k, c)), r);
-                }
-            }
-        }
-        out
-    })
-}
-
-/// Site-local gauge multiply on a half-spinor field (`U` or `U†` applied to
-/// both half-spinor rows).
-pub fn mult_gauge_half<E: SveFloat>(
-    u: &Field<GaugeKind, E>,
-    mu: usize,
-    h: &Field<HalfFermionKind, E>,
-    dagger: bool,
-) -> Field<HalfFermionKind, E> {
-    assert!(Arc::ptr_eq(u.grid(), h.grid()));
-    let grid = h.grid().clone();
-    crate::sized!(grid.engine(), |eng| {
-        let mut out = Field::<HalfFermionKind, E>::zero(grid.clone());
-        for osite in 0..grid.osites() {
-            let uw: [[CVec<_>; NCOLOR]; NCOLOR] = std::array::from_fn(|r| {
-                std::array::from_fn(|c| eng.load(u.word(osite, crate::field::gauge_comp(mu, r, c))))
-            });
-            for k in 0..2 {
-                let v: [CVec<_>; NCOLOR] =
-                    std::array::from_fn(|c| eng.load(h.word(osite, k * NCOLOR + c)));
-                let r = if dagger {
-                    mat_dag_vec(eng, &uw, &v)
-                } else {
-                    mat_vec(eng, &uw, &v)
-                };
-                for c in 0..NCOLOR {
-                    eng.store(out.word_mut(osite, k * NCOLOR + c), r[c]);
-                }
-            }
-        }
-        out
-    })
-}
-
 /// The hopping term assembled from whole-field primitives —
 /// `Σµ { U_µ ∘ (1+γµ) ∘ cshift(+µ) + cshift(−µ) ∘ U†_µ ∘ (1−γµ) } ψ` —
-/// the formulation whose `cshift` legs generalize to multi-rank halo
-/// exchange. Slower than the fused stencil kernel, bit-compatible physics.
+/// the reference oracle the fused kernel is tested against. Slower than the
+/// fused stencil kernel, bit-compatible physics.
 pub fn hopping_via_cshift<E: SveFloat>(
     u: &Field<GaugeKind, E>,
     psi: &Field<FermionKind, E>,
@@ -1112,44 +1064,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn half_spinor_project_reconstruct_matches_proj_recon() {
-        // project -> reconstruct through the compressed half-spinor field
-        // must equal the direct (1 ± γµ) application.
-        let g = grid(512, SimdBackend::Fcmla);
-        let psi = FermionField::random(g.clone(), 20);
-        for mu in 0..4 {
-            for plus in [true, false] {
-                let via_half = reconstruct_half(mu, plus, &project_half(mu, plus, &psi));
-                let direct = proj_recon(mu, plus, &psi);
-                assert_eq!(via_half.max_abs_diff(&direct), 0.0, "mu={mu} plus={plus}");
-            }
-        }
-    }
-
-    #[test]
-    fn half_spinor_gauge_multiply_commutes_with_reconstruction() {
-        // U acting on the half spinor then reconstructing equals
-        // reconstructing then applying U to all four spin rows.
-        let g = grid(256, SimdBackend::Fcmla);
-        let u = random_gauge(g.clone(), 21);
-        let psi = FermionField::random(g.clone(), 22);
-        for mu in 0..4 {
-            let h = project_half(mu, true, &psi);
-            let a = reconstruct_half(mu, true, &mult_gauge_half(&u, mu, &h, false));
-            let b = mult_gauge(&u, mu, &reconstruct_half(mu, true, &h), false);
-            assert!(rel_close(&a, &b, 1e-12), "mu={mu}");
-        }
-    }
-
-    #[test]
-    fn half_spinor_field_is_half_the_data() {
-        let g = grid(256, SimdBackend::Fcmla);
-        let psi = FermionField::random(g.clone(), 23);
-        let h = project_half(0, true, &psi);
-        assert_eq!(2 * h.data().len(), psi.data().len());
     }
 
     #[test]

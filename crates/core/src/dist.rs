@@ -43,23 +43,17 @@
 //! [`RankCtx::wait_face_into`]: crate::comms::RankCtx::wait_face_into
 //! [`RankCtx::ring_allgather`]: crate::comms::RankCtx::ring_allgather
 
-use crate::codec::{LINK_SCALARS_FULL, LINK_SCALARS_TWO_ROW};
 use crate::comms::{Compression, GaugeWire, RankCtx};
 use crate::dirac::{
-    apply_coeff, WilsonDirac, FUSED_MASS_AXPY_FLOPS_PER_SITE, HOPPING_FLOPS_PER_SITE,
+    store_spinor, Spinor, WilsonDirac, FUSED_MASS_AXPY_FLOPS_PER_SITE, HOPPING_FLOPS_PER_SITE,
     HOPPING_READS_PER_SITE, HOPPING_WRITES_PER_SITE,
 };
-use crate::field::{
-    cg_update_x_r, gauge_comp, spinor_comp, FermionField, Field, FieldKind, GaugeField,
-};
+use crate::field::{cg_update_x_r, gauge_comp, FermionField, Field, FieldKind, GaugeField};
 use crate::krylov::{self, Operator, Start, Vector};
 use crate::layout::{lex, Coor, NCOLOR, NDIM, NSPIN};
 use crate::reduce::canonical_sum;
 use crate::simd::{CVec, Words};
 use crate::solver::SolveReport;
-use crate::stencil::{dir_index, StencilEntry};
-use crate::tensor::gamma::proj_table;
-use crate::tensor::su3::{mat_dag_vec, mat_vec, reconstruct_row2};
 use crate::topology::{fermion_face_bytes, link_ghost_bytes, FERMION_FACE_SCALARS};
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
@@ -313,20 +307,11 @@ impl<'a> DistWilson<'a> {
         self.ghost_bytes() + self.dslash_count.get() as usize * self.face_bytes_per_sweep()
     }
 
-    fn link_scalars(&self) -> usize {
-        if self.op.two_row() {
-            LINK_SCALARS_TWO_ROW
-        } else {
-            LINK_SCALARS_FULL
-        }
-    }
-
     /// Send my `x_d = L−1` link slice toward `+d` and keep the slice
     /// arriving from `−d`: the ghost links backward boundary legs multiply
     /// by. One face per split dimension, once per operator lifetime.
     fn exchange_ghost_links(&mut self) {
-        let gs = self.link_scalars();
-        let nrows = if self.op.two_row() { 2 } else { 3 };
+        let (gs, nrows) = (self.op.link_scalars(), self.op.link_rows());
         let u = self.op.gauge();
         for plan in &self.plans {
             let mut buf = vec![0.0; plan.face_sites * gs];
@@ -372,40 +357,13 @@ impl<'a> DistWilson<'a> {
         eng.load(&buf[..word])
     }
 
-    /// `U_d` at the backward leg's neighbour with crossing lanes patched
-    /// from ghost links. In two-row mode the patch lands on rows 0 and 1
-    /// and the third row is reconstructed *afterwards*, exactly as the
-    /// global operator reconstructs from the true neighbour rows.
-    fn load_link_bwd_patched<const N: usize>(
-        &self,
-        eng: &Words<'_, f64, N>,
-        entry: StencilEntry,
-        mu: usize,
-        patches: &[(u16, u32)],
-        ghost: &[f64],
-    ) -> [[CVec<N>; NCOLOR]; NCOLOR] {
-        let st = self.op.stencil();
-        let gs = self.link_scalars();
-        let u = self.op.gauge();
-        let fetch_row = |r: usize, c: usize| {
-            let v = st.fetch(eng, u, gauge_comp(mu, r, c), entry);
-            self.patch_word(eng, v, patches, ghost, gs, (r * NCOLOR + c) * 2)
-        };
-        if self.op.two_row() {
-            let rows: [[CVec<N>; NCOLOR]; 2] =
-                std::array::from_fn(|r| std::array::from_fn(|c| fetch_row(r, c)));
-            [rows[0], rows[1], reconstruct_row2(eng, &rows[0], &rows[1])]
-        } else {
-            std::array::from_fn(|r| std::array::from_fn(|c| fetch_row(r, c)))
-        }
-    }
-
-    /// The eight-leg site kernel of [`WilsonDirac::site_hopping`] with halo
-    /// patching on the legs that cross a rank boundary. The op sequence is
-    /// identical; only the *values* of the crossing lanes differ (they
-    /// become the true neighbour-rank values), so interior lanes are
-    /// untouched bit for bit.
-    fn site_hopping_patched<const N: usize>(
+    /// The boundary pass's kernel at one outer site: the eight legs of
+    /// [`WilsonDirac::legs`], with the lanes of every leg that crosses a
+    /// rank boundary replaced by halo data after the stencil fetch — and, on
+    /// backward legs, by the ghost links. Only the *values* of the crossing
+    /// lanes change (they become the true neighbour-rank values), so every
+    /// other lane is untouched bit for bit.
+    fn site_hopping_at_boundary<const N: usize>(
         &self,
         eng: &Words<'_, f64, N>,
         psi: &FermionField,
@@ -413,67 +371,41 @@ impl<'a> DistWilson<'a> {
         dagger: bool,
         halo_fwd: &[Vec<f64>],
         halo_bwd: &[Vec<f64>],
-    ) -> [[CVec<N>; NCOLOR]; NSPIN] {
+    ) -> Spinor<N> {
         let st = self.op.stencil();
-        let mut out = [[eng.zero(); NCOLOR]; NSPIN];
-        for mu in 0..4 {
-            for forward in [true, false] {
-                let plus = forward ^ dagger;
-                let dir = dir_index(mu, forward);
-                let entry = st.leg(dir, osite);
-                let t = proj_table(mu, plus);
-                let (patches, halo, ghost): (&[(u16, u32)], &[f64], &[f64]) =
-                    match self.plan_of_dim[mu] {
-                        Some(i) if forward => (&self.plans[i].patch_fwd[osite], &halo_fwd[i], &[]),
-                        Some(i) => (
-                            &self.plans[i].patch_bwd[osite],
-                            &halo_bwd[i],
-                            &self.ghosts[i],
-                        ),
-                        None => (&[], &[], &[]),
-                    };
-                let fetch = |comp: usize| -> CVec<N> {
-                    let v = st.fetch(eng, psi, comp, entry);
-                    if patches.is_empty() {
-                        v
-                    } else {
-                        self.patch_word(eng, v, patches, halo, FERMION_FACE_SCALARS, 2 * comp)
-                    }
-                };
-
-                let mut h = [[eng.zero(); NCOLOR]; 2];
-                for (k, row) in h.iter_mut().enumerate() {
-                    let (src, coeff) = t.proj[k];
-                    for (c, out_w) in row.iter_mut().enumerate() {
-                        let sk = fetch(spinor_comp(k, c));
-                        let ss = fetch(spinor_comp(src, c));
-                        *out_w = eng.add(sk, apply_coeff(eng, coeff, ss));
+        let mut acc = [eng.zero(); NCOMP];
+        let bwd_link = |mu: usize, entry| match self.plan_of_dim[mu] {
+            Some(i) if !self.plans[i].patch_bwd[osite].is_empty() => {
+                let (patches, ghost) = (&self.plans[i].patch_bwd[osite], &self.ghosts[i]);
+                let gs = self.op.link_scalars();
+                let mut uw = [[eng.zero(); NCOLOR]; NCOLOR];
+                for (r, row) in uw.iter_mut().take(self.op.link_rows()).enumerate() {
+                    for (c, w) in row.iter_mut().enumerate() {
+                        let v = st.fetch(eng, self.op.gauge(), gauge_comp(mu, r, c), entry);
+                        *w = self.patch_word(eng, v, patches, ghost, gs, (r * NCOLOR + c) * 2);
                     }
                 }
-
-                let uh: [[CVec<N>; NCOLOR]; 2] = if forward {
-                    let uw = self.op.load_link_local(eng, osite, mu);
-                    [mat_vec(eng, &uw, &h[0]), mat_vec(eng, &uw, &h[1])]
-                } else {
-                    let uw = if patches.is_empty() {
-                        self.op.load_link_leg(eng, entry, mu)
-                    } else {
-                        self.load_link_bwd_patched(eng, entry, mu, patches, ghost)
-                    };
-                    [mat_dag_vec(eng, &uw, &h[0]), mat_dag_vec(eng, &uw, &h[1])]
-                };
-
-                for c in 0..NCOLOR {
-                    out[0][c] = eng.add(out[0][c], uh[0][c]);
-                    out[1][c] = eng.add(out[1][c], uh[1][c]);
-                    for k in 0..2 {
-                        let (row, coeff) = t.recon[k];
-                        out[2 + k][c] = eng.add(out[2 + k][c], apply_coeff(eng, coeff, uh[row][c]));
-                    }
-                }
+                self.op.complete_link(eng, uw)
             }
-        }
-        out
+            _ => self.op.neighbour_link(eng, mu, entry),
+        };
+        self.op.legs(eng, osite, dagger, bwd_link, |leg| {
+            let (patches, halo): (&[(u16, u32)], &[f64]) = match self.plan_of_dim[leg.mu] {
+                Some(i) if leg.forward => (&self.plans[i].patch_fwd[osite], &halo_fwd[i]),
+                Some(i) => (&self.plans[i].patch_bwd[osite], &halo_bwd[i]),
+                None => (&[], &[]),
+            };
+            let fetch = |comp| {
+                let v = st.fetch(eng, psi, comp, leg.entry);
+                if patches.is_empty() {
+                    v
+                } else {
+                    self.patch_word(eng, v, patches, halo, FERMION_FACE_SCALARS, 2 * comp)
+                }
+            };
+            leg.run(eng, fetch, &mut acc);
+        });
+        acc
     }
 
     /// One overlapped hopping sweep: post faces, interior pass, collect
@@ -508,7 +440,7 @@ impl<'a> DistWilson<'a> {
         });
         let sites = grid.volume() as u64;
         let mut flops = HOPPING_FLOPS_PER_SITE;
-        let mut reads = HOPPING_READS_PER_SITE - 8 * 18 + 8 * self.link_scalars() as u64;
+        let mut reads = HOPPING_READS_PER_SITE - 8 * 18 + 8 * self.op.link_scalars() as u64;
         if mass_axpy.is_some() {
             flops += FUSED_MASS_AXPY_FLOPS_PER_SITE;
             reads += HOPPING_WRITES_PER_SITE;
@@ -532,11 +464,17 @@ impl<'a> DistWilson<'a> {
             let mass_dup = mass_axpy.map(|m| eng.dup_real(m));
             let neg_half = eng.dup_real(-0.5);
 
+            let stride = out.site_stride();
+            let mut store = |o: usize, acc: &Spinor<_>| {
+                let site = o * stride..(o + 1) * stride;
+                let psi = &psi.data()[site.clone()];
+                store_spinor(eng, acc, mass_dup, neg_half, psi, &mut out.data_mut()[site]);
+            };
+
             // 2. Interior pass — no leg leaves the rank, the plain kernel runs.
             for &o in &self.interior {
                 let o = o as usize;
-                let acc = self.op.site_hopping(eng, psi, o, dagger);
-                store_site(eng, psi, out, o, &acc, mass_dup, neg_half);
+                store(o, &self.op.site_hopping(eng, psi, o, dagger));
             }
 
             // 3. Collect the halos (exposed wait is whatever the interior pass
@@ -549,8 +487,10 @@ impl<'a> DistWilson<'a> {
             // 4. Boundary pass — same kernel with crossing lanes patched.
             for &o in &self.boundary {
                 let o = o as usize;
-                let acc = self.site_hopping_patched(eng, psi, o, dagger, halo_fwd, halo_bwd);
-                store_site(eng, psi, out, o, &acc, mass_dup, neg_half);
+                store(
+                    o,
+                    &self.site_hopping_at_boundary(eng, psi, o, dagger, halo_fwd, halo_bwd),
+                );
             }
             self.dslash_count.set(self.dslash_count.get() + 1);
         })
@@ -720,32 +660,6 @@ fn pack_face(psi: &FermionField, list: &[(u32, u16)], buf: &mut [f64]) {
     }
 }
 
-/// The fused store of the hopping sweep: optional mass axpy (the exact op
-/// sequence of the single-process fused path), then one store per
-/// component word.
-fn store_site<const N: usize>(
-    eng: &Words<'_, f64, N>,
-    psi: &FermionField,
-    out: &mut FermionField,
-    osite: usize,
-    acc: &[[CVec<N>; NCOLOR]; NSPIN],
-    mass_dup: Option<CVec<N>>,
-    neg_half: CVec<N>,
-) {
-    for s in 0..NSPIN {
-        for c in 0..NCOLOR {
-            let comp = spinor_comp(s, c);
-            let mut r = acc[s][c];
-            if let Some(m_dup) = mass_dup {
-                let hs = eng.scale(neg_half, r);
-                let pv = eng.load(psi.word(osite, comp));
-                r = eng.axpy_word(m_dup, pv, hs);
-            }
-            eng.store(out.word_mut(osite, comp), r);
-        }
-    }
-}
-
 /// Restrict a globally-seeded field to the rank-local lattice, site by
 /// site: each rank builds the same global field and keeps its own block.
 pub fn restrict_field<K: FieldKind>(ctx: &RankCtx, global: &Field<K>) -> Field<K> {
@@ -907,7 +821,18 @@ mod tests {
 
     #[test]
     fn distributed_hopping_matches_the_global_operator_bitwise() {
-        for rank_grid in [[1, 1, 1, 2], [1, 1, 2, 2], [1, 1, 1, 4], [2, 1, 1, 2]] {
+        // 1-d along t and along x, 2-d, 3-d and the full 4-d decomposition
+        // ("domain decomposition in 1 to 4 dimensions", paper §II-A).
+        let rank_grids = [
+            [1, 1, 1, 2],
+            [1, 1, 2, 2],
+            [1, 1, 1, 4],
+            [2, 1, 1, 2],
+            [2, 2, 1, 2],
+            [2, 2, 2, 2],
+            [2, 1, 1, 1],
+        ];
+        for rank_grid in rank_grids {
             for wire in [GaugeWire::Full, GaugeWire::TwoRow] {
                 for dagger in [false, true] {
                     let (d, psi) = global_op(matches!(wire, GaugeWire::TwoRow));
@@ -935,6 +860,16 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "split dimension 0 leaves fewer than 2 local sites")]
+    fn a_split_leaving_one_site_per_rank_is_refused() {
+        // [4,4,4,8] over four x-ranks: one local site along x, so a face
+        // would be both faces of the rank.
+        run_multinode_grid(GLOBAL, [4, 1, 1, 1], VL, SimdBackend::Fcmla, |ctx| {
+            local_setup(ctx, GaugeWire::Full);
+        });
     }
 
     #[test]

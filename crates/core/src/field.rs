@@ -50,13 +50,6 @@ impl FieldKind for FermionKind {
     const NAME: &'static str = "spin-color fermion";
 }
 
-/// A half (spin-projected) fermion: 2 spinor x 3 color components.
-pub struct HalfFermionKind;
-impl FieldKind for HalfFermionKind {
-    const NCOMP: usize = 6;
-    const NAME: &'static str = "half spinor";
-}
-
 /// The gauge field: one SU(3) matrix (9 complex) per direction, 4
 /// directions.
 pub struct GaugeKind;
@@ -86,8 +79,6 @@ pub struct Field<K: FieldKind, E: SveFloat = f64> {
 pub type ComplexField = Field<ScalarKind>;
 /// A quark (spin-color) field.
 pub type FermionField = Field<FermionKind>;
-/// A spin-projected half fermion field.
-pub type HalfFermionField = Field<HalfFermionKind>;
 /// The SU(3) gauge configuration.
 pub type GaugeField = Field<GaugeKind>;
 

@@ -73,8 +73,7 @@ pub mod topology;
 
 pub use complex::Complex;
 pub use field::{
-    gauge_comp, spinor_comp, ComplexField, FermionBlock, FermionField, Field, FieldKind,
-    GaugeField, HalfFermionField,
+    gauge_comp, spinor_comp, ComplexField, FermionBlock, FermionField, Field, FieldKind, GaugeField,
 };
 pub use layout::{Coor, Grid, NCOLOR, NDIM, NSPIN};
 pub use simd::{CVec, SimdBackend, SimdEngine, Words};
@@ -86,14 +85,12 @@ pub mod prelude {
         compress_two_row, decompress_two_row, Precision, LINK_SCALARS_FULL, LINK_SCALARS_TWO_ROW,
     };
     pub use crate::comms::{
-        cshift_dist, cshift_dist_gauge, hopping_dist, hopping_dist_half, run_multinode,
         run_multinode_grid, run_multinode_topo, Compression, GaugeWire, HaloMsg, NetworkModel,
         RankCtx,
     };
     pub use crate::cshift::cshift;
     pub use crate::dirac::{
-        gamma5, gamma5_block_inplace, gamma5_inplace, hopping_via_cshift, mult_gauge, project_half,
-        reconstruct_half, WilsonDirac,
+        gamma5, gamma5_block_inplace, gamma5_inplace, hopping_via_cshift, mult_gauge, WilsonDirac,
     };
     pub use crate::dist::{dist_cg, restrict_field, DistWilson, DistWorkspace};
     pub use crate::dwf::{axpy_chiral, cg_dwf, chiral_minus, chiral_plus, DomainWall, Fermion5};

@@ -164,9 +164,11 @@ pub fn fermion_face_bytes(sites: usize, compression: Compression) -> usize {
     sites * FERMION_FACE_SCALARS * scalar_bytes(compression)
 }
 
-/// Wire bytes of a gauge face carrying all four link directions per site —
-/// the [`cshift_dist_gauge`](crate::comms::cshift_dist_gauge) payload.
-/// This is the pinned per-site model:
+/// Wire bytes of a gauge face carrying all four link directions per site;
+/// the distributed operator's ghost exchange
+/// ([`DistWilson::new`](crate::dist::DistWilson::new)) sends only the split
+/// direction's link, a quarter of it ([`link_ghost_bytes`]). This is the
+/// pinned per-site model:
 ///
 /// | wire    | compression | bytes/site |
 /// |---------|-------------|------------|

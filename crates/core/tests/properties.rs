@@ -221,18 +221,17 @@ proptest! {
         }
     }
 
-    /// Spin projection halves data and reconstructs exactly.
+    /// `(1 ± γµ)² = 2(1 ± γµ)`: the spin projector of every hopping leg is
+    /// twice a projection.
     #[test]
-    fn half_spinor_projection(mu in 0usize..4, plus in any::<bool>(), seed in 1u64..500) {
+    fn spin_projector_squares_to_twice_itself(mu in 0usize..4, plus in any::<bool>(), seed in 1u64..500) {
+        use grid::dirac::proj_recon;
         let g = Grid::new([2, 2, 2, 4], VectorLength::of(512), SimdBackend::Fcmla);
         let psi = FermionField::random(g.clone(), seed);
-        let h = project_half(mu, plus, &psi);
-        prop_assert_eq!(2 * h.data().len(), psi.data().len());
-        let full = reconstruct_half(mu, plus, &h);
-        // (1±γ)² = 2(1±γ): projecting the reconstruction doubles it.
-        let h2 = project_half(mu, plus, &full);
-        let mut doubled = h.clone();
+        let once = proj_recon(mu, plus, &psi);
+        let twice = proj_recon(mu, plus, &once);
+        let mut doubled = once.clone();
         doubled.scale(2.0);
-        prop_assert!(h2.max_abs_diff(&doubled) < 1e-10 * doubled.norm2().sqrt().max(1.0));
+        prop_assert!(twice.max_abs_diff(&doubled) < 1e-10 * doubled.norm2().sqrt().max(1.0));
     }
 }

@@ -32,6 +32,7 @@ pub mod channel {
     struct State<T> {
         queue: VecDeque<T>,
         senders: usize,
+        receivers: usize,
         /// `usize::MAX` for unbounded channels; otherwise [`Sender::send`]
         /// blocks while the queue holds `capacity` messages.
         capacity: usize,
@@ -55,9 +56,9 @@ pub mod channel {
     /// Receiving half; cloneable (any one receiver gets each message).
     pub struct Receiver<T>(Arc<Inner<T>>);
 
-    /// Error returned when sending on a channel with no receivers left.
-    /// (Never produced by this shim — receivers keep the queue alive —
-    /// but kept for API compatibility.)
+    /// Error returned when sending on a channel with no receivers left — at
+    /// once, or as soon as the last receiver drops while a bounded send is
+    /// blocked on a full queue.
     #[derive(Debug, PartialEq, Eq)]
     pub struct SendError<T>(pub T);
 
@@ -85,6 +86,7 @@ pub mod channel {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
                 senders: 1,
+                receivers: 1,
                 capacity: usize::MAX,
             }),
             queued: AtomicUsize::new(0),
@@ -105,6 +107,7 @@ pub mod channel {
             state: Mutex::new(State {
                 queue: VecDeque::with_capacity(cap),
                 senders: 1,
+                receivers: 1,
                 capacity: cap,
             }),
             queued: AtomicUsize::new(0),
@@ -135,11 +138,14 @@ pub mod channel {
     impl<T> Sender<T> {
         /// Enqueue a message. On a bounded channel this blocks while the
         /// queue is at capacity (backpressure); unbounded sends never
-        /// block.
+        /// block. Fails once every receiver is gone.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
             let mut st = self.0.state.lock().unwrap();
-            while st.queue.len() >= st.capacity {
+            while st.receivers > 0 && st.queue.len() >= st.capacity {
                 st = self.0.space.wait(st).unwrap();
+            }
+            if st.receivers == 0 {
+                return Err(SendError(value));
             }
             st.queue.push_back(value);
             self.0.queued.store(st.queue.len(), Ordering::Relaxed);
@@ -149,10 +155,10 @@ pub mod channel {
         }
 
         /// Enqueue without blocking; returns the message back if the
-        /// bounded queue is full.
+        /// bounded queue is full or every receiver is gone.
         pub fn try_send(&self, value: T) -> Result<(), SendError<T>> {
             let mut st = self.0.state.lock().unwrap();
-            if st.queue.len() >= st.capacity {
+            if st.receivers == 0 || st.queue.len() >= st.capacity {
                 return Err(SendError(value));
             }
             st.queue.push_back(value);
@@ -165,7 +171,19 @@ pub mod channel {
 
     impl<T> Clone for Receiver<T> {
         fn clone(&self) -> Self {
+            self.0.state.lock().unwrap().receivers += 1;
             Receiver(self.0.clone())
+        }
+    }
+
+    impl<T> Drop for Receiver<T> {
+        fn drop(&mut self) {
+            let mut st = self.0.state.lock().unwrap();
+            st.receivers -= 1;
+            if st.receivers == 0 {
+                drop(st);
+                self.0.space.notify_all();
+            }
         }
     }
 
@@ -298,6 +316,22 @@ mod tests {
                 assert_eq!(rx.recv(), Ok(round * 4 + i));
             }
         }
+    }
+
+    #[test]
+    fn a_send_blocked_on_a_full_queue_fails_when_the_last_receiver_drops() {
+        let (tx, rx) = bounded(1);
+        let rx2 = rx.clone();
+        tx.send(1u8).unwrap();
+        std::thread::scope(|s| {
+            let t = s.spawn(|| tx.send(2));
+            drop(rx);
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            drop(rx2);
+            assert_eq!(t.join().unwrap(), Err(SendError(2)));
+        });
+        assert_eq!(tx.send(3), Err(SendError(3)));
+        assert_eq!(tx.try_send(4), Err(SendError(4)));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use armie::listings;
 use grid::prelude::*;
 use grid::simd::SimdEngine;
-use grid::{Coor, FermionField, GaugeField};
+use grid::{Coor, FermionField};
 use std::sync::Arc;
 use sve::{SveCtx, ToolchainFault, VectorLength};
 
@@ -672,63 +672,63 @@ fn test_solver_verifies(cfg: &CheckCfg) -> Result<(), String> {
 
 // ---------- comms level ----------
 
-fn test_dist_cshift(cfg: &CheckCfg) -> Result<(), String> {
-    let global: Coor = [4, 4, 4, 8];
-    let gg = Grid::with_ctx(global, Arc::new(cfg.ctx()), cfg.backend);
-    let f = FermionField::random(gg.clone(), 61);
-    let want = cshift(&f, 3, 1);
-    let locals = run_multinode(global, 2, cfg.vl, cfg.backend, |ctx| {
-        let mut lf = FermionField::zero(ctx.grid.clone());
-        for lx in ctx.grid.coords() {
-            let gx = ctx.to_global(&lx);
-            for comp in 0..12 {
-                lf.poke(&lx, comp, f.peek(&gx, comp));
-            }
-        }
-        (ctx.offset, cshift_dist(ctx, &lf, 3, 1, Compression::None))
-    });
-    for (offset, local) in &locals {
-        for lx in local.grid().coords().step_by(5) {
-            let gx: Coor = std::array::from_fn(|d| lx[d] + offset[d]);
-            if local.peek(&lx, 0) != want.peek(&gx, 0) {
-                return Err(format!("{gx:?}"));
+/// The global lattice the rank checks split over two t-ranks.
+const DIST_LAT: Coor = [4, 4, 4, 8];
+
+/// A rank's field against the same global sites of `want`, bit for bit.
+fn matches_global(ctx: &RankCtx, local: &FermionField, want: &FermionField) -> Result<(), String> {
+    for lx in ctx.grid.coords() {
+        let gx = ctx.to_global(&lx);
+        for comp in 0..12 {
+            let (a, b) = (local.peek(&lx, comp), want.peek(&gx, comp));
+            if (a.re.to_bits(), a.im.to_bits()) != (b.re.to_bits(), b.im.to_bits()) {
+                return Err(format!("rank {} site {gx:?} comp {comp}", ctx.rank));
             }
         }
     }
     Ok(())
 }
 
+fn test_dist_cg(cfg: &CheckCfg) -> Result<(), String> {
+    // Ranks are a placement, not a different solve: every reduction is
+    // canonical, so dist_cg over two ranks is cg on the global problem.
+    let gg = Grid::with_ctx(DIST_LAT, Arc::new(cfg.ctx()), cfg.backend);
+    let u = random_gauge(gg.clone(), 61);
+    let b = FermionField::random(gg.clone(), 62);
+    let (want, want_report) = cg(&WilsonDirac::new_two_row(u.clone(), 0.3), &b, 1e-8, 200);
+    let history = |r: &SolveReport| r.history.iter().map(|h| h.to_bits()).collect::<Vec<_>>();
+    run_multinode_grid(DIST_LAT, [1, 1, 1, 2], cfg.vl, cfg.backend, |ctx| {
+        let ul = restrict_field(ctx, &u);
+        let dw = DistWilson::new(ctx, ul, 0.3, GaugeWire::TwoRow, Compression::None);
+        let (x, report) = dist_cg(&dw, &restrict_field(ctx, &b), 1e-8, 200);
+        ensure(
+            report.converged && history(&report) == history(&want_report),
+            format!("residual history differs from cg: {report:?}"),
+        )?;
+        matches_global(ctx, &x, &want)
+    })
+    .into_iter()
+    .collect()
+}
+
 fn test_dist_hopping(cfg: &CheckCfg) -> Result<(), String> {
-    let global: Coor = [4, 4, 4, 8];
-    let gg = Grid::with_ctx(global, Arc::new(cfg.ctx()), cfg.backend);
-    let u = random_gauge(gg.clone(), 62);
-    let psi = FermionField::random(gg.clone(), 63);
+    let gg = Grid::with_ctx(DIST_LAT, Arc::new(cfg.ctx()), cfg.backend);
+    let u = random_gauge(gg.clone(), 63);
+    let psi = FermionField::random(gg.clone(), 64);
     let want = WilsonDirac::new(u.clone(), 0.1).hopping(&psi);
-    let locals = run_multinode(global, 2, cfg.vl, cfg.backend, |ctx| {
-        let mut lu = GaugeField::zero(ctx.grid.clone());
-        let mut lf = FermionField::zero(ctx.grid.clone());
-        for lx in ctx.grid.coords() {
-            let gx = ctx.to_global(&lx);
-            for comp in 0..36 {
-                lu.poke(&lx, comp, u.peek(&gx, comp));
-            }
-            for comp in 0..12 {
-                lf.poke(&lx, comp, psi.peek(&gx, comp));
-            }
-        }
-        (ctx.offset, hopping_dist(ctx, &lu, &lf, Compression::None))
-    });
-    for (offset, local) in &locals {
-        for lx in local.grid().coords().step_by(3) {
-            let gx: Coor = std::array::from_fn(|d| lx[d] + offset[d]);
-            for comp in 0..12 {
-                if (local.peek(&lx, comp) - want.peek(&gx, comp)).abs() > 1e-11 {
-                    return Err(format!("{gx:?} comp {comp}"));
-                }
-            }
-        }
-    }
-    Ok(())
+    run_multinode_grid(DIST_LAT, [1, 1, 1, 2], cfg.vl, cfg.backend, |ctx| {
+        let ul = restrict_field(ctx, &u);
+        let dw = DistWilson::new(ctx, ul, 0.1, GaugeWire::Full, Compression::None);
+        let mut out = FermionField::zero(ctx.grid.clone());
+        dw.hopping_into(
+            &restrict_field(ctx, &psi),
+            &mut DistWorkspace::new(&dw),
+            &mut out,
+        );
+        matches_global(ctx, &out, &want)
+    })
+    .into_iter()
+    .collect()
 }
 
 fn test_comms_f16(cfg: &CheckCfg) -> Result<(), String> {
@@ -818,7 +818,7 @@ pub fn all_checks() -> Vec<Check> {
         ("Benchmark_bicgstab", "solver", test_bicgstab),
         ("Test_solver_residual", "solver", test_solver_verifies),
         // Comms
-        ("Test_dist_cshift", "comms", test_dist_cshift),
+        ("Test_dist_cg", "comms", test_dist_cg),
         ("Test_dist_hopping", "comms", test_dist_hopping),
         ("Test_comms_f16", "comms", test_comms_f16),
     ]

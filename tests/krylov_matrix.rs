@@ -443,6 +443,16 @@ fn dist(bits: usize, ranks: usize) -> Result<Print, String> {
         same("ranks", &print, other)?;
     }
     print.x = sites.into_iter().flat_map(|(_, re, im)| [re, im]).collect();
+    if ranks == 1 {
+        // Ranks are a placement, not a different solve: one rank is the
+        // fused field space on the same global operator, bit for bit.
+        let g = Grid::new(global, vl, SimdBackend::Fcmla);
+        let op = WilsonDirac::new_two_row(random_gauge(g.clone(), 7), 0.3);
+        let b = FermionField::random(g, 13);
+        let mut tmp = b.zero_like();
+        let field = solve(&mut fused(&op, &mut tmp), &b, Start::Zero, TOL);
+        same("field fused", &print, &field)?;
+    }
     Ok(print)
 }
 
