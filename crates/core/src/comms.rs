@@ -840,7 +840,9 @@ mod tests {
             let run = std::panic::catch_unwind(|| {
                 run_multinode_grid(GLOBAL, [1, 1, 1, 2], VL, SimdBackend::Fcmla, |ctx| {
                     if ctx.rank == 0 {
-                        // Long enough for rank 1 to be parked in its wait.
+                        // Long enough for rank 1 to be parked in its wait or
+                        // send (if it is not yet, it fails without waiting;
+                        // the test holds either way).
                         std::thread::sleep(Duration::from_millis(100));
                         panic!("rank 0 dies");
                     }

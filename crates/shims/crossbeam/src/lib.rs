@@ -324,6 +324,9 @@ mod tests {
         let rx2 = rx.clone();
         tx.send(1u8).unwrap();
         std::thread::scope(|s| {
+            // The send blocks on the full queue, and fails when the second
+            // receiver goes. (If the sleep is cut short it fails without
+            // blocking; the assertions hold either way.)
             let t = s.spawn(|| tx.send(2));
             drop(rx);
             std::thread::sleep(std::time::Duration::from_millis(5));

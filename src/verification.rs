@@ -713,8 +713,8 @@ fn test_dist_cg(cfg: &CheckCfg) -> Result<(), String> {
 
 fn test_dist_hopping(cfg: &CheckCfg) -> Result<(), String> {
     let gg = Grid::with_ctx(DIST_LAT, Arc::new(cfg.ctx()), cfg.backend);
-    let u = random_gauge(gg.clone(), 63);
-    let psi = FermionField::random(gg.clone(), 64);
+    let u = random_gauge(gg.clone(), 62);
+    let psi = FermionField::random(gg.clone(), 63);
     let want = WilsonDirac::new(u.clone(), 0.1).hopping(&psi);
     run_multinode_grid(DIST_LAT, [1, 1, 1, 2], cfg.vl, cfg.backend, |ctx| {
         let ul = restrict_field(ctx, &u);
