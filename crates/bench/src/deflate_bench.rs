@@ -4,7 +4,7 @@
 //!
 //! Three legs on the same operator:
 //!
-//! - **undeflated** — plain [`block_cg`] over the N-RHS batch.
+//! - **undeflated** — plain [`cg`] over the N-RHS batch.
 //! - **deflated** — [`defl_cg`] on the batch, from the Galerkin guess of a
 //!   thick-restart Lanczos subspace built once on `M†M`.
 //! - **coarse** — [`coarse_pcg`] on RHS 0: the two-level preconditioner
@@ -92,7 +92,7 @@ pub fn run(therm: &Thermalized, cfg: &DeflationConfig) -> Result<Json, String> {
     let block = FermionBlock::from_fields(&fields);
     let total = |per_rhs: &[usize]| per_rhs.iter().sum::<usize>() as f64;
 
-    let (_, plain) = block_cg(op, &block, cfg.tol, MAX_ITER);
+    let (_, plain) = cg(op, &block, cfg.tol, MAX_ITER);
     if plain.converged.iter().any(|&c| !c) {
         return Err("undeflated block solve did not converge".into());
     }

@@ -2,7 +2,7 @@
 //! (`qcd-bench-farm/v2`): what does the farm's batching buy?
 //!
 //! The answer is a model, not a clock: trace-span byte accounting of one
-//! batched `block_cg` dispatch against one-at-a-time dispatches of the same
+//! batched block `cg` dispatch against one-at-a-time dispatches of the same
 //! requests. Gauge links are loaded once per site regardless of batch
 //! width, so bytes per RHS fall as the batch fills; on the bandwidth-bound
 //! hardware the paper targets, RHS throughput scales as the inverse. The
@@ -48,7 +48,7 @@ pub fn run_farm_bench(dims: Coor, requests: usize, probe_iters: usize) -> Result
         }
         let block = FermionBlock::from_fields(&fields[..n]);
         // tol 0: exactly `probe_iters` sweeps
-        let (_, _, bytes) = crate::probe(|| block_cg(&op, &block, 0.0, probe_iters), |_| true);
+        let (_, _, bytes) = crate::probe(|| cg(&op, &block, 0.0, probe_iters), |_| true);
         if bytes == 0 {
             return Err(format!("dispatch probe recorded no telemetry for N={n}"));
         }

@@ -20,7 +20,7 @@
 
 use crate::dirac::{gamma5, WilsonDirac};
 use crate::field::{spinor_comp, FermionField, GaugeField};
-use crate::krylov::{self, CgSpace, Start, Vector};
+use crate::krylov::{self, Operator, Start, Vector};
 use crate::layout::NCOLOR;
 use crate::solver::SolveReport;
 use crate::Complex;
@@ -306,37 +306,21 @@ impl Vector for Fermion5 {
     }
 }
 
-/// The space of the domain-wall normal operator: `D†D` through a held `D ψ`
-/// intermediate, the curvature a separate inner product summed over the
-/// slices in order.
-struct DwfNormal<'a> {
-    op: &'a DomainWall,
-    tmp: Fermion5,
-}
-
-impl CgSpace for DwfNormal<'_> {
-    type V = Fermion5;
-
-    fn apply(&mut self, p: &Fermion5, ap: &mut Fermion5, curv: &mut [f64]) {
-        self.op.ddag_d_into(p, &mut self.tmp, ap);
-        curv[0] = p.inner(ap).re;
-    }
-}
-
-/// Conjugate Gradient on the domain-wall normal equations `D†D x = b`.
+/// Conjugate Gradient on the domain-wall normal equations `D†D x = b`, in
+/// the space of `D†D` through a held `D ψ` intermediate with the curvature
+/// a separate inner product summed over the slices in order.
 ///
 /// Runs allocation-free in steady state: the `D ψ` intermediate and the
 /// operator output are preallocated 5-D fermions reused across iterations,
-/// the residual update is the fused `axpy_norm2` sweep, and no
-/// per-iteration telemetry span is opened (span entry allocates; the
-/// solve-level span still collects flops and bytes).
+/// and the residual update is the fused `axpy_norm2` sweep.
 pub fn cg_dwf(op: &DomainWall, b: &Fermion5, tol: f64, max_iter: usize) -> (Fermion5, SolveReport) {
     let grid = b.slices[0].grid().clone();
     let span = qcd_trace::span!("solver.cg_dwf", grid.engine().ctx());
-    let mut space = DwfNormal {
-        op,
-        tmp: b.zero_like(),
-    };
+    let mut tmp = b.zero_like();
+    let mut space = Operator::new(|p: &Fermion5, ap: &mut Fermion5, curv: &mut [f64]| {
+        op.ddag_d_into(p, &mut tmp, ap);
+        curv[0] = p.inner(ap).re;
+    });
     krylov::cg_solve(
         &mut space,
         b,

@@ -10,7 +10,8 @@
 //! bound to a vector type and the inner product it steers by), a **start**
 //! ([`Start`]) and an **observer** (a closure called after every
 //! iteration). A solve is composed from those three at the call site;
-//! nothing here is named after a combination of them.
+//! nothing here is named after a combination of them. Spaces and observers
+//! are taken behind `dyn`: the driver is compiled once per vector type.
 //!
 //! Scalars travel as slices of length `nrhs` — one entry for single-vector
 //! spaces — so a field, a block of right-hand sides, a 5-d fermion, a
@@ -250,27 +251,17 @@ pub trait CgSpace {
     fn precondition(&mut self, _r: &Self::V, _z: &mut Self::V, _rz: &mut [f64]) -> bool {
         false
     }
-
-    /// Scope of one iteration. The allocating adapter opens its `iter`
-    /// span here; the workspace spaces deliberately open none (span entry
-    /// allocates).
-    fn iteration<R>(&mut self, body: impl FnOnce(&mut Self) -> R) -> R
-    where
-        Self: Sized,
-    {
-        body(self)
-    }
 }
 
 /// `out = b − A x` through `ax` and its per-RHS `|out|²`: the true-residual
 /// check, and the residual of a [`Start::Guess`]. The curvature `apply`
 /// computes on the way lands in `n2` and is overwritten.
-fn residual<S: CgSpace>(
-    space: &mut S,
-    b: &S::V,
-    x: &S::V,
-    ax: &mut S::V,
-    out: &mut S::V,
+fn residual<V: Vector>(
+    space: &mut dyn CgSpace<V = V>,
+    b: &V,
+    x: &V,
+    ax: &mut V,
+    out: &mut V,
     n2: &mut [f64],
 ) {
     space.apply(x, ax, n2);
@@ -306,8 +297,8 @@ impl<V: Vector, A: FnMut(&V, &mut V, &mut [f64])> CgSpace for Operator<V, A> {
 /// The space around the fused Wilson sweeps — dslash and mass in one pass,
 /// the curvature fused into the second hopping pass — with `tmp` the
 /// caller-held `M p` intermediate, at either width and any precision: what
-/// `cg`, `block_cg`, `defl_cg`, `coarse_pcg` and the precision ladder's
-/// tiers run in, and what a caller composes with another start or observer.
+/// `cg`, `defl_cg`, `coarse_pcg` and the precision ladder's tiers run in,
+/// and what a caller composes with another start or observer.
 /// A steady-state iteration allocates nothing the kernels do not.
 pub fn fused<'a, V: WilsonVector>(
     op: &'a WilsonDirac<V::E>,
@@ -321,10 +312,9 @@ pub fn fused<'a, V: WilsonVector>(
 /// The allocating closure adapter: any hermitian positive-definite
 /// operator given as `Fn(&F) -> F` (the shape Grid's `ConjugateGradient`
 /// template takes, and the oracle the conformance matrix compares every
-/// other space against). It
-/// allocates the operator output every iteration, takes the curvature as a
-/// separate inner product, and opens an `iter` span per iteration —
-/// bit-identical to the fused spaces on the same operator all the same.
+/// other space against). It allocates each operator output, takes the
+/// curvature as a separate inner product and opens an `iter` span per
+/// application — bit-identical to the fused spaces all the same.
 pub struct Allocating<E: SveFloat, F> {
     grid: Arc<Grid<E>>,
     op: F,
@@ -343,14 +333,9 @@ impl<E: SveFloat, F: Fn(&Field<FermionKind, E>) -> Field<FermionKind, E>> CgSpac
     type V = Field<FermionKind, E>;
 
     fn apply(&mut self, p: &Self::V, ap: &mut Self::V, curv: &mut [f64]) {
+        let _iter_span = qcd_trace::span!("iter", self.grid.engine().ctx());
         *ap = (self.op)(p);
         curv[0] = p.inner(ap).re;
-    }
-
-    fn iteration<R>(&mut self, body: impl FnOnce(&mut Self) -> R) -> R {
-        let grid = self.grid.clone();
-        let _iter_span = qcd_trace::span!("iter", grid.engine().ctx());
-        body(self)
     }
 }
 
@@ -490,10 +475,10 @@ pub fn no_observer<St>(_: &St, _: &[HealthMonitor]) -> ControlFlow<()> {
 /// Inactive RHS are frozen: the masked sweeps do not load their words.
 ///
 /// This is the only place in the workspace that computes the CG scalars.
-pub fn cg_step<S: CgSpace>(
-    space: &mut S,
-    s: &mut State<S::V>,
-    w: &mut Scratch<S::V>,
+pub fn cg_step<V: Vector>(
+    space: &mut dyn CgSpace<V = V>,
+    s: &mut State<V>,
+    w: &mut Scratch<V>,
     tol: f64,
     max_iter: usize,
 ) -> ControlFlow<Stop> {
@@ -506,64 +491,62 @@ pub fn cg_step<S: CgSpace>(
     if !k.active.contains(&true) {
         return ControlFlow::Break(Stop::Finished);
     }
-    space.iteration(|space| {
-        space.apply(&s.p, ap, &mut k.curv);
+    space.apply(&s.p, ap, &mut k.curv);
+    for j in 0..nrhs {
+        if k.active[j] {
+            if k.curv[j].is_nan() || k.curv[j] <= 0.0 {
+                return ControlFlow::Break(Stop::Breakdown(j));
+            }
+            let rho = if z.is_some() { k.rho[j] } else { s.r2[j] };
+            k.alpha[j] = rho / k.curv[j];
+        }
+    }
+    V::cg_update(
+        &mut s.x,
+        &mut s.r,
+        &k.alpha,
+        &s.p,
+        ap,
+        &k.active,
+        &mut k.fresh,
+    );
+    for j in 0..nrhs {
+        if k.active[j] {
+            k.beta[j] = k.fresh[j] / s.r2[j];
+            s.r2[j] = k.fresh[j];
+            s.iterations[j] += 1;
+            s.histories[j].push((s.r2[j] / s.b_norm2[j]).sqrt());
+        }
+    }
+    let Some(z) = z else {
+        s.p.aypx_active(&k.beta, &s.r, &k.active);
+        return ControlFlow::Continue(());
+    };
+    for j in 0..nrhs {
+        k.onward[j] = k.active[j] && s.r2[j] > target(j);
+    }
+    if k.onward.contains(&true) {
+        space.precondition(&s.r, z, &mut k.fresh);
         for j in 0..nrhs {
-            if k.active[j] {
-                if k.curv[j].is_nan() || k.curv[j] <= 0.0 {
-                    return ControlFlow::Break(Stop::Breakdown(j));
-                }
-                let rho = if z.is_some() { k.rho[j] } else { s.r2[j] };
-                k.alpha[j] = rho / k.curv[j];
+            if k.onward[j] {
+                k.beta[j] = k.fresh[j] / k.rho[j];
+                k.rho[j] = k.fresh[j];
             }
         }
-        S::V::cg_update(
-            &mut s.x,
-            &mut s.r,
-            &k.alpha,
-            &s.p,
-            ap,
-            &k.active,
-            &mut k.fresh,
-        );
-        for j in 0..nrhs {
-            if k.active[j] {
-                k.beta[j] = k.fresh[j] / s.r2[j];
-                s.r2[j] = k.fresh[j];
-                s.iterations[j] += 1;
-                s.histories[j].push((s.r2[j] / s.b_norm2[j]).sqrt());
-            }
-        }
-        let Some(z) = z else {
-            s.p.aypx_active(&k.beta, &s.r, &k.active);
-            return ControlFlow::Continue(());
-        };
-        for j in 0..nrhs {
-            k.onward[j] = k.active[j] && s.r2[j] > target(j);
-        }
-        if k.onward.contains(&true) {
-            space.precondition(&s.r, z, &mut k.fresh);
-            for j in 0..nrhs {
-                if k.onward[j] {
-                    k.beta[j] = k.fresh[j] / k.rho[j];
-                    k.rho[j] = k.fresh[j];
-                }
-            }
-            s.p.aypx_active(&k.beta, z, &k.onward);
-        }
-        ControlFlow::Continue(())
-    })
+        s.p.aypx_active(&k.beta, z, &k.onward);
+    }
+    ControlFlow::Continue(())
 }
 
 /// Build the state a solve starts from, and the preconditioned residual
 /// `z` (with `ρ = ⟨r,z⟩`, both pure functions of `r`) when the space has a
 /// preconditioner.
-fn begin<S: CgSpace>(
-    space: &mut S,
-    b: &S::V,
-    w: &mut Scratch<S::V>,
-    start: Start<S::V>,
-) -> State<S::V> {
+fn begin<V: Vector>(
+    space: &mut dyn CgSpace<V = V>,
+    b: &V,
+    w: &mut Scratch<V>,
+    start: Start<V>,
+) -> State<V> {
     let mut s = match start {
         Start::State(state) => state,
         fresh => {
@@ -608,14 +591,14 @@ fn assert_nonzero(b_norm2: &[f64]) {
 /// Solves go through [`cg_solve`]; this is public for a caller that is a
 /// *cycle* of something larger and owns its own monitor, state and
 /// scratch across cycles — the binary16 tier of the precision ladder.
-pub fn cg_iterate<S: CgSpace>(
-    space: &mut S,
-    state: &mut State<S::V>,
-    w: &mut Scratch<S::V>,
+pub fn cg_iterate<V: Vector>(
+    space: &mut dyn CgSpace<V = V>,
+    state: &mut State<V>,
+    w: &mut Scratch<V>,
     monitors: &mut [HealthMonitor],
     tol: f64,
     max_iter: usize,
-    mut observer: impl FnMut(&State<S::V>, &[HealthMonitor]) -> ControlFlow<()>,
+    observer: &mut Observer<'_, V>,
 ) -> Stop {
     for (history, &done) in state.histories.iter_mut().zip(&state.iterations) {
         history.reserve(max_iter.saturating_sub(done).min(HISTORY_RESERVE));
@@ -651,33 +634,33 @@ pub fn cg_iterate<S: CgSpace>(
 /// drift. A [`Stop::Breakdown`] panics here: the operator is not hermitian
 /// positive-definite.
 #[allow(clippy::too_many_arguments)]
-pub fn cg_solve<S: CgSpace>(
-    space: &mut S,
-    b: &S::V,
-    start: Start<S::V>,
+pub fn cg_solve<V: Vector>(
+    space: &mut dyn CgSpace<V = V>,
+    b: &V,
+    start: Start<V>,
     tol: f64,
     max_iter: usize,
     span: qcd_trace::SpanGuard<'_>,
     region: &str,
-    mut observer: impl FnMut(&State<S::V>, &[HealthMonitor]) -> ControlFlow<()>,
-) -> (S::V, <S::V as Vector>::Report) {
-    // The observer runs once per iteration, beside sweeps over the whole
-    // lattice: behind `dyn`, the driver is compiled once per space rather
-    // than once per (space, observer).
+    mut observer: impl FnMut(&State<V>, &[HealthMonitor]) -> ControlFlow<()>,
+) -> (V, V::Report) {
+    // The space and the observer are each called once per iteration,
+    // beside sweeps over the whole lattice: behind `dyn`, the driver is
+    // compiled once per vector type rather than once per (space, observer).
     #[allow(clippy::too_many_arguments)]
-    fn solve<S: CgSpace>(
-        space: &mut S,
-        b: &S::V,
-        start: Start<S::V>,
+    fn solve<V: Vector>(
+        space: &mut dyn CgSpace<V = V>,
+        b: &V,
+        start: Start<V>,
         tol: f64,
         max_iter: usize,
         span: qcd_trace::SpanGuard<'_>,
         region: &str,
-        observer: &mut Observer<'_, S::V>,
-    ) -> (S::V, <S::V as Vector>::Report) {
+        observer: &mut Observer<'_, V>,
+    ) -> (V, V::Report) {
         let mut w = Scratch::new(b);
         let mut state = begin(space, b, &mut w, start);
-        let mut monitors = health_monitors(region, S::V::BATCHED, &state.histories);
+        let mut monitors = health_monitors(region, V::BATCHED, &state.histories);
         let stop = cg_iterate(
             space,
             &mut state,
@@ -697,7 +680,7 @@ pub fn cg_solve<S: CgSpace>(
     solve(space, b, start, tol, max_iter, span, region, &mut observer)
 }
 
-/// What [`cg_solve`] asks after every iteration, type-erased.
+/// What the driver asks after every iteration, type-erased.
 type Observer<'a, V> = dyn FnMut(&State<V>, &[HealthMonitor]) -> ControlFlow<()> + 'a;
 
 /// One monitor per RHS, labelled `region` (or `region[j]` in a batch) and

@@ -26,7 +26,7 @@
 //!   "the most compute-intensive task" of LQCD.
 //! * **Solvers** ([`krylov`], [`solver`]): one Conjugate Gradient driver
 //!   over operator/vector-space impls (field, block, 5-d, rank-local,
-//!   binary16), the Wilson entry points on `M†M`, and BiCGStab.
+//!   binary16), the Wilson `cg` on `M†M` at either width, and BiCGStab.
 //! * **Comms** ([`comms`]): simulated multi-rank domain decomposition with
 //!   halo exchange and optional binary16 wire compression (Section V-B).
 //!
@@ -111,10 +111,7 @@ pub mod prelude {
     pub use crate::requests::{solve_cg_requests, SolveOutcome, SolveRequest};
     pub use crate::rng::StreamRng;
     pub use crate::simd::{SimdBackend, SimdEngine};
-    pub use crate::solver::{
-        bicgstab, block_cg, cg, solve_wilson, BicgStabState, BlockSolveReport, SolveReport,
-        SolverWorkspace,
-    };
+    pub use crate::solver::{bicgstab, cg, solve_wilson, BlockSolveReport, SolveReport};
     pub use crate::tensor::gamma_algebra::{mult_gamma, GammaElement};
     pub use crate::tensor::su3::{
         compress_su3, random_gauge, reconstruct_row2, reconstruct_su3, unit_gauge, TwoRowMatrix,

@@ -19,7 +19,6 @@ use crate::dirac::WilsonDirac;
 use crate::field::{FermionKind, Field, FieldKind};
 use crate::krylov::{self, Scratch, Start, State, Stop};
 use crate::layout::Grid;
-use crate::solver::SolverWorkspace;
 use crate::FermionField;
 use qcd_trace::{HealthEvent, HealthMonitor};
 use std::ops::ControlFlow;
@@ -68,6 +67,10 @@ pub fn to_precision<K: FieldKind, E1: SveFloat, E2: SveFloat>(
 /// true residual back to the f32 tier (a *reliable update*).
 pub const F16_RESIDUAL_FLOOR: f64 = 9.765625e-4;
 
+/// Binary16 cycles per outer round of the ladder before the round is
+/// handed to the f32 tier regardless of progress.
+const MAX_CYCLES: usize = 8;
+
 // ---------------------------------------------------------------------------
 // The three-level precision ladder
 // ---------------------------------------------------------------------------
@@ -93,17 +96,10 @@ pub struct LadderConfig {
     pub max_outer: usize,
     /// Iteration budget per inner cycle (f16) or per middle round (f32).
     pub max_inner: usize,
-    /// Reliable-update cycles per outer round before the round is handed
-    /// to the f32 tier regardless of progress.
-    pub max_cycles: usize,
     /// Whether the binary16 tier starts enabled. The ladder may demote
     /// itself (f16 → f32) at runtime; [`LadderReport::f16_active_at_exit`]
     /// reports the final state so a resume can carry it over.
     pub use_f16: bool,
-    /// Stall window of the inner-tier health monitor.
-    pub stall_window: usize,
-    /// Divergence factor of the inner-tier health monitor.
-    pub divergence_factor: f64,
 }
 
 impl LadderConfig {
@@ -115,10 +111,7 @@ impl LadderConfig {
             f16_cycle_tol: 3.90625e-3, // 2⁻⁸: four f16 bits above the floor
             max_outer: 30,
             max_inner: 500,
-            max_cycles: 8,
             use_f16: true,
-            stall_window: qcd_trace::DEFAULT_STALL_WINDOW,
-            divergence_factor: qcd_trace::DEFAULT_DIVERGENCE_FACTOR,
         }
     }
 
@@ -228,7 +221,7 @@ fn f16_cycle(
         std::slice::from_mut(monitor),
         tol,
         max_iter,
-        |_, monitors| {
+        &mut |_, monitors| {
             if monitors[0].events().len() > events_at_entry {
                 return ControlFlow::Break(()); // a new episode: demote
             }
@@ -336,7 +329,9 @@ pub fn ladder_solve_from(
     let mut d32 = Field::<FermionKind, f32>::zero(grid32.clone());
     let mut s32 = Field::<FermionKind, f32>::zero(grid32.clone());
     let mut e32 = Field::<FermionKind, f32>::zero(grid32.clone());
-    let mut ws32 = SolverWorkspace::<f32>::new(grid32.clone());
+    // `M d` of every f32 `M†M` (the tier's CG included), `M†M d` outside CG.
+    let mut md32 = Field::<FermionKind, f32>::zero(grid32.clone());
+    let mut ad32 = Field::<FermionKind, f32>::zero(grid32.clone());
 
     loop {
         // Double-precision defect, canonically reduced.
@@ -362,7 +357,7 @@ pub fn ladder_solve_from(
         let mut cycles = 0;
 
         // Binary16 cycles with reliable updates in between.
-        while f16_on && s2 > mid_target && cycles < cfg.max_cycles {
+        while f16_on && s2 > mid_target && cycles < MAX_CYCLES {
             let t = tier16.as_mut().expect("f16 tier enabled but not built");
             let scale = s2.sqrt();
             let rel = (s2 / rhs_n2).sqrt();
@@ -375,11 +370,7 @@ pub fn ladder_solve_from(
                     ("rel_residual", rel),
                 ],
             );
-            let mut monitor = HealthMonitor::with_thresholds(
-                "solver.ladder.f16",
-                cfg.stall_window,
-                cfg.divergence_factor,
-            );
+            let mut monitor = HealthMonitor::new("solver.ladder.f16");
             let (it, aborted) = {
                 let g16 = t.b.grid().clone();
                 let _t16 = qcd_trace::span!("solver.tier.f16", g16.engine().ctx());
@@ -412,8 +403,8 @@ pub fn ladder_solve_from(
                 qcd_trace::counter("ladder.tier_fallbacks").inc();
                 // Rebuild the residual the cycle consumed.
                 let _t32 = qcd_trace::span!("solver.tier.f32", grid32.engine().ctx());
-                op32.mdag_m_into(&d32, &mut ws32.tmp, &mut ws32.ap);
-                s32.sub(&rhs32, &ws32.ap);
+                op32.mdag_m_into(&d32, &mut md32, &mut ad32);
+                s32.sub(&rhs32, &ad32);
                 s2 = s32.norm2();
                 break;
             }
@@ -423,8 +414,8 @@ pub fn ladder_solve_from(
                 let _t32 = qcd_trace::span!("solver.tier.f32", grid32.engine().ctx());
                 to_precision_into(&t.state.x, &mut e32);
                 d32.axpy_inplace(scale, &e32);
-                op32.mdag_m_into(&d32, &mut ws32.tmp, &mut ws32.ap);
-                s32.sub(&rhs32, &ws32.ap);
+                op32.mdag_m_into(&d32, &mut md32, &mut ad32);
+                s32.sub(&rhs32, &ad32);
             }
             let s2_new = s32.norm2();
             reliable_updates += 1;
@@ -464,7 +455,7 @@ pub fn ladder_solve_from(
             // `inner_tol` relative to `rhs32`.
             let eff_tol = (mid_target / s2).sqrt().min(0.9);
             let (e, rep) = krylov::cg_solve(
-                &mut krylov::fused(&op32, &mut ws32.tmp),
+                &mut krylov::fused(&op32, &mut md32),
                 &s32,
                 Start::Zero,
                 eff_tol,

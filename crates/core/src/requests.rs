@@ -6,12 +6,12 @@
 //! drives. Requests arrive one at a time in arbitrary order; the scheduler
 //! coalesces whatever is pending into a [`FermionBlock`] ([`coalesce`]),
 //! runs one batched solve on it — [`solve_cg_requests`] is that around
-//! [`block_cg`]; a deflated batch is `qcd_deflate::defl_cg` on the same
-//! block — and splits the result per request ([`demux`]). The whole scheme
-//! is only sound because of the block-path contract ([`FermionBlock`],
-//! [`block_cg`]): per-RHS results of a batched solve are bit-identical to
-//! independent single-RHS solves, for *any* batch width and *any* RHS
-//! composition. That makes batching purely
+//! [`cg`] of the block; a deflated batch is `qcd_deflate::defl_cg` on the
+//! same block — and splits the result per request ([`demux`]). The whole
+//! scheme is only sound because of the block-path contract
+//! ([`FermionBlock`], [`cg`]): per-RHS results of a batched solve are
+//! bit-identical to independent single-RHS solves, for *any* batch width
+//! and *any* RHS composition. That makes batching purely
 //! an amortization decision — the scheduler can group requests however
 //! throughput dictates without changing a single answer bit, and a crashed
 //! batch can be re-run in a differently-shaped batch after recovery and
@@ -24,7 +24,7 @@
 
 use crate::dirac::WilsonDirac;
 use crate::field::{FermionBlock, FermionField};
-use crate::solver::{block_cg, BlockSolveReport, SolveReport};
+use crate::solver::{cg, BlockSolveReport, SolveReport};
 
 /// One pending inversion request, as a job queue holds it.
 #[derive(Clone)]
@@ -86,11 +86,11 @@ pub fn demux(
         .collect()
 }
 
-/// Coalesce `requests` into one [`block_cg`] dispatch on the normal
+/// Coalesce `requests` into one block [`cg`] dispatch on the normal
 /// operator `M†M` and demultiplex the results per request.
 ///
 /// Each outcome is bit-identical (solution, iterations, residual, history)
-/// to an independent [`cg`](crate::solver::cg) of the same RHS, regardless
+/// to an independent field [`cg`] of the same RHS, regardless
 /// of how many other requests shared the batch or in what order they
 /// arrived. Batch fill is recorded in the `solver.requests.batch_fill`
 /// histogram so a service layer can audit its coalescing behaviour.
@@ -103,7 +103,7 @@ pub fn solve_cg_requests(
     let block = coalesce(requests);
     let span = qcd_trace::span!("solver.requests", block.grid().engine().ctx());
     qcd_trace::histogram("solver.requests.batch_fill").record(requests.len() as u64);
-    let (x, rep) = block_cg(op, &block, tol, max_iter);
+    let (x, rep) = cg(op, &block, tol, max_iter);
     drop(span);
     demux(requests, &x, &rep)
 }
@@ -113,7 +113,6 @@ mod tests {
     use super::*;
     use crate::layout::Grid;
     use crate::simd::SimdBackend;
-    use crate::solver::cg;
     use crate::tensor::su3::random_gauge;
     use sve::VectorLength;
 

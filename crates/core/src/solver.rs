@@ -10,18 +10,16 @@
 //!
 //! The CG recurrence itself lives in [`crate::krylov`], once, with its one
 //! checkpointable state ([`krylov::State`]). This module holds what a solve
-//! is made of around it: the report types and the Wilson entry points
-//! [`cg`] and [`block_cg`] — [`krylov::fused`] from a zero start, whose
+//! is made of around it: the report types and the Wilson entry point
+//! [`cg`] — [`krylov::fused`] from a zero start at either width, whose
 //! steady-state iteration performs no heap allocation of its own. BiCGStab
-//! keeps its one recurrence here ([`BicgStabState`]).
+//! is one function, [`bicgstab`], its recurrence in local variables.
 
+use crate::complex::Complex;
 use crate::dirac::WilsonDirac;
-use crate::field::{FermionBlock, FermionField, FermionKind, Field};
+use crate::field::FermionField;
 use crate::krylov::{self, Start, WilsonVector};
-use crate::layout::Grid;
 use qcd_trace::{HealthEvent, HealthMonitor};
-use std::sync::Arc;
-use sve::SveFloat;
 
 /// Cap on the residual history surfaced in a [`SolveReport`]. Longer
 /// histories are downsampled by [`qcd_trace::bound_history`], keeping the
@@ -66,50 +64,32 @@ pub(crate) fn conclude_health(
     qcd_trace::conclude_solver_health(region, monitor, history, iterations, HISTORY_CAP)
 }
 
-/// Preallocated scratch fields for the operator side of a solve: built
-/// once per grid, reused across every iteration (and across the rounds of
-/// the precision ladder). The CG driver owns its own `A p` output
-/// ([`krylov::Scratch`]); what lives here is what an *operator* needs in
-/// between.
+/// Conjugate Gradient on the Wilson normal equations: solves `M†M x = b`
+/// in the space around the fused sweeps — dslash+mass in one pass, the
+/// curvature dot fused into the second hopping pass
+/// ([`WilsonDirac::mdag_m_into_dot`]), zero steady-state allocations.
+/// Bit-identical to the allocating [`krylov::Allocating`] adapter over
+/// `|p| op.mdag_m(p)`.
 ///
-/// BiCGStab maps `v`/`s`/`t` onto `ap`/`tmp`/`hop`; the even-odd Schur
-/// solve uses `hop`/`tmp` for its nested hopping applications and `ap` for
-/// its full-system residual; the ladder and the binary16 smoother use
-/// `tmp`/`ap` for their `M†M` applications outside CG.
-pub struct SolverWorkspace<E: SveFloat = f64> {
-    /// `M p` intermediate of a normal-operator application, `s` (BiCGStab).
-    pub tmp: Field<FermionKind, E>,
-    /// Operator output outside CG, `v` (BiCGStab).
-    pub ap: Field<FermionKind, E>,
-    /// Extra scratch: `t` (BiCGStab), hopping intermediates (even-odd).
-    pub hop: Field<FermionKind, E>,
-}
-
-impl<E: SveFloat> SolverWorkspace<E> {
-    /// Allocate a workspace on `grid`.
-    pub fn new(grid: Arc<Grid<E>>) -> Self {
-        SolverWorkspace {
-            tmp: Field::zero(grid.clone()),
-            ap: Field::zero(grid.clone()),
-            hop: Field::zero(grid),
-        }
-    }
-
-    /// The lattice the workspace fields live on.
-    pub fn grid(&self) -> &Arc<Grid<E>> {
-        self.tmp.grid()
-    }
-}
-
-/// [`krylov::fused`] from a zero start, unobserved, under a span and health
-/// region both named `region`: the body of [`cg`] and [`block_cg`].
-fn fused_cg<V: WilsonVector>(
+/// `b` is one field or a block of right-hand sides. A block runs every RHS
+/// at once, each dslash sweep loading every gauge link once per site for
+/// the whole batch, and sweeps until every RHS has converged or exhausted
+/// `max_iter`; per-RHS masking freezes finished recurrences without
+/// branching the shared sweeps, so RHS `j` — solution, history, reported
+/// residual — is bit-identical to `cg` of `b_j` alone. The span and health
+/// region are `solver.cg` for a field and `solver.block_cg` for a block
+/// (monitors `solver.block_cg[j]`).
+pub fn cg<V: WilsonVector>(
     op: &WilsonDirac<V::E>,
     b: &V,
     tol: f64,
     max_iter: usize,
-    region: &str,
 ) -> (V, V::Report) {
+    let region = if V::BATCHED {
+        "solver.block_cg"
+    } else {
+        "solver.cg"
+    };
     let grid = b.grid().clone();
     krylov::cg_solve(
         &mut krylov::fused(op, &mut b.zero_like()),
@@ -121,21 +101,6 @@ fn fused_cg<V: WilsonVector>(
         region,
         krylov::no_observer,
     )
-}
-
-/// Conjugate Gradient on the Wilson normal equations: solves `M†M x = b`
-/// in the layout space around the fused sweeps — dslash+mass in one pass,
-/// the curvature dot fused into the second hopping pass
-/// ([`WilsonDirac::mdag_m_into_dot`]), zero steady-state allocations.
-/// Bit-identical to the allocating [`krylov::Allocating`] adapter over
-/// `|p| op.mdag_m(p)`.
-pub fn cg<E: SveFloat>(
-    op: &WilsonDirac<E>,
-    b: &Field<FermionKind, E>,
-    tol: f64,
-    max_iter: usize,
-) -> (Field<FermionKind, E>, SolveReport) {
-    fused_cg(op, b, tol, max_iter, "solver.cg")
 }
 
 /// Solve `M x = b` through the normal equations: CG on `M†M x = M†b`.
@@ -194,135 +159,12 @@ impl From<BlockSolveReport> for SolveReport {
     }
 }
 
-/// Block Conjugate Gradient on the Wilson normal equations: solves
-/// `M†M x_j = b_j` for every RHS in `b` at once, each dslash sweep loading
-/// every gauge link once per site for the whole batch. The loop sweeps all
-/// RHS together until every one has converged or exhausted `max_iter`;
-/// per-RHS convergence masking freezes finished recurrences without
-/// branching the shared operator sweeps. RHS `j` — solution, history,
-/// reported residual — is bit-identical to a single-RHS [`cg`] of `b_j`.
-pub fn block_cg<E: SveFloat>(
-    op: &WilsonDirac<E>,
-    b: &FermionBlock<E>,
-    tol: f64,
-    max_iter: usize,
-) -> (FermionBlock<E>, BlockSolveReport) {
-    fused_cg(op, b, tol, max_iter, "solver.block_cg")
-}
-
-/// The complete state of an in-flight BiCGStab solve.
-#[derive(Clone)]
-pub struct BicgStabState {
-    /// Current solution estimate.
-    pub x: FermionField,
-    /// Recurrence residual.
-    pub r: FermionField,
-    /// Shadow residual (fixed at the initial residual).
-    pub r0: FermionField,
-    /// Search direction.
-    pub p: FermionField,
-    /// Current `<r0, r>` recurrence scalar.
-    pub rho: crate::complex::Complex,
-    /// Squared norm of the right-hand side.
-    pub b_norm2: f64,
-    /// Iterations completed so far.
-    pub iterations: usize,
-    /// Relative residual history, entry 0 = before the first iteration.
-    pub history: Vec<f64>,
-}
-
-impl BicgStabState {
-    /// Fresh state for solving `M x = b` from the zero initial guess.
-    pub fn new(b: &FermionField) -> Self {
-        let grid = b.grid().clone();
-        let b_norm2 = b.norm2();
-        assert!(b_norm2 > 0.0, "BiCGStab needs a nonzero right-hand side");
-        let x = FermionField::zero(grid);
-        let r = b.clone();
-        let r0 = r.clone(); // shadow residual
-        let p = r.clone();
-        let rho = r0.inner(&r);
-        let history = vec![(r.norm2() / b_norm2).sqrt()];
-        BicgStabState {
-            x,
-            r,
-            r0,
-            p,
-            rho,
-            b_norm2,
-            iterations: 0,
-            history,
-        }
-    }
-
-    /// Whether the recurrence residual is at or below `tol` relative to
-    /// `|b|`.
-    pub fn converged(&self, tol: f64) -> bool {
-        self.r.norm2() <= tol * tol * self.b_norm2
-    }
-
-    /// The stabilized step size `α = ρ / <r0, v>` (complex division via the
-    /// conjugate), asserting against the `<r0, v> = 0` breakdown.
-    fn alpha(&self, v: &FermionField) -> crate::complex::Complex {
-        let d = self.r0.inner(v);
-        let n2 = d.norm2();
-        assert!(n2 > 0.0, "BiCGStab breakdown: <r0, v> = 0");
-        self.rho * d.conj().scale(1.0 / n2)
-    }
-
-    /// The iteration tail once `v = M p`, `s = r − α v` and `t = M s` are
-    /// in hand: fused two-term sweeps for `x` and `r`, the fused three-op
-    /// sweep for `p`.
-    fn conclude(
-        &mut self,
-        alpha: crate::complex::Complex,
-        v: &FermionField,
-        s: &FermionField,
-        t: &FermionField,
-    ) {
-        let t2 = t.norm2();
-        assert!(t2 > 0.0, "BiCGStab breakdown: t = 0");
-        let omega = t.inner(s).scale(1.0 / t2);
-        // x += alpha p + omega s (one sweep).
-        self.x.caxpy2(alpha, &self.p, omega, s);
-        // r = s - omega t (one sweep).
-        self.r.caxpy_from(-omega, t, s);
-        let rho_new = self.r0.inner(&self.r);
-        let beta = (rho_new * alpha) * {
-            let d = self.rho * omega;
-            let n2 = d.norm2();
-            assert!(n2 > 0.0, "BiCGStab breakdown: rho*omega = 0");
-            d.conj().scale(1.0 / n2)
-        };
-        // p = r + beta (p - omega v) (one sweep).
-        self.p.bicg_p_update(beta, omega, v, &self.r);
-        self.rho = rho_new;
-        self.iterations += 1;
-        self.history.push((self.r.norm2() / self.b_norm2).sqrt());
-    }
-
-    /// One BiCGStab iteration through caller-provided storage: `v`/`s`/`t`
-    /// live in the workspace (`ap`/`tmp`/`hop`), `apply_into` writes
-    /// `M · input` into its output argument, and a steady-state iteration
-    /// allocates nothing.
-    pub fn step_ws(
-        &mut self,
-        ws: &mut SolverWorkspace,
-        apply_into: &mut impl FnMut(&FermionField, &mut FermionField),
-    ) {
-        apply_into(&self.p, &mut ws.ap); // v = M p
-        let alpha = self.alpha(&ws.ap);
-        ws.tmp.caxpy_from(-alpha, &ws.ap, &self.r); // s = r - alpha v
-        let SolverWorkspace { tmp, hop, .. } = ws;
-        apply_into(tmp, hop); // t = M s
-        self.conclude(alpha, &ws.ap, &ws.tmp, &ws.hop);
-    }
-}
-
 /// BiCGStab on `M x = b` — the non-hermitian workhorse; roughly half the
 /// operator applications of normal-equation CG per iteration pair. Runs
-/// allocation-free: one workspace for the whole solve, `M` applied through
-/// [`WilsonDirac::apply_into`].
+/// allocation-free after set-up: `M` is applied through
+/// [`WilsonDirac::apply_into`] into fields held for the whole solve, the
+/// updates are fused sweeps, and `|r|²` is reduced once per iteration.
+/// Converged means the recurrence residual reached `tol` relative to `|b|`.
 pub fn bicgstab(
     op: &WilsonDirac,
     b: &FermionField,
@@ -331,28 +173,56 @@ pub fn bicgstab(
 ) -> (FermionField, SolveReport) {
     let grid = b.grid().clone();
     let span = qcd_trace::span!("solver.bicgstab", grid.engine().ctx());
-    let mut ws = SolverWorkspace::new(grid.clone());
-    let mut state = BicgStabState::new(b);
-    state.history.reserve(max_iter.min(krylov::HISTORY_RESERVE));
-    let mut apply_into = |f: &FermionField, out: &mut FermionField| op.apply_into(f, out);
+    let b_norm2 = b.norm2();
+    assert!(b_norm2 > 0.0, "BiCGStab needs a nonzero right-hand side");
+    let target = tol * tol * b_norm2;
+    // x = 0 and r = p = b; the shadow residual r̂ stays at the initial r.
+    let mut x = FermionField::zero(grid.clone());
+    let (mut r, shadow, mut p) = (b.clone(), b.clone(), b.clone());
+    let (mut v, mut s, mut t) = (x.clone(), x.clone(), x.clone());
+    let mut rho = shadow.inner(&r);
+    let mut r2 = b_norm2;
+    let mut history = Vec::with_capacity(1 + max_iter.min(krylov::HISTORY_RESERVE));
+    history.push((r2 / b_norm2).sqrt());
     let mut monitor = HealthMonitor::new("solver.bicgstab");
-    monitor.replay(&state.history);
+    monitor.observe(history[0]);
+    // `1 / d` through the conjugate, asserting against the `d = 0` breakdown.
+    let inverse = |d: Complex, what: &str| {
+        let n2 = d.norm2();
+        assert!(n2 > 0.0, "BiCGStab breakdown: {what} = 0");
+        d.conj().scale(1.0 / n2)
+    };
 
-    while state.iterations < max_iter && !state.converged(tol) {
-        state.step_ws(&mut ws, &mut apply_into);
-        monitor.observe(*state.history.last().expect("a step pushes its entry"));
+    let mut iterations = 0;
+    while iterations < max_iter && r2 > target {
+        op.apply_into(&p, &mut v); // v = M p
+        let alpha = rho * inverse(shadow.inner(&v), "<r0, v>");
+        s.caxpy_from(-alpha, &v, &r); // s = r - alpha v
+        op.apply_into(&s, &mut t); // t = M s
+        let t2 = t.norm2();
+        assert!(t2 > 0.0, "BiCGStab breakdown: t = 0");
+        let omega = t.inner(&s).scale(1.0 / t2);
+        x.caxpy2(alpha, &p, omega, &s); // x += alpha p + omega s
+        r.caxpy_from(-omega, &t, &s); // r = s - omega t
+        let rho_next = shadow.inner(&r);
+        let beta = (rho_next * alpha) * inverse(rho * omega, "rho*omega");
+        p.bicg_p_update(beta, omega, &v, &r); // p = r + beta (p - omega v)
+        rho = rho_next;
+        r2 = r.norm2();
+        iterations += 1;
+        history.push((r2 / b_norm2).sqrt());
+        monitor.observe(history[iterations]);
     }
 
-    op.apply_into(&state.x, &mut ws.ap);
-    let residual = (ws.tmp.sub_norm2(b, &ws.ap) / state.b_norm2).sqrt();
-    let (history, health) =
-        conclude_health("solver.bicgstab", monitor, &state.history, state.iterations);
+    op.apply_into(&x, &mut v);
+    let residual = (s.sub_norm2(b, &v) / b_norm2).sqrt();
+    let (history, health) = conclude_health("solver.bicgstab", monitor, &history, iterations);
     (
-        state.x,
+        x,
         SolveReport {
-            iterations: state.iterations,
+            iterations,
             residual,
-            converged: residual <= tol * 10.0,
+            converged: r2 <= target,
             history,
             health,
             telemetry: span.finish(),
@@ -363,6 +233,7 @@ pub fn bicgstab(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::field::{FermionBlock, FermionKind, Field};
     use crate::krylov::{cg_solve, fused, no_observer, Allocating, CgSpace, State};
     use crate::layout::Grid;
     use crate::simd::SimdBackend;
@@ -605,7 +476,7 @@ mod tests {
             assert_eq!(report.iterations, reference.iterations);
         }
         let block = FermionBlock::from_fields(std::slice::from_ref(&b));
-        let (_, report) = block_cg(&op, &block, 1e-8, usize::MAX);
+        let (_, report) = cg(&op, &block, 1e-8, usize::MAX);
         assert!(report.converged[0]);
         let (_, report) = bicgstab(&op, &b, 1e-8, usize::MAX);
         assert!(report.converged, "{report:?}");
@@ -634,7 +505,7 @@ mod tests {
             FermionField::random(g.clone(), 32),
         ];
         let block = FermionBlock::from_fields(&rhss);
-        let (bx, brep) = block_cg(&op, &block, 1e-8, 2000);
+        let (bx, brep) = cg(&op, &block, 1e-8, 2000);
         let mut iteration_counts = Vec::new();
         for (j, rhs) in rhss.iter().enumerate() {
             let (x, rep) = cg(&op, rhs, 1e-8, 2000);
@@ -665,7 +536,7 @@ mod tests {
     fn block_cg_with_one_rhs_matches_cg_bitwise() {
         let (op, b) = setup(256, SimdBackend::Fcmla);
         let block = FermionBlock::from_fields(std::slice::from_ref(&b));
-        let (bx, brep) = block_cg(&op, &block, 1e-8, 2000);
+        let (bx, brep) = cg(&op, &block, 1e-8, 2000);
         let (x, rep) = cg(&op, &b, 1e-8, 2000);
         assert_eq!(brep.per_rhs_iterations[0], rep.iterations);
         assert_eq!(brep.residuals[0].to_bits(), rep.residual.to_bits());
@@ -678,7 +549,7 @@ mod tests {
         let (op, b) = setup(128, SimdBackend::Fcmla);
         let zero = FermionField::zero(b.grid().clone());
         let block = FermionBlock::from_fields(&[b, zero]);
-        let _ = block_cg(&op, &block, 1e-8, 10);
+        let _ = cg(&op, &block, 1e-8, 10);
     }
 
     #[test]
@@ -690,7 +561,7 @@ mod tests {
         let g = b0.grid().clone();
         let rhss = vec![b0, FermionField::random(g.clone(), 33)];
         let block = FermionBlock::from_fields(&rhss);
-        let (x_full, full) = block_cg(&op, &block, 1e-8, 2000);
+        let (x_full, full) = cg(&op, &block, 1e-8, 2000);
 
         let mut tmp = FermionBlock::zero(g.clone(), 2);
         let mut space = fused(&op, &mut tmp);
@@ -757,6 +628,52 @@ mod tests {
         let dump = qcd_trace::flight_dump_jsonl();
         assert!(dump.contains("\"label\":\"solver.cg:stall\""));
         qcd_trace::validate_jsonl(&dump).expect("flight dump must validate");
+    }
+
+    #[test]
+    fn cg_names_its_span_and_health_region_by_width() {
+        // A field solve is `solver.cg`; a block solve is `solver.block_cg`,
+        // its monitors `solver.block_cg[j]`. Single precision asked for
+        // 1e-60 stalls every RHS (at iterations 230 and 231), so each
+        // monitor raises an episode under its own label.
+        let _guard = qcd_trace::global_test_lock();
+        qcd_trace::flight_reset();
+        let g = Grid::<f32>::new([4, 4, 4, 4], VectorLength::of(512), SimdBackend::Fcmla);
+        let op = WilsonDirac::<f32>::new(random_gauge(g.clone(), 21), 0.2);
+        let b = Field::<FermionKind, f32>::random(g.clone(), 22);
+        let (_, field) = cg(&op, &b, 1e-60, 300);
+        let block = FermionBlock::from_fields(&[b, Field::random(g.clone(), 23)]);
+        let (_, batch) = cg(&op, &block, 1e-60, 300);
+        assert_eq!(field.telemetry.path, "solver.cg");
+        assert_eq!(batch.telemetry.path, "solver.block_cg");
+        let labels: Vec<String> = qcd_trace::flight_snapshot()
+            .into_iter()
+            .filter(|ev| ev.kind == "health")
+            .map(|ev| ev.label)
+            .collect();
+        for want in [
+            "solver.cg:stall",
+            "solver.block_cg[0]:stall",
+            "solver.block_cg[1]:stall",
+        ] {
+            assert!(labels.iter().any(|l| l == want), "{want} not in {labels:?}");
+        }
+    }
+
+    #[test]
+    fn a_solve_cut_short_of_tol_does_not_report_convergence() {
+        // `converged` means the recurrence reached `tol`, not that the true
+        // residual came within some factor of it: both solves, cut short
+        // of `tol` (residuals 4.2e-8 and 5.0e-7), must say so.
+        let (op, b) = setup(256, SimdBackend::Fcmla);
+        let (_, cut) = bicgstab(&op, &b, 1e-8, 12);
+        assert!(!cut.converged && cut.residual > 1e-8, "{cut:?}");
+        let (_, cut) = crate::eo::solve_eo(&op, &b, 1e-8, 13);
+        assert!(!cut.converged && cut.residual > 1e-8, "{cut:?}");
+        let (_, full) = bicgstab(&op, &b, 1e-8, 2000);
+        assert!(full.converged && full.residual <= 1e-8, "{full:?}");
+        let (_, full) = crate::eo::solve_eo(&op, &b, 1e-8, 2000);
+        assert!(full.converged && full.residual <= 1e-8, "{full:?}");
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! monitors, observer — must leave the allocation counter untouched in the
 //! fused space at f64 and at binary16 and in the 5-d space, **and with a
 //! checkpoint observer attached** whose interval is not reached (durability must not move a
-//! solve off the zero-allocation path); so must BiCGStab's `step_ws` on
-//! `apply_into` and all six precision-pair directions of
-//! `to_precision_into` (f64/f32/f16, both ways) into preallocated
-//! destinations. The block space is held to its kernels' own floor: the
+//! solve off the zero-allocation path); so must all six precision-pair
+//! directions of `to_precision_into` (f64/f32/f16, both ways) into
+//! preallocated destinations. BiCGStab is one function: after a warm-up
+//! call, a solve of thirteen iterations allocates exactly what one of three
+//! does. The block space is held to its kernels' own floor: the
 //! batched sweeps return their per-RHS scalars as `Vec`s, and the driver
 //! must add nothing on top (it owns `α`, `β`, the mask and the curvature).
 //!
@@ -99,15 +100,15 @@ fn solver_steady_state_allocates_nothing() {
     let b = FermionField::random(g.clone(), 52);
 
     // --- CG in the fused space ---------------------------------------
-    let mut ws = SolverWorkspace::new(g.clone());
-    let delta = ten_iterations(&mut fused(&d, &mut ws.tmp), &b, no_observer);
+    let mut tmp = FermionField::zero(g.clone());
+    let delta = ten_iterations(&mut fused(&d, &mut tmp), &b, no_observer);
     assert_eq!(delta, 0, "CG steady state performed {delta} allocations");
 
     // --- The same solve made durable: a checkpoint observer between
     // snapshots costs the hot loop nothing -------------------------------
     let path = std::env::temp_dir().join(format!("alloc-free-{}.qio", std::process::id()));
     let mut checkpointer = qcd_io::Checkpointer::every(1000, &path);
-    let delta = ten_iterations(&mut fused(&d, &mut ws.tmp), &b, checkpointer.observer());
+    let delta = ten_iterations(&mut fused(&d, &mut tmp), &b, checkpointer.observer());
     assert_eq!(delta, 0, "checkpointed CG performed {delta} allocations");
     assert_eq!(checkpointer.finish().expect("no write was attempted"), 0);
 
@@ -165,21 +166,19 @@ fn solver_steady_state_allocates_nothing() {
         "block CG: {delta} allocations against the kernels' own {floor}"
     );
 
-    // --- BiCGStab on the fused Wilson apply ----------------------------
-    let mut bstate = BicgStabState::new(&b);
-    bstate.history.reserve(64);
-    let mut bapply = |p: &FermionField, out: &mut FermionField| d.apply_into(p, out);
-    for _ in 0..3 {
-        bstate.step_ws(&mut ws, &mut bapply);
-    }
-    let before = allocations();
-    for _ in 0..10 {
-        bstate.step_ws(&mut ws, &mut bapply);
-    }
-    let delta = allocations() - before;
+    // --- BiCGStab: ten more iterations cost nothing ---------------------
+    // `tol = 0` runs the whole budget.
+    let bicgstab_allocations = |iterations: usize| {
+        let before = allocations();
+        let (_, report) = bicgstab(&d, &b, 0.0, iterations);
+        assert_eq!(report.iterations, iterations);
+        allocations() - before
+    };
+    bicgstab_allocations(3); // warm-up (span path, histogram, counters)
+    let (three, thirteen) = (bicgstab_allocations(3), bicgstab_allocations(13));
     assert_eq!(
-        delta, 0,
-        "BiCGStab steady state performed {delta} allocations"
+        thirteen, three,
+        "BiCGStab: {thirteen} allocations in 13 iterations, {three} in 3"
     );
 
     // --- to_precision_into: all six precision-pair directions ----------

@@ -1,7 +1,7 @@
 //! Determinism and single-RHS equivalence of the batched multi-RHS path.
 //!
 //! The batching contract is that a `FermionBlock` never changes the math:
-//! per right-hand side, the block kernels and `block_cg` retire the exact
+//! per right-hand side, the block kernels and `cg` of a block retire the exact
 //! op sequence of the single-RHS fused path, so every RHS of a batched
 //! solve is bit-identical to its own independent `cg` solve — per-RHS
 //! convergence masking included — at every precision, vector length and
@@ -109,7 +109,7 @@ macro_rules! block_case {
         // single-RHS solves: iteration counts, residuals, histories and
         // solutions must all match bit for bit even though the RHS
         // converge at different iterations.
-        let (x, rep) = block_cg(&op, &block, $tol, 60);
+        let (x, rep) = cg(&op, &block, $tol, 60);
         for (j, f) in fields.iter().enumerate() {
             let (xs, rs) = cg(&op, f, $tol, 60);
             assert_eq!(

@@ -47,9 +47,9 @@ fn f16_wilson_kernels_track_the_f64_operator() {
     assert!(rel > 0.0, "suspiciously exact — f16 path not exercised?");
 
     // Normal operator too (two hopping sweeps back to back).
-    let mut ws16 = SolverWorkspace::<F16>::new(g16.clone());
+    let mut tmp16 = F16Field::zero(g16.clone());
     let mut nrm16 = F16Field::zero(g16.clone());
-    op16.mdag_m_into(&psi16, &mut ws16.tmp, &mut nrm16);
+    op16.mdag_m_into(&psi16, &mut tmp16, &mut nrm16);
     let mut nrm64 = FermionField::zero(psi.grid().clone());
     let mut tmp64 = FermionField::zero(psi.grid().clone());
     op.mdag_m_into(&psi, &mut tmp64, &mut nrm64);
@@ -78,10 +78,10 @@ fn f16_block_path_is_bit_identical_to_single_field_kernels() {
     let mut out = FermionBlock::zero(g16.clone(), fields.len());
     op16.mdag_m_block_into(&block, &mut tmp, &mut out);
 
-    let mut ws = SolverWorkspace::<F16>::new(g16.clone());
+    let mut tmp16 = F16Field::zero(g16.clone());
     for (j, f) in fields.iter().enumerate() {
         let mut single = F16Field::zero(g16.clone());
-        op16.mdag_m_into(f, &mut ws.tmp, &mut single);
+        op16.mdag_m_into(f, &mut tmp16, &mut single);
         assert_eq!(
             out.rhs_field(j).max_abs_diff(&single),
             0.0,

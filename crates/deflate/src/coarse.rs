@@ -36,7 +36,7 @@ use grid::field::FermionKind;
 use grid::krylov::{self, CgSpace, Start, Vector};
 use grid::layout::{delex, lex};
 use grid::mixed::{to_precision, to_precision_into};
-use grid::solver::{SolveReport, SolverWorkspace};
+use grid::solver::SolveReport;
 use grid::{Complex, Coor, Field, FieldKind, Grid};
 use std::sync::Arc;
 use sve::{SveFloat, F16};
@@ -245,8 +245,9 @@ impl<E: SveFloat> CoarseSpace<E> {
     }
 }
 
-/// A fixed-polynomial **binary16 smoother**: `steps` Richardson sweeps
-/// `s ← s + ω (r − A s)` on the normal operator, run entirely in f16
+/// A fixed-polynomial **binary16 smoother**: [`STEPS`](Self::STEPS)
+/// Richardson sweeps `s ← s + ω (r − A s)`, `ω =` [`OMEGA`](Self::OMEGA),
+/// on the normal operator, run entirely in f16
 /// arithmetic through the real Dirac kernels on an F16 replica of the
 /// gauge field. After `k` steps `s = p_k(A) r` with
 /// `p_k(A) = ω Σ_{j<k} (I − ωA)^j`, a polynomial in `A` that is Hermitian
@@ -263,48 +264,42 @@ impl<E: SveFloat> CoarseSpace<E> {
 /// like the rest of the preconditioner.
 pub struct F16Smoother<E: SveFloat = f64> {
     op16: WilsonDirac<F16>,
-    omega: f64,
-    steps: usize,
+    // The normalized residual `r`, the iterate `s`, `A s`, its `M s`
+    // intermediate and `r − A s`, all binary16.
     r16: Field<FermionKind, F16>,
     s16: Field<FermionKind, F16>,
     t16: Field<FermionKind, F16>,
-    ws16: SolverWorkspace<F16>,
+    ms16: Field<FermionKind, F16>,
+    d16: Field<FermionKind, F16>,
     fine: Field<FermionKind, E>,
 }
 
 impl<E: SveFloat> F16Smoother<E> {
-    /// Conservative default damping factor `1/64`: an under-estimate of
-    /// `1/λ_max(M†M)` for Wilson operators anywhere near the physical
-    /// region (`λ_max ≲ (8 + 2|m|)²/…` is safely below 64 on the lattices
-    /// this crate targets).
-    pub const DEFAULT_OMEGA: f64 = 1.0 / 64.0;
-    /// Default sweep count: enough to damp the top of the spectrum,
-    /// cheap enough (in f16 bytes) to disappear next to the fine
-    /// operator applications of the CG iteration itself.
-    pub const DEFAULT_STEPS: usize = 4;
+    /// Damping factor `1/64`: an under-estimate of `1/λ_max(M†M)` for
+    /// Wilson operators anywhere near the physical region
+    /// (`λ_max ≲ (8 + 2|m|)²/…` is safely below 64 on the lattices this
+    /// crate targets).
+    pub const OMEGA: f64 = 1.0 / 64.0;
+    /// Sweep count: enough to damp the top of the spectrum, cheap enough
+    /// (in f16 bytes) to disappear next to the fine operator applications
+    /// of the CG iteration itself.
+    pub const STEPS: usize = 4;
 
-    /// Build the F16 replica of `op` and the smoother workspaces.
-    pub fn new(op: &WilsonDirac<E>, omega: f64, steps: usize) -> Self {
-        assert!(omega > 0.0, "Richardson damping must be positive");
-        assert!(steps > 0, "a zero-step smoother is the zero operator");
+    /// Build the F16 replica of `op` and the smoother's fields.
+    pub fn new(op: &WilsonDirac<E>) -> Self {
         let g = op.grid();
         let g16 = Grid::<F16>::new(g.fdims(), g.vl(), g.engine().backend());
         let u16 = to_precision(op.gauge(), &g16);
+        let zero = Field::zero(g16);
         F16Smoother {
             op16: WilsonDirac::<F16>::new(u16, op.mass),
-            omega,
-            steps,
-            r16: Field::zero(g16.clone()),
-            s16: Field::zero(g16.clone()),
-            t16: Field::zero(g16.clone()),
-            ws16: SolverWorkspace::new(g16),
+            r16: zero.clone(),
+            s16: zero.clone(),
+            t16: zero.clone(),
+            ms16: zero.clone(),
+            d16: zero,
             fine: Field::zero(g.clone()),
         }
-    }
-
-    /// `new` with the default `ω` and sweep count.
-    pub fn with_defaults(op: &WilsonDirac<E>) -> Self {
-        Self::new(op, Self::DEFAULT_OMEGA, Self::DEFAULT_STEPS)
     }
 
     /// Accumulate the smoothed residual: `out += p_k(A) r`, the polynomial
@@ -319,15 +314,15 @@ impl<E: SveFloat> F16Smoother<E> {
         self.fine.scale(1.0 / scale);
         to_precision_into(&self.fine, &mut self.r16);
         self.s16.scale(0.0);
-        for _ in 0..self.steps {
+        for _ in 0..Self::STEPS {
             self.op16
-                .mdag_m_into(&self.s16, &mut self.ws16.tmp, &mut self.t16);
-            self.ws16.ap.sub(&self.r16, &self.t16);
-            self.s16.axpy_inplace(self.omega, &self.ws16.ap);
+                .mdag_m_into(&self.s16, &mut self.ms16, &mut self.t16);
+            self.d16.sub(&self.r16, &self.t16);
+            self.s16.axpy_inplace(Self::OMEGA, &self.d16);
         }
         to_precision_into(&self.s16, &mut self.fine);
         out.axpy_inplace(scale, &self.fine);
-        qcd_trace::counter("mg.smoother.f16_sweeps").add(self.steps as u64);
+        qcd_trace::counter("mg.smoother.f16_sweeps").add(Self::STEPS as u64);
     }
 }
 

@@ -39,9 +39,9 @@
 //!
 //! All field storage is allocated once up front — the `m + 1` basis slots,
 //! the `k` restart-scratch slots, the operator intermediate, and the
-//! candidate vector — and reused across every column and every restart,
-//! `SolverWorkspace`-style: the steady state of a cycle performs no heap
-//! allocation beyond the dense `m × m` eigensolve.
+//! candidate vector — and reused across every column and every restart:
+//! the steady state of a cycle performs no heap allocation beyond the dense
+//! `m × m` eigensolve.
 
 use crate::dense::jacobi_eigh;
 use grid::dirac::WilsonDirac;

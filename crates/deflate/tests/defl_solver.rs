@@ -300,7 +300,7 @@ fn f16_smoothed_pcg_converges_to_the_same_solution() {
     let cs = CoarseSpace::build(&f.op, &f.sub.vectors, [2, 2, 2, 2]);
     let b = FermionField::random(f.grid.clone(), 11);
     let (x_pcg, rep_pcg) = coarse_pcg(&f.op, &cs, None, &b, TOL, 6000);
-    let mut sm = F16Smoother::with_defaults(&f.op);
+    let mut sm = F16Smoother::new(&f.op);
     let (x_sm, rep_sm) = coarse_pcg(&f.op, &cs, Some(&mut sm), &b, TOL, 6000);
     assert!(rep_pcg.converged && rep_sm.converged);
     // The additive f16 term perturbs the preconditioner at the binary16

@@ -10,7 +10,7 @@
 //!   `chunk`-trajectory units, each snapshotting through `qcd-io` at its
 //!   boundary, and
 //! * a solve burst ([`SolveSpec`]) is coalesced by [`plan_batches`] into
-//!   multi-RHS `block_cg` dispatches (preferring widths 16/8/4) whose
+//!   multi-RHS block `cg` dispatches (preferring widths 16/8/4) whose
 //!   per-request results are bit-identical to solo solves, so batching is
 //!   purely a throughput decision.
 //!

@@ -138,7 +138,7 @@ fn block_cg_killed_and_resumed_from_disk_is_bit_identical() {
     let [(x_ref, reference), (_, resumed)] =
         kill_and_resume(&mut fused(&op, &mut tmp_block), &b, "blk.qio");
     assert_same_block_solve(&reference, &resumed);
-    let (x_block, block_report) = block_cg(&op, &b, TOL, MAX_ITER);
+    let (x_block, block_report) = cg(&op, &b, TOL, MAX_ITER);
     assert_eq!(x_ref.max_abs_diff(&x_block), 0.0);
     assert_same_block_solve(&block_report, &resumed);
 }

@@ -343,7 +343,7 @@ fn field_fused(bits: usize, from: StartAt, durable: bool) -> Result<Print, Strin
 }
 
 /// The fused block space: per RHS bit-equal to the oracle and to the field
-/// space on that field; from zero `block_cg`, from the Galerkin guess
+/// space on that field; from zero `cg` of the block, from the Galerkin guess
 /// `defl_cg` of the block and of each RHS alone.
 fn block_fused(bits: usize, from: StartAt, durable: bool) -> Result<Print, String> {
     let p = problem(bits);
@@ -364,7 +364,7 @@ fn block_fused(bits: usize, from: StartAt, durable: bool) -> Result<Print, Strin
     }
     let sub = subspace(&p);
     let (x, report) = match from {
-        StartAt::Zero => block_cg(&p.op, &block, TOL, BUDGET),
+        StartAt::Zero => cg(&p.op, &block, TOL, BUDGET),
         StartAt::Galerkin => defl_cg(&p.op, &sub, &block, TOL, BUDGET),
     };
     same("preset", &whole, &Print::of(block_bits(&x), &report))?;
