@@ -426,6 +426,63 @@ mod tests {
         }
     }
 
+    /// The force composed from whole-field staples: the oracle the stencil
+    /// sweep must reproduce bit for bit.
+    fn force_via_cshift(u: &GaugeField, beta: f64) -> GaugeField {
+        let grid = u.grid().clone();
+        let staple = staple_field(u);
+        let mut f = GaugeField::zero(grid.clone());
+        grid::sized!(grid.engine(), |eng| {
+            let coef = eng.dup_real(-beta / (2.0 * NCOLOR as f64));
+            let (half, third) = (eng.dup_real(0.5), eng.dup_real(1.0 / NCOLOR as f64));
+            for osite in 0..grid.osites() {
+                for mu in 0..NDIM {
+                    let um = load_mat(eng, u, osite, gauge_comp(mu, 0, 0));
+                    let sm = load_mat(eng, &staple, osite, gauge_comp(mu, 0, 0));
+                    let wm = mat_mul(eng, &um, &sm);
+                    let a: [[CVec<_>; NCOLOR]; NCOLOR] = std::array::from_fn(|r| {
+                        std::array::from_fn(|c| eng.sub(wm[r][c], eng.conj(wm[c][r])))
+                    });
+                    let tr = eng.add(eng.add(a[0][0], a[1][1]), a[2][2]);
+                    let tr_term = eng.scale(half, eng.scale(third, tr));
+                    for (r, row) in a.iter().enumerate() {
+                        for (c, &arc) in row.iter().enumerate() {
+                            let mut v = eng.scale(half, arc);
+                            if r == c {
+                                v = eng.sub(v, tr_term);
+                            }
+                            eng.store(f.word_mut(osite, gauge_comp(mu, r, c)), eng.scale(coef, v));
+                        }
+                    }
+                }
+            }
+        });
+        f
+    }
+
+    #[test]
+    fn force_matches_the_cshift_composed_staples_bit_for_bit() {
+        // A random configuration at the three layouts that
+        // matter: VL128 never permutes lanes, VL512 and VL2048 permute in
+        // two and four dimensions — the two-leg fetch of U_ν(x+µ̂−ν̂)
+        // crosses virtual-node boundaries in both of its legs there.
+        for bits in [128usize, 512, 2048] {
+            let g = grid4(bits);
+            let u = random_gauge(g.clone(), 57);
+            let want: Vec<u64> = force_via_cshift(&u, 5.7)
+                .data()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            for threads in [1usize, 2] {
+                rayon::set_num_threads(threads);
+                let got: Vec<u64> = force(&u, 5.7).data().iter().map(|v| v.to_bits()).collect();
+                assert!(got == want, "force @ VL{bits} × {threads} threads");
+            }
+        }
+        rayon::set_num_threads(0);
+    }
+
     #[test]
     fn force_matches_numerical_gradient() {
         // Directional derivative along a random algebra direction Q:

@@ -228,6 +228,52 @@ const HOP_F16: u64 = 0x8a53_2da2_4e2e_3091;
 const CG_F64: (u64, usize, u64) = (0x0b5f_2c6e_7e9c_dfda, 36, 0x3e3d_4c68_147f_4603);
 
 #[test]
+fn hmc_chain_bits_are_pinned() {
+    // Every bit of a short chain: the links in global lexicographic order
+    // and each trajectory's ΔH, Metropolis decision and plaquette (4⁴,
+    // VL512, β 5.7, Omelyan 8 × 0.0625, seed 11; two thermalization and
+    // two Metropolis trajectories). The constant is the chain the gauge
+    // force gave while it still composed its staples from shifted copies.
+    use grid::prelude::*;
+    use qcd_hmc::{HmcParams, IntegratorKind, MarkovChain};
+    let params = HmcParams {
+        beta: 5.7,
+        n_steps: 8,
+        step_size: 0.0625,
+        integrator: IntegratorKind::Omelyan,
+    };
+    let g = Grid::new([4, 4, 4, 4], VectorLength::of(512), SimdBackend::Fcmla);
+    let mut chain = MarkovChain::cold_start(g.clone(), params, 11);
+    let mut reports = chain.thermalize(2);
+    reports.extend(chain.run(2));
+    let u = chain.links();
+    let lex: Vec<f64> = g
+        .coords()
+        .flat_map(|x| (0..36).map(move |comp| u.peek(&x, comp)))
+        .flat_map(|z| [z.re, z.im])
+        .collect();
+    let per_trajectory: Vec<(u64, bool, u64)> = reports
+        .iter()
+        .map(|r| (r.dh.to_bits(), r.accepted, r.plaquette.to_bits()))
+        .collect();
+    assert_eq!(
+        (fnv1a(&lex), per_trajectory.as_slice()),
+        (HMC_F64.0, HMC_F64.1.as_slice()),
+        "links, then ΔH / accept / plaquette per trajectory"
+    );
+}
+
+const HMC_F64: (u64, [(u64, bool, u64); 4]) = (
+    0x4564_49e8_7db5_6314,
+    [
+        (0x3fe3_a892_106b_f000, true, 0x3fe6_db57_6f2b_cc51),
+        (0x3fca_7b99_366b_0000, true, 0x3fe4_d526_eee0_4900),
+        (0x3fb3_9e81_c7a7_0000, true, 0x3fe4_0a7e_f60b_1ce9),
+        (0x3fb1_241c_f45b_0000, true, 0x3fe3_631d_117f_4111),
+    ],
+);
+
+#[test]
 fn registers_and_words_take_the_bytes_they_are_sized_for() {
     // The point of sizing lane storage: a word of the paper's vector
     // lengths is 64 bytes to hold, copy and return, not the 256 of the
