@@ -13,18 +13,8 @@ use sve::SveFloat;
 /// Shifted copy: `out(x) = f(x + disp * µ̂)` for `disp = ±1`.
 pub fn cshift<K: FieldKind, E: SveFloat>(f: &Field<K, E>, mu: usize, disp: i32) -> Field<K, E> {
     assert!(disp == 1 || disp == -1, "cshift supports displacement ±1");
-    let stencil = Stencil::new(f.grid().clone());
-    cshift_with(&stencil, f, mu, disp)
-}
-
-/// [`cshift`] with a caller-provided (reusable) stencil.
-pub fn cshift_with<K: FieldKind, E: SveFloat>(
-    stencil: &Stencil<E>,
-    f: &Field<K, E>,
-    mu: usize,
-    disp: i32,
-) -> Field<K, E> {
     let grid = f.grid().clone();
+    let stencil = Stencil::new(grid.clone());
     let eng = grid.engine();
     let _span = qcd_trace::span!("cshift", eng.ctx());
     let sites = grid.volume() as u64;

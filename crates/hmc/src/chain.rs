@@ -19,12 +19,13 @@
 //! story is different: changing the vector length relayouts the reduction
 //! leaves, so different VLs are different — each equally valid — chains).
 
-use crate::action::{kinetic_energy, refresh_momenta, wilson_action};
+use crate::action::{action, kinetic_energy, refresh_momenta_into};
 use crate::algebra::ta_project;
 use crate::integrator::IntegratorKind;
 use grid::gauge::max_unitarity_deviation;
 use grid::prelude::StreamRng;
 use grid::rng::splitmix64;
+use grid::stencil::Stencil;
 use grid::tensor::su3::{peek_link, unit_gauge};
 use grid::{GaugeField, Grid, NCOLOR, NDIM};
 use qcd_io::{read_hmc_chain, write_hmc_chain, HmcChainState, IoError};
@@ -101,6 +102,12 @@ pub struct MarkovChain {
     dh_history: Vec<f64>,
     accept_history: Vec<bool>,
     metropolis: StreamRng,
+    // The trajectory's fields, kept across trajectories so a steady-state
+    // trajectory allocates none: the links' stencil, the candidate links
+    // the integrator evolves, and the momenta refreshed in place.
+    stencil: Stencil,
+    candidate: GaugeField,
+    momenta: GaugeField,
 }
 
 impl MarkovChain {
@@ -111,7 +118,11 @@ impl MarkovChain {
 
     /// Start a chain from an existing gauge configuration.
     pub fn from_links(links: GaugeField, params: HmcParams, seed: u64) -> Self {
+        let grid = links.grid().clone();
         MarkovChain {
+            stencil: Stencil::new(grid.clone()),
+            candidate: links.clone(),
+            momenta: GaugeField::zero(grid),
             links,
             params,
             seed,
@@ -141,24 +152,25 @@ impl MarkovChain {
     fn advance(&mut self, force_accept: bool) -> TrajectoryReport {
         let grid = self.links.grid().clone();
         let beta = self.params.beta;
-        let p0 = refresh_momenta(grid.clone(), self.momentum_seed(self.trajectory));
-        let s0 = wilson_action(&self.links, beta);
-        let h0 = kinetic_energy(&p0) + s0;
+        let seed = self.momentum_seed(self.trajectory);
+        refresh_momenta_into(&mut self.momenta, seed);
+        let s0 = action(&self.stencil, &self.links, beta);
+        let h0 = kinetic_energy(&self.momenta) + s0;
 
-        let mut u = self.links.clone();
-        let mut p = p0;
+        self.candidate.data_mut().copy_from_slice(self.links.data());
         {
             let _span = qcd_trace::span!("hmc.integrate", grid.engine().ctx());
-            self.params.integrator.as_integrator().integrate(
-                &mut u,
-                &mut p,
+            self.params.integrator.integrate(
+                &self.stencil,
+                &mut self.candidate,
+                &mut self.momenta,
                 beta,
                 self.params.n_steps,
                 self.params.step_size,
             );
         }
-        let s1 = wilson_action(&u, beta);
-        let h1 = kinetic_energy(&p) + s1;
+        let s1 = action(&self.stencil, &self.candidate, beta);
+        let h1 = kinetic_energy(&self.momenta) + s1;
         let dh = h1 - h0;
 
         // Exactly one uniform per trajectory, drawn unconditionally so the
@@ -169,7 +181,7 @@ impl MarkovChain {
             metropolis || force_accept
         };
         let s_now = if accepted {
-            self.links = u;
+            std::mem::swap(&mut self.links, &mut self.candidate);
             s1
         } else {
             s0
@@ -315,22 +327,21 @@ impl MarkovChain {
             max_deviation,
             threshold: UNITARITY_WARN_THRESHOLD,
         });
+        let params = HmcParams {
+            beta: state.beta,
+            n_steps: state.n_steps as usize,
+            step_size: state.step_size,
+            integrator,
+        };
         Ok((
             MarkovChain {
-                links,
-                params: HmcParams {
-                    beta: state.beta,
-                    n_steps: state.n_steps as usize,
-                    step_size: state.step_size,
-                    integrator,
-                },
-                seed: state.seed,
                 trajectory: state.trajectory,
                 accepted: state.accepted,
                 rejected: state.rejected,
                 dh_history: state.dh_history,
                 accept_history: state.accept_history,
                 metropolis,
+                ..Self::from_links(links, params, state.seed)
             },
             warning,
         ))

@@ -8,125 +8,81 @@
 //! and area-preserving, which is what makes the Metropolis correction
 //! exact at any step size.
 //!
-//! * [`Leapfrog`]: `ΔH = O(ε²)` per unit trajectory — the baseline.
-//! * [`Omelyan`]: the 2nd-order minimum-norm scheme of Omelyan, Mryglod &
-//!   Folk (λ ≈ 0.1932), five sub-steps per ε but with an error constant
-//!   roughly 10× smaller — cheaper per unit acceptance at the same cost
-//!   order.
+//! * [`IntegratorKind::Leapfrog`]: `ΔH = O(ε²)` per unit trajectory — the
+//!   baseline.
+//! * [`IntegratorKind::Omelyan`]: the 2nd-order minimum-norm scheme of
+//!   Omelyan, Mryglod & Folk (λ ≈ 0.1932), five sub-steps per ε but with an
+//!   error constant roughly 10× smaller — cheaper per unit acceptance at the
+//!   same cost order.
 
-use crate::action::{force, update_links};
+use crate::action::{force_sweep, update_links};
+use grid::stencil::Stencil;
 use grid::GaugeField;
 
 /// The tuned constant of the 2nd-order minimum-norm (2MN) scheme.
 pub const OMELYAN_LAMBDA: f64 = 0.193_183_327_503_783_6;
 
-/// A reversible molecular-dynamics integration scheme.
-pub trait Integrator {
-    /// Human-readable scheme name.
-    fn name(&self) -> &'static str;
-    /// Stable discriminant persisted in checkpoints (0 = leapfrog,
-    /// 1 = Omelyan).
-    fn id(&self) -> u8;
-    /// Evolve `(U, P)` through `n_steps` steps of size `eps` under the
-    /// Wilson action at coupling `beta`.
-    fn integrate(
-        &self,
-        u: &mut GaugeField,
-        p: &mut GaugeField,
-        beta: f64,
-        n_steps: usize,
-        eps: f64,
-    );
+/// Momentum kick `P ← P + ε F(U)`: one force sweep that adds the force into
+/// the momenta where it computes it.
+fn kick(st: &Stencil, p: &mut GaugeField, u: &GaugeField, beta: f64, eps: f64) {
+    force_sweep(st, u, beta, p, Some(eps));
 }
 
-/// Momentum kick `P ← P + ε F(U)` (one force evaluation).
-fn kick(p: &mut GaugeField, u: &GaugeField, beta: f64, eps: f64) {
-    p.axpy_inplace(eps, &force(u, beta));
-}
-
-/// Standard leapfrog (Störmer–Verlet): half kick, `n` full drifts with
-/// full kicks between, half kick. One force evaluation per step.
-pub struct Leapfrog;
-
-impl Integrator for Leapfrog {
-    fn name(&self) -> &'static str {
-        "leapfrog"
-    }
-    fn id(&self) -> u8 {
-        0
-    }
-    fn integrate(
-        &self,
-        u: &mut GaugeField,
-        p: &mut GaugeField,
-        beta: f64,
-        n_steps: usize,
-        eps: f64,
-    ) {
-        kick(p, u, beta, 0.5 * eps);
-        for step in 0..n_steps {
-            update_links(u, p, eps);
-            let last = step + 1 == n_steps;
-            kick(p, u, beta, if last { 0.5 * eps } else { eps });
-        }
-    }
-}
-
-/// Omelyan–Mryglod–Folk 2nd-order minimum-norm scheme: per step the
-/// palindrome `kick λε · drift ε/2 · kick (1−2λ)ε · drift ε/2 · kick λε`.
-/// Two force evaluations per step (the touching λε kicks of adjacent steps
-/// are left unmerged so the sequence of states is exactly the published
-/// composition — reversibility tests exercise the same code path).
-pub struct Omelyan;
-
-impl Integrator for Omelyan {
-    fn name(&self) -> &'static str {
-        "omelyan"
-    }
-    fn id(&self) -> u8 {
-        1
-    }
-    fn integrate(
-        &self,
-        u: &mut GaugeField,
-        p: &mut GaugeField,
-        beta: f64,
-        n_steps: usize,
-        eps: f64,
-    ) {
-        let lambda = OMELYAN_LAMBDA;
-        for _ in 0..n_steps {
-            kick(p, u, beta, lambda * eps);
-            update_links(u, p, 0.5 * eps);
-            kick(p, u, beta, (1.0 - 2.0 * lambda) * eps);
-            update_links(u, p, 0.5 * eps);
-            kick(p, u, beta, lambda * eps);
-        }
-    }
-}
-
-/// The integrator schemes a chain can be configured with — the enum form
-/// is what chain parameters and checkpoints carry.
+/// The integration schemes a chain can be configured with — the form chain
+/// parameters and checkpoints carry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IntegratorKind {
-    /// [`Leapfrog`].
+    /// Standard leapfrog (Störmer–Verlet): half kick, `n` full drifts with
+    /// full kicks between, half kick. One force evaluation per step.
     Leapfrog,
-    /// [`Omelyan`].
+    /// Omelyan–Mryglod–Folk 2nd-order minimum-norm scheme: per step the
+    /// palindrome `kick λε · drift ε/2 · kick (1−2λ)ε · drift ε/2 · kick λε`.
+    /// The touching λε kicks of adjacent steps are left unmerged so the
+    /// sequence of states is exactly the published composition —
+    /// reversibility tests exercise the same code path.
     Omelyan,
 }
 
 impl IntegratorKind {
-    /// The scheme object implementing this kind.
-    pub fn as_integrator(self) -> &'static dyn Integrator {
+    /// Evolve `(U, P)` through `n_steps` steps of size `eps` under the
+    /// Wilson action at coupling `beta`; `st` is the links' stencil.
+    pub fn integrate(
+        self,
+        st: &Stencil,
+        u: &mut GaugeField,
+        p: &mut GaugeField,
+        beta: f64,
+        n_steps: usize,
+        eps: f64,
+    ) {
         match self {
-            IntegratorKind::Leapfrog => &Leapfrog,
-            IntegratorKind::Omelyan => &Omelyan,
+            IntegratorKind::Leapfrog => {
+                kick(st, p, u, beta, 0.5 * eps);
+                for step in 0..n_steps {
+                    update_links(u, p, eps);
+                    let last = step + 1 == n_steps;
+                    kick(st, p, u, beta, if last { 0.5 * eps } else { eps });
+                }
+            }
+            IntegratorKind::Omelyan => {
+                let lambda = OMELYAN_LAMBDA;
+                for _ in 0..n_steps {
+                    kick(st, p, u, beta, lambda * eps);
+                    update_links(u, p, 0.5 * eps);
+                    kick(st, p, u, beta, (1.0 - 2.0 * lambda) * eps);
+                    update_links(u, p, 0.5 * eps);
+                    kick(st, p, u, beta, lambda * eps);
+                }
+            }
         }
     }
 
-    /// Stable checkpoint discriminant ([`Integrator::id`]).
+    /// Stable checkpoint discriminant (0 = leapfrog, 1 = Omelyan).
     pub fn id(self) -> u8 {
-        self.as_integrator().id()
+        match self {
+            IntegratorKind::Leapfrog => 0,
+            IntegratorKind::Omelyan => 1,
+        }
     }
 
     /// Inverse of [`IntegratorKind::id`], for checkpoint restore.
@@ -147,10 +103,9 @@ mod tests {
     fn kind_ids_round_trip() {
         for kind in [IntegratorKind::Leapfrog, IntegratorKind::Omelyan] {
             assert_eq!(IntegratorKind::from_id(kind.id()).unwrap(), kind);
-            assert_eq!(kind.as_integrator().id(), kind.id());
         }
+        assert_eq!(IntegratorKind::Leapfrog.id(), 0);
+        assert_eq!(IntegratorKind::Omelyan.id(), 1);
         assert!(IntegratorKind::from_id(7).is_err());
-        assert_eq!(IntegratorKind::Leapfrog.as_integrator().name(), "leapfrog");
-        assert_eq!(IntegratorKind::Omelyan.as_integrator().name(), "omelyan");
     }
 }

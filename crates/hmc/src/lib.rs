@@ -9,14 +9,16 @@
 //! * [`algebra`] — scalar su(3): the TA projection, the matrix exponential
 //!   (scaling-and-squaring with a proven truncation bound), the Gell-Mann
 //!   generator basis for Gaussian momenta;
-//! * [`action`] — the word-level compute kernels: Wilson action, staple
-//!   sums, the gauge force `F = -(β/6)·TA(UΣ)`, momentum refresh on
-//!   counter-based RNG streams, and the `U ← exp(εP)U` drift;
+//! * [`action`] — the word-level compute kernels: Wilson action, the gauge
+//!   force `F = -(β/6)·TA(UΣ)` as one stencil sweep that can add the
+//!   integrator's kick into the momenta, momentum refresh on counter-based
+//!   RNG streams, and the `U ← exp(εP)U` drift;
 //! * [`integrator`] — reversible symplectic schemes (leapfrog and the
-//!   Omelyan 2nd-order minimum-norm composition) behind one trait;
+//!   Omelyan 2nd-order minimum-norm composition) as one enum;
 //! * [`chain`] — the Markov-chain driver: trajectories, Metropolis,
 //!   per-trajectory trace spans, and checkpoint/resume through `qcd-io`
-//!   that is bit-identical to an uninterrupted run.
+//!   that is bit-identical to an uninterrupted run. A chain keeps its
+//!   stencil, candidate links and momenta across trajectories.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,12 +29,12 @@ pub mod chain;
 pub mod integrator;
 
 pub use action::{
-    average_plaquette_fast, force, kinetic_energy, refresh_momenta, staple_field, update_links,
-    wilson_action, ACTION_FLOPS_PER_SITE, FORCE_FLOPS_PER_SITE,
+    average_plaquette_fast, force, kinetic_energy, refresh_momenta, update_links, wilson_action,
+    ACTION_FLOPS_PER_SITE, FORCE_FLOPS_PER_SITE,
 };
 pub use algebra::{exp_su3, momentum_from_gaussians, ta_project};
 pub use chain::{
     max_algebra_defect, HmcParams, MarkovChain, RunOutcome, TrajectoryReport, UnitarityWarning,
     UNITARITY_WARN_THRESHOLD,
 };
-pub use integrator::{Integrator, IntegratorKind, Leapfrog, Omelyan, OMELYAN_LAMBDA};
+pub use integrator::{IntegratorKind, OMELYAN_LAMBDA};

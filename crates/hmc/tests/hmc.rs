@@ -4,9 +4,9 @@
 //! merely stable one.
 
 use grid::prelude::*;
+use grid::stencil::Stencil;
 use qcd_hmc::{
-    kinetic_energy, refresh_momenta, wilson_action, HmcParams, Integrator, IntegratorKind,
-    Leapfrog, MarkovChain, Omelyan,
+    kinetic_energy, refresh_momenta, wilson_action, HmcParams, IntegratorKind, MarkovChain,
 };
 use std::sync::Arc;
 
@@ -62,24 +62,22 @@ fn integrators_are_time_reversible() {
     let u0 = warm_links(g.clone());
     let p0 = refresh_momenta(g.clone(), 71);
     let beta = 5.7;
+    let st = Stencil::new(g.clone());
 
-    for (name, integ) in [
-        ("leapfrog", &Leapfrog as &dyn Integrator),
-        ("omelyan", &Omelyan as &dyn Integrator),
-    ] {
+    for kind in [IntegratorKind::Leapfrog, IntegratorKind::Omelyan] {
         let mut u = u0.clone();
         let mut p = p0.clone();
-        integ.integrate(&mut u, &mut p, beta, 4, 0.1);
+        kind.integrate(&st, &mut u, &mut p, beta, 4, 0.1);
         // Momentum flip + the same forward integration runs the
         // palindrome backwards.
         p.scale(-1.0);
-        integ.integrate(&mut u, &mut p, beta, 4, 0.1);
+        kind.integrate(&st, &mut u, &mut p, beta, 4, 0.1);
         let dev = u.max_abs_diff(&u0);
-        assert!(dev < 1e-10, "{name} irreversible: link deviation {dev:e}");
+        assert!(dev < 1e-10, "{kind:?} irreversible: link deviation {dev:e}");
         // The momenta must return to -P0.
         p.scale(-1.0);
         let pdev = p.max_abs_diff(&p0);
-        assert!(pdev < 1e-10, "{name}: momentum deviation {pdev:e}");
+        assert!(pdev < 1e-10, "{kind:?}: momentum deviation {pdev:e}");
     }
 }
 
@@ -87,7 +85,7 @@ fn integrators_are_time_reversible() {
 fn trajectory_dh(
     u0: &grid::GaugeField,
     p0: &grid::GaugeField,
-    integ: &dyn Integrator,
+    kind: IntegratorKind,
     beta: f64,
     n: usize,
     eps: f64,
@@ -95,7 +93,14 @@ fn trajectory_dh(
     let h0 = kinetic_energy(p0) + wilson_action(u0, beta);
     let mut u = u0.clone();
     let mut p = p0.clone();
-    integ.integrate(&mut u, &mut p, beta, n, eps);
+    kind.integrate(
+        &Stencil::new(u0.grid().clone()),
+        &mut u,
+        &mut p,
+        beta,
+        n,
+        eps,
+    );
     kinetic_energy(&p) + wilson_action(&u, beta) - h0
 }
 
@@ -110,11 +115,11 @@ fn energy_violation_scales_with_the_integrator_order() {
     let steps = [(4usize, 0.125f64), (8, 0.0625), (16, 0.03125)];
     let lf: Vec<f64> = steps
         .iter()
-        .map(|&(n, eps)| trajectory_dh(&u, &p, &Leapfrog, beta, n, eps))
+        .map(|&(n, eps)| trajectory_dh(&u, &p, IntegratorKind::Leapfrog, beta, n, eps))
         .collect();
     let om: Vec<f64> = steps[..2]
         .iter()
-        .map(|&(n, eps)| trajectory_dh(&u, &p, &Omelyan, beta, n, eps))
+        .map(|&(n, eps)| trajectory_dh(&u, &p, IntegratorKind::Omelyan, beta, n, eps))
         .collect();
 
     // Leapfrog: ΔH ∝ ε² at fixed τ — halving ε quarters ΔH.
