@@ -76,7 +76,7 @@ impl HmcChainState {
                 msg,
             })
         };
-        if self.accepted + self.rejected != self.trajectory {
+        if self.accepted.checked_add(self.rejected) != Some(self.trajectory) {
             return bad(format!(
                 "accept/reject tallies {}+{} do not sum to trajectory {}",
                 self.accepted, self.rejected, self.trajectory
@@ -129,23 +129,13 @@ impl HmcChainState {
 
     /// Rebuild from the records of [`HmcChainState::to_records`].
     pub fn from_records(chain: &Record, history: &Record) -> Result<Self> {
-        let mut cur = Cursor::new(&chain.payload, HMC_RECORD);
-        let beta = f64::from_bits(cur.u64("beta")?);
-        let step_size = f64::from_bits(cur.u64("step size")?);
-        let n_steps = cur.u64("step count")?;
-        let integrator = cur.u8("integrator id")?;
-        let seed = cur.u64("chain seed")?;
-        let trajectory = cur.u64("trajectory index")?;
-        let accepted = cur.u64("accept tally")?;
-        let rejected = cur.u64("reject tally")?;
-        cur.done()?;
-
+        let mut state = Self::from_chain_record(chain)?;
         let mut hcur = Cursor::new(&history.payload, HMC_HISTORY_RECORD);
         let n = hcur.count("history length", 9)?; // dH bits + accept flag
-        let mut dh_history = Vec::with_capacity(n);
-        let mut accept_history = Vec::with_capacity(n);
+        state.dh_history = Vec::with_capacity(n);
+        state.accept_history = Vec::with_capacity(n);
         for _ in 0..n {
-            dh_history.push(f64::from_bits(hcur.u64("dH entry")?));
+            state.dh_history.push(f64::from_bits(hcur.u64("dH entry")?));
             let a = hcur.u8("accept flag")?;
             if a > 1 {
                 return Err(IoError::BadRecord {
@@ -153,23 +143,33 @@ impl HmcChainState {
                     msg: format!("accept flag {a} is not a boolean"),
                 });
             }
-            accept_history.push(a == 1);
+            state.accept_history.push(a == 1);
         }
         hcur.done()?;
-
-        let state = HmcChainState {
-            beta,
-            step_size,
-            n_steps,
-            integrator,
-            seed,
-            trajectory,
-            accepted,
-            rejected,
-            dh_history,
-            accept_history,
-        };
         state.validate(HMC_RECORD)?;
+        Ok(state)
+    }
+
+    /// Decode the `hmc.chain` record alone — the one reader of its layout:
+    /// every scalar, empty histories, nothing cross-validated.
+    /// [`HmcChainState::from_records`] adds the history and validates; the
+    /// recovery scan reads the trajectory of a chain whose history record
+    /// is gone.
+    pub(crate) fn from_chain_record(chain: &Record) -> Result<Self> {
+        let mut cur = Cursor::new(&chain.payload, HMC_RECORD);
+        let state = HmcChainState {
+            beta: f64::from_bits(cur.u64("beta")?),
+            step_size: f64::from_bits(cur.u64("step size")?),
+            n_steps: cur.u64("step count")?,
+            integrator: cur.u8("integrator id")?,
+            seed: cur.u64("chain seed")?,
+            trajectory: cur.u64("trajectory index")?,
+            accepted: cur.u64("accept tally")?,
+            rejected: cur.u64("reject tally")?,
+            dh_history: Vec::new(),
+            accept_history: Vec::new(),
+        };
+        cur.done()?;
         Ok(state)
     }
 }

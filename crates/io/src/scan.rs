@@ -99,17 +99,11 @@ fn classify(records: &[Record]) -> Option<(CheckpointKind, u64)> {
     let find = |t: &str| records.iter().find(|r| r.rtype == t);
     if let Some(chain) = find(HMC_RECORD) {
         // Prefer the full parse (validated trajectory); fall back to the
-        // raw trajectory counter at byte 33 if the history record is gone.
-        let progress = match find(HMC_HISTORY_RECORD)
+        // chain record's own trajectory if the history record is gone.
+        let progress = find(HMC_HISTORY_RECORD)
             .and_then(|h| HmcChainState::from_records(chain, h).ok())
-        {
-            Some(state) => state.trajectory,
-            None => chain
-                .payload
-                .get(33..41)
-                .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte slice")))
-                .unwrap_or(0),
-        };
+            .or_else(|| HmcChainState::from_chain_record(chain).ok())
+            .map_or(0, |state| state.trajectory);
         return Some((CheckpointKind::HmcChain, progress));
     }
     if let Some(r) = find(STATE_SCALARS) {
@@ -325,6 +319,25 @@ mod tests {
             .entries
             .iter()
             .any(|e| e.job_id == "s0.chain" && e.crc_valid));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_chain_without_its_history_keeps_its_trajectory() {
+        // The history record is gone, so the full parse fails; the chain
+        // record alone still names the kind and the trajectory.
+        let dir = tmp_dir("no-history");
+        write_chain(&dir, "s0.chain.qio", 4);
+        let mut c = Container::open(&dir.join("s0.chain.qio")).unwrap();
+        c.records.retain(|r| r.rtype != HMC_HISTORY_RECORD);
+        c.write_atomic(&dir.join("s0.chain.qio")).unwrap();
+
+        let report = scan_checkpoints(&dir).unwrap();
+        assert!(report.skipped.is_empty(), "{:?}", report.skipped);
+        assert_eq!(report.entries.len(), 1);
+        assert_eq!(report.entries[0].kind, CheckpointKind::HmcChain);
+        assert_eq!(report.entries[0].progress, 4);
+        assert!(report.entries[0].crc_valid);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

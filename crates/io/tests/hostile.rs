@@ -12,7 +12,7 @@ use qcd_io::fields::{encode_field, META_RECORD};
 use qcd_io::{
     load_state, read_hmc_chain, read_subspace, resume, scan_checkpoints, CheckpointKind, Container,
     FieldMeta, HmcChainState, IoError, Record, DEFL_META_RECORD, DEFL_SCALARS_RECORD,
-    HMC_HISTORY_RECORD, STATE_SCALARS,
+    HMC_HISTORY_RECORD, HMC_RECORD, STATE_SCALARS,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -117,6 +117,44 @@ fn a_forged_count_is_refused_before_it_sizes_an_allocation() {
         ],
     );
     expect_bad_record(read_subspace(&path, &g, 0.25), DEFL_SCALARS_RECORD, "nev");
+    let _ = std::fs::remove_dir_all(&d);
+}
+
+#[test]
+fn forged_tallies_whose_sum_overflows_are_refused_not_added() {
+    // accepted + rejected overflows u64: a panic in the dev profile and a
+    // wrapped sum in the release profile at the parent commit. The loader
+    // and the recovery scan must both come back with an answer.
+    let d = dir("tallies");
+    let state = HmcChainState {
+        beta: 5.6,
+        step_size: 0.1,
+        n_steps: 4,
+        integrator: 0,
+        seed: 11,
+        trajectory: 0,
+        accepted: u64::MAX,
+        rejected: 1,
+        dh_history: vec![],
+        accept_history: vec![],
+    };
+    let (chain, history) = state.to_records();
+    let path = d.join("forged.qio");
+    write(&path, vec![chain, history]);
+    match read_hmc_chain(&path, &grid()) {
+        Err(IoError::BadRecord { record, msg }) => {
+            assert_eq!(record, HMC_RECORD);
+            assert!(msg.contains("tallies"), "{msg}");
+        }
+        other => panic!(
+            "expected forged tallies to be refused, got {:?}",
+            other.map(|_| ()).map_err(|e| e.to_string())
+        ),
+    }
+    let report = scan_checkpoints(&d).unwrap();
+    assert_eq!(report.entries.len(), 1);
+    assert_eq!(report.entries[0].kind, CheckpointKind::HmcChain);
+    assert_eq!(report.entries[0].progress, 0);
     let _ = std::fs::remove_dir_all(&d);
 }
 
