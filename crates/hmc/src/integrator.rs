@@ -22,12 +22,6 @@ use grid::GaugeField;
 /// The tuned constant of the 2nd-order minimum-norm (2MN) scheme.
 pub const OMELYAN_LAMBDA: f64 = 0.193_183_327_503_783_6;
 
-/// Momentum kick `P ← P + ε F(U)`: one force sweep that adds the force into
-/// the momenta where it computes it.
-fn kick(st: &Stencil, p: &mut GaugeField, u: &GaugeField, beta: f64, eps: f64) {
-    force_sweep(st, u, beta, p, Some(eps));
-}
-
 /// The integration schemes a chain can be configured with — the form chain
 /// parameters and checkpoints carry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,7 +39,9 @@ pub enum IntegratorKind {
 
 impl IntegratorKind {
     /// Evolve `(U, P)` through `n_steps` steps of size `eps` under the
-    /// Wilson action at coupling `beta`; `st` is the links' stencil.
+    /// Wilson action at coupling `beta`; `st` is the links' stencil. Each
+    /// kick `P ← P + ε F(U)` is one force sweep that adds the force into
+    /// the momenta where it computes it.
     pub fn integrate(
         self,
         st: &Stencil,
@@ -57,21 +53,21 @@ impl IntegratorKind {
     ) {
         match self {
             IntegratorKind::Leapfrog => {
-                kick(st, p, u, beta, 0.5 * eps);
+                force_sweep(st, u, beta, p, Some(0.5 * eps));
                 for step in 0..n_steps {
                     update_links(u, p, eps);
                     let last = step + 1 == n_steps;
-                    kick(st, p, u, beta, if last { 0.5 * eps } else { eps });
+                    force_sweep(st, u, beta, p, Some(if last { 0.5 * eps } else { eps }));
                 }
             }
             IntegratorKind::Omelyan => {
                 let lambda = OMELYAN_LAMBDA;
                 for _ in 0..n_steps {
-                    kick(st, p, u, beta, lambda * eps);
+                    force_sweep(st, u, beta, p, Some(lambda * eps));
                     update_links(u, p, 0.5 * eps);
-                    kick(st, p, u, beta, (1.0 - 2.0 * lambda) * eps);
+                    force_sweep(st, u, beta, p, Some((1.0 - 2.0 * lambda) * eps));
                     update_links(u, p, 0.5 * eps);
-                    kick(st, p, u, beta, lambda * eps);
+                    force_sweep(st, u, beta, p, Some(lambda * eps));
                 }
             }
         }
