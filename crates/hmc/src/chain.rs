@@ -121,7 +121,7 @@ impl MarkovChain {
         let grid = links.grid().clone();
         MarkovChain {
             stencil: Stencil::new(grid.clone()),
-            candidate: links.clone(),
+            candidate: GaugeField::zero(grid.clone()),
             momenta: GaugeField::zero(grid),
             links,
             params,

@@ -91,16 +91,9 @@ fn trajectory_dh(
     eps: f64,
 ) -> f64 {
     let h0 = kinetic_energy(p0) + wilson_action(u0, beta);
-    let mut u = u0.clone();
-    let mut p = p0.clone();
-    kind.integrate(
-        &Stencil::new(u0.grid().clone()),
-        &mut u,
-        &mut p,
-        beta,
-        n,
-        eps,
-    );
+    let (mut u, mut p) = (u0.clone(), p0.clone());
+    let st = Stencil::new(u0.grid().clone());
+    kind.integrate(&st, &mut u, &mut p, beta, n, eps);
     kinetic_energy(&p) + wilson_action(&u, beta) - h0
 }
 
