@@ -169,13 +169,31 @@ pub fn parse(name: &str, src: &str) -> Result<Program, ParseError> {
         let toks: Vec<&str> = text.split_whitespace().collect();
         let mnemonic = toks[0];
         let rest = &toks[1..];
+        let operands = match mnemonic {
+            "ret" => 0,
+            "incd" | "ptrue" | "b" | "b.mi" | "b.lo" => 1,
+            "mov" | "cmp" | "movprfx" => 2,
+            "lsl" | "add" | "whilelo" | "ld1d" | "st1d" | "fmul" => 3,
+            "brkns" | "ld2d" | "st2d" | "fmla" | "fnmls" => 4,
+            "fcmla" => 5,
+            _ => 0,
+        };
+        if rest.len() < operands {
+            return err(
+                line,
+                format!("`{mnemonic}` takes {operands} operands, got {}", rest.len()),
+            );
+        }
         let inst = match mnemonic {
             "ret" => Inst::Ret,
             "mov" => parse_mov(rest, line)?,
             "lsl" => Inst::Lsl {
                 xd: parse_xreg(rest[0], line)?,
                 xn: parse_xreg(rest[1], line)?,
-                shift: parse_imm(rest[2], line)? as u8,
+                shift: match parse_imm(rest[2], line)? {
+                    shift @ 0..=63 => shift as u8,
+                    other => return err(line, format!("shift #{other} is outside 0..=63")),
+                },
             },
             "add" => Inst::AddXImm {
                 xd: parse_xreg(rest[0], line)?,
@@ -429,6 +447,32 @@ mod tests {
         assert!(e.message.contains("unknown label"));
         let e = parse("bad", "fcmla z0.d, p0/m, z1.d, z2.d, #45\n").unwrap_err();
         assert!(e.message.contains("rotation"));
+    }
+
+    #[test]
+    fn truncated_operands_and_wide_shifts_are_errors() {
+        for src in [
+            "lsl x0",
+            "ld1d z0.d",
+            "ld2d z0.d, z1.d",
+            "b",
+            "whilelo p0.d, x0",
+        ] {
+            let e = parse("t", &format!("ret\n{src}\n")).unwrap_err();
+            assert_eq!(e.line, 2, "{src}");
+            assert!(e.message.contains("operands"), "{src}: {}", e.message);
+        }
+        let e = parse("t", "lsl x0, x1, #300").unwrap_err();
+        assert!(e.message.contains("#300"), "{}", e.message);
+        let p = parse("t", "lsl x0, x1, #63").unwrap();
+        assert_eq!(
+            p.insts,
+            vec![Inst::Lsl {
+                xd: 0,
+                xn: 1,
+                shift: 63
+            }]
+        );
     }
 
     #[test]

@@ -118,3 +118,27 @@ proptest! {
         prop_assert!(close(&run.z, &listings::mult_cplx_ref(&x, &y)));
     }
 }
+
+/// The parser is a decoder of untrusted text: every prefix of every line of
+/// listings IV-A and IV-D — alone, and in place of its line inside the
+/// whole listing — either parses or returns an error; none panics.
+#[test]
+fn every_truncated_listing_line_parses_or_is_an_error() {
+    let listings = [
+        listings::mult_real_program(),
+        listings::mult_cplx_fcmla_fixed_program(),
+    ];
+    for program in listings {
+        let text = program.disassemble();
+        let lines: Vec<&str> = text.lines().collect();
+        for (i, line) in lines.iter().enumerate() {
+            for (cut, _) in line.char_indices().chain([(line.len(), ' ')]) {
+                let prefix = &line[..cut];
+                let _ = armie::parse(&program.name, prefix);
+                let mut whole = lines.clone();
+                whole[i] = prefix;
+                let _ = armie::parse(&program.name, &whole.join("\n"));
+            }
+        }
+    }
+}
