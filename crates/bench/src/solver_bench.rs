@@ -42,7 +42,7 @@ fn probe_block(
     if flops == 0 || traffic == 0 {
         return Err(format!(
             "block probe recorded no telemetry for N={}",
-            block.nrhs()
+            block.width()
         ));
     }
     Ok((flops, traffic, dots))

@@ -16,12 +16,13 @@
 //! instruction mix of the entire operator.
 //!
 //! The eight-leg body is written once ([`WilsonDirac::legs`] and
-//! [`Leg::run`]); what differs between sweeps is only where a leg's
-//! neighbour words come from. The single-field sweep fetches through the
-//! stencil, the block sweep runs each resolved leg once per right-hand side,
-//! and the distributed operator's boundary pass patches the lanes that cross
-//! a rank boundary ([`crate::dist`]). Every sweep ends a site with the same
-//! fused store ([`store_spinor`]).
+//! [`Leg::run`]), and so is the sweep: a field of any width — one field, a
+//! block of right-hand sides, a domain-wall fermion's `Ls` slices — goes
+//! through [`WilsonDirac::site`], which resolves the legs once per site and
+//! runs them once per right-hand side, fetching through the stencil. The
+//! distributed operator's boundary pass patches the lanes that cross a rank
+//! boundary ([`crate::dist`]). Every sweep ends a right-hand side's site
+//! with the same fused store ([`store_spinor`]).
 //!
 //! Site kernels are independent, so outer sites run under Rayon — the
 //! thread-level parallelization Grid gets from OpenMP (paper, Section II-A).
@@ -87,7 +88,7 @@ fn apply_coeff<E: SveFloat, const N: usize>(
 /// One leg of the hopping term at one outer site, resolved once and shared
 /// by every right-hand side: its stencil entry, its spin projector and its
 /// link (see [`WilsonDirac::legs`]).
-pub(crate) struct Leg<'l, const N: usize> {
+pub(crate) struct Leg<const N: usize> {
     /// The direction `µ`.
     pub(crate) mu: usize,
     /// `x + µ̂` (`true`) or `x − µ̂`.
@@ -95,10 +96,10 @@ pub(crate) struct Leg<'l, const N: usize> {
     /// Where the neighbour's words come from.
     pub(crate) entry: StencilEntry,
     proj: ProjTable,
-    link: &'l Link<N>,
+    link: Link<N>,
 }
 
-impl<const N: usize> Leg<'_, N> {
+impl<const N: usize> Leg<N> {
     /// The leg body: spin-project the neighbour spinor, which `fetch` reads
     /// one component word at a time, into a half spinor; colour-multiply
     /// both rows by the link — `U` forward, `U†` backward via the
@@ -122,13 +123,13 @@ impl<const N: usize> Leg<'_, N> {
         }
         let uh: [[CVec<N>; NCOLOR]; 2] = if self.forward {
             [
-                mat_vec(eng, self.link, &h[0]),
-                mat_vec(eng, self.link, &h[1]),
+                mat_vec(eng, &self.link, &h[0]),
+                mat_vec(eng, &self.link, &h[1]),
             ]
         } else {
             [
-                mat_dag_vec(eng, self.link, &h[0]),
-                mat_dag_vec(eng, self.link, &h[1]),
+                mat_dag_vec(eng, &self.link, &h[0]),
+                mat_dag_vec(eng, &self.link, &h[1]),
             ]
         };
         for c in 0..NCOLOR {
@@ -145,11 +146,19 @@ impl<const N: usize> Leg<'_, N> {
     }
 }
 
-/// The store every hopping sweep ends a site with: per component word, the
-/// fused Wilson mass term `(m+4)ψ − ½·acc` when `mass` holds `m+4`
-/// duplicated — the op sequence of the unfused `scale(−½)` then
-/// `axpy(m+4, ψ)` — then one store. `psi` and `out` are the site's spinor
-/// words.
+/// The site-local terms of one domain-wall slice, added to each output word
+/// after the mass term: `+ψ_s` through the first word (`1` duplicated),
+/// then `c·ψ_{s'}` with the (coefficient, neighbour-slice words) of the
+/// chiral leg whose projector keeps the word's spin row — `P₊` spins 0–1,
+/// `P₋` spins 2–3 (see [`crate::dwf`]).
+pub(crate) type SliceTerms<'a, E, const N: usize> = (CVec<N>, [(CVec<N>, &'a [E]); 2]);
+
+/// The store every hopping sweep ends a right-hand side's site with: per
+/// component word, the fused Wilson mass term `(m+4)ψ − ½·acc` when `mass`
+/// holds `m+4` duplicated — the op sequence of the unfused `scale(−½)` then
+/// `axpy(m+4, ψ)` — then a domain-wall slice's `fifth` terms, each the op of
+/// an `axpy_inplace`, then one store. `psi` and `out` are the site's spinor
+/// words of that right-hand side.
 #[inline(always)]
 pub(crate) fn store_spinor<E: SveFloat, const N: usize>(
     eng: &Words<'_, E, N>,
@@ -157,19 +166,47 @@ pub(crate) fn store_spinor<E: SveFloat, const N: usize>(
     mass: Option<CVec<N>>,
     neg_half: CVec<N>,
     psi: &[E],
+    fifth: Option<SliceTerms<'_, E, N>>,
     out: &mut [E],
 ) {
     let word = eng.word_len();
     for (comp, &r) in acc.iter().enumerate() {
         let w = comp * word..(comp + 1) * word;
-        let r = match mass {
-            Some(m) => {
-                let hs = eng.scale(neg_half, r);
-                eng.axpy_word(m, eng.load(&psi[w.clone()]), hs)
-            }
-            None => r,
+        let psi_w = (mass.is_some() || fifth.is_some()).then(|| eng.load(&psi[w.clone()]));
+        let mut r = match (mass, psi_w) {
+            (Some(m), Some(p)) => eng.axpy_word(m, p, eng.scale(neg_half, r)),
+            _ => r,
         };
+        if let (Some((one, legs)), Some(p)) = (fifth, psi_w) {
+            let (coef, src) = legs[comp / (2 * NCOLOR)];
+            r = eng.axpy_word(one, p, r);
+            r = eng.axpy_word(coef, eng.load(&src[w.clone()]), r);
+        }
         eng.store(&mut out[w], r);
+    }
+}
+
+/// What a hopping sweep does at each site besides the eight legs: the
+/// adjoint, the fused mass term, a domain-wall block's slice terms (`one`,
+/// `−1` and `m_f` duplicated) and the fused dot.
+pub(crate) struct Sweep<'a, E: SveFloat, const N: usize> {
+    pub(crate) dagger: bool,
+    pub(crate) mass: Option<CVec<N>>,
+    pub(crate) neg_half: CVec<N>,
+    fifth: Option<[CVec<N>; 3]>,
+    dot_with: Option<&'a Field<FermionKind, E>>,
+}
+
+impl<'a, E: SveFloat, const N: usize> Sweep<'a, E, N> {
+    /// The sweep's words, each duplicated once.
+    pub(crate) fn new(eng: &Words<'_, E, N>, dagger: bool, mass: Option<f64>) -> Self {
+        Sweep {
+            dagger,
+            mass: mass.map(|m| eng.dup_real(m)),
+            neg_half: eng.dup_real(-0.5),
+            fifth: None,
+            dot_with: None,
+        }
     }
 }
 
@@ -263,14 +300,14 @@ impl<E: SveFloat> WilsonDirac<E> {
         out
     }
 
-    /// `out = Dh ψ` without allocating.
+    /// `out = Dh ψ` without allocating, at any width.
     pub fn hopping_into(&self, psi: &Field<FermionKind, E>, out: &mut Field<FermionKind, E>) {
-        self.hopping_fused(psi, out, false, None, None);
+        self.hopping_fused(psi, out, false, None, None, None);
     }
 
     /// `out = Dh† ψ` without allocating.
     pub fn hopping_dag_into(&self, psi: &Field<FermionKind, E>, out: &mut Field<FermionKind, E>) {
-        self.hopping_fused(psi, out, true, None, None);
+        self.hopping_fused(psi, out, true, None, None, None);
     }
 
     /// `out = M ψ` in a single fused sweep: the `(m+4)ψ − ½(·)` mass axpy
@@ -279,12 +316,12 @@ impl<E: SveFloat> WilsonDirac<E> {
     /// to [`Self::apply`] (same engine ops per word, different sweep
     /// structure only).
     pub fn apply_into(&self, psi: &Field<FermionKind, E>, out: &mut Field<FermionKind, E>) {
-        self.hopping_fused(psi, out, false, Some(self.mass + 4.0), None);
+        self.hopping_fused(psi, out, false, Some(self.mass + 4.0), None, None);
     }
 
     /// `out = M† ψ` in a single fused sweep.
     pub fn apply_dag_into(&self, psi: &Field<FermionKind, E>, out: &mut Field<FermionKind, E>) {
-        self.hopping_fused(psi, out, true, Some(self.mass + 4.0), None);
+        self.hopping_fused(psi, out, true, Some(self.mass + 4.0), None, None);
     }
 
     /// `out = M† ψ` fused with the reduction `Re ⟨dot_with, out⟩`, whose
@@ -297,7 +334,10 @@ impl<E: SveFloat> WilsonDirac<E> {
         out: &mut Field<FermionKind, E>,
         dot_with: &Field<FermionKind, E>,
     ) -> f64 {
-        self.hopping_fused(psi, out, true, Some(self.mass + 4.0), Some(dot_with))
+        let mut dot = 0.0;
+        let dot_into = Some((dot_with, std::slice::from_mut(&mut dot)));
+        self.hopping_fused(psi, out, true, Some(self.mass + 4.0), dot_into, None);
+        dot
     }
 
     /// `out = M† M ψ` using caller-provided storage (`tmp` holds `M ψ`).
@@ -323,36 +363,65 @@ impl<E: SveFloat> WilsonDirac<E> {
         self.apply_dag_into_dot(tmp, out, psi)
     }
 
+    /// `out = M† M ψ` for every RHS of a block, returning the per-RHS CG
+    /// curvature terms `Re ⟨ψ_j, M†M ψ_j⟩` — each bit-identical to
+    /// [`Self::mdag_m_into_dot`] on RHS `j` alone. Each sweep runs in a
+    /// `dirac.block` trace region.
+    pub fn mdag_m_block_into_dot(
+        &self,
+        psi: &FermionBlock<E>,
+        tmp: &mut FermionBlock<E>,
+        out: &mut FermionBlock<E>,
+    ) -> Vec<f64> {
+        let mut dots = vec![0.0; psi.width()];
+        let span = || qcd_trace::span!("dirac.block", self.grid.engine().ctx());
+        let mass = Some(self.mass + 4.0);
+        {
+            let _span = span();
+            self.hopping_fused(psi, tmp, false, mass, None, None);
+        }
+        let _span = span();
+        let dot = Some((&**psi, dots.as_mut_slice()));
+        self.hopping_fused(tmp, out, true, mass, dot, None);
+        dots
+    }
+
     fn hopping_impl(&self, psi: &Field<FermionKind, E>, dagger: bool) -> Field<FermionKind, E> {
         let mut out = Field::<FermionKind, E>::zero(self.grid.clone());
         let _span = qcd_trace::span!(
             if dagger { "dirac.hop_dag" } else { "dirac.hop" },
             self.grid.engine().ctx()
         );
-        self.hopping_fused(psi, &mut out, dagger, None, None);
+        self.hopping_fused(psi, &mut out, dagger, None, None, None);
         out
     }
 
-    /// The one parallel sweep behind every hopping/apply variant: per
-    /// chunk of [`reduce::CHUNK_SITES`] outer sites, compute the eight-leg
-    /// stencil accumulator, optionally fuse the `(m+4)ψ − ½(·)` mass axpy
-    /// into the store (`mass_axpy = Some(m+4)`), and optionally take each
-    /// site's value of `Re ⟨dot_with, out⟩` from the words just stored; the
-    /// result is the canonical sum of those values, or zero without a
-    /// `dot_with`.
+    /// The one parallel sweep behind every hopping/apply variant, at every
+    /// width: per chunk of [`reduce::CHUNK_SITES`] outer sites, [`Self::site`]
+    /// computes each right-hand side's eight-leg accumulator with every leg
+    /// resolved once per site, optionally fuses the `(m+4)ψ − ½(·)` mass
+    /// axpy into the store (`mass_axpy = Some(m+4)`), and optionally takes
+    /// each site's per-RHS values of `Re ⟨dot_with, out⟩` from the words
+    /// just stored; `dot = (dot_with, sums)` receives their canonical sums
+    /// as [`Field::norms2_into`] takes a norm. `fifth = Some(m_f)` makes
+    /// `psi` a domain-wall block of `Ls` slices and adds each slice's
+    /// site-local 5-d terms in the store ([`crate::dwf`]).
     ///
-    /// The fused mass term performs, per word, the exact op sequence of the
-    /// unfused path (`scale(-0.5)` then `axpy(m+4, ψ)`), and the fused dot
-    /// is the reduction [`Field::inner`] takes — both therefore match their
-    /// unfused counterparts bit for bit.
-    fn hopping_fused(
+    /// Per RHS the engine-op sequence — projection, colour multiply,
+    /// reconstruction, fused mass axpy — is that of the unfused path
+    /// (`scale(-0.5)` then `axpy(m+4, ψ)`), and the fused dot is the
+    /// reduction [`Field::inner`] takes, so RHS `j` of any result is
+    /// bit-identical to its unfused counterpart on RHS `j` alone. The
+    /// recorded bytes credit link data once per site, not once per RHS.
+    pub(crate) fn hopping_fused(
         &self,
         psi: &Field<FermionKind, E>,
         out: &mut Field<FermionKind, E>,
         dagger: bool,
         mass_axpy: Option<f64>,
-        dot_with: Option<&Field<FermionKind, E>>,
-    ) -> f64 {
+        dot: Option<(&Field<FermionKind, E>, &mut [f64])>,
+        fifth: Option<f64>,
+    ) {
         assert!(
             Arc::ptr_eq(psi.grid(), &self.grid),
             "fermion field lives on a different grid"
@@ -361,63 +430,110 @@ impl<E: SveFloat> WilsonDirac<E> {
             Arc::ptr_eq(out.grid(), &self.grid),
             "output field lives on a different grid"
         );
+        let width = psi.width();
+        assert_eq!(
+            out.width(),
+            width,
+            "fermion fields hold different numbers of right-hand sides"
+        );
         let sites = self.grid.volume() as u64;
         let esize = std::mem::size_of::<E>() as u64;
+        let n = width as u64;
         let mut flops = HOPPING_FLOPS_PER_SITE;
-        let mut reads = 8 * 24 + 8 * self.link_scalars() as u64;
+        let mut reads_per_rhs = 8 * 24;
         if mass_axpy.is_some() {
             flops += FUSED_MASS_AXPY_FLOPS_PER_SITE;
-            reads += HOPPING_WRITES_PER_SITE;
+            reads_per_rhs += HOPPING_WRITES_PER_SITE;
         }
-        if dot_with.is_some() {
+        if dot.is_some() {
             flops += FUSED_DOT_FLOPS_PER_SITE;
-            reads += HOPPING_WRITES_PER_SITE;
+            reads_per_rhs += HOPPING_WRITES_PER_SITE;
         }
-        qcd_trace::record_sites(sites);
-        qcd_trace::record_flops(sites * flops);
+        qcd_trace::record_sites(sites * n);
+        qcd_trace::record_flops(sites * n * flops);
         qcd_trace::record_bytes(
-            sites * reads * esize,
-            sites * HOPPING_WRITES_PER_SITE * esize,
+            sites * (n * reads_per_rhs + 8 * self.link_scalars() as u64) * esize,
+            sites * n * HOPPING_WRITES_PER_SITE * esize,
         );
         crate::sized!(self.grid.engine(), |eng| {
             let stride = out.site_stride();
             let cs = reduce::CHUNK_SITES * stride;
-            let mass_dup = mass_axpy.map(|m| eng.dup_real(m));
-            let neg_half = eng.dup_real(-0.5);
-            let lanes = self.grid.lanes_c();
-            // `part` holds a chunk's per-site values of the dot, when there
-            // is one.
+            let (dot_with, sums) = dot.unzip();
+            if let Some(d) = dot_with {
+                assert!(
+                    Arc::ptr_eq(d.grid(), &self.grid) && d.width() == width,
+                    "dot field lives on a different grid or holds another width"
+                );
+            }
+            let sweep = Sweep {
+                fifth: fifth.map(|mf| [1.0, -1.0, mf].map(|c| eng.dup_real(c))),
+                dot_with,
+                ..Sweep::new(eng, dagger, mass_axpy)
+            };
+            let rows = width * self.grid.lanes_c();
+            // `part` holds a chunk's per-site per-RHS values of the dots,
+            // when there are any.
             let kernel = |ci: usize, chunk: &mut [E], mut part: Option<&mut [f64]>| {
                 for (k, site) in chunk.chunks_exact_mut(stride).enumerate() {
-                    let osite = ci * reduce::CHUNK_SITES + k;
-                    let acc = self.site_hopping(eng, psi, osite, dagger);
-                    let psi_site = &psi.data()[osite * stride..(osite + 1) * stride];
-                    store_spinor(eng, &acc, mass_dup, neg_half, psi_site, site);
-                    if let (Some(d), Some(part)) = (dot_with, part.as_deref_mut()) {
-                        let dsite = &d.data()[osite * stride..(osite + 1) * stride];
-                        reduce::site_dots::<E>(dsite, site, &mut part[k * lanes..(k + 1) * lanes]);
-                    }
+                    let part = part.as_deref_mut().map(|p| &mut p[k * rows..(k + 1) * rows]);
+                    self.site(eng, psi, ci * reduce::CHUNK_SITES + k, &sweep, site, part);
                 }
             };
             let data = out.data_mut().par_chunks_mut(cs);
-            let mut dot = 0.0;
-            match dot_with {
+            match sums {
                 None => data
                     .enumerate()
                     .for_each(|(ci, chunk)| kernel(ci, chunk, None)),
-                Some(d) => {
-                    assert!(
-                        Arc::ptr_eq(d.grid(), &self.grid),
-                        "dot field lives on a different grid"
-                    );
+                Some(sums) => {
                     let dotted =
                         |ci, chunk: &mut [E], part: &mut [f64]| kernel(ci, chunk, Some(part));
-                    let dot = std::slice::from_mut(&mut dot);
-                    reduce::sweep_sums(&self.grid, data, dotted, dot);
+                    reduce::sweep_sums(&self.grid, data, dotted, width, sums);
                 }
             }
-            dot
         })
+    }
+
+    /// The hopping term at one outer site for every right-hand side of
+    /// `psi`: the eight legs resolved once ([`Self::legs`]), then per RHS
+    /// [`Leg::run`] with its neighbour words fetched through the stencil and
+    /// the store ([`store_spinor`]) into that RHS's words of `out` (the
+    /// site's words), and the fused dot's values into `part`. Out of line:
+    /// the sweeps with and without a dot and the distributed operator's
+    /// interior pass share one copy.
+    #[inline(never)]
+    pub(crate) fn site<'a, const N: usize>(
+        &self,
+        eng: &Words<'_, E, N>,
+        psi: &'a Field<FermionKind, E>,
+        osite: usize,
+        sweep: &Sweep<'a, E, N>,
+        out: &mut [E],
+        mut part: Option<&mut [f64]>,
+    ) {
+        let (width, lanes) = (psi.width(), self.grid.lanes_c());
+        let rhs = NCOMP * eng.word_len();
+        let words = osite * out.len()..(osite + 1) * out.len();
+        let psi_site = &psi.data()[words.clone()];
+        let dot_site = sweep.dot_with.map(|d| &d.data()[words]);
+        let at = |site: &'a [E], j: usize| &site[j * rhs..(j + 1) * rhs];
+        let bwd_link = |mu, entry| self.neighbour_link(eng, mu, entry);
+        let legs = self.legs(eng, osite, sweep.dagger, bwd_link);
+        for (j, ours) in out.chunks_exact_mut(rhs).enumerate() {
+            let mut acc = [eng.zero(); NCOMP];
+            for leg in &legs {
+                let fetch = |comp| self.stencil.fetch(eng, psi, j * NCOMP + comp, leg.entry);
+                leg.run(eng, fetch, &mut acc);
+            }
+            let fifth = sweep.fifth.map(|[one, minus_one, mf]| {
+                let leg = |(s, wraps): (usize, bool)| (if wraps { mf } else { minus_one }, at(psi_site, s));
+                let [plus, minus] = crate::dwf::slice_legs(width, j, sweep.dagger);
+                (one, [leg(plus), leg(minus)])
+            });
+            store_spinor(eng, &acc, sweep.mass, sweep.neg_half, at(psi_site, j), fifth, ours);
+            if let (Some(d), Some(part)) = (dot_site, part.as_deref_mut()) {
+                reduce::site_dots::<E>(at(d, j), ours, &mut part[j * lanes..(j + 1) * lanes]);
+            }
+        }
     }
 
     /// The neighbour stencil (shared with the distributed operator, which
@@ -431,11 +547,9 @@ impl<E: SveFloat> WilsonDirac<E> {
     /// projector — paper convention `(1+γµ)` on the forward leg, `(1−γµ)` on
     /// the backward one, swapped by the adjoint — and the link: `U_µ` at the
     /// site forward, `bwd_link(µ, entry)` backward (`U_{x−µ̂,µ}`, which a
-    /// rank boundary patches). `leg` runs [`Leg::run`] with the sweep's
-    /// neighbour fetch, once per right-hand side.
-    ///
-    /// Inlined, with `leg`, into each sweep's per-site kernel: the fetches
-    /// then compile to straight-line loads rather than calls.
+    /// rank boundary patches). Each sweep then runs [`Leg::run`] with its
+    /// neighbour fetch, once per right-hand side: the links sit on the
+    /// stack, 8 × 9 words, for the whole site.
     #[inline(always)]
     pub(crate) fn legs<const N: usize>(
         &self,
@@ -443,52 +557,29 @@ impl<E: SveFloat> WilsonDirac<E> {
         osite: usize,
         dagger: bool,
         bwd_link: impl Fn(usize, StencilEntry) -> Link<N>,
-        mut leg: impl FnMut(&Leg<'_, N>),
-    ) {
-        for mu in 0..4 {
-            for forward in [true, false] {
-                let entry = self.stencil.leg(dir_index(mu, forward), osite);
-                let link = if forward {
-                    let mut uw = [[eng.zero(); NCOLOR]; NCOLOR];
-                    for (r, row) in uw.iter_mut().take(self.link_rows()).enumerate() {
-                        for (c, w) in row.iter_mut().enumerate() {
-                            *w = eng.load(self.u.word(osite, gauge_comp(mu, r, c)));
-                        }
+    ) -> [Leg<N>; 8] {
+        std::array::from_fn(|i| {
+            let (mu, forward) = (i / 2, i % 2 == 0);
+            let entry = self.stencil.leg(dir_index(mu, forward), osite);
+            let link = if forward {
+                let mut uw = [[eng.zero(); NCOLOR]; NCOLOR];
+                for (r, row) in uw.iter_mut().take(self.link_rows()).enumerate() {
+                    for (c, w) in row.iter_mut().enumerate() {
+                        *w = eng.load(self.u.word(osite, gauge_comp(mu, r, c)));
                     }
-                    self.complete_link(eng, uw)
-                } else {
-                    bwd_link(mu, entry)
-                };
-                leg(&Leg {
-                    mu,
-                    forward,
-                    entry,
-                    proj: proj_table(mu, forward ^ dagger),
-                    link: &link,
-                });
+                }
+                self.complete_link(eng, uw)
+            } else {
+                bwd_link(mu, entry)
+            };
+            Leg {
+                mu,
+                forward,
+                entry,
+                proj: proj_table(mu, forward ^ dagger),
+                link,
             }
-        }
-    }
-
-    /// The hopping term at one outer site of a single field, every
-    /// neighbour word fetched through the stencil. Out of line: the field
-    /// sweep's kernels, with and without a fused dot, and the distributed
-    /// operator's interior pass share one copy.
-    #[inline(never)]
-    pub(crate) fn site_hopping<const N: usize>(
-        &self,
-        eng: &Words<'_, E, N>,
-        psi: &Field<FermionKind, E>,
-        osite: usize,
-        dagger: bool,
-    ) -> Spinor<N> {
-        let mut acc = [eng.zero(); NCOMP];
-        let bwd_link = |mu, entry| self.neighbour_link(eng, mu, entry);
-        self.legs(eng, osite, dagger, bwd_link, |leg| {
-            let fetch = |comp| self.stencil.fetch(eng, psi, comp, leg.entry);
-            leg.run(eng, fetch, &mut acc);
-        });
-        acc
+        })
     }
 
     /// Link scalars actually read per link by the dslash (18 full, 12 in
@@ -547,185 +638,6 @@ impl<E: SveFloat> WilsonDirac<E> {
             }
         }
         self.complete_link(eng, uw)
-    }
-
-    // ---- Multi-RHS batched path -------------------------------------------
-
-    /// `out = Dh ψ` for every RHS in the batch.
-    pub fn hopping_block_into(&self, psi: &FermionBlock<E>, out: &mut FermionBlock<E>) {
-        self.hopping_block_fused(psi, out, false, None, None);
-    }
-
-    /// `out = Dh† ψ` for every RHS in the batch.
-    pub fn hopping_dag_block_into(&self, psi: &FermionBlock<E>, out: &mut FermionBlock<E>) {
-        self.hopping_block_fused(psi, out, true, None, None);
-    }
-
-    /// `out = M ψ` for every RHS in one fused sweep — the batched
-    /// [`Self::apply_into`]. RHS `j` of the result is bit-identical to
-    /// `apply_into` on RHS `j` alone.
-    pub fn apply_block_into(&self, psi: &FermionBlock<E>, out: &mut FermionBlock<E>) {
-        self.hopping_block_fused(psi, out, false, Some(self.mass + 4.0), None);
-    }
-
-    /// `out = M† ψ` for every RHS in one fused sweep.
-    pub fn apply_dag_block_into(&self, psi: &FermionBlock<E>, out: &mut FermionBlock<E>) {
-        self.hopping_block_fused(psi, out, true, Some(self.mass + 4.0), None);
-    }
-
-    /// `out = M† ψ` fused with the per-RHS reduction
-    /// `Re ⟨dot_with_j, out_j⟩` — the batched
-    /// [`Self::apply_dag_into_dot`], bit-identical per RHS.
-    pub fn apply_dag_block_into_dot(
-        &self,
-        psi: &FermionBlock<E>,
-        out: &mut FermionBlock<E>,
-        dot_with: &FermionBlock<E>,
-    ) -> Vec<f64> {
-        self.hopping_block_fused(psi, out, true, Some(self.mass + 4.0), Some(dot_with))
-    }
-
-    /// `out = M† M ψ` for every RHS using caller-provided storage.
-    pub fn mdag_m_block_into(
-        &self,
-        psi: &FermionBlock<E>,
-        tmp: &mut FermionBlock<E>,
-        out: &mut FermionBlock<E>,
-    ) {
-        self.apply_block_into(psi, tmp);
-        self.apply_dag_block_into(tmp, out);
-    }
-
-    /// `out = M† M ψ` returning the per-RHS CG curvature terms
-    /// `Re ⟨ψ_j, M†M ψ_j⟩` fused into the second sweep — the batched
-    /// [`Self::mdag_m_into_dot`], bit-identical per RHS.
-    pub fn mdag_m_block_into_dot(
-        &self,
-        psi: &FermionBlock<E>,
-        tmp: &mut FermionBlock<E>,
-        out: &mut FermionBlock<E>,
-    ) -> Vec<f64> {
-        self.apply_block_into(psi, tmp);
-        self.apply_dag_block_into_dot(tmp, out, psi)
-    }
-
-    /// The batched twin of [`Self::hopping_fused`]: one parallel sweep over
-    /// chunks of [`reduce::CHUNK_SITES`] outer sites, computing the
-    /// eight-leg stencil for all `N` right-hand sides per site so each gauge
-    /// link, stencil entry, and projector table is loaded once and
-    /// amortized over the batch. Per RHS the engine-op sequence — projection,
-    /// color multiply, reconstruction, fused mass axpy — is exactly that of
-    /// the single-RHS kernel, and the per-RHS dots (zeros without a
-    /// `dot_with`) are the same canonical sums, so RHS `j` of any result is
-    /// bit-identical to running the single-RHS path on RHS `j` alone.
-    ///
-    /// Opens a `dirac.block` trace region; the recorded bytes credit link
-    /// data once per site (not once per RHS), which is the measured
-    /// arithmetic-intensity gain of the batched layout.
-    fn hopping_block_fused(
-        &self,
-        psi: &FermionBlock<E>,
-        out: &mut FermionBlock<E>,
-        dagger: bool,
-        mass_axpy: Option<f64>,
-        dot_with: Option<&FermionBlock<E>>,
-    ) -> Vec<f64> {
-        assert!(
-            Arc::ptr_eq(psi.grid(), &self.grid),
-            "fermion block lives on a different grid"
-        );
-        assert!(
-            Arc::ptr_eq(out.grid(), &self.grid),
-            "output block lives on a different grid"
-        );
-        assert_eq!(
-            psi.nrhs(),
-            out.nrhs(),
-            "fermion blocks hold different batch sizes"
-        );
-        let nrhs = psi.nrhs();
-        let _span = qcd_trace::span!("dirac.block", self.grid.engine().ctx());
-        let sites = self.grid.volume() as u64;
-        let esize = std::mem::size_of::<E>() as u64;
-        let n64 = nrhs as u64;
-        let mut flops = HOPPING_FLOPS_PER_SITE;
-        let mut reads_per_rhs = 8 * 24;
-        if mass_axpy.is_some() {
-            flops += FUSED_MASS_AXPY_FLOPS_PER_SITE;
-            reads_per_rhs += HOPPING_WRITES_PER_SITE;
-        }
-        if dot_with.is_some() {
-            flops += FUSED_DOT_FLOPS_PER_SITE;
-            reads_per_rhs += HOPPING_WRITES_PER_SITE;
-        }
-        qcd_trace::record_sites(sites * n64);
-        qcd_trace::record_flops(sites * n64 * flops);
-        qcd_trace::record_bytes(
-            sites * (n64 * reads_per_rhs + 8 * self.link_scalars() as u64) * esize,
-            sites * n64 * HOPPING_WRITES_PER_SITE * esize,
-        );
-        crate::sized!(self.grid.engine(), |eng| {
-            let word = eng.word_len();
-            let stride = out.site_stride();
-            let cs = reduce::CHUNK_SITES * stride;
-            let mass_dup = mass_axpy.map(|m| eng.dup_real(m));
-            let neg_half = eng.dup_real(-0.5);
-            let (lanes, rhs_len) = (self.grid.lanes_c(), NCOMP * word);
-            // `part` holds a chunk's per-site per-RHS values of the dots,
-            // when there are any. Behind `dyn`, so that the sweeps with and
-            // without dots share one compiled copy of the kernel.
-            type Kernel<'k, E> = dyn Fn(usize, &mut [E], Option<&mut [f64]>) + Sync + 'k;
-            let kernel: &Kernel<E> = &|ci, chunk, mut part| {
-                let mut acc = vec![[eng.zero(); NCOMP]; nrhs];
-                for (k, site) in chunk.chunks_exact_mut(stride).enumerate() {
-                    let osite = ci * reduce::CHUNK_SITES + k;
-                    acc.fill([eng.zero(); NCOMP]);
-                    // Each leg's link is resolved once, amortised over the
-                    // batch; only the spinor fetches and colour multiplies
-                    // run per RHS.
-                    let bwd_link = |mu, entry| self.neighbour_link(eng, mu, entry);
-                    self.legs(eng, osite, dagger, bwd_link, |leg| {
-                        let nbr = leg.entry.nbr as usize;
-                        for (rhs, a) in acc.iter_mut().enumerate() {
-                            let fetch = |comp| {
-                                let v = eng.load(psi.word(nbr, rhs, comp));
-                                self.stencil.permute(v, leg.entry)
-                            };
-                            leg.run(eng, fetch, a);
-                        }
-                    });
-                    for (rhs, a) in acc.iter().enumerate() {
-                        let seg = (osite * nrhs + rhs) * rhs_len;
-                        let ours = &mut site[rhs * rhs_len..(rhs + 1) * rhs_len];
-                        let psi_seg = &psi.data()[seg..seg + rhs_len];
-                        store_spinor(eng, a, mass_dup, neg_half, psi_seg, ours);
-                        if let (Some(d), Some(part)) = (dot_with, part.as_deref_mut()) {
-                            let dseg = &d.data()[seg..seg + rhs_len];
-                            let p = (k * nrhs + rhs) * lanes;
-                            reduce::site_dots::<E>(dseg, ours, &mut part[p..p + lanes]);
-                        }
-                    }
-                }
-            };
-            let data = out.data_mut().par_chunks_mut(cs);
-            let mut dots = vec![0.0; nrhs];
-            match dot_with {
-                None => data
-                    .enumerate()
-                    .for_each(|(ci, chunk)| kernel(ci, chunk, None)),
-                Some(d) => {
-                    assert!(
-                        Arc::ptr_eq(d.grid(), &self.grid),
-                        "dot block lives on a different grid"
-                    );
-                    assert_eq!(d.nrhs(), nrhs, "fermion blocks hold different batch sizes");
-                    let dotted =
-                        |ci, chunk: &mut [E], part: &mut [f64]| kernel(ci, chunk, Some(part));
-                    reduce::sweep_sums(&self.grid, data, dotted, &mut dots);
-                }
-            }
-            dots
-        })
     }
 }
 
@@ -829,48 +741,26 @@ pub fn gamma5<E: SveFloat>(psi: &Field<FermionKind, E>) -> Field<FermionKind, E>
     out
 }
 
-/// Multiply a fermion field by γ5 in place (negate spin components 2, 3) —
-/// the allocation-free form the fused even-odd solver uses.
+/// Multiply a fermion field by γ5 in place (negate spin components 2, 3 of
+/// every right-hand side) — the allocation-free form the fused even-odd
+/// solver uses.
 pub fn gamma5_inplace<E: SveFloat>(psi: &mut Field<FermionKind, E>) {
     let grid = psi.grid().clone();
     crate::sized!(grid.engine(), |eng| {
         let word = eng.word_len();
-        let stride = psi.site_stride();
-        psi.data_mut().par_chunks_mut(stride).for_each(|site| {
-            for s in 2..NSPIN {
-                for c in 0..NCOLOR {
-                    let comp = spinor_comp(s, c);
-                    let w = &mut site[comp * word..(comp + 1) * word];
-                    let v = eng.load(w);
-                    let n = eng.neg(v);
-                    eng.store(w, n);
-                }
-            }
-        });
-    })
-}
-
-/// Multiply every RHS of a fermion block by γ5 in place — per RHS the exact
-/// word ops of [`gamma5_inplace`], so it is bit-identical per RHS.
-pub fn gamma5_block_inplace<E: SveFloat>(psi: &mut FermionBlock<E>) {
-    let grid = psi.grid().clone();
-    crate::sized!(grid.engine(), |eng| {
-        let word = eng.word_len();
-        let nrhs = psi.nrhs();
-        let stride = psi.site_stride();
-        psi.data_mut().par_chunks_mut(stride).for_each(|site| {
-            for rhs in 0..nrhs {
+        psi.data_mut()
+            .par_chunks_mut(NCOMP * word)
+            .for_each(|spinor| {
                 for s in 2..NSPIN {
                     for c in 0..NCOLOR {
-                        let off = (rhs * NCOMP + spinor_comp(s, c)) * word;
-                        let w = &mut site[off..off + word];
+                        let comp = spinor_comp(s, c);
+                        let w = &mut spinor[comp * word..(comp + 1) * word];
                         let v = eng.load(w);
                         let n = eng.neg(v);
                         eng.store(w, n);
                     }
                 }
-            }
-        });
+            });
     })
 }
 
@@ -1088,8 +978,8 @@ mod tests {
     #[test]
     fn block_kernels_match_single_rhs_bitwise_per_rhs() {
         // The heart of the batched path's correctness story: every RHS of
-        // every block kernel must be bit-identical to the single-RHS fused
-        // kernel applied to that RHS alone — including N = 1.
+        // the one sweep at width N must be bit-identical to the sweep at
+        // width one on that RHS alone — including N = 1.
         use crate::field::FermionBlock;
         for nrhs in [1usize, 3] {
             let g = grid(512, SimdBackend::Fcmla);
@@ -1102,21 +992,21 @@ mod tests {
             let mut out = FermionBlock::zero(g.clone(), nrhs);
 
             // hopping
-            d.hopping_block_into(&block, &mut out);
+            d.hopping_into(&block, &mut out);
             for (j, f) in fields.iter().enumerate() {
                 let mut want = FermionField::zero(g.clone());
                 d.hopping_into(f, &mut want);
                 assert_eq!(out.rhs_field(j).max_abs_diff(&want), 0.0, "hop rhs {j}");
             }
             // hopping_dag
-            d.hopping_dag_block_into(&block, &mut out);
+            d.hopping_dag_into(&block, &mut out);
             for (j, f) in fields.iter().enumerate() {
                 let mut want = FermionField::zero(g.clone());
                 d.hopping_dag_into(f, &mut want);
                 assert_eq!(out.rhs_field(j).max_abs_diff(&want), 0.0, "hopdag rhs {j}");
             }
             // apply (fused mass)
-            d.apply_block_into(&block, &mut out);
+            d.apply_into(&block, &mut out);
             for (j, f) in fields.iter().enumerate() {
                 let mut want = FermionField::zero(g.clone());
                 d.apply_into(f, &mut want);
@@ -1143,7 +1033,7 @@ mod tests {
             .map(|i| FermionField::random(g.clone(), 40 + i))
             .collect();
         let mut block = FermionBlock::from_fields(&fields);
-        gamma5_block_inplace(&mut block);
+        gamma5_inplace(&mut block);
         for (j, f) in fields.iter().enumerate() {
             let mut want = f.clone();
             gamma5_inplace(&mut want);
@@ -1183,7 +1073,7 @@ mod tests {
             .collect();
         let block = FermionBlock::from_fields(&fields);
         let mut out = FermionBlock::zero(g.clone(), 2);
-        two.apply_block_into(&block, &mut out);
+        two.apply_into(&block, &mut out);
         for (j, f) in fields.iter().enumerate() {
             let mut want = FermionField::zero(g.clone());
             two.apply_into(f, &mut want);

@@ -45,7 +45,7 @@
 
 use crate::comms::{Compression, GaugeWire, RankCtx};
 use crate::dirac::{
-    store_spinor, Spinor, WilsonDirac, FUSED_MASS_AXPY_FLOPS_PER_SITE, HOPPING_FLOPS_PER_SITE,
+    store_spinor, Spinor, Sweep, WilsonDirac, FUSED_MASS_AXPY_FLOPS_PER_SITE, HOPPING_FLOPS_PER_SITE,
     HOPPING_READS_PER_SITE, HOPPING_WRITES_PER_SITE,
 };
 use crate::field::{cg_update_x_r, gauge_comp, FermionField, Field, FieldKind, GaugeField};
@@ -389,7 +389,7 @@ impl<'a> DistWilson<'a> {
             }
             _ => self.op.neighbour_link(eng, mu, entry),
         };
-        self.op.legs(eng, osite, dagger, bwd_link, |leg| {
+        for leg in &self.op.legs(eng, osite, dagger, bwd_link) {
             let (patches, halo): (&[(u16, u32)], &[f64]) = match self.plan_of_dim[leg.mu] {
                 Some(i) if leg.forward => (&self.plans[i].patch_fwd[osite], &halo_fwd[i]),
                 Some(i) => (&self.plans[i].patch_bwd[osite], &halo_bwd[i]),
@@ -404,7 +404,7 @@ impl<'a> DistWilson<'a> {
                 }
             };
             leg.run(eng, fetch, &mut acc);
-        });
+        }
         acc
     }
 
@@ -461,20 +461,14 @@ impl<'a> DistWilson<'a> {
         }
 
         crate::sized!(grid.engine(), |eng| {
-            let mass_dup = mass_axpy.map(|m| eng.dup_real(m));
-            let neg_half = eng.dup_real(-0.5);
-
+            let sweep = Sweep::new(eng, dagger, mass_axpy);
             let stride = out.site_stride();
-            let mut store = |o: usize, acc: &Spinor<_>| {
-                let site = o * stride..(o + 1) * stride;
-                let psi = &psi.data()[site.clone()];
-                store_spinor(eng, acc, mass_dup, neg_half, psi, &mut out.data_mut()[site]);
-            };
 
             // 2. Interior pass — no leg leaves the rank, the plain kernel runs.
             for &o in &self.interior {
                 let o = o as usize;
-                store(o, &self.op.site_hopping(eng, psi, o, dagger));
+                let site = &mut out.data_mut()[o * stride..(o + 1) * stride];
+                self.op.site(eng, psi, o, &sweep, site, None);
             }
 
             // 3. Collect the halos (exposed wait is whatever the interior pass
@@ -487,10 +481,10 @@ impl<'a> DistWilson<'a> {
             // 4. Boundary pass — same kernel with crossing lanes patched.
             for &o in &self.boundary {
                 let o = o as usize;
-                store(
-                    o,
-                    &self.site_hopping_at_boundary(eng, psi, o, dagger, halo_fwd, halo_bwd),
-                );
+                let acc = self.site_hopping_at_boundary(eng, psi, o, dagger, halo_fwd, halo_bwd);
+                let site = o * stride..(o + 1) * stride;
+                let (psi, out) = (&psi.data()[site.clone()], &mut out.data_mut()[site]);
+                store_spinor(eng, &acc, sweep.mass, sweep.neg_half, psi, None, out);
             }
             self.dslash_count.set(self.dslash_count.get() + 1);
         })

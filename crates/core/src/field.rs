@@ -68,9 +68,15 @@ pub fn gauge_comp(mu: usize, row: usize, col: usize) -> usize {
     mu * 9 + row * 3 + col
 }
 
-/// A lattice field of kind `K`.
+/// A lattice field of kind `K`: at every outer site, `width` right-hand
+/// sides of `NCOMP` component words each (site, RHS, component, lanes).
+/// Every constructor but [`Field::zero_width`] and [`Field::from_fields`]
+/// builds width one. A block of right-hand sides ([`FermionBlock`]) and a
+/// 5-d fermion (`Fermion5`, one RHS per slice) are fields of their width;
+/// every sweep below reads the width from its operands.
 pub struct Field<K: FieldKind, E: SveFloat = f64> {
     grid: Arc<Grid<E>>,
+    width: usize,
     data: Vec<E>,
     _k: PhantomData<K>,
 }
@@ -86,8 +92,46 @@ impl<K: FieldKind, E: SveFloat> Clone for Field<K, E> {
     fn clone(&self) -> Self {
         Field {
             grid: self.grid.clone(),
+            width: self.width,
             data: self.data.clone(),
             _k: PhantomData,
+        }
+    }
+}
+
+/// Entry `j` of a per-RHS list that holds one entry per right-hand side,
+/// or one entry for all of them.
+#[inline(always)]
+fn per_rhs<T: Copy>(list: &[T], j: usize) -> T {
+    list[if list.len() == 1 { 0 } else { j }]
+}
+
+/// The words of a per-RHS scalar list, one `dup` per entry; a list of one
+/// entry (a field's, or one scalar for every RHS) stays off the heap.
+struct Dups<const N: usize> {
+    one: CVec<N>,
+    many: Vec<CVec<N>>,
+}
+
+impl<const N: usize> Dups<N> {
+    fn new<E: SveFloat>(eng: &Words<'_, E, N>, mut list: impl ExactSizeIterator<Item = f64>) -> Self {
+        let mut dups = Dups {
+            one: eng.zero(),
+            many: Vec::new(),
+        };
+        match list.len() {
+            1 => dups.one = eng.dup_real(list.next().expect("one entry")),
+            _ => dups.many = list.map(|a| eng.dup_real(a)).collect(),
+        }
+        dups
+    }
+
+    #[inline(always)]
+    fn at(&self, j: usize) -> CVec<N> {
+        if self.many.is_empty() {
+            self.one
+        } else {
+            self.many[j]
         }
     }
 }
@@ -95,13 +139,31 @@ impl<K: FieldKind, E: SveFloat> Clone for Field<K, E> {
 impl<K: FieldKind, E: SveFloat> Field<K, E> {
     /// A zero field on `grid`.
     pub fn zero(grid: Arc<Grid<E>>) -> Self {
+        Self::zero_width(grid, 1)
+    }
+
+    /// A zero field of `width` right-hand sides on `grid`.
+    pub fn zero_width(grid: Arc<Grid<E>>, width: usize) -> Self {
+        assert!(width >= 1, "a field stores at least one right-hand side");
         let word = grid.engine().word_len();
-        let data = vec![E::zero(); grid.osites() * K::NCOMP * word];
+        let data = vec![E::zero(); grid.osites() * width * K::NCOMP * word];
         Field {
             grid,
+            width,
             data,
             _k: PhantomData,
         }
+    }
+
+    /// Gather width-one `fields` into one field whose RHS `j` is
+    /// `fields[j]` (bit-exact copies).
+    pub fn from_fields(fields: &[Field<K, E>]) -> Self {
+        assert!(!fields.is_empty(), "a field stores at least one right-hand side");
+        let mut f = Self::zero_width(fields[0].grid.clone(), fields.len());
+        for (j, field) in fields.iter().enumerate() {
+            f.set_rhs(j, field);
+        }
+        f
     }
 
     /// A field filled with layout-independent uniform noise in `[-1,1)`
@@ -129,16 +191,22 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
         &self.grid
     }
 
-    /// Scalars per site = `NCOMP * 2 * lanes_c`.
-    pub fn site_stride(&self) -> usize {
-        K::NCOMP * self.grid.engine().word_len()
+    /// Right-hand sides stored per outer site.
+    pub fn width(&self) -> usize {
+        self.width
     }
 
-    /// One component's SIMD word at an outer site.
+    /// Scalars per site = `width * NCOMP * 2 * lanes_c`.
+    pub fn site_stride(&self) -> usize {
+        self.width * K::NCOMP * self.grid.engine().word_len()
+    }
+
+    /// One component's SIMD word at an outer site: component `comp` of the
+    /// site's `width × NCOMP` (RHS `j`'s component `c` is `j·NCOMP + c`).
     #[inline]
     pub fn word(&self, osite: usize, comp: usize) -> &[E] {
         let w = self.grid.engine().word_len();
-        let off = (osite * K::NCOMP + comp) * w;
+        let off = (osite * self.width * K::NCOMP + comp) * w;
         &self.data[off..off + w]
     }
 
@@ -146,11 +214,11 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
     #[inline]
     pub fn word_mut(&mut self, osite: usize, comp: usize) -> &mut [E] {
         let w = self.grid.engine().word_len();
-        let off = (osite * K::NCOMP + comp) * w;
+        let off = (osite * self.width * K::NCOMP + comp) * w;
         &mut self.data[off..off + w]
     }
 
-    /// Raw storage (site-major, component, interleaved lanes).
+    /// Raw storage (site-major, RHS, component, interleaved lanes).
     pub fn data(&self) -> &[E] {
         &self.data
     }
@@ -175,19 +243,62 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
         w[2 * lane + 1] = E::from_f64(z.im);
     }
 
+    /// Overwrite RHS `j` with a width-one field's content (bit-exact).
+    pub fn set_rhs(&mut self, j: usize, f: &Field<K, E>) {
+        let rhs = self.one_rhs(j, f);
+        for (o, site) in self.data.chunks_exact_mut(self.width * rhs).enumerate() {
+            site[j * rhs..(j + 1) * rhs].copy_from_slice(&f.data[o * rhs..(o + 1) * rhs]);
+        }
+    }
+
+    /// RHS `j` as a freshly allocated width-one field (bit-exact copy).
+    pub fn rhs_field(&self, j: usize) -> Field<K, E> {
+        let mut f = Field::zero(self.grid.clone());
+        self.copy_rhs_into(j, &mut f);
+        f
+    }
+
+    /// Copy RHS `j` into an existing width-one field (bit-exact).
+    pub fn copy_rhs_into(&self, j: usize, out: &mut Field<K, E>) {
+        let rhs = self.one_rhs(j, out);
+        for (o, site) in out.data.chunks_exact_mut(rhs).enumerate() {
+            site.copy_from_slice(&self.data[(o * self.width + j) * rhs..][..rhs]);
+        }
+    }
+
+    /// Scalars of one RHS at one site, once RHS `j` exists and `one` is a
+    /// width-one field on the same grid.
+    fn one_rhs(&self, j: usize, one: &Field<K, E>) -> usize {
+        assert!(
+            Arc::ptr_eq(&self.grid, &one.grid),
+            "fields live on different grids"
+        );
+        assert!(one.width == 1 && j < self.width, "RHS index out of range");
+        self.rhs_scalars()
+    }
+
     fn assert_compatible(&self, other: &Field<K, E>) {
         assert!(
             Arc::ptr_eq(&self.grid, &other.grid),
             "fields live on different grids"
+        );
+        assert_eq!(
+            self.width, other.width,
+            "fields hold different numbers of right-hand sides"
         );
     }
 
     /// Scalars per parallel work unit / reduction chunk.
     #[inline]
     fn chunk_scalars(&self) -> usize {
-        reduce::CHUNK_SITES * K::NCOMP * self.grid.engine().word_len()
+        reduce::CHUNK_SITES * self.site_stride()
     }
 
+    /// Scalars of one right-hand side at one site.
+    #[inline]
+    fn rhs_scalars(&self) -> usize {
+        K::NCOMP * self.grid.engine().word_len()
+    }
     /// Map every word of `self` through `f` in place, in parallel.
     fn map_words0<const N: usize>(
         &mut self,
@@ -272,9 +383,36 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
 
     /// `self = x + a * self` (the CG search-direction update).
     pub fn aypx(&mut self, a: f64, x: &Field<K, E>) {
+        self.aypx_rhs(&[a], x, &[true]);
+    }
+
+    /// `self_j = x_j + a_j * self_j` on every RHS `j` that is `active`;
+    /// the words of the others are not even loaded. `a` and `active` hold
+    /// one entry per RHS, or one for all.
+    pub(crate) fn aypx_rhs(&mut self, a: &[f64], x: &Field<K, E>, active: &[bool]) {
+        self.assert_compatible(x);
+        let (cs, rhs, width) = (self.chunk_scalars(), self.rhs_scalars(), self.width);
         crate::sized!(x.grid.engine(), |eng| {
-            let a_dup = eng.dup_real(a);
-            self.map_words1(eng, x, move |eng, sv, xv| eng.axpy_word(a_dup, sv, xv));
+            let w = eng.word_len();
+            let a = Dups::new(eng, a.iter().copied());
+            let xd = x.data();
+            self.data
+                .par_chunks_mut(cs)
+                .enumerate()
+                .for_each(|(ci, chunk)| {
+                    for (s, seg) in chunk.chunks_exact_mut(rhs).enumerate() {
+                        let j = s % width;
+                        if !per_rhs(active, j) {
+                            continue;
+                        }
+                        let base = ci * cs + s * rhs;
+                        for (k, sw) in seg.chunks_exact_mut(w).enumerate() {
+                            let off = base + k * w;
+                            let (sv, xv) = (eng.load(sw), eng.load(&xd[off..off + w]));
+                            eng.store(sw, eng.axpy_word(a.at(j), sv, xv));
+                        }
+                    }
+                });
         })
     }
 
@@ -305,7 +443,6 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
             });
         })
     }
-
     /// `self += a * x` with a complex scalar `a` (splat + complex FMA).
     pub fn axpy_complex(&mut self, a: Complex, x: &Field<K, E>) {
         crate::sized!(x.grid.engine(), |eng| {
@@ -403,23 +540,32 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
     }
 
     /// Global inner product `⟨self, other⟩ = Σ conj(self) · other`, summed
-    /// in the canonical order ([`reduce`]).
+    /// in the canonical order ([`reduce`]) per RHS, the RHS added in order.
     pub fn inner(&self, other: &Field<K, E>) -> Complex {
         self.assert_compatible(other);
         let mut z = [0.0; 2];
-        inners(&self.grid, &self.data, &other.data, K::NCOMP, &mut z);
+        let (rhs, lanes) = (self.rhs_scalars(), self.grid.lanes_c());
+        let cs = self.chunk_scalars();
+        let kernel = |ci: usize, chunk: &[E], part: &mut [f64]| {
+            let b = other.data[ci * cs..].chunks_exact(rhs);
+            for ((a, b), p) in chunk
+                .chunks_exact(rhs)
+                .zip(b)
+                .zip(part.chunks_exact_mut(2 * lanes))
+            {
+                reduce::site_inners(a, b, p);
+            }
+        };
+        let data = self.data.par_chunks(cs);
+        reduce::sweep_sums(&self.grid, data, kernel, 2 * self.width, &mut z);
         Complex::new(z[0], z[1])
     }
 
-    /// Global squared norm `|self|²`, summed in the canonical order.
+    /// Global squared norm `|self|²`: the RHS's canonical sums added in
+    /// RHS order.
     pub fn norm2(&self) -> f64 {
         let mut n = 0.0;
-        norms2(
-            &self.grid,
-            &self.data,
-            K::NCOMP,
-            std::slice::from_mut(&mut n),
-        );
+        self.norms2_into(std::slice::from_mut(&mut n));
         n
     }
 
@@ -427,6 +573,19 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
     /// removed by a `[benchmark]` PR.
     pub fn canonical_norm2(&self) -> f64 {
         self.norm2()
+    }
+
+    /// `|self_j|²` per RHS into `out`, or their sum in RHS order when `out`
+    /// holds one entry.
+    pub fn norms2_into(&self, out: &mut [f64]) {
+        let (rhs, lanes) = (self.rhs_scalars(), self.grid.lanes_c());
+        let kernel = |_, chunk: &[E], part: &mut [f64]| {
+            for (a, p) in chunk.chunks_exact(rhs).zip(part.chunks_exact_mut(lanes)) {
+                reduce::site_dots(a, a, p);
+            }
+        };
+        let data = self.data.par_chunks(self.chunk_scalars());
+        reduce::sweep_sums(&self.grid, data, kernel, self.width, out);
     }
 
     /// Fused `self += a * x; |self|^2` in one sweep, bit-identical to the
@@ -456,14 +615,25 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
 
     /// Fused `self = x - y; |self|^2` in one sweep (true-residual check).
     pub fn sub_norm2(&mut self, x: &Field<K, E>, y: &Field<K, E>) -> f64 {
+        let mut n = 0.0;
+        self.sub_norms2(x, y, std::slice::from_mut(&mut n));
+        n
+    }
+
+    /// Fused `self = x - y` and `|self_j|²` into `out` as
+    /// [`Self::norms2_into`] takes them, in one sweep.
+    pub fn sub_norms2(&mut self, x: &Field<K, E>, y: &Field<K, E>, out: &mut [f64]) {
         self.assert_compatible(x);
         self.assert_compatible(y);
         crate::sized!(x.grid.engine(), |eng| {
             let (w, xd, yd) = (eng.word_len(), x.data(), y.data());
-            self.update_norm2(|off, sw| {
-                let r = eng.sub(eng.load(&xd[off..off + w]), eng.load(&yd[off..off + w]));
-                eng.store(sw, r);
-            })
+            self.update_norms2(
+                |off, sw| {
+                    let r = eng.sub(eng.load(&xd[off..off + w]), eng.load(&yd[off..off + w]));
+                    eng.store(sw, r);
+                },
+                out,
+            )
         })
     }
 
@@ -471,9 +641,32 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
     /// of the result, in one sweep.
     fn update_norm2(&mut self, word: impl Fn(usize, &mut [E]) + Sync) -> f64 {
         let mut n = 0.0;
-        let Field { grid, data, .. } = self;
-        update_norms2(grid, data, K::NCOMP, word, std::slice::from_mut(&mut n));
+        self.update_norms2(word, std::slice::from_mut(&mut n));
         n
+    }
+
+    /// One sweep: every word is rewritten by `word(offset, word)`, and the
+    /// per-RHS `|·|²` of the result go to `out` as [`Self::norms2_into`]
+    /// takes them.
+    fn update_norms2(&mut self, word: impl Fn(usize, &mut [E]) + Sync, out: &mut [f64]) {
+        let (rhs, cs, lanes) = (self.rhs_scalars(), self.chunk_scalars(), self.grid.lanes_c());
+        let w = 2 * lanes;
+        let kernel = |ci: usize, chunk: &mut [E], part: &mut [f64]| {
+            let segments = chunk
+                .chunks_exact_mut(rhs)
+                .zip(part.chunks_exact_mut(lanes));
+            for (s, (seg, p)) in segments.enumerate() {
+                let base = ci * cs + s * rhs;
+                for (k, sw) in seg.chunks_exact_mut(w).enumerate() {
+                    word(base + k * w, sw);
+                }
+                reduce::site_dots::<E>(seg, seg, p);
+            }
+        };
+        let Field {
+            grid, width, data, ..
+        } = self;
+        reduce::sweep_sums(grid, data.par_chunks_mut(cs), kernel, *width, out);
     }
 
     /// Maximum absolute difference to another field (test metric).
@@ -487,103 +680,39 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
     }
 }
 
-/// Per-RHS `Σ conj(a)·b` over storage of `out.len() / 2` right-hand sides
-/// of `ncomp` components per site: real part to `out[2j]`, imaginary to
-/// `out[2j + 1]`.
-fn inners<E: SveFloat>(grid: &Grid<E>, a: &[E], b: &[E], ncomp: usize, out: &mut [f64]) {
-    let lanes = grid.lanes_c();
-    let rhs = ncomp * 2 * lanes;
-    let cs = reduce::CHUNK_SITES * out.len() / 2 * rhs;
-    let kernel = |ci: usize, chunk: &[E], part: &mut [f64]| {
-        let b = b[ci * cs..].chunks_exact(rhs);
-        for ((a, b), p) in chunk
-            .chunks_exact(rhs)
-            .zip(b)
-            .zip(part.chunks_exact_mut(2 * lanes))
-        {
-            reduce::site_inners(a, b, p);
-        }
-    };
-    reduce::sweep_sums(grid, a.par_chunks(cs), kernel, out);
-}
-
-/// Per-RHS `|a|²` over storage of `out.len()` right-hand sides of `ncomp`
-/// components per site.
-fn norms2<E: SveFloat>(grid: &Grid<E>, a: &[E], ncomp: usize, out: &mut [f64]) {
-    let lanes = grid.lanes_c();
-    let rhs = ncomp * 2 * lanes;
-    let kernel = |_, chunk: &[E], part: &mut [f64]| {
-        for (a, p) in chunk.chunks_exact(rhs).zip(part.chunks_exact_mut(lanes)) {
-            reduce::site_dots(a, a, p);
-        }
-    };
-    let cs = reduce::CHUNK_SITES * out.len() * rhs;
-    reduce::sweep_sums(grid, a.par_chunks(cs), kernel, out);
-}
-
-/// One sweep over storage of `out.len()` right-hand sides of `ncomp`
-/// components per site: every word is rewritten by `word(offset, word)`,
-/// and `out[j]` is `|·|²` of RHS `j` of the result.
-fn update_norms2<E: SveFloat>(
-    grid: &Grid<E>,
-    data: &mut [E],
-    ncomp: usize,
-    word: impl Fn(usize, &mut [E]) + Sync,
-    out: &mut [f64],
-) {
-    let lanes = grid.lanes_c();
-    let (w, rhs) = (2 * lanes, ncomp * 2 * lanes);
-    let cs = reduce::CHUNK_SITES * out.len() * rhs;
-    let kernel = |ci: usize, chunk: &mut [E], part: &mut [f64]| {
-        let segments = chunk
-            .chunks_exact_mut(rhs)
-            .zip(part.chunks_exact_mut(lanes));
-        for (s, (seg, p)) in segments.enumerate() {
-            let base = ci * cs + s * rhs;
-            for (k, sw) in seg.chunks_exact_mut(w).enumerate() {
-                word(base + k * w, sw);
-            }
-            reduce::site_dots::<E>(seg, seg, p);
-        }
-    };
-    reduce::sweep_sums(grid, data.par_chunks_mut(cs), kernel, out);
-}
-
-/// The CG iterate/residual update over storage of `r2.len()` right-hand
-/// sides: for every active RHS `j`, `x_j += alpha[j] * p_j`, `r_j -=
-/// alpha[j] * ap_j`, and `r2[j] = |r_j|²` — one zipped sweep over `x` and
-/// `r`, every word the op sequence of two `axpy_inplace` calls.
-fn cg_updates<E: SveFloat>(
-    x: &mut [E],
-    r: &mut [E],
-    grid: &Grid<E>,
+/// The CG iterate/residual update: for every active RHS `j`, `x_j +=
+/// alpha_j * p_j`, `r_j -= alpha_j * ap_j`, and `|r_j|²` to `r2` as
+/// [`Field::norms2_into`] takes them — one zipped sweep over `x` and `r`,
+/// every word the op sequence of two `axpy_inplace` calls. `alpha` and
+/// `active` hold one entry per RHS, or one for all. The words of an
+/// inactive RHS are not loaded; its `|r_j|²` is 0.
+pub(crate) fn cg_updates<K: FieldKind, E: SveFloat>(
+    x: &mut Field<K, E>,
+    r: &mut Field<K, E>,
     alpha: &[f64],
-    (p, ap): (&[E], &[E]),
+    (p, ap): (&Field<K, E>, &Field<K, E>),
     active: &[bool],
     r2: &mut [f64],
 ) {
-    let (nrhs, lanes) = (r2.len(), grid.lanes_c());
-    let rhs = x.len() / (grid.osites() * nrhs);
-    let cs = reduce::CHUNK_SITES * nrhs * rhs;
+    x.assert_compatible(r);
+    x.assert_compatible(p);
+    x.assert_compatible(ap);
+    let (rhs, cs, lanes, width) = (x.rhs_scalars(), x.chunk_scalars(), x.grid.lanes_c(), x.width);
+    let grid = x.grid.clone();
     crate::sized!(grid.engine(), |eng| {
         let w = eng.word_len();
-        let dup = |j: usize| (eng.dup_real(alpha[j]), eng.dup_real(-alpha[j]));
-        // A field's multipliers stay on the stack: its sweep allocates
-        // nothing.
-        let single = (nrhs == 1).then(|| dup(0));
-        let block: Vec<_> = match single {
-            Some(_) => Vec::new(),
-            None => (0..nrhs).map(dup).collect(),
-        };
+        let (alpha, neg) = (
+            Dups::new(eng, alpha.iter().copied()),
+            Dups::new(eng, alpha.iter().map(|a| -a)),
+        );
         let kernel = |ci: usize, (xc, rc): (&mut [E], &mut [E]), part: &mut [f64]| {
             let segments = xc.chunks_exact_mut(rhs).zip(rc.chunks_exact_mut(rhs));
             for (s, ((xs, rs), q)) in segments.zip(part.chunks_exact_mut(lanes)).enumerate() {
-                let j = s % nrhs;
-                if !active[j] {
+                let j = s % width;
+                if !per_rhs(active, j) {
                     q.fill(0.0);
                     continue;
                 }
-                let (a_dup, na_dup) = single.unwrap_or_else(|| block[j]);
                 let base = ci * cs + s * rhs;
                 for (k, (xw, rw)) in xs
                     .chunks_exact_mut(w)
@@ -591,15 +720,15 @@ fn cg_updates<E: SveFloat>(
                     .enumerate()
                 {
                     let off = base + k * w;
-                    let (pv, apv) = (eng.load(&p[off..off + w]), eng.load(&ap[off..off + w]));
-                    eng.store(xw, eng.axpy_word(a_dup, pv, eng.load(xw)));
-                    eng.store(rw, eng.axpy_word(na_dup, apv, eng.load(rw)));
+                    let (pv, apv) = (eng.load(&p.data[off..off + w]), eng.load(&ap.data[off..off + w]));
+                    eng.store(xw, eng.axpy_word(alpha.at(j), pv, eng.load(xw)));
+                    eng.store(rw, eng.axpy_word(neg.at(j), apv, eng.load(rw)));
                 }
                 reduce::site_dots::<E>(rs, rs, q);
             }
         };
-        let data = x.par_chunks_mut(cs).zip(r.par_chunks_mut(cs));
-        reduce::sweep_sums(grid, data, kernel, r2);
+        let data = x.data.par_chunks_mut(cs).zip(r.data.par_chunks_mut(cs));
+        reduce::sweep_sums(&grid, data, kernel, width, r2);
     })
 }
 
@@ -614,351 +743,59 @@ pub fn cg_update_x_r<K: FieldKind, E: SveFloat>(
     p: &Field<K, E>,
     ap: &Field<K, E>,
 ) -> f64 {
-    x.assert_compatible(r);
-    x.assert_compatible(p);
-    x.assert_compatible(ap);
     let mut r2 = 0.0;
-    let xs = (x.data.as_mut_slice(), r.data.as_mut_slice());
-    let r2s = std::slice::from_mut(&mut r2);
-    cg_updates(
-        xs.0,
-        xs.1,
-        &p.grid,
-        &[alpha],
-        (&p.data, &ap.data),
-        &[true],
-        r2s,
-    );
+    cg_updates(x, r, &[alpha], (p, ap), &[true], std::slice::from_mut(&mut r2));
     r2
 }
 
-/// A batch of `N` right-hand-side fermion fields stored **site-major**: at
-/// every outer site the `N` spinors are contiguous (site, rhs, component,
-/// lanes), so the dslash loads each gauge link and projector table once per
-/// site and applies them to all `N` spinors while they are hot.
+/// A batch of `N` right-hand-side fermion fields: one [`Field`] of width
+/// `N`, stored **site-major** — at every outer site the `N` spinors are
+/// contiguous (site, rhs, component, lanes), so the dslash loads each
+/// gauge link and projector table once per site and applies them to all
+/// `N` spinors while they are hot.
 ///
 /// The layout is the multi-RHS trick of Grid-on-A64FX: arithmetic intensity
 /// of the hopping term grows from `1320 / (192N + 144)·N⁻¹` flops per read
 /// toward the link-free limit as `N` grows, because the `8 × 18` link reals
 /// per site are amortized over the batch.
 ///
-/// Every per-RHS quantity (norms, inner products, CG recurrences) is the
-/// canonical reduction of [`reduce`] over that RHS's sites — the per-site
-/// values and their order are those of a single-RHS field on the same
-/// grid — so per-RHS results at any `N` match `N` independent single-RHS
-/// computations bit for bit.
-pub struct FermionBlock<E: SveFloat = f64> {
-    grid: Arc<Grid<E>>,
-    nrhs: usize,
-    data: Vec<E>,
-}
-
-impl<E: SveFloat> Clone for FermionBlock<E> {
-    fn clone(&self) -> Self {
-        FermionBlock {
-            grid: self.grid.clone(),
-            nrhs: self.nrhs,
-            data: self.data.clone(),
-        }
-    }
-}
+/// What a block adds to its field is its Krylov meaning: one scalar per RHS
+/// (`krylov::Vector`). Every per-RHS quantity is the canonical reduction of
+/// [`reduce`] over that RHS's sites — the per-site values and their order
+/// are those of a single-RHS field on the same grid — so per-RHS results at
+/// any `N` match `N` independent single-RHS computations bit for bit.
+#[derive(Clone)]
+pub struct FermionBlock<E: SveFloat = f64>(Field<FermionKind, E>);
 
 impl<E: SveFloat> FermionBlock<E> {
     /// A zero block of `nrhs` right-hand sides on `grid`.
     pub fn zero(grid: Arc<Grid<E>>, nrhs: usize) -> Self {
-        assert!(nrhs >= 1, "a fermion block needs at least one RHS");
-        let word = grid.engine().word_len();
-        let data = vec![E::zero(); grid.osites() * nrhs * FermionKind::NCOMP * word];
-        FermionBlock { grid, nrhs, data }
+        FermionBlock(Field::zero_width(grid, nrhs))
     }
 
     /// Gather `fields` into one site-major block (RHS `i` = `fields[i]`).
     pub fn from_fields(fields: &[Field<FermionKind, E>]) -> Self {
-        assert!(!fields.is_empty(), "a fermion block needs at least one RHS");
-        let grid = fields[0].grid().clone();
-        let mut block = Self::zero(grid, fields.len());
-        for (i, f) in fields.iter().enumerate() {
-            block.set_rhs(i, f);
-        }
-        block
+        FermionBlock(Field::from_fields(fields))
     }
 
-    /// The lattice this block lives on.
-    pub fn grid(&self) -> &Arc<Grid<E>> {
-        &self.grid
-    }
-
-    /// Number of right-hand sides in the batch.
-    pub fn nrhs(&self) -> usize {
-        self.nrhs
-    }
-
-    /// Scalars per outer site = `nrhs * 12 * 2 * lanes_c`.
-    pub fn site_stride(&self) -> usize {
-        self.nrhs * FermionKind::NCOMP * self.grid.engine().word_len()
-    }
-
-    /// One component word of one RHS at an outer site.
-    #[inline]
-    pub fn word(&self, osite: usize, rhs: usize, comp: usize) -> &[E] {
-        let w = self.grid.engine().word_len();
-        let off = ((osite * self.nrhs + rhs) * FermionKind::NCOMP + comp) * w;
-        &self.data[off..off + w]
-    }
-
-    /// Mutable component word of one RHS at an outer site.
-    #[inline]
-    pub fn word_mut(&mut self, osite: usize, rhs: usize, comp: usize) -> &mut [E] {
-        let w = self.grid.engine().word_len();
-        let off = ((osite * self.nrhs + rhs) * FermionKind::NCOMP + comp) * w;
-        &mut self.data[off..off + w]
-    }
-
-    /// Raw storage (site, rhs, component, interleaved lanes).
-    pub fn data(&self) -> &[E] {
-        &self.data
-    }
-
-    /// Mutable raw storage.
-    pub fn data_mut(&mut self) -> &mut [E] {
-        &mut self.data
-    }
-
-    /// Overwrite RHS `i` with a field's content (bit-exact copy).
-    pub fn set_rhs(&mut self, i: usize, f: &Field<FermionKind, E>) {
-        assert!(
-            Arc::ptr_eq(&self.grid, f.grid()),
-            "fields live on different grids"
-        );
-        assert!(i < self.nrhs, "RHS index out of range");
-        let w = self.grid.engine().word_len();
-        for osite in 0..self.grid.osites() {
-            for comp in 0..FermionKind::NCOMP {
-                self.word_mut(osite, i, comp)
-                    .copy_from_slice(&f.data()[(osite * FermionKind::NCOMP + comp) * w..][..w]);
-            }
-        }
-    }
-
-    /// Extract RHS `i` into a freshly allocated field (bit-exact copy).
-    pub fn rhs_field(&self, i: usize) -> Field<FermionKind, E> {
-        let mut f = Field::<FermionKind, E>::zero(self.grid.clone());
-        self.copy_rhs_into(i, &mut f);
-        f
-    }
-
-    /// Copy RHS `i` into an existing field (bit-exact).
-    pub fn copy_rhs_into(&self, i: usize, out: &mut Field<FermionKind, E>) {
-        assert!(
-            Arc::ptr_eq(&self.grid, out.grid()),
-            "fields live on different grids"
-        );
-        assert!(i < self.nrhs, "RHS index out of range");
-        let w = self.grid.engine().word_len();
-        for osite in 0..self.grid.osites() {
-            for comp in 0..FermionKind::NCOMP {
-                out.data_mut()[(osite * FermionKind::NCOMP + comp) * w..][..w]
-                    .copy_from_slice(self.word(osite, i, comp));
-            }
-        }
-    }
-
-    fn assert_compatible(&self, other: &FermionBlock<E>) {
-        assert!(
-            Arc::ptr_eq(&self.grid, &other.grid),
-            "blocks live on different grids"
-        );
-        assert_eq!(self.nrhs, other.nrhs, "blocks hold different batch sizes");
-    }
-
-    /// Scalars per parallel work unit: the same [`reduce::CHUNK_SITES`]
-    /// outer sites as a [`Field`] chunk.
-    #[inline]
-    fn chunk_scalars(&self) -> usize {
-        reduce::CHUNK_SITES * self.nrhs * FermionKind::NCOMP * self.grid.engine().word_len()
-    }
-
-    /// `self *= a` (real scale, uniform across the batch) — per word the
-    /// exact op of [`Field::scale`].
-    pub fn scale(&mut self, a: f64) {
-        let cs = self.chunk_scalars();
-        crate::sized!(self.grid.engine(), |eng| {
-            let w = eng.word_len();
-            let a_dup = eng.dup_real(a);
-            self.data.par_chunks_mut(cs).for_each(|chunk| {
-                for sw in chunk.chunks_exact_mut(w) {
-                    let sv = eng.load(sw);
-                    eng.store(sw, eng.scale(a_dup, sv));
-                }
-            });
-        })
-    }
-
-    /// `self += a * x` (uniform across the batch) — per word the exact op of
-    /// [`Field::axpy_inplace`].
-    pub fn axpy_inplace(&mut self, a: f64, x: &FermionBlock<E>) {
-        self.assert_compatible(x);
-        let cs = self.chunk_scalars();
-        crate::sized!(self.grid.engine(), |eng| {
-            let w = eng.word_len();
-            let a_dup = eng.dup_real(a);
-            let xd = x.data();
-            self.data
-                .par_chunks_mut(cs)
-                .enumerate()
-                .for_each(|(ci, chunk)| {
-                    let base = ci * cs;
-                    for (j, sw) in chunk.chunks_exact_mut(w).enumerate() {
-                        let off = base + j * w;
-                        let sv = eng.load(sw);
-                        let xv = eng.load(&xd[off..off + w]);
-                        eng.store(sw, eng.axpy_word(a_dup, xv, sv));
-                    }
-                });
-        })
-    }
-
-    /// `self = a * x + c * y` (uniform) — per word the exact op sequence of
-    /// [`Field::scale_axpy_from`].
-    pub fn scale_axpy_from(&mut self, a: f64, x: &FermionBlock<E>, c: f64, y: &FermionBlock<E>) {
-        self.assert_compatible(x);
-        self.assert_compatible(y);
-        let cs = self.chunk_scalars();
-        crate::sized!(self.grid.engine(), |eng| {
-            let w = eng.word_len();
-            let a_dup = eng.dup_real(a);
-            let c_dup = eng.dup_real(c);
-            let xd = x.data();
-            let yd = y.data();
-            self.data
-                .par_chunks_mut(cs)
-                .enumerate()
-                .for_each(|(ci, chunk)| {
-                    let base = ci * cs;
-                    for (j, sw) in chunk.chunks_exact_mut(w).enumerate() {
-                        let off = base + j * w;
-                        let xv = eng.load(&xd[off..off + w]);
-                        let yv = eng.load(&yd[off..off + w]);
-                        eng.store(sw, eng.axpy_word(c_dup, yv, eng.scale(a_dup, xv)));
-                    }
-                });
-        })
-    }
-
-    /// Per-RHS search-direction update `self_j = x_j + a[j] * self_j`,
-    /// skipping inactive RHS entirely (their words are not even loaded).
-    /// For an active RHS this is per word the exact op of [`Field::aypx`].
-    pub fn aypx_masked(&mut self, a: &[f64], x: &FermionBlock<E>, active: &[bool]) {
-        self.assert_compatible(x);
-        assert_eq!(a.len(), self.nrhs);
-        assert_eq!(active.len(), self.nrhs);
-        let cs = self.chunk_scalars();
-        let nrhs = self.nrhs;
-        crate::sized!(self.grid.engine(), |eng| {
-            let w = eng.word_len();
-            let a_dups: Vec<CVec<_>> = a.iter().map(|&v| eng.dup_real(v)).collect();
-            let xd = x.data();
-            self.data
-                .par_chunks_mut(cs)
-                .enumerate()
-                .for_each(|(ci, chunk)| {
-                    let base = ci * cs;
-                    for (j, sw) in chunk.chunks_exact_mut(w).enumerate() {
-                        let rhs = (j / FermionKind::NCOMP) % nrhs;
-                        if !active[rhs] {
-                            continue;
-                        }
-                        let off = base + j * w;
-                        let sv = eng.load(sw);
-                        let xv = eng.load(&xd[off..off + w]);
-                        eng.store(sw, eng.axpy_word(a_dups[rhs], sv, xv));
-                    }
-                });
-        })
-    }
-
-    /// Per-RHS squared norms, bit-identical to calling [`Field::norm2`] on
-    /// each extracted RHS.
-    pub fn norms2(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.nrhs];
-        norms2(&self.grid, &self.data, FermionKind::NCOMP, &mut out);
-        out
-    }
-
-    /// Per-RHS inner products `⟨self_j, other_j⟩`, bit-identical to
-    /// [`Field::inner`] per extracted RHS.
-    pub fn inners(&self, other: &FermionBlock<E>) -> Vec<Complex> {
-        self.assert_compatible(other);
-        let mut z = vec![0.0; 2 * self.nrhs];
-        inners(
-            &self.grid,
-            &self.data,
-            &other.data,
-            FermionKind::NCOMP,
-            &mut z,
-        );
-        z.chunks_exact(2)
-            .map(|z| Complex::new(z[0], z[1]))
-            .collect()
-    }
-
-    /// Fused `self = x - y; per-RHS |self|²` in one sweep — the block form
-    /// of [`Field::sub_norm2`], used for the batched true-residual check.
-    pub fn sub_norms2(&mut self, x: &FermionBlock<E>, y: &FermionBlock<E>, out: &mut [f64]) {
-        self.assert_compatible(x);
-        self.assert_compatible(y);
-        assert_eq!(out.len(), self.nrhs);
-        crate::sized!(self.grid.engine(), |eng| {
-            let (w, xd, yd) = (eng.word_len(), x.data(), y.data());
-            let word = |off: usize, sw: &mut [E]| {
-                let r = eng.sub(eng.load(&xd[off..off + w]), eng.load(&yd[off..off + w]));
-                eng.store(sw, r);
-            };
-            update_norms2(&self.grid, &mut self.data, FermionKind::NCOMP, word, out);
-        })
-    }
-
-    /// Maximum absolute difference to another block (test metric).
-    pub fn max_abs_diff(&self, other: &FermionBlock<E>) -> f64 {
-        self.assert_compatible(other);
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (a.to_f64() - b.to_f64()).abs())
-            .fold(0.0, f64::max)
+    /// The block stored as `f`, one RHS per stored field.
+    pub fn from_field(f: Field<FermionKind, E>) -> Self {
+        FermionBlock(f)
     }
 }
 
-/// The batched CG iterate/residual update: for every **active** RHS `j`,
-/// `x_j += alpha[j] * p_j`, `r_j -= alpha[j] * ap_j`, leaving the new
-/// `|r_j|²` in `r2[j]` — the block form of [`cg_update_x_r`]. Inactive RHS
-/// are untouched (words not loaded; their `r2` entry is 0 and must be
-/// ignored). An active RHS matches the single-RHS update bit for bit.
-pub fn block_cg_update_x_r<E: SveFloat>(
-    x: &mut FermionBlock<E>,
-    r: &mut FermionBlock<E>,
-    alpha: &[f64],
-    p: &FermionBlock<E>,
-    ap: &FermionBlock<E>,
-    active: &[bool],
-    r2: &mut [f64],
-) {
-    x.assert_compatible(r);
-    x.assert_compatible(p);
-    x.assert_compatible(ap);
-    assert_eq!(alpha.len(), x.nrhs);
-    assert_eq!(active.len(), x.nrhs);
-    assert_eq!(r2.len(), x.nrhs);
-    let vectors = (p.data.as_slice(), ap.data.as_slice());
-    cg_updates(
-        &mut x.data,
-        &mut r.data,
-        &p.grid,
-        alpha,
-        vectors,
-        active,
-        r2,
-    );
+impl<E: SveFloat> std::ops::Deref for FermionBlock<E> {
+    type Target = Field<FermionKind, E>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl<E: SveFloat> std::ops::DerefMut for FermionBlock<E> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
 }
 
 #[cfg(test)]
@@ -1292,7 +1129,7 @@ mod tests {
         let g = grid();
         let fields = block_fields(&g, 3, 30);
         let block = FermionBlock::from_fields(&fields);
-        assert_eq!(block.nrhs(), 3);
+        assert_eq!(block.width(), 3);
         for (i, f) in fields.iter().enumerate() {
             assert_eq!(block.rhs_field(i).max_abs_diff(f), 0.0);
             let mut bits = f.clone();
@@ -1308,14 +1145,18 @@ mod tests {
         let ys = block_fields(&g, 4, 50);
         let bx = FermionBlock::from_fields(&xs);
         let by = FermionBlock::from_fields(&ys);
-        let norms = bx.norms2();
-        let inners = bx.inners(&by);
+        let mut norms = [0.0; 4];
+        bx.norms2_into(&mut norms);
         for j in 0..4 {
             assert_eq!(norms[j].to_bits(), xs[j].norm2().to_bits(), "rhs {j}");
-            let want = xs[j].inner(&ys[j]);
-            assert_eq!(inners[j].re.to_bits(), want.re.to_bits(), "rhs {j}");
-            assert_eq!(inners[j].im.to_bits(), want.im.to_bits(), "rhs {j}");
         }
+        // One scalar for the whole field: the RHS's sums added in order.
+        let total = |f: &dyn Fn(usize) -> f64| (1..4).fold(f(0), |acc, j| acc + f(j));
+        assert_eq!(bx.norm2().to_bits(), total(&|j| norms[j]).to_bits());
+        let inner = bx.inner(&by);
+        let want = |part: fn(Complex) -> f64| total(&|j| part(xs[j].inner(&ys[j])));
+        assert_eq!(inner.re.to_bits(), want(|z| z.re).to_bits());
+        assert_eq!(inner.im.to_bits(), want(|z| z.im).to_bits());
     }
 
     #[test]
@@ -1366,9 +1207,9 @@ mod tests {
         let active = [true, false, true];
         let alphas = [0.6875, 123.0, -0.3125]; // inactive alpha must be ignored
         let mut r2 = [f64::NAN; 3];
-        block_cg_update_x_r(&mut bx, &mut br, &alphas, &bp, &bap, &active, &mut r2);
+        cg_updates(&mut bx, &mut br, &alphas, (&bp, &bap), &active, &mut r2);
         let mut pb = bp.clone();
-        pb.aypx_masked(&alphas, &br, &active);
+        pb.aypx_rhs(&alphas, &br, &active);
         for j in 0..3 {
             if active[j] {
                 let mut fx = xs[j].clone();
@@ -1399,8 +1240,10 @@ mod tests {
         let y = FermionField::random(g.clone(), 91);
         let bx = FermionBlock::from_fields(std::slice::from_ref(&x));
         let by = FermionBlock::from_fields(std::slice::from_ref(&y));
-        assert_eq!(bx.norms2()[0].to_bits(), x.norm2().to_bits());
-        let bi = bx.inners(&by)[0];
+        let mut norm = [0.0];
+        bx.norms2_into(&mut norm);
+        assert_eq!(norm[0].to_bits(), x.norm2().to_bits());
+        let bi = bx.inner(&by);
         let fi = x.inner(&y);
         assert_eq!(bi.re.to_bits(), fi.re.to_bits());
         assert_eq!(bi.im.to_bits(), fi.im.to_bits());

@@ -25,9 +25,7 @@
 //! vector length, thread count and (for `dist_cg`) rank count.
 
 use crate::dirac::WilsonDirac;
-use crate::field::{
-    block_cg_update_x_r, cg_update_x_r, FermionBlock, FermionKind, Field, FieldKind,
-};
+use crate::field::{cg_updates, FermionBlock, FermionKind, Field, FieldKind};
 use crate::layout::Grid;
 use crate::solver::{conclude_health, BlockSolveReport, SolveReport};
 use qcd_trace::HealthMonitor;
@@ -82,52 +80,18 @@ pub trait Vector: Clone {
     fn aypx_active(&mut self, beta: &[f64], x: &Self, active: &[bool]);
 }
 
+/// A field is one right-hand side; at a width above one (a 5-d fermion's
+/// slices) its scalars are the per-RHS sums added in RHS order. This is the
+/// one impl that holds code: a block and a 5-d fermion delegate to it.
 impl<K: FieldKind, E: SveFloat> Vector for Field<K, E> {
     type Report = SolveReport;
 
     fn zero_like(&self) -> Self {
-        Field::zero(self.grid().clone())
+        Field::zero_width(self.grid().clone(), self.width())
     }
 
     fn norms2_into(&self, out: &mut [f64]) {
-        out[0] = self.norm2();
-    }
-
-    fn sub_norms2_into(&mut self, x: &Self, y: &Self, out: &mut [f64]) {
-        out[0] = self.sub_norm2(x, y);
-    }
-
-    fn cg_update(
-        x: &mut Self,
-        r: &mut Self,
-        alpha: &[f64],
-        p: &Self,
-        ap: &Self,
-        _active: &[bool],
-        r2: &mut [f64],
-    ) {
-        r2[0] = cg_update_x_r(x, r, alpha[0], p, ap);
-    }
-
-    fn aypx_active(&mut self, beta: &[f64], x: &Self, _active: &[bool]) {
-        self.aypx(beta[0], x);
-    }
-}
-
-impl<E: SveFloat> Vector for FermionBlock<E> {
-    type Report = BlockSolveReport;
-    const BATCHED: bool = true;
-
-    fn nrhs(&self) -> usize {
-        FermionBlock::nrhs(self)
-    }
-
-    fn zero_like(&self) -> Self {
-        FermionBlock::zero(self.grid().clone(), FermionBlock::nrhs(self))
-    }
-
-    fn norms2_into(&self, out: &mut [f64]) {
-        out.copy_from_slice(&self.norms2());
+        Field::norms2_into(self, out);
     }
 
     fn sub_norms2_into(&mut self, x: &Self, y: &Self, out: &mut [f64]) {
@@ -143,32 +107,114 @@ impl<E: SveFloat> Vector for FermionBlock<E> {
         active: &[bool],
         r2: &mut [f64],
     ) {
-        block_cg_update_x_r(x, r, alpha, p, ap, active, r2);
+        cg_updates(x, r, alpha, (p, ap), active, r2);
     }
 
     fn aypx_active(&mut self, beta: &[f64], x: &Self, active: &[bool]) {
-        self.aypx_masked(beta, x, active);
+        self.aypx_rhs(beta, x, active);
+    }
+}
+
+/// A block has one scalar per right-hand side.
+impl<E: SveFloat> Vector for FermionBlock<E> {
+    type Report = BlockSolveReport;
+    const BATCHED: bool = true;
+
+    fn nrhs(&self) -> usize {
+        self.width()
+    }
+
+    fn zero_like(&self) -> Self {
+        FermionBlock::from_field(Vector::zero_like(&**self))
+    }
+
+    fn norms2_into(&self, out: &mut [f64]) {
+        Field::norms2_into(&**self, out);
+    }
+
+    fn sub_norms2_into(&mut self, x: &Self, y: &Self, out: &mut [f64]) {
+        self.sub_norms2(x, y, out);
+    }
+
+    fn cg_update(
+        x: &mut Self,
+        r: &mut Self,
+        alpha: &[f64],
+        p: &Self,
+        ap: &Self,
+        active: &[bool],
+        r2: &mut [f64],
+    ) {
+        cg_updates(&mut **x, &mut **r, alpha, (&**p, &**ap), active, r2);
+    }
+
+    fn aypx_active(&mut self, beta: &[f64], x: &Self, active: &[bool]) {
+        self.aypx_rhs(beta, x, active);
+    }
+}
+
+/// A vector stored as one fermion [`Field`] — a field in one slot, a block
+/// in one per right-hand side, a 5-d fermion in one per slice: what the
+/// checkpoint codec writes and reads, slot by slot.
+pub trait Stored: Vector {
+    /// The element type.
+    type E: SveFloat;
+
+    /// The storage.
+    fn field(&self) -> &Field<FermionKind, Self::E>;
+
+    /// The vector of `nrhs` right-hand sides stored as `f`, if `f` has its
+    /// shape.
+    fn from_field(f: Field<FermionKind, Self::E>, nrhs: usize) -> Option<Self>;
+
+    /// The lattice the vector lives on.
+    fn grid(&self) -> &Arc<Grid<Self::E>> {
+        self.field().grid()
+    }
+
+    /// Slot `j` as a field of its own: right-hand side `j` of a field or a
+    /// block.
+    fn rhs_field(&self, j: usize) -> Field<FermionKind, Self::E> {
+        self.field().rhs_field(j)
+    }
+
+    /// The vector whose right-hand sides are `fields`, in order.
+    fn from_fields(fields: &[Field<FermionKind, Self::E>]) -> Self {
+        Self::from_field(Field::from_fields(fields), fields.len())
+            .expect("one stored field per right-hand side")
+    }
+}
+
+impl<E: SveFloat> Stored for Field<FermionKind, E> {
+    type E = E;
+
+    fn field(&self) -> &Self {
+        self
+    }
+
+    fn from_field(f: Self, nrhs: usize) -> Option<Self> {
+        (nrhs == 1 && f.width() == 1).then_some(f)
+    }
+}
+
+impl<E: SveFloat> Stored for FermionBlock<E> {
+    type E = E;
+
+    fn field(&self) -> &Field<FermionKind, E> {
+        self
+    }
+
+    fn from_field(f: Field<FermionKind, E>, nrhs: usize) -> Option<Self> {
+        (f.width() == nrhs).then(|| FermionBlock::from_field(f))
     }
 }
 
 /// A width of Wilson fermion: one field, or a block of right-hand sides
-/// sharing every sweep. What the widths disagree on — which kernel applies
-/// `M†M`, how one right-hand side comes out — is behind this trait, so the
-/// [`fused`] space, a deflated solve and the checkpoint codec are each
-/// written once over `V`. Every method delegates to the width's kernel.
-pub trait WilsonVector: Vector {
-    /// The element type.
-    type E: SveFloat;
-
-    /// The lattice the vector lives on.
-    fn grid(&self) -> &Arc<Grid<Self::E>>;
-
-    /// Right-hand side `j` as a field of its own.
-    fn rhs_field(&self, j: usize) -> Field<FermionKind, Self::E>;
-
-    /// The vector whose right-hand sides are `fields`, in order.
-    fn from_fields(fields: &[Field<FermionKind, Self::E>]) -> Self;
-
+/// sharing every sweep. What the widths disagree on — how many curvatures
+/// `M†M` returns, and the block's trace region — is behind this trait, so
+/// the [`fused`] space, a deflated solve and the checkpoint codec are each
+/// written once over `V`.
+pub trait WilsonVector: Stored {
     /// `out = M†M p` with the per-RHS curvature `Re ⟨p_j, M†M p_j⟩` fused
     /// into the second hopping pass.
     fn mdag_m_into_dot(
@@ -181,22 +227,6 @@ pub trait WilsonVector: Vector {
 }
 
 impl<E: SveFloat> WilsonVector for Field<FermionKind, E> {
-    type E = E;
-
-    fn grid(&self) -> &Arc<Grid<E>> {
-        Field::grid(self)
-    }
-
-    fn rhs_field(&self, j: usize) -> Self {
-        assert_eq!(j, 0, "a field is one right-hand side");
-        self.clone()
-    }
-
-    fn from_fields(fields: &[Self]) -> Self {
-        assert_eq!(fields.len(), 1, "a field is one right-hand side");
-        fields[0].clone()
-    }
-
     fn mdag_m_into_dot(
         op: &WilsonDirac<E>,
         p: &Self,
@@ -209,20 +239,6 @@ impl<E: SveFloat> WilsonVector for Field<FermionKind, E> {
 }
 
 impl<E: SveFloat> WilsonVector for FermionBlock<E> {
-    type E = E;
-
-    fn grid(&self) -> &Arc<Grid<E>> {
-        FermionBlock::grid(self)
-    }
-
-    fn rhs_field(&self, j: usize) -> Field<FermionKind, E> {
-        FermionBlock::rhs_field(self, j)
-    }
-
-    fn from_fields(fields: &[Field<FermionKind, E>]) -> Self {
-        FermionBlock::from_fields(fields)
-    }
-
     fn mdag_m_into_dot(
         op: &WilsonDirac<E>,
         p: &Self,

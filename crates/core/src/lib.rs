@@ -90,12 +90,12 @@ pub mod prelude {
     };
     pub use crate::cshift::cshift;
     pub use crate::dirac::{
-        gamma5, gamma5_block_inplace, gamma5_inplace, hopping_via_cshift, mult_gauge, WilsonDirac,
+        gamma5, gamma5_inplace, hopping_via_cshift, mult_gauge, WilsonDirac,
     };
     pub use crate::dist::{dist_cg, restrict_field, DistWilson, DistWorkspace};
-    pub use crate::dwf::{axpy_chiral, cg_dwf, chiral_minus, chiral_plus, DomainWall, Fermion5};
+    pub use crate::dwf::{chiral_minus, chiral_plus, DomainWall, Fermion5};
     pub use crate::eo::{parity_project, solve_eo};
-    pub use crate::field::{block_cg_update_x_r, cg_update_x_r};
+    pub use crate::field::cg_update_x_r;
     pub use crate::field::{
         gauge_comp, spinor_comp, ComplexField, FermionBlock, FermionField, Field, GaugeField,
     };

@@ -62,16 +62,20 @@ thread_local! {
 /// Run a reduction sweep and sum it canonically: in one parallel region,
 /// `kernel(chunk index, chunk of data, partials)` runs over the reduction
 /// chunks of `data` (each [`CHUNK_SITES`] outer sites of `grid`) and writes
-/// `out.len()` rows of per-site values, lane `l` of row `r` of the chunk's
-/// outer site `k` at `partials[(k * rows + r) * lanes + l]`. Then `out[r]`
-/// is the [`canonical_sum`] of row `r` over the whole lattice.
+/// `rows` rows of per-site values, lane `l` of row `r` of the chunk's outer
+/// site `k` at `partials[(k * rows + r) * lanes + l]`. Then the
+/// [`canonical_sum`] of row `r` over the whole lattice goes to `out[r %
+/// out.len()]`: with one entry per row, each row's own sum; with fewer, the
+/// rows sharing an entry added in row order (a 5-d fermion's norm is its
+/// slices' norms summed in slice order).
 pub fn sweep_sums<E: SveFloat, S: Chunked>(
     grid: &Grid<E>,
     data: ParChunks<S>,
     kernel: impl Fn(usize, S::Chunk, &mut [f64]) + Sync,
+    rows: usize,
     out: &mut [f64],
 ) {
-    let (rows, lanes) = (out.len(), grid.lanes_c());
+    let lanes = grid.lanes_c();
     let mut partials = PARTIALS.take();
     let len = grid.osites() * rows * lanes;
     if partials.len() < len {
@@ -84,11 +88,14 @@ pub fn sweep_sums<E: SveFloat, S: Chunked>(
         .for_each(|(ci, (p, d))| kernel(ci, d, p));
     let (shift, lane) = (lanes.trailing_zeros(), lanes - 1);
     let slots = grid.lex_slots();
-    for (row, o) in out.iter_mut().enumerate() {
-        *o = canonical_sum(slots.len(), |i| {
+    let entries = out.len();
+    for row in 0..rows {
+        let sum = canonical_sum(slots.len(), |i| {
             let slot = slots[i] as usize;
             part[(((slot >> shift) * rows + row) << shift) | (slot & lane)]
         });
+        let o = &mut out[row % entries];
+        *o = if row < entries { sum } else { *o + sum };
     }
     PARTIALS.set(partials);
 }

@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::ops::ControlFlow;
 
 use grid::field::FermionKind;
-use grid::krylov::{cg_solve, fused, no_observer, CgSpace, Operator, Start, State};
+use grid::krylov::{cg_solve, fused, no_observer, CgSpace, Start, State, Vector};
 use grid::prelude::*;
 use qcd_trace::HealthMonitor;
 use sve::F16;
@@ -124,11 +124,7 @@ fn solver_steady_state_allocates_nothing() {
     let dwf = DomainWall::new(random_gauge(g.clone(), 54), 4, 1.8, 0.04);
     let b5 = Fermion5::random(g.clone(), 4, 55);
     let mut tmp5 = Fermion5::zero(g.clone(), 4);
-    let mut five_d = Operator::new(|p: &Fermion5, ap: &mut Fermion5, c: &mut [f64]| {
-        dwf.ddag_d_into(p, &mut tmp5, ap);
-        c[0] = p.inner(ap).re;
-    });
-    let delta = ten_iterations(&mut five_d, &b5, no_observer);
+    let delta = ten_iterations(&mut dwf.normal(&mut tmp5), &b5, no_observer);
     assert_eq!(
         delta, 0,
         "5-d CG steady state performed {delta} allocations"
@@ -155,8 +151,8 @@ fn solver_steady_state_allocates_nothing() {
                 before = allocations(); // three warm-up sweeps, as `ten_iterations`
             }
             let _ = d.mdag_m_block_into_dot(&p, &mut btmp, &mut ap);
-            block_cg_update_x_r(&mut x, &mut r, &alpha, &p, &ap, &active, &mut r2);
-            p.aypx_masked(&alpha, &r, &active);
+            Vector::cg_update(&mut x, &mut r, &alpha, &p, &ap, &active, &mut r2);
+            p.aypx_active(&alpha, &r, &active);
         }
         allocations() - before
     };

@@ -12,6 +12,7 @@
 //! a single `#[test]` in its own integration-test binary.
 
 use grid::field::FermionKind;
+use grid::krylov::Vector;
 use grid::prelude::*;
 use grid::{FermionBlock, Field, FieldKind};
 
@@ -64,7 +65,7 @@ macro_rules! block_case {
             FermionBlock::from_fields(&[fields[1].clone(), fields[2].clone(), fields[0].clone()]);
         let (alpha, active) = ([0.6875, 99.0, -0.3125], [true, false, true]);
         let mut r2 = [f64::NAN; 3];
-        block_cg_update_x_r(&mut x, &mut r, &alpha, &shifted, &block, &active, &mut r2);
+        Vector::cg_update(&mut x, &mut r, &alpha, &shifted, &block, &active, &mut r2);
         let mut sub = FermionBlock::zero(g.clone(), 3);
         let mut sub2 = [0.0; 3];
         sub.sub_norms2(&block, &shifted, &mut sub2);

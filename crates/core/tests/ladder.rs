@@ -76,7 +76,7 @@ fn f16_block_path_is_bit_identical_to_single_field_kernels() {
     let block = FermionBlock::from_fields(&fields);
     let mut tmp = FermionBlock::zero(g16.clone(), fields.len());
     let mut out = FermionBlock::zero(g16.clone(), fields.len());
-    op16.mdag_m_block_into(&block, &mut tmp, &mut out);
+    op16.mdag_m_into(&block, &mut tmp, &mut out);
 
     let mut tmp16 = F16Field::zero(g16.clone());
     for (j, f) in fields.iter().enumerate() {

@@ -139,7 +139,7 @@ fn plaquette_re_trace_sum(st: &Stencil, u: &GaugeField) -> f64 {
             }
         };
         let chunks = u.data().par_chunks(cs);
-        reduce::sweep_sums(&grid, chunks, kernel, std::slice::from_mut(&mut sum));
+        reduce::sweep_sums(&grid, chunks, kernel, 1, std::slice::from_mut(&mut sum));
     });
     sum
 }

@@ -10,14 +10,15 @@
 //! resume-equivalence tests compare final residual *bits*.
 //!
 //! There is one record family, for the one recurrence state
-//! ([`grid::krylov::State`]) at either width: [`STATE_SCALARS`] (the RHS
-//! count, then per right-hand side the iteration count, `|r|²`, `|b|²` and
-//! the count-prefixed history) plus one field record per iterate and
-//! right-hand side, `state.x.<j>`, `state.r.<j>`, `state.p.<j>` — portable
-//! across vector lengths like every other field record.
+//! ([`grid::krylov::State`]) of any stored vector: [`STATE_SCALARS`] (the
+//! RHS count, then per right-hand side the iteration count, `|r|²`, `|b|²`
+//! and the count-prefixed history) plus one field record per iterate and
+//! stored field, `state.x.<j>`, `state.r.<j>`, `state.p.<j>` — one per
+//! right-hand side of a field or a block, one per slice of a 5-d fermion —
+//! portable across vector lengths like every other field record.
 //!
 //! Durability is not a solver: [`Checkpointer::observer`] is handed to
-//! `krylov::cg_solve` in *any* space over f64 Wilson vectors, and
+//! `krylov::cg_solve` in *any* space over stored f64 vectors, and
 //! [`resume`] turns the file back into the `Start` of the same call. A
 //! mixed-precision ladder needs neither — its checkpoint is the f64 iterate
 //! alone (`write_field` / `read_field`), because defect correction is
@@ -27,7 +28,8 @@ use crate::container::{Container, Record};
 use crate::error::{IoError, Result};
 use crate::fields::{decode_field, encode_field, Cursor, FieldMeta, META_RECORD};
 use grid::codec::Precision;
-use grid::krylov::{Start, State, WilsonVector};
+use grid::field::Field;
+use grid::krylov::{Start, State, Stored};
 use grid::Grid;
 use qcd_trace::HealthMonitor;
 use std::ops::ControlFlow;
@@ -84,9 +86,10 @@ pub(crate) fn decode_scalars(payload: &[u8]) -> Result<Scalars> {
     Ok(s)
 }
 
-/// Snapshot an in-flight CG solve — one field or a block — to `path`
-/// (atomic write).
-pub fn save_state<V: WilsonVector<E = f64>>(state: &State<V>, path: &Path) -> Result<u64> {
+/// Snapshot an in-flight CG solve — one field, a block or a 5-d fermion —
+/// to `path` (atomic write): the scalars per right-hand side, one record
+/// per stored field of each iterate.
+pub fn save_state<V: Stored<E = f64>>(state: &State<V>, path: &Path) -> Result<u64> {
     let nrhs = state.nrhs();
     let mut scalars = Vec::new();
     scalars.extend_from_slice(&(nrhs as u64).to_le_bytes());
@@ -104,7 +107,7 @@ pub fn save_state<V: WilsonVector<E = f64>>(state: &State<V>, path: &Path) -> Re
     c.push(Record::new(META_RECORD, meta.encode()));
     c.push(Record::new(STATE_SCALARS, scalars));
     for (stem, v) in ITERATES.iter().zip([&state.x, &state.r, &state.p]) {
-        for j in 0..nrhs {
+        for j in 0..v.field().width() {
             let field = encode_field(&v.rhs_field(j), Precision::F64);
             c.push(Record::new(&format!("{stem}.{j}"), field));
         }
@@ -113,9 +116,10 @@ pub fn save_state<V: WilsonVector<E = f64>>(state: &State<V>, path: &Path) -> Re
 }
 
 /// Restore a snapshot written by [`save_state`] onto `grid`. A file of
-/// another width than `V` (a block read as one field), of an older layout,
-/// or with a count its payload cannot hold is a typed error.
-pub fn load_state<V: WilsonVector<E = f64>>(
+/// another shape than `V` (a block read as one field, a 5-d fermion read
+/// as either), of an older layout, or with a count its payload cannot hold
+/// is a typed error.
+pub fn load_state<V: Stored<E = f64>>(
     path: &Path,
     grid: &Arc<Grid<f64>>,
 ) -> Result<State<V>> {
@@ -128,14 +132,23 @@ pub fn load_state<V: WilsonVector<E = f64>>(
             "the checkpoint holds {nrhs} right-hand sides, the solve being resumed has one"
         )));
     }
+    // One record per stored field: as many as `state.x.<j>` records run.
+    let slots = (1..)
+        .find(|j| c.find(&format!("{}.{j}", ITERATES[0])).is_none())
+        .expect("a container holds finitely many records");
     let load = |stem: &str| -> Result<V> {
-        let fields = (0..nrhs)
+        let fields = (0..slots)
             .map(|j| {
                 let name = format!("{stem}.{j}");
                 decode_field(&meta, &c.expect(&name)?.payload, grid, &name)
             })
             .collect::<Result<Vec<_>>>()?;
-        Ok(V::from_fields(&fields))
+        V::from_field(Field::from_fields(&fields), nrhs).ok_or_else(|| {
+            bad_scalars(format!(
+                "the checkpoint stores {slots} fields per iterate for {nrhs} right-hand \
+                 sides, which is not the shape of the vector being resumed"
+            ))
+        })
     };
     Ok(State {
         x: load(ITERATES[0])?,
@@ -148,7 +161,7 @@ pub fn load_state<V: WilsonVector<E = f64>>(
     })
 }
 
-/// Checkpoint-every-k durability for any CG solve over f64 Wilson vectors:
+/// Checkpoint-every-k durability for any CG solve over stored f64 vectors:
 /// hand [`Self::observer`] to `krylov::cg_solve`, then ask [`Self::finish`]
 /// what happened. A snapshot is written (atomically, to the one path)
 /// whenever the total iteration count of the slowest right-hand side
@@ -175,7 +188,7 @@ impl Checkpointer {
 
     /// The observer: writes a snapshot when one is due, and stops the
     /// solve on the first write error (which [`Self::finish`] returns).
-    pub fn observer<V: WilsonVector<E = f64>>(
+    pub fn observer<V: Stored<E = f64>>(
         &mut self,
     ) -> impl FnMut(&State<V>, &[HealthMonitor]) -> ControlFlow<()> + '_ {
         move |state, _| {
@@ -206,8 +219,14 @@ impl Checkpointer {
 /// in any space. The right-hand side must be the one the snapshot was
 /// taken with: `|b_j|²` is recomputed — a canonical reduction, the same
 /// bits at any vector length and thread count — and must match.
-pub fn resume<V: WilsonVector<E = f64>>(b: &V, path: &Path) -> Result<Start<V>> {
+pub fn resume<V: Stored<E = f64>>(b: &V, path: &Path) -> Result<Start<V>> {
     let state: State<V> = load_state(path, b.grid())?;
+    let (stored, ours) = (state.x.field().width(), b.field().width());
+    if stored != ours {
+        return Err(bad_scalars(format!(
+            "the checkpoint stores {stored} fields per iterate, the solve being resumed {ours}"
+        )));
+    }
     let mut b_norm2 = vec![0.0; state.nrhs()];
     if b_norm2.len() != b.nrhs() {
         return Err(bad_scalars(format!(

@@ -3,7 +3,7 @@
 //! sequence bit-for-bit — at either width, in any space: durability is an
 //! observer of the one `cg_solve`, not a solver.
 
-use grid::krylov::{self, fused, Allocating, CgSpace, Start, State, Vector, WilsonVector};
+use grid::krylov::{self, fused, Allocating, CgSpace, Start, State, Stored, Vector, WilsonVector};
 use grid::prelude::*;
 use qcd_io::{load_state, read_field, resume, save_state, write_field, Checkpointer, IoError};
 use std::path::PathBuf;

@@ -280,15 +280,25 @@ fn domain_wall_bits_are_pinned() {
     // global lexicographic site order, then the iteration count and the
     // final residual (4⁴, Ls 4, M5 1.8, m_f 0.04). The constant is what the
     // operator gave while it still ran one Wilson sweep per slice.
+    use grid::krylov::{cg_solve, no_observer, Start, Vector};
     use grid::prelude::*;
     for bits in [128, 512, 2048] {
         let g = Grid::new([4, 4, 4, 4], VectorLength::of(bits), SimdBackend::Fcmla);
         let op = DomainWall::new(random_gauge(g.clone(), 7), 4, 1.8, 0.04);
         let psi = Fermion5::random(g.clone(), 4, 8);
-        let (x, report) = cg_dwf(&op, &psi, 1e-8, 1000);
+        let (x, report) = cg_solve(
+            &mut op.normal(&mut psi.zero_like()),
+            &psi,
+            Start::Zero,
+            1e-8,
+            1000,
+            qcd_trace::span!("solver.dwf"),
+            "solver.dwf",
+            no_observer,
+        );
         let mut lex = Vec::new();
         for f in [op.apply(&psi), op.apply_dag(&psi), x] {
-            for s in &f.slices {
+            for s in (0..f.ls()).map(|s| f.rhs_field(s)) {
                 for c in g.coords() {
                     lex.extend((0..12).flat_map(|comp| {
                         let z = s.peek(&c, comp);
