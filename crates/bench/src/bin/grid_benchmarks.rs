@@ -139,8 +139,18 @@ fn main() {
         g.engine().ctx().counters().reset();
         let _ = op.apply(&psi);
         let c = g.engine().ctx().counters().total();
+        // One Wilson apply on one slice: the 5-D apply is one sweep over
+        // the Ls-wide block, so it loads each link once for all slices.
+        let mut out = FermionField::zero(g.clone());
+        g.engine().ctx().counters().reset();
+        op.wilson().apply_into(&psi.rhs_field(0), &mut out);
+        let wilson = g.engine().ctx().counters().total() * ls as u64;
         println!("\nBenchmark_dwf (Ls = {ls}, {} 4-D sites):", g.volume());
         println!("  vector instructions : {c}");
+        println!(
+            "  Ls x Wilson apply   : {wilson} (the 5-D apply is {:.3} x that)",
+            c as f64 / wilson as f64
+        );
         println!(
             "  insts per 5-D site  : {:.1} (Wilson kernel + chiral projections)",
             c as f64 / (ls * g.volume()) as f64

@@ -475,7 +475,9 @@ impl<E: SveFloat> WilsonDirac<E> {
             // when there are any.
             let kernel = |ci: usize, chunk: &mut [E], mut part: Option<&mut [f64]>| {
                 for (k, site) in chunk.chunks_exact_mut(stride).enumerate() {
-                    let part = part.as_deref_mut().map(|p| &mut p[k * rows..(k + 1) * rows]);
+                    let part = part
+                        .as_deref_mut()
+                        .map(|p| &mut p[k * rows..(k + 1) * rows]);
                     self.site(eng, psi, ci * reduce::CHUNK_SITES + k, &sweep, site, part);
                 }
             };
@@ -525,11 +527,21 @@ impl<E: SveFloat> WilsonDirac<E> {
                 leg.run(eng, fetch, &mut acc);
             }
             let fifth = sweep.fifth.map(|[one, minus_one, mf]| {
-                let leg = |(s, wraps): (usize, bool)| (if wraps { mf } else { minus_one }, at(psi_site, s));
+                let leg = |(s, wraps): (usize, bool)| {
+                    (if wraps { mf } else { minus_one }, at(psi_site, s))
+                };
                 let [plus, minus] = crate::dwf::slice_legs(width, j, sweep.dagger);
                 (one, [leg(plus), leg(minus)])
             });
-            store_spinor(eng, &acc, sweep.mass, sweep.neg_half, at(psi_site, j), fifth, ours);
+            store_spinor(
+                eng,
+                &acc,
+                sweep.mass,
+                sweep.neg_half,
+                at(psi_site, j),
+                fifth,
+                ours,
+            );
             if let (Some(d), Some(part)) = (dot_site, part.as_deref_mut()) {
                 reduce::site_dots::<E>(at(d, j), ours, &mut part[j * lanes..(j + 1) * lanes]);
             }

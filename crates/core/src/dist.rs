@@ -45,8 +45,8 @@
 
 use crate::comms::{Compression, GaugeWire, RankCtx};
 use crate::dirac::{
-    store_spinor, Spinor, Sweep, WilsonDirac, FUSED_MASS_AXPY_FLOPS_PER_SITE, HOPPING_FLOPS_PER_SITE,
-    HOPPING_READS_PER_SITE, HOPPING_WRITES_PER_SITE,
+    store_spinor, Spinor, Sweep, WilsonDirac, FUSED_MASS_AXPY_FLOPS_PER_SITE,
+    HOPPING_FLOPS_PER_SITE, HOPPING_READS_PER_SITE, HOPPING_WRITES_PER_SITE,
 };
 use crate::field::{cg_update_x_r, gauge_comp, FermionField, Field, FieldKind, GaugeField};
 use crate::krylov::{self, Operator, Start, Vector};

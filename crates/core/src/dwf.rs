@@ -131,12 +131,19 @@ impl DomainWall {
 
     /// `out = D ψ` (or `D† ψ`) in one hopping sweep over the `Ls` slices,
     /// with `Re ⟨dot_with, out⟩` fused when asked for.
-    fn sweep(&self, psi: &Fermion5, out: &mut Fermion5, dagger: bool, dot: Option<(&Fermion5, &mut [f64])>) {
+    fn sweep(
+        &self,
+        psi: &Fermion5,
+        out: &mut Fermion5,
+        dagger: bool,
+        dot: Option<(&Fermion5, &mut [f64])>,
+    ) {
         assert_eq!(psi.ls(), self.ls);
         assert_eq!(out.ls(), self.ls);
         let mass = Some(self.wilson.mass + 4.0);
         let dot = dot.map(|(d, sums)| (&d.0, sums));
-        self.wilson.hopping_fused(psi, out, dagger, mass, dot, Some(self.mf));
+        self.wilson
+            .hopping_fused(psi, out, dagger, mass, dot, Some(self.mf));
     }
 
     /// `D ψ`.
@@ -259,14 +266,20 @@ mod tests {
 
     /// `out += coef · P± x` on the spin rows `P±` keeps, one `fmla` per
     /// word: a 5-d leg as it was once a sweep of its own.
-    fn axpy_chiral(out: &mut FermionField, coef: f64, x: &FermionField, plus: bool) {
+    fn chiral_leg(out: &mut FermionField, coef: f64, x: &FermionField, plus: bool) {
         let grid = out.grid().clone();
         crate::sized!(grid.engine(), |eng| {
             let c_dup = eng.dup_real(coef);
             let spins = if plus { 0..2 } else { 2..4 };
             for osite in 0..grid.osites() {
-                for comp in spins.clone().flat_map(|s| (0..3).map(move |c| spinor_comp(s, c))) {
-                    let (xv, sv) = (eng.load(x.word(osite, comp)), eng.load(out.word(osite, comp)));
+                for comp in spins
+                    .clone()
+                    .flat_map(|s| (0..3).map(move |c| spinor_comp(s, c)))
+                {
+                    let (xv, sv) = (
+                        eng.load(x.word(osite, comp)),
+                        eng.load(out.word(osite, comp)),
+                    );
                     eng.store(out.word_mut(osite, comp), eng.axpy_word(c_dup, xv, sv));
                 }
             }
@@ -291,10 +304,18 @@ mod tests {
                     op.wilson.apply_into(&slices[s], &mut slice);
                 }
                 slice.axpy_inplace(1.0, &slices[s]);
-                let (up, up_coef) = if s + 1 == ls { (0, op.mf) } else { (s + 1, -1.0) };
-                axpy_chiral(&mut slice, up_coef, &slices[up], up_plus);
-                let (dn, dn_coef) = if s == 0 { (ls - 1, op.mf) } else { (s - 1, -1.0) };
-                axpy_chiral(&mut slice, dn_coef, &slices[dn], dn_plus);
+                let (up, up_coef) = if s + 1 == ls {
+                    (0, op.mf)
+                } else {
+                    (s + 1, -1.0)
+                };
+                chiral_leg(&mut slice, up_coef, &slices[up], up_plus);
+                let (dn, dn_coef) = if s == 0 {
+                    (ls - 1, op.mf)
+                } else {
+                    (s - 1, -1.0)
+                };
+                chiral_leg(&mut slice, dn_coef, &slices[dn], dn_plus);
                 slice
             })
             .collect();

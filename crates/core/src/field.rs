@@ -106,32 +106,27 @@ fn per_rhs<T: Copy>(list: &[T], j: usize) -> T {
     list[if list.len() == 1 { 0 } else { j }]
 }
 
-/// The words of a per-RHS scalar list, one `dup` per entry; a list of one
-/// entry (a field's, or one scalar for every RHS) stays off the heap.
-struct Dups<const N: usize> {
-    one: CVec<N>,
-    many: Vec<CVec<N>>,
+/// The words of a per-RHS scalar list times `sign`, one `dup` per entry;
+/// a list of one entry (a field's, or one scalar for every RHS) stays off
+/// the heap.
+enum Dups<const N: usize> {
+    One(CVec<N>),
+    Many(Vec<CVec<N>>),
 }
 
 impl<const N: usize> Dups<N> {
-    fn new<E: SveFloat>(eng: &Words<'_, E, N>, mut list: impl ExactSizeIterator<Item = f64>) -> Self {
-        let mut dups = Dups {
-            one: eng.zero(),
-            many: Vec::new(),
-        };
-        match list.len() {
-            1 => dups.one = eng.dup_real(list.next().expect("one entry")),
-            _ => dups.many = list.map(|a| eng.dup_real(a)).collect(),
+    fn new<E: SveFloat>(eng: &Words<'_, E, N>, list: &[f64], sign: f64) -> Self {
+        match list {
+            [a] => Dups::One(eng.dup_real(sign * a)),
+            _ => Dups::Many(list.iter().map(|a| eng.dup_real(sign * a)).collect()),
         }
-        dups
     }
 
     #[inline(always)]
     fn at(&self, j: usize) -> CVec<N> {
-        if self.many.is_empty() {
-            self.one
-        } else {
-            self.many[j]
+        match self {
+            Dups::One(v) => *v,
+            Dups::Many(vs) => vs[j],
         }
     }
 }
@@ -158,7 +153,10 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
     /// Gather width-one `fields` into one field whose RHS `j` is
     /// `fields[j]` (bit-exact copies).
     pub fn from_fields(fields: &[Field<K, E>]) -> Self {
-        assert!(!fields.is_empty(), "a field stores at least one right-hand side");
+        assert!(
+            !fields.is_empty(),
+            "a field stores at least one right-hand side"
+        );
         let mut f = Self::zero_width(fields[0].grid.clone(), fields.len());
         for (j, field) in fields.iter().enumerate() {
             f.set_rhs(j, field);
@@ -254,16 +252,11 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
     /// RHS `j` as a freshly allocated width-one field (bit-exact copy).
     pub fn rhs_field(&self, j: usize) -> Field<K, E> {
         let mut f = Field::zero(self.grid.clone());
-        self.copy_rhs_into(j, &mut f);
-        f
-    }
-
-    /// Copy RHS `j` into an existing width-one field (bit-exact).
-    pub fn copy_rhs_into(&self, j: usize, out: &mut Field<K, E>) {
-        let rhs = self.one_rhs(j, out);
-        for (o, site) in out.data.chunks_exact_mut(rhs).enumerate() {
+        let rhs = self.one_rhs(j, &f);
+        for (o, site) in f.data.chunks_exact_mut(rhs).enumerate() {
             site.copy_from_slice(&self.data[(o * self.width + j) * rhs..][..rhs]);
         }
+        f
     }
 
     /// Scalars of one RHS at one site, once RHS `j` exists and `one` is a
@@ -299,77 +292,39 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
     fn rhs_scalars(&self) -> usize {
         K::NCOMP * self.grid.engine().word_len()
     }
-    /// Map every word of `self` through `f` in place, in parallel.
-    fn map_words0<const N: usize>(
+    /// Rewrite every word of `self` in parallel as `f(self word, the words
+    /// of `inputs` at the same offset)`; `self` is loaded only when `f`
+    /// reads it (`read_self`), and is the zero word otherwise.
+    fn zip_words<const N: usize, const M: usize>(
         &mut self,
         eng: &Words<'_, E, N>,
-        f: impl Fn(&SimdEngine<E>, CVec<N>) -> CVec<N> + Sync,
+        inputs: [&Field<K, E>; M],
+        read_self: bool,
+        f: impl Fn(&SimdEngine<E>, CVec<N>, [CVec<N>; M]) -> CVec<N> + Sync,
     ) {
+        inputs.iter().for_each(|x| self.assert_compatible(x));
         let cs = self.chunk_scalars();
         let w = eng.word_len();
-        self.data.par_chunks_mut(cs).for_each(|chunk| {
-            for sw in chunk.chunks_exact_mut(w) {
-                let sv = eng.load(sw);
-                eng.store(sw, f(eng, sv));
-            }
-        });
-    }
-
-    /// Map every word of `self` through `f(self_word, x_word)` in place, in
-    /// parallel.
-    fn map_words1<const N: usize>(
-        &mut self,
-        eng: &Words<'_, E, N>,
-        x: &Field<K, E>,
-        f: impl Fn(&SimdEngine<E>, CVec<N>, CVec<N>) -> CVec<N> + Sync,
-    ) {
-        self.assert_compatible(x);
-        let cs = self.chunk_scalars();
-        let w = eng.word_len();
-        let xd = x.data();
-        let data = &mut self.data;
-        data.par_chunks_mut(cs).enumerate().for_each(|(ci, chunk)| {
-            let base = ci * cs;
-            for (j, sw) in chunk.chunks_exact_mut(w).enumerate() {
-                let off = base + j * w;
-                let sv = eng.load(sw);
-                let xv = eng.load(&xd[off..off + w]);
-                eng.store(sw, f(eng, sv, xv));
-            }
-        });
-    }
-
-    /// Overwrite every word of `self` with `f(x_word, y_word)`, in parallel.
-    fn map_words2<const N: usize>(
-        &mut self,
-        eng: &Words<'_, E, N>,
-        x: &Field<K, E>,
-        y: &Field<K, E>,
-        f: impl Fn(&SimdEngine<E>, CVec<N>, CVec<N>) -> CVec<N> + Sync,
-    ) {
-        self.assert_compatible(x);
-        self.assert_compatible(y);
-        let cs = self.chunk_scalars();
-        let w = eng.word_len();
-        let xd = x.data();
-        let yd = y.data();
-        let data = &mut self.data;
-        data.par_chunks_mut(cs).enumerate().for_each(|(ci, chunk)| {
-            let base = ci * cs;
-            for (j, sw) in chunk.chunks_exact_mut(w).enumerate() {
-                let off = base + j * w;
-                let xv = eng.load(&xd[off..off + w]);
-                let yv = eng.load(&yd[off..off + w]);
-                eng.store(sw, f(eng, xv, yv));
-            }
-        });
+        self.data
+            .par_chunks_mut(cs)
+            .enumerate()
+            .for_each(|(ci, chunk)| {
+                for (j, sw) in chunk.chunks_exact_mut(w).enumerate() {
+                    let off = ci * cs + j * w;
+                    let sv = if read_self { eng.load(sw) } else { eng.zero() };
+                    let xs = inputs.map(|x| eng.load(&x.data[off..off + w]));
+                    eng.store(sw, f(eng, sv, xs));
+                }
+            });
     }
 
     /// `self = a * x + y` lane-wise (one fused `fmla` per word).
     pub fn axpy(&mut self, a: f64, x: &Field<K, E>, y: &Field<K, E>) {
         crate::sized!(x.grid.engine(), |eng| {
             let a_dup = eng.dup_real(a);
-            self.map_words2(eng, x, y, move |eng, xv, yv| eng.axpy_word(a_dup, xv, yv));
+            self.zip_words(eng, [x, y], false, |eng, _, [xv, yv]| {
+                eng.axpy_word(a_dup, xv, yv)
+            });
         })
     }
 
@@ -377,7 +332,7 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
     pub fn axpy_inplace(&mut self, a: f64, x: &Field<K, E>) {
         crate::sized!(x.grid.engine(), |eng| {
             let a_dup = eng.dup_real(a);
-            self.map_words1(eng, x, move |eng, sv, xv| eng.axpy_word(a_dup, xv, sv));
+            self.zip_words(eng, [x], true, |eng, sv, [xv]| eng.axpy_word(a_dup, xv, sv));
         })
     }
 
@@ -394,7 +349,7 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
         let (cs, rhs, width) = (self.chunk_scalars(), self.rhs_scalars(), self.width);
         crate::sized!(x.grid.engine(), |eng| {
             let w = eng.word_len();
-            let a = Dups::new(eng, a.iter().copied());
+            let a = Dups::new(eng, a, 1.0);
             let xd = x.data();
             self.data
                 .par_chunks_mut(cs)
@@ -421,14 +376,14 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
         let grid = self.grid.clone();
         crate::sized!(grid.engine(), |eng| {
             let a_dup = eng.dup_real(a);
-            self.map_words0(eng, move |eng, sv| eng.scale(a_dup, sv));
+            self.zip_words(eng, [], true, |eng, sv, []| eng.scale(a_dup, sv));
         })
     }
 
     /// `self = x - y`.
     pub fn sub(&mut self, x: &Field<K, E>, y: &Field<K, E>) {
         crate::sized!(x.grid.engine(), |eng| {
-            self.map_words2(eng, x, y, |eng, xv, yv| eng.sub(xv, yv));
+            self.zip_words(eng, [x, y], false, |eng, _, [xv, yv]| eng.sub(xv, yv));
         })
     }
 
@@ -438,7 +393,7 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
         crate::sized!(x.grid.engine(), |eng| {
             let a_dup = eng.dup_real(a);
             let c_dup = eng.dup_real(c);
-            self.map_words2(eng, x, y, move |eng, xv, yv| {
+            self.zip_words(eng, [x, y], false, |eng, _, [xv, yv]| {
                 eng.axpy_word(c_dup, yv, eng.scale(a_dup, xv))
             });
         })
@@ -447,7 +402,7 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
     pub fn axpy_complex(&mut self, a: Complex, x: &Field<K, E>) {
         crate::sized!(x.grid.engine(), |eng| {
             let a_splat = eng.splat(a);
-            self.map_words1(eng, x, move |eng, sv, xv| eng.madd(sv, a_splat, xv));
+            self.zip_words(eng, [x], true, |eng, sv, [xv]| eng.madd(sv, a_splat, xv));
         })
     }
 
@@ -456,14 +411,14 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
         let grid = self.grid.clone();
         crate::sized!(grid.engine(), |eng| {
             let a_splat = eng.splat(a);
-            self.map_words0(eng, move |eng, sv| eng.mult(a_splat, sv));
+            self.zip_words(eng, [], true, |eng, sv, []| eng.mult(a_splat, sv));
         })
     }
 
     /// `self += x`.
     pub fn add_assign_field(&mut self, x: &Field<K, E>) {
         crate::sized!(x.grid.engine(), |eng| {
-            self.map_words1(eng, x, |eng, sv, xv| eng.add(sv, xv));
+            self.zip_words(eng, [x], true, |eng, sv, [xv]| eng.add(sv, xv));
         })
     }
 
@@ -472,33 +427,19 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
     pub fn caxpy_from(&mut self, a: Complex, x: &Field<K, E>, y: &Field<K, E>) {
         crate::sized!(x.grid.engine(), |eng| {
             let a_splat = eng.splat(a);
-            self.map_words2(eng, x, y, move |eng, xv, yv| eng.madd(yv, a_splat, xv));
+            self.zip_words(eng, [x, y], false, |eng, _, [xv, yv]| {
+                eng.madd(yv, a_splat, xv)
+            });
         })
     }
 
     /// `self += a * x + b * y` with complex scalars — one sweep instead of
     /// two `axpy_complex` calls, same op sequence per word.
     pub fn caxpy2(&mut self, a: Complex, x: &Field<K, E>, b: Complex, y: &Field<K, E>) {
-        self.assert_compatible(x);
-        self.assert_compatible(y);
-        let cs = self.chunk_scalars();
-        let Field { grid, data, .. } = self;
-        crate::sized!(grid.engine(), |eng| {
-            let w = eng.word_len();
-            let a_splat = eng.splat(a);
-            let b_splat = eng.splat(b);
-            let xd = x.data();
-            let yd = y.data();
-            data.par_chunks_mut(cs).enumerate().for_each(|(ci, chunk)| {
-                let base = ci * cs;
-                for (j, sw) in chunk.chunks_exact_mut(w).enumerate() {
-                    let off = base + j * w;
-                    let sv = eng.load(sw);
-                    let xv = eng.load(&xd[off..off + w]);
-                    let yv = eng.load(&yd[off..off + w]);
-                    let t = eng.madd(sv, a_splat, xv);
-                    eng.store(sw, eng.madd(t, b_splat, yv));
-                }
+        crate::sized!(x.grid.engine(), |eng| {
+            let (a_splat, b_splat) = (eng.splat(a), eng.splat(b));
+            self.zip_words(eng, [x, y], true, |eng, sv, [xv, yv]| {
+                eng.madd(eng.madd(sv, a_splat, xv), b_splat, yv)
             });
         })
     }
@@ -514,27 +455,10 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
         v: &Field<K, E>,
         r: &Field<K, E>,
     ) {
-        self.assert_compatible(v);
-        self.assert_compatible(r);
-        let cs = self.chunk_scalars();
-        let Field { grid, data, .. } = self;
-        crate::sized!(grid.engine(), |eng| {
-            let w = eng.word_len();
-            let no_splat = eng.splat(-omega);
-            let b_splat = eng.splat(beta);
-            let vd = v.data();
-            let rd = r.data();
-            data.par_chunks_mut(cs).enumerate().for_each(|(ci, chunk)| {
-                let base = ci * cs;
-                for (j, sw) in chunk.chunks_exact_mut(w).enumerate() {
-                    let off = base + j * w;
-                    let sv = eng.load(sw);
-                    let vv = eng.load(&vd[off..off + w]);
-                    let rv = eng.load(&rd[off..off + w]);
-                    let t = eng.madd(sv, no_splat, vv);
-                    let t = eng.mult(b_splat, t);
-                    eng.store(sw, eng.add(t, rv));
-                }
+        crate::sized!(v.grid.engine(), |eng| {
+            let (no_splat, b_splat) = (eng.splat(-omega), eng.splat(beta));
+            self.zip_words(eng, [v, r], true, |eng, sv, [vv, rv]| {
+                eng.add(eng.mult(b_splat, eng.madd(sv, no_splat, vv)), rv)
             });
         })
     }
@@ -649,7 +573,11 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
     /// per-RHS `|·|²` of the result go to `out` as [`Self::norms2_into`]
     /// takes them.
     fn update_norms2(&mut self, word: impl Fn(usize, &mut [E]) + Sync, out: &mut [f64]) {
-        let (rhs, cs, lanes) = (self.rhs_scalars(), self.chunk_scalars(), self.grid.lanes_c());
+        let (rhs, cs, lanes) = (
+            self.rhs_scalars(),
+            self.chunk_scalars(),
+            self.grid.lanes_c(),
+        );
         let w = 2 * lanes;
         let kernel = |ci: usize, chunk: &mut [E], part: &mut [f64]| {
             let segments = chunk
@@ -697,14 +625,16 @@ pub(crate) fn cg_updates<K: FieldKind, E: SveFloat>(
     x.assert_compatible(r);
     x.assert_compatible(p);
     x.assert_compatible(ap);
-    let (rhs, cs, lanes, width) = (x.rhs_scalars(), x.chunk_scalars(), x.grid.lanes_c(), x.width);
+    let (rhs, cs, lanes, width) = (
+        x.rhs_scalars(),
+        x.chunk_scalars(),
+        x.grid.lanes_c(),
+        x.width,
+    );
     let grid = x.grid.clone();
     crate::sized!(grid.engine(), |eng| {
         let w = eng.word_len();
-        let (alpha, neg) = (
-            Dups::new(eng, alpha.iter().copied()),
-            Dups::new(eng, alpha.iter().map(|a| -a)),
-        );
+        let (alpha, neg) = (Dups::new(eng, alpha, 1.0), Dups::new(eng, alpha, -1.0));
         let kernel = |ci: usize, (xc, rc): (&mut [E], &mut [E]), part: &mut [f64]| {
             let segments = xc.chunks_exact_mut(rhs).zip(rc.chunks_exact_mut(rhs));
             for (s, ((xs, rs), q)) in segments.zip(part.chunks_exact_mut(lanes)).enumerate() {
@@ -720,7 +650,10 @@ pub(crate) fn cg_updates<K: FieldKind, E: SveFloat>(
                     .enumerate()
                 {
                     let off = base + k * w;
-                    let (pv, apv) = (eng.load(&p.data[off..off + w]), eng.load(&ap.data[off..off + w]));
+                    let (pv, apv) = (
+                        eng.load(&p.data[off..off + w]),
+                        eng.load(&ap.data[off..off + w]),
+                    );
                     eng.store(xw, eng.axpy_word(alpha.at(j), pv, eng.load(xw)));
                     eng.store(rw, eng.axpy_word(neg.at(j), apv, eng.load(rw)));
                 }
@@ -744,7 +677,14 @@ pub fn cg_update_x_r<K: FieldKind, E: SveFloat>(
     ap: &Field<K, E>,
 ) -> f64 {
     let mut r2 = 0.0;
-    cg_updates(x, r, &[alpha], (p, ap), &[true], std::slice::from_mut(&mut r2));
+    cg_updates(
+        x,
+        r,
+        &[alpha],
+        (p, ap),
+        &[true],
+        std::slice::from_mut(&mut r2),
+    );
     r2
 }
 
@@ -1132,9 +1072,6 @@ mod tests {
         assert_eq!(block.width(), 3);
         for (i, f) in fields.iter().enumerate() {
             assert_eq!(block.rhs_field(i).max_abs_diff(f), 0.0);
-            let mut bits = f.clone();
-            block.copy_rhs_into(i, &mut bits);
-            assert_eq!(bits.max_abs_diff(f), 0.0);
         }
     }
 

@@ -166,23 +166,6 @@ pub trait Stored: Vector {
     /// The vector of `nrhs` right-hand sides stored as `f`, if `f` has its
     /// shape.
     fn from_field(f: Field<FermionKind, Self::E>, nrhs: usize) -> Option<Self>;
-
-    /// The lattice the vector lives on.
-    fn grid(&self) -> &Arc<Grid<Self::E>> {
-        self.field().grid()
-    }
-
-    /// Slot `j` as a field of its own: right-hand side `j` of a field or a
-    /// block.
-    fn rhs_field(&self, j: usize) -> Field<FermionKind, Self::E> {
-        self.field().rhs_field(j)
-    }
-
-    /// The vector whose right-hand sides are `fields`, in order.
-    fn from_fields(fields: &[Field<FermionKind, Self::E>]) -> Self {
-        Self::from_field(Field::from_fields(fields), fields.len())
-            .expect("one stored field per right-hand side")
-    }
 }
 
 impl<E: SveFloat> Stored for Field<FermionKind, E> {

@@ -90,7 +90,7 @@ pub fn cg<V: WilsonVector>(
     } else {
         "solver.cg"
     };
-    let grid = b.grid().clone();
+    let grid = b.field().grid().clone();
     krylov::cg_solve(
         &mut krylov::fused(op, &mut b.zero_like()),
         b,

@@ -65,7 +65,7 @@ fn assert_subspace_matches<E: SveFloat>(op: &WilsonDirac<E>, sub: &Subspace<E>) 
 pub fn galerkin_guess<V: WilsonVector>(sub: &Subspace<V::E>, b: &V) -> V {
     let guesses: Vec<_> = (0..b.nrhs())
         .map(|j| {
-            let bj = b.rhs_field(j);
+            let bj = b.field().rhs_field(j);
             let mut x0 = Field::<FermionKind, V::E>::zero(bj.grid().clone());
             for (v, &theta) in sub.vectors.iter().zip(sub.values.iter()) {
                 let c = v.inner(&bj);
@@ -74,7 +74,7 @@ pub fn galerkin_guess<V: WilsonVector>(sub: &Subspace<V::E>, b: &V) -> V {
             x0
         })
         .collect();
-    V::from_fields(&guesses)
+    V::from_field(Field::from_fields(&guesses), guesses.len()).expect("one field per RHS")
 }
 
 /// The Galerkin guess with the subspace **applied at binary16**: the Ritz
@@ -121,7 +121,7 @@ pub fn defl_cg<V: WilsonVector>(
     max_iter: usize,
 ) -> (V, V::Report) {
     assert_subspace_matches(op, sub);
-    let grid = b.grid().clone();
+    let grid = b.field().grid().clone();
     let span = qcd_trace::span!("solver.deflate", grid.engine().ctx());
     let mut tmp = b.zero_like();
     let mut space = krylov::fused(op, &mut tmp);

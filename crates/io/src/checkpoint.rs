@@ -103,12 +103,12 @@ pub fn save_state<V: Stored<E = f64>>(state: &State<V>, path: &Path) -> Result<u
         }
     }
     let mut c = Container::new();
-    let meta = FieldMeta::of(&state.x.rhs_field(0), Precision::F64);
+    let meta = FieldMeta::of(&state.x.field().rhs_field(0), Precision::F64);
     c.push(Record::new(META_RECORD, meta.encode()));
     c.push(Record::new(STATE_SCALARS, scalars));
     for (stem, v) in ITERATES.iter().zip([&state.x, &state.r, &state.p]) {
         for j in 0..v.field().width() {
-            let field = encode_field(&v.rhs_field(j), Precision::F64);
+            let field = encode_field(&v.field().rhs_field(j), Precision::F64);
             c.push(Record::new(&format!("{stem}.{j}"), field));
         }
     }
@@ -119,10 +119,7 @@ pub fn save_state<V: Stored<E = f64>>(state: &State<V>, path: &Path) -> Result<u
 /// another shape than `V` (a block read as one field, a 5-d fermion read
 /// as either), of an older layout, or with a count its payload cannot hold
 /// is a typed error.
-pub fn load_state<V: Stored<E = f64>>(
-    path: &Path,
-    grid: &Arc<Grid<f64>>,
-) -> Result<State<V>> {
+pub fn load_state<V: Stored<E = f64>>(path: &Path, grid: &Arc<Grid<f64>>) -> Result<State<V>> {
     let c = Container::open(path)?;
     let meta = FieldMeta::decode(&c.expect(META_RECORD)?.payload, META_RECORD)?;
     let s = decode_scalars(&c.expect(STATE_SCALARS)?.payload)?;
@@ -220,7 +217,7 @@ impl Checkpointer {
 /// taken with: `|b_j|²` is recomputed — a canonical reduction, the same
 /// bits at any vector length and thread count — and must match.
 pub fn resume<V: Stored<E = f64>>(b: &V, path: &Path) -> Result<Start<V>> {
-    let state: State<V> = load_state(path, b.grid())?;
+    let state: State<V> = load_state(path, b.field().grid())?;
     let (stored, ours) = (state.x.field().width(), b.field().width());
     if stored != ours {
         return Err(bad_scalars(format!(

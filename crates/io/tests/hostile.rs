@@ -235,3 +235,44 @@ fn files_of_the_four_retired_solver_layouts_are_refused_by_name() {
     }
     let _ = std::fs::remove_dir_all(&d);
 }
+
+#[test]
+fn a_fermion5_checkpoint_is_not_a_field_or_a_block() {
+    // A 5-d fermion is one right-hand side stored as Ls fields: read as a
+    // field (one RHS, one field) or as a block (one field per RHS) its
+    // shape is wrong, and the reader says so rather than panicking; read
+    // as a 5-d fermion of another Ls it is refused too.
+    let d = dir("fermion5");
+    let g = grid();
+    let op = DomainWall::new(random_gauge(g.clone(), 3), 4, 1.8, 0.04);
+    let b = Fermion5::random(g.clone(), 4, 4);
+    let path = d.join("five.qio");
+    let mut checkpointer = qcd_io::Checkpointer::every(2, &path);
+    let _ = grid::krylov::cg_solve(
+        &mut op.normal(&mut Fermion5::zero(g.clone(), 4)),
+        &b,
+        grid::krylov::Start::Zero,
+        1e-10,
+        2,
+        qcd_trace::span!("test.solve"),
+        "test.solve",
+        checkpointer.observer(),
+    );
+    assert_eq!(checkpointer.finish().unwrap(), 1);
+    let shape = |outcome: Option<IoError>, what: &str| match outcome {
+        Some(IoError::BadRecord { record, msg }) => {
+            assert_eq!(record, STATE_SCALARS, "{what}: {msg}");
+            assert!(msg.contains("fields per iterate"), "{what}: {msg}");
+        }
+        other => panic!("{what}: expected a refused shape, got {other:?}"),
+    };
+    shape(load_state::<FermionField>(&path, &g).err(), "as a field");
+    shape(load_state::<FermionBlock>(&path, &g).err(), "as a block");
+    shape(
+        resume(&Fermion5::random(g.clone(), 2, 4), &path).err(),
+        "as Ls 2",
+    );
+    assert!(load_state::<Fermion5>(&path, &g).is_ok());
+    assert!(resume(&b, &path).is_ok());
+    let _ = std::fs::remove_dir_all(&d);
+}

@@ -73,14 +73,16 @@ where
     let (x_ref, reference, _) = durable(space, b, Start::Zero, MAX_ITER, MAX_ITER, &tmp("unused"));
     let (_, _, snapshots) = durable(space, b, Start::Zero, 12, 5, &path);
     assert_eq!(snapshots, 2, "snapshots at iterations 5 and 10");
-    let on_disk: State<S::V> = load_state(&path, b.grid()).unwrap();
+    let on_disk: State<S::V> = load_state(&path, b.field().grid()).unwrap();
     assert!(on_disk.iterations.iter().all(|&n| n == 10));
 
     let start = resume(b, &path).unwrap();
     let (x, resumed, _) = durable(space, b, start, MAX_ITER, 50, &path);
     for j in 0..b.nrhs() {
         assert_eq!(
-            x.rhs_field(j).max_abs_diff(&x_ref.rhs_field(j)),
+            x.field()
+                .rhs_field(j)
+                .max_abs_diff(&x_ref.field().rhs_field(j)),
             0.0,
             "RHS {j}: solutions must be bit-identical"
         );
@@ -189,7 +191,7 @@ fn state_survives_a_save_load_cycle<V: WilsonVector<E = f64>>(op: &WilsonDirac, 
     let state = seven_iterations_in(op, b);
     let path = tmp(file);
     save_state(&state, &path).unwrap();
-    let back: State<V> = load_state(&path, b.grid()).unwrap();
+    let back: State<V> = load_state(&path, b.field().grid()).unwrap();
     assert_eq!(back.iterations, state.iterations);
     assert_same_bits("r2", &back.r2, &state.r2);
     assert_same_bits("b_norm2", &back.b_norm2, &state.b_norm2);
@@ -200,7 +202,7 @@ fn state_survives_a_save_load_cycle<V: WilsonVector<E = f64>>(op: &WilsonDirac, 
             (&back.r, &state.r),
             (&back.p, &state.p),
         ] {
-            assert_eq!(got.rhs_field(j).max_abs_diff(&want.rhs_field(j)), 0.0);
+            assert_eq!(got.field().rhs_field(j).max_abs_diff(&want.field().rhs_field(j)), 0.0);
         }
     }
 }
