@@ -251,7 +251,7 @@ impl Stored for Fermion5 {
     }
 
     fn from_field(f: Field<FermionKind, f64>, nrhs: usize) -> Option<Self> {
-        (nrhs == 1 && f.width() >= 2).then(|| Fermion5(f))
+        (nrhs == 1 && f.width() >= 2).then_some(Fermion5(f))
     }
 }
 

@@ -202,7 +202,12 @@ fn state_survives_a_save_load_cycle<V: WilsonVector<E = f64>>(op: &WilsonDirac, 
             (&back.r, &state.r),
             (&back.p, &state.p),
         ] {
-            assert_eq!(got.field().rhs_field(j).max_abs_diff(&want.field().rhs_field(j)), 0.0);
+            assert_eq!(
+                got.field()
+                    .rhs_field(j)
+                    .max_abs_diff(&want.field().rhs_field(j)),
+                0.0
+            );
         }
     }
 }
