@@ -355,16 +355,16 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
                 .par_chunks_mut(cs)
                 .enumerate()
                 .for_each(|(ci, chunk)| {
-                    for (s, seg) in chunk.chunks_exact_mut(rhs).enumerate() {
-                        let j = s % width;
+                    let segments = (0..width).cycle().zip(chunk.chunks_exact_mut(rhs));
+                    for (s, (j, seg)) in segments.enumerate() {
                         if !per_rhs(active, j) {
                             continue;
                         }
-                        let base = ci * cs + s * rhs;
+                        let (aj, base) = (a.at(j), ci * cs + s * rhs);
                         for (k, sw) in seg.chunks_exact_mut(w).enumerate() {
                             let off = base + k * w;
                             let (sv, xv) = (eng.load(sw), eng.load(&xd[off..off + w]));
-                            eng.store(sw, eng.axpy_word(a.at(j), sv, xv));
+                            eng.store(sw, eng.axpy_word(aj, sv, xv));
                         }
                     }
                 });
@@ -637,13 +637,13 @@ pub(crate) fn cg_updates<K: FieldKind, E: SveFloat>(
         let (alpha, neg) = (Dups::new(eng, alpha, 1.0), Dups::new(eng, alpha, -1.0));
         let kernel = |ci: usize, (xc, rc): (&mut [E], &mut [E]), part: &mut [f64]| {
             let segments = xc.chunks_exact_mut(rhs).zip(rc.chunks_exact_mut(rhs));
-            for (s, ((xs, rs), q)) in segments.zip(part.chunks_exact_mut(lanes)).enumerate() {
-                let j = s % width;
+            let segments = (0..width).cycle().zip(segments);
+            for (s, ((j, (xs, rs)), q)) in segments.zip(part.chunks_exact_mut(lanes)).enumerate() {
                 if !per_rhs(active, j) {
                     q.fill(0.0);
                     continue;
                 }
-                let base = ci * cs + s * rhs;
+                let (aj, nj, base) = (alpha.at(j), neg.at(j), ci * cs + s * rhs);
                 for (k, (xw, rw)) in xs
                     .chunks_exact_mut(w)
                     .zip(rs.chunks_exact_mut(w))
@@ -654,8 +654,8 @@ pub(crate) fn cg_updates<K: FieldKind, E: SveFloat>(
                         eng.load(&p.data[off..off + w]),
                         eng.load(&ap.data[off..off + w]),
                     );
-                    eng.store(xw, eng.axpy_word(alpha.at(j), pv, eng.load(xw)));
-                    eng.store(rw, eng.axpy_word(neg.at(j), apv, eng.load(rw)));
+                    eng.store(xw, eng.axpy_word(aj, pv, eng.load(xw)));
+                    eng.store(rw, eng.axpy_word(nj, apv, eng.load(rw)));
                 }
                 reduce::site_dots::<E>(rs, rs, q);
             }
@@ -705,7 +705,7 @@ pub fn cg_update_x_r<K: FieldKind, E: SveFloat>(
 /// are those of a single-RHS field on the same grid — so per-RHS results at
 /// any `N` match `N` independent single-RHS computations bit for bit.
 #[derive(Clone)]
-pub struct FermionBlock<E: SveFloat = f64>(Field<FermionKind, E>);
+pub struct FermionBlock<E: SveFloat = f64>(pub(crate) Field<FermionKind, E>);
 
 impl<E: SveFloat> FermionBlock<E> {
     /// A zero block of `nrhs` right-hand sides on `grid`.
@@ -716,11 +716,6 @@ impl<E: SveFloat> FermionBlock<E> {
     /// Gather `fields` into one site-major block (RHS `i` = `fields[i]`).
     pub fn from_fields(fields: &[Field<FermionKind, E>]) -> Self {
         FermionBlock(Field::from_fields(fields))
-    }
-
-    /// The block stored as `f`, one RHS per stored field.
-    pub fn from_field(f: Field<FermionKind, E>) -> Self {
-        FermionBlock(f)
     }
 }
 

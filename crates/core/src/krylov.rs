@@ -125,15 +125,15 @@ impl<E: SveFloat> Vector for FermionBlock<E> {
     }
 
     fn zero_like(&self) -> Self {
-        FermionBlock::from_field(Vector::zero_like(&**self))
+        FermionBlock(self.0.zero_like())
     }
 
     fn norms2_into(&self, out: &mut [f64]) {
-        Field::norms2_into(&**self, out);
+        self.0.norms2_into(out);
     }
 
     fn sub_norms2_into(&mut self, x: &Self, y: &Self, out: &mut [f64]) {
-        self.sub_norms2(x, y, out);
+        self.0.sub_norms2(&x.0, &y.0, out);
     }
 
     fn cg_update(
@@ -145,11 +145,11 @@ impl<E: SveFloat> Vector for FermionBlock<E> {
         active: &[bool],
         r2: &mut [f64],
     ) {
-        cg_updates(&mut **x, &mut **r, alpha, (&**p, &**ap), active, r2);
+        cg_updates(&mut x.0, &mut r.0, alpha, (&p.0, &ap.0), active, r2);
     }
 
     fn aypx_active(&mut self, beta: &[f64], x: &Self, active: &[bool]) {
-        self.aypx_rhs(beta, x, active);
+        self.0.aypx_rhs(beta, &x.0, active);
     }
 }
 
@@ -188,7 +188,7 @@ impl<E: SveFloat> Stored for FermionBlock<E> {
     }
 
     fn from_field(f: Field<FermionKind, E>, nrhs: usize) -> Option<Self> {
-        (f.width() == nrhs).then(|| FermionBlock::from_field(f))
+        (f.width() == nrhs).then_some(FermionBlock(f))
     }
 }
 
