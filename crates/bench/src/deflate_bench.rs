@@ -7,8 +7,9 @@
 //! - **undeflated** — plain [`cg`] over the N-RHS batch.
 //! - **deflated** — [`defl_cg`] on the batch, from the Galerkin guess of a
 //!   thick-restart Lanczos subspace built once on `M†M`.
-//! - **coarse** — [`coarse_pcg`] on RHS 0: the two-level preconditioner
-//!   assembled from the same subspace's cell-blocked near-null vectors.
+//! - **coarse** — CG on RHS 0 in [`CoarseSpace::two_level`]: the two-level
+//!   preconditioner assembled from the same subspace's cell-blocked
+//!   near-null vectors.
 //!
 //! Every iteration count and eigenvalue is a pure function of the seeded
 //! configuration (canonical reductions make them VL- and thread-invariant).
@@ -17,8 +18,9 @@
 
 use crate::doc::{get_num, num, nums, obj};
 use crate::solver_bench::Thermalized;
+use grid::krylov::{self, Start};
 use grid::prelude::*;
-use qcd_deflate::{coarse_pcg, defl_cg, lanczos, CoarseSpace, LanczosParams};
+use qcd_deflate::{defl_cg, lanczos, CoarseSpace, LanczosParams};
 use qcd_trace::Json;
 
 /// The sizes of the deflation legs (the seeds, the iteration budget and the
@@ -101,7 +103,18 @@ pub fn run(therm: &Thermalized, cfg: &DeflationConfig) -> Result<Json, String> {
         return Err("deflated block solve did not converge".into());
     }
     let cs = CoarseSpace::build(op, &sub.vectors, CELL);
-    let (_, coarse) = coarse_pcg(op, &cs, None, &fields[0], cfg.tol, MAX_ITER);
+    let mut tmp = FermionField::zero(op.grid().clone());
+    let span = qcd_trace::span!("mg.coarse", op.grid().engine().ctx());
+    let (_, coarse) = krylov::cg_solve(
+        &mut cs.two_level(krylov::fused(op, &mut tmp), None),
+        &fields[0],
+        Start::Zero,
+        cfg.tol,
+        MAX_ITER,
+        span,
+        "solver.coarse_pcg",
+        krylov::no_observer,
+    );
     if !coarse.converged {
         return Err("coarse-preconditioned solve did not converge".into());
     }

@@ -21,7 +21,13 @@
 //! (`comms.wait`) can be compared against the total flight time to measure
 //! how much communication the interior sweep actually hid.
 //!
-//! A rank that panics drops its channel ends, so its neighbours fail with
+//! Each rank's [`Grid`] is a *rank grid*: it knows its place in the global
+//! lattice and holds the rank's ends of the allgather ring, so a reduction
+//! over a rank-local field is the global canonical sum — a collective that
+//! every rank makes, in the same order (see [`crate::reduce`]).
+//!
+//! A rank that panics drops its channel ends — the ring's too, which
+//! [`RankCtx`]'s drop takes out of its grid — so its neighbours fail with
 //! "neighbour hung up" rather than wait for it, and
 //! [`run_multinode_topo`] hands the panic to its caller.
 //!
@@ -35,9 +41,10 @@ use crate::simd::SimdBackend;
 use crate::topology::RankTopology;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use std::cell::{Cell, RefCell};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-use sve::VectorLength;
+use sve::{SveCtx, VectorLength};
 
 /// The dimension the legacy 1-D rank grid splits (time).
 pub const SPLIT_DIM: usize = 3;
@@ -237,6 +244,76 @@ struct FaceMsg {
 /// plus its slab.
 type RingSlab = (usize, Vec<f64>);
 
+/// A rank whose reduction panicked is out of step with the others: its
+/// communicator is not used again.
+const POISONED: &str = "a reduction on this rank panicked";
+
+/// A rank's communicator: its ends of the rank-order allgather ring,
+/// shared by its [`RankCtx`] and its rank grid, whose reductions travel it.
+/// The ends sit behind a lock only because a grid is shared with worker
+/// threads; the rank's own thread is the one that uses them.
+pub(crate) struct Communicator {
+    rank: usize,
+    nranks: usize,
+    ends: Mutex<Option<(Sender<RingSlab>, Receiver<RingSlab>)>>,
+    gathered: Mutex<Vec<f64>>,
+    bytes: AtomicUsize,
+    detail: AtomicBool,
+}
+
+impl Communicator {
+    /// Every rank's first `len` per-site values of `partials`, in rank
+    /// order: the one allgather of a reduction on a rank grid. `partials`
+    /// comes back as another rank's buffer of the same length, and the
+    /// gathered buffer is reused, so the steady state allocates nothing.
+    pub(crate) fn gather(&self, partials: &mut Vec<f64>, len: usize) -> MutexGuard<'_, Vec<f64>> {
+        let mut gathered = self.gathered.lock().expect(POISONED);
+        gathered.resize(self.nranks * len, 0.0);
+        let mut mine = std::mem::take(partials);
+        mine.truncate(len);
+        *partials = self.allgather(mine, |src, p| {
+            gathered[src * len..(src + 1) * len].copy_from_slice(p);
+        });
+        gathered
+    }
+
+    /// Ring allgather: `visit` sees every rank's slab exactly once (own
+    /// slab first, then the others as they circulate the ring, R−1 hops).
+    /// The returned buffer is a same-length slab the caller reuses for the
+    /// next allgather, making the steady state allocation-free. With one
+    /// rank this degenerates to a single `visit`.
+    pub(crate) fn allgather(
+        &self,
+        slab: Vec<f64>,
+        mut visit: impl FnMut(usize, &[f64]),
+    ) -> Vec<f64> {
+        visit(self.rank, &slab);
+        if self.nranks == 1 {
+            return slab;
+        }
+        let ends = self.ends.lock().expect(POISONED);
+        let (tx, rx) = ends.as_ref().expect("the rank's ring is closed");
+        let _span = self
+            .detail
+            .load(Ordering::Relaxed)
+            .then(|| qcd_trace::span!("comms.allgather"));
+        self.bytes.fetch_add(slab.len() * 8, Ordering::Relaxed);
+        tx.send((self.rank, slab)).expect("ring neighbour hung up");
+        let mut keep = None;
+        for hop in 1..self.nranks {
+            let (src, s) = rx.recv().expect("ring neighbour hung up");
+            visit(src, &s);
+            if hop + 1 < self.nranks {
+                self.bytes.fetch_add(s.len() * 8, Ordering::Relaxed);
+                tx.send((src, s)).expect("ring neighbour hung up");
+            } else {
+                keep = Some(s);
+            }
+        }
+        keep.expect("ring allgather ran zero hops")
+    }
+}
+
 /// Channel endpoints to the two neighbours along one split dimension.
 struct DimLinks {
     send_next: Sender<FaceMsg>,
@@ -268,14 +345,7 @@ pub struct RankCtx {
     /// Total bytes this rank has put on the wire in *face* messages (halo
     /// payloads; allreduce traffic is counted in `reduce_bytes`).
     pub sent_bytes: Cell<usize>,
-    topology: RankTopology,
     net: NetworkModel,
-    /// When true (the default), every face send/recv opens a
-    /// `comms.send`/`comms.recv`/`comms.wait` span and logs a flight-
-    /// recorder event. The distributed hot path turns this off to keep its
-    /// steady state allocation-free; the counters and the `comms.wait`
-    /// histogram below always update regardless.
-    detail: Cell<bool>,
     wait_hist: qcd_trace::Histogram,
     wait_ns: Cell<u64>,
     flight_ns: Cell<u64>,
@@ -283,9 +353,19 @@ pub struct RankCtx {
     /// window. Exposed wait is measured against this local stamp so the
     /// metric stays meaningful when rank threads timeshare cores.
     last_post: Cell<Instant>,
-    reduce_bytes: Cell<usize>,
     shells: RefCell<Vec<HaloMsg>>,
-    ring: Option<(Sender<RingSlab>, Receiver<RingSlab>)>,
+    /// The grid's communicator.
+    comm: Arc<Communicator>,
+}
+
+/// A finished rank — returned or unwinding — closes its ring, so a
+/// neighbour waiting in a reduction fails with "hung up" even while a
+/// field still holds the grid.
+impl Drop for RankCtx {
+    fn drop(&mut self) {
+        let ends = &self.comm.ends;
+        ends.lock().unwrap_or_else(PoisonError::into_inner).take();
+    }
 }
 
 impl RankCtx {
@@ -294,24 +374,26 @@ impl RankCtx {
         std::array::from_fn(|d| local[d] + self.offset[d])
     }
 
-    /// The rank topology this context lives in.
-    pub fn topology(&self) -> RankTopology {
-        self.topology
-    }
-
     /// The interconnect model stamping flight times on this rank's sends.
     pub fn net(&self) -> NetworkModel {
         self.net
     }
 
-    /// Whether per-face spans and flight-recorder events are emitted.
+    /// Whether per-face and allgather spans and flight-recorder events are
+    /// emitted. When true (the default), every face send/recv opens a
+    /// `comms.send`/`comms.recv`/`comms.wait` span and logs a flight-
+    /// recorder event, and every allgather a `comms.allgather` span. The
+    /// distributed hot path turns this off to keep its steady state
+    /// allocation-free; the counters and the `comms.wait` histogram always
+    /// update regardless.
     pub fn detail_spans(&self) -> bool {
-        self.detail.get()
+        self.comm.detail.load(Ordering::Relaxed)
     }
 
-    /// Enable/disable per-face spans and flight events (see `detail`).
+    /// Enable/disable per-face spans and flight events (see
+    /// [`Self::detail_spans`]).
     pub fn set_detail_spans(&self, on: bool) {
-        self.detail.set(on);
+        self.comm.detail.store(on, Ordering::Relaxed);
     }
 
     /// Nanoseconds of modeled flight time this rank failed to hide behind
@@ -333,17 +415,17 @@ impl RankCtx {
         self.flight_ns.get()
     }
 
-    /// Bytes this rank contributed to allreduce/allgather traffic (kept
-    /// separate from `sent_bytes` so face bytes stay pinned to the halo
-    /// wire model).
+    /// Bytes this rank contributed to allgather traffic, its grid's
+    /// reductions (kept separate from `sent_bytes` so face bytes stay
+    /// pinned to the halo wire model).
     pub fn reduce_bytes(&self) -> usize {
-        self.reduce_bytes.get()
+        self.comm.bytes.load(Ordering::Relaxed)
     }
 
     /// Reset `sent_bytes`, `reduce_bytes` and the wait/flight clocks.
     pub fn reset_comm_counters(&self) {
         self.sent_bytes.set(0);
-        self.reduce_bytes.set(0);
+        self.comm.bytes.store(0, Ordering::Relaxed);
         self.wait_ns.set(0);
         self.flight_ns.set(0);
     }
@@ -382,7 +464,7 @@ impl RankCtx {
         let msg = HaloMsg::encode_into_shell(data, compression, self.take_shell());
         let bytes = msg.wire_bytes();
         let flight = self.net.flight_ns(bytes);
-        let detail = self.detail.get();
+        let detail = self.detail_spans();
         {
             let _span = detail.then(|| qcd_trace::span!("comms.send"));
             qcd_trace::record_wire_bytes(bytes as u64);
@@ -441,7 +523,7 @@ impl RankCtx {
         } else {
             &links.recv_prev
         };
-        let detail = self.detail.get();
+        let detail = self.detail_spans();
         let start = Instant::now();
         let face = {
             let _span = detail.then(|| qcd_trace::span!("comms.wait"));
@@ -475,38 +557,6 @@ impl RankCtx {
         }
         face.msg.decode_into(out);
         self.recycle_shell(face.msg);
-    }
-
-    /// Ring allgather: `visit` sees every rank's slab exactly once (own
-    /// slab first, then the others as they circulate the ring, R−1 hops).
-    /// The returned buffer is a same-length slab the caller reuses for the
-    /// next allgather, making the steady state allocation-free. Traffic is
-    /// counted in [`reduce_bytes`](RankCtx::reduce_bytes), not
-    /// `sent_bytes`. With one rank this degenerates to a single `visit`.
-    pub fn ring_allgather(&self, slab: Vec<f64>, mut visit: impl FnMut(usize, &[f64])) -> Vec<f64> {
-        visit(self.rank, &slab);
-        let Some((tx, rx)) = self.ring.as_ref() else {
-            return slab;
-        };
-        let _span = self
-            .detail
-            .get()
-            .then(|| qcd_trace::span!("comms.allgather"));
-        self.reduce_bytes
-            .set(self.reduce_bytes.get() + slab.len() * 8);
-        tx.send((self.rank, slab)).expect("ring neighbour hung up");
-        let mut keep = None;
-        for hop in 1..self.nranks {
-            let (src, s) = rx.recv().expect("ring neighbour hung up");
-            visit(src, &s);
-            if hop + 1 < self.nranks {
-                self.reduce_bytes.set(self.reduce_bytes.get() + s.len() * 8);
-                tx.send((src, s)).expect("ring neighbour hung up");
-            } else {
-                keep = Some(s);
-            }
-        }
-        keep.expect("ring allgather ran zero hops")
     }
 }
 
@@ -560,27 +610,38 @@ pub fn run_multinode_topo<T: Send>(
                     None
                 }
             });
+            let ends = (nranks > 1)
+                .then(|| (ring[r].0.clone(), ring[(r + nranks - 1) % nranks].1.clone()));
+            let comm = Arc::new(Communicator {
+                rank: r,
+                nranks,
+                ends: Mutex::new(ends),
+                gathered: Mutex::new(Vec::new()),
+                bytes: AtomicUsize::new(0),
+                detail: AtomicBool::new(true),
+            });
             RankCtx {
                 rank: r,
                 rank_grid,
                 rank_coor,
                 nranks,
                 global_dims,
-                grid: Grid::new(local_dims, vl, backend),
+                grid: Grid::build(
+                    local_dims,
+                    Arc::new(SveCtx::new(vl)),
+                    backend,
+                    Some((rank_grid, comm.clone())),
+                ),
                 offset,
                 links,
                 sent_bytes: Cell::new(0),
-                topology: topo,
                 net,
-                detail: Cell::new(true),
                 wait_hist: qcd_trace::histogram("comms.wait"),
                 wait_ns: Cell::new(0),
                 flight_ns: Cell::new(0),
                 last_post: Cell::new(Instant::now()),
-                reduce_bytes: Cell::new(0),
                 shells: RefCell::new(Vec::with_capacity(SHELL_POOL_CAP)),
-                ring: (nranks > 1)
-                    .then(|| (ring[r].0.clone(), ring[(r + nranks - 1) % nranks].1.clone())),
+                comm,
             }
         })
         .collect();
@@ -766,7 +827,7 @@ mod tests {
         let seen = run_multinode_grid(GLOBAL, [1, 1, 1, nranks], VL, SimdBackend::Fcmla, |ctx| {
             let slab = vec![ctx.rank as f64; 3];
             let mut seen = vec![0u32; ctx.nranks];
-            let ret = ctx.ring_allgather(slab, |src, s| {
+            let ret = ctx.comm.allgather(slab, |src, s| {
                 assert_eq!(s.len(), 3);
                 assert!(s.iter().all(|&x| x == src as f64), "slab mislabelled");
                 seen[src] += 1;
@@ -883,9 +944,15 @@ mod tests {
         );
         assert!(
             dead_rank_panic_reaches_the_caller(|ctx| {
-                ctx.ring_allgather(vec![0.0; 4], |_, _| {});
+                ctx.comm.allgather(vec![0.0; 4], |_, _| {});
             }),
             "a ring allgather with a dead rank hung"
+        );
+        assert!(
+            dead_rank_panic_reaches_the_caller(|ctx| {
+                crate::field::FermionField::zero(ctx.grid.clone()).norm2();
+            }),
+            "a norm on a rank grid with a dead rank hung"
         );
     }
 }

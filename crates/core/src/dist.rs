@@ -30,32 +30,29 @@
 //! two-row wire format (rows 0 and 1 on the wire, third row reconstructed
 //! in registers after patching).
 //!
-//! [`dist_cg`] threads the overlapped operator through the
-//! Hestenes–Stiefel recurrence with **canonical scalars**: every inner
-//! product and norm is assembled per site, allgathered into global lexical
-//! order ([`RankCtx::ring_allgather`]), and summed by
-//! [`canonical_sum`] over the *global* volume — so α and β (and therefore
-//! every iterate) are bitwise independent of the rank count, the vector
-//! length, and the worker thread count.
+//! A rank's vector is a plain [`FermionField`] on its rank grid, whose
+//! every reduction is the canonical sum over the *global* lattice
+//! ([`crate::reduce`]). So [`dist_cg`] is the Krylov driver in the space of
+//! [`DistWilson::normal`], over fields, and α and β (and therefore every
+//! iterate) are bitwise independent of the rank count, the vector length,
+//! and the worker thread count.
 //!
 //! [`RankTopology`]: crate::topology::RankTopology
 //! [`RankCtx::post_face_send`]: crate::comms::RankCtx::post_face_send
 //! [`RankCtx::wait_face_into`]: crate::comms::RankCtx::wait_face_into
-//! [`RankCtx::ring_allgather`]: crate::comms::RankCtx::ring_allgather
 
 use crate::comms::{Compression, GaugeWire, RankCtx};
 use crate::dirac::{
     store_spinor, Spinor, Sweep, WilsonDirac, FUSED_MASS_AXPY_FLOPS_PER_SITE,
     HOPPING_FLOPS_PER_SITE, HOPPING_READS_PER_SITE, HOPPING_WRITES_PER_SITE,
 };
-use crate::field::{cg_update_x_r, gauge_comp, FermionField, Field, FieldKind, GaugeField};
-use crate::krylov::{self, Operator, Start, Vector};
-use crate::layout::{lex, Coor, NCOLOR, NDIM, NSPIN};
-use crate::reduce::canonical_sum;
+use crate::field::{gauge_comp, FermionField, Field, FieldKind, GaugeField};
+use crate::krylov::{self, Operator, Start};
+use crate::layout::{NCOLOR, NDIM, NSPIN};
 use crate::simd::{CVec, Words};
 use crate::solver::SolveReport;
 use crate::topology::{fermion_face_bytes, link_ghost_bytes, FERMION_FACE_SCALARS};
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// Complex components per spinor.
@@ -103,44 +100,42 @@ pub struct DistWilson<'a> {
     /// Per-plan ghost links `U_d` from the `−d` neighbour's `x_d = L−1`
     /// face, decoded once at construction.
     ghosts: Vec<Vec<f64>>,
-    /// All local `(outer site, lane)` pairs in local coordinate order —
-    /// the slab layout of the canonical scalar reductions.
-    site_list: Vec<(u32, u16)>,
-    /// `scatter[rank][j]` = global lexical index of rank `rank`'s `j`-th
-    /// slab entry; every rank scatters every slab identically, so the
-    /// canonical sum runs over the same global array on all ranks.
-    scatter: Vec<Vec<u32>>,
     dslash_count: Cell<u64>,
 }
 
-/// Reusable storage for the distributed operator and solver: the `M p`
-/// intermediate, the pre-sized face buffers, and the allgather slabs. Built
-/// once, reused every iteration — the distributed hot path allocates
-/// nothing in the steady state.
+/// Reusable storage for the distributed operator: the `M p` intermediate
+/// and the pre-sized face buffers. Built once, reused every iteration — the
+/// distributed hot path allocates nothing in the steady state.
 pub struct DistWorkspace {
     /// `M p` intermediate of the normal-equations application.
     pub tmp: FermionField,
-    send_prev: Vec<Vec<f64>>,
-    send_next: Vec<Vec<f64>>,
-    halo_fwd: Vec<Vec<f64>>,
-    halo_bwd: Vec<Vec<f64>>,
-    slab: Vec<f64>,
-    global_scalars: Vec<f64>,
+    faces: Vec<Faces>,
+}
+
+/// One split dimension's face buffers: the two faces a sweep sends and the
+/// two halos it receives.
+struct Faces {
+    send_prev: Vec<f64>,
+    send_next: Vec<f64>,
+    halo_fwd: Vec<f64>,
+    halo_bwd: Vec<f64>,
 }
 
 impl DistWorkspace {
-    /// Allocate every buffer the operator and solver will reuse.
+    /// Allocate every buffer the operator will reuse.
     pub fn new(dw: &DistWilson) -> Self {
-        let grid = dw.ctx.grid.clone();
-        let face = |p: &DimPlan| vec![0.0; p.face_sites * FERMION_FACE_SCALARS];
+        let faces = dw.plans.iter().map(|p| {
+            let face = vec![0.0; p.face_sites * FERMION_FACE_SCALARS];
+            Faces {
+                send_prev: face.clone(),
+                send_next: face.clone(),
+                halo_fwd: face.clone(),
+                halo_bwd: face,
+            }
+        });
         DistWorkspace {
-            tmp: Field::zero(grid.clone()),
-            send_prev: dw.plans.iter().map(face).collect(),
-            send_next: dw.plans.iter().map(face).collect(),
-            halo_fwd: dw.plans.iter().map(face).collect(),
-            halo_bwd: dw.plans.iter().map(face).collect(),
-            slab: vec![0.0; grid.volume()],
-            global_scalars: vec![0.0; dw.ctx.global_dims.iter().product()],
+            tmp: Field::zero(dw.ctx.grid.clone()),
+            faces: faces.collect(),
         }
     }
 }
@@ -213,25 +208,6 @@ impl<'a> DistWilson<'a> {
                 interior.push(o as u32);
             }
         }
-        let site_list: Vec<(u32, u16)> = grid
-            .coords()
-            .map(|x| {
-                let (o, l) = grid.coor_to_osite_lane(&x);
-                (o as u32, l as u16)
-            })
-            .collect();
-        let topo = ctx.topology();
-        let scatter: Vec<Vec<u32>> = (0..ctx.nranks)
-            .map(|r| {
-                let off = topo.offset(r, &ctx.global_dims);
-                grid.coords()
-                    .map(|x| {
-                        let g: Coor = std::array::from_fn(|d| x[d] + off[d]);
-                        lex(&g, &ctx.global_dims) as u32
-                    })
-                    .collect()
-            })
-            .collect();
         let mut dw = DistWilson {
             ctx,
             op,
@@ -242,8 +218,6 @@ impl<'a> DistWilson<'a> {
             interior,
             boundary,
             ghosts: Vec::new(),
-            site_list,
-            scatter,
             dslash_count: Cell::new(0),
         };
         dw.exchange_ghost_links();
@@ -311,22 +285,12 @@ impl<'a> DistWilson<'a> {
     /// arriving from `−d`: the ghost links backward boundary legs multiply
     /// by. One face per split dimension, once per operator lifetime.
     fn exchange_ghost_links(&mut self) {
-        let (gs, nrows) = (self.op.link_scalars(), self.op.link_rows());
-        let u = self.op.gauge();
+        let (u, ncomp) = (self.op.gauge(), self.op.link_rows() * NCOLOR);
         for plan in &self.plans {
-            let mut buf = vec![0.0; plan.face_sites * gs];
-            for (j, &(o, lane)) in plan.send_next.iter().enumerate() {
-                let (o, li) = (o as usize, 2 * lane as usize);
-                for r in 0..nrows {
-                    for c in 0..NCOLOR {
-                        let w = u.word(o, gauge_comp(plan.dim, r, c));
-                        let base = j * gs + (r * NCOLOR + c) * 2;
-                        buf[base] = w[li];
-                        buf[base + 1] = w[li + 1];
-                    }
-                }
-            }
-            let mut ghost = vec![0.0; plan.face_sites * gs];
+            let mut buf = vec![0.0; plan.face_sites * self.op.link_scalars()];
+            let comp = |k| gauge_comp(plan.dim, k / NCOLOR, k % NCOLOR);
+            pack_face(u, &plan.send_next, ncomp, comp, &mut buf);
+            let mut ghost = vec![0.0; buf.len()];
             self.ctx
                 .post_face_send(plan.dim, true, &buf, self.compression);
             self.ctx.wait_face_into(plan.dim, false, &mut ghost);
@@ -369,8 +333,7 @@ impl<'a> DistWilson<'a> {
         psi: &FermionField,
         osite: usize,
         dagger: bool,
-        halo_fwd: &[Vec<f64>],
-        halo_bwd: &[Vec<f64>],
+        faces: &[Faces],
     ) -> Spinor<N> {
         let st = self.op.stencil();
         let mut acc = [eng.zero(); NCOMP];
@@ -391,8 +354,8 @@ impl<'a> DistWilson<'a> {
         };
         for leg in &self.op.legs(eng, osite, dagger, bwd_link) {
             let (patches, halo): (&[(u16, u32)], &[f64]) = match self.plan_of_dim[leg.mu] {
-                Some(i) if leg.forward => (&self.plans[i].patch_fwd[osite], &halo_fwd[i]),
-                Some(i) => (&self.plans[i].patch_bwd[osite], &halo_bwd[i]),
+                Some(i) if leg.forward => (&self.plans[i].patch_fwd[osite], &faces[i].halo_fwd),
+                Some(i) => (&self.plans[i].patch_bwd[osite], &faces[i].halo_bwd),
                 None => (&[], &[]),
             };
             let fetch = |comp| {
@@ -411,17 +374,13 @@ impl<'a> DistWilson<'a> {
     /// One overlapped hopping sweep: post faces, interior pass, collect
     /// halos, boundary pass. `mass_axpy = Some(m+4)` fuses the Wilson mass
     /// term into the store exactly like the single-process fused sweep.
-    #[allow(clippy::too_many_arguments)]
     fn dslash_overlapped(
         &self,
         psi: &FermionField,
         out: &mut FermionField,
         dagger: bool,
         mass_axpy: Option<f64>,
-        send_prev: &mut [Vec<f64>],
-        send_next: &mut [Vec<f64>],
-        halo_fwd: &mut [Vec<f64>],
-        halo_bwd: &mut [Vec<f64>],
+        faces: &mut [Faces],
     ) {
         let grid = &self.ctx.grid;
         assert!(
@@ -451,13 +410,13 @@ impl<'a> DistWilson<'a> {
 
         // 1. Post both faces of every split dimension; the network carries
         // them while the interior pass runs.
-        for (i, plan) in self.plans.iter().enumerate() {
-            pack_face(psi, &plan.send_prev, &mut send_prev[i]);
+        for (plan, f) in self.plans.iter().zip(faces.iter_mut()) {
+            pack_face(psi, &plan.send_prev, NCOMP, |c| c, &mut f.send_prev);
             self.ctx
-                .post_face_send(plan.dim, false, &send_prev[i], self.compression);
-            pack_face(psi, &plan.send_next, &mut send_next[i]);
+                .post_face_send(plan.dim, false, &f.send_prev, self.compression);
+            pack_face(psi, &plan.send_next, NCOMP, |c| c, &mut f.send_next);
             self.ctx
-                .post_face_send(plan.dim, true, &send_next[i], self.compression);
+                .post_face_send(plan.dim, true, &f.send_next, self.compression);
         }
 
         crate::sized!(grid.engine(), |eng| {
@@ -473,15 +432,15 @@ impl<'a> DistWilson<'a> {
 
             // 3. Collect the halos (exposed wait is whatever the interior pass
             // did not hide).
-            for (i, plan) in self.plans.iter().enumerate() {
-                self.ctx.wait_face_into(plan.dim, false, &mut halo_bwd[i]);
-                self.ctx.wait_face_into(plan.dim, true, &mut halo_fwd[i]);
+            for (plan, f) in self.plans.iter().zip(faces.iter_mut()) {
+                self.ctx.wait_face_into(plan.dim, false, &mut f.halo_bwd);
+                self.ctx.wait_face_into(plan.dim, true, &mut f.halo_fwd);
             }
 
             // 4. Boundary pass — same kernel with crossing lanes patched.
             for &o in &self.boundary {
                 let o = o as usize;
-                let acc = self.site_hopping_at_boundary(eng, psi, o, dagger, halo_fwd, halo_bwd);
+                let acc = self.site_hopping_at_boundary(eng, psi, o, dagger, faces);
                 let site = o * stride..(o + 1) * stride;
                 let (psi, out) = (&psi.data()[site.clone()], &mut out.data_mut()[site]);
                 store_spinor(eng, &acc, sweep.mass, sweep.neg_half, psi, None, out);
@@ -492,38 +451,13 @@ impl<'a> DistWilson<'a> {
 
     /// `out = Dh ψ` (distributed hopping term, no mass).
     pub fn hopping_into(&self, psi: &FermionField, ws: &mut DistWorkspace, out: &mut FermionField) {
-        let DistWorkspace {
-            send_prev,
-            send_next,
-            halo_fwd,
-            halo_bwd,
-            ..
-        } = ws;
-        self.dslash_overlapped(
-            psi, out, false, None, send_prev, send_next, halo_fwd, halo_bwd,
-        );
+        self.dslash_overlapped(psi, out, false, None, &mut ws.faces);
     }
 
     /// `out = M ψ = (m+4)ψ − ½ Dh ψ`, mass fused into the store.
     pub fn apply_into(&self, psi: &FermionField, ws: &mut DistWorkspace, out: &mut FermionField) {
         let m = self.op.mass + 4.0;
-        let DistWorkspace {
-            send_prev,
-            send_next,
-            halo_fwd,
-            halo_bwd,
-            ..
-        } = ws;
-        self.dslash_overlapped(
-            psi,
-            out,
-            false,
-            Some(m),
-            send_prev,
-            send_next,
-            halo_fwd,
-            halo_bwd,
-        );
+        self.dslash_overlapped(psi, out, false, Some(m), &mut ws.faces);
     }
 
     /// `out = M† ψ`.
@@ -534,122 +468,52 @@ impl<'a> DistWilson<'a> {
         out: &mut FermionField,
     ) {
         let m = self.op.mass + 4.0;
-        let DistWorkspace {
-            send_prev,
-            send_next,
-            halo_fwd,
-            halo_bwd,
-            ..
-        } = ws;
-        self.dslash_overlapped(
-            psi,
-            out,
-            true,
-            Some(m),
-            send_prev,
-            send_next,
-            halo_fwd,
-            halo_bwd,
-        );
+        self.dslash_overlapped(psi, out, true, Some(m), &mut ws.faces);
     }
 
     /// `out = M†M ψ` — two overlapped sweeps through `ws.tmp`.
     pub fn mdag_m_into(&self, psi: &FermionField, ws: &mut DistWorkspace, out: &mut FermionField) {
         let m = self.op.mass + 4.0;
-        let DistWorkspace {
-            tmp,
-            send_prev,
-            send_next,
-            halo_fwd,
-            halo_bwd,
-            ..
-        } = ws;
-        self.dslash_overlapped(
-            psi,
-            tmp,
-            false,
-            Some(m),
-            send_prev,
-            send_next,
-            halo_fwd,
-            halo_bwd,
-        );
-        self.dslash_overlapped(
-            tmp,
-            out,
-            true,
-            Some(m),
-            send_prev,
-            send_next,
-            halo_fwd,
-            halo_bwd,
-        );
+        self.dslash_overlapped(psi, &mut ws.tmp, false, Some(m), &mut ws.faces);
+        self.dslash_overlapped(&ws.tmp, out, true, Some(m), &mut ws.faces);
     }
 
-    // ---- Canonical (rank-count-invariant) scalar reductions ---------------
-
-    /// Scatter this rank's slab (and every other rank's, as they circulate
-    /// the ring) into global lexical order, then sum with the deterministic
-    /// chunk tree over the *global* volume. Identical on every rank, at
-    /// every rank count, vector length, and thread count.
-    fn gather_and_sum(&self, ws: &mut DistWorkspace) -> f64 {
-        let slab = std::mem::take(&mut ws.slab);
-        let global = &mut ws.global_scalars;
-        let scatter = &self.scatter;
-        ws.slab = self.ctx.ring_allgather(slab, |src, s| {
-            for (j, &g) in scatter[src].iter().enumerate() {
-                global[g as usize] = s[j];
-            }
-        });
-        let global = &ws.global_scalars;
-        canonical_sum(global.len(), |i| global[i])
+    /// Globally canonical `|f|²`: the norm of a field on the rank grid.
+    pub fn canon_norm2(&self, f: &FermionField, _ws: &mut DistWorkspace) -> f64 {
+        f.norm2()
     }
 
-    /// Globally canonical `|f|²`.
-    pub fn canon_norm2(&self, f: &FermionField, ws: &mut DistWorkspace) -> f64 {
-        for (j, &(o, lane)) in self.site_list.iter().enumerate() {
-            let (o, li) = (o as usize, 2 * lane as usize);
-            let mut s = 0.0;
-            for comp in 0..NCOMP {
-                let w = f.word(o, comp);
-                s += w[li] * w[li] + w[li + 1] * w[li + 1];
-            }
-            ws.slab[j] = s;
-        }
-        self.gather_and_sum(ws)
-    }
-
-    /// Globally canonical `Re ⟨a, b⟩`.
-    pub fn canon_inner_re(
-        &self,
-        a: &FermionField,
-        b: &FermionField,
-        ws: &mut DistWorkspace,
-    ) -> f64 {
-        for (j, &(o, lane)) in self.site_list.iter().enumerate() {
-            let (o, li) = (o as usize, 2 * lane as usize);
-            let mut s = 0.0;
-            for comp in 0..NCOMP {
-                let wa = a.word(o, comp);
-                let wb = b.word(o, comp);
-                s += wa[li] * wb[li] + wa[li + 1] * wb[li + 1];
-            }
-            ws.slab[j] = s;
-        }
-        self.gather_and_sum(ws)
+    /// The space of the normal equations `M†M x = b` for
+    /// `krylov::cg_solve`, over fields on the rank grid, with `ws` the
+    /// caller-held workspace and the curvature `Re ⟨p, M†M p⟩` a reduction
+    /// of the rank grid. Every rank must solve in it together.
+    pub fn normal<'w>(
+        &'w self,
+        ws: &'w mut DistWorkspace,
+    ) -> Operator<FermionField, impl FnMut(&FermionField, &mut FermionField, &mut [f64]) + 'w> {
+        Operator::new(
+            move |p: &FermionField, ap: &mut FermionField, curv: &mut [f64]| {
+                self.mdag_m_into(p, ws, ap);
+                curv[0] = p.inner(ap).re;
+            },
+        )
     }
 }
 
-/// Serialize the listed `(outer site, lane)` pairs of a fermion field into
-/// a face buffer, [`FERMION_FACE_SCALARS`] per site.
-fn pack_face(psi: &FermionField, list: &[(u32, u16)], buf: &mut [f64]) {
-    for (j, &(o, lane)) in list.iter().enumerate() {
-        let (o, li) = (o as usize, 2 * lane as usize);
-        for comp in 0..NCOMP {
-            let w = psi.word(o, comp);
-            let base = j * FERMION_FACE_SCALARS + 2 * comp;
-            buf[base] = w[li];
-            buf[base + 1] = w[li + 1];
+/// Serialize components `comp(0)`, …, `comp(ncomp − 1)` of the listed
+/// `(outer site, lane)` pairs of a field into a face buffer, `2 · ncomp`
+/// scalars per site.
+fn pack_face<K: FieldKind>(
+    f: &Field<K>,
+    list: &[(u32, u16)],
+    ncomp: usize,
+    comp: impl Fn(usize) -> usize,
+    buf: &mut [f64],
+) {
+    for (&(o, lane), site) in list.iter().zip(buf.chunks_exact_mut(2 * ncomp)) {
+        let li = 2 * lane as usize;
+        for (k, z) in site.chunks_exact_mut(2).enumerate() {
+            z.copy_from_slice(&f.word(o as usize, comp(k))[li..li + 2]);
         }
     }
 }
@@ -667,104 +531,39 @@ pub fn restrict_field<K: FieldKind>(ctx: &RankCtx, global: &Field<K>) -> Field<K
     out
 }
 
-/// A rank's slab of a distributed fermion as the Krylov driver sees it:
-/// every norm is a ring allgather summed over the *global* volume in the
-/// canonical order, so every rank steers by the same scalars. The update
-/// sweep's rank-local `|r|²` is discarded.
-#[derive(Clone)]
-struct Slab<'a, 'c> {
-    f: FermionField,
-    dw: &'a DistWilson<'c>,
-    ws: &'a RefCell<DistWorkspace>,
-}
-
-impl Slab<'_, '_> {
-    fn norm2(&self) -> f64 {
-        self.dw.canon_norm2(&self.f, &mut self.ws.borrow_mut())
-    }
-}
-
-impl Vector for Slab<'_, '_> {
-    type Report = SolveReport;
-
-    fn zero_like(&self) -> Self {
-        Slab {
-            f: self.f.zero_like(),
-            dw: self.dw,
-            ws: self.ws,
-        }
-    }
-
-    fn norms2_into(&self, out: &mut [f64]) {
-        out[0] = self.norm2();
-    }
-
-    fn sub_norms2_into(&mut self, x: &Self, y: &Self, out: &mut [f64]) {
-        self.f.sub(&x.f, &y.f);
-        out[0] = self.norm2();
-    }
-
-    fn cg_update(
-        x: &mut Self,
-        r: &mut Self,
-        alpha: &[f64],
-        p: &Self,
-        ap: &Self,
-        _active: &[bool],
-        r2: &mut [f64],
-    ) {
-        cg_update_x_r(&mut x.f, &mut r.f, alpha[0], &p.f, &ap.f);
-        r2[0] = r.norm2();
-    }
-
-    fn aypx_active(&mut self, beta: &[f64], x: &Self, _active: &[bool]) {
-        self.f.aypx(beta[0], &x.f);
-    }
-}
-
-/// Distributed Conjugate Gradient on `M†M x = b`. The operator
-/// applications overlap comms with interior compute; every recurrence
-/// scalar is globally canonical, so for a fixed global lattice the solution
-/// and residual history are **bit-identical at any rank count**
-/// (uncompressed wire), and invariant under vector length and worker
-/// thread count.
+/// Distributed Conjugate Gradient on `M†M x = b`: the Krylov driver in
+/// [`DistWilson::normal`]. The operator applications overlap comms with
+/// interior compute; every recurrence scalar is a reduction of the rank
+/// grid, so for a fixed global lattice the solution and residual history
+/// are **bit-identical at any rank count** (uncompressed wire), and
+/// invariant under vector length and worker thread count. Every rank must
+/// call it, with the same arguments but its own slab of `b`.
 pub fn dist_cg(
     dw: &DistWilson,
     b: &FermionField,
     tol: f64,
     max_iter: usize,
 ) -> (FermionField, SolveReport) {
-    let grid = b.grid().clone();
-    let span = qcd_trace::span!("solver.dist_cg", grid.engine().ctx());
-    let ws = RefCell::new(DistWorkspace::new(dw));
-    let mut space = Operator::new(|p: &Slab, ap: &mut Slab, curv: &mut [f64]| {
-        let ws = &mut ws.borrow_mut();
-        dw.mdag_m_into(&p.f, ws, &mut ap.f);
-        curv[0] = dw.canon_inner_re(&p.f, &ap.f, ws);
-    });
-    let b = Slab {
-        f: b.clone(),
-        dw,
-        ws: &ws,
-    };
-    let (x, report) = krylov::cg_solve(
+    let span = qcd_trace::span!("solver.dist_cg", b.grid().engine().ctx());
+    let mut ws = DistWorkspace::new(dw);
+    let mut space = dw.normal(&mut ws);
+    krylov::cg_solve(
         &mut space,
-        &b,
+        b,
         Start::Zero,
         tol,
         max_iter,
         span,
         "solver.dist_cg",
         krylov::no_observer,
-    );
-    (x.f, report)
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::comms::{run_multinode_grid, run_multinode_topo, NetworkModel};
-    use crate::layout::Grid;
+    use crate::layout::{lex, Coor, Grid};
     use crate::simd::SimdBackend;
     use crate::solver::cg;
     use crate::tensor::su3::random_gauge;
@@ -839,16 +638,7 @@ mod tests {
                         let (dw, psil) = local_setup(ctx, wire);
                         let mut ws = DistWorkspace::new(&dw);
                         let mut out = FermionField::zero(ctx.grid.clone());
-                        let DistWorkspace {
-                            send_prev,
-                            send_next,
-                            halo_fwd,
-                            halo_bwd,
-                            ..
-                        } = &mut ws;
-                        dw.dslash_overlapped(
-                            &psil, &mut out, dagger, None, send_prev, send_next, halo_fwd, halo_bwd,
-                        );
+                        dw.dslash_overlapped(&psil, &mut out, dagger, None, &mut ws.faces);
                         assert_matches_global(ctx, &out, &reference);
                     });
                 }

@@ -15,7 +15,7 @@
 //!
 //! Scalars travel as slices of length `nrhs` — one entry for single-vector
 //! spaces — so a field, a block of right-hand sides, a 5-d fermion, a
-//! rank-local slab and a binary16 field all run the same loop. The driver
+//! field on a rank grid and a binary16 field all run the same loop. The driver
 //! owns every per-iteration scratch vector ([`Scratch`]); a steady-state
 //! [`cg_step`] allocates nothing the space's kernels do not.
 //!

@@ -11,8 +11,12 @@
 //! A [`Grid`] couples this geometry to a [`SimdEngine`]: the vector length
 //! is fixed at construction, the paper's `SVE_VECTOR_LENGTH` discipline
 //! ("we have to set a vector length at compile time, despite SVE being
-//! vector-length agnostic", Section V-A).
+//! vector-length agnostic", Section V-A). A grid is also its own
+//! communicator: the grid of one rank of a domain decomposition knows its
+//! place in the global lattice, and every reduction over it ends in the
+//! global sum (Grid's `GlobalSum`).
 
+use crate::comms::Communicator;
 use crate::simd::{SimdBackend, SimdEngine};
 use std::sync::Arc;
 use sve::SveFloat;
@@ -46,6 +50,13 @@ pub fn delex(mut idx: usize, dims: &Coor) -> Coor {
 
 /// The lattice: geometry (full dims, virtual-node layout) plus the SIMD
 /// engine everything on it computes with.
+///
+/// The grid of one rank (built only by
+/// [`run_multinode_topo`](crate::comms::run_multinode_topo)) is a *rank
+/// grid*: its extents are the rank's sub-lattice, and every reduction over
+/// a field on it is the canonical sum over the *global* lattice. Such a
+/// reduction is a **collective**, as Grid's `GlobalSum` is: every rank must
+/// make it, and all ranks must make their reductions in the same order.
 pub struct Grid<E: SveFloat = f64> {
     fdims: Coor,
     simd_layout: Coor,
@@ -54,6 +65,7 @@ pub struct Grid<E: SveFloat = f64> {
     volume: usize,
     engine: SimdEngine<E>,
     lex_slots: Vec<u32>,
+    comm: Option<Arc<Communicator>>,
 }
 
 impl<E: SveFloat> Grid<E> {
@@ -68,6 +80,17 @@ impl<E: SveFloat> Grid<E> {
 
     /// Build over an existing context (shared counters / injected faults).
     pub fn with_ctx(fdims: Coor, ctx: Arc<SveCtx>, backend: SimdBackend) -> Arc<Self> {
+        Self::build(fdims, ctx, backend, None)
+    }
+
+    /// [`Self::with_ctx`], or with `rank = Some((rank grid, communicator))` the
+    /// rank grid of one rank's sub-lattice `fdims`.
+    pub(crate) fn build(
+        fdims: Coor,
+        ctx: Arc<SveCtx>,
+        backend: SimdBackend,
+        rank: Option<(Coor, Arc<Communicator>)>,
+    ) -> Arc<Self> {
         let engine = SimdEngine::new(ctx, backend);
         let lanes_c = engine.lanes_c();
         let simd_layout = Self::decompose(fdims, lanes_c);
@@ -84,6 +107,8 @@ impl<E: SveFloat> Grid<E> {
         let volume: usize = fdims.iter().product();
         let osites: usize = rdims.iter().product();
         debug_assert_eq!(osites * lanes_c, volume);
+        let (rank_grid, comm) = rank.map_or(([1; NDIM], None), |(g, comm)| (g, Some(comm)));
+        let global: Coor = std::array::from_fn(|d| fdims[d] * rank_grid[d]);
         let mut grid = Grid {
             fdims,
             simd_layout,
@@ -91,12 +116,16 @@ impl<E: SveFloat> Grid<E> {
             osites,
             volume,
             engine,
-            lex_slots: Vec::with_capacity(volume),
+            lex_slots: Vec::with_capacity(global.iter().product()),
+            comm,
         };
-        for i in 0..volume {
-            let (osite, lane) = grid.coor_to_osite_lane(&delex(i, &fdims));
-            let slot = u32::try_from(osite * lanes_c + lane).expect("lattice too large");
-            grid.lex_slots.push(slot);
+        for i in 0..global.iter().product() {
+            let x = delex(i, &global);
+            let rank = lex(&std::array::from_fn(|d| x[d] / fdims[d]), &rank_grid);
+            let (osite, lane) = grid.coor_to_osite_lane(&std::array::from_fn(|d| x[d] % fdims[d]));
+            let slot = (rank * osites + osite) * lanes_c + lane;
+            grid.lex_slots
+                .push(u32::try_from(slot).expect("lattice too large"));
         }
         Arc::new(grid)
     }
@@ -199,9 +228,17 @@ impl<E: SveFloat> Grid<E> {
 
     /// The storage slot `osite · lanes_c + lane` of every site, in global
     /// lexicographic site order: the permutation through which a reduction
-    /// reads per-site values a sweep wrote in storage order.
+    /// reads per-site values a sweep wrote in storage order. On a rank grid
+    /// it covers the global lattice, rank `r`'s slots offset by `r ·
+    /// volume`: it reads the ranks' values allgathered in rank order.
     pub(crate) fn lex_slots(&self) -> &[u32] {
         &self.lex_slots
+    }
+
+    /// The communicator a rank grid's reductions travel; `None` on a grid
+    /// of the whole lattice.
+    pub(crate) fn comm(&self) -> Option<&Communicator> {
+        self.comm.as_deref()
     }
 
     /// Global lexicographic site index (layout independent; seeds the RNG

@@ -25,10 +25,10 @@
 //!   algebra with spin projectors, and the Wilson hopping term of Eq. (1),
 //!   "the most compute-intensive task" of LQCD.
 //! * **Solvers** ([`krylov`], [`solver`]): one Conjugate Gradient driver
-//!   over operator/vector-space impls (field, block, 5-d, rank-local,
-//!   binary16), the Wilson `cg` on `M†M` at either width, and BiCGStab.
+//!   over spaces of fields (field, block, 5-d, on a rank grid, binary16),
+//!   the Wilson `cg` on `M†M` at either width, and BiCGStab.
 //! * **Comms** ([`comms`]): simulated multi-rank domain decomposition with
-//!   halo exchange and optional binary16 wire compression (Section V-B).
+//!   halo exchange, binary16 wire compression (Section V-B), rank grids.
 //!
 //! # Quickstart
 //!

@@ -18,6 +18,8 @@
 //! binary split. The grouping depends only on the lattice extents: threads
 //! change where a site's value is computed, never which values are added in
 //! which order, and a fused update+reduce sweep stays one parallel region.
+//! On a rank grid every rank's values are allgathered first and the sum is
+//! the one over the global lattice — a collective (see [`Grid`]).
 
 use crate::layout::Grid;
 use rayon::prelude::*;
@@ -67,7 +69,8 @@ thread_local! {
 /// [`canonical_sum`] of row `r` over the whole lattice goes to `out[r %
 /// out.len()]`: with one entry per row, each row's own sum; with fewer, the
 /// rows sharing an entry added in row order (a 5-d fermion's norm is its
-/// slices' norms summed in slice order).
+/// slices' norms summed in slice order). On a rank grid every row is summed
+/// over the global lattice, after one allgather of all rows.
 pub fn sweep_sums<E: SveFloat, S: Chunked>(
     grid: &Grid<E>,
     data: ParChunks<S>,
@@ -81,13 +84,30 @@ pub fn sweep_sums<E: SveFloat, S: Chunked>(
     if partials.len() < len {
         partials.resize(len, 0.0);
     }
-    let part = &mut partials[..len];
-    part.par_chunks_mut(CHUNK_SITES * rows * lanes)
+    partials[..len]
+        .par_chunks_mut(CHUNK_SITES * rows * lanes)
         .zip(data)
         .enumerate()
         .for_each(|(ci, (p, d))| kernel(ci, d, p));
+    sum_rows(grid, &mut partials, rows, out);
+    PARTIALS.set(partials);
+}
+
+/// The tail of [`sweep_sums`], compiled once per element type rather than
+/// once per kernel: each row's canonical sum of the `rows` rows of per-site
+/// values in `partials` (on a rank grid, of every rank's) into `out`.
+fn sum_rows<E: SveFloat>(grid: &Grid<E>, partials: &mut Vec<f64>, rows: usize, out: &mut [f64]) {
+    let (lanes, slots) = (grid.lanes_c(), grid.lex_slots());
+    let len = grid.osites() * rows * lanes;
+    let gathered;
+    let part = match grid.comm() {
+        None => &partials[..len],
+        Some(comm) => {
+            gathered = comm.gather(partials, len);
+            &gathered[..]
+        }
+    };
     let (shift, lane) = (lanes.trailing_zeros(), lanes - 1);
-    let slots = grid.lex_slots();
     let entries = out.len();
     for row in 0..rows {
         let sum = canonical_sum(slots.len(), |i| {
@@ -97,7 +117,6 @@ pub fn sweep_sums<E: SveFloat, S: Chunked>(
         let o = &mut out[row % entries];
         *o = if row < entries { sum } else { *o + sum };
     }
-    PARTIALS.set(partials);
 }
 
 /// `Σ (a·b + c·d)` over the `[a, b, c, d]` of a site's components, in

@@ -52,28 +52,26 @@ fn allocations() -> u64 {
 /// Warm, barrier, measure `iters` overlapped `M†M` + canonical-norm
 /// sweeps, barrier, and return the counter delta observed by this rank.
 fn measured_sweeps(
-    ctx: &RankCtx,
     dw: &DistWilson,
     ws: &mut DistWorkspace,
     psi: &FermionField,
     out: &mut FermionField,
 ) -> u64 {
-    let mut bar = vec![0.0];
     for _ in 0..3 {
         dw.mdag_m_into(psi, ws, out);
         let _ = dw.canon_norm2(out, ws);
     }
     // All ranks finish warm-up (shell pools filled, halo buffers sized)
-    // before anyone snapshots the process-global counter.
-    bar = ctx.ring_allgather(bar, |_, _| {});
+    // before anyone snapshots the process-global counter: a reduction on
+    // the rank grid is a collective, so it is a barrier.
+    let _ = psi.norm2();
     let before = allocations();
     for _ in 0..10 {
         dw.mdag_m_into(psi, ws, out);
         let _ = dw.canon_norm2(out, ws);
     }
     // All ranks leave the measured region before the counter is read.
-    bar = ctx.ring_allgather(bar, |_, _| {});
-    drop(bar);
+    let _ = psi.norm2();
     allocations() - before
 }
 
@@ -95,7 +93,7 @@ fn distributed_steady_state_allocates_nothing() {
                 let dw = DistWilson::new(ctx, u, 0.2, GaugeWire::TwoRow, compression);
                 let mut ws = DistWorkspace::new(&dw);
                 let mut out = FermionField::zero(ctx.grid.clone());
-                measured_sweeps(ctx, &dw, &mut ws, &psi, &mut out)
+                measured_sweeps(&dw, &mut ws, &psi, &mut out)
             },
         );
         for (rank, delta) in deltas.iter().enumerate() {

@@ -10,6 +10,7 @@
 //! site kernel runs the exact op sequence of the global operator — so
 //! nothing in the configuration can move a single bit.
 
+use grid::field::cg_update_x_r;
 use grid::prelude::*;
 use grid::{Coor, NDIM};
 
@@ -87,6 +88,50 @@ fn distributed_solve_is_invariant_across_ranks_vl_and_threads() {
                             "solution differs at R={nranks} VL={bits} threads={threads}"
                         );
                     }
+                }
+            }
+        }
+    }
+    rayon::set_num_threads(0);
+}
+
+/// The bits of every kind of reduction the Krylov driver steers by, over
+/// fields of one grid: `|a|²`, `⟨a, b⟩`, the fused `sub_norms2` and the
+/// fused CG update's `|r|²`.
+fn reduction_bits(a: &FermionField, b: &FermionField, c: &FermionField) -> Vec<u64> {
+    let z = a.inner(b);
+    let mut diff = FermionField::zero(a.grid().clone());
+    let mut sub = [0.0];
+    diff.sub_norms2(a, b, &mut sub);
+    let (mut x, mut r) = (c.clone(), b.clone());
+    let r2 = cg_update_x_r(&mut x, &mut r, 0.37, a, c);
+    [a.norm2(), z.re, z.im, sub[0], r2]
+        .map(f64::to_bits)
+        .to_vec()
+}
+
+#[test]
+fn rank_grid_reductions_are_the_global_fields_bitwise() {
+    // A reduction over a rank-local field is the canonical sum over the
+    // global lattice: every rank gets the global field's bits.
+    for threads in [1usize, 2] {
+        rayon::set_num_threads(threads);
+        for rank_grid in [[1, 1, 1, 2], [1, 1, 2, 2], [2, 1, 2, 2]] {
+            for bits in [128usize, 512, 2048] {
+                let vl = VectorLength::of(bits);
+                let g = Grid::new(GLOBAL, vl, SimdBackend::Fcmla);
+                let [a, b, c] = [21, 22, 23].map(|seed| FermionField::random(g.clone(), seed));
+                let want = reduction_bits(&a, &b, &c);
+                let per_rank =
+                    run_multinode_grid(GLOBAL, rank_grid, vl, SimdBackend::Fcmla, |ctx| {
+                        let [a, b, c] = [&a, &b, &c].map(|f| restrict_field(ctx, f));
+                        reduction_bits(&a, &b, &c)
+                    });
+                for (rank, got) in per_rank.iter().enumerate() {
+                    assert_eq!(
+                        got, &want,
+                        "rank {rank} of {rank_grid:?} at VL{bits} × {threads} threads"
+                    );
                 }
             }
         }

@@ -18,8 +18,9 @@
 //!
 //! — identity on the complement of the coarse space, the exact coarse
 //! solve on it. Both terms are Hermitian positive-definite, so `M⁻¹` is a
-//! valid (fixed, linear) CG preconditioner, and [`coarse_pcg`] runs
-//! standard preconditioned CG with it.
+//! valid (fixed, linear) CG preconditioner, and
+//! [`CoarseSpace::two_level`] is the space the Krylov driver runs
+//! preconditioned CG in.
 //!
 //! # Determinism
 //!
@@ -33,10 +34,9 @@
 use crate::dense::Cholesky;
 use grid::dirac::WilsonDirac;
 use grid::field::FermionKind;
-use grid::krylov::{self, CgSpace, Start, Vector};
+use grid::krylov::CgSpace;
 use grid::layout::{delex, lex};
 use grid::mixed::{to_precision, to_precision_into};
-use grid::solver::SolveReport;
 use grid::{Complex, Coor, Field, FieldKind, Grid};
 use std::sync::Arc;
 use sve::{SveFloat, F16};
@@ -243,6 +243,27 @@ impl<E: SveFloat> CoarseSpace<E> {
     pub fn cdims(&self) -> Coor {
         self.cdims
     }
+
+    /// The space `fine` (e.g. `krylov::fused` on `M†M`) preconditioned by
+    /// this two-level correction, `M⁻¹ r = (I − P P†) r + P A_c⁻¹ P† r`,
+    /// for `krylov::cg_solve` with any start and observer. With a
+    /// `smoother`, the additive term `p_k(A) r` joins it, computed in
+    /// binary16: the coarse solve removes the low end of the spectrum, the
+    /// smoother damps the high end. Every steering scalar is canonical, and
+    /// convergence is tested on `|r|/|b|` like the unpreconditioned CG, so
+    /// iteration counts compare directly; the benchmarks solve under an
+    /// `mg.coarse` span in the `solver.coarse_pcg` region.
+    pub fn two_level<'a, A: CgSpace<V = Field<FermionKind, E>>>(
+        &'a self,
+        fine: A,
+        smoother: Option<&'a mut F16Smoother<E>>,
+    ) -> TwoLevel<'a, E, A> {
+        TwoLevel {
+            fine,
+            cs: self,
+            smoother,
+        }
+    }
 }
 
 /// A fixed-polynomial **binary16 smoother**: [`STEPS`](Self::STEPS)
@@ -326,11 +347,11 @@ impl<E: SveFloat> F16Smoother<E> {
     }
 }
 
-/// The fused Wilson space with the two-level correction of a
-/// [`CoarseSpace`] (plus an optional [`F16Smoother`] term) as its
-/// preconditioner; the recurrence, including "skip `M⁻¹` once converged",
-/// is the driver's.
-struct TwoLevel<'a, E: SveFloat, A> {
+/// A space with the two-level correction of a [`CoarseSpace`] (plus an
+/// optional [`F16Smoother`] term) as its preconditioner
+/// ([`CoarseSpace::two_level`]); the recurrence, including "skip `M⁻¹` once
+/// converged", is the driver's.
+pub struct TwoLevel<'a, E: SveFloat, A> {
     fine: A,
     cs: &'a CoarseSpace<E>,
     smoother: Option<&'a mut F16Smoother<E>>,
@@ -351,43 +372,4 @@ impl<E: SveFloat, A: CgSpace<V = Field<FermionKind, E>>> CgSpace for TwoLevel<'_
         rz[0] = r.inner(z).re;
         true
     }
-}
-
-/// Preconditioned Conjugate Gradient on `M†M` with the two-level coarse
-/// correction of `cs` as the (fixed, HPD) preconditioner:
-/// `M⁻¹ r = (I − P P†) r + P A_c⁻¹ P† r`. With a `smoother`, the additive
-/// term `p_k(A) r` joins it, computed in binary16: the coarse solve removes
-/// the low end of the spectrum, the smoother damps the high end, and the
-/// smoother's operator applications run on the f16 compute tier.
-///
-/// Every steering scalar is canonical; convergence is tested on the true
-/// residual norm `|r|/|b|` like the unpreconditioned CG, so iteration
-/// counts compare directly. Runs under an `mg.coarse` span with health
-/// monitoring in the `solver.coarse_pcg` region.
-pub fn coarse_pcg<E: SveFloat>(
-    op: &WilsonDirac<E>,
-    cs: &CoarseSpace<E>,
-    smoother: Option<&mut F16Smoother<E>>,
-    b: &Field<FermionKind, E>,
-    tol: f64,
-    max_iter: usize,
-) -> (Field<FermionKind, E>, SolveReport) {
-    let grid = b.grid().clone();
-    let span = qcd_trace::span!("mg.coarse", grid.engine().ctx());
-    let mut tmp = b.zero_like();
-    let mut space = TwoLevel {
-        fine: krylov::fused(op, &mut tmp),
-        cs,
-        smoother,
-    };
-    krylov::cg_solve(
-        &mut space,
-        b,
-        Start::Zero,
-        tol,
-        max_iter,
-        span,
-        "solver.coarse_pcg",
-        krylov::no_observer,
-    )
 }

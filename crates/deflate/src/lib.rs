@@ -18,7 +18,7 @@
 //!   seeds the precision ladder.
 //! * **Coarse grid** ([`coarse`]): cell-blocked near-null vectors,
 //!   Galerkin triple-product coarse operator, and a two-level
-//!   preconditioner inside CG ([`coarse_pcg`]).
+//!   preconditioner inside CG ([`CoarseSpace::two_level`]).
 //! * **Persistence** ([`persist`]): subspaces stored as `qcd-io/v1`
 //!   `defl.*` records at f64/f32/f16 tiers, validated on load
 //!   (wrong-lattice and wrong-mass are typed errors), so farm jobs load a
@@ -50,6 +50,6 @@ pub mod dense;
 pub mod lanczos;
 pub mod persist;
 
-pub use coarse::{coarse_pcg, CoarseSpace, F16Smoother};
+pub use coarse::{CoarseSpace, F16Smoother, TwoLevel};
 pub use defl::{defl_cg, galerkin_guess, galerkin_guess_f16};
 pub use lanczos::{build_subspace, lanczos, EigenReport, LanczosParams, Subspace};

@@ -12,10 +12,11 @@
 
 use std::sync::{Arc, OnceLock};
 
+use grid::krylov::{self, Start};
 use grid::prelude::*;
 use qcd_deflate::{
-    coarse_pcg, defl_cg, galerkin_guess, galerkin_guess_f16, lanczos, CoarseSpace, F16Smoother,
-    LanczosParams, Subspace,
+    defl_cg, galerkin_guess, galerkin_guess_f16, lanczos, CoarseSpace, F16Smoother, LanczosParams,
+    Subspace,
 };
 use qcd_hmc::{HmcParams, IntegratorKind, MarkovChain};
 
@@ -192,15 +193,39 @@ fn wrong_mass_subspace_is_rejected() {
     let _ = defl_cg(&other, &f.sub, &b, TOL, 100);
 }
 
+/// CG on `M†M` in the fused space preconditioned by `cs` (and `smoother`),
+/// as the deflation benchmark runs it.
+fn two_level_cg(
+    f: &Fixture,
+    cs: &CoarseSpace,
+    smoother: Option<&mut F16Smoother>,
+    b: &FermionField,
+) -> (FermionField, SolveReport) {
+    let mut tmp = FermionField::zero(f.grid.clone());
+    let mut space = cs.two_level(krylov::fused(&f.op, &mut tmp), smoother);
+    let span = qcd_trace::span!("mg.coarse", f.grid.engine().ctx());
+    let region = "solver.coarse_pcg";
+    krylov::cg_solve(
+        &mut space,
+        b,
+        Start::Zero,
+        TOL,
+        6000,
+        span,
+        region,
+        krylov::no_observer,
+    )
+}
+
 #[test]
-fn coarse_pcg_beats_plain_cg_on_the_thermalized_config() {
+fn two_level_cg_beats_plain_cg_on_the_thermalized_config() {
     let f = fixture();
     let cs = CoarseSpace::build(&f.op, &f.sub.vectors, [2, 2, 2, 2]);
     assert_eq!(cs.cdims(), [2, 2, 2, 2]);
     assert_eq!(cs.ncoarse(), 16 * f.sub.nev());
     let b = FermionField::random(f.grid.clone(), 11);
     let (x_plain, rep_plain) = cg(&f.op, &b, TOL, 6000);
-    let (x_pcg, rep_pcg) = coarse_pcg(&f.op, &cs, None, &b, TOL, 6000);
+    let (x_pcg, rep_pcg) = two_level_cg(f, &cs, None, &b);
     assert!(rep_plain.converged && rep_pcg.converged);
     assert!(
         rep_pcg.iterations < rep_plain.iterations,
@@ -299,9 +324,9 @@ fn f16_smoothed_pcg_converges_to_the_same_solution() {
     let f = fixture();
     let cs = CoarseSpace::build(&f.op, &f.sub.vectors, [2, 2, 2, 2]);
     let b = FermionField::random(f.grid.clone(), 11);
-    let (x_pcg, rep_pcg) = coarse_pcg(&f.op, &cs, None, &b, TOL, 6000);
+    let (x_pcg, rep_pcg) = two_level_cg(f, &cs, None, &b);
     let mut sm = F16Smoother::new(&f.op);
-    let (x_sm, rep_sm) = coarse_pcg(&f.op, &cs, Some(&mut sm), &b, TOL, 6000);
+    let (x_sm, rep_sm) = two_level_cg(f, &cs, Some(&mut sm), &b);
     assert!(rep_pcg.converged && rep_sm.converged);
     // The additive f16 term perturbs the preconditioner at the binary16
     // grain — it must not derail convergence (small slack over the
@@ -317,7 +342,7 @@ fn f16_smoothed_pcg_converges_to_the_same_solution() {
     assert!(d.norm2().sqrt() / x_pcg.norm2().sqrt() < 1e-5);
     // The smoother genuinely ran in binary16, and rerunning it on the
     // same right-hand side is deterministic bit for bit.
-    let (x_sm2, rep_sm2) = coarse_pcg(&f.op, &cs, Some(&mut sm), &b, TOL, 6000);
+    let (x_sm2, rep_sm2) = two_level_cg(f, &cs, Some(&mut sm), &b);
     assert_eq!(rep_sm2.iterations, rep_sm.iterations);
     assert_eq!(rep_sm2.residual.to_bits(), rep_sm.residual.to_bits());
     assert_eq!(x_sm2.max_abs_diff(&x_sm), 0.0);

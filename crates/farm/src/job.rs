@@ -18,7 +18,7 @@
 
 use grid::prelude::*;
 use qcd_hmc::{HmcParams, IntegratorKind};
-use qcd_io::{Container, IoError, Record, Result};
+use qcd_io::{Container, Cursor, IoError, Record, Result};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -53,12 +53,12 @@ impl Priority {
         }
     }
 
-    fn from_u8(v: u8) -> Result<Priority> {
-        match v {
+    fn read(d: &mut Cursor) -> Result<Priority> {
+        match d.u8("priority tag")? {
             0 => Ok(Priority::Low),
             1 => Ok(Priority::Normal),
             2 => Ok(Priority::High),
-            other => Err(bad(format!("unknown priority tag {other}"))),
+            other => Err(d.bad(format!("unknown priority tag {other}"))),
         }
     }
 }
@@ -178,9 +178,13 @@ impl JobSpec {
                 && s.chars()
                     .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
         };
+        let invalid = |msg| IoError::BadRecord {
+            record: JOB_RECORD.to_string(),
+            msg,
+        };
         let name = self.name();
         if !ok_stem(name) {
-            return Err(bad(format!(
+            return Err(invalid(format!(
                 "job name `{name}` must be non-empty [A-Za-z0-9_-]"
             )));
         }
@@ -190,7 +194,7 @@ impl JobSpec {
         }) = self
         {
             if !ok_stem(stem) {
-                return Err(bad(format!(
+                return Err(invalid(format!(
                     "subspace stem `{stem}` must be non-empty [A-Za-z0-9_-]"
                 )));
             }
@@ -225,13 +229,6 @@ impl JobPaths {
     }
 }
 
-fn bad(msg: String) -> IoError {
-    IoError::BadRecord {
-        record: JOB_RECORD.to_string(),
-        msg,
-    }
-}
-
 /// Little-endian spec payload writer.
 #[derive(Default)]
 struct Enc(Vec<u8>);
@@ -252,64 +249,6 @@ impl Enc {
     }
 }
 
-/// Bounds-checked little-endian payload reader.
-struct Dec<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Dec { bytes, pos: 0 }
-    }
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
-        if n > self.bytes.len() - self.pos {
-            return Err(bad(format!("payload too short for {what}")));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self, what: &str) -> Result<u8> {
-        Ok(self.take(1, what)?[0])
-    }
-    fn u64(&mut self, what: &str) -> Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("8 bytes"),
-        ))
-    }
-    fn f64(&mut self, what: &str) -> Result<f64> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-    fn str(&mut self, what: &str) -> Result<String> {
-        let len = self.u64(what)? as usize;
-        let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| bad(format!("{what} is not UTF-8")))
-    }
-    /// A count of `item_bytes`-sized items still to come. It is bounded by
-    /// the bytes left in the payload, so a forged count is a typed error
-    /// before it can size an allocation.
-    fn count(&mut self, item_bytes: u64, what: &str) -> Result<usize> {
-        let n = self.u64(what)?;
-        let left = (self.bytes.len() - self.pos) as u64;
-        if n.checked_mul(item_bytes).is_none_or(|need| need > left) {
-            return Err(bad(format!(
-                "{what} {n} exceeds the {left} payload bytes that follow"
-            )));
-        }
-        Ok(n as usize)
-    }
-    fn done(&self) -> Result<()> {
-        if self.pos != self.bytes.len() {
-            return Err(bad(format!(
-                "{} trailing bytes after the last field",
-                self.bytes.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
-}
-
 fn config_record(cfg: &FarmConfig) -> Record {
     let mut e = Enc::default();
     for d in cfg.dims {
@@ -321,7 +260,7 @@ fn config_record(cfg: &FarmConfig) -> Record {
 }
 
 fn config_from_record(r: &Record) -> Result<FarmConfig> {
-    let mut d = Dec::new(&r.payload);
+    let mut d = Cursor::new(&r.payload, CONFIG_RECORD);
     let mut dims = [0usize; 4];
     for dim in &mut dims {
         *dim = d.u64("lattice extent")? as usize;
@@ -336,7 +275,7 @@ fn config_from_record(r: &Record) -> Result<FarmConfig> {
     ]
     .into_iter()
     .find(|b| b.name() == backend_name)
-    .ok_or_else(|| bad(format!("unknown backend `{backend_name}`")))?;
+    .ok_or_else(|| d.bad(format!("unknown backend `{backend_name}`")))?;
     Ok(FarmConfig {
         dims,
         vl_bits,
@@ -387,10 +326,10 @@ fn job_record(spec: &JobSpec) -> Record {
 }
 
 fn job_from_record(r: &Record) -> Result<JobSpec> {
-    let mut d = Dec::new(&r.payload);
+    let mut d = Cursor::new(&r.payload, JOB_RECORD);
     let kind = d.u8("job kind tag")?;
     let name = d.str("job name")?;
-    let priority = Priority::from_u8(d.u8("priority tag")?)?;
+    let priority = Priority::read(&mut d)?;
     let spec = match kind {
         0 => {
             let seed = d.u64("chain seed")?;
@@ -400,7 +339,7 @@ fn job_from_record(r: &Record) -> Result<JobSpec> {
             let integrator = match d.u8("integrator tag")? {
                 0 => IntegratorKind::Leapfrog,
                 1 => IntegratorKind::Omelyan,
-                other => return Err(bad(format!("unknown integrator tag {other}"))),
+                other => return Err(d.bad(format!("unknown integrator tag {other}"))),
             };
             let trajectories = d.u64("trajectory target")?;
             let chunk = d.u64("chunk size")?;
@@ -426,9 +365,9 @@ fn job_from_record(r: &Record) -> Result<JobSpec> {
             let subspace = match d.u8("subspace flag")? {
                 0 => None,
                 1 => Some(d.str("subspace stem")?),
-                other => return Err(bad(format!("unknown subspace flag {other}"))),
+                other => return Err(d.bad(format!("unknown subspace flag {other}"))),
             };
-            let n = d.count(8, "request count")?;
+            let n = d.count("request count", 8)?;
             let mut rhs_seeds = Vec::with_capacity(n);
             for _ in 0..n {
                 rhs_seeds.push(d.u64("RHS seed")?);
@@ -444,7 +383,7 @@ fn job_from_record(r: &Record) -> Result<JobSpec> {
                 subspace,
             })
         }
-        other => return Err(bad(format!("unknown job kind tag {other}"))),
+        other => return Err(d.bad(format!("unknown job kind tag {other}"))),
     };
     d.done()?;
     Ok(spec)
@@ -527,7 +466,7 @@ fn done_record(digest: &DoneDigest) -> Record {
 }
 
 fn done_from_record(r: &Record) -> Result<DoneDigest> {
-    let mut d = Dec::new(&r.payload);
+    let mut d = Cursor::new(&r.payload, DONE_RECORD);
     let digest = match d.u8("digest kind tag")? {
         0 => DoneDigest::Hmc {
             trajectory: d.u64("trajectory")?,
@@ -535,7 +474,7 @@ fn done_from_record(r: &Record) -> Result<DoneDigest> {
             accepted: d.u64("accepted count")?,
         },
         1 => {
-            let n = d.count(32, "request count")?;
+            let n = d.count("request count", 32)?;
             let mut reqs = Vec::with_capacity(n);
             for _ in 0..n {
                 reqs.push(RequestDigest {
@@ -547,7 +486,7 @@ fn done_from_record(r: &Record) -> Result<DoneDigest> {
             }
             DoneDigest::Solve(reqs)
         }
-        other => return Err(bad(format!("unknown digest kind tag {other}"))),
+        other => return Err(d.bad(format!("unknown digest kind tag {other}"))),
     };
     d.done()?;
     Ok(digest)
@@ -699,5 +638,52 @@ mod tests {
         let mut payload = done.payload.clone();
         payload[1..9].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(done_from_record(&Record::new(DONE_RECORD, payload)).is_err());
+    }
+
+    #[test]
+    fn torn_and_forged_config_and_done_payloads_name_their_own_record() {
+        let named = |err: IoError, record: &str, what: &str| match err {
+            IoError::BadRecord { record: r, msg } => {
+                assert_eq!(r, record, "{msg}");
+                assert!(msg.contains(what), "{msg}");
+            }
+            other => panic!("not a record error: {other}"),
+        };
+        let config = config_record(&cfg());
+        let torn = Record::new(CONFIG_RECORD, config.payload[..3].to_vec());
+        named(
+            config_from_record(&torn).unwrap_err(),
+            CONFIG_RECORD,
+            "payload too short for lattice extent",
+        );
+        // The backend name's length prefix follows four extents and the
+        // vector length.
+        let mut payload = config.payload.clone();
+        payload[40..48].copy_from_slice(&u64::MAX.to_le_bytes());
+        let forged = Record::new(CONFIG_RECORD, payload);
+        named(
+            config_from_record(&forged).unwrap_err(),
+            CONFIG_RECORD,
+            "backend name",
+        );
+
+        let hmc = done_record(&DoneDigest::Hmc {
+            trajectory: 12,
+            plaquette_bits: 0.58f64.to_bits(),
+            accepted: 11,
+        });
+        let torn = Record::new(DONE_RECORD, hmc.payload[..5].to_vec());
+        named(
+            done_from_record(&torn).unwrap_err(),
+            DONE_RECORD,
+            "payload too short for trajectory",
+        );
+        let mut payload = done_record(&DoneDigest::Solve(Vec::new())).payload;
+        payload[1..9].copy_from_slice(&u64::MAX.to_le_bytes());
+        named(
+            done_from_record(&Record::new(DONE_RECORD, payload)).unwrap_err(),
+            DONE_RECORD,
+            "request count",
+        );
     }
 }

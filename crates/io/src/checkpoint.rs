@@ -76,10 +76,10 @@ pub(crate) fn decode_scalars(payload: &[u8]) -> Result<Scalars> {
     };
     for _ in 0..nrhs {
         s.iterations.push(cur.u64("iteration count")? as usize);
-        s.r2.push(f64::from_bits(cur.u64("r2")?));
-        s.b_norm2.push(f64::from_bits(cur.u64("b_norm2")?));
+        s.r2.push(cur.f64("r2")?);
+        s.b_norm2.push(cur.f64("b_norm2")?);
         let n = cur.count("history length", 8)?;
-        let history = (0..n).map(|_| Ok(f64::from_bits(cur.u64("history entry")?)));
+        let history = (0..n).map(|_| cur.f64("history entry"));
         s.histories.push(history.collect::<Result<_>>()?);
     }
     cur.done()?;

@@ -105,7 +105,7 @@ impl FieldMeta {
         })?;
         let plaquette = match cur.u8("plaquette flag")? {
             0 => None,
-            1 => Some(f64::from_bits(cur.u64("plaquette")?)),
+            1 => Some(cur.f64("plaquette")?),
             f => {
                 return Err(IoError::BadRecord {
                     record: record.to_string(),
@@ -130,15 +130,18 @@ impl FieldMeta {
     }
 }
 
-/// A bounds-checked little-endian byte cursor with record-attributed errors.
-pub(crate) struct Cursor<'a> {
+/// A bounds-checked little-endian byte cursor over one record's payload:
+/// every error is a typed [`IoError::BadRecord`] naming that record, and a
+/// forged count is refused before it can size an allocation.
+pub struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
     record: &'a str,
 }
 
 impl<'a> Cursor<'a> {
-    pub(crate) fn new(bytes: &'a [u8], record: &'a str) -> Self {
+    /// A cursor at the start of `bytes`, the payload of `record`.
+    pub fn new(bytes: &'a [u8], record: &'a str) -> Self {
         Cursor {
             bytes,
             pos: 0,
@@ -146,60 +149,78 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    pub(crate) fn bytes(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
+    /// The typed error of this record: `msg` attributed to it.
+    pub fn bad(&self, msg: String) -> IoError {
+        IoError::BadRecord {
+            record: self.record.to_string(),
+            msg,
+        }
+    }
+
+    /// The next `n` bytes.
+    pub fn bytes(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
         if n > self.bytes.len() - self.pos {
-            return Err(IoError::BadRecord {
-                record: self.record.to_string(),
-                msg: format!("payload too short for {what}"),
-            });
+            return Err(self.bad(format!("payload too short for {what}")));
         }
         let s = &self.bytes[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
     }
 
-    pub(crate) fn u8(&mut self, what: &str) -> Result<u8> {
+    /// One byte.
+    pub fn u8(&mut self, what: &str) -> Result<u8> {
         Ok(self.bytes(1, what)?[0])
     }
 
-    pub(crate) fn u16(&mut self, what: &str) -> Result<u16> {
+    /// A little-endian `u16`.
+    pub fn u16(&mut self, what: &str) -> Result<u16> {
         Ok(u16::from_le_bytes(
             self.bytes(2, what)?.try_into().expect("2 bytes"),
         ))
     }
 
-    pub(crate) fn u64(&mut self, what: &str) -> Result<u64> {
+    /// A little-endian `u64`.
+    pub fn u64(&mut self, what: &str) -> Result<u64> {
         Ok(u64::from_le_bytes(
             self.bytes(8, what)?.try_into().expect("8 bytes"),
         ))
     }
 
+    /// An `f64` stored as its raw bits.
+    pub fn f64(&mut self, what: &str) -> Result<f64> {
+        Ok(f64::from_bits(self.u64(what)?))
+    }
+
+    /// A UTF-8 string behind a `u64` byte length.
+    pub fn str(&mut self, what: &str) -> Result<String> {
+        let len = self.u64(what)? as usize;
+        let bytes = self.bytes(len, what)?;
+        String::from_utf8(bytes.to_vec()).map_err(|_| self.bad(format!("{what} is not UTF-8")))
+    }
+
     /// A count of items of at least `min_item_bytes` each still to come.
     /// It is bounded by the bytes left in the payload, so a forged count is
     /// a typed error before it can size an allocation.
-    pub(crate) fn count(&mut self, what: &str, min_item_bytes: usize) -> Result<usize> {
+    pub fn count(&mut self, what: &str, min_item_bytes: usize) -> Result<usize> {
         let n = self.u64(what)?;
         let left = (self.bytes.len() - self.pos) as u64;
         if n.checked_mul(min_item_bytes as u64)
             .is_none_or(|need| need > left)
         {
-            return Err(IoError::BadRecord {
-                record: self.record.to_string(),
-                msg: format!("{what} {n} exceeds the {left} payload bytes that follow"),
-            });
+            return Err(self.bad(format!(
+                "{what} {n} exceeds the {left} payload bytes that follow"
+            )));
         }
         Ok(n as usize)
     }
 
-    pub(crate) fn done(&self) -> Result<()> {
+    /// The payload must end here.
+    pub fn done(&self) -> Result<()> {
         if self.pos != self.bytes.len() {
-            return Err(IoError::BadRecord {
-                record: self.record.to_string(),
-                msg: format!(
-                    "{} trailing bytes after the last field",
-                    self.bytes.len() - self.pos
-                ),
-            });
+            return Err(self.bad(format!(
+                "{} trailing bytes after the last field",
+                self.bytes.len() - self.pos
+            )));
         }
         Ok(())
     }

@@ -135,7 +135,7 @@ impl HmcChainState {
         state.dh_history = Vec::with_capacity(n);
         state.accept_history = Vec::with_capacity(n);
         for _ in 0..n {
-            state.dh_history.push(f64::from_bits(hcur.u64("dH entry")?));
+            state.dh_history.push(hcur.f64("dH entry")?);
             let a = hcur.u8("accept flag")?;
             if a > 1 {
                 return Err(IoError::BadRecord {
@@ -158,8 +158,8 @@ impl HmcChainState {
     pub(crate) fn from_chain_record(chain: &Record) -> Result<Self> {
         let mut cur = Cursor::new(&chain.payload, HMC_RECORD);
         let state = HmcChainState {
-            beta: f64::from_bits(cur.u64("beta")?),
-            step_size: f64::from_bits(cur.u64("step size")?),
+            beta: cur.f64("beta")?,
+            step_size: cur.f64("step size")?,
             n_steps: cur.u64("step count")?,
             integrator: cur.u8("integrator id")?,
             seed: cur.u64("chain seed")?,

@@ -72,13 +72,13 @@ fn scalars_record(mass: f64, values: &[f64], residuals: &[f64]) -> Record {
 
 fn decode_scalars(record: &Record) -> Result<(f64, Vec<f64>, Vec<f64>)> {
     let mut cur = Cursor::new(&record.payload, DEFL_SCALARS_RECORD);
-    let mass = f64::from_bits(cur.u64("operator mass")?);
+    let mass = cur.f64("operator mass")?;
     let nev = cur.count("eigenpair count", 16)?; // eigenvalue + residual
     let mut values = Vec::with_capacity(nev);
     let mut residuals = Vec::with_capacity(nev);
     for _ in 0..nev {
-        values.push(f64::from_bits(cur.u64("eigenvalue")?));
-        residuals.push(f64::from_bits(cur.u64("residual")?));
+        values.push(cur.f64("eigenvalue")?);
+        residuals.push(cur.f64("residual")?);
     }
     cur.done()?;
     Ok((mass, values, residuals))
