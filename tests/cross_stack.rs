@@ -317,6 +317,86 @@ fn domain_wall_bits_are_pinned() {
 
 const DWF_F64: (u64, usize, u64) = (0x13ab_c30f_f509_09b2, 163, 0x3e44_cf75_f3e3_a837);
 
+/// A fermion field's every bit in global lexicographic site order.
+fn lex_bits(g: &grid::Grid, f: &grid::FermionField) -> Vec<f64> {
+    g.coords()
+        .flat_map(|c| (0..12).map(move |comp| f.peek(&c, comp)))
+        .flat_map(|z| [z.re, z.im])
+        .collect()
+}
+
+#[test]
+fn even_odd_solve_bits_are_pinned() {
+    // Every bit of the even-odd Schur solve: the solution in global
+    // lexicographic site order, the iteration count, the residual and the
+    // modeled instructions the whole solve retired (4⁴, m 0.2). The bits
+    // are the same at every vector length; the instruction total is the
+    // vector length's own.
+    use grid::prelude::*;
+    for (k, bits) in [128, 512, 2048].into_iter().enumerate() {
+        let g = Grid::new([4, 4, 4, 4], VectorLength::of(bits), SimdBackend::Fcmla);
+        let op = WilsonDirac::new(random_gauge(g.clone(), 9), 0.2);
+        let b = FermionField::random(g.clone(), 10);
+        let counters = g.engine().ctx().counters();
+        counters.reset();
+        let (x, report) = solve_eo(&op, &b, 1e-8, 1000);
+        let insts = counters.total();
+        assert_eq!(
+            (
+                fnv1a(&lex_bits(&g, &x)),
+                report.iterations,
+                report.residual.to_bits()
+            ),
+            (EO_F64.0, EO_F64.1, EO_F64.2),
+            "eo solution, iterations, residual at VL{bits}"
+        );
+        assert_eq!(insts, EO_F64.3[k], "eo solve instructions at VL{bits}");
+    }
+}
+
+const EO_F64: (u64, usize, u64, [u64; 3]) = (
+    0x87e6_2376_480e_81e3,
+    17,
+    0x3e3e_36f6_50ea_89e1,
+    [15_086_798, 3_934_478, 1_024_430],
+);
+
+#[test]
+fn clover_bits_are_pinned() {
+    // Every bit of the clover operator and of a CG solve of its normal
+    // equations: `M ψ`, `M† ψ` and the solution in global lexicographic
+    // site order, then the iteration count and the residual (4⁴, m 0.3,
+    // c_sw 1.0).
+    use grid::krylov::{cg_solve, no_observer, Start};
+    use grid::prelude::*;
+    for bits in [128, 512, 2048] {
+        let g = Grid::new([4, 4, 4, 4], VectorLength::of(bits), SimdBackend::Fcmla);
+        let op = CloverWilson::new(random_gauge(g.clone(), 11), 0.3, 1.0);
+        let psi = FermionField::random(g.clone(), 12);
+        let (x, report) = cg_solve(
+            &mut grid::krylov::Allocating::new(g.clone(), |v: &FermionField| op.mdag_m(v)),
+            &psi,
+            Start::Zero,
+            1e-8,
+            1000,
+            qcd_trace::span!("solver.clover"),
+            "solver.clover",
+            no_observer,
+        );
+        let mut lex = Vec::new();
+        for f in [op.apply(&psi), op.apply_dag(&psi), x] {
+            lex.extend(lex_bits(&g, &f));
+        }
+        assert_eq!(
+            (fnv1a(&lex), report.iterations, report.residual.to_bits()),
+            CLOVER_F64,
+            "M ψ, M† ψ, cg solution, iterations, residual at VL{bits}"
+        );
+    }
+}
+
+const CLOVER_F64: (u64, usize, u64) = (0x9128_aa35_a434_ccf2, 42, 0x3e3f_4f42_2b9b_f14e);
+
 #[test]
 fn registers_and_words_take_the_bytes_they_are_sized_for() {
     // The point of sizing lane storage: a word of the paper's vector
