@@ -106,7 +106,7 @@ pub fn run(therm: &Thermalized, cfg: &DeflationConfig) -> Result<Json, String> {
     let mut tmp = FermionField::zero(op.grid().clone());
     let span = qcd_trace::span!("mg.coarse", op.grid().engine().ctx());
     let (_, coarse) = krylov::cg_solve(
-        &mut cs.two_level(krylov::fused(op, &mut tmp), None),
+        &mut cs.two_level(op.normal(&mut tmp), None),
         &fields[0],
         Start::Zero,
         cfg.tol,

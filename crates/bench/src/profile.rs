@@ -314,7 +314,7 @@ pub fn write_interrupted_checkpoint(path: &str) -> Result<(usize, usize, u64), S
     let mut checkpointer =
         qcd_io::Checkpointer::every(CHECKPOINT_DEMO_EVERY, std::path::Path::new(path));
     let (_, report) = checkpoint_demo_solve(
-        &mut krylov::fused(&op, &mut FermionField::zero(b.grid().clone())),
+        &mut op.normal(&mut FermionField::zero(b.grid().clone())),
         &b,
         Start::Zero,
         CHECKPOINT_DEMO_KILL_AT,
@@ -342,7 +342,7 @@ pub fn resume_from_checkpoint(path: &str) -> Result<(usize, SolveReport), String
     let (op, b) = checkpoint_demo_problem();
     let path = std::path::Path::new(path);
     let mut tmp = FermionField::zero(b.grid().clone());
-    let mut space = krylov::fused(&op, &mut tmp);
+    let mut space = op.normal(&mut tmp);
     let start = qcd_io::resume(&b, path).map_err(|e| format!("load {}: {e}", path.display()))?;
     let resumed_from = match &start {
         Start::State(state) => state.iterations[0],

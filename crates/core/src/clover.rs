@@ -10,7 +10,7 @@
 //! lowered through the complex-arithmetic backends — applied site-locally.
 
 use crate::complex::Complex;
-use crate::dirac::WilsonDirac;
+use crate::dirac::{Dirac, WilsonDirac};
 use crate::field::{spinor_comp, FermionField, GaugeField};
 use crate::gauge::TransformField;
 use crate::layout::{Coor, Grid, NCOLOR, NSPIN};
@@ -244,7 +244,7 @@ impl CloverWilson {
 
     /// `out += coef · Σ_{µ<ν} σ_µν F_µν ψ` with the scale-and-add fused
     /// into the site store loop (one `fmla` per word) — the allocation-free
-    /// form [`Self::apply_into`] uses, sparing the full-field `scale` and
+    /// form the operator's sweep uses, sparing the full-field `scale` and
     /// `add` passes of the unfused formulation. Opens no telemetry span
     /// (span entry allocates); sites and bytes are recorded on the calling
     /// thread and attributed to the enclosing span.
@@ -276,47 +276,25 @@ impl CloverWilson {
                 });
         })
     }
+}
 
-    /// `M ψ` with the clover improvement.
-    pub fn apply(&self, psi: &FermionField) -> FermionField {
-        let mut out = FermionField::zero(self.grid().clone());
-        self.apply_into(psi, &mut out);
-        out
-    }
-
-    /// `M† ψ` — the clover term is hermitian and γ5-even, so only the
-    /// Wilson part changes.
-    pub fn apply_dag(&self, psi: &FermionField) -> FermionField {
-        let mut out = FermionField::zero(self.grid().clone());
-        self.apply_dag_into(psi, &mut out);
-        out
-    }
-
-    /// `out = M ψ` in two fused sweeps: the Wilson dslash+mass store loop,
-    /// then the clover term fma'd on top.
-    pub fn apply_into(&self, psi: &FermionField, out: &mut FermionField) {
-        self.wilson.apply_into(psi, out);
+/// `M ψ` in two fused sweeps: the Wilson dslash+mass store loop, then the
+/// clover term fma'd on top. The clover term is hermitian and γ5-even, so
+/// `M†` changes only the Wilson part. The dot is an inner product after the
+/// sweeps.
+impl Dirac<FermionField> for CloverWilson {
+    fn m_into(
+        &self,
+        psi: &FermionField,
+        out: &mut FermionField,
+        dagger: bool,
+        dot: Option<(&FermionField, &mut [f64])>,
+    ) {
+        self.wilson.m_into(psi, out, dagger, None);
         self.clover_term_axpy_into(psi, -0.5 * self.c_sw, out);
-    }
-
-    /// `out = M† ψ` in two fused sweeps.
-    pub fn apply_dag_into(&self, psi: &FermionField, out: &mut FermionField) {
-        self.wilson.apply_dag_into(psi, out);
-        self.clover_term_axpy_into(psi, -0.5 * self.c_sw, out);
-    }
-
-    /// The normal operator `M†M`.
-    pub fn mdag_m(&self, psi: &FermionField) -> FermionField {
-        let mut tmp = FermionField::zero(self.grid().clone());
-        let mut out = FermionField::zero(self.grid().clone());
-        self.mdag_m_into(psi, &mut tmp, &mut out);
-        out
-    }
-
-    /// `out = M†M ψ` using caller-provided storage (`tmp` holds `M ψ`).
-    pub fn mdag_m_into(&self, psi: &FermionField, tmp: &mut FermionField, out: &mut FermionField) {
-        self.apply_into(psi, tmp);
-        self.apply_dag_into(tmp, out);
+        if let Some((d, sums)) = dot {
+            sums[0] = d.inner(out).re;
+        }
     }
 }
 
@@ -324,7 +302,7 @@ impl CloverWilson {
 mod tests {
     use super::*;
     use crate::dirac::gamma5;
-    use crate::krylov::{cg_solve, no_observer, Allocating, Start};
+    use crate::krylov::{cg_solve, no_observer, Start, Vector};
     use crate::simd::SimdBackend;
     use crate::tensor::su3::{random_gauge, unit_gauge};
     use sve::VectorLength;
@@ -439,7 +417,7 @@ mod tests {
         let op = CloverWilson::new(random_gauge(g.clone(), 153), 0.3, 1.0);
         let b = FermionField::random(g.clone(), 154);
         let (x, report) = cg_solve(
-            &mut Allocating::new(g.clone(), |v: &FermionField| op.mdag_m(v)),
+            &mut op.normal(&mut b.zero_like()),
             &b,
             Start::Zero,
             1e-8,

@@ -24,11 +24,18 @@
 //! boundary ([`crate::dist`]). Every sweep ends a right-hand side's site
 //! with the same fused store ([`store_spinor`]).
 //!
+//! Every operator built on the sweep — this one on a field and on a block,
+//! clover, domain wall, the distributed operator, the even-odd Schur
+//! complement — is a [`Dirac`]: it writes one sweep, `m_into`, and applying
+//! it, its adjoint, `M†M` and the CG space of the normal equations are the
+//! trait's, written once.
+//!
 //! Site kernels are independent, so outer sites run under Rayon — the
 //! thread-level parallelization Grid gets from OpenMP (paper, Section II-A).
 
 use crate::codec::{LINK_SCALARS_FULL, LINK_SCALARS_TWO_ROW};
 use crate::field::{gauge_comp, spinor_comp, FermionBlock, FermionKind, Field, GaugeKind};
+use crate::krylov::{CgSpace, Vector};
 use crate::layout::{Grid, NCOLOR, NSPIN};
 use crate::reduce;
 use crate::simd::{CVec, SimdEngine, Words};
@@ -277,29 +284,6 @@ impl<E: SveFloat> WilsonDirac<E> {
         self.hopping_impl(psi, true)
     }
 
-    /// `M ψ = (m + 4) ψ − ½ Dh ψ`.
-    pub fn apply(&self, psi: &Field<FermionKind, E>) -> Field<FermionKind, E> {
-        let mut out = Field::<FermionKind, E>::zero(self.grid.clone());
-        self.apply_into(psi, &mut out);
-        out
-    }
-
-    /// `M† ψ = (m + 4) ψ − ½ Dh† ψ`.
-    pub fn apply_dag(&self, psi: &Field<FermionKind, E>) -> Field<FermionKind, E> {
-        let mut out = Field::<FermionKind, E>::zero(self.grid.clone());
-        self.apply_dag_into(psi, &mut out);
-        out
-    }
-
-    /// The normal operator `M† M ψ` — hermitian positive definite, the
-    /// operator Conjugate Gradient inverts.
-    pub fn mdag_m(&self, psi: &Field<FermionKind, E>) -> Field<FermionKind, E> {
-        let mut tmp = Field::<FermionKind, E>::zero(self.grid.clone());
-        let mut out = Field::<FermionKind, E>::zero(self.grid.clone());
-        self.mdag_m_into(psi, &mut tmp, &mut out);
-        out
-    }
-
     /// `out = Dh ψ` without allocating, at any width.
     pub fn hopping_into(&self, psi: &Field<FermionKind, E>, out: &mut Field<FermionKind, E>) {
         self.hopping_fused(psi, out, false, None, None, None);
@@ -310,57 +294,19 @@ impl<E: SveFloat> WilsonDirac<E> {
         self.hopping_fused(psi, out, true, None, None, None);
     }
 
-    /// `out = M ψ` in a single fused sweep: the `(m+4)ψ − ½(·)` mass axpy
-    /// runs per word inside the hopping store loop, so the spinor never
-    /// makes the extra `scale` + `axpy` passes through memory. Bit-identical
-    /// to [`Self::apply`] (same engine ops per word, different sweep
-    /// structure only).
-    pub fn apply_into(&self, psi: &Field<FermionKind, E>, out: &mut Field<FermionKind, E>) {
-        self.hopping_fused(psi, out, false, Some(self.mass + 4.0), None, None);
-    }
-
-    /// `out = M† ψ` in a single fused sweep.
-    pub fn apply_dag_into(&self, psi: &Field<FermionKind, E>, out: &mut Field<FermionKind, E>) {
-        self.hopping_fused(psi, out, true, Some(self.mass + 4.0), None, None);
-    }
-
-    /// `out = M† ψ` fused with the reduction `Re ⟨dot_with, out⟩`, whose
-    /// per-site values are taken inside the same parallel sweep — bit-
-    /// identical to calling `dot_with.inner(&out).re` afterwards, without
-    /// the extra sweep.
-    pub fn apply_dag_into_dot(
-        &self,
-        psi: &Field<FermionKind, E>,
-        out: &mut Field<FermionKind, E>,
-        dot_with: &Field<FermionKind, E>,
-    ) -> f64 {
-        let mut dot = 0.0;
-        let dot_into = Some((dot_with, std::slice::from_mut(&mut dot)));
-        self.hopping_fused(psi, out, true, Some(self.mass + 4.0), dot_into, None);
-        dot
-    }
-
-    /// `out = M† M ψ` using caller-provided storage (`tmp` holds `M ψ`).
-    pub fn mdag_m_into(
-        &self,
-        psi: &Field<FermionKind, E>,
-        tmp: &mut Field<FermionKind, E>,
-        out: &mut Field<FermionKind, E>,
-    ) {
-        self.apply_into(psi, tmp);
-        self.apply_dag_into(tmp, out);
-    }
-
     /// `out = M† M ψ` returning `Re ⟨ψ, M†M ψ⟩` fused into the second
-    /// sweep — the CG curvature term at zero extra memory traffic.
+    /// sweep — the CG curvature term at zero extra memory traffic: one
+    /// application of [`Dirac::normal`].
     pub fn mdag_m_into_dot(
         &self,
         psi: &Field<FermionKind, E>,
         tmp: &mut Field<FermionKind, E>,
         out: &mut Field<FermionKind, E>,
     ) -> f64 {
-        self.apply_into(psi, tmp);
-        self.apply_dag_into_dot(tmp, out, psi)
+        let mut dot = 0.0;
+        self.normal(tmp)
+            .apply(psi, out, std::slice::from_mut(&mut dot));
+        dot
     }
 
     /// `out = M† M ψ` for every RHS of a block, returning the per-RHS CG
@@ -374,15 +320,7 @@ impl<E: SveFloat> WilsonDirac<E> {
         out: &mut FermionBlock<E>,
     ) -> Vec<f64> {
         let mut dots = vec![0.0; psi.width()];
-        let span = || qcd_trace::span!("dirac.block", self.grid.engine().ctx());
-        let mass = Some(self.mass + 4.0);
-        {
-            let _span = span();
-            self.hopping_fused(psi, tmp, false, mass, None, None);
-        }
-        let _span = span();
-        let dot = Some((&**psi, dots.as_mut_slice()));
-        self.hopping_fused(tmp, out, true, mass, dot, None);
+        self.normal(tmp).apply(psi, out, &mut dots);
         dots
     }
 
@@ -650,6 +588,114 @@ impl<E: SveFloat> WilsonDirac<E> {
             }
         }
         self.complete_link(eng, uw)
+    }
+}
+
+/// A fermion operator `M` on vectors of type `V` — Grid's fermion-action
+/// seam. An operator writes one sweep, [`m_into`](Self::m_into); applying
+/// it, its adjoint, the normal operator `M†M` and the space CG inverts that
+/// operator in ([`normal`](Self::normal)) are written once, here.
+///
+/// A sweep whose intermediates need storage owns it, as
+/// [`crate::comms::RankCtx`] owns its message shells: the distributed
+/// operator its face buffers, the Schur complement its hopping
+/// intermediates. So every method takes the operator by shared reference.
+pub trait Dirac<V: Vector> {
+    /// `out = M ψ`, or `M† ψ` when `dagger`; with `dot = Some((d, sums))`,
+    /// also the per-RHS `Re ⟨d_j, out_j⟩` into `sums`, fused into the
+    /// sweep where the operator fuses it.
+    fn m_into(&self, psi: &V, out: &mut V, dagger: bool, dot: Option<(&V, &mut [f64])>);
+
+    /// `out = M ψ` without allocating.
+    fn apply_into(&self, psi: &V, out: &mut V) {
+        self.m_into(psi, out, false, None);
+    }
+
+    /// `out = M† ψ` without allocating.
+    fn apply_dag_into(&self, psi: &V, out: &mut V) {
+        self.m_into(psi, out, true, None);
+    }
+
+    /// `M ψ`.
+    fn apply(&self, psi: &V) -> V {
+        let mut out = psi.zero_like();
+        self.apply_into(psi, &mut out);
+        out
+    }
+
+    /// `M† ψ`.
+    fn apply_dag(&self, psi: &V) -> V {
+        let mut out = psi.zero_like();
+        self.apply_dag_into(psi, &mut out);
+        out
+    }
+
+    /// `out = M† M ψ` using caller-provided storage (`tmp` holds `M ψ`).
+    fn mdag_m_into(&self, psi: &V, tmp: &mut V, out: &mut V) {
+        self.apply_into(psi, tmp);
+        self.apply_dag_into(tmp, out);
+    }
+
+    /// The normal operator `M† M ψ` — hermitian positive definite, the
+    /// operator Conjugate Gradient inverts.
+    fn mdag_m(&self, psi: &V) -> V {
+        let (mut tmp, mut out) = (psi.zero_like(), psi.zero_like());
+        self.mdag_m_into(psi, &mut tmp, &mut out);
+        out
+    }
+
+    /// The space of the normal equations `M†M x = b` for
+    /// [`crate::krylov::cg_solve`], with `tmp` the caller-held `M p` and the
+    /// curvature `Re ⟨p_j, M†M p_j⟩` taken in the second sweep. A
+    /// steady-state iteration allocates nothing the sweeps do not.
+    fn normal<'a>(&'a self, tmp: &'a mut V) -> Normal<'a, Self, V> {
+        Normal { op: self, tmp }
+    }
+}
+
+/// The CG space of [`Dirac::normal`].
+pub struct Normal<'a, D: ?Sized, V> {
+    op: &'a D,
+    tmp: &'a mut V,
+}
+
+impl<D: Dirac<V> + ?Sized, V: Vector> CgSpace for Normal<'_, D, V> {
+    type V = V;
+
+    fn apply(&mut self, p: &V, ap: &mut V, curv: &mut [f64]) {
+        self.op.m_into(p, self.tmp, false, None);
+        self.op.m_into(self.tmp, ap, true, Some((p, curv)));
+    }
+}
+
+/// The Wilson operator on a field of any width: one fused sweep, the
+/// `(m+4)ψ − ½(·)` mass axpy in its store and the dot taken from the words
+/// just stored.
+impl<E: SveFloat> Dirac<Field<FermionKind, E>> for WilsonDirac<E> {
+    fn m_into(
+        &self,
+        psi: &Field<FermionKind, E>,
+        out: &mut Field<FermionKind, E>,
+        dagger: bool,
+        dot: Option<(&Field<FermionKind, E>, &mut [f64])>,
+    ) {
+        self.hopping_fused(psi, out, dagger, Some(self.mass + 4.0), dot, None);
+    }
+}
+
+/// The Wilson operator on a block of right-hand sides: the field's sweep,
+/// with one scalar per RHS, each sweep in a `dirac.block` trace region.
+impl<E: SveFloat> Dirac<FermionBlock<E>> for WilsonDirac<E> {
+    fn m_into(
+        &self,
+        psi: &FermionBlock<E>,
+        out: &mut FermionBlock<E>,
+        dagger: bool,
+        dot: Option<(&FermionBlock<E>, &mut [f64])>,
+    ) {
+        let _span = qcd_trace::span!("dirac.block", self.grid.engine().ctx());
+        let dot = dot.map(|(d, sums)| (&**d, sums));
+        self.hopping_fused(psi, out, dagger, Some(self.mass + 4.0), dot, None);
     }
 }
 

@@ -22,9 +22,9 @@
 //! and `P₋` rows 2–3 exactly, so each output word gets one chiral term
 //! ([`slice_legs`]).
 
-use crate::dirac::{gamma5, WilsonDirac};
+use crate::dirac::{gamma5, Dirac, WilsonDirac};
 use crate::field::{cg_updates, FermionField, FermionKind, Field, GaugeField};
-use crate::krylov::{Operator, Stored, Vector};
+use crate::krylov::{Stored, Vector};
 use crate::solver::SolveReport;
 use crate::Grid;
 use std::sync::Arc;
@@ -128,10 +128,12 @@ impl DomainWall {
     pub fn wilson(&self) -> &WilsonDirac<f64> {
         &self.wilson
     }
+}
 
-    /// `out = D ψ` (or `D† ψ`) in one hopping sweep over the `Ls` slices,
-    /// with `Re ⟨dot_with, out⟩` fused when asked for.
-    fn sweep(
+/// `D ψ` (or `D† ψ`) in one hopping sweep over the `Ls` slices, with
+/// `Re ⟨dot_with, out⟩` fused when asked for.
+impl Dirac<Fermion5> for DomainWall {
+    fn m_into(
         &self,
         psi: &Fermion5,
         out: &mut Fermion5,
@@ -144,58 +146,6 @@ impl DomainWall {
         let dot = dot.map(|(d, sums)| (&d.0, sums));
         self.wilson
             .hopping_fused(psi, out, dagger, mass, dot, Some(self.mf));
-    }
-
-    /// `D ψ`.
-    pub fn apply(&self, psi: &Fermion5) -> Fermion5 {
-        let mut out = Fermion5::zero(psi.grid().clone(), psi.ls());
-        self.apply_into(psi, &mut out);
-        out
-    }
-
-    /// `D† ψ`.
-    pub fn apply_dag(&self, psi: &Fermion5) -> Fermion5 {
-        let mut out = Fermion5::zero(psi.grid().clone(), psi.ls());
-        self.apply_dag_into(psi, &mut out);
-        out
-    }
-
-    /// `out = D ψ` without allocating.
-    pub fn apply_into(&self, psi: &Fermion5, out: &mut Fermion5) {
-        self.sweep(psi, out, false, None);
-    }
-
-    /// `out = D† ψ` without allocating.
-    pub fn apply_dag_into(&self, psi: &Fermion5, out: &mut Fermion5) {
-        self.sweep(psi, out, true, None);
-    }
-
-    /// The normal operator `D†D`.
-    pub fn ddag_d(&self, psi: &Fermion5) -> Fermion5 {
-        let mut tmp = Fermion5::zero(psi.grid().clone(), psi.ls());
-        let mut out = tmp.clone();
-        self.ddag_d_into(psi, &mut tmp, &mut out);
-        out
-    }
-
-    /// `out = D†D ψ` using caller-provided storage (`tmp` holds `D ψ`).
-    pub fn ddag_d_into(&self, psi: &Fermion5, tmp: &mut Fermion5, out: &mut Fermion5) {
-        self.apply_into(psi, tmp);
-        self.apply_dag_into(tmp, out);
-    }
-
-    /// The space of the normal equations `D†D x = b` for `krylov::cg_solve`,
-    /// with `tmp` the caller-held `D p` and the curvature `Re ⟨p, D†D p⟩`
-    /// fused into the second sweep. A steady-state iteration allocates
-    /// nothing.
-    pub fn normal<'a>(
-        &'a self,
-        tmp: &'a mut Fermion5,
-    ) -> Operator<Fermion5, impl FnMut(&Fermion5, &mut Fermion5, &mut [f64]) + 'a> {
-        Operator::new(move |p: &Fermion5, ap: &mut Fermion5, curv: &mut [f64]| {
-            self.apply_into(p, tmp);
-            self.sweep(tmp, ap, true, Some((p, curv)));
-        })
     }
 }
 
@@ -428,7 +378,7 @@ mod tests {
             no_observer,
         );
         assert!(report.converged, "{report:?}");
-        let ax = op.ddag_d(&x);
+        let ax = op.mdag_m(&x);
         let mut diff = Fermion5::zero(g, 4);
         diff.sub(&ax, &b);
         assert!((diff.norm2() / b.norm2()).sqrt() < 1e-7);

@@ -22,11 +22,12 @@
 //! preserved and measured; the memory-halving is not (documented
 //! simplification).
 
-use crate::dirac::{gamma5_inplace, WilsonDirac};
+use crate::dirac::{gamma5_inplace, Dirac, WilsonDirac};
 use crate::field::{FermionField, Field, FieldKind};
-use crate::krylov::{self, Operator, Start};
+use crate::krylov::{self, Start};
 use crate::layout::{delex, Grid, NDIM};
 use crate::solver::SolveReport;
+use std::cell::RefCell;
 use std::sync::Arc;
 use sve::PReg;
 
@@ -96,15 +97,68 @@ fn osite_parity_mask(grid: &Grid, masks: &[PReg; 2], osite: usize, parity: usize
     }
 }
 
+/// The Schur complement `S = a − Dh²/(4a)` of the Wilson operator, on
+/// fields supported on the even checkerboard (`Dh` maps each checkerboard
+/// to the other, so `S` keeps the even one). γ5-hermiticity gives
+/// `S† = γ5 S γ5`, γ5 being parity-diagonal. It owns its two hopping
+/// intermediates, so an application allocates nothing.
+pub struct Schur<'a> {
+    op: &'a WilsonDirac,
+    /// `Dh ψ` and `Dh Dh ψ`.
+    hops: RefCell<[FermionField; 2]>,
+}
+
+impl<'a> Schur<'a> {
+    /// The Schur complement of `op`.
+    pub fn new(op: &'a WilsonDirac) -> Self {
+        let zero = || FermionField::zero(op.grid().clone());
+        Schur {
+            op,
+            hops: RefCell::new([zero(), zero()]),
+        }
+    }
+}
+
+/// `S ψ = a ψ − Dh(Dh ψ)/(4a)`, and `S† ψ` as `γ5 S γ5 ψ` applied in place
+/// on `out`. The dot is an inner product after the sweeps.
+impl Dirac<FermionField> for Schur<'_> {
+    fn m_into(
+        &self,
+        psi: &FermionField,
+        out: &mut FermionField,
+        dagger: bool,
+        dot: Option<(&FermionField, &mut [f64])>,
+    ) {
+        let a = self.op.mass + 4.0;
+        let [hop, tmp] = &mut *self.hops.borrow_mut();
+        if dagger {
+            out.data_mut().copy_from_slice(psi.data());
+            gamma5_inplace(out);
+            self.op.hopping_into(out, hop);
+            self.op.hopping_into(hop, tmp);
+            out.scale(a);
+            out.axpy_inplace(-0.25 / a, tmp);
+            gamma5_inplace(out);
+        } else {
+            self.op.hopping_into(psi, hop);
+            self.op.hopping_into(hop, tmp);
+            out.scale_axpy_from(a, psi, -0.25 / a, tmp);
+        }
+        if let Some((d, sums)) = dot {
+            sums[0] = d.inner(out).re;
+        }
+    }
+}
+
 /// Schur-complement (even-odd preconditioned) Wilson solve: `M x = b`
-/// through CG on the normal equations of `S = a − Dh²/(4a)` restricted to
-/// the even checkerboard, followed by back-substitution for the odd sites.
+/// through CG on the normal equations of [`Schur`] restricted to the even
+/// checkerboard, followed by back-substitution for the odd sites.
 ///
-/// Runs on the allocation-free path: two fields held for the whole solve,
-/// `hop` and `tmp`, carry every hopping intermediate of the nested `S†S`
-/// application, so a steady-state CG iteration (four hopping sweeps plus
-/// the fused BLAS) allocates nothing. Converged means the Schur CG reached
-/// `tol`; the reported residual is the full system's.
+/// Runs on the allocation-free path: the Schur operator owns its hopping
+/// intermediates and one field holds `S v`, so a steady-state CG iteration
+/// (four hopping sweeps plus the fused BLAS) allocates nothing. Converged
+/// means the Schur CG reached `tol`; the reported residual is the full
+/// system's.
 pub fn solve_eo(
     op: &WilsonDirac,
     b: &FermionField,
@@ -116,8 +170,6 @@ pub fn solve_eo(
     let a = op.mass + 4.0;
     let be = parity_project(b, 0);
     let bo = parity_project(b, 1);
-    let mut hop = FermionField::zero(grid.clone());
-    let mut tmp = FermionField::zero(grid.clone());
 
     // b'_e = b_e + D_eo b_o / (2a).
     let mut bp = FermionField::zero(grid.clone());
@@ -125,35 +177,13 @@ pub fn solve_eo(
     bp.scale(0.5 / a);
     bp.add_assign_field(&be);
 
-    // rhs = S† b'_e. γ5-hermiticity gives S† = γ5 S γ5 (γ5 is
-    // parity-diagonal), with S w = a w − Dh(Dh w)/(4a) applied in place.
-    let mut rhs = bp;
-    gamma5_inplace(&mut rhs);
-    op.hopping_into(&rhs, &mut hop);
-    op.hopping_into(&hop, &mut tmp);
-    rhs.scale(a);
-    rhs.axpy_inplace(-0.25 / a, &tmp);
-    gamma5_inplace(&mut rhs);
-
-    // ap = A v = S†S v with the CG curvature Re ⟨v, A v⟩. The second Schur
-    // application runs in place on the output field.
-    let mut space = Operator::new(
-        |v: &FermionField, ap: &mut FermionField, curv: &mut [f64]| {
-            op.hopping_into(v, &mut hop);
-            op.hopping_into(&hop, &mut tmp);
-            ap.scale_axpy_from(a, v, -0.25 / a, &tmp); // ap = S v
-            gamma5_inplace(ap);
-            op.hopping_into(ap, &mut hop);
-            op.hopping_into(&hop, &mut tmp);
-            ap.scale(a);
-            ap.axpy_inplace(-0.25 / a, &tmp);
-            gamma5_inplace(ap); // ap = γ5 S γ5 (S v) = S†S v
-            curv[0] = v.inner(ap).re;
-        },
-    );
+    // CG on S†S x_e = S† b'_e.
+    let schur = Schur::new(op);
+    let mut rhs = schur.apply_dag(&bp);
+    let mut tmp = bp;
     let cg_span = qcd_trace::span!("solver.cg", grid.engine().ctx());
     let (xe, inner_report) = krylov::cg_solve(
-        &mut space,
+        &mut schur.normal(&mut tmp),
         &rhs,
         Start::Zero,
         tol,
@@ -164,7 +194,7 @@ pub fn solve_eo(
     );
 
     // Back-substitution: x_o = (b_o + ½ D_oe x_e) / a.
-    let xo = &mut hop;
+    let xo = &mut tmp;
     op.hopping_into(&xe, xo); // even-supported input -> odd-supported
     xo.scale(0.5);
     xo.add_assign_field(&bo);
@@ -174,8 +204,8 @@ pub fn solve_eo(
     x.add_assign_field(xo);
 
     // True residual of the original full system (one fused sweep).
-    op.apply_into(&x, &mut tmp);
-    let residual = (hop.sub_norm2(b, &tmp) / b.norm2()).sqrt();
+    op.apply_into(&x, &mut rhs);
+    let residual = (tmp.sub_norm2(b, &rhs) / b.norm2()).sqrt();
     (
         x,
         SolveReport {
@@ -294,11 +324,7 @@ mod tests {
         let g = grid(512);
         let op = WilsonDirac::new(random_gauge(g.clone(), 79), 0.2);
         let v = parity_project(&FermionField::random(g.clone(), 80), 0);
-        let a = op.mass + 4.0;
-        let dd = op.hopping(&op.hopping(&v));
-        let mut s = v.clone();
-        s.scale(a);
-        s.axpy_inplace(-0.25 / a, &dd);
+        let s = Schur::new(&op).apply(&v);
         // The result must live entirely on even sites.
         let leak = parity_project(&s, 1);
         assert!(leak.norm2() < 1e-24 * s.norm2().max(1.0));

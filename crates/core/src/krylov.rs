@@ -9,8 +9,9 @@
 //! used to be a hand-written loop is a **space** ([`CgSpace`]: an operator
 //! bound to a vector type and the inner product it steers by), a **start**
 //! ([`Start`]) and an **observer** (a closure called after every
-//! iteration). A solve is composed from those three at the call site;
-//! nothing here is named after a combination of them. Spaces and observers
+//! iteration). A fermion operator's space is written once too, as
+//! [`crate::dirac::Dirac::normal`]. A solve is composed from those three at
+//! the call site; nothing here is named after a combination of them. Spaces and observers
 //! are taken behind `dyn`: the driver is compiled once per vector type.
 //!
 //! Scalars travel as slices of length `nrhs` — one entry for single-vector
@@ -24,14 +25,11 @@
 //! produces the vector — so a solve in any space is the same solve at every
 //! vector length, thread count and (for `dist_cg`) rank count.
 
-use crate::dirac::WilsonDirac;
 use crate::field::{cg_updates, FermionBlock, FermionKind, Field, FieldKind};
-use crate::layout::Grid;
 use crate::solver::{conclude_health, BlockSolveReport, SolveReport};
 use qcd_trace::HealthMonitor;
 use std::marker::PhantomData;
 use std::ops::ControlFlow;
-use std::sync::Arc;
 use sve::SveFloat;
 
 /// Upper bound on the residual-history capacity reserved up front. The
@@ -192,47 +190,6 @@ impl<E: SveFloat> Stored for FermionBlock<E> {
     }
 }
 
-/// A width of Wilson fermion: one field, or a block of right-hand sides
-/// sharing every sweep. What the widths disagree on — how many curvatures
-/// `M†M` returns, and the block's trace region — is behind this trait, so
-/// the [`fused`] space, a deflated solve and the checkpoint codec are each
-/// written once over `V`.
-pub trait WilsonVector: Stored {
-    /// `out = M†M p` with the per-RHS curvature `Re ⟨p_j, M†M p_j⟩` fused
-    /// into the second hopping pass.
-    fn mdag_m_into_dot(
-        op: &WilsonDirac<Self::E>,
-        p: &Self,
-        tmp: &mut Self,
-        out: &mut Self,
-        curv: &mut [f64],
-    );
-}
-
-impl<E: SveFloat> WilsonVector for Field<FermionKind, E> {
-    fn mdag_m_into_dot(
-        op: &WilsonDirac<E>,
-        p: &Self,
-        tmp: &mut Self,
-        out: &mut Self,
-        curv: &mut [f64],
-    ) {
-        curv[0] = op.mdag_m_into_dot(p, tmp, out);
-    }
-}
-
-impl<E: SveFloat> WilsonVector for FermionBlock<E> {
-    fn mdag_m_into_dot(
-        op: &WilsonDirac<E>,
-        p: &Self,
-        tmp: &mut Self,
-        out: &mut Self,
-        curv: &mut [f64],
-    ) {
-        curv.copy_from_slice(&op.mdag_m_block_into_dot(p, tmp, out));
-    }
-}
-
 /// An operator bound to a vector type. Only [`apply`](Self::apply) is
 /// required: every scalar the recurrence steers by is a reduction of the
 /// vector type itself ([`Vector`]), so a space contains neither a
@@ -267,74 +224,40 @@ fn residual<V: Vector>(
     out.sub_norms2_into(b, ax, n2);
 }
 
-/// The space of an operator given as `apply(p, ap, curv)`, which evaluates
-/// it and its curvature. [`fused`] and the even-odd Schur solve are this
-/// space around their sweeps.
-pub struct Operator<V, A> {
-    apply: A,
-    _vector: PhantomData<fn(&V)>,
+/// The allocating closure adapter: any hermitian positive-definite
+/// operator on a vector of one right-hand side, given as `Fn(&V) -> V` (the
+/// shape Grid's `ConjugateGradient` template takes, and the oracle the
+/// conformance matrix compares every other space against). It allocates
+/// each operator output, takes the curvature as a separate inner product
+/// and opens an `iter` span per application — bit-identical to the fused
+/// spaces all the same.
+pub struct Allocating<V, F> {
+    op: F,
+    _vector: PhantomData<fn(&V) -> V>,
 }
 
-impl<V: Vector, A: FnMut(&V, &mut V, &mut [f64])> Operator<V, A> {
-    /// Bind the operator.
-    pub fn new(apply: A) -> Self {
-        Operator {
-            apply,
+impl<V: Stored, F: Fn(&V) -> V> Allocating<V, F> {
+    /// Bind `op`.
+    pub fn new(op: F) -> Self {
+        Allocating {
+            op,
             _vector: PhantomData,
         }
     }
 }
 
-impl<V: Vector, A: FnMut(&V, &mut V, &mut [f64])> CgSpace for Operator<V, A> {
+impl<V: Stored, F: Fn(&V) -> V> CgSpace for Allocating<V, F> {
     type V = V;
 
     fn apply(&mut self, p: &V, ap: &mut V, curv: &mut [f64]) {
-        (self.apply)(p, ap, curv);
-    }
-}
-
-/// The space around the fused Wilson sweeps — dslash and mass in one pass,
-/// the curvature fused into the second hopping pass — with `tmp` the
-/// caller-held `M p` intermediate, at either width and any precision: what
-/// `cg`, `defl_cg`, `coarse_pcg` and the precision ladder's tiers run in,
-/// and what a caller composes with another start or observer.
-/// A steady-state iteration allocates nothing the kernels do not.
-pub fn fused<'a, V: WilsonVector>(
-    op: &'a WilsonDirac<V::E>,
-    tmp: &'a mut V,
-) -> Operator<V, impl FnMut(&V, &mut V, &mut [f64]) + 'a> {
-    Operator::new(move |p: &V, ap: &mut V, curv: &mut [f64]| {
-        V::mdag_m_into_dot(op, p, tmp, ap, curv)
-    })
-}
-
-/// The allocating closure adapter: any hermitian positive-definite
-/// operator given as `Fn(&F) -> F` (the shape Grid's `ConjugateGradient`
-/// template takes, and the oracle the conformance matrix compares every
-/// other space against). It allocates each operator output, takes the
-/// curvature as a separate inner product and opens an `iter` span per
-/// application — bit-identical to the fused spaces all the same.
-pub struct Allocating<E: SveFloat, F> {
-    grid: Arc<Grid<E>>,
-    op: F,
-}
-
-impl<E: SveFloat, F: Fn(&Field<FermionKind, E>) -> Field<FermionKind, E>> Allocating<E, F> {
-    /// Bind `op`, an operator on fields of `grid`.
-    pub fn new(grid: Arc<Grid<E>>, op: F) -> Self {
-        Allocating { grid, op }
-    }
-}
-
-impl<E: SveFloat, F: Fn(&Field<FermionKind, E>) -> Field<FermionKind, E>> CgSpace
-    for Allocating<E, F>
-{
-    type V = Field<FermionKind, E>;
-
-    fn apply(&mut self, p: &Self::V, ap: &mut Self::V, curv: &mut [f64]) {
-        let _iter_span = qcd_trace::span!("iter", self.grid.engine().ctx());
+        assert_eq!(
+            p.nrhs(),
+            1,
+            "the allocating adapter takes one right-hand side"
+        );
+        let _iter_span = qcd_trace::span!("iter", p.field().grid().engine().ctx());
         *ap = (self.op)(p);
-        curv[0] = p.inner(ap).re;
+        curv[0] = p.field().inner(ap.field()).re;
     }
 }
 

@@ -89,10 +89,12 @@ pub mod prelude {
         RankCtx,
     };
     pub use crate::cshift::cshift;
-    pub use crate::dirac::{gamma5, gamma5_inplace, hopping_via_cshift, mult_gauge, WilsonDirac};
+    pub use crate::dirac::{
+        gamma5, gamma5_inplace, hopping_via_cshift, mult_gauge, Dirac, WilsonDirac,
+    };
     pub use crate::dist::{dist_cg, restrict_field, DistWilson, DistWorkspace};
     pub use crate::dwf::{chiral_minus, chiral_plus, DomainWall, Fermion5};
-    pub use crate::eo::{parity_project, solve_eo};
+    pub use crate::eo::{parity_project, solve_eo, Schur};
     pub use crate::field::cg_update_x_r;
     pub use crate::field::{
         gauge_comp, spinor_comp, ComplexField, FermionBlock, FermionField, Field, GaugeField,

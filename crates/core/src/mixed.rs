@@ -15,7 +15,7 @@
 //! virtual-node decomposition* than the f64 one — converting a field is a
 //! genuine re-layout, exactly as in Grid (separate `GridF`/`GridD`).
 
-use crate::dirac::WilsonDirac;
+use crate::dirac::{Dirac, WilsonDirac};
 use crate::field::{FermionKind, Field, FieldKind};
 use crate::krylov::{self, Scratch, Start, State, Stop};
 use crate::layout::Grid;
@@ -27,11 +27,22 @@ use sve::{Opcode, SveFloat, F16};
 
 /// Convert a field into a preallocated field of another precision (and its
 /// grid's layout). The per-scalar conversions are accounted as vectorized
-/// `fcvt` on the target context.
+/// `fcvt` on the target context. One right-hand side is converted: a wider
+/// field, or operands of unequal width, are refused.
 pub fn to_precision_into<K: FieldKind, E1: SveFloat, E2: SveFloat>(
     f: &Field<K, E1>,
     out: &mut Field<K, E2>,
 ) {
+    assert_eq!(
+        f.width(),
+        1,
+        "to_precision converts one right-hand side: convert each `rhs_field` of a wider field"
+    );
+    assert_eq!(
+        out.width(),
+        1,
+        "operands hold different numbers of right-hand sides"
+    );
     assert_eq!(f.grid().fdims(), out.grid().fdims(), "lattices must match");
     for x in f.grid().coords() {
         for comp in 0..K::NCOMP {
@@ -176,7 +187,7 @@ struct F16Tier {
 
 /// One binary16 inner-CG cycle on the normalized residual system
 /// `A†A e = ŝ`: a zero start rebuilt in the tier's storage, then
-/// [`krylov::cg_iterate`] in the [`krylov::fused`] space at binary16 (whose
+/// [`krylov::cg_iterate`] in the [`Dirac::normal`] space at binary16 (whose
 /// per-site sums accumulate in f32, [`crate::reduce::site_dot`]) — a
 /// cycle, not a solve: no span of its own, no true residual (the reliable
 /// update takes it at f32), the caller's monitor. Appends the cycle's relative
@@ -198,7 +209,7 @@ fn f16_cycle(
     t.op.mdag_m_into(&st.x, &mut t.tmp, &mut t.scratch.ap);
     st.r.sub(&t.b, &t.scratch.ap);
     st.p.sub(&t.b, &t.scratch.ap);
-    let mut space = krylov::fused(&t.op, &mut t.tmp);
+    let mut space = t.op.normal(&mut t.tmp);
     st.b_norm2[0] = t.b.norm2();
     let b2 = st.b_norm2[0];
     if b2.is_nan() || b2 <= 0.0 {
@@ -250,7 +261,7 @@ fn f16_cycle(
 /// true f32 residual before the next cycle. A [`HealthMonitor`] watches
 /// every inner history: a stall, divergence or non-finite episode demotes
 /// the ladder to the f32 tier for the rest of the solve (a `tier`-kind
-/// flight event records the switch), where CG in the [`krylov::fused`]
+/// flight event records the switch), where CG in the [`Dirac::normal`]
 /// space finishes the round.
 ///
 /// Every steering scalar at every level is a canonical reduction, so
@@ -455,7 +466,7 @@ pub fn ladder_solve_from(
             // `inner_tol` relative to `rhs32`.
             let eff_tol = (mid_target / s2).sqrt().min(0.9);
             let (e, rep) = krylov::cg_solve(
-                &mut krylov::fused(&op32, &mut md32),
+                &mut op32.normal(&mut md32),
                 &s32,
                 Start::Zero,
                 eff_tol,
@@ -529,6 +540,39 @@ mod tests {
         let g32 = Grid::<f32>::new([4, 4, 4, 4], vl, SimdBackend::Fcmla);
         assert_eq!(g32.lanes_c(), 2 * g64.lanes_c());
         assert_eq!(2 * g32.osites(), g64.osites());
+    }
+
+    /// A 2-wide block on the `[4, 4, 4, 4]` f64 lattice, and that
+    /// lattice's f32 twin.
+    fn wide() -> (crate::field::FermionBlock, Arc<Grid<f32>>) {
+        let (_, b) = setup();
+        let g = b.grid();
+        let g32 = Grid::<f32>::new(g.fdims(), g.vl(), g.engine().backend());
+        let other = FermionField::random(g.clone(), 123);
+        (crate::field::FermionBlock::from_fields(&[b, other]), g32)
+    }
+
+    #[test]
+    #[should_panic(expected = "rhs_field")]
+    fn to_precision_refuses_a_block() {
+        let (block, g32) = wide();
+        let _ = to_precision(&*block, &g32);
+    }
+
+    #[test]
+    #[should_panic(expected = "rhs_field")]
+    fn to_precision_into_refuses_a_block() {
+        let (block, g32) = wide();
+        let mut out = Field::<FermionKind, f32>::zero_width(g32, 2);
+        to_precision_into(&*block, &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "different numbers of right-hand sides")]
+    fn to_precision_into_refuses_operands_of_unequal_width() {
+        let (block, g32) = wide();
+        let mut out = Field::<FermionKind, f32>::zero_width(g32, 2);
+        to_precision_into(&block.rhs_field(0), &mut out);
     }
 
     #[test]

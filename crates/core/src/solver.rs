@@ -11,14 +11,15 @@
 //! The CG recurrence itself lives in [`crate::krylov`], once, with its one
 //! checkpointable state ([`krylov::State`]). This module holds what a solve
 //! is made of around it: the report types and the Wilson entry point
-//! [`cg`] — [`krylov::fused`] from a zero start at either width, whose
+//! [`cg`] — the operator's [`Dirac::normal`] space from a zero start at
+//! either width, whose
 //! steady-state iteration performs no heap allocation of its own. BiCGStab
 //! is one function, [`bicgstab`], its recurrence in local variables.
 
 use crate::complex::Complex;
-use crate::dirac::WilsonDirac;
+use crate::dirac::{Dirac, WilsonDirac};
 use crate::field::FermionField;
-use crate::krylov::{self, Start, WilsonVector};
+use crate::krylov::{self, Start, Stored};
 use qcd_trace::{HealthEvent, HealthMonitor};
 
 /// Cap on the residual history surfaced in a [`SolveReport`]. Longer
@@ -65,9 +66,9 @@ pub(crate) fn conclude_health(
 }
 
 /// Conjugate Gradient on the Wilson normal equations: solves `M†M x = b`
-/// in the space around the fused sweeps — dslash+mass in one pass, the
-/// curvature dot fused into the second hopping pass
-/// ([`WilsonDirac::mdag_m_into_dot`]), zero steady-state allocations.
+/// in the operator's [`Dirac::normal`] space — dslash+mass in one pass, the
+/// curvature dot fused into the second hopping pass, zero steady-state
+/// allocations.
 /// Bit-identical to the allocating [`krylov::Allocating`] adapter over
 /// `|p| op.mdag_m(p)`.
 ///
@@ -79,12 +80,10 @@ pub(crate) fn conclude_health(
 /// residual — is bit-identical to `cg` of `b_j` alone. The span and health
 /// region are `solver.cg` for a field and `solver.block_cg` for a block
 /// (monitors `solver.block_cg[j]`).
-pub fn cg<V: WilsonVector>(
-    op: &WilsonDirac<V::E>,
-    b: &V,
-    tol: f64,
-    max_iter: usize,
-) -> (V, V::Report) {
+pub fn cg<V: Stored>(op: &WilsonDirac<V::E>, b: &V, tol: f64, max_iter: usize) -> (V, V::Report)
+where
+    WilsonDirac<V::E>: Dirac<V>,
+{
     let region = if V::BATCHED {
         "solver.block_cg"
     } else {
@@ -92,7 +91,7 @@ pub fn cg<V: WilsonVector>(
     };
     let grid = b.field().grid().clone();
     krylov::cg_solve(
-        &mut krylov::fused(op, &mut b.zero_like()),
+        &mut op.normal(&mut b.zero_like()),
         b,
         Start::Zero,
         tol,
@@ -234,7 +233,7 @@ pub fn bicgstab(
 mod tests {
     use super::*;
     use crate::field::{FermionBlock, FermionKind, Field};
-    use crate::krylov::{cg_solve, fused, no_observer, Allocating, CgSpace, State};
+    use crate::krylov::{cg_solve, no_observer, Allocating, CgSpace, State};
     use crate::layout::Grid;
     use crate::simd::SimdBackend;
     use crate::tensor::su3::random_gauge;
@@ -250,7 +249,7 @@ mod tests {
         max_iter: usize,
     ) -> (FermionField, SolveReport) {
         let grid = b.grid().clone();
-        let mut space = Allocating::new(grid.clone(), |p: &FermionField| op.mdag_m(p));
+        let mut space = Allocating::new(|p: &FermionField| op.mdag_m(p));
         let span = qcd_trace::span!("solver.cg", grid.engine().ctx());
         cg_solve(
             &mut space,
@@ -414,7 +413,7 @@ mod tests {
         let b2 = FermionField::random(b.grid().clone(), 23);
         let grid = b.grid().clone();
         let mut tmp = FermionField::zero(grid.clone());
-        let mut space = fused(&op, &mut tmp);
+        let mut space = op.normal(&mut tmp);
         let mut solve = |rhs: &FermionField| {
             let span = qcd_trace::span!("solver.cg", grid.engine().ctx());
             cg_solve(
@@ -445,7 +444,7 @@ mod tests {
         let (op, b) = setup(256, SimdBackend::Fcmla);
         let (x_full, full) = cg(&op, &b, 1e-8, 2000);
 
-        let mut space = Allocating::new(b.grid().clone(), |p: &FermionField| op.mdag_m(p));
+        let mut space = Allocating::new(|p: &FermionField| op.mdag_m(p));
         let snapshot = snapshot_at(&mut space, &b, 10); // what qcd-io serializes
         let (x_res, res) = cg_closure(&op, &b, Start::State(snapshot), 1e-8, 2000);
 
@@ -564,7 +563,7 @@ mod tests {
         let (x_full, full) = cg(&op, &block, 1e-8, 2000);
 
         let mut tmp = FermionBlock::zero(g.clone(), 2);
-        let mut space = fused(&op, &mut tmp);
+        let mut space = op.normal(&mut tmp);
         let snapshot = snapshot_at(&mut space, &block, 10);
         let span = qcd_trace::span!("solver.block_cg", g.engine().ctx());
         let (x_res, res) = cg_solve(

@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::ops::ControlFlow;
 
 use grid::field::FermionKind;
-use grid::krylov::{cg_solve, fused, no_observer, CgSpace, Start, State, Vector};
+use grid::krylov::{cg_solve, no_observer, CgSpace, Start, State, Vector};
 use grid::prelude::*;
 use qcd_trace::HealthMonitor;
 use sve::F16;
@@ -101,14 +101,14 @@ fn solver_steady_state_allocates_nothing() {
 
     // --- CG in the fused space ---------------------------------------
     let mut tmp = FermionField::zero(g.clone());
-    let delta = ten_iterations(&mut fused(&d, &mut tmp), &b, no_observer);
+    let delta = ten_iterations(&mut d.normal(&mut tmp), &b, no_observer);
     assert_eq!(delta, 0, "CG steady state performed {delta} allocations");
 
     // --- The same solve made durable: a checkpoint observer between
     // snapshots costs the hot loop nothing -------------------------------
     let path = std::env::temp_dir().join(format!("alloc-free-{}.qio", std::process::id()));
     let mut checkpointer = qcd_io::Checkpointer::every(1000, &path);
-    let delta = ten_iterations(&mut fused(&d, &mut tmp), &b, checkpointer.observer());
+    let delta = ten_iterations(&mut d.normal(&mut tmp), &b, checkpointer.observer());
     assert_eq!(delta, 0, "checkpointed CG performed {delta} allocations");
     assert_eq!(checkpointer.finish().expect("no write was attempted"), 0);
 
@@ -117,7 +117,7 @@ fn solver_steady_state_allocates_nothing() {
     let d16 = WilsonDirac::<F16>::new(to_precision(d.gauge(), &g16), 0.2);
     let b16 = to_precision(&b, &g16);
     let mut tmp16 = Field::<FermionKind, F16>::zero(g16.clone());
-    let delta = ten_iterations(&mut fused(&d16, &mut tmp16), &b16, no_observer);
+    let delta = ten_iterations(&mut d16.normal(&mut tmp16), &b16, no_observer);
     assert_eq!(delta, 0, "binary16 CG performed {delta} allocations");
 
     // --- CG on the 5-d domain-wall normal operator ---------------------
@@ -144,19 +144,19 @@ fn solver_steady_state_allocates_nothing() {
             block.clone(),
         );
         let mut ap = FermionBlock::zero(g.clone(), 2);
-        let (alpha, active, mut r2) = ([1e-3, 1e-3], [true, true], [0.0; 2]);
+        let (alpha, active, mut r2, mut curv) = ([1e-3, 1e-3], [true, true], [0.0; 2], [0.0; 2]);
         let mut before = 0;
         for sweep in 0..13 {
             if sweep == 3 {
                 before = allocations(); // three warm-up sweeps, as `ten_iterations`
             }
-            let _ = d.mdag_m_block_into_dot(&p, &mut btmp, &mut ap);
+            d.normal(&mut btmp).apply(&p, &mut ap, &mut curv);
             Vector::cg_update(&mut x, &mut r, &alpha, &p, &ap, &active, &mut r2);
             p.aypx_active(&alpha, &r, &active);
         }
         allocations() - before
     };
-    let delta = ten_iterations(&mut fused(&d, &mut btmp), &block, no_observer);
+    let delta = ten_iterations(&mut d.normal(&mut btmp), &block, no_observer);
     assert_eq!(
         delta, floor,
         "block CG: {delta} allocations against the kernels' own {floor}"

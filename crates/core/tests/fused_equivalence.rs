@@ -21,7 +21,7 @@ fn cg_closure<E: SveFloat>(
     max_iter: usize,
 ) -> (Field<FermionKind, E>, SolveReport) {
     let grid = b.grid().clone();
-    let mut space = Allocating::new(grid.clone(), |p: &Field<FermionKind, E>| d.mdag_m(p));
+    let mut space = Allocating::new(|p: &Field<FermionKind, E>| d.mdag_m(p));
     let span = qcd_trace::span!("solver.cg", grid.engine().ctx());
     cg_solve(
         &mut space,

@@ -32,7 +32,7 @@
 //! else in this crate.
 
 use crate::dense::Cholesky;
-use grid::dirac::WilsonDirac;
+use grid::dirac::{Dirac, WilsonDirac};
 use grid::field::FermionKind;
 use grid::krylov::CgSpace;
 use grid::layout::{delex, lex};
@@ -244,7 +244,7 @@ impl<E: SveFloat> CoarseSpace<E> {
         self.cdims
     }
 
-    /// The space `fine` (e.g. `krylov::fused` on `M†M`) preconditioned by
+    /// The space `fine` (e.g. `op.normal(&mut tmp)` on `M†M`) preconditioned by
     /// this two-level correction, `M⁻¹ r = (I − P P†) r + P A_c⁻¹ P† r`,
     /// for `krylov::cg_solve` with any start and observer. With a
     /// `smoother`, the additive term `p_k(A) r` joins it, computed in

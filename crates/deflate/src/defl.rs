@@ -21,7 +21,7 @@
 //!
 //! There is no recurrence here, and no solver per combination: deflation
 //! is a *start* of the one CG driver ([`grid::krylov`]) — [`Start::Guess`]
-//! in the fused space. It composes with the precision ladder the same
+//! in the operator's [`Dirac::normal`] space. It composes with the precision ladder the same
 //! way: `ladder_solve_from(op, b, galerkin_guess_f16(sub, &op.apply_dag(b)),
 //! cfg)` seeds the outer double-precision loop with the f16-applied guess.
 //!
@@ -31,9 +31,9 @@
 //! counts.
 
 use crate::lanczos::Subspace;
-use grid::dirac::WilsonDirac;
+use grid::dirac::{Dirac, WilsonDirac};
 use grid::field::FermionKind;
-use grid::krylov::{self, Start, WilsonVector};
+use grid::krylov::{self, Start, Stored};
 use grid::mixed::{to_precision, to_precision_into};
 use grid::{FermionField, Field, Grid};
 use sve::{SveFloat, F16};
@@ -62,7 +62,7 @@ fn assert_subspace_matches<E: SveFloat>(op: &WilsonDirac<E>, sub: &Subspace<E>) 
 /// All inner products are canonical; the accumulation order over `i` is
 /// fixed, and a block's RHS `j` goes through the single-field operation
 /// sequence, so it is bit-identical to the guess for that field alone.
-pub fn galerkin_guess<V: WilsonVector>(sub: &Subspace<V::E>, b: &V) -> V {
+pub fn galerkin_guess<V: Stored>(sub: &Subspace<V::E>, b: &V) -> V {
     let guesses: Vec<_> = (0..b.nrhs())
         .map(|j| {
             let bj = b.field().rhs_field(j);
@@ -113,18 +113,21 @@ pub fn galerkin_guess_f16(sub: &Subspace<f64>, b: &FermionField) -> FermionField
 /// standalone solve of `b_j`. Runs under a `solver.deflate` span with
 /// health monitoring in the `solver.defl_cg` region (`solver.defl_block_cg`
 /// for a block).
-pub fn defl_cg<V: WilsonVector>(
+pub fn defl_cg<V: Stored>(
     op: &WilsonDirac<V::E>,
     sub: &Subspace<V::E>,
     b: &V,
     tol: f64,
     max_iter: usize,
-) -> (V, V::Report) {
+) -> (V, V::Report)
+where
+    WilsonDirac<V::E>: Dirac<V>,
+{
     assert_subspace_matches(op, sub);
     let grid = b.field().grid().clone();
     let span = qcd_trace::span!("solver.deflate", grid.engine().ctx());
     let mut tmp = b.zero_like();
-    let mut space = krylov::fused(op, &mut tmp);
+    let mut space = op.normal(&mut tmp);
     let region = if V::BATCHED {
         "solver.defl_block_cg"
     } else {

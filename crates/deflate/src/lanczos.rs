@@ -44,7 +44,7 @@
 //! `m × m` eigensolve.
 
 use crate::dense::jacobi_eigh;
-use grid::dirac::WilsonDirac;
+use grid::dirac::{Dirac, WilsonDirac};
 use grid::field::FermionKind;
 use grid::{Complex, Field};
 use sve::SveFloat;

@@ -202,7 +202,7 @@ fn two_level_cg(
     b: &FermionField,
 ) -> (FermionField, SolveReport) {
     let mut tmp = FermionField::zero(f.grid.clone());
-    let mut space = cs.two_level(krylov::fused(&f.op, &mut tmp), smoother);
+    let mut space = cs.two_level(f.op.normal(&mut tmp), smoother);
     let span = qcd_trace::span!("mg.coarse", f.grid.engine().ctx());
     let region = "solver.coarse_pcg";
     krylov::cg_solve(

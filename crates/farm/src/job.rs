@@ -18,7 +18,7 @@
 
 use grid::prelude::*;
 use qcd_hmc::{HmcParams, IntegratorKind};
-use qcd_io::{Container, Cursor, IoError, Record, Result};
+use qcd_io::{Container, Cursor, IoError, Record, Result, Writer};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -229,28 +229,8 @@ impl JobPaths {
     }
 }
 
-/// Little-endian spec payload writer.
-#[derive(Default)]
-struct Enc(Vec<u8>);
-
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.0.extend_from_slice(s.as_bytes());
-    }
-}
-
 fn config_record(cfg: &FarmConfig) -> Record {
-    let mut e = Enc::default();
+    let mut e = Writer::default();
     for d in cfg.dims {
         e.u64(d as u64);
     }
@@ -284,7 +264,7 @@ fn config_from_record(r: &Record) -> Result<FarmConfig> {
 }
 
 fn job_record(spec: &JobSpec) -> Record {
-    let mut e = Enc::default();
+    let mut e = Writer::default();
     match spec {
         JobSpec::Hmc(s) => {
             e.u8(0);
@@ -439,7 +419,7 @@ pub enum DoneDigest {
 }
 
 fn done_record(digest: &DoneDigest) -> Record {
-    let mut e = Enc::default();
+    let mut e = Writer::default();
     match digest {
         DoneDigest::Hmc {
             trajectory,

@@ -18,7 +18,7 @@
 //! portable across vector lengths like every other field record.
 //!
 //! Durability is not a solver: [`Checkpointer::observer`] is handed to
-//! `krylov::cg_solve` in *any* space over stored f64 vectors, and
+//! `krylov::cg_solve` in *any* space over stored vectors, and
 //! [`resume`] turns the file back into the `Start` of the same call. A
 //! mixed-precision ladder needs neither — its checkpoint is the f64 iterate
 //! alone (`write_field` / `read_field`), because defect correction is
@@ -26,7 +26,7 @@
 
 use crate::container::{Container, Record};
 use crate::error::{IoError, Result};
-use crate::fields::{decode_field, encode_field, Cursor, FieldMeta, META_RECORD};
+use crate::fields::{decode_field, encode_field, Cursor, FieldMeta, Writer, META_RECORD};
 use grid::codec::Precision;
 use grid::field::Field;
 use grid::krylov::{Start, State, Stored};
@@ -88,24 +88,25 @@ pub(crate) fn decode_scalars(payload: &[u8]) -> Result<Scalars> {
 
 /// Snapshot an in-flight CG solve — one field, a block or a 5-d fermion —
 /// to `path` (atomic write): the scalars per right-hand side, one record
-/// per stored field of each iterate.
-pub fn save_state<V: Stored<E = f64>>(state: &State<V>, path: &Path) -> Result<u64> {
+/// per stored field of each iterate, at [`Precision::F64`], which holds
+/// every narrower element type exactly.
+pub fn save_state<V: Stored>(state: &State<V>, path: &Path) -> Result<u64> {
     let nrhs = state.nrhs();
-    let mut scalars = Vec::new();
-    scalars.extend_from_slice(&(nrhs as u64).to_le_bytes());
+    let mut scalars = Writer::default();
+    scalars.u64(nrhs as u64);
     for j in 0..nrhs {
-        scalars.extend_from_slice(&(state.iterations[j] as u64).to_le_bytes());
-        scalars.extend_from_slice(&state.r2[j].to_bits().to_le_bytes());
-        scalars.extend_from_slice(&state.b_norm2[j].to_bits().to_le_bytes());
-        scalars.extend_from_slice(&(state.histories[j].len() as u64).to_le_bytes());
-        for h in &state.histories[j] {
-            scalars.extend_from_slice(&h.to_bits().to_le_bytes());
+        scalars.u64(state.iterations[j] as u64);
+        scalars.f64(state.r2[j]);
+        scalars.f64(state.b_norm2[j]);
+        scalars.u64(state.histories[j].len() as u64);
+        for &h in &state.histories[j] {
+            scalars.f64(h);
         }
     }
     let mut c = Container::new();
     let meta = FieldMeta::of(&state.x.field().rhs_field(0), Precision::F64);
     c.push(Record::new(META_RECORD, meta.encode()));
-    c.push(Record::new(STATE_SCALARS, scalars));
+    c.push(Record::new(STATE_SCALARS, scalars.0));
     for (stem, v) in ITERATES.iter().zip([&state.x, &state.r, &state.p]) {
         for j in 0..v.field().width() {
             let field = encode_field(&v.field().rhs_field(j), Precision::F64);
@@ -119,7 +120,7 @@ pub fn save_state<V: Stored<E = f64>>(state: &State<V>, path: &Path) -> Result<u
 /// another shape than `V` (a block read as one field, a 5-d fermion read
 /// as either), of an older layout, or with a count its payload cannot hold
 /// is a typed error.
-pub fn load_state<V: Stored<E = f64>>(path: &Path, grid: &Arc<Grid<f64>>) -> Result<State<V>> {
+pub fn load_state<V: Stored>(path: &Path, grid: &Arc<Grid<V::E>>) -> Result<State<V>> {
     let c = Container::open(path)?;
     let meta = FieldMeta::decode(&c.expect(META_RECORD)?.payload, META_RECORD)?;
     let s = decode_scalars(&c.expect(STATE_SCALARS)?.payload)?;
@@ -158,7 +159,7 @@ pub fn load_state<V: Stored<E = f64>>(path: &Path, grid: &Arc<Grid<f64>>) -> Res
     })
 }
 
-/// Checkpoint-every-k durability for any CG solve over stored f64 vectors:
+/// Checkpoint-every-k durability for any CG solve over stored vectors:
 /// hand [`Self::observer`] to `krylov::cg_solve`, then ask [`Self::finish`]
 /// what happened. A snapshot is written (atomically, to the one path)
 /// whenever the total iteration count of the slowest right-hand side
@@ -185,7 +186,7 @@ impl Checkpointer {
 
     /// The observer: writes a snapshot when one is due, and stops the
     /// solve on the first write error (which [`Self::finish`] returns).
-    pub fn observer<V: Stored<E = f64>>(
+    pub fn observer<V: Stored>(
         &mut self,
     ) -> impl FnMut(&State<V>, &[HealthMonitor]) -> ControlFlow<()> + '_ {
         move |state, _| {
@@ -216,7 +217,7 @@ impl Checkpointer {
 /// in any space. The right-hand side must be the one the snapshot was
 /// taken with: `|b_j|²` is recomputed — a canonical reduction, the same
 /// bits at any vector length and thread count — and must match.
-pub fn resume<V: Stored<E = f64>>(b: &V, path: &Path) -> Result<Start<V>> {
+pub fn resume<V: Stored>(b: &V, path: &Path) -> Result<Start<V>> {
     let state: State<V> = load_state(path, b.field().grid())?;
     let (stored, ours) = (state.x.field().width(), b.field().width());
     if stored != ours {

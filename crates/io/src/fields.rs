@@ -63,23 +63,23 @@ impl FieldMeta {
 
     /// Binary encoding (all little-endian).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut w = Writer::default();
         for d in self.dims {
-            out.extend_from_slice(&(d as u64).to_le_bytes());
+            w.u64(d as u64);
         }
-        out.extend_from_slice(&self.vl_bits.to_le_bytes());
-        out.push(self.precision.tag());
-        out.extend_from_slice(&self.ncomp.to_le_bytes());
-        out.extend_from_slice(&(self.kind.len() as u16).to_le_bytes());
-        out.extend_from_slice(self.kind.as_bytes());
+        w.u64(self.vl_bits);
+        w.u8(self.precision.tag());
+        w.u64(self.ncomp);
+        w.u16(self.kind.len() as u16);
+        w.bytes(self.kind.as_bytes());
         match self.plaquette {
             Some(p) => {
-                out.push(1);
-                out.extend_from_slice(&p.to_bits().to_le_bytes());
+                w.u8(1);
+                w.f64(p);
             }
-            None => out.push(0),
+            None => w.u8(0),
         }
-        out
+        w.0
     }
 
     /// Decode from a `meta` record payload; malformed bytes are a typed
@@ -226,9 +226,53 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// The little-endian writer of the items a [`Cursor`] reads back, in the
+/// same order: the one way a record payload is built.
+#[derive(Default)]
+pub struct Writer(pub Vec<u8>);
+
+impl Writer {
+    /// The raw bytes `b`.
+    pub fn bytes(&mut self, b: &[u8]) {
+        self.0.extend_from_slice(b);
+    }
+
+    /// One byte.
+    pub fn u8(&mut self, v: u8) {
+        self.0.push(v);
+    }
+
+    /// A little-endian `u16`.
+    pub fn u16(&mut self, v: u16) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// A little-endian `u64`.
+    pub fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// An `f64` as its raw bits.
+    pub fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    /// A UTF-8 string behind a `u64` byte length.
+    pub fn str(&mut self, s: &str) {
+        self.u64(s.len() as u64);
+        self.bytes(s.as_bytes());
+    }
+}
+
 /// Serialize a field's scalars in global lexicographic site order at the
-/// requested precision.
+/// requested precision. The record holds one right-hand side: a wider
+/// field is refused, each of its right-hand sides is written on its own.
 pub fn encode_field<K: FieldKind, E: SveFloat>(f: &Field<K, E>, precision: Precision) -> Vec<u8> {
+    assert_eq!(
+        f.width(),
+        1,
+        "a field record holds one right-hand side: write each `rhs_field` of a wider field"
+    );
     let grid = f.grid();
     let mut scalars = Vec::with_capacity(grid.volume() * K::NCOMP * 2);
     for x in grid.coords() {
@@ -395,10 +439,10 @@ fn read_gauge_inner(c: &Container, grid: &Arc<Grid<f64>>) -> Result<GaugeField> 
 /// Serialize a [`StreamRng`] state into a record (seed, then draw counter).
 pub fn rng_record(rng: &StreamRng) -> Record {
     let (seed, counter) = rng.state();
-    let mut payload = Vec::with_capacity(16);
-    payload.extend_from_slice(&seed.to_le_bytes());
-    payload.extend_from_slice(&counter.to_le_bytes());
-    Record::new(RNG_RECORD, payload)
+    let mut w = Writer::default();
+    w.u64(seed);
+    w.u64(counter);
+    Record::new(RNG_RECORD, w.0)
 }
 
 /// Restore a [`StreamRng`] from its record.
@@ -457,6 +501,30 @@ mod tests {
             FieldMeta::decode(&bytes, "meta"),
             Err(IoError::BadRecord { .. })
         ));
+    }
+
+    /// A 2-wide block: a field of two right-hand sides.
+    fn wide() -> grid::FermionBlock {
+        let g = Grid::new(
+            [2, 2, 2, 4],
+            sve::VectorLength::of(256),
+            grid::SimdBackend::Fcmla,
+        );
+        let fields = [1, 2].map(|seed| grid::FermionField::random(g.clone(), seed));
+        grid::FermionBlock::from_fields(&fields)
+    }
+
+    #[test]
+    #[should_panic(expected = "rhs_field")]
+    fn encode_field_refuses_a_block() {
+        let _ = encode_field(&*wide(), Precision::F64);
+    }
+
+    #[test]
+    #[should_panic(expected = "rhs_field")]
+    fn write_field_refuses_a_block() {
+        let path = std::env::temp_dir().join(format!("wide-{}.qio", std::process::id()));
+        let _ = write_field(&*wide(), &path, Precision::F64);
     }
 
     #[test]

@@ -24,8 +24,8 @@
 use crate::container::{Container, Record};
 use crate::error::{IoError, Result};
 use crate::fields::{
-    decode_field, encode_field, rng_from_record, rng_record, Cursor, FieldMeta, FIELD_RECORD,
-    META_RECORD, RNG_RECORD,
+    decode_field, encode_field, rng_from_record, rng_record, Cursor, FieldMeta, Writer,
+    FIELD_RECORD, META_RECORD, RNG_RECORD,
 };
 use grid::codec::Precision;
 use grid::gauge::average_plaquette;
@@ -106,24 +106,24 @@ impl HmcChainState {
 
     /// Serialize into the `hmc.chain` and `hmc.history` records.
     pub fn to_records(&self) -> (Record, Record) {
-        let mut s = Vec::with_capacity(8 * 7 + 1);
-        s.extend_from_slice(&self.beta.to_bits().to_le_bytes());
-        s.extend_from_slice(&self.step_size.to_bits().to_le_bytes());
-        s.extend_from_slice(&self.n_steps.to_le_bytes());
-        s.push(self.integrator);
-        s.extend_from_slice(&self.seed.to_le_bytes());
-        s.extend_from_slice(&self.trajectory.to_le_bytes());
-        s.extend_from_slice(&self.accepted.to_le_bytes());
-        s.extend_from_slice(&self.rejected.to_le_bytes());
-        let mut h = Vec::with_capacity(8 + self.dh_history.len() * 9);
-        h.extend_from_slice(&(self.dh_history.len() as u64).to_le_bytes());
-        for (dh, &acc) in self.dh_history.iter().zip(&self.accept_history) {
-            h.extend_from_slice(&dh.to_bits().to_le_bytes());
-            h.push(acc as u8);
+        let mut s = Writer::default();
+        s.f64(self.beta);
+        s.f64(self.step_size);
+        s.u64(self.n_steps);
+        s.u8(self.integrator);
+        s.u64(self.seed);
+        s.u64(self.trajectory);
+        s.u64(self.accepted);
+        s.u64(self.rejected);
+        let mut h = Writer::default();
+        h.u64(self.dh_history.len() as u64);
+        for (&dh, &acc) in self.dh_history.iter().zip(&self.accept_history) {
+            h.f64(dh);
+            h.u8(acc as u8);
         }
         (
-            Record::new(HMC_RECORD, s),
-            Record::new(HMC_HISTORY_RECORD, h),
+            Record::new(HMC_RECORD, s.0),
+            Record::new(HMC_HISTORY_RECORD, h.0),
         )
     }
 

@@ -66,7 +66,7 @@ pub use error::{IoError, Result};
 pub use fault::{Fault, FaultyReader, FaultyWriter};
 pub use fields::{
     plaquette_tolerance, read_field, read_gauge, rng_from_record, rng_record, write_field,
-    write_gauge, Cursor, FieldMeta,
+    write_gauge, Cursor, FieldMeta, Writer,
 };
 pub use hmc::{read_hmc_chain, write_hmc_chain, HmcChainState, HMC_HISTORY_RECORD, HMC_RECORD};
 pub use scan::{scan_checkpoints, CheckpointEntry, CheckpointKind, ScanReport, SkippedCheckpoint};

@@ -265,7 +265,7 @@ mod tests {
         let path = dir.join("j1.solve.qio");
         let mut every_second = Checkpointer::every(2, &path);
         let _ = grid::krylov::cg_solve(
-            &mut grid::krylov::fused(&op, &mut FermionField::zero(g.clone())),
+            &mut op.normal(&mut FermionField::zero(g.clone())),
             &b,
             grid::krylov::Start::Zero,
             1e-10,

@@ -25,7 +25,7 @@
 
 use crate::container::{Container, Record};
 use crate::error::{IoError, Result};
-use crate::fields::{decode_field, encode_field, Cursor, FieldMeta};
+use crate::fields::{decode_field, encode_field, Cursor, FieldMeta, Writer};
 use grid::codec::Precision;
 use grid::field::FermionKind;
 use grid::{Field, Grid};
@@ -60,14 +60,14 @@ pub struct SubspaceData<E: SveFloat = f64> {
 }
 
 fn scalars_record(mass: f64, values: &[f64], residuals: &[f64]) -> Record {
-    let mut payload = Vec::with_capacity(16 + 16 * values.len());
-    payload.extend_from_slice(&mass.to_bits().to_le_bytes());
-    payload.extend_from_slice(&(values.len() as u64).to_le_bytes());
+    let mut w = Writer::default();
+    w.f64(mass);
+    w.u64(values.len() as u64);
     for (&v, &r) in values.iter().zip(residuals.iter()) {
-        payload.extend_from_slice(&v.to_bits().to_le_bytes());
-        payload.extend_from_slice(&r.to_bits().to_le_bytes());
+        w.f64(v);
+        w.f64(r);
     }
-    Record::new(DEFL_SCALARS_RECORD, payload)
+    Record::new(DEFL_SCALARS_RECORD, w.0)
 }
 
 fn decode_scalars(record: &Record) -> Result<(f64, Vec<f64>, Vec<f64>)> {

@@ -8,7 +8,7 @@
 //! The allocator is process-global, so this binary holds the one test.
 
 use grid::codec::Precision;
-use grid::krylov::{cg_solve, fused, Start};
+use grid::krylov::{cg_solve, Start};
 use grid::prelude::*;
 use proptest::prelude::*;
 use qcd_io::{
@@ -94,7 +94,7 @@ fn originals() -> &'static [Container; 3] {
         let b = FermionBlock::from_fields(&fields);
         let mut checkpointer = Checkpointer::every(3, &state);
         let _ = cg_solve(
-            &mut fused(&op, &mut FermionBlock::zero(g.clone(), 2)),
+            &mut op.normal(&mut FermionBlock::zero(g.clone(), 2)),
             &b,
             Start::Zero,
             1e-10,

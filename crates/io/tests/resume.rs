@@ -3,7 +3,7 @@
 //! sequence bit-for-bit — at either width, in any space: durability is an
 //! observer of the one `cg_solve`, not a solver.
 
-use grid::krylov::{self, fused, Allocating, CgSpace, Start, State, Stored, Vector, WilsonVector};
+use grid::krylov::{self, Allocating, CgSpace, Start, State, Stored, Vector};
 use grid::prelude::*;
 use qcd_io::{load_state, read_field, resume, save_state, write_field, Checkpointer, IoError};
 use std::path::PathBuf;
@@ -40,7 +40,7 @@ fn durable<S: CgSpace>(
     path: &std::path::Path,
 ) -> (S::V, <S::V as Vector>::Report, usize)
 where
-    S::V: WilsonVector<E = f64>,
+    S::V: Stored<E = f64>,
 {
     let mut checkpointer = Checkpointer::every(every, path);
     let (x, report) = krylov::cg_solve(
@@ -67,7 +67,7 @@ fn kill_and_resume<S: CgSpace>(
     file: &str,
 ) -> [(S::V, <S::V as Vector>::Report); 2]
 where
-    S::V: WilsonVector<E = f64>,
+    S::V: Stored<E = f64>,
 {
     let path = tmp(file);
     let (x_ref, reference, _) = durable(space, b, Start::Zero, MAX_ITER, MAX_ITER, &tmp("unused"));
@@ -124,7 +124,7 @@ fn cg_killed_and_resumed_from_disk_is_bit_identical() {
     let (op, b) = setup();
     let mut tmp_field = b.zero_like();
     let [(x_ref, reference), (_, resumed)] =
-        kill_and_resume(&mut fused(&op, &mut tmp_field), &b, "cg.qio");
+        kill_and_resume(&mut op.normal(&mut tmp_field), &b, "cg.qio");
     assert_same_solve(&reference, &resumed);
     // The durable solve *is* `cg`: same space, same bits.
     let (x_cg, cg_report) = cg(&op, &b, TOL, MAX_ITER);
@@ -138,7 +138,7 @@ fn block_cg_killed_and_resumed_from_disk_is_bit_identical() {
     let b = two_rhs(&b0, 83);
     let mut tmp_block = b.zero_like();
     let [(x_ref, reference), (_, resumed)] =
-        kill_and_resume(&mut fused(&op, &mut tmp_block), &b, "blk.qio");
+        kill_and_resume(&mut op.normal(&mut tmp_block), &b, "blk.qio");
     assert_same_block_solve(&reference, &resumed);
     let (x_block, block_report) = cg(&op, &b, TOL, MAX_ITER);
     assert_eq!(x_ref.max_abs_diff(&x_block), 0.0);
@@ -156,12 +156,12 @@ fn a_checkpoint_is_interchangeable_between_spaces_with_the_same_bits() {
     let (x_ref, reference) = cg(&op, &b, TOL, MAX_ITER);
 
     let path = tmp("cg_closure.qio");
-    let mut closure = Allocating::new(b.grid().clone(), |v: &FermionField| op.mdag_m(v));
+    let mut closure = Allocating::new(|v: &FermionField| op.mdag_m(v));
     let (_, _, snapshots) = durable(&mut closure, &b, Start::Zero, 12, 5, &path);
     assert_eq!(snapshots, 2);
 
     let mut tmp_field = b.zero_like();
-    let mut space = fused(&op, &mut tmp_field);
+    let mut space = op.normal(&mut tmp_field);
     let start = resume(&b, &path).unwrap();
     let (x, resumed, _) = durable(&mut space, &b, start, MAX_ITER, MAX_ITER, &path);
     assert_eq!(x.max_abs_diff(&x_ref), 0.0);
@@ -169,10 +169,13 @@ fn a_checkpoint_is_interchangeable_between_spaces_with_the_same_bits() {
 }
 
 /// A state seven iterations into the fused solve of `b`.
-fn seven_iterations_in<V: WilsonVector<E = f64>>(op: &WilsonDirac, b: &V) -> State<V> {
+fn seven_iterations_in<V: Stored<E = f64>>(op: &WilsonDirac, b: &V) -> State<V>
+where
+    WilsonDirac: Dirac<V>,
+{
     let mut snapshot = None;
     let _ = krylov::cg_solve(
-        &mut fused(op, &mut b.zero_like()),
+        &mut op.normal(&mut b.zero_like()),
         b,
         Start::Zero,
         TOL,
@@ -187,7 +190,10 @@ fn seven_iterations_in<V: WilsonVector<E = f64>>(op: &WilsonDirac, b: &V) -> Sta
     snapshot.expect("seven iterations ran")
 }
 
-fn state_survives_a_save_load_cycle<V: WilsonVector<E = f64>>(op: &WilsonDirac, b: &V, file: &str) {
+fn state_survives_a_save_load_cycle<V: Stored<E = f64>>(op: &WilsonDirac, b: &V, file: &str)
+where
+    WilsonDirac: Dirac<V>,
+{
     let state = seven_iterations_in(op, b);
     let path = tmp(file);
     save_state(&state, &path).unwrap();
@@ -224,7 +230,7 @@ fn a_state_survives_a_save_load_cycle_bit_exactly_at_both_widths() {
 /// that index, resuming against `b` accepted.
 fn wrong_rhs_is_refused<S: CgSpace>(space: &mut S, b: &S::V, other: &S::V, index: usize, file: &str)
 where
-    S::V: WilsonVector<E = f64>,
+    S::V: Stored<E = f64>,
 {
     let path = tmp(file);
     durable(space, b, Start::Zero, 12, 5, &path);
@@ -247,9 +253,9 @@ fn resuming_against_the_wrong_rhs_is_refused_by_index_in_every_space() {
     let other_b0 = FermionField::random(b0.grid().clone(), 999);
     let (mut tmp_field, mut tmp_block) = (b0.zero_like(), b.zero_like());
 
-    let fused_field = &mut fused(&op, &mut tmp_field);
+    let fused_field = &mut op.normal(&mut tmp_field);
     wrong_rhs_is_refused(fused_field, &b0, &other_b0, 0, "wrong_rhs.qio");
-    let fused_block = &mut fused(&op, &mut tmp_block);
+    let fused_block = &mut op.normal(&mut tmp_block);
     wrong_rhs_is_refused(fused_block, &b, &other_b, 1, "wrong_rhs_blk.qio");
     // A checkpoint of one width is not the other's, whatever it holds.
     for (wrong_width, path) in [
@@ -272,7 +278,7 @@ fn a_failed_snapshot_stops_the_solve_and_finish_returns_the_error() {
     let nowhere = tmp("no-such-directory").join("cg.qio");
     let mut checkpointer = Checkpointer::every(5, &nowhere);
     let (_, report) = krylov::cg_solve(
-        &mut fused(&op, &mut b.zero_like()),
+        &mut op.normal(&mut b.zero_like()),
         &b,
         Start::Zero,
         TOL,

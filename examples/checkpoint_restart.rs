@@ -16,7 +16,7 @@
 //! cargo run --release --example checkpoint_restart
 //! ```
 
-use grid::krylov::{cg_solve, fused, CgSpace, Start};
+use grid::krylov::{cg_solve, CgSpace, Start};
 use grid::prelude::*;
 use qcd_io::{read_gauge, resume, write_gauge, Checkpointer, Fault, FaultyWriter};
 use std::io::Write;
@@ -94,7 +94,7 @@ fn main() {
     // The space `cg` runs in: the fused sweeps, nothing allocated per
     // iteration — with or without the observer.
     let mut tmp = FermionField::zero(g.clone());
-    let mut space = fused(&op, &mut tmp);
+    let mut space = op.normal(&mut tmp);
     let ckpt = dir.join("cg.qio");
 
     // "Node failure": cap the iteration budget at 14; the snapshot written

@@ -367,14 +367,14 @@ fn clover_bits_are_pinned() {
     // equations: `M ψ`, `M† ψ` and the solution in global lexicographic
     // site order, then the iteration count and the residual (4⁴, m 0.3,
     // c_sw 1.0).
-    use grid::krylov::{cg_solve, no_observer, Start};
+    use grid::krylov::{cg_solve, no_observer, Start, Vector};
     use grid::prelude::*;
     for bits in [128, 512, 2048] {
         let g = Grid::new([4, 4, 4, 4], VectorLength::of(bits), SimdBackend::Fcmla);
         let op = CloverWilson::new(random_gauge(g.clone(), 11), 0.3, 1.0);
         let psi = FermionField::random(g.clone(), 12);
         let (x, report) = cg_solve(
-            &mut grid::krylov::Allocating::new(g.clone(), |v: &FermionField| op.mdag_m(v)),
+            &mut op.normal(&mut psi.zero_like()),
             &psi,
             Start::Zero,
             1e-8,

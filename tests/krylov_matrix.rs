@@ -24,9 +24,7 @@ use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use grid::field::FermionKind;
-use grid::krylov::{
-    self, fused, Allocating, CgSpace, Operator, Start, State, Stored, Vector, WilsonVector,
-};
+use grid::krylov::{self, Allocating, CgSpace, Start, State, Stored, Vector};
 use grid::layout::{delex, lex};
 use grid::mixed::to_precision;
 use grid::prelude::*;
@@ -197,12 +195,8 @@ where
     Ok(whole)
 }
 
-/// A cell of the product in a space over stored f64 vectors. Undurable:
-/// the solve from `start()` uninterrupted and through the in-memory resume
-/// leg. Durable: uninterrupted, and once more checkpointed to disk every
-/// `CUT` iterations, killed at `2·CUT + 2` (the snapshot on disk is then
-/// the one at `2·CUT`), restored by `qcd_io::resume` and continued, still
-/// checkpointing. Either way the legs must be the same solve.
+/// A cell of the product in a space over stored vectors, to [`TOL`] with
+/// the legs cut at [`CUT`].
 fn cell<S: CgSpace>(
     space: &mut S,
     b: &S::V,
@@ -210,25 +204,45 @@ fn cell<S: CgSpace>(
     durable: bool,
 ) -> Result<Print, String>
 where
-    S::V: Printed + Stored<E = f64>,
+    S::V: Printed + Stored,
+{
+    cell_at(space, b, start, durable, TOL, CUT)
+}
+
+/// A cell to `tol`. Undurable: the solve from `start()` uninterrupted and
+/// through the in-memory resume leg cut at `cut`. Durable: uninterrupted,
+/// and once more checkpointed to disk every `cut` iterations, killed at
+/// `2·cut + 2` (the snapshot on disk is then the one at `2·cut`), restored
+/// by `qcd_io::resume` and continued, still checkpointing. Either way the
+/// legs must be the same solve.
+fn cell_at<S: CgSpace>(
+    space: &mut S,
+    b: &S::V,
+    start: impl Fn() -> Start<S::V>,
+    durable: bool,
+    tol: f64,
+    cut: usize,
+) -> Result<Print, String>
+where
+    S::V: Printed + Stored,
 {
     if !durable {
-        return solve_and_resume(space, b, &start, TOL, CUT);
+        return solve_and_resume(space, b, &start, tol, cut);
     }
-    let whole = solve(space, b, start(), TOL);
+    let whole = solve(space, b, start(), tol);
     static FILES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
     let n = FILES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let path = std::env::temp_dir().join(format!("krylov-matrix-{}-{n}.qio", std::process::id()));
     let io = |e: qcd_io::IoError| e.to_string();
-    let mut checkpointer = Checkpointer::every(CUT, &path);
-    let _ = observed(space, b, start(), TOL, 2 * CUT + 2, checkpointer.observer());
+    let mut checkpointer = Checkpointer::every(cut, &path);
+    let _ = observed(space, b, start(), tol, 2 * cut + 2, checkpointer.observer());
     let written = checkpointer.finish().map_err(io)?;
     if written != 2 {
         return Err(format!("{written} snapshots, expected 2"));
     }
     let restored = qcd_io::resume(b, &path).map_err(io)?;
-    let mut checkpointer = Checkpointer::every(CUT, &path);
-    let (x, report) = observed(space, b, restored, TOL, BUDGET, checkpointer.observer());
+    let mut checkpointer = Checkpointer::every(cut, &path);
+    let (x, report) = observed(space, b, restored, tol, BUDGET, checkpointer.observer());
     checkpointer.finish().map_err(io)?;
     std::fs::remove_file(&path).ok();
     same("disk resume", &whole, &S::V::print(&x, &report))?;
@@ -254,7 +268,7 @@ fn problem(bits: usize) -> Problem {
 
 /// The allocating closure adapter on `M†M`: the oracle.
 fn oracle(p: &Problem, b: &FermionField, start: Start<FermionField>) -> Print {
-    let mut space = Allocating::new(p.grid.clone(), |v: &FermionField| p.op.mdag_m(v));
+    let mut space = Allocating::new(|v: &FermionField| p.op.mdag_m(v));
     solve(&mut space, b, start, TOL)
 }
 
@@ -306,7 +320,7 @@ enum StartAt {
 }
 
 impl StartAt {
-    fn start<V: WilsonVector<E = f64>>(self, p: &Problem, b: &V) -> Start<V> {
+    fn start<V: Stored<E = f64>>(self, p: &Problem, b: &V) -> Start<V> {
         match self {
             StartAt::Zero => Start::Zero,
             StartAt::Galerkin => Start::Guess(galerkin_guess(&subspace(p), b)),
@@ -329,7 +343,7 @@ fn field_fused(bits: usize, from: StartAt, durable: bool) -> Result<Print, Strin
     let p = problem(bits);
     let mut tmp = p.b.zero_like();
     let whole = cell(
-        &mut fused(&p.op, &mut tmp),
+        &mut p.op.normal(&mut tmp),
         &p.b,
         || from.start(&p, &p.b),
         durable,
@@ -352,13 +366,13 @@ fn block_fused(bits: usize, from: StartAt, durable: bool) -> Result<Print, Strin
     let block = FermionBlock::from_fields(&[p.b.clone(), p.b2.clone()]);
     let mut tmp = block.zero_like();
     let whole = cell(
-        &mut fused(&p.op, &mut tmp),
+        &mut p.op.normal(&mut tmp),
         &block,
         || from.start(&p, &block),
         durable,
     )?;
     let mut tmp = p.b.zero_like();
-    let mut single = fused(&p.op, &mut tmp);
+    let mut single = p.op.normal(&mut tmp);
     for (j, b) in [&p.b, &p.b2].into_iter().enumerate() {
         let solo = solve(&mut single, b, from.start(&p, b), TOL);
         same("field space per RHS", &whole.rhs(j, 2), &solo)?;
@@ -391,25 +405,16 @@ fn eo_schur(bits: usize, durable: bool) -> Result<Print, String> {
         s.scale_axpy_from(a, v, -0.25 / a, &s.clone());
         s
     };
-    let mut allocating = Allocating::new(p.grid.clone(), |v: &FermionField| {
-        gamma5(&schur(&gamma5(&schur(v))))
-    });
+    let mut allocating = Allocating::new(|v: &FermionField| gamma5(&schur(&gamma5(&schur(v)))));
     let reference = solve(&mut allocating, &rhs, Start::Zero, TOL);
 
-    let (mut hop, mut tmp) = (rhs.zero_like(), rhs.zero_like());
-    let mut space = Operator::new(|v: &FermionField, ap: &mut FermionField, c: &mut [f64]| {
-        p.op.hopping_into(v, &mut hop);
-        p.op.hopping_into(&hop, &mut tmp);
-        ap.scale_axpy_from(a, v, -0.25 / a, &tmp);
-        gamma5_inplace(ap);
-        p.op.hopping_into(ap, &mut hop);
-        p.op.hopping_into(&hop, &mut tmp);
-        ap.scale(a);
-        ap.axpy_inplace(-0.25 / a, &tmp);
-        gamma5_inplace(ap);
-        c[0] = v.inner(ap).re;
-    });
-    let whole = cell(&mut space, &rhs, || Start::Zero, durable)?;
+    let schur = Schur::new(&p.op);
+    let whole = cell(
+        &mut schur.normal(&mut rhs.zero_like()),
+        &rhs,
+        || Start::Zero,
+        durable,
+    )?;
     same("oracle", &whole, &reference)?;
     Ok(whole)
 }
@@ -425,8 +430,12 @@ fn dist(bits: usize, ranks: usize, durable: bool) -> Result<Print, String> {
         let u = restrict_field(ctx, &random_gauge(g.clone(), 7));
         let b = restrict_field(ctx, &FermionField::random(g, 13));
         let dw = DistWilson::new(ctx, u, 0.3, GaugeWire::TwoRow, Compression::None);
-        let mut ws = DistWorkspace::new(&dw);
-        let print = cell(&mut dw.normal(&mut ws), &b, || Start::Zero, durable)?;
+        let print = cell(
+            &mut dw.normal(&mut b.zero_like()),
+            &b,
+            || Start::Zero,
+            durable,
+        )?;
         let local = ctx.grid.fdims();
         let sites: Vec<(usize, Vec<u64>)> = (print.x.chunks(2 * FermionKind::NCOMP).enumerate())
             .map(|(j, bits)| {
@@ -459,7 +468,7 @@ fn dist(bits: usize, ranks: usize, durable: bool) -> Result<Print, String> {
         let op = WilsonDirac::new_two_row(random_gauge(g.clone(), 7), 0.3);
         let b = FermionField::random(g, 13);
         let mut tmp = b.zero_like();
-        let field = solve(&mut fused(&op, &mut tmp), &b, Start::Zero, TOL);
+        let field = solve(&mut op.normal(&mut tmp), &b, Start::Zero, TOL);
         same("field fused", &print, &field)?;
     }
     Ok(print)
@@ -487,10 +496,7 @@ fn fermion5(bits: usize, durable: bool) -> Result<Print, String> {
     let mut tmp = b.zero_like();
     let whole = cell(&mut op.normal(&mut tmp), &b, || Start::Zero, durable)?;
     // The oracle: the same operator as an allocating closure.
-    let mut space = Operator::new(|v: &Fermion5, ap: &mut Fermion5, c: &mut [f64]| {
-        *ap = op.ddag_d(v);
-        c[0] = v.inner(ap).re;
-    });
+    let mut space = Allocating::new(|v: &Fermion5| op.mdag_m(v));
     same(
         "oracle",
         &whole,
@@ -499,8 +505,9 @@ fn fermion5(bits: usize, durable: bool) -> Result<Print, String> {
     Ok(whole)
 }
 
-/// The fused space at binary16: the space of the ladder's inner tier.
-fn f16_fused(bits: usize) -> Result<Print, String> {
+/// The fused space at binary16: the space of the ladder's inner tier,
+/// checkpointed as its f64 widening (exact).
+fn f16_fused(bits: usize, durable: bool) -> Result<Print, String> {
     let p = problem(bits);
     let g16 = Grid::<F16>::new(DIMS, VectorLength::of(bits), SimdBackend::Fcmla);
     let op = WilsonDirac::<F16>::new(to_precision(p.op.gauge(), &g16), MASS);
@@ -508,10 +515,11 @@ fn f16_fused(bits: usize) -> Result<Print, String> {
     b.scale(1.0 / p.b.norm2().sqrt()); // into binary16 range, like the ladder
     let b = to_precision(&b, &g16);
     let mut tmp = b.zero_like();
-    let mut space = fused(&op, &mut tmp);
-    // Binary16 carries ~3 digits: stop well above its floor, and cut
-    // after the first iteration.
-    solve_and_resume(&mut space, &b, || Start::Zero, 1e-2, 1)
+    let mut space = op.normal(&mut tmp);
+    // Binary16 carries ~3 digits: stop well above its floor (nine
+    // iterations), and cut after the first, or checkpoint every third.
+    let cut = if durable { 3 } else { 1 };
+    cell_at(&mut space, &b, || Start::Zero, durable, 1e-2, cut)
 }
 
 /// The fused space preconditioned by the two-level coarse correction:
@@ -521,7 +529,7 @@ fn coarse_preconditioned(bits: usize, from: StartAt, durable: bool) -> Result<Pr
     let p = problem(bits);
     let cs = CoarseSpace::build(&p.op, &subspace(&p).vectors, [2, 2, 2, 2]);
     let mut tmp = p.b.zero_like();
-    let mut space = cs.two_level(fused(&p.op, &mut tmp), None);
+    let mut space = cs.two_level(p.op.normal(&mut tmp), None);
     let whole = cell(&mut space, &p.b, || from.start(&p, &p.b), durable)?;
     close(&whole, &oracle(&p, &p.b, Start::Zero))?;
     let span = qcd_trace::span!("mg.coarse", p.grid.engine().ctx());
@@ -555,7 +563,7 @@ type Cell = fn(usize, StartAt, bool) -> Result<Print, String>;
 
 /// The cells of the product nobody can run without writing the missing
 /// piece first, and what that piece is.
-const UNREACHABLE: [(&str, &str); 7] = [
+const UNREACHABLE: [(&str, &str); 6] = [
     (
         "dist × {Galerkin start, deflation}",
         "a Subspace holds f64 fields of the global lattice; DistWilson acts on a rank grid's",
@@ -567,10 +575,6 @@ const UNREACHABLE: [(&str, &str); 7] = [
     (
         "Fermion5 × {Galerkin start, ladder}",
         "no eigensolver over 5-d vectors; precision is not yet a wrapper (item 4)",
-    ),
-    (
-        "f16 fused × ckpt",
-        "the state codec stores f64 fields; the f16 tier's durable unit is the ladder's f64 iterate",
     ),
     (
         "EO-Schur × Galerkin start",
@@ -616,7 +620,9 @@ fn every_space_conforms_across_vector_lengths_and_threads() {
     row("Fermion5", &zero, &[false, true], |bits, _, durable| {
         fermion5(bits, durable)
     });
-    row("f16 fused", &zero, &[false], |bits, _, _| f16_fused(bits));
+    row("f16 fused", &zero, &[false, true], |bits, _, durable| {
+        f16_fused(bits, durable)
+    });
     row(
         "coarse-preconditioned",
         &both,
