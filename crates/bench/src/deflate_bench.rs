@@ -80,7 +80,8 @@ pub fn run(therm: &Thermalized, cfg: &DeflationConfig) -> Result<Json, String> {
         tol: cfg.eig_tol,
         max_restarts: cfg.max_restarts,
     };
-    let (sub, eig) = lanczos(op, &params, EIG_SEED);
+    let start = FermionField::random(op.grid().clone(), EIG_SEED);
+    let (sub, eig) = lanczos(op, &params, start, op.mass);
     if !eig.converged {
         return Err(format!(
             "eigensolver did not converge within {} restarts (nev {}, m {})",
@@ -102,8 +103,8 @@ pub fn run(therm: &Thermalized, cfg: &DeflationConfig) -> Result<Json, String> {
     if defl.converged.iter().any(|&c| !c) {
         return Err("deflated block solve did not converge".into());
     }
-    let cs = CoarseSpace::build(op, &sub.vectors, CELL);
     let mut tmp = FermionField::zero(op.grid().clone());
+    let cs = CoarseSpace::build(op.normal(&mut tmp), &sub.vectors, CELL);
     let span = qcd_trace::span!("mg.coarse", op.grid().engine().ctx());
     let (_, coarse) = krylov::cg_solve(
         &mut cs.two_level(op.normal(&mut tmp), None),

@@ -258,6 +258,17 @@ impl<E: SveFloat> WilsonDirac<E> {
         d
     }
 
+    /// The same operator at element type `E2`: the gauge field converted
+    /// onto a grid of `E2` with this lattice, vector length and backend
+    /// (the replica a precision tier or a binary16 smoother sweeps).
+    pub fn replica<E2: SveFloat>(&self) -> WilsonDirac<E2> {
+        let g = &self.grid;
+        let grid = Grid::<E2>::new(g.fdims(), g.vl(), g.engine().backend());
+        let mut op = WilsonDirac::new(crate::mixed::to_precision(&self.u, &grid), self.mass);
+        op.two_row = self.two_row;
+        op
+    }
+
     /// Whether links are read in two-row compressed mode.
     pub fn two_row(&self) -> bool {
         self.two_row

@@ -200,6 +200,10 @@ impl Stored for Fermion5 {
         self
     }
 
+    fn field_mut(&mut self) -> &mut FermionField {
+        self
+    }
+
     fn from_field(f: Field<FermionKind, f64>, nrhs: usize) -> Option<Self> {
         (nrhs == 1 && f.width() >= 2).then_some(Fermion5(f))
     }

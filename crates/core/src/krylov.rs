@@ -161,6 +161,9 @@ pub trait Stored: Vector {
     /// The storage.
     fn field(&self) -> &Field<FermionKind, Self::E>;
 
+    /// The storage, mutably: the BLAS of [`Field`] on any stored vector.
+    fn field_mut(&mut self) -> &mut Field<FermionKind, Self::E>;
+
     /// The vector of `nrhs` right-hand sides stored as `f`, if `f` has its
     /// shape.
     fn from_field(f: Field<FermionKind, Self::E>, nrhs: usize) -> Option<Self>;
@@ -173,6 +176,10 @@ impl<E: SveFloat> Stored for Field<FermionKind, E> {
         self
     }
 
+    fn field_mut(&mut self) -> &mut Self {
+        self
+    }
+
     fn from_field(f: Self, nrhs: usize) -> Option<Self> {
         (nrhs == 1 && f.width() == 1).then_some(f)
     }
@@ -182,6 +189,10 @@ impl<E: SveFloat> Stored for FermionBlock<E> {
     type E = E;
 
     fn field(&self) -> &Field<FermionKind, E> {
+        self
+    }
+
+    fn field_mut(&mut self) -> &mut Field<FermionKind, E> {
         self
     }
 

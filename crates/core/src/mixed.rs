@@ -291,20 +291,17 @@ pub fn ladder_solve_from(
 ) -> (FermionField, LadderReport) {
     let grid64 = b.grid().clone();
     let _span = qcd_trace::span!("solver.ladder", grid64.engine().ctx());
-    let grid32 = Grid::<f32>::new(grid64.fdims(), grid64.vl(), grid64.engine().backend());
     let f64_before = grid64.engine().ctx().counters().total();
-
-    let u32f = to_precision(op.gauge(), &grid32);
-    let op32 = WilsonDirac::<f32>::new(u32f, op.mass);
+    let op32 = op.replica::<f32>();
+    let grid32 = op32.grid().clone();
 
     let mut f16_on = cfg.use_f16;
     let cycle_tol = cfg.f16_cycle_tol;
     let mut tier16 = if f16_on {
-        let grid16 = Grid::<F16>::new(grid64.fdims(), grid64.vl(), grid64.engine().backend());
-        let u16f = to_precision(op.gauge(), &grid16);
-        let zero = Field::<FermionKind, F16>::zero(grid16);
+        let op16 = op.replica::<F16>();
+        let zero = Field::<FermionKind, F16>::zero(op16.grid().clone());
         Some(F16Tier {
-            op: WilsonDirac::<F16>::new(u16f, op.mass),
+            op: op16,
             b: zero.clone(),
             tmp: zero.clone(),
             // Placeholder scalars: every cycle rebuilds the state in place.

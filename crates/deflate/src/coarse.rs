@@ -36,7 +36,7 @@ use grid::dirac::{Dirac, WilsonDirac};
 use grid::field::FermionKind;
 use grid::krylov::CgSpace;
 use grid::layout::{delex, lex};
-use grid::mixed::{to_precision, to_precision_into};
+use grid::mixed::to_precision_into;
 use grid::{Complex, Coor, Field, FieldKind, Grid};
 use std::sync::Arc;
 use sve::{SveFloat, F16};
@@ -68,14 +68,20 @@ impl<E: SveFloat> CoarseSpace<E> {
     }
 
     /// Block `near_null` over cells of extent `cell`, orthonormalize per
-    /// cell, and assemble + factor the Galerkin coarse operator for `op`.
-    /// Runs under an `mg.coarse` span; the coarse dimension lands in the
-    /// `mg.coarse.dim` histogram.
-    pub fn build(op: &WilsonDirac<E>, near_null: &[Field<FermionKind, E>], cell: Coor) -> Self {
-        let grid = op.grid().clone();
-        let span = qcd_trace::span!("mg.coarse", grid.engine().ctx());
+    /// cell, and assemble + factor the Galerkin coarse operator of `fine`,
+    /// the space the correction will precondition (the `A` of
+    /// [`Self::two_level`], e.g. `op.normal(&mut tmp)`). Runs under an
+    /// `mg.coarse` span; the coarse dimension lands in the `mg.coarse.dim`
+    /// histogram.
+    pub fn build<A: CgSpace<V = Field<FermionKind, E>>>(
+        mut fine: A,
+        near_null: &[Field<FermionKind, E>],
+        cell: Coor,
+    ) -> Self {
         let nv = near_null.len();
         assert!(nv > 0, "need at least one near-null vector");
+        let grid = near_null[0].grid().clone();
+        let span = qcd_trace::span!("mg.coarse", grid.engine().ctx());
         let fdims = grid.fdims();
         let mut cdims = [0usize; 4];
         for d in 0..4 {
@@ -153,15 +159,14 @@ impl<E: SveFloat> CoarseSpace<E> {
             chol: Cholesky::factor(&[Complex::ONE], 1), // placeholder
         };
         let mut ac = vec![Complex::ZERO; nc * nc];
-        let mut fine = Field::<FermionKind, E>::zero(grid.clone());
-        let mut tmp = Field::<FermionKind, E>::zero(grid.clone());
+        let mut pe = Field::<FermionKind, E>::zero(grid.clone());
         let mut afine = Field::<FermionKind, E>::zero(grid.clone());
         let mut unit = vec![Complex::ZERO; nc];
         for col in 0..nc {
             unit[col] = Complex::ONE;
-            half.prolong_into(&unit, &mut fine);
+            half.prolong_into(&unit, &mut pe);
             unit[col] = Complex::ZERO;
-            op.mdag_m_into(&fine, &mut tmp, &mut afine);
+            fine.apply(&pe, &mut afine, &mut [0.0]);
             let column = half.restrict(&afine);
             for (row, &z) in column.iter().enumerate() {
                 ac[row * nc + col] = z;
@@ -308,18 +313,16 @@ impl<E: SveFloat> F16Smoother<E> {
 
     /// Build the F16 replica of `op` and the smoother's fields.
     pub fn new(op: &WilsonDirac<E>) -> Self {
-        let g = op.grid();
-        let g16 = Grid::<F16>::new(g.fdims(), g.vl(), g.engine().backend());
-        let u16 = to_precision(op.gauge(), &g16);
-        let zero = Field::zero(g16);
+        let op16 = op.replica::<F16>();
+        let zero = Field::zero(op16.grid().clone());
         F16Smoother {
-            op16: WilsonDirac::<F16>::new(u16, op.mass),
+            op16,
             r16: zero.clone(),
             s16: zero.clone(),
             t16: zero.clone(),
             ms16: zero.clone(),
             d16: zero,
-            fine: Field::zero(g.clone()),
+            fine: Field::zero(op.grid().clone()),
         }
     }
 

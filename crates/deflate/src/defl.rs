@@ -21,22 +21,24 @@
 //!
 //! There is no recurrence here, and no solver per combination: deflation
 //! is a *start* of the one CG driver ([`grid::krylov`]) — [`Start::Guess`]
-//! in the operator's [`Dirac::normal`] space. It composes with the precision ladder the same
-//! way: `ladder_solve_from(op, b, galerkin_guess_f16(sub, &op.apply_dag(b)),
-//! cfg)` seeds the outer double-precision loop with the f16-applied guess.
+//! of [`galerkin_guess`] in any operator's [`Dirac::normal`] space;
+//! [`defl_cg`] is that composition for the Wilson operator. Precision
+//! composes the same way: the guess of the subspace vectors and the
+//! right-hand side `to_precision`-converted to binary16 (a quarter of the
+//! f64 bytes), widened back, seeds `ladder_solve_from` — an initial
+//! iterate, so the outer loop removes whatever binary16 grain it carries.
 //!
 //! Determinism follows the same rule as the eigensolver: every steering
 //! scalar is a canonical reduction, every field update is pointwise, so
 //! residual histories are bit-identical across vector lengths and thread
 //! counts.
 
-use crate::lanczos::Subspace;
 use grid::dirac::{Dirac, WilsonDirac};
 use grid::field::FermionKind;
 use grid::krylov::{self, Start, Stored};
-use grid::mixed::{to_precision, to_precision_into};
-use grid::{FermionField, Field, Grid};
-use sve::{SveFloat, F16};
+use grid::Field;
+use qcd_io::Subspace;
+use sve::SveFloat;
 
 /// Check that `sub` belongs to `op`: same lattice, bit-identical mass.
 fn assert_subspace_matches<E: SveFloat>(op: &WilsonDirac<E>, sub: &Subspace<E>) {
@@ -59,50 +61,28 @@ fn assert_subspace_matches<E: SveFloat>(op: &WilsonDirac<E>, sub: &Subspace<E>) 
 /// The Galerkin (exact-deflation) initial guess for `A x = b`, per
 /// right-hand side: `x₀ = Σ_i v_i ⟨v_i, b⟩ / θ_i`. For Ritz pairs
 /// `V†AV = diag(θ)`, so this is `V (V†AV)⁻¹ V† b` without a dense solve.
-/// All inner products are canonical; the accumulation order over `i` is
-/// fixed, and a block's RHS `j` goes through the single-field operation
-/// sequence, so it is bit-identical to the guess for that field alone.
+/// A right-hand side has the shape of the subspace's vectors — a field, a
+/// 5-d fermion, a rank's slab — and a block's RHS `j` is one field, which
+/// goes through the single-field operation sequence, so it is
+/// bit-identical to the guess for that field alone. All inner products
+/// are canonical; the accumulation order over `i` is fixed.
 pub fn galerkin_guess<V: Stored>(sub: &Subspace<V::E>, b: &V) -> V {
-    let guesses: Vec<_> = (0..b.nrhs())
-        .map(|j| {
-            let bj = b.field().rhs_field(j);
-            let mut x0 = Field::<FermionKind, V::E>::zero(bj.grid().clone());
-            for (v, &theta) in sub.vectors.iter().zip(sub.values.iter()) {
-                let c = v.inner(&bj);
-                x0.axpy_complex(c.scale(1.0 / theta), v);
-            }
-            x0
-        })
-        .collect();
-    V::from_field(Field::from_fields(&guesses), guesses.len()).expect("one field per RHS")
-}
-
-/// The Galerkin guess with the subspace **applied at binary16**: the Ritz
-/// vectors and the right-hand side are re-laid-out to F16 fields, the
-/// projection coefficients `⟨v_i, b⟩` are canonical reductions over the
-/// f16 data (each site summed in f32), and the accumulation
-/// `x₀ += (c_i/θ_i) v_i` runs in f16 arithmetic. Storing and streaming the subspace at 2 bytes/scalar is
-/// the point — a 16-vector subspace applied this way moves a quarter of
-/// the bytes of the f64 [`galerkin_guess`].
-///
-/// The guess is an *initial iterate*, so binary16 grain (`~5·10⁻⁴`
-/// relative) is harmless: whatever low-mode content the rounding
-/// re-introduces, the outer loop it seeds removes again. Use it to seed
-/// defect-correction solvers (`ladder_solve_from`), not as a standalone
-/// projector.
-pub fn galerkin_guess_f16(sub: &Subspace<f64>, b: &FermionField) -> FermionField {
-    let g = b.grid();
-    let g16 = Grid::<F16>::new(g.fdims(), g.vl(), g.engine().backend());
-    let b16 = to_precision(b, &g16);
-    let mut x0_16 = Field::<FermionKind, F16>::zero(g16.clone());
-    for (v, &theta) in sub.vectors.iter().zip(sub.values.iter()) {
-        let v16 = to_precision(v, &g16);
-        let c = v16.inner(&b16);
-        x0_16.axpy_complex(c.scale(1.0 / theta), &v16);
-    }
-    let mut x0 = FermionField::zero(g.clone());
-    to_precision_into(&x0_16, &mut x0);
-    x0
+    let project = |bj: &Field<FermionKind, V::E>| {
+        let mut x0 = Field::zero_width(bj.grid().clone(), bj.width());
+        for (v, &theta) in sub.vectors.iter().zip(sub.values.iter()) {
+            let c = v.inner(bj);
+            x0.axpy_complex(c.scale(1.0 / theta), v);
+        }
+        x0
+    };
+    let n = b.nrhs();
+    let x0 = if n == 1 {
+        project(b.field())
+    } else {
+        let guesses: Vec<_> = (0..n).map(|j| project(&b.field().rhs_field(j))).collect();
+        Field::from_fields(&guesses)
+    };
+    V::from_field(x0, n).expect("the guess has the shape of the right-hand side")
 }
 
 /// Deflated Conjugate Gradient on the Wilson normal equations:

@@ -1,10 +1,14 @@
-//! Deterministic thick-restart Lanczos on the Wilson normal operator.
+//! Deterministic thick-restart Lanczos in the normal space of any fermion
+//! operator.
 //!
 //! Computes the `nev` lowest eigenpairs of `M†M` — the low modes whose
 //! removal accelerates every subsequent solve at the same mass. `M†M` is
-//! Hermitian positive-definite (γ₅-Hermiticity: `M† = γ₅ M γ₅`, so
-//! `M†M = (γ₅M)²` with `γ₅M` Hermitian), so a symmetric Lanczos process
-//! applies and all Ritz values are real and positive.
+//! Hermitian positive-definite for every [`Dirac`] operator here, so a
+//! symmetric Lanczos process applies and all Ritz values are real and
+//! positive. The operator is applied through [`Dirac::normal`], the space
+//! CG runs in, and the vectors have the operator's own shape: a field for
+//! Wilson, an even-parity field for the Schur complement, a width-`Ls`
+//! field for domain-wall fermions, a rank's slab under `DistWilson`.
 //!
 //! # Algorithm
 //!
@@ -25,28 +29,32 @@
 //!
 //! # Determinism
 //!
-//! Acceptance requires eigenpairs bit-identical across SVE vector lengths
-//! and thread counts. Every scalar that steers the iteration — inner
+//! Acceptance requires eigenpairs bit-identical across SVE vector lengths,
+//! thread counts and ranks. Every scalar that steers the iteration — inner
 //! products, norms, the projected matrix — is produced by the reductions of
-//! [`grid::Field`] (per-site values summed in global lexicographic order by
-//! a fixed tree), which are layout- and thread-invariant. The pointwise
-//! field updates and the per-site operator are vector-length-invariant
-//! already, and the dense eigensolve is fixed-order scalar arithmetic, so
-//! the whole trajectory — restart decisions included — reproduces to the
-//! last bit.
+//! the vector's [`grid::Field`] storage (per-site values summed in global
+//! lexicographic order by a fixed tree), which are layout- and
+//! thread-invariant. On a rank grid they are collectives over the global
+//! lattice, so every rank steers by the same scalars and keeps its slab of
+//! every eigenvector. The pointwise field updates and the per-site operator
+//! are vector-length-invariant already, and the dense eigensolve is
+//! fixed-order scalar arithmetic, so the whole trajectory — restart
+//! decisions included — reproduces to the last bit.
 //!
 //! # Memory
 //!
-//! All field storage is allocated once up front — the `m + 1` basis slots,
-//! the `k` restart-scratch slots, the operator intermediate, and the
+//! All vector storage is allocated once up front — the `m + 1` basis
+//! slots, the `k` restart-scratch slots, the operator intermediate, and the
 //! candidate vector — and reused across every column and every restart:
 //! the steady state of a cycle performs no heap allocation beyond the dense
 //! `m × m` eigensolve.
 
 use crate::dense::jacobi_eigh;
-use grid::dirac::{Dirac, WilsonDirac};
+use grid::dirac::Dirac;
 use grid::field::FermionKind;
+use grid::krylov::{CgSpace, Stored};
 use grid::{Complex, Field};
+use qcd_io::Subspace;
 use sve::SveFloat;
 
 /// Tuning knobs of the eigensolver.
@@ -79,28 +87,6 @@ impl LanczosParams {
     }
 }
 
-/// A converged low-mode subspace of `M†M`: the deflation operand.
-pub struct Subspace<E: SveFloat = f64> {
-    /// Ritz vectors, unit-normalized, eigenvalue-ascending.
-    pub vectors: Vec<Field<FermionKind, E>>,
-    /// Ritz values `θ_i` (real and positive).
-    pub values: Vec<f64>,
-    /// Explicit residuals `‖M†M v_i − θ_i v_i‖`, validated after the final
-    /// restart — not the cheap bottom-row estimates.
-    pub residuals: Vec<f64>,
-    /// Bare mass of the Wilson operator the subspace was built at. A
-    /// subspace deflates `M†M(mass)` and nothing else; the solvers and the
-    /// persistence layer enforce the match bit-exactly.
-    pub mass: f64,
-}
-
-impl<E: SveFloat> Subspace<E> {
-    /// Number of eigenpairs held.
-    pub fn nev(&self) -> usize {
-        self.values.len()
-    }
-}
-
 /// What the eigensolver did, for benchmarks and health surfaces.
 #[derive(Clone, Debug)]
 pub struct EigenReport {
@@ -125,34 +111,35 @@ fn normalize<E: SveFloat>(f: &mut Field<FermionKind, E>) -> f64 {
 /// Two-pass modified Gram–Schmidt of `w` against `basis[..n]`, returning
 /// the accumulated (both passes) coefficient against each basis vector.
 /// All inner products are canonical.
-fn reorthogonalize<E: SveFloat>(
-    w: &mut Field<FermionKind, E>,
-    basis: &[Field<FermionKind, E>],
-    n: usize,
-) -> Vec<Complex> {
+fn reorthogonalize<V: Stored>(w: &mut V, basis: &[V], n: usize) -> Vec<Complex> {
     let mut coef = vec![Complex::ZERO; n];
     for _pass in 0..2 {
         for (i, c) in coef.iter_mut().enumerate() {
-            let h = basis[i].inner(w);
-            w.axpy_complex(-h, &basis[i]);
+            let h = basis[i].field().inner(w.field());
+            w.field_mut().axpy_complex(-h, basis[i].field());
             *c += h;
         }
     }
     coef
 }
 
-/// Compute the `nev` lowest eigenpairs of `M†M` for `op`, starting the
-/// Krylov process from a seeded deterministic random vector.
+/// Compute the `nev` lowest eigenpairs of `M†M` for `op` in its
+/// [`Dirac::normal`] space, starting the Krylov process from `start` (one
+/// right-hand side of the operator's shape; any nonzero vector). `mass` is
+/// the tag the returned [`Subspace`] carries. On a rank grid every rank
+/// calls it with its slab of the same start.
 ///
 /// Runs under an `eig.lanczos` trace span; restart count and operator
 /// applications land in the `eig.lanczos.restarts` / `eig.lanczos.mvps`
 /// histograms.
-pub fn lanczos<E: SveFloat>(
-    op: &WilsonDirac<E>,
+pub fn lanczos<V: Stored, D: Dirac<V>>(
+    op: &D,
     params: &LanczosParams,
-    seed: u64,
-) -> (Subspace<E>, EigenReport) {
-    let grid = op.grid().clone();
+    start: V,
+    mass: f64,
+) -> (Subspace<V::E>, EigenReport) {
+    assert_eq!(start.nrhs(), 1, "the eigensolver iterates one vector");
+    let grid = start.field().grid().clone();
     let span = qcd_trace::span!("eig.lanczos", grid.engine().ctx());
     let (nev, m) = (params.nev, params.m);
     assert!(nev >= 1, "need at least one wanted eigenpair");
@@ -164,17 +151,15 @@ pub fn lanczos<E: SveFloat>(
 
     // The preallocated pools (see module docs): basis slots 0..=m, restart
     // scratch, operator intermediate, candidate vector.
-    let mut basis: Vec<Field<FermionKind, E>> = (0..=m)
-        .map(|_| Field::<FermionKind, E>::zero(grid.clone()))
-        .collect();
-    let mut scratch: Vec<Field<FermionKind, E>> = (0..keep)
-        .map(|_| Field::<FermionKind, E>::zero(grid.clone()))
-        .collect();
-    let mut tmp = Field::<FermionKind, E>::zero(grid.clone());
-    let mut w = Field::<FermionKind, E>::zero(grid.clone());
+    let mut basis: Vec<V> = (0..=m).map(|_| start.zero_like()).collect();
+    let mut scratch: Vec<V> = (0..keep).map(|_| start.zero_like()).collect();
+    let mut tmp = start.zero_like();
+    let mut w = start.zero_like();
+    let mut space = op.normal(&mut tmp);
+    let mut curv = [0.0];
 
-    basis[0] = Field::<FermionKind, E>::random(grid.clone(), seed);
-    normalize(&mut basis[0]);
+    basis[0] = start;
+    normalize(basis[0].field_mut());
 
     // Projected matrix (row-major m×m, kept exactly symmetric).
     let mut h = vec![0.0f64; m * m];
@@ -185,7 +170,7 @@ pub fn lanczos<E: SveFloat>(
         // Extend the basis to m vectors plus the residual direction.
         let mut beta_last = 0.0;
         for j in filled..m {
-            op.mdag_m_into(&basis[j], &mut tmp, &mut w);
+            space.apply(&basis[j], &mut w, &mut curv);
             mvps += 1;
             let coef = reorthogonalize(&mut w, &basis, j + 1);
             for (i, c) in coef.iter().enumerate() {
@@ -195,7 +180,7 @@ pub fn lanczos<E: SveFloat>(
                 h[i * m + j] = c.re;
                 h[j * m + i] = c.re;
             }
-            let beta = w.norm2().sqrt();
+            let beta = w.field().norm2().sqrt();
             assert!(
                 beta > 0.0,
                 "Krylov breakdown: invariant subspace hit before basis filled"
@@ -204,7 +189,7 @@ pub fn lanczos<E: SveFloat>(
                 h[(j + 1) * m + j] = beta;
                 h[j * m + (j + 1)] = beta;
             }
-            w.scale(1.0 / beta);
+            w.field_mut().scale(1.0 / beta);
             std::mem::swap(&mut basis[j + 1], &mut w);
             beta_last = beta;
         }
@@ -223,9 +208,10 @@ pub fn lanczos<E: SveFloat>(
         // carry the residual direction as v_keep.
         restarts += 1;
         for (c, s) in scratch.iter_mut().enumerate() {
-            s.data_mut().fill(E::zero());
+            let s = s.field_mut();
+            s.data_mut().fill(sve::SveElem::zero());
             for (j, v) in basis.iter().take(m).enumerate() {
-                s.axpy_inplace(vecs[j * m + c], v);
+                s.axpy_inplace(vecs[j * m + c], v.field());
             }
             normalize(s);
         }
@@ -235,17 +221,9 @@ pub fn lanczos<E: SveFloat>(
         basis.swap(keep, m);
         // The carried direction is orthogonal to the Ritz vectors in exact
         // arithmetic; enforce it under rounding and renormalize.
-        {
-            let (ritz, rest) = basis.split_at_mut(keep);
-            let vk = &mut rest[0];
-            for _pass in 0..2 {
-                for r in ritz.iter() {
-                    let c = r.inner(vk);
-                    vk.axpy_complex(-c, r);
-                }
-            }
-            normalize(vk);
-        }
+        let (ritz, rest) = basis.split_at_mut(keep);
+        reorthogonalize(&mut rest[0], ritz, keep);
+        normalize(rest[0].field_mut());
         // Restarted projected matrix: diag(θ) on the kept block. The
         // arrowhead coupling column regenerates from the Gram–Schmidt
         // coefficients when column `keep` is built.
@@ -261,18 +239,17 @@ pub fn lanczos<E: SveFloat>(
     let mut values = Vec::with_capacity(nev);
     let mut residuals = Vec::with_capacity(nev);
     for i in 0..nev {
-        let mut u = Field::<FermionKind, E>::zero(grid.clone());
+        let mut u = w.zero_like();
         for (j, v) in basis.iter().take(m).enumerate() {
-            u.axpy_inplace(q[j * m + i], v);
+            u.field_mut().axpy_inplace(q[j * m + i], v.field());
         }
-        normalize(&mut u);
-        let mut au = Field::<FermionKind, E>::zero(grid.clone());
-        op.mdag_m_into(&u, &mut tmp, &mut au);
+        normalize(u.field_mut());
+        space.apply(&u, &mut w, &mut curv);
         mvps += 1;
-        au.axpy_inplace(-theta[i], &u); // au = A u − θ u
-        residuals.push(au.norm2().sqrt());
+        w.field_mut().axpy_inplace(-theta[i], u.field()); // w = A u − θ u
+        residuals.push(w.field().norm2().sqrt());
         values.push(theta[i]);
-        vectors.push(u);
+        vectors.push(u.field().clone());
     }
     let converged = residuals.iter().all(|&r| r <= params.tol);
     qcd_trace::histogram("eig.lanczos.restarts").record(restarts as u64);
@@ -282,7 +259,7 @@ pub fn lanczos<E: SveFloat>(
             vectors,
             values,
             residuals,
-            mass: op.mass,
+            mass,
         },
         EigenReport {
             restarts,
@@ -291,10 +268,4 @@ pub fn lanczos<E: SveFloat>(
             telemetry: span.finish(),
         },
     )
-}
-
-/// Convenience wrapper at f64: build a subspace for `op` with the default
-/// parameters for `nev` pairs.
-pub fn build_subspace(op: &WilsonDirac, nev: usize, seed: u64) -> (Subspace, EigenReport) {
-    lanczos(op, &LanczosParams::for_nev(nev), seed)
 }

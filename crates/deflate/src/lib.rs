@@ -1,33 +1,34 @@
 //! `qcd-deflate`: low-mode deflation and coarse-grid preconditioning for
 //! many-RHS campaigns.
 //!
-//! Lattice campaigns solve the same Wilson operator against dozens to
+//! Lattice campaigns solve the same operator against dozens to
 //! thousands of right-hand sides per gauge configuration. Near the
 //! physical mass the cost is dominated by a handful of tiny `M†M`
 //! eigenvalues that every solve re-discovers the hard way. This crate
-//! computes that low-mode subspace **once** and recycles it:
+//! computes that low-mode subspace **once** and recycles it, for any
+//! `grid::dirac::Dirac` operator: a field, an even-parity field, a 5-d
+//! fermion or a rank's slab.
 //!
 //! * **Eigensolver** ([`lanczos`]): deterministic thick-restart Lanczos
-//!   with full reorthogonalization on `M†M`, producing a [`Subspace`] of
-//!   validated eigenpairs (explicit `‖Av − θv‖` residuals, not estimates).
-//! * **Deflated solves** ([`defl`]): [`defl_cg`] projects the low modes
-//!   out of each RHS via the Galerkin guess `x₀ = V (V†AV)⁻¹ V† b`, for
-//!   one field or — recycling one subspace across a whole N-RHS batch,
-//!   per-RHS results bit-identical to the single-RHS path — a block (what
-//!   a job farm runs on its coalesced requests); [`galerkin_guess_f16`]
-//!   seeds the precision ladder.
-//! * **Coarse grid** ([`coarse`]): cell-blocked near-null vectors,
-//!   Galerkin triple-product coarse operator, and a two-level
+//!   with full reorthogonalization in `op.normal(&mut tmp)`, producing a
+//!   [`Subspace`] of validated eigenpairs (explicit `‖Av − θv‖` residuals).
+//! * **Deflated solves** ([`defl`]): the start [`galerkin_guess`],
+//!   `x₀ = V (V†AV)⁻¹ V† b` per RHS, and [`defl_cg`], the Wilson solve from
+//!   it — for a block, per-RHS bit-identical to the single-RHS path (what a
+//!   job farm runs). At binary16, the guess of `to_precision`-converted
+//!   vectors and right-hand side.
+//! * **Coarse grid** ([`coarse`]): cell-blocked near-null vectors, the
+//!   Galerkin coarse operator of a fine space, and a two-level
 //!   preconditioner inside CG ([`CoarseSpace::two_level`]).
-//! * **Persistence** ([`persist`]): subspaces stored as `qcd-io/v1`
-//!   `defl.*` records at f64/f32/f16 tiers, validated on load
-//!   (wrong-lattice and wrong-mass are typed errors), so farm jobs load a
-//!   shared subspace instead of recomputing it.
+//! * **Persistence** ([`Subspace::save`] / [`Subspace::load`], defined in
+//!   `qcd-io`): `defl.*` records at f64/f32/f16 tiers, validated on load
+//!   (wrong lattice, wrong mass and unusable eigenvalues are typed errors),
+//!   so farm jobs load a shared subspace instead of recomputing it.
 //!
 //! # Determinism
 //!
 //! Everything here is bit-identical across SVE vector lengths, thread
-//! counts, and (for the building blocks it shares with `dist`) ranks:
+//! counts, and (the eigensolver and the guess on a rank grid) ranks:
 //! every scalar that steers an iteration is a *canonical* reduction
 //! (global-lexicographic scatter, fixed chunk-tree sum), dense linear
 //! algebra is fixed-order scalar arithmetic ([`dense`]), and intergrid
@@ -48,8 +49,8 @@ pub mod coarse;
 pub mod defl;
 pub mod dense;
 pub mod lanczos;
-pub mod persist;
 
 pub use coarse::{CoarseSpace, F16Smoother, TwoLevel};
-pub use defl::{defl_cg, galerkin_guess, galerkin_guess_f16};
-pub use lanczos::{build_subspace, lanczos, EigenReport, LanczosParams, Subspace};
+pub use defl::{defl_cg, galerkin_guess};
+pub use lanczos::{lanczos, EigenReport, LanczosParams};
+pub use qcd_io::Subspace;

@@ -13,12 +13,13 @@
 use std::sync::{Arc, OnceLock};
 
 use grid::krylov::{self, Start};
+use grid::mixed::to_precision;
 use grid::prelude::*;
 use qcd_deflate::{
-    defl_cg, galerkin_guess, galerkin_guess_f16, lanczos, CoarseSpace, F16Smoother, LanczosParams,
-    Subspace,
+    defl_cg, galerkin_guess, lanczos, CoarseSpace, F16Smoother, LanczosParams, Subspace,
 };
 use qcd_hmc::{HmcParams, IntegratorKind, MarkovChain};
+use sve::F16;
 
 const MASS: f64 = -0.2;
 const TOL: f64 = 1e-8;
@@ -49,7 +50,12 @@ fn fixture() -> &'static Fixture {
             tol: TOL,
             max_restarts: 80,
         };
-        let (sub, rep) = lanczos(&op, &params, 99);
+        let (sub, rep) = lanczos(
+            &op,
+            &params,
+            FermionField::random(op.grid().clone(), 99),
+            op.mass,
+        );
         assert!(
             rep.converged,
             "fixture eigensolve did not converge: {rep:?}"
@@ -193,6 +199,26 @@ fn wrong_mass_subspace_is_rejected() {
     let _ = defl_cg(&other, &f.sub, &b, TOL, 100);
 }
 
+/// The coarse space of `near_null` over 2⁴ cells, built in the fused space.
+fn coarse_space(f: &Fixture, near_null: &[FermionField]) -> CoarseSpace {
+    let mut tmp = FermionField::zero(f.grid.clone());
+    CoarseSpace::build(f.op.normal(&mut tmp), near_null, [2, 2, 2, 2])
+}
+
+/// The Galerkin guess applied at binary16: the subspace vectors and the
+/// right-hand side converted, the guess taken there, and widened back.
+fn galerkin_guess_at_f16(sub: &Subspace, b: &FermionField) -> FermionField {
+    let g = b.grid();
+    let g16 = Grid::<F16>::new(g.fdims(), g.vl(), g.engine().backend());
+    let sub16 = Subspace {
+        vectors: sub.vectors.iter().map(|v| to_precision(v, &g16)).collect(),
+        values: sub.values.clone(),
+        residuals: sub.residuals.clone(),
+        mass: sub.mass,
+    };
+    to_precision(&galerkin_guess(&sub16, &to_precision(b, &g16)), g)
+}
+
 /// CG on `M†M` in the fused space preconditioned by `cs` (and `smoother`),
 /// as the deflation benchmark runs it.
 fn two_level_cg(
@@ -220,7 +246,7 @@ fn two_level_cg(
 #[test]
 fn two_level_cg_beats_plain_cg_on_the_thermalized_config() {
     let f = fixture();
-    let cs = CoarseSpace::build(&f.op, &f.sub.vectors, [2, 2, 2, 2]);
+    let cs = coarse_space(f, &f.sub.vectors);
     assert_eq!(cs.cdims(), [2, 2, 2, 2]);
     assert_eq!(cs.ncoarse(), 16 * f.sub.nev());
     let b = FermionField::random(f.grid.clone(), 11);
@@ -241,7 +267,7 @@ fn two_level_cg_beats_plain_cg_on_the_thermalized_config() {
 #[test]
 fn restriction_is_the_adjoint_of_prolongation() {
     let f = fixture();
-    let cs = CoarseSpace::build(&f.op, &f.sub.vectors[..4], [2, 2, 2, 2]);
+    let cs = coarse_space(f, &f.sub.vectors[..4]);
     let fine = FermionField::random(f.grid.clone(), 61);
     // Any coarse vector with deterministic non-trivial entries.
     let y: Vec<Complex> = (0..cs.ncoarse())
@@ -265,7 +291,7 @@ fn restriction_is_the_adjoint_of_prolongation() {
 #[test]
 fn coarse_preconditioner_is_positive_definite() {
     let f = fixture();
-    let cs = CoarseSpace::build(&f.op, &f.sub.vectors[..4], [2, 2, 2, 2]);
+    let cs = coarse_space(f, &f.sub.vectors[..4]);
     for seed in [71u64, 72, 73] {
         let r = FermionField::random(f.grid.clone(), seed);
         let z = cs.precondition(&r);
@@ -282,7 +308,7 @@ fn f16_galerkin_guess_tracks_the_f64_projection() {
     let f = fixture();
     let b = FermionField::random(f.grid.clone(), 51);
     let x64 = galerkin_guess(&f.sub, &b);
-    let x16 = galerkin_guess_f16(&f.sub, &b);
+    let x16 = galerkin_guess_at_f16(&f.sub, &b);
     let mut d = FermionField::zero(f.grid.clone());
     d.sub(&x64, &x16);
     let rel = (d.norm2() / x64.norm2()).sqrt();
@@ -298,7 +324,7 @@ fn deflation_composes_with_the_f16_inner_ladder() {
     let b = FermionField::random(f.grid.clone(), 41);
     let cfg = grid::mixed::LadderConfig::new(TOL);
     let (x_plain, rep_plain) = grid::mixed::ladder_solve(&f.op, &b, &cfg);
-    let x0 = galerkin_guess_f16(&f.sub, &f.op.apply_dag(&b));
+    let x0 = galerkin_guess_at_f16(&f.sub, &f.op.apply_dag(&b));
     let (x_defl, rep_defl) = grid::mixed::ladder_solve_from(&f.op, &b, x0, &cfg);
     assert!(rep_plain.converged && rep_defl.converged);
     assert!(
@@ -322,7 +348,7 @@ fn deflation_composes_with_the_f16_inner_ladder() {
 #[test]
 fn f16_smoothed_pcg_converges_to_the_same_solution() {
     let f = fixture();
-    let cs = CoarseSpace::build(&f.op, &f.sub.vectors, [2, 2, 2, 2]);
+    let cs = coarse_space(f, &f.sub.vectors);
     let b = FermionField::random(f.grid.clone(), 11);
     let (x_pcg, rep_pcg) = two_level_cg(f, &cs, None, &b);
     let mut sm = F16Smoother::new(&f.op);

@@ -51,7 +51,12 @@ fn run(bits: usize) -> Signature {
     // 4 restarts on a random-gauge spectrum do not converge — irrelevant
     // here: the claim is that whatever the solver computes is the same to
     // the last bit everywhere, converged or not.
-    let (sub, _rep) = lanczos(&op, &params, 99);
+    let (sub, _rep) = lanczos(
+        &op,
+        &params,
+        FermionField::random(op.grid().clone(), 99),
+        op.mass,
+    );
     let b = FermionField::random(g, 11);
     let (x, rep) = defl_cg(&op, &sub, &b, 1e-8, 2000);
     assert!(rep.converged, "deflated solve must converge at VL {bits}");

@@ -135,7 +135,12 @@ fn eigenpairs_are_valid_across_vl_and_threads() {
             let g: Arc<Grid> = Grid::new([4, 4, 2, 2], VectorLength::of(bits), SimdBackend::Fcmla);
             let u = qcd_io::read_gauge(&path, &g).unwrap();
             let op = WilsonDirac::new(u, -0.2);
-            let (sub, rep) = lanczos(&op, &params, 99);
+            let (sub, rep) = lanczos(
+                &op,
+                &params,
+                FermionField::random(op.grid().clone(), 99),
+                op.mass,
+            );
             let tag = format!("VL {bits} × {threads} threads");
             assert!(
                 rep.converged,

@@ -6,7 +6,7 @@
 //! wrong-mass loads raise typed errors instead of corrupting the solve.
 
 use grid::prelude::*;
-use qcd_deflate::{build_subspace, defl_cg, Subspace};
+use qcd_deflate::{defl_cg, lanczos, EigenReport, LanczosParams, Subspace};
 use qcd_io::IoError;
 
 const MASS: f64 = 0.1;
@@ -18,6 +18,13 @@ fn tmp(tag: &str) -> std::path::PathBuf {
     ))
 }
 
+/// The subspace of `nev` pairs from the seed-99 start, at default
+/// parameters.
+fn subspace_of(op: &WilsonDirac, nev: usize) -> (Subspace, EigenReport) {
+    let start = FermionField::random(op.grid().clone(), 99);
+    lanczos(op, &LanczosParams::for_nev(nev), start, op.mass)
+}
+
 fn op_on(bits: usize) -> WilsonDirac {
     let g = Grid::new([4, 4, 4, 4], VectorLength::of(bits), SimdBackend::Fcmla);
     WilsonDirac::new(random_gauge(g, 7), MASS)
@@ -27,7 +34,7 @@ fn op_on(bits: usize) -> WilsonDirac {
 fn reloaded_subspace_reproduces_the_deflated_solve_bitwise() {
     let path = tmp("resume");
     let op = op_on(256);
-    let (sub, _rep) = build_subspace(&op, 4, 99);
+    let (sub, _rep) = subspace_of(&op, 4);
     sub.save(&path, Precision::F64).unwrap();
 
     let b = FermionField::random(op.grid().clone(), 11);
@@ -60,7 +67,7 @@ fn reloaded_subspace_reproduces_the_deflated_solve_bitwise() {
 fn wrong_mass_load_is_a_typed_error() {
     let path = tmp("mass");
     let op = op_on(256);
-    let (sub, _) = build_subspace(&op, 2, 99);
+    let (sub, _) = subspace_of(&op, 2);
     sub.save(&path, Precision::F64).unwrap();
     let err = Subspace::load(&path, op.grid(), 0.25).err().unwrap();
     match err {
@@ -76,7 +83,7 @@ fn wrong_mass_load_is_a_typed_error() {
 fn wrong_lattice_load_is_a_typed_error() {
     let path = tmp("lattice");
     let op = op_on(256);
-    let (sub, _) = build_subspace(&op, 2, 99);
+    let (sub, _) = subspace_of(&op, 2);
     sub.save(&path, Precision::F64).unwrap();
     let wrong: std::sync::Arc<Grid> =
         Grid::new([4, 4, 4, 8], VectorLength::of(256), SimdBackend::Fcmla);

@@ -176,7 +176,9 @@ fn a_shared_subspace_deflates_farm_bursts_bit_identically() {
     std::fs::create_dir_all(&dir).unwrap();
     let grid = cfg().grid();
     let op = WilsonDirac::new(random_gauge(grid.clone(), 77), 0.2);
-    let (sub, _) = qcd_deflate::build_subspace(&op, 4, 99);
+    let start = FermionField::random(grid.clone(), 99);
+    let params = qcd_deflate::LanczosParams::for_nev(4);
+    let (sub, _) = qcd_deflate::lanczos(&op, &params, start, op.mass);
     sub.save(&JobPaths::subspace(&dir, "shared"), Precision::F64)
         .unwrap();
 
@@ -251,6 +253,57 @@ fn a_shared_subspace_deflates_farm_bursts_bit_identically() {
     assert!(missing.run(1, &AtomicBool::new(false), None).is_err());
     std::fs::remove_dir_all(missing.dir()).ok();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_subspace_without_usable_eigenvalues_fails_its_unit_not_the_worker() {
+    // Files that pass their CRC but hold no eigenpair, or a zero θ the
+    // Galerkin guess would divide by: the unit that loads one fails with
+    // the typed error, and `Farm::run` returns it — neither a worker's
+    // panic escaping the scope nor a solve from a non-finite guess.
+    let grid = cfg().grid();
+    let v = FermionField::random(grid.clone(), 1);
+    for (tag, values) in [("zero", vec![0.0]), ("empty", vec![])] {
+        let dir = scratch(&format!("hostile-subspace-{tag}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut scalars = qcd_io::Writer::default();
+        scalars.f64(0.2);
+        scalars.u64(values.len() as u64);
+        for &theta in &values {
+            scalars.f64(theta);
+            scalars.f64(0.0);
+        }
+        let mut file = qcd_io::Container::new();
+        file.push(qcd_io::Record::new(
+            qcd_io::DEFL_META_RECORD,
+            qcd_io::FieldMeta::of(&v, Precision::F64).encode(),
+        ));
+        file.push(qcd_io::Record::new(qcd_io::DEFL_SCALARS_RECORD, scalars.0));
+        for i in 0..values.len() {
+            let payload = qcd_io::fields::encode_field(&v, Precision::F64);
+            file.push(qcd_io::Record::new(&qcd_io::defl_vector_record(i), payload));
+        }
+        file.write_atomic(&JobPaths::subspace(&dir, "shared"))
+            .unwrap();
+        let farm = Farm::open(&dir, cfg()).unwrap();
+        farm.submit(JobSpec::Solve(SolveSpec {
+            name: "hostile".into(),
+            priority: Priority::Normal,
+            gauge_seed: 77,
+            mass: 0.2,
+            rhs_seeds: vec![900],
+            tol: 1e-6,
+            max_iter: 2000,
+            subspace: Some("shared".into()),
+        }))
+        .unwrap();
+        let err = farm.run(1, &AtomicBool::new(false), None).unwrap_err();
+        assert!(
+            matches!(err, qcd_io::IoError::BadRecord { .. }),
+            "{tag}: {err}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]

@@ -71,7 +71,7 @@ pub use fields::{
 pub use hmc::{read_hmc_chain, write_hmc_chain, HmcChainState, HMC_HISTORY_RECORD, HMC_RECORD};
 pub use scan::{scan_checkpoints, CheckpointEntry, CheckpointKind, ScanReport, SkippedCheckpoint};
 pub use subspace::{
-    defl_vector_record, read_subspace, write_subspace, SubspaceData, DEFL_META_RECORD,
+    defl_vector_record, read_subspace, write_subspace, Subspace, DEFL_META_RECORD,
     DEFL_SCALARS_RECORD,
 };
 

@@ -17,11 +17,13 @@
 //! Loads are validated: a wrong-geometry file raises
 //! [`IoError::GridMismatch`], and a subspace built at a different operator
 //! mass raises [`IoError::MassMismatch`] — the comparison is bit-exact,
-//! because the stored vectors deflate `M†M(mass)` and nothing else.
+//! because the stored vectors deflate `M†M(mass)` and nothing else. A file
+//! with no eigenpair, or an eigenvalue that is not finite and positive, is
+//! a [`IoError::BadRecord`] on `defl.scalars`: the Galerkin guess divides
+//! by every eigenvalue.
 //!
-//! This module deliberately speaks only in primitives (`Field`s and `f64`
-//! slices) so `qcd-io` needs no dependency on `qcd-deflate`; the deflate
-//! crate wraps these functions with its `Subspace::save`/`load` methods.
+//! [`Subspace`] is defined here, over `Field`s and `f64`s, so `qcd-io`
+//! needs no dependency on `qcd-deflate`, which builds and applies it.
 
 use crate::container::{Container, Record};
 use crate::error::{IoError, Result};
@@ -43,20 +45,44 @@ pub fn defl_vector_record(i: usize) -> String {
     format!("defl.v.{i}")
 }
 
-/// A loaded deflation subspace: eigenvectors of `M†M` with their
-/// eigenvalues, the residuals validated at build time, and the operator
-/// mass the subspace belongs to.
-pub struct SubspaceData<E: SveFloat = f64> {
-    /// Approximate eigenvectors, lowest eigenvalue first.
+/// A low-mode subspace of `M†M`, the deflation operand `qcd-deflate`'s
+/// `lanczos` builds: eigenvectors with their eigenvalues, the residuals
+/// validated at build time, and the operator mass the subspace belongs to.
+pub struct Subspace<E: SveFloat = f64> {
+    /// Unit eigenvectors, lowest eigenvalue first: the storage of the
+    /// operator's vectors (a width-`Ls` field for domain-wall fermions).
     pub vectors: Vec<Field<FermionKind, E>>,
     /// Eigenvalues `θ_i` matching `vectors` (real and positive: `M†M` is
     /// Hermitian positive-definite).
     pub values: Vec<f64>,
-    /// Explicit residuals `‖M†M v_i − θ_i v_i‖ / ‖v_i‖` validated when the
+    /// Explicit residuals `‖M†M v_i − θ_i v_i‖` validated when the
     /// subspace was built.
     pub residuals: Vec<f64>,
-    /// Wilson mass of the operator the subspace deflates.
+    /// Bare mass of the operator the subspace was built at, as its builder
+    /// tagged it. A subspace deflates `M†M(mass)` and nothing else:
+    /// `defl_cg` and [`read_subspace`] enforce the match bit-exactly.
     pub mass: f64,
+}
+
+impl<E: SveFloat> Subspace<E> {
+    /// Number of eigenpairs held.
+    pub fn nev(&self) -> usize {
+        self.values.len()
+    }
+
+    /// [`write_subspace`] of this subspace. A record holds one right-hand
+    /// side: `encode_field` refuses the vectors of a wider subspace (a 5-d
+    /// fermion's) with a named panic.
+    pub fn save(&self, path: &Path, precision: Precision) -> Result<u64> {
+        let (v, r) = (&self.values, &self.residuals);
+        write_subspace(&self.vectors, v, r, self.mass, path, precision)
+    }
+
+    /// [`read_subspace`]: the subspace saved at `path`, onto `grid`, for an
+    /// operator at `mass`.
+    pub fn load(path: &Path, grid: &Arc<Grid<E>>, mass: f64) -> Result<Self> {
+        read_subspace(path, grid, mass)
+    }
 }
 
 fn scalars_record(mass: f64, values: &[f64], residuals: &[f64]) -> Record {
@@ -74,10 +100,19 @@ fn decode_scalars(record: &Record) -> Result<(f64, Vec<f64>, Vec<f64>)> {
     let mut cur = Cursor::new(&record.payload, DEFL_SCALARS_RECORD);
     let mass = cur.f64("operator mass")?;
     let nev = cur.count("eigenpair count", 16)?; // eigenvalue + residual
+    if nev == 0 {
+        return Err(cur.bad("a subspace holds at least one eigenpair".into()));
+    }
     let mut values = Vec::with_capacity(nev);
     let mut residuals = Vec::with_capacity(nev);
-    for _ in 0..nev {
-        values.push(cur.f64("eigenvalue")?);
+    for i in 0..nev {
+        let theta = cur.f64("eigenvalue")?;
+        if !(theta.is_finite() && theta > 0.0) {
+            return Err(cur.bad(format!(
+                "eigenvalue {i} is {theta}, not finite and positive"
+            )));
+        }
+        values.push(theta);
         residuals.push(cur.f64("residual")?);
     }
     cur.done()?;
@@ -123,7 +158,7 @@ pub fn read_subspace<E: SveFloat>(
     path: &Path,
     grid: &Arc<Grid<E>>,
     want_mass: f64,
-) -> Result<SubspaceData<E>> {
+) -> Result<Subspace<E>> {
     let c = Container::open(path)?;
     read_subspace_inner(&c, grid, want_mass).inspect_err(crate::record_io_error)
 }
@@ -132,7 +167,7 @@ fn read_subspace_inner<E: SveFloat>(
     c: &Container,
     grid: &Arc<Grid<E>>,
     want_mass: f64,
-) -> Result<SubspaceData<E>> {
+) -> Result<Subspace<E>> {
     let meta = FieldMeta::decode(&c.expect(DEFL_META_RECORD)?.payload, DEFL_META_RECORD)?;
     let (mass, values, residuals) = decode_scalars(c.expect(DEFL_SCALARS_RECORD)?)?;
     if mass.to_bits() != want_mass.to_bits() {
@@ -147,7 +182,7 @@ fn read_subspace_inner<E: SveFloat>(
         let record = c.expect(&name)?;
         vectors.push(decode_field(&meta, &record.payload, grid, &name)?);
     }
-    Ok(SubspaceData {
+    Ok(Subspace {
         vectors,
         values,
         residuals,

@@ -10,9 +10,9 @@ use grid::codec::Precision;
 use grid::prelude::*;
 use qcd_io::fields::{encode_field, META_RECORD};
 use qcd_io::{
-    load_state, read_hmc_chain, read_subspace, resume, scan_checkpoints, CheckpointKind, Container,
-    FieldMeta, HmcChainState, IoError, Record, DEFL_META_RECORD, DEFL_SCALARS_RECORD,
-    HMC_HISTORY_RECORD, HMC_RECORD, STATE_SCALARS,
+    defl_vector_record, load_state, read_hmc_chain, read_subspace, resume, scan_checkpoints,
+    CheckpointKind, Container, FieldMeta, HmcChainState, IoError, Record, DEFL_META_RECORD,
+    DEFL_SCALARS_RECORD, HMC_HISTORY_RECORD, HMC_RECORD, STATE_SCALARS,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -117,6 +117,46 @@ fn a_forged_count_is_refused_before_it_sizes_an_allocation() {
         ],
     );
     expect_bad_record(read_subspace(&path, &g, 0.25), DEFL_SCALARS_RECORD, "nev");
+    let _ = std::fs::remove_dir_all(&d);
+}
+
+#[test]
+fn a_subspace_without_usable_eigenvalues_is_refused() {
+    // Deflation needs at least one pair, and the Galerkin guess divides by
+    // every eigenvalue: a file with none panics the farm worker that loads
+    // it (`defl_cg`'s non-empty assert), and a θ that is zero, negative or
+    // not finite makes the guess non-finite.
+    let d = dir("eigenvalues");
+    let g = grid();
+    let f = FermionField::random(g.clone(), 3);
+    let path = d.join("subspace.qio");
+    for (tag, values) in [
+        ("nev 0", vec![]),
+        ("zero", vec![0.0]),
+        ("negative", vec![-0.5]),
+        ("NaN", vec![f64::NAN]),
+        ("infinite", vec![f64::INFINITY]),
+        ("second zero", vec![0.5, 0.0]),
+    ] {
+        let mut scalars = vec![0.25f64.to_bits(), values.len() as u64];
+        scalars.extend(values.iter().flat_map(|v: &f64| [v.to_bits(), 0]));
+        let mut records = vec![
+            Record::new(DEFL_META_RECORD, FieldMeta::of(&f, Precision::F64).encode()),
+            Record::new(DEFL_SCALARS_RECORD, u64s(&scalars)),
+        ];
+        records.extend((0..values.len()).map(|i| field_record(&defl_vector_record(i), &f)));
+        write(&path, records);
+        match read_subspace(&path, &g, 0.25) {
+            Err(IoError::BadRecord { record, msg }) => {
+                assert_eq!(record, DEFL_SCALARS_RECORD, "{tag}: {msg}");
+                assert!(msg.contains("eigen"), "{tag}: {msg}");
+            }
+            other => panic!(
+                "{tag}: expected a refused subspace, got {:?}",
+                other.map(|_| ()).map_err(|e| e.to_string())
+            ),
+        }
+    }
     let _ = std::fs::remove_dir_all(&d);
 }
 

@@ -298,18 +298,27 @@ fn same(what: &str, a: &Print, b: &Print) -> Result<(), String> {
     ))
 }
 
-/// A stand-in subspace: any vectors and positive values make a Galerkin
-/// *guess*, which is all a start has to be.
-fn subspace(p: &Problem) -> Subspace {
+/// A stand-in subspace of two vectors of the operator's shape: any vectors
+/// and positive values make a Galerkin *guess*, which is all a start has to
+/// be.
+fn stand_in(vectors: [FermionField; 2]) -> Subspace {
     Subspace {
-        vectors: vec![
-            FermionField::random(p.grid.clone(), 21),
-            FermionField::random(p.grid.clone(), 22),
-        ],
+        vectors: vectors.into(),
         values: vec![40.0, 55.0],
         residuals: vec![0.0; 2],
         mass: MASS,
     }
+}
+
+/// The stand-in subspace of the Wilson rows: fields of seeds 21 and 22 on
+/// `grid`, each through `shape` (a restriction to the even checkerboard or
+/// to a rank's slab).
+fn subspace_on(grid: &Arc<Grid>, shape: impl Fn(FermionField) -> FermionField) -> Subspace {
+    stand_in([21, 22].map(|seed| shape(FermionField::random(grid.clone(), seed))))
+}
+
+fn subspace(p: &Problem) -> Subspace {
+    subspace_on(&p.grid, |v| v)
 }
 
 /// The start axis.
@@ -320,10 +329,10 @@ enum StartAt {
 }
 
 impl StartAt {
-    fn start<V: Stored<E = f64>>(self, p: &Problem, b: &V) -> Start<V> {
+    fn start<V: Stored<E = f64>>(self, sub: &Subspace, b: &V) -> Start<V> {
         match self {
             StartAt::Zero => Start::Zero,
-            StartAt::Galerkin => Start::Guess(galerkin_guess(&subspace(p), b)),
+            StartAt::Galerkin => Start::Guess(galerkin_guess(sub, b)),
         }
     }
 }
@@ -341,17 +350,18 @@ fn moved_by_the_guess(from: StartAt, print: &Print) -> Result<(), String> {
 /// zero, undurable, the body of `cg()`; from the Galerkin guess, `defl_cg`.
 fn field_fused(bits: usize, from: StartAt, durable: bool) -> Result<Print, String> {
     let p = problem(bits);
+    let sub = subspace(&p);
     let mut tmp = p.b.zero_like();
     let whole = cell(
         &mut p.op.normal(&mut tmp),
         &p.b,
-        || from.start(&p, &p.b),
+        || from.start(&sub, &p.b),
         durable,
     )?;
-    same("oracle", &whole, &oracle(&p, &p.b, from.start(&p, &p.b)))?;
+    same("oracle", &whole, &oracle(&p, &p.b, from.start(&sub, &p.b)))?;
     let (x, report) = match from {
         StartAt::Zero => cg(&p.op, &p.b, TOL, BUDGET),
-        StartAt::Galerkin => defl_cg(&p.op, &subspace(&p), &p.b, TOL, BUDGET),
+        StartAt::Galerkin => defl_cg(&p.op, &sub, &p.b, TOL, BUDGET),
     };
     same("preset", &whole, &Print::of_single(field_bits(&x), &report))?;
     moved_by_the_guess(from, &whole)?;
@@ -363,22 +373,22 @@ fn field_fused(bits: usize, from: StartAt, durable: bool) -> Result<Print, Strin
 /// `defl_cg` of the block and of each RHS alone.
 fn block_fused(bits: usize, from: StartAt, durable: bool) -> Result<Print, String> {
     let p = problem(bits);
+    let sub = subspace(&p);
     let block = FermionBlock::from_fields(&[p.b.clone(), p.b2.clone()]);
     let mut tmp = block.zero_like();
     let whole = cell(
         &mut p.op.normal(&mut tmp),
         &block,
-        || from.start(&p, &block),
+        || from.start(&sub, &block),
         durable,
     )?;
     let mut tmp = p.b.zero_like();
     let mut single = p.op.normal(&mut tmp);
     for (j, b) in [&p.b, &p.b2].into_iter().enumerate() {
-        let solo = solve(&mut single, b, from.start(&p, b), TOL);
+        let solo = solve(&mut single, b, from.start(&sub, b), TOL);
         same("field space per RHS", &whole.rhs(j, 2), &solo)?;
-        same("oracle per RHS", &solo, &oracle(&p, b, from.start(&p, b)))?;
+        same("oracle per RHS", &solo, &oracle(&p, b, from.start(&sub, b)))?;
     }
-    let sub = subspace(&p);
     let (x, report) = match from {
         StartAt::Zero => cg(&p.op, &block, TOL, BUDGET),
         StartAt::Galerkin => defl_cg(&p.op, &sub, &block, TOL, BUDGET),
@@ -395,45 +405,49 @@ fn block_fused(bits: usize, from: StartAt, durable: bool) -> Result<Print, Strin
 }
 
 /// `S†S` on the even checkerboard, in place (the space `solve_eo` runs its
-/// CG in): bit-equal to the same operator allocating.
-fn eo_schur(bits: usize, durable: bool) -> Result<Print, String> {
+/// CG in): bit-equal to the same operator allocating, from the same start —
+/// the Galerkin guess of a subspace of even-parity fields.
+fn eo_schur(bits: usize, from: StartAt, durable: bool) -> Result<Print, String> {
     let p = problem(bits);
     let a = MASS + 4.0;
     let rhs = parity_project(&p.b, 0);
+    let sub = subspace_on(&p.grid, |v| parity_project(&v, 0));
     let schur = |v: &FermionField| {
         let mut s = p.op.hopping(&p.op.hopping(v));
         s.scale_axpy_from(a, v, -0.25 / a, &s.clone());
         s
     };
     let mut allocating = Allocating::new(|v: &FermionField| gamma5(&schur(&gamma5(&schur(v)))));
-    let reference = solve(&mut allocating, &rhs, Start::Zero, TOL);
+    let reference = solve(&mut allocating, &rhs, from.start(&sub, &rhs), TOL);
 
     let schur = Schur::new(&p.op);
     let whole = cell(
         &mut schur.normal(&mut rhs.zero_like()),
         &rhs,
-        || Start::Zero,
+        || from.start(&sub, &rhs),
         durable,
     )?;
     same("oracle", &whole, &reference)?;
-    Ok(whole)
+    moved_by_the_guess(from, &whole).map(|()| whole)
 }
 
 /// The distributed normal space, run through [`cell`] inside every rank
 /// (the file counter gives each rank its own checkpoint path); the print's
-/// solution is the ranks' sites in global lexicographic order.
-fn dist(bits: usize, ranks: usize, durable: bool) -> Result<Print, String> {
+/// solution is the ranks' sites in global lexicographic order. The Galerkin
+/// start projects with each rank's slab of the subspace vectors.
+fn dist(bits: usize, ranks: usize, from: StartAt, durable: bool) -> Result<Print, String> {
     let global = [DIMS[0], DIMS[1], DIMS[2], 2 * DIMS[3]];
     let vl = VectorLength::of(bits);
     let per_rank = run_multinode_grid(global, [1, 1, 1, ranks], vl, SimdBackend::Fcmla, |ctx| {
         let g = Grid::new(global, vl, SimdBackend::Fcmla);
         let u = restrict_field(ctx, &random_gauge(g.clone(), 7));
-        let b = restrict_field(ctx, &FermionField::random(g, 13));
+        let b = restrict_field(ctx, &FermionField::random(g.clone(), 13));
+        let sub = subspace_on(&g, |v| restrict_field(ctx, &v));
         let dw = DistWilson::new(ctx, u, 0.3, GaugeWire::TwoRow, Compression::None);
         let print = cell(
             &mut dw.normal(&mut b.zero_like()),
             &b,
-            || Start::Zero,
+            || from.start(&sub, &b),
             durable,
         )?;
         let local = ctx.grid.fdims();
@@ -463,46 +477,54 @@ fn dist(bits: usize, ranks: usize, durable: bool) -> Result<Print, String> {
     print.x = sites.into_iter().flat_map(|(_, bits)| bits).collect();
     if ranks == 1 {
         // Ranks are a placement, not a different solve: one rank is the
-        // fused field space on the same global operator, bit for bit.
+        // fused field space on the same global operator, from the guess of
+        // the global subspace, bit for bit.
         let g = Grid::new(global, vl, SimdBackend::Fcmla);
         let op = WilsonDirac::new_two_row(random_gauge(g.clone(), 7), 0.3);
-        let b = FermionField::random(g, 13);
-        let mut tmp = b.zero_like();
-        let field = solve(&mut op.normal(&mut tmp), &b, Start::Zero, TOL);
+        let b = FermionField::random(g.clone(), 13);
+        let start = from.start(&subspace_on(&g, |v| v), &b);
+        let field = solve(&mut op.normal(&mut b.zero_like()), &b, start, TOL);
         same("field fused", &print, &field)?;
     }
-    Ok(print)
+    moved_by_the_guess(from, &print).map(|()| print)
 }
 
-fn dist_r2(bits: usize, durable: bool) -> Result<Print, String> {
-    // One rank's print, once: the row above checks it is the same in
-    // every cell.
-    static ONE_RANK: std::sync::OnceLock<Print> = std::sync::OnceLock::new();
-    let two = dist(bits, 2, durable)?;
-    same(
-        "R=1",
-        &two,
-        ONE_RANK.get_or_init(|| dist(512, 1, false).expect("R=1")),
-    )?;
+fn dist_r2(bits: usize, from: StartAt, durable: bool) -> Result<Print, String> {
+    // One rank's print per start, once: the row above checks it is the
+    // same in every cell.
+    static ONE_RANK: [std::sync::OnceLock<Print>; 2] =
+        [std::sync::OnceLock::new(), std::sync::OnceLock::new()];
+    let two = dist(bits, 2, from, durable)?;
+    let one = ONE_RANK[from as usize].get_or_init(|| dist(512, 1, from, false).expect("R=1"));
+    same("R=1", &two, one)?;
     Ok(two)
 }
 
 /// The domain-wall normal space, whose iterates are 5-d fermions: one
-/// right-hand side stored as `Ls` fields.
-fn fermion5(bits: usize, durable: bool) -> Result<Print, String> {
+/// right-hand side stored as `Ls` fields. Its subspace holds 5-d vectors,
+/// fields of width `Ls`.
+fn fermion5(bits: usize, from: StartAt, durable: bool) -> Result<Print, String> {
     let p = problem(bits);
     let op = DomainWall::new(random_gauge(p.grid.clone(), 7), 2, 1.8, 0.1);
     let b = Fermion5::random(p.grid.clone(), 2, 31);
+    let sub =
+        stand_in([41, 42].map(|seed| Fermion5::random(p.grid.clone(), 2, seed).field().clone()));
     let mut tmp = b.zero_like();
-    let whole = cell(&mut op.normal(&mut tmp), &b, || Start::Zero, durable)?;
+    let whole = cell(
+        &mut op.normal(&mut tmp),
+        &b,
+        || from.start(&sub, &b),
+        durable,
+    )?;
     // The oracle: the same operator as an allocating closure.
     let mut space = Allocating::new(|v: &Fermion5| op.mdag_m(v));
+    let start = || from.start(&sub, &b);
     same(
         "oracle",
         &whole,
-        &solve_and_resume(&mut space, &b, || Start::Zero, TOL, CUT)?,
+        &solve_and_resume(&mut space, &b, start, TOL, CUT)?,
     )?;
-    Ok(whole)
+    moved_by_the_guess(from, &whole).map(|()| whole)
 }
 
 /// The fused space at binary16: the space of the ladder's inner tier,
@@ -527,13 +549,14 @@ fn f16_fused(bits: usize, durable: bool) -> Result<Print, String> {
 /// same solution), and the same solve under the benchmarks' span and region.
 fn coarse_preconditioned(bits: usize, from: StartAt, durable: bool) -> Result<Print, String> {
     let p = problem(bits);
-    let cs = CoarseSpace::build(&p.op, &subspace(&p).vectors, [2, 2, 2, 2]);
+    let sub = subspace(&p);
     let mut tmp = p.b.zero_like();
+    let cs = CoarseSpace::build(p.op.normal(&mut tmp), &sub.vectors, [2, 2, 2, 2]);
     let mut space = cs.two_level(p.op.normal(&mut tmp), None);
-    let whole = cell(&mut space, &p.b, || from.start(&p, &p.b), durable)?;
+    let whole = cell(&mut space, &p.b, || from.start(&sub, &p.b), durable)?;
     close(&whole, &oracle(&p, &p.b, Start::Zero))?;
     let span = qcd_trace::span!("mg.coarse", p.grid.engine().ctx());
-    let start = from.start(&p, &p.b);
+    let start = from.start(&sub, &p.b);
     let (x, report) = krylov::cg_solve(
         &mut space,
         &p.b,
@@ -563,22 +586,14 @@ type Cell = fn(usize, StartAt, bool) -> Result<Print, String>;
 
 /// The cells of the product nobody can run without writing the missing
 /// piece first, and what that piece is.
-const UNREACHABLE: [(&str, &str); 6] = [
-    (
-        "dist × {Galerkin start, deflation}",
-        "a Subspace holds f64 fields of the global lattice; DistWilson acts on a rank grid's",
-    ),
+const UNREACHABLE: [(&str, &str); 4] = [
     (
         "dist × ladder",
         "DistWilson is f64-only: the f32 and f16 tiers have no rank-local operator",
     ),
     (
-        "Fermion5 × {Galerkin start, ladder}",
-        "no eigensolver over 5-d vectors; precision is not yet a wrapper (item 4)",
-    ),
-    (
-        "EO-Schur × Galerkin start",
-        "a Subspace deflates M†M, not the Schur complement S†S",
+        "Fermion5 × ladder",
+        "precision is not yet a wrapper: the ladder's tiers are Wilson replicas",
     ),
     (
         "EO-Schur × ladder",
@@ -608,18 +623,12 @@ fn every_space_conforms_across_vector_lengths_and_threads() {
     let (both, zero) = ([StartAt::Zero, StartAt::Galerkin], [StartAt::Zero]);
     row("field fused", &both, &[false, true], field_fused);
     row("block fused", &both, &[false, true], block_fused);
-    row("EO-Schur", &zero, &[false, true], |bits, _, durable| {
-        eo_schur(bits, durable)
+    row("EO-Schur", &both, &[false, true], eo_schur);
+    row("dist R=1", &both, &[false, true], |bits, from, durable| {
+        dist(bits, 1, from, durable)
     });
-    row("dist R=1", &zero, &[false, true], |bits, _, durable| {
-        dist(bits, 1, durable)
-    });
-    row("dist R=2", &zero, &[false, true], |bits, _, durable| {
-        dist_r2(bits, durable)
-    });
-    row("Fermion5", &zero, &[false, true], |bits, _, durable| {
-        fermion5(bits, durable)
-    });
+    row("dist R=2", &both, &[false, true], dist_r2);
+    row("Fermion5", &both, &[false, true], fermion5);
     row("f16 fused", &zero, &[false, true], |bits, _, durable| {
         f16_fused(bits, durable)
     });
