@@ -355,7 +355,7 @@ pub struct RankCtx {
     last_post: Cell<Instant>,
     shells: RefCell<Vec<HaloMsg>>,
     /// The grid's communicator.
-    comm: Arc<Communicator>,
+    pub(crate) comm: Arc<Communicator>,
 }
 
 /// A finished rank — returned or unwinding — closes its ring, so a

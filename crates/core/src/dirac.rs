@@ -37,6 +37,7 @@ use crate::codec::{LINK_SCALARS_FULL, LINK_SCALARS_TWO_ROW};
 use crate::field::{gauge_comp, spinor_comp, FermionBlock, FermionKind, Field, GaugeKind};
 use crate::krylov::{CgSpace, Vector};
 use crate::layout::{Grid, NCOLOR, NSPIN};
+use crate::mixed::{to_precision, Replica};
 use crate::reduce;
 use crate::simd::{CVec, SimdEngine, Words};
 use crate::stencil::{dir_index, Stencil, StencilEntry};
@@ -256,17 +257,6 @@ impl<E: SveFloat> WilsonDirac<E> {
         let mut d = Self::new(u, mass);
         d.two_row = true;
         d
-    }
-
-    /// The same operator at element type `E2`: the gauge field converted
-    /// onto a grid of `E2` with this lattice, vector length and backend
-    /// (the replica a precision tier or a binary16 smoother sweeps).
-    pub fn replica<E2: SveFloat>(&self) -> WilsonDirac<E2> {
-        let g = &self.grid;
-        let grid = Grid::<E2>::new(g.fdims(), g.vl(), g.engine().backend());
-        let mut op = WilsonDirac::new(crate::mixed::to_precision(&self.u, &grid), self.mass);
-        op.two_row = self.two_row;
-        op
     }
 
     /// Whether links are read in two-row compressed mode.
@@ -661,6 +651,25 @@ pub trait Dirac<V: Vector> {
     /// steady-state iteration allocates nothing the sweeps do not.
     fn normal<'a>(&'a self, tmp: &'a mut V) -> Normal<'a, Self, V> {
         Normal { op: self, tmp }
+    }
+}
+
+/// The same operator at element type `E2`, in the same link mode: the
+/// replica a precision tier or a binary16 smoother sweeps.
+impl<E: SveFloat> Replica for WilsonDirac<E> {
+    type V<E2: SveFloat> = Field<FermionKind, E2>;
+    type At<E2: SveFloat> = WilsonDirac<E2>;
+
+    fn replica<E2: SveFloat>(&self) -> WilsonDirac<E2> {
+        let mut op = WilsonDirac::new(to_precision(&self.u, &self.grid.at()), self.mass);
+        op.two_row = self.two_row;
+        op
+    }
+}
+
+impl<E: SveFloat> AsRef<Arc<Grid<E>>> for WilsonDirac<E> {
+    fn as_ref(&self) -> &Arc<Grid<E>> {
+        &self.grid
     }
 }
 

@@ -37,6 +37,11 @@
 //! therefore every iterate) are bitwise independent of the rank count, the
 //! vector length, and the worker thread count.
 //!
+//! The operator is generic over its element type. Its narrow replicas
+//! ([`Replica`]) run on the rank's grid at that type, which shares the
+//! rank's communicator, so the precision ladder runs on ranks; faces and
+//! ghost links stay f64 on the wire (exact for f32 and binary16).
+//!
 //! [`RankTopology`]: crate::topology::RankTopology
 //! [`RankCtx::post_face_send`]: crate::comms::RankCtx::post_face_send
 //! [`RankCtx::wait_face_into`]: crate::comms::RankCtx::wait_face_into
@@ -46,20 +51,23 @@ use crate::dirac::{
     store_spinor, Dirac, Spinor, Sweep, WilsonDirac, FUSED_MASS_AXPY_FLOPS_PER_SITE,
     HOPPING_FLOPS_PER_SITE, HOPPING_READS_PER_SITE, HOPPING_WRITES_PER_SITE,
 };
-use crate::field::{gauge_comp, FermionField, Field, FieldKind, GaugeField};
+use crate::field::{gauge_comp, FermionField, FermionKind, Field, FieldKind, GaugeKind};
 use crate::krylov::{self, Start, Vector};
-use crate::layout::{NCOLOR, NDIM, NSPIN};
+use crate::layout::{Grid, NCOLOR, NDIM, NSPIN};
+use crate::mixed::{to_precision, Replica};
 use crate::simd::{CVec, Words};
 use crate::solver::SolveReport;
 use crate::topology::{fermion_face_bytes, link_ghost_bytes, FERMION_FACE_SCALARS};
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
+use sve::SveFloat;
 
 /// Complex components per spinor.
 const NCOMP: usize = NSPIN * NCOLOR;
 
 /// Stack buffer large enough for one SIMD word at any modeled vector
-/// length (VL 2048 ⇒ 16 complex lanes ⇒ 32 f64 elements).
+/// length of f64 or f32 elements (VL 2048 ⇒ 32 f64, 64 f32 elements); a
+/// binary16 word takes twice that.
 const MAX_WORD: usize = 64;
 
 /// Everything precomputed for one split dimension: which `(outer site,
@@ -85,13 +93,13 @@ struct DimPlan {
 }
 
 /// The Wilson operator distributed over the ranks of a [`RankCtx`], with
-/// overlapped halo exchange (see the module docs). It owns the face
-/// buffers its sweeps pack and receive into, as the context owns its
-/// message shells: the distributed hot path allocates nothing in the
-/// steady state.
-pub struct DistWilson<'a> {
+/// overlapped halo exchange (see the module docs), at element type `E`. It
+/// owns the face buffers its sweeps pack and receive into, as the context
+/// owns its message shells: the distributed hot path allocates nothing in
+/// the steady state.
+pub struct DistWilson<'a, E: SveFloat = f64> {
     ctx: &'a RankCtx,
-    op: WilsonDirac,
+    op: WilsonDirac<E>,
     wire: GaugeWire,
     compression: Compression,
     plans: Vec<DimPlan>,
@@ -127,7 +135,7 @@ struct Faces {
 impl DistWorkspace {
     /// A zero field on `dw`'s rank grid.
     pub fn new(dw: &DistWilson) -> Self {
-        DistWorkspace(Field::zero(dw.ctx.grid.clone()))
+        DistWorkspace(Field::zero(dw.op.grid().clone()))
     }
 }
 
@@ -146,28 +154,46 @@ impl std::ops::DerefMut for DistWorkspace {
 }
 
 impl<'a> DistWilson<'a> {
+    /// `out = Dh ψ` (distributed hopping term, no mass).
+    pub fn hopping_into(
+        &self,
+        psi: &FermionField,
+        _ws: &mut DistWorkspace,
+        out: &mut FermionField,
+    ) {
+        self.dslash_overlapped(psi, out, false, None);
+    }
+
+    /// Globally canonical `|f|²`: the norm of a field on the rank grid.
+    pub fn canon_norm2(&self, f: &FermionField, _ws: &mut DistWorkspace) -> f64 {
+        f.norm2()
+    }
+}
+
+impl<'a, E: SveFloat> DistWilson<'a, E> {
     /// Build the distributed operator on `ctx` from the *rank-local* gauge
-    /// field (see [`restrict_field`]), exchanging ghost links with both
-    /// neighbours along every split dimension. `wire` selects the gauge
-    /// wire format *and* the in-memory link mode (two-row wire ⇒ two-row
-    /// operator, so the third row is reconstructed after halo patching);
-    /// `compression` applies binary16 to every face payload.
+    /// field (see [`restrict_field`]; at `E`, on the rank's grid at `E`),
+    /// exchanging ghost links with both neighbours along every split
+    /// dimension — a collective. `wire` selects the gauge wire format *and*
+    /// the in-memory link mode (two-row wire ⇒ two-row operator, so the
+    /// third row is reconstructed after halo patching); `compression`
+    /// applies binary16 to every face payload.
     pub fn new(
         ctx: &'a RankCtx,
-        u: GaugeField,
+        u: Field<GaugeKind, E>,
         mass: f64,
         wire: GaugeWire,
         compression: Compression,
     ) -> Self {
         assert!(
-            Arc::ptr_eq(u.grid(), &ctx.grid),
+            u.grid().comm().is_some_and(|c| std::ptr::eq(c, &*ctx.comm)),
             "gauge field must live on the rank-local grid"
         );
         let op = match wire {
             GaugeWire::TwoRow => WilsonDirac::new_two_row(u, mass),
             GaugeWire::Full => WilsonDirac::new(u, mass),
         };
-        let grid = ctx.grid.clone();
+        let grid = op.grid().clone();
         let fdims = grid.fdims();
         let mut plans = Vec::new();
         let mut plan_of_dim = [None; NDIM];
@@ -239,11 +265,6 @@ impl<'a> DistWilson<'a> {
         dw
     }
 
-    /// The rank-local single-process operator this wraps.
-    pub fn op(&self) -> &WilsonDirac {
-        &self.op
-    }
-
     /// The communication context.
     pub fn ctx(&self) -> &RankCtx {
         self.ctx
@@ -259,14 +280,6 @@ impl<'a> DistWilson<'a> {
     /// application counts two).
     pub fn dslash_count(&self) -> u64 {
         self.dslash_count.get()
-    }
-
-    /// Reset the sweep counter (pairs with
-    /// [`RankCtx::reset_comm_counters`] when starting a measured region).
-    ///
-    /// [`RankCtx::reset_comm_counters`]: crate::comms::RankCtx::reset_comm_counters
-    pub fn reset_dslash_count(&self) {
-        self.dslash_count.set(0);
     }
 
     /// Fermion face bytes one overlapped sweep puts on the wire (both
@@ -318,22 +331,18 @@ impl<'a> DistWilson<'a> {
     /// complex number at scalar offset `offset` within the site.
     fn patch_word<const N: usize>(
         &self,
-        eng: &Words<'_, f64, N>,
+        eng: &Words<'_, E, N>,
         v: CVec<N>,
         patches: &[(u16, u32)],
         halo: &[f64],
         stride: usize,
         offset: usize,
     ) -> CVec<N> {
-        let word = eng.word_len();
-        let mut buf = [0.0f64; MAX_WORD];
-        eng.store(&mut buf[..word], v);
-        for &(lane, fidx) in patches {
-            let base = fidx as usize * stride + offset;
-            buf[2 * lane as usize] = halo[base];
-            buf[2 * lane as usize + 1] = halo[base + 1];
+        if E::BYTES == 2 {
+            patched::<E, N, { 2 * MAX_WORD }>(eng, v, patches, halo, stride, offset)
+        } else {
+            patched::<E, N, MAX_WORD>(eng, v, patches, halo, stride, offset)
         }
-        eng.load(&buf[..word])
     }
 
     /// The boundary pass's kernel at one outer site: the eight legs of
@@ -344,8 +353,8 @@ impl<'a> DistWilson<'a> {
     /// other lane is untouched bit for bit.
     fn site_hopping_at_boundary<const N: usize>(
         &self,
-        eng: &Words<'_, f64, N>,
-        psi: &FermionField,
+        eng: &Words<'_, E, N>,
+        psi: &Field<FermionKind, E>,
         osite: usize,
         dagger: bool,
         faces: &[Faces],
@@ -391,12 +400,12 @@ impl<'a> DistWilson<'a> {
     /// term into the store exactly like the single-process fused sweep.
     fn dslash_overlapped(
         &self,
-        psi: &FermionField,
-        out: &mut FermionField,
+        psi: &Field<FermionKind, E>,
+        out: &mut Field<FermionKind, E>,
         dagger: bool,
         mass_axpy: Option<f64>,
     ) {
-        let grid = &self.ctx.grid;
+        let grid = self.op.grid();
         let faces = &mut *self.faces.borrow_mut();
         assert!(
             Arc::ptr_eq(psi.grid(), grid),
@@ -421,7 +430,8 @@ impl<'a> DistWilson<'a> {
         }
         qcd_trace::record_sites(sites);
         qcd_trace::record_flops(sites * flops);
-        qcd_trace::record_bytes(sites * reads * 8, sites * HOPPING_WRITES_PER_SITE * 8);
+        let e = E::BYTES as u64;
+        qcd_trace::record_bytes(sites * reads * e, sites * HOPPING_WRITES_PER_SITE * e);
 
         // 1. Post both faces of every split dimension; the network carries
         // them while the interior pass runs.
@@ -463,33 +473,18 @@ impl<'a> DistWilson<'a> {
             self.dslash_count.set(self.dslash_count.get() + 1);
         })
     }
-
-    /// `out = Dh ψ` (distributed hopping term, no mass).
-    pub fn hopping_into(
-        &self,
-        psi: &FermionField,
-        _ws: &mut DistWorkspace,
-        out: &mut FermionField,
-    ) {
-        self.dslash_overlapped(psi, out, false, None);
-    }
-
-    /// Globally canonical `|f|²`: the norm of a field on the rank grid.
-    pub fn canon_norm2(&self, f: &FermionField, _ws: &mut DistWorkspace) -> f64 {
-        f.norm2()
-    }
 }
 
 /// `M ψ = (m+4)ψ − ½ Dh ψ` (or `M† ψ`) in one overlapped sweep, mass fused
 /// into the store. The dot is a reduction of the rank grid after the sweep:
 /// every rank must apply the operator together.
-impl Dirac<FermionField> for DistWilson<'_> {
+impl<E: SveFloat> Dirac<Field<FermionKind, E>> for DistWilson<'_, E> {
     fn m_into(
         &self,
-        psi: &FermionField,
-        out: &mut FermionField,
+        psi: &Field<FermionKind, E>,
+        out: &mut Field<FermionKind, E>,
         dagger: bool,
-        dot: Option<(&FermionField, &mut [f64])>,
+        dot: Option<(&Field<FermionKind, E>, &mut [f64])>,
     ) {
         self.dslash_overlapped(psi, out, dagger, Some(self.op.mass + 4.0));
         if let Some((d, sums)) = dot {
@@ -498,11 +493,52 @@ impl Dirac<FermionField> for DistWilson<'_> {
     }
 }
 
+/// The distributed operator over the Wilson operator's replica, on the
+/// rank's grid at `E2`, in the same wire format. A collective: its
+/// construction exchanges ghost links, so every rank builds it together.
+impl<'a, E: SveFloat> Replica for DistWilson<'a, E> {
+    type V<E2: SveFloat> = Field<FermionKind, E2>;
+    type At<E2: SveFloat> = DistWilson<'a, E2>;
+
+    fn replica<E2: SveFloat>(&self) -> DistWilson<'a, E2> {
+        let u = to_precision(self.op.gauge(), &self.op.grid().at());
+        DistWilson::new(self.ctx, u, self.op.mass, self.wire, self.compression)
+    }
+}
+
+impl<E: SveFloat> AsRef<Arc<Grid<E>>> for DistWilson<'_, E> {
+    fn as_ref(&self) -> &Arc<Grid<E>> {
+        self.op.grid()
+    }
+}
+
+/// `v` with the scalars of the listed lanes replaced by `halo`'s, through
+/// a buffer of `W` elements.
+#[inline(always)]
+fn patched<E: SveFloat, const N: usize, const W: usize>(
+    eng: &Words<'_, E, N>,
+    v: CVec<N>,
+    patches: &[(u16, u32)],
+    halo: &[f64],
+    stride: usize,
+    offset: usize,
+) -> CVec<N> {
+    let word = eng.word_len();
+    let mut buf = [E::zero(); W];
+    eng.store(&mut buf[..word], v);
+    for &(lane, fidx) in patches {
+        let base = fidx as usize * stride + offset;
+        buf[2 * lane as usize] = E::from_f64(halo[base]);
+        buf[2 * lane as usize + 1] = E::from_f64(halo[base + 1]);
+    }
+    eng.load(&buf[..word])
+}
+
 /// Serialize components `comp(0)`, …, `comp(ncomp − 1)` of the listed
 /// `(outer site, lane)` pairs of a field into a face buffer, `2 · ncomp`
 /// scalars per site.
-fn pack_face<K: FieldKind>(
-    f: &Field<K>,
+fn pack_face<K: FieldKind, E: SveFloat>(
+    f: &Field<K, E>,
     list: &[(u32, u16)],
     ncomp: usize,
     comp: impl Fn(usize) -> usize,
@@ -511,7 +547,9 @@ fn pack_face<K: FieldKind>(
     for (&(o, lane), site) in list.iter().zip(buf.chunks_exact_mut(2 * ncomp)) {
         let li = 2 * lane as usize;
         for (k, z) in site.chunks_exact_mut(2).enumerate() {
-            z.copy_from_slice(&f.word(o as usize, comp(k))[li..li + 2]);
+            let w = &f.word(o as usize, comp(k))[li..li + 2];
+            z[0] = w[0].to_f64();
+            z[1] = w[1].to_f64();
         }
     }
 }

@@ -25,9 +25,11 @@
 use crate::dirac::{gamma5, Dirac, WilsonDirac};
 use crate::field::{cg_updates, FermionField, FermionKind, Field, GaugeField};
 use crate::krylov::{Stored, Vector};
+use crate::mixed::Replica;
 use crate::solver::SolveReport;
 use crate::Grid;
 use std::sync::Arc;
+use sve::SveFloat;
 
 /// Chiral projection `P₊ ψ = (ψ + γ5 ψ)/2`.
 pub fn chiral_plus(psi: &FermionField) -> FermionField {
@@ -64,18 +66,18 @@ pub(crate) fn slice_legs(ls: usize, s: usize, dagger: bool) -> [(usize, bool); 2
 /// and one right-hand side to a Krylov solve — its norms and inner products
 /// are the per-slice canonical sums added in slice order.
 #[derive(Clone)]
-pub struct Fermion5(FermionField);
+pub struct Fermion5<E: SveFloat = f64>(Field<FermionKind, E>);
 
-impl Fermion5 {
+impl<E: SveFloat> Fermion5<E> {
     /// A zero 5-D fermion with `ls` slices.
-    pub fn zero(grid: Arc<Grid>, ls: usize) -> Self {
+    pub fn zero(grid: Arc<Grid<E>>, ls: usize) -> Self {
         Fermion5(Field::zero_width(grid, ls))
     }
 
     /// Deterministic random content (per-slice seeds derived from `seed`).
-    pub fn random(grid: Arc<Grid>, ls: usize, seed: u64) -> Self {
-        let slices: Vec<FermionField> = (0..ls)
-            .map(|s| FermionField::random(grid.clone(), seed.wrapping_add(s as u64 * 7919)))
+    pub fn random(grid: Arc<Grid<E>>, ls: usize, seed: u64) -> Self {
+        let slices: Vec<Field<FermionKind, E>> = (0..ls)
+            .map(|s| Field::random(grid.clone(), seed.wrapping_add(s as u64 * 7919)))
             .collect();
         Fermion5(Field::from_fields(&slices))
     }
@@ -86,23 +88,23 @@ impl Fermion5 {
     }
 }
 
-impl std::ops::Deref for Fermion5 {
-    type Target = FermionField;
+impl<E: SveFloat> std::ops::Deref for Fermion5<E> {
+    type Target = Field<FermionKind, E>;
 
-    fn deref(&self) -> &FermionField {
+    fn deref(&self) -> &Field<FermionKind, E> {
         &self.0
     }
 }
 
-impl std::ops::DerefMut for Fermion5 {
-    fn deref_mut(&mut self) -> &mut FermionField {
+impl<E: SveFloat> std::ops::DerefMut for Fermion5<E> {
+    fn deref_mut(&mut self) -> &mut Field<FermionKind, E> {
         &mut self.0
     }
 }
 
 /// The Shamir domain-wall operator.
-pub struct DomainWall {
-    wilson: WilsonDirac<f64>,
+pub struct DomainWall<E: SveFloat = f64> {
+    wilson: WilsonDirac<E>,
     /// 5th-dimension extent.
     pub ls: usize,
     /// Domain-wall height (the Wilson operator runs at mass `−M5`).
@@ -123,22 +125,24 @@ impl DomainWall {
             mf,
         }
     }
+}
 
+impl<E: SveFloat> DomainWall<E> {
     /// The underlying 4-D Wilson operator (at mass `−M5`).
-    pub fn wilson(&self) -> &WilsonDirac<f64> {
+    pub fn wilson(&self) -> &WilsonDirac<E> {
         &self.wilson
     }
 }
 
 /// `D ψ` (or `D† ψ`) in one hopping sweep over the `Ls` slices, with
 /// `Re ⟨dot_with, out⟩` fused when asked for.
-impl Dirac<Fermion5> for DomainWall {
+impl<E: SveFloat> Dirac<Fermion5<E>> for DomainWall<E> {
     fn m_into(
         &self,
-        psi: &Fermion5,
-        out: &mut Fermion5,
+        psi: &Fermion5<E>,
+        out: &mut Fermion5<E>,
         dagger: bool,
-        dot: Option<(&Fermion5, &mut [f64])>,
+        dot: Option<(&Fermion5<E>, &mut [f64])>,
     ) {
         assert_eq!(psi.ls(), self.ls);
         assert_eq!(out.ls(), self.ls);
@@ -146,6 +150,27 @@ impl Dirac<Fermion5> for DomainWall {
         let dot = dot.map(|(d, sums)| (&d.0, sums));
         self.wilson
             .hopping_fused(psi, out, dagger, mass, dot, Some(self.mf));
+    }
+}
+
+/// The same `Ls`, `M5` and `m_f` over the Wilson operator's replica.
+impl<E: SveFloat> Replica for DomainWall<E> {
+    type V<E2: SveFloat> = Fermion5<E2>;
+    type At<E2: SveFloat> = DomainWall<E2>;
+
+    fn replica<E2: SveFloat>(&self) -> DomainWall<E2> {
+        DomainWall {
+            wilson: self.wilson.replica(),
+            ls: self.ls,
+            m5: self.m5,
+            mf: self.mf,
+        }
+    }
+}
+
+impl<E: SveFloat> AsRef<Arc<Grid<E>>> for DomainWall<E> {
+    fn as_ref(&self) -> &Arc<Grid<E>> {
+        self.wilson.grid()
     }
 }
 
@@ -161,7 +186,7 @@ pub fn r5_gamma5(psi: &Fermion5) -> Fermion5 {
 }
 
 /// One right-hand side: every method delegates to the field's own.
-impl Vector for Fermion5 {
+impl<E: SveFloat> Vector for Fermion5<E> {
     type Report = SolveReport;
 
     fn zero_like(&self) -> Self {
@@ -193,18 +218,18 @@ impl Vector for Fermion5 {
     }
 }
 
-impl Stored for Fermion5 {
-    type E = f64;
+impl<E: SveFloat> Stored for Fermion5<E> {
+    type E = E;
 
-    fn field(&self) -> &FermionField {
+    fn field(&self) -> &Field<FermionKind, E> {
         self
     }
 
-    fn field_mut(&mut self) -> &mut FermionField {
+    fn field_mut(&mut self) -> &mut Field<FermionKind, E> {
         self
     }
 
-    fn from_field(f: Field<FermionKind, f64>, nrhs: usize) -> Option<Self> {
+    fn from_field(f: Field<FermionKind, E>, nrhs: usize) -> Option<Self> {
         (nrhs == 1 && f.width() >= 2).then_some(Fermion5(f))
     }
 }

@@ -23,13 +23,15 @@
 //! simplification).
 
 use crate::dirac::{gamma5_inplace, Dirac, WilsonDirac};
-use crate::field::{FermionField, Field, FieldKind};
+use crate::field::{FermionField, FermionKind, Field, FieldKind};
 use crate::krylov::{self, Start};
 use crate::layout::{delex, Grid, NDIM};
+use crate::mixed::Replica;
 use crate::solver::SolveReport;
 use std::cell::RefCell;
+use std::ops::Deref;
 use std::sync::Arc;
-use sve::PReg;
+use sve::{PReg, SveFloat};
 
 /// Parity masks for a grid: `mask[q]` activates the f64 lanes of complex
 /// lanes whose *virtual-node* coordinate has parity `q`.
@@ -100,34 +102,35 @@ fn osite_parity_mask(grid: &Grid, masks: &[PReg; 2], osite: usize, parity: usize
 /// The Schur complement `S = a − Dh²/(4a)` of the Wilson operator, on
 /// fields supported on the even checkerboard (`Dh` maps each checkerboard
 /// to the other, so `S` keeps the even one). γ5-hermiticity gives
-/// `S† = γ5 S γ5`, γ5 being parity-diagonal. It owns its two hopping
-/// intermediates, so an application allocates nothing.
-pub struct Schur<'a> {
-    op: &'a WilsonDirac,
+/// `S† = γ5 S γ5`, γ5 being parity-diagonal. It holds its Wilson operator
+/// through `W` — the caller's, borrowed, or a replica's own, boxed — and
+/// owns its two hopping intermediates, so an application allocates nothing.
+pub struct Schur<W, E: SveFloat = f64> {
+    op: W,
     /// `Dh ψ` and `Dh Dh ψ`.
-    hops: RefCell<[FermionField; 2]>,
+    hops: RefCell<[Field<FermionKind, E>; 2]>,
 }
 
-impl<'a> Schur<'a> {
+impl<E: SveFloat, W: Deref<Target = WilsonDirac<E>>> Schur<W, E> {
     /// The Schur complement of `op`.
-    pub fn new(op: &'a WilsonDirac) -> Self {
-        let zero = || FermionField::zero(op.grid().clone());
+    pub fn new(op: W) -> Self {
+        let zero = || Field::zero(op.grid().clone());
         Schur {
-            op,
             hops: RefCell::new([zero(), zero()]),
+            op,
         }
     }
 }
 
 /// `S ψ = a ψ − Dh(Dh ψ)/(4a)`, and `S† ψ` as `γ5 S γ5 ψ` applied in place
 /// on `out`. The dot is an inner product after the sweeps.
-impl Dirac<FermionField> for Schur<'_> {
+impl<E: SveFloat, W: Deref<Target = WilsonDirac<E>>> Dirac<Field<FermionKind, E>> for Schur<W, E> {
     fn m_into(
         &self,
-        psi: &FermionField,
-        out: &mut FermionField,
+        psi: &Field<FermionKind, E>,
+        out: &mut Field<FermionKind, E>,
         dagger: bool,
-        dot: Option<(&FermionField, &mut [f64])>,
+        dot: Option<(&Field<FermionKind, E>, &mut [f64])>,
     ) {
         let a = self.op.mass + 4.0;
         let [hop, tmp] = &mut *self.hops.borrow_mut();
@@ -147,6 +150,22 @@ impl Dirac<FermionField> for Schur<'_> {
         if let Some((d, sums)) = dot {
             sums[0] = d.inner(out).re;
         }
+    }
+}
+
+/// The Schur complement of the Wilson operator's replica, which it owns.
+impl<E: SveFloat, W: Deref<Target = WilsonDirac<E>>> Replica for Schur<W, E> {
+    type V<E2: SveFloat> = Field<FermionKind, E2>;
+    type At<E2: SveFloat> = Schur<Box<WilsonDirac<E2>>, E2>;
+
+    fn replica<E2: SveFloat>(&self) -> Self::At<E2> {
+        Schur::new(Box::new(self.op.replica()))
+    }
+}
+
+impl<E: SveFloat, W: Deref<Target = WilsonDirac<E>>> AsRef<Arc<Grid<E>>> for Schur<W, E> {
+    fn as_ref(&self) -> &Arc<Grid<E>> {
+        self.op.grid()
     }
 }
 

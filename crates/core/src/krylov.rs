@@ -492,6 +492,12 @@ fn begin<V: Vector>(
                 Start::Guess(x0) => {
                     let mut r = b.zero_like();
                     residual(space, b, &x0, &mut w.ap, &mut r, &mut r2);
+                    for (j, &n) in r2.iter().enumerate() {
+                        assert!(
+                            n.is_finite(),
+                            "the initial guess leaves a non-finite residual (RHS {j})"
+                        );
+                    }
                     (x0, r)
                 }
                 _ => (b.zero_like(), b.clone()),

@@ -65,7 +65,9 @@ pub struct Grid<E: SveFloat = f64> {
     volume: usize,
     engine: SimdEngine<E>,
     lex_slots: Vec<u32>,
-    comm: Option<Arc<Communicator>>,
+    /// A rank grid's place: the rank grid's extents and the rank's
+    /// communicator.
+    rank: Option<(Coor, Arc<Communicator>)>,
 }
 
 impl<E: SveFloat> Grid<E> {
@@ -107,7 +109,7 @@ impl<E: SveFloat> Grid<E> {
         let volume: usize = fdims.iter().product();
         let osites: usize = rdims.iter().product();
         debug_assert_eq!(osites * lanes_c, volume);
-        let (rank_grid, comm) = rank.map_or(([1; NDIM], None), |(g, comm)| (g, Some(comm)));
+        let rank_grid = rank.as_ref().map_or([1; NDIM], |(g, _)| *g);
         let global: Coor = std::array::from_fn(|d| fdims[d] * rank_grid[d]);
         let mut grid = Grid {
             fdims,
@@ -117,7 +119,7 @@ impl<E: SveFloat> Grid<E> {
             volume,
             engine,
             lex_slots: Vec::with_capacity(global.iter().product()),
-            comm,
+            rank,
         };
         for i in 0..global.iter().product() {
             let x = delex(i, &global);
@@ -238,7 +240,16 @@ impl<E: SveFloat> Grid<E> {
     /// The communicator a rank grid's reductions travel; `None` on a grid
     /// of the whole lattice.
     pub(crate) fn comm(&self) -> Option<&Communicator> {
-        self.comm.as_deref()
+        self.rank.as_ref().map(|(_, comm)| &**comm)
+    }
+
+    /// This lattice at element type `E2`: the same extents, vector length
+    /// and backend on a context of its own. The replica of a rank grid is
+    /// the same rank's grid at `E2`, sharing its communicator, so a
+    /// reduction over either is the one global sum.
+    pub(crate) fn at<E2: SveFloat>(&self) -> Arc<Grid<E2>> {
+        let ctx = Arc::new(SveCtx::new(self.vl()));
+        Grid::build(self.fdims, ctx, self.engine.backend(), self.rank.clone())
     }
 
     /// Global lexicographic site index (layout independent; seeds the RNG

@@ -13,51 +13,46 @@
 //!
 //! Single precision doubles `lanes_c`, so the f32 lattice has a *different
 //! virtual-node decomposition* than the f64 one — converting a field is a
-//! genuine re-layout, exactly as in Grid (separate `GridF`/`GridD`).
+//! genuine re-layout, exactly as in Grid (separate `GridF`/`GridD`). The
+//! ladder is written once, as Grid's mixed-precision CG is, for any
+//! [`Dirac`] operator with narrow replicas ([`Replica`]): Wilson, its Schur
+//! complement, domain wall on 5-d vectors, the distributed operator.
 
-use crate::dirac::{Dirac, WilsonDirac};
-use crate::field::{FermionKind, Field, FieldKind};
-use crate::krylov::{self, Scratch, Start, State, Stop};
+use crate::dirac::Dirac;
+use crate::field::{Field, FieldKind};
+use crate::krylov::{self, Scratch, Start, State, Stop, Stored, Vector};
 use crate::layout::Grid;
-use crate::FermionField;
+use crate::solver::SolveReport;
 use qcd_trace::{HealthEvent, HealthMonitor};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use sve::{Opcode, SveFloat, F16};
 
 /// Convert a field into a preallocated field of another precision (and its
-/// grid's layout). The per-scalar conversions are accounted as vectorized
-/// `fcvt` on the target context. One right-hand side is converted: a wider
-/// field, or operands of unequal width, are refused.
+/// grid's layout), every right-hand side of it. The per-scalar conversions
+/// are accounted as vectorized `fcvt` on the target context. Operands of
+/// unequal width are refused.
 pub fn to_precision_into<K: FieldKind, E1: SveFloat, E2: SveFloat>(
     f: &Field<K, E1>,
     out: &mut Field<K, E2>,
 ) {
     assert_eq!(
         f.width(),
-        1,
-        "to_precision converts one right-hand side: convert each `rhs_field` of a wider field"
-    );
-    assert_eq!(
         out.width(),
-        1,
         "operands hold different numbers of right-hand sides"
     );
     assert_eq!(f.grid().fdims(), out.grid().fdims(), "lattices must match");
+    let ncomp = f.width() * K::NCOMP;
     for x in f.grid().coords() {
-        for comp in 0..K::NCOMP {
+        for comp in 0..ncomp {
             out.poke(&x, comp, f.peek(&x, comp));
         }
     }
     // One fcvt per vector of scalars converted (2 per complex).
-    let scalars = (f.grid().volume() * K::NCOMP * 2) as u64;
-    let grid2 = out.grid();
-    let per_vec = grid2.engine().word_len() as u64;
-    grid2
-        .engine()
-        .ctx()
-        .counters()
-        .bump_n(Opcode::Fcvt, scalars.div_ceil(per_vec));
+    let scalars = (f.grid().volume() * ncomp * 2) as u64;
+    let eng = out.grid().engine();
+    let fcvts = scalars.div_ceil(eng.word_len() as u64);
+    eng.ctx().counters().bump_n(Opcode::Fcvt, fcvts);
 }
 
 /// Convert a field to another precision (and its grid's layout), allocating
@@ -66,9 +61,30 @@ pub fn to_precision<K: FieldKind, E1: SveFloat, E2: SveFloat>(
     f: &Field<K, E1>,
     grid2: &Arc<Grid<E2>>,
 ) -> Field<K, E2> {
-    let mut out = Field::<K, E2>::zero(grid2.clone());
+    let mut out = Field::<K, E2>::zero_width(grid2.clone(), f.width());
     to_precision_into(f, &mut out);
     out
+}
+
+/// An operator at every element type: [`replica`](Self::replica) is the
+/// same operator at `E2` — its gauge field converted onto this lattice at
+/// `E2` with a context of its own (a rank grid's shares its communicator)
+/// — acting on vectors of the same shape. The tiers of [`ladder_solve`] and
+/// the binary16 smoother are replicas.
+pub trait Replica {
+    /// The vector, one right-hand side, it acts on at element type `E`.
+    type V<E: SveFloat>: Stored<E = E, Report = SolveReport>;
+    /// The operator at element type `E`, and the grid its vectors live on.
+    type At<E: SveFloat>: Dirac<Self::V<E>> + AsRef<Arc<Grid<E>>>;
+
+    /// This operator at element type `E2`.
+    fn replica<E2: SveFloat>(&self) -> Self::At<E2>;
+}
+
+/// A zero vector of `like`'s shape on `grid`.
+fn zero_on<V: Stored, W: Stored>(like: &V, grid: &Arc<Grid<W::E>>) -> W {
+    let f = Field::zero_width(grid.clone(), like.field().width());
+    W::from_field(f, like.nrhs()).expect("a replica acts on vectors of its operator's shape")
 }
 
 /// Relative-residual floor of the binary16 compute tier: the f16 unit
@@ -177,12 +193,12 @@ pub struct LadderReport {
 /// Storage of the binary16 tier, hoisted across all cycles: the operator
 /// replica, the normalized right-hand side, and the recurrence state and
 /// driver scratch every cycle restarts in place.
-struct F16Tier {
-    op: WilsonDirac<F16>,
-    b: Field<FermionKind, F16>,
-    tmp: Field<FermionKind, F16>,
-    state: State<Field<FermionKind, F16>>,
-    scratch: Scratch<Field<FermionKind, F16>>,
+struct F16Tier<O, V> {
+    op: O,
+    b: V,
+    tmp: V,
+    state: State<V>,
+    scratch: Scratch<V>,
 }
 
 /// One binary16 inner-CG cycle on the normalized residual system
@@ -196,8 +212,8 @@ struct F16Tier {
 /// curvature was lost to binary16 noise (surfaced as a non-finite
 /// episode), or the monitor raised an episode (stall / divergence /
 /// non-finite) during the cycle.
-fn f16_cycle(
-    t: &mut F16Tier,
+fn f16_cycle<O: Dirac<V>, V: Stored>(
+    t: &mut F16Tier<O, V>,
     tol: f64,
     max_iter: usize,
     monitor: &mut HealthMonitor,
@@ -205,12 +221,12 @@ fn f16_cycle(
 ) -> (usize, bool) {
     // x = 0, r = p = b  (computed as b − A·0 so no copy primitive is needed).
     let st = &mut t.state;
-    st.x.scale(0.0);
+    st.x.field_mut().scale(0.0);
     t.op.mdag_m_into(&st.x, &mut t.tmp, &mut t.scratch.ap);
-    st.r.sub(&t.b, &t.scratch.ap);
-    st.p.sub(&t.b, &t.scratch.ap);
+    st.r.field_mut().sub(t.b.field(), t.scratch.ap.field());
+    st.p.field_mut().sub(t.b.field(), t.scratch.ap.field());
     let mut space = t.op.normal(&mut t.tmp);
-    st.b_norm2[0] = t.b.norm2();
+    st.b_norm2[0] = t.b.field().norm2();
     let b2 = st.b_norm2[0];
     if b2.is_nan() || b2 <= 0.0 {
         // The residual underflowed binary16 entirely: nothing to solve at
@@ -218,7 +234,7 @@ fn f16_cycle(
         monitor.observe(f64::NAN);
         return (0, true);
     }
-    st.r2[0] = st.r.norm2();
+    st.r2[0] = st.r.field().norm2();
     st.iterations[0] = 0;
     st.histories[0].clear();
     st.histories[0].push((st.r2[0] / b2).sqrt());
@@ -246,8 +262,21 @@ fn f16_cycle(
     (t.state.iterations[0], stop != Stop::Finished)
 }
 
+/// A `tier`-kind flight event of outer round `outer`, binary16 cycle
+/// `cycle`, at relative residual `rel`.
+fn tier_event(name: &str, outer: usize, cycle: usize, rel: f64) {
+    let fields = [
+        ("outer", outer as f64),
+        ("cycle", cycle as f64),
+        ("rel_residual", rel),
+    ];
+    qcd_trace::record_event("tier", name, &fields);
+}
+
 /// Three-level reliable-update mixed-precision solve of `M x = b`:
-/// f64 outer defect correction ↔ f32 middle ↔ binary16 inner CG.
+/// f64 outer defect correction ↔ f32 middle ↔ binary16 inner CG, for any
+/// operator with narrow replicas ([`Replica`]) and one right-hand side (a
+/// field, an even-parity field, a 5-d fermion, a rank's slab).
 ///
 /// Each outer round converts the double-precision defect to f32 and solves
 /// the normal-equation correction system at the lowest tier that still
@@ -266,14 +295,12 @@ fn f16_cycle(
 ///
 /// Every steering scalar at every level is a canonical reduction, so
 /// residual histories and the solution are **bit-identical across vector
-/// lengths and thread counts**.
-pub fn ladder_solve(
-    op: &WilsonDirac<f64>,
-    b: &FermionField,
-    cfg: &LadderConfig,
-) -> (FermionField, LadderReport) {
-    let x0 = FermionField::zero(b.grid().clone());
-    ladder_solve_from(op, b, x0, cfg)
+/// lengths and thread counts** (and, on rank grids, rank counts).
+pub fn ladder_solve<D>(op: &D, b: &D::V<f64>, cfg: &LadderConfig) -> (D::V<f64>, LadderReport)
+where
+    D: Replica + Dirac<D::V<f64>>,
+{
+    ladder_solve_from(op, b, b.zero_like(), cfg)
 }
 
 /// [`ladder_solve`] from an arbitrary initial guess — the resume entry
@@ -283,36 +310,37 @@ pub fn ladder_solve(
 /// uninterrupted trajectory bit for bit (carry
 /// [`LadderReport::f16_active_at_exit`] into [`LadderConfig::use_f16`] if
 /// the interrupted run had demoted tiers).
-pub fn ladder_solve_from(
-    op: &WilsonDirac<f64>,
-    b: &FermionField,
-    x0: FermionField,
+pub fn ladder_solve_from<D>(
+    op: &D,
+    b: &D::V<f64>,
+    x0: D::V<f64>,
     cfg: &LadderConfig,
-) -> (FermionField, LadderReport) {
-    let grid64 = b.grid().clone();
+) -> (D::V<f64>, LadderReport)
+where
+    D: Replica + Dirac<D::V<f64>>,
+{
+    let grid64 = b.field().grid().clone();
     let _span = qcd_trace::span!("solver.ladder", grid64.engine().ctx());
     let f64_before = grid64.engine().ctx().counters().total();
     let op32 = op.replica::<f32>();
-    let grid32 = op32.grid().clone();
+    let grid32 = op32.as_ref().clone();
 
     let mut f16_on = cfg.use_f16;
     let cycle_tol = cfg.f16_cycle_tol;
-    let mut tier16 = if f16_on {
+    let mut tier16 = f16_on.then(|| {
         let op16 = op.replica::<F16>();
-        let zero = Field::<FermionKind, F16>::zero(op16.grid().clone());
-        Some(F16Tier {
+        let zero: D::V<F16> = zero_on(b, op16.as_ref());
+        F16Tier {
             op: op16,
             b: zero.clone(),
             tmp: zero.clone(),
             // Placeholder scalars: every cycle rebuilds the state in place.
             state: State::new(zero.clone(), zero.clone(), zero.clone(), &[1.0], &[1.0]),
             scratch: Scratch::new(&zero),
-        })
-    } else {
-        None
-    };
+        }
+    });
 
-    let b_norm2 = b.norm2();
+    let b_norm2 = b.field().norm2();
     assert!(
         b_norm2 > 0.0,
         "ladder solve needs a nonzero right-hand side"
@@ -328,37 +356,31 @@ pub fn ladder_solve_from(
     let mut inner_history = Vec::new();
     let mut health = Vec::new();
 
-    // Outer-loop buffers hoisted across every round.
-    let mut ax = FermionField::zero(grid64.clone());
-    let mut r = FermionField::zero(grid64.clone());
-    let mut d64 = FermionField::zero(grid64.clone());
-    let mut r32 = Field::<FermionKind, f32>::zero(grid32.clone());
-    let mut rhs32 = Field::<FermionKind, f32>::zero(grid32.clone());
-    let mut d32 = Field::<FermionKind, f32>::zero(grid32.clone());
-    let mut s32 = Field::<FermionKind, f32>::zero(grid32.clone());
-    let mut e32 = Field::<FermionKind, f32>::zero(grid32.clone());
-    // `M d` of every f32 `M†M` (the tier's CG included), `M†M d` outside CG.
-    let mut md32 = Field::<FermionKind, f32>::zero(grid32.clone());
-    let mut ad32 = Field::<FermionKind, f32>::zero(grid32.clone());
+    // Outer-loop buffers hoisted across every round. `md32` holds `M d` of
+    // every f32 `M†M` (the tier's CG included), `ad32` `M†M d` outside CG.
+    let [mut ax, mut r, mut d64] = [(); 3].map(|()| b.zero_like());
+    let zero32: D::V<f32> = zero_on(b, &grid32);
+    let [mut r32, mut rhs32, mut d32, mut s32, mut e32, mut md32, mut ad32] =
+        [(); 7].map(|()| zero32.clone());
 
     loop {
         // Double-precision defect, canonically reduced.
         op.apply_into(&x, &mut ax);
-        r.sub(b, &ax);
-        residual = (r.norm2() / b_norm2).sqrt();
+        r.field_mut().sub(b.field(), ax.field());
+        residual = (r.field().norm2() / b_norm2).sqrt();
         outer_history.push(residual);
         if residual <= cfg.tol || outer >= cfg.max_outer {
             break;
         }
 
-        to_precision_into(&r, &mut r32);
+        to_precision_into(r.field(), r32.field_mut());
         let rhs_n2;
         {
             let _t32 = qcd_trace::span!("solver.tier.f32", grid32.engine().ctx());
             op32.apply_dag_into(&r32, &mut rhs32);
-            rhs_n2 = rhs32.norm2();
-            d32.scale(0.0);
-            s32.clone_from(&rhs32);
+            rhs_n2 = rhs32.field().norm2();
+            d32.field_mut().scale(0.0);
+            s32.field_mut().clone_from(rhs32.field());
         }
         let mid_target = cfg.inner_tol * cfg.inner_tol * rhs_n2;
         let mut s2 = rhs_n2;
@@ -369,23 +391,15 @@ pub fn ladder_solve_from(
             let t = tier16.as_mut().expect("f16 tier enabled but not built");
             let scale = s2.sqrt();
             let rel = (s2 / rhs_n2).sqrt();
-            qcd_trace::record_event(
-                "tier",
-                "solver.ladder.switch:f32_to_f16",
-                &[
-                    ("outer", outer as f64),
-                    ("cycle", cycles as f64),
-                    ("rel_residual", rel),
-                ],
-            );
+            tier_event("solver.ladder.switch:f32_to_f16", outer, cycles, rel);
             let mut monitor = HealthMonitor::new("solver.ladder.f16");
             let (it, aborted) = {
-                let g16 = t.b.grid().clone();
+                let g16 = t.b.field().grid().clone();
                 let _t16 = qcd_trace::span!("solver.tier.f16", g16.engine().ctx());
                 // Normalize into binary16 range; `s32` is rebuilt by the
                 // reliable update (or the fallback path) before reuse.
-                s32.scale(1.0 / scale);
-                to_precision_into(&s32, &mut t.b);
+                s32.field_mut().scale(1.0 / scale);
+                to_precision_into(s32.field(), t.b.field_mut());
                 f16_cycle(
                     t,
                     cycle_tol,
@@ -396,64 +410,46 @@ pub fn ladder_solve_from(
             };
             f16_iters += it;
             health.extend(monitor.into_events());
-            if aborted {
-                tier_fallbacks += 1;
-                f16_on = false;
-                qcd_trace::record_event(
-                    "tier",
-                    "solver.ladder.fallback:f16_to_f32",
-                    &[
-                        ("outer", outer as f64),
-                        ("cycle", cycles as f64),
-                        ("rel_residual", rel),
-                    ],
-                );
-                qcd_trace::counter("ladder.tier_fallbacks").inc();
+            let demoted_at = if aborted {
                 // Rebuild the residual the cycle consumed.
                 let _t32 = qcd_trace::span!("solver.tier.f32", grid32.engine().ctx());
                 op32.mdag_m_into(&d32, &mut md32, &mut ad32);
-                s32.sub(&rhs32, &ad32);
-                s2 = s32.norm2();
-                break;
-            }
-            // Promote the correction and perform the reliable update:
-            // recompute the true f32 residual of the accumulated `d32`.
-            {
-                let _t32 = qcd_trace::span!("solver.tier.f32", grid32.engine().ctx());
-                to_precision_into(&t.state.x, &mut e32);
-                d32.axpy_inplace(scale, &e32);
-                op32.mdag_m_into(&d32, &mut md32, &mut ad32);
-                s32.sub(&rhs32, &ad32);
-            }
-            let s2_new = s32.norm2();
-            reliable_updates += 1;
-            qcd_trace::record_event(
-                "tier",
-                "solver.ladder.switch:f16_to_f32",
-                &[
-                    ("outer", outer as f64),
-                    ("cycle", cycles as f64),
-                    ("rel_residual", (s2_new / rhs_n2).sqrt()),
-                ],
+                s32.field_mut().sub(rhs32.field(), ad32.field());
+                s2 = s32.field().norm2();
+                rel
+            } else {
+                // Promote the correction and perform the reliable update:
+                // recompute the true f32 residual of the accumulated `d32`.
+                {
+                    let _t32 = qcd_trace::span!("solver.tier.f32", grid32.engine().ctx());
+                    to_precision_into(t.state.x.field(), e32.field_mut());
+                    d32.field_mut().axpy_inplace(scale, e32.field());
+                    op32.mdag_m_into(&d32, &mut md32, &mut ad32);
+                    s32.field_mut().sub(rhs32.field(), ad32.field());
+                }
+                let s2_new = s32.field().norm2();
+                reliable_updates += 1;
+                let rel_new = (s2_new / rhs_n2).sqrt();
+                tier_event("solver.ladder.switch:f16_to_f32", outer, cycles, rel_new);
+                let stalled = s2_new >= s2;
+                s2 = s2_new;
+                if !stalled {
+                    cycles += 1;
+                    continue;
+                }
+                rel_new
+            };
+            // The cycle aborted, or the f16 tier stopped paying for itself
+            // (floor reached before the middle target): demote for good.
+            tier_fallbacks += 1;
+            f16_on = false;
+            tier_event(
+                "solver.ladder.fallback:f16_to_f32",
+                outer,
+                cycles,
+                demoted_at,
             );
-            if s2_new >= s2 {
-                // The f16 tier stopped paying for itself (floor reached
-                // before the middle target): demote for good.
-                tier_fallbacks += 1;
-                f16_on = false;
-                qcd_trace::record_event(
-                    "tier",
-                    "solver.ladder.fallback:f16_to_f32",
-                    &[
-                        ("outer", outer as f64),
-                        ("cycle", cycles as f64),
-                        ("rel_residual", (s2_new / rhs_n2).sqrt()),
-                    ],
-                );
-                qcd_trace::counter("ladder.tier_fallbacks").inc();
-            }
-            s2 = s2_new;
-            cycles += 1;
+            qcd_trace::counter("ladder.tier_fallbacks").inc();
         }
 
         // Whatever the binary16 tier left behind is finished at f32.
@@ -475,11 +471,11 @@ pub fn ladder_solve_from(
             f32_iters += rep.iterations;
             inner_history.extend_from_slice(&rep.history);
             health.extend(rep.health);
-            d32.add_assign_field(&e);
+            d32.field_mut().add_assign_field(e.field());
         }
 
-        to_precision_into(&d32, &mut d64);
-        x.add_assign_field(&d64);
+        to_precision_into(d32.field(), d64.field_mut());
+        x.field_mut().add_assign_field(d64.field());
         outer += 1;
     }
 
@@ -490,7 +486,7 @@ pub fn ladder_solve_from(
 
     let f16_instructions = tier16
         .as_ref()
-        .map(|t| t.b.grid().engine().ctx().counters().total())
+        .map(|t| t.b.field().grid().engine().ctx().counters().total())
         .unwrap_or(0);
     let f32_instructions = grid32.engine().ctx().counters().total();
     let f64_instructions = grid64.engine().ctx().counters().total() - f64_before;
@@ -518,9 +514,12 @@ pub fn ladder_solve_from(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dirac::WilsonDirac;
+    use crate::field::FermionKind;
     use crate::simd::SimdBackend;
     use crate::solver::{cg, solve_wilson};
     use crate::tensor::su3::random_gauge;
+    use crate::FermionField;
     use sve::VectorLength;
 
     fn setup() -> (WilsonDirac<f64>, FermionField) {
@@ -549,19 +548,36 @@ mod tests {
         (crate::field::FermionBlock::from_fields(&[b, other]), g32)
     }
 
-    #[test]
-    #[should_panic(expected = "rhs_field")]
-    fn to_precision_refuses_a_block() {
-        let (block, g32) = wide();
-        let _ = to_precision(&*block, &g32);
+    fn bits<E: SveFloat>(f: &Field<FermionKind, E>) -> Vec<u64> {
+        f.data().iter().map(|v| v.to_f64().to_bits()).collect()
+    }
+
+    /// Each RHS of `narrow` (a conversion of `block`) is its field converted
+    /// alone, and converting it back is too, bit for bit.
+    fn assert_converted_per_rhs(block: &FermionField, narrow: &Field<FermionKind, f32>) {
+        let back = to_precision(narrow, block.grid());
+        for j in 0..2 {
+            let alone = to_precision(&block.rhs_field(j), narrow.grid());
+            assert_eq!(bits(&narrow.rhs_field(j)), bits(&alone), "RHS {j} down");
+            let alone_back = to_precision(&alone, block.grid());
+            assert_eq!(bits(&back.rhs_field(j)), bits(&alone_back), "RHS {j} back");
+        }
     }
 
     #[test]
-    #[should_panic(expected = "rhs_field")]
-    fn to_precision_into_refuses_a_block() {
+    fn to_precision_round_trips_a_block_per_rhs() {
+        let (block, g32) = wide();
+        let narrow = to_precision(&*block, &g32);
+        assert_eq!(narrow.width(), 2);
+        assert_converted_per_rhs(&block, &narrow);
+    }
+
+    #[test]
+    fn to_precision_into_round_trips_a_block_per_rhs() {
         let (block, g32) = wide();
         let mut out = Field::<FermionKind, f32>::zero_width(g32, 2);
         to_precision_into(&*block, &mut out);
+        assert_converted_per_rhs(&block, &out);
     }
 
     #[test]

@@ -552,6 +552,27 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "non-finite residual (RHS 0)")]
+    fn cg_solve_rejects_a_nan_guess() {
+        // A guess with one NaN component (a Galerkin guess from a poisoned
+        // subspace) would make the RHS inactive from the start and return a
+        // NaN residual as if the solve had run.
+        let (op, b) = setup(128, SimdBackend::Fcmla);
+        let mut guess = FermionField::random(b.grid().clone(), 5);
+        guess.poke(&[0; 4], 3, Complex::new(f64::NAN, 0.0));
+        let _ = cg_solve(
+            &mut op.normal(&mut FermionField::zero(b.grid().clone())),
+            &b,
+            Start::Guess(guess),
+            1e-8,
+            10,
+            qcd_trace::span!("solver.cg"),
+            "solver.cg",
+            no_observer,
+        );
+    }
+
+    #[test]
     fn block_cg_state_snapshot_resumes_bit_identically() {
         // The checkpoint contract extends to the batch: snapshot the block
         // state mid-solve, continue from the clone — everything matches the

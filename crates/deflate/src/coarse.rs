@@ -36,7 +36,7 @@ use grid::dirac::{Dirac, WilsonDirac};
 use grid::field::FermionKind;
 use grid::krylov::CgSpace;
 use grid::layout::{delex, lex};
-use grid::mixed::to_precision_into;
+use grid::mixed::{to_precision_into, Replica};
 use grid::{Complex, Coor, Field, FieldKind, Grid};
 use std::sync::Arc;
 use sve::{SveFloat, F16};

@@ -255,54 +255,83 @@ fn a_shared_subspace_deflates_farm_bursts_bit_identically() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Write a subspace file that passes its CRC — mass 0.2, `values`, one
+/// `vectors` entry per value — as the shared subspace of a fresh farm
+/// directory `tag`, submit one burst naming it, and return the error
+/// `Farm::run` fails with.
+fn run_against_hostile_subspace(
+    tag: &str,
+    values: &[f64],
+    vectors: &[FermionField],
+) -> qcd_io::IoError {
+    let dir = scratch(&format!("hostile-subspace-{tag}"));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut scalars = qcd_io::Writer::default();
+    scalars.f64(0.2);
+    scalars.u64(values.len() as u64);
+    for &theta in values {
+        scalars.f64(theta);
+        scalars.f64(0.0);
+    }
+    let mut file = qcd_io::Container::new();
+    file.push(qcd_io::Record::new(
+        qcd_io::DEFL_META_RECORD,
+        qcd_io::FieldMeta::of(&FermionField::random(cfg().grid(), 1), Precision::F64).encode(),
+    ));
+    file.push(qcd_io::Record::new(qcd_io::DEFL_SCALARS_RECORD, scalars.0));
+    for (i, v) in vectors.iter().enumerate() {
+        let payload = qcd_io::fields::encode_field(v, Precision::F64);
+        file.push(qcd_io::Record::new(&qcd_io::defl_vector_record(i), payload));
+    }
+    file.write_atomic(&JobPaths::subspace(&dir, "shared"))
+        .unwrap();
+    let farm = Farm::open(&dir, cfg()).unwrap();
+    farm.submit(JobSpec::Solve(SolveSpec {
+        name: "hostile".into(),
+        priority: Priority::Normal,
+        gauge_seed: 77,
+        mass: 0.2,
+        rhs_seeds: vec![900],
+        tol: 1e-6,
+        max_iter: 2000,
+        subspace: Some("shared".into()),
+    }))
+    .unwrap();
+    let err = farm.run(1, &AtomicBool::new(false), None).unwrap_err();
+    std::fs::remove_dir_all(&dir).ok();
+    err
+}
+
 #[test]
 fn a_subspace_without_usable_eigenvalues_fails_its_unit_not_the_worker() {
     // Files that pass their CRC but hold no eigenpair, or a zero θ the
     // Galerkin guess would divide by: the unit that loads one fails with
     // the typed error, and `Farm::run` returns it — neither a worker's
     // panic escaping the scope nor a solve from a non-finite guess.
-    let grid = cfg().grid();
-    let v = FermionField::random(grid.clone(), 1);
+    let v = FermionField::random(cfg().grid(), 1);
     for (tag, values) in [("zero", vec![0.0]), ("empty", vec![])] {
-        let dir = scratch(&format!("hostile-subspace-{tag}"));
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut scalars = qcd_io::Writer::default();
-        scalars.f64(0.2);
-        scalars.u64(values.len() as u64);
-        for &theta in &values {
-            scalars.f64(theta);
-            scalars.f64(0.0);
-        }
-        let mut file = qcd_io::Container::new();
-        file.push(qcd_io::Record::new(
-            qcd_io::DEFL_META_RECORD,
-            qcd_io::FieldMeta::of(&v, Precision::F64).encode(),
-        ));
-        file.push(qcd_io::Record::new(qcd_io::DEFL_SCALARS_RECORD, scalars.0));
-        for i in 0..values.len() {
-            let payload = qcd_io::fields::encode_field(&v, Precision::F64);
-            file.push(qcd_io::Record::new(&qcd_io::defl_vector_record(i), payload));
-        }
-        file.write_atomic(&JobPaths::subspace(&dir, "shared"))
-            .unwrap();
-        let farm = Farm::open(&dir, cfg()).unwrap();
-        farm.submit(JobSpec::Solve(SolveSpec {
-            name: "hostile".into(),
-            priority: Priority::Normal,
-            gauge_seed: 77,
-            mass: 0.2,
-            rhs_seeds: vec![900],
-            tol: 1e-6,
-            max_iter: 2000,
-            subspace: Some("shared".into()),
-        }))
-        .unwrap();
-        let err = farm.run(1, &AtomicBool::new(false), None).unwrap_err();
+        let vectors = vec![v.clone(); values.len()];
+        let err = run_against_hostile_subspace(tag, &values, &vectors);
         assert!(
             matches!(err, qcd_io::IoError::BadRecord { .. }),
             "{tag}: {err}"
         );
-        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn a_subspace_with_a_non_finite_vector_fails_its_unit() {
+    // Usable eigenvalues, but one component of the eigenvector is NaN: the
+    // Galerkin guess is NaN, and a driver that took it would report the
+    // job done with a NaN residual.
+    let mut v = FermionField::random(cfg().grid(), 1);
+    v.poke(&[0, 1, 2, 3], 7, Complex::new(f64::NAN, 0.25));
+    let err = run_against_hostile_subspace("nan-vector", &[0.5], &[v]);
+    match err {
+        qcd_io::IoError::BadRecord { record, .. } => {
+            assert_eq!(record, qcd_io::defl_vector_record(0))
+        }
+        other => panic!("expected a refused vector, got {other}"),
     }
 }
 

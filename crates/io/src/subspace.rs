@@ -20,7 +20,8 @@
 //! because the stored vectors deflate `M†M(mass)` and nothing else. A file
 //! with no eigenpair, or an eigenvalue that is not finite and positive, is
 //! a [`IoError::BadRecord`] on `defl.scalars`: the Galerkin guess divides
-//! by every eigenvalue.
+//! by every eigenvalue. An eigenvector with a NaN or infinite component is
+//! a `BadRecord` on its `defl.v.<i>`: the guess would be NaN.
 //!
 //! [`Subspace`] is defined here, over `Field`s and `f64`s, so `qcd-io`
 //! needs no dependency on `qcd-deflate`, which builds and applies it.
@@ -180,7 +181,14 @@ fn read_subspace_inner<E: SveFloat>(
     for i in 0..values.len() {
         let name = defl_vector_record(i);
         let record = c.expect(&name)?;
-        vectors.push(decode_field(&meta, &record.payload, grid, &name)?);
+        let v: Field<FermionKind, E> = decode_field(&meta, &record.payload, grid, &name)?;
+        if v.data().iter().any(|s| !s.to_f64().is_finite()) {
+            return Err(IoError::BadRecord {
+                record: name,
+                msg: format!("eigenvector {i} has a component that is not finite"),
+            });
+        }
+        vectors.push(v);
     }
     Ok(Subspace {
         vectors,

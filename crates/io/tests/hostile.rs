@@ -161,6 +161,43 @@ fn a_subspace_without_usable_eigenvalues_is_refused() {
 }
 
 #[test]
+fn a_subspace_with_a_non_finite_vector_is_refused() {
+    // Eigenvalues fine, but one component of `defl.v.1` is NaN or infinite:
+    // the file passes its CRC and decodes, and the Galerkin guess built
+    // from it is NaN.
+    let d = dir("vectors");
+    let g = grid();
+    let f = FermionField::random(g.clone(), 3);
+    let path = d.join("subspace.qio");
+    for (tag, bad) in [("NaN", f64::NAN), ("infinite", f64::NEG_INFINITY)] {
+        let mut poisoned = f.clone();
+        poisoned.poke(&[1, 0, 1, 0], 5, Complex::new(0.5, bad));
+        let [mass, theta0, theta1] = [0.25f64, 0.5, 0.75].map(f64::to_bits);
+        let scalars = [mass, 2, theta0, 0, theta1, 0];
+        write(
+            &path,
+            vec![
+                Record::new(DEFL_META_RECORD, FieldMeta::of(&f, Precision::F64).encode()),
+                Record::new(DEFL_SCALARS_RECORD, u64s(&scalars)),
+                field_record(&defl_vector_record(0), &f),
+                field_record(&defl_vector_record(1), &poisoned),
+            ],
+        );
+        match read_subspace(&path, &g, 0.25) {
+            Err(IoError::BadRecord { record, msg }) => {
+                assert_eq!(record, defl_vector_record(1), "{tag}: {msg}");
+                assert!(msg.contains("not finite"), "{tag}: {msg}");
+            }
+            other => panic!(
+                "{tag}: expected a refused vector, got {:?}",
+                other.map(|_| ()).map_err(|e| e.to_string())
+            ),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&d);
+}
+
+#[test]
 fn forged_tallies_whose_sum_overflows_are_refused_not_added() {
     // accepted + rejected overflows u64: a panic in the dev profile and a
     // wrapped sum in the release profile at the parent commit. The loader

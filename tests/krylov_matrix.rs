@@ -18,6 +18,13 @@
 //! kill / `qcd_io::resume` / continue leg through a file; both must equal
 //! the uninterrupted run.
 //!
+//! The **ladder** rows run the three-level precision ladder in the same
+//! operators' narrow replicas: the field, the even-odd Schur complement, a
+//! 5-d fermion and the rank slabs. Their checkpoint is the f64 iterate: a
+//! **ckpt** cell cuts the solve after outer round 2, writes the iterate
+//! with `qcd_io` and reads it back, and resumes with `ladder_solve_from`;
+//! the continuation must be the uninterrupted tail, bit for bit.
+//!
 //! `rayon::set_num_threads` is process-global, so the matrix is one test.
 
 use std::ops::ControlFlow;
@@ -26,7 +33,7 @@ use std::sync::Arc;
 use grid::field::FermionKind;
 use grid::krylov::{self, Allocating, CgSpace, Start, State, Stored, Vector};
 use grid::layout::{delex, lex};
-use grid::mixed::to_precision;
+use grid::mixed::{to_precision, Replica};
 use grid::prelude::*;
 use grid::{Field, FieldKind};
 use qcd_deflate::{defl_cg, galerkin_guess, CoarseSpace, Subspace};
@@ -321,20 +328,152 @@ fn subspace(p: &Problem) -> Subspace {
     subspace_on(&p.grid, |v| v)
 }
 
-/// The start axis.
+/// The start axis, and the precision ladder (whose solve starts from
+/// zero in the operator's narrow replicas).
 #[derive(Clone, Copy, PartialEq)]
 enum StartAt {
     Zero,
     Galerkin,
+    Ladder,
 }
 
 impl StartAt {
     fn start<V: Stored<E = f64>>(self, sub: &Subspace, b: &V) -> Start<V> {
         match self {
-            StartAt::Zero => Start::Zero,
+            StartAt::Zero | StartAt::Ladder => Start::Zero,
             StartAt::Galerkin => Start::Guess(galerkin_guess(sub, b)),
         }
     }
+}
+
+/// A ladder solve's print: the solution, the outer and inner histories,
+/// and the tallies of rounds, iterations per tier, reliable updates and
+/// demotions.
+fn ladder_print(x: Vec<u64>, report: &LadderReport) -> Result<Print, String> {
+    if !report.converged {
+        return Err(format!("the ladder stopped at {:e}", report.residual));
+    }
+    let bits = |h: &Vec<f64>| h.iter().map(|v| v.to_bits()).collect();
+    Ok(Print {
+        x,
+        histories: vec![bits(&report.outer_history), bits(&report.inner_history)],
+        iterations: vec![
+            report.outer_iterations,
+            report.f32_iterations,
+            report.f16_iterations,
+            report.reliable_updates,
+            report.tier_fallbacks,
+        ],
+    })
+}
+
+/// `x` written by `qcd_io`, one field record per stored field, and read
+/// back onto its grid.
+fn through_disk<V: Stored<E = f64>>(x: &V) -> Result<V, String> {
+    static FILES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let n = FILES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let f = x.field();
+    let mut slots = Vec::new();
+    for j in 0..f.width() {
+        let name = format!("krylov-matrix-ladder-{}-{n}-{j}.qio", std::process::id());
+        let path = std::env::temp_dir().join(name);
+        let io = |e: qcd_io::IoError| e.to_string();
+        qcd_io::write_field(&f.rhs_field(j), &path, Precision::F64).map_err(io)?;
+        slots.push(qcd_io::read_field(&path, f.grid()).map_err(io)?);
+        std::fs::remove_file(&path).ok();
+    }
+    V::from_field(Field::from_fields(&slots), x.nrhs()).ok_or("not the iterate's shape".into())
+}
+
+/// A ladder cell: `b` solved to [`TOL`] in `op`'s replicas. Durable: once
+/// more, cut after outer round 2, the iterate through [`through_disk`] and
+/// resumed with the tiers the cut left on; the continuation must be the
+/// uninterrupted tail, bit for bit.
+fn ladder_cell<D>(op: &D, b: &D::V<f64>, durable: bool) -> Result<(D::V<f64>, LadderReport), String>
+where
+    D: Replica + Dirac<D::V<f64>>,
+{
+    let cfg = LadderConfig::new(TOL);
+    let (x, full) = ladder_solve(op, b, &cfg);
+    if !durable {
+        return Ok((x, full));
+    }
+    let cut = LadderConfig {
+        max_outer: 2,
+        ..cfg.clone()
+    };
+    let (partial, first) = ladder_solve(op, b, &cut);
+    if first.outer_iterations != 2 {
+        return Err(format!("cut after {} rounds", first.outer_iterations));
+    }
+    let cfg = LadderConfig {
+        use_f16: first.f16_active_at_exit,
+        ..cfg
+    };
+    let (resumed, tail) = ladder_solve_from(op, b, through_disk(&partial)?, &cfg);
+    let data = |v: &D::V<f64>| {
+        v.field()
+            .data()
+            .iter()
+            .map(|s| s.to_bits())
+            .collect::<Vec<_>>()
+    };
+    if data(&resumed) != data(&x) {
+        return Err("disk resume: the solution differs".into());
+    }
+    if tail.outer_history != full.outer_history[2..] {
+        return Err("disk resume: the outer history is not the tail".into());
+    }
+    Ok((x, full))
+}
+
+/// The reported residual is the true one: `|b − M x| / |b|` through
+/// `apply`, at most [`TOL`], bit for bit.
+fn true_residual<D: Dirac<V>, V: Stored<E = f64>>(
+    op: &D,
+    b: &V,
+    x: &V,
+    report: &LadderReport,
+) -> Result<(), String> {
+    let mut r = b.zero_like();
+    r.field_mut().sub(b.field(), op.apply(x).field());
+    let residual = (r.field().norm2() / b.field().norm2()).sqrt();
+    if residual > TOL || residual.to_bits() != report.residual.to_bits() {
+        return Err(format!(
+            "true residual {residual:e}, reported {:e}",
+            report.residual
+        ));
+    }
+    Ok(())
+}
+
+/// The ladder on the Wilson operator.
+fn field_ladder(bits: usize, _: StartAt, durable: bool) -> Result<Print, String> {
+    let p = problem(bits);
+    let (x, report) = ladder_cell(&p.op, &p.b, durable)?;
+    ladder_print(field_bits(&x), &report)
+}
+
+/// The ladder on the Schur complement, for the even-parity right-hand side
+/// of the EO-Schur rows.
+fn eo_ladder(bits: usize, _: StartAt, durable: bool) -> Result<Print, String> {
+    let p = problem(bits);
+    let rhs = parity_project(&p.b, 0);
+    let schur = Schur::new(&p.op);
+    let (x, report) = ladder_cell(&schur, &rhs, durable)?;
+    true_residual(&schur, &rhs, &x, &report)?;
+    ladder_print(field_bits(&x), &report)
+}
+
+/// The ladder on the domain-wall operator of the `Fermion5` rows: its
+/// replicas act on 5-d fermions at f32 and binary16.
+fn fermion5_ladder(bits: usize, _: StartAt, durable: bool) -> Result<Print, String> {
+    let p = problem(bits);
+    let op = DomainWall::new(random_gauge(p.grid.clone(), 7), 2, 1.8, 0.1);
+    let b = Fermion5::random(p.grid.clone(), 2, 31);
+    let (x, report) = ladder_cell(&op, &b, durable)?;
+    true_residual(&op, &b, &x, &report)?;
+    ladder_print(five_bits(&x), &report)
 }
 
 /// A guess that leaves the starting residual at `|b|` was not applied.
@@ -360,8 +499,8 @@ fn field_fused(bits: usize, from: StartAt, durable: bool) -> Result<Print, Strin
     )?;
     same("oracle", &whole, &oracle(&p, &p.b, from.start(&sub, &p.b)))?;
     let (x, report) = match from {
-        StartAt::Zero => cg(&p.op, &p.b, TOL, BUDGET),
         StartAt::Galerkin => defl_cg(&p.op, &sub, &p.b, TOL, BUDGET),
+        _ => cg(&p.op, &p.b, TOL, BUDGET),
     };
     same("preset", &whole, &Print::of_single(field_bits(&x), &report))?;
     moved_by_the_guess(from, &whole)?;
@@ -390,8 +529,8 @@ fn block_fused(bits: usize, from: StartAt, durable: bool) -> Result<Print, Strin
         same("oracle per RHS", &solo, &oracle(&p, b, from.start(&sub, b)))?;
     }
     let (x, report) = match from {
-        StartAt::Zero => cg(&p.op, &block, TOL, BUDGET),
         StartAt::Galerkin => defl_cg(&p.op, &sub, &block, TOL, BUDGET),
+        _ => cg(&p.op, &block, TOL, BUDGET),
     };
     same("preset", &whole, &Print::of(block_bits(&x), &report))?;
     if from == StartAt::Galerkin {
@@ -444,12 +583,18 @@ fn dist(bits: usize, ranks: usize, from: StartAt, durable: bool) -> Result<Print
         let b = restrict_field(ctx, &FermionField::random(g.clone(), 13));
         let sub = subspace_on(&g, |v| restrict_field(ctx, &v));
         let dw = DistWilson::new(ctx, u, 0.3, GaugeWire::TwoRow, Compression::None);
-        let print = cell(
-            &mut dw.normal(&mut b.zero_like()),
-            &b,
-            || from.start(&sub, &b),
-            durable,
-        )?;
+        let print = match from {
+            StartAt::Ladder => {
+                let (x, report) = ladder_cell(&dw, &b, durable)?;
+                ladder_print(field_bits(&x), &report)?
+            }
+            _ => cell(
+                &mut dw.normal(&mut b.zero_like()),
+                &b,
+                || from.start(&sub, &b),
+                durable,
+            )?,
+        };
         let local = ctx.grid.fdims();
         let sites: Vec<(usize, Vec<u64>)> = (print.x.chunks(2 * FermionKind::NCOMP).enumerate())
             .map(|(j, bits)| {
@@ -478,13 +623,21 @@ fn dist(bits: usize, ranks: usize, from: StartAt, durable: bool) -> Result<Print
     if ranks == 1 {
         // Ranks are a placement, not a different solve: one rank is the
         // fused field space on the same global operator, from the guess of
-        // the global subspace, bit for bit.
+        // the global subspace, bit for bit — or the ladder on it.
         let g = Grid::new(global, vl, SimdBackend::Fcmla);
         let op = WilsonDirac::new_two_row(random_gauge(g.clone(), 7), 0.3);
         let b = FermionField::random(g.clone(), 13);
-        let start = from.start(&subspace_on(&g, |v| v), &b);
-        let field = solve(&mut op.normal(&mut b.zero_like()), &b, start, TOL);
-        same("field fused", &print, &field)?;
+        let field = match from {
+            StartAt::Ladder => {
+                let (x, report) = ladder_solve(&op, &b, &LadderConfig::new(TOL));
+                ladder_print(field_bits(&x), &report)?
+            }
+            _ => {
+                let start = from.start(&subspace_on(&g, |v| v), &b);
+                solve(&mut op.normal(&mut b.zero_like()), &b, start, TOL)
+            }
+        };
+        same("one process", &print, &field)?;
     }
     moved_by_the_guess(from, &print).map(|()| print)
 }
@@ -492,8 +645,7 @@ fn dist(bits: usize, ranks: usize, from: StartAt, durable: bool) -> Result<Print
 fn dist_r2(bits: usize, from: StartAt, durable: bool) -> Result<Print, String> {
     // One rank's print per start, once: the row above checks it is the
     // same in every cell.
-    static ONE_RANK: [std::sync::OnceLock<Print>; 2] =
-        [std::sync::OnceLock::new(), std::sync::OnceLock::new()];
+    static ONE_RANK: [std::sync::OnceLock<Print>; 3] = [const { std::sync::OnceLock::new() }; 3];
     let two = dist(bits, 2, from, durable)?;
     let one = ONE_RANK[from as usize].get_or_init(|| dist(512, 1, from, false).expect("R=1"));
     same("R=1", &two, one)?;
@@ -586,24 +738,10 @@ type Cell = fn(usize, StartAt, bool) -> Result<Print, String>;
 
 /// The cells of the product nobody can run without writing the missing
 /// piece first, and what that piece is.
-const UNREACHABLE: [(&str, &str); 4] = [
-    (
-        "dist × ladder",
-        "DistWilson is f64-only: the f32 and f16 tiers have no rank-local operator",
-    ),
-    (
-        "Fermion5 × ladder",
-        "precision is not yet a wrapper: the ladder's tiers are Wilson replicas",
-    ),
-    (
-        "EO-Schur × ladder",
-        "ladder_solve owns its f32/f16 operator replicas, which have no Schur form",
-    ),
-    (
-        "ladder × ckpt (as a state)",
-        "a ladder checkpoint is one f64 field (write_field), not a recurrence state",
-    ),
-];
+const UNREACHABLE: [(&str, &str); 1] = [(
+    "ladder × ckpt (as a state)",
+    "a ladder checkpoint is the f64 iterate (write_field), not a recurrence state",
+)];
 
 #[test]
 fn every_space_conforms_across_vector_lengths_and_threads() {
@@ -621,6 +759,7 @@ fn every_space_conforms_across_vector_lengths_and_threads() {
         }
     };
     let (both, zero) = ([StartAt::Zero, StartAt::Galerkin], [StartAt::Zero]);
+    let ladder = [StartAt::Ladder];
     row("field fused", &both, &[false, true], field_fused);
     row("block fused", &both, &[false, true], block_fused);
     row("EO-Schur", &both, &[false, true], eo_schur);
@@ -638,6 +777,16 @@ fn every_space_conforms_across_vector_lengths_and_threads() {
         &[false, true],
         coarse_preconditioned,
     );
+    row("field", &ladder, &[false, true], field_ladder);
+    row("EO-Schur", &ladder, &[false, true], eo_ladder);
+    row("Fermion5", &ladder, &[false, true], fermion5_ladder);
+    row(
+        "dist R=1",
+        &ladder,
+        &[false, true],
+        |bits, from, durable| dist(bits, 1, from, durable),
+    );
+    row("dist R=2", &ladder, &[false, true], dist_r2);
 
     let mut failures = Vec::new();
     let mut table = format!("{:<22} {:<8} {:<5}", "space", "start", "dur.");
@@ -650,6 +799,7 @@ fn every_space_conforms_across_vector_lengths_and_threads() {
         let start = match row.from {
             StartAt::Zero => "zero",
             StartAt::Galerkin => "Galerkin",
+            StartAt::Ladder => "ladder",
         };
         let durable = if row.durable { "ckpt" } else { "none" };
         let name = format!("{:<22} {:<8} {:<5}", row.space, start, durable);
