@@ -228,6 +228,39 @@ const HOP_F16: u64 = 0x8a53_2da2_4e2e_3091;
 const CG_F64: (u64, usize, u64) = (0x0b5f_2c6e_7e9c_dfda, 36, 0x3e3d_4c68_147f_4603);
 
 #[test]
+fn bicgstab_bits_are_pinned() {
+    // Every bit of a BiCGStab solve of `M x = b` on the problem above: the
+    // solution in global lexicographic site order, the residual history,
+    // the iteration count and the reported residual, the same at every
+    // vector length. The constant is what BiCGStab gave while it was a
+    // hand-written loop outside the Krylov driver.
+    use grid::prelude::*;
+    for bits in [128, 512, 2048] {
+        let g = Grid::new([4, 4, 4, 8], VectorLength::of(bits), SimdBackend::Fcmla);
+        let d = WilsonDirac::new(random_gauge(g.clone(), 5), 0.25);
+        let b = FermionField::random(g.clone(), 6);
+        let (x, report) = bicgstab(&d, &b, 1e-8, 500);
+        assert_eq!(
+            (
+                fnv1a(&lex_bits(&g, &x)),
+                fnv1a(&report.history),
+                report.iterations,
+                report.residual.to_bits()
+            ),
+            BICGSTAB_F64,
+            "bicgstab solution, history, iterations, residual at VL{bits}"
+        );
+    }
+}
+
+const BICGSTAB_F64: (u64, u64, usize, u64) = (
+    0x3a4b_6fb7_d522_81e8,
+    0x2c0d_31a8_1354_4364,
+    13,
+    0x3e42_2d01_eff0_131b,
+);
+
+#[test]
 fn hmc_chain_bits_are_pinned() {
     // Every bit of a short chain: the links in global lexicographic order
     // and each trajectory's ΔH, Metropolis decision and plaquette (4⁴,
