@@ -9,6 +9,7 @@
 //! Reported per solver: iterations, true residual, vector instructions, and
 //! cycle estimates under the silicon profiles.
 
+use grid::krylov::{no_observer, Start};
 use grid::prelude::*;
 
 fn main() {
@@ -45,7 +46,18 @@ fn main() {
         let op = WilsonDirac::new(random_gauge(g.clone(), 11), 0.3);
         let b = FermionField::random(g.clone(), 12);
         g.engine().ctx().counters().reset();
-        let (_, r) = bicgstab(&op, &b, tol, 4000);
+        let span = qcd_trace::span!("solver.bicgstab", g.engine().ctx());
+        let region = "solver.bicgstab";
+        let (_, r) = bicgstab(
+            &mut op.direct(),
+            &b,
+            Start::Zero,
+            tol,
+            4000,
+            span,
+            region,
+            no_observer,
+        );
         println!(
             "{:<26} {:>7} {:>11.2e} {:>12.1}M {:>13}",
             "BiCGStab on M",

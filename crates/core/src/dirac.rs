@@ -44,6 +44,7 @@ use crate::stencil::{dir_index, Stencil, StencilEntry};
 use crate::tensor::gamma::{proj_table, Coeff, ProjTable};
 use crate::tensor::su3::{mat_dag_vec, mat_vec, reconstruct_row2};
 use rayon::prelude::*;
+use std::marker::PhantomData;
 use std::sync::Arc;
 use sve::SveFloat;
 
@@ -652,6 +653,12 @@ pub trait Dirac<V: Vector> {
     fn normal<'a>(&'a self, tmp: &'a mut V) -> Normal<'a, Self, V> {
         Normal { op: self, tmp }
     }
+
+    /// The operator's own space, `M x = b`, for [`crate::krylov::bicgstab`]:
+    /// `M p` in one sweep, no curvature taken.
+    fn direct(&self) -> Direct<'_, Self, V> {
+        Direct(self, PhantomData)
+    }
 }
 
 /// The same operator at element type `E2`, in the same link mode: the
@@ -716,6 +723,17 @@ impl<E: SveFloat> Dirac<FermionBlock<E>> for WilsonDirac<E> {
         let _span = qcd_trace::span!("dirac.block", self.grid.engine().ctx());
         let dot = dot.map(|(d, sums)| (&**d, sums));
         self.hopping_fused(psi, out, dagger, Some(self.mass + 4.0), dot, None);
+    }
+}
+
+/// The space of [`Dirac::direct`].
+pub struct Direct<'a, D: ?Sized, V>(&'a D, PhantomData<fn(&V)>);
+
+impl<D: Dirac<V> + ?Sized, V: Vector> CgSpace for Direct<'_, D, V> {
+    type V = V;
+
+    fn apply(&mut self, p: &V, ap: &mut V, _: &mut [f64]) {
+        self.0.m_into(p, ap, false, None);
     }
 }
 

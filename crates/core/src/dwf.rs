@@ -23,8 +23,8 @@
 //! ([`slice_legs`]).
 
 use crate::dirac::{gamma5, Dirac, WilsonDirac};
-use crate::field::{cg_updates, FermionField, FermionKind, Field, GaugeField};
-use crate::krylov::{Stored, Vector};
+use crate::field::{FermionField, FermionKind, Field, GaugeField};
+use crate::krylov::Vector;
 use crate::mixed::Replica;
 use crate::solver::SolveReport;
 use crate::Grid;
@@ -185,41 +185,11 @@ pub fn r5_gamma5(psi: &Fermion5) -> Fermion5 {
     Fermion5(Field::from_fields(&slices))
 }
 
-/// One right-hand side: every method delegates to the field's own.
+/// One right-hand side stored as `Ls` fields: its scalars are the sums over
+/// the slices, added in slice order.
 impl<E: SveFloat> Vector for Fermion5<E> {
-    type Report = SolveReport;
-
-    fn zero_like(&self) -> Self {
-        Fermion5(self.0.zero_like())
-    }
-
-    fn norms2_into(&self, out: &mut [f64]) {
-        self.0.norms2_into(out);
-    }
-
-    fn sub_norms2_into(&mut self, x: &Self, y: &Self, out: &mut [f64]) {
-        self.0.sub_norms2(&x.0, &y.0, out);
-    }
-
-    fn cg_update(
-        x: &mut Self,
-        r: &mut Self,
-        alpha: &[f64],
-        p: &Self,
-        ap: &Self,
-        active: &[bool],
-        r2: &mut [f64],
-    ) {
-        cg_updates(&mut x.0, &mut r.0, alpha, (&p.0, &ap.0), active, r2);
-    }
-
-    fn aypx_active(&mut self, beta: &[f64], x: &Self, active: &[bool]) {
-        self.0.aypx_rhs(beta, &x.0, active);
-    }
-}
-
-impl<E: SveFloat> Stored for Fermion5<E> {
     type E = E;
+    type Report = SolveReport;
 
     fn field(&self) -> &Field<FermionKind, E> {
         self

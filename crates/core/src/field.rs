@@ -344,7 +344,7 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
     /// `self_j = x_j + a_j * self_j` on every RHS `j` that is `active`;
     /// the words of the others are not even loaded. `a` and `active` hold
     /// one entry per RHS, or one for all.
-    pub(crate) fn aypx_rhs(&mut self, a: &[f64], x: &Field<K, E>, active: &[bool]) {
+    pub fn aypx_rhs(&mut self, a: &[f64], x: &Field<K, E>, active: &[bool]) {
         self.assert_compatible(x);
         let (cs, rhs, width) = (self.chunk_scalars(), self.rhs_scalars(), self.width);
         crate::sized!(x.grid.engine(), |eng| {
@@ -614,7 +614,7 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
 /// every word the op sequence of two `axpy_inplace` calls. `alpha` and
 /// `active` hold one entry per RHS, or one for all. The words of an
 /// inactive RHS are not loaded; its `|r_j|²` is 0.
-pub(crate) fn cg_updates<K: FieldKind, E: SveFloat>(
+pub fn cg_updates<K: FieldKind, E: SveFloat>(
     x: &mut Field<K, E>,
     r: &mut Field<K, E>,
     alpha: &[f64],

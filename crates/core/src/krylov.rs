@@ -1,32 +1,38 @@
-//! The Krylov driver: the Conjugate Gradient recurrence, written once.
+//! The Krylov driver: both recurrences, written once.
 //!
-//! Grid writes its solver once — one templated CG over a linear-operator
-//! base, with mixed-precision and block solvers as compositions of it — and
-//! so does this crate. [`cg_step`] is the only function that computes
-//! `α = ρ/⟨p,Ap⟩` and `β`; [`cg_iterate`] is the only loop that drives it;
-//! [`cg_solve`] wraps that loop in a start, the health monitors, the
-//! true-residual check and the solve-level report. Everything else that
-//! used to be a hand-written loop is a **space** ([`CgSpace`]: an operator
-//! bound to a vector type and the inner product it steers by), a **start**
-//! ([`Start`]) and an **observer** (a closure called after every
-//! iteration). A fermion operator's space is written once too, as
-//! [`crate::dirac::Dirac::normal`]. A solve is composed from those three at
-//! the call site; nothing here is named after a combination of them. Spaces and observers
+//! Grid writes its solvers once — over one linear-operator base, with
+//! mixed-precision and block solvers as compositions of them — and so does
+//! this crate. [`cg_step`] is the only function that computes CG's
+//! `α = ρ/⟨p,Ap⟩` and `β`, `bicgstab_step` the only one that computes
+//! BiCGStab's `α`, `ω` and `β`; [`iterate`] is the only loop, and it drives
+//! either ([`Recurrence`]). [`cg_solve`] and [`bicgstab`] wrap that loop in
+//! a start, the health monitors, the true-residual check and the
+//! solve-level report. Everything else that used to be a hand-written loop
+//! is a **space** ([`CgSpace`]: an operator bound to a vector type), a
+//! **start** ([`Start`]) and an **observer** (a closure called after every
+//! iteration). A fermion operator's spaces are written once too, as
+//! [`crate::dirac::Dirac::normal`] (`M†M`, for CG) and
+//! [`crate::dirac::Dirac::direct`] (`M`, for BiCGStab). A solve is composed
+//! from those three at the call site; nothing here is named after a
+//! combination of them. Both recurrences share the one [`State`]: BiCGStab
+//! needs only `x`, `r` and `p` at the top of an iteration, so it starts,
+//! stops, restores and checkpoints exactly as CG does. Spaces and observers
 //! are taken behind `dyn`: the driver is compiled once per vector type.
 //!
 //! Scalars travel as slices of length `nrhs` — one entry for single-vector
 //! spaces — so a field, a block of right-hand sides, a 5-d fermion, a
-//! field on a rank grid and a binary16 field all run the same loop. The driver
-//! owns every per-iteration scratch vector ([`Scratch`]); a steady-state
-//! [`cg_step`] allocates nothing the space's kernels do not.
+//! field on a rank grid and a binary16 field all run the same loop. The
+//! driver owns every per-iteration scratch vector ([`Scratch`]); a
+//! steady-state step allocates nothing the space's kernels do not.
 //!
-//! Every scalar the recurrence steers by is a reduction in the one order of
+//! Every scalar a recurrence steers by is a reduction in the one order of
 //! [`crate::reduce`] — the vector type's own, taken inside the sweep that
 //! produces the vector — so a solve in any space is the same solve at every
 //! vector length, thread count and (for `dist_cg`) rank count.
 
-use crate::field::{cg_updates, FermionBlock, FermionKind, Field, FieldKind};
-use crate::solver::{conclude_health, BlockSolveReport, SolveReport};
+use crate::complex::Complex;
+use crate::field::{cg_updates, FermionBlock, FermionKind, Field};
+use crate::solver::{BlockSolveReport, SolveReport, HISTORY_CAP};
 use qcd_trace::HealthMonitor;
 use std::marker::PhantomData;
 use std::ops::ControlFlow;
@@ -38,9 +44,16 @@ use sve::SveFloat;
 /// (a `u64` straight out of a farm job record) abort the process.
 pub const HISTORY_RESERVE: usize = 1024;
 
-/// What the recurrence needs of a vector type: its norms and its fused
-/// update sweeps, each returning the canonical reductions of what it wrote.
+/// A vector the recurrences run over: a fermion field, a block of
+/// right-hand sides or a 5-d fermion, stored as one fermion [`Field`] — a
+/// field in one slot, a block in one per right-hand side, a 5-d fermion in
+/// one per slice. Its norms and fused update sweeps are the field's own,
+/// each returning the canonical reductions of what it wrote; the storage is
+/// what the checkpoint codec writes and reads, slot by slot.
 pub trait Vector: Clone {
+    /// The element type.
+    type E: SveFloat;
+
     /// What a finished solve reports for this type: a [`SolveReport`] for
     /// one right-hand side, the per-RHS [`BlockSolveReport`] for a batch.
     type Report: From<BlockSolveReport>;
@@ -49,128 +62,44 @@ pub trait Vector: Clone {
     /// of a batch are labelled `region[j]`, even at batch width one).
     const BATCHED: bool = false;
 
+    /// The storage.
+    fn field(&self) -> &Field<FermionKind, Self::E>;
+
+    /// The storage, mutably: the BLAS of [`Field`] on any vector.
+    fn field_mut(&mut self) -> &mut Field<FermionKind, Self::E>;
+
+    /// The vector of `nrhs` right-hand sides stored as `f`, if `f` has its
+    /// shape.
+    fn from_field(f: Field<FermionKind, Self::E>, nrhs: usize) -> Option<Self>;
+
     /// Right-hand sides carried.
     fn nrhs(&self) -> usize {
         1
     }
 
     /// A zero vector of the same shape (retires no instruction).
-    fn zero_like(&self) -> Self;
-
-    /// Per-RHS `|self|²`.
-    fn norms2_into(&self, out: &mut [f64]);
-
-    /// `self = x − y` and per-RHS `|self|²`, fused where the type fuses it.
-    fn sub_norms2_into(&mut self, x: &Self, y: &Self, out: &mut [f64]);
-
-    /// `x += α p`, `r −= α ap` on the active RHS; their new `|r|²` to `r2`.
-    fn cg_update(
-        x: &mut Self,
-        r: &mut Self,
-        alpha: &[f64],
-        p: &Self,
-        ap: &Self,
-        active: &[bool],
-        r2: &mut [f64],
-    );
-
-    /// `self = x + β self` on the active RHS.
-    fn aypx_active(&mut self, beta: &[f64], x: &Self, active: &[bool]);
-}
-
-/// A field is one right-hand side; at a width above one (a 5-d fermion's
-/// slices) its scalars are the per-RHS sums added in RHS order. This is the
-/// one impl that holds code: a block and a 5-d fermion delegate to it.
-impl<K: FieldKind, E: SveFloat> Vector for Field<K, E> {
-    type Report = SolveReport;
-
     fn zero_like(&self) -> Self {
-        Field::zero_width(self.grid().clone(), self.width())
+        let f = self.field();
+        let zero = Field::zero_width(f.grid().clone(), f.width());
+        Self::from_field(zero, self.nrhs()).expect("a vector's own shape")
     }
 
+    /// Per-RHS `|self|²` (at a width above the RHS count, a 5-d fermion's
+    /// slices, the per-slice sums added in slice order).
     fn norms2_into(&self, out: &mut [f64]) {
-        Field::norms2_into(self, out);
+        self.field().norms2_into(out);
     }
 
+    /// `self = x − y` and per-RHS `|self|²`, in one sweep.
     fn sub_norms2_into(&mut self, x: &Self, y: &Self, out: &mut [f64]) {
-        self.sub_norms2(x, y, out);
-    }
-
-    fn cg_update(
-        x: &mut Self,
-        r: &mut Self,
-        alpha: &[f64],
-        p: &Self,
-        ap: &Self,
-        active: &[bool],
-        r2: &mut [f64],
-    ) {
-        cg_updates(x, r, alpha, (p, ap), active, r2);
-    }
-
-    fn aypx_active(&mut self, beta: &[f64], x: &Self, active: &[bool]) {
-        self.aypx_rhs(beta, x, active);
+        self.field_mut().sub_norms2(x.field(), y.field(), out);
     }
 }
 
-/// A block has one scalar per right-hand side.
-impl<E: SveFloat> Vector for FermionBlock<E> {
-    type Report = BlockSolveReport;
-    const BATCHED: bool = true;
-
-    fn nrhs(&self) -> usize {
-        self.width()
-    }
-
-    fn zero_like(&self) -> Self {
-        FermionBlock(self.0.zero_like())
-    }
-
-    fn norms2_into(&self, out: &mut [f64]) {
-        self.0.norms2_into(out);
-    }
-
-    fn sub_norms2_into(&mut self, x: &Self, y: &Self, out: &mut [f64]) {
-        self.0.sub_norms2(&x.0, &y.0, out);
-    }
-
-    fn cg_update(
-        x: &mut Self,
-        r: &mut Self,
-        alpha: &[f64],
-        p: &Self,
-        ap: &Self,
-        active: &[bool],
-        r2: &mut [f64],
-    ) {
-        cg_updates(&mut x.0, &mut r.0, alpha, (&p.0, &ap.0), active, r2);
-    }
-
-    fn aypx_active(&mut self, beta: &[f64], x: &Self, active: &[bool]) {
-        self.0.aypx_rhs(beta, &x.0, active);
-    }
-}
-
-/// A vector stored as one fermion [`Field`] — a field in one slot, a block
-/// in one per right-hand side, a 5-d fermion in one per slice: what the
-/// checkpoint codec writes and reads, slot by slot.
-pub trait Stored: Vector {
-    /// The element type.
-    type E: SveFloat;
-
-    /// The storage.
-    fn field(&self) -> &Field<FermionKind, Self::E>;
-
-    /// The storage, mutably: the BLAS of [`Field`] on any stored vector.
-    fn field_mut(&mut self) -> &mut Field<FermionKind, Self::E>;
-
-    /// The vector of `nrhs` right-hand sides stored as `f`, if `f` has its
-    /// shape.
-    fn from_field(f: Field<FermionKind, Self::E>, nrhs: usize) -> Option<Self>;
-}
-
-impl<E: SveFloat> Stored for Field<FermionKind, E> {
+/// A field is one right-hand side.
+impl<E: SveFloat> Vector for Field<FermionKind, E> {
     type E = E;
+    type Report = SolveReport;
 
     fn field(&self) -> &Self {
         self
@@ -185,8 +114,11 @@ impl<E: SveFloat> Stored for Field<FermionKind, E> {
     }
 }
 
-impl<E: SveFloat> Stored for FermionBlock<E> {
+/// A block has one scalar per right-hand side.
+impl<E: SveFloat> Vector for FermionBlock<E> {
     type E = E;
+    type Report = BlockSolveReport;
+    const BATCHED: bool = true;
 
     fn field(&self) -> &Field<FermionKind, E> {
         self
@@ -198,6 +130,10 @@ impl<E: SveFloat> Stored for FermionBlock<E> {
 
     fn from_field(f: Field<FermionKind, E>, nrhs: usize) -> Option<Self> {
         (f.width() == nrhs).then_some(FermionBlock(f))
+    }
+
+    fn nrhs(&self) -> usize {
+        self.width()
     }
 }
 
@@ -247,7 +183,7 @@ pub struct Allocating<V, F> {
     _vector: PhantomData<fn(&V) -> V>,
 }
 
-impl<V: Stored, F: Fn(&V) -> V> Allocating<V, F> {
+impl<V: Vector, F: Fn(&V) -> V> Allocating<V, F> {
     /// Bind `op`.
     pub fn new(op: F) -> Self {
         Allocating {
@@ -257,7 +193,7 @@ impl<V: Stored, F: Fn(&V) -> V> Allocating<V, F> {
     }
 }
 
-impl<V: Stored, F: Fn(&V) -> V> CgSpace for Allocating<V, F> {
+impl<V: Vector, F: Fn(&V) -> V> CgSpace for Allocating<V, F> {
     type V = V;
 
     fn apply(&mut self, p: &V, ap: &mut V, curv: &mut [f64]) {
@@ -333,26 +269,30 @@ pub enum Start<V> {
     State(State<V>),
 }
 
-/// Why [`cg_step`] / [`cg_iterate`] stopped.
+/// Why a step or [`iterate`] stopped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stop {
     /// Every RHS has converged or spent its budget.
     Finished,
     /// The observer asked to stop.
     Observer,
-    /// The curvature `⟨p,Ap⟩` of this RHS was not positive (or not a
-    /// number). What that means is the caller's decision: [`cg_solve`]
-    /// panics (the operator is not HPD), the binary16 tier demotes itself.
+    /// A denominator of this RHS's recurrence was zero or not a number:
+    /// CG's curvature `⟨p,Ap⟩` not positive, or BiCGStab's `⟨b,v⟩`, `|t|²`
+    /// or `ρω` zero. What that means is the caller's decision: a solve
+    /// panics, naming the RHS; the binary16 tier demotes itself.
     Breakdown(usize),
 }
 
 /// The driver-owned per-iteration storage: the operator output, the
-/// preconditioned residual when the space has one, and the per-RHS
-/// scalars. Built once per solve (or once per tier and reused).
+/// preconditioned residual when the space has one, BiCGStab's vectors and
+/// `ρ` when it runs, and the per-RHS scalars. Built once per solve (or once
+/// per tier and reused).
 pub struct Scratch<V> {
     /// The operator output `A p`.
     pub ap: V,
     z: Option<V>,
+    /// BiCGStab's `s`, `t` and `ρ = ⟨b, r⟩`, made by its first step.
+    stab: Option<(V, V, Complex)>,
     k: Scalars,
 }
 
@@ -389,6 +329,7 @@ impl<V: Vector> Scratch<V> {
         Scratch {
             ap: like.zero_like(),
             z: None,
+            stab: None,
             k: Scalars::new(like.nrhs()),
         }
     }
@@ -415,7 +356,7 @@ pub fn cg_step<V: Vector>(
     tol: f64,
     max_iter: usize,
 ) -> ControlFlow<Stop> {
-    let Scratch { ap, z, k } = w;
+    let Scratch { ap, z, k, .. } = w;
     let nrhs = s.r2.len();
     let target = |j: usize| tol * tol * s.b_norm2[j];
     for j in 0..nrhs {
@@ -434,15 +375,8 @@ pub fn cg_step<V: Vector>(
             k.alpha[j] = rho / k.curv[j];
         }
     }
-    V::cg_update(
-        &mut s.x,
-        &mut s.r,
-        &k.alpha,
-        &s.p,
-        ap,
-        &k.active,
-        &mut k.fresh,
-    );
+    let (x, r, p) = (s.x.field_mut(), s.r.field_mut(), s.p.field());
+    cg_updates(x, r, &k.alpha, (p, ap.field()), &k.active, &mut k.fresh);
     for j in 0..nrhs {
         if k.active[j] {
             k.beta[j] = k.fresh[j] / s.r2[j];
@@ -452,7 +386,7 @@ pub fn cg_step<V: Vector>(
         }
     }
     let Some(z) = z else {
-        s.p.aypx_active(&k.beta, &s.r, &k.active);
+        s.p.field_mut().aypx_rhs(&k.beta, s.r.field(), &k.active);
         return ControlFlow::Continue(());
     };
     for j in 0..nrhs {
@@ -466,8 +400,65 @@ pub fn cg_step<V: Vector>(
                 k.rho[j] = k.fresh[j];
             }
         }
-        s.p.aypx_active(&k.beta, z, &k.onward);
+        s.p.field_mut().aypx_rhs(&k.beta, z.field(), &k.onward);
     }
+    ControlFlow::Continue(())
+}
+
+/// One BiCGStab iteration on `M x = b` for one right-hand side, its shadow
+/// residual `b` (the `r₀` of a zero start): `v = M p`, `α = ρ/⟨b,v⟩`,
+/// `s = r − α v`, `t = M s`, `ω = ⟨t,s⟩/|t|²`, `x += α p + ω s`,
+/// `r = s − ω t`, `β = (ρ'/ρ)(α/ω)`, `p = r + β (p − ω v)`, and the
+/// history push. Its state is CG's: `v` is recomputed from `p` each
+/// iteration and `ρ' = ⟨b, r⟩` is carried to the next in the scratch (the
+/// first step takes it from the state), so a restored state continues bit
+/// for bit. The space is `M` itself ([`crate::dirac::Dirac::direct`]);
+/// its curvature slot is ignored.
+fn bicgstab_step<V: Vector>(
+    space: &mut dyn CgSpace<V = V>,
+    b: &V,
+    st: &mut State<V>,
+    w: &mut Scratch<V>,
+    tol: f64,
+    max_iter: usize,
+) -> ControlFlow<Stop> {
+    let Scratch { ap: v, stab, k, .. } = w;
+    k.active[0] = st.iterations[0] < max_iter && st.r2[0] > tol * tol * st.b_norm2[0];
+    if !k.active[0] {
+        return ControlFlow::Break(Stop::Finished);
+    }
+    let shadow = b.field();
+    let (s, t, rho) =
+        stab.get_or_insert_with(|| (b.zero_like(), b.zero_like(), shadow.inner(st.r.field())));
+    // `1 / d` through the conjugate; `None` at the `d = 0` breakdown.
+    let inverse = |d: Complex| {
+        let n2 = d.norm2();
+        (n2 > 0.0).then(|| d.conj().scale(1.0 / n2))
+    };
+    space.apply(&st.p, v, &mut k.curv);
+    let Some(alpha) = inverse(shadow.inner(v.field())).map(|d| *rho * d) else {
+        return ControlFlow::Break(Stop::Breakdown(0));
+    };
+    s.field_mut().caxpy_from(-alpha, v.field(), st.r.field());
+    space.apply(s, t, &mut k.curv);
+    let t2 = t.field().norm2();
+    if t2.is_nan() || t2 <= 0.0 {
+        return ControlFlow::Break(Stop::Breakdown(0));
+    }
+    let omega = t.field().inner(s.field()).scale(1.0 / t2);
+    st.x.field_mut()
+        .caxpy2(alpha, st.p.field(), omega, s.field());
+    st.r.field_mut().caxpy_from(-omega, t.field(), s.field());
+    let rho_next = shadow.inner(st.r.field());
+    let Some(beta) = inverse(*rho * omega).map(|d| (rho_next * alpha) * d) else {
+        return ControlFlow::Break(Stop::Breakdown(0));
+    };
+    st.p.field_mut()
+        .bicg_p_update(beta, omega, v.field(), st.r.field());
+    *rho = rho_next;
+    st.r2[0] = st.r.field().norm2();
+    st.iterations[0] += 1;
+    st.histories[0].push((st.r2[0] / st.b_norm2[0]).sqrt());
     ControlFlow::Continue(())
 }
 
@@ -481,7 +472,10 @@ fn begin<V: Vector>(
     start: Start<V>,
 ) -> State<V> {
     let mut s = match start {
-        Start::State(state) => state,
+        Start::State(state) => {
+            assert_finite(&state);
+            state
+        }
         fresh => {
             let mut b_norm2 = vec![0.0; b.nrhs()];
             b.norms2_into(&mut b_norm2);
@@ -518,19 +512,51 @@ fn begin<V: Vector>(
 
 fn assert_nonzero(b_norm2: &[f64]) {
     for (j, &n) in b_norm2.iter().enumerate() {
-        assert!(n > 0.0, "CG needs a nonzero right-hand side (RHS {j})");
+        assert!(n > 0.0, "a solve needs a nonzero right-hand side (RHS {j})");
     }
 }
 
-/// The one loop: [`cg_step`] until every RHS has converged or spent its
-/// budget, feeding each advanced RHS's new history entry to its monitor
-/// and then asking the observer whether to go on. `monitors` must already
-/// have seen the history inside `state`.
+/// A restored state with a non-finite scalar or iterate would make its RHS
+/// inactive from the start and report a NaN residual as converged.
+fn assert_finite<V: Vector>(s: &State<V>) {
+    for (j, (r2, b2)) in s.r2.iter().zip(&s.b_norm2).enumerate() {
+        let finite = r2.is_finite() && b2.is_finite();
+        assert!(
+            finite,
+            "the restored state's |r|² or |b|² is not finite (RHS {j})"
+        );
+    }
+    for (name, v) in [("x", &s.x), ("r", &s.r), ("p", &s.p)] {
+        let f = v.field();
+        if let Some(i) = f.data().iter().position(|e| !e.to_f64().is_finite()) {
+            // Site-major storage: a block's right-hand sides are the slots of a site.
+            let j = (i / (f.site_stride() / f.width())) % s.nrhs();
+            panic!("the restored state's {name} is not finite (RHS {j})");
+        }
+    }
+}
+
+/// The recurrence the driver steps.
+#[derive(Clone, Copy)]
+pub enum Recurrence<'b, V> {
+    /// Conjugate Gradient ([`cg_step`]), any number of right-hand sides.
+    Cg,
+    /// BiCGStab on one right-hand side, with its shadow residual.
+    BiCgStab(&'b V),
+}
+
+/// The one loop: a step of `rec` until every RHS has converged or spent
+/// its budget, feeding each advanced RHS's new history entry to its
+/// monitor and then asking the observer whether to go on. `monitors` must
+/// already have seen the history inside `state`.
 ///
-/// Solves go through [`cg_solve`]; this is public for a caller that is a
-/// *cycle* of something larger and owns its own monitor, state and
-/// scratch across cycles — the binary16 tier of the precision ladder.
-pub fn cg_iterate<V: Vector>(
+/// Solves go through [`cg_solve`] and [`bicgstab`]; this is public for a
+/// caller that is a *cycle* of something larger and owns its own monitor,
+/// state and scratch across cycles — the binary16 tier of the precision
+/// ladder.
+#[allow(clippy::too_many_arguments)]
+pub fn iterate<V: Vector>(
+    rec: Recurrence<'_, V>,
     space: &mut dyn CgSpace<V = V>,
     state: &mut State<V>,
     w: &mut Scratch<V>,
@@ -543,7 +569,11 @@ pub fn cg_iterate<V: Vector>(
         history.reserve(max_iter.saturating_sub(done).min(HISTORY_RESERVE));
     }
     loop {
-        if let ControlFlow::Break(stop) = cg_step(space, state, w, tol, max_iter) {
+        let step = match rec {
+            Recurrence::Cg => cg_step(space, state, w, tol, max_iter),
+            Recurrence::BiCgStab(b) => bicgstab_step(space, b, state, w, tol, max_iter),
+        };
+        if let ControlFlow::Break(stop) = step {
             return stop;
         }
         for (j, monitor) in monitors.iter_mut().enumerate() {
@@ -566,12 +596,12 @@ pub fn cg_iterate<V: Vector>(
 /// `<region>.iterations` histogram and the flight events. `observer` runs
 /// after every iteration with the state and the monitors — a checkpoint
 /// writer, or [`no_observer`]. The report is the vector type's own
-/// ([`Vector::Report`]).
+/// ([`Vector::Report`]). These arguments are the whole plan of a solve.
 ///
 /// The true residual `b − A x` is taken once at the end through the spent
 /// search direction, guarding the reported residual against recurrence
-/// drift. A [`Stop::Breakdown`] panics here: the operator is not hermitian
-/// positive-definite.
+/// drift. A [`Stop::Breakdown`] panics, naming the RHS: the operator is not
+/// hermitian positive-definite.
 #[allow(clippy::too_many_arguments)]
 pub fn cg_solve<V: Vector>(
     space: &mut dyn CgSpace<V = V>,
@@ -583,40 +613,91 @@ pub fn cg_solve<V: Vector>(
     region: &str,
     mut observer: impl FnMut(&State<V>, &[HealthMonitor]) -> ControlFlow<()>,
 ) -> (V, V::Report) {
-    // The space and the observer are each called once per iteration,
-    // beside sweeps over the whole lattice: behind `dyn`, the driver is
-    // compiled once per vector type rather than once per (space, observer).
-    #[allow(clippy::too_many_arguments)]
-    fn solve<V: Vector>(
-        space: &mut dyn CgSpace<V = V>,
-        b: &V,
-        start: Start<V>,
-        tol: f64,
-        max_iter: usize,
-        span: qcd_trace::SpanGuard<'_>,
-        region: &str,
-        observer: &mut Observer<'_, V>,
-    ) -> (V, V::Report) {
-        let mut w = Scratch::new(b);
-        let mut state = begin(space, b, &mut w, start);
-        let mut monitors = health_monitors(region, V::BATCHED, &state.histories);
-        let stop = cg_iterate(
-            space,
-            &mut state,
-            &mut w,
-            &mut monitors,
-            tol,
-            max_iter,
-            observer,
-        );
-        if let Stop::Breakdown(j) = stop {
-            panic!("search direction has non-positive curvature: operator not HPD? (RHS {j})");
-        }
-        residual(space, b, &state.x, &mut w.ap, &mut state.p, &mut w.k.fresh);
-        let report = conclude(region, monitors, &state, &w.k.fresh, tol, span.finish());
-        (state.x, report.into())
+    let rec = Recurrence::Cg;
+    solve(
+        rec,
+        space,
+        b,
+        start,
+        tol,
+        max_iter,
+        span,
+        region,
+        &mut observer,
+    )
+}
+
+/// Solve `M x = b` by BiCGStab in `space` — the operator's own space,
+/// [`crate::dirac::Dirac::direct`], not its normal equations — with
+/// [`cg_solve`]'s arguments and everything it supplies: the starts (a
+/// restored [`State`] included, so [`Start::State`] and a checkpoint
+/// observer work unchanged), the monitors, the true residual and the
+/// report. One right-hand side (a field, a 5-d fermion, a field on a rank
+/// grid); `converged` means the recurrence residual reached `tol`. A
+/// [`Stop::Breakdown`] panics, naming the RHS.
+#[allow(clippy::too_many_arguments)]
+pub fn bicgstab<V: Vector>(
+    space: &mut dyn CgSpace<V = V>,
+    b: &V,
+    start: Start<V>,
+    tol: f64,
+    max_iter: usize,
+    span: qcd_trace::SpanGuard<'_>,
+    region: &str,
+    mut observer: impl FnMut(&State<V>, &[HealthMonitor]) -> ControlFlow<()>,
+) -> (V, V::Report) {
+    assert!(
+        !V::BATCHED && b.nrhs() == 1,
+        "BiCGStab takes one right-hand side"
+    );
+    let rec = Recurrence::BiCgStab(b);
+    solve(
+        rec,
+        space,
+        b,
+        start,
+        tol,
+        max_iter,
+        span,
+        region,
+        &mut observer,
+    )
+}
+
+// The space and the observer are each called once per iteration, beside
+// sweeps over the whole lattice: behind `dyn`, the driver is compiled once
+// per vector type rather than once per (space, observer).
+#[allow(clippy::too_many_arguments)]
+fn solve<V: Vector>(
+    rec: Recurrence<'_, V>,
+    space: &mut dyn CgSpace<V = V>,
+    b: &V,
+    start: Start<V>,
+    tol: f64,
+    max_iter: usize,
+    span: qcd_trace::SpanGuard<'_>,
+    region: &str,
+    observer: &mut Observer<'_, V>,
+) -> (V, V::Report) {
+    let mut w = Scratch::new(b);
+    let mut state = begin(space, b, &mut w, start);
+    let mut monitors = health_monitors(region, V::BATCHED, &state.histories);
+    let stop = iterate(
+        rec,
+        space,
+        &mut state,
+        &mut w,
+        &mut monitors,
+        tol,
+        max_iter,
+        observer,
+    );
+    if let Stop::Breakdown(j) = stop {
+        panic!("the Krylov recurrence broke down (RHS {j}): a zero denominator, or CG's curvature not positive");
     }
-    solve(space, b, start, tol, max_iter, span, region, &mut observer)
+    residual(space, b, &state.x, &mut w.ap, &mut state.p, &mut w.k.fresh);
+    let report = conclude(region, monitors, &state, &w.k.fresh, tol, span.finish());
+    (state.x, report.into())
 }
 
 /// What the driver asks after every iteration, type-erased.
@@ -652,7 +733,9 @@ fn conclude<V>(
     let mut histories = Vec::with_capacity(nrhs);
     let mut health = Vec::with_capacity(nrhs);
     for (j, monitor) in monitors.into_iter().enumerate() {
-        let (capped, events) = conclude_health(region, monitor, &s.histories[j], s.iterations[j]);
+        let (history, done) = (&s.histories[j], s.iterations[j]);
+        let (capped, events) =
+            qcd_trace::conclude_solver_health(region, monitor, history, done, HISTORY_CAP);
         histories.push(capped);
         health.push(events);
     }

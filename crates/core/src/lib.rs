@@ -24,9 +24,9 @@
 //! * **Physics** ([`tensor`], [`dirac`]): SU(3) gauge links, Dirac gamma
 //!   algebra with spin projectors, and the Wilson hopping term of Eq. (1),
 //!   "the most compute-intensive task" of LQCD.
-//! * **Solvers** ([`krylov`], [`solver`]): one Conjugate Gradient driver
-//!   over spaces of fields (field, block, 5-d, on a rank grid, binary16),
-//!   the Wilson `cg` on `M†M` at either width, and BiCGStab.
+//! * **Solvers** ([`krylov`], [`solver`]): one Krylov driver, CG and
+//!   BiCGStab as steps of one loop over spaces of fields (field, block, 5-d,
+//!   on a rank grid, binary16), and the Wilson `cg` on `M†M` at either width.
 //! * **Comms** ([`comms`]): simulated multi-rank domain decomposition with
 //!   halo exchange, binary16 wire compression (Section V-B), rank grids.
 //!
@@ -103,6 +103,7 @@ pub mod prelude {
         average_plaquette, average_polyakov_loop, max_unitarity_deviation, random_transform,
         transform_fermion, transform_links, wilson_loop, TransformField,
     };
+    pub use crate::krylov::bicgstab;
     pub use crate::layout::Grid;
     pub use crate::mixed::{
         ladder_solve, ladder_solve_from, to_precision, to_precision_into, LadderConfig,
@@ -111,7 +112,7 @@ pub mod prelude {
     pub use crate::requests::{solve_cg_requests, SolveOutcome, SolveRequest};
     pub use crate::rng::StreamRng;
     pub use crate::simd::{SimdBackend, SimdEngine};
-    pub use crate::solver::{bicgstab, cg, solve_wilson, BlockSolveReport, SolveReport};
+    pub use crate::solver::{cg, solve_wilson, BlockSolveReport, SolveReport};
     pub use crate::tensor::gamma_algebra::{mult_gamma, GammaElement};
     pub use crate::tensor::su3::{
         compress_su3, random_gauge, reconstruct_row2, reconstruct_su3, unit_gauge, TwoRowMatrix,

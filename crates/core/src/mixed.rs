@@ -20,7 +20,7 @@
 
 use crate::dirac::Dirac;
 use crate::field::{Field, FieldKind};
-use crate::krylov::{self, Scratch, Start, State, Stop, Stored, Vector};
+use crate::krylov::{self, Recurrence, Scratch, Start, State, Stop, Vector};
 use crate::layout::Grid;
 use crate::solver::SolveReport;
 use qcd_trace::{HealthEvent, HealthMonitor};
@@ -73,7 +73,7 @@ pub fn to_precision<K: FieldKind, E1: SveFloat, E2: SveFloat>(
 /// the binary16 smoother are replicas.
 pub trait Replica {
     /// The vector, one right-hand side, it acts on at element type `E`.
-    type V<E: SveFloat>: Stored<E = E, Report = SolveReport>;
+    type V<E: SveFloat>: Vector<E = E, Report = SolveReport>;
     /// The operator at element type `E`, and the grid its vectors live on.
     type At<E: SveFloat>: Dirac<Self::V<E>> + AsRef<Arc<Grid<E>>>;
 
@@ -82,7 +82,7 @@ pub trait Replica {
 }
 
 /// A zero vector of `like`'s shape on `grid`.
-fn zero_on<V: Stored, W: Stored>(like: &V, grid: &Arc<Grid<W::E>>) -> W {
+fn zero_on<V: Vector, W: Vector>(like: &V, grid: &Arc<Grid<W::E>>) -> W {
     let f = Field::zero_width(grid.clone(), like.field().width());
     W::from_field(f, like.nrhs()).expect("a replica acts on vectors of its operator's shape")
 }
@@ -203,7 +203,7 @@ struct F16Tier<O, V> {
 
 /// One binary16 inner-CG cycle on the normalized residual system
 /// `A†A e = ŝ`: a zero start rebuilt in the tier's storage, then
-/// [`krylov::cg_iterate`] in the [`Dirac::normal`] space at binary16 (whose
+/// [`krylov::iterate`] of CG in the [`Dirac::normal`] space at binary16 (whose
 /// per-site sums accumulate in f32, [`crate::reduce::site_dot`]) — a
 /// cycle, not a solve: no span of its own, no true residual (the reliable
 /// update takes it at f32), the caller's monitor. Appends the cycle's relative
@@ -212,7 +212,7 @@ struct F16Tier<O, V> {
 /// curvature was lost to binary16 noise (surfaced as a non-finite
 /// episode), or the monitor raised an episode (stall / divergence /
 /// non-finite) during the cycle.
-fn f16_cycle<O: Dirac<V>, V: Stored>(
+fn f16_cycle<O: Dirac<V>, V: Vector>(
     t: &mut F16Tier<O, V>,
     tol: f64,
     max_iter: usize,
@@ -241,7 +241,8 @@ fn f16_cycle<O: Dirac<V>, V: Stored>(
     let events_at_entry = monitor.events().len();
     monitor.observe(st.histories[0][0]);
 
-    let stop = krylov::cg_iterate(
+    let stop = krylov::iterate(
+        Recurrence::Cg,
         &mut space,
         &mut t.state,
         &mut t.scratch,
@@ -368,6 +369,10 @@ where
         op.apply_into(&x, &mut ax);
         r.field_mut().sub(b.field(), ax.field());
         residual = (r.field().norm2() / b_norm2).sqrt();
+        assert!(
+            outer > 0 || residual.is_finite(),
+            "the ladder's initial iterate leaves a non-finite defect"
+        );
         outer_history.push(residual);
         if residual <= cfg.tol || outer >= cfg.max_outer {
             break;
@@ -648,6 +653,28 @@ mod tests {
         let mut diff = FermionField::zero(b.grid().clone());
         diff.sub(&x, &x_ref);
         assert!((diff.norm2() / x_ref.norm2()).sqrt() < 1e-8);
+    }
+
+    /// The ladder under `cfg` from an iterate with one NaN component: at
+    /// the parent it ran every outer round at no tier and returned a NaN
+    /// residual.
+    fn ladder_from_a_nan_iterate(cfg: &LadderConfig) {
+        let (op, b) = setup();
+        let mut x0 = FermionField::random(b.grid().clone(), 5);
+        x0.poke(&[0, 1, 0, 0], 2, crate::Complex::new(f64::NAN, 0.0));
+        let _ = ladder_solve_from(&op, &b, x0, cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "initial iterate leaves a non-finite defect")]
+    fn ladder_refuses_a_non_finite_iterate() {
+        ladder_from_a_nan_iterate(&LadderConfig::new(1e-8));
+    }
+
+    #[test]
+    #[should_panic(expected = "initial iterate leaves a non-finite defect")]
+    fn f32_only_ladder_refuses_a_non_finite_iterate() {
+        ladder_from_a_nan_iterate(&LadderConfig::f32_only(1e-8));
     }
 
     #[test]

@@ -8,19 +8,18 @@
 //! (`axpy`, inner products, norms), so every arithmetic instruction they
 //! retire is visible to the SVE counters.
 //!
-//! The CG recurrence itself lives in [`crate::krylov`], once, with its one
-//! checkpointable state ([`krylov::State`]). This module holds what a solve
-//! is made of around it: the report types and the Wilson entry point
-//! [`cg`] — the operator's [`Dirac::normal`] space from a zero start at
-//! either width, whose
-//! steady-state iteration performs no heap allocation of its own. BiCGStab
-//! is one function, [`bicgstab`], its recurrence in local variables.
+//! Both recurrences live in [`crate::krylov`], once, as steps of its one
+//! loop over one checkpointable state ([`krylov::State`]): CG in an
+//! operator's [`Dirac::normal`] space, BiCGStab ([`krylov::bicgstab`]) in
+//! its [`Dirac::direct`] space. This module holds what a solve is made of
+//! around them: the report types and the Wilson entry point [`cg`] — the
+//! normal space from a zero start at either width, whose steady-state
+//! iteration performs no heap allocation of its own.
 
-use crate::complex::Complex;
 use crate::dirac::{Dirac, WilsonDirac};
 use crate::field::FermionField;
-use crate::krylov::{self, Start, Stored};
-use qcd_trace::{HealthEvent, HealthMonitor};
+use crate::krylov::{self, Start, Vector};
+use qcd_trace::HealthEvent;
 
 /// Cap on the residual history surfaced in a [`SolveReport`]. Longer
 /// histories are downsampled by [`qcd_trace::bound_history`], keeping the
@@ -50,21 +49,6 @@ pub struct SolveReport {
     pub telemetry: qcd_trace::RegionSummary,
 }
 
-/// Build the reported (capped) history and the health-event list from a
-/// finished monitor, and feed the solve-level metrics. The monitor must
-/// have observed every entry of `history` — restored prefix replayed, new
-/// entries observed live — so a resumed solve reports exactly what the
-/// uninterrupted one would. Thin wrapper over
-/// [`qcd_trace::conclude_solver_health`] at [`HISTORY_CAP`].
-pub(crate) fn conclude_health(
-    region: &str,
-    monitor: HealthMonitor,
-    history: &[f64],
-    iterations: usize,
-) -> (Vec<f64>, Vec<HealthEvent>) {
-    qcd_trace::conclude_solver_health(region, monitor, history, iterations, HISTORY_CAP)
-}
-
 /// Conjugate Gradient on the Wilson normal equations: solves `M†M x = b`
 /// in the operator's [`Dirac::normal`] space — dslash+mass in one pass, the
 /// curvature dot fused into the second hopping pass, zero steady-state
@@ -80,7 +64,7 @@ pub(crate) fn conclude_health(
 /// residual — is bit-identical to `cg` of `b_j` alone. The span and health
 /// region are `solver.cg` for a field and `solver.block_cg` for a block
 /// (monitors `solver.block_cg[j]`).
-pub fn cg<V: Stored>(op: &WilsonDirac<V::E>, b: &V, tol: f64, max_iter: usize) -> (V, V::Report)
+pub fn cg<V: Vector>(op: &WilsonDirac<V::E>, b: &V, tol: f64, max_iter: usize) -> (V, V::Report)
 where
     WilsonDirac<V::E>: Dirac<V>,
 {
@@ -158,86 +142,39 @@ impl From<BlockSolveReport> for SolveReport {
     }
 }
 
-/// BiCGStab on `M x = b` — the non-hermitian workhorse; roughly half the
-/// operator applications of normal-equation CG per iteration pair. Runs
-/// allocation-free after set-up: `M` is applied through
-/// [`WilsonDirac::apply_into`] into fields held for the whole solve, the
-/// updates are fused sweeps, and `|r|²` is reduced once per iteration.
-/// Converged means the recurrence residual reached `tol` relative to `|b|`.
-pub fn bicgstab(
-    op: &WilsonDirac,
-    b: &FermionField,
-    tol: f64,
-    max_iter: usize,
-) -> (FermionField, SolveReport) {
-    let grid = b.grid().clone();
-    let span = qcd_trace::span!("solver.bicgstab", grid.engine().ctx());
-    let b_norm2 = b.norm2();
-    assert!(b_norm2 > 0.0, "BiCGStab needs a nonzero right-hand side");
-    let target = tol * tol * b_norm2;
-    // x = 0 and r = p = b; the shadow residual r̂ stays at the initial r.
-    let mut x = FermionField::zero(grid.clone());
-    let (mut r, shadow, mut p) = (b.clone(), b.clone(), b.clone());
-    let (mut v, mut s, mut t) = (x.clone(), x.clone(), x.clone());
-    let mut rho = shadow.inner(&r);
-    let mut r2 = b_norm2;
-    let mut history = Vec::with_capacity(1 + max_iter.min(krylov::HISTORY_RESERVE));
-    history.push((r2 / b_norm2).sqrt());
-    let mut monitor = HealthMonitor::new("solver.bicgstab");
-    monitor.observe(history[0]);
-    // `1 / d` through the conjugate, asserting against the `d = 0` breakdown.
-    let inverse = |d: Complex, what: &str| {
-        let n2 = d.norm2();
-        assert!(n2 > 0.0, "BiCGStab breakdown: {what} = 0");
-        d.conj().scale(1.0 / n2)
-    };
-
-    let mut iterations = 0;
-    while iterations < max_iter && r2 > target {
-        op.apply_into(&p, &mut v); // v = M p
-        let alpha = rho * inverse(shadow.inner(&v), "<r0, v>");
-        s.caxpy_from(-alpha, &v, &r); // s = r - alpha v
-        op.apply_into(&s, &mut t); // t = M s
-        let t2 = t.norm2();
-        assert!(t2 > 0.0, "BiCGStab breakdown: t = 0");
-        let omega = t.inner(&s).scale(1.0 / t2);
-        x.caxpy2(alpha, &p, omega, &s); // x += alpha p + omega s
-        r.caxpy_from(-omega, &t, &s); // r = s - omega t
-        let rho_next = shadow.inner(&r);
-        let beta = (rho_next * alpha) * inverse(rho * omega, "rho*omega");
-        p.bicg_p_update(beta, omega, &v, &r); // p = r + beta (p - omega v)
-        rho = rho_next;
-        r2 = r.norm2();
-        iterations += 1;
-        history.push((r2 / b_norm2).sqrt());
-        monitor.observe(history[iterations]);
-    }
-
-    op.apply_into(&x, &mut v);
-    let residual = (s.sub_norm2(b, &v) / b_norm2).sqrt();
-    let (history, health) = conclude_health("solver.bicgstab", monitor, &history, iterations);
-    (
-        x,
-        SolveReport {
-            iterations,
-            residual,
-            converged: r2 <= target,
-            history,
-            health,
-            telemetry: span.finish(),
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::complex::Complex;
     use crate::field::{FermionBlock, FermionKind, Field};
-    use crate::krylov::{cg_solve, no_observer, Allocating, CgSpace, State};
+    use crate::krylov::{bicgstab, cg_solve, no_observer, Allocating, CgSpace, State};
     use crate::layout::Grid;
     use crate::simd::SimdBackend;
     use crate::tensor::su3::random_gauge;
+    use qcd_trace::HealthMonitor;
     use sve::VectorLength;
+
+    /// BiCGStab on `M` in the operator's own space from `start`.
+    fn bicgstab_from(
+        op: &WilsonDirac,
+        b: &FermionField,
+        start: Start<FermionField>,
+        tol: f64,
+        max_iter: usize,
+    ) -> (FermionField, SolveReport) {
+        let span = qcd_trace::span!("solver.bicgstab", b.grid().engine().ctx());
+        let region = "solver.bicgstab";
+        bicgstab(
+            &mut op.direct(),
+            b,
+            start,
+            tol,
+            max_iter,
+            span,
+            region,
+            no_observer,
+        )
+    }
 
     /// CG on `M†M` through the allocating closure adapter — the oracle the
     /// fused path is held to.
@@ -330,7 +267,7 @@ mod tests {
     #[test]
     fn bicgstab_inverts_m_directly() {
         let (op, b) = setup(256, SimdBackend::Fcmla);
-        let (x, report) = bicgstab(&op, &b, 1e-8, 2000);
+        let (x, report) = bicgstab_from(&op, &b, Start::Zero, 1e-8, 2000);
         assert!(report.residual < 1e-6, "residual {}", report.residual);
         let mx = op.apply(&x);
         let mut diff = FermionField::zero(b.grid().clone());
@@ -477,7 +414,7 @@ mod tests {
         let block = FermionBlock::from_fields(std::slice::from_ref(&b));
         let (_, report) = cg(&op, &block, 1e-8, usize::MAX);
         assert!(report.converged[0]);
-        let (_, report) = bicgstab(&op, &b, 1e-8, usize::MAX);
+        let (_, report) = bicgstab_from(&op, &b, Start::Zero, 1e-8, usize::MAX);
         assert!(report.converged, "{report:?}");
     }
 
@@ -568,6 +505,54 @@ mod tests {
             10,
             qcd_trace::span!("solver.cg"),
             "solver.cg",
+            no_observer,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "restored state's x is not finite (RHS 0)")]
+    fn cg_solve_rejects_a_non_finite_state() {
+        // A state cut at iteration 10 whose iterate holds one NaN (a
+        // forged or corrupted snapshot) would make the RHS inactive from
+        // the start and return a NaN residual as converged.
+        let (op, b) = setup(128, SimdBackend::Fcmla);
+        let mut tmp = FermionField::zero(b.grid().clone());
+        let mut state = snapshot_at(&mut op.normal(&mut tmp), &b, 10);
+        state.x.poke(&[1, 0, 0, 0], 7, Complex::new(0.0, f64::NAN));
+        let _ = cg_solve(
+            &mut op.normal(&mut tmp),
+            &b,
+            Start::State(state),
+            1e-8,
+            2000,
+            qcd_trace::span!("solver.cg"),
+            "solver.cg",
+            no_observer,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "broke down (RHS 0)")]
+    fn a_bicgstab_breakdown_names_the_rhs() {
+        // `M = 0` (no links, mass −4): `⟨b, M p⟩ = 0` at the first step.
+        let (_, b) = setup(128, SimdBackend::Fcmla);
+        let op = WilsonDirac::new(Field::zero(b.grid().clone()), -4.0);
+        let _ = bicgstab_from(&op, &b, Start::Zero, 1e-8, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "BiCGStab takes one right-hand side")]
+    fn bicgstab_refuses_a_block() {
+        let (op, b) = setup(128, SimdBackend::Fcmla);
+        let block = FermionBlock::from_fields(std::slice::from_ref(&b));
+        let _ = bicgstab(
+            &mut op.direct(),
+            &block,
+            Start::Zero,
+            1e-8,
+            10,
+            qcd_trace::span!("solver.bicgstab"),
+            "solver.bicgstab",
             no_observer,
         );
     }
@@ -686,11 +671,11 @@ mod tests {
         // residual came within some factor of it: both solves, cut short
         // of `tol` (residuals 4.2e-8 and 5.0e-7), must say so.
         let (op, b) = setup(256, SimdBackend::Fcmla);
-        let (_, cut) = bicgstab(&op, &b, 1e-8, 12);
+        let (_, cut) = bicgstab_from(&op, &b, Start::Zero, 1e-8, 12);
         assert!(!cut.converged && cut.residual > 1e-8, "{cut:?}");
         let (_, cut) = crate::eo::solve_eo(&op, &b, 1e-8, 13);
         assert!(!cut.converged && cut.residual > 1e-8, "{cut:?}");
-        let (_, full) = bicgstab(&op, &b, 1e-8, 2000);
+        let (_, full) = bicgstab_from(&op, &b, Start::Zero, 1e-8, 2000);
         assert!(full.converged && full.residual <= 1e-8, "{full:?}");
         let (_, full) = crate::eo::solve_eo(&op, &b, 1e-8, 2000);
         assert!(full.converged && full.residual <= 1e-8, "{full:?}");

@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use std::ops::ControlFlow;
 
-use grid::field::FermionKind;
+use grid::field::{cg_updates, FermionKind};
 use grid::krylov::{cg_solve, no_observer, CgSpace, Start, State, Vector};
 use grid::prelude::*;
 use qcd_trace::HealthMonitor;
@@ -151,8 +151,15 @@ fn solver_steady_state_allocates_nothing() {
                 before = allocations(); // three warm-up sweeps, as `ten_iterations`
             }
             d.normal(&mut btmp).apply(&p, &mut ap, &mut curv);
-            Vector::cg_update(&mut x, &mut r, &alpha, &p, &ap, &active, &mut r2);
-            p.aypx_active(&alpha, &r, &active);
+            cg_updates(
+                x.field_mut(),
+                r.field_mut(),
+                &alpha,
+                (&p, &ap),
+                &active,
+                &mut r2,
+            );
+            p.field_mut().aypx_rhs(&alpha, r.field(), &active);
         }
         allocations() - before
     };
@@ -166,7 +173,17 @@ fn solver_steady_state_allocates_nothing() {
     // `tol = 0` runs the whole budget.
     let bicgstab_allocations = |iterations: usize| {
         let before = allocations();
-        let (_, report) = bicgstab(&d, &b, 0.0, iterations);
+        let span = qcd_trace::span!("solver.bicgstab", g.engine().ctx());
+        let (_, report) = bicgstab(
+            &mut d.direct(),
+            &b,
+            Start::Zero,
+            0.0,
+            iterations,
+            span,
+            "solver.bicgstab",
+            no_observer,
+        );
         assert_eq!(report.iterations, iterations);
         allocations() - before
     };

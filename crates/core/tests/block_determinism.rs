@@ -11,7 +11,7 @@
 //! `rayon::set_num_threads` mutates process-global state, so this file is
 //! a single `#[test]` in its own integration-test binary.
 
-use grid::field::FermionKind;
+use grid::field::{cg_updates, FermionKind};
 use grid::krylov::Vector;
 use grid::prelude::*;
 use grid::{FermionBlock, Field, FieldKind};
@@ -65,7 +65,8 @@ macro_rules! block_case {
             FermionBlock::from_fields(&[fields[1].clone(), fields[2].clone(), fields[0].clone()]);
         let (alpha, active) = ([0.6875, 99.0, -0.3125], [true, false, true]);
         let mut r2 = [f64::NAN; 3];
-        Vector::cg_update(&mut x, &mut r, &alpha, &shifted, &block, &active, &mut r2);
+        let (x, r) = (x.field_mut(), r.field_mut());
+        cg_updates(x, r, &alpha, (&shifted, &block), &active, &mut r2);
         let mut sub = FermionBlock::zero(g.clone(), 3);
         let mut sub2 = [0.0; 3];
         sub.sub_norms2(&block, &shifted, &mut sub2);

@@ -35,7 +35,7 @@
 
 use grid::dirac::{Dirac, WilsonDirac};
 use grid::field::FermionKind;
-use grid::krylov::{self, Start, Stored};
+use grid::krylov::{self, Start, Vector};
 use grid::Field;
 use qcd_io::Subspace;
 use sve::SveFloat;
@@ -66,7 +66,7 @@ fn assert_subspace_matches<E: SveFloat>(op: &WilsonDirac<E>, sub: &Subspace<E>) 
 /// goes through the single-field operation sequence, so it is
 /// bit-identical to the guess for that field alone. All inner products
 /// are canonical; the accumulation order over `i` is fixed.
-pub fn galerkin_guess<V: Stored>(sub: &Subspace<V::E>, b: &V) -> V {
+pub fn galerkin_guess<V: Vector>(sub: &Subspace<V::E>, b: &V) -> V {
     let project = |bj: &Field<FermionKind, V::E>| {
         let mut x0 = Field::zero_width(bj.grid().clone(), bj.width());
         for (v, &theta) in sub.vectors.iter().zip(sub.values.iter()) {
@@ -93,7 +93,7 @@ pub fn galerkin_guess<V: Stored>(sub: &Subspace<V::E>, b: &V) -> V {
 /// standalone solve of `b_j`. Runs under a `solver.deflate` span with
 /// health monitoring in the `solver.defl_cg` region (`solver.defl_block_cg`
 /// for a block).
-pub fn defl_cg<V: Stored>(
+pub fn defl_cg<V: Vector>(
     op: &WilsonDirac<V::E>,
     sub: &Subspace<V::E>,
     b: &V,

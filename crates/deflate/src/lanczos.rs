@@ -52,7 +52,7 @@
 use crate::dense::jacobi_eigh;
 use grid::dirac::Dirac;
 use grid::field::FermionKind;
-use grid::krylov::{CgSpace, Stored};
+use grid::krylov::{CgSpace, Vector};
 use grid::{Complex, Field};
 use qcd_io::Subspace;
 use sve::SveFloat;
@@ -111,7 +111,7 @@ fn normalize<E: SveFloat>(f: &mut Field<FermionKind, E>) -> f64 {
 /// Two-pass modified Gram–Schmidt of `w` against `basis[..n]`, returning
 /// the accumulated (both passes) coefficient against each basis vector.
 /// All inner products are canonical.
-fn reorthogonalize<V: Stored>(w: &mut V, basis: &[V], n: usize) -> Vec<Complex> {
+fn reorthogonalize<V: Vector>(w: &mut V, basis: &[V], n: usize) -> Vec<Complex> {
     let mut coef = vec![Complex::ZERO; n];
     for _pass in 0..2 {
         for (i, c) in coef.iter_mut().enumerate() {
@@ -132,7 +132,7 @@ fn reorthogonalize<V: Stored>(w: &mut V, basis: &[V], n: usize) -> Vec<Complex> 
 /// Runs under an `eig.lanczos` trace span; restart count and operator
 /// applications land in the `eig.lanczos.restarts` / `eig.lanczos.mvps`
 /// histograms.
-pub fn lanczos<V: Stored, D: Dirac<V>>(
+pub fn lanczos<V: Vector, D: Dirac<V>>(
     op: &D,
     params: &LanczosParams,
     start: V,

@@ -8,7 +8,7 @@
 //! the same bits at any count.
 
 use grid::field::FermionKind;
-use grid::krylov::Stored;
+use grid::krylov::Vector;
 use grid::layout::delex;
 use grid::prelude::*;
 use grid::FieldKind;
@@ -111,7 +111,7 @@ fn converging() -> LanczosParams {
 }
 
 /// `‖A v − θ v‖` recomputed through the operator's own `mdag_m`.
-fn explicit_residual<V: Stored<E = f64>>(apply: impl Fn(&V) -> V, v: &V, theta: f64) -> f64 {
+fn explicit_residual<V: Vector<E = f64>>(apply: impl Fn(&V) -> V, v: &V, theta: f64) -> f64 {
     let mut r = apply(v);
     r.field_mut().axpy_inplace(-theta, v.field());
     r.field().norm2().sqrt()

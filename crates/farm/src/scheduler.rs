@@ -51,7 +51,7 @@ use crate::job::{
 };
 use crate::queue::{UnitPayload, WorkQueue, WorkUnit};
 use grid::prelude::*;
-use grid::requests::{coalesce, demux, solve_cg_requests, SolveRequest};
+use grid::requests::{coalesce, demux, SolveRequest};
 use qcd_hmc::{average_plaquette_fast, MarkovChain};
 use qcd_io::{scan_checkpoints, CheckpointKind, IoError};
 use std::collections::BTreeMap;
@@ -547,26 +547,24 @@ impl Farm {
                 rhs: FermionField::random(grid.clone(), spec.rhs_seeds[i]),
             })
             .collect();
-        let outcomes = match &spec.subspace {
-            None => solve_cg_requests(&op, &requests, spec.tol, spec.max_iter as usize),
-            Some(stem) => {
-                // Shared low-mode subspace: load the `defl.*` checkpoint
-                // (validated against this job's lattice and mass) and run
-                // the deflated solve on the coalesced block. Each outcome
-                // remains bit-identical to a standalone `defl_cg` of its RHS.
-                let sub = qcd_deflate::Subspace::load(
-                    &JobPaths::subspace(&self.dir, stem),
-                    &grid,
-                    spec.mass,
-                )?;
-                let block = coalesce(&requests);
-                let _span = qcd_trace::span!("solver.requests", grid.engine().ctx());
-                qcd_trace::histogram("solver.requests.batch_fill").record(requests.len() as u64);
-                let (x, rep) =
-                    qcd_deflate::defl_cg(&op, &sub, &block, spec.tol, spec.max_iter as usize);
-                demux(&requests, &x, &rep)
-            }
+        // A shared low-mode subspace: the `defl.*` checkpoint, validated
+        // against this job's lattice and mass.
+        let subspace = spec.subspace.as_ref().map(|stem| {
+            qcd_deflate::Subspace::load(&JobPaths::subspace(&self.dir, stem), &grid, spec.mass)
+        });
+        let subspace = subspace.transpose()?;
+        // One coalesced block, solved by `cg` or the deflated `defl_cg`;
+        // each outcome stays bit-identical to a standalone solve of its RHS.
+        let block = coalesce(&requests);
+        let solve = qcd_trace::span!("solver.requests", grid.engine().ctx());
+        qcd_trace::histogram("solver.requests.batch_fill").record(requests.len() as u64);
+        let (tol, max_iter) = (spec.tol, spec.max_iter as usize);
+        let (x, rep) = match &subspace {
+            None => cg(&op, &block, tol, max_iter),
+            Some(sub) => qcd_deflate::defl_cg(&op, sub, &block, tol, max_iter),
         };
+        drop(solve);
+        let outcomes = demux(&requests, &x, &rep);
         drop(span);
         let mut jobs = self.jobs.lock().unwrap_or_else(|e| e.into_inner());
         let entry = jobs.get_mut(&unit.job).expect("queued job is tracked");

@@ -29,12 +29,13 @@ use crate::error::{IoError, Result};
 use crate::fields::{decode_field, encode_field, Cursor, FieldMeta, Writer, META_RECORD};
 use grid::codec::Precision;
 use grid::field::Field;
-use grid::krylov::{Start, State, Stored};
+use grid::krylov::{Start, State, Vector};
 use grid::Grid;
 use qcd_trace::HealthMonitor;
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use sve::SveFloat;
 
 /// Record holding the recurrence scalars of every right-hand side.
 pub const STATE_SCALARS: &str = "state.scalars";
@@ -74,10 +75,13 @@ pub(crate) fn decode_scalars(payload: &[u8]) -> Result<Scalars> {
         b_norm2: Vec::with_capacity(nrhs),
         histories: Vec::with_capacity(nrhs),
     };
-    for _ in 0..nrhs {
+    for j in 0..nrhs {
         s.iterations.push(cur.u64("iteration count")? as usize);
         s.r2.push(cur.f64("r2")?);
         s.b_norm2.push(cur.f64("b_norm2")?);
+        if !(s.r2[j].is_finite() && s.b_norm2[j].is_finite()) {
+            return Err(bad_scalars(format!("RHS {j}: |r|² or |b|² is not finite")));
+        }
         let n = cur.count("history length", 8)?;
         let history = (0..n).map(|_| cur.f64("history entry"));
         s.histories.push(history.collect::<Result<_>>()?);
@@ -90,7 +94,7 @@ pub(crate) fn decode_scalars(payload: &[u8]) -> Result<Scalars> {
 /// to `path` (atomic write): the scalars per right-hand side, one record
 /// per stored field of each iterate, at [`Precision::F64`], which holds
 /// every narrower element type exactly.
-pub fn save_state<V: Stored>(state: &State<V>, path: &Path) -> Result<u64> {
+pub fn save_state<V: Vector>(state: &State<V>, path: &Path) -> Result<u64> {
     let nrhs = state.nrhs();
     let mut scalars = Writer::default();
     scalars.u64(nrhs as u64);
@@ -118,9 +122,10 @@ pub fn save_state<V: Stored>(state: &State<V>, path: &Path) -> Result<u64> {
 
 /// Restore a snapshot written by [`save_state`] onto `grid`. A file of
 /// another shape than `V` (a block read as one field, a 5-d fermion read
-/// as either), of an older layout, or with a count its payload cannot hold
-/// is a typed error.
-pub fn load_state<V: Stored>(path: &Path, grid: &Arc<Grid<V::E>>) -> Result<State<V>> {
+/// as either), of an older layout, with a count its payload cannot hold, or
+/// with a scalar or iterate that is not finite (a resumed solve would
+/// report it converged) is a typed error naming the record.
+pub fn load_state<V: Vector>(path: &Path, grid: &Arc<Grid<V::E>>) -> Result<State<V>> {
     let c = Container::open(path)?;
     let meta = FieldMeta::decode(&c.expect(META_RECORD)?.payload, META_RECORD)?;
     let s = decode_scalars(&c.expect(STATE_SCALARS)?.payload)?;
@@ -138,7 +143,12 @@ pub fn load_state<V: Stored>(path: &Path, grid: &Arc<Grid<V::E>>) -> Result<Stat
         let fields = (0..slots)
             .map(|j| {
                 let name = format!("{stem}.{j}");
-                decode_field(&meta, &c.expect(&name)?.payload, grid, &name)
+                let f = decode_field(&meta, &c.expect(&name)?.payload, grid, &name)?;
+                let msg = "the iterate has a component that is not finite".to_string();
+                let finite = f.data().iter().all(|s| s.to_f64().is_finite());
+                finite
+                    .then_some(f)
+                    .ok_or(IoError::BadRecord { record: name, msg })
             })
             .collect::<Result<Vec<_>>>()?;
         V::from_field(Field::from_fields(&fields), nrhs).ok_or_else(|| {
@@ -186,7 +196,7 @@ impl Checkpointer {
 
     /// The observer: writes a snapshot when one is due, and stops the
     /// solve on the first write error (which [`Self::finish`] returns).
-    pub fn observer<V: Stored>(
+    pub fn observer<V: Vector>(
         &mut self,
     ) -> impl FnMut(&State<V>, &[HealthMonitor]) -> ControlFlow<()> + '_ {
         move |state, _| {
@@ -217,7 +227,7 @@ impl Checkpointer {
 /// in any space. The right-hand side must be the one the snapshot was
 /// taken with: `|b_j|²` is recomputed — a canonical reduction, the same
 /// bits at any vector length and thread count — and must match.
-pub fn resume<V: Stored>(b: &V, path: &Path) -> Result<Start<V>> {
+pub fn resume<V: Vector>(b: &V, path: &Path) -> Result<Start<V>> {
     let state: State<V> = load_state(path, b.field().grid())?;
     let (stored, ours) = (state.x.field().width(), b.field().width());
     if stored != ours {

@@ -353,3 +353,54 @@ fn a_fermion5_checkpoint_is_not_a_field_or_a_block() {
     assert!(resume(&b, &path).is_ok());
     let _ = std::fs::remove_dir_all(&d);
 }
+
+#[test]
+fn a_checkpoint_with_a_non_finite_state_is_refused() {
+    // CRC-valid snapshots whose iterate or scalars hold a NaN or an
+    // infinity: resumed, the solve would take the RHS as finished and
+    // report a NaN residual as converged.
+    let d = dir("state");
+    let g = grid();
+    let op = WilsonDirac::new(random_gauge(g.clone(), 3), 0.2);
+    let b = FermionField::random(g.clone(), 4);
+    let mut state = None;
+    let _ = grid::krylov::cg_solve(
+        &mut op.normal(&mut FermionField::zero(g.clone())),
+        &b,
+        grid::krylov::Start::Zero,
+        1e-10,
+        3,
+        qcd_trace::span!("test.solve"),
+        "test.solve",
+        |s: &grid::krylov::State<FermionField>, _: &[qcd_trace::HealthMonitor]| {
+            state = Some(s.clone());
+            std::ops::ControlFlow::Continue(())
+        },
+    );
+    let state = state.expect("three iterations ran");
+    let path = d.join("state.qio");
+    for (tag, bad) in [("NaN", f64::NAN), ("infinite", f64::INFINITY)] {
+        let refused = |state: &grid::krylov::State<FermionField>, record: &str| {
+            qcd_io::save_state(state, &path).unwrap();
+            match load_state::<FermionField>(&path, &g) {
+                Err(IoError::BadRecord { record: r, msg }) => {
+                    assert_eq!(r, record, "{tag}: {msg}");
+                    assert!(msg.contains("not finite"), "{tag}: {msg}");
+                }
+                other => panic!(
+                    "{tag} {record}: expected a refused state, got {:?}",
+                    other.map(|_| ()).map_err(|e| e.to_string())
+                ),
+            }
+        };
+        let mut poisoned = state.clone();
+        poisoned.p.poke(&[1, 0, 1, 0], 5, Complex::new(bad, 0.5));
+        refused(&poisoned, "state.p.0");
+        let mut poisoned = state.clone();
+        poisoned.r2[0] = bad;
+        refused(&poisoned, STATE_SCALARS);
+    }
+    qcd_io::save_state(&state, &path).unwrap();
+    assert!(load_state::<FermionField>(&path, &g).is_ok());
+    let _ = std::fs::remove_dir_all(&d);
+}

@@ -3,7 +3,7 @@
 //! sequence bit-for-bit — at either width, in any space: durability is an
 //! observer of the one `cg_solve`, not a solver.
 
-use grid::krylov::{self, Allocating, CgSpace, Start, State, Stored, Vector};
+use grid::krylov::{self, Allocating, CgSpace, Start, State, Vector};
 use grid::prelude::*;
 use qcd_io::{load_state, read_field, resume, save_state, write_field, Checkpointer, IoError};
 use std::path::PathBuf;
@@ -40,7 +40,7 @@ fn durable<S: CgSpace>(
     path: &std::path::Path,
 ) -> (S::V, <S::V as Vector>::Report, usize)
 where
-    S::V: Stored<E = f64>,
+    S::V: Vector<E = f64>,
 {
     let mut checkpointer = Checkpointer::every(every, path);
     let (x, report) = krylov::cg_solve(
@@ -67,7 +67,7 @@ fn kill_and_resume<S: CgSpace>(
     file: &str,
 ) -> [(S::V, <S::V as Vector>::Report); 2]
 where
-    S::V: Stored<E = f64>,
+    S::V: Vector<E = f64>,
 {
     let path = tmp(file);
     let (x_ref, reference, _) = durable(space, b, Start::Zero, MAX_ITER, MAX_ITER, &tmp("unused"));
@@ -169,7 +169,7 @@ fn a_checkpoint_is_interchangeable_between_spaces_with_the_same_bits() {
 }
 
 /// A state seven iterations into the fused solve of `b`.
-fn seven_iterations_in<V: Stored<E = f64>>(op: &WilsonDirac, b: &V) -> State<V>
+fn seven_iterations_in<V: Vector<E = f64>>(op: &WilsonDirac, b: &V) -> State<V>
 where
     WilsonDirac: Dirac<V>,
 {
@@ -190,7 +190,7 @@ where
     snapshot.expect("seven iterations ran")
 }
 
-fn state_survives_a_save_load_cycle<V: Stored<E = f64>>(op: &WilsonDirac, b: &V, file: &str)
+fn state_survives_a_save_load_cycle<V: Vector<E = f64>>(op: &WilsonDirac, b: &V, file: &str)
 where
     WilsonDirac: Dirac<V>,
 {
@@ -230,7 +230,7 @@ fn a_state_survives_a_save_load_cycle_bit_exactly_at_both_widths() {
 /// that index, resuming against `b` accepted.
 fn wrong_rhs_is_refused<S: CgSpace>(space: &mut S, b: &S::V, other: &S::V, index: usize, file: &str)
 where
-    S::V: Stored<E = f64>,
+    S::V: Vector<E = f64>,
 {
     let path = tmp(file);
     durable(space, b, Start::Zero, 12, 5, &path);

@@ -160,10 +160,10 @@ impl HealthMonitor {
 /// residual history with [`bound_history`] (keeping every health-flagged
 /// iteration), feed the `<region>.iterations` histogram and the global
 /// `solver.solves` counter, and drain the monitor into its typed event
-/// list. Every solver concludes through here — `grid`'s one CG driver
-/// (`krylov::cg_solve`, whatever the space: field, block, 5-d, rank-local,
-/// deflated, coarse-preconditioned) and BiCGStab — so solve-level metrics
-/// stay uniform across subsystems. The monitor must have observed every entry
+/// list. Every solver concludes through here — `grid`'s one Krylov driver
+/// (`krylov::cg_solve` and `krylov::bicgstab`, whatever the space: field,
+/// block, 5-d, rank-local, deflated, coarse-preconditioned) — so
+/// solve-level metrics stay uniform across subsystems. The monitor must have observed every entry
 /// of `history` (restored prefix replayed, new entries live), so a resumed
 /// solve reports exactly what the uninterrupted one would.
 pub fn conclude_solver_health(

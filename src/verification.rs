@@ -13,6 +13,7 @@
 //! implementations of the predication".
 
 use armie::listings;
+use grid::krylov::{no_observer, Start};
 use grid::prelude::*;
 use grid::simd::SimdEngine;
 use grid::{Coor, FermionField};
@@ -651,7 +652,17 @@ fn test_cg(cfg: &CheckCfg) -> Result<(), String> {
 fn test_bicgstab(cfg: &CheckCfg) -> Result<(), String> {
     let (d, g) = wilson(cfg, 53, 0.3);
     let b = FermionField::random(g.clone(), 54);
-    let (x, report) = bicgstab(&d, &b, 1e-7, 1000);
+    let span = qcd_trace::span!("solver.bicgstab", g.engine().ctx());
+    let (x, report) = bicgstab(
+        &mut d.direct(),
+        &b,
+        Start::Zero,
+        1e-7,
+        1000,
+        span,
+        "solver.bicgstab",
+        no_observer,
+    );
     let mx = d.apply(&x);
     let mut diff = FermionField::zero(g);
     diff.sub(&mx, &b);

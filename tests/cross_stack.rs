@@ -232,14 +232,27 @@ fn bicgstab_bits_are_pinned() {
     // Every bit of a BiCGStab solve of `M x = b` on the problem above: the
     // solution in global lexicographic site order, the residual history,
     // the iteration count and the reported residual, the same at every
-    // vector length. The constant is what BiCGStab gave while it was a
-    // hand-written loop outside the Krylov driver.
+    // vector length; then the modeled instructions the solve retired, the
+    // vector length's own. The constants are what BiCGStab gave while it
+    // was a hand-written loop outside the Krylov driver.
+    use grid::krylov::{no_observer, Start};
     use grid::prelude::*;
-    for bits in [128, 512, 2048] {
+    for (k, bits) in [128, 512, 2048].into_iter().enumerate() {
         let g = Grid::new([4, 4, 4, 8], VectorLength::of(bits), SimdBackend::Fcmla);
         let d = WilsonDirac::new(random_gauge(g.clone(), 5), 0.25);
         let b = FermionField::random(g.clone(), 6);
-        let (x, report) = bicgstab(&d, &b, 1e-8, 500);
+        let counters = g.engine().ctx().counters();
+        counters.reset();
+        let (x, report) = bicgstab(
+            &mut d.direct(),
+            &b,
+            Start::Zero,
+            1e-8,
+            500,
+            qcd_trace::span!("solver.bicgstab", g.engine().ctx()),
+            "solver.bicgstab",
+            no_observer,
+        );
         assert_eq!(
             (
                 fnv1a(&lex_bits(&g, &x)),
@@ -250,8 +263,15 @@ fn bicgstab_bits_are_pinned() {
             BICGSTAB_F64,
             "bicgstab solution, history, iterations, residual at VL{bits}"
         );
+        let insts = counters.total();
+        assert_eq!(
+            insts, BICGSTAB_INSTS[k],
+            "bicgstab instructions at VL{bits}"
+        );
     }
 }
+
+const BICGSTAB_INSTS: [u64; 3] = [12_134_688, 3_090_912, 801_456];
 
 const BICGSTAB_F64: (u64, u64, usize, u64) = (
     0x3a4b_6fb7_d522_81e8,

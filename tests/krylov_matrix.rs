@@ -25,13 +25,20 @@
 //! with `qcd_io` and reads it back, and resumes with `ladder_solve_from`;
 //! the continuation must be the uninterrupted tail, bit for bit.
 //!
+//! The **bicgstab** rows run the driver's second recurrence, BiCGStab on
+//! `M` itself in the same operators' own spaces (`Dirac::direct`), with
+//! the same legs as a CG cell: its state is CG's, so it stops, restores and
+//! checkpoints through the same observer and codec.
+//!
 //! `rayon::set_num_threads` is process-global, so the matrix is one test.
 
+use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 use std::ops::ControlFlow;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use grid::field::FermionKind;
-use grid::krylov::{self, Allocating, CgSpace, Start, State, Stored, Vector};
+use grid::krylov::{self, Allocating, CgSpace, Start, State, Vector};
 use grid::layout::{delex, lex};
 use grid::mixed::{to_precision, Replica};
 use grid::prelude::*;
@@ -142,8 +149,18 @@ impl Printed for Fermion5 {
     }
 }
 
-/// One solve in `space` under `observer`, to at most `budget` iterations.
+/// The recurrence a cell's solves run: CG in a normal space, BiCGStab in
+/// an operator's own.
+#[derive(Clone, Copy)]
+enum Rec {
+    Cg,
+    BiCgStab,
+}
+
+/// One solve by `rec` in `space` under `observer`, to at most `budget`
+/// iterations.
 fn observed<S: CgSpace>(
+    rec: Rec,
     space: &mut S,
     b: &S::V,
     start: Start<S::V>,
@@ -152,22 +169,27 @@ fn observed<S: CgSpace>(
     observer: impl FnMut(&State<S::V>, &[HealthMonitor]) -> ControlFlow<()>,
 ) -> (S::V, <S::V as Vector>::Report) {
     let span = qcd_trace::span!("matrix.solve");
-    krylov::cg_solve(space, b, start, tol, budget, span, "matrix", observer)
+    let solve = match rec {
+        Rec::Cg => krylov::cg_solve,
+        Rec::BiCgStab => krylov::bicgstab,
+    };
+    solve(space, b, start, tol, budget, span, "matrix", observer)
 }
 
-/// One unobserved solve in `space`.
-fn solve<S: CgSpace>(space: &mut S, b: &S::V, start: Start<S::V>, tol: f64) -> Print
+/// One unobserved solve by `rec` in `space`.
+fn solve<S: CgSpace>(rec: Rec, space: &mut S, b: &S::V, start: Start<S::V>, tol: f64) -> Print
 where
     S::V: Printed,
 {
-    let (x, report) = observed(space, b, start, tol, BUDGET, krylov::no_observer);
+    let (x, report) = observed(rec, space, b, start, tol, BUDGET, krylov::no_observer);
     S::V::print(&x, &report)
 }
 
-/// Solve in `space` from `start()` uninterrupted; then again, stopped by
-/// the observer after `cut` iterations, the snapshot restored and
-/// continued. The two prints must be equal; returns the first.
+/// Solve by `rec` in `space` from `start()` uninterrupted; then again,
+/// stopped by the observer after `cut` iterations, the snapshot restored
+/// and continued. The two prints must be equal; returns the first.
 fn solve_and_resume<S: CgSpace>(
+    rec: Rec,
     space: &mut S,
     b: &S::V,
     start: impl Fn() -> Start<S::V>,
@@ -177,11 +199,12 @@ fn solve_and_resume<S: CgSpace>(
 where
     S::V: Printed,
 {
-    let whole = solve(space, b, start(), tol);
+    let whole = solve(rec, space, b, start(), tol);
 
     let mut seen = 0;
     let mut snapshot = None;
     let _ = observed(
+        rec,
         space,
         b,
         start(),
@@ -197,32 +220,35 @@ where
         },
     );
     let restored = snapshot.ok_or("the solve ended before the cut")?;
-    let resumed = solve(space, b, Start::State(restored), tol);
+    let resumed = solve(rec, space, b, Start::State(restored), tol);
     same("resume", &whole, &resumed)?;
     Ok(whole)
 }
 
-/// A cell of the product in a space over stored vectors, to [`TOL`] with
-/// the legs cut at [`CUT`].
+/// A cell of the product by `rec` in `space`, to [`TOL`] with the legs cut
+/// at [`CUT`].
 fn cell<S: CgSpace>(
+    rec: Rec,
     space: &mut S,
     b: &S::V,
     start: impl Fn() -> Start<S::V>,
     durable: bool,
 ) -> Result<Print, String>
 where
-    S::V: Printed + Stored,
+    S::V: Printed,
 {
-    cell_at(space, b, start, durable, TOL, CUT)
+    cell_at(rec, space, b, start, durable, TOL, CUT)
 }
 
 /// A cell to `tol`. Undurable: the solve from `start()` uninterrupted and
 /// through the in-memory resume leg cut at `cut`. Durable: uninterrupted,
 /// and once more checkpointed to disk every `cut` iterations, killed at
-/// `2·cut + 2` (the snapshot on disk is then the one at `2·cut`), restored
+/// `2·cut + 1` (the snapshot on disk is then the one at `2·cut`), restored
 /// by `qcd_io::resume` and continued, still checkpointing. Either way the
 /// legs must be the same solve.
+#[allow(clippy::too_many_arguments)]
 fn cell_at<S: CgSpace>(
+    rec: Rec,
     space: &mut S,
     b: &S::V,
     start: impl Fn() -> Start<S::V>,
@@ -231,25 +257,34 @@ fn cell_at<S: CgSpace>(
     cut: usize,
 ) -> Result<Print, String>
 where
-    S::V: Printed + Stored,
+    S::V: Printed,
 {
     if !durable {
-        return solve_and_resume(space, b, &start, tol, cut);
+        return solve_and_resume(rec, space, b, &start, tol, cut);
     }
-    let whole = solve(space, b, start(), tol);
+    let whole = solve(rec, space, b, start(), tol);
     static FILES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
     let n = FILES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let path = std::env::temp_dir().join(format!("krylov-matrix-{}-{n}.qio", std::process::id()));
     let io = |e: qcd_io::IoError| e.to_string();
     let mut checkpointer = Checkpointer::every(cut, &path);
-    let _ = observed(space, b, start(), tol, 2 * cut + 2, checkpointer.observer());
+    let observer = checkpointer.observer();
+    let _ = observed(rec, space, b, start(), tol, 2 * cut + 1, observer);
     let written = checkpointer.finish().map_err(io)?;
     if written != 2 {
         return Err(format!("{written} snapshots, expected 2"));
     }
     let restored = qcd_io::resume(b, &path).map_err(io)?;
     let mut checkpointer = Checkpointer::every(cut, &path);
-    let (x, report) = observed(space, b, restored, tol, BUDGET, checkpointer.observer());
+    let (x, report) = observed(
+        rec,
+        space,
+        b,
+        restored,
+        tol,
+        BUDGET,
+        checkpointer.observer(),
+    );
     checkpointer.finish().map_err(io)?;
     std::fs::remove_file(&path).ok();
     same("disk resume", &whole, &S::V::print(&x, &report))?;
@@ -276,7 +311,7 @@ fn problem(bits: usize) -> Problem {
 /// The allocating closure adapter on `M†M`: the oracle.
 fn oracle(p: &Problem, b: &FermionField, start: Start<FermionField>) -> Print {
     let mut space = Allocating::new(|v: &FermionField| p.op.mdag_m(v));
-    solve(&mut space, b, start, TOL)
+    solve(Rec::Cg, &mut space, b, start, TOL)
 }
 
 /// `a` and `b` are the same answer to solver accuracy (a preconditioner
@@ -328,19 +363,21 @@ fn subspace(p: &Problem) -> Subspace {
     subspace_on(&p.grid, |v| v)
 }
 
-/// The start axis, and the precision ladder (whose solve starts from
-/// zero in the operator's narrow replicas).
+/// The start axis, and the two solves that start from zero their own way:
+/// the precision ladder (in the operator's narrow replicas) and BiCGStab
+/// (in the operator's own space).
 #[derive(Clone, Copy, PartialEq)]
 enum StartAt {
     Zero,
     Galerkin,
     Ladder,
+    BiCgStab,
 }
 
 impl StartAt {
-    fn start<V: Stored<E = f64>>(self, sub: &Subspace, b: &V) -> Start<V> {
+    fn start<V: Vector<E = f64>>(self, sub: &Subspace, b: &V) -> Start<V> {
         match self {
-            StartAt::Zero | StartAt::Ladder => Start::Zero,
+            StartAt::Zero | StartAt::Ladder | StartAt::BiCgStab => Start::Zero,
             StartAt::Galerkin => Start::Guess(galerkin_guess(sub, b)),
         }
     }
@@ -369,7 +406,7 @@ fn ladder_print(x: Vec<u64>, report: &LadderReport) -> Result<Print, String> {
 
 /// `x` written by `qcd_io`, one field record per stored field, and read
 /// back onto its grid.
-fn through_disk<V: Stored<E = f64>>(x: &V) -> Result<V, String> {
+fn through_disk<V: Vector<E = f64>>(x: &V) -> Result<V, String> {
     static FILES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
     let n = FILES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let f = x.field();
@@ -388,16 +425,36 @@ fn through_disk<V: Stored<E = f64>>(x: &V) -> Result<V, String> {
 /// A ladder cell: `b` solved to [`TOL`] in `op`'s replicas. Durable: once
 /// more, cut after outer round 2, the iterate through [`through_disk`] and
 /// resumed with the tiers the cut left on; the continuation must be the
-/// uninterrupted tail, bit for bit.
+/// uninterrupted tail, bit for bit. The uninterrupted solve is the one the
+/// row's undurable cell ran at the same vector length and thread count
+/// (kept by operator type, right-hand side and both), not run again.
 fn ladder_cell<D>(op: &D, b: &D::V<f64>, durable: bool) -> Result<(D::V<f64>, LadderReport), String>
 where
     D: Replica + Dirac<D::V<f64>>,
 {
+    type Kept = BTreeMap<u64, (Vec<u64>, LadderReport)>;
+    static UNINTERRUPTED: Mutex<Kept> = Mutex::new(BTreeMap::new());
+    let data =
+        |v: &D::V<f64>| -> Vec<u64> { v.field().data().iter().map(|s| s.to_bits()).collect() };
+    let key = {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        let f = b.field();
+        (std::any::type_name::<D>(), f.grid().vl().bits(), f.width()).hash(&mut h);
+        (rayon::current_num_threads(), data(b)).hash(&mut h);
+        h.finish()
+    };
+    let kept = || UNINTERRUPTED.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = LadderConfig::new(TOL);
-    let (x, full) = ladder_solve(op, b, &cfg);
     if !durable {
+        let (x, full) = ladder_solve(op, b, &cfg);
+        kept().insert(key, (data(&x), full.clone()));
         return Ok((x, full));
     }
+    let uninterrupted = kept().remove(&key);
+    let (x, full) = uninterrupted.unwrap_or_else(|| {
+        let (x, full) = ladder_solve(op, b, &cfg);
+        (data(&x), full)
+    });
     let cut = LadderConfig {
         max_outer: 2,
         ..cfg.clone()
@@ -411,40 +468,76 @@ where
         ..cfg
     };
     let (resumed, tail) = ladder_solve_from(op, b, through_disk(&partial)?, &cfg);
-    let data = |v: &D::V<f64>| {
-        v.field()
-            .data()
-            .iter()
-            .map(|s| s.to_bits())
-            .collect::<Vec<_>>()
-    };
-    if data(&resumed) != data(&x) {
+    if data(&resumed) != x {
         return Err("disk resume: the solution differs".into());
     }
     if tail.outer_history != full.outer_history[2..] {
         return Err("disk resume: the outer history is not the tail".into());
     }
-    Ok((x, full))
+    Ok((resumed, full))
 }
 
 /// The reported residual is the true one: `|b − M x| / |b|` through
 /// `apply`, at most [`TOL`], bit for bit.
-fn true_residual<D: Dirac<V>, V: Stored<E = f64>>(
+fn true_residual<D: Dirac<V>, V: Vector<E = f64>>(
     op: &D,
     b: &V,
     x: &V,
-    report: &LadderReport,
+    reported: f64,
 ) -> Result<(), String> {
     let mut r = b.zero_like();
     r.field_mut().sub(b.field(), op.apply(x).field());
     let residual = (r.field().norm2() / b.field().norm2()).sqrt();
-    if residual > TOL || residual.to_bits() != report.residual.to_bits() {
-        return Err(format!(
-            "true residual {residual:e}, reported {:e}",
-            report.residual
-        ));
+    if residual > TOL || residual.to_bits() != reported.to_bits() {
+        return Err(format!("true residual {residual:e}, reported {reported:e}"));
     }
     Ok(())
+}
+
+/// A BiCGStab cell: `b` solved from zero in `op`'s own space through
+/// [`cell_at`], the legs cut at `cut`; the allocating closure adapter over
+/// `apply` is the same solve, and the reported residual is the true one.
+fn bicgstab_cell<D, V>(op: &D, b: &V, durable: bool, cut: usize) -> Result<Print, String>
+where
+    D: Dirac<V>,
+    V: Printed<E = f64, Report = SolveReport>,
+{
+    let space = &mut op.direct();
+    let whole = cell_at(Rec::BiCgStab, space, b, || Start::Zero, durable, TOL, cut)?;
+    let mut oracle = Allocating::new(|v: &V| op.apply(v));
+    let zero = Start::Zero;
+    let (x, report) = observed(
+        Rec::BiCgStab,
+        &mut oracle,
+        b,
+        zero,
+        TOL,
+        BUDGET,
+        krylov::no_observer,
+    );
+    same("oracle", &whole, &V::print(&x, &report))?;
+    true_residual(op, b, &x, report.residual)?;
+    Ok(whole)
+}
+
+/// BiCGStab on the Wilson operator.
+fn field_bicgstab(bits: usize, _: StartAt, durable: bool) -> Result<Print, String> {
+    let p = problem(bits);
+    bicgstab_cell(&p.op, &p.b, durable, CUT)
+}
+
+/// BiCGStab on the Schur complement, for the even-parity right-hand side:
+/// six iterations, so its legs are cut at the second.
+fn eo_bicgstab(bits: usize, _: StartAt, durable: bool) -> Result<Print, String> {
+    let p = problem(bits);
+    bicgstab_cell(&Schur::new(&p.op), &parity_project(&p.b, 0), durable, 2)
+}
+
+/// BiCGStab on the domain-wall operator of the `Fermion5` rows.
+fn fermion5_bicgstab(bits: usize, _: StartAt, durable: bool) -> Result<Print, String> {
+    let p = problem(bits);
+    let op = DomainWall::new(random_gauge(p.grid.clone(), 7), 2, 1.8, 0.1);
+    bicgstab_cell(&op, &Fermion5::random(p.grid.clone(), 2, 31), durable, CUT)
 }
 
 /// The ladder on the Wilson operator.
@@ -461,7 +554,7 @@ fn eo_ladder(bits: usize, _: StartAt, durable: bool) -> Result<Print, String> {
     let rhs = parity_project(&p.b, 0);
     let schur = Schur::new(&p.op);
     let (x, report) = ladder_cell(&schur, &rhs, durable)?;
-    true_residual(&schur, &rhs, &x, &report)?;
+    true_residual(&schur, &rhs, &x, report.residual)?;
     ladder_print(field_bits(&x), &report)
 }
 
@@ -472,7 +565,7 @@ fn fermion5_ladder(bits: usize, _: StartAt, durable: bool) -> Result<Print, Stri
     let op = DomainWall::new(random_gauge(p.grid.clone(), 7), 2, 1.8, 0.1);
     let b = Fermion5::random(p.grid.clone(), 2, 31);
     let (x, report) = ladder_cell(&op, &b, durable)?;
-    true_residual(&op, &b, &x, &report)?;
+    true_residual(&op, &b, &x, report.residual)?;
     ladder_print(five_bits(&x), &report)
 }
 
@@ -492,6 +585,7 @@ fn field_fused(bits: usize, from: StartAt, durable: bool) -> Result<Print, Strin
     let sub = subspace(&p);
     let mut tmp = p.b.zero_like();
     let whole = cell(
+        Rec::Cg,
         &mut p.op.normal(&mut tmp),
         &p.b,
         || from.start(&sub, &p.b),
@@ -516,6 +610,7 @@ fn block_fused(bits: usize, from: StartAt, durable: bool) -> Result<Print, Strin
     let block = FermionBlock::from_fields(&[p.b.clone(), p.b2.clone()]);
     let mut tmp = block.zero_like();
     let whole = cell(
+        Rec::Cg,
         &mut p.op.normal(&mut tmp),
         &block,
         || from.start(&sub, &block),
@@ -524,7 +619,7 @@ fn block_fused(bits: usize, from: StartAt, durable: bool) -> Result<Print, Strin
     let mut tmp = p.b.zero_like();
     let mut single = p.op.normal(&mut tmp);
     for (j, b) in [&p.b, &p.b2].into_iter().enumerate() {
-        let solo = solve(&mut single, b, from.start(&sub, b), TOL);
+        let solo = solve(Rec::Cg, &mut single, b, from.start(&sub, b), TOL);
         same("field space per RHS", &whole.rhs(j, 2), &solo)?;
         same("oracle per RHS", &solo, &oracle(&p, b, from.start(&sub, b)))?;
     }
@@ -557,10 +652,11 @@ fn eo_schur(bits: usize, from: StartAt, durable: bool) -> Result<Print, String> 
         s
     };
     let mut allocating = Allocating::new(|v: &FermionField| gamma5(&schur(&gamma5(&schur(v)))));
-    let reference = solve(&mut allocating, &rhs, from.start(&sub, &rhs), TOL);
+    let reference = solve(Rec::Cg, &mut allocating, &rhs, from.start(&sub, &rhs), TOL);
 
     let schur = Schur::new(&p.op);
     let whole = cell(
+        Rec::Cg,
         &mut schur.normal(&mut rhs.zero_like()),
         &rhs,
         || from.start(&sub, &rhs),
@@ -588,7 +684,9 @@ fn dist(bits: usize, ranks: usize, from: StartAt, durable: bool) -> Result<Print
                 let (x, report) = ladder_cell(&dw, &b, durable)?;
                 ladder_print(field_bits(&x), &report)?
             }
+            StartAt::BiCgStab => bicgstab_cell(&dw, &b, durable, CUT)?,
             _ => cell(
+                Rec::Cg,
                 &mut dw.normal(&mut b.zero_like()),
                 &b,
                 || from.start(&sub, &b),
@@ -623,7 +721,7 @@ fn dist(bits: usize, ranks: usize, from: StartAt, durable: bool) -> Result<Print
     if ranks == 1 {
         // Ranks are a placement, not a different solve: one rank is the
         // fused field space on the same global operator, from the guess of
-        // the global subspace, bit for bit — or the ladder on it.
+        // the global subspace, bit for bit — or the ladder or BiCGStab on it.
         let g = Grid::new(global, vl, SimdBackend::Fcmla);
         let op = WilsonDirac::new_two_row(random_gauge(g.clone(), 7), 0.3);
         let b = FermionField::random(g.clone(), 13);
@@ -632,9 +730,10 @@ fn dist(bits: usize, ranks: usize, from: StartAt, durable: bool) -> Result<Print
                 let (x, report) = ladder_solve(&op, &b, &LadderConfig::new(TOL));
                 ladder_print(field_bits(&x), &report)?
             }
+            StartAt::BiCgStab => solve(Rec::BiCgStab, &mut op.direct(), &b, Start::Zero, TOL),
             _ => {
                 let start = from.start(&subspace_on(&g, |v| v), &b);
-                solve(&mut op.normal(&mut b.zero_like()), &b, start, TOL)
+                solve(Rec::Cg, &mut op.normal(&mut b.zero_like()), &b, start, TOL)
             }
         };
         same("one process", &print, &field)?;
@@ -645,7 +744,7 @@ fn dist(bits: usize, ranks: usize, from: StartAt, durable: bool) -> Result<Print
 fn dist_r2(bits: usize, from: StartAt, durable: bool) -> Result<Print, String> {
     // One rank's print per start, once: the row above checks it is the
     // same in every cell.
-    static ONE_RANK: [std::sync::OnceLock<Print>; 3] = [const { std::sync::OnceLock::new() }; 3];
+    static ONE_RANK: [std::sync::OnceLock<Print>; 4] = [const { std::sync::OnceLock::new() }; 4];
     let two = dist(bits, 2, from, durable)?;
     let one = ONE_RANK[from as usize].get_or_init(|| dist(512, 1, from, false).expect("R=1"));
     same("R=1", &two, one)?;
@@ -663,6 +762,7 @@ fn fermion5(bits: usize, from: StartAt, durable: bool) -> Result<Print, String> 
         stand_in([41, 42].map(|seed| Fermion5::random(p.grid.clone(), 2, seed).field().clone()));
     let mut tmp = b.zero_like();
     let whole = cell(
+        Rec::Cg,
         &mut op.normal(&mut tmp),
         &b,
         || from.start(&sub, &b),
@@ -674,7 +774,7 @@ fn fermion5(bits: usize, from: StartAt, durable: bool) -> Result<Print, String> 
     same(
         "oracle",
         &whole,
-        &solve_and_resume(&mut space, &b, start, TOL, CUT)?,
+        &solve_and_resume(Rec::Cg, &mut space, &b, start, TOL, CUT)?,
     )?;
     moved_by_the_guess(from, &whole).map(|()| whole)
 }
@@ -693,7 +793,7 @@ fn f16_fused(bits: usize, durable: bool) -> Result<Print, String> {
     // Binary16 carries ~3 digits: stop well above its floor (nine
     // iterations), and cut after the first, or checkpoint every third.
     let cut = if durable { 3 } else { 1 };
-    cell_at(&mut space, &b, || Start::Zero, durable, 1e-2, cut)
+    cell_at(Rec::Cg, &mut space, &b, || Start::Zero, durable, 1e-2, cut)
 }
 
 /// The fused space preconditioned by the two-level coarse correction:
@@ -705,7 +805,13 @@ fn coarse_preconditioned(bits: usize, from: StartAt, durable: bool) -> Result<Pr
     let mut tmp = p.b.zero_like();
     let cs = CoarseSpace::build(p.op.normal(&mut tmp), &sub.vectors, [2, 2, 2, 2]);
     let mut space = cs.two_level(p.op.normal(&mut tmp), None);
-    let whole = cell(&mut space, &p.b, || from.start(&sub, &p.b), durable)?;
+    let whole = cell(
+        Rec::Cg,
+        &mut space,
+        &p.b,
+        || from.start(&sub, &p.b),
+        durable,
+    )?;
     close(&whole, &oracle(&p, &p.b, Start::Zero))?;
     let span = qcd_trace::span!("mg.coarse", p.grid.engine().ctx());
     let start = from.start(&sub, &p.b);
@@ -787,6 +893,14 @@ fn every_space_conforms_across_vector_lengths_and_threads() {
         |bits, from, durable| dist(bits, 1, from, durable),
     );
     row("dist R=2", &ladder, &[false, true], dist_r2);
+    let bicg = [StartAt::BiCgStab];
+    row("field", &bicg, &[false, true], field_bicgstab);
+    row("EO-Schur", &bicg, &[false, true], eo_bicgstab);
+    row("Fermion5", &bicg, &[false, true], fermion5_bicgstab);
+    row("dist R=1", &bicg, &[false, true], |bits, from, durable| {
+        dist(bits, 1, from, durable)
+    });
+    row("dist R=2", &bicg, &[false, true], dist_r2);
 
     let mut failures = Vec::new();
     let mut table = format!("{:<22} {:<8} {:<5}", "space", "start", "dur.");
@@ -800,6 +914,7 @@ fn every_space_conforms_across_vector_lengths_and_threads() {
             StartAt::Zero => "zero",
             StartAt::Galerkin => "Galerkin",
             StartAt::Ladder => "ladder",
+            StartAt::BiCgStab => "bicgstab",
         };
         let durable = if row.durable { "ckpt" } else { "none" };
         let name = format!("{:<22} {:<8} {:<5}", row.space, start, durable);
