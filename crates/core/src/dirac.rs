@@ -39,14 +39,14 @@ use crate::krylov::{CgSpace, Vector};
 use crate::layout::{Grid, NCOLOR, NSPIN};
 use crate::mixed::{to_precision, Replica};
 use crate::reduce;
-use crate::simd::{CVec, SimdEngine, Words};
+use crate::simd::{CVec, WordKernel, Words};
 use crate::stencil::{dir_index, Stencil, StencilEntry};
 use crate::tensor::gamma::{proj_table, Coeff, ProjTable};
 use crate::tensor::su3::{mat_dag_vec, mat_vec, reconstruct_row2};
 use rayon::prelude::*;
 use std::marker::PhantomData;
 use std::sync::Arc;
-use sve::SveFloat;
+use sve::{HostCopy, SveFloat};
 
 /// Complex components per spinor (`NSPIN × NCOLOR`).
 const NCOMP: usize = NSPIN * NCOLOR;
@@ -80,9 +80,9 @@ pub const FUSED_MASS_AXPY_FLOPS_PER_SITE: u64 = 72;
 pub const FUSED_DOT_FLOPS_PER_SITE: u64 = 48;
 
 /// Apply a projector coefficient to a SIMD word.
-#[inline]
-fn apply_coeff<E: SveFloat, const N: usize>(
-    eng: &SimdEngine<E>,
+#[inline(always)]
+fn apply_coeff<E: SveFloat, const N: usize, C: HostCopy>(
+    eng: &Words<'_, E, N, C>,
     coeff: Coeff,
     v: CVec<N>,
 ) -> CVec<N> {
@@ -97,6 +97,7 @@ fn apply_coeff<E: SveFloat, const N: usize>(
 /// One leg of the hopping term at one outer site, resolved once and shared
 /// by every right-hand side: its stencil entry, its spin projector and its
 /// link (see [`WilsonDirac::legs`]).
+#[derive(Clone, Copy)]
 pub(crate) struct Leg<const N: usize> {
     /// The direction `µ`.
     pub(crate) mu: usize,
@@ -114,9 +115,9 @@ impl<const N: usize> Leg<N> {
     /// both rows by the link — `U` forward, `U†` backward via the
     /// conjugated-FCMLA idiom; reconstruct the full spinor into `acc`.
     #[inline(always)]
-    pub(crate) fn run<E: SveFloat>(
+    pub(crate) fn run<E: SveFloat, C: HostCopy>(
         &self,
-        eng: &Words<'_, E, N>,
+        eng: &Words<'_, E, N, C>,
         fetch: impl Fn(usize) -> CVec<N>,
         acc: &mut Spinor<N>,
     ) {
@@ -169,8 +170,8 @@ pub(crate) type SliceTerms<'a, E, const N: usize> = (CVec<N>, [(CVec<N>, &'a [E]
 /// an `axpy_inplace`, then one store. `psi` and `out` are the site's spinor
 /// words of that right-hand side.
 #[inline(always)]
-pub(crate) fn store_spinor<E: SveFloat, const N: usize>(
-    eng: &Words<'_, E, N>,
+pub(crate) fn store_spinor<E: SveFloat, const N: usize, C: HostCopy>(
+    eng: &Words<'_, E, N, C>,
     acc: &Spinor<N>,
     mass: Option<CVec<N>>,
     neg_half: CVec<N>,
@@ -181,7 +182,10 @@ pub(crate) fn store_spinor<E: SveFloat, const N: usize>(
     let word = eng.word_len();
     for (comp, &r) in acc.iter().enumerate() {
         let w = comp * word..(comp + 1) * word;
-        let psi_w = (mass.is_some() || fifth.is_some()).then(|| eng.load(&psi[w.clone()]));
+        let psi_w = (mass.is_some() || fifth.is_some()).then(
+            #[inline(always)]
+            || eng.load(&psi[w.clone()]),
+        );
         let mut r = match (mass, psi_w) {
             (Some(m), Some(p)) => eng.axpy_word(m, p, eng.scale(neg_half, r)),
             _ => r,
@@ -215,6 +219,55 @@ impl<'a, E: SveFloat, const N: usize> Sweep<'a, E, N> {
             neg_half: eng.dup_real(-0.5),
             fifth: None,
             dot_with: None,
+        }
+    }
+}
+
+/// Which outer sites a [`HopSites`] kernel covers.
+pub(crate) enum Sites<'s> {
+    /// A chunk from this outer site on: one site per site stride of `out`,
+    /// which holds the chunk's words.
+    From(usize),
+    /// The listed outer sites; `out` holds the whole field's words.
+    Listed(&'s [u32]),
+}
+
+/// The hopping sweep over some outer sites — a chunk of the field's sweep,
+/// or the distributed operator's interior pass — as one [`WordKernel`]:
+/// [`WilsonDirac::site`] at each, the fused dot's per-site values into
+/// `part`. Every sweep of the operator runs this one kernel, fused into the
+/// host's copy of the lane loops where [`Words::fused`] fuses.
+pub(crate) struct HopSites<'s, 'a, E: SveFloat, const N: usize> {
+    pub(crate) op: &'s WilsonDirac<E>,
+    pub(crate) psi: &'a Field<FermionKind, E>,
+    pub(crate) sweep: &'s Sweep<'a, E, N>,
+    pub(crate) sites: Sites<'s>,
+    pub(crate) out: &'s mut [E],
+    /// `rows` values per site: each RHS's `Re ⟨dot_with, out⟩` per lane.
+    pub(crate) part: Option<&'s mut [f64]>,
+}
+
+impl<E: SveFloat, const N: usize> WordKernel<E, N> for HopSites<'_, '_, E, N> {
+    type Out = ();
+    #[inline(always)]
+    fn run<C: HostCopy>(mut self, eng: &Words<'_, E, N, C>) {
+        let stride = self.psi.site_stride();
+        let rows = self.psi.width() * self.op.grid.lanes_c();
+        let count = match self.sites {
+            Sites::From(_) => self.out.len() / stride,
+            Sites::Listed(list) => list.len(),
+        };
+        for k in 0..count {
+            let (osite, at) = match self.sites {
+                Sites::From(first) => (first + k, k),
+                Sites::Listed(list) => (list[k] as usize, list[k] as usize),
+            };
+            let out = &mut self.out[at * stride..(at + 1) * stride];
+            let part = self
+                .part
+                .as_deref_mut()
+                .map(|p| &mut p[k * rows..(k + 1) * rows]);
+            self.op.site(eng, self.psi, osite, self.sweep, out, part);
         }
     }
 }
@@ -410,16 +463,17 @@ impl<E: SveFloat> WilsonDirac<E> {
                 dot_with,
                 ..Sweep::new(eng, dagger, mass_axpy)
             };
-            let rows = width * self.grid.lanes_c();
             // `part` holds a chunk's per-site per-RHS values of the dots,
             // when there are any.
-            let kernel = |ci: usize, chunk: &mut [E], mut part: Option<&mut [f64]>| {
-                for (k, site) in chunk.chunks_exact_mut(stride).enumerate() {
-                    let part = part
-                        .as_deref_mut()
-                        .map(|p| &mut p[k * rows..(k + 1) * rows]);
-                    self.site(eng, psi, ci * reduce::CHUNK_SITES + k, &sweep, site, part);
-                }
+            let kernel = |ci: usize, out: &mut [E], part: Option<&mut [f64]>| {
+                eng.fused(HopSites {
+                    op: self,
+                    psi,
+                    sweep: &sweep,
+                    sites: Sites::From(ci * reduce::CHUNK_SITES),
+                    out,
+                    part,
+                })
             };
             let data = out.data_mut().par_chunks_mut(cs);
             match sums {
@@ -439,13 +493,13 @@ impl<E: SveFloat> WilsonDirac<E> {
     /// `psi`: the eight legs resolved once ([`Self::legs`]), then per RHS
     /// [`Leg::run`] with its neighbour words fetched through the stencil and
     /// the store ([`store_spinor`]) into that RHS's words of `out` (the
-    /// site's words), and the fused dot's values into `part`. Out of line:
-    /// the sweeps with and without a dot and the distributed operator's
-    /// interior pass share one copy.
-    #[inline(never)]
-    pub(crate) fn site<'a, const N: usize>(
+    /// site's words), and the fused dot's values into `part`. Inlined into
+    /// [`HopSites`], the one chunk kernel the sweeps with and without a dot
+    /// and the distributed operator's interior pass share.
+    #[inline(always)]
+    fn site<'a, const N: usize, C: HostCopy>(
         &self,
-        eng: &Words<'_, E, N>,
+        eng: &Words<'_, E, N, C>,
         psi: &'a Field<FermionKind, E>,
         osite: usize,
         sweep: &Sweep<'a, E, N>,
@@ -456,34 +510,51 @@ impl<E: SveFloat> WilsonDirac<E> {
         let rhs = NCOMP * eng.word_len();
         let words = osite * out.len()..(osite + 1) * out.len();
         let psi_site = &psi.data()[words.clone()];
-        let dot_site = sweep.dot_with.map(|d| &d.data()[words]);
-        let at = |site: &'a [E], j: usize| &site[j * rhs..(j + 1) * rhs];
-        let bwd_link = |mu, entry| self.neighbour_link(eng, mu, entry);
-        let legs = self.legs(eng, osite, sweep.dagger, bwd_link);
+        let dot_site = sweep.dot_with.map(
+            #[inline(always)]
+            |d| &d.data()[words],
+        );
+        // The closures below are arguments, so each carries the attribute:
+        // one left out of line would be compiled outside the entered copy.
+        let legs = self.legs(
+            eng,
+            osite,
+            sweep.dagger,
+            #[inline(always)]
+            |mu, entry| self.neighbour_link(eng, mu, entry),
+        );
         for (j, ours) in out.chunks_exact_mut(rhs).enumerate() {
             let mut acc = [eng.zero(); NCOMP];
             for leg in &legs {
-                let fetch = |comp| self.stencil.fetch(eng, psi, j * NCOMP + comp, leg.entry);
-                leg.run(eng, fetch, &mut acc);
+                leg.run(
+                    eng,
+                    #[inline(always)]
+                    |comp| self.stencil.fetch(eng, psi, j * NCOMP + comp, leg.entry),
+                    &mut acc,
+                );
             }
-            let fifth = sweep.fifth.map(|[one, minus_one, mf]| {
-                let leg = |(s, wraps): (usize, bool)| {
-                    (if wraps { mf } else { minus_one }, at(psi_site, s))
-                };
-                let [plus, minus] = crate::dwf::slice_legs(width, j, sweep.dagger);
-                (one, [leg(plus), leg(minus)])
-            });
+            let fifth = sweep.fifth.map(
+                #[inline(always)]
+                |[one, minus_one, mf]| {
+                    let [(p, p_wraps), (m, m_wraps)] =
+                        crate::dwf::slice_legs(width, j, sweep.dagger);
+                    let coef = |wraps| if wraps { mf } else { minus_one };
+                    let (plus, minus) = (&psi_site[p * rhs..][..rhs], &psi_site[m * rhs..][..rhs]);
+                    (one, [(coef(p_wraps), plus), (coef(m_wraps), minus)])
+                },
+            );
             store_spinor(
                 eng,
                 &acc,
                 sweep.mass,
                 sweep.neg_half,
-                at(psi_site, j),
+                &psi_site[j * rhs..][..rhs],
                 fifth,
                 ours,
             );
             if let (Some(d), Some(part)) = (dot_site, part.as_deref_mut()) {
-                reduce::site_dots::<E>(at(d, j), ours, &mut part[j * lanes..(j + 1) * lanes]);
+                let (d, part) = (&d[j * rhs..][..rhs], &mut part[j * lanes..(j + 1) * lanes]);
+                reduce::site_dots::<E>(d, ours, part);
             }
         }
     }
@@ -503,14 +574,21 @@ impl<E: SveFloat> WilsonDirac<E> {
     /// neighbour fetch, once per right-hand side: the links sit on the
     /// stack, 8 × 9 words, for the whole site.
     #[inline(always)]
-    pub(crate) fn legs<const N: usize>(
+    pub(crate) fn legs<const N: usize, C: HostCopy>(
         &self,
-        eng: &Words<'_, E, N>,
+        eng: &Words<'_, E, N, C>,
         osite: usize,
         dagger: bool,
         bwd_link: impl Fn(usize, StencilEntry) -> Link<N>,
     ) -> [Leg<N>; 8] {
-        std::array::from_fn(|i| {
+        let mut legs = [Leg {
+            mu: 0,
+            forward: true,
+            entry: self.stencil.leg(dir_index(0, true), osite),
+            proj: proj_table(0, !dagger),
+            link: [[eng.zero(); NCOLOR]; NCOLOR],
+        }; 8];
+        for (i, leg) in legs.iter_mut().enumerate() {
             let (mu, forward) = (i / 2, i % 2 == 0);
             let entry = self.stencil.leg(dir_index(mu, forward), osite);
             let link = if forward {
@@ -524,14 +602,15 @@ impl<E: SveFloat> WilsonDirac<E> {
             } else {
                 bwd_link(mu, entry)
             };
-            Leg {
+            *leg = Leg {
                 mu,
                 forward,
                 entry,
                 proj: proj_table(mu, forward ^ dagger),
                 link,
-            }
-        })
+            };
+        }
+        legs
     }
 
     /// Link scalars actually read per link by the dslash (18 full, 12 in
@@ -561,9 +640,9 @@ impl<E: SveFloat> WilsonDirac<E> {
     /// the reads patched, exactly as the single-rank operator reconstructs
     /// from the true neighbour rows.
     #[inline(always)]
-    pub(crate) fn complete_link<const N: usize>(
+    pub(crate) fn complete_link<const N: usize, C: HostCopy>(
         &self,
-        eng: &Words<'_, E, N>,
+        eng: &Words<'_, E, N, C>,
         mut uw: Link<N>,
     ) -> Link<N> {
         if self.two_row {
@@ -575,9 +654,9 @@ impl<E: SveFloat> WilsonDirac<E> {
     /// `U_µ` at a leg's neighbour site, lane-permuted like the spinor data:
     /// the link of a backward leg.
     #[inline(always)]
-    pub(crate) fn neighbour_link<const N: usize>(
+    pub(crate) fn neighbour_link<const N: usize, C: HostCopy>(
         &self,
-        eng: &Words<'_, E, N>,
+        eng: &Words<'_, E, N, C>,
         mu: usize,
         entry: StencilEntry,
     ) -> Link<N> {

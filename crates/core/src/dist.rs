@@ -48,8 +48,9 @@
 
 use crate::comms::{Compression, GaugeWire, RankCtx};
 use crate::dirac::{
-    store_spinor, Dirac, Spinor, Sweep, WilsonDirac, FUSED_MASS_AXPY_FLOPS_PER_SITE,
-    HOPPING_FLOPS_PER_SITE, HOPPING_READS_PER_SITE, HOPPING_WRITES_PER_SITE,
+    store_spinor, Dirac, HopSites, Sites, Spinor, Sweep, WilsonDirac,
+    FUSED_MASS_AXPY_FLOPS_PER_SITE, HOPPING_FLOPS_PER_SITE, HOPPING_READS_PER_SITE,
+    HOPPING_WRITES_PER_SITE,
 };
 use crate::field::{gauge_comp, FermionField, FermionKind, Field, FieldKind, GaugeKind};
 use crate::krylov::{self, Start, Vector};
@@ -449,11 +450,14 @@ impl<'a, E: SveFloat> DistWilson<'a, E> {
             let stride = out.site_stride();
 
             // 2. Interior pass — no leg leaves the rank, the plain kernel runs.
-            for &o in &self.interior {
-                let o = o as usize;
-                let site = &mut out.data_mut()[o * stride..(o + 1) * stride];
-                self.op.site(eng, psi, o, &sweep, site, None);
-            }
+            eng.fused(HopSites {
+                op: &self.op,
+                psi,
+                sweep: &sweep,
+                sites: Sites::Listed(&self.interior),
+                out: out.data_mut(),
+                part: None,
+            });
 
             // 3. Collect the halos (exposed wait is whatever the interior pass
             // did not hide).

@@ -21,11 +21,11 @@ use crate::complex::Complex;
 use crate::layout::{Coor, Grid};
 use crate::reduce;
 use crate::rng::{stream_id, uniform};
-use crate::simd::{CVec, SimdEngine, Words};
+use crate::simd::{CVec, WordKernel, Words};
 use rayon::prelude::*;
 use std::marker::PhantomData;
 use std::sync::Arc;
-use sve::SveFloat;
+use sve::{HostCopy, SveFloat};
 
 /// The tensor structure living on every site.
 pub trait FieldKind: Send + Sync + 'static {
@@ -300,7 +300,7 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
         eng: &Words<'_, E, N>,
         inputs: [&Field<K, E>; M],
         read_self: bool,
-        f: impl Fn(&SimdEngine<E>, CVec<N>, [CVec<N>; M]) -> CVec<N> + Sync,
+        f: impl Fn(&Words<'_, E, N>, CVec<N>, [CVec<N>; M]) -> CVec<N> + Sync,
     ) {
         inputs.iter().for_each(|x| self.assert_compatible(x));
         let cs = self.chunk_scalars();
@@ -348,25 +348,19 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
         self.assert_compatible(x);
         let (cs, rhs, width) = (self.chunk_scalars(), self.rhs_scalars(), self.width);
         crate::sized!(x.grid.engine(), |eng| {
-            let w = eng.word_len();
             let a = Dups::new(eng, a, 1.0);
-            let xd = x.data();
             self.data
                 .par_chunks_mut(cs)
                 .enumerate()
                 .for_each(|(ci, chunk)| {
-                    let segments = (0..width).cycle().zip(chunk.chunks_exact_mut(rhs));
-                    for (s, (j, seg)) in segments.enumerate() {
-                        if !per_rhs(active, j) {
-                            continue;
-                        }
-                        let (aj, base) = (a.at(j), ci * cs + s * rhs);
-                        for (k, sw) in seg.chunks_exact_mut(w).enumerate() {
-                            let off = base + k * w;
-                            let (sv, xv) = (eng.load(sw), eng.load(&xd[off..off + w]));
-                            eng.store(sw, eng.axpy_word(aj, sv, xv));
-                        }
-                    }
+                    eng.fused(Aypx {
+                        a: &a,
+                        active,
+                        x: &x.data()[ci * cs..],
+                        chunk,
+                        rhs,
+                        width,
+                    })
                 });
         })
     }
@@ -517,11 +511,8 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
     pub fn axpy_norm2(&mut self, a: f64, x: &Field<K, E>) -> f64 {
         self.assert_compatible(x);
         crate::sized!(x.grid.engine(), |eng| {
-            let (w, a_dup, xd) = (eng.word_len(), eng.dup_real(a), x.data());
-            self.update_norm2(|off, sw| {
-                let r = eng.axpy_word(a_dup, eng.load(&xd[off..off + w]), eng.load(sw));
-                eng.store(sw, r);
-            })
+            let a = eng.dup_real(a);
+            self.update_norm2(eng, &Update::Axpy { a, x: x.data() })
         })
     }
 
@@ -529,11 +520,8 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
     pub fn caxpy_norm2(&mut self, a: Complex, x: &Field<K, E>) -> f64 {
         self.assert_compatible(x);
         crate::sized!(x.grid.engine(), |eng| {
-            let (w, a_splat, xd) = (eng.word_len(), eng.splat(a), x.data());
-            self.update_norm2(|off, sw| {
-                let r = eng.madd(eng.load(sw), a_splat, eng.load(&xd[off..off + w]));
-                eng.store(sw, r);
-            })
+            let a = eng.splat(a);
+            self.update_norm2(eng, &Update::Caxpy { a, x: x.data() })
         })
     }
 
@@ -550,46 +538,43 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
         self.assert_compatible(x);
         self.assert_compatible(y);
         crate::sized!(x.grid.engine(), |eng| {
-            let (w, xd, yd) = (eng.word_len(), x.data(), y.data());
-            self.update_norms2(
-                |off, sw| {
-                    let r = eng.sub(eng.load(&xd[off..off + w]), eng.load(&yd[off..off + w]));
-                    eng.store(sw, r);
-                },
-                out,
-            )
+            let update = Update::Sub {
+                x: x.data(),
+                y: y.data(),
+            };
+            self.update_norms2(eng, &update, out)
         })
     }
 
-    /// Overwrite every word through `word(offset, word)` and return `|self|²`
-    /// of the result, in one sweep.
-    fn update_norm2(&mut self, word: impl Fn(usize, &mut [E]) + Sync) -> f64 {
+    /// Rewrite every word as `update` says and return `|self|²` of the
+    /// result, in one sweep.
+    fn update_norm2<const N: usize>(
+        &mut self,
+        eng: &Words<'_, E, N>,
+        update: &Update<E, N>,
+    ) -> f64 {
         let mut n = 0.0;
-        self.update_norms2(word, std::slice::from_mut(&mut n));
+        self.update_norms2(eng, update, std::slice::from_mut(&mut n));
         n
     }
 
-    /// One sweep: every word is rewritten by `word(offset, word)`, and the
-    /// per-RHS `|·|²` of the result go to `out` as [`Self::norms2_into`]
-    /// takes them.
-    fn update_norms2(&mut self, word: impl Fn(usize, &mut [E]) + Sync, out: &mut [f64]) {
-        let (rhs, cs, lanes) = (
-            self.rhs_scalars(),
-            self.chunk_scalars(),
-            self.grid.lanes_c(),
-        );
-        let w = 2 * lanes;
+    /// One sweep: every word is rewritten as `update` says, and the per-RHS
+    /// `|·|²` of the result go to `out` as [`Self::norms2_into`] takes them.
+    fn update_norms2<const N: usize>(
+        &mut self,
+        eng: &Words<'_, E, N>,
+        update: &Update<E, N>,
+        out: &mut [f64],
+    ) {
+        let (rhs, cs) = (self.rhs_scalars(), self.chunk_scalars());
         let kernel = |ci: usize, chunk: &mut [E], part: &mut [f64]| {
-            let segments = chunk
-                .chunks_exact_mut(rhs)
-                .zip(part.chunks_exact_mut(lanes));
-            for (s, (seg, p)) in segments.enumerate() {
-                let base = ci * cs + s * rhs;
-                for (k, sw) in seg.chunks_exact_mut(w).enumerate() {
-                    word(base + k * w, sw);
-                }
-                reduce::site_dots::<E>(seg, seg, p);
-            }
+            eng.fused(UpdateNorms {
+                update,
+                base: ci * cs,
+                chunk,
+                part,
+                rhs,
+            })
         };
         let Field {
             grid, width, data, ..
@@ -625,44 +610,155 @@ pub fn cg_updates<K: FieldKind, E: SveFloat>(
     x.assert_compatible(r);
     x.assert_compatible(p);
     x.assert_compatible(ap);
-    let (rhs, cs, lanes, width) = (
-        x.rhs_scalars(),
-        x.chunk_scalars(),
-        x.grid.lanes_c(),
-        x.width,
-    );
+    let (rhs, cs, width) = (x.rhs_scalars(), x.chunk_scalars(), x.width);
     let grid = x.grid.clone();
     crate::sized!(grid.engine(), |eng| {
-        let w = eng.word_len();
         let (alpha, neg) = (Dups::new(eng, alpha, 1.0), Dups::new(eng, alpha, -1.0));
-        let kernel = |ci: usize, (xc, rc): (&mut [E], &mut [E]), part: &mut [f64]| {
-            let segments = xc.chunks_exact_mut(rhs).zip(rc.chunks_exact_mut(rhs));
-            let segments = (0..width).cycle().zip(segments);
-            for (s, ((j, (xs, rs)), q)) in segments.zip(part.chunks_exact_mut(lanes)).enumerate() {
-                if !per_rhs(active, j) {
-                    q.fill(0.0);
-                    continue;
-                }
-                let (aj, nj, base) = (alpha.at(j), neg.at(j), ci * cs + s * rhs);
-                for (k, (xw, rw)) in xs
-                    .chunks_exact_mut(w)
-                    .zip(rs.chunks_exact_mut(w))
-                    .enumerate()
-                {
-                    let off = base + k * w;
-                    let (pv, apv) = (
-                        eng.load(&p.data[off..off + w]),
-                        eng.load(&ap.data[off..off + w]),
-                    );
-                    eng.store(xw, eng.axpy_word(aj, pv, eng.load(xw)));
-                    eng.store(rw, eng.axpy_word(nj, apv, eng.load(rw)));
-                }
-                reduce::site_dots::<E>(rs, rs, q);
-            }
+        let kernel = |ci: usize, (x, r): (&mut [E], &mut [E]), part: &mut [f64]| {
+            eng.fused(CgUpdates {
+                alpha: &alpha,
+                neg: &neg,
+                active,
+                p: &p.data[ci * cs..],
+                ap: &ap.data[ci * cs..],
+                x,
+                r,
+                part,
+                rhs,
+                width,
+            })
         };
         let data = x.data.par_chunks_mut(cs).zip(r.data.par_chunks_mut(cs));
         reduce::sweep_sums(&grid, data, kernel, width, r2);
     })
+}
+
+/// One chunk of [`Field::aypx_rhs`]: `x` and `chunk` hold the chunk's
+/// words, `rhs` scalars per right-hand side, `width` right-hand sides per
+/// site.
+struct Aypx<'s, E, const N: usize> {
+    a: &'s Dups<N>,
+    active: &'s [bool],
+    x: &'s [E],
+    chunk: &'s mut [E],
+    rhs: usize,
+    width: usize,
+}
+
+impl<E: SveFloat, const N: usize> WordKernel<E, N> for Aypx<'_, E, N> {
+    type Out = ();
+    #[inline(always)]
+    fn run<C: HostCopy>(self, eng: &Words<'_, E, N, C>) {
+        let w = eng.word_len();
+        let segments = (0..self.width)
+            .cycle()
+            .zip(self.chunk.chunks_exact_mut(self.rhs));
+        for (s, (j, seg)) in segments.enumerate() {
+            if !per_rhs(self.active, j) {
+                continue;
+            }
+            let (aj, base) = (self.a.at(j), s * self.rhs);
+            for (k, sw) in seg.chunks_exact_mut(w).enumerate() {
+                let off = base + k * w;
+                let (sv, xv) = (eng.load(sw), eng.load(&self.x[off..off + w]));
+                eng.store(sw, eng.axpy_word(aj, sv, xv));
+            }
+        }
+    }
+}
+
+/// How an update-and-norm sweep rewrites a word, at offset `off` of the
+/// field: `self += a x` (a duplicated real `a`), `self += a x` (a splat
+/// complex `a`), or `self = x − y`.
+enum Update<'s, E, const N: usize> {
+    Axpy { a: CVec<N>, x: &'s [E] },
+    Caxpy { a: CVec<N>, x: &'s [E] },
+    Sub { x: &'s [E], y: &'s [E] },
+}
+
+/// One chunk of an update-and-norm sweep: every word of `chunk` (which
+/// starts at scalar `base` of the field) rewritten as `update` says, then
+/// each right-hand side's per-site `|·|²` into `part`.
+struct UpdateNorms<'s, E, const N: usize> {
+    update: &'s Update<'s, E, N>,
+    base: usize,
+    chunk: &'s mut [E],
+    part: &'s mut [f64],
+    rhs: usize,
+}
+
+impl<E: SveFloat, const N: usize> WordKernel<E, N> for UpdateNorms<'_, E, N> {
+    type Out = ();
+    #[inline(always)]
+    fn run<C: HostCopy>(self, eng: &Words<'_, E, N, C>) {
+        let (w, lanes) = (eng.word_len(), eng.lanes_c());
+        let segments = self
+            .chunk
+            .chunks_exact_mut(self.rhs)
+            .zip(self.part.chunks_exact_mut(lanes));
+        for (s, (seg, p)) in segments.enumerate() {
+            for (k, sw) in seg.chunks_exact_mut(w).enumerate() {
+                let off = self.base + s * self.rhs + k * w;
+                let at = |f: &[E]| eng.load(&f[off..off + w]);
+                let r = match *self.update {
+                    Update::Axpy { a, x } => eng.axpy_word(a, at(x), eng.load(sw)),
+                    Update::Caxpy { a, x } => eng.madd(eng.load(sw), a, at(x)),
+                    Update::Sub { x, y } => eng.sub(at(x), at(y)),
+                };
+                eng.store(sw, r);
+            }
+            reduce::site_dots::<E>(seg, seg, p);
+        }
+    }
+}
+
+/// One chunk of [`cg_updates`]: `p`, `ap`, `x` and `r` hold the chunk's
+/// words, `part` its per-site `|r_j|²` values.
+struct CgUpdates<'s, E, const N: usize> {
+    alpha: &'s Dups<N>,
+    neg: &'s Dups<N>,
+    active: &'s [bool],
+    p: &'s [E],
+    ap: &'s [E],
+    x: &'s mut [E],
+    r: &'s mut [E],
+    part: &'s mut [f64],
+    rhs: usize,
+    width: usize,
+}
+
+impl<E: SveFloat, const N: usize> WordKernel<E, N> for CgUpdates<'_, E, N> {
+    type Out = ();
+    #[inline(always)]
+    fn run<C: HostCopy>(self, eng: &Words<'_, E, N, C>) {
+        let (w, lanes, rhs) = (eng.word_len(), eng.lanes_c(), self.rhs);
+        let segments = self
+            .x
+            .chunks_exact_mut(rhs)
+            .zip(self.r.chunks_exact_mut(rhs));
+        let segments = (0..self.width).cycle().zip(segments);
+        for (s, ((j, (xs, rs)), q)) in segments.zip(self.part.chunks_exact_mut(lanes)).enumerate() {
+            if !per_rhs(self.active, j) {
+                q.fill(0.0);
+                continue;
+            }
+            let (aj, nj, base) = (self.alpha.at(j), self.neg.at(j), s * rhs);
+            for (k, (xw, rw)) in xs
+                .chunks_exact_mut(w)
+                .zip(rs.chunks_exact_mut(w))
+                .enumerate()
+            {
+                let off = base + k * w;
+                let (pv, apv) = (
+                    eng.load(&self.p[off..off + w]),
+                    eng.load(&self.ap[off..off + w]),
+                );
+                eng.store(xw, eng.axpy_word(aj, pv, eng.load(xw)));
+                eng.store(rw, eng.axpy_word(nj, apv, eng.load(rw)));
+            }
+            reduce::site_dots::<E>(rs, rs, q);
+        }
+    }
 }
 
 /// The fused CG iterate/residual update: `x += alpha * p`, `r -= alpha *

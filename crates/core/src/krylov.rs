@@ -278,9 +278,10 @@ pub enum Stop {
     Observer,
     /// A denominator of this RHS's recurrence was zero or not a number:
     /// CG's curvature `⟨p,Ap⟩` not positive, or BiCGStab's `⟨b,v⟩`, `|t|²`
-    /// or `ρω` zero. What that means is the caller's decision: a solve
-    /// panics, naming the RHS; the binary16 tier demotes itself.
-    Breakdown(usize),
+    /// or `ρω` zero — named by the second field. What that means is the
+    /// caller's decision: a solve panics, naming the RHS and the
+    /// denominator; the binary16 tier demotes itself.
+    Breakdown(usize, &'static str),
 }
 
 /// The driver-owned per-iteration storage: the operator output, the
@@ -369,7 +370,7 @@ pub fn cg_step<V: Vector>(
     for j in 0..nrhs {
         if k.active[j] {
             if k.curv[j].is_nan() || k.curv[j] <= 0.0 {
-                return ControlFlow::Break(Stop::Breakdown(j));
+                return ControlFlow::Break(Stop::Breakdown(j, "⟨p, A p⟩ ≤ 0"));
             }
             let rho = if z.is_some() { k.rho[j] } else { s.r2[j] };
             k.alpha[j] = rho / k.curv[j];
@@ -437,13 +438,13 @@ fn bicgstab_step<V: Vector>(
     };
     space.apply(&st.p, v, &mut k.curv);
     let Some(alpha) = inverse(shadow.inner(v.field())).map(|d| *rho * d) else {
-        return ControlFlow::Break(Stop::Breakdown(0));
+        return ControlFlow::Break(Stop::Breakdown(0, "⟨b, v⟩ = 0"));
     };
     s.field_mut().caxpy_from(-alpha, v.field(), st.r.field());
     space.apply(s, t, &mut k.curv);
     let t2 = t.field().norm2();
     if t2.is_nan() || t2 <= 0.0 {
-        return ControlFlow::Break(Stop::Breakdown(0));
+        return ControlFlow::Break(Stop::Breakdown(0, "|t|² = 0"));
     }
     let omega = t.field().inner(s.field()).scale(1.0 / t2);
     st.x.field_mut()
@@ -451,7 +452,7 @@ fn bicgstab_step<V: Vector>(
     st.r.field_mut().caxpy_from(-omega, t.field(), s.field());
     let rho_next = shadow.inner(st.r.field());
     let Some(beta) = inverse(*rho * omega).map(|d| (rho_next * alpha) * d) else {
-        return ControlFlow::Break(Stop::Breakdown(0));
+        return ControlFlow::Break(Stop::Breakdown(0, "ρω = 0"));
     };
     st.p.field_mut()
         .bicg_p_update(beta, omega, v.field(), st.r.field());
@@ -692,8 +693,8 @@ fn solve<V: Vector>(
         max_iter,
         observer,
     );
-    if let Stop::Breakdown(j) = stop {
-        panic!("the Krylov recurrence broke down (RHS {j}): a zero denominator, or CG's curvature not positive");
+    if let Stop::Breakdown(j, at) = stop {
+        panic!("the Krylov recurrence broke down (RHS {j}): {at}");
     }
     residual(space, b, &state.x, &mut w.ap, &mut state.p, &mut w.k.fresh);
     let report = conclude(region, monitors, &state, &w.k.fresh, tol, span.finish());

@@ -256,7 +256,7 @@ fn f16_cycle<O: Dirac<V>, V: Vector>(
             ControlFlow::Continue(())
         },
     );
-    if let Stop::Breakdown(_) = stop {
+    if let Stop::Breakdown(..) = stop {
         monitor.observe(f64::NAN);
     }
     history.extend_from_slice(&t.state.histories[0]);

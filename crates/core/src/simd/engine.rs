@@ -14,9 +14,16 @@
 //! word a compile-time one. [`sized!`](crate::sized) bridges the two once
 //! per sweep: it picks the smaller of the two word sizes kernels are built
 //! for that holds the engine's vector and runs its body with a [`Words`]
-//! view of that size, from which the kernel gets its words (`load`, `zero`,
-//! `splat`, `dup_real`). Arithmetic stays on the engine and takes the word
-//! size from its operands.
+//! view of that size, and every word operation (`load`, `madd`, `store`,
+//! ...) is a method of [`Words`]. A view also carries the compiled copy of
+//! the `sve` lane loops its instructions run in, as a type: out of a sweep
+//! each instruction enters the host's copy on its own; a sweep's chunk
+//! kernel ([`WordKernel`]) is entered once per chunk through
+//! [`Words::fused`], and every operation, intrinsic and lane loop below it
+//! is inlined into that one function. Kernels are written once, generic
+//! over the copy, and `#[inline(always)]` down to the intrinsics: what is
+//! left out of line inside an entered chunk is compiled without the copy's
+//! instruction set.
 //!
 //! All three backends produce the same values (up to FP rounding-order
 //! differences between fused and unfused formulations); they differ in
@@ -25,7 +32,7 @@
 use crate::simd::backend::SimdBackend;
 use crate::Complex;
 use std::sync::Arc;
-use sve::{Opcode, PReg, Reg, Rot, SizedCtx, SveCtx, SveFloat, VL_MAX_BYTES};
+use sve::{Dispatch, HostCopy, Opcode, PReg, Reg, Rot, SizedCtx, SveCtx, SveFloat, VL_MAX_BYTES};
 
 /// One SIMD word of complex numbers in FCMLA layout: real components in
 /// even lanes, imaginary in odd lanes (paper, Section III-D), held in `N`
@@ -79,32 +86,121 @@ pub struct SimdEngine<E: SveFloat = f64> {
     _e: std::marker::PhantomData<E>,
 }
 
-/// An engine handing out words of `N` bytes: the sized surface a kernel
-/// gets from [`sized!`](crate::sized). Creating a word needs the size named
-/// (`load`, `zero`, `splat`, `splat_re`, `dup_real` live here); everything
-/// that takes a word is a method of the [`SimdEngine`] this dereferences to.
+/// An engine handing out words of `N` bytes, issuing instructions in the
+/// compiled copy `C` of the lane loops: the sized surface a kernel gets
+/// from [`sized!`](crate::sized), and inside a fused sweep from
+/// [`Words::fused`]. Every word operation is a method here, written once
+/// for every copy; the [`SimdEngine`] this dereferences to holds the
+/// vector length, the backend and the cached predicates.
 #[derive(Clone, Copy)]
-pub struct Words<'a, E: SveFloat, const N: usize> {
+pub struct Words<'a, E: SveFloat, const N: usize, C = Dispatch> {
     eng: &'a SimdEngine<E>,
+    copy: C,
 }
 
-impl<E: SveFloat, const N: usize> std::ops::Deref for Words<'_, E, N> {
+impl<E: SveFloat, const N: usize, C> std::ops::Deref for Words<'_, E, N, C> {
     type Target = SimdEngine<E>;
-    #[inline]
+    #[inline(always)]
     fn deref(&self) -> &SimdEngine<E> {
         self.eng
     }
 }
 
+/// A kernel over the words of one chunk of a sweep, written once for every
+/// compiled copy of the lane loops ([`Words::fused`]). A closure cannot be
+/// generic over the copy, so a fused kernel is a struct holding what the
+/// closure would have captured.
+pub trait WordKernel<E: SveFloat, const N: usize> {
+    /// What the chunk produces.
+    type Out;
+    /// Run the chunk on `w`. Implementations, and every function they call
+    /// down to the engine operations, are `#[inline(always)]`: anything
+    /// left out of line is compiled without the copy's instruction set.
+    fn run<C: HostCopy>(self, w: &Words<'_, E, N, C>) -> Self::Out;
+}
+
+/// A [`WordKernel`] as an [`sve::HostBody`].
+struct Fused<'a, E: SveFloat, K, const N: usize> {
+    eng: &'a SimdEngine<E>,
+    kernel: K,
+}
+
+impl<E: SveFloat, const N: usize, K: WordKernel<E, N>> sve::HostBody for Fused<'_, E, K, N> {
+    type Out = K::Out;
+    /// The paper's words only: a longer word is never entered.
+    const CAPACITY: usize = if N == PORT_WORD_BYTES { N } else { 0 };
+    #[inline(always)]
+    fn run<C: HostCopy>(self, copy: C) -> K::Out {
+        self.kernel.run(&Words {
+            eng: self.eng,
+            copy,
+        })
+    }
+}
+
 impl<E: SveFloat, const N: usize> Words<'_, E, N> {
-    /// Load one SIMD word from an interleaved slice (`svld1`).
+    /// Run `kernel` — one chunk of a sweep — as one fused function: the
+    /// host's copy of the lane loops is entered once for the whole chunk
+    /// ([`SveCtx::enter`]), its vector length a constant, every engine
+    /// operation and intrinsic inlined into it; each instruction is counted
+    /// as it is when issued on its own. Fused are the FCMLA backend's
+    /// chunks on the paper's words ([`PORT_WORD_BYTES`]) at the vector
+    /// length they are sized for (VL512); the other two backends, whose
+    /// complex multiply is three and six times as many instructions, the
+    /// shorter vectors and the longer words issue their instructions one by
+    /// one, so the text of a report binary stays within its bound. Call it
+    /// per chunk inside the parallel loop: a worker thread enters its own.
     #[inline]
+    pub fn fused<K: WordKernel<E, N>>(&self, kernel: K) -> K::Out {
+        let body = Fused::<E, K, N> {
+            eng: self.eng,
+            kernel,
+        };
+        let body = if self.backend == SimdBackend::Fcmla {
+            match self.ctx.enter(body) {
+                Ok(out) => return out,
+                Err(body) => body,
+            }
+        } else {
+            body
+        };
+        body.kernel.run(self)
+    }
+}
+
+impl<E: SveFloat, const N: usize, C: HostCopy> Words<'_, E, N, C> {
+    /// The context issuing instructions on `N`-byte registers in this copy.
+    #[inline(always)]
+    fn sv(&self) -> SizedCtx<'_, N, C> {
+        self.eng.ctx.sized_in(self.copy)
+    }
+
+    /// The backend the operations lower to. An entered copy only ever runs
+    /// an FCMLA engine's chunks ([`Words::fused`]), and its instances are
+    /// compiled for that backend alone.
+    #[inline(always)]
+    fn lowered(&self) -> SimdBackend {
+        if C::ENTERED {
+            SimdBackend::Fcmla
+        } else {
+            self.eng.backend
+        }
+    }
+
+    /// Load one SIMD word from an interleaved slice (`svld1`).
+    #[inline(always)]
     pub fn load(&self, src: &[E]) -> CVec<N> {
         CVec::from_reg(self.sv().svld1(&self.pg, src))
     }
 
+    /// Store one SIMD word to an interleaved slice (`svst1`).
+    #[inline(always)]
+    pub fn store(&self, dst: &mut [E], v: CVec<N>) {
+        self.sv().svst1(&self.pg, dst, &v.reg);
+    }
+
     /// The zero word.
-    #[inline]
+    #[inline(always)]
     pub fn zero(&self) -> CVec<N> {
         CVec::zero()
     }
@@ -125,7 +221,7 @@ impl<E: SveFloat, const N: usize> Words<'_, E, N> {
     }
 
     /// Duplicate a real factor across *all* (even and odd) lanes, for
-    /// [`SimdEngine::scale`] and [`SimdEngine::axpy_word`].
+    /// [`Words::scale`] and [`Words::axpy_word`].
     pub fn dup_real(&self, s: f64) -> CVec<N> {
         CVec::from_reg(self.sv().svdup(E::from_f64(s)))
     }
@@ -136,6 +232,272 @@ impl<E: SveFloat, const N: usize> Words<'_, E, N> {
             let z = f(e / 2);
             E::from_f64(if e % 2 == 0 { z.re } else { z.im })
         }))
+    }
+
+    // ---- backend-independent lane arithmetic ----
+
+    /// Lane-wise complex addition (`fadd`).
+    #[inline(always)]
+    pub fn add(&self, a: CVec<N>, b: CVec<N>) -> CVec<N> {
+        CVec::from_reg(self.sv().svadd_x::<E>(&self.pg, &a.reg, &b.reg))
+    }
+
+    /// Lane-wise complex subtraction (`fsub`).
+    #[inline(always)]
+    pub fn sub(&self, a: CVec<N>, b: CVec<N>) -> CVec<N> {
+        CVec::from_reg(self.sv().svsub_x::<E>(&self.pg, &a.reg, &b.reg))
+    }
+
+    /// Negate every lane (`fneg`).
+    #[inline(always)]
+    pub fn neg(&self, a: CVec<N>) -> CVec<N> {
+        CVec::from_reg(self.sv().svneg_x::<E>(&self.pg, &a.reg))
+    }
+
+    /// Complex conjugate: negate the odd (imaginary) lanes — one merging
+    /// `fneg`.
+    #[inline(always)]
+    pub fn conj(&self, a: CVec<N>) -> CVec<N> {
+        CVec::from_reg(self.sv().svneg_m::<E>(&self.pg_odd, &a.reg))
+    }
+
+    /// Multiply every complex lane by the real parts of `s` lane-wise
+    /// (`fmul` by a re-duplicated operand): Grid's `MultRealPart`.
+    #[inline(always)]
+    pub fn mul_real_part(&self, s: CVec<N>, a: CVec<N>) -> CVec<N> {
+        let sv = self.sv();
+        let re_dup = sv.svtrn1::<E>(&s.reg, &s.reg);
+        CVec::from_reg(sv.svmul_x::<E>(&self.pg, &re_dup, &a.reg))
+    }
+
+    /// Scale all lanes by a pre-splat real factor (plain `fmul`; `scale`
+    /// must have equal re/im duplicates, as produced by
+    /// [`Words::dup_real`]).
+    #[inline(always)]
+    pub fn scale(&self, scale_dup: CVec<N>, a: CVec<N>) -> CVec<N> {
+        CVec::from_reg(self.sv().svmul_x::<E>(&self.pg, &scale_dup.reg, &a.reg))
+    }
+
+    /// Fused `y + a*x` with a real, pre-duplicated `a` — one `fmla`; the
+    /// kernel of every BLAS-1 field operation in the solvers.
+    #[inline(always)]
+    pub fn axpy_word(&self, a_dup: CVec<N>, x: CVec<N>, y: CVec<N>) -> CVec<N> {
+        CVec::from_reg(self.sv().svmla_m::<E>(&self.pg, &y.reg, &a_dup.reg, &x.reg))
+    }
+
+    // ---- backend-dispatched complex arithmetic ----
+
+    /// Complex multiply `a * b` lane-wise.
+    #[inline(always)]
+    pub fn mult(&self, a: CVec<N>, b: CVec<N>) -> CVec<N> {
+        self.madd(CVec::zero(), a, b)
+    }
+
+    /// Run `op` inline inside an entered copy, and out of line where each
+    /// instruction enters the host's copy on its own: there an operation
+    /// that lowers to up to twelve instructions per backend is compiled
+    /// once per word size, not at every call.
+    #[inline(always)]
+    fn lower<R>(&self, op: impl FnOnce(&Self) -> R) -> R {
+        if C::ENTERED {
+            op(self)
+        } else {
+            out_of_line(self, op)
+        }
+    }
+
+    /// Complex multiply-accumulate `acc + a * b` lane-wise.
+    #[inline(always)]
+    pub fn madd(&self, acc: CVec<N>, a: CVec<N>, b: CVec<N>) -> CVec<N> {
+        self.lower(
+            #[inline(always)]
+            |w| w.madd_in(acc, a, b),
+        )
+    }
+
+    #[inline(always)]
+    fn madd_in(&self, acc: CVec<N>, a: CVec<N>, b: CVec<N>) -> CVec<N> {
+        let (sv, pg) = (self.sv(), &self.pg);
+        CVec::from_reg(match self.lowered() {
+            SimdBackend::Fcmla => sv.fcmla_mul_add::<E>(pg, &acc.reg, &a.reg, &b.reg),
+            SimdBackend::RealArith => {
+                // Section V-E: duplicate re/im parts, swap pairs, flip one
+                // sign, two real FMAs. 6 instructions vs FCMLA's 2.
+                let re_dup = sv.svtrn1::<E>(&a.reg, &a.reg);
+                let im_dup = sv.svtrn2::<E>(&a.reg, &a.reg);
+                let b_swap = sv.svtbl::<E>(&b.reg, &self.swap_tbl);
+                let b_swap_sgn = sv.svneg_m::<E>(&self.pg_even, &b_swap);
+                let t = sv.svmla_m::<E>(pg, &acc.reg, &re_dup, &b.reg);
+                sv.svmla_m::<E>(pg, &t, &im_dup, &b_swap_sgn)
+            }
+            SimdBackend::GenericAutovec => {
+                // Section IV-B as an in-register dance: de-interleave with
+                // uzp, the listing's fmul/fmla/fnmls/movprfx body, zip back.
+                let ar = sv.svuzp1::<E>(&a.reg, &a.reg);
+                let ai = sv.svuzp2::<E>(&a.reg, &a.reg);
+                let br = sv.svuzp1::<E>(&b.reg, &b.reg);
+                let bi = sv.svuzp2::<E>(&b.reg, &b.reg);
+                let z4 = sv.svmul_x::<E>(pg, &ar, &bi);
+                let z5 = sv.svmul_x::<E>(pg, &ai, &bi);
+                let z7 = sv.movprfx(&z4);
+                let im = sv.svmla_m::<E>(pg, &z7, &ai, &br);
+                let z6 = sv.movprfx(&z5);
+                let re = sv.svnmls_m::<E>(pg, &z6, &ar, &br);
+                let prod = sv.svzip1::<E>(&re, &im);
+                sv.svadd_x::<E>(pg, &acc.reg, &prod)
+            }
+        })
+    }
+
+    /// Conjugated multiply `conj(a) * b` lane-wise.
+    #[inline(always)]
+    pub fn mult_conj(&self, a: CVec<N>, b: CVec<N>) -> CVec<N> {
+        self.madd_conj(CVec::zero(), a, b)
+    }
+
+    /// Conjugated multiply-accumulate `acc + conj(a) * b` lane-wise — the
+    /// `U†` side of the hopping term (paper Eq. (1)) and the kernel of inner
+    /// products.
+    #[inline(always)]
+    pub fn madd_conj(&self, acc: CVec<N>, a: CVec<N>, b: CVec<N>) -> CVec<N> {
+        self.lower(
+            #[inline(always)]
+            |w| w.madd_conj_in(acc, a, b),
+        )
+    }
+
+    #[inline(always)]
+    fn madd_conj_in(&self, acc: CVec<N>, a: CVec<N>, b: CVec<N>) -> CVec<N> {
+        let (sv, pg) = (self.sv(), &self.pg);
+        CVec::from_reg(match self.lowered() {
+            SimdBackend::Fcmla => sv.fcmla_conj_mul_add::<E>(pg, &acc.reg, &a.reg, &b.reg),
+            SimdBackend::RealArith => {
+                // re: +ar*br + ai*bi ; im: +ar*bi - ai*br.
+                let re_dup = sv.svtrn1::<E>(&a.reg, &a.reg);
+                let im_dup = sv.svtrn2::<E>(&a.reg, &a.reg);
+                let b_swap = sv.svtbl::<E>(&b.reg, &self.swap_tbl);
+                let b_swap_sgn = sv.svneg_m::<E>(&self.pg_odd, &b_swap);
+                let t = sv.svmla_m::<E>(pg, &acc.reg, &re_dup, &b.reg);
+                sv.svmla_m::<E>(pg, &t, &im_dup, &b_swap_sgn)
+            }
+            SimdBackend::GenericAutovec => {
+                let ar = sv.svuzp1::<E>(&a.reg, &a.reg);
+                let ai = sv.svuzp2::<E>(&a.reg, &a.reg);
+                let br = sv.svuzp1::<E>(&b.reg, &b.reg);
+                let bi = sv.svuzp2::<E>(&b.reg, &b.reg);
+                // re = ar*br + ai*bi ; im = ar*bi - ai*br
+                let t0 = sv.svmul_x::<E>(pg, &ai, &bi);
+                let re = sv.svmla_m::<E>(pg, &t0, &ar, &br);
+                let t1 = sv.svmul_x::<E>(pg, &ai, &br);
+                let im = sv.svnmls_m::<E>(pg, &t1, &ar, &bi);
+                let prod = sv.svzip1::<E>(&re, &im);
+                sv.svadd_x::<E>(pg, &acc.reg, &prod)
+            }
+        })
+    }
+
+    /// Multiply every complex lane by `+i` (Grid's `timesI`).
+    #[inline(always)]
+    pub fn times_i(&self, a: CVec<N>) -> CVec<N> {
+        self.times_pm_i(a, Rot::R90, &self.pg_even)
+    }
+
+    /// Multiply every complex lane by `-i` (Grid's `timesMinusI`).
+    #[inline(always)]
+    pub fn times_minus_i(&self, a: CVec<N>) -> CVec<N> {
+        self.times_pm_i(a, Rot::R270, &self.pg_odd)
+    }
+
+    /// `±i · a`: one `fcadd` onto zero with rotation `rot`, or — without
+    /// complex instructions — `(re, im) -> (∓im, ±re)` as a pair swap plus a
+    /// negation of the lanes `negated` governs.
+    #[inline(always)]
+    fn times_pm_i(&self, a: CVec<N>, rot: Rot, negated: &PReg) -> CVec<N> {
+        self.lower(
+            #[inline(always)]
+            |w| {
+                let sv = w.sv();
+                CVec::from_reg(match w.lowered() {
+                    SimdBackend::Fcmla => sv.svcadd::<E>(&w.pg, &Reg::zeroed(), &a.reg, rot),
+                    _ => {
+                        let sw = sv.svtbl::<E>(&a.reg, &w.swap_tbl);
+                        sv.svneg_m::<E>(negated, &sw)
+                    }
+                })
+            },
+        )
+    }
+
+    /// Lane select (`svsel`): active lanes of `mask` from `a`, inactive
+    /// from `b`. Used by the even-odd machinery to mask parities within a
+    /// word (both f64 lanes of a complex element must agree in `mask`).
+    #[inline(always)]
+    pub fn select_lanes(&self, mask: &PReg, a: CVec<N>, b: CVec<N>) -> CVec<N> {
+        CVec::from_reg(self.sv().svsel::<E>(mask, &a.reg, &b.reg))
+    }
+
+    // ---- permutation (virtual-node boundary shuffles) ----
+
+    /// Permute complex lanes: output complex lane `p` takes input complex
+    /// lane `perm[p]` (`svtbl` on the expanded f64 index table).
+    pub fn permute(&self, a: CVec<N>, perm: &[usize]) -> CVec<N> {
+        self.permute_elems(a, &self.expand_perm(perm))
+    }
+
+    /// Permute with a precomputed *element* index table (length `2 *
+    /// lanes_c`, as produced by [`SimdEngine::expand_perm`]). This is the
+    /// allocation-free hot path used by the stencil; [`Words::permute`]
+    /// expands its complex-lane table on every call.
+    #[inline(always)]
+    pub fn permute_elems(&self, a: CVec<N>, tbl: &[usize]) -> CVec<N> {
+        debug_assert_eq!(tbl.len(), 2 * self.lanes_c);
+        CVec::from_reg(self.sv().svtbl::<E>(&a.reg, tbl))
+    }
+
+    // ---- reductions ----
+
+    /// Sum the complex lanes to a scalar (`uzp1`/`uzp2` + two `faddv`):
+    /// Grid's `Reduce`.
+    pub fn reduce_sum(&self, a: CVec<N>) -> Complex {
+        let sv = self.sv();
+        let re = sv.svuzp1::<E>(&a.reg, &a.reg);
+        let im = sv.svuzp2::<E>(&a.reg, &a.reg);
+        Complex::new(
+            sv.svaddv::<E>(&self.pg_half, &re).to_f64(),
+            sv.svaddv::<E>(&self.pg_half, &im).to_f64(),
+        )
+    }
+}
+
+/// `op(w)`, out of line.
+#[inline(never)]
+fn out_of_line<W, R>(w: &W, op: impl FnOnce(&W) -> R) -> R {
+    op(w)
+}
+
+/// Where a word kernel takes its words from: an engine, whose words issue
+/// each instruction on their own, or the words of a sweep, in whatever copy
+/// the sweep runs. The public SU(3) word kernels take either.
+pub trait WordSource<E: SveFloat, const N: usize> {
+    /// The copy the words issue instructions in.
+    type Copy: HostCopy;
+    /// The `N`-byte words.
+    fn words_of(&self) -> Words<'_, E, N, Self::Copy>;
+}
+
+impl<E: SveFloat, const N: usize> WordSource<E, N> for SimdEngine<E> {
+    type Copy = Dispatch;
+    #[inline(always)]
+    fn words_of(&self) -> Words<'_, E, N> {
+        self.words()
+    }
+}
+
+impl<E: SveFloat, const N: usize, C: HostCopy> WordSource<E, N> for Words<'_, E, N, C> {
+    type Copy = C;
+    #[inline(always)]
+    fn words_of(&self) -> Words<'_, E, N, C> {
+        *self
     }
 }
 
@@ -247,22 +609,10 @@ impl<E: SveFloat> SimdEngine<E> {
     /// shorter one panics at the first instruction.
     #[inline]
     pub fn words<const N: usize>(&self) -> Words<'_, E, N> {
-        Words { eng: self }
-    }
-
-    /// The context issuing instructions on `N`-byte registers (`N` comes
-    /// from the operands).
-    #[inline]
-    fn sv<const N: usize>(&self) -> SizedCtx<'_, N> {
-        self.ctx.sized()
-    }
-
-    // ---- memory ----
-
-    /// Store one SIMD word to an interleaved slice (`svst1`).
-    #[inline]
-    pub fn store<const N: usize>(&self, dst: &mut [E], v: CVec<N>) {
-        self.sv().svst1(&self.pg, dst, &v.reg);
+        Words {
+            eng: self,
+            copy: Dispatch,
+        }
     }
 
     // ---- constants at the maximum capacity ----
@@ -280,190 +630,8 @@ impl<E: SveFloat> SimdEngine<E> {
         self.words().from_fn(f)
     }
 
-    // ---- backend-independent lane arithmetic ----
-
-    /// Lane-wise complex addition (`fadd`).
-    #[inline]
-    pub fn add<const N: usize>(&self, a: CVec<N>, b: CVec<N>) -> CVec<N> {
-        CVec::from_reg(self.sv().svadd_x::<E>(&self.pg, &a.reg, &b.reg))
-    }
-
-    /// Lane-wise complex subtraction (`fsub`).
-    #[inline]
-    pub fn sub<const N: usize>(&self, a: CVec<N>, b: CVec<N>) -> CVec<N> {
-        CVec::from_reg(self.sv().svsub_x::<E>(&self.pg, &a.reg, &b.reg))
-    }
-
-    /// Negate every lane (`fneg`).
-    #[inline]
-    pub fn neg<const N: usize>(&self, a: CVec<N>) -> CVec<N> {
-        CVec::from_reg(self.sv().svneg_x::<E>(&self.pg, &a.reg))
-    }
-
-    /// Complex conjugate: negate the odd (imaginary) lanes — one merging
-    /// `fneg`.
-    #[inline]
-    pub fn conj<const N: usize>(&self, a: CVec<N>) -> CVec<N> {
-        CVec::from_reg(self.sv().svneg_m::<E>(&self.pg_odd, &a.reg))
-    }
-
-    /// Multiply every complex lane by the real parts of `s` lane-wise
-    /// (`fmul` by a re-duplicated operand): Grid's `MultRealPart`.
-    #[inline]
-    pub fn mul_real_part<const N: usize>(&self, s: CVec<N>, a: CVec<N>) -> CVec<N> {
-        let sv = self.sv();
-        let re_dup = sv.svtrn1::<E>(&s.reg, &s.reg);
-        CVec::from_reg(sv.svmul_x::<E>(&self.pg, &re_dup, &a.reg))
-    }
-
-    /// Scale all lanes by a pre-splat real factor (plain `fmul`; `scale`
-    /// must have equal re/im duplicates, as produced by
-    /// [`Words::dup_real`]).
-    #[inline]
-    pub fn scale<const N: usize>(&self, scale_dup: CVec<N>, a: CVec<N>) -> CVec<N> {
-        CVec::from_reg(self.sv().svmul_x::<E>(&self.pg, &scale_dup.reg, &a.reg))
-    }
-
-    /// Fused `y + a*x` with a real, pre-duplicated `a` — one `fmla`; the
-    /// kernel of every BLAS-1 field operation in the solvers.
-    #[inline]
-    pub fn axpy_word<const N: usize>(&self, a_dup: CVec<N>, x: CVec<N>, y: CVec<N>) -> CVec<N> {
-        CVec::from_reg(self.sv().svmla_m::<E>(&self.pg, &y.reg, &a_dup.reg, &x.reg))
-    }
-
-    // ---- backend-dispatched complex arithmetic ----
-
-    /// Complex multiply `a * b` lane-wise.
-    #[inline]
-    pub fn mult<const N: usize>(&self, a: CVec<N>, b: CVec<N>) -> CVec<N> {
-        self.madd(CVec::zero(), a, b)
-    }
-
-    /// Complex multiply-accumulate `acc + a * b` lane-wise.
-    pub fn madd<const N: usize>(&self, acc: CVec<N>, a: CVec<N>, b: CVec<N>) -> CVec<N> {
-        let (sv, pg) = (self.sv(), &self.pg);
-        CVec::from_reg(match self.backend {
-            SimdBackend::Fcmla => sv.fcmla_mul_add::<E>(pg, &acc.reg, &a.reg, &b.reg),
-            SimdBackend::RealArith => {
-                // Section V-E: duplicate re/im parts, swap pairs, flip one
-                // sign, two real FMAs. 6 instructions vs FCMLA's 2.
-                let re_dup = sv.svtrn1::<E>(&a.reg, &a.reg);
-                let im_dup = sv.svtrn2::<E>(&a.reg, &a.reg);
-                let b_swap = sv.svtbl::<E>(&b.reg, &self.swap_tbl);
-                let b_swap_sgn = sv.svneg_m::<E>(&self.pg_even, &b_swap);
-                let t = sv.svmla_m::<E>(pg, &acc.reg, &re_dup, &b.reg);
-                sv.svmla_m::<E>(pg, &t, &im_dup, &b_swap_sgn)
-            }
-            SimdBackend::GenericAutovec => {
-                // Section IV-B as an in-register dance: de-interleave with
-                // uzp, the listing's fmul/fmla/fnmls/movprfx body, zip back.
-                let ar = sv.svuzp1::<E>(&a.reg, &a.reg);
-                let ai = sv.svuzp2::<E>(&a.reg, &a.reg);
-                let br = sv.svuzp1::<E>(&b.reg, &b.reg);
-                let bi = sv.svuzp2::<E>(&b.reg, &b.reg);
-                let z4 = sv.svmul_x::<E>(pg, &ar, &bi);
-                let z5 = sv.svmul_x::<E>(pg, &ai, &bi);
-                let z7 = sv.movprfx(&z4);
-                let im = sv.svmla_m::<E>(pg, &z7, &ai, &br);
-                let z6 = sv.movprfx(&z5);
-                let re = sv.svnmls_m::<E>(pg, &z6, &ar, &br);
-                let prod = sv.svzip1::<E>(&re, &im);
-                sv.svadd_x::<E>(pg, &acc.reg, &prod)
-            }
-        })
-    }
-
-    /// Conjugated multiply `conj(a) * b` lane-wise.
-    #[inline]
-    pub fn mult_conj<const N: usize>(&self, a: CVec<N>, b: CVec<N>) -> CVec<N> {
-        self.madd_conj(CVec::zero(), a, b)
-    }
-
-    /// Conjugated multiply-accumulate `acc + conj(a) * b` lane-wise — the
-    /// `U†` side of the hopping term (paper Eq. (1)) and the kernel of inner
-    /// products.
-    pub fn madd_conj<const N: usize>(&self, acc: CVec<N>, a: CVec<N>, b: CVec<N>) -> CVec<N> {
-        let (sv, pg) = (self.sv(), &self.pg);
-        CVec::from_reg(match self.backend {
-            SimdBackend::Fcmla => sv.fcmla_conj_mul_add::<E>(pg, &acc.reg, &a.reg, &b.reg),
-            SimdBackend::RealArith => {
-                // re: +ar*br + ai*bi ; im: +ar*bi - ai*br.
-                let re_dup = sv.svtrn1::<E>(&a.reg, &a.reg);
-                let im_dup = sv.svtrn2::<E>(&a.reg, &a.reg);
-                let b_swap = sv.svtbl::<E>(&b.reg, &self.swap_tbl);
-                let b_swap_sgn = sv.svneg_m::<E>(&self.pg_odd, &b_swap);
-                let t = sv.svmla_m::<E>(pg, &acc.reg, &re_dup, &b.reg);
-                sv.svmla_m::<E>(pg, &t, &im_dup, &b_swap_sgn)
-            }
-            SimdBackend::GenericAutovec => {
-                let ar = sv.svuzp1::<E>(&a.reg, &a.reg);
-                let ai = sv.svuzp2::<E>(&a.reg, &a.reg);
-                let br = sv.svuzp1::<E>(&b.reg, &b.reg);
-                let bi = sv.svuzp2::<E>(&b.reg, &b.reg);
-                // re = ar*br + ai*bi ; im = ar*bi - ai*br
-                let t0 = sv.svmul_x::<E>(pg, &ai, &bi);
-                let re = sv.svmla_m::<E>(pg, &t0, &ar, &br);
-                let t1 = sv.svmul_x::<E>(pg, &ai, &br);
-                let im = sv.svnmls_m::<E>(pg, &t1, &ar, &bi);
-                let prod = sv.svzip1::<E>(&re, &im);
-                sv.svadd_x::<E>(pg, &acc.reg, &prod)
-            }
-        })
-    }
-
-    /// Multiply every complex lane by `+i` (Grid's `timesI`).
-    pub fn times_i<const N: usize>(&self, a: CVec<N>) -> CVec<N> {
-        self.times_pm_i(a, Rot::R90, &self.pg_even)
-    }
-
-    /// Multiply every complex lane by `-i` (Grid's `timesMinusI`).
-    pub fn times_minus_i<const N: usize>(&self, a: CVec<N>) -> CVec<N> {
-        self.times_pm_i(a, Rot::R270, &self.pg_odd)
-    }
-
-    /// `±i · a`: one `fcadd` onto zero with rotation `rot`, or — without
-    /// complex instructions — `(re, im) -> (∓im, ±re)` as a pair swap plus a
-    /// negation of the lanes `negated` governs.
-    #[inline]
-    fn times_pm_i<const N: usize>(&self, a: CVec<N>, rot: Rot, negated: &PReg) -> CVec<N> {
-        let sv = self.sv();
-        CVec::from_reg(match self.backend {
-            SimdBackend::Fcmla => sv.svcadd::<E>(&self.pg, &Reg::zeroed(), &a.reg, rot),
-            _ => {
-                let sw = sv.svtbl::<E>(&a.reg, &self.swap_tbl);
-                sv.svneg_m::<E>(negated, &sw)
-            }
-        })
-    }
-
-    /// Lane select (`svsel`): active lanes of `mask` from `a`, inactive
-    /// from `b`. Used by the even-odd machinery to mask parities within a
-    /// word (both f64 lanes of a complex element must agree in `mask`).
-    #[inline]
-    pub fn select_lanes<const N: usize>(&self, mask: &PReg, a: CVec<N>, b: CVec<N>) -> CVec<N> {
-        CVec::from_reg(self.sv().svsel::<E>(mask, &a.reg, &b.reg))
-    }
-
-    // ---- permutation (virtual-node boundary shuffles) ----
-
-    /// Permute complex lanes: output complex lane `p` takes input complex
-    /// lane `perm[p]` (`svtbl` on the expanded f64 index table).
-    pub fn permute<const N: usize>(&self, a: CVec<N>, perm: &[usize]) -> CVec<N> {
-        self.permute_elems(a, &self.expand_perm(perm))
-    }
-
-    /// Permute with a precomputed *element* index table (length `2 *
-    /// lanes_c`, as produced by [`Self::expand_perm`]). This is the
-    /// allocation-free hot path used by the stencil; [`Self::permute`]
-    /// expands its complex-lane table on every call.
-    #[inline]
-    pub fn permute_elems<const N: usize>(&self, a: CVec<N>, tbl: &[usize]) -> CVec<N> {
-        debug_assert_eq!(tbl.len(), 2 * self.lanes_c);
-        CVec::from_reg(self.sv().svtbl::<E>(&a.reg, tbl))
-    }
-
     /// Expand a complex-lane permutation to the element-index table
-    /// [`Self::permute_elems`] consumes (done once at stencil build).
+    /// [`Words::permute_elems`] consumes (done once at stencil build).
     pub fn expand_perm(&self, perm: &[usize]) -> Vec<usize> {
         debug_assert_eq!(perm.len(), self.lanes_c);
         let mut tbl = vec![0usize; 2 * self.lanes_c];
@@ -472,20 +640,6 @@ impl<E: SveFloat> SimdEngine<E> {
             tbl[2 * p + 1] = 2 * src + 1;
         }
         tbl
-    }
-
-    // ---- reductions and lane access ----
-
-    /// Sum the complex lanes to a scalar (`uzp1`/`uzp2` + two `faddv`):
-    /// Grid's `Reduce`.
-    pub fn reduce_sum<const N: usize>(&self, a: CVec<N>) -> Complex {
-        let sv = self.sv();
-        let re = sv.svuzp1::<E>(&a.reg, &a.reg);
-        let im = sv.svuzp2::<E>(&a.reg, &a.reg);
-        Complex::new(
-            sv.svaddv::<E>(&self.pg_half, &re).to_f64(),
-            sv.svaddv::<E>(&self.pg_half, &im).to_f64(),
-        )
     }
 
     /// Read complex lane `p`: the per-site read a canonical reduction sums
@@ -524,7 +678,7 @@ mod tests {
             let data: Vec<f64> = (0..eng.word_len()).map(|i| i as f64 * 0.5).collect();
             let v = eng.words::<64>().load(&data);
             let mut out = vec![0.0; eng.word_len()];
-            eng.store(&mut out, v);
+            eng.words().store(&mut out, v);
             assert_eq!(out, data, "{:?}", eng.backend());
         }
     }
@@ -535,7 +689,7 @@ mod tests {
         for eng in engines() {
             let a = eng.from_fn(|p| c(p as f64 + 1.0, -(p as f64) * 0.5));
             let b = eng.from_fn(|p| c(0.5 - p as f64, 2.0 + p as f64));
-            let r = eng.mult(a, b);
+            let r = eng.words().mult(a, b);
             results.push(
                 (0..eng.lanes_c())
                     .map(|p| eng.lane(r, p))
@@ -560,7 +714,7 @@ mod tests {
             let acc = eng.from_fn(|_| c(10.0, -10.0));
             let a = eng.from_fn(|_| c(1.0, 2.0));
             let b = eng.from_fn(|_| c(3.0, -1.0));
-            let r = eng.madd(acc, a, b);
+            let r = eng.words().madd(acc, a, b);
             let want = c(10.0, -10.0) + c(1.0, 2.0) * c(3.0, -1.0);
             assert!(approx(eng.lane(r, 0), want), "{:?}", eng.backend());
         }
@@ -571,7 +725,7 @@ mod tests {
         for eng in engines() {
             let a = eng.from_fn(|p| c(1.5, p as f64 - 1.0));
             let b = eng.from_fn(|p| c(-0.5 * p as f64, 2.0));
-            let r = eng.mult_conj(a, b);
+            let r = eng.words().mult_conj(a, b);
             for p in 0..eng.lanes_c() {
                 let want = c(1.5, p as f64 - 1.0).conj() * c(-0.5 * p as f64, 2.0);
                 assert!(approx(eng.lane(r, p), want), "{:?} lane {p}", eng.backend());
@@ -583,9 +737,9 @@ mod tests {
     fn times_i_and_conj() {
         for eng in engines() {
             let a = eng.from_fn(|p| c(2.0 + p as f64, -1.0));
-            let ti = eng.times_i(a);
-            let tmi = eng.times_minus_i(a);
-            let cj = eng.conj(a);
+            let ti = eng.words().times_i(a);
+            let tmi = eng.words().times_minus_i(a);
+            let cj = eng.words().conj(a);
             for p in 0..eng.lanes_c() {
                 let z = c(2.0 + p as f64, -1.0);
                 assert_eq!(eng.lane(ti, p), z.times_i(), "{:?}", eng.backend());
@@ -600,11 +754,11 @@ mod tests {
         for eng in engines() {
             let a = eng.from_fn(|p| c(p as f64, 1.0));
             let b = eng.from_fn(|p| c(1.0, p as f64));
-            assert_eq!(eng.lane(eng.add(a, b), 2), c(3.0, 3.0));
-            assert_eq!(eng.lane(eng.sub(a, b), 2), c(1.0, -1.0));
-            assert_eq!(eng.lane(eng.neg(a), 2), c(-2.0, -1.0));
+            assert_eq!(eng.lane(eng.words().add(a, b), 2), c(3.0, 3.0));
+            assert_eq!(eng.lane(eng.words().sub(a, b), 2), c(1.0, -1.0));
+            assert_eq!(eng.lane(eng.words().neg(a), 2), c(-2.0, -1.0));
             let s = eng.words().dup_real(2.5);
-            assert_eq!(eng.lane(eng.scale(s, a), 2), c(5.0, 2.5));
+            assert_eq!(eng.lane(eng.words().scale(s, a), 2), c(5.0, 2.5));
         }
     }
 
@@ -614,7 +768,7 @@ mod tests {
             let lanes = eng.lanes_c();
             let a = eng.from_fn(|p| c(p as f64, 100.0 + p as f64));
             let perm: Vec<usize> = (0..lanes).map(|p| (p + 1) % lanes).collect();
-            let r = eng.permute(a, &perm);
+            let r = eng.words().permute(a, &perm);
             for p in 0..lanes {
                 let src = (p + 1) % lanes;
                 assert_eq!(eng.lane(r, p), c(src as f64, 100.0 + src as f64));
@@ -627,7 +781,7 @@ mod tests {
         for eng in engines() {
             let a = eng.from_fn(|p| c(p as f64 + 1.0, -1.0));
             let lanes = eng.lanes_c() as f64;
-            let sum = eng.reduce_sum(a);
+            let sum = eng.words().reduce_sum(a);
             assert!((sum.re - (lanes * (lanes + 1.0) / 2.0)).abs() < 1e-12);
             assert!((sum.im + lanes).abs() < 1e-12);
         }
@@ -648,7 +802,7 @@ mod tests {
         for eng in engines() {
             let s = eng.from_fn(|_| c(2.0, 999.0)); // imaginary must be ignored
             let a = eng.from_fn(|_| c(3.0, -5.0));
-            let r = eng.mul_real_part(s, a);
+            let r = eng.words().mul_real_part(s, a);
             assert_eq!(eng.lane(r, 0), c(6.0, -10.0));
         }
     }
@@ -663,7 +817,7 @@ mod tests {
             let a = eng.from_fn(|_| c(1.0, 1.0));
             let b = eng.from_fn(|_| c(1.0, -1.0));
             let acc = CVec::zero();
-            let _ = eng.madd(acc, a, b);
+            let _ = eng.words().madd(acc, a, b);
             totals.push((eng.backend(), eng.ctx().counters().total() - before));
         }
         let fcmla = totals.iter().find(|t| t.0 == SimdBackend::Fcmla).unwrap().1;
@@ -685,7 +839,7 @@ mod tests {
             SimdBackend::Fcmla,
         );
         let a = CVec::<64>::zero();
-        let _ = eng.madd(a, a, a);
+        let _ = eng.words().madd(a, a, a);
         assert_eq!(eng.ctx().counters().get(Opcode::Fcmla), 2);
     }
 
@@ -696,7 +850,7 @@ mod tests {
                 let eng = SimdEngine::<f64>::new(Arc::new(SveCtx::new(vl)), backend);
                 let a = eng.from_fn(|p| c(p as f64, 1.0));
                 let b = eng.from_fn(|p| c(1.0, -(p as f64)));
-                let r = eng.mult(a, b);
+                let r = eng.words().mult(a, b);
                 for p in 0..eng.lanes_c() {
                     let want = c(p as f64, 1.0) * c(1.0, -(p as f64));
                     assert!(approx(eng.lane(r, p), want), "{vl} {backend:?} lane {p}");
@@ -716,7 +870,7 @@ mod tests {
                 let eng = SimdEngine::<f32>::new(Arc::new(SveCtx::new(vl)), backend);
                 let a = eng.from_fn(|p| c(p as f64 * 0.5, 1.0));
                 let b = eng.from_fn(|p| c(1.0, -(p as f64) * 0.25));
-                let r = eng.mult(a, b);
+                let r = eng.words().mult(a, b);
                 for p in 0..eng.lanes_c() {
                     let want = c(p as f64 * 0.5, 1.0) * c(1.0, -(p as f64) * 0.25);
                     assert!((eng.lane(r, p) - want).abs() < 1e-5, "{vl} {backend:?}");

@@ -4,9 +4,12 @@
 //! in solving a linear set of equations, for which iterative solvers like
 //! Conjugate Gradient are used" (paper, Section II-A). CG inverts the
 //! hermitian positive-definite normal operator `M†M`; BiCGStab works on `M`
-//! directly. Both are built purely from the vectorized field primitives
-//! (`axpy`, inner products, norms), so every arithmetic instruction they
-//! retire is visible to the SVE counters.
+//! directly. Both are built from the field primitives (`axpy`, inner
+//! products, norms). The updates are SVE instructions and the counters see
+//! every one; the reductions are not: the per-site dots and norms are host
+//! `f64` code (`reduce::site_dots`, `reduce::site_inners`) and the canonical
+//! sum a collective, so no inner product or norm is in an instruction
+//! count (ROADMAP item 5).
 //!
 //! Both recurrences live in [`crate::krylov`], once, as steps of its one
 //! loop over one checkpointable state ([`krylov::State`]): CG in an
@@ -538,6 +541,97 @@ mod tests {
         let (_, b) = setup(128, SimdBackend::Fcmla);
         let op = WilsonDirac::new(Field::zero(b.grid().clone()), -4.0);
         let _ = bicgstab_from(&op, &b, Start::Zero, 1e-8, 10);
+    }
+
+    /// A space whose `n`-th application (from 0) writes `script(n, p, ap)`:
+    /// an operator made up to meet exactly one of BiCGStab's denominators.
+    struct Scripted<F>(usize, F);
+
+    impl<F: FnMut(usize, &FermionField, &mut FermionField)> CgSpace for Scripted<F> {
+        type V = FermionField;
+        fn apply(&mut self, p: &FermionField, ap: &mut FermionField, _: &mut [f64]) {
+            (self.1)(self.0, p, ap);
+            self.0 += 1;
+        }
+    }
+
+    /// `f` with component `from` of every site moved to component `to`
+    /// (added to what `to` holds when `keep`), every other component zero.
+    fn moved(f: &FermionField, from: usize, to: usize, keep: bool) -> FermionField {
+        let word = f.grid().engine().word_len();
+        let mut out = FermionField::zero(f.grid().clone());
+        for (o, i) in out
+            .data_mut()
+            .chunks_exact_mut(12 * word)
+            .zip(f.data().chunks_exact(12 * word))
+        {
+            if keep {
+                o[from * word..(from + 1) * word]
+                    .copy_from_slice(&i[from * word..(from + 1) * word]);
+            }
+            for (d, s) in o[to * word..(to + 1) * word]
+                .iter_mut()
+                .zip(&i[from * word..])
+            {
+                *d += s;
+            }
+        }
+        out
+    }
+
+    /// BiCGStab from zero on a right-hand side in spin-colour component 0
+    /// only, in the scripted space: it breaks down at the denominator
+    /// `script` makes zero, and the panic names it.
+    fn break_down(script: impl FnMut(usize, &FermionField, &mut FermionField)) {
+        let g = Grid::new([4, 4, 4, 4], VectorLength::of(128), SimdBackend::Fcmla);
+        let b = moved(&FermionField::random(g.clone(), 41), 0, 0, false);
+        let mut space = Scripted(0, script);
+        let span = qcd_trace::span!("solver.bicgstab");
+        let _ = bicgstab(
+            &mut space,
+            &b,
+            Start::Zero,
+            1e-8,
+            10,
+            span,
+            "solver.bicgstab",
+            no_observer,
+        );
+    }
+
+    // Each guard of `krylov::bicgstab_step` is reached alone: with any one
+    // of them deleted, its own test below meets a different guard (or none)
+    // and fails, and the other two still pass.
+
+    #[test]
+    #[should_panic(expected = "broke down (RHS 0): ⟨b, v⟩ = 0")]
+    fn bicgstab_breaks_down_at_b_v_alone() {
+        // `v = M b` moves component 0 to 1: `⟨b, v⟩ = 0` exactly. Without
+        // the guard `α` is not a number and so is `t`.
+        break_down(|_, p, ap| *ap = moved(p, 0, 1, false));
+    }
+
+    #[test]
+    #[should_panic(expected = "broke down (RHS 0): |t|² = 0")]
+    fn bicgstab_breaks_down_at_t_norm_alone() {
+        // `M` is the identity once and zero after: `t = M s = 0`. Without
+        // the guard `ω` is not a number and so is `ρω`.
+        break_down(|n, p, ap| *ap = if n == 0 { p.clone() } else { p.zero_like() });
+    }
+
+    #[test]
+    #[should_panic(expected = "broke down (RHS 0): ρω = 0")]
+    fn bicgstab_breaks_down_at_rho_omega_alone() {
+        // `v` copies component 0 to 1, so `s` has a component 1; `t` moves
+        // that to component 2, orthogonal to `s`: `ω = 0`. Without the
+        // guard `β` is not a number, and so are `p` and the next `⟨b, v⟩`.
+        break_down(|n, p, ap| {
+            *ap = if n == 1 {
+                moved(p, 1, 2, false)
+            } else {
+                moved(p, 0, 1, true)
+            }
+        });
     }
 
     #[test]

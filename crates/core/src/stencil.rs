@@ -13,7 +13,7 @@ use crate::field::{Field, FieldKind};
 use crate::layout::{delex, lex, Coor, Grid, NDIM};
 use crate::simd::{CVec, Words};
 use std::sync::Arc;
-use sve::SveFloat;
+use sve::{HostCopy, SveFloat};
 
 /// One stencil leg: which outer site supplies the data and whether its
 /// lanes must be permuted.
@@ -128,27 +128,32 @@ impl<E: SveFloat> Stencil<E> {
 
     /// Fetch one component word through a stencil leg: load the neighbour's
     /// word and permute lanes if the leg crosses a virtual-node boundary.
-    #[inline]
-    pub fn fetch<K: FieldKind, const N: usize>(
+    #[inline(always)]
+    pub fn fetch<K: FieldKind, const N: usize, C: HostCopy>(
         &self,
-        eng: &Words<'_, E, N>,
+        eng: &Words<'_, E, N, C>,
         field: &Field<K, E>,
         comp: usize,
         entry: StencilEntry,
     ) -> CVec<N> {
         let v = eng.load(field.word(entry.nbr as usize, comp));
-        self.permute(v, entry)
+        self.permute(eng, v, entry)
     }
 
     /// Apply a leg's lane permutation to an already-loaded word — the
     /// [`Stencil::fetch`] tail for containers that are not [`Field`]s (the
     /// multi-RHS block path loads its own words, then permutes through
     /// here so its dataflow matches `fetch` exactly).
-    #[inline]
-    pub fn permute<const N: usize>(&self, v: CVec<N>, entry: StencilEntry) -> CVec<N> {
+    #[inline(always)]
+    pub fn permute<const N: usize, C: HostCopy>(
+        &self,
+        eng: &Words<'_, E, N, C>,
+        v: CVec<N>,
+        entry: StencilEntry,
+    ) -> CVec<N> {
         match entry.perm {
             None => v,
-            Some(id) => self.grid.engine().permute_elems(
+            Some(id) => eng.permute_elems(
                 v,
                 self.eperms[id as usize]
                     .as_deref()

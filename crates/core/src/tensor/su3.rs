@@ -10,7 +10,7 @@ use crate::complex::Complex;
 use crate::field::{gauge_comp, Field, GaugeKind};
 use crate::layout::{Coor, Grid, NCOLOR, NDIM};
 use crate::rng::{stream_id, uniform};
-use crate::simd::{CVec, SimdEngine};
+use crate::simd::{CVec, WordSource};
 use std::sync::Arc;
 use sve::SveFloat;
 
@@ -179,107 +179,137 @@ pub fn peek_link<E: SveFloat>(u: &Field<GaugeKind, E>, x: &Coor, mu: usize) -> C
 // ---- word-level kernels (one product per virtual node per call) ----
 
 /// `out[r] = Σ_c u[r][c] * v[c]` over SIMD words: 9 complex multiply-adds.
-#[inline]
-pub fn mat_vec<E: SveFloat, const N: usize>(
-    eng: &SimdEngine<E>,
+#[inline(always)]
+pub fn mat_vec<E: SveFloat, const N: usize, W: WordSource<E, N> + ?Sized>(
+    eng: &W,
     u: &[[CVec<N>; NCOLOR]; NCOLOR],
     v: &[CVec<N>; NCOLOR],
 ) -> [CVec<N>; NCOLOR] {
-    std::array::from_fn(|r| {
-        let mut acc = eng.mult(u[r][0], v[0]);
-        acc = eng.madd(acc, u[r][1], v[1]);
-        eng.madd(acc, u[r][2], v[2])
-    })
+    let eng = eng.words_of();
+    let mut out = [CVec::zero(); NCOLOR];
+    for (r, o) in out.iter_mut().enumerate() {
+        let acc = eng.mult(u[r][0], v[0]);
+        let acc = eng.madd(acc, u[r][1], v[1]);
+        *o = eng.madd(acc, u[r][2], v[2]);
+    }
+    out
 }
 
 /// `out[r] = Σ_c conj(u[c][r]) * v[c]` over SIMD words — the `U†` leg of the
 /// hopping term, using the conjugated-FCMLA idiom (paper Eq. (2), second
 /// line) instead of materializing the adjoint.
-#[inline]
-pub fn mat_dag_vec<E: SveFloat, const N: usize>(
-    eng: &SimdEngine<E>,
+#[inline(always)]
+pub fn mat_dag_vec<E: SveFloat, const N: usize, W: WordSource<E, N> + ?Sized>(
+    eng: &W,
     u: &[[CVec<N>; NCOLOR]; NCOLOR],
     v: &[CVec<N>; NCOLOR],
 ) -> [CVec<N>; NCOLOR] {
-    std::array::from_fn(|r| {
-        let mut acc = eng.mult_conj(u[0][r], v[0]);
-        acc = eng.madd_conj(acc, u[1][r], v[1]);
-        eng.madd_conj(acc, u[2][r], v[2])
-    })
+    let eng = eng.words_of();
+    let mut out = [CVec::zero(); NCOLOR];
+    for (r, o) in out.iter_mut().enumerate() {
+        let acc = eng.mult_conj(u[0][r], v[0]);
+        let acc = eng.madd_conj(acc, u[1][r], v[1]);
+        *o = eng.madd_conj(acc, u[2][r], v[2]);
+    }
+    out
 }
 
 /// Word-level third-row reconstruction: `row2[c] = conj(r0[a]·r1[b] −
 /// r0[b]·r1[a])` with `(a, b)` cycling over colors — 6 complex multiplies
 /// per word where loading the row would cost 3 word loads. This is the
 /// compute the two-row operator mode trades for gauge bandwidth.
-#[inline]
-pub fn reconstruct_row2<E: SveFloat, const N: usize>(
-    eng: &SimdEngine<E>,
+#[inline(always)]
+pub fn reconstruct_row2<E: SveFloat, const N: usize, W: WordSource<E, N> + ?Sized>(
+    eng: &W,
     r0: &[CVec<N>; NCOLOR],
     r1: &[CVec<N>; NCOLOR],
 ) -> [CVec<N>; NCOLOR] {
-    std::array::from_fn(|c| {
+    let eng = eng.words_of();
+    let mut out = [CVec::zero(); NCOLOR];
+    for (c, o) in out.iter_mut().enumerate() {
         let (a, b) = ((c + 1) % NCOLOR, (c + 2) % NCOLOR);
-        eng.conj(eng.sub(eng.mult(r0[a], r1[b]), eng.mult(r0[b], r1[a])))
-    })
+        *o = eng.conj(eng.sub(eng.mult(r0[a], r1[b]), eng.mult(r0[b], r1[a])));
+    }
+    out
 }
 
 /// `out = a b` over SIMD words: the 3×3 complex matrix product (27
 /// multiply-adds), one product per virtual node per call — the plaquette /
 /// staple building block of the HMC gauge force.
-#[inline]
-pub fn mat_mul<E: SveFloat, const N: usize>(
-    eng: &SimdEngine<E>,
+#[inline(always)]
+pub fn mat_mul<E: SveFloat, const N: usize, W: WordSource<E, N> + ?Sized>(
+    eng: &W,
     a: &[[CVec<N>; NCOLOR]; NCOLOR],
     b: &[[CVec<N>; NCOLOR]; NCOLOR],
 ) -> [[CVec<N>; NCOLOR]; NCOLOR] {
-    std::array::from_fn(|r| {
-        std::array::from_fn(|c| {
-            let mut acc = eng.mult(a[r][0], b[0][c]);
-            acc = eng.madd(acc, a[r][1], b[1][c]);
-            eng.madd(acc, a[r][2], b[2][c])
-        })
-    })
+    let eng = eng.words_of();
+    std::array::from_fn(
+        #[inline(always)]
+        |r| {
+            std::array::from_fn(
+                #[inline(always)]
+                |c| {
+                    let mut acc = eng.mult(a[r][0], b[0][c]);
+                    acc = eng.madd(acc, a[r][1], b[1][c]);
+                    eng.madd(acc, a[r][2], b[2][c])
+                },
+            )
+        },
+    )
 }
 
 /// `out = a b†` over SIMD words, via the conjugated-FCMLA idiom
 /// (`conj(b[c][k]) * a[r][k]` — complex multiplication commutes) instead of
 /// materializing the adjoint.
-#[inline]
-pub fn mat_mul_dag<E: SveFloat, const N: usize>(
-    eng: &SimdEngine<E>,
+#[inline(always)]
+pub fn mat_mul_dag<E: SveFloat, const N: usize, W: WordSource<E, N> + ?Sized>(
+    eng: &W,
     a: &[[CVec<N>; NCOLOR]; NCOLOR],
     b: &[[CVec<N>; NCOLOR]; NCOLOR],
 ) -> [[CVec<N>; NCOLOR]; NCOLOR] {
-    std::array::from_fn(|r| {
-        std::array::from_fn(|c| {
-            let mut acc = eng.mult_conj(b[c][0], a[r][0]);
-            acc = eng.madd_conj(acc, b[c][1], a[r][1]);
-            eng.madd_conj(acc, b[c][2], a[r][2])
-        })
-    })
+    let eng = eng.words_of();
+    std::array::from_fn(
+        #[inline(always)]
+        |r| {
+            std::array::from_fn(
+                #[inline(always)]
+                |c| {
+                    let mut acc = eng.mult_conj(b[c][0], a[r][0]);
+                    acc = eng.madd_conj(acc, b[c][1], a[r][1]);
+                    eng.madd_conj(acc, b[c][2], a[r][2])
+                },
+            )
+        },
+    )
 }
 
 /// `out = a† b` over SIMD words (conjugated-FCMLA on the left factor).
-#[inline]
-pub fn mat_dag_mul<E: SveFloat, const N: usize>(
-    eng: &SimdEngine<E>,
+#[inline(always)]
+pub fn mat_dag_mul<E: SveFloat, const N: usize, W: WordSource<E, N> + ?Sized>(
+    eng: &W,
     a: &[[CVec<N>; NCOLOR]; NCOLOR],
     b: &[[CVec<N>; NCOLOR]; NCOLOR],
 ) -> [[CVec<N>; NCOLOR]; NCOLOR] {
-    std::array::from_fn(|r| {
-        std::array::from_fn(|c| {
-            let mut acc = eng.mult_conj(a[0][r], b[0][c]);
-            acc = eng.madd_conj(acc, a[1][r], b[1][c]);
-            eng.madd_conj(acc, a[2][r], b[2][c])
-        })
-    })
+    let eng = eng.words_of();
+    std::array::from_fn(
+        #[inline(always)]
+        |r| {
+            std::array::from_fn(
+                #[inline(always)]
+                |c| {
+                    let mut acc = eng.mult_conj(a[0][r], b[0][c]);
+                    acc = eng.madd_conj(acc, a[1][r], b[1][c]);
+                    eng.madd_conj(acc, a[2][r], b[2][c])
+                },
+            )
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simd::SimdBackend;
+    use crate::simd::{SimdBackend, SimdEngine};
     use sve::VectorLength;
 
     #[test]

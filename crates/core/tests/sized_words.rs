@@ -33,15 +33,15 @@ fn run<E: SveFloat, const N: usize>(vl: VectorLength, backend: SimdBackend) -> O
     let mut words = Vec::new();
     words.extend(mat_vec(&eng, &u, &v));
     words.extend(mat_dag_vec(&eng, &u, &v));
-    words.push(eng.madd_conj(v[0], v[1], v[2]));
-    words.push(eng.times_i(v[0]));
-    words.push(eng.permute_elems(v[1], &tbl));
-    let sum = eng.reduce_sum(v[2]);
+    words.push(w.madd_conj(v[0], v[1], v[2]));
+    words.push(w.times_i(v[0]));
+    words.push(w.permute_elems(v[1], &tbl));
+    let sum = w.reduce_sum(v[2]);
     let stored = words
         .into_iter()
         .map(|r| {
             let mut out = vec![E::zero(); eng.word_len()];
-            eng.store(&mut out, r);
+            w.store(&mut out, r);
             out
         })
         .collect();

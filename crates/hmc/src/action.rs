@@ -93,7 +93,7 @@ fn link_via<const N: usize>(
 /// `tr(M C†)` per word: `Σ_{r,k} M[r][k]·conj(C[r][k])` — the trace of a
 /// product with an adjoint without materializing the product.
 #[inline]
-fn trace_mul_dag<const N: usize>(eng: &SimdEngine<f64>, m: &Mat<N>, c: &Mat<N>) -> CVec<N> {
+fn trace_mul_dag<const N: usize>(eng: &Words<'_, f64, N>, m: &Mat<N>, c: &Mat<N>) -> CVec<N> {
     let mut acc = eng.mult_conj(c[0][0], m[0][0]);
     for r in 0..NCOLOR {
         for k in 0..NCOLOR {
@@ -202,7 +202,8 @@ fn staple<const N: usize>(
         let up = mat_mul_dag(eng, &mat_mul_dag(eng, &unu_xmu, &umu_xnu), &unu);
         let xmnu = st.leg(dir_index(nu, false), osite);
         let far = st.leg(dir_index(mu, true), xmnu.nbr as usize);
-        let unu_far = mat(|k| st.permute(st.fetch(eng, u, gauge_comp(nu, 0, 0) + k, far), xmnu));
+        let unu_far =
+            mat(|k| st.permute(eng, st.fetch(eng, u, gauge_comp(nu, 0, 0) + k, far), xmnu));
         let (umu_y, unu_y) = (
             link_via(eng, st, u, xmnu, mu),
             link_via(eng, st, u, xmnu, nu),

@@ -204,7 +204,7 @@ fn claim_slot() -> usize {
     SLOT.with(Cell::get)
 }
 
-#[inline]
+#[inline(always)]
 fn thread_slot() -> usize {
     let slot = SLOT.with(Cell::get);
     if slot == UNASSIGNED {
@@ -244,13 +244,13 @@ impl Counters {
     }
 
     /// Record one execution of `op`.
-    #[inline]
+    #[inline(always)]
     pub fn bump(&self, op: Opcode) {
         self.bump_n(op, 1);
     }
 
     /// Record `n` executions of `op`.
-    #[inline]
+    #[inline(always)]
     pub fn bump_n(&self, op: Opcode, n: u64) {
         // `min` tells the compiler the index is in range; a slot id never
         // exceeds OVERFLOW.

@@ -7,9 +7,10 @@
 //! under a different hardware width.
 
 use crate::count::{CostModel, Counters, Opcode};
-use crate::host::Lowering;
+use crate::host::{Dispatch, HostBody, HostCopy, LaneLoop, Lowering};
 use crate::pred::PReg;
 use crate::vl::VectorLength;
+use crate::vreg::LaneGroup;
 
 /// Simulated toolchain defects, for reproducing the paper's Section V-D
 /// observation that "some tests fail due to incorrect results for some
@@ -83,7 +84,29 @@ impl SveCtx {
     /// the operands of the first instruction issued through the view.
     #[inline]
     pub fn sized<const N: usize>(&self) -> SizedCtx<'_, N> {
-        SizedCtx { ctx: self }
+        self.sized_in(Dispatch)
+    }
+
+    /// This context as seen by a [`HostBody`] running in `copy`, the copy
+    /// [`SveCtx::enter`] handed it: the same instructions, each counted
+    /// the same, with their lane loops inlined into the body.
+    #[inline(always)]
+    pub fn sized_in<const N: usize, C: HostCopy>(&self, copy: C) -> SizedCtx<'_, N, C> {
+        SizedCtx { ctx: self, copy }
+    }
+
+    /// Run `body` — a sweep's chunk of sites, say — in the compiled copy of
+    /// the lane loops this host runs, entered once for the whole body
+    /// rather than once per instruction, with the vector length a
+    /// constant inside it. Which copy runs is not observable except on a
+    /// clock: every instruction computes and counts what it does when
+    /// issued on its own. `Err(body)` when there is no such copy to enter —
+    /// a vector length other than the one the body's registers are sized
+    /// for, or an x86-64 host without AVX2: the caller issues the body's
+    /// instructions one by one, `body.run(Dispatch)`.
+    #[inline]
+    pub fn enter<B: HostBody>(&self, body: B) -> Result<B::Out, B> {
+        self.lowering.enter_body(body)
     }
 
     /// Instruction tallies recorded so far.
@@ -97,7 +120,7 @@ impl SveCtx {
     }
 
     /// Record one execution of `op`. Called by every intrinsic.
-    #[inline]
+    #[inline(always)]
     pub fn exec(&self, op: Opcode) {
         self.counters.bump(op);
     }
@@ -138,14 +161,38 @@ impl SveCtx {
 }
 
 /// An [`SveCtx`] issuing instructions on registers of `N` bytes
-/// ([`crate::Reg<N>`]): the sized forms of the intrinsics a fixed-length
-/// kernel uses are its methods, and the free functions of
-/// [`crate::intrinsics`] of the same names are these at `N =`
-/// [`crate::VL_MAX_BYTES`]. An instruction panics if the context's vector is
-/// longer than `N` bytes; a shorter one uses a prefix of the register.
+/// ([`crate::Reg<N>`]) in the compiled copy `C` of the lane loops: the
+/// sized forms of the intrinsics a fixed-length kernel uses are its
+/// methods, and the free functions of [`crate::intrinsics`] of the same
+/// names are these at `N =` [`crate::VL_MAX_BYTES`], each entering the
+/// host's copy on its own ([`Dispatch`]). An instruction panics if the
+/// context's vector is longer than `N` bytes; a shorter one uses a prefix
+/// of the register.
 #[derive(Clone, Copy)]
-pub struct SizedCtx<'a, const N: usize> {
+pub struct SizedCtx<'a, const N: usize, C = Dispatch> {
     pub(crate) ctx: &'a SveCtx,
+    copy: C,
+}
+
+impl<const N: usize, C: HostCopy> SizedCtx<'_, N, C> {
+    /// The vector length, a constant inside an entered copy.
+    #[inline(always)]
+    pub(crate) fn vl(&self) -> VectorLength {
+        self.copy.vl(self.ctx.vl())
+    }
+
+    /// Run an instruction's lane loop over the vector, in this context's
+    /// copy.
+    #[inline(always)]
+    pub(crate) fn run<G: LaneGroup, L: LaneLoop<G>>(&self, body: L) -> L::Out {
+        self.copy.run(self.ctx.lowering(), body)
+    }
+
+    /// Record one execution of `op`.
+    #[inline(always)]
+    pub(crate) fn exec(&self, op: Opcode) {
+        self.ctx.exec(op);
+    }
 }
 
 impl std::fmt::Debug for SveCtx {

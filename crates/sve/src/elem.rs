@@ -149,22 +149,66 @@ impl<E: SveFloat> Lane for E {
 /// a `ymm` register's worth for the lane body to work on.
 pub type Octet = [f32; 8];
 
+/// The octet whose lane `i` is `$e`, written out lane by lane:
+/// `std::array::from_fn` and `map` go through helpers that a large caller —
+/// a body entered once per chunk of sites — may leave out of line, compiled
+/// without the copy's instruction set. Eight isomorphic lanes in a row are
+/// one vector operation to the compiler.
+macro_rules! octet {
+    (|$i:ident| $e:expr) => {
+        [
+            {
+                let $i = 0;
+                $e
+            },
+            {
+                let $i = 1;
+                $e
+            },
+            {
+                let $i = 2;
+                $e
+            },
+            {
+                let $i = 3;
+                $e
+            },
+            {
+                let $i = 4;
+                $e
+            },
+            {
+                let $i = 5;
+                $e
+            },
+            {
+                let $i = 6;
+                $e
+            },
+            {
+                let $i = 7;
+                $e
+            },
+        ]
+    };
+}
+
 impl Lane for Octet {
     #[inline(always)]
     fn add(self, rhs: Self) -> Self {
-        std::array::from_fn(|i| self[i] + rhs[i])
+        octet!(|i| self[i] + rhs[i])
     }
     #[inline(always)]
     fn sub(self, rhs: Self) -> Self {
-        std::array::from_fn(|i| self[i] - rhs[i])
+        octet!(|i| self[i] - rhs[i])
     }
     #[inline(always)]
     fn mul(self, rhs: Self) -> Self {
-        std::array::from_fn(|i| self[i] * rhs[i])
+        octet!(|i| self[i] * rhs[i])
     }
     #[inline(always)]
     fn neg(self) -> Self {
-        self.map(|x| -x)
+        octet!(|i| -self[i])
     }
     /// The product of two widened binary16 values is exact in `f32`, so a
     /// multiplication and an addition round once, like an `fma` — and need
@@ -172,19 +216,19 @@ impl Lane for Octet {
     /// libm per lane.
     #[inline(always)]
     fn mul_add(self, rhs: Self, acc: Self) -> Self {
-        std::array::from_fn(|i| self[i] * rhs[i] + acc[i])
+        octet!(|i| self[i] * rhs[i] + acc[i])
     }
     #[inline(always)]
     fn max(self, rhs: Self) -> Self {
-        std::array::from_fn(|i| self[i].max(rhs[i]))
+        octet!(|i| self[i].max(rhs[i]))
     }
     #[inline(always)]
     fn min(self, rhs: Self) -> Self {
-        std::array::from_fn(|i| self[i].min(rhs[i]))
+        octet!(|i| self[i].min(rhs[i]))
     }
     #[inline(always)]
     fn sqrt(self) -> Self {
-        self.map(f32::sqrt)
+        octet!(|i| self[i].sqrt())
     }
 }
 

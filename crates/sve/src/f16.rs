@@ -280,49 +280,55 @@ mod f16c {
     #[inline]
     #[target_feature(enable = "avx2,fma,f16c")]
     pub(crate) fn widen8_f16c(s: [u16; 8]) -> [f32; 8] {
-        let s = s.map(|h| h as i16);
-        let h = _mm_set_epi16(s[7], s[6], s[5], s[4], s[3], s[2], s[1], s[0]);
+        // Written out rather than through `map`, whose helpers a large
+        // caller may leave out of line.
+        let s = |i: usize| s[i] as i16;
+        let h = _mm_set_epi16(s(7), s(6), s(5), s(4), s(3), s(2), s(1), s(0));
         let w = _mm256_castps_si256(_mm256_cvtph_ps(h));
+        let f = |bits: i32| f32::from_bits(bits as u32);
         [
-            _mm256_extract_epi32::<0>(w),
-            _mm256_extract_epi32::<1>(w),
-            _mm256_extract_epi32::<2>(w),
-            _mm256_extract_epi32::<3>(w),
-            _mm256_extract_epi32::<4>(w),
-            _mm256_extract_epi32::<5>(w),
-            _mm256_extract_epi32::<6>(w),
-            _mm256_extract_epi32::<7>(w),
+            f(_mm256_extract_epi32::<0>(w)),
+            f(_mm256_extract_epi32::<1>(w)),
+            f(_mm256_extract_epi32::<2>(w)),
+            f(_mm256_extract_epi32::<3>(w)),
+            f(_mm256_extract_epi32::<4>(w)),
+            f(_mm256_extract_epi32::<5>(w)),
+            f(_mm256_extract_epi32::<6>(w)),
+            f(_mm256_extract_epi32::<7>(w)),
         ]
-        .map(|bits| f32::from_bits(bits as u32))
     }
 
     /// Eight binary32 lanes narrowed: `vcvtps2ph`, which rounds to nearest
     /// even, subnormals included, and quiets a NaN keeping the top ten
     /// payload bits; [`F16::from_f32`] also sets the lowest one (so that a
     /// payload that does not fit cannot turn a NaN into an infinity), which
-    /// is OR-ed into the NaN lanes here.
+    /// is OR-ed into the NaN lanes here. A macro, expanded in the wide copy
+    /// itself: a function with the features enabled cannot be forced inline,
+    /// and a body entered once per chunk of sites left it out of line.
     ///
     /// [`F16::from_f32`]: super::F16::from_f32
-    #[inline]
-    #[target_feature(enable = "avx2,fma,f16c")]
-    pub(crate) fn narrow8_f16c(w: [f32; 8]) -> [u16; 8] {
-        let v = _mm256_set_ps(w[7], w[6], w[5], w[4], w[3], w[2], w[1], w[0]);
-        let h = _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(v);
-        let magnitude = _mm_and_si128(h, _mm_set1_epi16(0x7fff));
-        let nan = _mm_cmpgt_epi16(magnitude, _mm_set1_epi16(0x7c00));
-        let h = _mm_or_si128(h, _mm_srli_epi16::<15>(nan));
-        [
-            _mm_extract_epi16::<0>(h),
-            _mm_extract_epi16::<1>(h),
-            _mm_extract_epi16::<2>(h),
-            _mm_extract_epi16::<3>(h),
-            _mm_extract_epi16::<4>(h),
-            _mm_extract_epi16::<5>(h),
-            _mm_extract_epi16::<6>(h),
-            _mm_extract_epi16::<7>(h),
-        ]
-        .map(|bits| bits as u16)
+    macro_rules! narrow8_f16c {
+        ($w:expr) => {{
+            use std::arch::x86_64::*;
+            let w: [f32; 8] = $w;
+            let v = _mm256_set_ps(w[7], w[6], w[5], w[4], w[3], w[2], w[1], w[0]);
+            let h = _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(v);
+            let magnitude = _mm_and_si128(h, _mm_set1_epi16(0x7fff));
+            let nan = _mm_cmpgt_epi16(magnitude, _mm_set1_epi16(0x7c00));
+            let h = _mm_or_si128(h, _mm_srli_epi16::<15>(nan));
+            [
+                _mm_extract_epi16::<0>(h) as u16,
+                _mm_extract_epi16::<1>(h) as u16,
+                _mm_extract_epi16::<2>(h) as u16,
+                _mm_extract_epi16::<3>(h) as u16,
+                _mm_extract_epi16::<4>(h) as u16,
+                _mm_extract_epi16::<5>(h) as u16,
+                _mm_extract_epi16::<6>(h) as u16,
+                _mm_extract_epi16::<7>(h) as u16,
+            ]
+        }};
     }
+    pub(crate) use narrow8_f16c;
 }
 
 impl std::fmt::Debug for F16 {

@@ -33,11 +33,24 @@
 //! floating-point arithmetic, so the results are bit-identical on every
 //! host. Other architectures compile only the baseline copy (on AArch64
 //! `mul_add` already is an instruction).
+//!
+//! What enters a copy is either one instruction or one [`HostBody`]. The
+//! free-function intrinsics, the listings and the probes issue instructions
+//! one by one ([`Dispatch`]): each enters the copy for its own lane loop, a
+//! call that takes and returns its registers through memory. A sweep enters
+//! once per chunk of sites instead ([`crate::SveCtx::enter`]): the body is
+//! instantiated in the copy for the one vector length its registers are
+//! sized for, as the paper sizes its arrays by `SVE_VECTOR_LENGTH`, and its
+//! instructions are issued through a sized context whose copy is a type
+//! ([`HostCopy`]), so every lane loop runs inline with a constant byte
+//! count, and a chunk of sites is one function. Nothing changes for the
+//! counters: each instruction is still counted where it is issued. The one
+//! `unsafe` call below is the entry in both cases.
 
 use crate::elem::Octet;
 use crate::f16;
 use crate::vl::{VectorLength, VL_MIN_BITS};
-use crate::vreg::{prefix_len, LaneGroup};
+use crate::vreg::{prefix_len, register_too_narrow, LaneGroup};
 
 /// The binary16 ↔ binary32 conversion of one compiled copy of the lane
 /// loops, over little-endian binary16 bytes as they sit in a register:
@@ -45,7 +58,7 @@ use crate::vreg::{prefix_len, LaneGroup};
 /// definition both copies meet). A copy supplies the conversion of eight
 /// lanes — a 128-bit granule of a register, an [`Octet`] of `f32`s — and the
 /// rest is made of that.
-pub(crate) trait Convert: Copy {
+pub trait Convert: Copy {
     /// Whether the loops [`Lowering::run`] compiles in this copy are
     /// unrolled per vector length. Not so for the baseline copy on x86-64,
     /// which only a CPU without AVX2 — older than 2013 — ever runs: there
@@ -64,10 +77,11 @@ pub(crate) trait Convert: Copy {
     /// on `f32`s it is eight.
     #[inline(always)]
     fn widen_pairs(self, src: &[u8; 32]) -> [Octet; 2] {
-        let pairs: [u32; 8] = std::array::from_fn(|i| {
-            u32::from_le_bytes(src[4 * i..4 * i + 4].try_into().expect("4 bytes"))
-        });
-        let (re, im) = (pairs.map(|p| p as u16), pairs.map(|p| (p >> 16) as u16));
+        let (mut re, mut im) = ([0; 8], [0; 8]);
+        for (i, pair) in src.chunks_exact(4).enumerate() {
+            let pair = u32::from_le_bytes(pair.try_into().expect("4 bytes"));
+            (re[i], im[i]) = (pair as u16, (pair >> 16) as u16);
+        }
         [self.widen8(re), self.widen8(im)]
     }
 
@@ -87,40 +101,33 @@ pub(crate) trait Convert: Copy {
     /// padded block.
     #[inline(always)]
     fn widen(self, src: &[u8], dst: &mut [f32]) {
-        let halves = |s: &[u8]| {
+        // Index loops, not zipped iterators: this runs inside bodies entered
+        // once per chunk of sites, where every step must inline.
+        for start in (0..dst.len()).step_by(8) {
+            let n = (dst.len() - start).min(8);
             let mut h = [0; 8];
-            for (h, s) in h.iter_mut().zip(s.chunks_exact(2)) {
-                *h = u16::from_le_bytes([s[0], s[1]]);
+            for (i, h) in h[..n].iter_mut().enumerate() {
+                let at = 2 * (start + i);
+                *h = u16::from_le_bytes([src[at], src[at + 1]]);
             }
-            h
-        };
-        let mut wide = dst.chunks_exact_mut(8);
-        let mut half = src.chunks_exact(16);
-        for (d, s) in (&mut wide).zip(&mut half) {
-            d.copy_from_slice(&self.widen8(halves(s)));
+            dst[start..start + n].copy_from_slice(&self.widen8(h)[..n]);
         }
-        let d = wide.into_remainder();
-        d.copy_from_slice(&self.widen8(halves(half.remainder()))[..d.len()]);
     }
 
     /// A stream narrowed: the `i`-th little-endian binary16 of `dst` is
     /// `src[i]`, rounded.
     #[inline(always)]
     fn narrow(self, src: &[f32], dst: &mut [u8]) {
-        let put = |h: [u16; 8], d: &mut [u8]| {
-            for (d, h) in d.chunks_exact_mut(2).zip(h) {
-                d.copy_from_slice(&h.to_le_bytes());
+        for start in (0..src.len()).step_by(8) {
+            let n = (src.len() - start).min(8);
+            let mut padded = [0.0; 8];
+            padded[..n].copy_from_slice(&src[start..start + n]);
+            let h = self.narrow8(padded);
+            for (i, h) in h[..n].iter().enumerate() {
+                let at = 2 * (start + i);
+                dst[at..at + 2].copy_from_slice(&h.to_le_bytes());
             }
-        };
-        let mut half = dst.chunks_exact_mut(16);
-        let mut wide = src.chunks_exact(8);
-        for (d, s) in (&mut half).zip(&mut wide) {
-            put(self.narrow8(s.try_into().expect("eight lanes")), d);
         }
-        let s = wide.remainder();
-        let mut padded = [0.0; 8];
-        padded[..s.len()].copy_from_slice(s);
-        put(self.narrow8(padded), half.into_remainder());
     }
 
     /// One lane widened.
@@ -139,7 +146,7 @@ pub(crate) trait Convert: Copy {
 
 /// The conversion of the baseline copy.
 #[derive(Clone, Copy)]
-pub(crate) struct Portable;
+pub struct Portable;
 
 impl Convert for Portable {
     const STRAIGHT_LINE: bool = cfg!(not(target_arch = "x86_64"));
@@ -159,7 +166,7 @@ impl Convert for Portable {
 /// trait method cannot carry the attribute.)
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
-struct Via<W, N>(W, N);
+pub struct Via<W, N>(W, N);
 
 #[cfg(target_arch = "x86_64")]
 impl<W, N> Convert for Via<W, N>
@@ -179,7 +186,8 @@ where
 }
 
 /// Work that is compiled once per copy: given the copy's conversion, do it.
-pub(crate) trait HostBody {
+/// What [`wide_copy`] runs.
+pub(crate) trait InCopy {
     /// What the work produces.
     type Out;
     /// Implementations are `#[inline(always)]`, to be compiled in the
@@ -188,7 +196,7 @@ pub(crate) trait HostBody {
 }
 
 /// A loop over the lanes (or lane pairs) `G` of vector registers.
-pub(crate) trait LaneLoop<G: LaneGroup> {
+pub trait LaneLoop<G: LaneGroup> {
     /// What the loop produces.
     type Out;
     /// Bytes of storage in the registers the loop walks.
@@ -201,10 +209,95 @@ pub(crate) trait LaneLoop<G: LaneGroup> {
     fn run<C: Convert>(self, bytes: usize, cv: C) -> Self::Out;
 }
 
+/// Which compiled copy of the lane loops the instructions of a
+/// [`SizedCtx`](crate::SizedCtx) run in, as a type: [`Dispatch`], where
+/// each instruction enters the copy this host runs, or a copy that
+/// [`SveCtx::enter`](crate::SveCtx::enter) has already entered for a [`HostBody`], where every
+/// lane loop is inlined into the body with the vector length a constant.
+/// Sealed: a body is handed its copy, it never builds one.
+pub trait HostCopy: sealed::Lower {
+    /// Whether the instructions run inside an entered copy.
+    const ENTERED: bool;
+}
+
+pub(crate) mod sealed {
+    use super::{LaneLoop, Lowering};
+    use crate::vl::VectorLength;
+    use crate::vreg::LaneGroup;
+
+    /// What a [`super::HostCopy`] does with an instruction's lane loop.
+    pub trait Lower: Copy {
+        /// The vector length of a context at `vl`, a constant where the
+        /// copy fixed it.
+        fn vl(self, vl: VectorLength) -> VectorLength;
+        /// Run `body` over the vector of `lw`.
+        fn run<G: LaneGroup, L: LaneLoop<G>>(self, lw: Lowering, body: L) -> L::Out;
+    }
+}
+
+/// Each instruction enters the host's copy of its lane loop on its own:
+/// what the free-function intrinsics, the listings and the probes issue.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Dispatch;
+
+impl sealed::Lower for Dispatch {
+    #[inline(always)]
+    fn vl(self, vl: VectorLength) -> VectorLength {
+        vl
+    }
+    #[inline(always)]
+    fn run<G: LaneGroup, L: LaneLoop<G>>(self, lw: Lowering, body: L) -> L::Out {
+        lw.run(body)
+    }
+}
+
+impl HostCopy for Dispatch {
+    const ENTERED: bool = false;
+}
+
+/// Inside an entered copy with conversion `C`, at a vector of `BYTES`
+/// bytes: every lane loop runs inline with a constant count.
+#[derive(Clone, Copy)]
+pub struct Entered<C, const BYTES: usize>(C);
+
+impl<C: Convert, const BYTES: usize> sealed::Lower for Entered<C, BYTES> {
+    #[inline(always)]
+    fn vl(self, _: VectorLength) -> VectorLength {
+        const { VectorLength::of(8 * BYTES) }
+    }
+    #[inline(always)]
+    fn run<G: LaneGroup, L: LaneLoop<G>>(self, lw: Lowering, body: L) -> L::Out {
+        if L::CAPACITY < BYTES {
+            register_too_narrow(L::CAPACITY, lw.vl);
+        }
+        body.run(BYTES, self.0)
+    }
+}
+
+impl<C: Convert, const BYTES: usize> HostCopy for Entered<C, BYTES> {
+    const ENTERED: bool = true;
+}
+
+/// Work done on sized registers that is entered once — a sweep's chunk of
+/// sites — rather than once per instruction: [`SveCtx::enter`](crate::SveCtx::enter) runs it in
+/// the host's copy of the lane loops, with the vector length fixed.
+pub trait HostBody {
+    /// What the work produces.
+    type Out;
+    /// Bytes of the registers the body holds: it is entered at that vector
+    /// length only.
+    const CAPACITY: usize;
+    /// Do the work, issuing instructions through
+    /// [`SveCtx::sized_in`](crate::SveCtx::sized_in)`(copy)`. Implementations, and everything they
+    /// call down to the intrinsics, are `#[inline(always)]`: what is left
+    /// out of line is compiled without the copy's instruction set.
+    fn run<C: HostCopy>(self, copy: C) -> Self::Out;
+}
+
 /// A vector length together with the compiled copy of the lane loops that
 /// runs it on this host.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) struct Lowering {
+pub struct Lowering {
     vl: VectorLength,
     /// Only ever set from [`wide_detected`]: the `unsafe` call below relies
     /// on it.
@@ -241,7 +334,14 @@ impl Lowering {
 
     /// Run `body` in the copy compiled for this host.
     #[inline(always)]
-    fn enter<B: HostBody>(self, body: B) -> B::Out {
+    fn enter<B: InCopy>(self, body: B) -> B::Out {
+        self.enter_or(body, |body| body.run(Portable))
+    }
+
+    /// Run `body` in the wide copy on a host that has it, and hand it to
+    /// `baseline` on any other.
+    #[inline(always)]
+    fn enter_or<B: InCopy>(self, body: B, baseline: impl FnOnce(B) -> B::Out) -> B::Out {
         #[cfg(target_arch = "x86_64")]
         if self.wide {
             // SAFETY: `wide` is private to this module and written only by
@@ -251,17 +351,72 @@ impl Lowering {
             #[allow(unsafe_code)]
             return unsafe { wide_copy(body) };
         }
-        body.run(Portable)
+        baseline(body)
     }
+
+    /// `SveCtx::enter`: `body` in the copy this host runs, entered once
+    /// with the vector length a constant — the length its registers are
+    /// sized for. Any other length, and on x86-64 a host without the wide
+    /// copy, get the body back, to issue its instructions one by one
+    /// ([`Dispatch`]): an instance per length multiplies the text of every
+    /// fused kernel, and the baseline copy on x86-64 is the one hardly any
+    /// host runs.
+    #[inline]
+    pub(crate) fn enter_body<B: HostBody>(self, body: B) -> Result<B::Out, B> {
+        let bytes = self.vl.bytes();
+        let fixed = bytes == B::CAPACITY && matches!(bytes, 16 | 32 | 64 | 128 | 256);
+        #[cfg(target_arch = "x86_64")]
+        let fixed = fixed && self.wide;
+        if !fixed {
+            return Err(body);
+        }
+        Ok(self.enter_or(AtBytes(bytes, body), |at| {
+            #[cfg(target_arch = "x86_64")]
+            unreachable!("entered only with the wide copy: {}", at.0);
+            #[cfg(not(target_arch = "x86_64"))]
+            at.run(Portable)
+        }))
+    }
+}
+
+/// A [`HostBody`] as the work of a copy, at a vector of the given bytes:
+/// the instance for the length its registers are sized for.
+struct AtBytes<B>(usize, B);
+
+impl<B: HostBody> InCopy for AtBytes<B> {
+    type Out = B::Out;
+    #[inline(always)]
+    fn run<C: Convert>(self, cv: C) -> B::Out {
+        match self.0 {
+            16 => at::<16, _, _>(self.1, cv),
+            32 => at::<32, _, _>(self.1, cv),
+            64 => at::<64, _, _>(self.1, cv),
+            128 => at::<128, _, _>(self.1, cv),
+            256 => at::<256, _, _>(self.1, cv),
+            n => unreachable!("no instance for a {n}-byte vector"),
+        }
+    }
+}
+
+/// `body` at a vector of `BYTES` bytes, which its registers are sized for
+/// (the other arms are dead and compile to nothing).
+#[inline(always)]
+fn at<const BYTES: usize, B: HostBody, C: Convert>(body: B, cv: C) -> B::Out {
+    if BYTES != B::CAPACITY {
+        unreachable!("a {BYTES}-byte vector in {}-byte registers", B::CAPACITY);
+    }
+    body.run(Entered::<C, BYTES>(cv))
 }
 
 /// `body` in the copy compiled for AVX2 + FMA + F16C.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma,f16c")]
-fn wide_copy<B: HostBody>(body: B) -> B::Out {
+fn wide_copy<B: InCopy>(body: B) -> B::Out {
     body.run(Via(
+        #[inline(always)]
         |src: [u16; 8]| f16::widen8_f16c(src),
-        |src: Octet| f16::narrow8_f16c(src),
+        #[inline(always)]
+        |src: Octet| f16::narrow8_f16c!(src),
     ))
 }
 
@@ -269,7 +424,7 @@ fn wide_copy<B: HostBody>(body: B) -> B::Out {
 /// one a host is expected to run.
 struct Unrolled<G, L>(VectorLength, L, std::marker::PhantomData<G>);
 
-impl<G: LaneGroup, L: LaneLoop<G>> HostBody for Unrolled<G, L> {
+impl<G: LaneGroup, L: LaneLoop<G>> InCopy for Unrolled<G, L> {
     type Out = L::Out;
     #[inline(always)]
     fn run<C: Convert>(self, cv: C) -> L::Out {
@@ -332,7 +487,7 @@ pub fn host_lanes() -> &'static str {
 
 struct WidenSlice<'a>(&'a [u8], &'a mut [f32]);
 
-impl HostBody for WidenSlice<'_> {
+impl InCopy for WidenSlice<'_> {
     type Out = ();
     #[inline(always)]
     fn run<C: Convert>(self, cv: C) {
@@ -342,7 +497,7 @@ impl HostBody for WidenSlice<'_> {
 
 struct NarrowSlice<'a>(&'a [f32], &'a mut [u8]);
 
-impl HostBody for NarrowSlice<'_> {
+impl InCopy for NarrowSlice<'_> {
     type Out = ();
     #[inline(always)]
     fn run<C: Convert>(self, cv: C) {
@@ -418,8 +573,8 @@ mod tests {
         [z, a, b]: [&VReg; 3],
         f: impl Fn(usize, G, G, G) -> G,
     ) {
-        let host = z.zip3(a, b, Lowering::for_host(vl), &f);
-        let portable = z.zip3(a, b, Lowering::portable(vl), &f);
+        let host = z.zip3(a, b, &SveCtx::new(vl).sized(), &f);
+        let portable = z.zip3(a, b, &SveCtx::portable(vl).sized(), &f);
         same_bytes(vl, what, host, portable);
     }
 
@@ -444,13 +599,13 @@ mod tests {
         same_bytes(
             vl,
             &what,
-            VReg::from_slice(Lowering::for_host(vl), &data),
+            VReg::from_slice(&SveCtx::new(vl).sized(), &data),
             want,
         );
         same_bytes(
             vl,
             &what,
-            VReg::from_slice(Lowering::portable(vl), &data),
+            VReg::from_slice(&SveCtx::portable(vl).sized(), &data),
             want,
         );
     }
@@ -823,6 +978,105 @@ mod tests {
                 from_index_matches(vl, &format!("{tag} from_index .d"), |i| {
                     keep(i, 7u64.wrapping_add(3 * i as u64))
                 });
+            }
+        }
+    }
+
+    /// A chain of sized intrinsics as a kernel issues it: loads, `fcmla` at
+    /// every rotation, `fcadd`, `fmla`, `sel`, `tbl` and stores, under a full
+    /// and a partial predicate. It returns what it stored.
+    struct Chain<'a, E, const N: usize> {
+        ctx: &'a SveCtx,
+        data: &'a [E],
+        tbl: &'a [usize],
+    }
+
+    impl<E: SveFloat, const N: usize> HostBody for Chain<'_, E, N> {
+        type Out = Vec<E>;
+        const CAPACITY: usize = N;
+        #[inline(always)]
+        fn run<C: HostCopy>(self, copy: C) -> Vec<E> {
+            use crate::intrinsics::Rot;
+            let sz = self.ctx.sized_in::<N, C>(copy);
+            let (vl, lanes) = (self.ctx.vl(), self.ctx.vl().lanes_of(E::BYTES));
+            let full = PReg::ptrue::<E>(vl);
+            let part = PReg::whilelt::<E>(vl, 0, lanes as u64 - 1);
+            let [a, b, mut z]: [Reg<N>; 3] =
+                std::array::from_fn(|k| sz.svld1(&full, &self.data[k * lanes..]));
+            for rot in [Rot::R0, Rot::R90, Rot::R180, Rot::R270] {
+                z = sz.svcmla::<E>(&full, &z, &a, &b, rot);
+                z = sz.svcmla::<E>(&part, &z, &b, &a, rot);
+            }
+            z = sz.svcadd::<E>(&full, &z, &a, Rot::R90);
+            z = sz.svcadd::<E>(&part, &z, &b, Rot::R270);
+            z = sz.svmla_m::<E>(&full, &z, &a, &b);
+            z = sz.svmla_m::<E>(&part, &z, &b, &z);
+            let y = sz.svsel::<E>(&part, &z, &a);
+            let y = sz.svtbl::<E>(&y, self.tbl);
+            let mut out = vec![E::zero(); 2 * lanes];
+            sz.svst1(&full, &mut out, &z);
+            sz.svst1(&part, &mut out[lanes..], &y);
+            out
+        }
+    }
+
+    /// `body` in the baseline copy entered once, as on a host that has no
+    /// other.
+    fn portable_fused<B: HostBody>(vl: VectorLength, body: B) -> B::Out {
+        match vl.bytes() {
+            16 => body.run(Entered::<_, 16>(Portable)),
+            64 => body.run(Entered::<_, 64>(Portable)),
+            256 => body.run(Entered::<_, 256>(Portable)),
+            _ => unreachable!("the lengths below"),
+        }
+    }
+
+    /// The chain issued as one entered body — in the host's copy, and in
+    /// the baseline copy — and issued instruction by instruction in each:
+    /// the same bits and the same counters.
+    fn fused_chain_matches<E: SveFloat, const N: usize>(vl: VectorLength) {
+        let max = VectorLength::of(crate::vl::VL_MAX_BITS);
+        let data: Vec<E> = (7..10)
+            .flat_map(|seed| operand::<E>(seed).to_vec(max))
+            .collect();
+        let lanes = vl.lanes_of(E::BYTES);
+        let tbl: Vec<usize> = (0..lanes).map(|e| (e * 5 + 3) % (lanes + 1)).collect();
+        let run = |ctx: SveCtx, how: &dyn Fn(Chain<'_, E, N>) -> Vec<E>| {
+            let out = how(Chain {
+                ctx: &ctx,
+                data: &data,
+                tbl: &tbl,
+            });
+            let bits: Vec<u64> = out.iter().map(|x| x.to_f64().to_bits()).collect();
+            (bits, ctx.counters().snapshot())
+        };
+        let one_by_one = run(SveCtx::new(vl), &|c| c.run(Dispatch));
+        let what = format!(".{} in {N}-byte registers at {vl:?}", E::SUFFIX);
+        assert!(one_by_one.1.iter().map(|(_, n)| n).sum::<u64>() > 0);
+        let entered = |c: Chain<'_, E, N>| c.ctx.enter(c).unwrap_or_else(|c| c.run(Dispatch));
+        assert_eq!(
+            run(SveCtx::new(vl), &entered),
+            one_by_one,
+            "{} {what}",
+            host_lanes()
+        );
+        let portable = run(SveCtx::portable(vl), &|c| c.run(Dispatch));
+        assert_eq!(portable, one_by_one, "portable one by one {what}");
+        let fused = run(SveCtx::portable(vl), &|c| portable_fused(vl, c));
+        assert_eq!(fused, one_by_one, "portable fused {what}");
+    }
+
+    #[test]
+    fn a_fused_body_computes_and_counts_what_its_instructions_do_one_by_one() {
+        for bits in [128, 512, 2048] {
+            let vl = VectorLength::of(bits);
+            fused_chain_matches::<f64, VL_MAX_BYTES>(vl);
+            fused_chain_matches::<f32, VL_MAX_BYTES>(vl);
+            fused_chain_matches::<F16, VL_MAX_BYTES>(vl);
+            if bits <= 512 {
+                fused_chain_matches::<f64, 64>(vl);
+                fused_chain_matches::<f32, 64>(vl);
+                fused_chain_matches::<F16, 64>(vl);
             }
         }
     }

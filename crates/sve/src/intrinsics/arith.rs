@@ -9,61 +9,62 @@ use super::shape::{arith1, arith2, fold_arith, moved, ternary, Inactive};
 use crate::count::Opcode;
 use crate::ctx::{SizedCtx, SveCtx};
 use crate::elem::{Lane, SveElem, SveFloat};
+use crate::host::HostCopy;
 use crate::pred::PReg;
 use crate::vreg::{Reg, VReg};
 
 /// The real-arithmetic instructions a fixed-length kernel issues, on
 /// `N`-byte registers; the free functions of the same names below are these
 /// at the maximum capacity.
-impl<const N: usize> SizedCtx<'_, N> {
+impl<const N: usize, C: HostCopy> SizedCtx<'_, N, C> {
     /// [`svdup`] into an `N`-byte register.
-    #[inline]
+    #[inline(always)]
     pub fn svdup<E: SveElem>(&self, x: E) -> Reg<N> {
-        self.ctx.exec(Opcode::Dup);
-        Reg::from_fn::<E>(self.ctx.vl(), |_| x)
+        self.exec(Opcode::Dup);
+        Reg::from_fn::<E>(self.vl(), |_| x)
     }
 
     /// [`svadd_x`] on `N`-byte registers.
-    #[inline]
+    #[inline(always)]
     pub fn svadd_x<E: SveFloat>(&self, pg: &PReg, a: &Reg<N>, b: &Reg<N>) -> Reg<N> {
-        self.ctx.exec(Opcode::Fadd);
-        arith2::<E, N>(self.ctx, pg, Inactive::Computed, a, b, E::Wide::add)
+        self.exec(Opcode::Fadd);
+        arith2::<E, N, C>(self, pg, Inactive::Computed, a, b, E::Wide::add)
     }
 
     /// [`svsub_x`] on `N`-byte registers.
-    #[inline]
+    #[inline(always)]
     pub fn svsub_x<E: SveFloat>(&self, pg: &PReg, a: &Reg<N>, b: &Reg<N>) -> Reg<N> {
-        self.ctx.exec(Opcode::Fsub);
-        arith2::<E, N>(self.ctx, pg, Inactive::Computed, a, b, E::Wide::sub)
+        self.exec(Opcode::Fsub);
+        arith2::<E, N, C>(self, pg, Inactive::Computed, a, b, E::Wide::sub)
     }
 
     /// [`svmul_x`] on `N`-byte registers.
-    #[inline]
+    #[inline(always)]
     pub fn svmul_x<E: SveFloat>(&self, pg: &PReg, a: &Reg<N>, b: &Reg<N>) -> Reg<N> {
-        self.ctx.exec(Opcode::Fmul);
-        arith2::<E, N>(self.ctx, pg, Inactive::Computed, a, b, E::Wide::mul)
+        self.exec(Opcode::Fmul);
+        arith2::<E, N, C>(self, pg, Inactive::Computed, a, b, E::Wide::mul)
     }
 
     /// [`svneg_x`] on an `N`-byte register.
-    #[inline]
+    #[inline(always)]
     pub fn svneg_x<E: SveFloat>(&self, pg: &PReg, a: &Reg<N>) -> Reg<N> {
-        self.ctx.exec(Opcode::Fneg);
-        moved(self.ctx, pg, Inactive::Computed, a, E::neg)
+        self.exec(Opcode::Fneg);
+        moved(self, pg, Inactive::Computed, a, E::neg)
     }
 
     /// [`svneg_m`] on an `N`-byte register.
-    #[inline]
+    #[inline(always)]
     pub fn svneg_m<E: SveFloat>(&self, pg: &PReg, a: &Reg<N>) -> Reg<N> {
-        self.ctx.exec(Opcode::Fneg);
-        moved(self.ctx, pg, Inactive::First, a, E::neg)
+        self.exec(Opcode::Fneg);
+        moved(self, pg, Inactive::First, a, E::neg)
     }
 
     /// [`svmla_m`] on `N`-byte registers.
-    #[inline]
+    #[inline(always)]
     pub fn svmla_m<E: SveFloat>(&self, pg: &PReg, acc: &Reg<N>, a: &Reg<N>, b: &Reg<N>) -> Reg<N> {
-        self.ctx.exec(Opcode::Fmla);
-        ternary::<E, N>(
-            self.ctx,
+        self.exec(Opcode::Fmla);
+        ternary::<E, N, C>(
+            self,
             pg,
             acc,
             a,
@@ -74,11 +75,11 @@ impl<const N: usize> SizedCtx<'_, N> {
     }
 
     /// [`svnmls_m`] on `N`-byte registers.
-    #[inline]
+    #[inline(always)]
     pub fn svnmls_m<E: SveFloat>(&self, pg: &PReg, acc: &Reg<N>, a: &Reg<N>, b: &Reg<N>) -> Reg<N> {
-        self.ctx.exec(Opcode::Fnmls);
-        ternary::<E, N>(
-            self.ctx,
+        self.exec(Opcode::Fnmls);
+        ternary::<E, N, C>(
+            self,
             pg,
             acc,
             a,
@@ -89,9 +90,9 @@ impl<const N: usize> SizedCtx<'_, N> {
     }
 
     /// [`movprfx`] of an `N`-byte register.
-    #[inline]
+    #[inline(always)]
     pub fn movprfx(&self, src: &Reg<N>) -> Reg<N> {
-        self.ctx.exec(Opcode::Movprfx);
+        self.exec(Opcode::Movprfx);
         *src
     }
 }
@@ -113,7 +114,7 @@ pub fn svadd_x<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg
 #[inline]
 pub fn svadd_m<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg {
     ctx.exec(Opcode::Fadd);
-    arith2::<E, _>(ctx, pg, Inactive::First, a, b, E::Wide::add)
+    arith2::<E, _, _>(&ctx.sized(), pg, Inactive::First, a, b, E::Wide::add)
 }
 
 /// `svsub_x` — lane-wise subtract.
@@ -132,7 +133,7 @@ pub fn svmul_x<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg
 #[inline]
 pub fn svmul_z<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg {
     ctx.exec(Opcode::Fmul);
-    arith2::<E, _>(ctx, pg, Inactive::Zero, a, b, E::Wide::mul)
+    arith2::<E, _, _>(&ctx.sized(), pg, Inactive::Zero, a, b, E::Wide::mul)
 }
 
 /// `svneg_x` — lane-wise negate.
@@ -153,28 +154,28 @@ pub fn svneg_m<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg) -> VReg {
 #[inline]
 pub fn svabs_x<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg) -> VReg {
     ctx.exec(Opcode::Fabs);
-    moved(ctx, pg, Inactive::Computed, a, E::abs)
+    moved(&ctx.sized(), pg, Inactive::Computed, a, E::abs)
 }
 
 /// `svsqrt_x` — lane-wise square root.
 #[inline]
 pub fn svsqrt_x<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg) -> VReg {
     ctx.exec(Opcode::Fsqrt);
-    arith1::<E, _>(ctx, pg, Inactive::Computed, a, E::Wide::sqrt)
+    arith1::<E, _, _>(&ctx.sized(), pg, Inactive::Computed, a, E::Wide::sqrt)
 }
 
 /// `svmax_x` / `svmin_x` — lane-wise max/min.
 #[inline]
 pub fn svmax_x<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg {
     ctx.exec(Opcode::Fmax);
-    arith2::<E, _>(ctx, pg, Inactive::Computed, a, b, E::Wide::max)
+    arith2::<E, _, _>(&ctx.sized(), pg, Inactive::Computed, a, b, E::Wide::max)
 }
 
 /// `svmin_x` — lane-wise minimum.
 #[inline]
 pub fn svmin_x<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg {
     ctx.exec(Opcode::Fmin);
-    arith2::<E, _>(ctx, pg, Inactive::Computed, a, b, E::Wide::min)
+    arith2::<E, _, _>(&ctx.sized(), pg, Inactive::Computed, a, b, E::Wide::min)
 }
 
 /// `svmla_m` — fused multiply-add: `acc + a*b` per lane, inactive lanes keep
@@ -188,8 +189,8 @@ pub fn svmla_m<E: SveFloat>(ctx: &SveCtx, pg: &PReg, acc: &VReg, a: &VReg, b: &V
 #[inline]
 pub fn svmls_m<E: SveFloat>(ctx: &SveCtx, pg: &PReg, acc: &VReg, a: &VReg, b: &VReg) -> VReg {
     ctx.exec(Opcode::Fmls);
-    ternary::<E, _>(
-        ctx,
+    ternary::<E, _, _>(
+        &ctx.sized(),
         pg,
         acc,
         a,
@@ -219,7 +220,7 @@ pub fn svindex(ctx: &SveCtx, base: u64, step: u64) -> VReg {
 #[inline]
 pub fn svadda<E: SveFloat>(ctx: &SveCtx, pg: &PReg, init: E, a: &VReg) -> E {
     ctx.exec(Opcode::Faddv);
-    fold_arith(ctx, pg, a, Some(init), E::Wide::add).expect("a chain from `init`")
+    fold_arith(&ctx.sized(), pg, a, Some(init), E::Wide::add).expect("a chain from `init`")
 }
 
 /// `svscale_x` — multiply each active lane by `2^exp[i]` (integer exponent

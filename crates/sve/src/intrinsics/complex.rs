@@ -20,6 +20,7 @@ use super::shape::complex;
 use crate::count::Opcode;
 use crate::ctx::{SizedCtx, SveCtx};
 use crate::elem::{Lane, SveFloat};
+use crate::host::HostCopy;
 use crate::pred::PReg;
 use crate::vreg::{Reg, VReg};
 
@@ -39,9 +40,9 @@ pub enum Rot {
 /// The complex instructions a fixed-length kernel issues, on `N`-byte
 /// registers; the free functions of the same names below are these at the
 /// maximum capacity.
-impl<const N: usize> SizedCtx<'_, N> {
+impl<const N: usize, C: HostCopy> SizedCtx<'_, N, C> {
     /// [`svcmla`] on `N`-byte registers.
-    #[inline]
+    #[inline(always)]
     pub fn svcmla<E: SveFloat>(
         &self,
         pg: &PReg,
@@ -50,9 +51,9 @@ impl<const N: usize> SizedCtx<'_, N> {
         y: &Reg<N>,
         rot: Rot,
     ) -> Reg<N> {
-        self.ctx.exec(Opcode::Fcmla);
-        complex::<E, N>(
-            self.ctx,
+        self.exec(Opcode::Fcmla);
+        complex::<E, N, C>(
+            self,
             pg,
             [acc, x, y],
             #[inline(always)]
@@ -66,15 +67,15 @@ impl<const N: usize> SizedCtx<'_, N> {
     }
 
     /// [`svcadd`] on `N`-byte registers.
-    #[inline]
+    #[inline(always)]
     pub fn svcadd<E: SveFloat>(&self, pg: &PReg, x: &Reg<N>, y: &Reg<N>, rot: Rot) -> Reg<N> {
-        self.ctx.exec(Opcode::Fcadd);
+        self.exec(Opcode::Fcadd);
         assert!(
             matches!(rot, Rot::R90 | Rot::R270),
             "fcadd only supports 90/270 degree rotations"
         );
-        complex::<E, N>(
-            self.ctx,
+        complex::<E, N, C>(
+            self,
             pg,
             [x, x, y],
             #[inline(always)]
@@ -86,7 +87,7 @@ impl<const N: usize> SizedCtx<'_, N> {
     }
 
     /// [`fcmla_mul_add`] on `N`-byte registers.
-    #[inline]
+    #[inline(always)]
     pub fn fcmla_mul_add<E: SveFloat>(
         &self,
         pg: &PReg,
@@ -99,7 +100,7 @@ impl<const N: usize> SizedCtx<'_, N> {
     }
 
     /// [`fcmla_conj_mul_add`] on `N`-byte registers.
-    #[inline]
+    #[inline(always)]
     pub fn fcmla_conj_mul_add<E: SveFloat>(
         &self,
         pg: &PReg,

@@ -26,7 +26,7 @@ use crate::vreg::VReg;
 #[inline]
 pub fn svcvt_f32_f64(ctx: &SveCtx, pg: &PReg, a: &VReg) -> VReg {
     ctx.exec(Opcode::Fcvt);
-    moved(ctx, pg, Inactive::Zero, a, |d: u64| {
+    moved(&ctx.sized(), pg, Inactive::Zero, a, |d: u64| {
         (f64::from_bits(d) as f32).to_bits() as u64
     })
 }
@@ -36,7 +36,7 @@ pub fn svcvt_f32_f64(ctx: &SveCtx, pg: &PReg, a: &VReg) -> VReg {
 #[inline]
 pub fn svcvt_f64_f32(ctx: &SveCtx, pg: &PReg, a: &VReg) -> VReg {
     ctx.exec(Opcode::Fcvt);
-    moved(ctx, pg, Inactive::Zero, a, |d: u64| {
+    moved(&ctx.sized(), pg, Inactive::Zero, a, |d: u64| {
         (f32::from_bits(d as u32) as f64).to_bits()
     })
 }
@@ -87,7 +87,7 @@ impl LaneLoop<i32> for InContainers<'_> {
 fn cvt_in_containers(ctx: &SveCtx, pg: &PReg, a: &VReg, narrow: bool) -> VReg {
     ctx.exec(Opcode::Fcvt);
     let all = ctx.lowering().run(InContainers { a, narrow });
-    moved(ctx, pg, Inactive::Zero, &all, |s: i32| s)
+    moved(&ctx.sized(), pg, Inactive::Zero, &all, |s: i32| s)
 }
 
 /// `svcvt_f16_f32` — narrow each active 32-bit element's `f32` to binary16

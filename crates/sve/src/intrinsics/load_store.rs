@@ -12,22 +12,23 @@ use super::shape::{active_lanes, load, store};
 use crate::count::Opcode;
 use crate::ctx::{SizedCtx, SveCtx};
 use crate::elem::SveElem;
+use crate::host::HostCopy;
 use crate::pred::PReg;
 use crate::vreg::{Reg, VReg};
 
-impl<const N: usize> SizedCtx<'_, N> {
+impl<const N: usize, C: HostCopy> SizedCtx<'_, N, C> {
     /// [`svld1`] into an `N`-byte register.
-    #[inline]
+    #[inline(always)]
     pub fn svld1<E: SveElem>(&self, pg: &PReg, src: &[E]) -> Reg<N> {
-        self.ctx.exec(Opcode::Ld1);
-        load(self.ctx, pg, src, 1, 0)
+        self.exec(Opcode::Ld1);
+        load(self, pg, src, 1, 0)
     }
 
     /// [`svst1`] from an `N`-byte register.
-    #[inline]
+    #[inline(always)]
     pub fn svst1<E: SveElem>(&self, pg: &PReg, dst: &mut [E], v: &Reg<N>) {
-        self.ctx.exec(Opcode::St1);
-        store(self.ctx, pg, dst, 1, 0, v);
+        self.exec(Opcode::St1);
+        store(self, pg, dst, 1, 0, v);
     }
 }
 
@@ -48,14 +49,17 @@ pub fn svst1<E: SveElem>(ctx: &SveCtx, pg: &PReg, dst: &mut [E], v: &VReg) {
 /// `ld2d {z0.d, z1.d}`).
 pub fn svld2<E: SveElem>(ctx: &SveCtx, pg: &PReg, src: &[E]) -> (VReg, VReg) {
     ctx.exec(Opcode::Ld2);
-    (load(ctx, pg, src, 2, 0), load(ctx, pg, src, 2, 1))
+    (
+        load(&ctx.sized(), pg, src, 2, 0),
+        load(&ctx.sized(), pg, src, 2, 1),
+    )
 }
 
 /// `svst2` — structure store of 2-element records (listing IV-B's `st2d`).
 pub fn svst2<E: SveElem>(ctx: &SveCtx, pg: &PReg, dst: &mut [E], a: &VReg, b: &VReg) {
     ctx.exec(Opcode::St2);
     for (k, reg) in [a, b].into_iter().enumerate() {
-        store(ctx, pg, dst, 2, k, reg);
+        store(&ctx.sized(), pg, dst, 2, k, reg);
     }
 }
 
@@ -63,9 +67,9 @@ pub fn svst2<E: SveElem>(ctx: &SveCtx, pg: &PReg, dst: &mut [E], a: &VReg, b: &V
 pub fn svld3<E: SveElem>(ctx: &SveCtx, pg: &PReg, src: &[E]) -> (VReg, VReg, VReg) {
     ctx.exec(Opcode::Ld3);
     (
-        load(ctx, pg, src, 3, 0),
-        load(ctx, pg, src, 3, 1),
-        load(ctx, pg, src, 3, 2),
+        load(&ctx.sized(), pg, src, 3, 0),
+        load(&ctx.sized(), pg, src, 3, 1),
+        load(&ctx.sized(), pg, src, 3, 2),
     )
 }
 
@@ -73,21 +77,21 @@ pub fn svld3<E: SveElem>(ctx: &SveCtx, pg: &PReg, src: &[E]) -> (VReg, VReg, VRe
 pub fn svst3<E: SveElem>(ctx: &SveCtx, pg: &PReg, dst: &mut [E], a: &VReg, b: &VReg, c: &VReg) {
     ctx.exec(Opcode::St3);
     for (k, reg) in [a, b, c].into_iter().enumerate() {
-        store(ctx, pg, dst, 3, k, reg);
+        store(&ctx.sized(), pg, dst, 3, k, reg);
     }
 }
 
 /// `svld4` — structure load of 4-element records (e.g. spinor components).
 pub fn svld4<E: SveElem>(ctx: &SveCtx, pg: &PReg, src: &[E]) -> [VReg; 4] {
     ctx.exec(Opcode::Ld4);
-    [0, 1, 2, 3].map(|k| load(ctx, pg, src, 4, k))
+    [0, 1, 2, 3].map(|k| load(&ctx.sized(), pg, src, 4, k))
 }
 
 /// `svst4` — structure store of 4-element records.
 pub fn svst4<E: SveElem>(ctx: &SveCtx, pg: &PReg, dst: &mut [E], v: &[VReg; 4]) {
     ctx.exec(Opcode::St4);
     for (k, reg) in v.iter().enumerate() {
-        store(ctx, pg, dst, 4, k, reg);
+        store(&ctx.sized(), pg, dst, 4, k, reg);
     }
 }
 
@@ -111,7 +115,7 @@ pub fn svld1_gather<E: SveElem>(ctx: &SveCtx, pg: &PReg, src: &[E], idx: &VReg) 
 /// `svst1_scatter_index` — scatter store.
 pub fn svst1_scatter<E: SveElem>(ctx: &SveCtx, pg: &PReg, dst: &mut [E], idx: &VReg, v: &VReg) {
     ctx.exec(Opcode::St1Scatter);
-    for (e, x) in active_lanes::<E, _>(ctx, pg, v) {
+    for (e, x) in active_lanes::<E, _, _>(&ctx.sized(), pg, v) {
         dst[idx_lane::<E>(idx, e)] = x;
     }
 }

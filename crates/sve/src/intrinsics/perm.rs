@@ -10,102 +10,119 @@ use super::shape::{active_lanes, moved2, Inactive};
 use crate::count::Opcode;
 use crate::ctx::{SizedCtx, SveCtx};
 use crate::elem::SveElem;
+use crate::host::HostCopy;
 use crate::pred::PReg;
 use crate::vreg::{Reg, VReg};
 
 /// The permutes a fixed-length kernel issues, on `N`-byte registers; the
 /// free functions of the same names below are these at the maximum
 /// capacity.
-impl<const N: usize> SizedCtx<'_, N> {
+impl<const N: usize, C: HostCopy> SizedCtx<'_, N, C> {
     /// [`svzip1`] on `N`-byte registers.
-    #[inline]
+    #[inline(always)]
     pub fn svzip1<E: SveElem>(&self, a: &Reg<N>, b: &Reg<N>) -> Reg<N> {
-        self.ctx.exec(Opcode::Zip1);
-        Reg::from_fn::<E>(self.ctx.vl(), |e| {
-            if e % 2 == 0 {
-                a.lane(e / 2)
-            } else {
-                b.lane(e / 2)
-            }
-        })
+        self.exec(Opcode::Zip1);
+        Reg::from_fn::<E>(
+            self.vl(),
+            #[inline(always)]
+            |e| {
+                if e % 2 == 0 {
+                    a.lane(e / 2)
+                } else {
+                    b.lane(e / 2)
+                }
+            },
+        )
     }
 
     /// [`svuzp1`] on `N`-byte registers.
-    #[inline]
+    #[inline(always)]
     pub fn svuzp1<E: SveElem>(&self, a: &Reg<N>, b: &Reg<N>) -> Reg<N> {
-        self.ctx.exec(Opcode::Uzp1);
+        self.exec(Opcode::Uzp1);
         self.uzp::<E>(a, b, 0)
     }
 
     /// [`svuzp2`] on `N`-byte registers.
-    #[inline]
+    #[inline(always)]
     pub fn svuzp2<E: SveElem>(&self, a: &Reg<N>, b: &Reg<N>) -> Reg<N> {
-        self.ctx.exec(Opcode::Uzp2);
+        self.exec(Opcode::Uzp2);
         self.uzp::<E>(a, b, 1)
     }
 
     /// Concatenate the even (`odd = 0`) or odd (`odd = 1`) lanes of `a`,
     /// then of `b`.
-    #[inline]
+    #[inline(always)]
     fn uzp<E: SveElem>(&self, a: &Reg<N>, b: &Reg<N>, odd: usize) -> Reg<N> {
-        let half = self.ctx.vl().lanes_of(E::BYTES) / 2;
-        Reg::from_fn::<E>(self.ctx.vl(), |e| {
-            if e < half {
-                a.lane(2 * e + odd)
-            } else {
-                b.lane(2 * (e - half) + odd)
-            }
-        })
+        let half = self.vl().lanes_of(E::BYTES) / 2;
+        Reg::from_fn::<E>(
+            self.vl(),
+            #[inline(always)]
+            |e| {
+                if e < half {
+                    a.lane(2 * e + odd)
+                } else {
+                    b.lane(2 * (e - half) + odd)
+                }
+            },
+        )
     }
 
     /// [`svtrn1`] on `N`-byte registers.
-    #[inline]
+    #[inline(always)]
     pub fn svtrn1<E: SveElem>(&self, a: &Reg<N>, b: &Reg<N>) -> Reg<N> {
-        self.ctx.exec(Opcode::Trn1);
+        self.exec(Opcode::Trn1);
         self.trn::<E>(a, b, 0)
     }
 
     /// [`svtrn2`] on `N`-byte registers.
-    #[inline]
+    #[inline(always)]
     pub fn svtrn2<E: SveElem>(&self, a: &Reg<N>, b: &Reg<N>) -> Reg<N> {
-        self.ctx.exec(Opcode::Trn2);
+        self.exec(Opcode::Trn2);
         self.trn::<E>(a, b, 1)
     }
 
     /// Lane `2k` of the result is `a[2k + odd]`, lane `2k+1` is
     /// `b[2k + odd]`.
-    #[inline]
+    #[inline(always)]
     fn trn<E: SveElem>(&self, a: &Reg<N>, b: &Reg<N>, odd: usize) -> Reg<N> {
-        Reg::from_fn::<E>(self.ctx.vl(), |e| {
-            let base = (e & !1) + odd;
-            if e % 2 == 0 {
-                a.lane(base)
-            } else {
-                b.lane(base)
-            }
-        })
+        Reg::from_fn::<E>(
+            self.vl(),
+            #[inline(always)]
+            |e| {
+                let base = (e & !1) + odd;
+                if e % 2 == 0 {
+                    a.lane(base)
+                } else {
+                    b.lane(base)
+                }
+            },
+        )
     }
 
     /// [`svtbl`] on an `N`-byte register.
-    #[inline]
+    #[inline(always)]
     pub fn svtbl<E: SveElem>(&self, a: &Reg<N>, idx: &[usize]) -> Reg<N> {
-        self.ctx.exec(Opcode::Tbl);
-        let lanes = self.ctx.vl().lanes_of(E::BYTES);
-        Reg::from_fn::<E>(self.ctx.vl(), |e| {
-            let i = idx[e];
-            if i < lanes {
-                a.lane(i)
-            } else {
-                E::zero()
-            }
-        })
+        self.exec(Opcode::Tbl);
+        let lanes = self.vl().lanes_of(E::BYTES);
+        Reg::from_fn::<E>(
+            self.vl(),
+            #[inline(always)]
+            |e| {
+                let i = idx[e];
+                if i < lanes {
+                    a.lane(i)
+                } else {
+                    E::zero()
+                }
+            },
+        )
     }
 
     /// [`svsel`] on `N`-byte registers.
-    #[inline]
+    #[inline(always)]
     pub fn svsel<E: SveElem>(&self, pg: &PReg, a: &Reg<N>, b: &Reg<N>) -> Reg<N> {
-        self.ctx.exec(Opcode::Sel);
-        moved2(self.ctx, pg, Inactive::First, b, a, |_: E, x| x)
+        self.exec(Opcode::Sel);
+        moved2(self, pg, Inactive::First, b, a, |_: E, x| x)
     }
 }
 
@@ -204,7 +221,7 @@ pub fn svdup_lane<E: SveElem>(ctx: &SveCtx, a: &VReg, i: usize) -> VReg {
 /// `svsplice` — active lanes of `a` (under `pg`), then leading lanes of `b`.
 pub fn svsplice<E: SveElem>(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg {
     ctx.exec(Opcode::Splice);
-    let picked = active_lanes::<E, _>(ctx, pg, a).map(|(_, v)| v);
+    let picked = active_lanes::<E, _, _>(&ctx.sized(), pg, a).map(|(_, v)| v);
     VReg::from_lanes(ctx.vl(), picked.chain(b.lanes::<E>(ctx.vl())))
 }
 
@@ -213,7 +230,10 @@ pub fn svsplice<E: SveElem>(ctx: &SveCtx, pg: &PReg, a: &VReg, b: &VReg) -> VReg
 /// element sizes exist in hardware; modelled generically.
 pub fn svcompact<E: SveElem>(ctx: &SveCtx, pg: &PReg, a: &VReg) -> VReg {
     ctx.exec(Opcode::Splice);
-    VReg::from_lanes(ctx.vl(), active_lanes::<E, _>(ctx, pg, a).map(|(_, v)| v))
+    VReg::from_lanes(
+        ctx.vl(),
+        active_lanes::<E, _, _>(&ctx.sized(), pg, a).map(|(_, v)| v),
+    )
 }
 
 /// `svclasta` — conditionally extract: the element *after* the last active
@@ -222,7 +242,7 @@ pub fn svcompact<E: SveElem>(ctx: &SveCtx, pg: &PReg, a: &VReg) -> VReg {
 pub fn svclasta<E: SveElem>(ctx: &SveCtx, pg: &PReg, fallback: E, a: &VReg) -> E {
     ctx.exec(Opcode::Sel);
     let lanes = ctx.vl().lanes_of(E::BYTES);
-    match active_lanes::<E, _>(ctx, pg, a).last() {
+    match active_lanes::<E, _, _>(&ctx.sized(), pg, a).last() {
         Some((e, _)) if e + 1 < lanes => a.lane(e + 1),
         _ => fallback,
     }
@@ -232,7 +252,7 @@ pub fn svclasta<E: SveElem>(ctx: &SveCtx, pg: &PReg, fallback: E, a: &VReg) -> E
 /// predicate is empty).
 pub fn svclastb<E: SveElem>(ctx: &SveCtx, pg: &PReg, fallback: E, a: &VReg) -> E {
     ctx.exec(Opcode::Sel);
-    active_lanes::<E, _>(ctx, pg, a)
+    active_lanes::<E, _, _>(&ctx.sized(), pg, a)
         .last()
         .map_or(fallback, |(_, v)| v)
 }

@@ -5,16 +5,17 @@ use super::shape::fold_arith;
 use crate::count::Opcode;
 use crate::ctx::{SizedCtx, SveCtx};
 use crate::elem::{Lane, SveFloat};
+use crate::host::HostCopy;
 use crate::pred::PReg;
 use crate::vl::VL_MAX_BYTES;
 use crate::vreg::{Reg, VReg};
 
-impl<const N: usize> SizedCtx<'_, N> {
+impl<const N: usize, C: HostCopy> SizedCtx<'_, N, C> {
     /// [`svaddv`] of an `N`-byte register.
-    #[inline]
+    #[inline(always)]
     pub fn svaddv<E: SveFloat>(&self, pg: &PReg, a: &Reg<N>) -> E {
-        self.ctx.exec(Opcode::Faddv);
-        let lanes = self.ctx.vl().bytes() / E::BYTES;
+        self.exec(Opcode::Faddv);
+        let lanes = self.vl().bytes() / E::BYTES;
         let mut sums = [E::zero(); VL_MAX_BYTES / 2];
         for (e, sum) in sums[..lanes].iter_mut().enumerate() {
             if pg.elem_active::<E>(e) {
@@ -49,7 +50,7 @@ pub fn svaddv<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg) -> E {
 /// `svmaxv` — maximum of the active lanes (zero when none is active).
 pub fn svmaxv<E: SveFloat>(ctx: &SveCtx, pg: &PReg, a: &VReg) -> E {
     ctx.exec(Opcode::Fmaxv);
-    fold_arith(ctx, pg, a, None, E::Wide::max).unwrap_or_else(E::zero)
+    fold_arith(&ctx.sized(), pg, a, None, E::Wide::max).unwrap_or_else(E::zero)
 }
 
 #[cfg(test)]

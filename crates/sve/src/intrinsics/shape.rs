@@ -23,8 +23,9 @@
 //! Every shape is written once over the register capacity `N`, which its
 //! operands fix.
 
-use crate::ctx::SveCtx;
+use crate::ctx::SizedCtx;
 use crate::elem::{SveElem, SveFloat};
+use crate::host::HostCopy;
 use crate::pred::PReg;
 use crate::vreg::{ArithLanes, Reg};
 
@@ -54,68 +55,116 @@ impl Inactive {
     /// Whether the instruction computes every lane of the `E` view: an `_x`
     /// form, or a predicate that governs them all.
     #[inline(always)]
-    fn every_lane<E: SveElem>(self, ctx: &SveCtx, pg: &PReg) -> bool {
-        self == Inactive::Computed || pg.all_active::<E>(ctx.vl())
+    fn every_lane<E: SveElem, const N: usize, C: HostCopy>(
+        self,
+        sz: &SizedCtx<'_, N, C>,
+        pg: &PReg,
+    ) -> bool {
+        self == Inactive::Computed || pg.all_active::<E>(sz.vl())
     }
 }
 
+/// A shape's body, inline inside an entered copy, where it is part of one
+/// fused function; out of line where each instruction enters the host's
+/// copy on its own, one function per instruction and operand type, so a
+/// kernel that issues its instructions one by one does not carry a copy of
+/// every loop at every call. The element-wise shapes and the load take it —
+/// the ones the compiler left out of line by itself before entries were
+/// fused; the complex shape, the fold and the store stay inline, as then.
+#[inline(always)]
+fn lower<C: HostCopy, R>(body: impl FnOnce() -> R) -> R {
+    if C::ENTERED {
+        body()
+    } else {
+        dispatched(body)
+    }
+}
+
+#[inline(never)]
+fn dispatched<R>(body: impl FnOnce() -> R) -> R {
+    body()
+}
+
 /// Two-operand map on the lanes as stored: active lanes get `f(a, b)`.
-#[inline]
-pub(super) fn moved2<E: SveElem, const N: usize>(
-    ctx: &SveCtx,
+#[inline(always)]
+pub(super) fn moved2<E: SveElem, const N: usize, C: HostCopy>(
+    sz: &SizedCtx<'_, N, C>,
     pg: &PReg,
     inactive: Inactive,
     a: &Reg<N>,
     b: &Reg<N>,
     f: impl Fn(E, E) -> E,
 ) -> Reg<N> {
-    let lw = ctx.lowering();
-    if inactive.every_lane::<E>(ctx, pg) {
-        a.zip3(a, b, lw, |_, x: E, _, y| f(x, y))
-    } else {
-        a.zip3(a, b, lw, |e, x: E, _, y| inactive.merge(pg, e, x, f(x, y)))
-    }
+    lower::<C, _>(
+        #[inline(always)]
+        || {
+            if inactive.every_lane::<E, N, C>(sz, pg) {
+                a.zip3(
+                    a,
+                    b,
+                    sz,
+                    #[inline(always)]
+                    |_, x: E, _, y| f(x, y),
+                )
+            } else {
+                a.zip3(
+                    a,
+                    b,
+                    sz,
+                    #[inline(always)]
+                    |e, x: E, _, y| inactive.merge(pg, e, x, f(x, y)),
+                )
+            }
+        },
+    )
 }
 
 /// One-operand map on the lanes as stored: active lanes get `f(a)`.
-#[inline]
-pub(super) fn moved<E: SveElem, const N: usize>(
-    ctx: &SveCtx,
+#[inline(always)]
+pub(super) fn moved<E: SveElem, const N: usize, C: HostCopy>(
+    sz: &SizedCtx<'_, N, C>,
     pg: &PReg,
     inactive: Inactive,
     a: &Reg<N>,
     f: impl Fn(E) -> E,
 ) -> Reg<N> {
-    moved2(ctx, pg, inactive, a, a, |x, _| f(x))
+    moved2(sz, pg, inactive, a, a, |x, _| f(x))
 }
 
 /// Every element-wise arithmetic instruction on single lanes: active lanes
 /// get `f(z, a, b)`, inactive ones what `inactive` says of `z`.
-#[inline]
-fn arith3<E: SveFloat, const N: usize>(
-    ctx: &SveCtx,
+#[inline(always)]
+fn arith3<E: SveFloat, const N: usize, C: HostCopy>(
+    sz: &SizedCtx<'_, N, C>,
     pg: &PReg,
     inactive: Inactive,
     regs: [&Reg<N>; 3],
     f: impl Fn(E::Wide, E::Wide, E::Wide) -> E::Wide,
 ) -> Reg<N> {
-    let merge = |e, first: E, new: E| inactive.merge(pg, e, first, new);
-    let merge = (!inactive.every_lane::<E>(ctx, pg)).then_some(merge);
-    E::Lanes::zip3(ctx, regs, f, merge)
+    lower::<C, _>(
+        #[inline(always)]
+        || {
+            let merge = (!inactive.every_lane::<E, N, C>(sz, pg)).then_some(
+                #[inline(always)]
+                |e, first: E, new: E| inactive.merge(pg, e, first, new),
+            );
+            E::Lanes::zip3(sz, regs, f, merge)
+        },
+    )
 }
 
 /// Two-operand arithmetic: active lanes get `f(a, b)`.
-#[inline]
-pub(super) fn arith2<E: SveFloat, const N: usize>(
-    ctx: &SveCtx,
+#[inline(always)]
+pub(super) fn arith2<E: SveFloat, const N: usize, C: HostCopy>(
+    sz: &SizedCtx<'_, N, C>,
     pg: &PReg,
     inactive: Inactive,
     a: &Reg<N>,
     b: &Reg<N>,
     f: impl Fn(E::Wide, E::Wide) -> E::Wide,
 ) -> Reg<N> {
-    arith3::<E, N>(
-        ctx,
+    arith3::<E, N, C>(
+        sz,
         pg,
         inactive,
         [a, a, b],
@@ -125,16 +174,16 @@ pub(super) fn arith2<E: SveFloat, const N: usize>(
 }
 
 /// One-operand arithmetic: active lanes get `f(a)`.
-#[inline]
-pub(super) fn arith1<E: SveFloat, const N: usize>(
-    ctx: &SveCtx,
+#[inline(always)]
+pub(super) fn arith1<E: SveFloat, const N: usize, C: HostCopy>(
+    sz: &SizedCtx<'_, N, C>,
     pg: &PReg,
     inactive: Inactive,
     a: &Reg<N>,
     f: impl Fn(E::Wide) -> E::Wide,
 ) -> Reg<N> {
-    arith3::<E, N>(
-        ctx,
+    arith3::<E, N, C>(
+        sz,
         pg,
         inactive,
         [a, a, a],
@@ -145,58 +194,64 @@ pub(super) fn arith1<E: SveFloat, const N: usize>(
 
 /// Three-operand accumulate (`fmla` family): active lanes get
 /// `f(acc, a, b)`, inactive lanes keep `acc`.
-#[inline]
-pub(super) fn ternary<E: SveFloat, const N: usize>(
-    ctx: &SveCtx,
+#[inline(always)]
+pub(super) fn ternary<E: SveFloat, const N: usize, C: HostCopy>(
+    sz: &SizedCtx<'_, N, C>,
     pg: &PReg,
     acc: &Reg<N>,
     a: &Reg<N>,
     b: &Reg<N>,
     f: impl Fn(E::Wide, E::Wide, E::Wide) -> E::Wide,
 ) -> Reg<N> {
-    arith3::<E, N>(ctx, pg, Inactive::First, [acc, a, b], f)
+    arith3::<E, N, C>(sz, pg, Inactive::First, [acc, a, b], f)
 }
 
 /// Complex accumulate (`fcmla`, `fcadd`) on `regs = [acc, x, y]`: every
 /// (re, im) pair of adjacent lanes gets `f(acc, x, y)`; the real and the
 /// imaginary lane are each governed by their own predicate bit, inactive
 /// ones keep `acc`.
-#[inline]
-pub(super) fn complex<E: SveFloat, const N: usize>(
-    ctx: &SveCtx,
+#[inline(always)]
+pub(super) fn complex<E: SveFloat, const N: usize, C: HostCopy>(
+    sz: &SizedCtx<'_, N, C>,
     pg: &PReg,
     regs: [&Reg<N>; 3],
     f: impl Fn([E::Wide; 2], [E::Wide; 2], [E::Wide; 2]) -> [E::Wide; 2],
 ) -> Reg<N> {
-    let keep = |e, z, new| if pg.elem_active::<E>(e) { new } else { z };
-    let merge =
-        |p, z: [E; 2], new: [E; 2]| [keep(2 * p, z[0], new[0]), keep(2 * p + 1, z[1], new[1])];
-    let merge = (!pg.all_active::<E>(ctx.vl())).then_some(merge);
-    E::Lanes::zip3_pairs(ctx, regs, f, merge)
+    let merge = (!pg.all_active::<E>(sz.vl())).then_some(
+        #[inline(always)]
+        |p, z: [E; 2], new: [E; 2]| {
+            let on = |e| pg.elem_active::<E>(e);
+            [
+                if on(2 * p) { new[0] } else { z[0] },
+                if on(2 * p + 1) { new[1] } else { z[1] },
+            ]
+        },
+    );
+    E::Lanes::zip3_pairs(sz, regs, f, merge)
 }
 
 /// Fold the lanes of `a` active under `pg` into `init` with `f`, in lane
 /// order and rounding to `E` after every step (the first active lane starts
 /// the chain when there is no `init`; `None` if there is neither).
-#[inline]
-pub(super) fn fold_arith<E: SveFloat, const N: usize>(
-    ctx: &SveCtx,
+#[inline(always)]
+pub(super) fn fold_arith<E: SveFloat, const N: usize, C: HostCopy>(
+    sz: &SizedCtx<'_, N, C>,
     pg: &PReg,
     a: &Reg<N>,
     init: Option<E>,
     f: impl Fn(E::Wide, E::Wide) -> E::Wide,
 ) -> Option<E> {
-    E::Lanes::fold(ctx, pg, a, init, f)
+    E::Lanes::fold(sz, pg, a, init, f)
 }
 
 /// `(lane index, value)` of each active lane of `a`, in lane order.
-#[inline]
-pub(super) fn active_lanes<'a, E: SveElem, const N: usize>(
-    ctx: &SveCtx,
+#[inline(always)]
+pub(super) fn active_lanes<'a, E: SveElem, const N: usize, C: HostCopy>(
+    sz: &SizedCtx<'_, N, C>,
     pg: &'a PReg,
     a: &'a Reg<N>,
 ) -> impl Iterator<Item = (usize, E)> + 'a {
-    a.lanes::<E>(ctx.vl())
+    a.lanes::<E>(sz.vl())
         .enumerate()
         .filter(move |&(e, _)| pg.elem_active::<E>(e))
 }
@@ -221,52 +276,59 @@ fn unit_name(stride: usize) -> &'static str {
 /// One register of a structure load of `stride`-element records (`ld1` is
 /// `stride = 1`): active lane `e` takes `src[stride*e + k]`. Inactive lanes
 /// touch no memory and are zeroed; an active lane beyond `src` panics.
-#[inline]
-pub(super) fn load<E: SveElem, const N: usize>(
-    ctx: &SveCtx,
+#[inline(always)]
+pub(super) fn load<E: SveElem, const N: usize, C: HostCopy>(
+    sz: &SizedCtx<'_, N, C>,
     pg: &PReg,
     src: &[E],
     stride: usize,
     k: usize,
 ) -> Reg<N> {
-    let vl = ctx.vl();
-    let lanes = vl.lanes_of(E::BYTES);
-    if pg.all_active::<E>(vl) {
-        let Some(src) = src.get(..stride * lanes) else {
-            out_of_bounds("reads", unit_name(stride), src.len() / stride, src.len())
-        };
-        if stride == 1 {
-            Reg::from_slice(ctx.lowering(), src)
-        } else {
-            Reg::from_lanes(vl, src.chunks_exact(stride).map(|rec| rec[k]))
-        }
-    } else {
-        Reg::from_lanes(
-            vl,
-            (0..lanes).map(
-                |e| match (pg.elem_active::<E>(e), src.get(stride * e + k)) {
-                    (false, _) => E::zero(),
-                    (true, Some(&v)) => v,
-                    (true, None) => out_of_bounds("reads", "index", stride * e + k, src.len()),
-                },
-            ),
-        )
-    }
+    lower::<C, _>(
+        #[inline(always)]
+        || {
+            let vl = sz.vl();
+            let lanes = vl.lanes_of(E::BYTES);
+            if pg.all_active::<E>(vl) {
+                let Some(src) = src.get(..stride * lanes) else {
+                    out_of_bounds("reads", unit_name(stride), src.len() / stride, src.len())
+                };
+                if stride == 1 {
+                    Reg::from_slice(sz, src)
+                } else {
+                    Reg::from_lanes(vl, src.chunks_exact(stride).map(|rec| rec[k]))
+                }
+            } else {
+                Reg::from_lanes(
+                    vl,
+                    (0..lanes).map(
+                        |e| match (pg.elem_active::<E>(e), src.get(stride * e + k)) {
+                            (false, _) => E::zero(),
+                            (true, Some(&v)) => v,
+                            (true, None) => {
+                                out_of_bounds("reads", "index", stride * e + k, src.len())
+                            }
+                        },
+                    ),
+                )
+            }
+        },
+    )
 }
 
 /// One register of a structure store of `stride`-element records (`st1` is
 /// `stride = 1`): active lane `e` of `reg` goes to `dst[stride*e + k]`. Only
 /// active lanes touch memory; an active record beyond `dst` panics.
-#[inline]
-pub(super) fn store<E: SveElem, const N: usize>(
-    ctx: &SveCtx,
+#[inline(always)]
+pub(super) fn store<E: SveElem, const N: usize, C: HostCopy>(
+    sz: &SizedCtx<'_, N, C>,
     pg: &PReg,
     dst: &mut [E],
     stride: usize,
     k: usize,
     reg: &Reg<N>,
 ) {
-    let vl = ctx.vl();
+    let vl = sz.vl();
     let what = unit_name(stride);
     if pg.all_active::<E>(vl) {
         if dst.len() < stride * vl.lanes_of(E::BYTES) {
@@ -276,7 +338,7 @@ pub(super) fn store<E: SveElem, const N: usize>(
             rec[k] = v;
         }
     } else {
-        for (e, v) in active_lanes::<E, N>(ctx, pg, reg) {
+        for (e, v) in active_lanes::<E, N, C>(sz, pg, reg) {
             match dst.get_mut(stride * e + k) {
                 Some(d) => *d = v,
                 None => out_of_bounds("writes", what, e, dst.len()),

@@ -75,7 +75,7 @@ pub use count::{CostModel, Counters, OpClass, Opcode};
 pub use ctx::{SizedCtx, SveCtx, ToolchainFault};
 pub use elem::{Lane, Octet, SveElem, SveFloat};
 pub use f16::F16;
-pub use host::host_lanes;
+pub use host::{host_lanes, Dispatch, HostBody, HostCopy};
 pub use intrinsics::Rot;
 pub use pred::{PReg, PredFlags};
 pub use vl::{VectorLength, VL_MAX_BITS, VL_MAX_BYTES, VL_MIN_BITS, VL_STEP_BITS};

@@ -10,18 +10,21 @@
 //! to have (`armie`, the VLA listings, probes). Every lane loop below is
 //! written once over `N`.
 
-use crate::ctx::SveCtx;
+use crate::ctx::SizedCtx;
 use crate::elem::{Octet, SveElem, SveFloat};
 use crate::f16::F16;
-use crate::host::{unrolled, Convert, LaneLoop, Lowering, Portable};
+use crate::host::{unrolled, Convert, HostCopy, LaneLoop, Portable};
 use crate::pred::PReg;
 use crate::vl::{VectorLength, VL_MAX_BYTES};
 
 /// What one step of a lane loop reads or writes: a single element, or the
 /// (re, im) pair of adjacent lanes that `fcmla`/`fcadd` work on.
-pub(crate) trait LaneGroup: Copy + 'static {
+pub trait LaneGroup: Copy + 'static {
+    /// Bytes of one group.
     const BYTES: usize;
+    /// The group stored little-endian at the start of `src`.
     fn read_le(src: &[u8]) -> Self;
+    /// Store the group little-endian at the start of `dst`.
     fn write_le(self, dst: &mut [u8]);
 }
 
@@ -79,7 +82,7 @@ impl<const N: usize> Default for Reg<N> {
 
 #[cold]
 #[inline(never)]
-fn register_too_narrow(capacity: usize, vl: VectorLength) -> ! {
+pub(crate) fn register_too_narrow(capacity: usize, vl: VectorLength) -> ! {
     panic!(
         "sve: a {capacity}-byte register cannot hold a {vl:?} vector ({} bytes)",
         vl.bytes()
@@ -164,9 +167,12 @@ impl<const N: usize> Reg<N> {
 
     /// Build a register from the leading lanes of `src`, which must cover
     /// `vl`: the contiguous all-active load. Storage above `vl` stays zero.
-    #[inline]
-    pub(crate) fn from_slice<G: LaneGroup>(lw: Lowering, src: &[G]) -> Self {
-        lw.run(FromSlice::<_, N>(src))
+    #[inline(always)]
+    pub(crate) fn from_slice<G: LaneGroup, C: HostCopy>(
+        sz: &SizedCtx<'_, N, C>,
+        src: &[G],
+    ) -> Self {
+        sz.run(FromSlice::<_, N>(src))
     }
 
     /// The generating lane loop: lane (or lane pair) `i` of the result is
@@ -179,15 +185,15 @@ impl<const N: usize> Reg<N> {
     /// The element-wise lane loop: lane (or lane pair) `i` of the result is
     /// `f(i, self[i], a[i], b[i])` for every lane inside `vl`; storage above
     /// `vl` stays zero. Instructions with fewer operands pass one twice.
-    #[inline]
-    pub(crate) fn zip3<G: LaneGroup>(
+    #[inline(always)]
+    pub(crate) fn zip3<G: LaneGroup, C: HostCopy>(
         &self,
         a: &Self,
         b: &Self,
-        lw: Lowering,
+        sz: &SizedCtx<'_, N, C>,
         f: impl Fn(usize, G, G, G) -> G,
     ) -> Self {
-        lw.run(Zip3 { z: self, a, b, f })
+        sz.run(Zip3 { z: self, a, b, f })
     }
 
     /// Build a register by evaluating `f` on every lane index active for
@@ -218,8 +224,8 @@ impl<G: LaneGroup, const N: usize> LaneLoop<G> for FromSlice<'_, G, N> {
     fn run<C: Convert>(self, bytes: usize, _: C) -> Reg<N> {
         let mut r = Reg::zeroed();
         let src = &self.0[..bytes / G::BYTES];
-        for (dst, v) in r.bytes[..bytes].chunks_exact_mut(G::BYTES).zip(src) {
-            v.write_le(dst);
+        for (i, v) in src.iter().enumerate() {
+            v.write_le(&mut r.bytes[i * G::BYTES..(i + 1) * G::BYTES]);
         }
         r
     }
@@ -252,13 +258,17 @@ impl<G: LaneGroup, F: Fn(usize, G, G, G) -> G, const N: usize> LaneLoop<G> for Z
     const CAPACITY: usize = N;
     #[inline(always)]
     fn run<C: Convert>(self, bytes: usize, _: C) -> Reg<N> {
+        // Index loops, not zipped iterators: every step here must inline
+        // into a body entered once per chunk of sites.
         let mut r = Reg::zeroed();
-        let dst = r.bytes[..bytes].chunks_exact_mut(G::BYTES);
-        let z = self.z.bytes[..bytes].chunks_exact(G::BYTES);
-        let a = self.a.bytes[..bytes].chunks_exact(G::BYTES);
-        let b = self.b.bytes[..bytes].chunks_exact(G::BYTES);
-        for (i, (((dst, z), a), b)) in dst.zip(z).zip(a).zip(b).enumerate() {
-            (self.f)(i, G::read_le(z), G::read_le(a), G::read_le(b)).write_le(dst);
+        for i in 0..bytes / G::BYTES {
+            let at = i * G::BYTES..(i + 1) * G::BYTES;
+            let (z, a, b) = (
+                &self.z.bytes[at.clone()],
+                &self.a.bytes[at.clone()],
+                &self.b.bytes[at.clone()],
+            );
+            (self.f)(i, G::read_le(z), G::read_le(a), G::read_le(b)).write_le(&mut r.bytes[at]);
         }
         r
     }
@@ -273,8 +283,8 @@ impl<G: LaneGroup, F: Fn(usize, G, G, G) -> G, const N: usize> LaneLoop<G> for Z
 /// on the lanes as stored, so an inactive binary16 lane keeps its bits.
 pub trait ArithLanes<E: SveFloat> {
     /// Lane `i` of the result is `f(z[i], a[i], b[i])`, then `merge`.
-    fn zip3<const N: usize>(
-        ctx: &SveCtx,
+    fn zip3<const N: usize, C: HostCopy>(
+        sz: &SizedCtx<'_, N, C>,
         regs: [&Reg<N>; 3],
         f: impl Fn(E::Wide, E::Wide, E::Wide) -> E::Wide,
         merge: Option<impl Fn(usize, E, E) -> E>,
@@ -282,8 +292,8 @@ pub trait ArithLanes<E: SveFloat> {
 
     /// [`ArithLanes::zip3`] over the (re, im) pairs of adjacent lanes;
     /// `merge` sees one pair.
-    fn zip3_pairs<const N: usize>(
-        ctx: &SveCtx,
+    fn zip3_pairs<const N: usize, C: HostCopy>(
+        sz: &SizedCtx<'_, N, C>,
         regs: [&Reg<N>; 3],
         f: impl Fn([E::Wide; 2], [E::Wide; 2], [E::Wide; 2]) -> [E::Wide; 2],
         merge: Option<impl Fn(usize, [E; 2], [E; 2]) -> [E; 2]>,
@@ -292,8 +302,8 @@ pub trait ArithLanes<E: SveFloat> {
     /// Fold the lanes of `a` that `pg` governs into `init` in lane order,
     /// rounding to `E` after every step; without an `init` the first such
     /// lane starts the chain, and `None` comes back if there is none.
-    fn fold<const N: usize>(
-        ctx: &SveCtx,
+    fn fold<const N: usize, C: HostCopy>(
+        sz: &SizedCtx<'_, N, C>,
         pg: &PReg,
         a: &Reg<N>,
         init: Option<E>,
@@ -307,48 +317,60 @@ pub struct Direct;
 
 /// [`Reg::zip3`] over lanes or lane pairs `G`, with or without a `merge`.
 #[inline(always)]
-fn zip3_direct<G: LaneGroup, const N: usize>(
-    ctx: &SveCtx,
+fn zip3_direct<G: LaneGroup, const N: usize, C: HostCopy>(
+    sz: &SizedCtx<'_, N, C>,
     [z, a, b]: [&Reg<N>; 3],
     f: impl Fn(G, G, G) -> G,
     merge: Option<impl Fn(usize, G, G) -> G>,
 ) -> Reg<N> {
     match merge {
-        None => z.zip3(a, b, ctx.lowering(), |_, z, a, b| f(z, a, b)),
-        Some(merge) => z.zip3(a, b, ctx.lowering(), |i, z, a, b| merge(i, z, f(z, a, b))),
+        None => z.zip3(
+            a,
+            b,
+            sz,
+            #[inline(always)]
+            |_, z, a, b| f(z, a, b),
+        ),
+        Some(merge) => z.zip3(
+            a,
+            b,
+            sz,
+            #[inline(always)]
+            |i, z, a, b| merge(i, z, f(z, a, b)),
+        ),
     }
 }
 
 impl<E: SveFloat<Wide = E>> ArithLanes<E> for Direct {
     #[inline(always)]
-    fn zip3<const N: usize>(
-        ctx: &SveCtx,
+    fn zip3<const N: usize, C: HostCopy>(
+        sz: &SizedCtx<'_, N, C>,
         regs: [&Reg<N>; 3],
         f: impl Fn(E, E, E) -> E,
         merge: Option<impl Fn(usize, E, E) -> E>,
     ) -> Reg<N> {
-        zip3_direct(ctx, regs, f, merge)
+        zip3_direct(sz, regs, f, merge)
     }
 
     #[inline(always)]
-    fn zip3_pairs<const N: usize>(
-        ctx: &SveCtx,
+    fn zip3_pairs<const N: usize, C: HostCopy>(
+        sz: &SizedCtx<'_, N, C>,
         regs: [&Reg<N>; 3],
         f: impl Fn([E; 2], [E; 2], [E; 2]) -> [E; 2],
         merge: Option<impl Fn(usize, [E; 2], [E; 2]) -> [E; 2]>,
     ) -> Reg<N> {
-        zip3_direct(ctx, regs, f, merge)
+        zip3_direct(sz, regs, f, merge)
     }
 
     #[inline(always)]
-    fn fold<const N: usize>(
-        ctx: &SveCtx,
+    fn fold<const N: usize, C: HostCopy>(
+        sz: &SizedCtx<'_, N, C>,
         pg: &PReg,
         a: &Reg<N>,
         init: Option<E>,
         f: impl Fn(E, E) -> E,
     ) -> Option<E> {
-        let vl = ctx.vl();
+        let vl = sz.vl();
         if pg.all_active::<E>(vl) {
             chain(a.lanes::<E>(vl), init, f)
         } else {
@@ -440,18 +462,26 @@ where
     const CAPACITY: usize = N;
     #[inline(always)]
     fn run<C: Convert>(self, bytes: usize, cv: C) -> Reg<N> {
-        let [z, a, b] = self.regs.map(|r| r.bytes[..bytes].chunks(W::BYTES));
+        let [z, a, b] = self.regs;
         let mut r = Reg::zeroed();
-        let dst = r.bytes[..bytes].chunks_mut(W::BYTES);
-        for (((dst, z), a), b) in dst.zip(z).zip(a).zip(b) {
-            let at = |src| W::widen(cv, src);
-            (self.f)(at(z), at(a), at(b)).narrow(cv, dst);
+        for start in (0..bytes).step_by(W::BYTES) {
+            let at = start..bytes.min(start + W::BYTES);
+            let (z, a, b) = (
+                W::widen(cv, &z.bytes[at.clone()]),
+                W::widen(cv, &a.bytes[at.clone()]),
+                W::widen(cv, &b.bytes[at.clone()]),
+            );
+            (self.f)(z, a, b).narrow(cv, &mut r.bytes[at]);
         }
         if let Some(merge) = self.merge {
-            let z = self.regs[0].bytes[..bytes].chunks_exact(G::BYTES);
-            let dst = r.bytes[..bytes].chunks_exact_mut(G::BYTES);
-            for (i, (dst, z)) in dst.zip(z).enumerate() {
-                merge(i, G::read_le(z), G::read_le(dst)).write_le(dst);
+            for i in 0..bytes / G::BYTES {
+                let at = i * G::BYTES..(i + 1) * G::BYTES;
+                let new = merge(
+                    i,
+                    G::read_le(&z.bytes[at.clone()]),
+                    G::read_le(&r.bytes[at.clone()]),
+                );
+                new.write_le(&mut r.bytes[at]);
             }
         }
         r
@@ -492,14 +522,14 @@ impl<F: Fn(Octet, Octet) -> Octet, const N: usize> LaneLoop<F16> for FoldWidened
 
 impl ArithLanes<F16> for Widened {
     #[inline(always)]
-    fn zip3<const N: usize>(
-        ctx: &SveCtx,
+    fn zip3<const N: usize, C: HostCopy>(
+        sz: &SizedCtx<'_, N, C>,
         regs: [&Reg<N>; 3],
         f: impl Fn(Octet, Octet, Octet) -> Octet,
         merge: Option<impl Fn(usize, F16, F16) -> F16>,
     ) -> Reg<N> {
         let wide = std::marker::PhantomData;
-        ctx.lowering().run::<F16, _>(Zip3Widened {
+        sz.run::<F16, _>(Zip3Widened {
             regs,
             f,
             merge,
@@ -508,14 +538,14 @@ impl ArithLanes<F16> for Widened {
     }
 
     #[inline(always)]
-    fn zip3_pairs<const N: usize>(
-        ctx: &SveCtx,
+    fn zip3_pairs<const N: usize, C: HostCopy>(
+        sz: &SizedCtx<'_, N, C>,
         regs: [&Reg<N>; 3],
         f: impl Fn([Octet; 2], [Octet; 2], [Octet; 2]) -> [Octet; 2],
         merge: Option<impl Fn(usize, [F16; 2], [F16; 2]) -> [F16; 2]>,
     ) -> Reg<N> {
         let wide = std::marker::PhantomData;
-        ctx.lowering().run::<[F16; 2], _>(Zip3Widened {
+        sz.run::<[F16; 2], _>(Zip3Widened {
             regs,
             f,
             merge,
@@ -524,14 +554,14 @@ impl ArithLanes<F16> for Widened {
     }
 
     #[inline(always)]
-    fn fold<const N: usize>(
-        ctx: &SveCtx,
+    fn fold<const N: usize, C: HostCopy>(
+        sz: &SizedCtx<'_, N, C>,
         pg: &PReg,
         a: &Reg<N>,
         init: Option<F16>,
         f: impl Fn(Octet, Octet) -> Octet,
     ) -> Option<F16> {
-        ctx.lowering().run(FoldWidened { pg, a, init, f })
+        sz.run(FoldWidened { pg, a, init, f })
     }
 }
 

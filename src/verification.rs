@@ -207,7 +207,7 @@ fn test_mult_complex(cfg: &CheckCfg) -> Result<(), String> {
     let eng = cfg.engine();
     let a = eng.from_fn(|p| Complex::new(p as f64 + 1.0, -0.5 * p as f64));
     let b = eng.from_fn(|p| Complex::new(0.25 * p as f64 - 1.0, 2.0));
-    let r = eng.mult(a, b);
+    let r = eng.words().mult(a, b);
     for p in 0..eng.lanes_c() {
         let want = Complex::new(p as f64 + 1.0, -0.5 * p as f64)
             * Complex::new(0.25 * p as f64 - 1.0, 2.0);
@@ -222,7 +222,7 @@ fn test_mult_conj(cfg: &CheckCfg) -> Result<(), String> {
     let eng = cfg.engine();
     let a = eng.from_fn(|p| Complex::new(1.0, p as f64));
     let b = eng.from_fn(|p| Complex::new(p as f64, -2.0));
-    let r = eng.mult_conj(a, b);
+    let r = eng.words().mult_conj(a, b);
     for p in 0..eng.lanes_c() {
         let want = Complex::new(1.0, p as f64).conj() * Complex::new(p as f64, -2.0);
         if (eng.lane(r, p) - want).abs() > 1e-12 {
@@ -235,8 +235,8 @@ fn test_mult_conj(cfg: &CheckCfg) -> Result<(), String> {
 fn test_times_i(cfg: &CheckCfg) -> Result<(), String> {
     let eng = cfg.engine();
     let a = eng.from_fn(|p| Complex::new(2.0 - p as f64, 0.5 * p as f64));
-    let ti = eng.times_i(a);
-    let tmi = eng.times_minus_i(ti);
+    let ti = eng.words().times_i(a);
+    let tmi = eng.words().times_minus_i(ti);
     for p in 0..eng.lanes_c() {
         let z = Complex::new(2.0 - p as f64, 0.5 * p as f64);
         if eng.lane(ti, p) != z.times_i() || eng.lane(tmi, p) != z {
@@ -251,7 +251,7 @@ fn test_madd(cfg: &CheckCfg) -> Result<(), String> {
     let acc = eng.from_fn(|_| Complex::new(5.0, -5.0));
     let a = eng.from_fn(|p| Complex::new(p as f64, 1.0));
     let b = eng.from_fn(|_| Complex::new(1.0, 1.0));
-    let r = eng.madd(acc, a, b);
+    let r = eng.words().madd(acc, a, b);
     for p in 0..eng.lanes_c() {
         let want = Complex::new(5.0, -5.0) + Complex::new(p as f64, 1.0) * Complex::new(1.0, 1.0);
         if (eng.lane(r, p) - want).abs() > 1e-12 {
@@ -264,7 +264,7 @@ fn test_madd(cfg: &CheckCfg) -> Result<(), String> {
 fn test_reduce(cfg: &CheckCfg) -> Result<(), String> {
     let eng = cfg.engine();
     let a = eng.from_fn(|p| Complex::new(p as f64 + 1.0, -(p as f64)));
-    let sum = eng.reduce_sum(a);
+    let sum = eng.words().reduce_sum(a);
     let n = eng.lanes_c() as f64;
     ensure(
         close(sum.re, n * (n + 1.0) / 2.0, 1e-12) && close(sum.im, -n * (n - 1.0) / 2.0, 1e-12),
@@ -277,7 +277,7 @@ fn test_permute(cfg: &CheckCfg) -> Result<(), String> {
     let lanes = eng.lanes_c();
     let a = eng.from_fn(|p| Complex::new(p as f64, 100.0 + p as f64));
     let perm: Vec<usize> = (0..lanes).map(|p| (p + 1) % lanes).collect();
-    let r = eng.permute(a, &perm);
+    let r = eng.words().permute(a, &perm);
     for p in 0..lanes {
         let src = (p + 1) % lanes;
         if eng.lane(r, p) != Complex::new(src as f64, 100.0 + src as f64) {
