@@ -29,7 +29,9 @@ fn main() {
         let op = WilsonDirac::new(random_gauge(g.clone(), 11), 0.3);
         let b = FermionField::random(g.clone(), 12);
         g.engine().ctx().counters().reset();
-        let (_, r) = solve_wilson(&op, &b, tol, 4000);
+        let span = qcd_trace::span!("solver.cg", g.engine().ctx());
+        let zero = Start::Zero;
+        let (_, r) = solve_normal(&op, &b, zero, tol, 4000, span, "solver.cg", no_observer);
         println!(
             "{:<26} {:>7} {:>11.2e} {:>12.1}M {:>13}",
             "CG on M†M",

@@ -5,8 +5,9 @@
 //! Three legs on the same operator:
 //!
 //! - **undeflated** — plain [`cg`] over the N-RHS batch.
-//! - **deflated** — [`defl_cg`] on the batch, from the Galerkin guess of a
-//!   thick-restart Lanczos subspace built once on `M†M`.
+//! - **deflated** — CG on the batch from the Galerkin guess
+//!   ([`galerkin_guess`]) of a thick-restart Lanczos subspace built once on
+//!   `M†M`.
 //! - **coarse** — CG on RHS 0 in [`CoarseSpace::two_level`]: the two-level
 //!   preconditioner assembled from the same subspace's cell-blocked
 //!   near-null vectors.
@@ -18,9 +19,9 @@
 
 use crate::doc::{get_num, num, nums, obj};
 use crate::solver_bench::Thermalized;
-use grid::krylov::{self, Start};
+use grid::krylov::{self, Start, Vector};
 use grid::prelude::*;
-use qcd_deflate::{defl_cg, lanczos, CoarseSpace, LanczosParams};
+use qcd_deflate::{galerkin_guess, lanczos, CoarseSpace, LanczosParams};
 use qcd_trace::Json;
 
 /// The sizes of the deflation legs (the seeds, the iteration budget and the
@@ -99,7 +100,17 @@ pub fn run(therm: &Thermalized, cfg: &DeflationConfig) -> Result<Json, String> {
     if plain.converged.iter().any(|&c| !c) {
         return Err("undeflated block solve did not converge".into());
     }
-    let (_, defl) = defl_cg(op, &sub, &block, cfg.tol, MAX_ITER);
+    let span = qcd_trace::span!("solver.deflate", op.grid().engine().ctx());
+    let (_, defl) = krylov::cg_solve(
+        &mut op.normal(&mut block.zero_like()),
+        &block,
+        Start::Guess(galerkin_guess(&sub, op.mass, &block)),
+        cfg.tol,
+        MAX_ITER,
+        span,
+        "solver.defl_block_cg",
+        krylov::no_observer,
+    );
     if defl.converged.iter().any(|&c| !c) {
         return Err("deflated block solve did not converge".into());
     }

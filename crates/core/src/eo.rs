@@ -173,6 +173,9 @@ impl<E: SveFloat, W: Deref<Target = WilsonDirac<E>>> AsRef<Arc<Grid<E>>> for Sch
 /// through CG on the normal equations of [`Schur`] restricted to the even
 /// checkerboard, followed by back-substitution for the odd sites.
 ///
+/// The last Wilson-only solve: it stays while `EO_F64` pins its instruction
+/// column, until a red-black solve of any operator replaces it.
+///
 /// Runs on the allocation-free path: the Schur operator owns its hopping
 /// intermediates and one field holds `S v`, so a steady-state CG iteration
 /// (four hopping sweeps plus the fused BLAS) allocates nothing. Converged
@@ -242,8 +245,8 @@ pub fn solve_eo(
 mod tests {
     use super::*;
     use crate::complex::Complex;
+    use crate::krylov::{no_observer, solve_normal};
     use crate::simd::SimdBackend;
-    use crate::solver::solve_wilson;
     use crate::tensor::su3::random_gauge;
     use sve::VectorLength;
 
@@ -314,7 +317,9 @@ mod tests {
         let op = WilsonDirac::new(random_gauge(g.clone(), 75), 0.3);
         let b = FermionField::random(g.clone(), 76);
         let (x_eo, _) = solve_eo(&op, &b, 1e-10, 1000);
-        let (x_plain, _) = solve_wilson(&op, &b, 1e-10, 2000);
+        let span = qcd_trace::span!("solver.cg", g.engine().ctx());
+        let zero = Start::Zero;
+        let (x_plain, _) = solve_normal(&op, &b, zero, 1e-10, 2000, span, "solver.cg", no_observer);
         let mut diff = FermionField::zero(g);
         diff.sub(&x_eo, &x_plain);
         let rel = (diff.norm2() / x_plain.norm2()).sqrt();
@@ -329,7 +334,9 @@ mod tests {
         let op = WilsonDirac::new(random_gauge(g.clone(), 77), 0.2);
         let b = FermionField::random(g.clone(), 78);
         let (_, eo) = solve_eo(&op, &b, 1e-8, 2000);
-        let (_, plain) = solve_wilson(&op, &b, 1e-8, 2000);
+        let span = qcd_trace::span!("solver.cg", g.engine().ctx());
+        let zero = Start::Zero;
+        let (_, plain) = solve_normal(&op, &b, zero, 1e-8, 2000, span, "solver.cg", no_observer);
         assert!(
             eo.iterations < plain.iterations,
             "EO {} !< plain {}",

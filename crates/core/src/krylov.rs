@@ -7,7 +7,9 @@
 //! BiCGStab's `α`, `ω` and `β`; [`iterate`] is the only loop, and it drives
 //! either ([`Recurrence`]). [`cg_solve`] and [`bicgstab`] wrap that loop in
 //! a start, the health monitors, the true-residual check and the
-//! solve-level report. Everything else that used to be a hand-written loop
+//! solve-level report; [`solve_normal`] is the solve of `M x = b` of any
+//! operator, CG on its normal equations reporting the residual of `M x = b`.
+//! Everything else that used to be a hand-written loop
 //! is a **space** ([`CgSpace`]: an operator bound to a vector type), a
 //! **start** ([`Start`]) and an **observer** (a closure called after every
 //! iteration). A fermion operator's spaces are written once too, as
@@ -31,6 +33,7 @@
 //! vector length, thread count and (for `dist_cg`) rank count.
 
 use crate::complex::Complex;
+use crate::dirac::Dirac;
 use crate::field::{cg_updates, FermionBlock, FermionKind, Field};
 use crate::solver::{BlockSolveReport, SolveReport, HISTORY_CAP};
 use qcd_trace::HealthMonitor;
@@ -628,6 +631,46 @@ pub fn cg_solve<V: Vector>(
     )
 }
 
+/// Solve `M x_j = b_j` for any fermion operator by CG on `M†M x = M†b` in
+/// [`Dirac::normal`], with [`cg_solve`]'s arguments, the operator in place
+/// of the space. A [`Start::Guess`] guesses `x`; a [`Start::State`] is a
+/// state of `M†M x = M†b` (`qcd_io::resume` checks one against `M†b`).
+/// `span` covers `M†b` and the CG. The reported residual is the true one,
+/// `|b_j − M x_j| / |b_j|` per RHS; `converged` means the CG reached `tol`.
+#[allow(clippy::too_many_arguments)]
+pub fn solve_normal<V: Vector, D: Dirac<V>>(
+    op: &D,
+    b: &V,
+    start: Start<V>,
+    tol: f64,
+    max_iter: usize,
+    span: qcd_trace::SpanGuard<'_>,
+    region: &str,
+    mut observer: impl FnMut(&State<V>, &[HealthMonitor]) -> ControlFlow<()>,
+) -> (V, V::Report) {
+    let (rhs, mut tmp) = (op.apply_dag(b), b.zero_like());
+    let (x, mut report): (V, BlockSolveReport) = solve(
+        Recurrence::Cg,
+        &mut op.normal(&mut tmp),
+        &rhs,
+        start,
+        tol,
+        max_iter,
+        span,
+        region,
+        &mut observer,
+    );
+    // `M x` lands in `tmp`, `b − M x` in the spent `M†b`.
+    op.apply_into(&x, &mut tmp);
+    let (mut r, mut r2, mut b2) = (rhs, vec![0.0; b.nrhs()], vec![0.0; b.nrhs()]);
+    r.sub_norms2_into(b, &tmp, &mut r2);
+    b.norms2_into(&mut b2);
+    for (j, residual) in report.residuals.iter_mut().enumerate() {
+        *residual = (r2[j] / b2[j]).sqrt();
+    }
+    (x, report.into())
+}
+
 /// Solve `M x = b` by BiCGStab in `space` — the operator's own space,
 /// [`crate::dirac::Dirac::direct`], not its normal equations — with
 /// [`cg_solve`]'s arguments and everything it supplies: the starts (a
@@ -667,9 +710,10 @@ pub fn bicgstab<V: Vector>(
 
 // The space and the observer are each called once per iteration, beside
 // sweeps over the whole lattice: behind `dyn`, the driver is compiled once
-// per vector type rather than once per (space, observer).
+// per vector type rather than once per (space, observer). The report is the
+// vector's own, or the per-RHS one `solve_normal` amends.
 #[allow(clippy::too_many_arguments)]
-fn solve<V: Vector>(
+fn solve<V: Vector, R: From<BlockSolveReport>>(
     rec: Recurrence<'_, V>,
     space: &mut dyn CgSpace<V = V>,
     b: &V,
@@ -679,7 +723,7 @@ fn solve<V: Vector>(
     span: qcd_trace::SpanGuard<'_>,
     region: &str,
     observer: &mut Observer<'_, V>,
-) -> (V, V::Report) {
+) -> (V, R) {
     let mut w = Scratch::new(b);
     let mut state = begin(space, b, &mut w, start);
     let mut monitors = health_monitors(region, V::BATCHED, &state.histories);

@@ -26,13 +26,14 @@
 //!   "the most compute-intensive task" of LQCD.
 //! * **Solvers** ([`krylov`], [`solver`]): one Krylov driver, CG and
 //!   BiCGStab as steps of one loop over spaces of fields (field, block, 5-d,
-//!   on a rank grid, binary16), and the Wilson `cg` on `M†M` at either width.
+//!   on a rank grid, binary16), `M x = b` of any operator, and `cg` on `M†M`.
 //! * **Comms** ([`comms`]): simulated multi-rank domain decomposition with
 //!   halo exchange, binary16 wire compression (Section V-B), rank grids.
 //!
 //! # Quickstart
 //!
 //! ```
+//! use grid::krylov::{no_observer, Start};
 //! use grid::prelude::*;
 //!
 //! // A 4^4 lattice on 512-bit SVE silicon, FCMLA complex arithmetic.
@@ -40,7 +41,8 @@
 //! let u = random_gauge(g.clone(), 7);
 //! let d = WilsonDirac::new(u, 0.2);
 //! let b = FermionField::random(g.clone(), 8);
-//! let (x, report) = solve_wilson(&d, &b, 1e-8, 1000);
+//! let span = qcd_trace::span!("solver.cg", g.engine().ctx());
+//! let (x, report) = solve_normal(&d, &b, Start::Zero, 1e-8, 1000, span, "solver.cg", no_observer);
 //! assert!(report.residual < 1e-6);
 //! # let _ = x;
 //! ```
@@ -103,7 +105,7 @@ pub mod prelude {
         average_plaquette, average_polyakov_loop, max_unitarity_deviation, random_transform,
         transform_fermion, transform_links, wilson_loop, TransformField,
     };
-    pub use crate::krylov::bicgstab;
+    pub use crate::krylov::{bicgstab, solve_normal};
     pub use crate::layout::Grid;
     pub use crate::mixed::{
         ladder_solve, ladder_solve_from, to_precision, to_precision_into, LadderConfig,
@@ -112,7 +114,7 @@ pub mod prelude {
     pub use crate::requests::{solve_cg_requests, SolveOutcome, SolveRequest};
     pub use crate::rng::StreamRng;
     pub use crate::simd::{SimdBackend, SimdEngine};
-    pub use crate::solver::{cg, solve_wilson, BlockSolveReport, SolveReport};
+    pub use crate::solver::{cg, BlockSolveReport, SolveReport};
     pub use crate::tensor::gamma_algebra::{mult_gamma, GammaElement};
     pub use crate::tensor::su3::{
         compress_su3, random_gauge, reconstruct_row2, reconstruct_su3, unit_gauge, TwoRowMatrix,

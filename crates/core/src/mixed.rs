@@ -204,7 +204,7 @@ struct F16Tier<O, V> {
 /// One binary16 inner-CG cycle on the normalized residual system
 /// `A†A e = ŝ`: a zero start rebuilt in the tier's storage, then
 /// [`krylov::iterate`] of CG in the [`Dirac::normal`] space at binary16 (whose
-/// per-site sums accumulate in f32, [`crate::reduce::site_dot`]) — a
+/// per-site sums accumulate in f32, [`crate::reduce::site_dots`]) — a
 /// cycle, not a solve: no span of its own, no true residual (the reliable
 /// update takes it at f32), the caller's monitor. Appends the cycle's relative
 /// residuals to `history`; returns `(iterations, aborted)` where `aborted`
@@ -522,7 +522,7 @@ mod tests {
     use crate::dirac::WilsonDirac;
     use crate::field::FermionKind;
     use crate::simd::SimdBackend;
-    use crate::solver::{cg, solve_wilson};
+    use crate::solver::cg;
     use crate::tensor::su3::random_gauge;
     use crate::FermionField;
     use sve::VectorLength;
@@ -532,6 +532,14 @@ mod tests {
         let u = random_gauge(g.clone(), 121);
         let b = FermionField::random(g.clone(), 122);
         (WilsonDirac::new(u, 0.3), b)
+    }
+
+    /// The pure-f64 reference: `M x = b` by CG on the normal equations.
+    fn reference(op: &WilsonDirac<f64>, b: &FermionField) -> FermionField {
+        let span = qcd_trace::span!("solver.cg", b.grid().engine().ctx());
+        let zero = Start::Zero;
+        let observer = krylov::no_observer;
+        krylov::solve_normal(op, b, zero, 1e-10, 3000, span, "solver.cg", observer).0
     }
 
     #[test]
@@ -649,7 +657,7 @@ mod tests {
             resumed.outer_iterations,
             cold.outer_iterations
         );
-        let (x_ref, _) = solve_wilson(&op, &b, 1e-10, 3000);
+        let x_ref = reference(&op, &b);
         let mut diff = FermionField::zero(b.grid().clone());
         diff.sub(&x, &x_ref);
         assert!((diff.norm2() / x_ref.norm2()).sqrt() < 1e-8);
@@ -690,7 +698,7 @@ mod tests {
         assert!(report.reliable_updates >= 1, "no reliable updates");
         assert_eq!(report.tier_fallbacks, 0, "healthy solve demoted tiers");
         assert!(report.f16_active_at_exit);
-        let (x_ref, _) = solve_wilson(&op, &b, 1e-10, 3000);
+        let x_ref = reference(&op, &b);
         let mut diff = FermionField::zero(b.grid().clone());
         diff.sub(&x, &x_ref);
         assert!((diff.norm2() / x_ref.norm2()).sqrt() < 1e-8);
@@ -727,7 +735,7 @@ mod tests {
         assert!(report.outer_iterations >= 2, "needs multiple corrections");
         assert_eq!(report.f16_iterations, 0);
         assert!(report.f32_iterations > 0);
-        let (x_ref, _) = solve_wilson(&op, &b, 1e-10, 3000);
+        let x_ref = reference(&op, &b);
         let mut diff = FermionField::zero(b.grid().clone());
         diff.sub(&x, &x_ref);
         assert!((diff.norm2() / x_ref.norm2()).sqrt() < 1e-8);
@@ -752,7 +760,7 @@ mod tests {
             "expected a typed stall episode, got {:?}",
             report.health
         );
-        let (x_ref, _) = solve_wilson(&op, &b, 1e-10, 3000);
+        let x_ref = reference(&op, &b);
         let mut diff = FermionField::zero(b.grid().clone());
         diff.sub(&x, &x_ref);
         assert!((diff.norm2() / x_ref.norm2()).sqrt() < 1e-8);

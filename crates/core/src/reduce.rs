@@ -8,7 +8,7 @@
 //! any vector length, thread count and rank count is the *same* solve.
 //!
 //! Every field-to-scalar reduction therefore has one shape. A sweep computes
-//! one value per lattice site (`site_dot`: the site's components summed in
+//! one value per lattice site (`site_dots`: the site's components summed in
 //! order, in `f64`, or `f32` for binary16) and writes it, in storage order,
 //! into its own chunk of a buffer each thread keeps and reuses
 //! ([`sweep_sums`]); [`canonical_sum`] then reads those values through the
@@ -119,39 +119,11 @@ fn sum_rows<E: SveFloat>(grid: &Grid<E>, partials: &mut Vec<f64>, rows: usize, o
     }
 }
 
-/// `Σ (a·b + c·d)` over the `[a, b, c, d]` of a site's components, in
-/// order: the value one site contributes to a reduction. Accumulated in
-/// `f64`, except in `f32` for binary16 — the product of two f16 values is
-/// exact in f32 (11-bit significands multiply into at most 22 bits), so
-/// only the additions round, and the binary16 tier steers by sums no wider
-/// than an f16 unit's accumulator.
-#[inline(always)]
-pub(crate) fn site_dot<E: SveFloat>(terms: impl Iterator<Item = [f64; 4]>) -> f64 {
-    if E::BYTES == 2 {
-        let mut s = 0.0f32;
-        for [a, b, c, d] in terms {
-            s += a as f32 * b as f32 + c as f32 * d as f32;
-        }
-        s as f64
-    } else {
-        let mut s = 0.0;
-        for [a, b, c, d] in terms {
-            s += a * b + c * d;
-        }
-        s
-    }
-}
-
 /// `out[lane] = Σ_comp Re(conj(a)·b)` at every lane of one outer site whose
 /// component words are `a` and `b` (`out.len()` complex lanes per word).
 #[inline(always)]
 pub(crate) fn site_dots<E: SveFloat>(a: &[E], b: &[E], out: &mut [f64]) {
-    let w = 2 * out.len();
-    for (lane, o) in out.iter_mut().enumerate() {
-        let (re, im) = (2 * lane, 2 * lane + 1);
-        let words = a.chunks_exact(w).zip(b.chunks_exact(w));
-        *o = site_dot::<E>(words.map(|(a, b)| [a[re], b[re], a[im], b[im]].map(SveFloat::to_f64)));
-    }
+    lane_sums::<E, false>(a, b, out);
 }
 
 /// [`site_dots`] for the whole complex `Σ_comp conj(a)·b`: the real parts
@@ -159,15 +131,39 @@ pub(crate) fn site_dots<E: SveFloat>(a: &[E], b: &[E], out: &mut [f64]) {
 #[inline(always)]
 pub(crate) fn site_inners<E: SveFloat>(a: &[E], b: &[E], out: &mut [f64]) {
     let (re_out, im_out) = out.split_at_mut(out.len() / 2);
-    site_dots(a, b, re_out);
-    let w = 2 * im_out.len();
-    for (lane, o) in im_out.iter_mut().enumerate() {
-        let (re, im) = (2 * lane, 2 * lane + 1);
-        let words = a.chunks_exact(w).zip(b.chunks_exact(w));
-        *o = site_dot::<E>(words.map(|(a, b)| {
-            let [ar, ai, br, bi] = [a[re], a[im], b[re], b[im]].map(SveFloat::to_f64);
-            [ar, bi, -ai, br]
-        }));
+    lane_sums::<E, false>(a, b, re_out);
+    lane_sums::<E, true>(a, b, im_out);
+}
+
+/// At every lane, `Σ (x·y + z·u)` over the site's component words in order,
+/// `[x, y, z, u]` the lane's `[a_re, b_re, a_im, b_im]` or, for `IM`,
+/// `[a_re, b_im, −a_im, b_re]`. Accumulated in `f64`, except in `f32` for
+/// binary16 — the product of two f16 values is exact in f32, so only the
+/// additions round, and the binary16 tier steers by sums no wider than an
+/// f16 unit's accumulator. Index loops: an iterator adapter left out of
+/// line in a fused sweep body runs without its instruction set.
+#[inline(always)]
+fn lane_sums<E: SveFloat, const IM: bool>(a: &[E], b: &[E], out: &mut [f64]) {
+    let w = 2 * out.len();
+    let words = a.len().min(b.len()) / w;
+    for lane in 0..out.len() {
+        let (mut s, mut s32) = (0.0f64, 0.0f32);
+        for k in 0..words {
+            let (re, im) = (k * w + 2 * lane, k * w + 2 * lane + 1);
+            let (ar, ai) = (a[re].to_f64(), a[im].to_f64());
+            let (br, bi) = (b[re].to_f64(), b[im].to_f64());
+            let [x, y, z, u] = if IM {
+                [ar, bi, -ai, br]
+            } else {
+                [ar, br, ai, bi]
+            };
+            if E::BYTES == 2 {
+                s32 += x as f32 * y as f32 + z as f32 * u as f32;
+            } else {
+                s += x * y + z * u;
+            }
+        }
+        out[lane] = if E::BYTES == 2 { s32 as f64 } else { s };
     }
 }
 
@@ -203,10 +199,28 @@ mod tests {
 
     #[test]
     fn binary16_sites_accumulate_in_binary32() {
-        // 4096² = 2²⁴ is exact in both accumulators; the f32 one then
-        // loses the 1 added to it, the f64 one keeps it.
-        let terms = || [[4096.0, 4096.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]].into_iter();
-        assert_eq!(site_dot::<sve::F16>(terms()), 16_777_216.0);
-        assert_eq!(site_dot::<f64>(terms()), 16_777_217.0);
+        // One lane, two words: 4096 and 1. 4096² = 2²⁴ is exact in both
+        // accumulators; the f32 one then loses the 1 added to it, the f64
+        // one keeps it.
+        fn dot<E: SveFloat>() -> f64 {
+            let a = [4096.0, 0.0, 1.0, 0.0].map(E::from_f64);
+            let mut out = [0.0];
+            site_dots(&a, &a, &mut out);
+            out[0]
+        }
+        assert_eq!(dot::<sve::F16>(), 16_777_216.0);
+        assert_eq!(dot::<f64>(), 16_777_217.0);
+    }
+
+    #[test]
+    fn inners_are_the_conjugate_dot_per_lane() {
+        // Two lanes, two words: lane 0 holds (1 + 2i, 3 − i) in `a` and
+        // (2 − i, 1 + 4i) in `b`, lane 1 the same scaled by 2 and 3.
+        let a = [1.0, 2.0, 2.0, 4.0, 3.0, -1.0, 6.0, -2.0];
+        let b = [2.0, -1.0, 6.0, -3.0, 1.0, 4.0, 3.0, 12.0];
+        let mut out = [0.0; 4];
+        site_inners(&a, &b, &mut out);
+        // conj(1 + 2i)(2 − i) + conj(3 − i)(1 + 4i) = −5i + (−1 + 13i).
+        assert_eq!(out, [-1.0, -6.0, 8.0, 48.0]);
     }
 }

@@ -6,8 +6,8 @@
 //! drives. Requests arrive one at a time in arbitrary order; the scheduler
 //! coalesces whatever is pending into a [`FermionBlock`] ([`coalesce`]),
 //! runs one batched solve on it — [`solve_cg_requests`] is that around
-//! [`cg`] of the block; a deflated batch is `qcd_deflate::defl_cg` on the
-//! same block — and splits the result per request ([`demux`]). The whole
+//! [`cg`] of the block; a deflated batch is `krylov::cg_solve` on the same
+//! block from `qcd_deflate::galerkin_guess` — and splits the result per request ([`demux`]). The whole
 //! scheme is only sound because of the block-path contract
 //! ([`FermionBlock`], [`cg`]): per-RHS results of a batched solve are
 //! bit-identical to independent single-RHS solves, for *any* batch width

@@ -14,13 +14,13 @@
 //! Both recurrences live in [`crate::krylov`], once, as steps of its one
 //! loop over one checkpointable state ([`krylov::State`]): CG in an
 //! operator's [`Dirac::normal`] space, BiCGStab ([`krylov::bicgstab`]) in
-//! its [`Dirac::direct`] space. This module holds what a solve is made of
-//! around them: the report types and the Wilson entry point [`cg`] — the
-//! normal space from a zero start at either width, whose steady-state
-//! iteration performs no heap allocation of its own.
+//! its [`Dirac::direct`] space. So does the one solve of `M x = b`,
+//! [`krylov::solve_normal`], for any operator and any start. This module
+//! holds the report types and the Wilson entry point [`cg`] — the normal
+//! space from a zero start at either width, whose steady-state iteration
+//! performs no heap allocation of its own.
 
 use crate::dirac::{Dirac, WilsonDirac};
-use crate::field::FermionField;
 use crate::krylov::{self, Start, Vector};
 use qcd_trace::HealthEvent;
 
@@ -89,24 +89,6 @@ where
     )
 }
 
-/// Solve `M x = b` through the normal equations: CG on `M†M x = M†b`.
-pub fn solve_wilson(
-    op: &WilsonDirac,
-    b: &FermionField,
-    tol: f64,
-    max_iter: usize,
-) -> (FermionField, SolveReport) {
-    let rhs = op.apply_dag(b);
-    let (x, mut report) = cg(op, &rhs, tol, max_iter);
-    // Report the residual of the original system; `M x` lands in a scratch
-    // field and the subtract-and-norm runs as one fused sweep.
-    let mut mx = FermionField::zero(b.grid().clone());
-    op.apply_into(&x, &mut mx);
-    let mut true_r = rhs; // reuse the spent right-hand side as scratch
-    report.residual = (true_r.sub_norm2(b, &mx) / b.norm2()).sqrt();
-    (x, report)
-}
-
 /// Outcome of a batched block-CG solve: the per-RHS counterparts of every
 /// [`SolveReport`] member, plus the shared solve-level telemetry.
 #[derive(Clone, Debug)]
@@ -148,9 +130,12 @@ impl From<BlockSolveReport> for SolveReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clover::CloverWilson;
     use crate::complex::Complex;
-    use crate::field::{FermionBlock, FermionKind, Field};
-    use crate::krylov::{bicgstab, cg_solve, no_observer, Allocating, CgSpace, State};
+    use crate::field::{FermionBlock, FermionField, FermionKind, Field};
+    use crate::krylov::{
+        bicgstab, cg_solve, no_observer, solve_normal, Allocating, CgSpace, State,
+    };
     use crate::layout::Grid;
     use crate::simd::SimdBackend;
     use crate::tensor::su3::random_gauge;
@@ -257,14 +242,31 @@ mod tests {
     }
 
     #[test]
-    fn solve_wilson_inverts_m() {
+    fn solve_normal_inverts_m() {
+        // One solve of `M x = b` for any operator: Wilson, and clover on the
+        // same links.
+        fn inverts<D: Dirac<FermionField>>(op: &D, b: &FermionField) {
+            let span = qcd_trace::span!("solver.cg", b.grid().engine().ctx());
+            let (x, report) = solve_normal(
+                op,
+                b,
+                Start::Zero,
+                1e-8,
+                2000,
+                span,
+                "solver.cg",
+                no_observer,
+            );
+            assert!(report.residual < 1e-6, "residual {}", report.residual);
+            let mx = op.apply(&x);
+            let mut diff = FermionField::zero(b.grid().clone());
+            diff.sub(&mx, b);
+            let residual = (diff.norm2() / b.norm2()).sqrt();
+            assert_eq!(residual.to_bits(), report.residual.to_bits());
+        }
         let (op, b) = setup(512, SimdBackend::Fcmla);
-        let (x, report) = solve_wilson(&op, &b, 1e-8, 2000);
-        assert!(report.residual < 1e-6, "residual {}", report.residual);
-        let mx = op.apply(&x);
-        let mut diff = FermionField::zero(b.grid().clone());
-        diff.sub(&mx, &b);
-        assert!((diff.norm2() / b.norm2()).sqrt() < 1e-6);
+        inverts(&op, &b);
+        inverts(&CloverWilson::new(op.gauge().clone(), op.mass, 1.0), &b);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! f16-inner ladder against a pure double-precision solve, and the
 //! health-driven tier fallback as seen by the flight recorder.
 
+use grid::krylov::{no_observer, Start};
 use grid::mixed::{ladder_solve, LadderConfig};
 use grid::prelude::*;
 use sve::F16;
@@ -100,7 +101,10 @@ fn f16_inner_ladder_meets_the_accuracy_bound() {
     let (x, report) = ladder_solve(&op, &b, &LadderConfig::new(tol));
     assert!(report.converged, "{report:?}");
     assert!(report.f16_iterations > 0, "f16 tier never ran");
-    let (x_ref, ref_report) = solve_wilson(&op, &b, 1e-12, 5000);
+    let span = qcd_trace::span!("solver.cg", b.grid().engine().ctx());
+    let zero = Start::Zero;
+    let (x_ref, ref_report) =
+        solve_normal(&op, &b, zero, 1e-12, 5000, span, "solver.cg", no_observer);
     assert!(ref_report.converged);
     let mut diff = FermionField::zero(b.grid().clone());
     diff.sub(&x, &x_ref);

@@ -13,10 +13,10 @@
 //!   with full reorthogonalization in `op.normal(&mut tmp)`, producing a
 //!   [`Subspace`] of validated eigenpairs (explicit `‖Av − θv‖` residuals).
 //! * **Deflated solves** ([`defl`]): the start [`galerkin_guess`],
-//!   `x₀ = V (V†AV)⁻¹ V† b` per RHS, and [`defl_cg`], the Wilson solve from
-//!   it — for a block, per-RHS bit-identical to the single-RHS path (what a
-//!   job farm runs). At binary16, the guess of `to_precision`-converted
-//!   vectors and right-hand side.
+//!   `x₀ = V (V†AV)⁻¹ V† b` per RHS, of the one CG driver in any operator —
+//!   for a block, per-RHS bit-identical to the single-RHS path (what a job
+//!   farm runs). At binary16, the guess of `to_precision`-converted vectors
+//!   and right-hand side.
 //! * **Coarse grid** ([`coarse`]): cell-blocked near-null vectors, the
 //!   Galerkin coarse operator of a fine space, and a two-level
 //!   preconditioner inside CG ([`CoarseSpace::two_level`]).
@@ -51,6 +51,6 @@ pub mod dense;
 pub mod lanczos;
 
 pub use coarse::{CoarseSpace, F16Smoother, TwoLevel};
-pub use defl::{defl_cg, galerkin_guess};
+pub use defl::galerkin_guess;
 pub use lanczos::{lanczos, EigenReport, LanczosParams};
 pub use qcd_io::Subspace;

@@ -12,12 +12,10 @@
 
 use std::sync::{Arc, OnceLock};
 
-use grid::krylov::{self, Start};
+use grid::krylov::{self, Start, Vector};
 use grid::mixed::to_precision;
 use grid::prelude::*;
-use qcd_deflate::{
-    defl_cg, galerkin_guess, lanczos, CoarseSpace, F16Smoother, LanczosParams, Subspace,
-};
+use qcd_deflate::{galerkin_guess, lanczos, CoarseSpace, F16Smoother, LanczosParams, Subspace};
 use qcd_hmc::{HmcParams, IntegratorKind, MarkovChain};
 use sve::F16;
 
@@ -64,6 +62,30 @@ fn fixture() -> &'static Fixture {
     })
 }
 
+/// The deflated solve of `M†M x = b`: CG in the operator's normal space
+/// from the Galerkin guess of `sub`, for a field or a block.
+fn deflated<V: Vector<E = f64>>(
+    op: &WilsonDirac,
+    sub: &Subspace,
+    b: &V,
+    tol: f64,
+    max_iter: usize,
+) -> (V, V::Report)
+where
+    WilsonDirac: Dirac<V>,
+{
+    krylov::cg_solve(
+        &mut op.normal(&mut b.zero_like()),
+        b,
+        Start::Guess(galerkin_guess(sub, op.mass, b)),
+        tol,
+        max_iter,
+        qcd_trace::span!("solver.deflate"),
+        "solver.defl_cg",
+        krylov::no_observer,
+    )
+}
+
 #[test]
 fn lanczos_eigenpairs_are_validated_and_positive() {
     let f = fixture();
@@ -104,7 +126,7 @@ fn deflated_cg_converges_in_fewer_iterations_than_plain_cg() {
     let f = fixture();
     let b = FermionField::random(f.grid.clone(), 11);
     let (x_plain, rep_plain) = cg(&f.op, &b, TOL, 6000);
-    let (x_defl, rep_defl) = defl_cg(&f.op, &f.sub, &b, TOL, 6000);
+    let (x_defl, rep_defl) = deflated(&f.op, &f.sub, &b, TOL, 6000);
     assert!(rep_plain.converged && rep_defl.converged);
     assert!(
         rep_defl.iterations < rep_plain.iterations,
@@ -124,7 +146,7 @@ fn galerkin_guess_nails_in_subspace_rhs() {
     // b = A v0: the exact solution is v0, which lies in the subspace, so
     // the Galerkin guess alone reaches the tolerance almost immediately.
     let b = f.op.mdag_m(&f.sub.vectors[0]);
-    let (x, rep) = defl_cg(&f.op, &f.sub, &b, 1e-6, 100);
+    let (x, rep) = deflated(&f.op, &f.sub, &b, 1e-6, 100);
     assert!(rep.converged);
     assert!(
         rep.iterations <= 2,
@@ -137,17 +159,17 @@ fn galerkin_guess_nails_in_subspace_rhs() {
 }
 
 #[test]
-fn block_defl_cg_is_bit_identical_to_single_rhs_defl_cg() {
+fn block_deflated_solve_is_bit_identical_to_single_rhs_solves() {
     let f = fixture();
     let rhss: Vec<FermionField> = (0..3)
         .map(|k| FermionField::random(f.grid.clone(), 21 + k))
         .collect();
     let solo: Vec<_> = rhss
         .iter()
-        .map(|b| defl_cg(&f.op, &f.sub, b, TOL, 6000))
+        .map(|b| deflated(&f.op, &f.sub, b, TOL, 6000))
         .collect();
     let block = FermionBlock::from_fields(&rhss);
-    let (x, rep) = defl_cg(&f.op, &f.sub, &block, TOL, 6000);
+    let (x, rep) = deflated(&f.op, &f.sub, &block, TOL, 6000);
     for (j, (sx, srep)) in solo.iter().enumerate() {
         assert_eq!(rep.per_rhs_iterations[j], srep.iterations, "RHS {j}");
         assert_eq!(
@@ -176,7 +198,7 @@ fn deflation_composes_with_the_mixed_precision_ladder() {
         ..LadderConfig::f32_only(TOL)
     };
     let (x_mixed, rep_mixed) = ladder_solve(&f.op, &b, &cfg);
-    let x0 = galerkin_guess(&f.sub, &f.op.apply_dag(&b));
+    let x0 = galerkin_guess(&f.sub, MASS, &f.op.apply_dag(&b));
     let (x_defl, rep_defl) = ladder_solve_from(&f.op, &b, x0, &cfg);
     assert!(rep_mixed.converged && rep_defl.converged);
     assert!(
@@ -190,13 +212,37 @@ fn deflation_composes_with_the_mixed_precision_ladder() {
     assert!(d.norm2().sqrt() / x_mixed.norm2().sqrt() < 1e-5);
 }
 
+// The Galerkin start refuses a subspace that cannot deflate the solve, one
+// refusal per test.
+
 #[test]
 #[should_panic(expected = "subspace was built at mass")]
 fn wrong_mass_subspace_is_rejected() {
     let f = fixture();
-    let other = WilsonDirac::new(random_gauge(f.grid.clone(), 7), 0.25);
     let b = FermionField::random(f.grid.clone(), 11);
-    let _ = defl_cg(&other, &f.sub, &b, TOL, 100);
+    let _ = galerkin_guess(&f.sub, 0.25, &b);
+}
+
+#[test]
+#[should_panic(expected = "deflation needs a non-empty subspace")]
+fn empty_subspace_is_rejected() {
+    let grid = Grid::new([4, 4, 4, 4], VectorLength::of(256), SimdBackend::Fcmla);
+    let empty = Subspace {
+        vectors: Vec::new(),
+        values: Vec::new(),
+        residuals: Vec::new(),
+        mass: MASS,
+    };
+    let _ = galerkin_guess(&empty, MASS, &FermionField::random(grid, 11));
+}
+
+#[test]
+#[should_panic(expected = "subspace lattice does not match the right-hand side")]
+fn subspace_of_another_lattice_is_rejected() {
+    // The vectors of a 4⁴ subspace, on a 2²×4² right-hand side.
+    let f = fixture();
+    let grid = Grid::new([2, 2, 4, 4], VectorLength::of(256), SimdBackend::Fcmla);
+    let _ = galerkin_guess(&f.sub, MASS, &FermionField::random(grid, 11));
 }
 
 /// The coarse space of `near_null` over 2⁴ cells, built in the fused space.
@@ -216,7 +262,7 @@ fn galerkin_guess_at_f16(sub: &Subspace, b: &FermionField) -> FermionField {
         residuals: sub.residuals.clone(),
         mass: sub.mass,
     };
-    to_precision(&galerkin_guess(&sub16, &to_precision(b, &g16)), g)
+    to_precision(&galerkin_guess(&sub16, MASS, &to_precision(b, &g16)), g)
 }
 
 /// CG on `M†M` in the fused space preconditioned by `cs` (and `smoother`),
@@ -307,7 +353,7 @@ fn coarse_preconditioner_is_positive_definite() {
 fn f16_galerkin_guess_tracks_the_f64_projection() {
     let f = fixture();
     let b = FermionField::random(f.grid.clone(), 51);
-    let x64 = galerkin_guess(&f.sub, &b);
+    let x64 = galerkin_guess(&f.sub, MASS, &b);
     let x16 = galerkin_guess_at_f16(&f.sub, &b);
     let mut d = FermionField::zero(f.grid.clone());
     d.sub(&x64, &x16);
@@ -378,7 +424,7 @@ fn f16_smoothed_pcg_converges_to_the_same_solution() {
 fn galerkin_guess_is_the_projected_exact_solve() {
     let f = fixture();
     let b = FermionField::random(f.grid.clone(), 51);
-    let x0 = galerkin_guess(&f.sub, &b);
+    let x0 = galerkin_guess(&f.sub, MASS, &b);
     // ⟨v_i, A x₀⟩ = ⟨v_i, b⟩ for every subspace direction: the low-mode
     // part of the residual b − A x₀ vanishes to eigensolver accuracy.
     let ax0 = f.op.mdag_m(&x0);

@@ -10,9 +10,10 @@
 //! `rayon::set_num_threads` mutates process-global state, so this file is a
 //! single `#[test]` in its own integration-test binary.
 
+use grid::krylov::{self, Start};
 use grid::prelude::*;
 use grid::FieldKind;
-use qcd_deflate::{defl_cg, lanczos, LanczosParams};
+use qcd_deflate::{galerkin_guess, lanczos, LanczosParams};
 
 struct Signature {
     values: Vec<u64>,
@@ -57,8 +58,17 @@ fn run(bits: usize) -> Signature {
         FermionField::random(op.grid().clone(), 99),
         op.mass,
     );
-    let b = FermionField::random(g, 11);
-    let (x, rep) = defl_cg(&op, &sub, &b, 1e-8, 2000);
+    let b = FermionField::random(g.clone(), 11);
+    let (x, rep) = krylov::cg_solve(
+        &mut op.normal(&mut FermionField::zero(g.clone())),
+        &b,
+        Start::Guess(galerkin_guess(&sub, op.mass, &b)),
+        1e-8,
+        2000,
+        qcd_trace::span!("solver.deflate"),
+        "solver.defl_cg",
+        krylov::no_observer,
+    );
     assert!(rep.converged, "deflated solve must converge at VL {bits}");
     Signature {
         values: sub.values.iter().map(|v| v.to_bits()).collect(),

@@ -161,7 +161,7 @@ fn the_domain_wall_normal_space_has_validated_5d_eigenpairs() {
     // The guess of a 5-d subspace takes a 5-d right-hand side whole: its
     // residual has no component along the eigenvectors.
     let b = Fermion5::random(g.clone(), 4, 5);
-    let x0 = galerkin_guess(&sub, &b);
+    let x0 = galerkin_guess(&sub, op.mf, &b);
     let ax0 = op.mdag_m(&x0);
     for (i, v) in sub.vectors.iter().enumerate() {
         let (lhs, rhs) = (v.inner(&ax0), v.inner(&b));

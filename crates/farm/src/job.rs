@@ -121,10 +121,10 @@ pub struct SolveSpec {
     /// Stem of a shared low-mode subspace checkpoint
     /// (`<stem>.subspace.qio` in the farm directory, written by
     /// `qcd_deflate::Subspace::save`). When set, every batch of this job
-    /// runs the deflated solver against that subspace — still bit-identical
-    /// to standalone `defl_cg` solves of the same requests. The subspace
-    /// must match the job's lattice and mass; mismatches are typed errors
-    /// at batch execution.
+    /// starts its CG from that subspace's Galerkin guess — still bit-identical
+    /// to standalone deflated solves of the same requests. The subspace must
+    /// match the job's lattice and mass; mismatches are typed errors at batch
+    /// execution.
     pub subspace: Option<String>,
 }
 

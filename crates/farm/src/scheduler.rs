@@ -50,6 +50,7 @@ use crate::job::{
     Priority, RequestDigest,
 };
 use crate::queue::{UnitPayload, WorkQueue, WorkUnit};
+use grid::krylov::{cg_solve, no_observer, Start, Vector};
 use grid::prelude::*;
 use grid::requests::{coalesce, demux, SolveRequest};
 use qcd_hmc::{average_plaquette_fast, MarkovChain};
@@ -547,22 +548,35 @@ impl Farm {
                 rhs: FermionField::random(grid.clone(), spec.rhs_seeds[i]),
             })
             .collect();
-        // A shared low-mode subspace: the `defl.*` checkpoint, validated
-        // against this job's lattice and mass.
+        // One coalesced block, solved by one CG from zero or from the Galerkin
+        // guess of a shared low-mode subspace (the `defl.*` checkpoint,
+        // validated against this job's lattice and mass); each outcome stays
+        // bit-identical to a standalone solve of its RHS.
         let subspace = spec.subspace.as_ref().map(|stem| {
             qcd_deflate::Subspace::load(&JobPaths::subspace(&self.dir, stem), &grid, spec.mass)
         });
         let subspace = subspace.transpose()?;
-        // One coalesced block, solved by `cg` or the deflated `defl_cg`;
-        // each outcome stays bit-identical to a standalone solve of its RHS.
         let block = coalesce(&requests);
         let solve = qcd_trace::span!("solver.requests", grid.engine().ctx());
         qcd_trace::histogram("solver.requests.batch_fill").record(requests.len() as u64);
-        let (tol, max_iter) = (spec.tol, spec.max_iter as usize);
-        let (x, rep) = match &subspace {
-            None => cg(&op, &block, tol, max_iter),
-            Some(sub) => qcd_deflate::defl_cg(&op, sub, &block, tol, max_iter),
+        let (name, region) = match &subspace {
+            None => ("solver.block_cg", "solver.block_cg"),
+            Some(_) => ("solver.deflate", "solver.defl_block_cg"),
         };
+        let span_cg = qcd_trace::span!(name, grid.engine().ctx());
+        let start = subspace.map_or(Start::Zero, |sub| {
+            Start::Guess(qcd_deflate::galerkin_guess(&sub, spec.mass, &block))
+        });
+        let (x, rep) = cg_solve(
+            &mut op.normal(&mut block.zero_like()),
+            &block,
+            start,
+            spec.tol,
+            spec.max_iter as usize,
+            span_cg,
+            region,
+            no_observer,
+        );
         drop(solve);
         let outcomes = demux(&requests, &x, &rep);
         drop(span);

@@ -2,6 +2,7 @@
 //! status surface, an interrupted service recovers bit-identically, and
 //! preemption never perturbs chain results.
 
+use grid::krylov::{self, Start};
 use grid::prelude::*;
 use qcd_farm::{
     read_done, render_validated_status, validate_status_json, verify_dirs, DoneDigest, Farm,
@@ -202,13 +203,23 @@ fn a_shared_subspace_deflates_farm_bursts_bit_identically() {
     farm.run(2, &AtomicBool::new(false), None).unwrap();
     assert!(farm.all_done());
 
-    // Every deflated request digest matches a standalone defl_cg solve of
-    // the same seed, regardless of which job/batch carried it.
+    // Every deflated request digest matches a standalone deflated solve of
+    // the same seed (CG from the Galerkin guess), regardless of which
+    // job/batch carried it.
     let reload =
         qcd_deflate::Subspace::load(&JobPaths::subspace(&dir, "shared"), &grid, 0.2).unwrap();
     let expect = |seed: u64| {
         let b = FermionField::random(grid.clone(), 500 + seed);
-        let (x, rep) = qcd_deflate::defl_cg(&op, &reload, &b, 1e-6, 2000);
+        let (x, rep) = krylov::cg_solve(
+            &mut op.normal(&mut FermionField::zero(grid.clone())),
+            &b,
+            Start::Guess(qcd_deflate::galerkin_guess(&reload, 0.2, &b)),
+            1e-6,
+            2000,
+            qcd_trace::span!("solver.deflate"),
+            "solver.defl_cg",
+            krylov::no_observer,
+        );
         (
             rep.iterations as u64,
             rep.residual.to_bits(),

@@ -61,7 +61,7 @@ pub struct Subspace<E: SveFloat = f64> {
     pub residuals: Vec<f64>,
     /// Bare mass of the operator the subspace was built at, as its builder
     /// tagged it. A subspace deflates `M†M(mass)` and nothing else:
-    /// `defl_cg` and [`read_subspace`] enforce the match bit-exactly.
+    /// `qcd_deflate::galerkin_guess` and [`read_subspace`] enforce it bit-exactly.
     pub mass: f64,
 }
 

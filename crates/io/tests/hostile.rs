@@ -124,8 +124,8 @@ fn a_forged_count_is_refused_before_it_sizes_an_allocation() {
 fn a_subspace_without_usable_eigenvalues_is_refused() {
     // Deflation needs at least one pair, and the Galerkin guess divides by
     // every eigenvalue: a file with none panics the farm worker that loads
-    // it (`defl_cg`'s non-empty assert), and a θ that is zero, negative or
-    // not finite makes the guess non-finite.
+    // it (`galerkin_guess`'s non-empty assert), and a θ that is zero,
+    // negative or not finite makes the guess non-finite.
     let d = dir("eigenvalues");
     let g = grid();
     let f = FermionField::random(g.clone(), 3);

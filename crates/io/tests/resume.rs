@@ -317,7 +317,10 @@ fn two_level_solve_resumes_from_a_disk_checkpoint() {
         resumed.outer_iterations,
         cold.outer_iterations
     );
-    let (x_ref, _) = solve_wilson(&op, &b, 1e-10, 3000);
+    let span = qcd_trace::span!("solver.cg", b.grid().engine().ctx());
+    let zero = Start::Zero;
+    let observer = krylov::no_observer;
+    let (x_ref, _) = krylov::solve_normal(&op, &b, zero, 1e-10, 3000, span, "solver.cg", observer);
     let mut diff = FermionField::zero(b.grid().clone());
     diff.sub(&x, &x_ref);
     assert!((diff.norm2() / x_ref.norm2()).sqrt() < 1e-8);

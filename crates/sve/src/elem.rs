@@ -450,7 +450,9 @@ impl SveFloat for F16 {
     fn from_f64(x: f64) -> Self {
         F16::from_f64(x)
     }
-    #[inline]
+    // Inline in a fused sweep body too: the per-site sums widen every
+    // binary16 component they read.
+    #[inline(always)]
     fn to_f64(self) -> f64 {
         self.to_f64()
     }

@@ -113,7 +113,7 @@ impl F16 {
     /// Convert to `f32` (exact: every binary16 value is representable). A
     /// signalling NaN comes out quiet, payload kept, as from `fcvt` and from
     /// `vcvtph2ps`.
-    #[inline]
+    #[inline(always)]
     pub fn to_f32(self) -> f32 {
         let sign = ((self.0 & 0x8000) as u32) << 16;
         let exp = ((self.0 >> 10) & 0x1f) as u32;
@@ -148,7 +148,7 @@ impl F16 {
     }
 
     /// Convert to `f64`.
-    #[inline]
+    #[inline(always)]
     pub fn to_f64(self) -> f64 {
         self.to_f32() as f64
     }

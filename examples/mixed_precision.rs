@@ -10,6 +10,7 @@
 //! cargo run --release --example mixed_precision
 //! ```
 
+use grid::krylov::{no_observer, Start};
 use grid::prelude::*;
 
 fn main() {
@@ -28,7 +29,9 @@ fn main() {
 
     // Reference: pure double precision.
     g.engine().ctx().counters().reset();
-    let (x_ref, rep) = solve_wilson(&op, &b, 1e-10, 4000);
+    let span = qcd_trace::span!("solver.cg", g.engine().ctx());
+    let zero = Start::Zero;
+    let (x_ref, rep) = solve_normal(&op, &b, zero, 1e-10, 4000, span, "solver.cg", no_observer);
     let f64_only = g.engine().ctx().counters().total();
     println!(
         "pure f64 CG      : {} iterations, residual {:.2e}, {:.1}M instructions",

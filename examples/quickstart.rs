@@ -5,6 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use grid::krylov::{no_observer, Start};
 use grid::prelude::*;
 use grid::simd::functors::{MultComplex, WordFunctor};
 use std::sync::Arc;
@@ -45,7 +46,9 @@ fn main() {
     let u = random_gauge(g.clone(), 7);
     let d = WilsonDirac::new(u, 0.2);
     let b = FermionField::random(g.clone(), 8);
-    let (x, report) = solve_wilson(&d, &b, 1e-10, 2000);
+    let span = qcd_trace::span!("solver.cg", g.engine().ctx());
+    let zero = Start::Zero;
+    let (x, report) = solve_normal(&d, &b, zero, 1e-10, 2000, span, "solver.cg", no_observer);
     println!(
         "  CG converged in {} iterations, true residual {:.2e}",
         report.iterations, report.residual

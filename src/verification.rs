@@ -673,7 +673,9 @@ fn test_bicgstab(cfg: &CheckCfg) -> Result<(), String> {
 fn test_solver_verifies(cfg: &CheckCfg) -> Result<(), String> {
     let (d, g) = wilson(cfg, 55, 0.4);
     let b = FermionField::random(g.clone(), 56);
-    let (x, _) = solve_wilson(&d, &b, 1e-8, 1000);
+    let span = qcd_trace::span!("solver.cg", g.engine().ctx());
+    let zero = Start::Zero;
+    let (x, _) = solve_normal(&d, &b, zero, 1e-8, 1000, span, "solver.cg", no_observer);
     let mx = d.apply(&x);
     let mut diff = FermionField::zero(g);
     diff.sub(&mx, &b);

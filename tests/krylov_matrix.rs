@@ -30,11 +30,16 @@
 //! the same legs as a CG cell: its state is CG's, so it stops, restores and
 //! checkpoints through the same observer and codec.
 //!
+//! The **clover** row runs the one solve of `M x = b` (`solve_normal`) on
+//! the clover operator, from zero and from the Galerkin guess of `M†b` — a
+//! deflated solve of `M x = b` — through the same cells.
+//!
 //! `rayon::set_num_threads` is process-global, so the matrix is one test.
 
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::ops::ControlFlow;
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use grid::field::FermionKind;
@@ -43,13 +48,17 @@ use grid::layout::{delex, lex};
 use grid::mixed::{to_precision, Replica};
 use grid::prelude::*;
 use grid::{Field, FieldKind};
-use qcd_deflate::{defl_cg, galerkin_guess, CoarseSpace, Subspace};
+use qcd_deflate::{galerkin_guess, CoarseSpace, Subspace};
 use qcd_io::Checkpointer;
 use qcd_trace::HealthMonitor;
 use sve::{SveFloat, F16};
 
 const DIMS: [usize; 4] = [2, 2, 4, 4];
 const MASS: f64 = 0.2;
+/// The mass of the distributed rows' operator.
+const DIST_MASS: f64 = 0.3;
+/// The clover row's Sheikholeslami–Wohlert coefficient.
+const C_SW: f64 = 1.0;
 const TOL: f64 = 1e-6;
 const BUDGET: usize = 2000;
 /// Iteration at which the resume legs stop, snapshot and continue.
@@ -149,63 +158,109 @@ impl Printed for Fermion5 {
     }
 }
 
-/// The recurrence a cell's solves run: CG in a normal space, BiCGStab in
-/// an operator's own.
+/// The recurrence a cell's solves run in a space: CG in a normal space,
+/// BiCGStab in an operator's own.
 #[derive(Clone, Copy)]
 enum Rec {
     Cg,
     BiCgStab,
 }
 
-/// One solve by `rec` in `space` under `observer`, to at most `budget`
-/// iterations.
-fn observed<S: CgSpace>(
-    rec: Rec,
-    space: &mut S,
-    b: &S::V,
-    start: Start<S::V>,
-    tol: f64,
-    budget: usize,
-    observer: impl FnMut(&State<S::V>, &[HealthMonitor]) -> ControlFlow<()>,
-) -> (S::V, <S::V as Vector>::Report) {
-    let span = qcd_trace::span!("matrix.solve");
-    let solve = match rec {
-        Rec::Cg => krylov::cg_solve,
-        Rec::BiCgStab => krylov::bicgstab,
-    };
-    solve(space, b, start, tol, budget, span, "matrix", observer)
+/// What a cell solves with: a recurrence in a space, `(Rec, &mut space)`,
+/// or the solve of `M x = b` of an operator, [`OfM`].
+trait Solver {
+    type V: Printed;
+
+    /// One solve under `observer`, to at most `budget` iterations.
+    fn run(
+        &mut self,
+        b: &Self::V,
+        start: Start<Self::V>,
+        tol: f64,
+        budget: usize,
+        observer: impl FnMut(&State<Self::V>, &[HealthMonitor]) -> ControlFlow<()>,
+    ) -> (Self::V, <Self::V as Vector>::Report);
+
+    /// The start that continues the solve of `b` from the snapshot at
+    /// `path`.
+    fn resume(&self, b: &Self::V, path: &Path) -> Result<Start<Self::V>, qcd_io::IoError> {
+        qcd_io::resume(b, path)
+    }
 }
 
-/// One unobserved solve by `rec` in `space`.
-fn solve<S: CgSpace>(rec: Rec, space: &mut S, b: &S::V, start: Start<S::V>, tol: f64) -> Print
+impl<S: CgSpace> Solver for (Rec, &mut S)
 where
     S::V: Printed,
 {
-    let (x, report) = observed(rec, space, b, start, tol, BUDGET, krylov::no_observer);
+    type V = S::V;
+
+    fn run(
+        &mut self,
+        b: &S::V,
+        start: Start<S::V>,
+        tol: f64,
+        budget: usize,
+        observer: impl FnMut(&State<S::V>, &[HealthMonitor]) -> ControlFlow<()>,
+    ) -> (S::V, <S::V as Vector>::Report) {
+        let span = qcd_trace::span!("matrix.solve");
+        let solve = match self.0 {
+            Rec::Cg => krylov::cg_solve,
+            Rec::BiCgStab => krylov::bicgstab,
+        };
+        solve(self.1, b, start, tol, budget, span, "matrix", observer)
+    }
+}
+
+/// `M x = b` of an operator on fields, by `krylov::solve_normal`: its
+/// states are those of CG on `M†M x = M†b`.
+struct OfM<'d, D>(&'d D);
+
+impl<D: Dirac<FermionField>> Solver for OfM<'_, D> {
+    type V = FermionField;
+
+    fn run(
+        &mut self,
+        b: &FermionField,
+        start: Start<FermionField>,
+        tol: f64,
+        budget: usize,
+        observer: impl FnMut(&State<FermionField>, &[HealthMonitor]) -> ControlFlow<()>,
+    ) -> (FermionField, SolveReport) {
+        let span = qcd_trace::span!("matrix.solve");
+        krylov::solve_normal(self.0, b, start, tol, budget, span, "matrix", observer)
+    }
+
+    /// A snapshot is a state of `M†M x = M†b`: it resumes with `M†b`.
+    fn resume(
+        &self,
+        b: &FermionField,
+        path: &Path,
+    ) -> Result<Start<FermionField>, qcd_io::IoError> {
+        qcd_io::resume(&self.0.apply_dag(b), path)
+    }
+}
+
+/// One unobserved solve by `solver`.
+fn solve<S: Solver>(solver: &mut S, b: &S::V, start: Start<S::V>, tol: f64) -> Print {
+    let (x, report) = solver.run(b, start, tol, BUDGET, krylov::no_observer);
     S::V::print(&x, &report)
 }
 
-/// Solve by `rec` in `space` from `start()` uninterrupted; then again,
-/// stopped by the observer after `cut` iterations, the snapshot restored
-/// and continued. The two prints must be equal; returns the first.
-fn solve_and_resume<S: CgSpace>(
-    rec: Rec,
-    space: &mut S,
+/// Solve by `solver` from `start()` uninterrupted; then again, stopped by
+/// the observer after `cut` iterations, the snapshot restored and
+/// continued. The two prints must be equal; returns the first.
+fn solve_and_resume<S: Solver>(
+    solver: &mut S,
     b: &S::V,
     start: impl Fn() -> Start<S::V>,
     tol: f64,
     cut: usize,
-) -> Result<Print, String>
-where
-    S::V: Printed,
-{
-    let whole = solve(rec, space, b, start(), tol);
+) -> Result<Print, String> {
+    let whole = solve(solver, b, start(), tol);
 
     let mut seen = 0;
     let mut snapshot = None;
-    let _ = observed(
-        rec,
-        space,
+    let _ = solver.run(
         b,
         start(),
         tol,
@@ -220,71 +275,54 @@ where
         },
     );
     let restored = snapshot.ok_or("the solve ended before the cut")?;
-    let resumed = solve(rec, space, b, Start::State(restored), tol);
+    let resumed = solve(solver, b, Start::State(restored), tol);
     same("resume", &whole, &resumed)?;
     Ok(whole)
 }
 
-/// A cell of the product by `rec` in `space`, to [`TOL`] with the legs cut
-/// at [`CUT`].
-fn cell<S: CgSpace>(
-    rec: Rec,
-    space: &mut S,
+/// A cell of the product by `solver`, to [`TOL`] with the legs cut at
+/// [`CUT`].
+fn cell<S: Solver>(
+    mut solver: S,
     b: &S::V,
     start: impl Fn() -> Start<S::V>,
     durable: bool,
-) -> Result<Print, String>
-where
-    S::V: Printed,
-{
-    cell_at(rec, space, b, start, durable, TOL, CUT)
+) -> Result<Print, String> {
+    cell_at(&mut solver, b, start, durable, TOL, CUT)
 }
 
 /// A cell to `tol`. Undurable: the solve from `start()` uninterrupted and
 /// through the in-memory resume leg cut at `cut`. Durable: uninterrupted,
 /// and once more checkpointed to disk every `cut` iterations, killed at
 /// `2·cut + 1` (the snapshot on disk is then the one at `2·cut`), restored
-/// by `qcd_io::resume` and continued, still checkpointing. Either way the
+/// by [`Solver::resume`] and continued, still checkpointing. Either way the
 /// legs must be the same solve.
-#[allow(clippy::too_many_arguments)]
-fn cell_at<S: CgSpace>(
-    rec: Rec,
-    space: &mut S,
+fn cell_at<S: Solver>(
+    solver: &mut S,
     b: &S::V,
     start: impl Fn() -> Start<S::V>,
     durable: bool,
     tol: f64,
     cut: usize,
-) -> Result<Print, String>
-where
-    S::V: Printed,
-{
+) -> Result<Print, String> {
     if !durable {
-        return solve_and_resume(rec, space, b, &start, tol, cut);
+        return solve_and_resume(solver, b, &start, tol, cut);
     }
-    let whole = solve(rec, space, b, start(), tol);
+    let whole = solve(solver, b, start(), tol);
     static FILES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
     let n = FILES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let path = std::env::temp_dir().join(format!("krylov-matrix-{}-{n}.qio", std::process::id()));
     let io = |e: qcd_io::IoError| e.to_string();
     let mut checkpointer = Checkpointer::every(cut, &path);
     let observer = checkpointer.observer();
-    let _ = observed(rec, space, b, start(), tol, 2 * cut + 1, observer);
+    let _ = solver.run(b, start(), tol, 2 * cut + 1, observer);
     let written = checkpointer.finish().map_err(io)?;
     if written != 2 {
         return Err(format!("{written} snapshots, expected 2"));
     }
-    let restored = qcd_io::resume(b, &path).map_err(io)?;
+    let restored = solver.resume(b, &path).map_err(io)?;
     let mut checkpointer = Checkpointer::every(cut, &path);
-    let (x, report) = observed(
-        rec,
-        space,
-        b,
-        restored,
-        tol,
-        BUDGET,
-        checkpointer.observer(),
-    );
+    let (x, report) = solver.run(b, restored, tol, BUDGET, checkpointer.observer());
     checkpointer.finish().map_err(io)?;
     std::fs::remove_file(&path).ok();
     same("disk resume", &whole, &S::V::print(&x, &report))?;
@@ -311,7 +349,7 @@ fn problem(bits: usize) -> Problem {
 /// The allocating closure adapter on `M†M`: the oracle.
 fn oracle(p: &Problem, b: &FermionField, start: Start<FermionField>) -> Print {
     let mut space = Allocating::new(|v: &FermionField| p.op.mdag_m(v));
-    solve(Rec::Cg, &mut space, b, start, TOL)
+    solve(&mut (Rec::Cg, &mut space), b, start, TOL)
 }
 
 /// `a` and `b` are the same answer to solver accuracy (a preconditioner
@@ -340,27 +378,32 @@ fn same(what: &str, a: &Print, b: &Print) -> Result<(), String> {
     ))
 }
 
-/// A stand-in subspace of two vectors of the operator's shape: any vectors
-/// and positive values make a Galerkin *guess*, which is all a start has to
-/// be.
-fn stand_in(vectors: [FermionField; 2]) -> Subspace {
+/// A stand-in subspace of two vectors of the operator's shape, tagged with
+/// the operator's `mass`: any vectors and positive values make a Galerkin
+/// *guess*, which is all a start has to be.
+fn stand_in(vectors: [FermionField; 2], mass: f64) -> Subspace {
     Subspace {
         vectors: vectors.into(),
         values: vec![40.0, 55.0],
         residuals: vec![0.0; 2],
-        mass: MASS,
+        mass,
     }
 }
 
-/// The stand-in subspace of the Wilson rows: fields of seeds 21 and 22 on
-/// `grid`, each through `shape` (a restriction to the even checkerboard or
-/// to a rank's slab).
-fn subspace_on(grid: &Arc<Grid>, shape: impl Fn(FermionField) -> FermionField) -> Subspace {
-    stand_in([21, 22].map(|seed| shape(FermionField::random(grid.clone(), seed))))
+/// The stand-in subspace of the Wilson rows at `mass`: fields of seeds 21
+/// and 22 on `grid`, each through `shape` (a restriction to the even
+/// checkerboard or to a rank's slab).
+fn subspace_on(
+    grid: &Arc<Grid>,
+    mass: f64,
+    shape: impl Fn(FermionField) -> FermionField,
+) -> Subspace {
+    let vectors = [21, 22].map(|seed| shape(FermionField::random(grid.clone(), seed)));
+    stand_in(vectors, mass)
 }
 
 fn subspace(p: &Problem) -> Subspace {
-    subspace_on(&p.grid, |v| v)
+    subspace_on(&p.grid, MASS, |v| v)
 }
 
 /// The start axis, and the two solves that start from zero their own way:
@@ -375,10 +418,12 @@ enum StartAt {
 }
 
 impl StartAt {
-    fn start<V: Vector<E = f64>>(self, sub: &Subspace, b: &V) -> Start<V> {
+    /// The start for `b`, the Galerkin guess of `sub` for an operator at
+    /// `mass`.
+    fn start<V: Vector<E = f64>>(self, sub: &Subspace, mass: f64, b: &V) -> Start<V> {
         match self {
             StartAt::Zero | StartAt::Ladder | StartAt::BiCgStab => Start::Zero,
-            StartAt::Galerkin => Start::Guess(galerkin_guess(sub, b)),
+            StartAt::Galerkin => Start::Guess(galerkin_guess(sub, mass, b)),
         }
     }
 }
@@ -478,17 +523,18 @@ where
 }
 
 /// The reported residual is the true one: `|b − M x| / |b|` through
-/// `apply`, at most [`TOL`], bit for bit.
+/// `apply`, at most `bound`, bit for bit.
 fn true_residual<D: Dirac<V>, V: Vector<E = f64>>(
     op: &D,
     b: &V,
     x: &V,
     reported: f64,
+    bound: f64,
 ) -> Result<(), String> {
     let mut r = b.zero_like();
     r.field_mut().sub(b.field(), op.apply(x).field());
     let residual = (r.field().norm2() / b.field().norm2()).sqrt();
-    if residual > TOL || residual.to_bits() != reported.to_bits() {
+    if residual > bound || residual.to_bits() != reported.to_bits() {
         return Err(format!("true residual {residual:e}, reported {reported:e}"));
     }
     Ok(())
@@ -502,21 +548,13 @@ where
     D: Dirac<V>,
     V: Printed<E = f64, Report = SolveReport>,
 {
-    let space = &mut op.direct();
-    let whole = cell_at(Rec::BiCgStab, space, b, || Start::Zero, durable, TOL, cut)?;
+    let solver = &mut (Rec::BiCgStab, &mut op.direct());
+    let whole = cell_at(solver, b, || Start::Zero, durable, TOL, cut)?;
     let mut oracle = Allocating::new(|v: &V| op.apply(v));
     let zero = Start::Zero;
-    let (x, report) = observed(
-        Rec::BiCgStab,
-        &mut oracle,
-        b,
-        zero,
-        TOL,
-        BUDGET,
-        krylov::no_observer,
-    );
+    let (x, report) = (Rec::BiCgStab, &mut oracle).run(b, zero, TOL, BUDGET, krylov::no_observer);
     same("oracle", &whole, &V::print(&x, &report))?;
-    true_residual(op, b, &x, report.residual)?;
+    true_residual(op, b, &x, report.residual, TOL)?;
     Ok(whole)
 }
 
@@ -554,7 +592,7 @@ fn eo_ladder(bits: usize, _: StartAt, durable: bool) -> Result<Print, String> {
     let rhs = parity_project(&p.b, 0);
     let schur = Schur::new(&p.op);
     let (x, report) = ladder_cell(&schur, &rhs, durable)?;
-    true_residual(&schur, &rhs, &x, report.residual)?;
+    true_residual(&schur, &rhs, &x, report.residual, TOL)?;
     ladder_print(field_bits(&x), &report)
 }
 
@@ -565,7 +603,7 @@ fn fermion5_ladder(bits: usize, _: StartAt, durable: bool) -> Result<Print, Stri
     let op = DomainWall::new(random_gauge(p.grid.clone(), 7), 2, 1.8, 0.1);
     let b = Fermion5::random(p.grid.clone(), 2, 31);
     let (x, report) = ladder_cell(&op, &b, durable)?;
-    true_residual(&op, &b, &x, report.residual)?;
+    true_residual(&op, &b, &x, report.residual, TOL)?;
     ladder_print(five_bits(&x), &report)
 }
 
@@ -578,22 +616,45 @@ fn moved_by_the_guess(from: StartAt, print: &Print) -> Result<(), String> {
     Ok(())
 }
 
+/// The deflated solve as the farm and the benchmarks write it: CG in the
+/// normal space from the Galerkin guess, under their span and region.
+fn deflated<V>(p: &Problem, sub: &Subspace, b: &V) -> (V, V::Report)
+where
+    V: Vector<E = f64>,
+    WilsonDirac: Dirac<V>,
+{
+    krylov::cg_solve(
+        &mut p.op.normal(&mut b.zero_like()),
+        b,
+        StartAt::Galerkin.start(sub, MASS, b),
+        TOL,
+        BUDGET,
+        qcd_trace::span!("solver.deflate", p.grid.engine().ctx()),
+        "solver.defl_cg",
+        krylov::no_observer,
+    )
+}
+
 /// The fused field space: bit-equal to the oracle from the same start; from
-/// zero, undurable, the body of `cg()`; from the Galerkin guess, `defl_cg`.
+/// zero, undurable, the body of `cg()`; from the Galerkin guess, the
+/// deflated solve.
 fn field_fused(bits: usize, from: StartAt, durable: bool) -> Result<Print, String> {
     let p = problem(bits);
     let sub = subspace(&p);
     let mut tmp = p.b.zero_like();
     let whole = cell(
-        Rec::Cg,
-        &mut p.op.normal(&mut tmp),
+        (Rec::Cg, &mut p.op.normal(&mut tmp)),
         &p.b,
-        || from.start(&sub, &p.b),
+        || from.start(&sub, MASS, &p.b),
         durable,
     )?;
-    same("oracle", &whole, &oracle(&p, &p.b, from.start(&sub, &p.b)))?;
+    same(
+        "oracle",
+        &whole,
+        &oracle(&p, &p.b, from.start(&sub, MASS, &p.b)),
+    )?;
     let (x, report) = match from {
-        StartAt::Galerkin => defl_cg(&p.op, &sub, &p.b, TOL, BUDGET),
+        StartAt::Galerkin => deflated(&p, &sub, &p.b),
         _ => cg(&p.op, &p.b, TOL, BUDGET),
     };
     same("preset", &whole, &Print::of_single(field_bits(&x), &report))?;
@@ -603,36 +664,39 @@ fn field_fused(bits: usize, from: StartAt, durable: bool) -> Result<Print, Strin
 
 /// The fused block space: per RHS bit-equal to the oracle and to the field
 /// space on that field; from zero `cg` of the block, from the Galerkin guess
-/// `defl_cg` of the block and of each RHS alone.
+/// the deflated solve of the block and of each RHS alone.
 fn block_fused(bits: usize, from: StartAt, durable: bool) -> Result<Print, String> {
     let p = problem(bits);
     let sub = subspace(&p);
     let block = FermionBlock::from_fields(&[p.b.clone(), p.b2.clone()]);
     let mut tmp = block.zero_like();
     let whole = cell(
-        Rec::Cg,
-        &mut p.op.normal(&mut tmp),
+        (Rec::Cg, &mut p.op.normal(&mut tmp)),
         &block,
-        || from.start(&sub, &block),
+        || from.start(&sub, MASS, &block),
         durable,
     )?;
     let mut tmp = p.b.zero_like();
-    let mut single = p.op.normal(&mut tmp);
+    let mut single = (Rec::Cg, &mut p.op.normal(&mut tmp));
     for (j, b) in [&p.b, &p.b2].into_iter().enumerate() {
-        let solo = solve(Rec::Cg, &mut single, b, from.start(&sub, b), TOL);
+        let solo = solve(&mut single, b, from.start(&sub, MASS, b), TOL);
         same("field space per RHS", &whole.rhs(j, 2), &solo)?;
-        same("oracle per RHS", &solo, &oracle(&p, b, from.start(&sub, b)))?;
+        same(
+            "oracle per RHS",
+            &solo,
+            &oracle(&p, b, from.start(&sub, MASS, b)),
+        )?;
     }
     let (x, report) = match from {
-        StartAt::Galerkin => defl_cg(&p.op, &sub, &block, TOL, BUDGET),
+        StartAt::Galerkin => deflated(&p, &sub, &block),
         _ => cg(&p.op, &block, TOL, BUDGET),
     };
     same("preset", &whole, &Print::of(block_bits(&x), &report))?;
     if from == StartAt::Galerkin {
         for (j, b) in [&p.b, &p.b2].into_iter().enumerate() {
-            let (x, report) = defl_cg(&p.op, &sub, b, TOL, BUDGET);
+            let (x, report) = deflated(&p, &sub, b);
             let solo = Print::of_single(field_bits(&x), &report);
-            same("defl_cg per RHS", &whole.rhs(j, 2), &solo)?;
+            same("deflated per RHS", &whole.rhs(j, 2), &solo)?;
         }
     }
     moved_by_the_guess(from, &whole).map(|()| whole)
@@ -645,21 +709,21 @@ fn eo_schur(bits: usize, from: StartAt, durable: bool) -> Result<Print, String> 
     let p = problem(bits);
     let a = MASS + 4.0;
     let rhs = parity_project(&p.b, 0);
-    let sub = subspace_on(&p.grid, |v| parity_project(&v, 0));
+    let sub = subspace_on(&p.grid, MASS, |v| parity_project(&v, 0));
     let schur = |v: &FermionField| {
         let mut s = p.op.hopping(&p.op.hopping(v));
         s.scale_axpy_from(a, v, -0.25 / a, &s.clone());
         s
     };
     let mut allocating = Allocating::new(|v: &FermionField| gamma5(&schur(&gamma5(&schur(v)))));
-    let reference = solve(Rec::Cg, &mut allocating, &rhs, from.start(&sub, &rhs), TOL);
+    let start = || from.start(&sub, MASS, &rhs);
+    let reference = solve(&mut (Rec::Cg, &mut allocating), &rhs, start(), TOL);
 
     let schur = Schur::new(&p.op);
     let whole = cell(
-        Rec::Cg,
-        &mut schur.normal(&mut rhs.zero_like()),
+        (Rec::Cg, &mut schur.normal(&mut rhs.zero_like())),
         &rhs,
-        || from.start(&sub, &rhs),
+        start,
         durable,
     )?;
     same("oracle", &whole, &reference)?;
@@ -677,8 +741,8 @@ fn dist(bits: usize, ranks: usize, from: StartAt, durable: bool) -> Result<Print
         let g = Grid::new(global, vl, SimdBackend::Fcmla);
         let u = restrict_field(ctx, &random_gauge(g.clone(), 7));
         let b = restrict_field(ctx, &FermionField::random(g.clone(), 13));
-        let sub = subspace_on(&g, |v| restrict_field(ctx, &v));
-        let dw = DistWilson::new(ctx, u, 0.3, GaugeWire::TwoRow, Compression::None);
+        let sub = subspace_on(&g, DIST_MASS, |v| restrict_field(ctx, &v));
+        let dw = DistWilson::new(ctx, u, DIST_MASS, GaugeWire::TwoRow, Compression::None);
         let print = match from {
             StartAt::Ladder => {
                 let (x, report) = ladder_cell(&dw, &b, durable)?;
@@ -686,10 +750,9 @@ fn dist(bits: usize, ranks: usize, from: StartAt, durable: bool) -> Result<Print
             }
             StartAt::BiCgStab => bicgstab_cell(&dw, &b, durable, CUT)?,
             _ => cell(
-                Rec::Cg,
-                &mut dw.normal(&mut b.zero_like()),
+                (Rec::Cg, &mut dw.normal(&mut b.zero_like())),
                 &b,
-                || from.start(&sub, &b),
+                || from.start(&sub, DIST_MASS, &b),
                 durable,
             )?,
         };
@@ -723,17 +786,24 @@ fn dist(bits: usize, ranks: usize, from: StartAt, durable: bool) -> Result<Print
         // fused field space on the same global operator, from the guess of
         // the global subspace, bit for bit — or the ladder or BiCGStab on it.
         let g = Grid::new(global, vl, SimdBackend::Fcmla);
-        let op = WilsonDirac::new_two_row(random_gauge(g.clone(), 7), 0.3);
+        let op = WilsonDirac::new_two_row(random_gauge(g.clone(), 7), DIST_MASS);
         let b = FermionField::random(g.clone(), 13);
         let field = match from {
             StartAt::Ladder => {
                 let (x, report) = ladder_solve(&op, &b, &LadderConfig::new(TOL));
                 ladder_print(field_bits(&x), &report)?
             }
-            StartAt::BiCgStab => solve(Rec::BiCgStab, &mut op.direct(), &b, Start::Zero, TOL),
+            StartAt::BiCgStab => {
+                solve(&mut (Rec::BiCgStab, &mut op.direct()), &b, Start::Zero, TOL)
+            }
             _ => {
-                let start = from.start(&subspace_on(&g, |v| v), &b);
-                solve(Rec::Cg, &mut op.normal(&mut b.zero_like()), &b, start, TOL)
+                let start = from.start(&subspace_on(&g, DIST_MASS, |v| v), DIST_MASS, &b);
+                solve(
+                    &mut (Rec::Cg, &mut op.normal(&mut b.zero_like())),
+                    &b,
+                    start,
+                    TOL,
+                )
             }
         };
         same("one process", &print, &field)?;
@@ -758,24 +828,15 @@ fn fermion5(bits: usize, from: StartAt, durable: bool) -> Result<Print, String> 
     let p = problem(bits);
     let op = DomainWall::new(random_gauge(p.grid.clone(), 7), 2, 1.8, 0.1);
     let b = Fermion5::random(p.grid.clone(), 2, 31);
-    let sub =
-        stand_in([41, 42].map(|seed| Fermion5::random(p.grid.clone(), 2, seed).field().clone()));
+    let vectors = [41, 42].map(|seed| Fermion5::random(p.grid.clone(), 2, seed).field().clone());
+    let sub = stand_in(vectors, op.mf);
+    let start = || from.start(&sub, op.mf, &b);
     let mut tmp = b.zero_like();
-    let whole = cell(
-        Rec::Cg,
-        &mut op.normal(&mut tmp),
-        &b,
-        || from.start(&sub, &b),
-        durable,
-    )?;
+    let whole = cell((Rec::Cg, &mut op.normal(&mut tmp)), &b, start, durable)?;
     // The oracle: the same operator as an allocating closure.
     let mut space = Allocating::new(|v: &Fermion5| op.mdag_m(v));
-    let start = || from.start(&sub, &b);
-    same(
-        "oracle",
-        &whole,
-        &solve_and_resume(Rec::Cg, &mut space, &b, start, TOL, CUT)?,
-    )?;
+    let oracle = solve_and_resume(&mut (Rec::Cg, &mut space), &b, start, TOL, CUT)?;
+    same("oracle", &whole, &oracle)?;
     moved_by_the_guess(from, &whole).map(|()| whole)
 }
 
@@ -793,7 +854,14 @@ fn f16_fused(bits: usize, durable: bool) -> Result<Print, String> {
     // Binary16 carries ~3 digits: stop well above its floor (nine
     // iterations), and cut after the first, or checkpoint every third.
     let cut = if durable { 3 } else { 1 };
-    cell_at(Rec::Cg, &mut space, &b, || Start::Zero, durable, 1e-2, cut)
+    cell_at(
+        &mut (Rec::Cg, &mut space),
+        &b,
+        || Start::Zero,
+        durable,
+        1e-2,
+        cut,
+    )
 }
 
 /// The fused space preconditioned by the two-level coarse correction:
@@ -805,16 +873,11 @@ fn coarse_preconditioned(bits: usize, from: StartAt, durable: bool) -> Result<Pr
     let mut tmp = p.b.zero_like();
     let cs = CoarseSpace::build(p.op.normal(&mut tmp), &sub.vectors, [2, 2, 2, 2]);
     let mut space = cs.two_level(p.op.normal(&mut tmp), None);
-    let whole = cell(
-        Rec::Cg,
-        &mut space,
-        &p.b,
-        || from.start(&sub, &p.b),
-        durable,
-    )?;
+    let start = || from.start(&sub, MASS, &p.b);
+    let whole = cell((Rec::Cg, &mut space), &p.b, start, durable)?;
     close(&whole, &oracle(&p, &p.b, Start::Zero))?;
     let span = qcd_trace::span!("mg.coarse", p.grid.engine().ctx());
-    let start = from.start(&sub, &p.b);
+    let start = start();
     let (x, report) = krylov::cg_solve(
         &mut space,
         &p.b,
@@ -826,6 +889,39 @@ fn coarse_preconditioned(bits: usize, from: StartAt, durable: bool) -> Result<Pr
         krylov::no_observer,
     );
     same("preset", &whole, &Print::of_single(field_bits(&x), &report))?;
+    moved_by_the_guess(from, &whole).map(|()| whole)
+}
+
+/// The solve of `M x = b` of the clover operator ([`OfM`]), from zero or
+/// from the Galerkin guess of `M†b` (a deflated solve of `M x = b`): CG on
+/// `M†M x = M†b` in the clover normal space and in the allocating closure
+/// adapter from the same start, bit for bit, and the reported residual is
+/// the true one of `M x = b`.
+fn clover(bits: usize, from: StartAt, durable: bool) -> Result<Print, String> {
+    let p = problem(bits);
+    let op = CloverWilson::new(p.op.gauge().clone(), MASS, C_SW);
+    let sub = subspace(&p);
+    let mdag_b = op.apply_dag(&p.b);
+    let start = || from.start(&sub, MASS, &mdag_b);
+    let whole = cell(OfM(&op), &p.b, start, durable)?;
+    let normal = solve(
+        &mut (Rec::Cg, &mut op.normal(&mut p.b.zero_like())),
+        &mdag_b,
+        start(),
+        TOL,
+    );
+    same("normal space", &whole, &normal)?;
+    let mut allocating = Allocating::new(|v: &FermionField| op.mdag_m(v));
+    same(
+        "oracle",
+        &whole,
+        &solve(&mut (Rec::Cg, &mut allocating), &mdag_b, start(), TOL),
+    )?;
+    let (x, report) = OfM(&op).run(&p.b, start(), TOL, BUDGET, krylov::no_observer);
+    // `TOL` bounds the normal equations' residual, `|M†(b − M x)| / |M†b|`;
+    // that of `M x = b` only up to the condition number of `M` (1.05e-6
+    // from zero here).
+    true_residual(&op, &p.b, &x, report.residual, 10.0 * TOL)?;
     moved_by_the_guess(from, &whole).map(|()| whole)
 }
 
@@ -874,6 +970,7 @@ fn every_space_conforms_across_vector_lengths_and_threads() {
     });
     row("dist R=2", &both, &[false, true], dist_r2);
     row("Fermion5", &both, &[false, true], fermion5);
+    row("clover", &both, &[false, true], clover);
     row("f16 fused", &zero, &[false, true], |bits, _, durable| {
         f16_fused(bits, durable)
     });

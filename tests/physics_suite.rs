@@ -2,7 +2,15 @@
 //! precision working together across vector lengths — the extension layer
 //! on top of the paper's verification campaign.
 
+use grid::krylov::{no_observer, Start};
 use grid::prelude::*;
+
+/// `M x = b` to 1e-10 by CG on the normal equations, from zero.
+fn solve_m(op: &WilsonDirac, b: &FermionField) -> FermionField {
+    let span = qcd_trace::span!("solver.cg", b.grid().engine().ctx());
+    let zero = Start::Zero;
+    solve_normal(op, b, zero, 1e-10, 3000, span, "solver.cg", no_observer).0
+}
 
 #[test]
 fn full_pipeline_at_every_grid_supported_vl() {
@@ -35,12 +43,10 @@ fn gauge_covariance_composes_with_solving() {
     let t = random_transform(g.clone(), 204);
     let b = FermionField::random(g.clone(), 205);
 
-    let (x, _) = solve_wilson(&WilsonDirac::new(u.clone(), 0.3), &b, 1e-10, 3000);
-    let (x_rot, _) = solve_wilson(
+    let x = solve_m(&WilsonDirac::new(u.clone(), 0.3), &b);
+    let x_rot = solve_m(
         &WilsonDirac::new(transform_links(&u, &t), 0.3),
         &transform_fermion(&b, &t),
-        1e-10,
-        3000,
     );
     let expected = transform_fermion(&x, &t);
     let diff = x_rot.max_abs_diff(&expected);
@@ -59,7 +65,7 @@ fn mixed_precision_agrees_with_pure_double_across_backends() {
         };
         let (x_mixed, rep) = ladder_solve(&op, &b, &cfg);
         assert!(rep.converged, "{backend:?}: {rep:?}");
-        let (x_ref, _) = solve_wilson(&op, &b, 1e-10, 3000);
+        let x_ref = solve_m(&op, &b);
         let diff = x_mixed.max_abs_diff(&x_ref);
         assert!(diff < 1e-7, "{backend:?}: solutions differ by {diff}");
     }
