@@ -635,8 +635,12 @@ pub fn cg_solve<V: Vector>(
 /// [`Dirac::normal`], with [`cg_solve`]'s arguments, the operator in place
 /// of the space. A [`Start::Guess`] guesses `x`; a [`Start::State`] is a
 /// state of `M†M x = M†b` (`qcd_io::resume` checks one against `M†b`).
-/// `span` covers `M†b` and the CG. The reported residual is the true one,
-/// `|b_j − M x_j| / |b_j|` per RHS; `converged` means the CG reached `tol`.
+/// `span` covers `M†b` and the CG. `tol` bounds the residual of the normal
+/// equations, `|M†(b_j − M x_j)| / |M†b_j|`, which is what the CG iterates
+/// on; the reported residual is the true one of `M x = b`,
+/// `|b_j − M x_j| / |b_j|` per RHS, and can exceed `tol` by up to the
+/// condition number of `M` (the solver matrix's clover cell reports 1.05e-6
+/// at `tol` 1e-6). `converged` means the CG reached `tol`.
 #[allow(clippy::too_many_arguments)]
 pub fn solve_normal<V: Vector, D: Dirac<V>>(
     op: &D,

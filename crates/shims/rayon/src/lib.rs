@@ -2,11 +2,17 @@
 //! surface this workspace uses.
 //!
 //! The build container has no crates.io access, so the workspace vendors the
-//! thin slice of rayon it actually calls, implemented over
-//! `std::thread::scope`. Every worker thread runs at least one chunk and
-//! claims further chunks as it finishes them, so data-parallel kernels
-//! still exercise real multi-threading (the telemetry crate's thread-merge
-//! tests rely on that) and a slow CPU does not hold a region up.
+//! thin slice of rayon it actually calls. Like rayon, it keeps its threads:
+//! each thread that opens a parallel region owns up to
+//! `current_num_threads() − 1` resident *helpers*, started the first time a
+//! region needs them, reused by every later region of that thread, waiting
+//! awake for a bounded number of polls and then parked between regions, and
+//! stopped and joined when the owning thread exits. Owners never share
+//! helpers, so farm workers, rank threads and parallel tests do not contend
+//! for a pool. Every thread of a region runs at least one chunk and claims
+//! further chunks as it finishes them, so data-parallel kernels still
+//! exercise real multi-threading (the telemetry crate's thread-merge tests
+//! rely on that) and a slow CPU does not hold a region up.
 //!
 //! Supported surface:
 //! - `par_chunks_mut` / `par_chunks` with `enumerate()`, `for_each`, and
@@ -21,13 +27,22 @@
 //! When one worker would be used (or there is a single chunk), every
 //! combinator degrades to a direct serial loop that performs **no heap
 //! allocation** — the property the solvers' allocation-free steady state is
-//! built on. `map(..).collect()` necessarily allocates its result vector;
-//! callers that must stay allocation-free use `for_each` or serial fallbacks.
+//! built on. So does a region opened inside a region of the same thread.
+//! `map(..).collect()` necessarily allocates its result vector; callers that
+//! must stay allocation-free use `for_each` or serial fallbacks.
 
-#![forbid(unsafe_code)]
+// One `unsafe` block in the crate: `run_on_threads` erases the lifetime of
+// the region's work to hand it to helpers that outlive the borrow; the
+// region's wait guard (`Region`) is what makes that sound.
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::any::Any;
+use std::cell::Cell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::JoinHandle;
 
 /// The items a `use rayon::prelude::*` is expected to bring into scope.
 pub mod prelude {
@@ -166,29 +181,34 @@ enum Slot<C, R> {
 
 /// The one place work is handed to threads. With one worker (or one chunk)
 /// this is a direct serial loop that spawns nothing and, for `R = ()`,
-/// allocates nothing; otherwise see [`run_on_threads`]. Results come back
-/// in chunk order either way.
+/// allocates nothing; so is a region opened while this thread's helpers are
+/// in a region already (a chunk that opens one, on the caller or on a
+/// helper). Otherwise see [`run_on_threads`]. Results come back in chunk
+/// order either way.
 fn run<S: Chunked, R: Send>(data: S, f: impl Fn((usize, S::Chunk)) -> R + Sync) -> Vec<R> {
     let threads = current_num_threads().min(data.count()).max(1);
-    if threads <= 1 {
-        return data.chunks().enumerate().map(f).collect();
+    if threads > 1 {
+        if let Some(region) = Region::enter() {
+            let slots = data
+                .chunks()
+                .map(|chunk| Mutex::new(Slot::Todo(chunk)))
+                .collect();
+            return run_on_threads(region, slots, threads, &f);
+        }
     }
-    let slots = data
-        .chunks()
-        .map(|chunk| Mutex::new(Slot::Todo(chunk)))
-        .collect();
-    run_on_threads(slots, threads, &f)
+    data.chunks().enumerate().map(f).collect()
 }
 
-/// `threads - 1` scoped threads are spawned and the calling thread works
-/// beside them instead of only waiting. Worker `k` always runs chunk `k`, so
-/// every thread the caller asked for takes part; the remaining chunks are
-/// claimed one at a time, workers from the front and the caller from the
-/// back, so a thread whose CPU is slow or late takes fewer chunks and the
-/// region ends when the work does, not when the slower half of a fixed split
-/// does. Not generic over the kernel: one copy per chunk and result type.
+/// Helper `k` of this thread is handed chunk `k` and the caller works beside
+/// them instead of only waiting, so every thread the caller asked for takes
+/// part; the remaining chunks are claimed one at a time, helpers from the
+/// front and the caller from the back, so a thread whose CPU is slow or late
+/// takes fewer chunks and the region ends when the work does, not when the
+/// slower half of a fixed split does. Not generic over the kernel: one copy
+/// per chunk and result type.
 #[inline(never)]
 fn run_on_threads<C: Send, R: Send>(
+    region: Region,
     slots: Vec<Mutex<Slot<C, R>>>,
     threads: usize,
     f: &(dyn Fn((usize, C)) -> R + Sync),
@@ -203,40 +223,205 @@ fn run_on_threads<C: Send, R: Send>(
         let result = f((i, chunk));
         *slots[i].lock().unwrap() = Slot::Done(result);
     };
-    let (run_chunk, unclaimed_ref) = (&run_chunk, &unclaimed);
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads - 1)
-            .map(|k| {
-                scope.spawn(move || {
-                    let mut next = Some(k);
-                    while let Some(i) = next {
-                        run_chunk(i);
-                        next = unclaimed_ref.lock().unwrap().next();
-                    }
-                })
-            })
-            .collect();
-        let claim_back = || unclaimed_ref.lock().unwrap().next_back();
-        while let Some(i) = claim_back() {
+    let work = |first: usize| {
+        let mut next = Some(first);
+        while let Some(i) = next {
             run_chunk(i);
+            next = unclaimed.lock().unwrap().next();
         }
-        // The workers are inside their last chunk. Waiting awake costs less
-        // than a futex sleep and wake-up, and a worker that has handed in its
-        // result need not be joined: the scope waits for the closure to end,
-        // a join would wait for the operating system to tear the thread down.
-        for worker in &workers {
-            while !worker.is_finished() {
-                std::thread::yield_now();
-            }
-        }
-    });
+    };
+    let work: &(dyn Fn(usize) + Sync) = &work;
+    // SAFETY: only the lifetime changes. `work` borrows this frame (`slots`,
+    // `unclaimed`, `f`) and goes to helpers that outlive it. A helper calls
+    // it only while its seat is busy, and the erased reference is handed out
+    // only by `region`, bound below everything `work` borrows: it is dropped
+    // first, on return and while a panic unwinds alike, and its drop does not
+    // return until every helper has run out of chunks and cleared its seat
+    // (a helper catches a panic of `work` before it does).
+    #[allow(unsafe_code)]
+    let work = unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), Work>(work) };
+    let mut region = region;
+    region.post(work, threads - 1);
+    let claim_back = || unclaimed.lock().unwrap().next_back();
+    while let Some(i) = claim_back() {
+        run_chunk(i);
+    }
+    region.leave();
     slots
         .into_iter()
         .map(|slot| match slot.into_inner().unwrap() {
             Slot::Done(result) => result,
-            _ => unreachable!("the scope ended with a chunk not run"),
+            _ => unreachable!("the region ended with a chunk not run"),
         })
         .collect()
+}
+
+/// A region's work with its lifetime erased: `work(k)` runs chunk `k`,
+/// then claims chunks from the front until none are left.
+type Work = &'static (dyn Fn(usize) + Sync);
+
+/// Polls of its seat a helper makes between regions before it parks: about
+/// 30 µs on a 2-vCPU x86-64 host, so the helpers of a solve stay awake
+/// from one region to the next (a region opened then costs 1.5 µs, one
+/// opened after a park 5–19 µs), and a thread that stops opening regions
+/// leaves its helpers asleep. Each poll yields: with more helpers than CPUs
+/// the thread they wait for gets one at once.
+const POLLS_BEFORE_PARKING: u32 = 200;
+
+thread_local! {
+    /// This thread's helpers, started as its regions first need them; `None`
+    /// while a region of this thread has them, and always on a helper, so a
+    /// region opened there runs serially. Dropped with the thread, which
+    /// stops and joins them.
+    static HELPERS: Cell<Option<Vec<Helper>>> = const { Cell::new(Some(Vec::new())) };
+}
+
+/// What a seat holds.
+enum Mail {
+    Idle,
+    Run(Work, usize),
+    Panicked(Box<dyn Any + Send>),
+    Stop,
+}
+
+/// Where a caller and one of its helpers meet.
+struct Seat {
+    /// Set by the caller after it writes a job into `mail`; cleared by the
+    /// helper after it has finished with the job and written its outcome.
+    busy: AtomicBool,
+    mail: Mutex<Mail>,
+}
+
+/// A resident thread that runs one region's work at a time for its owner.
+struct Helper {
+    seat: Arc<Seat>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Helper {
+    fn start() -> Helper {
+        let seat = Arc::new(Seat {
+            busy: AtomicBool::new(false),
+            mail: Mutex::new(Mail::Idle),
+        });
+        let theirs = Arc::clone(&seat);
+        let thread = std::thread::Builder::new()
+            .spawn(move || serve(&theirs))
+            .expect("failed to start a rayon helper thread");
+        Helper {
+            seat,
+            thread: Some(thread),
+        }
+    }
+
+    fn post(&self, mail: Mail) {
+        *self.seat.mail.lock().unwrap() = mail;
+        self.seat.busy.store(true, Ordering::Release);
+        if let Some(thread) = &self.thread {
+            thread.thread().unpark();
+        }
+    }
+
+    /// Wait awake until the helper hands its job back (it is in its last
+    /// chunk: a futex sleep and wake-up would cost more); the payload of a
+    /// panic it caught.
+    fn wait(&self) -> Option<Box<dyn Any + Send>> {
+        while self.seat.busy.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        match std::mem::replace(&mut *self.seat.mail.lock().unwrap(), Mail::Idle) {
+            Mail::Panicked(payload) => Some(payload),
+            _ => None,
+        }
+    }
+}
+
+impl Drop for Helper {
+    fn drop(&mut self) {
+        self.post(Mail::Stop);
+        if let Some(thread) = self.thread.take() {
+            // `serve` catches every panic of the work it runs.
+            let _ = thread.join();
+        }
+    }
+}
+
+/// A helper's life: wait for a job, run it, hand it back, until stopped.
+fn serve(seat: &Seat) {
+    HELPERS.with(|helpers| helpers.set(None));
+    loop {
+        let mut polls = 0;
+        while !seat.busy.load(Ordering::Acquire) {
+            if polls < POLLS_BEFORE_PARKING {
+                polls += 1;
+                std::thread::yield_now();
+            } else {
+                std::thread::park();
+            }
+        }
+        let outcome = match std::mem::replace(&mut *seat.mail.lock().unwrap(), Mail::Idle) {
+            Mail::Run(work, first) => catch_unwind(AssertUnwindSafe(|| work(first))),
+            Mail::Stop => return,
+            _ => unreachable!("a busy seat holds a job"),
+        };
+        if let Err(payload) = outcome {
+            *seat.mail.lock().unwrap() = Mail::Panicked(payload);
+        }
+        // From here on the caller may end the borrow `work` erased.
+        seat.busy.store(false, Ordering::Release);
+    }
+}
+
+/// This thread's helpers, lent to one region. Dropping it — on return or
+/// while a panic unwinds — waits until every helper has handed its work back
+/// (one not posted to has none), then returns the helpers to the thread.
+struct Region {
+    helpers: Vec<Helper>,
+}
+
+impl Region {
+    /// The thread's helpers, unless a region of this thread has them.
+    fn enter() -> Option<Region> {
+        let helpers = HELPERS.try_with(Cell::take).ok().flatten()?;
+        Some(Region { helpers })
+    }
+
+    /// Hand `work` to `count` helpers, starting those the thread lacks;
+    /// helper `k` begins at chunk `k`.
+    fn post(&mut self, work: Work, count: usize) {
+        while self.helpers.len() < count {
+            self.helpers.push(Helper::start());
+        }
+        for (k, helper) in self.helpers[..count].iter().enumerate() {
+            helper.post(Mail::Run(work, k));
+        }
+    }
+
+    /// Wait for the helpers; the first panic one of them caught.
+    fn wait(&self) -> Option<Box<dyn Any + Send>> {
+        let panics = self.helpers.iter().filter_map(Helper::wait);
+        panics.fold(None, |first, payload| first.or(Some(payload)))
+    }
+
+    /// End the region: wait for the helpers, give them back to the thread,
+    /// and resume on the caller a panic a helper caught.
+    fn leave(self) {
+        let panicked = self.wait();
+        drop(self);
+        if let Some(payload) = panicked {
+            resume_unwind(payload);
+        }
+    }
+}
+
+impl Drop for Region {
+    fn drop(&mut self) {
+        // Not returned: a panic on the caller is already unwinding.
+        drop(self.wait());
+        let helpers = std::mem::take(&mut self.helpers);
+        // A thread whose TLS is being torn down stops them here instead.
+        let _ = HELPERS.try_with(move |slot| slot.set(Some(helpers)));
+    }
 }
 
 /// Parallel chunk iterator (see [`ParallelSlice::par_chunks`],
@@ -322,6 +507,32 @@ impl<S: Chunked, F> MapEnumParChunks<S, F> {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+    use std::collections::HashSet;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::{Arc, Mutex, MutexGuard};
+    use std::thread::ThreadId;
+
+    /// The global thread count, held by every test that sets it, so that a
+    /// test's regions run with the count it asked for.
+    fn hold_thread_count() -> MutexGuard<'static, ()> {
+        static COUNT: Mutex<()> = Mutex::new(());
+        COUNT
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// The thread that ran each of `chunks` one-byte chunks of a region.
+    fn ran_on(chunks: usize) -> Vec<ThreadId> {
+        let data = vec![0u8; chunks];
+        data.par_chunks(1)
+            .enumerate()
+            .map(|(_, _)| std::thread::current().id())
+            .collect()
+    }
+
+    fn distinct(ids: &[ThreadId]) -> usize {
+        ids.iter().collect::<HashSet<_>>().len()
+    }
 
     #[test]
     fn chunks_cover_the_slice_in_order() {
@@ -392,6 +603,7 @@ mod tests {
 
     #[test]
     fn map_collect_preserves_chunk_order() {
+        let _count = hold_thread_count();
         let data: Vec<u32> = (0..57).collect();
         for threads in [1usize, 2, 8] {
             super::set_num_threads(threads);
@@ -451,6 +663,7 @@ mod tests {
 
     #[test]
     fn zip_pairs_chunks_of_different_sizes_by_index() {
+        let _count = hold_thread_count();
         // Eleven chunks of four words beside eleven chunks of two partials,
         // the shape of a sweep that writes a value per site: threads never
         // change which chunk meets which.
@@ -483,7 +696,200 @@ mod tests {
     }
 
     #[test]
+    fn a_panic_on_a_helper_reaches_the_caller_and_the_helper_stays() {
+        let _count = hold_thread_count();
+        super::set_num_threads(2);
+        let helper = Mutex::new(None);
+        let mut data = [0u8; 8];
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            data.par_chunks_mut(1).enumerate().for_each(|(i, _)| {
+                if i == 0 {
+                    *helper.lock().unwrap() = Some(std::thread::current().id());
+                    panic!("chunk 0 gave up");
+                }
+            })
+        }));
+        let payload = caught.expect_err("the helper's panic reached the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"chunk 0 gave up"));
+        let helper = helper.into_inner().unwrap().expect("chunk 0 ran");
+        assert_ne!(
+            helper,
+            std::thread::current().id(),
+            "chunk 0 ran on a helper"
+        );
+        // The same helper takes chunk 0 of the next region.
+        assert_eq!(ran_on(8)[0], helper);
+        super::set_num_threads(0);
+    }
+
+    #[test]
+    fn a_panic_on_the_caller_waits_for_the_helpers() {
+        let _count = hold_thread_count();
+        super::set_num_threads(2);
+        let handed_back = AtomicBool::new(false);
+        let mut data = [0u8; 2];
+        // Chunk 0 is the helper's, chunk 1 the caller's.
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            data.par_chunks_mut(1).enumerate().for_each(|(i, _)| {
+                if i == 1 {
+                    panic!("chunk 1 gave up");
+                }
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                handed_back.store(true, Ordering::SeqCst);
+            })
+        }));
+        let payload = caught.expect_err("the caller's panic unwound");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"chunk 1 gave up"));
+        assert!(
+            handed_back.load(Ordering::SeqCst),
+            "the caller unwound while a helper still ran the region's chunk"
+        );
+        super::set_num_threads(0);
+    }
+
+    #[test]
+    fn a_region_inside_a_chunk_completes_in_chunk_order() {
+        let _count = hold_thread_count();
+        super::set_num_threads(2);
+        let data: Vec<usize> = (0..64).collect();
+        let got: Vec<Vec<(usize, usize, usize)>> = data
+            .par_chunks(16)
+            .enumerate()
+            .map(|(i, outer)| {
+                outer
+                    .par_chunks(4)
+                    .enumerate()
+                    .map(|(j, inner)| (i, j, inner.iter().sum()))
+                    .collect()
+            })
+            .collect();
+        let want: Vec<Vec<(usize, usize, usize)>> = data
+            .chunks(16)
+            .enumerate()
+            .map(|(i, outer)| {
+                let inner = outer.chunks(4).enumerate();
+                inner.map(|(j, c)| (i, j, c.iter().sum())).collect()
+            })
+            .collect();
+        assert_eq!(got, want);
+        super::set_num_threads(0);
+    }
+
+    #[test]
+    fn two_callers_run_regions_at_once_on_their_own_helpers() {
+        let _count = hold_thread_count();
+        super::set_num_threads(2);
+        let both = std::sync::Barrier::new(2);
+        let seen: Vec<HashSet<ThreadId>> = std::thread::scope(|s| {
+            let callers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        both.wait();
+                        let mut seen = HashSet::new();
+                        for _ in 0..50 {
+                            let data: Vec<u64> = (0..40).collect();
+                            let sums: Vec<u64> = data
+                                .par_chunks(5)
+                                .enumerate()
+                                .map(|(_, c)| c.iter().sum())
+                                .collect();
+                            let want: Vec<u64> = data.chunks(5).map(|c| c.iter().sum()).collect();
+                            assert_eq!(sums, want);
+                            seen.extend(ran_on(8));
+                        }
+                        seen
+                    })
+                })
+                .collect();
+            callers.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        assert_eq!(seen[0].len(), 2, "a caller and its one helper");
+        assert_eq!(seen[1].len(), 2, "a caller and its one helper");
+        assert!(seen[0].is_disjoint(&seen[1]), "two callers shared a helper");
+        super::set_num_threads(0);
+    }
+
+    #[test]
+    fn the_thread_count_can_change_between_regions() {
+        let _count = hold_thread_count();
+        for threads in [2usize, 8, 2] {
+            super::set_num_threads(threads);
+            let data: Vec<usize> = (0..64).collect();
+            let sums: Vec<usize> = data
+                .par_chunks(4)
+                .enumerate()
+                .map(|(_, c)| c.iter().sum())
+                .collect();
+            let want: Vec<usize> = data.chunks(4).map(|c| c.iter().sum()).collect();
+            assert_eq!(sums, want, "threads={threads}");
+            let ids = ran_on(16);
+            assert!(distinct(&ids) <= threads, "threads={threads}");
+            assert!(
+                distinct(&ids) >= 2,
+                "threads={threads}: chunk 0 is a helper's"
+            );
+        }
+        super::set_num_threads(0);
+    }
+
+    #[test]
+    fn consecutive_regions_start_no_threads() {
+        // 200 regions run on the caller and the one helper it started for
+        // the first: at most `threads` thread ids, not one per region.
+        let _count = hold_thread_count();
+        super::set_num_threads(2);
+        let mut ids = Vec::new();
+        for _ in 0..200 {
+            ids.extend(ran_on(8));
+        }
+        assert_eq!(distinct(&ids), 2);
+        super::set_num_threads(0);
+    }
+
+    #[test]
+    fn an_owners_helpers_end_with_it() {
+        // Each helper counts its own exit: a thread-local dropped when the
+        // helper thread ends.
+        struct OnExit(Arc<AtomicUsize>);
+        impl Drop for OnExit {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        thread_local! {
+            static ON_EXIT: std::cell::Cell<Option<OnExit>> = const { std::cell::Cell::new(None) };
+        }
+        let _count = hold_thread_count();
+        super::set_num_threads(3);
+        let ended = Arc::new(AtomicUsize::new(0));
+        let helpers = std::thread::spawn({
+            let ended = Arc::clone(&ended);
+            move || {
+                let owner = std::thread::current().id();
+                let helpers = Mutex::new(HashSet::new());
+                [0u8; 8].par_chunks(1).for_each(|_| {
+                    let me = std::thread::current().id();
+                    if me != owner && helpers.lock().unwrap().insert(me) {
+                        ON_EXIT.with(|on_exit| on_exit.set(Some(OnExit(Arc::clone(&ended)))));
+                    }
+                });
+                helpers.into_inner().unwrap().len()
+            }
+        })
+        .join()
+        .unwrap();
+        assert_eq!(helpers, 2);
+        assert_eq!(
+            ended.load(Ordering::SeqCst),
+            2,
+            "a helper outlived the thread that owned it"
+        );
+        super::set_num_threads(0);
+    }
+
+    #[test]
     fn set_num_threads_overrides_the_default() {
+        let _count = hold_thread_count();
         super::set_num_threads(3);
         assert_eq!(super::current_num_threads(), 3);
         super::set_num_threads(0);

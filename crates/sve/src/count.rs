@@ -161,10 +161,10 @@ const UNASSIGNED: usize = usize::MAX;
 /// id names the same shard in every `Counters`.
 static SLOTS_IN_USE: AtomicU32 = AtomicU32::new(0);
 
-/// Returns the thread's slot to the pool when the thread exits. Worker
-/// threads are short-lived (the rayon shim spawns fresh scoped threads for
-/// every parallel region), so without recycling the private shards would be
-/// used up by the first sixteen regions of a process.
+/// Returns the thread's slot to the pool when the thread exits. Threads
+/// come and go — farm workers, rank threads, the threads a test starts, and
+/// with each of them the rayon shim's helpers it owns — so without recycling
+/// the private shards would be used up by the first sixteen of a process.
 struct SlotLease(usize);
 
 impl Drop for SlotLease {
