@@ -451,6 +451,67 @@ fn clover_bits_are_pinned() {
 const CLOVER_F64: (u64, usize, u64) = (0x9128_aa35_a434_ccf2, 42, 0x3e3f_4f42_2b9b_f14e);
 
 #[test]
+fn distributed_solve_bits_are_pinned() {
+    // Every bit of a CG solve of the distributed operator's normal
+    // equations on two ranks split along t ([4,4,4,12], two-row wire, m
+    // 0.2): the solution in global lexicographic site order, the residual
+    // history, the iteration count and the residual, the same at every
+    // vector length; then the modeled instructions the solve retired,
+    // summed over the ranks, the vector length's own. Every rank reports
+    // the same history: each recurrence scalar is a reduction of the rank
+    // grid.
+    use grid::prelude::*;
+    let global = [4, 4, 4, 12];
+    for (k, bits) in [128, 512, 2048].into_iter().enumerate() {
+        let vl = VectorLength::of(bits);
+        let ranks = run_multinode_grid(global, [1, 1, 1, 2], vl, SimdBackend::Fcmla, |ctx| {
+            let g = Grid::new(global, vl, SimdBackend::Fcmla);
+            let u = restrict_field(ctx, &random_gauge(g.clone(), 15));
+            let b = restrict_field(ctx, &FermionField::random(g, 16));
+            let dw = DistWilson::new(ctx, u, 0.2, GaugeWire::TwoRow, Compression::None);
+            let counters = ctx.grid.engine().ctx().counters();
+            counters.reset();
+            let (x, report) = dist_cg(&dw, &b, 1e-8, 500);
+            let sites: Vec<(usize, Vec<f64>)> = ctx
+                .grid
+                .coords()
+                .map(|c| {
+                    let z = (0..12).map(|comp| x.peek(&c, comp));
+                    let bits = z.flat_map(|z| [z.re, z.im]).collect();
+                    (grid::layout::lex(&ctx.to_global(&c), &global), bits)
+                })
+                .collect();
+            (sites, report, counters.total())
+        });
+        let history = fnv1a(&ranks[0].1.history);
+        assert!(
+            ranks.iter().all(|r| fnv1a(&r.1.history) == history),
+            "the ranks' residual histories differ at VL{bits}"
+        );
+        let (iterations, residual) = (ranks[0].1.iterations, ranks[0].1.residual);
+        let insts: u64 = ranks.iter().map(|r| r.2).sum();
+        let mut sites: Vec<_> = ranks.into_iter().flat_map(|r| r.0).collect();
+        sites.sort_unstable_by_key(|s| s.0);
+        let lex: Vec<f64> = sites.into_iter().flat_map(|s| s.1).collect();
+        assert_eq!(
+            (fnv1a(&lex), history, iterations, residual.to_bits()),
+            DIST_F64,
+            "dist_cg solution, history, iterations, residual at VL{bits}"
+        );
+        assert_eq!(insts, DIST_INSTS[k], "dist_cg instructions at VL{bits}");
+    }
+}
+
+const DIST_F64: (u64, u64, usize, u64) = (
+    0x3384_8528_1a63_3355,
+    0x9f65_30f2_d8fc_3a1a,
+    37,
+    0x3e3a_4c99_797f_82fc,
+);
+
+const DIST_INSTS: [u64; 3] = [53_742_094, 13_946_638, 3_596_494];
+
+#[test]
 fn registers_and_words_take_the_bytes_they_are_sized_for() {
     // The point of sizing lane storage: a word of the paper's vector
     // lengths is 64 bytes to hold, copy and return, not the 256 of the
