@@ -19,10 +19,12 @@
 //! [`Leg::run`]), and so is the sweep: a field of any width — one field, a
 //! block of right-hand sides, a domain-wall fermion's `Ls` slices — goes
 //! through [`WilsonDirac::site`], which resolves the legs once per site and
-//! runs them once per right-hand side, fetching through the stencil. The
-//! distributed operator's boundary pass patches the lanes that cross a rank
-//! boundary ([`crate::dist`]). Every sweep ends a right-hand side's site
-//! with the same fused store ([`store_spinor`]).
+//! runs them once per right-hand side, fetching through the stencil. Where
+//! a fetched word comes from is a type, a [`Neighbours`] source: the local
+//! stencil as it is, or the distributed operator's boundary pass, which
+//! patches the lanes that cross a rank boundary ([`crate::dist`]). Every
+//! sweep ends a right-hand side's site with the same fused store
+//! ([`store_spinor`]).
 //!
 //! Every operator built on the sweep — this one on a field and on a block,
 //! clover, domain wall, the distributed operator, the even-odd Schur
@@ -34,6 +36,7 @@
 //! thread-level parallelization Grid gets from OpenMP (paper, Section II-A).
 
 use crate::codec::{LINK_SCALARS_FULL, LINK_SCALARS_TWO_ROW};
+use crate::dist::Crossing;
 use crate::field::{gauge_comp, spinor_comp, FermionBlock, FermionKind, Field, GaugeKind};
 use crate::krylov::{CgSpace, Vector};
 use crate::layout::{Grid, NCOLOR, NSPIN};
@@ -53,10 +56,10 @@ const NCOMP: usize = NSPIN * NCOLOR;
 
 /// One spinor's words at an outer site, indexed by [`spinor_comp`] — the
 /// accumulator of the hopping term.
-pub(crate) type Spinor<const N: usize> = [CVec<N>; NCOMP];
+type Spinor<const N: usize> = [CVec<N>; NCOMP];
 
 /// One SU(3) link's words at an outer site, `[row][col]`.
-pub(crate) type Link<const N: usize> = [[CVec<N>; NCOLOR]; NCOLOR];
+type Link<const N: usize> = [[CVec<N>; NCOLOR]; NCOLOR];
 
 /// Real floating-point operations per lattice site of one hopping-term
 /// application (the standard Wilson dslash count the paper benchmarks
@@ -98,13 +101,13 @@ fn apply_coeff<E: SveFloat, const N: usize, C: HostCopy>(
 /// by every right-hand side: its stencil entry, its spin projector and its
 /// link (see [`WilsonDirac::legs`]).
 #[derive(Clone, Copy)]
-pub(crate) struct Leg<const N: usize> {
+struct Leg<const N: usize> {
     /// The direction `µ`.
-    pub(crate) mu: usize,
+    mu: usize,
     /// `x + µ̂` (`true`) or `x − µ̂`.
-    pub(crate) forward: bool,
+    forward: bool,
     /// Where the neighbour's words come from.
-    pub(crate) entry: StencilEntry,
+    entry: StencilEntry,
     proj: ProjTable,
     link: Link<N>,
 }
@@ -115,7 +118,7 @@ impl<const N: usize> Leg<N> {
     /// both rows by the link — `U` forward, `U†` backward via the
     /// conjugated-FCMLA idiom; reconstruct the full spinor into `acc`.
     #[inline(always)]
-    pub(crate) fn run<E: SveFloat, C: HostCopy>(
+    fn run<E: SveFloat, C: HostCopy>(
         &self,
         eng: &Words<'_, E, N, C>,
         fetch: impl Fn(usize) -> CVec<N>,
@@ -161,7 +164,7 @@ impl<const N: usize> Leg<N> {
 /// then `c·ψ_{s'}` with the (coefficient, neighbour-slice words) of the
 /// chiral leg whose projector keeps the word's spin row — `P₊` spins 0–1,
 /// `P₋` spins 2–3 (see [`crate::dwf`]).
-pub(crate) type SliceTerms<'a, E, const N: usize> = (CVec<N>, [(CVec<N>, &'a [E]); 2]);
+type SliceTerms<'a, E, const N: usize> = (CVec<N>, [(CVec<N>, &'a [E]); 2]);
 
 /// The store every hopping sweep ends a right-hand side's site with: per
 /// component word, the fused Wilson mass term `(m+4)ψ − ½·acc` when `mass`
@@ -170,7 +173,7 @@ pub(crate) type SliceTerms<'a, E, const N: usize> = (CVec<N>, [(CVec<N>, &'a [E]
 /// an `axpy_inplace`, then one store. `psi` and `out` are the site's spinor
 /// words of that right-hand side.
 #[inline(always)]
-pub(crate) fn store_spinor<E: SveFloat, const N: usize, C: HostCopy>(
+fn store_spinor<E: SveFloat, const N: usize, C: HostCopy>(
     eng: &Words<'_, E, N, C>,
     acc: &Spinor<N>,
     mass: Option<CVec<N>>,
@@ -203,9 +206,9 @@ pub(crate) fn store_spinor<E: SveFloat, const N: usize, C: HostCopy>(
 /// adjoint, the fused mass term, a domain-wall block's slice terms (`one`,
 /// `−1` and `m_f` duplicated) and the fused dot.
 pub(crate) struct Sweep<'a, E: SveFloat, const N: usize> {
-    pub(crate) dagger: bool,
-    pub(crate) mass: Option<CVec<N>>,
-    pub(crate) neg_half: CVec<N>,
+    dagger: bool,
+    mass: Option<CVec<N>>,
+    neg_half: CVec<N>,
     fifth: Option<[CVec<N>; 3]>,
     dot_with: Option<&'a Field<FermionKind, E>>,
 }
@@ -232,13 +235,35 @@ pub(crate) enum Sites<'s> {
     Listed(&'s [u32]),
 }
 
+/// Where a hopping site's neighbour words come from, a type fixed at
+/// compile time: the stencil as it is ([`Local`]), or the distributed
+/// operator's boundary pass, which patches the lanes that cross a rank
+/// boundary after the stencil's fetch ([`crate::dist`]).
+pub(crate) trait Neighbours {
+    /// The lanes of leg `µ` (forward or backward) of outer site `osite`
+    /// that cross a rank boundary, and where their values are.
+    fn crossing(&self, osite: usize, mu: usize, forward: bool) -> Option<Crossing<'_>>;
+}
+
+/// The neighbours of one process's lattice: no leg crosses.
+pub(crate) struct Local;
+
+impl Neighbours for Local {
+    #[inline(always)]
+    fn crossing(&self, _: usize, _: usize, _: bool) -> Option<Crossing<'_>> {
+        None
+    }
+}
+
 /// The hopping sweep over some outer sites — a chunk of the field's sweep,
-/// or the distributed operator's interior pass — as one [`WordKernel`]:
-/// [`WilsonDirac::site`] at each, the fused dot's per-site values into
-/// `part`. Every sweep of the operator runs this one kernel, fused into the
-/// host's copy of the lane loops where [`Words::fused`] fuses.
-pub(crate) struct HopSites<'s, 'a, E: SveFloat, const N: usize> {
+/// or either pass of the distributed operator — as one [`WordKernel`]:
+/// [`WilsonDirac::site`] at each with its neighbour words from `src`, the
+/// fused dot's per-site values into `part`. Every sweep of the operator
+/// runs this one kernel, fused into the host's copy of the lane loops where
+/// [`Words::fused`] fuses.
+pub(crate) struct HopSites<'s, 'a, E: SveFloat, const N: usize, S> {
     pub(crate) op: &'s WilsonDirac<E>,
+    pub(crate) src: &'s S,
     pub(crate) psi: &'a Field<FermionKind, E>,
     pub(crate) sweep: &'s Sweep<'a, E, N>,
     pub(crate) sites: Sites<'s>,
@@ -247,7 +272,7 @@ pub(crate) struct HopSites<'s, 'a, E: SveFloat, const N: usize> {
     pub(crate) part: Option<&'s mut [f64]>,
 }
 
-impl<E: SveFloat, const N: usize> WordKernel<E, N> for HopSites<'_, '_, E, N> {
+impl<E: SveFloat, const N: usize, S: Neighbours> WordKernel<E, N> for HopSites<'_, '_, E, N, S> {
     type Out = ();
     #[inline(always)]
     fn run<C: HostCopy>(mut self, eng: &Words<'_, E, N, C>) {
@@ -267,7 +292,8 @@ impl<E: SveFloat, const N: usize> WordKernel<E, N> for HopSites<'_, '_, E, N> {
                 .part
                 .as_deref_mut()
                 .map(|p| &mut p[k * rows..(k + 1) * rows]);
-            self.op.site(eng, self.psi, osite, self.sweep, out, part);
+            self.op
+                .site(eng, self.src, self.psi, osite, self.sweep, out, part);
         }
     }
 }
@@ -415,39 +441,7 @@ impl<E: SveFloat> WilsonDirac<E> {
         dot: Option<(&Field<FermionKind, E>, &mut [f64])>,
         fifth: Option<f64>,
     ) {
-        assert!(
-            Arc::ptr_eq(psi.grid(), &self.grid),
-            "fermion field lives on a different grid"
-        );
-        assert!(
-            Arc::ptr_eq(out.grid(), &self.grid),
-            "output field lives on a different grid"
-        );
         let width = psi.width();
-        assert_eq!(
-            out.width(),
-            width,
-            "fermion fields hold different numbers of right-hand sides"
-        );
-        let sites = self.grid.volume() as u64;
-        let esize = std::mem::size_of::<E>() as u64;
-        let n = width as u64;
-        let mut flops = HOPPING_FLOPS_PER_SITE;
-        let mut reads_per_rhs = 8 * 24;
-        if mass_axpy.is_some() {
-            flops += FUSED_MASS_AXPY_FLOPS_PER_SITE;
-            reads_per_rhs += HOPPING_WRITES_PER_SITE;
-        }
-        if dot.is_some() {
-            flops += FUSED_DOT_FLOPS_PER_SITE;
-            reads_per_rhs += HOPPING_WRITES_PER_SITE;
-        }
-        qcd_trace::record_sites(sites * n);
-        qcd_trace::record_flops(sites * n * flops);
-        qcd_trace::record_bytes(
-            sites * (n * reads_per_rhs + 8 * self.link_scalars() as u64) * esize,
-            sites * n * HOPPING_WRITES_PER_SITE * esize,
-        );
         crate::sized!(self.grid.engine(), |eng| {
             let stride = out.site_stride();
             let cs = reduce::CHUNK_SITES * stride;
@@ -463,11 +457,13 @@ impl<E: SveFloat> WilsonDirac<E> {
                 dot_with,
                 ..Sweep::new(eng, dagger, mass_axpy)
             };
+            self.record_pass(psi, out, &sweep, self.grid.volume());
             // `part` holds a chunk's per-site per-RHS values of the dots,
             // when there are any.
             let kernel = |ci: usize, out: &mut [E], part: Option<&mut [f64]>| {
                 eng.fused(HopSites {
                     op: self,
+                    src: &Local,
                     psi,
                     sweep: &sweep,
                     sites: Sites::From(ci * reduce::CHUNK_SITES),
@@ -489,17 +485,61 @@ impl<E: SveFloat> WilsonDirac<E> {
         })
     }
 
+    /// Check that `psi` and `out` live on the operator's grid at one width
+    /// and credit a pass of `sweep` over `sites` lattice sites to the
+    /// innermost trace region (the distributed operator records each pass).
+    pub(crate) fn record_pass<const N: usize>(
+        &self,
+        psi: &Field<FermionKind, E>,
+        out: &Field<FermionKind, E>,
+        sweep: &Sweep<'_, E, N>,
+        sites: usize,
+    ) {
+        assert!(
+            Arc::ptr_eq(psi.grid(), &self.grid),
+            "fermion field lives on a different grid"
+        );
+        assert!(
+            Arc::ptr_eq(out.grid(), &self.grid),
+            "output field lives on a different grid"
+        );
+        assert_eq!(
+            out.width(),
+            psi.width(),
+            "fermion fields hold different numbers of right-hand sides"
+        );
+        let (sites, n, esize) = (sites as u64, psi.width() as u64, E::BYTES as u64);
+        let mut flops = HOPPING_FLOPS_PER_SITE;
+        let mut reads_per_rhs = 8 * 24;
+        if sweep.mass.is_some() {
+            flops += FUSED_MASS_AXPY_FLOPS_PER_SITE;
+            reads_per_rhs += HOPPING_WRITES_PER_SITE;
+        }
+        if sweep.dot_with.is_some() {
+            flops += FUSED_DOT_FLOPS_PER_SITE;
+            reads_per_rhs += HOPPING_WRITES_PER_SITE;
+        }
+        qcd_trace::record_sites(sites * n);
+        qcd_trace::record_flops(sites * n * flops);
+        qcd_trace::record_bytes(
+            sites * (n * reads_per_rhs + 8 * self.link_scalars() as u64) * esize,
+            sites * n * HOPPING_WRITES_PER_SITE * esize,
+        );
+    }
+
     /// The hopping term at one outer site for every right-hand side of
     /// `psi`: the eight legs resolved once ([`Self::legs`]), then per RHS
     /// [`Leg::run`] with its neighbour words fetched through the stencil and
-    /// the store ([`store_spinor`]) into that RHS's words of `out` (the
-    /// site's words), and the fused dot's values into `part`. Inlined into
-    /// [`HopSites`], the one chunk kernel the sweeps with and without a dot
-    /// and the distributed operator's interior pass share.
+    /// handed to `src`, and the store ([`store_spinor`]) into that RHS's
+    /// words of `out` (the site's words), and the fused dot's values into
+    /// `part`. Inlined into [`HopSites`], the one chunk kernel every sweep
+    /// and both passes of the distributed operator share.
     #[inline(always)]
-    fn site<'a, const N: usize, C: HostCopy>(
+    #[allow(clippy::too_many_arguments)]
+    fn site<'a, const N: usize, C: HostCopy, S: Neighbours>(
         &self,
         eng: &Words<'_, E, N, C>,
+        src: &S,
         psi: &'a Field<FermionKind, E>,
         osite: usize,
         sweep: &Sweep<'a, E, N>,
@@ -514,22 +554,23 @@ impl<E: SveFloat> WilsonDirac<E> {
             #[inline(always)]
             |d| &d.data()[words],
         );
+        let legs = self.legs(eng, src, osite, sweep.dagger);
         // The closures below are arguments, so each carries the attribute:
         // one left out of line would be compiled outside the entered copy.
-        let legs = self.legs(
-            eng,
-            osite,
-            sweep.dagger,
-            #[inline(always)]
-            |mu, entry| self.neighbour_link(eng, mu, entry),
-        );
         for (j, ours) in out.chunks_exact_mut(rhs).enumerate() {
             let mut acc = [eng.zero(); NCOMP];
             for leg in &legs {
+                let crossing = src.crossing(osite, leg.mu, leg.forward);
                 leg.run(
                     eng,
                     #[inline(always)]
-                    |comp| self.stencil.fetch(eng, psi, j * NCOMP + comp, leg.entry),
+                    |comp| {
+                        let v = self.stencil.fetch(eng, psi, j * NCOMP + comp, leg.entry);
+                        match crossing {
+                            Some(x) => x.spinor(eng, comp, v),
+                            None => v,
+                        }
+                    },
                     &mut acc,
                 );
             }
@@ -559,8 +600,8 @@ impl<E: SveFloat> WilsonDirac<E> {
         }
     }
 
-    /// The neighbour stencil (shared with the distributed operator, which
-    /// reuses the same legs and lane permutations for both of its passes).
+    /// The neighbour stencil (the distributed operator finds its faces and
+    /// boundary sites in it).
     pub(crate) fn stencil(&self) -> &Stencil<E> {
         &self.stencil
     }
@@ -569,17 +610,18 @@ impl<E: SveFloat> WilsonDirac<E> {
     /// loop every sweep runs. Per leg it resolves the stencil entry, the
     /// projector — paper convention `(1+γµ)` on the forward leg, `(1−γµ)` on
     /// the backward one, swapped by the adjoint — and the link: `U_µ` at the
-    /// site forward, `bwd_link(µ, entry)` backward (`U_{x−µ̂,µ}`, which a
-    /// rank boundary patches). Each sweep then runs [`Leg::run`] with its
-    /// neighbour fetch, once per right-hand side: the links sit on the
-    /// stack, 8 × 9 words, for the whole site.
+    /// site forward, at the neighbour backward (`U_{x−µ̂,µ}`, lane-permuted
+    /// like the spinor data and patched where it crosses a rank boundary),
+    /// its third row reconstructed from the first two in two-row mode.
+    /// [`Self::site`] then runs [`Leg::run`] once per right-hand side: the
+    /// links sit on the stack, 8 × 9 words, for the whole site.
     #[inline(always)]
-    pub(crate) fn legs<const N: usize, C: HostCopy>(
+    fn legs<const N: usize, C: HostCopy, S: Neighbours>(
         &self,
         eng: &Words<'_, E, N, C>,
+        src: &S,
         osite: usize,
         dagger: bool,
-        bwd_link: impl Fn(usize, StencilEntry) -> Link<N>,
     ) -> [Leg<N>; 8] {
         let mut legs = [Leg {
             mu: 0,
@@ -591,17 +633,23 @@ impl<E: SveFloat> WilsonDirac<E> {
         for (i, leg) in legs.iter_mut().enumerate() {
             let (mu, forward) = (i / 2, i % 2 == 0);
             let entry = self.stencil.leg(dir_index(mu, forward), osite);
-            let link = if forward {
-                let mut uw = [[eng.zero(); NCOLOR]; NCOLOR];
-                for (r, row) in uw.iter_mut().take(self.link_rows()).enumerate() {
-                    for (c, w) in row.iter_mut().enumerate() {
-                        *w = eng.load(self.u.word(osite, gauge_comp(mu, r, c)));
-                    }
+            let crossing = src.crossing(osite, mu, forward);
+            let mut link = [[eng.zero(); NCOLOR]; NCOLOR];
+            for (r, row) in link.iter_mut().take(self.link_rows()).enumerate() {
+                for (c, w) in row.iter_mut().enumerate() {
+                    let comp = gauge_comp(mu, r, c);
+                    *w = match (forward, crossing) {
+                        (true, _) => eng.load(self.u.word(osite, comp)),
+                        (false, None) => self.stencil.fetch(eng, &self.u, comp, entry),
+                        (false, Some(x)) => {
+                            x.link(eng, r, c, self.stencil.fetch(eng, &self.u, comp, entry))
+                        }
+                    };
                 }
-                self.complete_link(eng, uw)
-            } else {
-                bwd_link(mu, entry)
-            };
+            }
+            if self.two_row {
+                link[2] = reconstruct_row2(eng, &link[0], &link[1]);
+            }
             *leg = Leg {
                 mu,
                 forward,
@@ -633,42 +681,6 @@ impl<E: SveFloat> WilsonDirac<E> {
         } else {
             NCOLOR
         }
-    }
-
-    /// A link whose first [`link_rows`](Self::link_rows) rows are read: in
-    /// two-row mode the third is reconstructed from them — after whatever
-    /// the reads patched, exactly as the single-rank operator reconstructs
-    /// from the true neighbour rows.
-    #[inline(always)]
-    pub(crate) fn complete_link<const N: usize, C: HostCopy>(
-        &self,
-        eng: &Words<'_, E, N, C>,
-        mut uw: Link<N>,
-    ) -> Link<N> {
-        if self.two_row {
-            uw[2] = reconstruct_row2(eng, &uw[0], &uw[1]);
-        }
-        uw
-    }
-
-    /// `U_µ` at a leg's neighbour site, lane-permuted like the spinor data:
-    /// the link of a backward leg.
-    #[inline(always)]
-    pub(crate) fn neighbour_link<const N: usize, C: HostCopy>(
-        &self,
-        eng: &Words<'_, E, N, C>,
-        mu: usize,
-        entry: StencilEntry,
-    ) -> Link<N> {
-        let mut uw = [[eng.zero(); NCOLOR]; NCOLOR];
-        for (r, row) in uw.iter_mut().take(self.link_rows()).enumerate() {
-            for (c, w) in row.iter_mut().enumerate() {
-                *w = self
-                    .stencil
-                    .fetch(eng, &self.u, gauge_comp(mu, r, c), entry);
-            }
-        }
-        self.complete_link(eng, uw)
     }
 }
 

@@ -14,9 +14,10 @@
 //! 3. **Collect** — block on each face as it lands
 //!    ([`RankCtx::wait_face_into`]); only time not already covered by the
 //!    interior sweep shows up as exposed wait.
-//! 4. **Boundary** — finish the outer sites that touch a halo, patching the
-//!    crossing SIMD lanes of each fetched word with face data (and ghost
-//!    links on backward legs) before the spin projection runs.
+//! 4. **Boundary** — finish the outer sites that touch a halo with the same
+//!    kernel, its neighbour words from a patching source ([`Neighbours`]):
+//!    the crossing SIMD lanes of each fetched word take face data (and
+//!    ghost links on backward legs) before the spin projection runs.
 //!
 //! Because the patch replaces exactly the lanes whose stencil fetch wrapped
 //! around the local lattice — after the fetch's lane permutation, before
@@ -47,11 +48,7 @@
 //! [`RankCtx::wait_face_into`]: crate::comms::RankCtx::wait_face_into
 
 use crate::comms::{Compression, GaugeWire, RankCtx};
-use crate::dirac::{
-    store_spinor, Dirac, HopSites, Sites, Spinor, Sweep, WilsonDirac,
-    FUSED_MASS_AXPY_FLOPS_PER_SITE, HOPPING_FLOPS_PER_SITE, HOPPING_READS_PER_SITE,
-    HOPPING_WRITES_PER_SITE,
-};
+use crate::dirac::{Dirac, HopSites, Local, Neighbours, Sites, Sweep, WilsonDirac};
 use crate::field::{gauge_comp, FermionField, FermionKind, Field, FieldKind, GaugeKind};
 use crate::krylov::{self, Start, Vector};
 use crate::layout::{Grid, NCOLOR, NDIM, NSPIN};
@@ -61,15 +58,10 @@ use crate::solver::SolveReport;
 use crate::topology::{fermion_face_bytes, link_ghost_bytes, FERMION_FACE_SCALARS};
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
-use sve::SveFloat;
+use sve::{HostCopy, SveFloat};
 
 /// Complex components per spinor.
 const NCOMP: usize = NSPIN * NCOLOR;
-
-/// Stack buffer large enough for one SIMD word at any modeled vector
-/// length of f64 or f32 elements (VL 2048 ⇒ 32 f64, 64 f32 elements); a
-/// binary16 word takes twice that.
-const MAX_WORD: usize = 64;
 
 /// Everything precomputed for one split dimension: which `(outer site,
 /// lane)` pairs form the two faces, and — inverted — which lanes of which
@@ -327,75 +319,6 @@ impl<'a, E: SveFloat> DistWilson<'a, E> {
         }
     }
 
-    /// Overwrite the crossing lanes of a fetched word with halo scalars:
-    /// `halo` is laid out `stride` scalars per face site, the patched
-    /// complex number at scalar offset `offset` within the site.
-    fn patch_word<const N: usize>(
-        &self,
-        eng: &Words<'_, E, N>,
-        v: CVec<N>,
-        patches: &[(u16, u32)],
-        halo: &[f64],
-        stride: usize,
-        offset: usize,
-    ) -> CVec<N> {
-        if E::BYTES == 2 {
-            patched::<E, N, { 2 * MAX_WORD }>(eng, v, patches, halo, stride, offset)
-        } else {
-            patched::<E, N, MAX_WORD>(eng, v, patches, halo, stride, offset)
-        }
-    }
-
-    /// The boundary pass's kernel at one outer site: the eight legs of
-    /// [`WilsonDirac::legs`], with the lanes of every leg that crosses a
-    /// rank boundary replaced by halo data after the stencil fetch — and, on
-    /// backward legs, by the ghost links. Only the *values* of the crossing
-    /// lanes change (they become the true neighbour-rank values), so every
-    /// other lane is untouched bit for bit.
-    fn site_hopping_at_boundary<const N: usize>(
-        &self,
-        eng: &Words<'_, E, N>,
-        psi: &Field<FermionKind, E>,
-        osite: usize,
-        dagger: bool,
-        faces: &[Faces],
-    ) -> Spinor<N> {
-        let st = self.op.stencil();
-        let mut acc = [eng.zero(); NCOMP];
-        let bwd_link = |mu: usize, entry| match self.plan_of_dim[mu] {
-            Some(i) if !self.plans[i].patch_bwd[osite].is_empty() => {
-                let (patches, ghost) = (&self.plans[i].patch_bwd[osite], &self.ghosts[i]);
-                let gs = self.op.link_scalars();
-                let mut uw = [[eng.zero(); NCOLOR]; NCOLOR];
-                for (r, row) in uw.iter_mut().take(self.op.link_rows()).enumerate() {
-                    for (c, w) in row.iter_mut().enumerate() {
-                        let v = st.fetch(eng, self.op.gauge(), gauge_comp(mu, r, c), entry);
-                        *w = self.patch_word(eng, v, patches, ghost, gs, (r * NCOLOR + c) * 2);
-                    }
-                }
-                self.op.complete_link(eng, uw)
-            }
-            _ => self.op.neighbour_link(eng, mu, entry),
-        };
-        for leg in &self.op.legs(eng, osite, dagger, bwd_link) {
-            let (patches, halo): (&[(u16, u32)], &[f64]) = match self.plan_of_dim[leg.mu] {
-                Some(i) if leg.forward => (&self.plans[i].patch_fwd[osite], &faces[i].halo_fwd),
-                Some(i) => (&self.plans[i].patch_bwd[osite], &faces[i].halo_bwd),
-                None => (&[], &[]),
-            };
-            let fetch = |comp| {
-                let v = st.fetch(eng, psi, comp, leg.entry);
-                if patches.is_empty() {
-                    v
-                } else {
-                    self.patch_word(eng, v, patches, halo, FERMION_FACE_SCALARS, 2 * comp)
-                }
-            };
-            leg.run(eng, fetch, &mut acc);
-        }
-        acc
-    }
-
     /// One overlapped hopping sweep: post faces, interior pass, collect
     /// halos, boundary pass. `mass_axpy = Some(m+4)` fuses the Wilson mass
     /// term into the store exactly like the single-process fused sweep.
@@ -408,50 +331,33 @@ impl<'a, E: SveFloat> DistWilson<'a, E> {
     ) {
         let grid = self.op.grid();
         let faces = &mut *self.faces.borrow_mut();
-        assert!(
-            Arc::ptr_eq(psi.grid(), grid),
-            "fermion field lives on a different grid"
-        );
-        assert!(
-            Arc::ptr_eq(out.grid(), grid),
-            "output field lives on a different grid"
-        );
         let _span = self.ctx.detail_spans().then(|| {
             qcd_trace::span!(
                 if dagger { "dist.hop_dag" } else { "dist.hop" },
                 grid.engine().ctx()
             )
         });
-        let sites = grid.volume() as u64;
-        let mut flops = HOPPING_FLOPS_PER_SITE;
-        let mut reads = HOPPING_READS_PER_SITE - 8 * 18 + 8 * self.op.link_scalars() as u64;
-        if mass_axpy.is_some() {
-            flops += FUSED_MASS_AXPY_FLOPS_PER_SITE;
-            reads += HOPPING_WRITES_PER_SITE;
-        }
-        qcd_trace::record_sites(sites);
-        qcd_trace::record_flops(sites * flops);
-        let e = E::BYTES as u64;
-        qcd_trace::record_bytes(sites * reads * e, sites * HOPPING_WRITES_PER_SITE * e);
-
-        // 1. Post both faces of every split dimension; the network carries
-        // them while the interior pass runs.
-        for (plan, f) in self.plans.iter().zip(faces.iter_mut()) {
-            pack_face(psi, &plan.send_prev, NCOMP, |c| c, &mut f.send_prev);
-            self.ctx
-                .post_face_send(plan.dim, false, &f.send_prev, self.compression);
-            pack_face(psi, &plan.send_next, NCOMP, |c| c, &mut f.send_next);
-            self.ctx
-                .post_face_send(plan.dim, true, &f.send_next, self.compression);
-        }
-
         crate::sized!(grid.engine(), |eng| {
             let sweep = Sweep::new(eng, dagger, mass_axpy);
-            let stride = out.site_stride();
+            let lanes = grid.lanes_c();
+            self.op
+                .record_pass(psi, out, &sweep, self.interior.len() * lanes);
 
-            // 2. Interior pass — no leg leaves the rank, the plain kernel runs.
+            // 1. Post both faces of every split dimension; the network
+            // carries them while the interior pass runs.
+            for (plan, f) in self.plans.iter().zip(faces.iter_mut()) {
+                pack_face(psi, &plan.send_prev, NCOMP, |c| c, &mut f.send_prev);
+                self.ctx
+                    .post_face_send(plan.dim, false, &f.send_prev, self.compression);
+                pack_face(psi, &plan.send_next, NCOMP, |c| c, &mut f.send_next);
+                self.ctx
+                    .post_face_send(plan.dim, true, &f.send_next, self.compression);
+            }
+
+            // 2. Interior pass — no leg leaves the rank: the stencil's words.
             eng.fused(HopSites {
                 op: &self.op,
+                src: &Local,
                 psi,
                 sweep: &sweep,
                 sites: Sites::Listed(&self.interior),
@@ -466,16 +372,90 @@ impl<'a, E: SveFloat> DistWilson<'a, E> {
                 self.ctx.wait_face_into(plan.dim, true, &mut f.halo_fwd);
             }
 
-            // 4. Boundary pass — same kernel with crossing lanes patched.
-            for &o in &self.boundary {
-                let o = o as usize;
-                let acc = self.site_hopping_at_boundary(eng, psi, o, dagger, faces);
-                let site = o * stride..(o + 1) * stride;
-                let (psi, out) = (&psi.data()[site.clone()], &mut out.data_mut()[site]);
-                store_spinor(eng, &acc, sweep.mass, sweep.neg_half, psi, None, out);
-            }
+            // 4. Boundary pass — the same kernel, crossing lanes patched.
+            self.op
+                .record_pass(psi, out, &sweep, self.boundary.len() * lanes);
+            eng.fused(HopSites {
+                op: &self.op,
+                src: &Halos { dw: self, faces },
+                psi,
+                sweep: &sweep,
+                sites: Sites::Listed(&self.boundary),
+                out: out.data_mut(),
+                part: None,
+            });
             self.dslash_count.set(self.dslash_count.get() + 1);
         })
+    }
+}
+
+/// The boundary pass's neighbours: crossing lanes take the neighbour rank's
+/// halo (spinors) and ghost links; every other lane is untouched bit for bit.
+struct Halos<'s, 'a, E: SveFloat> {
+    dw: &'s DistWilson<'a, E>,
+    faces: &'s [Faces],
+}
+
+impl<E: SveFloat> Neighbours for Halos<'_, '_, E> {
+    #[inline(always)]
+    fn crossing(&self, osite: usize, mu: usize, forward: bool) -> Option<Crossing<'_>> {
+        let i = self.dw.plan_of_dim[mu]?;
+        let (plan, faces) = (&self.dw.plans[i], &self.faces[i]);
+        let (lanes, halo) = if forward {
+            (&plan.patch_fwd[osite], &faces.halo_fwd)
+        } else {
+            (&plan.patch_bwd[osite], &faces.halo_bwd)
+        };
+        (!lanes.is_empty()).then_some(Crossing {
+            lanes,
+            halo,
+            ghost: &self.dw.ghosts[i],
+            link_scalars: self.dw.op.link_scalars(),
+        })
+    }
+}
+
+/// A leg of a site that crosses a rank boundary: its `(lane, face index)`
+/// pairs, the halo of its spinor lanes, the ghost links of its dimension.
+#[derive(Clone, Copy)]
+pub(crate) struct Crossing<'s> {
+    lanes: &'s [(u16, u32)],
+    halo: &'s [f64],
+    ghost: &'s [f64],
+    link_scalars: usize,
+}
+
+impl Crossing<'_> {
+    /// Word `v` of spinor component `comp`, its crossing lanes from the halo.
+    #[inline(always)]
+    pub(crate) fn spinor<E: SveFloat, const N: usize, C: HostCopy>(
+        self,
+        eng: &Words<'_, E, N, C>,
+        comp: usize,
+        v: CVec<N>,
+    ) -> CVec<N> {
+        patched(
+            eng,
+            v,
+            self.lanes,
+            self.halo,
+            FERMION_FACE_SCALARS,
+            2 * comp,
+        )
+    }
+
+    /// Word `v` of row `r`, column `c` of a backward leg's link, its
+    /// crossing lanes from the ghost links.
+    #[inline(always)]
+    pub(crate) fn link<E: SveFloat, const N: usize, C: HostCopy>(
+        self,
+        eng: &Words<'_, E, N, C>,
+        r: usize,
+        c: usize,
+        v: CVec<N>,
+    ) -> CVec<N> {
+        let at = 2 * (r * NCOLOR + c);
+        patched(eng, v, self.lanes, self.ghost, self.link_scalars, at)
     }
 }
 
@@ -516,19 +496,21 @@ impl<E: SveFloat> AsRef<Arc<Grid<E>>> for DistWilson<'_, E> {
     }
 }
 
-/// `v` with the scalars of the listed lanes replaced by `halo`'s, through
-/// a buffer of `W` elements.
+/// `v` with the complex number of each listed lane replaced by `halo`'s:
+/// `halo` holds `stride` scalars per face site, the number at scalar
+/// `offset` within the site.
 #[inline(always)]
-fn patched<E: SveFloat, const N: usize, const W: usize>(
-    eng: &Words<'_, E, N>,
+fn patched<E: SveFloat, const N: usize, C: HostCopy>(
+    eng: &Words<'_, E, N, C>,
     v: CVec<N>,
     patches: &[(u16, u32)],
     halo: &[f64],
     stride: usize,
     offset: usize,
 ) -> CVec<N> {
+    // An `N`-byte word holds at most `N` elements.
     let word = eng.word_len();
-    let mut buf = [E::zero(); W];
+    let mut buf = [E::zero(); N];
     eng.store(&mut buf[..word], v);
     for &(lane, fidx) in patches {
         let base = fidx as usize * stride + offset;

@@ -201,7 +201,8 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
 
     /// One component's SIMD word at an outer site: component `comp` of the
     /// site's `width × NCOMP` (RHS `j`'s component `c` is `j·NCOMP + c`).
-    #[inline]
+    /// Always inlined: fused sweeps call it inside the entered copy.
+    #[inline(always)]
     pub fn word(&self, osite: usize, comp: usize) -> &[E] {
         let w = self.grid.engine().word_len();
         let off = (osite * self.width * K::NCOMP + comp) * w;

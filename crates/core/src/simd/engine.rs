@@ -150,7 +150,9 @@ impl<E: SveFloat, const N: usize> Words<'_, E, N> {
     /// shorter vectors and the longer words issue their instructions one by
     /// one, so the text of a report binary stays within its bound. Call it
     /// per chunk inside the parallel loop: a worker thread enters its own.
-    #[inline]
+    // Never inlined: one call per chunk, and an `#[inline]` generic is
+    // compiled into every codegen unit that calls it (DESIGN.md section 5).
+    #[inline(never)]
     pub fn fused<K: WordKernel<E, N>>(&self, kernel: K) -> K::Out {
         let body = Fused::<E, K, N> {
             eng: self.eng,

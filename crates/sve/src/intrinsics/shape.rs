@@ -18,8 +18,9 @@
 //! load [`Reg::from_slice`], which the context's lowering (`host.rs`)
 //! compiles per vector length and per host instruction set — a load written
 //! with narrower stores than the arithmetic that follows reads stalls it;
-//! the other loads and stores only move data and walk [`Reg::from_lanes`]
-//! and [`Reg::lanes`]; permutes and broadcasts go through [`Reg::from_fn`].
+//! the other loads and stores only move data, lane by lane in index loops
+//! ([`Reg::from_elems`], [`Reg::lane`]); permutes and broadcasts go
+//! through [`Reg::from_fn`].
 //! Every shape is written once over the register capacity `N`, which its
 //! operands fix.
 
@@ -27,7 +28,7 @@ use crate::ctx::SizedCtx;
 use crate::elem::{SveElem, SveFloat};
 use crate::host::HostCopy;
 use crate::pred::PReg;
-use crate::vreg::{ArithLanes, Reg};
+use crate::vreg::{prefix_len, ArithLanes, Reg};
 
 /// What an inactive lane of an element-wise result holds.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -296,20 +297,21 @@ pub(super) fn load<E: SveElem, const N: usize, C: HostCopy>(
                 if stride == 1 {
                     Reg::from_slice(sz, src)
                 } else {
-                    Reg::from_lanes(vl, src.chunks_exact(stride).map(|rec| rec[k]))
+                    Reg::from_elems(
+                        vl,
+                        #[inline(always)]
+                        |e| src[stride * e + k],
+                    )
                 }
             } else {
-                Reg::from_lanes(
+                Reg::from_elems(
                     vl,
-                    (0..lanes).map(
-                        |e| match (pg.elem_active::<E>(e), src.get(stride * e + k)) {
-                            (false, _) => E::zero(),
-                            (true, Some(&v)) => v,
-                            (true, None) => {
-                                out_of_bounds("reads", "index", stride * e + k, src.len())
-                            }
-                        },
-                    ),
+                    #[inline(always)]
+                    |e| match (pg.elem_active::<E>(e), src.get(stride * e + k)) {
+                        (false, _) => E::zero(),
+                        (true, Some(&v)) => v,
+                        (true, None) => out_of_bounds("reads", "index", stride * e + k, src.len()),
+                    },
                 )
             }
         },
@@ -330,18 +332,22 @@ pub(super) fn store<E: SveElem, const N: usize, C: HostCopy>(
 ) {
     let vl = sz.vl();
     let what = unit_name(stride);
+    // Index loops: a fused body calls no iterator adapter out of line.
+    let lanes = prefix_len(N, vl) / E::BYTES;
     if pg.all_active::<E>(vl) {
         if dst.len() < stride * vl.lanes_of(E::BYTES) {
             out_of_bounds("writes", what, dst.len() / stride, dst.len());
         }
-        for (rec, v) in dst.chunks_exact_mut(stride).zip(reg.lanes::<E>(vl)) {
-            rec[k] = v;
+        for e in 0..lanes {
+            dst[stride * e + k] = reg.lane(e);
         }
     } else {
-        for (e, v) in active_lanes::<E, N, C>(sz, pg, reg) {
-            match dst.get_mut(stride * e + k) {
-                Some(d) => *d = v,
-                None => out_of_bounds("writes", what, e, dst.len()),
+        for e in 0..lanes {
+            if pg.elem_active::<E>(e) {
+                match dst.get_mut(stride * e + k) {
+                    Some(d) => *d = reg.lane(e),
+                    None => out_of_bounds("writes", what, e, dst.len()),
+                }
             }
         }
     }

@@ -113,14 +113,14 @@ impl<const N: usize> Reg<N> {
     }
 
     /// Read lane `i` under the element view `E`.
-    #[inline]
+    #[inline(always)]
     pub fn lane<E: SveElem>(&self, i: usize) -> E {
         let off = i * E::BYTES;
         E::read_le(&self.bytes[off..off + E::BYTES])
     }
 
     /// Write lane `i` under the element view `E`.
-    #[inline]
+    #[inline(always)]
     pub fn set_lane<E: SveElem>(&mut self, i: usize, v: E) {
         let off = i * E::BYTES;
         v.write_le(&mut self.bytes[off..off + E::BYTES]);
@@ -161,6 +161,18 @@ impl<const N: usize> Reg<N> {
             .zip(items)
         {
             v.write_le(dst);
+        }
+        r
+    }
+
+    /// Build a register lane by lane in an index loop, as a fused body must
+    /// (no iterator adapter is left out of line): lane `e` inside `vl` is
+    /// `f(e)`; storage above `vl` stays zero.
+    #[inline(always)]
+    pub(crate) fn from_elems<E: SveElem>(vl: VectorLength, f: impl Fn(usize) -> E) -> Self {
+        let mut r = Self::zeroed();
+        for e in 0..prefix_len(N, vl) / E::BYTES {
+            r.set_lane(e, f(e));
         }
         r
     }
