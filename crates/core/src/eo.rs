@@ -227,7 +227,9 @@ pub fn solve_eo(
 
     // True residual of the original full system (one fused sweep).
     op.apply_into(&x, &mut rhs);
-    let residual = (tmp.sub_norm2(b, &rhs) / b.norm2()).sqrt();
+    let mut r2 = 0.0;
+    tmp.sub_norms2(b, &rhs, std::slice::from_mut(&mut r2));
+    let residual = (r2 / b.norm2()).sqrt();
     (
         x,
         SolveReport {

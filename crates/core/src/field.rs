@@ -293,156 +293,69 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
     fn rhs_scalars(&self) -> usize {
         K::NCOMP * self.grid.engine().word_len()
     }
-    /// Rewrite every word of `self` in parallel as `f(self word, the words
-    /// of `inputs` at the same offset)`; `self` is loaded only when `f`
-    /// reads it (`read_self`), and is the zero word otherwise.
-    fn zip_words<const N: usize, const M: usize>(
-        &mut self,
-        eng: &Words<'_, E, N>,
-        inputs: [&Field<K, E>; M],
-        read_self: bool,
-        f: impl Fn(&Words<'_, E, N>, CVec<N>, [CVec<N>; M]) -> CVec<N> + Sync,
-    ) {
-        inputs.iter().for_each(|x| self.assert_compatible(x));
-        let cs = self.chunk_scalars();
-        let w = eng.word_len();
-        self.data
-            .par_chunks_mut(cs)
-            .enumerate()
-            .for_each(|(ci, chunk)| {
-                for (j, sw) in chunk.chunks_exact_mut(w).enumerate() {
-                    let off = ci * cs + j * w;
-                    let sv = if read_self { eng.load(sw) } else { eng.zero() };
-                    let xs = inputs.map(|x| eng.load(&x.data[off..off + w]));
-                    eng.store(sw, f(eng, sv, xs));
-                }
-            });
-    }
 
     /// `self = a * x + y` lane-wise (one fused `fmla` per word).
     pub fn axpy(&mut self, a: f64, x: &Field<K, E>, y: &Field<K, E>) {
-        crate::sized!(x.grid.engine(), |eng| {
-            let a_dup = eng.dup_real(a);
-            self.zip_words(eng, [x, y], false, |eng, _, [xv, yv]| {
-                eng.axpy_word(a_dup, xv, yv)
-            });
-        })
+        self.update(Op::Axpy(a), &[x, y], EVERY_RHS, None);
     }
 
     /// `self += a * x`.
     pub fn axpy_inplace(&mut self, a: f64, x: &Field<K, E>) {
-        crate::sized!(x.grid.engine(), |eng| {
-            let a_dup = eng.dup_real(a);
-            self.zip_words(eng, [x], true, |eng, sv, [xv]| eng.axpy_word(a_dup, xv, sv));
-        })
+        self.update(Op::AxpyInPlace(a), &[x], EVERY_RHS, None);
     }
 
     /// `self = x + a * self` (the CG search-direction update).
     pub fn aypx(&mut self, a: f64, x: &Field<K, E>) {
-        self.aypx_rhs(&[a], x, &[true]);
+        self.aypx_rhs(&[a], x, EVERY_RHS);
     }
 
     /// `self_j = x_j + a_j * self_j` on every RHS `j` that is `active`;
     /// the words of the others are not even loaded. `a` and `active` hold
     /// one entry per RHS, or one for all.
     pub fn aypx_rhs(&mut self, a: &[f64], x: &Field<K, E>, active: &[bool]) {
-        self.assert_compatible(x);
-        let (cs, rhs, width) = (self.chunk_scalars(), self.rhs_scalars(), self.width);
-        crate::sized!(x.grid.engine(), |eng| {
-            let a = Dups::new(eng, a, 1.0);
-            self.data
-                .par_chunks_mut(cs)
-                .enumerate()
-                .for_each(|(ci, chunk)| {
-                    eng.fused(Aypx {
-                        a: &a,
-                        active,
-                        x: &x.data()[ci * cs..],
-                        chunk,
-                        rhs,
-                        width,
-                    })
-                });
-        })
+        self.update(Op::Aypx(a), &[x], active, None);
     }
 
     /// `self *= a` (real scale).
     pub fn scale(&mut self, a: f64) {
-        let grid = self.grid.clone();
-        crate::sized!(grid.engine(), |eng| {
-            let a_dup = eng.dup_real(a);
-            self.zip_words(eng, [], true, |eng, sv, []| eng.scale(a_dup, sv));
-        })
+        self.update(Op::Scale(a), &[], EVERY_RHS, None);
     }
 
     /// `self = x - y`.
     pub fn sub(&mut self, x: &Field<K, E>, y: &Field<K, E>) {
-        crate::sized!(x.grid.engine(), |eng| {
-            self.zip_words(eng, [x, y], false, |eng, _, [xv, yv]| eng.sub(xv, yv));
-        })
+        self.update(Op::Sub, &[x, y], EVERY_RHS, None);
     }
 
     /// `self = a * x + c * y` (two-term real linear combination, computed
     /// as `mul` then `fmla` — the exact op sequence of `scale` + `axpy`).
     pub fn scale_axpy_from(&mut self, a: f64, x: &Field<K, E>, c: f64, y: &Field<K, E>) {
-        crate::sized!(x.grid.engine(), |eng| {
-            let a_dup = eng.dup_real(a);
-            let c_dup = eng.dup_real(c);
-            self.zip_words(eng, [x, y], false, |eng, _, [xv, yv]| {
-                eng.axpy_word(c_dup, yv, eng.scale(a_dup, xv))
-            });
-        })
-    }
-    /// `self += a * x` with a complex scalar `a` (splat + complex FMA).
-    pub fn axpy_complex(&mut self, a: Complex, x: &Field<K, E>) {
-        crate::sized!(x.grid.engine(), |eng| {
-            let a_splat = eng.splat(a);
-            self.zip_words(eng, [x], true, |eng, sv, [xv]| eng.madd(sv, a_splat, xv));
-        })
+        self.update(Op::ScaleAxpy(a, c), &[x, y], EVERY_RHS, None);
     }
 
-    /// `self *= a` with a complex scalar `a`.
-    pub fn scale_complex(&mut self, a: Complex) {
-        let grid = self.grid.clone();
-        crate::sized!(grid.engine(), |eng| {
-            let a_splat = eng.splat(a);
-            self.zip_words(eng, [], true, |eng, sv, []| eng.mult(a_splat, sv));
-        })
+    /// `self += a * x` with a complex scalar `a` (splat + complex FMA).
+    pub fn axpy_complex(&mut self, a: Complex, x: &Field<K, E>) {
+        self.update(Op::Caxpy(a), &[x], EVERY_RHS, None);
     }
 
     /// `self += x`.
     pub fn add_assign_field(&mut self, x: &Field<K, E>) {
-        crate::sized!(x.grid.engine(), |eng| {
-            self.zip_words(eng, [x], true, |eng, sv, [xv]| eng.add(sv, xv));
-        })
+        self.update(Op::Add, &[x], EVERY_RHS, None);
     }
 
     /// `self = y + a * x` with complex `a` — one sweep instead of
     /// `clone` + `axpy_complex`.
     pub fn caxpy_from(&mut self, a: Complex, x: &Field<K, E>, y: &Field<K, E>) {
-        crate::sized!(x.grid.engine(), |eng| {
-            let a_splat = eng.splat(a);
-            self.zip_words(eng, [x, y], false, |eng, _, [xv, yv]| {
-                eng.madd(yv, a_splat, xv)
-            });
-        })
+        self.update(Op::CaxpyFrom(a), &[x, y], EVERY_RHS, None);
     }
 
     /// `self += a * x + b * y` with complex scalars — one sweep instead of
     /// two `axpy_complex` calls, same op sequence per word.
     pub fn caxpy2(&mut self, a: Complex, x: &Field<K, E>, b: Complex, y: &Field<K, E>) {
-        crate::sized!(x.grid.engine(), |eng| {
-            let (a_splat, b_splat) = (eng.splat(a), eng.splat(b));
-            self.zip_words(eng, [x, y], true, |eng, sv, [xv, yv]| {
-                eng.madd(eng.madd(sv, a_splat, xv), b_splat, yv)
-            });
-        })
+        self.update(Op::Caxpy2(a, b), &[x, y], EVERY_RHS, None);
     }
 
     /// The BiCGStab search-direction update `self = r + beta * (self -
-    /// omega * v)`, fused into one sweep. Per word this performs the exact
-    /// op sequence of `axpy_complex(-omega, v)` + `scale_complex(beta)` +
-    /// `add_assign_field(r)`.
+    /// omega * v)`, fused into one sweep ([`Op::BicgP`]).
     pub fn bicg_p_update(
         &mut self,
         beta: Complex,
@@ -450,11 +363,58 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
         v: &Field<K, E>,
         r: &Field<K, E>,
     ) {
-        crate::sized!(v.grid.engine(), |eng| {
-            let (no_splat, b_splat) = (eng.splat(-omega), eng.splat(beta));
-            self.zip_words(eng, [v, r], true, |eng, sv, [vv, rv]| {
-                eng.add(eng.mult(b_splat, eng.madd(sv, no_splat, vv)), rv)
-            });
+        self.update(Op::BicgP { beta, omega }, &[v, r], EVERY_RHS, None);
+    }
+
+    /// One sweep of `op` ([`Rewrite`]): every word of each RHS `j` that is
+    /// `active` (one entry per RHS, or one for all) rewritten from the words
+    /// of `inputs` (`x`, then `y`) at the same offset; the others are not
+    /// loaded. `op`'s scalars are duplicated into words once, here. With
+    /// `norms`, the per-RHS `|·|²` of the result go there as
+    /// [`Self::norms2_into`] takes them, an inactive RHS's as 0.
+    fn update(
+        &mut self,
+        op: Op<'_>,
+        inputs: &[&Field<K, E>],
+        active: &[bool],
+        norms: Option<&mut [f64]>,
+    ) {
+        inputs.iter().for_each(|x| self.assert_compatible(x));
+        let (rhs, cs) = (self.rhs_scalars(), self.chunk_scalars());
+        let input = |i: usize| inputs.get(i).map_or(&[][..], |f| &f.data[..]);
+        let (x, y) = (input(0), input(1));
+        let Field {
+            grid, width, data, ..
+        } = self;
+        let width = *width;
+        crate::sized!(grid.engine(), |eng| {
+            let (a, b) = op.words(eng);
+            let kernel = |ci: usize, chunk: &mut [E], part: Option<&mut [f64]>| {
+                eng.fused(Rewrite {
+                    op,
+                    a: &a,
+                    b,
+                    active,
+                    base: ci * cs,
+                    x,
+                    y,
+                    chunk,
+                    part,
+                    rhs,
+                    width,
+                })
+            };
+            let chunks = data.par_chunks_mut(cs);
+            match norms {
+                None => chunks
+                    .enumerate()
+                    .for_each(|(ci, chunk)| kernel(ci, chunk, None)),
+                Some(out) => {
+                    let kernel =
+                        |ci, chunk: &mut [E], part: &mut [f64]| kernel(ci, chunk, Some(part));
+                    reduce::sweep_sums(grid, chunks, kernel, width, out)
+                }
+            }
         })
     }
 
@@ -510,77 +470,16 @@ impl<K: FieldKind, E: SveFloat> Field<K, E> {
     /// Fused `self += a * x; |self|^2` in one sweep, bit-identical to the
     /// unfused pair.
     pub fn axpy_norm2(&mut self, a: f64, x: &Field<K, E>) -> f64 {
-        self.assert_compatible(x);
-        crate::sized!(x.grid.engine(), |eng| {
-            let a = eng.dup_real(a);
-            self.update_norm2(eng, &Update::Axpy { a, x: x.data() })
-        })
-    }
-
-    /// Fused `self += a * x; |self|^2` with complex `a`, one sweep.
-    pub fn caxpy_norm2(&mut self, a: Complex, x: &Field<K, E>) -> f64 {
-        self.assert_compatible(x);
-        crate::sized!(x.grid.engine(), |eng| {
-            let a = eng.splat(a);
-            self.update_norm2(eng, &Update::Caxpy { a, x: x.data() })
-        })
-    }
-
-    /// Fused `self = x - y; |self|^2` in one sweep (true-residual check).
-    pub fn sub_norm2(&mut self, x: &Field<K, E>, y: &Field<K, E>) -> f64 {
         let mut n = 0.0;
-        self.sub_norms2(x, y, std::slice::from_mut(&mut n));
+        let norms = Some(std::slice::from_mut(&mut n));
+        self.update(Op::AxpyInPlace(a), &[x], EVERY_RHS, norms);
         n
     }
 
     /// Fused `self = x - y` and `|self_j|²` into `out` as
     /// [`Self::norms2_into`] takes them, in one sweep.
     pub fn sub_norms2(&mut self, x: &Field<K, E>, y: &Field<K, E>, out: &mut [f64]) {
-        self.assert_compatible(x);
-        self.assert_compatible(y);
-        crate::sized!(x.grid.engine(), |eng| {
-            let update = Update::Sub {
-                x: x.data(),
-                y: y.data(),
-            };
-            self.update_norms2(eng, &update, out)
-        })
-    }
-
-    /// Rewrite every word as `update` says and return `|self|²` of the
-    /// result, in one sweep.
-    fn update_norm2<const N: usize>(
-        &mut self,
-        eng: &Words<'_, E, N>,
-        update: &Update<E, N>,
-    ) -> f64 {
-        let mut n = 0.0;
-        self.update_norms2(eng, update, std::slice::from_mut(&mut n));
-        n
-    }
-
-    /// One sweep: every word is rewritten as `update` says, and the per-RHS
-    /// `|·|²` of the result go to `out` as [`Self::norms2_into`] takes them.
-    fn update_norms2<const N: usize>(
-        &mut self,
-        eng: &Words<'_, E, N>,
-        update: &Update<E, N>,
-        out: &mut [f64],
-    ) {
-        let (rhs, cs) = (self.rhs_scalars(), self.chunk_scalars());
-        let kernel = |ci: usize, chunk: &mut [E], part: &mut [f64]| {
-            eng.fused(UpdateNorms {
-                update,
-                base: ci * cs,
-                chunk,
-                part,
-                rhs,
-            })
-        };
-        let Field {
-            grid, width, data, ..
-        } = self;
-        reduce::sweep_sums(grid, data.par_chunks_mut(cs), kernel, *width, out);
+        self.update(Op::Sub, &[x, y], EVERY_RHS, Some(out));
     }
 
     /// Maximum absolute difference to another field (test metric).
@@ -634,81 +533,145 @@ pub fn cg_updates<K: FieldKind, E: SveFloat>(
     })
 }
 
-/// One chunk of [`Field::aypx_rhs`]: `x` and `chunk` hold the chunk's
-/// words, `rhs` scalars per right-hand side, `width` right-hand sides per
-/// site.
-struct Aypx<'s, E, const N: usize> {
-    a: &'s Dups<N>,
-    active: &'s [bool],
-    x: &'s [E],
-    chunk: &'s mut [E],
-    rhs: usize,
-    width: usize,
+/// How a field-update sweep ([`Field::update`]) rewrites a word `s` of the
+/// field, from the words `x` and `y` of its inputs at the same offset: one
+/// per-word formula per variant, issuing exactly the engine operations
+/// written beside it ([`Rewrite`] runs them). The scalars are duplicated
+/// into words once per sweep ([`Op::words`]); only [`Op::Aypx`] takes one
+/// per RHS.
+#[derive(Clone, Copy, Debug)]
+enum Op<'s> {
+    /// `a x + y`: `axpy_word(a, x, y)`.
+    Axpy(f64),
+    /// `s + a x`: `axpy_word(a, x, s)`.
+    AxpyInPlace(f64),
+    /// `x + a_j s` on RHS `j`: `axpy_word(a_j, s, x)`.
+    Aypx(&'s [f64]),
+    /// `a s`: `scale(a, s)`.
+    Scale(f64),
+    /// `x − y`: `sub(x, y)`.
+    Sub,
+    /// `a x + c y`: `axpy_word(c, y, scale(a, x))`.
+    ScaleAxpy(f64, f64),
+    /// `s + x`: `add(s, x)`.
+    Add,
+    /// `s + a x`, complex `a`: `madd(s, a, x)`.
+    Caxpy(Complex),
+    /// `y + a x`, complex `a`: `madd(y, a, x)`.
+    CaxpyFrom(Complex),
+    /// `s + a x + b y`, complex: `madd(madd(s, a, x), b, y)`.
+    Caxpy2(Complex, Complex),
+    /// BiCGStab's `r + β (s − ω v)`, `x = v` and `y = r`:
+    /// `add(mult(β, madd(s, −ω, v)), r)`.
+    BicgP { beta: Complex, omega: Complex },
 }
 
-impl<E: SveFloat, const N: usize> WordKernel<E, N> for Aypx<'_, E, N> {
-    type Out = ();
-    #[inline(always)]
-    fn run<C: HostCopy>(self, eng: &Words<'_, E, N, C>) {
-        let w = eng.word_len();
-        let segments = (0..self.width)
-            .cycle()
-            .zip(self.chunk.chunks_exact_mut(self.rhs));
-        for (s, (j, seg)) in segments.enumerate() {
-            if !per_rhs(self.active, j) {
-                continue;
-            }
-            let (aj, base) = (self.a.at(j), s * self.rhs);
-            for (k, sw) in seg.chunks_exact_mut(w).enumerate() {
-                let off = base + k * w;
-                let (sv, xv) = (eng.load(sw), eng.load(&self.x[off..off + w]));
-                eng.store(sw, eng.axpy_word(aj, sv, xv));
-            }
+/// Every RHS of a sweep is rewritten.
+const EVERY_RHS: &[bool] = &[true];
+
+impl Op<'_> {
+    /// The scalars `a` (per RHS, or one for all) and `b` as words: one
+    /// `dup` per real scalar, one splat per complex one; an unused one is
+    /// the zero word, which costs no instruction.
+    fn words<E: SveFloat, const N: usize>(self, eng: &Words<'_, E, N>) -> (Dups<N>, CVec<N>) {
+        let (one, zero) = (Dups::One, CVec::zero());
+        match self {
+            Op::Sub | Op::Add => (one(zero), zero),
+            Op::Axpy(a) | Op::AxpyInPlace(a) | Op::Scale(a) => (one(eng.dup_real(a)), zero),
+            Op::Aypx(a) => (Dups::new(eng, a, 1.0), zero),
+            Op::ScaleAxpy(a, c) => (one(eng.dup_real(a)), eng.dup_real(c)),
+            Op::Caxpy(a) | Op::CaxpyFrom(a) => (one(eng.splat(a)), zero),
+            Op::Caxpy2(a, b) => (one(eng.splat(a)), eng.splat(b)),
+            Op::BicgP { beta, omega } => (one(eng.splat(-omega)), eng.splat(beta)),
         }
     }
 }
 
-/// How an update-and-norm sweep rewrites a word, at offset `off` of the
-/// field: `self += a x` (a duplicated real `a`), `self += a x` (a splat
-/// complex `a`), or `self = x − y`.
-enum Update<'s, E, const N: usize> {
-    Axpy { a: CVec<N>, x: &'s [E] },
-    Caxpy { a: CVec<N>, x: &'s [E] },
-    Sub { x: &'s [E], y: &'s [E] },
+/// The word at scalar `off` of an input, or none when the sweep has fewer
+/// inputs.
+#[inline(always)]
+fn word_of<E>(f: &[E], off: usize, w: usize) -> &[E] {
+    f.get(off..off + w).unwrap_or_default()
 }
 
-/// One chunk of an update-and-norm sweep: every word of `chunk` (which
-/// starts at scalar `base` of the field) rewritten as `update` says, then
-/// each right-hand side's per-site `|·|²` into `part`.
-struct UpdateNorms<'s, E, const N: usize> {
-    update: &'s Update<'s, E, N>,
+/// One chunk of a field-update sweep: every word of `chunk` — which starts
+/// at scalar `base` of the field, `rhs` scalars per right-hand side and
+/// `width` right-hand sides per site — on an active RHS rewritten as `op`
+/// says from the words of `x` and `y` at the same offset, then, with
+/// `part`, each RHS's per-site `|·|²` into it.
+struct Rewrite<'s, E, const N: usize> {
+    op: Op<'s>,
+    a: &'s Dups<N>,
+    b: CVec<N>,
+    active: &'s [bool],
     base: usize,
+    x: &'s [E],
+    y: &'s [E],
     chunk: &'s mut [E],
-    part: &'s mut [f64],
+    part: Option<&'s mut [f64]>,
     rhs: usize,
+    width: usize,
 }
 
-impl<E: SveFloat, const N: usize> WordKernel<E, N> for UpdateNorms<'_, E, N> {
+impl<E: SveFloat, const N: usize> WordKernel<E, N> for Rewrite<'_, E, N> {
     type Out = ();
     #[inline(always)]
     fn run<C: HostCopy>(self, eng: &Words<'_, E, N, C>) {
-        let (w, lanes) = (eng.word_len(), eng.lanes_c());
-        let segments = self
-            .chunk
-            .chunks_exact_mut(self.rhs)
-            .zip(self.part.chunks_exact_mut(lanes));
-        for (s, (seg, p)) in segments.enumerate() {
-            for (k, sw) in seg.chunks_exact_mut(w).enumerate() {
-                let off = self.base + s * self.rhs + k * w;
-                let at = |f: &[E]| eng.load(&f[off..off + w]);
-                let r = match *self.update {
-                    Update::Axpy { a, x } => eng.axpy_word(a, at(x), eng.load(sw)),
-                    Update::Caxpy { a, x } => eng.madd(eng.load(sw), a, at(x)),
-                    Update::Sub { x, y } => eng.sub(at(x), at(y)),
-                };
-                eng.store(sw, r);
+        let (w, lanes, rhs) = (eng.word_len(), eng.lanes_c(), self.rhs);
+        let (chunk, mut part) = (self.chunk, self.part);
+        for i in 0..chunk.len() / rhs {
+            let j = i % self.width;
+            let seg = &mut chunk[i * rhs..(i + 1) * rhs];
+            let active = per_rhs(self.active, j);
+            if active {
+                let (a, b, base) = (self.a.at(j), self.b, self.base + i * rhs);
+                // Each formula has its own word loop: the `match` is taken
+                // once per right-hand side of a site, not once per word.
+                // The own word `s` and the input words `x`, `y` are loaded
+                // only by a formula that reads them.
+                macro_rules! words {
+                    (|$s:pat_param, $x:pat_param, $y:pat_param| $word:expr) => {
+                        for (k, sw) in seg.chunks_exact_mut(w).enumerate() {
+                            let off = base + k * w;
+                            let ($x, $y) = (word_of(self.x, off, w), word_of(self.y, off, w));
+                            let $s = &*sw;
+                            let v = $word;
+                            eng.store(sw, v);
+                        }
+                    };
+                }
+                match self.op {
+                    Op::Axpy(_) => words!(|_, x, y| eng.axpy_word(a, eng.load(x), eng.load(y))),
+                    Op::AxpyInPlace(_) => {
+                        words!(|s, x, _| eng.axpy_word(a, eng.load(x), eng.load(s)))
+                    }
+                    Op::Aypx(_) => words!(|s, x, _| eng.axpy_word(a, eng.load(s), eng.load(x))),
+                    Op::Scale(_) => words!(|s, _, _| eng.scale(a, eng.load(s))),
+                    Op::Sub => words!(|_, x, y| eng.sub(eng.load(x), eng.load(y))),
+                    Op::ScaleAxpy(..) => {
+                        words!(|_, x, y| eng.axpy_word(b, eng.load(y), eng.scale(a, eng.load(x))))
+                    }
+                    Op::Add => words!(|s, x, _| eng.add(eng.load(s), eng.load(x))),
+                    Op::Caxpy(_) => words!(|s, x, _| eng.madd(eng.load(s), a, eng.load(x))),
+                    Op::CaxpyFrom(_) => words!(|_, x, y| eng.madd(eng.load(y), a, eng.load(x))),
+                    Op::Caxpy2(..) => words!(|s, x, y| {
+                        let t = eng.madd(eng.load(s), a, eng.load(x));
+                        eng.madd(t, b, eng.load(y))
+                    }),
+                    Op::BicgP { .. } => words!(|s, x, y| {
+                        let t = eng.madd(eng.load(s), a, eng.load(x));
+                        eng.add(eng.mult(b, t), eng.load(y))
+                    }),
+                }
             }
-            reduce::site_dots::<E>(seg, seg, p);
+            if let Some(part) = part.as_deref_mut() {
+                let p = &mut part[i * lanes..(i + 1) * lanes];
+                if active {
+                    reduce::site_dots::<E>(seg, seg, p);
+                } else {
+                    p.fill(0.0);
+                }
+            }
         }
     }
 }
@@ -926,21 +889,22 @@ mod tests {
     }
 
     /// Every reduction of a field of `E`, as bits: `norm2`, `inner`, and the
-    /// fused `axpy_norm2`, `caxpy_norm2`, `sub_norm2` and CG update.
+    /// fused `axpy_norm2`, `sub_norms2` and CG update.
     fn reduction_bits<E: SveFloat>(bits: usize) -> Vec<u64> {
         let g = Grid::<E>::new([4, 4, 4, 4], VectorLength::of(bits), SimdBackend::Fcmla);
         let x = Field::<FermionKind, E>::random(g.clone(), 9);
         let y = Field::<FermionKind, E>::random(g.clone(), 10);
         let z = x.inner(&y);
-        let (mut a, mut c, mut d) = (y.clone(), y.clone(), y.clone());
+        let (mut a, mut d) = (y.clone(), y.clone());
         let (mut u, mut r) = (x.clone(), y.clone());
+        let mut sub = [0.0];
+        d.sub_norms2(&x, &y, &mut sub);
         vec![
             x.norm2().to_bits(),
             z.re.to_bits(),
             z.im.to_bits(),
             a.axpy_norm2(-0.375, &x).to_bits(),
-            c.caxpy_norm2(Complex::new(0.25, -0.5), &x).to_bits(),
-            d.sub_norm2(&x, &y).to_bits(),
+            sub[0].to_bits(),
             cg_update_x_r(&mut u, &mut r, 0.6875, &x, &y).to_bits(),
         ]
     }
@@ -1010,12 +974,6 @@ mod tests {
                 assert!((y.peek(&coor, comp) - want).abs() < 1e-13);
             }
         }
-        let mut z = x.clone();
-        z.scale_complex(a);
-        for coor in g.coords().take(16) {
-            let want = a * x.peek(&coor, 5);
-            assert!((z.peek(&coor, 5) - want).abs() < 1e-13);
-        }
         let mut w = x.clone();
         w.add_assign_field(&y0);
         for coor in g.coords().take(16) {
@@ -1048,47 +1006,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_axpy_norm2_matches_unfused_bitwise() {
-        let g = grid();
-        let x = FermionField::random(g.clone(), 11);
-        let mut a = FermionField::random(g.clone(), 12);
-        let mut b = a.clone();
-        let fused = a.axpy_norm2(-0.375, &x);
-        b.axpy_inplace(-0.375, &x);
-        let unfused = b.norm2();
-        assert_eq!(a.max_abs_diff(&b), 0.0);
-        assert_eq!(fused.to_bits(), unfused.to_bits());
-    }
-
-    #[test]
-    fn fused_caxpy_norm2_matches_unfused_bitwise() {
-        let g = grid();
-        let z = Complex::new(0.3, -0.8);
-        let x = FermionField::random(g.clone(), 13);
-        let mut a = FermionField::random(g.clone(), 14);
-        let mut b = a.clone();
-        let fused = a.caxpy_norm2(z, &x);
-        b.axpy_complex(z, &x);
-        let unfused = b.norm2();
-        assert_eq!(a.max_abs_diff(&b), 0.0);
-        assert_eq!(fused.to_bits(), unfused.to_bits());
-    }
-
-    #[test]
-    fn fused_sub_norm2_matches_unfused_bitwise() {
-        let g = grid();
-        let x = FermionField::random(g.clone(), 15);
-        let y = FermionField::random(g.clone(), 16);
-        let mut a = FermionField::zero(g.clone());
-        let mut b = FermionField::zero(g.clone());
-        let fused = a.sub_norm2(&x, &y);
-        b.sub(&x, &y);
-        let unfused = b.norm2();
-        assert_eq!(a.max_abs_diff(&b), 0.0);
-        assert_eq!(fused.to_bits(), unfused.to_bits());
-    }
-
-    #[test]
     fn fused_cg_update_matches_unfused_bitwise() {
         let g = grid();
         let p = FermionField::random(g.clone(), 17);
@@ -1107,47 +1024,129 @@ mod tests {
         assert_eq!(fused.to_bits(), unfused.to_bits());
     }
 
-    #[test]
-    fn fused_caxpy_helpers_match_unfused_bitwise() {
-        let g = grid();
-        let a = Complex::new(-0.21, 0.43);
-        let b = Complex::new(0.9, 0.12);
-        let x = FermionField::random(g.clone(), 21);
-        let y = FermionField::random(g.clone(), 22);
-        // caxpy_from
-        let mut f1 = FermionField::zero(g.clone());
-        f1.caxpy_from(a, &x, &y);
-        let mut f2 = y.clone();
-        f2.axpy_complex(a, &x);
-        assert_eq!(f1.max_abs_diff(&f2), 0.0);
-        // caxpy2
-        let mut g1 = FermionField::random(g.clone(), 23);
-        let mut g2 = g1.clone();
-        g1.caxpy2(a, &x, b, &y);
-        g2.axpy_complex(a, &x);
-        g2.axpy_complex(b, &y);
-        assert_eq!(g1.max_abs_diff(&g2), 0.0);
-        // bicg_p_update
-        let mut p1 = FermionField::random(g.clone(), 24);
-        let mut p2 = p1.clone();
-        p1.bicg_p_update(b, a, &x, &y);
-        p2.axpy_complex(-a, &x);
-        p2.scale_complex(b);
-        p2.add_assign_field(&y);
-        assert_eq!(p1.max_abs_diff(&p2), 0.0);
+    /// The per-instruction oracle of a field-update sweep: the scalars
+    /// duplicated once, then every word of every active RHS loaded,
+    /// rewritten by the parent closure's formula for `op` and stored, one
+    /// engine operation at a time in storage order — no chunks, no fused
+    /// entry, no threads.
+    fn oracle<E: SveFloat>(
+        f: &mut Field<FermionKind, E>,
+        op: Op<'_>,
+        [x, y]: [&Field<FermionKind, E>; 2],
+        active: &[bool],
+    ) {
+        let grid = f.grid.clone();
+        let e = &grid.engine().words::<{ sve::VL_MAX_BYTES }>();
+        let zero = CVec::zero();
+        let (a, b) = match op {
+            Op::Sub | Op::Add => (vec![zero], zero),
+            Op::Axpy(a) | Op::AxpyInPlace(a) | Op::Scale(a) => (vec![e.dup_real(a)], zero),
+            Op::Aypx(a) => (a.iter().map(|&a| e.dup_real(a)).collect(), zero),
+            Op::ScaleAxpy(a, c) => (vec![e.dup_real(a)], e.dup_real(c)),
+            Op::Caxpy(a) | Op::CaxpyFrom(a) => (vec![e.splat(a)], zero),
+            Op::Caxpy2(a, c) => (vec![e.splat(a)], e.splat(c)),
+            Op::BicgP { beta, omega } => (vec![e.splat(-omega)], e.splat(beta)),
+        };
+        let (w, rhs) = (e.word_len(), f.rhs_scalars());
+        for i in 0..f.data.len() / w {
+            let j = i * w / rhs % f.width;
+            if !per_rhs(active, j) {
+                continue;
+            }
+            let at = |g: &Field<FermionKind, E>| e.load(&g.data[i * w..(i + 1) * w]);
+            let (s, aj) = (|| at(f), per_rhs(&a, j));
+            let v = match op {
+                Op::Axpy(_) => e.axpy_word(aj, at(x), at(y)),
+                Op::AxpyInPlace(_) => e.axpy_word(aj, at(x), s()),
+                Op::Aypx(_) => e.axpy_word(aj, s(), at(x)),
+                Op::Scale(_) => e.scale(aj, s()),
+                Op::Sub => e.sub(at(x), at(y)),
+                Op::ScaleAxpy(..) => e.axpy_word(b, at(y), e.scale(aj, at(x))),
+                Op::Add => e.add(s(), at(x)),
+                Op::Caxpy(_) => e.madd(s(), aj, at(x)),
+                Op::CaxpyFrom(_) => e.madd(at(y), aj, at(x)),
+                Op::Caxpy2(..) => e.madd(e.madd(s(), aj, at(x)), b, at(y)),
+                Op::BicgP { .. } => e.add(e.mult(b, e.madd(s(), aj, at(x))), at(y)),
+            };
+            e.store(&mut f.data[i * w..(i + 1) * w], v);
+        }
+    }
+
+    /// One sweep of each formula; `a` is [`Op::Aypx`]'s per-RHS list.
+    fn ops(a: &[f64]) -> [Op<'_>; 11] {
+        let (z, u) = (Complex::new(0.3, -0.8), Complex::new(-0.21, 0.43));
+        [
+            Op::Axpy(-0.375),
+            Op::AxpyInPlace(1.5),
+            Op::Aypx(a),
+            Op::Scale(1.375),
+            Op::Sub,
+            Op::ScaleAxpy(1.7, -0.25),
+            Op::Add,
+            Op::Caxpy(z),
+            Op::CaxpyFrom(u),
+            Op::Caxpy2(z, u),
+            Op::BicgP { beta: u, omega: z },
+        ]
     }
 
     #[test]
-    fn scale_axpy_from_matches_unfused_bitwise() {
-        let g = grid();
-        let x = FermionField::random(g.clone(), 25);
-        let y = FermionField::random(g.clone(), 26);
-        let mut f1 = FermionField::zero(g.clone());
-        f1.scale_axpy_from(1.7, &x, -0.25, &y);
-        let mut f2 = x.clone();
-        f2.scale(1.7);
-        f2.axpy_inplace(-0.25, &y);
-        assert_eq!(f1.max_abs_diff(&f2), 0.0);
+    fn every_update_is_its_per_instruction_oracle() {
+        // Every `Op`, at every element type, at a vector length of each
+        // word size and the shortest, on a field and on a block whose
+        // middle RHS is inactive: the fused sweep (with and without its
+        // norms) writes the oracle's bits, issues the oracle's instructions
+        // opcode by opcode, and its norms are the result's.
+        fn check<E: SveFloat>(bits: usize, width: usize) {
+            let g = Grid::<E>::new([4, 4, 4, 4], VectorLength::of(bits), SimdBackend::Fcmla);
+            let fields = |seed: u64| {
+                let fs: Vec<_> = (0..width)
+                    .map(|j| Field::<FermionKind, E>::random(g.clone(), seed + j as u64))
+                    .collect();
+                Field::from_fields(&fs)
+            };
+            let (x, y, f0) = (fields(1), fields(11), fields(21));
+            let (active, a) = match width {
+                1 => (vec![true], vec![0.625]),
+                _ => (vec![true, false, true], vec![0.625, -1.25, 2.0]),
+            };
+            let counters = g.engine().ctx().counters();
+            for op in ops(&a) {
+                let what = format!("{op:?} {} vl={bits} width={width}", E::SUFFIX);
+                let mut want = f0.clone();
+                counters.reset();
+                oracle(&mut want, op, [&x, &y], &active);
+                let tally = counters.snapshot();
+                let mut got = f0.clone();
+                counters.reset();
+                got.update(op, &[&x, &y], &active, None);
+                assert_eq!(counters.snapshot(), tally, "{what}");
+                let mut normed = f0.clone();
+                let mut norms = vec![f64::NAN; width];
+                counters.reset();
+                normed.update(op, &[&x, &y], &active, Some(&mut norms));
+                assert_eq!(counters.snapshot(), tally, "{what} (norms)");
+                let mut want_norms = vec![0.0; width];
+                want.norms2_into(&mut want_norms);
+                for j in 0..width {
+                    let bits = |f: &Field<FermionKind, E>| -> Vec<u64> {
+                        let f = f.rhs_field(j);
+                        f.data.iter().map(|v| v.to_f64().to_bits()).collect()
+                    };
+                    assert!(bits(&got) == bits(&want), "{what} rhs {j}");
+                    assert!(bits(&normed) == bits(&want), "{what} rhs {j}");
+                    let n = if active[j] { want_norms[j] } else { 0.0 };
+                    assert_eq!(norms[j].to_bits(), n.to_bits(), "{what} rhs {j}");
+                }
+            }
+        }
+        for bits in [128, 512, 2048] {
+            for width in [1, 3] {
+                check::<f64>(bits, width);
+                check::<f32>(bits, width);
+                check::<F16>(bits, width);
+            }
+        }
     }
 
     fn block_fields(g: &Arc<Grid>, n: usize, seed0: u64) -> Vec<FermionField> {
@@ -1215,10 +1214,10 @@ mod tests {
             let mut ff = FermionField::zero(g.clone());
             ff.scale_axpy_from(1.7, &xs[j], -0.25, &ys[j]);
             assert_eq!(f.rhs_field(j).max_abs_diff(&ff), 0.0);
-            let mut fsub = FermionField::zero(g.clone());
-            let want = fsub.sub_norm2(&xs[j], &ys[j]);
+            let (mut fsub, mut want) = (FermionField::zero(g.clone()), [0.0]);
+            fsub.sub_norms2(&xs[j], &ys[j], &mut want);
             assert_eq!(sub.rhs_field(j).max_abs_diff(&fsub), 0.0);
-            assert_eq!(sn[j].to_bits(), want.to_bits(), "rhs {j}");
+            assert_eq!(sn[j].to_bits(), want[0].to_bits(), "rhs {j}");
         }
     }
 

@@ -628,6 +628,7 @@ pub fn cg_solve<V: Vector>(
         span,
         region,
         &mut observer,
+        None,
     )
 }
 
@@ -653,7 +654,8 @@ pub fn solve_normal<V: Vector, D: Dirac<V>>(
     mut observer: impl FnMut(&State<V>, &[HealthMonitor]) -> ControlFlow<()>,
 ) -> (V, V::Report) {
     let (rhs, mut tmp) = (op.apply_dag(b), b.zero_like());
-    let (x, mut report): (V, BlockSolveReport) = solve(
+    let m = |x: &V, mx: &mut V| op.apply_into(x, mx);
+    solve(
         Recurrence::Cg,
         &mut op.normal(&mut tmp),
         &rhs,
@@ -663,16 +665,8 @@ pub fn solve_normal<V: Vector, D: Dirac<V>>(
         span,
         region,
         &mut observer,
-    );
-    // `M x` lands in `tmp`, `b − M x` in the spent `M†b`.
-    op.apply_into(&x, &mut tmp);
-    let (mut r, mut r2, mut b2) = (rhs, vec![0.0; b.nrhs()], vec![0.0; b.nrhs()]);
-    r.sub_norms2_into(b, &tmp, &mut r2);
-    b.norms2_into(&mut b2);
-    for (j, residual) in report.residuals.iter_mut().enumerate() {
-        *residual = (r2[j] / b2[j]).sqrt();
-    }
-    (x, report.into())
+        Some((&m, b)),
+    )
 }
 
 /// Solve `M x = b` by BiCGStab in `space` — the operator's own space,
@@ -709,15 +703,17 @@ pub fn bicgstab<V: Vector>(
         span,
         region,
         &mut observer,
+        None,
     )
 }
 
 // The space and the observer are each called once per iteration, beside
 // sweeps over the whole lattice: behind `dyn`, the driver is compiled once
-// per vector type rather than once per (space, observer). The report is the
-// vector's own, or the per-RHS one `solve_normal` amends.
+// per vector type rather than once per (space, observer). The one true
+// residual is taken in the space, or, with `of_m`, of the system `M x = b`
+// whose normal equations the space solves.
 #[allow(clippy::too_many_arguments)]
-fn solve<V: Vector, R: From<BlockSolveReport>>(
+fn solve<V: Vector>(
     rec: Recurrence<'_, V>,
     space: &mut dyn CgSpace<V = V>,
     b: &V,
@@ -727,7 +723,8 @@ fn solve<V: Vector, R: From<BlockSolveReport>>(
     span: qcd_trace::SpanGuard<'_>,
     region: &str,
     observer: &mut Observer<'_, V>,
-) -> (V, R) {
+    of_m: Option<System<'_, V>>,
+) -> (V, V::Report) {
     let mut w = Scratch::new(b);
     let mut state = begin(space, b, &mut w, start);
     let mut monitors = health_monitors(region, V::BATCHED, &state.histories);
@@ -744,10 +741,29 @@ fn solve<V: Vector, R: From<BlockSolveReport>>(
     if let Stop::Breakdown(j, at) = stop {
         panic!("the Krylov recurrence broke down (RHS {j}): {at}");
     }
-    residual(space, b, &state.x, &mut w.ap, &mut state.p, &mut w.k.fresh);
-    let report = conclude(region, monitors, &state, &w.k.fresh, tol, span.finish());
+    let (x, ax, r2) = (&state.x, &mut w.ap, &mut w.k.fresh);
+    let of_m_b_norm2 = match of_m {
+        None => {
+            residual(space, b, x, ax, &mut state.p, r2);
+            None
+        }
+        Some((m, b)) => {
+            m(x, ax);
+            state.p.sub_norms2_into(b, ax, r2);
+            let mut b_norm2 = vec![0.0; b.nrhs()];
+            b.norms2_into(&mut b_norm2);
+            Some(b_norm2)
+        }
+    };
+    let b_norm2 = of_m_b_norm2.as_deref().unwrap_or(&state.b_norm2);
+    let true_r2 = (&w.k.fresh[..], b_norm2);
+    let report = conclude(region, monitors, &state, true_r2, tol, span.finish());
     (state.x, report.into())
 }
+
+/// `M` (as `x ↦ M x`) and `b` of the system `M x = b` whose normal
+/// equations a space solves ([`solve_normal`]).
+type System<'a, V> = (&'a dyn Fn(&V, &mut V), &'a V);
 
 /// What the driver asks after every iteration, type-erased.
 type Observer<'a, V> = dyn FnMut(&State<V>, &[HealthMonitor]) -> ControlFlow<()> + 'a;
@@ -768,13 +784,14 @@ fn health_monitors(region: &str, batched: bool, histories: &[Vec<f64>]) -> Vec<H
 }
 
 /// The per-RHS report of a finished solve: convergence of the recurrence,
-/// the true residuals, and each monitor concluded into its capped history
-/// and typed events.
+/// the true residuals `|b_j − A x_j|` relative to `|b_j|` (their squares in
+/// `true_r2`), and each monitor concluded into its capped history and typed
+/// events.
 fn conclude<V>(
     region: &str,
     monitors: Vec<HealthMonitor>,
     s: &State<V>,
-    true_r2: &[f64],
+    (true_r2, b_norm2): (&[f64], &[f64]),
     tol: f64,
     telemetry: qcd_trace::RegionSummary,
 ) -> BlockSolveReport {
@@ -792,7 +809,7 @@ fn conclude<V>(
         iterations: s.iterations.iter().copied().max().unwrap_or(0),
         per_rhs_iterations: s.iterations.clone(),
         residuals: (0..nrhs)
-            .map(|j| (true_r2[j] / s.b_norm2[j]).sqrt())
+            .map(|j| (true_r2[j] / b_norm2[j]).sqrt())
             .collect(),
         converged: (0..nrhs)
             .map(|j| s.r2[j] <= tol * tol * s.b_norm2[j])

@@ -12,10 +12,10 @@
 //! There is one record family, for the one recurrence state
 //! ([`grid::krylov::State`]) of any stored vector: [`STATE_SCALARS`] (the
 //! RHS count, then per right-hand side the iteration count, `|r|²`, `|b|²`
-//! and the count-prefixed history) plus one field record per iterate and
-//! stored field, `state.x.<j>`, `state.r.<j>`, `state.p.<j>` — one per
-//! right-hand side of a field or a block, one per slice of a 5-d fermion —
-//! portable across vector lengths like every other field record.
+//! and the count-prefixed history) plus one field record per iterate,
+//! `state.x`, `state.r`, `state.p` — a field of the vector's width (one for
+//! a field, one per right-hand side of a block, one per slice of a 5-d
+//! fermion) — portable across vector lengths like every other field record.
 //!
 //! Durability is not a solver: [`Checkpointer::observer`] is handed to
 //! `krylov::cg_solve` in *any* space over stored vectors, and
@@ -28,7 +28,6 @@ use crate::container::{Container, Record};
 use crate::error::{IoError, Result};
 use crate::fields::{decode_field, encode_field, Cursor, FieldMeta, Writer, META_RECORD};
 use grid::codec::Precision;
-use grid::field::Field;
 use grid::krylov::{Start, State, Vector};
 use grid::Grid;
 use qcd_trace::HealthMonitor;
@@ -40,7 +39,7 @@ use sve::SveFloat;
 /// Record holding the recurrence scalars of every right-hand side.
 pub const STATE_SCALARS: &str = "state.scalars";
 
-/// The iterates of a state, as their record-name stems.
+/// The iterates of a state, as their record names.
 const ITERATES: [&str; 3] = ["state.x", "state.r", "state.p"];
 
 fn bad_scalars(msg: String) -> IoError {
@@ -92,8 +91,8 @@ pub(crate) fn decode_scalars(payload: &[u8]) -> Result<Scalars> {
 
 /// Snapshot an in-flight CG solve — one field, a block or a 5-d fermion —
 /// to `path` (atomic write): the scalars per right-hand side, one record
-/// per stored field of each iterate, at [`Precision::F64`], which holds
-/// every narrower element type exactly.
+/// per iterate, at [`Precision::F64`], which holds every narrower element
+/// type exactly.
 pub fn save_state<V: Vector>(state: &State<V>, path: &Path) -> Result<u64> {
     let nrhs = state.nrhs();
     let mut scalars = Writer::default();
@@ -108,14 +107,11 @@ pub fn save_state<V: Vector>(state: &State<V>, path: &Path) -> Result<u64> {
         }
     }
     let mut c = Container::new();
-    let meta = FieldMeta::of(&state.x.field().rhs_field(0), Precision::F64);
+    let meta = FieldMeta::of(state.x.field(), Precision::F64);
     c.push(Record::new(META_RECORD, meta.encode()));
     c.push(Record::new(STATE_SCALARS, scalars.0));
-    for (stem, v) in ITERATES.iter().zip([&state.x, &state.r, &state.p]) {
-        for j in 0..v.field().width() {
-            let field = encode_field(&v.field().rhs_field(j), Precision::F64);
-            c.push(Record::new(&format!("{stem}.{j}"), field));
-        }
+    for (name, v) in ITERATES.iter().zip([&state.x, &state.r, &state.p]) {
+        c.push(Record::new(name, encode_field(v.field(), Precision::F64)));
     }
     c.write_atomic(path)
 }
@@ -135,25 +131,19 @@ pub fn load_state<V: Vector>(path: &Path, grid: &Arc<Grid<V::E>>) -> Result<Stat
             "the checkpoint holds {nrhs} right-hand sides, the solve being resumed has one"
         )));
     }
-    // One record per stored field: as many as `state.x.<j>` records run.
-    let slots = (1..)
-        .find(|j| c.find(&format!("{}.{j}", ITERATES[0])).is_none())
-        .expect("a container holds finitely many records");
-    let load = |stem: &str| -> Result<V> {
-        let fields = (0..slots)
-            .map(|j| {
-                let name = format!("{stem}.{j}");
-                let f = decode_field(&meta, &c.expect(&name)?.payload, grid, &name)?;
-                let msg = "the iterate has a component that is not finite".to_string();
-                let finite = f.data().iter().all(|s| s.to_f64().is_finite());
-                finite
-                    .then_some(f)
-                    .ok_or(IoError::BadRecord { record: name, msg })
-            })
-            .collect::<Result<Vec<_>>>()?;
-        V::from_field(Field::from_fields(&fields), nrhs).ok_or_else(|| {
+    let load = |name: &str| -> Result<V> {
+        let f = decode_field(&meta, &c.expect(name)?.payload, grid, name)?;
+        if !f.data().iter().all(|s| s.to_f64().is_finite()) {
+            let msg = "the iterate has a component that is not finite".to_string();
+            return Err(IoError::BadRecord {
+                record: name.to_string(),
+                msg,
+            });
+        }
+        let width = f.width();
+        V::from_field(f, nrhs).ok_or_else(|| {
             bad_scalars(format!(
-                "the checkpoint stores {slots} fields per iterate for {nrhs} right-hand \
+                "the checkpoint stores {width} fields per iterate for {nrhs} right-hand \
                  sides, which is not the shape of the vector being resumed"
             ))
         })

@@ -265,18 +265,14 @@ impl Writer {
 }
 
 /// Serialize a field's scalars in global lexicographic site order at the
-/// requested precision. The record holds one right-hand side: a wider
-/// field is refused, each of its right-hand sides is written on its own.
+/// requested precision: at every site, its right-hand sides in order, each
+/// its `NCOMP` components. The record holds a field of any width; the width
+/// is the payload's scalar count over the lattice's.
 pub fn encode_field<K: FieldKind, E: SveFloat>(f: &Field<K, E>, precision: Precision) -> Vec<u8> {
-    assert_eq!(
-        f.width(),
-        1,
-        "a field record holds one right-hand side: write each `rhs_field` of a wider field"
-    );
-    let grid = f.grid();
-    let mut scalars = Vec::with_capacity(grid.volume() * K::NCOMP * 2);
+    let (grid, comps) = (f.grid(), f.width() * K::NCOMP);
+    let mut scalars = Vec::with_capacity(grid.volume() * comps * 2);
     for x in grid.coords() {
-        for comp in 0..K::NCOMP {
+        for comp in 0..comps {
             let z = f.peek(&x, comp);
             scalars.push(z.re);
             scalars.push(z.im);
@@ -287,7 +283,9 @@ pub fn encode_field<K: FieldKind, E: SveFloat>(f: &Field<K, E>, precision: Preci
 
 /// Decode a field payload into a field on `grid`, validating the metadata
 /// against the target first. The file's vector length may differ from the
-/// grid's — the payload is layout-independent.
+/// grid's — the payload is layout-independent. The field's width is the
+/// payload's scalar count over the lattice's, which must be a whole number
+/// of at least one.
 pub fn decode_field<K: FieldKind, E: SveFloat>(
     meta: &FieldMeta,
     payload: &[u8],
@@ -319,22 +317,22 @@ pub fn decode_field<K: FieldKind, E: SveFloat>(
     }
     // Sized before it is decoded: a wrong precision tag must not widen a
     // payload into four times its bytes first.
-    let want = grid.volume() * K::NCOMP * 2;
-    let width = meta.precision.bytes_per_scalar();
-    if payload.len().is_multiple_of(width) && payload.len() / width != want {
+    let one = grid.volume() * K::NCOMP * 2;
+    let bytes = meta.precision.bytes_per_scalar();
+    let scalars = payload.len() / bytes;
+    if payload.len().is_multiple_of(bytes) && (scalars == 0 || !scalars.is_multiple_of(one)) {
         return Err(IoError::BadRecord {
             record: record.to_string(),
             msg: format!(
-                "{} scalars in payload, lattice needs {want}",
-                payload.len() / width
+                "{scalars} scalars in payload, not a whole number of lattice fields of {one}"
             ),
         });
     }
     let scalars = decode_f64s(payload, meta.precision)?;
-    let mut f = Field::<K, E>::zero(grid.clone());
+    let mut f = Field::<K, E>::zero_width(grid.clone(), scalars.len() / one);
     let mut i = 0;
     for x in grid.coords() {
-        for comp in 0..K::NCOMP {
+        for comp in 0..f.width() * K::NCOMP {
             f.poke(
                 &x,
                 comp,
@@ -347,6 +345,25 @@ pub fn decode_field<K: FieldKind, E: SveFloat>(
         }
     }
     Ok(f)
+}
+
+/// [`decode_field`] of a field of one right-hand side: a gauge
+/// configuration or a chain's links. Any other width is a typed
+/// [`IoError::BadRecord`] naming `record`.
+pub(crate) fn decode_one<K: FieldKind>(
+    meta: &FieldMeta,
+    payload: &[u8],
+    grid: &Arc<Grid<f64>>,
+    record: &str,
+) -> Result<Field<K>> {
+    let f = decode_field::<K, f64>(meta, payload, grid, record)?;
+    match f.width() {
+        1 => Ok(f),
+        width => Err(IoError::BadRecord {
+            record: record.to_string(),
+            msg: format!("{width} fields in the payload, gauge links are one"),
+        }),
+    }
 }
 
 /// Build the two records (`meta`, `field`) describing `f`.
@@ -420,7 +437,7 @@ pub fn read_gauge(path: &Path, grid: &Arc<Grid<f64>>) -> Result<GaugeField> {
 
 fn read_gauge_inner(c: &Container, grid: &Arc<Grid<f64>>) -> Result<GaugeField> {
     let meta = FieldMeta::decode(&c.expect(META_RECORD)?.payload, META_RECORD)?;
-    let u = decode_field(&meta, &c.expect(FIELD_RECORD)?.payload, grid, FIELD_RECORD)?;
+    let u = decode_one(&meta, &c.expect(FIELD_RECORD)?.payload, grid, FIELD_RECORD)?;
     if let Some(stored) = meta.plaquette {
         let _span = qcd_trace::span!("io.validate", grid.engine().ctx());
         let computed = average_plaquette(&u);
@@ -515,16 +532,43 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rhs_field")]
-    fn encode_field_refuses_a_block() {
-        let _ = encode_field(&*wide(), Precision::F64);
+    fn a_block_is_one_record_read_at_another_vector_length() {
+        let block = wide();
+        let path = std::env::temp_dir().join(format!("wide-{}.qio", std::process::id()));
+        write_field(&*block, &path, Precision::F64).unwrap();
+        let g = Grid::new(
+            [2, 2, 2, 4],
+            sve::VectorLength::of(128),
+            grid::SimdBackend::Fcmla,
+        );
+        let back: grid::FermionField = read_field(&path, &g).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(back.width(), 2);
+        for j in 0..2 {
+            for x in g.coords() {
+                for comp in 0..12 {
+                    let want = block.rhs_field(j).peek(&x, comp);
+                    assert_eq!(back.rhs_field(j).peek(&x, comp), want, "rhs {j}");
+                }
+            }
+        }
     }
 
     #[test]
-    #[should_panic(expected = "rhs_field")]
-    fn write_field_refuses_a_block() {
-        let path = std::env::temp_dir().join(format!("wide-{}.qio", std::process::id()));
-        let _ = write_field(&*wide(), &path, Precision::F64);
+    fn a_payload_of_a_partial_field_is_refused() {
+        let block = wide();
+        let meta = FieldMeta::of(&*block, Precision::F64);
+        let payload = encode_field(&*block, Precision::F64);
+        for cut in [payload.len() / 2 + 8, 8, 0] {
+            let got = decode_field::<grid::field::FermionKind, f64>(
+                &meta,
+                &payload[..cut],
+                block.grid(),
+                "f",
+            );
+            let refused = matches!(got, Err(IoError::BadRecord { .. }));
+            assert!(refused, "{cut} bytes: {:?}", got.map(|f| f.width()));
+        }
     }
 
     #[test]

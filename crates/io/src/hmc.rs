@@ -24,8 +24,8 @@
 use crate::container::{Container, Record};
 use crate::error::{IoError, Result};
 use crate::fields::{
-    decode_field, encode_field, rng_from_record, rng_record, Cursor, FieldMeta, Writer,
-    FIELD_RECORD, META_RECORD, RNG_RECORD,
+    decode_one, encode_field, rng_from_record, rng_record, Cursor, FieldMeta, Writer, FIELD_RECORD,
+    META_RECORD, RNG_RECORD,
 };
 use grid::codec::Precision;
 use grid::gauge::average_plaquette;
@@ -210,7 +210,7 @@ pub fn read_hmc_chain(
     let state = HmcChainState::from_records(c.expect(HMC_RECORD)?, c.expect(HMC_HISTORY_RECORD)?)?;
     let metropolis = rng_from_record(c.expect(RNG_RECORD)?)?;
     let meta = FieldMeta::decode(&c.expect(META_RECORD)?.payload, META_RECORD)?;
-    let links = decode_field(&meta, &c.expect(FIELD_RECORD)?.payload, grid, FIELD_RECORD)?;
+    let links = decode_one(&meta, &c.expect(FIELD_RECORD)?.payload, grid, FIELD_RECORD)?;
     if let Some(stored) = meta.plaquette {
         let _span = qcd_trace::span!("io.validate", grid.engine().ctx());
         let computed = average_plaquette(&links);

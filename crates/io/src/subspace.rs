@@ -71,9 +71,8 @@ impl<E: SveFloat> Subspace<E> {
         self.values.len()
     }
 
-    /// [`write_subspace`] of this subspace. A record holds one right-hand
-    /// side: `encode_field` refuses the vectors of a wider subspace (a 5-d
-    /// fermion's) with a named panic.
+    /// [`write_subspace`] of this subspace: one record per vector, of the
+    /// vector's width (a 5-d fermion's `Ls` slices in one).
     pub fn save(&self, path: &Path, precision: Precision) -> Result<u64> {
         let (v, r) = (&self.values, &self.residuals);
         write_subspace(&self.vectors, v, r, self.mass, path, precision)

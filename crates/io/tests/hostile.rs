@@ -77,9 +77,9 @@ fn a_forged_count_is_refused_before_it_sizes_an_allocation() {
             vec![
                 meta(),
                 Record::new(STATE_SCALARS, scalars),
-                field_record("state.x.0", &f),
-                field_record("state.r.0", &f),
-                field_record("state.p.0", &f),
+                field_record("state.x", &f),
+                field_record("state.r", &f),
+                field_record("state.p", &f),
             ],
         );
         expect_bad_record(load_state::<FermionField>(&path, &g), STATE_SCALARS, tag);
@@ -395,7 +395,7 @@ fn a_checkpoint_with_a_non_finite_state_is_refused() {
         };
         let mut poisoned = state.clone();
         poisoned.p.poke(&[1, 0, 1, 0], 5, Complex::new(bad, 0.5));
-        refused(&poisoned, "state.p.0");
+        refused(&poisoned, "state.p");
         let mut poisoned = state.clone();
         poisoned.r2[0] = bad;
         refused(&poisoned, STATE_SCALARS);

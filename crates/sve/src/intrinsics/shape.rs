@@ -338,8 +338,15 @@ pub(super) fn store<E: SveElem, const N: usize, C: HostCopy>(
         if dst.len() < stride * vl.lanes_of(E::BYTES) {
             out_of_bounds("writes", what, dst.len() / stride, dst.len());
         }
-        for e in 0..lanes {
-            dst[stride * e + k] = reg.lane(e);
+        if stride == 1 {
+            // The lanes are a prefix of `dst`: one bounds check per word.
+            for (e, d) in dst[..lanes].iter_mut().enumerate() {
+                *d = reg.lane(e);
+            }
+        } else {
+            for e in 0..lanes {
+                dst[stride * e + k] = reg.lane(e);
+            }
         }
     } else {
         for e in 0..lanes {

@@ -449,22 +449,21 @@ fn ladder_print(x: Vec<u64>, report: &LadderReport) -> Result<Print, String> {
     })
 }
 
-/// `x` written by `qcd_io`, one field record per stored field, and read
-/// back onto its grid.
+/// `x` written by `qcd_io` as one field record and read back onto its
+/// grid.
 fn through_disk<V: Vector<E = f64>>(x: &V) -> Result<V, String> {
     static FILES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
     let n = FILES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let f = x.field();
-    let mut slots = Vec::new();
-    for j in 0..f.width() {
-        let name = format!("krylov-matrix-ladder-{}-{n}-{j}.qio", std::process::id());
-        let path = std::env::temp_dir().join(name);
-        let io = |e: qcd_io::IoError| e.to_string();
-        qcd_io::write_field(&f.rhs_field(j), &path, Precision::F64).map_err(io)?;
-        slots.push(qcd_io::read_field(&path, f.grid()).map_err(io)?);
-        std::fs::remove_file(&path).ok();
-    }
-    V::from_field(Field::from_fields(&slots), x.nrhs()).ok_or("not the iterate's shape".into())
+    let name = format!("krylov-matrix-ladder-{}-{n}.qio", std::process::id());
+    let (path, f, io) = (
+        std::env::temp_dir().join(name),
+        x.field(),
+        |e: qcd_io::IoError| e.to_string(),
+    );
+    qcd_io::write_field(f, &path, Precision::F64).map_err(io)?;
+    let back = qcd_io::read_field(&path, f.grid()).map_err(io)?;
+    std::fs::remove_file(&path).ok();
+    V::from_field(back, x.nrhs()).ok_or("not the iterate's shape".into())
 }
 
 /// A ladder cell: `b` solved to [`TOL`] in `op`'s replicas. Durable: once
